@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test test-short test-shuffle race bench bench-compare bench-all bench-smoke loadgen-smoke shard-smoke cover experiments experiments-quick examples clean
+.PHONY: all verify build vet test test-short test-shuffle race bench bench-compare bench-all bench-smoke benchmark-quick loadgen-smoke shard-smoke cover experiments experiments-quick examples clean
 
 all: build vet test race
 
@@ -40,9 +40,14 @@ race:
 # precision for wall clock — e.g. `make bench bench-compare BENCHTIME=0.5s`
 # keeps baseline and gate runs close enough in time that slow machine-speed
 # drift (burstable-VM throttling) doesn't masquerade as a regression.
+#
+# The four per-layer benchmarks (compile, partition, presolve, root LP on one
+# fixed captured GS HET batch) are the ones to read for memory: their B/op and
+# allocs/op repeat exactly, and bench-compare prints both deltas.
 BENCHTIME ?= 1s
+BENCHES = BenchmarkBatchedSolve|BenchmarkSchedulerCycle|BenchmarkShardedCycle|BenchmarkCycleFrontEnd|BenchmarkLoadgen|BenchmarkCompileBatch|BenchmarkPartition|BenchmarkPresolve|BenchmarkRootLP
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkBatchedSolve|BenchmarkSchedulerCycle|BenchmarkShardedCycle|BenchmarkCycleFrontEnd|BenchmarkLoadgen' -benchmem -count=6 -benchtime=$(BENCHTIME) . \
+	$(GO) test -run='^$$' -bench='$(BENCHES)' -benchmem -count=6 -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -o BENCH_milp.json
 
 # Regression gate: re-run the tracked benchmarks and diff min ns/op (best of
@@ -59,7 +64,7 @@ bench:
 # shared-runner noise.
 BENCHCOMPARE_FLAGS ?=
 bench-compare:
-	$(GO) test -run='^$$' -bench='BenchmarkBatchedSolve|BenchmarkSchedulerCycle|BenchmarkShardedCycle|BenchmarkCycleFrontEnd|BenchmarkLoadgen' -benchmem -count=6 -benchtime=$(BENCHTIME) . \
+	$(GO) test -run='^$$' -bench='$(BENCHES)' -benchmem -count=6 -benchtime=$(BENCHTIME) . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_milp.json $(BENCHCOMPARE_FLAGS)
 
 # Every benchmark in the repo (reduced-scale paper tables/figures included).
@@ -70,6 +75,13 @@ bench-all:
 # silently stop compiling or start crashing. Fast enough for CI.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# Scoreboard smoke: every workload of the BENCHMARK.json harness at the tests'
+# scale (about a second each), untraced and traced, with the oracle and the
+# schedule-hash checks on; exits non-zero on any failed operation. The full
+# scoreboard is `go run ./benchmark` (benchmark/README.md); wired into CI.
+benchmark-quick:
+	$(GO) run ./benchmark -quick
 
 # Front-door smoke: cmd/loadgen spawns an in-process daemon and fires a short
 # closed-loop burst at POST /v1/submit while cycles drain the queue. Gates on

@@ -5,7 +5,10 @@
 package tetrisched
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http/httptest"
 	"testing"
@@ -23,6 +26,7 @@ import (
 	"tetrisched/internal/rayon"
 	"tetrisched/internal/sim"
 	"tetrisched/internal/strl"
+	"tetrisched/internal/strlgen"
 	"tetrisched/internal/workload"
 )
 
@@ -509,6 +513,164 @@ func BenchmarkEndToEndGSHET(b *testing.B) {
 		sched := core.New(c, core.Config{CyclePeriod: 4, PlanAhead: 48})
 		if _, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched, Plan: plan, CyclePeriod: 4}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// gshetBatch is a fixed captured cycle input for the per-layer benchmarks and
+// the model golden: the first n jobs of a seeded GS HET trace on RC256,
+// lowered to STRL at the moment the last of them arrives (4 s quantum, 96 s
+// plan-ahead, the benchmark's trace workloads), against a cluster where every
+// third node is busy for a few slices, so covers span several partition
+// groups, some options are culled and supply rows bind.
+func gshetBatch(tb testing.TB, n int, seed int64) ([]strl.Expr, compiler.Options) {
+	tb.Helper()
+	c := cluster.RC256(true)
+	jobs, err := workload.Generate(workload.GSHET(n), c, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	now := jobs[len(jobs)-1].Submit
+	gen := strlgen.New(c, strlgen.Default(4, 96))
+	var exprs []strl.Expr
+	for _, j := range jobs {
+		if req := gen.Generate(now, j); req != nil {
+			exprs = append(exprs, req.Expr)
+		}
+	}
+	if len(exprs) < n/2 {
+		tb.Fatalf("only %d of %d jobs still have an option at t=%d", len(exprs), n, now)
+	}
+	rel := make([]int64, c.N())
+	for i := range rel {
+		if i%3 == 0 {
+			rel[i] = int64(1 + i%5)
+		}
+	}
+	return exprs, compiler.Options{Universe: c.N(), Horizon: 24, ReleaseAt: rel}
+}
+
+// TestCompiledModelGolden pins the text of compiled GS HET models — variable
+// and row names included, through both printers — to digests taken at the
+// commit before names became lazily formatted and rows moved into an arena.
+// The model the solver sees, and what an operator reads in a dump, did not
+// change; only where its memory lives.
+func TestCompiledModelGolden(t *testing.T) {
+	for _, tc := range []struct {
+		jobs   int
+		seed   int64
+		digest string
+	}{
+		{24, 1, "d8dea6cafdbd890381e51fa6680a00bda79b80f892a3111c11409d9563b99800"},
+		{60, 2, "de5416c5e4e4a67787704b1d26435fe447d5ec815fe1d20603dee30fa3705fc0"},
+		{120, 3, "f49dc3adcd8b825b49a515fdae9267413a5602ee93b9492476ec5f09129b7713"},
+	} {
+		exprs, opts := gshetBatch(t, tc.jobs, tc.seed)
+		comp, err := compiler.Compile(exprs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text bytes.Buffer
+		text.WriteString(comp.Model.String())
+		if err := comp.Model.WriteLP(&text); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(text.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.digest {
+			t.Errorf("GS HET batch of %d (seed %d): %d vars, %d rows, model text digest %s, want %s",
+				tc.jobs, tc.seed, comp.Model.NumVars(), comp.Model.NumConstraints(), got, tc.digest)
+		}
+	}
+}
+
+// The per-layer micro-benchmarks (ROADMAP 1(c)): one layer each, on the fixed
+// input above, steady state — the memory the caller owns (compiler.Scratch,
+// milp.Workspace) is warm, as it is in a running scheduler. B/op and
+// allocs/op repeat exactly from run to run; ns/op on a shared box does not.
+
+func BenchmarkCompileBatch(b *testing.B) {
+	exprs, opts := gshetBatch(b, 60, 2)
+	var sc compiler.Scratch
+	for i := 0; i < 2; i++ { // grow the staging to fit, outside the measurement
+		if _, err := sc.Compile(exprs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sc.Compile(exprs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPartition(b *testing.B) {
+	exprs, opts := gshetBatch(b, 60, 2)
+	universe := cluster.RC256(true).All()
+	var eqsets []*bitset.Set
+	for _, e := range exprs {
+		for _, l := range strl.Leaves(e) {
+			eqsets = append(eqsets, l.(*strl.NCk).Set)
+		}
+	}
+	if universe.Cap() != opts.Universe {
+		b.Fatal("universe mismatch")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := cluster.Partition(universe, eqsets); len(p.Groups) < 2 {
+			b.Fatal("partition did not split")
+		}
+	}
+}
+
+func BenchmarkPresolve(b *testing.B) {
+	exprs, opts := gshetBatch(b, 60, 2)
+	comp, err := compiler.Compile(exprs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pre := milp.Presolve(comp.Model); pre.Infeasible {
+			b.Fatal("infeasible")
+		}
+	}
+}
+
+// BenchmarkRootLP is the solve of the reduced model cut off after its root
+// relaxation: LP build, cold primal solve, rounding. The model is presolved
+// once outside the loop; no cuts, no tree (MaxNodes 1), and a heuristic that
+// proposes nothing stands in for the dive.
+func BenchmarkRootLP(b *testing.B) {
+	exprs, opts := gshetBatch(b, 60, 2)
+	comp, err := compiler.Compile(exprs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pre := milp.Presolve(comp.Model)
+	if pre.Infeasible {
+		b.Fatal("infeasible")
+	}
+	mopts := milp.Options{
+		Workers: 1, MaxNodes: 1, DisablePresolve: true, DisableCuts: true,
+		Heuristic: func([]float64) []float64 { return nil },
+	}
+	var ws milp.Workspace
+	for i := 0; i < 2; i++ { // grow the slabs to fit, outside the measurement
+		if _, err := ws.Solve(pre.Model, mopts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := ws.Solve(pre.Model, mopts)
+		if err != nil || sol.LP.ColdStarts != 1 {
+			b.Fatalf("root solve: %v %+v", err, sol)
 		}
 	}
 }

@@ -13,7 +13,8 @@
 // *min* ns/op (best of -count runs): scheduler-steal and frequency noise on
 // a shared box is strictly additive, so the min filters it while a real
 // regression shifts the whole distribution, min included. Mean deltas are
-// printed alongside for context.
+// printed alongside for context, and so are the B/op and allocs/op deltas
+// (as info lines: they repeat exactly, ns/op on a shared box does not).
 //
 // The gate itself is two-tier, calibrated for noisy shared machines where
 // identical-code back-to-back suite runs show per-benchmark min swings of
@@ -227,6 +228,14 @@ func compareReports(base, cur *report, threshold, maxSingle float64, w io.Writer
 		}
 		fmt.Fprintf(w, "  %-40s %12.0f -> %12.0f min ns/op  %+7.1f%% (mean %+7.1f%%)  %s\n",
 			c.Name, bMin, cMin, 100*minDelta, 100*meanDelta, verdict)
+		// Memory per operation repeats exactly from run to run where ns/op on
+		// a shared box does not, so its delta is the one number here a reader
+		// can take at face value. Reported, never judged: the gate stays a
+		// statement about time.
+		if b.BytesPerOp > 0 || c.BytesPerOp > 0 {
+			fmt.Fprintf(w, "    %-38s %12.0f -> %12.0f B/op       %s  (info)\n", "", b.BytesPerOp, c.BytesPerOp, pctDelta(b.BytesPerOp, c.BytesPerOp))
+			fmt.Fprintf(w, "    %-38s %12.0f -> %12.0f allocs/op  %s  (info)\n", "", b.AllocsPerOp, c.AllocsPerOp, pctDelta(b.AllocsPerOp, c.AllocsPerOp))
+		}
 		// Custom b.ReportMetric values (e.g. compile-skip-rate, slo-pct) are
 		// carried through for the reader but never judged: they measure
 		// policy or cache quantities, not time, so the regression verdict
@@ -257,6 +266,14 @@ func compareReports(base, cur *report, threshold, maxSingle float64, w io.Writer
 		}
 	}
 	return regressed
+}
+
+// pctDelta renders cur against base as a signed percentage.
+func pctDelta(base, cur float64) string {
+	if base <= 0 {
+		return "    n/a"
+	}
+	return fmt.Sprintf("%+7.1f%%", 100*(cur-base)/base)
 }
 
 // parseBenchLine parses one "BenchmarkName-8  N  123 ns/op  45 B/op  6 allocs/op"

@@ -213,3 +213,24 @@ func TestCompareCarriesCustomMetrics(t *testing.T) {
 		t.Errorf("metric info lines must print in sorted order:\n%s", got)
 	}
 }
+
+// TestCompareReportsMemoryDeltas: B/op and allocs/op of both sides are
+// printed with their delta as info lines and never move the verdict, even
+// when memory triples while time improves.
+func TestCompareReportsMemoryDeltas(t *testing.T) {
+	base := &report{Benchmarks: []summary{{
+		Name: "BenchmarkCompileBatch", NsPerOpMean: 200, NsPerOpMin: 200, BytesPerOp: 1000, AllocsPerOp: 40,
+	}}}
+	cur := &report{Benchmarks: []summary{{
+		Name: "BenchmarkCompileBatch", NsPerOpMean: 150, NsPerOpMin: 150, BytesPerOp: 3000, AllocsPerOp: 10,
+	}}}
+	var out strings.Builder
+	if compareReports(base, cur, 0.10, 0.50, &out) {
+		t.Errorf("a memory change must never fail the gate:\n%s", out.String())
+	}
+	for _, want := range []string{"1000 ->         3000 B/op", "+200.0%", "40 ->           10 allocs/op", "-75.0%", "(info)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("comparison output missing %q:\n%s", want, out.String())
+		}
+	}
+}

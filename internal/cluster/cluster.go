@@ -151,31 +151,76 @@ type Partitioning struct {
 // "dynamic partitioning of cluster resources at the beginning of each cycle
 // to minimize the number of partition variables" optimization: the MILP only
 // needs one integer variable per (leaf, group, start) rather than per node.
+//
+// A cycle lists one set per STRL leaf but references only a handful of
+// distinct placement sets, so a set the partition has already been refined
+// against (the same pointer, or the same members) is skipped and shares the
+// Cover slice of its first occurrence; callers must treat Cover as read-only.
+// Refining twice against one set changes nothing, so the groups and their
+// order are those of refining against every entry in turn.
 func Partition(universe *bitset.Set, eqsets []*bitset.Set) *Partitioning {
 	groups := []*bitset.Set{universe.Clone()}
-	for _, es := range eqsets {
+	// first[i] is the index of the first entry equal to eqsets[i].
+	first := make([]int32, len(eqsets))
+	var distinct []int32
+	for i, es := range eqsets {
+		first[i] = int32(i)
+		if d := findSet(eqsets, distinct, es); d >= 0 {
+			first[i] = d
+			continue
+		}
+		distinct = append(distinct, int32(i))
+		// A group splits only when it straddles the set; a group inside or
+		// outside it stays as it is, with no copy made to find that out.
 		var next []*bitset.Set
-		for _, g := range groups {
-			in := g.Intersect(es)
-			if in.Empty() {
-				next = append(next, g)
+		for gi, g := range groups {
+			if !g.Intersects(es) || g.SubsetOf(es) {
+				if next != nil {
+					next = append(next, g)
+				}
 				continue
 			}
-			out := g.Difference(es)
-			next = append(next, in)
-			if !out.Empty() {
-				next = append(next, out)
+			if next == nil {
+				next = append(make([]*bitset.Set, 0, len(groups)+1), groups[:gi]...)
 			}
+			next = append(next, g.Intersect(es), g.Difference(es))
 		}
-		groups = next
+		if next != nil {
+			groups = next
+		}
 	}
 	p := &Partitioning{Groups: groups, Cover: make([][]int, len(eqsets))}
+	var flat []int // one backing array for every distinct set's cover
 	for i, es := range eqsets {
+		if int(first[i]) != i {
+			p.Cover[i] = p.Cover[first[i]]
+			continue
+		}
+		lo := len(flat)
 		for gi, g := range groups {
 			if g.SubsetOf(es) && !g.Empty() {
-				p.Cover[i] = append(p.Cover[i], gi)
+				flat = append(flat, gi)
 			}
+		}
+		if len(flat) > lo {
+			p.Cover[i] = flat[lo:len(flat):len(flat)]
 		}
 	}
 	return p
+}
+
+// findSet returns the index in eqsets of the entry among seen that is es, by
+// pointer or else by content, or -1.
+func findSet(eqsets []*bitset.Set, seen []int32, es *bitset.Set) int32 {
+	for _, d := range seen {
+		if eqsets[d] == es {
+			return d
+		}
+	}
+	for _, d := range seen {
+		if eqsets[d].Equal(es) {
+			return d
+		}
+	}
+	return -1
 }

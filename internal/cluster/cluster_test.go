@@ -163,3 +163,133 @@ func TestPartitionRestrictedUniverse(t *testing.T) {
 		t.Errorf("cover = %v, want %v", cov, want)
 	}
 }
+
+// partitionReference is the partitioner as it was before it learned to skip
+// sets it has already refined against and to test before it copies: refine
+// against every entry in turn, cloning for every (set, group) pair. Kept as
+// the reference the production Partition must reproduce exactly.
+func partitionReference(universe *bitset.Set, eqsets []*bitset.Set) *Partitioning {
+	groups := []*bitset.Set{universe.Clone()}
+	for _, es := range eqsets {
+		var next []*bitset.Set
+		for _, g := range groups {
+			in := g.Intersect(es)
+			if in.Empty() {
+				next = append(next, g)
+				continue
+			}
+			out := g.Difference(es)
+			next = append(next, in)
+			if !out.Empty() {
+				next = append(next, out)
+			}
+		}
+		groups = next
+	}
+	p := &Partitioning{Groups: groups, Cover: make([][]int, len(eqsets))}
+	for i, es := range eqsets {
+		for gi, g := range groups {
+			if g.SubsetOf(es) && !g.Empty() {
+				p.Cover[i] = append(p.Cover[i], gi)
+			}
+		}
+	}
+	return p
+}
+
+// TestPartitionMatchesReference: same groups in the same order and the same
+// covers as the reference, on random inputs drawn the way a cycle's are — a
+// few distinct sets, each listed many times, by the same pointer or as an
+// equal copy, over a universe that may be missing nodes.
+func TestPartitionMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(150)
+		u := bitset.New(n)
+		for j := 0; j < n; j++ {
+			if r.Intn(8) != 0 {
+				u.Add(j)
+			}
+		}
+		distinct := make([]*bitset.Set, 1+r.Intn(6))
+		for i := range distinct {
+			s := bitset.New(n)
+			lo, hi := r.Intn(n), r.Intn(n+1)
+			for j := 0; j < n; j++ {
+				if (j >= lo && j < hi) || r.Intn(10) == 0 {
+					s.Add(j)
+				}
+			}
+			distinct[i] = s // may be empty, may be everything
+		}
+		eqsets := make([]*bitset.Set, r.Intn(40))
+		for i := range eqsets {
+			eqsets[i] = distinct[r.Intn(len(distinct))]
+			if r.Intn(3) == 0 {
+				eqsets[i] = eqsets[i].Clone()
+			}
+		}
+		got, want := Partition(u, eqsets), partitionReference(u, eqsets)
+		if len(got.Groups) != len(want.Groups) || len(got.Cover) != len(want.Cover) {
+			return false
+		}
+		for i := range want.Groups {
+			if !got.Groups[i].Equal(want.Groups[i]) {
+				return false
+			}
+			for _, in := range append([]*bitset.Set{u}, eqsets...) {
+				if got.Groups[i] == in {
+					return false // a group must never alias an input
+				}
+			}
+		}
+		for i := range want.Cover {
+			if len(got.Cover[i]) != len(want.Cover[i]) {
+				return false
+			}
+			for k := range want.Cover[i] {
+				if got.Cover[i][k] != want.Cover[i][k] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPartitionAllocs budgets a cycle-shaped call: 600 leaves over six
+// distinct sets that split a 256-node universe into six groups. The
+// allocations must follow the distinct sets and the splits, not the leaves:
+// the reference makes over 15000 here, this 40.
+func TestPartitionAllocs(t *testing.T) {
+	const n = 256
+	u := bitset.New(n)
+	u.Fill()
+	var distinct []*bitset.Set
+	for i := 0; i < 6; i++ {
+		s := bitset.New(n)
+		for j := i * 32; j < n; j++ {
+			s.Add(j)
+		}
+		distinct = append(distinct, s)
+	}
+	eqsets := make([]*bitset.Set, 600)
+	for i := range eqsets {
+		eqsets[i] = distinct[i%len(distinct)]
+		if i%5 == 0 {
+			eqsets[i] = eqsets[i].Clone() // equal content behind another pointer
+		}
+	}
+	if got := len(Partition(u, eqsets).Groups); got != 6 {
+		t.Fatalf("groups = %d, want 6", got)
+	}
+	const budget = 48
+	avg := testing.AllocsPerRun(50, func() { Partition(u, eqsets) })
+	if avg > budget {
+		t.Errorf("Partition allocates %v times for 6 distinct sets, budget %d", avg, budget)
+	}
+	t.Logf("allocations: %v, reference %v", avg, testing.AllocsPerRun(5, func() { partitionReference(u, eqsets) }))
+}

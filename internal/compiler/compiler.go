@@ -15,6 +15,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
@@ -49,17 +50,31 @@ type partVar struct {
 
 // leafRecord captures how one STRL leaf was lowered into the model.
 type leafRecord struct {
-	job    int
 	expr   strl.Expr
-	linear bool
-	k      int
 	start  int64
 	dur    int64
 	ind    milp.VarID // controlling indicator (shared along MIN paths)
-	single bool       // presolved: count is k·ind in group
-	group  int        // valid when single
-	parts  []partVar  // valid when !single
-	culled bool       // provably unsatisfiable within the window
+	job    int
+	k      int
+	group  int // valid when single
+	partLo int // valid when !single: Compiled.parts[partLo:partLo+partN]
+	partN  int
+	linear bool
+	single bool // presolved: count is k·ind in group
+	culled bool // provably unsatisfiable within the window
+}
+
+// jobRecord locates one job's share of the compiled batch. Everything the
+// compiler emits is per-job contiguous and in the order gen visits the job's
+// tree, so a job's variables, leaf records, MAX/SUM child indicators and MIN
+// value variables are each the range from its record to the next job's; the
+// slice of records ends with a sentinel holding the totals.
+type jobRecord struct {
+	varLo     int  // first model variable, which is the job's own indicator
+	leafLo    int  // first entry of Compiled.leaves
+	kidLo     int  // first entry of Compiled.kidInd
+	minLo     int  // first entry of Compiled.minVar
+	roundable bool // GreedyRound handles the job's shape
 }
 
 // Compiled is the result of compiling a batch of job expressions.
@@ -69,33 +84,47 @@ type Compiled struct {
 	// Part is the cycle's partitioning of the cluster.
 	Part *cluster.Partitioning
 
-	opts     Options
-	jobs     []strl.Expr
-	jobInd   []milp.VarID
-	jobVarLo []int // first model variable of each job (vars are per-job contiguous)
-	leaves   []*leafRecord
-	byExpr   map[strl.Expr]*leafRecord
-	childInd map[strl.Expr]milp.VarID // indicator created for each max/sum child
-	minVar   map[strl.Expr]milp.VarID // value variable of each MIN node
-	avail    [][]int64                // [group][slice]
-	scr      *Scratch                 // build-time only; nil once Compile returns
+	opts   Options
+	jobs   []strl.Expr
+	job    []jobRecord  // len(jobs)+1, see jobRecord
+	leaves []leafRecord // depth-first within a job, jobs in batch order
+	kidInd []milp.VarID // indicator of each MAX/SUM child, in gen's visiting order
+	minVar []milp.VarID // value variable of each MIN node, likewise
+	parts  []partVar    // every leaf's partition variables, see leafRecord
+	avail  [][]int64    // [group][slice]
+	scr    *Scratch     // build-time only; nil once Compile returns
 }
 
-// Scratch owns the reusable build buffers for Compile, so a caller that
-// compiles every cycle (the scheduler hot path) produces near-zero garbage
-// beyond the Compiled it keeps. The zero value is ready to use; a Scratch
-// must not be used from more than one goroutine at a time, and the Compiled
-// it returns does not retain it.
+// partsOf returns the leaf's partition variables.
+func (c *Compiled) partsOf(rec *leafRecord) []partVar {
+	return c.parts[rec.partLo : rec.partLo+rec.partN]
+}
+
+// Scratch owns the memory a compilation builds in. How many variables, rows
+// and terms a batch lowers to is only known once it is lowered (it swings by
+// a fifth from one cycle to the next on the same backlog), so everything is
+// assembled in staging buffers that keep their capacity from compilation to
+// compilation, and the Compiled gets an exact-size copy: what it keeps — a
+// cycle may cache it — is allocated once, at its final size, and nothing
+// else is allocated at all once the staging has grown to fit. The zero value
+// is ready to use; a Scratch must not be used from more than one goroutine
+// at a time, and the Compiled it returns does not retain it.
 type Scratch struct {
 	universe *bitset.Set
 	eqsets   []*bitset.Set
-	covers   map[strl.Expr][]int
-	objTerm  map[milp.VarID]float64
 	// use is the dense supply accumulator, one cell of usage terms per
 	// (group, slice) at cell index group*horizon+slice. Cells keep their
 	// capacity across compilations.
 	use    [][]milp.Term
-	demand []milp.Term // leaf demand-row build buffer (AddConstraint copies)
+	demand []milp.Term // row build buffer (AddConstraint copies)
+	kids   []milp.Term // MAX/SUM child-indicator rows, a stack across nesting levels
+	obj    []milp.Term // objective contribution of the subtree being lowered
+
+	// Staging for what the Compiled keeps a copy of.
+	model  milp.Model
+	kidInd []milp.VarID
+	minVar []milp.VarID
+	parts  []partVar
 }
 
 // useGrid sizes the supply accumulator for nG groups over h slices and
@@ -154,19 +183,20 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		}
 	}
 
-	// Gather every equivalence set referenced this cycle and partition the
-	// cluster against them. Partition clones the universe and refines into
-	// fresh group sets, retaining neither input, so both are poolable.
+	// Gather every equivalence set referenced this cycle, one entry per leaf
+	// in the order gen will visit them, and partition the cluster against
+	// them. Partition clones the universe and refines into fresh group sets,
+	// retaining neither input, so both are poolable.
 	eqsets := sc.eqsets[:0]
 	for _, j := range jobs {
-		for _, l := range strl.Leaves(j) {
-			switch x := l.(type) {
+		strl.Walk(j, func(x strl.Expr) {
+			switch l := x.(type) {
 			case *strl.NCk:
-				eqsets = append(eqsets, x.Set)
+				eqsets = append(eqsets, l.Set)
 			case *strl.LnCk:
-				eqsets = append(eqsets, x.Set)
+				eqsets = append(eqsets, l.Set)
 			}
-		}
+		})
 	}
 	sc.eqsets = eqsets
 	if sc.universe == nil || sc.universe.Cap() != opts.Universe {
@@ -174,55 +204,45 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	}
 	sc.universe.Fill()
 	part := cluster.Partition(sc.universe, eqsets)
-
-	if sc.covers == nil {
-		sc.covers = make(map[strl.Expr][]int)
-		sc.objTerm = make(map[milp.VarID]float64)
-	} else {
-		clear(sc.covers)
-		clear(sc.objTerm)
-	}
 	sc.useGrid(len(part.Groups), opts.Horizon)
+	sc.obj, sc.kids = sc.obj[:0], sc.kids[:0]
 
+	sc.model.Reset(milp.Maximize)
 	c := &Compiled{
-		Model:    milp.NewModel(milp.Maximize),
-		Part:     part,
-		opts:     opts,
-		jobs:     jobs,
-		byExpr:   make(map[strl.Expr]*leafRecord),
-		childInd: make(map[strl.Expr]milp.VarID),
-		minVar:   make(map[strl.Expr]milp.VarID),
-		scr:      sc,
+		Model:  &sc.model, // staging; replaced by its exact-size copy below
+		Part:   part,
+		opts:   opts,
+		jobs:   jobs,
+		job:    make([]jobRecord, 0, len(jobs)+1),
+		leaves: make([]leafRecord, 0, len(eqsets)),
+		kidInd: sc.kidInd[:0],
+		minVar: sc.minVar[:0],
+		parts:  sc.parts[:0],
+		scr:    sc,
 	}
 	c.computeAvail()
 
-	// Map each leaf to its equivalence-set cover (aligned with eqsets order).
-	{
-		i := 0
-		for _, j := range jobs {
-			for _, l := range strl.Leaves(j) {
-				sc.covers[l] = part.Cover[i]
-				i++
-			}
-		}
-	}
-
 	for jid, job := range jobs {
-		c.jobVarLo = append(c.jobVarLo, c.Model.NumVars())
-		ind := c.Model.AddBinary(fmt.Sprintf("I_j%d", jid), 0)
-		c.jobInd = append(c.jobInd, ind)
-		terms, err := c.gen(jid, job, ind, sc.covers)
-		if err != nil {
+		ind := c.Model.AddVarNamed(milp.Namef("I_j%d", jid), milp.Binary, 0, 1, 0)
+		c.job = append(c.job, jobRecord{
+			varLo: int(ind), leafLo: len(c.leaves), kidLo: len(c.kidInd), minLo: len(c.minVar),
+			roundable: roundable(job),
+		})
+		if err := c.gen(jid, job, ind); err != nil {
 			c.scr = nil
 			return nil, err
 		}
-		for _, t := range terms {
-			sc.objTerm[t.Var] += t.Coef
+		// The subtree's objective terms, summed per variable in emission
+		// order. A variable belongs to one job, so this is its whole
+		// coefficient.
+		for _, t := range sc.obj {
+			c.Model.Vars[t.Var].Obj += t.Coef
 		}
+		sc.obj = sc.obj[:0]
 	}
-	for v, coef := range sc.objTerm {
-		c.Model.SetObj(v, coef)
-	}
+	c.job = append(c.job, jobRecord{
+		varLo: c.Model.NumVars(), leafLo: len(c.leaves), kidLo: len(c.kidInd), minLo: len(c.minVar),
+	})
 	// Supply constraints: usage within each (group, slice) cannot exceed the
 	// nodes available there. Constraints that cannot bind are dropped.
 	// The dense accumulator is walked group-major then slice-major, the same
@@ -231,23 +251,27 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	h := int(opts.Horizon)
 	for g := range part.Groups {
 		for t := 0; t < h; t++ {
-			terms := sc.use[g*h+t]
-			if len(terms) == 0 {
+			cell := sc.use[g*h+t]
+			if len(cell) == 0 {
 				continue
 			}
 			limit := c.avail[g][t]
 			maxUse := 0.0
-			for _, tm := range terms {
+			for _, tm := range cell {
 				maxUse += tm.Coef * c.Model.Vars[tm.Var].Ub
 			}
 			if maxUse <= float64(limit) {
 				continue
 			}
-			c.Model.AddConstraint(
-				fmt.Sprintf("supply_g%d_t%d", g, t),
-				terms, milp.LE, float64(limit))
+			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, t), cell, milp.LE, float64(limit))
 		}
 	}
+	// Hand the staging back and keep exact-size copies.
+	sc.kidInd, sc.minVar, sc.parts = c.kidInd, c.minVar, c.parts
+	c.Model = sc.model.Clone()
+	c.kidInd = slices.Clone(c.kidInd)
+	c.minVar = slices.Clone(c.minVar)
+	c.parts = slices.Clone(c.parts)
 	c.scr = nil
 	return c, nil
 }
@@ -256,8 +280,9 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 func (c *Compiled) computeAvail() {
 	h := c.opts.Horizon
 	c.avail = make([][]int64, len(c.Part.Groups))
+	flat := make([]int64, int64(len(c.Part.Groups))*h)
 	for g, set := range c.Part.Groups {
-		row := make([]int64, h)
+		row := flat[int64(g)*h : int64(g+1)*h : int64(g+1)*h]
 		set.ForEach(func(n int) bool {
 			rel := int64(0)
 			if c.opts.ReleaseAt != nil {
@@ -278,88 +303,91 @@ func (c *Compiled) computeAvail() {
 	}
 }
 
-// gen is Algorithm 1: it lowers expr under indicator ind, returning the
-// linear objective contribution of the subtree.
-func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID, covers map[strl.Expr][]int) ([]milp.Term, error) {
+// gen is Algorithm 1: it lowers expr under indicator ind and appends the
+// linear objective contribution of the subtree to the scratch's obj buffer
+// (callers note its length first and read, rewrite or truncate from there).
+func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
+	sc := c.scr
 	switch x := expr.(type) {
 	case *strl.NCk:
-		return c.genNCk(job, x, ind, covers[expr])
+		c.genNCk(job, x, ind)
+		return nil
 	case *strl.LnCk:
-		return c.genLnCk(job, x, ind, covers[expr])
+		c.genLnCk(job, x, ind)
+		return nil
 	case *strl.Sum:
-		var out []milp.Term
-		var kids []milp.Term
-		for i, kid := range x.Kids {
-			ki := c.Model.AddBinary(fmt.Sprintf("I_j%d_sum%d", job, i), 0)
-			c.childInd[kid] = ki
-			kids = append(kids, milp.Term{Var: ki, Coef: 1})
-			terms, err := c.gen(job, kid, ki, covers)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, terms...)
-		}
 		// Σ I_i ≤ n·I: children activate only if the parent does.
-		kids = append(kids, milp.Term{Var: ind, Coef: -float64(len(x.Kids))})
-		c.Model.AddConstraint(fmt.Sprintf("sum_j%d", job), kids, milp.LE, 0)
-		return out, nil
+		return c.genChoice(job, x.Kids, ind, "I_j%d_sum%d", "sum_j%d", -float64(len(x.Kids)))
 	case *strl.Max:
-		var out []milp.Term
-		var kids []milp.Term
-		for i, kid := range x.Kids {
-			ki := c.Model.AddBinary(fmt.Sprintf("I_j%d_max%d", job, i), 0)
-			c.childInd[kid] = ki
-			kids = append(kids, milp.Term{Var: ki, Coef: 1})
-			terms, err := c.gen(job, kid, ki, covers)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, terms...)
-		}
 		// Σ I_i ≤ I: at most one branch, and only if the parent activates.
-		kids = append(kids, milp.Term{Var: ind, Coef: -1})
-		c.Model.AddConstraint(fmt.Sprintf("max_j%d", job), kids, milp.LE, 0)
-		return out, nil
+		return c.genChoice(job, x.Kids, ind, "I_j%d_max%d", "max_j%d", -1)
 	case *strl.Min:
-		v := c.Model.AddVar(fmt.Sprintf("V_j%d", job), milp.Continuous, 0, milp.Inf, 0)
-		c.minVar[x] = v
+		v := c.Model.AddVarNamed(milp.Namef("V_j%d", job), milp.Continuous, 0, milp.Inf, 0)
+		c.minVar = append(c.minVar, v)
 		for _, kid := range x.Kids {
-			terms, err := c.gen(job, kid, ind, covers) // children share the indicator
-			if err != nil {
-				return nil, err
+			lo := len(sc.obj)
+			if err := c.gen(job, kid, ind); err != nil { // children share the indicator
+				return err
 			}
 			// V ≤ f_i.
-			con := []milp.Term{{Var: v, Coef: 1}}
-			for _, t := range terms {
-				con = append(con, milp.Term{Var: t.Var, Coef: -t.Coef})
-			}
-			c.Model.AddConstraint(fmt.Sprintf("min_j%d", job), con, milp.LE, 0)
+			c.boundBelow(milp.Namef("min_j%d", job), milp.Term{Var: v, Coef: 1}, lo)
 		}
-		return []milp.Term{{Var: v, Coef: 1}}, nil
+		sc.obj = append(sc.obj, milp.Term{Var: v, Coef: 1})
+		return nil
 	case *strl.Scale:
-		terms, err := c.gen(job, x.Kid, ind, covers)
-		if err != nil {
-			return nil, err
+		lo := len(sc.obj)
+		if err := c.gen(job, x.Kid, ind); err != nil {
+			return err
 		}
-		out := make([]milp.Term, len(terms))
-		for i, t := range terms {
-			out[i] = milp.Term{Var: t.Var, Coef: x.S * t.Coef}
+		for i := lo; i < len(sc.obj); i++ {
+			sc.obj[i].Coef = x.S * sc.obj[i].Coef
 		}
-		return out, nil
+		return nil
 	case *strl.Barrier:
-		terms, err := c.gen(job, x.Kid, ind, covers)
-		if err != nil {
-			return nil, err
+		lo := len(sc.obj)
+		if err := c.gen(job, x.Kid, ind); err != nil {
+			return err
 		}
 		// v·I ≤ f.
-		con := []milp.Term{{Var: ind, Coef: x.V}}
-		for _, t := range terms {
-			con = append(con, milp.Term{Var: t.Var, Coef: -t.Coef})
-		}
-		c.Model.AddConstraint(fmt.Sprintf("barrier_j%d", job), con, milp.LE, 0)
-		return []milp.Term{{Var: ind, Coef: x.V}}, nil
+		c.boundBelow(milp.Namef("barrier_j%d", job), milp.Term{Var: ind, Coef: x.V}, lo)
+		sc.obj = append(sc.obj, milp.Term{Var: ind, Coef: x.V})
+		return nil
 	}
-	return nil, fmt.Errorf("compiler: unknown expression type %T", expr)
+	return fmt.Errorf("compiler: unknown expression type %T", expr)
+}
+
+// genChoice lowers a SUM or MAX node: one indicator per child, the children
+// themselves (their objective terms simply accumulate), then the row
+// Σ I_i + parentCoef·I ≤ 0 tying the children to the parent.
+func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidFormat, rowFormat string, parentCoef float64) error {
+	sc := c.scr
+	lo := len(sc.kids) // nested choices push and pop above this level's terms
+	for i, kid := range kids {
+		ki := c.Model.AddVarNamed(milp.Namef(kidFormat, job, i), milp.Binary, 0, 1, 0)
+		c.kidInd = append(c.kidInd, ki)
+		sc.kids = append(sc.kids, milp.Term{Var: ki, Coef: 1})
+		if err := c.gen(job, kid, ki); err != nil {
+			return err
+		}
+	}
+	sc.kids = append(sc.kids, milp.Term{Var: ind, Coef: parentCoef})
+	c.Model.AddConstraintNamed(milp.Namef(rowFormat, job), sc.kids[lo:], milp.LE, 0)
+	sc.kids = sc.kids[:lo]
+	return nil
+}
+
+// boundBelow emits head − f ≤ 0, where f is the subtree objective in
+// obj[lo:], and removes f from the buffer: the caller replaces it with the
+// bounded quantity.
+func (c *Compiled) boundBelow(name milp.Name, head milp.Term, lo int) {
+	sc := c.scr
+	con := append(sc.demand[:0], head)
+	for _, t := range sc.obj[lo:] {
+		con = append(con, milp.Term{Var: t.Var, Coef: -t.Coef})
+	}
+	c.Model.AddConstraintNamed(name, con, milp.LE, 0)
+	sc.demand = con
+	sc.obj = sc.obj[:lo]
 }
 
 // slices returns the occupied slice range [start, end) clipped to the window,
@@ -375,10 +403,34 @@ func (c *Compiled) slices(start, dur int64) (int64, int64, bool) {
 	return start, end, true
 }
 
-func (c *Compiled) genNCk(job int, leaf *strl.NCk, ind milp.VarID, cover []int) ([]milp.Term, error) {
-	rec := &leafRecord{job: job, expr: leaf, k: leaf.K, start: leaf.Start, dur: leaf.Dur, ind: ind}
+// newLeaf appends the leaf's lowering record and returns it with the leaf's
+// equivalence-set cover (records and Partition's covers are both in visiting
+// order, one per leaf).
+func (c *Compiled) newLeaf(rec leafRecord) (*leafRecord, []int) {
 	c.leaves = append(c.leaves, rec)
-	c.byExpr[leaf] = rec
+	return &c.leaves[len(c.leaves)-1], c.Part.Cover[len(c.leaves)-1]
+}
+
+// addPart records one partition variable of the leaf being lowered; a leaf's
+// parts are contiguous.
+func (c *Compiled) addPart(rec *leafRecord, pv partVar) {
+	if rec.partN == 0 {
+		rec.partLo = len(c.parts)
+	}
+	c.parts = append(c.parts, pv)
+	rec.partN++
+}
+
+// cull pins the indicator of a leaf that cannot be satisfied to zero: the
+// leaf (and anything that requires it) must not activate.
+func (c *Compiled) cull(rec *leafRecord) {
+	rec.culled = true
+	c.scr.demand = append(c.scr.demand[:0], milp.Term{Var: rec.ind, Coef: 1})
+	c.Model.AddConstraintNamed(milp.Namef("cull_j%d", rec.job), c.scr.demand, milp.LE, 0)
+}
+
+func (c *Compiled) genNCk(job int, leaf *strl.NCk, ind milp.VarID) {
+	rec, cover := c.newLeaf(leafRecord{job: job, expr: leaf, k: leaf.K, start: leaf.Start, dur: leaf.Dur, ind: ind})
 
 	s, e, ok := c.slices(leaf.Start, leaf.Dur)
 	// Cull leaves that provably cannot be satisfied: out of window, or not
@@ -392,63 +444,57 @@ func (c *Compiled) genNCk(job int, leaf *strl.NCk, ind milp.VarID, cover []int) 
 		feasible = total >= int64(leaf.K)
 	}
 	if !feasible {
-		rec.culled = true
-		// The leaf (and anything that requires it) must not activate.
-		c.Model.AddConstraint(fmt.Sprintf("cull_j%d", job),
-			[]milp.Term{{Var: ind, Coef: 1}}, milp.LE, 0)
-		return nil, nil
+		c.cull(rec)
+		return
 	}
 
+	sc := c.scr
 	if len(cover) == 1 {
 		// Presolve: the only possible grant is k nodes from this group, so
 		// the partition variable is k·I exactly.
 		rec.single, rec.group = true, cover[0]
 		c.addUse(cover[0], s, e, milp.Term{Var: ind, Coef: float64(leaf.K)})
-		return []milp.Term{{Var: ind, Coef: leaf.Value}}, nil
+		sc.obj = append(sc.obj, milp.Term{Var: ind, Coef: leaf.Value})
+		return
 	}
-	demand := c.scr.demand[:0]
+	demand := sc.demand[:0]
 	for _, g := range cover {
 		ub := math.Min(float64(leaf.K), float64(c.minAvail(g, s, e)))
-		p := c.Model.AddVar(fmt.Sprintf("P_j%d_g%d_s%d", job, g, leaf.Start), milp.Integer, 0, ub, 0)
-		rec.parts = append(rec.parts, partVar{group: g, id: p})
+		p := c.Model.AddVarNamed(milp.Namef("P_j%d_g%d_s%d", job, g, int(leaf.Start)), milp.Integer, 0, ub, 0)
+		c.addPart(rec, partVar{group: g, id: p})
 		demand = append(demand, milp.Term{Var: p, Coef: 1})
 		c.addUse(g, s, e, milp.Term{Var: p, Coef: 1})
 	}
 	// Demand: Σ P_x = k·I. AddConstraint copies its terms, so the pooled
 	// build buffer can be handed over and reused for the next leaf.
 	demand = append(demand, milp.Term{Var: ind, Coef: -float64(leaf.K)})
-	c.Model.AddConstraint(fmt.Sprintf("demand_j%d_s%d", job, leaf.Start), demand, milp.EQ, 0)
-	c.scr.demand = demand
-	return []milp.Term{{Var: ind, Coef: leaf.Value}}, nil
+	c.Model.AddConstraintNamed(milp.Namef("demand_j%d_s%d", job, int(leaf.Start)), demand, milp.EQ, 0)
+	sc.demand = demand
+	sc.obj = append(sc.obj, milp.Term{Var: ind, Coef: leaf.Value})
 }
 
-func (c *Compiled) genLnCk(job int, leaf *strl.LnCk, ind milp.VarID, cover []int) ([]milp.Term, error) {
-	rec := &leafRecord{job: job, expr: leaf, linear: true, k: leaf.K, start: leaf.Start, dur: leaf.Dur, ind: ind}
-	c.leaves = append(c.leaves, rec)
-	c.byExpr[leaf] = rec
+func (c *Compiled) genLnCk(job int, leaf *strl.LnCk, ind milp.VarID) {
+	rec, cover := c.newLeaf(leafRecord{job: job, expr: leaf, linear: true, k: leaf.K, start: leaf.Start, dur: leaf.Dur, ind: ind})
 
 	s, e, ok := c.slices(leaf.Start, leaf.Dur)
 	if !ok {
-		rec.culled = true
-		c.Model.AddConstraint(fmt.Sprintf("cull_j%d", job),
-			[]milp.Term{{Var: ind, Coef: 1}}, milp.LE, 0)
-		return nil, nil
+		c.cull(rec)
+		return
 	}
-	demand := c.scr.demand[:0]
-	var out []milp.Term
+	sc := c.scr
+	demand := sc.demand[:0]
 	for _, g := range cover {
 		ub := math.Min(float64(leaf.K), float64(c.minAvail(g, s, e)))
-		p := c.Model.AddVar(fmt.Sprintf("Pl_j%d_g%d_s%d", job, g, leaf.Start), milp.Integer, 0, ub, 0)
-		rec.parts = append(rec.parts, partVar{group: g, id: p})
+		p := c.Model.AddVarNamed(milp.Namef("Pl_j%d_g%d_s%d", job, g, int(leaf.Start)), milp.Integer, 0, ub, 0)
+		c.addPart(rec, partVar{group: g, id: p})
 		demand = append(demand, milp.Term{Var: p, Coef: 1})
 		c.addUse(g, s, e, milp.Term{Var: p, Coef: 1})
-		out = append(out, milp.Term{Var: p, Coef: leaf.Value / float64(leaf.K)})
+		sc.obj = append(sc.obj, milp.Term{Var: p, Coef: leaf.Value / float64(leaf.K)})
 	}
 	// Demand: Σ P_x ≤ k·I.
 	demand = append(demand, milp.Term{Var: ind, Coef: -float64(leaf.K)})
-	c.Model.AddConstraint(fmt.Sprintf("ldemand_j%d_s%d", job, leaf.Start), demand, milp.LE, 0)
-	c.scr.demand = demand
-	return out, nil
+	c.Model.AddConstraintNamed(milp.Namef("ldemand_j%d_s%d", job, int(leaf.Start)), demand, milp.LE, 0)
+	sc.demand = demand
 }
 
 // minAvail returns the minimum availability of group g over slices [s, e).
@@ -496,51 +542,68 @@ func (c *Compiled) Stats() Stats {
 		IntVars:     c.Model.NumIntVars(),
 		Constraints: c.Model.NumConstraints(),
 	}
-	for _, l := range c.leaves {
-		if l.culled {
+	for i := range c.leaves {
+		if c.leaves[i].culled {
 			s.CulledLeafs++
 		}
 	}
 	return s
 }
 
+// jobLeaves returns job j's leaf records.
+func (c *Compiled) jobLeaves(j int) []leafRecord {
+	return c.leaves[c.job[j].leafLo:c.job[j+1].leafLo]
+}
+
 // JobChosen reports whether job j received any allocation in the solution.
 func (c *Compiled) JobChosen(sol *milp.Solution, j int) bool {
-	for _, g := range c.Decode(sol) {
-		if g.Job == j && g.Total > 0 {
+	recs := c.jobLeaves(j)
+	for i := range recs {
+		if c.granted(&recs[i], sol.Values) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
+// granted returns the node count the solution vector gives the leaf.
+func (c *Compiled) granted(rec *leafRecord, x []float64) int {
+	if rec.culled {
+		return 0
+	}
+	if rec.single {
+		return int(math.Round(x[rec.ind])) * rec.k
+	}
+	total := 0
+	for _, pv := range c.partsOf(rec) {
+		if n := int(math.Round(x[pv.id])); n > 0 {
+			total += n
+		}
+	}
+	return total
+}
+
 // Decode converts a solver solution into per-leaf grants. Leaves with no
 // allocation are omitted.
 func (c *Compiled) Decode(sol *milp.Solution) []LeafGrant {
 	var out []LeafGrant
-	for _, rec := range c.leaves {
-		if rec.culled {
-			continue
+	for i := range c.leaves {
+		rec := &c.leaves[i]
+		total := c.granted(rec, sol.Values)
+		if total <= 0 {
+			continue // the ungranted majority: no grant, no Counts map
 		}
-		g := LeafGrant{Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur, Counts: map[int]int{}}
+		g := LeafGrant{Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur, Counts: map[int]int{}, Total: total}
 		if rec.single {
-			n := int(math.Round(sol.Values[rec.ind])) * rec.k
-			if n > 0 {
-				g.Counts[rec.group] = n
-				g.Total = n
-			}
+			g.Counts[rec.group] = total
 		} else {
-			for _, pv := range rec.parts {
-				n := int(math.Round(sol.Values[pv.id]))
-				if n > 0 {
+			for _, pv := range c.partsOf(rec) {
+				if n := int(math.Round(sol.Values[pv.id])); n > 0 {
 					g.Counts[pv.group] += n
-					g.Total += n
 				}
 			}
 		}
-		if g.Total > 0 {
-			out = append(out, g)
-		}
+		out = append(out, g)
 	}
 	return out
 }
@@ -556,16 +619,33 @@ func (c *Compiled) Assignment(sol *milp.Solution) strl.Assignment {
 	return a
 }
 
-// SeedGrant builds a full-k grant for the leaf, splitting the count greedily
-// across its partition groups by availability over the leaf's slices. It is
-// used to express "the same choice as last cycle" when warm-starting; the
-// caller combines grants with InitialVector and the solver re-validates
-// feasibility. ok is false for culled or unknown leaves.
-func (c *Compiled) SeedGrant(leaf strl.Expr) (LeafGrant, bool) {
-	rec, found := c.byExpr[leaf]
-	if !found || rec.culled {
+// findLeaf returns the index in c.leaves of the given leaf of job j, or -1.
+// A leaf node that occurs more than once in the job's tree resolves to its
+// last occurrence.
+func (c *Compiled) findLeaf(j int, leaf strl.Expr) int {
+	if j < 0 || j >= len(c.jobs) {
+		return -1
+	}
+	for i := c.job[j+1].leafLo - 1; i >= c.job[j].leafLo; i-- {
+		if c.leaves[i].expr == leaf {
+			return i
+		}
+	}
+	return -1
+}
+
+// SeedGrant builds a full-k grant for the given leaf of batch job j,
+// splitting the count greedily across its partition groups by availability
+// over the leaf's slices. It is used to express "the same choice as last
+// cycle" when warm-starting; the caller combines grants with InitialVector
+// and the solver re-validates feasibility. ok is false for culled or unknown
+// leaves.
+func (c *Compiled) SeedGrant(j int, leaf strl.Expr) (LeafGrant, bool) {
+	li := c.findLeaf(j, leaf)
+	if li < 0 || c.leaves[li].culled {
 		return LeafGrant{}, false
 	}
+	rec := &c.leaves[li]
 	g := LeafGrant{Job: rec.job, Leaf: leaf, Start: rec.start, Dur: rec.dur, Counts: map[int]int{}}
 	if rec.single {
 		g.Counts[rec.group] = rec.k
@@ -577,7 +657,7 @@ func (c *Compiled) SeedGrant(leaf strl.Expr) (LeafGrant, bool) {
 		return LeafGrant{}, false
 	}
 	need := rec.k
-	for _, pv := range rec.parts {
+	for _, pv := range c.partsOf(rec) {
 		if need == 0 {
 			break
 		}
@@ -598,8 +678,9 @@ func (c *Compiled) SeedGrant(leaf strl.Expr) (LeafGrant, bool) {
 }
 
 // InitialVector builds a candidate solution vector that grants each listed
-// leaf the given per-group counts, activating the indicators along its path.
-// It returns ok=false if the grants cannot be expressed (e.g. a culled leaf).
+// leaf (located by the grant's Job and Leaf) the given per-group counts,
+// activating the indicators along its path. It returns ok=false if the
+// grants cannot be expressed (e.g. a culled leaf).
 //
 // Contract: grants must jointly satisfy MIN subtrees — activating one leaf
 // under a MIN forces its siblings' demands, so partial MIN grants yield
@@ -615,12 +696,13 @@ func (c *Compiled) SeedGrant(leaf strl.Expr) (LeafGrant, bool) {
 // either transformation.
 func (c *Compiled) InitialVector(grants []LeafGrant) ([]float64, bool) {
 	x := make([]float64, c.Model.NumVars())
-	active := map[strl.Expr]bool{}
+	active := make([]bool, len(c.leaves)) // by index into c.leaves
 	for _, g := range grants {
-		rec, ok := c.byExpr[g.Leaf]
-		if !ok || rec.culled {
+		li := c.findLeaf(g.Job, g.Leaf)
+		if li < 0 || c.leaves[li].culled {
 			return nil, false
 		}
+		rec := &c.leaves[li]
 		if rec.single {
 			if g.Total != rec.k {
 				return nil, false
@@ -628,7 +710,7 @@ func (c *Compiled) InitialVector(grants []LeafGrant) ([]float64, bool) {
 			x[rec.ind] = 1
 		} else {
 			total := 0
-			for _, pv := range rec.parts {
+			for _, pv := range c.partsOf(rec) {
 				n := g.Counts[pv.group]
 				x[pv.id] = float64(n)
 				total += n
@@ -645,76 +727,75 @@ func (c *Compiled) InitialVector(grants []LeafGrant) ([]float64, bool) {
 				x[rec.ind] = 1
 			}
 		}
-		active[g.Leaf] = true
+		active[li] = true
 	}
-	// Activate ancestor indicators bottom-up per job.
+	// Activate ancestor indicators bottom-up per job, then set MIN value
+	// variables to their implied values: the solver treats the vector as a
+	// candidate point and checks its feasibility, so V values must be
+	// consistent.
 	for j, job := range c.jobs {
-		if c.activate(job, active, x) {
-			x[c.jobInd[j]] = 1
+		cur := treeCursor{leaf: c.job[j].leafLo, kid: c.job[j].kidLo}
+		if c.activate(job, &cur, active, x) {
+			x[c.job[j].varLo] = 1
 		}
+		cur = treeCursor{leaf: c.job[j].leafLo, min: c.job[j].minLo}
+		c.evalInto(job, &cur, x)
 	}
-	// Set MIN value variables to their implied values: the solver treats the
-	// vector as a candidate point; we rely on Solve's feasibility check, so V
-	// values must be consistent. We recompute them with a second pass.
-	c.setMinVars(x)
 	return x, true
 }
 
+// treeCursor re-walks a job's tree in gen's order: the next leaf record,
+// MAX/SUM child indicator and MIN value variable to be met.
+type treeCursor struct{ leaf, kid, min int }
+
 // activate marks indicator variables for subtrees containing active leaves
 // and reports whether e contains any.
-func (c *Compiled) activate(e strl.Expr, active map[strl.Expr]bool, x []float64) bool {
+func (c *Compiled) activate(e strl.Expr, cur *treeCursor, active []bool, x []float64) bool {
 	switch n := e.(type) {
 	case *strl.NCk, *strl.LnCk:
-		return active[e]
+		cur.leaf++
+		return active[cur.leaf-1]
 	case *strl.Max:
-		any := false
-		for _, kid := range n.Kids {
-			if c.activate(kid, active, x) {
-				any = true
-				x[c.childInd[kid]] = 1
-			}
-		}
-		return any
-	case *strl.Min:
-		any := false
-		for _, kid := range n.Kids {
-			if c.activate(kid, active, x) {
-				any = true
-			}
-		}
-		return any
+		return c.activateKids(n.Kids, true, cur, active, x)
 	case *strl.Sum:
-		any := false
-		for _, kid := range n.Kids {
-			if c.activate(kid, active, x) {
-				any = true
-				x[c.childInd[kid]] = 1
-			}
-		}
-		return any
+		return c.activateKids(n.Kids, true, cur, active, x)
+	case *strl.Min:
+		return c.activateKids(n.Kids, false, cur, active, x)
 	case *strl.Scale:
-		return c.activate(n.Kid, active, x)
+		return c.activate(n.Kid, cur, active, x)
 	case *strl.Barrier:
-		return c.activate(n.Kid, active, x)
+		return c.activate(n.Kid, cur, active, x)
 	}
 	return false
 }
 
-// setMinVars assigns each MIN's value variable min_i f_i under the current
-// vector by re-walking the trees.
-func (c *Compiled) setMinVars(x []float64) {
-	for _, job := range c.jobs {
-		c.evalInto(job, x)
+// activateKids is activate over a node's children; the children of a MAX or
+// SUM each own an indicator, those of a MIN share their parent's.
+func (c *Compiled) activateKids(kids []strl.Expr, owned bool, cur *treeCursor, active []bool, x []float64) bool {
+	any := false
+	for _, kid := range kids {
+		ki := cur.kid
+		if owned {
+			cur.kid++
+		}
+		if c.activate(kid, cur, active, x) {
+			any = true
+			if owned {
+				x[c.kidInd[ki]] = 1
+			}
+		}
 	}
+	return any
 }
 
 // evalInto computes the objective contribution of e under x, storing MIN
 // values into their variables along the way.
-func (c *Compiled) evalInto(e strl.Expr, x []float64) float64 {
+func (c *Compiled) evalInto(e strl.Expr, cur *treeCursor, x []float64) float64 {
 	switch n := e.(type) {
 	case *strl.NCk:
-		rec := c.byExpr[e]
-		if rec == nil || rec.culled {
+		rec := &c.leaves[cur.leaf]
+		cur.leaf++
+		if rec.culled {
 			return 0
 		}
 		if x[rec.ind] > 0.5 {
@@ -722,7 +803,7 @@ func (c *Compiled) evalInto(e strl.Expr, x []float64) float64 {
 				return n.Value
 			}
 			total := 0.0
-			for _, pv := range rec.parts {
+			for _, pv := range c.partsOf(rec) {
 				total += x[pv.id]
 			}
 			if int(math.Round(total)) == n.K {
@@ -731,46 +812,48 @@ func (c *Compiled) evalInto(e strl.Expr, x []float64) float64 {
 		}
 		return 0
 	case *strl.LnCk:
-		rec := c.byExpr[e]
-		if rec == nil || rec.culled {
+		rec := &c.leaves[cur.leaf]
+		cur.leaf++
+		if rec.culled {
 			return 0
 		}
 		total := 0.0
-		for _, pv := range rec.parts {
+		for _, pv := range c.partsOf(rec) {
 			total += x[pv.id]
 		}
 		return n.Value * total / float64(n.K)
 	case *strl.Max:
 		best := 0.0
 		for _, kid := range n.Kids {
-			if v := c.evalInto(kid, x); v > best {
+			if v := c.evalInto(kid, cur, x); v > best {
 				best = v
 			}
 		}
 		return best
 	case *strl.Min:
+		v := c.minVar[cur.min]
+		cur.min++
 		mn := math.Inf(1)
 		for _, kid := range n.Kids {
-			v := c.evalInto(kid, x)
-			if v < mn {
-				mn = v
+			if f := c.evalInto(kid, cur, x); f < mn {
+				mn = f
 			}
 		}
 		if math.IsInf(mn, 1) {
 			mn = 0
 		}
-		x[c.minVar[e]] = mn
+		x[v] = mn
 		return mn
 	case *strl.Sum:
 		total := 0.0
 		for _, kid := range n.Kids {
-			total += c.evalInto(kid, x)
+			total += c.evalInto(kid, cur, x)
 		}
 		return total
 	case *strl.Scale:
-		return n.S * c.evalInto(n.Kid, x)
+		return n.S * c.evalInto(n.Kid, cur, x)
 	case *strl.Barrier:
-		if c.evalInto(n.Kid, x) >= n.V {
+		if c.evalInto(n.Kid, cur, x) >= n.V {
 			return n.V
 		}
 		return 0

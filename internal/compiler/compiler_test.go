@@ -286,12 +286,12 @@ func TestInitialVectorWarmStart(t *testing.T) {
 	// Seed with the (suboptimal) fallback branch; grant from whichever groups
 	// cover the full cluster.
 	fallback := job.Kids[1].(*strl.NCk)
-	rec := c.byExpr[strl.Expr(fallback)]
+	rec := &c.leaves[c.findLeaf(0, fallback)]
 	counts := map[int]int{}
 	if rec.single {
 		counts[rec.group] = 2
 	} else {
-		counts[rec.parts[0].group] = 2
+		counts[c.partsOf(rec)[0].group] = 2
 	}
 	grant := LeafGrant{Job: 0, Leaf: fallback, Start: 0, Dur: 3, Counts: counts, Total: 2}
 	vec, ok := c.InitialVector([]LeafGrant{grant})

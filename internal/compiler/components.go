@@ -32,6 +32,7 @@ type Component struct {
 	Shard int
 
 	parent *Compiled
+	scope  roundScope // what GreedyRound may touch, fixed at decomposition
 
 	// fp memoizes ComponentFingerprint. The component and its parent are
 	// immutable once built, so the print is computed at most once even when
@@ -83,11 +84,7 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 	// varJob[v] = owning job; variables are created per-job contiguously.
 	varJob := make([]int, nv)
 	for j := 0; j < nj; j++ {
-		hi := nv
-		if j+1 < nj {
-			hi = c.jobVarLo[j+1]
-		}
-		for v := c.jobVarLo[j]; v < hi; v++ {
+		for v := c.job[j].varLo; v < c.job[j+1].varLo; v++ {
 			varJob[v] = j
 		}
 	}
@@ -98,8 +95,7 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 	for i := range uf {
 		uf[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for uf[x] != x {
 			uf[x] = uf[uf[x]] // path halving
 			x = uf[x]
@@ -152,76 +148,113 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 	// Group jobs by root, numbering components by first appearance so the
 	// output order is stable.
 	compOf := make([]int, nj)
-	var jobSets [][]int
-	index := make(map[int]int, nj)
+	rootComp := make([]int, nj) // root job → its component + 1
+	var size []int              // jobs per component
 	for j := 0; j < nj; j++ {
 		r := find(j)
-		ci, ok := index[r]
-		if !ok {
-			ci = len(jobSets)
-			index[r] = ci
-			jobSets = append(jobSets, nil)
+		if rootComp[r] == 0 {
+			size = append(size, 0)
+			rootComp[r] = len(size)
 		}
-		compOf[j] = ci
-		jobSets[ci] = append(jobSets[ci], j)
+		compOf[j] = rootComp[r] - 1
+		size[compOf[j]]++
 	}
-	shardOf := func(jobs []int) int {
-		if assign == nil {
-			return -1
+	nc := len(size)
+	comps := make([]Component, nc)
+	out := make([]*Component, nc)
+	jobBuf := make([]int, nj) // every component's Jobs, cut from one array
+	for ci, lo := 0, 0; ci < nc; ci++ {
+		comps[ci] = Component{Jobs: jobBuf[lo : lo : lo+size[ci]], Shard: -1, parent: c}
+		out[ci] = &comps[ci]
+		lo += size[ci]
+	}
+	for j, ci := range compOf {
+		comps[ci].Jobs = append(comps[ci].Jobs, j)
+	}
+	for ci := range comps {
+		cc := &comps[ci]
+		if assign != nil {
+			cc.Shard = assign[cc.Jobs[0]]
 		}
-		return assign[jobs[0]]
+		cc.scope = c.newScope(cc.Jobs, nc > 1)
 	}
-	if len(jobSets) == 1 {
+	if nc == 1 {
 		// Zero-copy: with one component every cut row's terms all live here,
 		// so the parent model is the component model verbatim.
-		return []*Component{{Jobs: jobSets[0], Model: c.Model, Shard: shardOf(jobSets[0]), parent: c}}
+		comps[0].Model = c.Model
+		return out
 	}
 
-	// Slice the parent model per component. full2sub is reused across
-	// components and reset via each component's VarMap afterwards.
-	full2sub := make([]int, nv)
-	for i := range full2sub {
-		full2sub[i] = -1
+	// Slice the parent model per component in two passes over its rows, not
+	// one per component: the first counts what each component receives, so
+	// every sub-model's variables, rows and term arena are allocated once at
+	// their final size; the second copies. rowComp is the row → component
+	// index: the owner of an uncut row, or one of the two marks below.
+	const cutRow, noRow = -1, -2
+	rowComp := make([]int, len(c.Model.Cons))
+	nCons := make([]int, nc)
+	nTerms := make([]int, nc)
+	var sides cutSides
+	if cut != nil {
+		sides = cutSides{terms: make([]int, nc), maxUse: make([]float64, nc), rows: make([][]milp.Term, nc)}
 	}
-	out := make([]*Component, len(jobSets))
-	for ci, jobs := range jobSets {
-		cc := &Component{Jobs: jobs, Shard: shardOf(jobs), parent: c}
-		sub := milp.NewModel(c.Model.Sense)
-		for _, j := range jobs {
-			hi := nv
-			if j+1 < nj {
-				hi = c.jobVarLo[j+1]
+	for conIdx := range c.Model.Cons {
+		con := &c.Model.Cons[conIdx]
+		switch {
+		case len(con.Terms) == 0:
+			rowComp[conIdx] = noRow
+		case cut != nil && cut[conIdx]:
+			rowComp[conIdx] = cutRow
+			sides.tally(c.Model, con, compOf, varJob)
+			for ci := range sides.terms {
+				if sides.keeps(ci, con) {
+					nCons[ci]++
+					nTerms[ci] += sides.terms[ci]
+				}
 			}
-			for v := c.jobVarLo[j]; v < hi; v++ {
+		default:
+			// All of the constraint's variables belong to one component by
+			// construction of the union-find.
+			ci := compOf[varJob[con.Terms[0].Var]]
+			rowComp[conIdx] = ci
+			nCons[ci]++
+			nTerms[ci] += len(con.Terms)
+		}
+	}
+
+	// full2sub maps a parent variable to its index in its component's model.
+	full2sub := make([]int, nv)
+	varMaps := make([]int, nv) // every component's VarMap, cut from one array
+	for ci, lo := 0, 0; ci < nc; ci++ {
+		cc := &comps[ci]
+		n := 0
+		for _, j := range cc.Jobs {
+			n += c.job[j+1].varLo - c.job[j].varLo
+		}
+		cc.VarMap = varMaps[lo : lo : lo+n]
+		lo += n
+		sub := milp.NewModel(c.Model.Sense)
+		sub.Grow(n, nCons[ci], nTerms[ci])
+		for _, j := range cc.Jobs {
+			for v := c.job[j].varLo; v < c.job[j+1].varLo; v++ {
 				full2sub[v] = len(cc.VarMap)
 				cc.VarMap = append(cc.VarMap, v)
-				fv := c.Model.Vars[v]
-				sub.AddVar(fv.Name, fv.Type, fv.Lb, fv.Ub, fv.Obj)
 			}
+			sub.Vars = append(sub.Vars, c.Model.Vars[c.job[j].varLo:c.job[j+1].varLo]...)
 		}
-		for conIdx, con := range c.Model.Cons {
-			if len(con.Terms) == 0 {
-				continue
-			}
-			if cut != nil && cut[conIdx] {
-				c.sliceCutRow(sub, con, full2sub)
-				continue
-			}
-			if compOf[varJob[con.Terms[0].Var]] != ci {
-				continue
-			}
-			// All of the constraint's variables belong to this component by
-			// construction of the union-find.
-			terms := make([]milp.Term, len(con.Terms))
+		cc.Model = sub
+	}
+	for conIdx := range c.Model.Cons {
+		con := &c.Model.Cons[conIdx]
+		switch ci := rowComp[conIdx]; ci {
+		case noRow:
+		case cutRow:
+			sides.slice(c.Model, con, comps, compOf, varJob, full2sub)
+		default:
+			terms := comps[ci].Model.AddRow(con.Name, len(con.Terms), con.Op, con.RHS)
 			for i, t := range con.Terms {
 				terms[i] = milp.Term{Var: milp.VarID(full2sub[t.Var]), Coef: t.Coef}
 			}
-			sub.Cons = append(sub.Cons, milp.Constraint{Name: con.Name, Terms: terms, Op: con.Op, RHS: con.RHS})
-		}
-		cc.Model = sub
-		out[ci] = cc
-		for _, v := range cc.VarMap {
-			full2sub[v] = -1
 		}
 	}
 	return out
@@ -254,26 +287,52 @@ func cuttable(con milp.Constraint) bool {
 	return true
 }
 
-// sliceCutRow appends this component's restricted copy of a cut cross-class
-// row to sub: the terms mapped by full2sub, against the row's full RHS.
+// cutSides is the per-component view of one cut cross-class row: each
+// component's restricted copy holds its own terms against the row's full
+// RHS. It is tallied before anything is allocated, because many copies are
+// dropped.
+type cutSides struct {
+	terms  []int         // terms of the row that land in each component
+	maxUse []float64     // their activity at every variable's upper bound
+	rows   [][]milp.Term // slice's destination rows (nil: copy dropped)
+}
+
+func (s *cutSides) tally(parent *milp.Model, con *milp.Constraint, compOf, varJob []int) {
+	clear(s.terms)
+	clear(s.maxUse)
+	for _, t := range con.Terms {
+		ci := compOf[varJob[t.Var]]
+		s.terms[ci]++
+		s.maxUse[ci] += t.Coef * parent.Vars[t.Var].Ub
+	}
+}
+
+// keeps reports whether component ci receives a copy of the tallied row.
 // Copies with no local term, or that cannot bind even at every local
 // variable's upper bound, are dropped (mirroring the compiler's own
 // non-binding supply-row elision).
-func (c *Compiled) sliceCutRow(sub *milp.Model, con milp.Constraint, full2sub []int) {
-	var terms []milp.Term
-	maxUse := 0.0
-	for _, t := range con.Terms {
-		sv := full2sub[t.Var]
-		if sv < 0 {
-			continue
+func (s *cutSides) keeps(ci int, con *milp.Constraint) bool {
+	return s.terms[ci] > 0 && s.maxUse[ci] > con.RHS
+}
+
+// slice appends each kept restricted copy of the row to its component's
+// model, terms in the parent's order.
+func (s *cutSides) slice(parent *milp.Model, con *milp.Constraint, comps []Component, compOf, varJob, full2sub []int) {
+	s.tally(parent, con, compOf, varJob)
+	for ci := range comps {
+		s.rows[ci] = nil
+		if s.keeps(ci, con) {
+			s.rows[ci] = comps[ci].Model.AddRow(con.Name, s.terms[ci], con.Op, con.RHS)
 		}
-		terms = append(terms, milp.Term{Var: milp.VarID(sv), Coef: t.Coef})
-		maxUse += t.Coef * c.Model.Vars[t.Var].Ub
 	}
-	if len(terms) == 0 || maxUse <= con.RHS {
-		return
+	clear(s.terms) // now each copy's fill position
+	for _, t := range con.Terms {
+		ci := compOf[varJob[t.Var]]
+		if row := s.rows[ci]; row != nil {
+			row[s.terms[ci]] = milp.Term{Var: milp.VarID(full2sub[t.Var]), Coef: t.Coef}
+			s.terms[ci]++
+		}
 	}
-	sub.Cons = append(sub.Cons, milp.Constraint{Name: con.Name, Terms: terms, Op: con.Op, RHS: con.RHS})
 }
 
 // Lift scatters a component-space vector into a full-model vector (entries
@@ -328,14 +387,5 @@ func (cc *Component) RestrictSeed(full []float64) []float64 {
 // like the full-model version, so each concurrent sub-solve can carry its
 // own heuristic.
 func (cc *Component) GreedyRound(x []float64) []float64 {
-	if cc.VarMap == nil {
-		return cc.parent.GreedyRound(x)
-	}
-	full := make([]float64, cc.parent.Model.NumVars())
-	cc.Lift(x, full)
-	fx := cc.parent.greedyRoundJobs(full, cc.Jobs)
-	if fx == nil {
-		return nil
-	}
-	return cc.Restrict(fx)
+	return cc.parent.greedyRound(x, &cc.scope)
 }

@@ -1,9 +1,6 @@
 package compiler
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file computes cross-cycle component fingerprints for the scheduler's
 // incremental reuse cache (docs/SOLVER.md "Incremental scheduling").
@@ -114,10 +111,6 @@ func (c *Compiled) ComponentFingerprint(cc *Component) uint64 {
 	// batch index), with group indices renumbered by first appearance. The
 	// first reference to a group also hashes its availability row — capacity
 	// changes anywhere the component can place work invalidate the print.
-	pos := make(map[int]int, len(cc.Jobs))
-	for i, j := range cc.Jobs {
-		pos[j] = i
-	}
 	renum := make(map[int]int)
 	group := func(g int) {
 		ci, seen := renum[g]
@@ -135,28 +128,28 @@ func (c *Compiled) ComponentFingerprint(cc *Component) uint64 {
 		}
 		h.i64(int64(ci))
 	}
-	for _, rec := range c.leaves {
-		p, ok := pos[rec.job]
-		if !ok {
-			continue
-		}
-		h.i64(int64(p))
-		h.bool(rec.linear)
-		h.bool(rec.single)
-		h.bool(rec.culled)
-		h.i64(int64(rec.k))
-		h.i64(rec.start)
-		h.i64(rec.dur)
-		h.f64(leafValue(rec.expr))
-		if rec.culled {
-			continue
-		}
-		if rec.single {
-			group(rec.group)
-		} else {
-			h.i64(int64(len(rec.parts)))
-			for _, pv := range rec.parts {
-				group(pv.group)
+	for p, j := range cc.Jobs {
+		recs := c.jobLeaves(j)
+		for li := range recs {
+			rec := &recs[li]
+			h.i64(int64(p))
+			h.bool(rec.linear)
+			h.bool(rec.single)
+			h.bool(rec.culled)
+			h.i64(int64(rec.k))
+			h.i64(rec.start)
+			h.i64(rec.dur)
+			h.f64(leafValue(rec.expr))
+			if rec.culled {
+				continue
+			}
+			if rec.single {
+				group(rec.group)
+			} else {
+				h.i64(int64(rec.partN))
+				for _, pv := range c.partsOf(rec) {
+					group(pv.group)
+				}
 			}
 		}
 	}
@@ -165,30 +158,9 @@ func (c *Compiled) ComponentFingerprint(cc *Component) uint64 {
 }
 
 // ComponentGroups returns the partition-group indices referenced by the
-// component's non-culled leaves, ascending. The scheduler uses it to decide
-// whether a node whose release slice moved can affect this component.
+// component's non-culled leaves, ascending; the slice is the component's own
+// and must not be modified. The scheduler uses it to decide whether a node
+// whose release slice moved can affect this component.
 func (c *Compiled) ComponentGroups(cc *Component) []int {
-	in := make(map[int]bool, len(cc.Jobs))
-	for _, j := range cc.Jobs {
-		in[j] = true
-	}
-	seen := make(map[int]bool)
-	for _, rec := range c.leaves {
-		if !in[rec.job] || rec.culled {
-			continue
-		}
-		if rec.single {
-			seen[rec.group] = true
-		} else {
-			for _, pv := range rec.parts {
-				seen[pv.group] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for g := range seen {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	return out
+	return cc.scope.groups
 }

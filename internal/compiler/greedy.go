@@ -1,7 +1,8 @@
 package compiler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tetrisched/internal/strl"
 )
@@ -16,79 +17,177 @@ import (
 //
 // Jobs whose expressions are not a single nCk or a MAX over nCk leaves (the
 // shapes the STRL generator emits) are skipped; the solver re-validates the
-// returned point, so this is purely a heuristic.
+// returned point, so this is purely a heuristic. Safe for concurrent use.
 func (c *Compiled) GreedyRound(x []float64) []float64 {
-	return c.greedyRoundJobs(x, nil)
+	return c.greedyRound(x, &roundScope{nVars: c.Model.NumVars()})
 }
 
-// greedyRoundJobs rounds on behalf of a subset of the batch's jobs (nil means
-// all of them); component sub-solves restrict the walk to their own jobs so a
-// candidate never claims capacity a different component's solve is entitled
-// to. x and the returned vector are in full-model variable space.
-func (c *Compiled) greedyRoundJobs(x []float64, jobs []int) []float64 {
-	// Remaining capacity ledger per (group, slice).
-	remain := make([][]int64, len(c.avail))
-	for g := range c.avail {
-		remain[g] = append([]int64(nil), c.avail[g]...)
-	}
+// roundScope is the part of a batch one greedy rounding may touch: the whole
+// batch, or one component of it — a component's walk is restricted to its own
+// jobs so a candidate never claims capacity a different component's solve is
+// entitled to. It is worked out once, at decomposition, so that a heuristic
+// call copies only the availability rows it can change and reads and writes
+// vectors in the component's own variable space.
+type roundScope struct {
+	nVars int
+	// jobs lists the batch indices of the scope's jobs, ascending, and
+	// shift[i] is what to subtract from a full-model variable of jobs[i] to
+	// get its index in the scope's model. Both nil: every job, no shift.
+	jobs  []int
+	shift []int
+	// groups lists the partition groups the jobs' non-culled leaves
+	// reference, ascending, and groupRow maps a group to its row in a ledger
+	// over just those. A nil groupRow: a ledger over every group, in place.
+	groups   []int
+	groupRow []int32
+}
 
-	if jobs == nil {
-		jobs = make([]int, len(c.jobs))
-		for i := range jobs {
-			jobs[i] = i
-		}
+// newScope builds the scope of a component's jobs. With sliced false the
+// component is the whole batch and keeps the parent's variable space and a
+// ledger over every group.
+func (c *Compiled) newScope(jobs []int, sliced bool) roundScope {
+	sc := roundScope{nVars: c.Model.NumVars(), jobs: jobs}
+	const absent, present = -1, -2
+	row := make([]int32, len(c.Part.Groups))
+	for g := range row {
+		row[g] = absent
 	}
-
-	// Group leaves by job, keeping only greedy-roundable jobs.
-	perJob := make([][]*leafRecord, len(c.jobs))
-	for _, j := range jobs {
-		expr := c.jobs[j]
-		if !roundable(expr) {
-			continue
+	if sliced {
+		sc.shift = make([]int, len(jobs))
+		sc.nVars = 0
+	}
+	for i, j := range jobs {
+		if sliced {
+			sc.shift[i] = c.job[j].varLo - sc.nVars
+			sc.nVars += c.job[j+1].varLo - c.job[j].varLo
 		}
-		for _, l := range strl.Leaves(expr) {
-			rec := c.byExpr[l]
-			if rec != nil && !rec.culled {
-				perJob[j] = append(perJob[j], rec)
+		recs := c.jobLeaves(j)
+		for li := range recs {
+			rec := &recs[li]
+			switch {
+			case rec.culled:
+			case rec.single:
+				row[rec.group] = present
+			default:
+				for _, pv := range c.partsOf(rec) {
+					row[pv.group] = present
+				}
 			}
 		}
+	}
+	for g := range row {
+		if row[g] == present {
+			row[g] = int32(len(sc.groups))
+			sc.groups = append(sc.groups, g)
+		}
+	}
+	if sliced {
+		sc.groupRow = row
+	}
+	return sc
+}
+
+// rounding is the state of one GreedyRound call.
+type rounding struct {
+	c      *Compiled
+	sc     *roundScope
+	x      []float64 // the relaxation point, in the scope's variable space
+	out    []float64 // the candidate, allocated at the first grant
+	remain []int64   // capacity ledger: a row of h slices per group in scope
+	h      int
+}
+
+// job returns the batch index of the scope's i-th job and its variable shift.
+func (r *rounding) job(i int) (job, shift int) {
+	switch {
+	case r.sc.jobs == nil:
+		return i, 0
+	case r.sc.shift == nil:
+		return r.sc.jobs[i], 0
+	}
+	return r.sc.jobs[i], r.sc.shift[i]
+}
+
+// jobX is the LP value of the i-th job's indicator.
+func (r *rounding) jobX(i int) float64 {
+	j, shift := r.job(i)
+	return r.x[r.c.job[j].varLo-shift]
+}
+
+// row is the ledger row of a partition group.
+func (r *rounding) row(g int) []int64 {
+	if r.sc.groupRow != nil {
+		g = int(r.sc.groupRow[g])
+	}
+	return r.remain[g*r.h : (g+1)*r.h]
+}
+
+// roundOption is one candidate leaf of the job being rounded.
+type roundOption struct {
+	rec   *leafRecord
+	x     float64 // LP value of its indicator
+	value float64 // its STRL value
+}
+
+func (c *Compiled) greedyRound(x []float64, sc *roundScope) []float64 {
+	r := rounding{c: c, sc: sc, x: x, h: int(c.opts.Horizon)}
+	if sc.groupRow == nil {
+		r.remain = make([]int64, len(c.avail)*r.h)
+		for g, row := range c.avail {
+			copy(r.remain[g*r.h:], row)
+		}
+	} else {
+		r.remain = make([]int64, len(sc.groups)*r.h)
+		for i, g := range sc.groups {
+			copy(r.remain[i*r.h:], c.avail[g])
+		}
+	}
+	nJobs := len(sc.jobs)
+	if sc.jobs == nil {
+		nJobs = len(c.jobs)
 	}
 
 	// Job order: LP job-indicator value descending (stable on index).
-	order := append([]int(nil), jobs...)
-	sort.SliceStable(order, func(a, b int) bool {
-		return x[c.jobInd[order[a]]] > x[c.jobInd[order[b]]]
-	})
+	order := make([]int, nJobs)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(r.jobX(b), r.jobX(a)) })
 
-	var grants []LeafGrant
-	for _, j := range order {
-		recs := perJob[j]
-		if len(recs) == 0 {
+	var opts []roundOption
+	for _, i := range order {
+		j, shift := r.job(i)
+		if !c.job[j].roundable {
 			continue
 		}
 		// Option order: LP indicator value, then STRL value, descending.
-		sort.SliceStable(recs, func(a, b int) bool {
-			xa, xb := x[recs[a].ind], x[recs[b].ind]
-			if xa != xb {
-				return xa > xb
-			}
-			return leafValue(recs[a].expr) > leafValue(recs[b].expr)
-		})
-		for _, rec := range recs {
-			if g, ok := c.tryGrant(rec, remain); ok {
-				grants = append(grants, g)
-				break
+		opts = opts[:0]
+		recs := c.jobLeaves(j)
+		for li := range recs {
+			if rec := &recs[li]; !rec.culled {
+				opts = append(opts, roundOption{rec: rec, x: x[int(rec.ind)-shift], value: leafValue(rec.expr)})
 			}
 		}
+		slices.SortStableFunc(opts, func(a, b roundOption) int {
+			return cmp.Or(cmp.Compare(b.x, a.x), cmp.Compare(b.value, a.value))
+		})
+		for _, o := range opts {
+			if !r.grant(o.rec, shift, false) {
+				continue
+			}
+			if r.out == nil {
+				r.out = make([]float64, sc.nVars)
+			}
+			// The granted leaf's partition variables, its indicator (for a
+			// MAX child the child's, for a bare leaf the job's) and the
+			// job's indicator: the whole path of a roundable job.
+			r.grant(o.rec, shift, true)
+			r.out[int(o.rec.ind)-shift] = 1
+			r.out[c.job[j].varLo-shift] = 1
+			break
+		}
 	}
-	if len(grants) == 0 {
-		return nil
-	}
-	vec, ok := c.InitialVector(grants)
-	if !ok {
-		return nil
-	}
-	return vec
+	return r.out
 }
 
 // roundable reports whether the job expression has the generator's shape.
@@ -117,51 +216,44 @@ func leafValue(e strl.Expr) float64 {
 	return 0
 }
 
-// tryGrant attempts to satisfy the leaf's full k from the remaining
-// capacity, committing the usage on success.
-func (c *Compiled) tryGrant(rec *leafRecord, remain [][]int64) (LeafGrant, bool) {
-	s, e, ok := c.slices(rec.start, rec.dur)
+// grant draws the leaf's full k from the remaining capacity, group by group
+// in the leaf's order, and reports whether it fits. Without commit it only
+// looks; with commit (after a look that succeeded) it books the usage in the
+// ledger and writes the per-group counts into the candidate.
+func (r *rounding) grant(rec *leafRecord, shift int, commit bool) bool {
+	s, e, ok := r.c.slices(rec.start, rec.dur)
 	if !ok {
-		return LeafGrant{}, false
+		return false
 	}
-	groups := []int{rec.group}
-	if !rec.single {
-		groups = groups[:0]
-		for _, pv := range rec.parts {
-			groups = append(groups, pv.group)
-		}
-	}
-	counts := map[int]int{}
 	need := rec.k
-	for _, g := range groups {
-		if need == 0 {
-			break
+	parts := r.c.partsOf(rec) // empty for a single-group leaf
+	nGroups := len(parts)
+	if rec.single {
+		nGroups = 1
+	}
+	for gi := 0; gi < nGroups && need > 0; gi++ {
+		group := rec.group
+		if !rec.single {
+			group = parts[gi].group
 		}
-		avail := int64(1) << 62
-		for t := s; t < e; t++ {
-			if remain[g][t] < avail {
-				avail = remain[g][t]
-			}
+		row := r.row(group)[s:e]
+		n := int(slices.Min(row))
+		if n > need {
+			n = need
 		}
-		take := int(avail)
-		if take > need {
-			take = need
+		if n <= 0 {
+			continue
 		}
-		if take > 0 {
-			counts[g] = take
-			need -= take
+		need -= n
+		if !commit {
+			continue
+		}
+		for t := range row {
+			row[t] -= int64(n)
+		}
+		if !rec.single {
+			r.out[int(parts[gi].id)-shift] = float64(n)
 		}
 	}
-	if need > 0 {
-		return LeafGrant{}, false
-	}
-	for g, cnt := range counts {
-		for t := s; t < e; t++ {
-			remain[g][t] -= int64(cnt)
-		}
-	}
-	return LeafGrant{
-		Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur,
-		Counts: counts, Total: rec.k,
-	}, true
+	return need == 0
 }

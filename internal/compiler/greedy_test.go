@@ -153,14 +153,14 @@ func TestQuickSeedGrantFeasibility(t *testing.T) {
 		if err != nil {
 			return true // structurally invalid random job; skip
 		}
-		for _, job := range jobs {
+		for j, job := range jobs {
 			if !roundable(job) {
 				// Partial grants under MIN subtrees are outside
 				// InitialVector's contract (see its doc comment).
 				continue
 			}
 			for _, l := range strl.Leaves(job) {
-				g, ok := c.SeedGrant(l)
+				g, ok := c.SeedGrant(j, l)
 				if !ok {
 					continue
 				}

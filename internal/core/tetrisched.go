@@ -335,11 +335,14 @@ type Scheduler struct {
 	reuseHW   int                    // high-water len of the reuse map since last shrink
 
 	// Cycle front-end state (internal/core/frontend.go); exprCache is nil
-	// when the compile cache is disabled. compScr and conflictScratch are
-	// always-on allocation pools, independent of any cache semantics.
+	// when the compile cache is disabled. compScr, solveWS and
+	// conflictScratch are always-on memory the scheduler owns and reuses,
+	// independent of any cache semantics; all three start empty and grow on
+	// first use.
 	exprCache       map[int]*exprEntry // job ID → cached STRL request + expiry
 	fe              feState            // whole-batch compile cache
 	compScr         *compiler.Scratch  // pooled compile build buffers
+	solveWS         milp.WorkspaceList // solver workspaces, one per concurrent sub-solve
 	conflictScratch *bitset.Set        // classifyConflict working-set scratch
 
 	// Sharded control-plane state (internal/shard, docs/SHARDING.md); all nil
@@ -677,8 +680,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			}
 			for _, o := range r.Options {
 				if o.Key == pc.key && o.StartSlice == want {
-					if g, ok := comp.SeedGrant(o.Leaf); ok {
-						g.Job = i
+					if g, ok := comp.SeedGrant(i, o.Leaf); ok {
 						grants = append(grants, g)
 					}
 					break
@@ -755,7 +757,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			}
 		}
 		var partSols []*milp.Solution
-		sol, partSols, err = milp.SolveParts(parts, comp.Model.NumVars(), mopts)
+		sol, partSols, err = s.solveWS.SolveParts(parts, comp.Model.NumVars(), mopts)
 		if replayed < len(comps) {
 			// Decomposed/Components count sub-MILPs actually solved; a
 			// replayed part ran no solver, and a fully replayed cycle ran none
@@ -796,7 +798,9 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		} else {
 			mopts.InitialSolution = partSeed
 			mopts.Heuristic = comp.GreedyRound
-			sol, err = milp.Solve(comp.Model, mopts)
+			ws := s.solveWS.Get()
+			sol, err = ws.Solve(comp.Model, mopts)
+			s.solveWS.Put(ws)
 			if partSeed != nil {
 				warmSeeds++
 			}
@@ -1117,7 +1121,8 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			trace.I("cons", int64(len(comp.Model.Cons))))
 		solveSpan := s.tr.Begin("solve", "solve")
 		t0 := time.Now()
-		sol, err := milp.Solve(comp.Model, milp.Options{
+		ws := s.solveWS.Get()
+		sol, err := ws.Solve(comp.Model, milp.Options{
 			Gap:              s.cfg.Gap,
 			TimeLimit:        s.cfg.SolverTimeLimit,
 			Workers:          s.cfg.SolverWorkers,
@@ -1127,6 +1132,7 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			DisablePresolve:  s.cfg.DisablePresolve,
 			DenseBasis:       s.cfg.DenseBasis,
 		})
+		s.solveWS.Put(ws)
 		elapsed := time.Since(t0)
 		res.SolverLatency += elapsed
 		s.Stats.record(sol, 0, elapsed)

@@ -159,7 +159,15 @@ type denseBasis struct {
 }
 
 func newDenseBasis(p *lp, stats *LPStats) *denseBasis {
-	return &denseBasis{p: p, binv: make([]float64, p.m*p.m), stats: stats}
+	d := new(denseBasis)
+	d.bind(p, stats)
+	return d
+}
+
+// bind re-targets the engine at p, keeping its storage when large enough.
+func (d *denseBasis) bind(p *lp, stats *LPStats) {
+	d.p, d.stats = p, stats
+	d.binv = zeroed(d.binv, p.m*p.m)
 }
 
 func (d *denseBasis) reset(diag []float64) {
@@ -179,9 +187,9 @@ func (d *denseBasis) factor(basis []int, art []float64) error {
 	p := d.p
 	m := p.m
 	w2 := 2 * m
-	if d.refac == nil {
-		d.refac = make([]float64, m*w2)
-		d.refacRows = make([][]float64, m)
+	if len(d.refac) != m*w2 {
+		d.refac = zeroed(d.refac, m*w2)
+		d.refacRows = zeroed(d.refacRows, m)
 	}
 	a := d.refacRows
 	for i := 0; i < m; i++ {

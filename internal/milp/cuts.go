@@ -108,7 +108,7 @@ func litValue(x []float64, lit int) float64 {
 
 // cliqueConstraint converts a literal clique into its packing inequality.
 func cliqueConstraint(lits []int) Constraint {
-	con := Constraint{Name: "cut:clique", Op: LE, RHS: 1}
+	con := Constraint{Name: Lit("cut:clique"), Op: LE, RHS: 1}
 	for _, l := range lits {
 		if l&1 == 0 {
 			con.Terms = append(con.Terms, Term{Var: VarID(l / 2), Coef: 1})
@@ -296,7 +296,7 @@ func separateCoverCuts(m *Model, x []float64, out []cutCandidate) []cutCandidate
 			continue
 		}
 		lits := make([]int, cover)
-		cut := Constraint{Name: "cut:cover", Op: LE, RHS: float64(cover - 1)}
+		cut := Constraint{Name: Lit("cut:cover"), Op: LE, RHS: float64(cover - 1)}
 		for i, it := range items[:cover] {
 			lits[i] = it.v * 2
 			cut.Terms = append(cut.Terms, Term{Var: VarID(it.v), Coef: 1})
@@ -356,7 +356,7 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 		if len(cands) == 0 {
 			return x, rootObj
 		}
-		cons := make([]Constraint, len(s.model.Cons), len(s.model.Cons)+len(cands))
+		cons := s.ws.cons.take(len(s.model.Cons) + len(cands))[:len(s.model.Cons)]
 		copy(cons, s.model.Cons)
 		grown := &Model{Sense: s.model.Sense, Vars: s.model.Vars, Cons: cons}
 		nCover, nClique := 0, 0
@@ -368,9 +368,9 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 				nCover++
 			}
 		}
-		p2 := newLP(grown)
+		p2 := s.ws.newLP(grown)
 		p2.dense = s.p.dense
-		sc2 := newScratch(p2)
+		sc2 := s.ws.newScratch(p2)
 		st, nx, err := sc2.solve(p2.lb, p2.ub, 0, s.deadline)
 		if err != nil || st != lpOptimal {
 			// Deadline, iteration cap, or numerical trouble on the grown LP:

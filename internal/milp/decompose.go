@@ -65,6 +65,12 @@ type Part struct {
 // The returned slice holds each part's own Solution (nil where the part's
 // Solve returned an error), for callers that need to know which parts failed.
 func SolveParts(parts []Part, fullVars int, opts Options) (*Solution, []*Solution, error) {
+	return (*WorkspaceList)(nil).SolveParts(parts, fullVars, opts)
+}
+
+// SolveParts is the package-level SolveParts with every part's solve borrowing
+// a workspace from the list for as long as it runs.
+func (l *WorkspaceList) SolveParts(parts []Part, fullVars int, opts Options) (*Solution, []*Solution, error) {
 	if len(parts) == 0 {
 		return nil, nil, fmt.Errorf("milp: SolveParts requires at least one part")
 	}
@@ -116,7 +122,9 @@ func SolveParts(parts []Part, fullVars int, opts Options) (*Solution, []*Solutio
 			po.Workers = assign[i]
 			po.InitialSolution = parts[i].Seed
 			po.Heuristic = parts[i].Heuristic
-			sol, err := Solve(parts[i].Model, po)
+			ws := l.Get()
+			sol, err := ws.Solve(parts[i].Model, po)
+			l.Put(ws)
 			if err == nil {
 				sols[i] = sol
 			}

@@ -30,7 +30,7 @@ func (m *Model) WriteLP(w io.Writer) error {
 	}
 	bw.printf("\nSubject To\n")
 	for i, c := range m.Cons {
-		name := c.Name
+		name := c.Name.String()
 		if name == "" {
 			name = fmt.Sprintf("c%d", i)
 		}
@@ -92,7 +92,7 @@ func (m *Model) WriteLP(w io.Writer) error {
 
 // lpName returns a format-safe unique variable name.
 func (m *Model) lpName(v VarID) string {
-	n := m.Vars[v].Name
+	n := m.Vars[v].Name.String()
 	if n == "" {
 		return fmt.Sprintf("x%d", int(v))
 	}

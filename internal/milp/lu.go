@@ -66,28 +66,39 @@ type luBasis struct {
 }
 
 func newLUBasis(p *lp, stats *LPStats) *luBasis {
+	u := new(luBasis)
+	u.bind(p, stats)
+	return u
+}
+
+// bind re-targets the engine at p with default budgets and no factors,
+// keeping its storage — including the append-grown factor and eta arrays —
+// when large enough.
+func (u *luBasis) bind(p *lp, stats *LPStats) {
 	m := p.m
-	return &luBasis{
-		p:           p,
-		stats:       stats,
-		prow:        make([]int32, m),
-		q:           make([]int32, m),
-		lstart:      make([]int32, m+1),
-		ustart:      make([]int32, m+1),
-		udiag:       make([]float64, m),
-		etaStart:    make([]int32, 1, 65),
-		etaLimit:    64,
-		fillLimit:   6*m + 256,
-		growthLimit: 1e12,
-		work:        make([]float64, m),
-		mark:        make([]int32, m),
-		touched:     make([]int32, 0, m),
-		pos:         make([]int32, m),
-		zbuf:        make([]float64, m),
-		vbuf:        make([]float64, m),
-		rowCnt:      make([]int32, m),
-		colCnt:      make([]int32, m),
+	u.p, u.stats = p, stats
+	u.prow = zeroed(u.prow, m)
+	u.q = zeroed(u.q, m)
+	u.lstart = zeroed(u.lstart, m+1)
+	u.ustart = zeroed(u.ustart, m+1)
+	u.udiag = zeroed(u.udiag, m)
+	u.lrow, u.lval = u.lrow[:0], u.lval[:0]
+	u.urow, u.uval = u.urow[:0], u.uval[:0]
+	if cap(u.etaStart) < 65 {
+		u.etaStart = make([]int32, 1, 65)
 	}
+	u.etaStart[0] = 0
+	u.clearEtas()
+	u.etaLimit, u.fillLimit, u.growthLimit = 64, 6*m+256, 1e12
+	u.work = zeroed(u.work, m)
+	u.mark = zeroed(u.mark, m)
+	u.touched = zeroed(u.touched, m)[:0]
+	u.pos = zeroed(u.pos, m)
+	u.zbuf = zeroed(u.zbuf, m)
+	u.vbuf = zeroed(u.vbuf, m)
+	u.rowCnt = zeroed(u.rowCnt, m)
+	u.colCnt = zeroed(u.colCnt, m)
+	u.stamp = 0
 }
 
 func (u *luBasis) clearEtas() {

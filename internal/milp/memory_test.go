@@ -1,0 +1,355 @@
+package milp
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// packingModel builds a scheduler-shaped MILP: jobs that each pick at most
+// one of a few placement options, options that occupy capacity over a run of
+// slices, supply rows that make them compete. Small enough to solve in
+// milliseconds, oversubscribed enough to need presolve, cuts and a tree.
+func packingModel(seed int64, jobs int) *Model {
+	r := rand.New(rand.NewSource(seed))
+	m := NewModel(Maximize)
+	const slices = 6
+	supply := make([][]Term, slices)
+	for j := 0; j < jobs; j++ {
+		job := m.AddBinary("", 0)
+		var kids []Term
+		for o := 0; o < 2+r.Intn(3); o++ {
+			ind := m.AddBinary("", float64(1+r.Intn(20)))
+			kids = append(kids, Term{ind, 1})
+			k := float64(1 + r.Intn(5))
+			start := r.Intn(slices)
+			for t := start; t < slices && t < start+1+r.Intn(3); t++ {
+				supply[t] = append(supply[t], Term{ind, k})
+			}
+		}
+		m.AddConstraint("", append(kids, Term{job, -1}), LE, 0)
+	}
+	for _, terms := range supply {
+		if len(terms) > 0 {
+			m.AddConstraint("", terms, LE, float64(4+jobs/2))
+		}
+	}
+	return m
+}
+
+// TestAddConstraintMatchesMapMerge checks the stamp-array merge against the
+// map-based merge it replaced, kept here as the reference: same
+// first-occurrence order, same summed coefficients, across arena spills.
+func TestAddConstraintMatchesMapMerge(t *testing.T) {
+	reference := func(terms []Term) []Term {
+		seen := make(map[VarID]int, len(terms))
+		out := make([]Term, 0, len(terms))
+		for _, t := range terms {
+			if i, ok := seen[t.Var]; ok {
+				out[i].Coef += t.Coef
+				continue
+			}
+			seen[t.Var] = len(out)
+			out = append(out, t)
+		}
+		return out
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		m := NewModel(Maximize)
+		var want [][]Term
+		for row := 0; row < 40; row++ {
+			for v := 0; v < r.Intn(4); v++ { // variables keep arriving between rows
+				m.AddVar("", Continuous, 0, 1, 0)
+			}
+			if m.NumVars() == 0 {
+				m.AddVar("", Continuous, 0, 1, 0)
+			}
+			terms := make([]Term, r.Intn(30))
+			for i := range terms {
+				terms[i] = Term{VarID(r.Intn(m.NumVars())), float64(r.Intn(9) - 4)}
+			}
+			want = append(want, reference(terms))
+			m.AddConstraint("", terms, LE, 1)
+		}
+		for row, w := range want {
+			got := m.Cons[row].Terms
+			if len(got) == 0 && len(w) == 0 {
+				continue
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("seed %d row %d: merged to %v, the map merge gives %v", seed, row, got, w)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("seed %d row %d: row has spare capacity %d: an append would overwrite the next row", seed, row, cap(got)-len(got))
+			}
+		}
+	}
+}
+
+// TestAddConstraintBadVarID pins AddConstraint's contract under the dense
+// stamp array: a term naming no variable of the model is not an index panic
+// but a model that Validate (and so Solve) rejects with "bad var id".
+func TestAddConstraintBadVarID(t *testing.T) {
+	for _, bad := range []VarID{-1, -1 << 40, 2, 3, 1 << 40} {
+		m := NewModel(Maximize)
+		x := m.AddVar("x", Binary, 0, 1, 1)
+		y := m.AddVar("y", Binary, 0, 1, 1)
+		m.AddConstraint("c", []Term{{x, 1}, {bad, 1}, {y, 1}, {bad, 2}, {x, 1}}, LE, 1)
+		err := m.Validate()
+		if err == nil || !strings.Contains(err.Error(), "bad var id") {
+			t.Fatalf("var id %d: Validate() = %v, want a bad var id error", bad, err)
+		}
+		if _, err := Solve(m, Options{}); err == nil || !strings.Contains(err.Error(), "bad var id") {
+			t.Fatalf("var id %d: Solve() error = %v, want a bad var id error", bad, err)
+		}
+	}
+}
+
+// TestSolveValidatesOnce pins that validation happens at Solve's door and
+// not again on the model the presolver assembles: branchAndBound, which is
+// what Solve hands the reduced model to, takes a model Validate rejects
+// (crossed bounds) without complaint, where Solve answers with Validate's
+// error.
+func TestSolveValidatesOnce(t *testing.T) {
+	m := NewModel(Maximize)
+	m.AddVar("x", Continuous, 2, 1, 1)
+	if _, err := Solve(m, Options{}); err == nil {
+		t.Fatal("Solve accepted a model with lb > ub")
+	}
+	if _, err := new(Workspace).branchAndBound(m, Options{}); err != nil {
+		t.Fatalf("branchAndBound validated its input: %v", err)
+	}
+}
+
+func TestNamef(t *testing.T) {
+	for _, tc := range []struct {
+		name Name
+		want string
+	}{
+		{Name{}, ""},
+		{Lit("x"), "x"},
+		{Namef("I_j%d", 7), "I_j7"},
+		{Namef("P_j%d_g%d_s%d", 1, 22, 333), "P_j1_g22_s333"},
+		{Namef("big_%d_%d", 1<<40, -3), "big_1099511627776_-3"}, // past the compact form
+	} {
+		if got := tc.name.String(); got != tc.want {
+			t.Errorf("name = %q, want %q", got, tc.want)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = Namef("P_j%d_g%d_s%d", 1, 2, 3) }); avg != 0 {
+		t.Errorf("Namef allocates %v times; naming a variable must be free", avg)
+	}
+}
+
+// TestModelResetClone checks the staging pair the compiler builds on: a
+// Clone prints like its source and shares no memory with it, and a Reset
+// model builds the next model correctly on the old storage.
+func TestModelResetClone(t *testing.T) {
+	stage := new(Model)
+	for seed := int64(1); seed <= 4; seed++ {
+		src := packingModel(seed, 6+int(seed)*3)
+		stage.Reset(src.Sense)
+		for _, v := range src.Vars {
+			stage.AddVarNamed(v.Name, v.Type, v.Lb, v.Ub, v.Obj)
+		}
+		for _, c := range src.Cons {
+			stage.AddConstraintNamed(c.Name, c.Terms, c.Op, c.RHS)
+		}
+		clone := stage.Clone()
+		if clone.String() != src.String() {
+			t.Fatalf("seed %d: clone of the staged model differs from the model", seed)
+		}
+		stage.Reset(Maximize) // must not disturb the clone
+		stage.AddVar("junk", Continuous, 0, 1, 1)
+		stage.AddConstraint("junk", []Term{{0, 9}}, GE, 9)
+		if clone.String() != src.String() {
+			t.Fatalf("seed %d: reusing the staging model changed its clone", seed)
+		}
+	}
+}
+
+// TestWorkspaceSolveMatchesFresh solves a run of different models on one
+// workspace, in every driver, and requires each result to equal a solve on
+// fresh memory: the workspace changes where buffers live, nothing else.
+func TestWorkspaceSolveMatchesFresh(t *testing.T) {
+	for _, opts := range []Options{
+		{Workers: 1},
+		{Workers: 1, DisablePresolve: true, DenseBasis: true},
+		{Workers: 3, Deterministic: true, SerialCutoff: -1},
+		{Workers: 1, Gap: 0.1, DisableWarmStart: true},
+	} {
+		var ws Workspace
+		for seed := int64(1); seed <= 8; seed++ {
+			m := packingModel(seed, 4+int(seed*7)%23)
+			want, err := Solve(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ws.Solve(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Runtime, got.Runtime = 0, 0
+			want.Presolve.Duration, got.Presolve.Duration = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("opts %+v seed %d: workspace solve\n%+v\nfresh solve\n%+v", opts, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestWorkspaceAliasing solves A, then B on the same workspace, and requires
+// everything A's caller holds — the solution's values and bound, and a point
+// lifted through a Presolved — to be untouched: no result may alias a slab.
+func TestWorkspaceAliasing(t *testing.T) {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 1, DisablePresolve: true}} {
+		var ws Workspace
+		a, b := packingModel(1, 14), packingModel(2, 25)
+		solA, err := ws.Solve(a, opts)
+		if err != nil || solA.Values == nil {
+			t.Fatalf("solve A: %v %+v", err, solA)
+		}
+		keep := *solA
+		keep.Values = append([]float64(nil), solA.Values...)
+		for i := 0; i < 3; i++ { // B several times: the slabs are warm and in use
+			if _, err := ws.Solve(b, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(*solA, keep) {
+			t.Fatalf("opts %+v: solving B on the workspace changed A's solution", opts)
+		}
+		if !a.IsFeasible(solA.Values, 1e-6) {
+			t.Fatalf("opts %+v: A's values are no longer a feasible point of A", opts)
+		}
+	}
+	// The public Presolve hands out a result its caller owns outright.
+	a := packingModel(3, 18)
+	pre := Presolve(a)
+	if pre.Infeasible || pre.identity {
+		t.Fatal("the model does not reduce; the test exercises nothing")
+	}
+	red, err := Solve(pre.Model, Options{DisablePresolve: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifted := pre.Lift(red)
+	point := pre.LiftPoint(red.Values)
+	before, text := append([]float64(nil), lifted.Values...), pre.Model.String()
+	var ws Workspace
+	for i := 0; i < 3; i++ {
+		if _, err := ws.Solve(packingModel(4, 30), Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(lifted.Values, before) || !reflect.DeepEqual(point, before) || pre.Model.String() != text {
+		t.Fatal("a later solve changed what Presolve and Lift returned")
+	}
+}
+
+// TestWorkspaceSolveAllocs budgets a warm-workspace solve. A root-integral
+// model (the paper's traffic almost never branches) may allocate only what
+// the caller keeps or the heuristics propose: the Solution, the presolve
+// result and its wrappers, a few value vectors. The model's size must not
+// show: on fresh memory the same solve makes about 100 allocations.
+func TestWorkspaceSolveAllocs(t *testing.T) {
+	m := NewModel(Maximize)
+	var supply []Term
+	for j := 0; j < 40; j++ {
+		job := m.AddBinary("", 0)
+		var kids []Term
+		for o := 0; o < 4; o++ {
+			ind := m.AddBinary("", float64(10+j-o))
+			kids = append(kids, Term{ind, 1})
+			supply = append(supply, Term{ind, 1})
+		}
+		m.AddConstraint("", append(kids, Term{job, -1}), LE, 0)
+	}
+	m.AddConstraint("", supply, LE, 25)
+	opts := Options{Workers: 1, Gap: 0.1}
+	var ws Workspace
+	for i := 0; i < 3; i++ { // grow to fit, then settle
+		if sol, err := ws.Solve(m, opts); err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("warm-up solve: %v %+v", err, sol)
+		}
+	}
+	const budget = 24
+	warm := testing.AllocsPerRun(50, func() { ws.Solve(m, opts) })
+	if warm > budget {
+		t.Errorf("a warm-workspace solve allocates %v times, budget %d", warm, budget)
+	}
+	fresh := testing.AllocsPerRun(50, func() { Solve(m, opts) })
+	t.Logf("allocations per solve: %v on a warm workspace, %v on fresh memory", warm, fresh)
+}
+
+// TestWorkspaceListSolveParts runs decomposed solves concurrently against one
+// shared free list (run it under -race) and requires each to merge to what
+// the package-level SolveParts returns.
+func TestWorkspaceListSolveParts(t *testing.T) {
+	mkParts := func(seed int64) ([]Part, int) {
+		var parts []Part
+		full := 0
+		for i := int64(0); i < 5; i++ {
+			m := packingModel(seed*10+i, 5+int(i)*4)
+			vm := make([]int, m.NumVars())
+			for v := range vm {
+				vm[v] = full + v
+			}
+			full += m.NumVars()
+			parts = append(parts, Part{Model: m, VarMap: vm})
+		}
+		return parts, full
+	}
+	opts := Options{Workers: 2, Deterministic: true}
+	var list WorkspaceList
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				parts, full := mkParts(g)
+				want, _, err := SolveParts(parts, full, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, _, err := list.SolveParts(parts, full, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Status != want.Status || got.Objective != want.Objective || !reflect.DeepEqual(got.Values, want.Values) {
+					t.Errorf("goroutine %d round %d: shared-list solve differs from the fresh one", g, round)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(list.free); n == 0 || n > maxFreeWorkspaces {
+		t.Errorf("free list holds %d workspaces after the solves", n)
+	}
+}
+
+// TestPresolveKeepsNames: the presolver's rows no longer carry a name each;
+// the reduced model's rows must still print under their original names.
+func TestPresolveKeepsNames(t *testing.T) {
+	m := NewModel(Maximize)
+	x := m.AddVar("x", Binary, 0, 1, 1)
+	y := m.AddVar("y", Binary, 0, 1, 1)
+	z := m.AddVar("z", Integer, 0, 5, 1)
+	m.AddConstraint("gone", []Term{{x, 1}}, LE, 0) // singleton: becomes a bound
+	m.AddConstraintNamed(Namef("kept_%d", 7), []Term{{y, 2}, {z, 1}}, LE, 4)
+	pre := Presolve(m)
+	var lp bytes.Buffer
+	if err := pre.Model.WriteLP(&lp); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(lp.String(), "kept_7:") || strings.Contains(lp.String(), "gone") {
+		t.Errorf("reduced model lost or kept the wrong row names:\n%s", lp.String())
+	}
+}

@@ -82,9 +82,55 @@ type Term struct {
 	Coef float64
 }
 
+// Name identifies a variable or constraint. Only Model.String, WriteLP and
+// Validate's error messages ever read one, so a Name built by Namef keeps its
+// format and integer arguments and renders the text when asked: naming a
+// variable costs no allocation. The zero Name is "no name" (printers fall
+// back to x<index> / c<index>).
+type Name struct {
+	text string   // the literal name, or a format of n %d verbs
+	args [3]int32 // the format's arguments
+	n    uint8
+}
+
+// Lit is the Name with the given literal text.
+func Lit(text string) Name { return Name{text: text} }
+
+// Namef is the Name that renders as fmt.Sprintf(format, args...). The format
+// may only use %d verbs, at most three of them.
+func Namef(format string, args ...int) Name {
+	n := Name{text: format, n: uint8(len(args))}
+	if len(args) > len(n.args) {
+		panic("milp: Namef takes at most three arguments")
+	}
+	for i, a := range args {
+		if int(int32(a)) != a {
+			return Lit(sprintInts(format, args)) // does not fit the compact form
+		}
+		n.args[i] = int32(a)
+	}
+	return n
+}
+
+// String renders the name ("" for the zero Name).
+func (n Name) String() string {
+	if n.n == 0 {
+		return n.text
+	}
+	return sprintInts(n.text, n.args[:n.n])
+}
+
+func sprintInts[T int | int32](format string, args []T) string {
+	boxed := make([]interface{}, len(args))
+	for i, a := range args {
+		boxed[i] = a
+	}
+	return fmt.Sprintf(format, boxed...)
+}
+
 // Variable holds the definition of a model variable.
 type Variable struct {
-	Name string
+	Name Name
 	Type VarType
 	Lb   float64
 	Ub   float64
@@ -93,7 +139,7 @@ type Variable struct {
 
 // Constraint is a linear constraint Σ coef·var  op  RHS.
 type Constraint struct {
-	Name  string
+	Name  Name
 	Terms []Term
 	Op    Op
 	RHS   float64
@@ -102,10 +148,23 @@ type Constraint struct {
 // Model is a mixed-integer linear program. Build it with AddVar and
 // AddConstraint, then pass it to Solve. A Model is not safe for concurrent
 // mutation, but may be solved concurrently once fully built.
+//
+// Rows added through AddConstraint and AddRow live in one growing term arena:
+// each Constraint.Terms is a capacity-limited sub-slice of it, so a model
+// costs a handful of allocations however many rows it has. When the arena
+// fills up a larger one is started; rows already handed out keep the old one.
 type Model struct {
 	Sense Sense
 	Vars  []Variable
 	Cons  []Constraint
+
+	arena   []Term
+	nterms  int  // terms in the rows added through the arena
+	spilled bool // an earlier arena still holds rows
+	// slot[v] is the arena index of v's term in the row AddConstraint is
+	// merging, valid only while that index lies inside the row and holds v
+	// (the sparse-set test), so it is never cleared between rows.
+	slot []int32
 }
 
 // NewModel returns an empty model with the given optimization sense.
@@ -113,9 +172,63 @@ func NewModel(sense Sense) *Model {
 	return &Model{Sense: sense}
 }
 
+// Reset empties the model for another build that reuses its storage. Together
+// with Clone it lets a builder that cannot know a model's size in advance
+// (the compiler) assemble every model in one long-lived Model, at no
+// allocation once that has grown to fit, and keep an exact-size copy.
+func (m *Model) Reset(sense Sense) {
+	m.Sense = sense
+	clear(m.Cons) // drop the references into arenas that may now be freed
+	m.Vars, m.Cons = m.Vars[:0], m.Cons[:0]
+	if m.spilled {
+		// One arena for everything next time, with a quarter of headroom.
+		m.arena = make([]Term, 0, m.nterms+m.nterms/4)
+	}
+	m.arena, m.nterms, m.spilled = m.arena[:0], 0, false
+}
+
+// Clone returns a copy that shares nothing with m and holds exactly the
+// model: its variables, its constraints and one term arena, each allocated at
+// its final size.
+func (m *Model) Clone() *Model {
+	c := &Model{Sense: m.Sense}
+	n := 0
+	for i := range m.Cons {
+		n += len(m.Cons[i].Terms)
+	}
+	c.Grow(len(m.Vars), len(m.Cons), n)
+	c.Vars = append(c.Vars, m.Vars...)
+	for i := range m.Cons {
+		con := &m.Cons[i]
+		copy(c.AddRow(con.Name, len(con.Terms), con.Op, con.RHS), con.Terms)
+	}
+	return c
+}
+
+// Grow reserves room for the given number of further variables, constraints
+// and constraint terms, so that a builder that knows how large its model will
+// be fills it without regrowth.
+func (m *Model) Grow(vars, cons, terms int) {
+	if n := len(m.Vars) + vars; n > cap(m.Vars) {
+		m.Vars = append(make([]Variable, 0, n), m.Vars...)
+	}
+	if n := len(m.Cons) + cons; n > cap(m.Cons) {
+		m.Cons = append(make([]Constraint, 0, n), m.Cons...)
+	}
+	if terms > cap(m.arena)-len(m.arena) {
+		m.spilled = m.spilled || len(m.arena) > 0
+		m.arena = make([]Term, 0, terms)
+	}
+}
+
 // AddVar adds a variable and returns its ID. Binary variables have their
 // bounds clamped to [0,1] regardless of the supplied lb/ub.
 func (m *Model) AddVar(name string, typ VarType, lb, ub, obj float64) VarID {
+	return m.AddVarNamed(Lit(name), typ, lb, ub, obj)
+}
+
+// AddVarNamed is AddVar with a lazily formatted Name.
+func (m *Model) AddVarNamed(name Name, typ VarType, lb, ub, obj float64) VarID {
 	if typ == Binary {
 		lb, ub = math.Max(lb, 0), math.Min(ub, 1)
 	}
@@ -129,23 +242,65 @@ func (m *Model) AddBinary(name string, obj float64) VarID {
 }
 
 // AddConstraint adds Σ terms op rhs. Terms referring to the same variable are
-// merged.
+// merged: the variable keeps the position of its first occurrence and the
+// coefficients are summed in order. terms is copied, not retained.
 func (m *Model) AddConstraint(name string, terms []Term, op Op, rhs float64) {
-	m.Cons = append(m.Cons, Constraint{Name: name, Terms: mergeTerms(terms), Op: op, RHS: rhs})
+	m.AddConstraintNamed(Lit(name), terms, op, rhs)
 }
 
-func mergeTerms(terms []Term) []Term {
-	seen := make(map[VarID]int, len(terms))
-	out := make([]Term, 0, len(terms))
+// AddConstraintNamed is AddConstraint with a lazily formatted Name.
+func (m *Model) AddConstraintNamed(name Name, terms []Term, op Op, rhs float64) {
+	row := m.rowSpace(len(terms))
+	lo := len(row)
+	if len(m.slot) < len(m.Vars) {
+		// Sized to the capacity of Vars, so it regrows only when Vars does.
+		// Stale entries are harmless (see slot).
+		m.slot = append(make([]int32, 0, cap(m.Vars)), m.slot...)[:cap(m.Vars)]
+	}
 	for _, t := range terms {
-		if i, ok := seen[t.Var]; ok {
-			out[i].Coef += t.Coef
+		if t.Var < 0 || int(t.Var) >= len(m.Vars) {
+			// Not a variable of this model: kept as written, for Validate
+			// to report as a bad var id.
+			row = append(row, t)
 			continue
 		}
-		seen[t.Var] = len(out)
-		out = append(out, t)
+		if i := int(m.slot[t.Var]); i >= lo && i < len(row) && row[i].Var == t.Var {
+			row[i].Coef += t.Coef
+			continue
+		}
+		m.slot[t.Var] = int32(len(row))
+		row = append(row, t)
 	}
-	return out
+	m.arena = row
+	m.nterms += len(row) - lo
+	m.Cons = append(m.Cons, Constraint{Name: name, Terms: row[lo:len(row):len(row)], Op: op, RHS: rhs})
+}
+
+// AddRow adds a constraint of n terms and returns them, zeroed, for the caller
+// to fill in. Nothing is merged: it is for rows whose variables are already
+// distinct, such as rows copied from another model.
+func (m *Model) AddRow(name Name, n int, op Op, rhs float64) []Term {
+	row := m.rowSpace(n)
+	lo := len(row)
+	row = row[:lo+n]
+	terms := row[lo : lo+n : lo+n]
+	clear(terms)
+	m.arena = row
+	m.nterms += n
+	m.Cons = append(m.Cons, Constraint{Name: name, Terms: terms, Op: op, RHS: rhs})
+	return terms
+}
+
+// rowSpace returns the arena with room for n more terms, starting a new one
+// when the current one is full: a quarter of the model so far, so a model of
+// unknown size is built in a logarithmic number of arenas and one that was
+// sized a little short wastes little.
+func (m *Model) rowSpace(n int) []Term {
+	if n <= cap(m.arena)-len(m.arena) {
+		return m.arena
+	}
+	m.spilled = m.spilled || len(m.arena) > 0
+	return make([]Term, 0, max(n, m.nterms/4, 16))
 }
 
 // SetObj replaces the objective coefficient of v.
@@ -173,25 +328,25 @@ func (m *Model) NumIntVars() int {
 func (m *Model) Validate() error {
 	for i, v := range m.Vars {
 		if v.Lb > v.Ub {
-			return fmt.Errorf("milp: var %q (#%d): lb %v > ub %v", v.Name, i, v.Lb, v.Ub)
+			return fmt.Errorf("milp: var %q (#%d): lb %v > ub %v", v.Name.String(), i, v.Lb, v.Ub)
 		}
 		if math.IsNaN(v.Lb) || math.IsNaN(v.Ub) || math.IsNaN(v.Obj) || math.IsInf(v.Obj, 0) {
-			return fmt.Errorf("milp: var %q (#%d): invalid bound or objective", v.Name, i)
+			return fmt.Errorf("milp: var %q (#%d): invalid bound or objective", v.Name.String(), i)
 		}
 		if v.Type != Continuous && (math.IsInf(v.Lb, -1) || math.IsInf(v.Ub, 1)) {
-			return fmt.Errorf("milp: integer var %q (#%d) must have finite bounds", v.Name, i)
+			return fmt.Errorf("milp: integer var %q (#%d) must have finite bounds", v.Name.String(), i)
 		}
 	}
 	for i, c := range m.Cons {
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return fmt.Errorf("milp: constraint %q (#%d): invalid rhs", c.Name, i)
+			return fmt.Errorf("milp: constraint %q (#%d): invalid rhs", c.Name.String(), i)
 		}
 		for _, t := range c.Terms {
 			if t.Var < 0 || int(t.Var) >= len(m.Vars) {
-				return fmt.Errorf("milp: constraint %q (#%d): bad var id %d", c.Name, i, t.Var)
+				return fmt.Errorf("milp: constraint %q (#%d): bad var id %d", c.Name.String(), i, t.Var)
 			}
 			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return fmt.Errorf("milp: constraint %q (#%d): invalid coefficient", c.Name, i)
+				return fmt.Errorf("milp: constraint %q (#%d): invalid coefficient", c.Name.String(), i)
 			}
 		}
 	}
@@ -265,7 +420,7 @@ func (m *Model) String() string {
 	}
 	b.WriteString("\nsubject to\n")
 	for i, c := range m.Cons {
-		name := c.Name
+		name := c.Name.String()
 		if name == "" {
 			name = fmt.Sprintf("c%d", i)
 		}
@@ -287,7 +442,7 @@ func (m *Model) String() string {
 }
 
 func (m *Model) varName(v VarID) string {
-	if n := m.Vars[v].Name; n != "" {
+	if n := m.Vars[v].Name.String(); n != "" {
 		return n
 	}
 	return fmt.Sprintf("x%d", int(v))

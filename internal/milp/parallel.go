@@ -76,7 +76,10 @@ func (s *search) evalNode(node *bbNode, sc *simplexState, lbBuf, ubBuf []float64
 			r.cand = cand
 		}
 	} else if s.opts.Heuristic == nil && idx%64 == 0 {
-		if cand := diveFrom(s.model, s.p, lbBuf, ubBuf, x, s.deadline, !s.opts.DisableWarmStart, &sc.stats); cand != nil {
+		// The search's workspace belongs to the driver goroutine; a worker's
+		// dive (rare: every 64th node, and only without a caller heuristic)
+		// runs on fresh memory instead.
+		if cand := diveFrom(new(Workspace), s.model, s.p, lbBuf, ubBuf, x, s.deadline, !s.opts.DisableWarmStart, &sc.stats); cand != nil {
 			r.cand = cand
 		}
 	}
@@ -171,10 +174,7 @@ func (s *search) runAsync() {
 		boundFinal = true
 		stop()
 	}
-	worker := func() {
-		sc := newScratch(s.p)
-		lbBuf := make([]float64, len(s.p.lb))
-		ubBuf := make([]float64, len(s.p.ub))
+	worker := func(sc *simplexState, lbBuf, ubBuf []float64) {
 		mu.Lock()
 		defer mu.Unlock()
 		// LIFO defers: the stats fold runs before the Unlock above, i.e.
@@ -234,10 +234,15 @@ func (s *search) runAsync() {
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < s.workers; i++ {
+		// Each worker's LP state is borrowed here, on the driver goroutine:
+		// the workspace is not safe for concurrent use.
+		sc := s.ws.newScratch(s.p)
+		lbBuf := s.ws.floats.take(len(s.p.lb))
+		ubBuf := s.ws.floats.take(len(s.p.ub))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			worker()
+			worker(sc, lbBuf, ubBuf)
 		}()
 	}
 	wg.Wait()
@@ -260,9 +265,9 @@ func (s *search) runBatch() {
 	ubBufs := make([][]float64, s.workers)
 	scratches := make([]*simplexState, s.workers)
 	for i := range lbBufs {
-		lbBufs[i] = make([]float64, len(s.p.lb))
-		ubBufs[i] = make([]float64, len(s.p.ub))
-		scratches[i] = newScratch(s.p)
+		lbBufs[i] = s.ws.floats.take(len(s.p.lb))
+		ubBufs[i] = s.ws.floats.take(len(s.p.ub))
+		scratches[i] = s.ws.newScratch(s.p)
 	}
 	defer func() {
 		for _, sc := range scratches {

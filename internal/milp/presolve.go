@@ -168,16 +168,19 @@ func (p *Presolved) LiftPoint(x []float64) []float64 {
 // is order-independent (dedup compares rows in emission order, which is how
 // per-slice expansion duplicates actually appear).
 type psRow struct {
-	name  string
 	terms []Term
-	op    Op
 	rhs   float64
-	dead  bool
 	hash  uint64 // cached rowHash; 0 = stale (recompute)
+	src   int32  // index of the input constraint (its name is read at build)
+	op    Op
+	dead  bool
 }
 
-// presolver is the working state of one reduction pass.
+// presolver is the working state of one reduction pass. Its arrays come from
+// the workspace's slabs; the struct itself lives in the workspace so the
+// dedup map and clique scratch carry over from solve to solve.
 type presolver struct {
+	ws     *Workspace
 	m      *Model
 	lb, ub []float64
 	rows   []psRow
@@ -208,8 +211,14 @@ func (p *presolver) dropRow(r *psRow) {
 // Presolve reduces the model. The input model is never modified; when no
 // reduction applies the returned Presolved aliases it directly.
 func Presolve(m *Model) *Presolved {
+	return new(Workspace).presolve(m)
+}
+
+// presolve is Presolve on the workspace's memory: the result, reduced model
+// included, is only valid until the workspace is rewound.
+func (w *Workspace) presolve(m *Model) *Presolved {
 	start := time.Now()
-	p := newPresolver(m)
+	p := w.newPresolver(m)
 	for round := 0; round < maxPresolveRounds && !p.infeasible; round++ {
 		p.changed = false
 		p.stats.Rounds++
@@ -244,17 +253,24 @@ func Presolve(m *Model) *Presolved {
 	return out
 }
 
-func newPresolver(m *Model) *presolver {
+func (w *Workspace) newPresolver(m *Model) *presolver {
 	n := len(m.Vars)
-	p := &presolver{
+	p := &w.ps
+	fl, bl := w.floats.take(3*n), w.bools.take(4*n)
+	*p = presolver{
+		ws:     w,
 		m:      m,
-		lb:     make([]float64, n),
-		ub:     make([]float64, n),
-		fixed:  make([]bool, n),
-		fixVal: make([]float64, n),
-		inEQ:   make([]bool, n),
-		up:     make([]bool, n),
-		down:   make([]bool, n),
+		lb:     fl[:n:n],
+		ub:     fl[n : 2*n : 2*n],
+		fixVal: fl[2*n:],
+		fixed:  bl[:n:n],
+		inEQ:   bl[n : 2*n : 2*n],
+		up:     bl[2*n : 3*n : 3*n],
+		down:   bl[3*n:],
+
+		dedupSeen:  p.dedupSeen,
+		cliqueRows: p.cliqueRows,
+		cliqueLits: p.cliqueLits,
 	}
 	for i, v := range m.Vars {
 		lb, ub := v.Lb, v.Ub
@@ -283,8 +299,8 @@ func newPresolver(m *Model) *presolver {
 	for ci := range m.Cons {
 		total += len(m.Cons[ci].Terms)
 	}
-	flat := make([]Term, 0, total) // one backing array for every row's terms
-	p.rows = make([]psRow, 0, len(m.Cons))
+	flat := w.terms.take(total)[:0] // one backing array for every row's terms
+	p.rows = w.rows.take(len(m.Cons))[:0]
 	for ci := range m.Cons {
 		c := &m.Cons[ci]
 		rhs := c.RHS
@@ -305,7 +321,7 @@ func newPresolver(m *Model) *presolver {
 			}
 			flat = append(flat, t)
 		}
-		p.rows = append(p.rows, psRow{name: c.Name, terms: flat[lo:len(flat):len(flat)], op: op, rhs: rhs})
+		p.rows = append(p.rows, psRow{terms: flat[lo:len(flat):len(flat)], rhs: rhs, src: int32(ci), op: op})
 	}
 	return p
 }
@@ -838,8 +854,9 @@ func (p *presolver) build() *Presolved {
 	if !p.touched {
 		return &Presolved{Model: p.m, Stats: p.stats, identity: true, nOrig: n}
 	}
-	newID := make([]int, n)
-	keep := make([]int, 0, n)
+	w := p.ws
+	newID := w.ints.take(n)
+	keep := w.ints.take(n)[:0]
 	objConst := 0.0
 	for i := 0; i < n; i++ {
 		if p.fixed[i] {
@@ -862,15 +879,15 @@ func (p *presolver) build() *Presolved {
 	}
 	rm := &Model{
 		Sense: p.m.Sense,
-		Vars:  make([]Variable, len(keep)),
-		Cons:  make([]Constraint, 0, live),
+		Vars:  w.vars.take(len(keep)),
+		Cons:  w.cons.take(live)[:0],
 	}
 	for ri, oi := range keep {
 		v := p.m.Vars[oi]
 		v.Lb, v.Ub = p.lb[oi], p.ub[oi]
 		rm.Vars[ri] = v
 	}
-	flat := make([]Term, 0, liveTerms)
+	flat := w.terms.take(liveTerms)[:0]
 	for ri := range p.rows {
 		r := &p.rows[ri]
 		if r.dead {
@@ -880,7 +897,7 @@ func (p *presolver) build() *Presolved {
 		for _, t := range r.terms {
 			flat = append(flat, Term{Var: VarID(newID[t.Var]), Coef: t.Coef})
 		}
-		rm.Cons = append(rm.Cons, Constraint{Name: r.name, Terms: flat[lo:len(flat):len(flat)], Op: r.op, RHS: r.rhs})
+		rm.Cons = append(rm.Cons, Constraint{Name: p.m.Cons[r.src].Name, Terms: flat[lo:len(flat):len(flat)], Op: r.op, RHS: r.rhs})
 	}
 	return &Presolved{
 		Model:    rm,

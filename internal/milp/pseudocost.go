@@ -46,12 +46,12 @@ type pcTable struct {
 	observations int64
 }
 
-func newPCTable(n int) *pcTable {
+func (w *Workspace) newPCTable(n int) *pcTable {
 	return &pcTable{
-		upSum: make([]float64, n),
-		dnSum: make([]float64, n),
-		upCnt: make([]int32, n),
-		dnCnt: make([]int32, n),
+		upSum: w.floats.take(n),
+		dnSum: w.floats.take(n),
+		upCnt: w.int32s.take(n),
+		dnCnt: w.int32s.take(n),
 	}
 }
 

@@ -91,20 +91,22 @@ type lp struct {
 	dense    bool // scratches use the dense basis engine (Options.DenseBasis)
 }
 
-// newLP converts a Model into computational standard form. Branch-and-bound
-// passes per-node copies of the bound arrays without rebuilding the matrix.
-func newLP(model *Model) *lp {
+// newLP converts a Model into computational standard form on the workspace's
+// slabs. Branch-and-bound passes per-node copies of the bound arrays without
+// rebuilding the matrix.
+func (w *Workspace) newLP(model *Model) *lp {
 	m := len(model.Cons)
 	nv := len(model.Vars)
 	n := nv + m
+	fl := w.floats.take(m + 3*n)
 	p := &lp{
 		m:        m,
 		n:        n,
-		colStart: make([]int32, n+1),
-		b:        make([]float64, m),
-		c:        make([]float64, n),
-		lb:       make([]float64, n),
-		ub:       make([]float64, n),
+		colStart: w.int32s.take(n + 1),
+		b:        fl[:m:m],
+		c:        fl[m : m+n : m+n],
+		lb:       fl[m+n : m+2*n : m+2*n],
+		ub:       fl[m+2*n:],
 		nvars:    nv,
 	}
 	sign := 1.0
@@ -132,10 +134,10 @@ func newLP(model *Model) *lp {
 	for i := 0; i < m; i++ {
 		p.colStart[nv+i+1] = p.colStart[nv+i] + 1
 	}
-	p.colRow = make([]int32, nnz+m)
-	p.colVal = make([]float64, nnz+m)
+	p.colRow = w.int32s.take(nnz + m)
+	p.colVal = w.floats.take(nnz + m)
 	// Pass 2: fill, tracking the next free slot per column.
-	next := make([]int32, nv)
+	next := w.int32s.take(nv)
 	for j := 0; j < nv; j++ {
 		next[j] = p.colStart[j]
 	}
@@ -186,8 +188,11 @@ const refactorInterval = 120
 type simplexState struct {
 	p       *lp
 	eng     basisEngine
-	nTotal  int       // columns including phase-1 artificials
-	artCoef []float64 // phase-1 artificial column coefs (±1); nil outside phase 1
+	lu      *luBasis    // the engines this state owns; eng is one of them
+	dn      *denseBasis // built on first use (Options.DenseBasis or an LU fallback)
+	nTotal  int         // columns including phase-1 artificials
+	artCoef []float64   // phase-1 artificial column coefs (±1); nil outside phase 1
+	artBuf  []float64   // artCoef's storage
 	cost    []float64
 	basis   []int  // row -> column
 	status  []byte // column -> position
@@ -217,31 +222,46 @@ type simplexState struct {
 	stats    LPStats
 }
 
-// newScratch allocates a reusable solver state for p. The basis engine is
-// sparse LU by default; p.dense (Options.DenseBasis) selects the dense
+// bind makes s a solver state for p: every buffer is resized (reallocated
+// only when too small) and zeroed, and the telemetry starts from zero, so a
+// re-bound state behaves exactly like a newly allocated one. The basis engine
+// is sparse LU by default; p.dense (Options.DenseBasis) selects the dense
 // inverse.
-func newScratch(p *lp) *simplexState {
-	s := &simplexState{
-		p:      p,
-		basis:  make([]int, p.m),
-		status: make([]byte, p.n, p.n+p.m),
-		x:      make([]float64, p.n, p.n+p.m),
-		y:      make([]float64, p.m),
-		w:      make([]float64, p.m),
-		rho:    make([]float64, p.m),
-		cb:     make([]float64, p.m),
-		ratios: make([]float64, p.m),
-		rbuf:   make([]float64, p.m),
-		cand:   make([]int32, 0, p.n),
-		gamma:  make([]float64, p.n+p.m),
-		dwt:    make([]float64, p.m),
-	}
+func (s *simplexState) bind(p *lp) {
+	m, n := p.m, p.n
+	s.p = p
+	s.basis = zeroed(s.basis, m)
+	s.status = zeroed(s.status, n+m)[:n]
+	s.x = zeroed(s.x, n+m)[:n]
+	s.y = zeroed(s.y, m)
+	s.w = zeroed(s.w, m)
+	s.rho = zeroed(s.rho, m)
+	s.cb = zeroed(s.cb, m)
+	s.ratios = zeroed(s.ratios, m)
+	s.rbuf = zeroed(s.rbuf, m)
+	s.cand = zeroed(s.cand, n)[:0]
+	s.gamma = zeroed(s.gamma, n+m)
+	s.dwt = zeroed(s.dwt, m)
+	s.artCoef, s.cost = nil, nil
+	s.stats = LPStats{}
 	if p.dense {
-		s.eng = newDenseBasis(p, &s.stats)
+		s.useDense()
 	} else {
-		s.eng = newLUBasis(p, &s.stats)
+		if s.lu == nil {
+			s.lu = new(luBasis)
+		}
+		s.lu.bind(p, &s.stats)
+		s.eng = s.lu
 	}
-	return s
+}
+
+// useDense installs the dense engine (built on first use) for the current LP.
+func (s *simplexState) useDense() {
+	if s.dn == nil {
+		s.dn = new(denseBasis)
+	}
+	s.dn.bind(s.p, &s.stats)
+	s.eng = s.dn
 }
 
 // begin resets per-solve state (buffers and stats survive).
@@ -270,21 +290,6 @@ func (s *simplexState) resetDevex() {
 	for i := range s.dwt {
 		s.dwt[i] = 1
 	}
-}
-
-// solveLP solves the LP under the given bound overrides on a fresh scratch.
-// The returned values cover the structural and slack columns; the objective
-// is in the internal minimize orientation (callers re-evaluate via the
-// Model). The returned slice aliases the scratch and is invalidated by the
-// next solve on it.
-func solveLP(p *lp, lb, ub []float64, maxIter int) (lpStatus, []float64, error) {
-	return solveLPDeadline(p, lb, ub, maxIter, time.Time{})
-}
-
-// solveLPDeadline is solveLP with a wall-clock deadline; when exceeded the
-// solve aborts with lpIterLimit.
-func solveLPDeadline(p *lp, lb, ub []float64, maxIter int, deadline time.Time) (lpStatus, []float64, error) {
-	return newScratch(p).solve(lb, ub, maxIter, deadline)
 }
 
 // solve runs a cold primal solve: quick-start from the all-slack basis when
@@ -344,10 +349,10 @@ func (s *simplexState) solve(lb, ub []float64, maxIter int, deadline time.Time) 
 
 	// Phase 1: one signed artificial per row so each starts basic at |resid|.
 	s.stats.Phase1++
-	if s.lbFull == nil {
-		s.lbFull = make([]float64, p.n+p.m)
-		s.ubFull = make([]float64, p.n+p.m)
-		s.costFull = make([]float64, p.n+p.m)
+	if len(s.lbFull) != p.n+p.m {
+		s.lbFull = zeroed(s.lbFull, p.n+p.m)
+		s.ubFull = zeroed(s.ubFull, p.n+p.m)
+		s.costFull = zeroed(s.costFull, p.n+p.m)
 	}
 	lbFull, ubFull, costP1 := s.lbFull, s.ubFull, s.costFull
 	copy(lbFull, lb)
@@ -355,7 +360,8 @@ func (s *simplexState) solve(lb, ub []float64, maxIter int, deadline time.Time) 
 	for j := range costP1 {
 		costP1[j] = 0
 	}
-	s.artCoef = make([]float64, p.m)
+	s.artBuf = zeroed(s.artBuf, p.m)
+	s.artCoef = s.artBuf
 	s.x = s.x[:p.n+p.m]
 	s.status = s.status[:p.n+p.m]
 	for i := 0; i < p.m; i++ {
@@ -782,7 +788,7 @@ func (s *simplexState) refactorize() error {
 		if err != errUnstableFactor {
 			return err
 		}
-		s.eng = newDenseBasis(s.p, &s.stats)
+		s.useDense()
 		s.stats.DenseFallbacks++
 		if err := s.eng.factor(s.basis, s.artCoef); err != nil {
 			return err

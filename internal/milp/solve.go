@@ -219,6 +219,7 @@ func (h *nodeHeap) Pop() interface{} {
 // parallel drivers. In parallel modes every field below is guarded by the
 // driver's mutex (async) or only touched between synchronous rounds (batch).
 type search struct {
+	ws       *Workspace
 	model    *Model
 	p        *lp
 	opts     Options
@@ -313,34 +314,48 @@ func (s *search) nodeSnapshot(sc *simplexState) *basisState {
 // gap, time, or node limit is met. With Options.Workers > 1 the tree search
 // runs on a worker pool (see parallel.go).
 func Solve(model *Model, opts Options) (*Solution, error) {
+	// A throwaway workspace: every buffer is a fresh allocation and nothing
+	// is retained.
+	return new(Workspace).solve(model, opts)
+}
+
+// solve is Solve on w's memory; the caller rewinds w afterwards.
+func (w *Workspace) solve(model *Model, opts Options) (*Solution, error) {
 	start := time.Now()
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if !opts.DisablePresolve {
-		pre := Presolve(model)
-		if pre.Infeasible {
-			return &Solution{Status: StatusInfeasible, Workers: opts.effectiveWorkers(), Presolve: pre.Stats, Runtime: time.Since(start)}, nil
-		}
-		ropts := opts
-		ropts.DisablePresolve = true
-		if !pre.identity {
-			ropts.InitialSolution = pre.RestrictPoint(opts.InitialSolution)
-			if opts.Heuristic != nil {
-				h := opts.Heuristic
-				ropts.Heuristic = func(relax []float64) []float64 {
-					return pre.RestrictPoint(h(pre.LiftPoint(relax)))
-				}
+	if opts.DisablePresolve {
+		return w.branchAndBound(model, opts)
+	}
+	pre := w.presolve(model)
+	if pre.Infeasible {
+		return &Solution{Status: StatusInfeasible, Workers: opts.effectiveWorkers(), Presolve: pre.Stats, Runtime: time.Since(start)}, nil
+	}
+	ropts := opts
+	if !pre.identity {
+		ropts.InitialSolution = pre.RestrictPoint(opts.InitialSolution)
+		if opts.Heuristic != nil {
+			h := opts.Heuristic
+			ropts.Heuristic = func(relax []float64) []float64 {
+				return pre.RestrictPoint(h(pre.LiftPoint(relax)))
 			}
 		}
-		red, err := Solve(pre.Model, ropts)
-		if err != nil {
-			return nil, err
-		}
-		sol := pre.Lift(red)
-		sol.Runtime = time.Since(start)
-		return sol, nil
 	}
+	// The reduced model is the presolver's own assembly of a model that just
+	// passed Validate; it is not validated again.
+	red, err := w.branchAndBound(pre.Model, ropts)
+	if err != nil {
+		return nil, err
+	}
+	sol := pre.Lift(red)
+	sol.Runtime = time.Since(start)
+	return sol, nil
+}
+
+// branchAndBound solves a validated model as it stands (no presolve).
+func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error) {
+	start := time.Now()
 	workers := opts.effectiveWorkers()
 	if len(model.Vars) == 0 {
 		return &Solution{Status: StatusOptimal, Values: nil, Workers: workers, Runtime: time.Since(start)}, nil
@@ -356,7 +371,7 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 			workers = 1
 		}
 	}
-	p := newLP(model)
+	p := w.newLP(model)
 	p.dense = opts.DenseBasis
 	maximize := model.Sense == Maximize
 	var deadline time.Time
@@ -365,6 +380,7 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 	}
 
 	s := &search{
+		ws:       w,
 		model:    model,
 		p:        p,
 		opts:     opts,
@@ -385,7 +401,7 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 
 	// Root relaxation, solved on the search's own scratch so the serial
 	// driver keeps reusing its basis memory.
-	s.scratch = newScratch(p)
+	s.scratch = w.newScratch(p)
 	st, x, err := s.scratch.solve(p.lb, p.ub, 0, deadline)
 	if err != nil {
 		return nil, err
@@ -435,7 +451,7 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 	if opts.Heuristic != nil {
 		s.consider(opts.Heuristic(x[:len(model.Vars)]))
 	} else {
-		s.consider(diveFrom(model, p, p.lb, p.ub, x, deadline, !opts.DisableWarmStart, &s.scratch.stats))
+		s.consider(diveFrom(w, model, p, p.lb, p.ub, x, deadline, !opts.DisableWarmStart, &s.scratch.stats))
 	}
 
 	if !opts.DisableCuts && !s.gapMet(rootObj) {
@@ -450,7 +466,7 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 		}
 	}
 	rootSnap := s.nodeSnapshot(s.scratch)
-	s.pc = newPCTable(len(model.Vars))
+	s.pc = w.newPCTable(len(model.Vars))
 
 	s.h = &nodeHeap{max: maximize, det: workers > 1 && opts.Deterministic}
 	heap.Init(s.h)
@@ -473,8 +489,8 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 // byte-for-byte equivalent to the historical solver so serial results are
 // stable across releases.
 func (s *search) runSerial() {
-	lbBuf := make([]float64, len(s.p.lb))
-	ubBuf := make([]float64, len(s.p.ub))
+	lbBuf := s.ws.floats.take(len(s.p.lb))
+	ubBuf := s.ws.floats.take(len(s.p.ub))
 	for s.h.Len() > 0 {
 		if s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes {
 			break
@@ -534,7 +550,7 @@ func (s *search) runSerial() {
 		if s.opts.Heuristic != nil && s.nodes%16 == 0 {
 			s.consider(s.opts.Heuristic(x[:len(s.model.Vars)]))
 		} else if s.opts.Heuristic == nil && s.nodes%64 == 0 {
-			s.consider(diveFrom(s.model, s.p, lbBuf, ubBuf, x, s.deadline, !s.opts.DisableWarmStart, &s.scratch.stats))
+			s.consider(diveFrom(s.ws, s.model, s.p, lbBuf, ubBuf, x, s.deadline, !s.opts.DisableWarmStart, &s.scratch.stats))
 		}
 		// Branch by pseudocost score (most-fractional until the table has
 		// history). Both children share the parent's basis snapshot — it is
@@ -649,13 +665,22 @@ func roundIntegral(m *Model, x []float64) []float64 {
 // aliases the caller's scratch and must survive the dive) and, when useWarm
 // is set, chains each step's basis into the next step's dual re-solve — each
 // step only tightens bounds, the textbook warm-restart case. Its LP telemetry
-// is folded into stats, which must be private to the calling goroutine.
-func diveFrom(m *Model, p *lp, lb0, ub0 []float64, fromX []float64, deadline time.Time, useWarm bool, stats *LPStats) []float64 {
+// is folded into stats, which must be private to the calling goroutine, and
+// so must w: the dive borrows its bound box and scratch from it and hands
+// them back on return.
+func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64, deadline time.Time, useWarm bool, stats *LPStats) []float64 {
 	const maxSteps = 12
-	lb := append([]float64(nil), lb0...)
-	ub := append([]float64(nil), ub0...)
-	sc := newScratch(p)
-	defer func() { stats.add(&sc.stats) }()
+	mark, lent := w.floats.mark(), w.lent
+	lb := w.floats.take(len(lb0))
+	ub := w.floats.take(len(ub0))
+	copy(lb, lb0)
+	copy(ub, ub0)
+	sc := w.newScratch(p)
+	defer func() {
+		stats.add(&sc.stats)
+		w.floats.release(mark)
+		w.lent = lent
+	}()
 	x := fromX
 	var warm *basisState
 	for depth := 0; depth < maxSteps; depth++ {

@@ -1,0 +1,185 @@
+package milp
+
+import "sync"
+
+// Memory ownership (docs/SOLVER.md has the longer version).
+//
+// A solve builds a chain of flat copies of its model — presolver rows, the
+// reduced model, the LP's compressed columns, simplex and basis-engine
+// buffers, the pseudocost table — that all die when Solve returns. A
+// Workspace keeps that memory between solves. It belongs to whoever calls
+// Solve on it, serves one solve at a time, and is rewound when that solve
+// returns; nothing a Solution carries points into it (incumbents and lifted
+// values are always fresh allocations, so callers may keep Solutions for as
+// long as they like). The package-level Solve, Presolve and SolveParts run on
+// a throwaway Workspace, which makes every one of these allocations an
+// ordinary fresh one.
+//
+// It is deliberately not a sync.Pool: the runtime empties a pool on every
+// second garbage collection, so the slabs were rebuilt every few cycles; on
+// the paper's trace that version allocated a quarter more than this one.
+
+// slab hands out zeroed slices of one element type from a single backing
+// array. A request that does not fit is served by the allocator instead, and
+// rewinding grows the array to what the solve asked for in total, so a
+// workspace converges on the largest model it has seen and then allocates
+// nothing. Everything past used is kept zero: slices are wiped when they come
+// back, not when they go out, so a rewound slab holds no stale pointer into a
+// model the caller has dropped.
+type slab[T any] struct {
+	buf  []T
+	used int // elements of buf handed out
+	over int // elements served by the allocator because buf was full
+	peak int // high-water mark of used+over since the last rewind
+}
+
+func (s *slab[T]) take(n int) []T {
+	var out []T
+	if n <= len(s.buf)-s.used {
+		out = s.buf[s.used : s.used+n : s.used+n]
+		s.used += n
+	} else {
+		out = make([]T, n)
+		s.over += n
+	}
+	if t := s.used + s.over; t > s.peak {
+		s.peak = t
+	}
+	return out
+}
+
+// slabMark is a position to release back to: what a nested, strictly
+// shorter-lived user (a heuristic dive) took is handed back when it is done.
+type slabMark struct{ used, over int }
+
+func (s *slab[T]) mark() slabMark { return slabMark{s.used, s.over} }
+
+func (s *slab[T]) release(m slabMark) {
+	clear(s.buf[m.used:s.used])
+	s.used, s.over = m.used, m.over
+}
+
+func (s *slab[T]) rewind() {
+	if s.peak > len(s.buf) {
+		// A quarter of headroom: a backlog that grows a little every cycle
+		// would otherwise regrow the slab every cycle.
+		s.buf = make([]T, s.peak+s.peak/4)
+	} else {
+		clear(s.buf[:s.used])
+	}
+	s.used, s.over, s.peak = 0, 0, 0
+}
+
+// Workspace is the reusable memory of one solve at a time. The zero value is
+// ready to use and holds nothing until its first solve; it grows to fit the
+// largest model it has solved and never shrinks, so drop it to release the
+// memory. A Workspace must not be used from more than one goroutine at a
+// time (WorkspaceList shares several between concurrent solves). A nil
+// *Workspace is valid and solves on fresh memory.
+type Workspace struct {
+	floats slab[float64]
+	int32s slab[int32]
+	ints   slab[int]
+	bools  slab[bool]
+	terms  slab[Term]
+	vars   slab[Variable]
+	cons   slab[Constraint]
+	rows   slab[psRow]
+
+	ps presolver // its dedup map and clique scratch outlive a solve
+
+	// Simplex states (with their basis engines, whose factor and eta arrays
+	// grow by append) are kept whole and re-bound to the next LP. states[:lent]
+	// are in use by the current solve.
+	states []*simplexState
+	lent   int
+}
+
+// Solve is the package-level Solve on this workspace's memory: same model,
+// same options, same result.
+func (w *Workspace) Solve(model *Model, opts Options) (*Solution, error) {
+	if w == nil {
+		return Solve(model, opts)
+	}
+	defer w.rewind()
+	return w.solve(model, opts)
+}
+
+func (w *Workspace) rewind() {
+	w.floats.rewind()
+	w.int32s.rewind()
+	w.ints.rewind()
+	w.bools.rewind()
+	w.terms.rewind()
+	w.vars.rewind()
+	w.cons.rewind()
+	w.rows.rewind()
+	w.lent = 0
+	// The presolver keeps its scratch, not its references to the model.
+	w.ps = presolver{dedupSeen: w.ps.dedupSeen, cliqueRows: w.ps.cliqueRows[:0], cliqueLits: w.ps.cliqueLits[:0]}
+}
+
+// newScratch lends a simplex state bound to p: a retained one when there is
+// one, a new one otherwise.
+func (w *Workspace) newScratch(p *lp) *simplexState {
+	if w.lent == len(w.states) {
+		w.states = append(w.states, new(simplexState))
+	}
+	s := w.states[w.lent]
+	w.lent++
+	s.bind(p)
+	return s
+}
+
+// zeroed returns buf resized to n zeroed elements, reallocating only when its
+// capacity is too small.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// maxFreeWorkspaces bounds a WorkspaceList. A decomposed solve borrows one
+// workspace per part and parts of one call all run at once, so the list grows
+// to the widest decomposition seen; past this many, the surplus is left to
+// the garbage collector rather than pinned for the life of the scheduler.
+const maxFreeWorkspaces = 64
+
+// WorkspaceList is a free list of workspaces for solves that run
+// concurrently: each takes one, solves on it, and puts it back. The zero
+// value is an empty list; a nil *WorkspaceList hands out nil workspaces, i.e.
+// fresh memory. Safe for concurrent use.
+type WorkspaceList struct {
+	mu   sync.Mutex
+	free []*Workspace
+}
+
+// Get takes a workspace off the list, or makes one when the list is empty.
+func (l *WorkspaceList) Get() *Workspace {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		w := l.free[n-1]
+		l.free = l.free[:n-1]
+		return w
+	}
+	return new(Workspace)
+}
+
+// Put returns a workspace no solve is using any more.
+func (l *WorkspaceList) Put(w *Workspace) {
+	if l == nil || w == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < maxFreeWorkspaces {
+		l.free = append(l.free, w)
+	}
+}
