@@ -525,13 +525,7 @@ func BenchmarkEndToEndGSHET(b *testing.B) {
 // groups, some options are culled and supply rows bind.
 func gshetBatch(tb testing.TB, n int, seed int64) ([]strl.Expr, compiler.Options) {
 	tb.Helper()
-	c := cluster.RC256(true)
-	jobs, err := workload.Generate(workload.GSHET(n), c, seed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	now := jobs[len(jobs)-1].Submit
-	gen := strlgen.New(c, strlgen.Default(4, 96))
+	gen, jobs, now := gshetJobs(tb, n, seed)
 	var exprs []strl.Expr
 	for _, j := range jobs {
 		if req := gen.Generate(now, j); req != nil {
@@ -541,13 +535,27 @@ func gshetBatch(tb testing.TB, n int, seed int64) ([]strl.Expr, compiler.Options
 	if len(exprs) < n/2 {
 		tb.Fatalf("only %d of %d jobs still have an option at t=%d", len(exprs), n, now)
 	}
-	rel := make([]int64, c.N())
+	rel := make([]int64, rc256.N())
 	for i := range rel {
 		if i%3 == 0 {
 			rel[i] = int64(1 + i%5)
 		}
 	}
-	return exprs, compiler.Options{Universe: c.N(), Horizon: 24, ReleaseAt: rel}
+	return exprs, compiler.Options{Universe: rc256.N(), Horizon: 24, ReleaseAt: rel}
+}
+
+// rc256 is the fixed batch's cluster.
+var rc256 = cluster.RC256(true)
+
+// gshetJobs is the generator's side of gshetBatch: the jobs, the generator
+// and the time the batch is lowered at.
+func gshetJobs(tb testing.TB, n int, seed int64) (*strlgen.Generator, []*workload.Job, int64) {
+	tb.Helper()
+	jobs, err := workload.Generate(workload.GSHET(n), rc256, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return strlgen.New(rc256, strlgen.Default(4, 96)), jobs, jobs[len(jobs)-1].Submit
 }
 
 // TestCompiledModelGolden pins the text of compiled GS HET models — variable
@@ -588,10 +596,28 @@ func TestCompiledModelGolden(t *testing.T) {
 // milp.Workspace) is warm, as it is in a running scheduler. B/op and
 // allocs/op repeat exactly from run to run; ns/op on a shared box does not.
 
+// BenchmarkGenerate lowers the batch's 60 jobs to STRL, one op per batch.
+func BenchmarkGenerate(b *testing.B) {
+	gen, jobs, now := gshetJobs(b, 60, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for _, j := range jobs {
+			if req, _ := gen.GenerateTTL(now, j); req != nil {
+				n++
+			}
+		}
+		if n < len(jobs)/2 {
+			b.Fatalf("%d of %d jobs have an option", n, len(jobs))
+		}
+	}
+}
+
 func BenchmarkCompileBatch(b *testing.B) {
 	exprs, opts := gshetBatch(b, 60, 2)
 	var sc compiler.Scratch
-	for i := 0; i < 2; i++ { // grow the staging to fit, outside the measurement
+	for i := 0; i < 2; i++ { // grow the Scratch to fit, outside the measurement
 		if _, err := sc.Compile(exprs, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -602,6 +628,84 @@ func BenchmarkCompileBatch(b *testing.B) {
 		if _, err := sc.Compile(exprs, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// split is one of the two decompositions the cycle uses.
+type split struct {
+	name string
+	do   func(*compiler.Compiled) []*compiler.Component
+}
+
+// splits returns both for a batch of nJobs: the natural decomposition, and
+// the sharded scheduler's, forced along a round-robin 4-class assignment.
+func splits(nJobs int) []split {
+	assign := make([]int, nJobs)
+	for j := range assign {
+		assign[j] = j % 4
+	}
+	return []split{
+		{"Components", (*compiler.Compiled).Components},
+		{"Forced4", func(c *compiler.Compiled) []*compiler.Component { return c.ForcedComponents(assign, -1) }},
+	}
+}
+
+// recompile compiles the batch over sc's previous one with the clock
+// stopped. Decompositions live in their Scratch until its next Compile, so
+// making room for the next one is the set-up of every op that measures one.
+func recompile(b *testing.B, sc *compiler.Scratch, exprs []strl.Expr, opts compiler.Options) *compiler.Compiled {
+	b.StopTimer()
+	defer b.StartTimer()
+	comp, err := sc.Compile(exprs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return comp
+}
+
+// BenchmarkDecompose splits the compiled batch into components on a warm
+// Scratch: what it allocates is the Component structs and their pointer list.
+func BenchmarkDecompose(b *testing.B) {
+	exprs, opts := gshetBatch(b, 60, 2)
+	for _, tc := range splits(len(exprs)) {
+		b.Run(tc.name, func(b *testing.B) {
+			var sc compiler.Scratch
+			for i := 0; i < 2; i++ { // grow the Scratch to fit, outside the measurement
+				tc.do(recompile(b, &sc, exprs, opts))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				comp := recompile(b, &sc, exprs, opts)
+				if len(tc.do(comp)) == 0 {
+					b.Fatal("no components")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFingerprint fingerprints every component of the batch. A
+// component memoizes its print, so each op works on a fresh decomposition.
+func BenchmarkFingerprint(b *testing.B) {
+	exprs, opts := gshetBatch(b, 60, 2)
+	for _, tc := range splits(len(exprs)) {
+		b.Run(tc.name, func(b *testing.B) {
+			var sc compiler.Scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				comp := recompile(b, &sc, exprs, opts)
+				b.StopTimer()
+				comps := tc.do(comp)
+				b.StartTimer()
+				for _, cc := range comps {
+					if comp.ComponentFingerprint(cc) == 0 {
+						b.Fatal("zero fingerprint")
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -19,7 +19,10 @@ import (
 // instances because the cached batch also carries shard routing. The stats
 // assertions keep both sides honest: disabled runs must never touch either
 // cache, and enabled runs must actually skip work (every crafted steady
-// instance, and in aggregate).
+// instance, and in aggregate). Every cycle of both runs also ends in core's
+// mustBeLive, which panics if the Compiled the cycle solved and decoded —
+// cached, or compiled this cycle and purged from the cache by a launch — was
+// compiled over meanwhile (compiler.Compiled.Stale).
 func TestCompileCacheParityProperty(t *testing.T) {
 	const instances = 220
 	totalSkips, totalExprHits := 0, 0

@@ -15,7 +15,6 @@ package compiler
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
@@ -77,7 +76,12 @@ type jobRecord struct {
 	roundable bool // GreedyRound handles the job's shape
 }
 
-// Compiled is the result of compiling a batch of job expressions.
+// Compiled is the result of compiling a batch of job expressions. It is a
+// view of memory its Scratch owns — the model, the lowering records, the
+// availability grid and whatever Components and ForcedComponents fill — and is
+// valid until that Scratch's next Compile, which builds the next batch in the
+// same memory (Stale reports that it has happened). The package-level Compile
+// builds in a Scratch of its own, so what it returns is never invalidated.
 type Compiled struct {
 	// Model is the MILP to hand to the solver (maximize).
 	Model *milp.Model
@@ -92,24 +96,35 @@ type Compiled struct {
 	minVar []milp.VarID // value variable of each MIN node, likewise
 	parts  []partVar    // every leaf's partition variables, see leafRecord
 	avail  [][]int64    // [group][slice]
-	scr    *Scratch     // build-time only; nil once Compile returns
+	scr    *Scratch     // the memory all of the above lives in
+	epoch  uint64       // scr's epoch when this batch was compiled
 }
+
+// Stale reports whether the Scratch that built c has compiled again: c's
+// model, records and components then describe some other batch, or half of
+// one, and must not be read.
+func (c *Compiled) Stale() bool { return c.epoch != c.scr.epoch }
 
 // partsOf returns the leaf's partition variables.
 func (c *Compiled) partsOf(rec *leafRecord) []partVar {
 	return c.parts[rec.partLo : rec.partLo+rec.partN]
 }
 
-// Scratch owns the memory a compilation builds in. How many variables, rows
-// and terms a batch lowers to is only known once it is lowered (it swings by
-// a fifth from one cycle to the next on the same backlog), so everything is
-// assembled in staging buffers that keep their capacity from compilation to
-// compilation, and the Compiled gets an exact-size copy: what it keeps — a
-// cycle may cache it — is allocated once, at its final size, and nothing
-// else is allocated at all once the staging has grown to fit. The zero value
-// is ready to use; a Scratch must not be used from more than one goroutine
-// at a time, and the Compiled it returns does not retain it.
+// Scratch owns the memory of one compiled batch at a time: Compile lowers
+// straight into it and returns a Compiled that is that memory, and the next
+// Compile on the same Scratch overwrites it. How many variables, rows and
+// terms a batch lowers to is only known once it is lowered (it swings by a
+// fifth from one cycle to the next on the same backlog), so every buffer keeps
+// its capacity from compilation to compilation and a steady-state cycle
+// allocates none of it again; nothing is reserved before the first Compile.
+// The zero value is ready to use. A Scratch, its current Compiled's
+// Components and ForcedComponents included, must not be used from more than
+// one goroutine at a time; reading a Compiled and its Components (Decode,
+// GreedyRound, solving the models) is safe from many.
 type Scratch struct {
+	epoch uint64 // counts Compile calls; a Compiled of an earlier one is stale
+
+	// Build-time only.
 	universe *bitset.Set
 	eqsets   []*bitset.Set
 	// use is the dense supply accumulator, one cell of usage terms per
@@ -120,11 +135,67 @@ type Scratch struct {
 	kids   []milp.Term // MAX/SUM child-indicator rows, a stack across nesting levels
 	obj    []milp.Term // objective contribution of the subtree being lowered
 
-	// Staging for what the Compiled keeps a copy of.
-	model  milp.Model
-	kidInd []milp.VarID
-	minVar []milp.VarID
-	parts  []partVar
+	// What the current Compiled is made of.
+	model     milp.Model
+	job       []jobRecord
+	leaves    []leafRecord
+	kidInd    []milp.VarID
+	minVar    []milp.VarID
+	parts     []partVar
+	avail     [][]int64
+	availFlat []int64
+
+	// What its decompositions are made of (components.go): every one since
+	// the last Compile, so the slabs are rewound there and only there.
+	ints   slab[int]   // Jobs, VarMaps, round scopes
+	int32s slab[int32] // round scopes' group → ledger row maps
+	vars   slab[milp.Variable]
+	cons   slab[milp.Constraint]
+	terms  slab[milp.Term]
+	models slab[milp.Model]
+	tmp    slab[int] // one decomposition's working arrays, rewound by each
+	sides  []cutSide
+}
+
+// slab hands out zeroed slices of one element type from an array that is kept
+// across rewinds, the discipline of milp.Workspace's slabs: a request that
+// does not fit is served by the allocator, and the next rewind grows the
+// array to everything asked for since the last, plus a quarter, so a slab
+// converges on the largest batch it has seen and then allocates nothing.
+// Slices handed out stay valid until the rewind.
+type slab[T any] struct {
+	buf  []T
+	used int // elements of buf handed out
+	over int // elements served by the allocator because buf was full
+}
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.buf)-s.used {
+		s.over += n
+		return make([]T, n)
+	}
+	s.used += n
+	return s.buf[s.used-n : s.used : s.used]
+}
+
+func (s *slab[T]) rewind() {
+	if s.over > 0 {
+		n := s.used + s.over
+		s.buf = make([]T, n+n/4)
+	} else {
+		clear(s.buf[:s.used])
+	}
+	s.used, s.over = 0, 0
+}
+
+// sized returns buf with length n and unspecified contents, reallocated —
+// with the slabs' quarter of headroom, for a backlog that grows a little
+// every cycle — only when it is too small.
+func sized[T any](buf []T, n int) []T {
+	if n > cap(buf) {
+		return make([]T, n, n+n/4)
+	}
+	return buf[:n]
 }
 
 // useGrid sizes the supply accumulator for nG groups over h slices and
@@ -161,12 +232,17 @@ type LeafGrant struct {
 // The top level is an implicit SUM across jobs, each with its own indicator,
 // exactly as the scheduler aggregates pending requests (§3.2).
 func Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
-	return new(Scratch).Compile(jobs, opts)
+	sc := new(Scratch)
+	c, err := sc.Compile(jobs, opts)
+	// Nothing compiles on sc again: keep only what c is made of.
+	sc.universe, sc.eqsets, sc.use, sc.demand, sc.kids, sc.obj = nil, nil, nil, nil, nil, nil
+	return c, err
 }
 
-// Compile is the package-level Compile against this Scratch's pooled
-// buffers. The emitted model is byte-identical to a fresh compilation:
-// pooling only changes where the intermediate build state lives.
+// Compile is the package-level Compile into this Scratch's memory, which
+// invalidates the Compiled it returned before (see Compiled). The emitted
+// model is byte-identical to a fresh compilation: the Scratch only decides
+// where it lives.
 func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	if opts.Universe <= 0 {
 		return nil, fmt.Errorf("compiler: universe must be positive")
@@ -207,18 +283,31 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	sc.useGrid(len(part.Groups), opts.Horizon)
 	sc.obj, sc.kids = sc.obj[:0], sc.kids[:0]
 
+	// From here on the previous Compiled is being overwritten.
+	sc.epoch++
+	sc.ints.rewind()
+	sc.int32s.rewind()
+	sc.vars.rewind()
+	sc.cons.rewind()
+	sc.terms.rewind()
+	sc.models.rewind()
 	sc.model.Reset(milp.Maximize)
+	sc.job = sized(sc.job, len(jobs)+1)
+	sc.leaves = sized(sc.leaves, len(eqsets))
+	// The Compiled itself is the one thing allocated per compilation: a
+	// recycled one could not tell that it is stale.
 	c := &Compiled{
-		Model:  &sc.model, // staging; replaced by its exact-size copy below
+		Model:  &sc.model,
 		Part:   part,
 		opts:   opts,
 		jobs:   jobs,
-		job:    make([]jobRecord, 0, len(jobs)+1),
-		leaves: make([]leafRecord, 0, len(eqsets)),
+		job:    sc.job[:0],
+		leaves: sc.leaves[:0],
 		kidInd: sc.kidInd[:0],
 		minVar: sc.minVar[:0],
 		parts:  sc.parts[:0],
 		scr:    sc,
+		epoch:  sc.epoch,
 	}
 	c.computeAvail()
 
@@ -229,7 +318,6 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 			roundable: roundable(job),
 		})
 		if err := c.gen(jid, job, ind); err != nil {
-			c.scr = nil
 			return nil, err
 		}
 		// The subtree's objective terms, summed per variable in emission
@@ -266,21 +354,20 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, t), cell, milp.LE, float64(limit))
 		}
 	}
-	// Hand the staging back and keep exact-size copies.
+	// The append-grown arrays may have moved; keep the larger ones.
 	sc.kidInd, sc.minVar, sc.parts = c.kidInd, c.minVar, c.parts
-	c.Model = sc.model.Clone()
-	c.kidInd = slices.Clone(c.kidInd)
-	c.minVar = slices.Clone(c.minVar)
-	c.parts = slices.Clone(c.parts)
-	c.scr = nil
 	return c, nil
 }
 
 // computeAvail fills avail[group][slice] from node release times.
 func (c *Compiled) computeAvail() {
 	h := c.opts.Horizon
-	c.avail = make([][]int64, len(c.Part.Groups))
-	flat := make([]int64, int64(len(c.Part.Groups))*h)
+	sc := c.scr
+	sc.avail = sized(sc.avail, len(c.Part.Groups))
+	sc.availFlat = sized(sc.availFlat, len(c.Part.Groups)*int(h))
+	c.avail = sc.avail
+	flat := sc.availFlat
+	clear(flat)
 	for g, set := range c.Part.Groups {
 		row := flat[int64(g)*h : int64(g+1)*h : int64(g+1)*h]
 		set.ForEach(func(n int) bool {

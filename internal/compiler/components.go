@@ -21,7 +21,9 @@ type Component struct {
 	// Jobs holds the batch indices of this component's jobs, ascending.
 	Jobs []int
 	// Model is the component's MILP. For a single-component batch it is the
-	// parent's model itself (zero-copy); otherwise a sliced copy.
+	// parent's model itself (zero-copy); otherwise its variables and rows
+	// sliced out, in the parent's order, into memory of the parent's Scratch.
+	// Like Jobs and VarMap it is valid for as long as the parent Compiled is.
 	Model *milp.Model
 	// VarMap maps each component variable index to its index in the parent
 	// model. Nil means the identity mapping (single-component case).
@@ -41,11 +43,17 @@ type Component struct {
 	fpSet bool
 }
 
+// Stale reports whether the batch the component was cut from has been
+// compiled over (Compiled.Stale).
+func (cc *Component) Stale() bool { return cc.parent.Stale() }
+
 // Components partitions the compiled batch into independently solvable
 // sub-MILPs. It returns one Component per connected component of the
 // variable↔constraint graph, ordered by each component's smallest job index
 // (so the result is deterministic for a given model). A batch that does not
-// decompose returns a single Component wrapping the original model.
+// decompose returns a single Component wrapping the original model. The
+// components live as long as c does; decomposing is a write to c's Scratch
+// (see Scratch for what that excludes).
 func (c *Compiled) Components() []*Component {
 	return c.components(nil, -1)
 }
@@ -80,9 +88,15 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 	if nj == 0 {
 		return nil
 	}
+	if c.Stale() {
+		// The slabs below now belong to another batch's components.
+		panic("compiler: decomposing a Compiled whose Scratch has compiled again")
+	}
+	sc := c.scr
+	sc.tmp.rewind()
 	nv := c.Model.NumVars()
 	// varJob[v] = owning job; variables are created per-job contiguously.
-	varJob := make([]int, nv)
+	varJob := sc.tmp.take(nv)
 	for j := 0; j < nj; j++ {
 		for v := c.job[j].varLo; v < c.job[j+1].varLo; v++ {
 			varJob[v] = j
@@ -91,7 +105,7 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 
 	// Union-find over jobs: every constraint ties together the jobs of all
 	// variables it mentions — unless a forced partition cuts it.
-	uf := make([]int, nj)
+	uf := sc.tmp.take(nj)
 	for i := range uf {
 		uf[i] = i
 	}
@@ -102,19 +116,19 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 		}
 		return x
 	}
-	// cut[i] marks parent constraint i as sliced across the forced partition
-	// (restricted per-component copies instead of whole-row ownership). Nil
-	// when no forced partition is in effect.
-	var cut []bool
-	for conIdx, con := range c.Model.Cons {
+	// rowComp is the row → component index: the owner of an uncut row, or one
+	// of the two marks. A cut row is sliced across the forced partition
+	// (restricted per-component copies instead of whole-row ownership).
+	const cutRow, noRow = -1, -2
+	rowComp := sc.tmp.take(len(c.Model.Cons))
+	anyCut := false
+	for conIdx := range c.Model.Cons {
+		con := &c.Model.Cons[conIdx]
 		if len(con.Terms) < 2 {
 			continue
 		}
 		if assign != nil && spansClasses(con.Terms, varJob, assign) && cuttable(con) {
-			if cut == nil {
-				cut = make([]bool, len(c.Model.Cons))
-			}
-			cut[conIdx] = true
+			rowComp[conIdx], anyCut = cutRow, true
 			continue
 		}
 		a := find(varJob[con.Terms[0].Var])
@@ -147,9 +161,9 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 
 	// Group jobs by root, numbering components by first appearance so the
 	// output order is stable.
-	compOf := make([]int, nj)
-	rootComp := make([]int, nj) // root job → its component + 1
-	var size []int              // jobs per component
+	compOf := sc.tmp.take(nj)
+	rootComp := sc.tmp.take(nj) // root job → its component + 1
+	size := sc.tmp.take(nj)[:0] // jobs per component
 	for j := 0; j < nj; j++ {
 		r := find(j)
 		if rootComp[r] == 0 {
@@ -160,9 +174,11 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 		size[compOf[j]]++
 	}
 	nc := len(size)
+	// The Component structs are allocated, like the Compiled: what they point
+	// to is the Scratch's.
 	comps := make([]Component, nc)
 	out := make([]*Component, nc)
-	jobBuf := make([]int, nj) // every component's Jobs, cut from one array
+	jobBuf := sc.ints.take(nj) // every component's Jobs, cut from one array
 	for ci, lo := 0, 0; ci < nc; ci++ {
 		comps[ci] = Component{Jobs: jobBuf[lo : lo : lo+size[ci]], Shard: -1, parent: c}
 		out[ci] = &comps[ci]
@@ -187,29 +203,26 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 
 	// Slice the parent model per component in two passes over its rows, not
 	// one per component: the first counts what each component receives, so
-	// every sub-model's variables, rows and term arena are allocated once at
-	// their final size; the second copies. rowComp is the row → component
-	// index: the owner of an uncut row, or one of the two marks below.
-	const cutRow, noRow = -1, -2
-	rowComp := make([]int, len(c.Model.Cons))
-	nCons := make([]int, nc)
-	nTerms := make([]int, nc)
-	var sides cutSides
-	if cut != nil {
-		sides = cutSides{terms: make([]int, nc), maxUse: make([]float64, nc), rows: make([][]milp.Term, nc)}
+	// all the sub-models' variables, rows and terms are each one exactly
+	// sized cut of a slab; the second copies.
+	nCons := sc.tmp.take(nc)
+	nTerms := sc.tmp.take(nc)
+	var sides []cutSide
+	if anyCut {
+		sc.sides = sized(sc.sides, nc)
+		sides = sc.sides
 	}
 	for conIdx := range c.Model.Cons {
 		con := &c.Model.Cons[conIdx]
 		switch {
 		case len(con.Terms) == 0:
 			rowComp[conIdx] = noRow
-		case cut != nil && cut[conIdx]:
-			rowComp[conIdx] = cutRow
-			sides.tally(c.Model, con, compOf, varJob)
-			for ci := range sides.terms {
-				if sides.keeps(ci, con) {
+		case rowComp[conIdx] == cutRow:
+			tallySides(sides, c.Model, con, compOf, varJob)
+			for ci := range sides {
+				if sides[ci].keeps(con) {
 					nCons[ci]++
-					nTerms[ci] += sides.terms[ci]
+					nTerms[ci] += sides[ci].terms
 				}
 			}
 		default:
@@ -221,20 +234,30 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 			nTerms[ci] += len(con.Terms)
 		}
 	}
+	totalCons, totalTerms := 0, 0
+	for ci := range comps {
+		totalCons += nCons[ci]
+		totalTerms += nTerms[ci]
+	}
 
+	models := sc.models.take(nc)
+	subVars := sc.vars.take(nv)
+	subCons := sc.cons.take(totalCons)
+	rows := subRows{comps: comps, terms: sc.terms.take(totalTerms), at: nTerms}
 	// full2sub maps a parent variable to its index in its component's model.
-	full2sub := make([]int, nv)
-	varMaps := make([]int, nv) // every component's VarMap, cut from one array
-	for ci, lo := 0, 0; ci < nc; ci++ {
+	full2sub := sc.tmp.take(nv)
+	varMaps := sc.ints.take(nv) // every component's VarMap, cut from one array
+	for ci, vlo, clo, tlo := 0, 0, 0, 0; ci < nc; ci++ {
 		cc := &comps[ci]
 		n := 0
 		for _, j := range cc.Jobs {
 			n += c.job[j+1].varLo - c.job[j].varLo
 		}
-		cc.VarMap = varMaps[lo : lo : lo+n]
-		lo += n
-		sub := milp.NewModel(c.Model.Sense)
-		sub.Grow(n, nCons[ci], nTerms[ci])
+		cc.VarMap = varMaps[vlo : vlo : vlo+n]
+		sub := &models[ci]
+		sub.Sense = c.Model.Sense
+		sub.Vars = subVars[vlo : vlo : vlo+n]
+		sub.Cons = subCons[clo : clo : clo+nCons[ci]]
 		for _, j := range cc.Jobs {
 			for v := c.job[j].varLo; v < c.job[j+1].varLo; v++ {
 				full2sub[v] = len(cc.VarMap)
@@ -243,21 +266,56 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 			sub.Vars = append(sub.Vars, c.Model.Vars[c.job[j].varLo:c.job[j+1].varLo]...)
 		}
 		cc.Model = sub
+		vlo, clo = vlo+n, clo+nCons[ci]
+		rows.at[ci], tlo = tlo, tlo+nTerms[ci] // the count becomes the fill position
 	}
 	for conIdx := range c.Model.Cons {
 		con := &c.Model.Cons[conIdx]
 		switch ci := rowComp[conIdx]; ci {
 		case noRow:
 		case cutRow:
-			sides.slice(c.Model, con, comps, compOf, varJob, full2sub)
+			tallySides(sides, c.Model, con, compOf, varJob)
+			for ci := range sides {
+				sides[ci].row = nil
+				if sides[ci].keeps(con) {
+					sides[ci].row = rows.add(ci, con, sides[ci].terms)
+				}
+				sides[ci].terms = 0 // now the copy's fill position
+			}
+			for _, t := range con.Terms {
+				if s := &sides[compOf[varJob[t.Var]]]; s.row != nil {
+					s.row[s.terms] = milp.Term{Var: milp.VarID(full2sub[t.Var]), Coef: t.Coef}
+					s.terms++
+				}
+			}
 		default:
-			terms := comps[ci].Model.AddRow(con.Name, len(con.Terms), con.Op, con.RHS)
+			terms := rows.add(ci, con, len(con.Terms))
 			for i, t := range con.Terms {
 				terms[i] = milp.Term{Var: milp.VarID(full2sub[t.Var]), Coef: t.Coef}
 			}
 		}
 	}
 	return out
+}
+
+// subRows appends rows to the sub-models of a decomposition. All their terms
+// are one array, in which component ci's rows fill the window starting at
+// at[ci]: a sub-model costs no allocation of its own.
+type subRows struct {
+	comps []Component
+	terms []milp.Term
+	at    []int
+}
+
+// add appends the parent row con, cut down to n terms, to component ci's
+// model and returns the terms for the caller to fill in.
+func (r *subRows) add(ci int, con *milp.Constraint, n int) []milp.Term {
+	lo := r.at[ci]
+	r.at[ci] += n
+	row := r.terms[lo : lo+n : lo+n]
+	sub := r.comps[ci].Model
+	sub.Cons = append(sub.Cons, milp.Constraint{Name: con.Name, Terms: row, Op: con.Op, RHS: con.RHS})
+	return row
 }
 
 // spansClasses reports whether a constraint's terms touch jobs in more than
@@ -275,7 +333,7 @@ func spansClasses(terms []milp.Term, varJob, assign []int) bool {
 // cuttable reports whether slicing a row into per-class restricted copies
 // with the full RHS keeps each copy a valid relaxation: only ≤-rows with
 // nonnegative coefficients qualify (dropping terms can only loosen them).
-func cuttable(con milp.Constraint) bool {
+func cuttable(con *milp.Constraint) bool {
 	if con.Op != milp.LE {
 		return false
 	}
@@ -287,52 +345,30 @@ func cuttable(con milp.Constraint) bool {
 	return true
 }
 
-// cutSides is the per-component view of one cut cross-class row: each
-// component's restricted copy holds its own terms against the row's full
-// RHS. It is tallied before anything is allocated, because many copies are
-// dropped.
-type cutSides struct {
-	terms  []int         // terms of the row that land in each component
-	maxUse []float64     // their activity at every variable's upper bound
-	rows   [][]milp.Term // slice's destination rows (nil: copy dropped)
+// cutSide is one component's view of a cut cross-class row: its restricted
+// copy holds its own terms against the row's full RHS. The sides are tallied
+// before anything is set aside for them, because many copies are dropped.
+type cutSide struct {
+	terms  int         // terms of the row that land in the component
+	maxUse float64     // their activity at every variable's upper bound
+	row    []milp.Term // the copy being filled (nil: dropped)
 }
 
-func (s *cutSides) tally(parent *milp.Model, con *milp.Constraint, compOf, varJob []int) {
-	clear(s.terms)
-	clear(s.maxUse)
+func tallySides(sides []cutSide, parent *milp.Model, con *milp.Constraint, compOf, varJob []int) {
+	clear(sides)
 	for _, t := range con.Terms {
-		ci := compOf[varJob[t.Var]]
-		s.terms[ci]++
-		s.maxUse[ci] += t.Coef * parent.Vars[t.Var].Ub
+		s := &sides[compOf[varJob[t.Var]]]
+		s.terms++
+		s.maxUse += t.Coef * parent.Vars[t.Var].Ub
 	}
 }
 
-// keeps reports whether component ci receives a copy of the tallied row.
+// keeps reports whether the component receives a copy of the tallied row.
 // Copies with no local term, or that cannot bind even at every local
 // variable's upper bound, are dropped (mirroring the compiler's own
 // non-binding supply-row elision).
-func (s *cutSides) keeps(ci int, con *milp.Constraint) bool {
-	return s.terms[ci] > 0 && s.maxUse[ci] > con.RHS
-}
-
-// slice appends each kept restricted copy of the row to its component's
-// model, terms in the parent's order.
-func (s *cutSides) slice(parent *milp.Model, con *milp.Constraint, comps []Component, compOf, varJob, full2sub []int) {
-	s.tally(parent, con, compOf, varJob)
-	for ci := range comps {
-		s.rows[ci] = nil
-		if s.keeps(ci, con) {
-			s.rows[ci] = comps[ci].Model.AddRow(con.Name, s.terms[ci], con.Op, con.RHS)
-		}
-	}
-	clear(s.terms) // now each copy's fill position
-	for _, t := range con.Terms {
-		ci := compOf[varJob[t.Var]]
-		if row := s.rows[ci]; row != nil {
-			row[s.terms[ci]] = milp.Term{Var: milp.VarID(full2sub[t.Var]), Coef: t.Coef}
-			s.terms[ci]++
-		}
-	}
+func (s *cutSide) keeps(con *milp.Constraint) bool {
+	return s.terms > 0 && s.maxUse > con.RHS
 }
 
 // Lift scatters a component-space vector into a full-model vector (entries

@@ -46,15 +46,23 @@ type roundScope struct {
 // component is the whole batch and keeps the parent's variable space and a
 // ledger over every group.
 func (c *Compiled) newScope(jobs []int, sliced bool) roundScope {
+	scr := c.scr
 	sc := roundScope{nVars: c.Model.NumVars(), jobs: jobs}
 	const absent, present = -1, -2
-	row := make([]int32, len(c.Part.Groups))
+	row := scr.int32s.take(len(c.Part.Groups))
 	for g := range row {
 		row[g] = absent
 	}
 	if sliced {
-		sc.shift = make([]int, len(jobs))
+		sc.shift = scr.ints.take(len(jobs))
 		sc.nVars = 0
+	}
+	nGroups := 0
+	mark := func(g int) {
+		if row[g] == absent {
+			row[g] = present
+			nGroups++
+		}
 	}
 	for i, j := range jobs {
 		if sliced {
@@ -67,14 +75,15 @@ func (c *Compiled) newScope(jobs []int, sliced bool) roundScope {
 			switch {
 			case rec.culled:
 			case rec.single:
-				row[rec.group] = present
+				mark(rec.group)
 			default:
 				for _, pv := range c.partsOf(rec) {
-					row[pv.group] = present
+					mark(pv.group)
 				}
 			}
 		}
 	}
+	sc.groups = scr.ints.take(nGroups)[:0]
 	for g := range row {
 		if row[g] == present {
 			row[g] = int32(len(sc.groups))

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -64,62 +65,217 @@ func solveToGap(t *testing.T, c *Compiled) *milp.Solution {
 	return sol
 }
 
-// TestScratchCompileAllocs budgets a steady-state compilation: with the
-// staging grown to fit, what is allocated is what the Compiled keeps — the
-// model's three arrays, the records, the partition and its groups — and
-// none of it per variable, row or leaf. A fresh Scratch makes ten times as
-// many allocations for the same batch.
-func TestScratchCompileAllocs(t *testing.T) {
-	jobs, opts := cycleBatch(1, 40)
-	var sc Scratch
-	for i := 0; i < 3; i++ {
-		if _, err := sc.Compile(jobs, opts); err != nil {
-			t.Fatal(err)
-		}
+// fourClasses routes a batch's jobs round-robin to four classes, the shape of
+// a 4-shard assignment.
+func fourClasses(nJobs int) []int {
+	assign := make([]int, nJobs)
+	for j := range assign {
+		assign[j] = j % 4
 	}
-	const budget = 60
-	warm := testing.AllocsPerRun(20, func() { sc.Compile(jobs, opts) })
-	if warm > budget {
-		t.Errorf("a steady-state compile allocates %v times, budget %d", warm, budget)
-	}
-	cold := testing.AllocsPerRun(20, func() { Compile(jobs, opts) })
-	t.Logf("allocations per compile: %v steady state, %v on a fresh Scratch", warm, cold)
+	return assign
 }
 
-// TestScratchCompileIndependent: a Compiled keeps nothing of the Scratch that
-// built it — compiling other batches on the same Scratch leaves its model,
-// its decode and its heuristic exactly as they were.
-func TestScratchCompileIndependent(t *testing.T) {
-	var sc Scratch
+// TestScratchCompileAllocs: once a Scratch has grown to fit a batch,
+// compiling it and decomposing it — naturally, and along a 4-class
+// assignment — allocates the handles (the Compiled, the Component structs
+// and their pointer list) and the partition, and none of that count depends
+// on how many jobs, variables, rows or components the batch has. A fresh
+// Scratch makes many times as many allocations for the same batch.
+func TestScratchCompileAllocs(t *testing.T) {
+	steady := func(nJobs int) (compile, natural, forced float64) {
+		jobs, opts := cycleBatch(1, nJobs)
+		assign := fourClasses(nJobs)
+		var sc Scratch
+		var c *Compiled
+		cycle := func() {
+			c, _ = sc.Compile(jobs, opts)
+			if len(c.Components())+len(c.ForcedComponents(assign, -1)) < 5 {
+				t.Fatalf("%d jobs: the forced decomposition did not split", nJobs)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			cycle()
+		}
+		compile = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts) })
+		natural = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts); c.Components() }) - compile
+		forced = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts); c.ForcedComponents(assign, -1) }) - compile
+		return
+	}
+	c40, n40, f40 := steady(40)
+	c160, n160, f160 := steady(160)
+	if c40 != c160 || n40 != n160 || f40 != f160 {
+		t.Errorf("steady-state allocations grow with the batch: compile %v vs %v, Components %v vs %v, ForcedComponents %v vs %v (40 vs 160 jobs)",
+			c40, c160, n40, n160, f40, f160)
+	}
+	if n40 > 2 || f40 > 2 {
+		t.Errorf("a decomposition allocates %v (natural) and %v (forced) times, want its two handle arrays", n40, f40)
+	}
+	jobs, opts := cycleBatch(1, 40)
+	cold := testing.AllocsPerRun(10, func() { Compile(jobs, opts) })
+	t.Logf("allocations per compile: %v steady state, %v on a fresh Scratch", c40, cold)
+	if cold < 4*c40 {
+		t.Errorf("a fresh Scratch allocates %v times against %v in steady state; the Scratch is not being reused", cold, c40)
+	}
+}
+
+// compSnap and batchSnap are everything observable about a component and a
+// compiled batch, in comparable form.
+type compSnap struct {
+	Jobs, VarMap, Groups []int
+	Shard                int
+	Model                string
+	Fingerprint          uint64
+	Round                []float64
+}
+
+type batchSnap struct {
+	Model, LP string
+	Round     []float64
+	Decode    []LeafGrant
+	Natural   []compSnap
+	Forced    []compSnap
+}
+
+func snapComponents(c *Compiled, comps []*Component, x []float64) []compSnap {
+	out := make([]compSnap, len(comps))
+	for i, cc := range comps {
+		out[i] = compSnap{
+			Jobs:        append([]int(nil), cc.Jobs...), // copies; empty is nil
+			VarMap:      append([]int(nil), cc.VarMap...),
+			Groups:      append([]int(nil), c.ComponentGroups(cc)...),
+			Shard:       cc.Shard,
+			Model:       cc.Model.String(),
+			Fingerprint: c.ComponentFingerprint(cc),
+			Round:       cc.GreedyRound(cc.Restrict(x)),
+		}
+	}
+	return out
+}
+
+// snapBatch reads a Compiled every way the scheduler does: the model as text
+// and as an LP file, the rounding of a tie-rich pseudo LP point, the decode
+// of that rounding, and both decompositions with every component's model,
+// maps, groups, fingerprint and rounding.
+func snapBatch(t *testing.T, c *Compiled) batchSnap {
+	t.Helper()
+	var lp bytes.Buffer
+	if err := c.Model.WriteLP(&lp); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, c.Model.NumVars())
+	for i := range x {
+		x[i] = float64(i%5) / 4
+	}
+	snap := batchSnap{Model: c.Model.String(), LP: lp.String(), Round: c.GreedyRound(x)}
+	if snap.Round != nil {
+		snap.Decode = c.Decode(&milp.Solution{Values: snap.Round})
+	}
+	// Both decompositions first: they must coexist until the next Compile.
+	natural, forced := c.Components(), c.ForcedComponents(fourClasses(len(c.jobs)), 3)
+	snap.Natural = snapComponents(c, natural, x)
+	snap.Forced = snapComponents(c, forced, x)
+	return snap
+}
+
+// TestCompileResultNeverInvalidated: what the package-level Compile returns
+// has a Scratch to itself, so no later compilation, anywhere, changes it.
+func TestCompileResultNeverInvalidated(t *testing.T) {
 	jobs, opts := cycleBatch(2, 9)
+	first, err := Compile(jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapBatch(t, first)
+	var sc Scratch
+	for seed := int64(3); seed < 7; seed++ {
+		other, oopts := cycleBatch(seed, 10+int(seed)*6)
+		for _, compile := range []func([]strl.Expr, Options) (*Compiled, error){Compile, sc.Compile} {
+			c, err := compile(other, oopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Components()
+		}
+	}
+	if first.Stale() {
+		t.Error("a package-level Compile result reports Stale")
+	}
+	if got := snapBatch(t, first); !reflect.DeepEqual(got, want) {
+		t.Error("later compilations changed a package-level Compile result")
+	}
+}
+
+// TestScratchCompiledMatchesFresh: a Scratch decides where a Compiled lives
+// and nothing else. Over a run of batches of very different sizes on one
+// Scratch, each Compiled — read in full before the next Compile — equals a
+// fresh compilation of the same batch byte for byte.
+func TestScratchCompiledMatchesFresh(t *testing.T) {
+	var sc Scratch
+	for i, nJobs := range []int{9, 60, 4, 33, 1, 60, 17} {
+		jobs, opts := cycleBatch(int64(10+i), nJobs)
+		if i == 3 { // a batch that decomposes naturally
+			jobs, opts = blockJobs(12, 4), Options{Universe: 12, Horizon: 4}
+		}
+		fresh, err := Compile(jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := sc.Compile(jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := snapBatch(t, fresh), snapBatch(t, pooled)
+		if pooled.Stale() {
+			t.Fatalf("batch %d: reading a Compiled made it stale", i)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d (%d jobs): the Scratch's Compiled differs from a fresh compilation", i, nJobs)
+		}
+	}
+}
+
+// TestStaleFlipsAtNextCompile: a Compiled and its components go stale exactly
+// when their Scratch starts overwriting them — not when a Compile call is
+// rejected before it builds anything — and a stale Compiled refuses to be
+// decomposed into the memory of the live one.
+func TestStaleFlipsAtNextCompile(t *testing.T) {
+	var sc Scratch
+	jobs, opts := cycleBatch(5, 12)
 	first, err := sc.Compile(jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Compile(jobs, opts)
+	comps := first.ForcedComponents(fourClasses(len(jobs)), -1)
+	stale := func() bool {
+		for _, cc := range comps {
+			if cc.Stale() != first.Stale() {
+				t.Fatal("a component and its Compiled disagree on Stale")
+			}
+		}
+		return first.Stale()
+	}
+	if stale() {
+		t.Fatal("stale before any other Compile")
+	}
+	if _, err := sc.Compile(jobs, Options{Universe: opts.Universe}); err == nil || stale() {
+		t.Fatalf("a rejected Compile (err %v) must leave the current Compiled live", err)
+	}
+	if _, err := sc.Compile([]strl.Expr{&strl.Max{}}, opts); err == nil || stale() {
+		t.Fatalf("a Compile of an invalid expression (err %v) must leave the current Compiled live", err)
+	}
+	second, err := sc.Compile(jobs[:3], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(3); seed < 7; seed++ {
-		other, oopts := cycleBatch(seed, 10+int(seed)*6)
-		if _, err := sc.Compile(other, oopts); err != nil {
-			t.Fatal(err)
+	if !stale() || second.Stale() {
+		t.Fatalf("after the next Compile: first stale %v, second stale %v", first.Stale(), second.Stale())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("decomposing a stale Compiled did not panic")
 		}
-	}
-	if first.Model.String() != fresh.Model.String() {
-		t.Fatal("later compilations on the Scratch changed an earlier model")
-	}
-	sol := solveToGap(t, first)
-	if !reflect.DeepEqual(first.Decode(sol), fresh.Decode(sol)) {
-		t.Fatal("later compilations on the Scratch changed an earlier Compiled's decode")
-	}
-	x := make([]float64, first.Model.NumVars())
-	for i := range x {
-		x[i] = float64(i%7) / 7
-	}
-	if !reflect.DeepEqual(first.GreedyRound(x), fresh.GreedyRound(x)) {
-		t.Fatal("later compilations on the Scratch changed an earlier Compiled's heuristic")
-	}
+	}()
+	first.Components()
 }
 
 // TestDecodeAllocatesPerGrant: Decode builds a grant (and its Counts map)

@@ -41,7 +41,10 @@ type exprEntry struct {
 
 // feState caches one cycle's entire compile output: the batch it was built
 // from (request pointers + believed release slices) and everything the
-// global cycle derives from it before solving.
+// global cycle derives from it before solving. comp and comps live in the
+// scheduler's compScr and die at its next Compile, so globalCycle drops the
+// entry before it compiles a batch the cache missed on — whether or not that
+// compile succeeds.
 type feState struct {
 	valid    bool
 	reqs     []*strlgen.Request

@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"tetrisched/internal/bitset"
+	"tetrisched/internal/cluster"
+	"tetrisched/internal/sim"
+	"tetrisched/internal/strl"
+	"tetrisched/internal/strlgen"
 	"tetrisched/internal/workload"
 )
 
@@ -136,5 +140,132 @@ func TestExpressionCacheDeadlineExpiry(t *testing.T) {
 	}
 	if _, ok := onSched.exprCache[7]; ok {
 		t.Error("dropped job still has an expression-cache entry; terminal events must purge")
+	}
+}
+
+// assertBatchCacheLive fails when the whole-batch cache holds a Compiled, or
+// a component, that compScr has since compiled over.
+func assertBatchCacheLive(t *testing.T, sched *Scheduler, when string) {
+	t.Helper()
+	if !sched.fe.valid {
+		return
+	}
+	if sched.fe.comp.Stale() {
+		t.Fatalf("%s: the batch cache holds a stale Compiled", when)
+	}
+	for i, cc := range sched.fe.comps {
+		if cc.Stale() {
+			t.Fatalf("%s: the batch cache holds stale component %d", when, i)
+		}
+	}
+}
+
+// TestCompileErrorDropsBatchCache: a cycle whose compile fails must not leave
+// the previous batch in the cache. The cached Compiled lives in memory the
+// failed compile was entitled to overwrite, so when the old batch comes back
+// the next cycle has to compile it again, not replay the entry.
+func TestCompileErrorDropsBatchCache(t *testing.T) {
+	sched := steadyScheduler(Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0})
+	for i := 0; i < 3; i++ {
+		sched.Cycle(int64(i)*4, bitset.New(8))
+	}
+	if !sched.fe.valid || sched.Stats.CompileSkips == 0 {
+		t.Fatal("the steady cycles did not cache their batch")
+	}
+	// Plant an expression strl.Validate rejects (an empty MAX) as job 0's
+	// cached request: the batch changes, and compiling it fails.
+	good := sched.exprCache[0].req
+	sched.exprCache[0].req = &strlgen.Request{Job: good.Job, Expr: &strl.Max{}}
+	jobs, skips := sched.Stats.CompileJobs, sched.Stats.CompileSkips
+	if res := sched.Cycle(12, bitset.New(8)); len(res.Decisions) != 0 {
+		t.Fatalf("a cycle that could not compile decided %+v", res.Decisions)
+	}
+	if sched.Stats.CompileJobs != jobs || sched.Stats.CompileSkips != skips {
+		t.Fatal("the planted expression did not fail the compile")
+	}
+	if sched.fe.valid {
+		t.Error("a failed compile left the batch cache valid")
+	}
+	// The old requests return, pointer for pointer.
+	sched.exprCache[0].req = good
+	sched.Cycle(16, bitset.New(8))
+	if sched.Stats.CompileSkips != skips || sched.Stats.CompileJobs != jobs+2 {
+		t.Errorf("after the failed compile: skips %d -> %d, compiled jobs %d -> %d; the batch must be compiled again",
+			skips, sched.Stats.CompileSkips, jobs, sched.Stats.CompileJobs)
+	}
+	if !sched.fe.valid {
+		t.Error("the recompiled batch was not cached")
+	}
+	assertBatchCacheLive(t, sched, "after the recompile")
+}
+
+// TestCycleNeverHoldsStaleCompiled runs a busy little cluster — arrivals,
+// launches (each purges the batch cache mid-cycle through markJobDirty, while
+// the cycle still reads the Compiled), completions — monolithic, sharded and
+// greedy. Every cycle ends in mustBeLive, which panics if the Compiled it
+// solved and decoded was compiled over; between cycles the cache must never
+// point at dead memory.
+func TestCycleNeverHoldsStaleCompiled(t *testing.T) {
+	for _, cfg := range []Config{
+		{CyclePeriod: 4, PlanAhead: 16},
+		{CyclePeriod: 4, PlanAhead: 16, Shards: 4},
+		{CyclePeriod: 4, PlanAhead: 16, Greedy: true},
+	} {
+		b := cluster.NewBuilder()
+		for _, r := range []string{"r0", "r1", "r2", "r3"} {
+			b.AddRack(r, 4, nil)
+		}
+		c := b.Build()
+		sched := New(c, cfg)
+		free := bitset.New(c.N())
+		free.Fill()
+		type running struct {
+			d   sim.Decision
+			end int64
+		}
+		var run []running
+		launched, purged, cached := 0, 0, 0
+		for cycle := 0; cycle < 20; cycle++ {
+			now := int64(cycle) * 4
+			keep := run[:0]
+			for _, r := range run {
+				if r.end > now {
+					keep = append(keep, r)
+					continue
+				}
+				sched.JobFinished(now, r.d.Job)
+				for _, n := range r.d.Nodes {
+					free.Add(n)
+				}
+			}
+			run = keep
+			if cycle < 10 {
+				for i := 0; i < 2; i++ {
+					id := 2*cycle + i
+					sched.Submit(now, be(id, 3+id%4, int64(8+4*(id%3))))
+				}
+			}
+			res := sched.Cycle(now, free.Clone())
+			for _, d := range res.Decisions {
+				for _, n := range d.Nodes {
+					free.Remove(n)
+				}
+				run = append(run, running{d, now + d.Job.BaseRuntime})
+			}
+			launched += len(res.Decisions)
+			assertBatchCacheLive(t, sched, cfg.Name())
+			switch {
+			case sched.fe.valid:
+				cached++
+			case len(res.Decisions) > 0 && sched.feEnabled():
+				purged++
+			}
+		}
+		if launched != 20 {
+			t.Errorf("%s: launched %d of 20 jobs", cfg.Name(), launched)
+		}
+		if sched.feEnabled() && (purged == 0 || cached == 0) {
+			t.Errorf("%s: %d cycles purged the cache mid-cycle and %d left it filled; the scenario needs both", cfg.Name(), purged, cached)
+		}
 	}
 }

@@ -340,8 +340,8 @@ type Scheduler struct {
 	// independent of any cache semantics; all three start empty and grow on
 	// first use.
 	exprCache       map[int]*exprEntry // job ID → cached STRL request + expiry
-	fe              feState            // whole-batch compile cache
-	compScr         *compiler.Scratch  // pooled compile build buffers
+	fe              feState            // whole-batch compile cache; points into compScr
+	compScr         *compiler.Scratch  // the memory of the cycle's Compiled, until the next Compile
 	solveWS         milp.WorkspaceList // solver workspaces, one per concurrent sub-solve
 	conflictScratch *bitset.Set        // classifyConflict working-set scratch
 
@@ -620,6 +620,9 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		comp, comps, assign, spanning = s.fe.comp, s.fe.comps, s.fe.assign, s.fe.spanning
 		s.Stats.CompileSkips += len(reqs)
 	} else {
+		// The cached batch lives in compScr, which is about to be compiled
+		// over: drop it first, so that a compile error leaves no entry behind.
+		s.fe = feState{}
 		jobExprs := make([]strl.Expr, len(reqs))
 		for i, r := range reqs {
 			jobExprs[i] = r.Expr
@@ -874,6 +877,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		}
 		s.launch(now, req.Job, nodes, opt, res)
 	}
+	mustBeLive(comp)
 	extractSpan.End(trace.I("granted", int64(len(granted))),
 		trace.I("launched", int64(len(res.Decisions))))
 	if len(failed) > 0 {
@@ -884,6 +888,17 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	}
 	if s.cfg.EnablePreemption {
 		s.preemptRescue(now, working, reqs, granted, res)
+	}
+}
+
+// mustBeLive panics when compScr has compiled again since comp was built: the
+// cycle has then solved and decoded some other batch's model. Staleness never
+// reverts, so one check after a cycle's last read of its Compiled covers them
+// all. Only a bug in this package can trip it, and a crash is better than the
+// wrong schedule.
+func mustBeLive(comp *compiler.Compiled) {
+	if comp.Stale() {
+		panic("core: the cycle's Compiled was compiled over while in use")
 	}
 }
 
@@ -1102,10 +1117,8 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	for _, req := range reqs {
 		compSpan := s.tr.Begin("compile", "compile")
 		compT0 := time.Now()
-		// Per-probe compiles share the scheduler's pooled build buffers, so
-		// the per-request path no longer re-pays the full build-state
-		// allocation storm for every job (the Compiled keeps its jobs slice,
-		// so that one stays per-iteration).
+		// Each probe is compiled over the previous one: by then its grants
+		// are decoded and nothing of it is kept.
 		comp, err := s.compScr.Compile([]strl.Expr{req.Expr}, compiler.Options{
 			Universe:  s.c.N(),
 			Horizon:   s.horizon(),
@@ -1167,6 +1180,7 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 				}
 			}
 		}
+		mustBeLive(comp)
 	}
 }
 

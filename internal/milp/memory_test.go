@@ -145,13 +145,12 @@ func TestNamef(t *testing.T) {
 	}
 }
 
-// TestModelResetClone checks the staging pair the compiler builds on: a
-// Clone prints like its source and shares no memory with it, and a Reset
-// model builds the next model correctly on the old storage.
-func TestModelResetClone(t *testing.T) {
+// TestModelReset checks what the compiler builds on: a Reset model builds
+// the next model correctly on the old storage, whatever the sizes of the two,
+// and once it has grown to fit the largest it allocates nothing.
+func TestModelReset(t *testing.T) {
 	stage := new(Model)
-	for seed := int64(1); seed <= 4; seed++ {
-		src := packingModel(seed, 6+int(seed)*3)
+	build := func(src *Model) {
 		stage.Reset(src.Sense)
 		for _, v := range src.Vars {
 			stage.AddVarNamed(v.Name, v.Type, v.Lb, v.Ub, v.Obj)
@@ -159,16 +158,18 @@ func TestModelResetClone(t *testing.T) {
 		for _, c := range src.Cons {
 			stage.AddConstraintNamed(c.Name, c.Terms, c.Op, c.RHS)
 		}
-		clone := stage.Clone()
-		if clone.String() != src.String() {
-			t.Fatalf("seed %d: clone of the staged model differs from the model", seed)
+	}
+	for _, size := range []int{9, 18, 6, 15, 18} {
+		src := packingModel(int64(size), size)
+		build(src)
+		if stage.String() != src.String() {
+			t.Fatalf("size %d: the model rebuilt on reused storage differs from the model", size)
 		}
-		stage.Reset(Maximize) // must not disturb the clone
-		stage.AddVar("junk", Continuous, 0, 1, 1)
-		stage.AddConstraint("junk", []Term{{0, 9}}, GE, 9)
-		if clone.String() != src.String() {
-			t.Fatalf("seed %d: reusing the staging model changed its clone", seed)
-		}
+	}
+	src := packingModel(18, 18)
+	build(src) // the arena spilled while growing; this Reset consolidates it
+	if avg := testing.AllocsPerRun(10, func() { build(src) }); avg != 0 {
+		t.Errorf("rebuilding a model the storage already fits allocates %v times", avg)
 	}
 }
 

@@ -149,7 +149,7 @@ type Constraint struct {
 // AddConstraint, then pass it to Solve. A Model is not safe for concurrent
 // mutation, but may be solved concurrently once fully built.
 //
-// Rows added through AddConstraint and AddRow live in one growing term arena:
+// Rows added through AddConstraint live in one growing term arena:
 // each Constraint.Terms is a capacity-limited sub-slice of it, so a model
 // costs a handful of allocations however many rows it has. When the arena
 // fills up a larger one is started; rows already handed out keep the old one.
@@ -172,10 +172,10 @@ func NewModel(sense Sense) *Model {
 	return &Model{Sense: sense}
 }
 
-// Reset empties the model for another build that reuses its storage. Together
-// with Clone it lets a builder that cannot know a model's size in advance
-// (the compiler) assemble every model in one long-lived Model, at no
-// allocation once that has grown to fit, and keep an exact-size copy.
+// Reset empties the model for another build that reuses its storage: a
+// builder that cannot know a model's size in advance (the compiler) assembles
+// every model in one long-lived Model, at no allocation once that has grown
+// to fit. The previous model's variables and rows are overwritten.
 func (m *Model) Reset(sense Sense) {
 	m.Sense = sense
 	clear(m.Cons) // drop the references into arenas that may now be freed
@@ -185,40 +185,6 @@ func (m *Model) Reset(sense Sense) {
 		m.arena = make([]Term, 0, m.nterms+m.nterms/4)
 	}
 	m.arena, m.nterms, m.spilled = m.arena[:0], 0, false
-}
-
-// Clone returns a copy that shares nothing with m and holds exactly the
-// model: its variables, its constraints and one term arena, each allocated at
-// its final size.
-func (m *Model) Clone() *Model {
-	c := &Model{Sense: m.Sense}
-	n := 0
-	for i := range m.Cons {
-		n += len(m.Cons[i].Terms)
-	}
-	c.Grow(len(m.Vars), len(m.Cons), n)
-	c.Vars = append(c.Vars, m.Vars...)
-	for i := range m.Cons {
-		con := &m.Cons[i]
-		copy(c.AddRow(con.Name, len(con.Terms), con.Op, con.RHS), con.Terms)
-	}
-	return c
-}
-
-// Grow reserves room for the given number of further variables, constraints
-// and constraint terms, so that a builder that knows how large its model will
-// be fills it without regrowth.
-func (m *Model) Grow(vars, cons, terms int) {
-	if n := len(m.Vars) + vars; n > cap(m.Vars) {
-		m.Vars = append(make([]Variable, 0, n), m.Vars...)
-	}
-	if n := len(m.Cons) + cons; n > cap(m.Cons) {
-		m.Cons = append(make([]Constraint, 0, n), m.Cons...)
-	}
-	if terms > cap(m.arena)-len(m.arena) {
-		m.spilled = m.spilled || len(m.arena) > 0
-		m.arena = make([]Term, 0, terms)
-	}
 }
 
 // AddVar adds a variable and returns its ID. Binary variables have their
@@ -274,21 +240,6 @@ func (m *Model) AddConstraintNamed(name Name, terms []Term, op Op, rhs float64) 
 	m.arena = row
 	m.nterms += len(row) - lo
 	m.Cons = append(m.Cons, Constraint{Name: name, Terms: row[lo:len(row):len(row)], Op: op, RHS: rhs})
-}
-
-// AddRow adds a constraint of n terms and returns them, zeroed, for the caller
-// to fill in. Nothing is merged: it is for rows whose variables are already
-// distinct, such as rows copied from another model.
-func (m *Model) AddRow(name Name, n int, op Op, rhs float64) []Term {
-	row := m.rowSpace(n)
-	lo := len(row)
-	row = row[:lo+n]
-	terms := row[lo : lo+n : lo+n]
-	clear(terms)
-	m.arena = row
-	m.nterms += n
-	m.Cons = append(m.Cons, Constraint{Name: name, Terms: terms, Op: op, RHS: rhs})
-	return terms
 }
 
 // rowSpace returns the arena with room for n more terms, starting a new one

@@ -293,43 +293,29 @@ func (g *Generator) optionTTL(now int64, j *workload.Job, completion int64) int6
 // including its leaf pointers, which downstream caches key on — for any
 // cycle at or before validUntil. A nil request carries validUntil = now.
 func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
-	validUntil := int64(math.MaxInt64)
 	if j.K <= 0 || j.K > g.all.Count() {
 		return nil, now // unsatisfiable on this cluster
 	}
 	placements := g.placements(j)
-	strideFor := func(budget int) int64 {
-		if budget < 1 {
-			budget = 1
-		}
-		if int(g.cfg.PlanAheadSlices) > budget {
-			return (g.cfg.PlanAheadSlices + int64(budget) - 1) / int64(budget)
-		}
-		return 1
-	}
-	req := &Request{Job: j}
+	// Count the options before building any, so that the leaves, the options
+	// and the lists pointing at them are one exactly sized allocation each,
+	// however many options the job has. Nothing here is ever regrown, which is
+	// also what keeps the leaf and option pointers stable.
+	n := 0
 	for _, p := range placements {
-		budget := g.cfg.MaxStartChoices
-		if !p.preferred && len(placements) > 1 && g.cfg.FallbackStartChoices > 0 {
-			budget = g.cfg.FallbackStartChoices
-		}
-		stride := strideFor(budget)
-		width := j.K
-		if p.width > 0 {
-			width = p.width
-		}
-		est := j.EstRuntime(p.preferred)
-		if p.width > 0 && p.width < j.K {
-			// Elastic width scaling on the believed runtime.
-			est = (est*int64(j.K) + int64(p.width) - 1) / int64(p.width)
-		}
-		if g.cfg.NoHeterogeneity && j.Type != workload.Unconstrained && j.Type != workload.Elastic {
-			// NH plans conservatively with the slowed estimate (§6.3).
-			est = j.EstRuntime(false)
-		}
-		durSlices := (est + g.cfg.Quantum - 1) / g.cfg.Quantum
-		for s := int64(0); s < g.cfg.PlanAheadSlices; s += stride {
-			completion := now + s*g.cfg.Quantum + est
+		n += g.valuedStarts(now, j, g.startPlan(j, p, len(placements)))
+	}
+	if n == 0 {
+		return nil, now
+	}
+	validUntil := int64(math.MaxInt64)
+	req := &Request{Job: j, Options: make([]*Option, 0, n)}
+	leaves := make([]strl.NCk, n)
+	options := make([]Option, n)
+	for _, p := range placements {
+		pl := g.startPlan(j, p, len(placements))
+		for s := int64(0); s < g.cfg.PlanAheadSlices; s += pl.stride {
+			completion := now + s*g.cfg.Quantum + pl.est
 			v := g.value(j, completion)
 			if v <= 0 {
 				// Later starts only complete later; stop enumerating this
@@ -345,29 +331,80 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 				factor = 0.1
 			}
 			v *= factor
-			leaf := &strl.NCk{Set: p.set, K: width, Start: s, Dur: durSlices, Value: v}
-			req.Options = append(req.Options, &Option{
+			i := len(req.Options)
+			leaves[i] = strl.NCk{Set: p.set, K: pl.width, Start: s, Dur: pl.durSlices, Value: v}
+			options[i] = Option{
 				Key:        p.key,
 				Preferred:  p.preferred,
 				StartSlice: s,
-				EstDur:     est,
-				Leaf:       leaf,
-			})
+				EstDur:     pl.est,
+				Leaf:       &leaves[i],
+			}
+			req.Options = append(req.Options, &options[i])
 		}
 	}
-	if len(req.Options) == 0 {
-		return nil, now
-	}
-	if len(req.Options) == 1 {
+	if n == 1 {
 		req.Expr = req.Options[0].Leaf
 		return req, validUntil
 	}
-	kids := make([]strl.Expr, len(req.Options))
-	for i, o := range req.Options {
-		kids[i] = o.Leaf
+	kids := make([]strl.Expr, n)
+	for i := range leaves {
+		kids[i] = &leaves[i]
 	}
 	req.Expr = &strl.Max{Kids: kids}
 	return req, validUntil
+}
+
+// startPlan is how one placement's start options are enumerated: every
+// stride-th slice of the window, each a gang of width nodes believed to run
+// for est seconds (durSlices slices).
+type startPlan struct {
+	stride    int64
+	width     int
+	est       int64
+	durSlices int64
+}
+
+// startPlan works out placement p's enumeration for the job; nPlacements is
+// how many placements the job has, a lone one never being a fallback.
+func (g *Generator) startPlan(j *workload.Job, p placement, nPlacements int) startPlan {
+	budget := g.cfg.MaxStartChoices
+	if !p.preferred && nPlacements > 1 && g.cfg.FallbackStartChoices > 0 {
+		budget = g.cfg.FallbackStartChoices
+	}
+	if budget < 1 {
+		budget = 1
+	}
+	pl := startPlan{stride: 1, width: j.K, est: j.EstRuntime(p.preferred)}
+	if int(g.cfg.PlanAheadSlices) > budget {
+		pl.stride = (g.cfg.PlanAheadSlices + int64(budget) - 1) / int64(budget)
+	}
+	if p.width > 0 {
+		pl.width = p.width
+	}
+	if p.width > 0 && p.width < j.K {
+		// Elastic width scaling on the believed runtime.
+		pl.est = (pl.est*int64(j.K) + int64(p.width) - 1) / int64(p.width)
+	}
+	if g.cfg.NoHeterogeneity && j.Type != workload.Unconstrained && j.Type != workload.Elastic {
+		// NH plans conservatively with the slowed estimate (§6.3).
+		pl.est = j.EstRuntime(false)
+	}
+	pl.durSlices = (pl.est + g.cfg.Quantum - 1) / g.cfg.Quantum
+	return pl
+}
+
+// valuedStarts counts the start options GenerateTTL emits for a placement:
+// the strided starts up to the first whose completion has no value left.
+func (g *Generator) valuedStarts(now int64, j *workload.Job, pl startPlan) int {
+	n := 0
+	for s := int64(0); s < g.cfg.PlanAheadSlices; s += pl.stride {
+		if g.value(j, now+s*g.cfg.Quantum+pl.est) <= 0 {
+			break
+		}
+		n++
+	}
+	return n
 }
 
 // String describes the generator configuration.

@@ -405,3 +405,31 @@ func TestGenerateTTLBoundsReuse(t *testing.T) {
 		}
 	})
 }
+
+// TestGenerateAllocsIndependentOfOptions: a request's leaves, options and
+// pointer lists are one allocation each, so generating a request with 14
+// options allocates exactly as often as one with 3 — and the slabs are cut
+// to the count, with the pointers into them in option order.
+func TestGenerateAllocsIndependentOfOptions(t *testing.T) {
+	c := cluster.RC80(true)
+	few, many := Default(4, 40), Default(4, 40)
+	few.MaxStartChoices, few.FallbackStartChoices = 2, 1
+	allocs := map[int]float64{}
+	for _, cfg := range []Config{few, many} {
+		g := New(c, cfg)
+		req := g.Generate(0, gpuJob(4))
+		n := len(req.Options)
+		if cap(req.Options) != n || len(req.Expr.(*strl.Max).Kids) != n {
+			t.Errorf("%d options in lists of cap %d and %d kids", n, cap(req.Options), len(req.Expr.(*strl.Max).Kids))
+		}
+		for i, o := range req.Options {
+			if req.Expr.(*strl.Max).Kids[i] != strl.Expr(o.Leaf) || req.OptionFor(o.Leaf) != o {
+				t.Fatalf("option %d of %d: kids, options and leaves are out of step", i, n)
+			}
+		}
+		allocs[n] = testing.AllocsPerRun(50, func() { g.Generate(0, gpuJob(4)) })
+	}
+	if len(allocs) != 2 || allocs[3] != allocs[14] {
+		t.Errorf("allocations per request by option count: %v, want the same for 3 and 14 options", allocs)
+	}
+}
