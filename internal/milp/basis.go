@@ -9,30 +9,36 @@ import (
 // column of each row plus every column's resting position. It deliberately
 // excludes the basis representation — restoring refactorizes from the column
 // data — so a snapshot costs O(m + n) bytes, not O(m²), and branch-and-bound
-// can attach one to both children of a node (snapshots are immutable once
-// taken and safe to share across workers).
+// can attach one to both children of a node: a snapshot is not written while
+// a node references it, so workers may restore from a shared one.
 type basisState struct {
 	basis  []int32 // row -> column
 	status []byte  // column -> position, structurals and slacks only
+	refs   int32   // open nodes that will restore from it; guarded like the heap
 }
 
-// snapshot captures the current basis for a later warm restart, or nil when
-// it cannot seed one (a phase-1 artificial still sits in the basis). Call it
-// only directly after a solve on this scratch returned lpOptimal; any later
-// solve overwrites the state being captured.
-func (s *simplexState) snapshot() *basisState {
+// newSnapshot cuts an empty snapshot for p's shape from the slabs.
+func (w *Workspace) newSnapshot(p *lp) *basisState {
+	bs := &w.snaps.take(1)[0]
+	bs.basis, bs.status = w.int32s.take(p.m), w.bytes.take(p.n)
+	return bs
+}
+
+// snapshotInto captures the current basis into bs (cut for this LP's shape)
+// for a later warm restart. It reports false, leaving bs with no meaning,
+// when the basis cannot seed one: a phase-1 artificial still sits in it. Call
+// it only directly after a solve on this scratch returned lpOptimal; any
+// later solve overwrites the state being captured.
+func (s *simplexState) snapshotInto(bs *basisState) bool {
 	p := s.p
-	bs := &basisState{
-		basis:  make([]int32, p.m),
-		status: append([]byte(nil), s.status[:p.n]...),
-	}
 	for i, j := range s.basis {
 		if j >= p.n {
-			return nil // artificial basic at zero: not a phase-2 basis
+			return false // artificial basic at zero: not a phase-2 basis
 		}
 		bs.basis[i] = int32(j)
 	}
-	return bs
+	copy(bs.status, s.status[:p.n])
+	return true
 }
 
 // restore adopts a snapshot into the scratch under the given (possibly

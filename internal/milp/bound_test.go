@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // randKnapsack builds a seeded random binary knapsack. These models
@@ -114,5 +115,82 @@ func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 	}
 	if sol.Gap() == 0 {
 		t.Fatal("Gap() = 0 misreports an approximate solve as exact")
+	}
+}
+
+// TestAbandonedNodeKeepsItsBound pins what a node LP given up on means in
+// each driver. The time limit expires right after the root solve, so the root
+// node's re-solve returns at its first deadline poll — no verdict on the node,
+// nothing known about its subtree. The drivers used to treat that like an
+// infeasible node: the heap drained, and the search reported the tree
+// exhausted — "optimal" with Bound collapsed to the incumbent, or
+// "infeasible" without one. The deadline is injected, not raced: a wall-clock
+// sweep does not reliably land between two polls.
+func TestAbandonedNodeKeepsItsBound(t *testing.T) {
+	for _, drv := range []struct {
+		name    string
+		workers int
+		det     bool
+	}{{"serial", 1, false}, {"async", 3, false}, {"batch", 3, true}} {
+		for _, withIncumbent := range []bool{false, true} {
+			m := residentModel(1)
+			w := new(Workspace)
+			p := w.newLP(m)
+			s := &search{
+				ws: w, model: m, p: p, start: time.Now(),
+				opts:     Options{Workers: drv.workers, Deterministic: drv.det},
+				maximize: true, workers: drv.workers, incObj: math.Inf(-1),
+			}
+			s.scratch = w.newScratch(p)
+			st, x, err := s.scratch.solve(p.lb, p.ub, 0, time.Time{})
+			if err != nil || st != lpOptimal || firstFractional(m, x) < 0 {
+				t.Fatalf("root: %v %v; want a fractional optimum", st, err)
+			}
+			rootObj := m.ObjectiveValue(x[:len(m.Vars)])
+			if withIncumbent {
+				if s.consider(roundHeuristic(m, x)); s.incumbent == nil || s.incObj >= rootObj {
+					t.Fatal("rounding the root gave no incumbent strictly below the bound")
+				}
+			}
+			s.deadline = time.Now().Add(-time.Second)
+			s.openRoot(rootObj)
+			s.run()
+			checkSnapshotBooks(t, w)
+			sol := s.finish()
+			if sol.Nodes != 2 || s.h.Len() != 0 || !s.abandoned {
+				t.Fatalf("%s: %d nodes, %d open, abandoned %v; want the root node popped and given up on", drv.name, sol.Nodes, s.h.Len(), s.abandoned)
+			}
+			if sol.Bound != rootObj {
+				t.Errorf("%s incumbent=%v: Bound %v, want the abandoned node's %v", drv.name, withIncumbent, sol.Bound, rootObj)
+			}
+			want := StatusNoSolution
+			if withIncumbent {
+				want = StatusFeasible
+			}
+			if sol.Status != want {
+				t.Errorf("%s incumbent=%v: status %v, want %v: an unexplored subtree proves nothing", drv.name, withIncumbent, sol.Status, want)
+			}
+		}
+	}
+}
+
+// TestAbandonedBoundWeakerThanOpenNodes: with nodes still open the reported
+// bound used to be the heap top, which in best-bound order is tighter than the
+// bound of a node popped — and dropped — before it.
+func TestAbandonedBoundWeakerThanOpenNodes(t *testing.T) {
+	m := NewModel(Maximize)
+	m.AddBinary("x", 1)
+	s := &search{
+		model: m, maximize: true, workers: 1,
+		incumbent: []float64{1}, incObj: 7.5,
+		h:     &nodeHeap{max: true},
+		nodes: 5, bestBound: 9,
+	}
+	s.pushNode(&bbNode{bound: 9})
+	s.abandon(&bbNode{bound: 10})
+	s.abandon(&bbNode{bound: 9.5})
+	sol := s.finish()
+	if sol.Bound != 10 || sol.Status != StatusFeasible {
+		t.Fatalf("Bound %v status %v, want the weakest abandoned bound 10 and feasible", sol.Bound, sol.Status)
 	}
 }

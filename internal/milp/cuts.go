@@ -1,8 +1,10 @@
 package milp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Root cutting planes.
@@ -22,9 +24,9 @@ import (
 // the optimum, so adding them cannot change the MILP's optimal objective or
 // cut off any feasible schedule — only tighten the LP relaxation the
 // branch-and-bound bounds come from. Separation runs only at the root
-// (Options.DisableCuts kills it), for a bounded number of rounds, on a copy
-// of the model; node re-solves then inherit the tightened relaxation for
-// free through the shared LP.
+// (Options.DisableCuts kills it), for a bounded number of rounds, each on a
+// copy of the model's row list grown by the round's cuts; node re-solves then
+// inherit the tightened relaxation for free through the shared LP.
 
 // CutStats reports root cutting-plane activity for one Solve call.
 type CutStats struct {
@@ -54,12 +56,52 @@ const (
 	maxCutRows = 4096
 )
 
-// cutCandidate is one violated inequality found by a separation pass.
+// cutCandidate is one violated inequality a separation round settled on.
 type cutCandidate struct {
 	con       Constraint
 	violation float64
 	clique    bool
-	key       string // canonical literal signature for in-round dedup
+}
+
+// cutLits is a violated inequality as separation finds it: literal lists in
+// cutScratch.keys, not yet a row. Most candidates of a round are
+// duplicates or fall to the per-round cap, so rows are only built for the
+// survivors.
+type cutLits struct {
+	key       int // keys[key:key+n]: the literals ascending; the duplicate and tie-break key
+	row       int // keys[row:row+n]: the literals in row order (a cover keeps its greedy order)
+	n         int
+	violation float64
+	clique    bool
+}
+
+// litRow is one set-packing row in flat literal storage: the row's index and
+// the [lo, hi) extent of its literals. Presolve's clique domination and
+// clique separation both work on this shape.
+type litRow struct {
+	ri, lo, hi int
+}
+
+// coverItem is one column of a knapsack row under cover separation.
+type coverItem struct {
+	v int
+	a float64
+}
+
+// cutScratch is the separation memory a Workspace keeps from round to round
+// and solve to solve: lists that grow by append. The arrays indexed by
+// literal, whose size is known up front, come from the int slab for the
+// duration of one round.
+type cutScratch struct {
+	rows   []litRow // packing rows of the model
+	lits   []int    // their literals
+	cands  []cutLits
+	keys   []int // candidate literal lists
+	items  []coverItem
+	seeds  []int
+	nbrs   []int
+	clique []int
+	kept   []cutCandidate
 }
 
 // isBinaryVar reports whether column v is a 0/1 integer column in m.
@@ -68,19 +110,20 @@ func isBinaryVar(m *Model, v int) bool {
 	return vr.Type != Continuous && vr.Lb == 0 && vr.Ub == 1
 }
 
-// packingLits extracts the literal list of a set-packing row
+// appendPackingLits appends the literals of a set-packing row
 // Σ pos − Σ neg ≤ 1 − |neg| over binaries, the same shape presolve's
 // mergeCliques recognizes: literal 2v is "x_v = 1", literal 2v+1 is the
-// complement "x_v = 0". Returns nil when the row is not a packing row.
-func packingLits(m *Model, con *Constraint, buf []int) []int {
+// complement "x_v = 0". It reports false, with lits as it was, when the row is
+// not a packing row.
+func appendPackingLits(lits []int, m *Model, con *Constraint) ([]int, bool) {
 	if con.Op != LE || len(con.Terms) < 2 {
-		return nil
+		return lits, false
 	}
 	neg := 0
-	lits := buf[:0]
+	lo := len(lits)
 	for _, t := range con.Terms {
 		if !isBinaryVar(m, int(t.Var)) {
-			return nil
+			return lits[:lo], false
 		}
 		switch t.Coef {
 		case 1:
@@ -89,13 +132,13 @@ func packingLits(m *Model, con *Constraint, buf []int) []int {
 			neg++
 			lits = append(lits, int(t.Var)*2+1)
 		default:
-			return nil
+			return lits[:lo], false
 		}
 	}
 	if math.Abs(con.RHS-(1-float64(neg))) > 1e-9 {
-		return nil
+		return lits[:lo], false
 	}
-	return lits
+	return lits, true
 }
 
 // litValue is the LP value of a literal: x_v for 2v, 1−x_v for 2v+1.
@@ -106,27 +149,61 @@ func litValue(x []float64, lit int) float64 {
 	return 1 - x[lit/2]
 }
 
-// cliqueConstraint converts a literal clique into its packing inequality.
-func cliqueConstraint(lits []int) Constraint {
-	con := Constraint{Name: Lit("cut:clique"), Op: LE, RHS: 1}
-	for _, l := range lits {
-		if l&1 == 0 {
-			con.Terms = append(con.Terms, Term{Var: VarID(l / 2), Coef: 1})
-		} else {
-			con.Terms = append(con.Terms, Term{Var: VarID(l / 2), Coef: -1})
-			con.RHS--
+// byValueThenIndex orders by LP value descending, index ascending: a violated
+// cut needs values summing past a threshold, so high values lead.
+func byValueThenIndex(va, vb float64, a, b int) int {
+	if va != vb {
+		if va > vb {
+			return -1
 		}
+		return 1
 	}
-	return con
+	return cmp.Compare(a, b)
 }
 
-// litKey canonicalizes a sorted literal list for duplicate suppression.
-func litKey(lits []int) string {
-	b := make([]byte, 0, len(lits)*4)
-	for _, l := range lits {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+// compareKeys orders two ascending literal lists as their historical
+// signature did: each literal written as four little-endian bytes, the byte
+// strings compared. Which of two equally violated cuts makes the per-round
+// cap decides the LP, and so the schedule; the order is kept to the bit.
+func compareKeys(a, b []int) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(uint32(a[i])), bits.ReverseBytes32(uint32(b[i])))
+		}
 	}
-	return string(b)
+	return cmp.Compare(len(a), len(b))
+}
+
+// candTable is an open-addressing set of one family's candidates, keyed by
+// their ascending literal lists: entry e is candidate e−1, 0 is empty.
+type candTable []int
+
+// newCandTable takes a table for at most n candidates from the int slab.
+func (w *Workspace) newCandTable(n int) candTable {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	return w.ints.take(size)
+}
+
+// claim reports whether the literal list key is new to the table, and if so
+// files it as the candidate about to be appended to c.cands.
+func (c *cutScratch) claim(t candTable, key []int) bool {
+	h := uint64(len(key))
+	for _, l := range key {
+		h = mix64(h, uint64(l))
+	}
+	mask := len(t) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		if t[i] == 0 {
+			t[i] = len(c.cands) + 1
+			return true
+		}
+		if e := &c.cands[t[i]-1]; slices.Equal(c.keys[e.key:e.key+e.n], key) {
+			return false
+		}
+	}
 }
 
 // separateCliqueCuts merges the conflict edges of the model's set-packing
@@ -136,116 +213,132 @@ func litKey(lits []int) string {
 // originating row can be violated — exactly the cross-row strengthening
 // presolve's domination pass cannot do, because no single stronger row exists
 // in the model.
-func separateCliqueCuts(m *Model, x []float64, out []cutCandidate) []cutCandidate {
-	// Conflict adjacency over literals, built from pairwise conflicts of each
-	// packing row. Literal space is 2·|vars|; only literals that appear in
-	// some packing row get a map entry.
-	adj := make(map[int]map[int]struct{})
-	addEdge := func(a, b int) {
-		ea := adj[a]
-		if ea == nil {
-			ea = make(map[int]struct{})
-			adj[a] = ea
-		}
-		ea[b] = struct{}{}
-	}
-	var litBuf []int
-	rows := 0
+//
+// Two literals conflict when some packing row holds both; "conflicts with
+// every clique member" is a count per literal of the members that have
+// reached it (see conflicts).
+func (w *Workspace) separateCliqueCuts(m *Model, x []float64) {
+	c := &w.cut
+	rows, lits := c.rows[:0], c.lits[:0]
 	for ci := range m.Cons {
-		lits := packingLits(m, &m.Cons[ci], litBuf)
-		if lits == nil {
+		lo := len(lits)
+		var ok bool
+		if lits, ok = appendPackingLits(lits, m, &m.Cons[ci]); !ok {
 			continue
 		}
-		litBuf = lits[:0]
-		for i := 0; i < len(lits); i++ {
-			for j := i + 1; j < len(lits); j++ {
-				addEdge(lits[i], lits[j])
-				addEdge(lits[j], lits[i])
-			}
-		}
-		if rows++; rows >= maxCutRows {
+		rows = append(rows, litRow{ri: ci, lo: lo, hi: len(lits)})
+		if len(rows) >= maxCutRows {
 			break
 		}
 	}
-	if len(adj) == 0 {
-		return out
+	c.rows, c.lits = rows, lits
+	if len(rows) == 0 {
+		return
+	}
+	// Index the rows by literal.
+	nl := 2 * len(m.Vars)
+	g := conflicts{rows: rows, lits: lits, start: w.ints.take(nl + 1), rowsOf: w.ints.take(len(lits)), stamp: w.ints.take(nl), count: w.ints.take(nl)}
+	for _, l := range lits {
+		g.start[l+1]++
+	}
+	for l := 0; l < nl; l++ {
+		g.start[l+1] += g.start[l]
+	}
+	// count is the fill cursor first: join sets a count before anything reads
+	// it, whatever it holds.
+	copy(g.count, g.start)
+	for ri, r := range rows {
+		for _, l := range lits[r.lo:r.hi] {
+			g.rowsOf[g.count[l]] = ri
+			g.count[l]++
+		}
 	}
 	// Seed order: literals by LP value descending — a violated clique needs
 	// literal values summing past 1, so high-value literals lead.
-	seeds := make([]int, 0, len(adj))
-	for l := range adj {
-		if litValue(x, l) > cutViolationTol {
+	seeds := c.seeds[:0]
+	for l := 0; l < nl; l++ {
+		if g.start[l+1] > g.start[l] && litValue(x, l) > cutViolationTol {
 			seeds = append(seeds, l)
 		}
 	}
-	sort.Slice(seeds, func(i, j int) bool {
-		vi, vj := litValue(x, seeds[i]), litValue(x, seeds[j])
-		if vi != vj {
-			return vi > vj
-		}
-		return seeds[i] < seeds[j]
-	})
-	seen := make(map[string]struct{})
+	byValue := func(a, b int) int { return byValueThenIndex(litValue(x, a), litValue(x, b), a, b) }
+	slices.SortFunc(seeds, byValue)
+	c.seeds = seeds
+	seen := w.newCandTable(len(seeds))
 	for _, seed := range seeds {
-		clique := []int{seed}
+		// Greedy growth over the seed's neighbours, best LP value first.
+		nbrs := g.join(seed, true, c.nbrs[:0])
+		c.nbrs = nbrs
+		slices.SortFunc(nbrs, byValue)
+		clique := append(c.clique[:0], seed)
 		total := litValue(x, seed)
-		// Greedy growth over the seed's neighbors, best LP value first.
-		nbrs := make([]int, 0, len(adj[seed]))
-		for n := range adj[seed] {
-			nbrs = append(nbrs, n)
-		}
-		sort.Slice(nbrs, func(i, j int) bool {
-			vi, vj := litValue(x, nbrs[i]), litValue(x, nbrs[j])
-			if vi != vj {
-				return vi > vj
-			}
-			return nbrs[i] < nbrs[j]
-		})
 		for _, n := range nbrs {
 			if n/2 == seed/2 {
 				continue // a variable never conflicts with itself usefully
 			}
-			compatible := true
-			for _, c := range clique {
-				if _, ok := adj[n][c]; !ok {
-					compatible = false
-					break
-				}
+			if g.count[n] != len(clique) {
+				continue // some member shares no row with it
 			}
-			if compatible {
-				clique = append(clique, n)
-				total += litValue(x, n)
-			}
+			clique = append(clique, n)
+			total += litValue(x, n)
+			g.join(n, false, nil)
 		}
+		c.clique = clique
 		if len(clique) < 3 || total <= 1+cutViolationTol {
 			continue
 		}
-		sort.Ints(clique)
-		key := litKey(clique)
-		if _, dup := seen[key]; dup {
+		slices.Sort(clique)
+		if !c.claim(seen, clique) {
 			continue
 		}
-		seen[key] = struct{}{}
-		out = append(out, cutCandidate{
-			con:       cliqueConstraint(clique),
-			violation: total - 1,
-			clique:    true,
-			key:       key,
-		})
+		key := len(c.keys)
+		c.keys = append(c.keys, clique...)
+		c.cands = append(c.cands, cutLits{key: key, row: key, n: len(clique), violation: total - 1, clique: true})
 	}
-	return out
+}
+
+// conflicts answers, for the literals of a model's packing rows, which
+// literals share a row with a given one — the edges of the conflict graph,
+// read off a literal → rows index instead of stored.
+type conflicts struct {
+	rows   []litRow
+	lits   []int
+	start  []int // rowsOf[start[l]:start[l+1]]: the rows literal l occurs in
+	rowsOf []int
+	stamp  []int // serial of the last join that reached the literal
+	count  []int // clique members the literal conflicts with; kept for the seed's neighbours only
+	serial int
+}
+
+// join reaches every literal that shares a row with member, once, as member
+// joins the clique being grown. The seed's join starts the counts of the
+// literals it reaches and lists them in nbrs; a later member's raises them.
+func (g *conflicts) join(member int, seed bool, nbrs []int) []int {
+	g.serial++
+	for k := g.start[member]; k < g.start[member+1]; k++ {
+		r := g.rows[g.rowsOf[k]]
+		for _, l := range g.lits[r.lo:r.hi] {
+			if l == member || g.stamp[l] == g.serial {
+				continue
+			}
+			g.stamp[l] = g.serial
+			if seed {
+				g.count[l] = 1
+				nbrs = append(nbrs, l)
+			} else {
+				g.count[l]++
+			}
+		}
+	}
+	return nbrs
 }
 
 // separateCoverCuts scans knapsack rows (positive coefficients over binaries,
 // ≤ with positive slack capacity) for violated cover inequalities, greedily
 // building each cover from the row's most fractional items.
-func separateCoverCuts(m *Model, x []float64, out []cutCandidate) []cutCandidate {
-	type item struct {
-		v int
-		a float64
-	}
-	var items []item
-	seen := make(map[string]struct{})
+func (w *Workspace) separateCoverCuts(m *Model, x []float64) {
+	c := &w.cut
+	seen := w.newCandTable(min(len(m.Cons), maxCutRows))
 	rows := 0
 	for ci := range m.Cons {
 		con := &m.Cons[ci]
@@ -253,16 +346,17 @@ func separateCoverCuts(m *Model, x []float64, out []cutCandidate) []cutCandidate
 			continue
 		}
 		ok := true
-		items = items[:0]
+		items := c.items[:0]
 		sum := 0.0
 		for _, t := range con.Terms {
 			if t.Coef <= 0 || !isBinaryVar(m, int(t.Var)) {
 				ok = false
 				break
 			}
-			items = append(items, item{v: int(t.Var), a: t.Coef})
+			items = append(items, coverItem{v: int(t.Var), a: t.Coef})
 			sum += t.Coef
 		}
+		c.items = items
 		if !ok || sum <= con.RHS+1e-9 {
 			continue // not a knapsack, or it can never bind
 		}
@@ -271,12 +365,7 @@ func separateCoverCuts(m *Model, x []float64, out []cutCandidate) []cutCandidate
 		}
 		// Greedy cover: take items by LP value descending until their
 		// coefficients exceed the capacity.
-		sort.Slice(items, func(i, j int) bool {
-			if x[items[i].v] != x[items[j].v] {
-				return x[items[i].v] > x[items[j].v]
-			}
-			return items[i].v < items[j].v
-		})
+		slices.SortFunc(items, func(a, b coverItem) int { return byValueThenIndex(x[a.v], x[b.v], a.v, b.v) })
 		acc := 0.0
 		cover := 0
 		for cover < len(items) && acc <= con.RHS+1e-9 {
@@ -295,56 +384,94 @@ func separateCoverCuts(m *Model, x []float64, out []cutCandidate) []cutCandidate
 		if violation <= cutViolationTol {
 			continue
 		}
-		lits := make([]int, cover)
-		cut := Constraint{Name: Lit("cut:cover"), Op: LE, RHS: float64(cover - 1)}
-		for i, it := range items[:cover] {
-			lits[i] = it.v * 2
-			cut.Terms = append(cut.Terms, Term{Var: VarID(it.v), Coef: 1})
+		key := len(c.keys)
+		for _, it := range items[:cover] {
+			c.keys = append(c.keys, it.v*2)
 		}
-		sort.Ints(lits)
-		key := litKey(lits)
-		if _, dup := seen[key]; dup {
+		slices.Sort(c.keys[key:])
+		if !c.claim(seen, c.keys[key:]) {
+			c.keys = c.keys[:key]
 			continue
 		}
-		seen[key] = struct{}{}
-		out = append(out, cutCandidate{con: cut, violation: violation, key: key})
+		row := len(c.keys)
+		for _, it := range items[:cover] {
+			c.keys = append(c.keys, it.v*2)
+		}
+		c.cands = append(c.cands, cutLits{key: key, row: row, n: cover, violation: violation})
 	}
-	return out
 }
 
 // separateCuts runs both families at the LP point x and returns the most
-// violated candidates, capped at maxCutsPerRound, deduplicated by literal
-// signature across families.
-func separateCuts(m *Model, x []float64) []cutCandidate {
-	cands := separateCoverCuts(m, x, nil)
-	cands = separateCliqueCuts(m, x, cands)
-	if len(cands) == 0 {
+// violated candidates as rows, or nil when nothing is violated. The returned
+// slice is the workspace's and is overwritten by the next round.
+func (w *Workspace) separateCuts(m *Model, x []float64) []cutCandidate {
+	c := &w.cut
+	c.cands, c.keys = c.cands[:0], c.keys[:0]
+	mark := w.ints.mark()
+	w.separateCoverCuts(m, x)
+	w.separateCliqueCuts(m, x)
+	w.ints.release(mark)
+	return w.selectCuts()
+}
+
+// selectCuts keeps the most violated of the round's candidates, capped at
+// maxCutsPerRound and deduplicated by literal signature across families, and
+// builds their rows on the term slab.
+func (w *Workspace) selectCuts() []cutCandidate {
+	c := &w.cut
+	if len(c.cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].violation != cands[j].violation {
-			return cands[i].violation > cands[j].violation
+	keyOf := func(e *cutLits) []int { return c.keys[e.key : e.key+e.n] }
+	// Most violated first, the signature breaking ties. The order is total:
+	// a family holds no signature twice, and a cover and a clique over one
+	// literal set differ in violation by |C| − 2 ≥ 1.
+	slices.SortFunc(c.cands, func(a, b cutLits) int {
+		if a.violation != b.violation {
+			if a.violation > b.violation {
+				return -1
+			}
+			return 1
 		}
-		return cands[i].key < cands[j].key
+		return compareKeys(keyOf(&a), keyOf(&b))
 	})
-	seen := make(map[string]struct{}, len(cands))
-	kept := cands[:0]
-	for _, c := range cands {
-		if _, dup := seen[c.key]; dup {
+	// A duplicate is a cover and a clique over the same literals; the more
+	// violated one is already kept.
+	kept := c.cands[:0]
+	for i := range c.cands {
+		e := &c.cands[i]
+		if slices.ContainsFunc(kept, func(k cutLits) bool { return slices.Equal(keyOf(&k), keyOf(e)) }) {
 			continue
 		}
-		seen[c.key] = struct{}{}
-		kept = append(kept, c)
+		kept = append(kept, *e)
 		if len(kept) >= maxCutsPerRound {
 			break
 		}
 	}
-	return kept
+	out := c.kept[:0]
+	for i := range kept {
+		e := &kept[i]
+		cut := cutCandidate{violation: e.violation, clique: e.clique}
+		cut.con = Constraint{Name: Lit("cut:cover"), Op: LE, RHS: float64(e.n - 1), Terms: w.terms.take(e.n)}
+		if e.clique {
+			cut.con.Name, cut.con.RHS = Lit("cut:clique"), 1
+		}
+		for k, l := range c.keys[e.row : e.row+e.n] {
+			cut.con.Terms[k] = Term{Var: VarID(l / 2), Coef: 1}
+			if l&1 != 0 {
+				cut.con.Terms[k].Coef = -1
+				cut.con.RHS--
+			}
+		}
+		out = append(out, cut)
+	}
+	c.kept = out
+	return out
 }
 
 // runCutRounds strengthens the root relaxation with separation rounds: find
 // violated cuts at the current root point, append them to a copy of the
-// model, rebuild the LP, and re-solve cold. The search's model, LP, and
+// model's row list, rebuild the LP, and re-solve cold. The search's model, LP, and
 // scratch are replaced on every successful round — structural variable
 // indexing is untouched (cuts only append rows), so incumbents, heuristics,
 // and postsolve lifting are unaffected. Any round whose re-solve does not
@@ -352,7 +479,7 @@ func separateCuts(m *Model, x []float64) []cutCandidate {
 // strengthening, never a correctness dependency.
 func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64) {
 	for round := 0; round < maxCutRounds; round++ {
-		cands := separateCuts(s.model, x)
+		cands := s.ws.separateCuts(s.model, x)
 		if len(cands) == 0 {
 			return x, rootObj
 		}
@@ -374,7 +501,9 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 		st, nx, err := sc2.solve(p2.lb, p2.ub, 0, s.deadline)
 		if err != nil || st != lpOptimal {
 			// Deadline, iteration cap, or numerical trouble on the grown LP:
-			// keep the un-cut root, which is already solved and valid.
+			// keep the un-cut root, which is already solved and valid. The
+			// work spent on the attempt still counts.
+			s.lp.add(&sc2.stats)
 			return x, rootObj
 		}
 		s.lp.add(&s.scratch.stats) // the old scratch retires with this round

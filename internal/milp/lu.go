@@ -1,8 +1,9 @@
 package milp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // luBasis is the default basisEngine: a sparse LU factorization of the basis
@@ -164,12 +165,8 @@ func (u *luBasis) factor(basis []int, art []float64) error {
 		}
 	}
 	cnt := u.colCnt
-	sort.Slice(u.q, func(a, b int) bool {
-		qa, qb := u.q[a], u.q[b]
-		if cnt[qa] != cnt[qb] {
-			return cnt[qa] < cnt[qb]
-		}
-		return qa < qb
+	slices.SortFunc(u.q, func(qa, qb int32) int {
+		return cmp.Or(cmp.Compare(cnt[qa], cnt[qb]), cmp.Compare(qa, qb))
 	})
 
 	if u.stamp > math.MaxInt32-int32(m)-2 {

@@ -206,26 +206,40 @@ func TestWorkspaceSolveMatchesFresh(t *testing.T) {
 // TestWorkspaceAliasing solves A, then B on the same workspace, and requires
 // everything A's caller holds — the solution's values and bound, and a point
 // lifted through a Presolved — to be untouched: no result may alias a slab.
+// The resident pair branches: A's incumbent is found deep in a tree whose
+// nodes, snapshots and heap are all rewound and overwritten by B's.
 func TestWorkspaceAliasing(t *testing.T) {
-	for _, opts := range []Options{{Workers: 1}, {Workers: 1, DisablePresolve: true}} {
-		var ws Workspace
-		a, b := packingModel(1, 14), packingModel(2, 25)
-		solA, err := ws.Solve(a, opts)
-		if err != nil || solA.Values == nil {
-			t.Fatalf("solve A: %v %+v", err, solA)
-		}
-		keep := *solA
-		keep.Values = append([]float64(nil), solA.Values...)
-		for i := 0; i < 3; i++ { // B several times: the slabs are warm and in use
-			if _, err := ws.Solve(b, opts); err != nil {
-				t.Fatal(err)
+	for _, pair := range []struct {
+		a, b *Model
+		gap  float64
+	}{
+		{packingModel(1, 14), packingModel(2, 25), 0},
+		{residentModel(2), residentModel(1), 0.1},
+	} {
+		for _, opts := range []Options{{Workers: 1}, {Workers: 1, DisablePresolve: true}, {Workers: 3, SerialCutoff: -1, Deterministic: true}} {
+			opts.Gap = pair.gap
+			var ws Workspace
+			a, b := pair.a, pair.b
+			solA, err := ws.Solve(a, opts)
+			if err != nil || solA.Values == nil {
+				t.Fatalf("solve A: %v %+v", err, solA)
 			}
-		}
-		if !reflect.DeepEqual(*solA, keep) {
-			t.Fatalf("opts %+v: solving B on the workspace changed A's solution", opts)
-		}
-		if !a.IsFeasible(solA.Values, 1e-6) {
-			t.Fatalf("opts %+v: A's values are no longer a feasible point of A", opts)
+			if a.NumVars() > 100 && solA.Nodes < 100 {
+				t.Fatalf("the resident block solved in %d nodes; the case is meant to branch", solA.Nodes)
+			}
+			keep := *solA
+			keep.Values = append([]float64(nil), solA.Values...)
+			for i := 0; i < 3; i++ { // B several times: the slabs are warm and in use
+				if _, err := ws.Solve(b, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(*solA, keep) {
+				t.Fatalf("opts %+v: solving B on the workspace changed A's solution", opts)
+			}
+			if !a.IsFeasible(solA.Values, 1e-6) {
+				t.Fatalf("opts %+v: A's values are no longer a feasible point of A", opts)
+			}
 		}
 	}
 	// The public Presolve hands out a result its caller owns outright.

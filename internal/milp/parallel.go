@@ -2,7 +2,6 @@ package milp
 
 import (
 	"container/heap"
-	"math"
 	"sync"
 	"time"
 )
@@ -30,35 +29,44 @@ import (
 
 // nodeResult is the off-lock outcome of evaluating one branch-and-bound node.
 type nodeResult struct {
-	node     *bbNode
-	dead     bool        // infeasible, numerical trouble, or obj-pruned at solve time
-	obj      float64     // LP objective of the node relaxation
-	integral bool        // relaxation solved integral
-	vals     []float64   // integral point (when integral)
-	cand     []float64   // heuristic candidate to consider (may be nil)
-	fracs    []fracVar   // fractional candidates (when !integral); branch selection
-	snap     *basisState // node's optimal basis, shared by both children
+	node      *bbNode
+	dead      bool        // infeasible (or unbounded, impossible below a bounded root)
+	abandoned bool        // the LP reached no verdict: deadline, iteration cap, numerical error
+	obj       float64     // LP objective of the node relaxation
+	integral  bool        // relaxation solved integral
+	vals      []float64   // integral point (when integral)
+	cand      []float64   // heuristic candidate to consider (may be nil)
+	fracs     []fracVar   // fractional candidates (when !integral); branch selection
+	snap      *basisState // node's optimal basis, shared by both children
 }
 
-// evalNode solves one node's LP relaxation on the worker's scratch and
-// derives everything the shared-state apply step needs. It only reads search
-// state that is fixed for the duration of the solve (model, p, opts,
-// deadline) plus the caller's scratch, so it runs without the driver lock.
-// idx is the node's 1-based processing index, used for the heuristic cadence.
-func (s *search) evalNode(node *bbNode, sc *simplexState, lbBuf, ubBuf []float64, idx int) nodeResult {
-	copy(lbBuf, s.p.lb)
-	copy(ubBuf, s.p.ub)
-	for _, o := range node.overrides {
-		if o.isUB {
-			ubBuf[o.col] = math.Min(ubBuf[o.col], o.value)
-		} else {
-			lbBuf[o.col] = math.Max(lbBuf[o.col], o.value)
-		}
+// evalSlot is what one concurrent node evaluation works on, all of it private
+// to that evaluation: the LP scratch, the bound box, the fractional-candidate
+// list the result hands to the apply step, and the snapshot buffer the driver
+// took for it (nil with warm starts disabled).
+type evalSlot struct {
+	sc     *simplexState
+	lb, ub []float64
+	fracs  []fracVar
+	snap   *basisState
+}
+
+func (s *search) newEvalSlot() evalSlot {
+	return evalSlot{sc: s.ws.newScratch(s.p), lb: s.ws.floats.take(len(s.p.lb)), ub: s.ws.floats.take(len(s.p.ub))}
+}
+
+// evalNode solves one node's LP relaxation on the slot and derives everything
+// the shared-state apply step needs. It only reads search state that is fixed
+// for the duration of the solve (model, p, opts, deadline, the node's
+// ancestors), so it runs without the driver lock. idx is the node's 1-based
+// processing index, used for the heuristic cadence.
+func (s *search) evalNode(node *bbNode, e *evalSlot, idx int) nodeResult {
+	s.box(node, e.lb, e.ub)
+	st, x, err := s.solveNodeLP(e.sc, node, e.lb, e.ub)
+	if err != nil || st == lpIterLimit {
+		return nodeResult{node: node, abandoned: true}
 	}
-	st, x, err := s.solveNodeLP(sc, node, lbBuf, ubBuf)
-	if err != nil || st != lpOptimal {
-		// Infeasible, unbounded (impossible below a bounded root), iteration
-		// limit, or numerical trouble: prune, as the serial loop does.
+	if st != lpOptimal {
 		return nodeResult{node: node, dead: true}
 	}
 	r := nodeResult{node: node, obj: s.model.ObjectiveValue(x[:len(s.model.Vars)])}
@@ -70,7 +78,7 @@ func (s *search) evalNode(node *bbNode, sc *simplexState, lbBuf, ubBuf []float64
 	// Snapshot before the heuristic dive: the dive solves on its own scratch,
 	// but taking the basis now keeps the capture adjacent to the solve it
 	// belongs to.
-	r.snap = s.nodeSnapshot(sc)
+	r.snap = capture(e.sc, e.snap)
 	if s.opts.Heuristic != nil && idx%16 == 0 {
 		if cand := s.opts.Heuristic(x[:len(s.model.Vars)]); cand != nil && s.model.IsFeasible(cand, 1e-6) {
 			r.cand = cand
@@ -79,21 +87,39 @@ func (s *search) evalNode(node *bbNode, sc *simplexState, lbBuf, ubBuf []float64
 		// The search's workspace belongs to the driver goroutine; a worker's
 		// dive (rare: every 64th node, and only without a caller heuristic)
 		// runs on fresh memory instead.
-		if cand := diveFrom(new(Workspace), s.model, s.p, lbBuf, ubBuf, x, s.deadline, !s.opts.DisableWarmStart, &sc.stats); cand != nil {
+		if cand := diveFrom(new(Workspace), s.model, s.p, e.lb, e.ub, x, s.deadline, !s.opts.DisableWarmStart, &e.sc.stats); cand != nil {
 			r.cand = cand
 		}
 	}
 	// Branch selection consults the shared pseudocost table, so it happens in
 	// the apply step (under the driver lock); only the fractional candidates
-	// are captured here, copied because x aliases the worker scratch.
-	r.fracs = gatherFractional(s.model, x, nil)
+	// are captured here, copied because x aliases the slot's scratch.
+	e.fracs = gatherFractional(s.model, x, e.fracs)
+	r.fracs = e.fracs
 	return r
+}
+
+// conclude finishes an evaluated node under the driver lock (async) or between
+// rounds (batch): the node has restored from its parent's basis, the result is
+// published unless the search has stopped, and the slot's snapshot buffer goes
+// back to the free list unless children now hold it.
+func (s *search) conclude(r nodeResult, e *evalSlot, apply bool) {
+	s.releaseWarm(r.node)
+	if apply {
+		s.applyResult(r)
+	}
+	s.settleSnap(e.snap)
+	e.snap = nil
 }
 
 // applyResult publishes one evaluated node into the shared search state:
 // incumbent updates and child creation. Callers must hold the driver lock
 // (async) or apply results in deterministic order between rounds (batch).
 func (s *search) applyResult(r nodeResult) {
+	if r.abandoned {
+		s.abandon(r.node)
+		return
+	}
 	if r.dead {
 		return
 	}
@@ -162,6 +188,9 @@ func (s *search) runAsync() {
 				b, have = fb, true
 			}
 		}
+		if s.abandoned && (!have || s.weakerBound(s.abandonedBound, b)) {
+			b, have = s.abandonedBound, true
+		}
 		if !have {
 			return s.incObj
 		}
@@ -174,12 +203,12 @@ func (s *search) runAsync() {
 		boundFinal = true
 		stop()
 	}
-	worker := func(sc *simplexState, lbBuf, ubBuf []float64) {
+	worker := func(e *evalSlot) {
 		mu.Lock()
 		defer mu.Unlock()
 		// LIFO defers: the stats fold runs before the Unlock above, i.e.
 		// still under the driver lock.
-		defer s.lp.add(&sc.stats)
+		defer s.lp.add(&e.sc.stats)
 		for {
 			for !stopped && s.h.Len() == 0 && len(inFlight) > 0 {
 				cond.Wait()
@@ -202,6 +231,7 @@ func (s *search) runAsync() {
 			glob := globalBound(&node.bound)
 			s.bestBound = glob
 			if s.incumbent != nil && !s.better(node.bound, s.incObj) {
+				s.releaseWarm(node)
 				continue // pruned by bound
 			}
 			// Stop only when the *global* bound meets the gap: the popped
@@ -209,6 +239,7 @@ func (s *search) runAsync() {
 			// weaker-bound sibling is still in flight. Until then gap-met
 			// nodes keep getting expanded — that work tightens the bound.
 			if s.gapMet(glob) {
+				s.releaseWarm(node)
 				s.gapBreak = true
 				boundFinal = true
 				stop()
@@ -217,8 +248,9 @@ func (s *search) runAsync() {
 			s.nodes++
 			idx := s.nodes
 			inFlight = append(inFlight, node.bound)
+			e.snap = s.takeSnap()
 			mu.Unlock()
-			r := s.evalNode(node, sc, lbBuf, ubBuf, idx)
+			r := s.evalNode(node, e, idx)
 			mu.Lock()
 			for i, fb := range inFlight {
 				if fb == node.bound {
@@ -226,23 +258,19 @@ func (s *search) runAsync() {
 					break
 				}
 			}
-			if !stopped {
-				s.applyResult(r)
-			}
+			s.conclude(r, e, !stopped)
 			cond.Broadcast()
 		}
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < s.workers; i++ {
 		// Each worker's LP state is borrowed here, on the driver goroutine:
-		// the workspace is not safe for concurrent use.
-		sc := s.ws.newScratch(s.p)
-		lbBuf := s.ws.floats.take(len(s.p.lb))
-		ubBuf := s.ws.floats.take(len(s.p.ub))
+		// once the workers run, the workspace is only touched under mu.
+		e := s.newEvalSlot()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			worker(sc, lbBuf, ubBuf)
+			worker(&e)
 		}()
 	}
 	wg.Wait()
@@ -261,17 +289,13 @@ func (s *search) weakerBound(a, b float64) bool {
 // nodes, popped in best-bound order with sequence tie-breaks, evaluated
 // concurrently, applied in pop order.
 func (s *search) runBatch() {
-	lbBufs := make([][]float64, s.workers)
-	ubBufs := make([][]float64, s.workers)
-	scratches := make([]*simplexState, s.workers)
-	for i := range lbBufs {
-		lbBufs[i] = s.ws.floats.take(len(s.p.lb))
-		ubBufs[i] = s.ws.floats.take(len(s.p.ub))
-		scratches[i] = s.ws.newScratch(s.p)
+	slots := make([]evalSlot, s.workers)
+	for i := range slots {
+		slots[i] = s.newEvalSlot()
 	}
 	defer func() {
-		for _, sc := range scratches {
-			s.lp.add(&sc.stats)
+		for i := range slots {
+			s.lp.add(&slots[i].sc.stats)
 		}
 	}()
 	batch := make([]*bbNode, 0, s.workers)
@@ -295,13 +319,16 @@ func (s *search) runBatch() {
 				s.bestBound = node.bound
 			}
 			if s.incumbent != nil && !s.better(node.bound, s.incObj) {
+				s.releaseWarm(node)
 				continue // pruned by bound
 			}
 			if len(batch) == 0 && s.gapMet(node.bound) {
+				s.releaseWarm(node)
 				s.gapBreak = true
 				break
 			}
 			s.nodes++
+			slots[len(batch)].snap = s.takeSnap()
 			batch = append(batch, node)
 			idxs = append(idxs, s.nodes)
 		}
@@ -316,12 +343,12 @@ func (s *search) runBatch() {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i] = s.evalNode(batch[i], scratches[i], lbBufs[i], ubBufs[i], idxs[i])
+				results[i] = s.evalNode(batch[i], &slots[i], idxs[i])
 			}(i)
 		}
 		wg.Wait()
 		for i := range batch {
-			s.applyResult(results[i])
+			s.conclude(results[i], &slots[i], true)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func randMILP(seed int64) *Model {
 // objective (the optimal point need not be unique).
 func TestParallelMatchesSerialObjective(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		serial, err := Solve(randMILP(seed), Options{Workers: 1})
+		serial, err := solveAccounted(t, randMILP(seed), Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d serial: %v", seed, err)
 		}
@@ -51,7 +51,7 @@ func TestParallelMatchesSerialObjective(t *testing.T) {
 			{Workers: 4, SerialCutoff: -1},
 			{Workers: 4, Deterministic: true, SerialCutoff: -1},
 		} {
-			par, err := Solve(randMILP(seed), opt)
+			par, err := solveAccounted(t, randMILP(seed), opt)
 			if err != nil {
 				t.Fatalf("seed %d workers=4 det=%v: %v", seed, opt.Deterministic, err)
 			}
@@ -74,7 +74,7 @@ func TestDeterministicParallelValues(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		var ref *Solution
 		for run := 0; run < 10; run++ {
-			sol, err := Solve(randMILP(seed), Options{Workers: 4, Deterministic: true, Gap: 0.05, SerialCutoff: -1})
+			sol, err := solveAccounted(t, randMILP(seed), Options{Workers: 4, Deterministic: true, Gap: 0.05, SerialCutoff: -1})
 			if err != nil {
 				t.Fatalf("seed %d run %d: %v", seed, run, err)
 			}
@@ -103,7 +103,7 @@ func TestDeterministicParallelValues(t *testing.T) {
 // tighter than the true optimum.
 func TestParallelGapBoundInvariant(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		exact, err := Solve(randKnapsack(seed), Options{})
+		exact, err := solveAccounted(t, randKnapsack(seed), Options{})
 		if err != nil || exact.Status != StatusOptimal {
 			t.Fatalf("seed %d: exact solve failed: %v %v", seed, exact, err)
 		}
@@ -111,7 +111,7 @@ func TestParallelGapBoundInvariant(t *testing.T) {
 			{Workers: 4, Gap: 0.2, SerialCutoff: -1},
 			{Workers: 4, Deterministic: true, Gap: 0.2, SerialCutoff: -1},
 		} {
-			sol, err := Solve(randKnapsack(seed), opt)
+			sol, err := solveAccounted(t, randKnapsack(seed), opt)
 			if err != nil {
 				t.Fatalf("seed %d det=%v: %v", seed, opt.Deterministic, err)
 			}
@@ -139,11 +139,11 @@ func TestParallelWithHeuristic(t *testing.T) {
 			}
 			return cand // all-integers-zero: feasible for these ≤ models
 		}
-		serial, err := Solve(randMILP(seed), Options{Workers: 1, Heuristic: heur})
+		serial, err := solveAccounted(t, randMILP(seed), Options{Workers: 1, Heuristic: heur})
 		if err != nil {
 			t.Fatalf("seed %d serial: %v", seed, err)
 		}
-		par, err := Solve(randMILP(seed), Options{Workers: 4, Heuristic: heur, SerialCutoff: -1})
+		par, err := solveAccounted(t, randMILP(seed), Options{Workers: 4, Heuristic: heur, SerialCutoff: -1})
 		if err != nil {
 			t.Fatalf("seed %d parallel: %v", seed, err)
 		}
@@ -158,7 +158,7 @@ func TestWorkersDefault(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddBinary("x", 1)
 	m.AddConstraint("c", []Term{{x, 1}}, LE, 1)
-	sol, err := Solve(m, Options{})
+	sol, err := solveAccounted(t, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestWorkersDefault(t *testing.T) {
 // stop promptly and still return the best incumbent found.
 func TestParallelTimeLimit(t *testing.T) {
 	start := time.Now()
-	sol, err := Solve(randMILP(3), Options{Workers: 4, TimeLimit: 50 * time.Millisecond, SerialCutoff: -1})
+	sol, err := solveAccounted(t, randMILP(3), Options{Workers: 4, TimeLimit: 50 * time.Millisecond, SerialCutoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestParallelTimeLimit(t *testing.T) {
 
 // TestParallelMaxNodes checks the cooperative node limit.
 func TestParallelMaxNodes(t *testing.T) {
-	sol, err := Solve(randMILP(5), Options{Workers: 4, MaxNodes: 3, SerialCutoff: -1})
+	sol, err := solveAccounted(t, randMILP(5), Options{Workers: 4, MaxNodes: 3, SerialCutoff: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func warmStartModel() (*Model, []float64) {
 // incumbent instead of NoSolution.
 func TestWarmStartFeasibleSeedSurvivesRootAbort(t *testing.T) {
 	m, seed := warmStartModel()
-	sol, err := Solve(m, Options{TimeLimit: time.Nanosecond, InitialSolution: seed})
+	sol, err := solveAccounted(t, m, Options{TimeLimit: time.Nanosecond, InitialSolution: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestWarmStartFeasibleSeedSurvivesRootAbort(t *testing.T) {
 func TestWarmStartInfeasibleSeedRejected(t *testing.T) {
 	m, _ := warmStartModel()
 	bad := []float64{1, 1, 1} // weight 6 > cap 4
-	sol, err := Solve(m, Options{TimeLimit: time.Nanosecond, InitialSolution: bad})
+	sol, err := solveAccounted(t, m, Options{TimeLimit: time.Nanosecond, InitialSolution: bad})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestWarmStartInfeasibleSeedRejected(t *testing.T) {
 // full solve terminate immediately on it.
 func TestWarmStartSeedAdoptedAsIncumbent(t *testing.T) {
 	m, seed := warmStartModel()
-	sol, err := Solve(m, Options{InitialSolution: seed, MaxNodes: 1})
+	sol, err := solveAccounted(t, m, Options{InitialSolution: seed, MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

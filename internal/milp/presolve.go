@@ -1,8 +1,9 @@
 package milp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -190,7 +191,7 @@ type presolver struct {
 	// scratch reused across rounds
 	inEQ, up, down []bool         // dualityFix column flags
 	dedupSeen      map[uint64]int // dedupRows hash -> first row index
-	cliqueRows     []psCliqueRow  // mergeCliques candidate rows
+	cliqueRows     []litRow       // mergeCliques candidate rows
 	cliqueLits     []int          // mergeCliques flat literal storage
 
 	stats      PresolveStats
@@ -735,8 +736,8 @@ func (p *presolver) mergeCliques() {
 			}
 			lits = append(lits, l)
 		}
-		sort.Ints(lits[lo:])
-		cliques = append(cliques, psCliqueRow{ri: ri, lo: lo, hi: len(lits)})
+		slices.Sort(lits[lo:])
+		cliques = append(cliques, litRow{ri: ri, lo: lo, hi: len(lits)})
 		if len(cliques) >= maxCliqueRows {
 			break
 		}
@@ -745,12 +746,8 @@ func (p *presolver) mergeCliques() {
 	if len(cliques) < 2 {
 		return
 	}
-	sort.Slice(cliques, func(i, j int) bool {
-		li, lj := cliques[i].hi-cliques[i].lo, cliques[j].hi-cliques[j].lo
-		if li != lj {
-			return li < lj
-		}
-		return cliques[i].ri < cliques[j].ri
+	slices.SortFunc(cliques, func(a, b litRow) int {
+		return cmp.Or(cmp.Compare(a.hi-a.lo, b.hi-b.lo), cmp.Compare(a.ri, b.ri))
 	})
 	for i := range cliques {
 		if p.rows[cliques[i].ri].dead {
@@ -767,12 +764,6 @@ func (p *presolver) mergeCliques() {
 			}
 		}
 	}
-}
-
-// psCliqueRow is one set-packing candidate in mergeCliques' scratch: row
-// index plus the [lo, hi) extent of its sorted literals in cliqueLits.
-type psCliqueRow struct {
-	ri, lo, hi int
 }
 
 // subsetInts reports whether sorted slice a is a subset of sorted slice b.

@@ -84,9 +84,10 @@ func (s *search) noteBranchOutcome(node *bbNode, childObj float64) {
 	if node.pcol < 0 || s.pc == nil {
 		return
 	}
-	degrade := childObj - node.pobj
+	// A child's bound is its parent's LP objective.
+	degrade := childObj - node.bound
 	if s.maximize {
-		degrade = node.pobj - childObj
+		degrade = node.bound - childObj
 	}
 	if degrade < 0 {
 		degrade = 0 // drift: a child cannot beat its parent relaxation
@@ -159,20 +160,23 @@ func (s *search) selectBranch(fracs []fracVar) (int, float64) {
 }
 
 // pushChildren branches the node on column bv (relaxation value v, LP
-// objective obj) and pushes both children, stamping each with the branching
-// record noteBranchOutcome will consume when the child solves.
+// objective obj) and pushes both children, each holding its one tightening,
+// the branching record noteBranchOutcome will consume when the child solves,
+// and a reference to the node's basis snapshot (nil: the children solve cold).
 func (s *search) pushChildren(node *bbNode, bv int, v, obj float64, snap *basisState) {
 	f := v - math.Floor(v)
-	down := append(append([]boundOverride(nil), node.overrides...),
-		boundOverride{col: bv, isUB: true, value: math.Floor(v + intTol)})
-	up := append(append([]boundOverride(nil), node.overrides...),
-		boundOverride{col: bv, isUB: false, value: math.Ceil(v - intTol)})
-	s.pushNode(&bbNode{
-		bound: obj, depth: node.depth + 1, overrides: down, warm: snap,
-		pcol: bv, pup: false, pfrac: math.Max(f, intTol), pobj: obj,
-	})
-	s.pushNode(&bbNode{
-		bound: obj, depth: node.depth + 1, overrides: up, warm: snap,
-		pcol: bv, pup: true, pfrac: math.Max(1-f, intTol), pobj: obj,
-	})
+	if snap != nil {
+		snap.refs = 2
+	}
+	down, up := s.ws.newNode(), s.ws.newNode()
+	*down = bbNode{
+		bound: obj, parent: node, warm: snap,
+		pcol: bv, pup: false, bval: math.Floor(v + intTol), pfrac: math.Max(f, intTol),
+	}
+	*up = bbNode{
+		bound: obj, parent: node, warm: snap,
+		pcol: bv, pup: true, bval: math.Ceil(v - intTol), pfrac: math.Max(1-f, intTol),
+	}
+	s.pushNode(down)
+	s.pushNode(up)
 }

@@ -162,27 +162,24 @@ func (s *Solution) Gap() float64 {
 
 const intTol = 1e-6
 
-// bbNode is a branch-and-bound subproblem: the root bounds plus overrides.
+// bbNode is a branch-and-bound subproblem: its parent's bound box with one
+// bound tightened. The root (parent nil) is the LP's own box. Everything but
+// warm is fixed once the node is pushed, so a worker may walk a node's
+// ancestors without the driver lock.
 type bbNode struct {
-	bound     float64 // parent LP objective (optimistic)
-	depth     int
-	seq       uint64 // creation order, for deterministic tie-breaking
-	overrides []boundOverride
-	warm      *basisState // parent's optimal basis (nil: solve cold)
+	bound  float64 // parent LP objective (optimistic)
+	seq    uint64  // creation order, for deterministic tie-breaking
+	parent *bbNode
+	warm   *basisState // parent's optimal basis (nil: solve cold)
 
-	// Branching record for pseudocost learning: the column the parent
-	// branched on to create this node (−1 at the root), the direction, the
-	// fractional distance pushed, and the parent's LP objective.
+	// The branching that made this node, which is both its tightening and its
+	// record for pseudocost learning: the column (−1 at the root), the
+	// direction (up raised the column's lower bound to bval, down lowered its
+	// upper bound to it) and the fractional distance pushed.
 	pcol  int
 	pup   bool
+	bval  float64
 	pfrac float64
-	pobj  float64
-}
-
-type boundOverride struct {
-	col   int
-	isUB  bool
-	value float64
 }
 
 type nodeHeap struct {
@@ -211,6 +208,7 @@ func (h *nodeHeap) Pop() interface{} {
 	old := h.nodes
 	n := len(old)
 	x := old[n-1]
+	old[n-1] = nil // the array outlives the solve; its nodes do not
 	h.nodes = old[:n-1]
 	return x
 }
@@ -246,6 +244,12 @@ type search struct {
 	deadlineHit bool
 	gapBreak    bool // terminated with the global bound gap-met
 	boundFinal  bool // async driver already folded in-flight bounds into bestBound
+
+	// A node whose LP was given up on (deadline, iteration cap, numerical
+	// error) is neither solved nor infeasible: its subtree stays unexplored
+	// and its bound stays part of the global bound.
+	abandoned      bool
+	abandonedBound float64 // weakest bound among abandoned nodes
 }
 
 // better reports whether a is strictly better than b in the optimize sense.
@@ -274,11 +278,98 @@ func (s *search) consider(cand []float64) {
 	}
 }
 
+// Tree memory. Nodes, basis snapshots and the open-node heap live in the
+// workspace and die with the solve; the node slab, the snapshot free list and
+// the heap are shared search state like the incumbent, touched only on the
+// serial driver's goroutine, under the async driver's lock, or between the
+// batch driver's rounds. What runs without the lock (evalNode) is handed its
+// snapshot buffer beforehand and reads nodes, never makes them.
+
+// nodeBlockSize is how many nodes are cut from the node slab at a time.
+const nodeBlockSize = 64
+
+// newNode hands out a zeroed node that lives until the workspace is rewound.
+func (w *Workspace) newNode() *bbNode {
+	if len(w.block) == 0 {
+		w.block = w.nodes.take(nodeBlockSize)
+	}
+	n := &w.block[0]
+	w.block = w.block[1:]
+	return n
+}
+
 // pushNode stamps the node's creation sequence and adds it to the open heap.
 func (s *search) pushNode(n *bbNode) {
 	s.seq++
 	n.seq = s.seq
 	heap.Push(s.h, n)
+}
+
+// box writes the node's bound box into lb and ub: the LP's own, tightened by
+// every branching between the node and the root. The tightenings are min and
+// max, so walking them leaf first gives the box the root-first order gives.
+func (s *search) box(node *bbNode, lb, ub []float64) {
+	copy(lb, s.p.lb)
+	copy(ub, s.p.ub)
+	for n := node; n.parent != nil; n = n.parent {
+		if n.pup {
+			lb[n.pcol] = math.Max(lb[n.pcol], n.bval)
+		} else {
+			ub[n.pcol] = math.Min(ub[n.pcol], n.bval)
+		}
+	}
+}
+
+// takeSnap hands out a snapshot buffer for the LP's shape — one no node
+// references any more when there is one, a new one cut from the slabs
+// otherwise — or nil when warm starts are disabled.
+func (s *search) takeSnap() *basisState {
+	if s.opts.DisableWarmStart {
+		return nil
+	}
+	free := s.ws.snapFree
+	if n := len(free); n > 0 {
+		bs := free[n-1]
+		free[n-1] = nil
+		s.ws.snapFree = free[:n-1]
+		return bs
+	}
+	return s.ws.newSnapshot(s.p)
+}
+
+// settleSnap returns a buffer from takeSnap to the free list unless children
+// now reference it: nothing was captured into it, or its node did not branch.
+func (s *search) settleSnap(bs *basisState) {
+	if bs != nil && bs.refs == 0 {
+		s.ws.snapFree = append(s.ws.snapFree, bs)
+	}
+}
+
+// releaseWarm drops the node's reference to its parent's basis: the node has
+// restored from it, or was pruned and never will.
+func (s *search) releaseWarm(n *bbNode) {
+	if bs := n.warm; bs != nil {
+		n.warm = nil
+		bs.refs--
+		s.settleSnap(bs)
+	}
+}
+
+// capture takes the scratch's basis into buf for the node's children; nil
+// when there is no buffer (warm starts disabled) or the basis cannot seed a
+// warm start. It touches nothing shared.
+func capture(sc *simplexState, buf *basisState) *basisState {
+	if buf == nil || !sc.snapshotInto(buf) {
+		return nil
+	}
+	return buf
+}
+
+// abandon records a node whose LP did not reach a verdict.
+func (s *search) abandon(n *bbNode) {
+	if !s.abandoned || s.weakerBound(n.bound, s.abandonedBound) {
+		s.abandoned, s.abandonedBound = true, n.bound
+	}
 }
 
 // pickBound returns the weaker (more conservative) of two valid bounds: the
@@ -298,15 +389,6 @@ func (s *search) solveNodeLP(sc *simplexState, node *bbNode, lb, ub []float64) (
 		return sc.solve(lb, ub, 0, s.deadline)
 	}
 	return sc.solveFrom(node.warm, lb, ub, 0, s.deadline)
-}
-
-// nodeSnapshot captures the scratch's basis for the node's children, or nil
-// when warm starts are disabled or the basis cannot seed one.
-func (s *search) nodeSnapshot(sc *simplexState) *basisState {
-	if s.opts.DisableWarmStart {
-		return nil
-	}
-	return sc.snapshot()
 }
 
 // Solve optimizes the model. Pure LPs (no integer variables) are solved with
@@ -465,24 +547,38 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 			return integralRoot()
 		}
 	}
-	rootSnap := s.nodeSnapshot(s.scratch)
-	s.pc = w.newPCTable(len(model.Vars))
+	s.openRoot(rootObj)
+	s.run()
+	return s.finish(), nil
+}
 
-	s.h = &nodeHeap{max: maximize, det: workers > 1 && opts.Deterministic}
-	heap.Init(s.h)
-	s.pushNode(&bbNode{bound: rootObj, warm: rootSnap, pcol: -1})
+// openRoot starts the tree at the solved root relaxation held by s.scratch.
+func (s *search) openRoot(rootObj float64) {
+	s.pc = s.ws.newPCTable(len(s.model.Vars))
+	s.h = &s.ws.open
+	*s.h = nodeHeap{nodes: s.h.nodes[:0], max: s.maximize, det: s.workers > 1 && s.opts.Deterministic}
+	buf := s.takeSnap()
+	root := s.ws.newNode()
+	*root = bbNode{bound: rootObj, warm: capture(s.scratch, buf), pcol: -1}
+	if root.warm != nil {
+		root.warm.refs = 1
+	}
+	s.settleSnap(buf)
+	s.pushNode(root)
 	s.nodes = 1
 	s.bestBound = rootObj
+}
 
+// run searches the tree with the driver the options select.
+func (s *search) run() {
 	switch {
-	case workers == 1:
+	case s.workers == 1:
 		s.runSerial()
-	case opts.Deterministic:
+	case s.opts.Deterministic:
 		s.runBatch()
 	default:
 		s.runAsync()
 	}
-	return s.finish(), nil
 }
 
 // runSerial is the single-threaded best-bound search (Workers == 1), kept
@@ -502,25 +598,21 @@ func (s *search) runSerial() {
 		node := heap.Pop(s.h).(*bbNode)
 		s.bestBound = node.bound // best-bound order: the popped node carries the global bound
 		if s.incumbent != nil && !s.better(node.bound, s.incObj) {
+			s.releaseWarm(node)
 			continue // pruned by bound
 		}
 		if s.gapMet(node.bound) {
+			s.releaseWarm(node)
 			s.gapBreak = true
 			break
 		}
-		copy(lbBuf, s.p.lb)
-		copy(ubBuf, s.p.ub)
-		for _, o := range node.overrides {
-			if o.isUB {
-				ubBuf[o.col] = math.Min(ubBuf[o.col], o.value)
-			} else {
-				lbBuf[o.col] = math.Max(lbBuf[o.col], o.value)
-			}
-		}
+		s.box(node, lbBuf, ubBuf)
 		s.nodes++
 		st, x, err := s.solveNodeLP(s.scratch, node, lbBuf, ubBuf)
+		s.releaseWarm(node)
 		if err != nil || st == lpIterLimit {
-			continue // treat numerical trouble as a pruned node
+			s.abandon(node) // no verdict: the subtree stays open
+			continue
 		}
 		if st == lpInfeasible {
 			continue
@@ -544,7 +636,11 @@ func (s *search) runSerial() {
 			}
 			continue
 		}
-		snap := s.nodeSnapshot(s.scratch)
+		// Taken before the dive below: the dive solves on its own scratch, but
+		// the capture belongs next to the solve it records. The buffer is
+		// usually the one the node itself just restored from.
+		buf := s.takeSnap()
+		snap := capture(s.scratch, buf)
 		// Periodically derive an incumbent from this node's relaxation; cheap
 		// relative to the search it prunes.
 		if s.opts.Heuristic != nil && s.nodes%16 == 0 {
@@ -553,11 +649,11 @@ func (s *search) runSerial() {
 			s.consider(diveFrom(s.ws, s.model, s.p, lbBuf, ubBuf, x, s.deadline, !s.opts.DisableWarmStart, &s.scratch.stats))
 		}
 		// Branch by pseudocost score (most-fractional until the table has
-		// history). Both children share the parent's basis snapshot — it is
-		// immutable once taken.
+		// history). Both children share the parent's basis snapshot.
 		s.fracBuf = gatherFractional(s.model, x, s.fracBuf)
 		bv, v := s.selectBranch(s.fracBuf)
 		s.pushChildren(node, bv, v, obj, snap)
+		s.settleSnap(buf)
 	}
 }
 
@@ -585,19 +681,27 @@ func (s *search) finish() *Solution {
 		// bounds of nodes that were in flight when the stop flag rose —
 		// their subtrees are unexplored, so the heap top alone would
 		// overstate progress. Nothing tighter is provable here.
-	} else if s.h.Len() == 0 && !s.deadlineHit {
+	} else if s.h.Len() == 0 && !s.deadlineHit && !s.abandoned {
 		// Exhausted the tree: the incumbent is exactly optimal.
 		s.bestBound = s.incObj
 	} else if s.h.Len() > 0 {
 		s.bestBound = s.pickBound(s.h.nodes[0].bound, s.incObj)
 	}
+	if s.abandoned {
+		// An abandoned subtree is as unexplored as an open one, and in
+		// best-bound order it was popped before everything still open, so its
+		// bound is the weaker. (Without an incumbent incObj is the identity.)
+		s.bestBound = s.pickBound(s.pickBound(s.bestBound, s.abandonedBound), s.incObj)
+	}
+	// Proof of optimality or infeasibility needs every subtree closed.
+	closed := s.h.Len() == 0 && !s.abandoned
 
 	if s.scratch != nil { // parallel drivers folded worker scratches already
 		s.lp.add(&s.scratch.stats)
 	}
 	sol := &Solution{Nodes: s.nodes, Bound: s.bestBound, Workers: s.workers, LP: s.lp, Cuts: s.cuts, Branch: s.branch, Runtime: time.Since(s.start)}
 	if s.incumbent == nil {
-		if s.h.Len() == 0 {
+		if closed {
 			sol.Status = StatusInfeasible
 		} else {
 			sol.Status = StatusNoSolution
@@ -606,7 +710,7 @@ func (s *search) finish() *Solution {
 	}
 	sol.Values = s.incumbent
 	sol.Objective = s.incObj
-	if s.h.Len() == 0 || s.gapMet(s.bestBound) {
+	if closed || s.gapMet(s.bestBound) {
 		sol.Status = StatusOptimal
 	} else {
 		sol.Status = StatusFeasible
@@ -670,19 +774,27 @@ func roundIntegral(m *Model, x []float64) []float64 {
 // them back on return.
 func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64, deadline time.Time, useWarm bool, stats *LPStats) []float64 {
 	const maxSteps = 12
-	mark, lent := w.floats.mark(), w.lent
+	floats, int32s, bytes, snaps, lent := w.floats.mark(), w.int32s.mark(), w.bytes.mark(), w.snaps.mark(), w.lent
 	lb := w.floats.take(len(lb0))
 	ub := w.floats.take(len(ub0))
 	copy(lb, lb0)
 	copy(ub, ub0)
 	sc := w.newScratch(p)
+	// Every step's basis goes through this one buffer: a step restores from
+	// it before its solve and captures into it after.
+	var buf, warm *basisState
+	if useWarm {
+		buf = w.newSnapshot(p)
+	}
 	defer func() {
 		stats.add(&sc.stats)
-		w.floats.release(mark)
+		w.floats.release(floats)
+		w.int32s.release(int32s)
+		w.bytes.release(bytes)
+		w.snaps.release(snaps)
 		w.lent = lent
 	}()
 	x := fromX
-	var warm *basisState
 	for depth := 0; depth < maxSteps; depth++ {
 		fr := mostFractional(m, x)
 		if fr < 0 {
@@ -708,9 +820,7 @@ func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64
 		if err != nil || st != lpOptimal {
 			return nil
 		}
-		if useWarm {
-			warm = sc.snapshot()
-		}
+		warm = capture(sc, buf)
 		x = nx
 	}
 	return nil

@@ -1,0 +1,224 @@
+package milp
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// residentModel is the MILP the compiler lowers one block of the resident
+// churn workload to (bench_test.go's benchSchedulerCycleChurn, and
+// resident_churn1/50 of the scoreboard): nine data-local jobs of mixed widths
+// on an 8-node block that is busy for one more slice, each with a start option
+// per remaining slice of a 10-slice horizon and a 3-slice duration, 108
+// node-slices of demand against 72 of supply; plus arrivals one-slice jobs of
+// width 2 that can only start at once. Variable, row and term order are the
+// compiler's. With no arrival it takes 192 nodes, two cut rounds and five
+// cover cuts at the scheduler's gap of 0.1; with two, 512 nodes and one round.
+func residentModel(arrivals int) *Model {
+	const horizon, dur = 10, 3
+	widths := []float64{2, 3, 5, 7, 2, 3, 5, 7, 2}
+	m := NewModel(Maximize)
+	supply := make([][]Term, horizon)
+	job := func(width float64, options, dur int, value float64) {
+		ind := m.AddBinary("", 0)
+		culled := m.AddBinary("", 0) // start now: the block is still busy
+		choose := []Term{{culled, 1}}
+		for s := 1; s <= options; s++ {
+			opt := m.AddBinary("", value-float64(s))
+			choose = append(choose, Term{opt, 1})
+			for t := s; t < s+dur && t < horizon; t++ {
+				supply[t] = append(supply[t], Term{opt, width})
+			}
+		}
+		m.AddConstraint("", []Term{{culled, 1}}, LE, 0)
+		m.AddConstraint("", append(choose, Term{ind, -1}), LE, 0)
+	}
+	for _, w := range widths {
+		job(w, horizon-1, dur, 997)
+	}
+	for a := 0; a < arrivals; a++ {
+		job(2, 1, 1, 999)
+	}
+	for t := 1; t < horizon; t++ {
+		m.AddConstraint("", supply[t], LE, 8)
+	}
+	return m
+}
+
+// TestResidentModelShape pins the fixture to the component it stands for:
+// the tests and benchmarks built on it assume a real tree and real cut rounds.
+func TestResidentModelShape(t *testing.T) {
+	for _, tc := range []struct{ arrivals, vars, rows, nodes, rounds, covers int }{
+		{0, 99, 27, 192, 2, 5},
+		{2, 105, 31, 512, 1, 3},
+	} {
+		m := residentModel(tc.arrivals)
+		sol, err := Solve(m, Options{Workers: 1, Gap: 0.1})
+		if err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("%d arrivals: %v %+v", tc.arrivals, err, sol)
+		}
+		if m.NumVars() != tc.vars || m.NumConstraints() != tc.rows || sol.Nodes != tc.nodes || sol.Cuts.Rounds != tc.rounds || sol.Cuts.Cover != tc.covers {
+			t.Errorf("%d arrivals: %d vars, %d rows, %d nodes, cuts %+v; the compiled component has %+v",
+				tc.arrivals, m.NumVars(), m.NumConstraints(), sol.Nodes, sol.Cuts, tc)
+		}
+	}
+}
+
+// TestNodeBoxMatchesOverrideList is the property the parent-pointer nodes
+// rest on: the box rebuilt by walking a node's ancestors equals the box the
+// old representation built, a copied list of every tightening on the path
+// applied root first — on random trees, with columns branched on repeatedly
+// and in both directions, and tightenings that do not tighten.
+func TestNodeBoxMatchesOverrideList(t *testing.T) {
+	type override struct {
+		col   int
+		isUB  bool
+		value float64
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 3 + r.Intn(10)
+		p := &lp{lb: make([]float64, n), ub: make([]float64, n)}
+		for j := range p.lb {
+			p.lb[j] = float64(r.Intn(3))
+			p.ub[j] = p.lb[j] + float64(r.Intn(8))
+			if r.Intn(6) == 0 {
+				p.ub[j] = math.Inf(1)
+			}
+		}
+		s := &search{ws: new(Workspace), p: p}
+		nodes := []*bbNode{{pcol: -1}}
+		paths := [][]override{nil}
+		for len(nodes) < 2+r.Intn(120) {
+			pi := r.Intn(len(nodes))
+			if r.Intn(3) > 0 {
+				pi = len(nodes) - 1 - r.Intn(min(4, len(nodes))) // favour deep chains
+			}
+			col, v := r.Intn(n), float64(r.Intn(10))+r.Float64()
+			for _, up := range []bool{false, true} {
+				child := s.ws.newNode()
+				*child = bbNode{parent: nodes[pi], pcol: col, pup: up, bval: math.Floor(v)}
+				if up {
+					child.bval = math.Ceil(v)
+				}
+				nodes = append(nodes, child)
+				paths = append(paths, append(append([]override(nil), paths[pi]...), override{col, !up, child.bval}))
+			}
+		}
+		lb, ub := make([]float64, n), make([]float64, n)
+		wantLB, wantUB := make([]float64, n), make([]float64, n)
+		for i, node := range nodes {
+			copy(wantLB, p.lb)
+			copy(wantUB, p.ub)
+			for _, o := range paths[i] {
+				if o.isUB {
+					wantUB[o.col] = math.Min(wantUB[o.col], o.value)
+				} else {
+					wantLB[o.col] = math.Max(wantLB[o.col], o.value)
+				}
+			}
+			s.box(node, lb, ub)
+			for j := range lb {
+				if math.Float64bits(lb[j]) != math.Float64bits(wantLB[j]) || math.Float64bits(ub[j]) != math.Float64bits(wantUB[j]) {
+					t.Fatalf("seed %d node %d (depth %d) column %d: box [%v, %v] from the parent chain, [%v, %v] from the override list",
+						seed, i, len(paths[i]), j, lb[j], ub[j], wantLB[j], wantUB[j])
+				}
+			}
+		}
+	}
+}
+
+// TestTreeSearchAllocsIndependentOfNodes budgets a tree search on a warm
+// workspace: nodes, snapshots, the heap and separation run on memory the
+// workspace kept, so a solve that explores twice the nodes allocates about
+// what the shorter one does — what is left is what a caller may keep
+// (incumbent candidates, one per integral node or dive) and the per-solve
+// fixed cost. Before the node arena a node alone cost three allocations.
+func TestTreeSearchAllocsIndependentOfNodes(t *testing.T) {
+	m := residentModel(1)
+	opts := func(maxNodes int) Options { return Options{Workers: 1, Gap: 0.001, MaxNodes: maxNodes} }
+	var ws Workspace
+	for i := 0; i < 3; i++ { // grow to fit the longer search, then settle
+		sol, err := ws.Solve(m, opts(800))
+		if err != nil || sol.Nodes < 800 || sol.Cuts.Rounds < 2 {
+			t.Fatalf("warm-up solve: %v %+v; want a tree of 800 nodes after at least two cut rounds", err, sol)
+		}
+	}
+	short := testing.AllocsPerRun(10, func() { ws.Solve(m, opts(400)) })
+	long := testing.AllocsPerRun(10, func() { ws.Solve(m, opts(800)) })
+	t.Logf("allocations per solve: %v at 400 nodes, %v at 800", short, long)
+	const budget = 40
+	if long > budget {
+		t.Errorf("an 800-node solve on a warm workspace allocates %v times, budget %d", long, budget)
+	}
+	if long > short+4 {
+		t.Errorf("allocations grow with the tree: %v at 400 nodes, %v at 800", short, long)
+	}
+}
+
+// solveAccounted is Solve with the snapshot books checked before the
+// workspace is dropped.
+func solveAccounted(t testing.TB, m *Model, opts Options) (*Solution, error) {
+	t.Helper()
+	w := new(Workspace)
+	sol, err := w.solve(m, opts)
+	checkSnapshotBooks(t, w)
+	return sol, err
+}
+
+// checkSnapshotBooks audits the workspace of a solve that has returned and not
+// yet been rewound: every snapshot cut during the solve is either on the free
+// list with no reference, or held by exactly the open nodes its count says;
+// nothing is in both places or twice in one, and no two snapshots share an
+// array.
+func checkSnapshotBooks(t testing.TB, w *Workspace) {
+	t.Helper()
+	held := make(map[*basisState]int32)
+	for _, n := range w.open.nodes {
+		if n.warm != nil {
+			held[n.warm]++
+		}
+	}
+	for bs, refs := range held {
+		if bs.refs != refs {
+			t.Errorf("a snapshot counts %d references, %d open nodes hold it", bs.refs, refs)
+		}
+	}
+	free := make(map[*basisState]bool)
+	for _, bs := range w.snapFree {
+		if bs.refs != 0 {
+			t.Errorf("a snapshot on the free list counts %d references", bs.refs)
+		}
+		if held[bs] > 0 {
+			t.Error("a snapshot is on the free list and held by an open node: it would be handed out twice")
+		}
+		if free[bs] {
+			t.Error("a snapshot is on the free list twice")
+		}
+		free[bs] = true
+	}
+	if made := w.snaps.used + w.snaps.over; len(free)+len(held) != made {
+		t.Errorf("%d snapshots cut, %d free + %d held by open nodes: %d lost", made, len(free), len(held), made-len(free)-len(held))
+	}
+	arrays := make(map[*int32]bool)
+	for _, set := range []map[*basisState]bool{free, keys(held)} {
+		for bs := range set {
+			if len(bs.basis) == 0 {
+				continue
+			}
+			if arrays[&bs.basis[0]] {
+				t.Error("two snapshots share a basis array")
+			}
+			arrays[&bs.basis[0]] = true
+		}
+	}
+}
+
+func keys(m map[*basisState]int32) map[*basisState]bool {
+	out := make(map[*basisState]bool, len(m))
+	for k := range m {
+		out[k] = true
+	}
+	return out
+}

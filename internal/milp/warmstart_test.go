@@ -231,3 +231,103 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 		t.Errorf("nil snapshot stats %+v; want pure cold start", sc2.stats)
 	}
 }
+
+// TestSnapshotsAccountedInEveryDriver runs each driver to every kind of end —
+// exhausted, gap met, node limit with the heap still full, warm starts off —
+// and audits the snapshot free list and reference counts each time (run it
+// under -race: the async driver recycles buffers between workers).
+func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
+	drivers := []Options{
+		{Workers: 1},
+		{Workers: 4, SerialCutoff: -1},
+		{Workers: 4, SerialCutoff: -1, Deterministic: true},
+	}
+	small := []*Model{packingModel(5, 30), randMILP(4)}
+	all := append([]*Model{residentModel(1)}, small...)
+	ends := []struct {
+		set    func(*Options)
+		models []*Model
+	}{
+		{func(*Options) {}, small}, // the resident block takes minutes to exhaust
+		{func(o *Options) { o.Gap = 0.1 }, all},
+		{func(o *Options) { o.Gap = 0.001; o.MaxNodes = 60 }, all},
+		{func(o *Options) { o.MaxNodes = 40; o.DisableWarmStart = true }, all},
+	}
+	open := 0
+	for di, opts := range drivers {
+		for ei, end := range ends {
+			opts := opts
+			end.set(&opts)
+			for _, m := range end.models {
+				w := new(Workspace)
+				sol, err := w.solve(m, opts)
+				if err != nil {
+					t.Fatalf("driver %d end %d: %v", di, ei, err)
+				}
+				checkSnapshotBooks(t, w)
+				open += len(w.open.nodes)
+				made := w.snaps.used + w.snaps.over
+				if opts.DisableWarmStart && made != 0 {
+					t.Errorf("driver %d: %d snapshots cut with warm starts disabled", di, made)
+				}
+				if made > sol.Nodes {
+					t.Errorf("driver %d end %d: %d snapshots cut for %d nodes", di, ei, made, sol.Nodes)
+				}
+			}
+		}
+	}
+	if open == 0 {
+		t.Fatal("no solve ended with open nodes; the held side of the books was never checked")
+	}
+}
+
+// TestSnapshotsRecycled: a snapshot buffer is needed per open frontier node,
+// not per node solved, and a warm workspace cuts them from its slabs.
+func TestSnapshotsRecycled(t *testing.T) {
+	m := residentModel(2)
+	w := new(Workspace)
+	sol, err := w.solve(m, Options{Workers: 1, Gap: 0.1})
+	if err != nil || sol.Nodes < 400 {
+		t.Fatalf("%v %+v", err, sol)
+	}
+	made := w.snaps.used + w.snaps.over
+	if made == 0 || made > sol.Nodes/2 {
+		t.Errorf("%d snapshot buffers cut for %d nodes; the free list is not recycling", made, sol.Nodes)
+	}
+	t.Logf("%d nodes, %d LP warm starts, %d snapshot buffers", sol.Nodes, sol.LP.WarmHits, made)
+	w.rewind()
+	if len(w.snapFree) != 0 || len(w.open.nodes) != 0 {
+		t.Fatal("the free list or the heap survived the rewind")
+	}
+}
+
+// TestNoStaleSnapshotAcrossSolves: snapshots are cut for one LP's shape and
+// die with the solve. A second solve on the same workspace, of a model with
+// other dimensions, must never restore from a buffer of the first — it would
+// show as rejected warm starts (WarmFallbacks) that a solve on fresh memory
+// does not have, or as a different tree.
+func TestNoStaleSnapshotAcrossSolves(t *testing.T) {
+	for _, opts := range []Options{
+		{Workers: 1, Gap: 0.05},
+		{Workers: 3, SerialCutoff: -1, Deterministic: true, Gap: 0.05},
+	} {
+		var ws Workspace
+		for _, m := range []*Model{residentModel(2), packingModel(7, 24), residentModel(0), packingModel(8, 40), residentModel(1)} {
+			want, err := Solve(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ws.Solve(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ws.snapFree) != 0 {
+				t.Fatal("snapshots outlived their solve")
+			}
+			if got.LP != want.LP || got.Nodes != want.Nodes || got.Objective != want.Objective {
+				t.Errorf("workers %d: on a used workspace LP %+v nodes %d, on fresh memory LP %+v nodes %d",
+					opts.Workers, got.LP, got.Nodes, want.LP, want.Nodes)
+			}
+		}
+	}
+}

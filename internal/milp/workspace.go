@@ -6,14 +6,14 @@ import "sync"
 //
 // A solve builds a chain of flat copies of its model — presolver rows, the
 // reduced model, the LP's compressed columns, simplex and basis-engine
-// buffers, the pseudocost table — that all die when Solve returns. A
-// Workspace keeps that memory between solves. It belongs to whoever calls
-// Solve on it, serves one solve at a time, and is rewound when that solve
-// returns; nothing a Solution carries points into it (incumbents and lifted
-// values are always fresh allocations, so callers may keep Solutions for as
-// long as they like). The package-level Solve, Presolve and SolveParts run on
-// a throwaway Workspace, which makes every one of these allocations an
-// ordinary fresh one.
+// buffers, the pseudocost table — and a tree of nodes and basis snapshots
+// that all die when Solve returns. A Workspace keeps that memory between
+// solves. It belongs to whoever calls Solve on it, serves one solve at a
+// time, and is rewound when that solve returns; nothing a Solution carries
+// points into it (incumbents and lifted values are always fresh allocations,
+// so callers may keep Solutions for as long as they like). The package-level
+// Solve, Presolve and SolveParts run on a throwaway Workspace, which makes
+// every one of these allocations an ordinary fresh one.
 //
 // It is deliberately not a sync.Pool: the runtime empties a pool on every
 // second garbage collection, so the slabs were rebuilt every few cycles; on
@@ -72,21 +72,34 @@ func (s *slab[T]) rewind() {
 
 // Workspace is the reusable memory of one solve at a time. The zero value is
 // ready to use and holds nothing until its first solve; it grows to fit the
-// largest model it has solved and never shrinks, so drop it to release the
-// memory. A Workspace must not be used from more than one goroutine at a
-// time (WorkspaceList shares several between concurrent solves). A nil
-// *Workspace is valid and solves on fresh memory.
+// largest model it has solved and the largest tree it has searched, and never
+// shrinks, so drop it to release the memory. A Workspace must not be used from
+// more than one goroutine at a time (WorkspaceList shares several between
+// concurrent solves). A nil *Workspace is valid and solves on fresh memory.
 type Workspace struct {
 	floats slab[float64]
 	int32s slab[int32]
 	ints   slab[int]
 	bools  slab[bool]
+	bytes  slab[byte]
 	terms  slab[Term]
 	vars   slab[Variable]
 	cons   slab[Constraint]
 	rows   slab[psRow]
 
 	ps presolver // its dedup map and clique scratch outlive a solve
+
+	// The tree search's memory ("Tree memory" in solve.go says who may touch
+	// it when): every node of the current solve, the headers of its basis
+	// snapshots (their arrays are cut from int32s and bytes), the snapshots
+	// no open node references any more, and the open-node heap's array.
+	nodes    slab[bbNode]
+	block    []bbNode // nodes cut from the slab and not yet handed out
+	snaps    slab[basisState]
+	snapFree []*basisState
+	open     nodeHeap
+
+	cut cutScratch // root separation's candidate lists outlive a round
 
 	// Simplex states (with their basis engines, whose factor and eta arrays
 	// grow by append) are kept whole and re-bound to the next LP. states[:lent]
@@ -110,10 +123,21 @@ func (w *Workspace) rewind() {
 	w.int32s.rewind()
 	w.ints.rewind()
 	w.bools.rewind()
+	w.bytes.rewind()
 	w.terms.rewind()
 	w.vars.rewind()
 	w.cons.rewind()
 	w.rows.rewind()
+	w.nodes.rewind()
+	w.block = nil
+	w.snaps.rewind()
+	// Both lists pointed into the slabs just rewound. Slots past their length
+	// were cleared when they were popped.
+	clear(w.snapFree)
+	w.snapFree = w.snapFree[:0]
+	clear(w.open.nodes)
+	w.open.nodes = w.open.nodes[:0]
+	clear(w.cut.kept[:cap(w.cut.kept)]) // rows on the term slab
 	w.lent = 0
 	// The presolver keeps its scratch, not its references to the model.
 	w.ps = presolver{dedupSeen: w.ps.dedupSeen, cliqueRows: w.ps.cliqueRows[:0], cliqueLits: w.ps.cliqueLits[:0]}

@@ -11,3 +11,13 @@ func newScratch(p *lp) *simplexState { return new(Workspace).newScratch(p) }
 func solveLP(p *lp, lb, ub []float64, maxIter int) (lpStatus, []float64, error) {
 	return newScratch(p).solve(lb, ub, maxIter, time.Time{})
 }
+
+// snapshot captures the scratch's basis into a freshly allocated snapshot, or
+// returns nil when the basis cannot seed a warm restart.
+func (s *simplexState) snapshot() *basisState {
+	bs := new(Workspace).newSnapshot(s.p)
+	if !s.snapshotInto(bs) {
+		return nil
+	}
+	return bs
+}
