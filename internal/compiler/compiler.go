@@ -15,6 +15,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
@@ -155,6 +156,11 @@ type Scratch struct {
 	models slab[milp.Model]
 	tmp    slab[int] // one decomposition's working arrays, rewound by each
 	sides  []cutSide
+
+	// Working memory of the roundings in flight (greedy.go); the one part of a
+	// Scratch that readers of a Compiled write, hence the lock.
+	roundMu   sync.Mutex
+	roundFree []*roundBuf
 }
 
 // slab hands out zeroed slices of one element type from an array that is kept

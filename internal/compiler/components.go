@@ -416,12 +416,3 @@ func (cc *Component) RestrictSeed(full []float64) []float64 {
 	}
 	return nil
 }
-
-// GreedyRound is the component-space analogue of Compiled.GreedyRound: it
-// rounds an LP relaxation point of the component model into an integral
-// candidate covering only this component's jobs. Safe for concurrent use,
-// like the full-model version, so each concurrent sub-solve can carry its
-// own heuristic.
-func (cc *Component) GreedyRound(x []float64) []float64 {
-	return cc.parent.greedyRound(x, &cc.scope)
-}

@@ -19,7 +19,31 @@ import (
 // shapes the STRL generator emits) are skipped; the solver re-validates the
 // returned point, so this is purely a heuristic. Safe for concurrent use.
 func (c *Compiled) GreedyRound(x []float64) []float64 {
-	return c.greedyRound(x, &roundScope{nVars: c.Model.NumVars()})
+	return c.RoundInPlace(slices.Clone(x))
+}
+
+// RoundInPlace is GreedyRound writing its candidate over x and returning it
+// (nil, with x in no particular state, when no job could be granted): the
+// solver calls its heuristic at every node of the search on a point that is
+// the heuristic's to overwrite, so a steady-state call allocates nothing — the
+// ledger and the orderings come from the Scratch and go back to it. Safe for
+// concurrent use on different points.
+func (c *Compiled) RoundInPlace(x []float64) []float64 {
+	return c.roundInPlace(x, &roundScope{nVars: c.Model.NumVars()})
+}
+
+// GreedyRound is the component-space analogue of Compiled.GreedyRound: it
+// rounds an LP relaxation point of the component model into an integral
+// candidate covering only this component's jobs. Safe for concurrent use,
+// like the full-model version, so each concurrent sub-solve can carry its
+// own heuristic.
+func (cc *Component) GreedyRound(x []float64) []float64 {
+	return cc.RoundInPlace(slices.Clone(x))
+}
+
+// RoundInPlace is the component-space analogue of Compiled.RoundInPlace.
+func (cc *Component) RoundInPlace(x []float64) []float64 {
+	return cc.parent.roundInPlace(x, &cc.scope)
 }
 
 // roundScope is the part of a batch one greedy rounding may touch: the whole
@@ -96,12 +120,38 @@ func (c *Compiled) newScope(jobs []int, sliced bool) roundScope {
 	return sc
 }
 
-// rounding is the state of one GreedyRound call.
+// roundBuf is the working memory of one rounding, kept by the Scratch between
+// calls: buffers keep their capacity and a call resizes them.
+type roundBuf struct {
+	remain []int64
+	order  []int
+	opts   []roundOption
+}
+
+// takeRoundBuf borrows a rounding's working memory; concurrent sub-solves, and
+// the workers of one, round at the same time, so there is a list of them.
+func (sc *Scratch) takeRoundBuf() *roundBuf {
+	sc.roundMu.Lock()
+	defer sc.roundMu.Unlock()
+	if n := len(sc.roundFree); n > 0 {
+		b := sc.roundFree[n-1]
+		sc.roundFree = sc.roundFree[:n-1]
+		return b
+	}
+	return new(roundBuf)
+}
+
+func (sc *Scratch) putRoundBuf(b *roundBuf) {
+	sc.roundMu.Lock()
+	sc.roundFree = append(sc.roundFree, b)
+	sc.roundMu.Unlock()
+}
+
+// rounding is the state of one rounding.
 type rounding struct {
 	c      *Compiled
 	sc     *roundScope
-	x      []float64 // the relaxation point, in the scope's variable space
-	out    []float64 // the candidate, allocated at the first grant
+	x      []float64 // the relaxation point, in the scope's variable space, and then the candidate
 	remain []int64   // capacity ledger: a row of h slices per group in scope
 	h      int
 }
@@ -138,65 +188,73 @@ type roundOption struct {
 	value float64 // its STRL value
 }
 
-func (c *Compiled) greedyRound(x []float64, sc *roundScope) []float64 {
+func (c *Compiled) roundInPlace(x []float64, sc *roundScope) []float64 {
+	buf := c.scr.takeRoundBuf()
+	defer c.scr.putRoundBuf(buf)
 	r := rounding{c: c, sc: sc, x: x, h: int(c.opts.Horizon)}
 	if sc.groupRow == nil {
-		r.remain = make([]int64, len(c.avail)*r.h)
+		buf.remain = sized(buf.remain, len(c.avail)*r.h)
 		for g, row := range c.avail {
-			copy(r.remain[g*r.h:], row)
+			copy(buf.remain[g*r.h:], row)
 		}
 	} else {
-		r.remain = make([]int64, len(sc.groups)*r.h)
+		buf.remain = sized(buf.remain, len(sc.groups)*r.h)
 		for i, g := range sc.groups {
-			copy(r.remain[i*r.h:], c.avail[g])
+			copy(buf.remain[i*r.h:], c.avail[g])
 		}
 	}
+	r.remain = buf.remain
 	nJobs := len(sc.jobs)
 	if sc.jobs == nil {
 		nJobs = len(c.jobs)
 	}
 
-	// Job order: LP job-indicator value descending (stable on index).
-	order := make([]int, nJobs)
-	for i := range order {
-		order[i] = i
+	// Job order: LP job-indicator value descending (stable on index). It is
+	// fixed before the first job's variables are overwritten.
+	buf.order = sized(buf.order, nJobs)
+	for i := range buf.order {
+		buf.order[i] = i
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(r.jobX(b), r.jobX(a)) })
+	slices.SortStableFunc(buf.order, func(a, b int) int { return cmp.Compare(r.jobX(b), r.jobX(a)) })
 
-	var opts []roundOption
-	for _, i := range order {
+	granted := false
+	for _, i := range buf.order {
 		j, shift := r.job(i)
-		if !c.job[j].roundable {
-			continue
-		}
-		// Option order: LP indicator value, then STRL value, descending.
-		opts = opts[:0]
-		recs := c.jobLeaves(j)
-		for li := range recs {
-			if rec := &recs[li]; !rec.culled {
-				opts = append(opts, roundOption{rec: rec, x: x[int(rec.ind)-shift], value: leafValue(rec.expr)})
+		// Option order: LP indicator value, then STRL value, descending. A
+		// job's variables are its own contiguous range, so once its options are
+		// read the range is the candidate's: zero but for a grant.
+		opts := buf.opts[:0]
+		if c.job[j].roundable {
+			recs := c.jobLeaves(j)
+			for li := range recs {
+				if rec := &recs[li]; !rec.culled {
+					opts = append(opts, roundOption{rec: rec, x: x[int(rec.ind)-shift], value: leafValue(rec.expr)})
+				}
 			}
+			slices.SortStableFunc(opts, func(a, b roundOption) int {
+				return cmp.Or(cmp.Compare(b.x, a.x), cmp.Compare(b.value, a.value))
+			})
+			buf.opts = opts
 		}
-		slices.SortStableFunc(opts, func(a, b roundOption) int {
-			return cmp.Or(cmp.Compare(b.x, a.x), cmp.Compare(b.value, a.value))
-		})
+		clear(x[c.job[j].varLo-shift : c.job[j+1].varLo-shift])
 		for _, o := range opts {
 			if !r.grant(o.rec, shift, false) {
 				continue
-			}
-			if r.out == nil {
-				r.out = make([]float64, sc.nVars)
 			}
 			// The granted leaf's partition variables, its indicator (for a
 			// MAX child the child's, for a bare leaf the job's) and the
 			// job's indicator: the whole path of a roundable job.
 			r.grant(o.rec, shift, true)
-			r.out[int(o.rec.ind)-shift] = 1
-			r.out[c.job[j].varLo-shift] = 1
+			x[int(o.rec.ind)-shift] = 1
+			x[c.job[j].varLo-shift] = 1
+			granted = true
 			break
 		}
 	}
-	return r.out
+	if !granted {
+		return nil
+	}
+	return x[:sc.nVars]
 }
 
 // roundable reports whether the job expression has the generator's shape.
@@ -261,7 +319,7 @@ func (r *rounding) grant(rec *leafRecord, shift int, commit bool) bool {
 			row[t] -= int64(n)
 		}
 		if !rec.single {
-			r.out[int(parts[gi].id)-shift] = float64(n)
+			r.x[int(parts[gi].id)-shift] = float64(n)
 		}
 	}
 	return need == 0

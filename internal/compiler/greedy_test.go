@@ -3,6 +3,8 @@ package compiler
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -179,4 +181,75 @@ func TestQuickSeedGrantFeasibility(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRoundInPlaceAllocatesNothing: the solver rounds at every node of the
+// search, so a steady-state rounding — of a component of a forced
+// decomposition and of the whole batch — writes its candidate over the point
+// it is given and takes everything else from the Scratch.
+func TestRoundInPlaceAllocatesNothing(t *testing.T) {
+	jobs, opts := cycleBatch(3, 30)
+	var scr Scratch
+	c, err := scr.Compile(jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	x := make([]float64, c.Model.NumVars())
+	for i := range x {
+		x[i] = float64(r.Intn(5)) / 4
+	}
+	buf := make([]float64, len(x))
+	rounded := 0
+	for _, cc := range append(c.ForcedComponents(fourClasses(len(jobs)), -1), nil) {
+		round, pt := c.RoundInPlace, x
+		if cc != nil {
+			round, pt = cc.RoundInPlace, cc.Restrict(x)
+		}
+		one := func() {
+			if round(buf[:copy(buf, pt)]) != nil {
+				rounded++
+			}
+		}
+		one() // the first call sizes the buffers
+		if n := testing.AllocsPerRun(50, one); n != 0 {
+			t.Errorf("a rounding allocates %v times", n)
+		}
+	}
+	if rounded == 0 {
+		t.Fatal("no rounding granted anything")
+	}
+}
+
+// TestRoundInPlaceConcurrent: the workers of a parallel search, and concurrent
+// sub-solves, round on one Compiled at once, each on a point of its own; the
+// shared working memory must not leak between them (run under -race).
+func TestRoundInPlaceConcurrent(t *testing.T) {
+	jobs, opts := cycleBatch(5, 24)
+	c, err := Compile(jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := c.ForcedComponents(fourClasses(len(jobs)), -1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 200; i++ {
+				cc := comps[r.Intn(len(comps))]
+				x := make([]float64, len(cc.VarMap))
+				for i := range x {
+					x[i] = float64(r.Intn(5)) / 4
+				}
+				want := cc.GreedyRound(x)
+				if got := cc.RoundInPlace(x); !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d: a rounding changed under concurrency", g)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -728,7 +728,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			parts[i] = milp.Part{
 				Model:     cc.Model,
 				VarMap:    cc.VarMap,
-				Heuristic: cc.GreedyRound,
+				Heuristic: cc.RoundInPlace,
 			}
 			var cached *milp.Solution
 			if inc != nil {
@@ -800,7 +800,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			}
 		} else {
 			mopts.InitialSolution = partSeed
-			mopts.Heuristic = comp.GreedyRound
+			mopts.Heuristic = comp.RoundInPlace
 			ws := s.solveWS.Get()
 			sol, err = ws.Solve(comp.Model, mopts)
 			s.solveWS.Put(ws)
@@ -1140,7 +1140,7 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			TimeLimit:        s.cfg.SolverTimeLimit,
 			Workers:          s.cfg.SolverWorkers,
 			Deterministic:    true,
-			Heuristic:        comp.GreedyRound,
+			Heuristic:        comp.RoundInPlace,
 			DisableWarmStart: s.cfg.DisableWarmStart,
 			DisablePresolve:  s.cfg.DisablePresolve,
 			DenseBasis:       s.cfg.DenseBasis,

@@ -5,7 +5,7 @@ import "testing"
 // The two layers of the solve that the root benchmark suite cannot reach
 // through the public API in isolation: the tree search proper and one round
 // of cut separation, both on the resident block (residentModel) with two
-// arrivals — 512 nodes at the scheduler's gap. `make bench` runs them with
+// arrivals — 128 nodes at the scheduler's gap. `make bench` runs them with
 // the root suite; read B/op and allocs/op, which repeat exactly.
 
 // BenchmarkTreeSearch is a whole solve of the block on a warm workspace by

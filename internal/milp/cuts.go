@@ -25,8 +25,9 @@ import (
 // cut off any feasible schedule — only tighten the LP relaxation the
 // branch-and-bound bounds come from. Separation runs only at the root
 // (Options.DisableCuts kills it), for a bounded number of rounds, each on a
-// copy of the model's row list grown by the round's cuts; node re-solves then
-// inherit the tightened relaxation for free through the shared LP.
+// copy of the model's row list grown by the round's cuts and re-solved from
+// the round before's basis; node re-solves then inherit the tightened
+// relaxation for free through the shared LP.
 
 // CutStats reports root cutting-plane activity for one Solve call.
 type CutStats struct {
@@ -471,14 +472,17 @@ func (w *Workspace) selectCuts() []cutCandidate {
 
 // runCutRounds strengthens the root relaxation with separation rounds: find
 // violated cuts at the current root point, append them to a copy of the
-// model's row list, rebuild the LP, and re-solve cold. The search's model, LP, and
-// scratch are replaced on every successful round — structural variable
-// indexing is untouched (cuts only append rows), so incumbents, heuristics,
-// and postsolve lifting are unaffected. Any round whose re-solve does not
-// reach optimality is discarded and cutting stops; cuts are an optional
-// strengthening, never a correctness dependency.
+// model's row list, rebuild the LP, and re-solve it from the previous round's
+// optimal basis (grownBasis). The search's model, LP, and scratch are replaced
+// on every successful round — structural variable indexing is untouched (cuts
+// only append rows), so incumbents, heuristics, and postsolve lifting are
+// unaffected. Any round whose re-solve does not reach optimality is discarded
+// and cutting stops; cuts are an optional strengthening, never a correctness
+// dependency. Each round's LP point goes to the caller's heuristic like a
+// node's, and separation stops as soon as the tightened bound meets the gap:
+// the tree would end at its first pop.
 func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64) {
-	for round := 0; round < maxCutRounds; round++ {
+	for round := 0; round < maxCutRounds && !s.gapMet(rootObj); round++ {
 		cands := s.ws.separateCuts(s.model, x)
 		if len(cands) == 0 {
 			return x, rootObj
@@ -498,7 +502,10 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 		p2 := s.ws.newLP(grown)
 		p2.dense = s.p.dense
 		sc2 := s.ws.newScratch(p2)
-		st, nx, err := sc2.solve(p2.lb, p2.ub, 0, s.deadline)
+		// The carried-over basis is read once, on the way into the solve.
+		mark := s.ws.mark()
+		st, nx, err := sc2.solveFrom(s.grownBasis(p2), p2.lb, p2.ub, 0, s.deadline)
+		s.ws.release(mark)
 		if err != nil || st != lpOptimal {
 			// Deadline, iteration cap, or numerical trouble on the grown LP:
 			// keep the un-cut root, which is already solved and valid. The
@@ -516,6 +523,32 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 		if firstFractional(s.model, x) < 0 {
 			return x, rootObj // integral: no further separation needed
 		}
+		if s.opts.Heuristic != nil {
+			s.consider(s.round(x, &s.primal))
+		}
 	}
 	return x, rootObj
+}
+
+// grownBasis is the optimal basis s.scratch holds, carried over to p2 — the
+// search's LP with cut rows appended — for a dual-simplex re-solve: each new
+// row's slack is basic, so the duals of the old rows and every reduced cost
+// are what they were, and only the rows the old optimum violates are left to
+// repair. Nil (solve cold) with warm starts disabled or a basis that cannot
+// seed one; a snapshot that turns out stale falls back in solveFrom.
+func (s *search) grownBasis(p2 *lp) *basisState {
+	if s.opts.DisableWarmStart {
+		return nil
+	}
+	// New slacks follow the old columns, so the old basis and statuses are a
+	// prefix of the new ones.
+	bs := capture(s.scratch, s.ws.newSnapshot(p2))
+	if bs == nil {
+		return nil
+	}
+	for i := s.p.m; i < p2.m; i++ {
+		sj := p2.nvars + i
+		bs.basis[i], bs.status[sj] = int32(sj), inBasis
+	}
+	return bs
 }

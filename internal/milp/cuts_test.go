@@ -409,32 +409,33 @@ func TestCompareKeysIsTheSignatureOrder(t *testing.T) {
 // TestFailedCutRoundKeepsItsLPWork: when the re-solve of a grown root LP does
 // not reach optimality the round is discarded, but the pivots and
 // factorizations it spent are still work the solve did; they used to vanish
-// from Solution.LP with the dropped scratch.
+// from Solution.LP with the dropped scratch. The re-solve is a dual restart
+// from the root basis, or a cold primal with warm starts disabled.
 func TestFailedCutRoundKeepsItsLPWork(t *testing.T) {
-	m := residentModel(1)
-	w := new(Workspace)
-	p := w.newLP(m)
-	s := &search{ws: w, model: m, p: p, maximize: true, workers: 1, incObj: math.Inf(-1), start: time.Now()}
-	s.scratch = w.newScratch(p)
-	st, x, err := s.scratch.solve(p.lb, p.ub, 0, time.Time{})
-	if err != nil || st != lpOptimal {
-		t.Fatalf("root: %v %v", st, err)
-	}
-	rootObj := m.ObjectiveValue(x[:len(m.Vars)])
-	if len(w.separateCuts(m, x)) == 0 {
-		t.Fatal("the root point violates no cut; the test exercises nothing")
-	}
-	s.deadline = time.Now().Add(-time.Second) // the grown LP is given up on at its first poll
-	gotX, gotObj := s.runCutRounds(x, rootObj)
-	if &gotX[0] != &x[0] || gotObj != rootObj || s.model != m || s.cuts.Rounds != 0 {
-		t.Fatalf("the failed round was not discarded: obj %v (root %v), %+v", gotObj, rootObj, s.cuts)
-	}
-	if s.lp.ColdStarts != 1 {
-		t.Fatalf("the abandoned re-solve left no trace in the solve's LP telemetry: %+v", s.lp)
-	}
-	s.openRoot(rootObj)
-	s.run()
-	if sol := s.finish(); sol.LP.ColdStarts != 2 {
-		t.Fatalf("Solution.LP counts %d cold starts, want the root's and the abandoned re-solve's", sol.LP.ColdStarts)
+	for _, cold := range []bool{false, true} {
+		m := residentModel(1)
+		s, x, rootObj := cutRootSearch(t, m, cold)
+		if len(s.ws.separateCuts(m, x)) == 0 {
+			t.Fatal("the root point violates no cut; the test exercises nothing")
+		}
+		s.deadline = time.Now().Add(-time.Second) // the grown LP is given up on at its first poll
+		gotX, gotObj := s.runCutRounds(x, rootObj)
+		if &gotX[0] != &x[0] || gotObj != rootObj || s.model != m || s.cuts.Rounds != 0 {
+			t.Fatalf("cold %v: the failed round was not discarded: obj %v (root %v), %+v", cold, gotObj, rootObj, s.cuts)
+		}
+		want := LPStats{WarmHits: 1, Factorizations: 1}
+		if cold {
+			want = LPStats{ColdStarts: 1}
+		}
+		if s.lp != want {
+			t.Fatalf("cold %v: the abandoned re-solve left %+v in the solve's LP telemetry, want %+v", cold, s.lp, want)
+		}
+		s.openRoot(rootObj)
+		s.run()
+		// The root's cold start, the abandoned re-solve, and one abandoned node.
+		sol := s.finish()
+		if got := sol.LP.WarmHits + sol.LP.ColdStarts; got != 3 || sol.LP.ColdStarts < 1 {
+			t.Fatalf("cold %v: Solution.LP %+v, want the root's, the abandoned re-solve's and the root node's LP", cold, sol.LP)
+		}
 	}
 }

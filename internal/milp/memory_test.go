@@ -120,7 +120,7 @@ func TestSolveValidatesOnce(t *testing.T) {
 	if _, err := Solve(m, Options{}); err == nil {
 		t.Fatal("Solve accepted a model with lb > ub")
 	}
-	if _, err := new(Workspace).branchAndBound(m, Options{}); err != nil {
+	if _, err := new(Workspace).branchAndBound(m, Options{}, nil); err != nil {
 		t.Fatalf("branchAndBound validated its input: %v", err)
 	}
 }

@@ -49,17 +49,18 @@ type evalSlot struct {
 	lb, ub []float64
 	fracs  []fracVar
 	snap   *basisState
+	primal primalBuf
 }
 
 func (s *search) newEvalSlot() evalSlot {
-	return evalSlot{sc: s.ws.newScratch(s.p), lb: s.ws.floats.take(len(s.p.lb)), ub: s.ws.floats.take(len(s.p.ub))}
+	return evalSlot{sc: s.ws.newScratch(s.p), lb: s.ws.floats.take(len(s.p.lb)), ub: s.ws.floats.take(len(s.p.ub)), primal: s.newPrimalBuf()}
 }
 
 // evalNode solves one node's LP relaxation on the slot and derives everything
 // the shared-state apply step needs. It only reads search state that is fixed
 // for the duration of the solve (model, p, opts, deadline, the node's
 // ancestors), so it runs without the driver lock. idx is the node's 1-based
-// processing index, used for the heuristic cadence.
+// processing index, used for the dive cadence.
 func (s *search) evalNode(node *bbNode, e *evalSlot, idx int) nodeResult {
 	s.box(node, e.lb, e.ub)
 	st, x, err := s.solveNodeLP(e.sc, node, e.lb, e.ub)
@@ -75,21 +76,12 @@ func (s *search) evalNode(node *bbNode, e *evalSlot, idx int) nodeResult {
 		r.vals = roundIntegral(s.model, x[:len(s.model.Vars)])
 		return r
 	}
-	// Snapshot before the heuristic dive: the dive solves on its own scratch,
-	// but taking the basis now keeps the capture adjacent to the solve it
-	// belongs to.
 	r.snap = capture(e.sc, e.snap)
-	if s.opts.Heuristic != nil && idx%16 == 0 {
-		if cand := s.opts.Heuristic(x[:len(s.model.Vars)]); cand != nil && s.model.IsFeasible(cand, 1e-6) {
-			r.cand = cand
-		}
-	} else if s.opts.Heuristic == nil && idx%64 == 0 {
-		// The search's workspace belongs to the driver goroutine; a worker's
-		// dive (rare: every 64th node, and only without a caller heuristic)
-		// runs on fresh memory instead.
-		if cand := diveFrom(new(Workspace), s.model, s.p, e.lb, e.ub, x, s.deadline, !s.opts.DisableWarmStart, &e.sc.stats); cand != nil {
-			r.cand = cand
-		}
+	// The search's workspace belongs to the driver goroutine, so a worker's
+	// dive runs on fresh memory. The candidate is validated here, off the
+	// lock; it stays in the slot until the apply step has looked at it.
+	if cand := s.candidate(x, e.lb, e.ub, idx, &e.primal, nil, &e.sc.stats); cand != nil && s.model.IsFeasible(cand, 1e-6) {
+		r.cand = cand
 	}
 	// Branch selection consults the shared pseudocost table, so it happens in
 	// the apply step (under the driver lock); only the fractional candidates
@@ -137,10 +129,8 @@ func (s *search) applyResult(r nodeResult) {
 		return
 	}
 	if r.cand != nil {
-		if o := s.model.ObjectiveValue(r.cand); s.incumbent == nil || s.better(o, s.incObj) {
-			s.incumbent, s.incObj = r.cand, o
-		}
-		if s.incumbent != nil && !s.better(r.obj, s.incObj) {
+		s.adopt(r.cand)
+		if !s.better(r.obj, s.incObj) {
 			return // the candidate itself closed this subtree
 		}
 	}

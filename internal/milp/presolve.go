@@ -125,6 +125,12 @@ func (p *Presolved) Lift(sol *Solution) *Solution {
 // policy). For any point feasible in the original model the restriction is
 // feasible in the reduced model, so warm-start seeds survive presolve.
 func (p *Presolved) RestrictPoint(x []float64) []float64 {
+	return p.restrictInto(nil, x)
+}
+
+// restrictInto is RestrictPoint into dst's memory when dst is large enough:
+// the tree search maps a heuristic candidate at every node.
+func (p *Presolved) restrictInto(dst, x []float64) []float64 {
 	if x == nil {
 		return nil
 	}
@@ -134,11 +140,14 @@ func (p *Presolved) RestrictPoint(x []float64) []float64 {
 	if len(x) != p.nOrig {
 		return nil
 	}
-	out := make([]float64, len(p.keep))
-	for ri, oi := range p.keep {
-		out[ri] = x[oi]
+	if cap(dst) < len(p.keep) {
+		dst = make([]float64, len(p.keep))
 	}
-	return out
+	dst = dst[:len(p.keep)]
+	for ri, oi := range p.keep {
+		dst[ri] = x[oi]
+	}
+	return dst
 }
 
 // LiftPoint maps a reduced-space point to the full space, filling fixed
@@ -148,18 +157,24 @@ func (p *Presolved) LiftPoint(x []float64) []float64 {
 	if p.identity {
 		return x
 	}
-	out := make([]float64, p.nOrig)
-	for i := range out {
+	return p.liftInto(make([]float64, p.nOrig), x)
+}
+
+// liftInto is LiftPoint of a non-identity reduction into dst, which has one
+// entry per original variable; every entry is written.
+func (p *Presolved) liftInto(dst, x []float64) []float64 {
+	for i := range dst {
+		dst[i] = 0
 		if p.isFixed[i] {
-			out[i] = p.fixedVal[i]
+			dst[i] = p.fixedVal[i]
 		}
 	}
 	for ri, oi := range p.keep {
 		if ri < len(x) {
-			out[oi] = x[ri]
+			dst[oi] = x[ri]
 		}
 	}
-	return out
+	return dst
 }
 
 // psRow is a working-copy constraint. GE rows are normalized to LE at load

@@ -75,9 +75,14 @@ type Options struct {
 	// Heuristic, if non-nil, proposes an integral candidate from an LP
 	// relaxation point. Problem-aware callers (the STRL compiler) supply a
 	// structure-exploiting rounding that is far cheaper than generic LP
-	// dives; candidates are validated before being accepted as incumbents.
-	// With Workers > 1 the callback is invoked concurrently and must be safe
-	// for concurrent use (pure functions of their input are).
+	// dives, so it is offered the LP point of every evaluated node;
+	// candidates are validated before being accepted as incumbents. The point
+	// is the callback's to overwrite — it may round in place and return the
+	// slice it was given — and the candidate is read before the same worker
+	// calls again, then copied if adopted, so neither needs a fresh
+	// allocation. With Workers > 1 the callback is invoked concurrently, each
+	// worker on a point of its own, and must be safe for concurrent use
+	// (functions of their input alone are).
 	Heuristic func(relaxation []float64) []float64
 	// DisableWarmStart forces every branch-and-bound node LP onto the cold
 	// primal path instead of dual-simplex re-solving from the parent basis.
@@ -229,6 +234,9 @@ type search struct {
 	incumbent []float64
 	incObj    float64
 
+	pre    *Presolved // the reduction between the caller's space and the model's; nil: none
+	primal primalBuf  // the root's and the serial driver's
+
 	scratch *simplexState // serial driver's (and the root solve's) LP scratch
 	lp      LPStats       // folded worker telemetry; finish() adds s.scratch's
 	cuts    CutStats      // root cutting-plane activity
@@ -270,12 +278,72 @@ func (s *search) gapMet(bound float64) bool {
 
 // consider adopts cand as the incumbent if it is feasible and better.
 func (s *search) consider(cand []float64) {
-	if cand == nil || !s.model.IsFeasible(cand, 1e-6) {
-		return
+	if cand != nil && s.model.IsFeasible(cand, 1e-6) {
+		s.adopt(cand)
 	}
+}
+
+// adopt makes a feasible cand the incumbent if it is better. The incumbent is
+// a copy, in memory the search keeps from one incumbent to the next: cand may
+// live in a worker's buffer, and most candidates are not adopted.
+func (s *search) adopt(cand []float64) {
 	if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || s.better(obj, s.incObj) {
-		s.incumbent, s.incObj = cand, obj
+		s.incumbent, s.incObj = append(s.incumbent[:0], cand...), obj
 	}
+}
+
+// The primal side. A search that ends by gap waits for an incumbent as often
+// as for a bound, so every evaluated node's LP point is offered to the
+// caller's rounding (docs/SOLVER.md, Primal side); a search without one falls
+// back on an LP dive, which costs up to twelve LPs and runs at every 64th
+// node. All three drivers go through candidate.
+
+// primalBuf is one worker's memory for the caller's heuristic: the LP point
+// as the heuristic sees it — in the caller's variable space, and the
+// heuristic's to overwrite — and, under a reduction, its candidate mapped
+// back into the model's space.
+type primalBuf struct {
+	point, cand []float64
+}
+
+func (s *search) newPrimalBuf() primalBuf {
+	switch {
+	case s.opts.Heuristic == nil:
+		return primalBuf{}
+	case s.pre == nil:
+		return primalBuf{point: s.ws.floats.take(len(s.model.Vars))}
+	}
+	return primalBuf{point: s.ws.floats.take(s.pre.nOrig), cand: s.ws.floats.take(len(s.model.Vars))}
+}
+
+// round offers the LP point x to the caller's heuristic and returns its
+// candidate in the model's space, unvalidated, or nil. The candidate may live
+// in b (or be the caller's own) and is good until b's next round.
+func (s *search) round(x []float64, b *primalBuf) []float64 {
+	n := len(s.model.Vars)
+	if s.pre == nil {
+		copy(b.point, x[:n])
+		return s.opts.Heuristic(b.point)
+	}
+	return s.pre.restrictInto(b.cand, s.opts.Heuristic(s.pre.liftInto(b.point, x[:n])))
+}
+
+// candidate derives an incumbent candidate from the LP point x of the idx-th
+// evaluated node, whose box is lb, ub: unvalidated, possibly nil, and good
+// until b's next use. A dive runs on w — nil for fresh memory, which is what a
+// worker that does not own the search's workspace passes — and counts its LPs
+// into stats.
+func (s *search) candidate(x, lb, ub []float64, idx int, b *primalBuf, w *Workspace, stats *LPStats) []float64 {
+	if s.opts.Heuristic != nil {
+		return s.round(x, b)
+	}
+	if idx%64 != 0 {
+		return nil
+	}
+	if w == nil {
+		w = new(Workspace)
+	}
+	return diveFrom(w, s.model, s.p, lb, ub, x, s.deadline, !s.opts.DisableWarmStart, stats)
 }
 
 // Tree memory. Nodes, basis snapshots and the open-node heap live in the
@@ -408,25 +476,19 @@ func (w *Workspace) solve(model *Model, opts Options) (*Solution, error) {
 		return nil, err
 	}
 	if opts.DisablePresolve {
-		return w.branchAndBound(model, opts)
+		return w.branchAndBound(model, opts, nil)
 	}
 	pre := w.presolve(model)
 	if pre.Infeasible {
 		return &Solution{Status: StatusInfeasible, Workers: opts.effectiveWorkers(), Presolve: pre.Stats, Runtime: time.Since(start)}, nil
 	}
-	ropts := opts
-	if !pre.identity {
-		ropts.InitialSolution = pre.RestrictPoint(opts.InitialSolution)
-		if opts.Heuristic != nil {
-			h := opts.Heuristic
-			ropts.Heuristic = func(relax []float64) []float64 {
-				return pre.RestrictPoint(h(pre.LiftPoint(relax)))
-			}
-		}
-	}
-	// The reduced model is the presolver's own assembly of a model that just
+	// The seed is mapped into the reduced space here; the heuristic's points
+	// and candidates are mapped by the search, worker by worker (round). The
+	// reduced model is the presolver's own assembly of a model that just
 	// passed Validate; it is not validated again.
-	red, err := w.branchAndBound(pre.Model, ropts)
+	ropts := opts
+	ropts.InitialSolution = pre.RestrictPoint(opts.InitialSolution)
+	red, err := w.branchAndBound(pre.Model, ropts, pre)
 	if err != nil {
 		return nil, err
 	}
@@ -435,8 +497,9 @@ func (w *Workspace) solve(model *Model, opts Options) (*Solution, error) {
 	return sol, nil
 }
 
-// branchAndBound solves a validated model as it stands (no presolve).
-func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error) {
+// branchAndBound solves a validated model as it stands. pre, when not nil, is
+// the reduction that produced it: opts.Heuristic works in the space before it.
+func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (*Solution, error) {
 	start := time.Now()
 	workers := opts.effectiveWorkers()
 	if len(model.Vars) == 0 {
@@ -461,7 +524,8 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 		deadline = start.Add(opts.TimeLimit)
 	}
 
-	s := &search{
+	s := &w.search // the search dies with the solve, like everything else on w
+	*s = search{
 		ws:       w,
 		model:    model,
 		p:        p,
@@ -470,6 +534,9 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 		deadline: deadline,
 		maximize: maximize,
 		workers:  workers,
+	}
+	if pre != nil && !pre.identity {
+		s.pre = pre
 	}
 	worst := math.Inf(-1)
 	if !maximize {
@@ -528,15 +595,12 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 	// incumbent matters because gap-based termination returns it directly —
 	// and it runs before cut separation, because an incumbent that already
 	// meets the gap against the un-cut root bound makes every separation
-	// round (a model copy plus a cold LP re-solve) pure overhead.
+	// round (a grown LP and its re-solve) pure overhead.
 	s.consider(roundHeuristic(model, x))
-	if opts.Heuristic != nil {
-		s.consider(opts.Heuristic(x[:len(model.Vars)]))
-	} else {
-		s.consider(diveFrom(w, model, p, p.lb, p.ub, x, deadline, !opts.DisableWarmStart, &s.scratch.stats))
-	}
+	s.primal = s.newPrimalBuf()
+	s.consider(s.candidate(x, p.lb, p.ub, 0, &s.primal, w, &s.scratch.stats))
 
-	if !opts.DisableCuts && !s.gapMet(rootObj) {
+	if !opts.DisableCuts {
 		// Strengthen the root relaxation with cover/clique cuts before
 		// branching; the search's model/LP/scratch may be replaced (cuts
 		// only append rows, so variable indexing is untouched — incumbents
@@ -581,9 +645,7 @@ func (s *search) run() {
 	}
 }
 
-// runSerial is the single-threaded best-bound search (Workers == 1), kept
-// byte-for-byte equivalent to the historical solver so serial results are
-// stable across releases.
+// runSerial is the single-threaded best-bound search (Workers == 1).
 func (s *search) runSerial() {
 	lbBuf := s.ws.floats.take(len(s.p.lb))
 	ubBuf := s.ws.floats.take(len(s.p.ub))
@@ -636,18 +698,15 @@ func (s *search) runSerial() {
 			}
 			continue
 		}
-		// Taken before the dive below: the dive solves on its own scratch, but
-		// the capture belongs next to the solve it records. The buffer is
-		// usually the one the node itself just restored from.
+		s.consider(s.candidate(x, lbBuf, ubBuf, s.nodes, &s.primal, s.ws, &s.scratch.stats))
+		if s.incumbent != nil && !s.better(obj, s.incObj) {
+			continue // the candidate itself closed this subtree
+		}
+		// A dive solves on a scratch of its own, so the node's basis is still
+		// in s.scratch. The buffer is usually the one the node itself just
+		// restored from.
 		buf := s.takeSnap()
 		snap := capture(s.scratch, buf)
-		// Periodically derive an incumbent from this node's relaxation; cheap
-		// relative to the search it prunes.
-		if s.opts.Heuristic != nil && s.nodes%16 == 0 {
-			s.consider(s.opts.Heuristic(x[:len(s.model.Vars)]))
-		} else if s.opts.Heuristic == nil && s.nodes%64 == 0 {
-			s.consider(diveFrom(s.ws, s.model, s.p, lbBuf, ubBuf, x, s.deadline, !s.opts.DisableWarmStart, &s.scratch.stats))
-		}
 		// Branch by pseudocost score (most-fractional until the table has
 		// history). Both children share the parent's basis snapshot.
 		s.fracBuf = gatherFractional(s.model, x, s.fracBuf)
@@ -774,7 +833,7 @@ func roundIntegral(m *Model, x []float64) []float64 {
 // them back on return.
 func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64, deadline time.Time, useWarm bool, stats *LPStats) []float64 {
 	const maxSteps = 12
-	floats, int32s, bytes, snaps, lent := w.floats.mark(), w.int32s.mark(), w.bytes.mark(), w.snaps.mark(), w.lent
+	mark := w.mark()
 	lb := w.floats.take(len(lb0))
 	ub := w.floats.take(len(ub0))
 	copy(lb, lb0)
@@ -788,11 +847,7 @@ func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64
 	}
 	defer func() {
 		stats.add(&sc.stats)
-		w.floats.release(floats)
-		w.int32s.release(int32s)
-		w.bytes.release(bytes)
-		w.snaps.release(snaps)
-		w.lent = lent
+		w.release(mark)
 	}()
 	x := fromX
 	for depth := 0; depth < maxSteps; depth++ {

@@ -13,8 +13,9 @@ import (
 // per remaining slice of a 10-slice horizon and a 3-slice duration, 108
 // node-slices of demand against 72 of supply; plus arrivals one-slice jobs of
 // width 2 that can only start at once. Variable, row and term order are the
-// compiler's. With no arrival it takes 192 nodes, two cut rounds and five
-// cover cuts at the scheduler's gap of 0.1; with two, 512 nodes and one round.
+// compiler's. Without the compiler's rounding (the dive fallback, every 64th
+// node) it takes 128 nodes at the scheduler's gap of 0.1 either way: with no
+// arrival after two cut rounds and five cover cuts, with two after one round.
 func residentModel(arrivals int) *Model {
 	const horizon, dur = 10, 3
 	widths := []float64{2, 3, 5, 7, 2, 3, 5, 7, 2}
@@ -50,8 +51,8 @@ func residentModel(arrivals int) *Model {
 // the tests and benchmarks built on it assume a real tree and real cut rounds.
 func TestResidentModelShape(t *testing.T) {
 	for _, tc := range []struct{ arrivals, vars, rows, nodes, rounds, covers int }{
-		{0, 99, 27, 192, 2, 5},
-		{2, 105, 31, 512, 1, 3},
+		{0, 99, 27, 128, 2, 5},
+		{2, 105, 31, 128, 1, 3},
 	} {
 		m := residentModel(tc.arrivals)
 		sol, err := Solve(m, Options{Workers: 1, Gap: 0.1})

@@ -287,7 +287,7 @@ func TestSnapshotsRecycled(t *testing.T) {
 	m := residentModel(2)
 	w := new(Workspace)
 	sol, err := w.solve(m, Options{Workers: 1, Gap: 0.1})
-	if err != nil || sol.Nodes < 400 {
+	if err != nil || sol.Nodes < 100 {
 		t.Fatalf("%v %+v", err, sol)
 	}
 	made := w.snaps.used + w.snaps.over

@@ -101,11 +101,33 @@ type Workspace struct {
 
 	cut cutScratch // root separation's candidate lists outlive a round
 
+	search search // the current solve's tree search
+
 	// Simplex states (with their basis engines, whose factor and eta arrays
 	// grow by append) are kept whole and re-bound to the next LP. states[:lent]
 	// are in use by the current solve.
 	states []*simplexState
 	lent   int
+}
+
+// wsMark is a position in the memory a nested, strictly shorter-lived LP solve
+// borrows — a heuristic dive, a cut round's carried-over basis — to hand it
+// back when the solve is done.
+type wsMark struct {
+	floats, int32s, bytes, snaps slabMark
+	lent                         int
+}
+
+func (w *Workspace) mark() wsMark {
+	return wsMark{w.floats.mark(), w.int32s.mark(), w.bytes.mark(), w.snaps.mark(), w.lent}
+}
+
+func (w *Workspace) release(m wsMark) {
+	w.floats.release(m.floats)
+	w.int32s.release(m.int32s)
+	w.bytes.release(m.bytes)
+	w.snaps.release(m.snaps)
+	w.lent = m.lent
 }
 
 // Solve is the package-level Solve on this workspace's memory: same model,
@@ -139,6 +161,7 @@ func (w *Workspace) rewind() {
 	w.open.nodes = w.open.nodes[:0]
 	clear(w.cut.kept[:cap(w.cut.kept)]) // rows on the term slab
 	w.lent = 0
+	w.search = search{}
 	// The presolver keeps its scratch, not its references to the model.
 	w.ps = presolver{dedupSeen: w.ps.dedupSeen, cliqueRows: w.ps.cliqueRows[:0], cliqueLits: w.ps.cliqueLits[:0]}
 }
