@@ -1,6 +1,9 @@
 package compiler
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file computes cross-cycle component fingerprints for the scheduler's
 // incremental reuse cache (docs/SOLVER.md "Incremental scheduling").
@@ -16,28 +19,26 @@ import "math"
 // unchanged. For the same reason partition-group indices are renumbered by
 // first appearance within the component before hashing.
 
-// fnv64 is an inline FNV-1a accumulator (hash/fnv forces a []byte round trip
-// per write; the fingerprint is on the per-cycle hot path).
-type fnv64 uint64
+// hash64 is an inline accumulator that folds one 64-bit word per step — a
+// multiply and an xor of the 128-bit product's halves, so a difference in any
+// bit of a word reaches every bit of the state. The fingerprint is on the
+// per-cycle hot path, and hash/fnv would cost a []byte round trip per write
+// and, a byte at a time, eight multiplies per word.
+type hash64 uint64
 
 const (
-	fnvOffset fnv64 = 14695981039346656037
-	fnvPrime  fnv64 = 1099511628211
+	hashSeed hash64 = 14695981039346656037
+	hashMul  uint64 = 0x9e3779b97f4a7c15
 )
 
-func (h *fnv64) u64(v uint64) {
-	x := *h
-	for i := 0; i < 8; i++ {
-		x ^= fnv64(v & 0xff)
-		x *= fnvPrime
-		v >>= 8
-	}
-	*h = x
+func (h *hash64) u64(v uint64) {
+	hi, lo := bits.Mul64(uint64(*h)^v, hashMul)
+	*h = hash64(hi ^ lo)
 }
 
-func (h *fnv64) i64(v int64)   { h.u64(uint64(v)) }
-func (h *fnv64) f64(v float64) { h.u64(math.Float64bits(v)) }
-func (h *fnv64) bool(v bool) {
+func (h *hash64) i64(v int64)   { h.u64(uint64(v)) }
+func (h *hash64) f64(v float64) { h.u64(math.Float64bits(v)) }
+func (h *hash64) bool(v bool) {
 	if v {
 		h.u64(1)
 	} else {
@@ -47,7 +48,7 @@ func (h *fnv64) bool(v bool) {
 
 // HashInts folds a slice of ints (e.g. a component's job IDs) into a key.
 func HashInts(vals []int) uint64 {
-	h := fnvOffset
+	h := hashSeed
 	h.i64(int64(len(vals)))
 	for _, v := range vals {
 		h.i64(int64(v))
@@ -59,7 +60,7 @@ func HashInts(vals []int) uint64 {
 // vector hashes differently from an empty or zero one, so "no seed" and
 // "all-zero seed" produce distinct fingerprints.
 func HashFloatsInto(fp uint64, vec []float64) uint64 {
-	h := fnv64(fp)
+	h := hash64(fp)
 	if vec == nil {
 		h.i64(-1)
 		return uint64(h)
@@ -83,7 +84,7 @@ func (c *Compiled) ComponentFingerprint(cc *Component) uint64 {
 	if cc.fpSet {
 		return cc.fp
 	}
-	h := fnvOffset
+	h := hashSeed
 	m := cc.Model
 	h.i64(int64(m.Sense))
 	h.i64(int64(m.NumVars()))

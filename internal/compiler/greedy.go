@@ -8,7 +8,8 @@ import (
 )
 
 // GreedyRound converts an LP relaxation point into an integral candidate by
-// walking jobs in decreasing LP preference and granting each its
+// walking jobs in decreasing order of the LP mass on their own options (see
+// jobMass; ties in batch order, which is priority order) and granting each its
 // highest-scoring feasible option against a running capacity ledger. It is
 // handed to the MILP solver as the incumbent heuristic: structure-aware
 // rounding is orders of magnitude cheaper than generic LP dives and gives
@@ -125,6 +126,7 @@ func (c *Compiled) newScope(jobs []int, sliced bool) roundScope {
 type roundBuf struct {
 	remain []int64
 	order  []int
+	mass   []float64
 	opts   []roundOption
 }
 
@@ -167,10 +169,21 @@ func (r *rounding) job(i int) (job, shift int) {
 	return r.sc.jobs[i], r.sc.shift[i]
 }
 
-// jobX is the LP value of the i-th job's indicator.
-func (r *rounding) jobX(i int) float64 {
+// jobMass is the LP mass on the i-th job's options: the sum of x over its
+// non-culled leaf indicators, which for a bare nCk is the job's own indicator.
+// A MAX job's own indicator says nothing: it has no objective and one row
+// (Σ kids − ind ≤ 0), so presolve's duality fixing pins it at 1 whatever the
+// LP placed on the kids.
+func (r *rounding) jobMass(i int) float64 {
 	j, shift := r.job(i)
-	return r.x[r.c.job[j].varLo-shift]
+	mass := 0.0
+	recs := r.c.jobLeaves(j)
+	for li := range recs {
+		if rec := &recs[li]; !rec.culled {
+			mass += r.x[int(rec.ind)-shift]
+		}
+	}
+	return mass
 }
 
 // row is the ledger row of a partition group.
@@ -209,13 +222,13 @@ func (c *Compiled) roundInPlace(x []float64, sc *roundScope) []float64 {
 		nJobs = len(c.jobs)
 	}
 
-	// Job order: LP job-indicator value descending (stable on index). It is
-	// fixed before the first job's variables are overwritten.
-	buf.order = sized(buf.order, nJobs)
+	// Job order: LP mass on the job's options, descending (stable on index).
+	// It is fixed before the first job's variables are overwritten.
+	buf.order, buf.mass = sized(buf.order, nJobs), sized(buf.mass, nJobs)
 	for i := range buf.order {
-		buf.order[i] = i
+		buf.order[i], buf.mass[i] = i, r.jobMass(i)
 	}
-	slices.SortStableFunc(buf.order, func(a, b int) int { return cmp.Compare(r.jobX(b), r.jobX(a)) })
+	slices.SortStableFunc(buf.order, func(a, b int) int { return cmp.Compare(buf.mass[b], buf.mass[a]) })
 
 	granted := false
 	for _, i := range buf.order {

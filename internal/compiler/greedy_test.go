@@ -183,6 +183,71 @@ func TestQuickSeedGrantFeasibility(t *testing.T) {
 	}
 }
 
+// TestRoundOrderIgnoresSlackIndicator: jobs are ranked by the LP mass on
+// their options, never by a MAX job's own indicator — which has no objective
+// and one row (Σ kids − ind ≤ 0), so it is slack anywhere in [Σ kids, 1] and
+// presolve's duality fixing reports it at 1 for every job.
+func TestRoundOrderIgnoresSlackIndicator(t *testing.T) {
+	// Any indicator value the LP could report rounds to the same candidate.
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		jobs, opts := cycleBatch(seed, 30)
+		c, err := Compile(jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, c.Model.NumVars())
+		kidSum := make([]float64, len(jobs))
+		for _, rec := range c.leaves {
+			x[rec.ind] = r.Float64() / float64(len(c.jobLeaves(rec.job)))
+			kidSum[rec.job] += x[rec.ind]
+		}
+		want := c.GreedyRound(x)
+		if want == nil {
+			t.Fatalf("seed %d: nothing granted", seed)
+		}
+		for trial := 0; trial < 5; trial++ {
+			for j, job := range jobs {
+				if _, isMax := job.(*strl.Max); isMax {
+					x[c.job[j].varLo] = kidSum[j] + r.Float64()*(1-kidSum[j])
+				}
+			}
+			if got := c.GreedyRound(x); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: the candidate depends on the MAX indicators", seed)
+			}
+		}
+	}
+
+	// Four nodes, two windows. The LP put a quarter of the 3-wide job in the
+	// first window and all of the 2-wide job, whose options are both there.
+	// Batch order grants the wide job the first window and strands the other.
+	n := 4
+	jobs := []strl.Expr{
+		&strl.Max{Kids: []strl.Expr{
+			&strl.NCk{Set: full(n), K: 3, Start: 0, Dur: 1, Value: 3},
+			&strl.NCk{Set: full(n), K: 3, Start: 1, Dur: 1, Value: 3},
+		}},
+		&strl.Max{Kids: []strl.Expr{
+			&strl.NCk{Set: set(n, 0, 1), K: 2, Start: 0, Dur: 1, Value: 2},
+			&strl.NCk{Set: full(n), K: 2, Start: 0, Dur: 1, Value: 1.5},
+		}},
+	}
+	c, err := Compile(jobs, Options{Universe: n, Horizon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, c.Model.NumVars())
+	x[c.job[0].varLo], x[c.jobLeaves(0)[0].ind] = 1, 0.25
+	x[c.job[1].varLo], x[c.jobLeaves(1)[0].ind] = 1, 1
+	cand := c.GreedyRound(x)
+	if cand == nil || !c.Model.IsFeasible(cand, 1e-6) {
+		t.Fatalf("no feasible candidate: %v", cand)
+	}
+	if obj := c.Model.ObjectiveValue(cand); math.Abs(obj-5) > 1e-9 {
+		t.Errorf("objective = %v, want 5: the fully placed job first, the wide one in the second window (batch order gets 3)", obj)
+	}
+}
+
 // TestRoundInPlaceAllocatesNothing: the solver rounds at every node of the
 // search, so a steady-state rounding — of a component of a forced
 // decomposition and of the whole batch — writes its candidate over the point

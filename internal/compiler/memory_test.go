@@ -329,7 +329,13 @@ func greedyRoundReference(c *Compiled, x []float64, jobs []int) []float64 {
 		}
 	}
 	order := append([]int(nil), jobs...)
-	sort.SliceStable(order, func(a, b int) bool { return x[c.job[order[a]].varLo] > x[c.job[order[b]].varLo] })
+	mass := map[int]float64{} // LP mass on the job's non-culled options
+	for _, rec := range c.leaves {
+		if !rec.culled {
+			mass[rec.job] += x[rec.ind]
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return mass[order[a]] > mass[order[b]] })
 	var grants []LeafGrant
 	for _, j := range order {
 		if !roundable(c.jobs[j]) {

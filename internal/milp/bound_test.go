@@ -148,7 +148,7 @@ func TestAbandonedNodeKeepsItsBound(t *testing.T) {
 			}
 			rootObj := m.ObjectiveValue(x[:len(m.Vars)])
 			if withIncumbent {
-				if s.consider(roundHeuristic(m, x)); s.incumbent == nil || s.incObj >= rootObj {
+				if s.consider(roundHeuristic(m, x, make([]float64, len(m.Vars)))); s.incumbent == nil || s.incObj >= rootObj {
 					t.Fatal("rounding the root gave no incumbent strictly below the bound")
 				}
 			}

@@ -596,7 +596,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 	// and it runs before cut separation, because an incumbent that already
 	// meets the gap against the un-cut root bound makes every separation
 	// round (a grown LP and its re-solve) pure overhead.
-	s.consider(roundHeuristic(model, x))
+	s.consider(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
 	s.primal = s.newPrimalBuf()
 	s.consider(s.candidate(x, p.lb, p.ub, 0, &s.primal, w, &s.scratch.stats))
 
@@ -881,17 +881,23 @@ func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64
 	return nil
 }
 
-// roundHeuristic tries rounding the relaxation to a feasible integer point.
+// roundHeuristic tries rounding the relaxation to a feasible integer point,
+// down and then to nearest, in cand, which it returns when one is feasible.
 // For the down-monotone models STRL compiles to (all demands scale with
 // indicators), rounding indicators down is frequently feasible.
-func roundHeuristic(m *Model, x []float64) []float64 {
-	for _, mode := range []func(float64) float64{math.Floor, math.Round} {
-		cand := make([]float64, len(m.Vars))
-		copy(cand, x[:len(m.Vars)])
-		for i, v := range m.Vars {
-			if v.Type != Continuous {
-				cand[i] = clampVal(mode(cand[i]), v.Lb, v.Ub)
+func roundHeuristic(m *Model, x, cand []float64) []float64 {
+	for _, nearest := range [2]bool{false, true} {
+		copy(cand, x)
+		for i := range m.Vars {
+			v := &m.Vars[i]
+			if v.Type == Continuous {
+				continue
 			}
+			r := math.Floor(cand[i])
+			if nearest {
+				r = math.Round(cand[i])
+			}
+			cand[i] = clampVal(r, v.Lb, v.Ub)
 		}
 		if m.IsFeasible(cand, 1e-6) {
 			return cand
