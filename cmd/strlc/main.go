@@ -120,8 +120,8 @@ func main() {
 	fmt.Println("grants:")
 	for _, g := range grants {
 		fmt.Printf("  start=%d dur=%d total=%d  leaf=%s\n", g.Start, g.Dur, g.Total, g.Leaf)
-		for grp, cnt := range g.Counts {
-			fmt.Printf("      %d node(s) from group g%d %s\n", cnt, grp, nodeNames(c, comp.Part.Groups[grp]))
+		for _, gc := range g.Counts {
+			fmt.Printf("      %d node(s) from group g%d %s\n", gc.N, gc.Group, nodeNames(c, comp.Part.Groups[gc.Group]))
 		}
 	}
 }

@@ -85,8 +85,9 @@ func main() {
 	fmt.Println("chosen space-time schedule (cf. the candidate schedules of Fig 1):")
 	for _, g := range grants {
 		var where []string
-		for grp, cnt := range g.Counts {
-			comp.Part.Groups[grp].ForEach(func(n int) bool {
+		for _, gc := range g.Counts {
+			cnt := gc.N
+			comp.Part.Groups[gc.Group].ForEach(func(n int) bool {
 				if cnt > 0 {
 					where = append(where, c.Node(cluster.NodeID(n)).Name)
 					cnt--

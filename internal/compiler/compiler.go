@@ -39,6 +39,14 @@ type Options struct {
 	// tentative claims made earlier in a greedy scheduling pass). A node is
 	// available at slice t iff t ≥ ReleaseAt[n] and !BusyAt(n, t).
 	BusyAt func(node int, slice int64) bool
+	// Within, if non-nil, is the set of nodes the batch may use — every leaf
+	// set must lie inside it — and the cluster is partitioned over it instead
+	// of over all Universe nodes: a batch that can only ever touch a corner of
+	// the cluster pays for that corner. The partition groups inside it, their
+	// order and so the emitted model are those of a compilation over every
+	// node; only the group of nodes no leaf names is gone. The set is read
+	// during Compile and not retained.
+	Within *bitset.Set
 }
 
 // partVar is one integer partition variable: the node count a leaf draws
@@ -223,6 +231,9 @@ func (sc *Scratch) useGrid(nG int, h int64) {
 	}
 }
 
+// GroupCount is a node count drawn from one partition group.
+type GroupCount struct{ Group, N int }
+
 // LeafGrant is a decoded allocation for one leaf: how many nodes it receives
 // from each partition group.
 type LeafGrant struct {
@@ -230,8 +241,18 @@ type LeafGrant struct {
 	Leaf   strl.Expr
 	Start  int64
 	Dur    int64
-	Counts map[int]int // group index -> node count
+	Counts []GroupCount // the groups drawn from, ascending, each with a positive count
 	Total  int
+}
+
+// count returns the nodes the grant draws from the group.
+func (g *LeafGrant) count(group int) int {
+	for _, gc := range g.Counts {
+		if gc.Group == group {
+			return gc.N
+		}
+	}
+	return 0
 }
 
 // Compile lowers one STRL expression per pending job into a single MILP.
@@ -259,6 +280,9 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	if opts.ReleaseAt != nil && len(opts.ReleaseAt) != opts.Universe {
 		return nil, fmt.Errorf("compiler: ReleaseAt has %d entries for %d nodes", len(opts.ReleaseAt), opts.Universe)
 	}
+	if opts.Within != nil && opts.Within.Cap() != opts.Universe {
+		return nil, fmt.Errorf("compiler: Within is a set over %d nodes for %d nodes", opts.Within.Cap(), opts.Universe)
+	}
 	for _, j := range jobs {
 		if err := strl.Validate(j); err != nil {
 			return nil, err
@@ -281,11 +305,16 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		})
 	}
 	sc.eqsets = eqsets
-	if sc.universe == nil || sc.universe.Cap() != opts.Universe {
-		sc.universe = bitset.New(opts.Universe)
+	within := opts.Within
+	if within == nil {
+		if sc.universe == nil || sc.universe.Cap() != opts.Universe {
+			sc.universe = bitset.New(opts.Universe)
+			sc.universe.Fill()
+		}
+		within = sc.universe
 	}
-	sc.universe.Fill()
-	part := cluster.Partition(sc.universe, eqsets)
+	opts.Within = nil
+	part := cluster.Partition(within, eqsets)
 	sc.useGrid(len(part.Groups), opts.Horizon)
 	sc.obj, sc.kids = sc.obj[:0], sc.kids[:0]
 
@@ -652,53 +681,93 @@ func (c *Compiled) jobLeaves(j int) []leafRecord {
 func (c *Compiled) JobChosen(sol *milp.Solution, j int) bool {
 	recs := c.jobLeaves(j)
 	for i := range recs {
-		if c.granted(&recs[i], sol.Values) > 0 {
+		if c.grantedGroups(&recs[i], sol.Values, 0) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// granted returns the node count the solution vector gives the leaf.
-func (c *Compiled) granted(rec *leafRecord, x []float64) int {
-	if rec.culled {
+// grantedGroups returns how many partition groups the vector x draws the leaf's
+// nodes from; x is in a variable space shifted down by shift from the model's.
+func (c *Compiled) grantedGroups(rec *leafRecord, x []float64, shift int) int {
+	switch {
+	case rec.culled:
+		return 0
+	case rec.single:
+		if math.Round(x[int(rec.ind)-shift]) > 0 {
+			return 1
+		}
 		return 0
 	}
-	if rec.single {
-		return int(math.Round(x[rec.ind])) * rec.k
-	}
-	total := 0
+	n := 0
 	for _, pv := range c.partsOf(rec) {
-		if n := int(math.Round(x[pv.id])); n > 0 {
-			total += n
+		if math.Round(x[int(pv.id)-shift]) > 0 {
+			n++
 		}
 	}
-	return total
+	return n
 }
 
 // Decode converts a solver solution into per-leaf grants. Leaves with no
 // allocation are omitted.
 func (c *Compiled) Decode(sol *milp.Solution) []LeafGrant {
-	var out []LeafGrant
-	for i := range c.leaves {
-		rec := &c.leaves[i]
-		total := c.granted(rec, sol.Values)
-		if total <= 0 {
-			continue // the ungranted majority: no grant, no Counts map
+	return c.appendGrants(nil, sol.Values, &roundScope{})
+}
+
+// AppendGrants is Decode for the component's own solution vector x (in the
+// component's variable space, as its solve returns it), appending to dst. A
+// grant's Job is still the job's index in the batch the component was cut from.
+func (cc *Component) AppendGrants(dst []LeafGrant, x []float64) []LeafGrant {
+	return cc.parent.appendGrants(dst, x, &cc.scope)
+}
+
+// appendGrants decodes the scope's jobs from x, a vector in the scope's
+// variable space. Only a granted leaf costs anything, and the Counts of all
+// the grants of one call are cut from one array.
+func (c *Compiled) appendGrants(dst []LeafGrant, x []float64, sc *roundScope) []LeafGrant {
+	r := rounding{c: c, sc: sc}
+	nJobs := len(sc.jobs)
+	if sc.jobs == nil {
+		nJobs = len(c.jobs)
+	}
+	pairs := 0
+	for i := 0; i < nJobs; i++ {
+		j, shift := r.job(i)
+		recs := c.jobLeaves(j)
+		for li := range recs {
+			pairs += c.grantedGroups(&recs[li], x, shift)
 		}
-		g := LeafGrant{Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur, Counts: map[int]int{}, Total: total}
-		if rec.single {
-			g.Counts[rec.group] = total
-		} else {
-			for _, pv := range c.partsOf(rec) {
-				if n := int(math.Round(sol.Values[pv.id])); n > 0 {
-					g.Counts[pv.group] += n
+	}
+	if pairs == 0 {
+		return dst
+	}
+	counts := make([]GroupCount, 0, pairs)
+	for i := 0; i < nJobs; i++ {
+		j, shift := r.job(i)
+		recs := c.jobLeaves(j)
+		for li := range recs {
+			rec := &recs[li]
+			if c.grantedGroups(rec, x, shift) == 0 {
+				continue // the ungranted majority
+			}
+			lo, total := len(counts), 0
+			if rec.single {
+				total = int(math.Round(x[int(rec.ind)-shift])) * rec.k
+				counts = append(counts, GroupCount{rec.group, total})
+			} else {
+				for _, pv := range c.partsOf(rec) {
+					if n := int(math.Round(x[int(pv.id)-shift])); n > 0 {
+						counts = append(counts, GroupCount{pv.group, n})
+						total += n
+					}
 				}
 			}
+			dst = append(dst, LeafGrant{Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur,
+				Counts: counts[lo:len(counts):len(counts)], Total: total})
 		}
-		out = append(out, g)
 	}
-	return out
+	return dst
 }
 
 // Assignment converts a solution into the strl evaluator's assignment form
@@ -739,9 +808,9 @@ func (c *Compiled) SeedGrant(j int, leaf strl.Expr) (LeafGrant, bool) {
 		return LeafGrant{}, false
 	}
 	rec := &c.leaves[li]
-	g := LeafGrant{Job: rec.job, Leaf: leaf, Start: rec.start, Dur: rec.dur, Counts: map[int]int{}}
+	g := LeafGrant{Job: rec.job, Leaf: leaf, Start: rec.start, Dur: rec.dur}
 	if rec.single {
-		g.Counts[rec.group] = rec.k
+		g.Counts = []GroupCount{{rec.group, rec.k}}
 		g.Total = rec.k
 		return g, true
 	}
@@ -749,6 +818,7 @@ func (c *Compiled) SeedGrant(j int, leaf strl.Expr) (LeafGrant, bool) {
 	if !ok {
 		return LeafGrant{}, false
 	}
+	g.Counts = make([]GroupCount, 0, rec.partN)
 	need := rec.k
 	for _, pv := range c.partsOf(rec) {
 		if need == 0 {
@@ -759,7 +829,7 @@ func (c *Compiled) SeedGrant(j int, leaf strl.Expr) (LeafGrant, bool) {
 			take = need
 		}
 		if take > 0 {
-			g.Counts[pv.group] = take
+			g.Counts = append(g.Counts, GroupCount{pv.group, take})
 			g.Total += take
 			need -= take
 		}
@@ -804,7 +874,7 @@ func (c *Compiled) InitialVector(grants []LeafGrant) ([]float64, bool) {
 		} else {
 			total := 0
 			for _, pv := range c.partsOf(rec) {
-				n := g.Counts[pv.group]
+				n := g.count(pv.group)
 				x[pv.id] = float64(n)
 				total += n
 			}

@@ -122,9 +122,9 @@ func TestGPUSoftConstraint(t *testing.T) {
 		t.Errorf("grants = %+v, want the fallback leaf", g2)
 	}
 	// The fallback leaf spans both groups; only the 2 free nodes can serve.
-	for grp, cnt := range g2[0].Counts {
-		if !c2.Part.Groups[grp].Contains(2) && !c2.Part.Groups[grp].Contains(3) && cnt > 0 {
-			t.Errorf("fallback drew %d nodes from busy group %d", cnt, grp)
+	for _, gc := range g2[0].Counts {
+		if !c2.Part.Groups[gc.Group].Contains(2) && !c2.Part.Groups[gc.Group].Contains(3) {
+			t.Errorf("fallback drew %d nodes from busy group %d", gc.N, gc.Group)
 		}
 	}
 }
@@ -287,11 +287,9 @@ func TestInitialVectorWarmStart(t *testing.T) {
 	// cover the full cluster.
 	fallback := job.Kids[1].(*strl.NCk)
 	rec := &c.leaves[c.findLeaf(0, fallback)]
-	counts := map[int]int{}
-	if rec.single {
-		counts[rec.group] = 2
-	} else {
-		counts[c.partsOf(rec)[0].group] = 2
+	counts := []GroupCount{{rec.group, 2}}
+	if !rec.single {
+		counts[0].Group = c.partsOf(rec)[0].group
 	}
 	grant := LeafGrant{Job: 0, Leaf: fallback, Start: 0, Dur: 3, Counts: counts, Total: 2}
 	vec, ok := c.InitialVector([]LeafGrant{grant})

@@ -2,8 +2,11 @@ package compiler
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"tetrisched/internal/bitset"
 	"tetrisched/internal/milp"
 	"tetrisched/internal/strl"
 )
@@ -191,5 +194,82 @@ func TestDecomposeRestrictLiftRoundTrip(t *testing.T) {
 	}
 	if comps[0].Restrict(nil) != nil {
 		t.Error("Restrict(nil) should be nil")
+	}
+}
+
+// TestCompileWithinMatchesWhole: compiling a batch that only ever names some
+// of the nodes against those nodes (Options.Within) gives the components of
+// compiling it against the whole cluster — same fingerprints, same solves,
+// same grants up to the numbering of the partition groups — without the group
+// of nodes nobody named; and each half of a batch over disjoint halves of the
+// cluster, compiled alone, gives its half of the whole batch's components.
+func TestCompileWithinMatchesWhole(t *testing.T) {
+	const n, nBlocks = 24, 4
+	jobs := blockJobs(n, nBlocks) // blocks on nodes 0..11; 12..23 named by nobody
+	rel := make([]int64, n)
+	rel[1], rel[4], rel[20] = 2, 1, 3
+	whole, err := Compile(jobs, Options{Universe: n, Horizon: 4, ReleaseAt: rel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prints := func(c *Compiled) (fps []uint64) {
+		for _, cc := range c.Components() {
+			fps = append(fps, c.ComponentFingerprint(cc))
+		}
+		return fps
+	}
+	want := prints(whole)
+	named := set(n, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+	within, err := Compile(jobs, Options{Universe: n, Horizon: 4, ReleaseAt: rel, Within: named})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prints(within); !slices.Equal(got, want) {
+		t.Errorf("component fingerprints within the named nodes %x, over the cluster %x", got, want)
+	}
+	if len(within.Part.Groups) != len(whole.Part.Groups)-1 {
+		t.Errorf("%d partition groups within the named nodes, %d over the cluster; want one fewer", len(within.Part.Groups), len(whole.Part.Groups))
+	}
+	for half, nodes := range []*bitset.Set{set(n, 0, 1, 2, 3, 4, 5), set(n, 6, 7, 8, 9, 10, 11)} {
+		c, err := Compile(jobs[4*half:4*half+4], Options{Universe: n, Horizon: 4, ReleaseAt: rel, Within: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prints(c); !slices.Equal(got, want[2*half:2*half+2]) {
+			t.Errorf("half %d alone: component fingerprints %x, its share of the batch's %x", half, got, want[2*half:2*half+2])
+		}
+	}
+	if _, err := Compile(jobs, Options{Universe: n, Horizon: 4, Within: set(n+1, 0)}); err == nil {
+		t.Error("a Within over the wrong number of nodes compiled")
+	}
+}
+
+// TestAppendGrantsMatchesDecode: decoding each component's own solution vector
+// gives, together, exactly what Decode gives for the merged one — the same
+// leaves, the same (group, count) pairs in group order, jobs by batch index.
+func TestAppendGrantsMatchesDecode(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		jobs, opts := cycleBatch(seed, 12)
+		c, err := Compile(jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol := solveToGap(t, c)
+		want := c.Decode(sol)
+		for _, comps := range [][]*Component{c.Components(), c.ForcedComponents(fourClasses(len(jobs)), -1)} {
+			var got []LeafGrant
+			for _, cc := range comps {
+				got = cc.AppendGrants(got, cc.Restrict(sol.Values))
+			}
+			slices.SortStableFunc(got, func(a, b LeafGrant) int { return a.Job - b.Job })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %d components: grants\n%+v\nDecode\n%+v", seed, len(comps), got, want)
+			}
+		}
+		for _, g := range want {
+			if !slices.IsSortedFunc(g.Counts, func(a, b GroupCount) int { return a.Group - b.Group }) {
+				t.Errorf("seed %d: grant counts %v not in group order", seed, g.Counts)
+			}
+		}
 	}
 }

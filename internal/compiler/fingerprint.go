@@ -46,16 +46,6 @@ func (h *hash64) bool(v bool) {
 	}
 }
 
-// HashInts folds a slice of ints (e.g. a component's job IDs) into a key.
-func HashInts(vals []int) uint64 {
-	h := hashSeed
-	h.i64(int64(len(vals)))
-	for _, v := range vals {
-		h.i64(int64(v))
-	}
-	return uint64(h)
-}
-
 // HashFloatsInto folds a float vector into an existing fingerprint; a nil
 // vector hashes differently from an empty or zero one, so "no seed" and
 // "all-zero seed" produce distinct fingerprints.

@@ -278,8 +278,9 @@ func TestStaleFlipsAtNextCompile(t *testing.T) {
 	first.Components()
 }
 
-// TestDecodeAllocatesPerGrant: Decode builds a grant (and its Counts map)
-// only for a leaf the solution gives nodes to, and JobChosen nothing at all.
+// TestDecodeAllocatesPerGrant: Decode builds a grant only for a leaf the
+// solution gives nodes to, cuts every grant's Counts from one array, and
+// JobChosen allocates nothing at all.
 func TestDecodeAllocatesPerGrant(t *testing.T) {
 	jobs, opts := cycleBatch(4, 10)
 	c, err := Compile(jobs, opts)
@@ -304,9 +305,17 @@ func TestDecodeAllocatesPerGrant(t *testing.T) {
 			chosen++
 		}
 	}
-	// Per grant: the map and its first bucket; plus the growing result slice.
-	if avg, limit := testing.AllocsPerRun(20, func() { c.Decode(sol) }), float64(3*len(grants)+8); avg > limit {
+	// The Counts array, plus the growing result slice.
+	if avg, limit := testing.AllocsPerRun(20, func() { c.Decode(sol) }), 8.0; avg > limit {
 		t.Errorf("Decode allocates %v times for %d grants among %d leaves", avg, len(grants), len(c.leaves))
+	}
+	// The append form into a slice that has the room: the Counts array only.
+	for _, cc := range c.Components() {
+		sub := cc.Restrict(sol.Values)
+		buf := cc.AppendGrants(nil, sub)
+		if avg := testing.AllocsPerRun(20, func() { cc.AppendGrants(buf[:0], sub) }); avg > 1 {
+			t.Errorf("AppendGrants into a sized slice allocates %v times", avg)
+		}
 	}
 	if avg := testing.AllocsPerRun(20, func() { c.JobChosen(sol, chosen%len(jobs)) }); avg != 0 {
 		t.Errorf("JobChosen allocates %v times", avg)
@@ -363,23 +372,24 @@ func greedyRoundReference(c *Compiled, x []float64, jobs []int) []float64 {
 					groups = append(groups, pv.group)
 				}
 			}
-			counts, need := map[int]int{}, rec.k
+			var counts []GroupCount
+			need := rec.k
 			for _, g := range groups {
 				avail := int64(1) << 62
 				for t := s; t < e; t++ {
 					avail = min(avail, remain[g][t])
 				}
 				if take := min(int(avail), need); take > 0 {
-					counts[g] = take
+					counts = append(counts, GroupCount{g, take})
 					need -= take
 				}
 			}
 			if need > 0 {
 				continue options
 			}
-			for g, cnt := range counts {
+			for _, gc := range counts {
 				for t := s; t < e; t++ {
-					remain[g][t] -= int64(cnt)
+					remain[gc.Group][t] -= int64(gc.N)
 				}
 			}
 			grants = append(grants, LeafGrant{Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur, Counts: counts, Total: rec.k})

@@ -231,66 +231,6 @@ func TestShardedCycleConcurrency(t *testing.T) {
 	}
 }
 
-// TestReuseMapSteadyStateAllocs pins the epoch-map recycling contract: after
-// warmup the cache epoch alternates between exactly two map allocations (the
-// displaced epoch is cleared and reused as the next scratch), so steady-state
-// cycles allocate no map at all.
-func TestReuseMapSteadyStateAllocs(t *testing.T) {
-	sched := steadyScheduler(Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0})
-	seen := make(map[uintptr]int)
-	const cycles = 12
-	for i := 0; i < cycles; i++ {
-		sched.Cycle(int64(i)*4, bitset.New(8))
-		if sched.reuse == nil {
-			t.Fatalf("cycle %d: no cache epoch installed", i)
-		}
-		seen[reflect.ValueOf(sched.reuse).Pointer()]++
-		if sched.reuseNext == nil {
-			t.Errorf("cycle %d: displaced epoch was not parked for recycling", i)
-		}
-	}
-	if len(seen) > 2 {
-		t.Errorf("cache epoch used %d distinct map allocations over %d cycles, want <= 2 (recycled pair)",
-			len(seen), cycles)
-	}
-	if sched.Stats.ReuseHits == 0 {
-		t.Error("steady scenario produced no reuse hits; the recycling assertion proved nothing")
-	}
-}
-
-// TestReuseMapShrinksAfterSpike pins the footprint release: when the live
-// entry set falls below a quarter of the high-water mark, commit copies it
-// into a fresh right-sized map (Go maps never shrink their buckets) and drops
-// the oversized pair entirely.
-func TestReuseMapShrinksAfterSpike(t *testing.T) {
-	sched := steadyScheduler(Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0})
-	sched.Cycle(0, bitset.New(8))
-	sched.Cycle(4, bitset.New(8))
-	if len(sched.reuse) == 0 {
-		t.Fatal("steady scenario cached no components; cannot exercise the shrink path")
-	}
-	// Pretend a backlog spike once pushed the epoch to 1000 entries. The live
-	// set (two components) is far below a quarter of that, so the next commit
-	// must re-make the map and reset the high-water mark.
-	sched.reuseHW = 1000
-	sched.Cycle(8, bitset.New(8))
-	if sched.reuseNext != nil {
-		t.Error("shrink path kept the displaced oversized map; it must be released")
-	}
-	if sched.reuseHW != len(sched.reuse) {
-		t.Errorf("reuseHW = %d after shrink, want the live size %d", sched.reuseHW, len(sched.reuse))
-	}
-	if got := len(sched.reuse); got == 0 {
-		t.Error("shrunk epoch lost its live entries")
-	}
-	// The cycle after a shrink re-makes scratch and keeps replaying.
-	hits := sched.Stats.ReuseHits
-	sched.Cycle(12, bitset.New(8))
-	if sched.Stats.ReuseHits <= hits {
-		t.Error("replay stopped after the shrink; the right-sized copy must preserve entries")
-	}
-}
-
 // TestClassifyConflictAllocs pins the commit loop's conflict classifier
 // allocation-free in steady state. classifyConflict runs once per failed
 // grant inside the per-cycle commit loop, so a per-call Clone of the working
@@ -319,7 +259,7 @@ func TestClassifyConflictAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grant := compiler.LeafGrant{Job: 0, Leaf: leaf, Dur: 2, Counts: map[int]int{0: 3}, Total: 3}
+	grant := compiler.LeafGrant{Job: 0, Leaf: leaf, Dur: 2, Counts: []compiler.GroupCount{{Group: 0, N: 3}}, Total: 3}
 	working := bitset.New(c.N())
 	if !sched.classifyConflict(comp, grant, working) {
 		t.Fatal("grant not classified as a conflict; the scenario exercised nothing")

@@ -12,7 +12,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -81,21 +83,21 @@ type Config struct {
 	// basis exactly, so placements are policy-identical either way, only
 	// slower at scale (docs/SOLVER.md).
 	DenseBasis bool
-	// DisableIncremental turns off cross-cycle component reuse: every cycle
-	// compiles and solves from scratch, the pre-PR-6 behavior. Reuse replays
-	// a cached sub-solution only when a fingerprint proves the component's
-	// solve inputs are byte-identical to last cycle's, so this is a bisection
+	// DisableIncremental turns off cross-cycle solution replay: every
+	// component is solved every cycle. Replay stands a kept sub-solution in
+	// for a solve only when the component's solve inputs are provably
+	// byte-identical to the ones it solved (internal/core/classes.go), so this
+	// is a bisection switch in the DisableWarmStart/DisablePresolve mold —
+	// placements are policy-identical either way, only slower (docs/SOLVER.md).
+	DisableIncremental bool
+	// DisableCompileCache turns off the per-job STRL expression cache, and
+	// with it the keeping of compiled coupling classes from cycle to cycle
+	// (internal/core/classes.go): a class is kept while its request objects
+	// and the believed release slices of its nodes are the same, which makes
+	// the compiler's inputs byte-identical, and fresh requests never are.
+	// Every cycle then regenerates and recompiles everything. A bisection
 	// switch in the DisableWarmStart/DisablePresolve mold — placements are
 	// policy-identical either way, only slower (docs/SOLVER.md).
-	DisableIncremental bool
-	// DisableCompileCache turns off the churn-proportional cycle front end
-	// (internal/core/frontend.go): the per-job STRL expression cache and the
-	// whole-batch compiled-model cache. Every cycle then regenerates and
-	// recompiles from scratch, the pre-compile-cache behavior. A hit requires
-	// the batch's request pointers and believed release slices to be
-	// identical, which makes the compiler's inputs byte-identical, so this is
-	// a bisection switch in the DisableWarmStart/DisablePresolve mold —
-	// placements are policy-identical either way, only slower (docs/SOLVER.md).
 	DisableCompileCache bool
 	// Shards enables the sharded shared-state control plane (internal/shard,
 	// docs/SHARDING.md): the cluster is partitioned into Shards shards, each
@@ -185,22 +187,22 @@ type SolveStats struct {
 	Decomposed int           // global solves that split into independent components
 	Components int           // sub-MILPs solved across all decomposed solves
 
-	// Incremental-reuse telemetry (internal/core/incremental.go): every
-	// fingerprinted component counts exactly once per cycle, as a hit
-	// (cached sub-solution replayed) or a miss (solved fresh).
+	// Replay telemetry (internal/core/classes.go): every component counts
+	// exactly once per cycle, as a hit (kept sub-solution replayed) or a miss
+	// (solved); both stay zero under DisableIncremental.
 	ReuseHits   int // component sub-solves replayed from the previous cycle
-	ReuseMisses int // fingerprinted components that had to be solved fresh
+	ReuseMisses int // components that had to be solved
 
-	// Cycle front-end telemetry (internal/core/frontend.go). The timers
-	// accrue regardless of configuration; the hit/skip counters stay zero
-	// when the compile cache is disabled, so the kill switch is honest in
-	// both directions.
+	// Cycle front-end telemetry (internal/core/classes.go). The timers accrue
+	// regardless of configuration; the hit/skip counters stay zero when the
+	// compile cache is disabled, so the kill switch is honest in both
+	// directions.
 	GenerateNS   int64 // STRL generation wall-clock across all cycles, nanoseconds
-	CompileNS    int64 // compile+decompose+route wall-clock across all cycles, nanoseconds
+	CompileNS    int64 // classify+compile+decompose+route wall-clock across all cycles, nanoseconds
 	ExprHits     int   // pending jobs whose STRL request came from the expression cache
 	ExprMisses   int   // pending jobs generated fresh with the expression cache enabled
-	CompileSkips int   // batched jobs whose compiled model was reused verbatim
-	CompileJobs  int   // batched jobs compiled fresh in a global cycle
+	CompileSkips int   // batched jobs whose class was kept, compiled model and all
+	CompileJobs  int   // batched jobs whose class was compiled in a global cycle
 
 	// Presolve telemetry (internal/milp/presolve.go), summed across solves.
 	PresolveFixed   int           // variables fixed before branch-and-bound
@@ -234,8 +236,8 @@ func (st *SolveStats) WarmHitRate() float64 {
 	return float64(st.WarmLPs) / float64(total)
 }
 
-// ReuseHitRate returns the fraction of fingerprinted component sub-solves
-// served by cross-cycle replay (0 when incremental scheduling never ran).
+// ReuseHitRate returns the fraction of component sub-solves served by
+// cross-cycle replay (0 when incremental scheduling never ran).
 func (st *SolveStats) ReuseHitRate() float64 {
 	total := st.ReuseHits + st.ReuseMisses
 	if total == 0 {
@@ -326,22 +328,28 @@ type Scheduler struct {
 	lastJob map[int]planChoice
 	tr      *trace.Tracer
 
-	// Incremental cross-cycle reuse state (internal/core/incremental.go);
-	// dirtyJobs and reuse are nil when the machinery is disabled.
-	dirtyJobs map[int]struct{}       // jobs touched since the last global cycle
-	lastRel   []int64                // previous cycle's believed release slices
-	reuse     map[uint64]*reuseEntry // job-set key → cached component sub-solution
-	reuseNext map[uint64]*reuseEntry // recycled scratch for next cycle's epoch map
-	reuseHW   int                    // high-water len of the reuse map since last shrink
+	// The class table (classes.go): the coupling classes of the last global
+	// cycle with their compiled models and component solutions. exprCache is
+	// nil when the compile cache is disabled.
+	exprCache map[int]*exprEntry // job ID → cached STRL request + expiry
+	classes   []*class           // by first member
+	classOf   map[int]*class     // job ID → its class among classes
+	spare     []*class           // swept classes, kept for their memory
+	swept     []*class           // backing of next cycle's classes
+	cycle     uint64             // global cycles run
 
-	// Cycle front-end state (internal/core/frontend.go); exprCache is nil
-	// when the compile cache is disabled. compScr, solveWS and
-	// conflictScratch are always-on memory the scheduler owns and reuses,
-	// independent of any cache semantics; all three start empty and grow on
+	// Always-on memory the scheduler owns and reuses from cycle to cycle,
+	// independent of any cache semantics; all of it starts empty and grows on
 	// first use.
-	exprCache       map[int]*exprEntry // job ID → cached STRL request + expiry
-	fe              feState            // whole-batch compile cache; points into compScr
-	compScr         *compiler.Scratch  // the memory of the cycle's Compiled, until the next Compile
+	ordered         []*workload.Job
+	reqs            []*strlgen.Request
+	rel             []int64 // believed release slice per node
+	grp             grouping
+	seedGrants      []compiler.LeafGrant
+	refs            []compRef
+	parts           []milp.Part
+	working         *bitset.Set
+	greedyScr       compiler.Scratch   // greedyCycle's per-job probes
 	solveWS         milp.WorkspaceList // solver workspaces, one per concurrent sub-solve
 	conflictScratch *bitset.Set        // classifyConflict working-set scratch
 
@@ -400,11 +408,7 @@ func New(c *cluster.Cluster, cfg Config) *Scheduler {
 		running: make(map[int]*runInfo),
 		lastJob: make(map[int]planChoice),
 		tr:      cfg.Tracer,
-		compScr: new(compiler.Scratch),
-	}
-	if s.incEnabled() {
-		s.dirtyJobs = make(map[int]struct{})
-		s.reuse = make(map[uint64]*reuseEntry)
+		classOf: make(map[int]*class),
 	}
 	if s.feEnabled() {
 		s.exprCache = make(map[int]*exprEntry)
@@ -433,16 +437,14 @@ func (s *Scheduler) Submit(now int64, j *workload.Job) {
 
 // JobFinished implements sim.Scheduler. Finishing (or failing — the driver
 // reports both here) invalidates the job everywhere the scheduler remembers
-// it: the running set, the dirty tracking for next cycle's reuse gate, and
-// any cached component sub-solution naming it. The nodes it held change
-// their believed release slices, which the per-cycle release diff picks up.
+// it: the running set and the class table. The nodes it held change their
+// believed release slices, which the classes holding them notice.
 func (s *Scheduler) JobFinished(now int64, j *workload.Job) {
 	if r, ok := s.running[j.ID]; ok && s.sharded() {
 		s.shardState.Bump(r.nodes) // the nodes' allocation state changed
 	}
 	delete(s.running, j.ID)
 	s.markJobDirty(j.ID)
-	s.purgeReuse(j.ID)
 }
 
 // priority orders pending jobs into the three queues of §6.3: accepted SLO,
@@ -469,21 +471,12 @@ func priority(j *workload.Job) int {
 // tenant allocated lower IDs), then by job ID, which matches original
 // submission order for simulator-generated jobs.
 func (s *Scheduler) orderedPending() []*workload.Job {
-	sorted := append([]*workload.Job(nil), s.pending...)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		pa, pb := priority(sorted[a]), priority(sorted[b])
-		if pa != pb {
-			return pa < pb
-		}
-		if sorted[a].Submit != sorted[b].Submit {
-			return sorted[a].Submit < sorted[b].Submit
-		}
-		if sorted[a].AdmitSeq != sorted[b].AdmitSeq {
-			return sorted[a].AdmitSeq < sorted[b].AdmitSeq
-		}
-		return sorted[a].ID < sorted[b].ID
+	s.ordered = append(s.ordered[:0], s.pending...)
+	slices.SortStableFunc(s.ordered, func(a, b *workload.Job) int {
+		return cmp.Or(cmp.Compare(priority(a), priority(b)), cmp.Compare(a.Submit, b.Submit),
+			cmp.Compare(a.AdmitSeq, b.AdmitSeq), cmp.Compare(a.ID, b.ID))
 	})
-	return sorted
+	return s.ordered
 }
 
 // removePending deletes a job from the pending queue.
@@ -498,8 +491,13 @@ func (s *Scheduler) removePending(j *workload.Job) {
 
 // releaseSlices computes each node's believed release slice from the running
 // set, bumping overrun estimates forward one cycle (mis-estimate handling).
+// The vector is the scheduler's and is overwritten by the next call.
 func (s *Scheduler) releaseSlices(now int64) []int64 {
-	rel := make([]int64, s.c.N())
+	if s.rel == nil {
+		s.rel = make([]int64, s.c.N())
+	}
+	rel := s.rel
+	clear(rel)
 	for _, r := range s.running {
 		if r.estEnd <= now {
 			r.estEnd = now + s.cfg.CyclePeriod
@@ -525,15 +523,16 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 	ordered := s.orderedPending()
 	genSpan := s.tr.Begin("strl", "generate")
 	genT0 := time.Now()
-	reqs := make([]*strlgen.Request, 0, len(ordered))
+	reqs := s.reqs[:0]
 	nOptions := 0
 	for _, j := range ordered {
 		var req *strlgen.Request
 		if s.exprCache != nil {
-			// Expression cache (frontend.go): reuse the previously generated
-			// request verbatim while its value-function expiry bound holds.
-			// Pointer-stable requests are what lets the whole-batch compile
-			// cache recognize an unchanged cycle downstream.
+			// Expression cache: reuse the previously generated request
+			// verbatim while its value-function expiry bound holds (value
+			// functions are step functions of time, so most requests are
+			// reusable for many cycles). Pointer-stable requests are what
+			// lets a class recognize itself downstream (classes.go).
 			if ent, ok := s.exprCache[j.ID]; ok && now <= ent.validUntil {
 				req = ent.req
 				s.Stats.ExprHits++
@@ -555,13 +554,13 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 			s.removePending(j)
 			delete(s.lastJob, j.ID)
 			s.markJobDirty(j.ID)
-			s.purgeReuse(j.ID)
 			s.tr.Instant("place", "drop", trace.I("job", int64(j.ID)))
 			continue
 		}
 		nOptions += len(req.Options)
 		reqs = append(reqs, req)
 	}
+	s.reqs = reqs
 	s.Stats.GenerateNS += time.Since(genT0).Nanoseconds()
 	genSpan.End(trace.I("jobs", int64(len(ordered))), trace.I("requests", int64(len(reqs))),
 		trace.I("options", int64(nOptions)), trace.I("dropped", int64(len(res.Dropped))))
@@ -581,7 +580,8 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 	return res
 }
 
-// globalCycle aggregates all pending requests into one MILP (§5).
+// globalCycle plans all pending requests together (§5): one MILP in effect,
+// compiled and solved block by block (classes.go).
 func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Request, res *sim.CycleResult) {
 	if len(reqs) > s.cfg.MaxBatch {
 		// Plan choices are valid for exactly one cycle (the shift-by-one-slice
@@ -594,62 +594,28 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		}
 		reqs = reqs[:s.cfg.MaxBatch]
 	}
-	rel := s.releaseSlices(now)
-	// Compile — or recognize an unchanged cycle and skip it. Decomposition
-	// (and in sharded mode, request routing) is derived deterministically
-	// from the compile inputs, so it is cached and reused with them:
-	// jobs competing for disjoint node groups across the window form
+	// Compile — or recognize the classes that are unchanged and skip them.
+	// Jobs competing for disjoint node groups across the window form
 	// independent sub-MILPs that solve concurrently, and branch-and-bound is
 	// exponential in coupled model size, so the split shrinks search trees
-	// multiplicatively. In sharded mode the decomposition is forced along
-	// shard lines instead: each shard's jobs become that shard's planner (a
-	// concurrent sub-solve over an optimistic copy of the shared supply) and
-	// jobs no shard can hold are serialized through the gang-arbitrator
-	// component (docs/SHARDING.md).
+	// multiplicatively: coupling classes are cut before lowering, and each
+	// class's model is decomposed further along the supply rows that turned
+	// out not to bind (in sharded mode, along shard lines instead).
 	compSpan := s.tr.Begin("compile", "compile")
 	compT0 := time.Now()
-	var comp *compiler.Compiled
-	var comps []*compiler.Component
-	var assign []int
-	spanning := 0
-	arbClass := -1
-	if s.sharded() {
-		arbClass = len(s.shardSets)
+	classes, err := s.classify(reqs, s.releaseSlices(now))
+	if err != nil {
+		// Should be impossible for generated expressions; fail safe by
+		// making no decisions this cycle.
+		s.Stats.CompileNS += time.Since(compT0).Nanoseconds()
+		compSpan.End(trace.S("error", err.Error()))
+		return
 	}
-	if s.feLookup(reqs, rel) {
-		comp, comps, assign, spanning = s.fe.comp, s.fe.comps, s.fe.assign, s.fe.spanning
-		s.Stats.CompileSkips += len(reqs)
-	} else {
-		// The cached batch lives in compScr, which is about to be compiled
-		// over: drop it first, so that a compile error leaves no entry behind.
-		s.fe = feState{}
-		jobExprs := make([]strl.Expr, len(reqs))
-		for i, r := range reqs {
-			jobExprs[i] = r.Expr
-		}
-		var err error
-		comp, err = s.compScr.Compile(jobExprs, compiler.Options{
-			Universe:  s.c.N(),
-			Horizon:   s.horizon(),
-			ReleaseAt: rel,
-		})
-		if err != nil {
-			// Should be impossible for generated expressions; fail safe by
-			// making no decisions this cycle.
-			s.Stats.CompileNS += time.Since(compT0).Nanoseconds()
-			compSpan.End(trace.S("error", err.Error()))
-			return
-		}
-		if s.sharded() {
-			assign, spanning = shard.Assign(s.shardSets, reqs)
-			comps = comp.ForcedComponents(assign, arbClass)
-		} else {
-			comps = comp.Components()
-		}
-		s.Stats.CompileJobs += len(reqs)
-		if s.feEnabled() {
-			s.feStore(reqs, rel, comp, comps, assign, spanning)
-		}
+	nComps, nVars, nCons := 0, 0, 0
+	for _, cl := range classes {
+		nComps += len(cl.comps)
+		nVars += cl.comp.Model.NumVars()
+		nCons += cl.comp.Model.NumConstraints()
 	}
 	if s.sharded() {
 		// The epoch snapshot taken here is what commit-time conflict
@@ -658,171 +624,46 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		shSpan := s.tr.Begin("shard", "shard.assign")
 		s.shardSnap = s.shardState.Snapshot(s.shardSnap)
 		s.shardStats.Cycles++
-		s.shardStats.Spanning += int64(spanning)
+		s.shardStats.Spanning += int64(classes[0].spanning)
 		shSpan.End(trace.I("shards", int64(len(s.shardSets))),
-			trace.I("spanning", int64(spanning)),
-			trace.I("components", int64(len(comps))))
+			trace.I("spanning", int64(classes[0].spanning)),
+			trace.I("components", int64(nComps)))
 	}
 	s.Stats.CompileNS += time.Since(compT0).Nanoseconds()
-	compSpan.End(trace.I("jobs", int64(len(reqs))), trace.I("vars", int64(len(comp.Model.Vars))),
-		trace.I("cons", int64(len(comp.Model.Cons))), trace.I("horizon", s.horizon()))
-	// Warm start: re-propose last cycle's deferred choices, shifted one
-	// slice toward the present (only valid when the quantum equals the
-	// cycle period).
-	var seed []float64
-	if !s.cfg.DisableWarmStart && s.cfg.PlanQuantum == s.cfg.CyclePeriod {
-		var grants []compiler.LeafGrant
-		for i, r := range reqs {
-			pc, ok := s.lastJob[r.Job.ID]
-			if !ok {
-				continue
-			}
-			want := pc.slice - 1
-			if want < 0 {
-				continue
-			}
-			for _, o := range r.Options {
-				if o.Key == pc.key && o.StartSlice == want {
-					if g, ok := comp.SeedGrant(i, o.Leaf); ok {
-						grants = append(grants, g)
-					}
-					break
-				}
-			}
-		}
-		if len(grants) > 0 {
-			if v, ok := comp.InitialVector(grants); ok {
-				seed = v
-			}
-		}
-	}
+	compSpan.End(trace.I("jobs", int64(len(reqs))), trace.I("classes", int64(len(classes))),
+		trace.I("vars", int64(nVars)), trace.I("cons", int64(nCons)), trace.I("horizon", s.horizon()))
+
+	solveSpan := s.tr.Begin("solve", "solve")
+	t0 := time.Now()
+	live := s.plan(classes)
 	// Plan choices are valid for exactly one cycle (the shift-by-one-slice
-	// assumption); clear them now and re-record whatever this solve defers.
+	// assumption); now that they are turned into seeds, clear them and
+	// re-record whatever this cycle defers.
 	for _, r := range reqs {
 		delete(s.lastJob, r.Job.ID)
 	}
-	mopts := milp.Options{
-		Gap:              s.cfg.Gap,
-		TimeLimit:        s.cfg.SolverTimeLimit,
-		Workers:          s.cfg.SolverWorkers,
-		Deterministic:    true,
-		DisableWarmStart: s.cfg.DisableWarmStart,
-		DisablePresolve:  s.cfg.DisablePresolve,
-		DenseBasis:       s.cfg.DenseBasis,
-	}
-	solveSpan := s.tr.Begin("solve", "solve")
-	t0 := time.Now()
-	var err error
 	var sol *milp.Solution
 	var failed []*strlgen.Request
-	var inc *incCycle
-	if s.incEnabled() {
-		inc = s.beginIncCycle(comp, reqs, rel)
-	}
-	warmSeeds, replayed := 0, 0
-	if len(comps) > 1 {
-		parts := make([]milp.Part, len(comps))
-		for i, cc := range comps {
-			cc := cc
-			partSeed := cc.RestrictSeed(seed)
-			parts[i] = milp.Part{
-				Model:     cc.Model,
-				VarMap:    cc.VarMap,
-				Heuristic: cc.RoundInPlace,
-			}
-			var cached *milp.Solution
-			if inc != nil {
-				cached = inc.lookup(cc, partSeed)
-			}
-			if cached != nil {
-				// Replay: the fingerprint proved this component's solve inputs
-				// identical to last cycle's, so the cached sub-solution stands
-				// in for the solve. It still occupies its slot in worker
-				// apportioning so the live parts search exactly as a full run
-				// would (deterministic searches depend on worker counts).
-				parts[i].Reuse = cached
-				replayed++
-			} else {
-				parts[i].Seed = partSeed
-				if partSeed != nil {
-					warmSeeds++
-				}
-			}
-			if s.tr != nil {
-				name := "solve.component"
-				if cached != nil {
-					name = "solve.reuse"
-				}
-				parts[i].OnSolve = func() func(*milp.Solution) {
-					sp := s.tr.Begin("solve", name)
-					return func(ps *milp.Solution) { endComponentSpan(sp, cc, ps) }
-				}
-			}
-		}
-		var partSols []*milp.Solution
-		sol, partSols, err = s.solveWS.SolveParts(parts, comp.Model.NumVars(), mopts)
-		if replayed < len(comps) {
+	warmSeeds := 0
+	if live > 0 {
+		sol, failed, warmSeeds, err = s.solve(classes)
+		if nComps > 1 {
 			// Decomposed/Components count sub-MILPs actually solved; a
-			// replayed part ran no solver, and a fully replayed cycle ran none
-			// at all.
+			// replayed part ran no solver.
 			s.Stats.Decomposed++
-			s.Stats.Components += len(comps) - replayed
-		}
-		if inc != nil {
-			inc.commit(partSols)
-		}
-		if err == nil {
-			// Components that produced no incumbent fall back individually;
-			// the solved components keep their decisions.
-			for i, ps := range partSols {
-				if ps == nil || ps.Values == nil {
-					for _, j := range comps[i].Jobs {
-						failed = append(failed, reqs[j])
-					}
-				}
-			}
-		}
-	} else {
-		cc := comps[0]
-		partSeed := cc.RestrictSeed(seed)
-		var cached *milp.Solution
-		if inc != nil {
-			cached = inc.lookup(cc, partSeed)
-		}
-		if cached != nil {
-			sol = cached
-			replayed++
-			if s.tr != nil {
-				s.tr.Complete("solve", "solve.reuse", 0,
-					trace.S("status", cached.Status.String()),
-					trace.I("jobs", int64(len(cc.Jobs))),
-					trace.F("objective", cached.Objective))
-			}
-		} else {
-			mopts.InitialSolution = partSeed
-			mopts.Heuristic = comp.RoundInPlace
-			ws := s.solveWS.Get()
-			sol, err = ws.Solve(comp.Model, mopts)
-			s.solveWS.Put(ws)
-			if partSeed != nil {
-				warmSeeds++
-			}
-		}
-		if inc != nil {
-			inc.commit([]*milp.Solution{sol})
+			s.Stats.Components += live
 		}
 	}
 	elapsed := time.Since(t0)
 	res.SolverLatency += elapsed
-	if replayed < len(comps) {
+	if live > 0 {
 		// A fully replayed cycle ran no MILP at all: recording it would count
-		// phantom solves (and, on the single-component path, replay the cached
-		// solution's node/LP/presolve effort into the totals every cycle).
+		// a phantom solve.
 		s.Stats.record(sol, warmSeeds, elapsed)
 		s.tracePresolve(sol)
 	}
 	endSolveSpan(solveSpan, sol, err, warmSeeds > 0)
-	if err != nil || sol.Values == nil {
+	if err != nil || (sol != nil && sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible) {
 		// Solver produced nothing inside its budget (possible under extreme
 		// backlog); fall back to greedy value-ordered packing so the cluster
 		// never sits idle with pending work.
@@ -831,54 +672,77 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		return
 	}
 
+	// Extract in batch order, which is priority order: each class's plan is in
+	// member order, so one cursor per class walks all of them together.
 	extractSpan := s.tr.Begin("extract", "extract")
-	working := free.Clone()
-	granted := make(map[int]bool)
-	for _, g := range comp.Decode(sol) {
-		req := reqs[g.Job]
-		opt := req.OptionFor(g.Leaf)
-		if opt == nil {
-			continue
-		}
-		granted[req.Job.ID] = true
-		arbJob := arbClass >= 0 && assign[g.Job] == arbClass
-		if g.Start > 0 {
-			s.lastJob[req.Job.ID] = planChoice{key: opt.Key, slice: g.Start}
-			s.tr.Instant("place", "defer", trace.I("job", int64(req.Job.ID)),
-				trace.S("option", opt.Key), trace.I("start_slice", g.Start))
-			if arbJob {
-				s.shardStats.ArbDeferred++
-			}
-			continue
-		}
-		// Commit the placement against the shared free set, in decode order
-		// (priority order — losers of a race never jump ahead of winners).
-		nodes := s.pickNodes(comp, g, working, nil, 0)
-		if nodes == nil {
-			// Optimistic commit failed: the nodes this shard planned on are
-			// gone. When nodes claimed by other commits since the epoch
-			// snapshot would have satisfied the grant, this is a cross-shard
-			// double-claim; either way the job stays pending intact and
-			// replans next cycle, keeping its (priority, Submit, AdmitSeq,
-			// ID) queue position.
-			if arbClass >= 0 && s.classifyConflict(comp, g, working) {
-				s.shardStats.Conflicts++
-				s.shardStats.Requeued++
-				s.tr.Instant("shard", "shard.conflict", trace.I("job", int64(req.Job.ID)),
-					trace.I("shard", int64(assign[g.Job])))
-			}
-			if arbJob {
-				s.shardStats.ArbDeferred++
-			}
-			continue // extraction failed; stay pending and replan
-		}
-		if arbJob {
-			s.shardStats.ArbLaunched++
-		}
-		s.launch(now, req.Job, nodes, opt, res)
+	if s.working == nil {
+		s.working = bitset.New(s.c.N())
 	}
-	mustBeLive(comp)
-	extractSpan.End(trace.I("granted", int64(len(granted))),
+	working := s.working
+	working.CopyFrom(free)
+	var granted map[int]bool
+	if s.cfg.EnablePreemption {
+		granted = make(map[int]bool)
+	}
+	nGranted := 0
+	for _, cl := range classes {
+		cl.regrant()
+	}
+	for i, req := range reqs {
+		cl := classes[s.grp.cls[i]]
+		local := cl.pos
+		cl.pos++
+		for ; cl.at < len(cl.grants) && cl.grants[cl.at].Job == local; cl.at++ {
+			g := cl.grants[cl.at]
+			opt := req.OptionFor(g.Leaf)
+			if opt == nil {
+				continue
+			}
+			nGranted++
+			if granted != nil {
+				granted[req.Job.ID] = true
+			}
+			arbJob := cl.assign != nil && cl.assign[local] == len(s.shardSets)
+			if g.Start > 0 {
+				s.lastJob[req.Job.ID] = planChoice{key: opt.Key, slice: g.Start}
+				s.tr.Instant("place", "defer", trace.I("job", int64(req.Job.ID)),
+					trace.S("option", opt.Key), trace.I("start_slice", g.Start))
+				if arbJob {
+					s.shardStats.ArbDeferred++
+				}
+				continue
+			}
+			// Commit the placement against the shared free set, in decode order
+			// (priority order — losers of a race never jump ahead of winners).
+			nodes := s.pickNodes(cl.comp, g, working, nil, 0)
+			if nodes == nil {
+				// Optimistic commit failed: the nodes this shard planned on are
+				// gone. When nodes claimed by other commits since the epoch
+				// snapshot would have satisfied the grant, this is a cross-shard
+				// double-claim; either way the job stays pending intact and
+				// replans next cycle, keeping its (priority, Submit, AdmitSeq,
+				// ID) queue position.
+				if s.sharded() && s.classifyConflict(cl.comp, g, working) {
+					s.shardStats.Conflicts++
+					s.shardStats.Requeued++
+					s.tr.Instant("shard", "shard.conflict", trace.I("job", int64(req.Job.ID)),
+						trace.I("shard", int64(cl.assign[local])))
+				}
+				if arbJob {
+					s.shardStats.ArbDeferred++
+				}
+				continue // extraction failed; stay pending and replan
+			}
+			if arbJob {
+				s.shardStats.ArbLaunched++
+			}
+			s.launch(now, req.Job, nodes, opt, res)
+		}
+	}
+	for _, cl := range classes {
+		mustBeLive(cl.comp)
+	}
+	extractSpan.End(trace.I("granted", int64(nGranted)),
 		trace.I("launched", int64(len(res.Decisions))))
 	if len(failed) > 0 {
 		// Sub-solves that returned nothing inside the shared budget degrade to
@@ -891,8 +755,87 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	}
 }
 
-// mustBeLive panics when compScr has compiled again since comp was built: the
-// cycle has then solved and decoded some other batch's model. Staleness never
+// solve runs the components plan left without a solution, concurrently, and
+// files each one's grants (and, proven optimal, its solution) with its class.
+// It returns the merged telemetry of the solves, the requests of components
+// that produced no incumbent, and how many solves were seeded.
+func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlgen.Request, warmSeeds int, err error) {
+	// Every component takes its slot in worker apportioning, in the order one
+	// decomposition of the whole batch would list them (by first job), so the
+	// live ones search exactly as a full run would (deterministic searches
+	// depend on worker counts); a replayed one is adopted as it stands.
+	refs := s.refs[:0]
+	for _, cl := range classes {
+		for ci, cc := range cl.comps {
+			refs = append(refs, compRef{first: cl.idx[cc.Jobs[0]], cl: cl, ci: ci})
+		}
+	}
+	if len(classes) > 1 {
+		slices.SortFunc(refs, func(a, b compRef) int { return a.first - b.first })
+	}
+	parts := sized(s.parts, len(refs))
+	s.refs, s.parts = refs, parts
+	for i, ref := range refs {
+		cc, ent := ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
+		parts[i] = milp.Part{Model: cc.Model, Heuristic: cc.RoundInPlace, Seed: ent.seed, Reuse: ent.sol}
+		if ent.sol != nil {
+			continue
+		}
+		if ent.seed != nil {
+			warmSeeds++
+		}
+		if s.tr != nil {
+			parts[i].OnSolve = func() func(*milp.Solution) {
+				sp := s.tr.Begin("solve", "solve.component")
+				return func(ps *milp.Solution) { endComponentSpan(sp, cc, ps) }
+			}
+		}
+	}
+	sol, partSols, err := s.solveWS.SolveEach(parts, milp.Options{
+		Gap:              s.cfg.Gap,
+		TimeLimit:        s.cfg.SolverTimeLimit,
+		Workers:          s.cfg.SolverWorkers,
+		Deterministic:    true,
+		DisableWarmStart: s.cfg.DisableWarmStart,
+		DisablePresolve:  s.cfg.DisablePresolve,
+		DenseBasis:       s.cfg.DenseBasis,
+	})
+	if err != nil {
+		return nil, nil, warmSeeds, err
+	}
+	for i, ref := range refs {
+		cc, ent := ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
+		if parts[i].Reuse != nil {
+			continue
+		}
+		ref.cl.stale, ent.seed, ent.grants = true, nil, ent.grants[:0]
+		ps := partSols[i]
+		if ps == nil || ps.Values == nil {
+			// Components that produced no incumbent fall back individually;
+			// the solved components keep their decisions.
+			for _, j := range cc.Jobs {
+				failed = append(failed, ref.cl.reqs[j])
+			}
+			continue
+		}
+		ent.grants = cc.AppendGrants(ent.grants, ps.Values)
+		if s.incEnabled() && ps.Status == milp.StatusOptimal {
+			ent.sol, ent.decoded = ps, true
+		}
+	}
+	return sol, failed, warmSeeds, nil
+}
+
+// compRef names one component of one class by the batch position of its first
+// job.
+type compRef struct {
+	first int
+	cl    *class
+	ci    int
+}
+
+// mustBeLive panics when comp's Scratch has compiled again since comp was built:
+// the cycle has then solved and decoded some other batch's model. Staleness never
 // reverts, so one check after a cycle's last read of its Compiled covers them
 // all. Only a bug in this package can trip it, and a crash is better than the
 // wrong schedule.
@@ -938,8 +881,8 @@ func (s *Scheduler) classifyConflict(comp *compiler.Compiled, g compiler.LeafGra
 // wouldPlace reports whether a start-now grant could be satisfied from set.
 // Partition groups are disjoint, so per-group counting needs no consumption.
 func wouldPlace(comp *compiler.Compiled, g compiler.LeafGrant, set *bitset.Set) bool {
-	for group, count := range g.Counts {
-		if comp.Part.Groups[group].IntersectCount(set) < count {
+	for _, gc := range g.Counts {
+		if comp.Part.Groups[gc.Group].IntersectCount(set) < gc.N {
 			return false
 		}
 	}
@@ -983,14 +926,15 @@ func (s *Scheduler) tracePresolve(sol *milp.Solution) {
 		trace.I("rounds", int64(sol.Presolve.Rounds)))
 }
 
-// endSolveSpan closes a solve span with the solution's telemetry payload.
+// endSolveSpan closes a solve span with the solution's telemetry payload; no
+// solution and no error is a cycle that replayed every component.
 func endSolveSpan(sp trace.Span, sol *milp.Solution, err error, warmSeed bool) {
-	if err != nil || sol == nil {
-		msg := "no solution"
-		if err != nil {
-			msg = err.Error()
-		}
-		sp.End(trace.S("status", "error"), trace.S("error", msg), trace.B("warm_seed", warmSeed))
+	if err != nil {
+		sp.End(trace.S("status", "error"), trace.S("error", err.Error()), trace.B("warm_seed", warmSeed))
+		return
+	}
+	if sol == nil {
+		sp.End(trace.S("status", "replayed"))
 		return
 	}
 	sp.End(trace.S("status", sol.Status.String()),
@@ -1119,7 +1063,7 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		compT0 := time.Now()
 		// Each probe is compiled over the previous one: by then its grants
 		// are decoded and nothing of it is kept.
-		comp, err := s.compScr.Compile([]strl.Expr{req.Expr}, compiler.Options{
+		comp, err := s.greedyScr.Compile([]strl.Expr{req.Expr}, compiler.Options{
 			Universe:  s.c.N(),
 			Horizon:   s.horizon(),
 			ReleaseAt: rel,
@@ -1245,10 +1189,10 @@ func (s *Scheduler) launch(now int64, j *workload.Job, nodes []int, opt *strlgen
 // whole occupancy interval [0, end).
 func (s *Scheduler) pickNodes(comp *compiler.Compiled, g compiler.LeafGrant, working *bitset.Set, claims *claimSet, end int64) []int {
 	nodes := make([]int, 0, g.Total)
-	for _, group := range sortedGroups(g.Counts) {
-		count := g.Counts[group]
+	for _, gc := range g.Counts { // ascending groups: node selection is deterministic
+		count := gc.N
 		var candidates []int
-		comp.Part.Groups[group].ForEach(func(n int) bool {
+		comp.Part.Groups[gc.Group].ForEach(func(n int) bool {
 			if !working.Contains(n) {
 				return true
 			}
@@ -1279,10 +1223,9 @@ func (s *Scheduler) pickNodes(comp *compiler.Compiled, g compiler.LeafGrant, wor
 func (s *Scheduler) pickDeferred(comp *compiler.Compiled, g compiler.LeafGrant, rel []int64, claims *claimSet) []int {
 	end := g.Start + g.Dur
 	var nodes []int
-	for _, group := range sortedGroups(g.Counts) {
-		count := g.Counts[group]
-		set := comp.Part.Groups[group]
-		set.ForEach(func(n int) bool {
+	for _, gc := range g.Counts {
+		count := gc.N
+		comp.Part.Groups[gc.Group].ForEach(func(n int) bool {
 			if count == 0 {
 				return false
 			}
@@ -1298,17 +1241,6 @@ func (s *Scheduler) pickDeferred(comp *compiler.Compiled, g compiler.LeafGrant, 
 		})
 	}
 	return nodes
-}
-
-// sortedGroups returns the group indices of a grant in ascending order so
-// node selection is deterministic.
-func sortedGroups(counts map[int]int) []int {
-	out := make([]int, 0, len(counts))
-	for g := range counts {
-		out = append(out, g)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // horizon returns the plan-ahead window size in slices (≥1).

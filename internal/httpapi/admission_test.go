@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,7 @@ import (
 type fakeSched struct {
 	byTenant map[string]int
 	order    []*workload.Job
+	free     *bitset.Set // the last cycle's idle nodes
 }
 
 func newFakeSched() *fakeSched { return &fakeSched{byTenant: make(map[string]int)} }
@@ -32,8 +34,11 @@ func (f *fakeSched) Submit(now int64, j *workload.Job) {
 	f.byTenant[j.Tenant]++
 	f.order = append(f.order, j)
 }
-func (f *fakeSched) JobFinished(now int64, j *workload.Job)          {}
-func (f *fakeSched) Cycle(now int64, free *bitset.Set) sim.CycleResult { return sim.CycleResult{} }
+func (f *fakeSched) JobFinished(now int64, j *workload.Job) {}
+func (f *fakeSched) Cycle(now int64, free *bitset.Set) sim.CycleResult {
+	f.free = free
+	return sim.CycleResult{}
+}
 
 var _ sim.Scheduler = (*fakeSched)(nil)
 
@@ -435,4 +440,37 @@ func TestConcurrentClients(t *testing.T) {
 	do(60, func(i int) { get("/v1/status") })
 	do(60, func(i int) { get("/metrics") })
 	wg.Wait()
+}
+
+// TestCycleFreeListRecycled: the slice a cycle request's idle nodes are decoded
+// into comes from a pool, and a cycle must see exactly the nodes its own body
+// listed — nothing of a longer list decoded there before, after a null, or
+// after a request that was refused half-way through.
+func TestCycleFreeListRecycled(t *testing.T) {
+	f, ts := frontDoor(t, AdmissionConfig{})
+	for _, tc := range []struct {
+		body string
+		code int
+		want []int
+	}{
+		{`{"now":0,"free":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]}`, http.StatusOK, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+		{`{"now":4,"free":[3]}`, http.StatusOK, []int{3}},
+		{`{"now":8,"free":[1,2,99]}`, http.StatusBadRequest, []int{3}},
+		{`{"now":8,"free":[5,6]}`, http.StatusOK, []int{5, 6}},
+		{`{"now":12,"free":null}`, http.StatusOK, nil},
+		{`{"now":16}`, http.StatusOK, nil},
+		{`{"now":20,"free":[7]}`, http.StatusOK, []int{7}},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/cycle", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Fatalf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.code)
+		}
+		if got := f.free.Indices(); !reflect.DeepEqual(got, tc.want) && (len(got) != 0 || len(tc.want) != 0) {
+			t.Errorf("%s: the scheduler saw idle nodes %v, want %v", tc.body, got, tc.want)
+		}
+	}
 }

@@ -248,6 +248,11 @@ type Server struct {
 	adm    *admission
 	admLog *admissionLog
 
+	// freeLists recycles the node-ID slices cycle requests are decoded into
+	// (*[]int): encoding/json appends into the capacity it is handed, and a
+	// list of a thousand idle nodes otherwise regrows from nothing per cycle.
+	freeLists sync.Pool
+
 	// Daemon-side observability counters (see docs/OBSERVABILITY.md).
 	cycles      uint64
 	decisions   uint64
@@ -420,11 +425,17 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
 	}
-	var req CycleRequest
+	list, _ := s.freeLists.Get().(*[]int)
+	if list == nil {
+		list = new([]int)
+	}
+	defer s.freeLists.Put(list)
+	req := CycleRequest{Free: (*list)[:0]}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	*list = req.Free // regrown, perhaps
 	free := bitset.New(s.universe)
 	for _, n := range req.Free {
 		if n < 0 || n >= s.universe {
@@ -624,13 +635,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("tetrisched_solver_decomposed_total", "Global solves split into independent components.", uint64(st.Decomposed))
 		counter("tetrisched_solver_components_total", "Sub-MILPs solved across all decomposed solves.", uint64(st.Components))
 		counter("tetrisched_solver_reuse_hits_total", "Component sub-solves replayed from the previous cycle.", uint64(st.ReuseHits))
-		counter("tetrisched_solver_reuse_misses_total", "Fingerprinted components solved fresh.", uint64(st.ReuseMisses))
-		gauge("tetrisched_solver_reuse_hit_rate", "Fraction of fingerprinted sub-solves served by replay.", st.ReuseHitRate())
+		counter("tetrisched_solver_reuse_misses_total", "Components that had to be solved.", uint64(st.ReuseMisses))
+		gauge("tetrisched_solver_reuse_hit_rate", "Fraction of component sub-solves served by replay.", st.ReuseHitRate())
 		counter("tetrisched_solver_expr_cache_hits_total", "Pending-job STRL requests served from the expression cache.", uint64(st.ExprHits))
 		counter("tetrisched_solver_expr_cache_misses_total", "Pending-job STRL requests generated fresh.", uint64(st.ExprMisses))
-		counter("tetrisched_solver_compile_skips_total", "Batch jobs whose compilation was skipped by the compile cache.", uint64(st.CompileSkips))
+		counter("tetrisched_solver_compile_skips_total", "Batch jobs whose coupling class was kept, compiled model and all.", uint64(st.CompileSkips))
 		counter("tetrisched_solver_compile_jobs_total", "Batch jobs compiled into a MILP.", uint64(st.CompileJobs))
-		gauge("tetrisched_solver_compile_skip_rate", "Fraction of batch jobs served by the compile cache.", st.CompileSkipRate())
+		gauge("tetrisched_solver_compile_skip_rate", "Fraction of batch jobs whose class was kept rather than compiled.", st.CompileSkipRate())
 		const genSec = "tetrisched_solver_generate_seconds_total"
 		fmt.Fprintf(&b, "# HELP %s Cumulative STRL generation wall-clock.\n# TYPE %s counter\n%s %g\n",
 			genSec, genSec, genSec, float64(st.GenerateNS)/1e9)

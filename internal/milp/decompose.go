@@ -71,13 +71,10 @@ func SolveParts(parts []Part, fullVars int, opts Options) (*Solution, []*Solutio
 // SolveParts is the package-level SolveParts with every part's solve borrowing
 // a workspace from the list for as long as it runs.
 func (l *WorkspaceList) SolveParts(parts []Part, fullVars int, opts Options) (*Solution, []*Solution, error) {
-	if len(parts) == 0 {
-		return nil, nil, fmt.Errorf("milp: SolveParts requires at least one part")
-	}
 	for i := range parts {
 		p := &parts[i]
 		if p.Model == nil {
-			return nil, nil, fmt.Errorf("milp: part %d has no model", i)
+			break // SolveEach reports it
 		}
 		if p.VarMap == nil {
 			if p.Model.NumVars() > fullVars {
@@ -94,30 +91,52 @@ func (l *WorkspaceList) SolveParts(parts []Part, fullVars int, opts Options) (*S
 			}
 		}
 	}
+	sols, err := l.solveEach(parts, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mergeParts(parts, sols, fullVars), sols, nil
+}
 
+// SolveEach is SolveParts for a caller that reads the parts' own solutions:
+// the parts need not be slices of one model (VarMap is ignored), and the merged
+// Solution carries the status, objective, bound and telemetry of SolveParts but
+// no Values. A part with a Reuse solution is adopted where it stands, and a
+// lone part left to solve runs on the caller's goroutine: only two or more
+// solves are worth a goroutine each. Worker apportioning is over all the
+// parts, adopted ones included, either way.
+func (l *WorkspaceList) SolveEach(parts []Part, opts Options) (*Solution, []*Solution, error) {
+	sols, err := l.solveEach(parts, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return mergeParts(parts, sols, -1), sols, nil
+}
+
+func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("milp: SolveParts requires at least one part")
+	}
 	weights := make([]int, len(parts))
+	live := 0
 	for i := range parts {
+		if parts[i].Model == nil {
+			return nil, fmt.Errorf("milp: part %d has no model", i)
+		}
 		weights[i] = parts[i].Model.NumIntVars()
+		if parts[i].Reuse == nil {
+			live++
+		}
 	}
 	assign := apportionWorkers(opts.effectiveWorkers(), weights)
 
 	sols := make([]*Solution, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var done func(*Solution)
-			if parts[i].OnSolve != nil {
-				done = parts[i].OnSolve()
-			}
-			if parts[i].Reuse != nil {
-				sols[i] = parts[i].Reuse
-				if done != nil {
-					done(sols[i])
-				}
-				return
-			}
+	run := func(i int) {
+		var done func(*Solution)
+		if parts[i].OnSolve != nil {
+			done = parts[i].OnSolve()
+		}
+		if sols[i] = parts[i].Reuse; sols[i] == nil {
 			po := opts
 			po.Workers = assign[i]
 			po.InitialSolution = parts[i].Seed
@@ -128,13 +147,25 @@ func (l *WorkspaceList) SolveParts(parts []Part, fullVars int, opts Options) (*S
 			if err == nil {
 				sols[i] = sol
 			}
-			if done != nil {
-				done(sols[i])
-			}
+		}
+		if done != nil {
+			done(sols[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range parts {
+		if parts[i].Reuse != nil || live == 1 {
+			run(i)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			run(i)
 		}(i)
 	}
 	wg.Wait()
-	return mergeParts(parts, sols, fullVars), sols, nil
+	return sols, nil
 }
 
 // apportionWorkers splits total workers across parts proportionally to their
@@ -166,7 +197,7 @@ func apportionWorkers(total int, weights []int) []int {
 }
 
 // mergeParts folds per-part solutions into one full-model Solution; see
-// SolveParts for the merge semantics.
+// SolveParts for the merge semantics. A negative fullVars leaves Values out.
 func mergeParts(parts []Part, sols []*Solution, fullVars int) *Solution {
 	merged := &Solution{}
 	succeeded, optimal, infeasible, unbounded := 0, 0, false, false
@@ -204,6 +235,9 @@ func mergeParts(parts []Part, sols []*Solution, fullVars int) *Solution {
 		}
 		merged.Objective += sol.Objective
 		merged.Bound += sol.Bound
+		if fullVars < 0 {
+			continue
+		}
 		if merged.Values == nil {
 			merged.Values = make([]float64, fullVars)
 		}

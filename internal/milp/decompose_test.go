@@ -3,6 +3,7 @@ package milp
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -329,5 +330,59 @@ func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 	if live.Workers != freshSols[1].Workers {
 		t.Errorf("live part solved with %d workers, want %d (same apportionment as a full run)",
 			live.Workers, freshSols[1].Workers)
+	}
+}
+
+// TestSolveEachSpawnsOnlyForConcurrentSolves: adopted parts and a lone live
+// part run where the caller stands — their OnSolve hooks see no goroutine the
+// caller did not have — and only two or more live parts get one each. SolveEach
+// takes parts that share no variable space, merges everything but Values, and
+// apportions workers over all the parts either way.
+func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
+	models := []*Model{
+		knapsack([]float64{5, 4, 3}, []float64{2, 3, 1}, 4),
+		knapsack([]float64{7, 1}, []float64{1, 1}, 1),
+		knapsack([]float64{2, 9, 4}, []float64{1, 2, 2}, 3),
+	}
+	var l WorkspaceList
+	opts := Options{Workers: 5, Deterministic: true}
+	during := func(parts []Part) (peak int, merged *Solution, sols []*Solution) {
+		var mu sync.Mutex
+		for i := range parts {
+			parts[i].OnSolve = func() func(*Solution) {
+				mu.Lock()
+				peak = max(peak, runtime.NumGoroutine())
+				mu.Unlock()
+				return func(*Solution) {}
+			}
+		}
+		merged, sols, err := l.SolveEach(parts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return peak, merged, sols
+	}
+	parts := make([]Part, len(models))
+	for i, m := range models {
+		parts[i] = Part{Model: m} // no VarMaps: nothing is scattered
+	}
+	base := runtime.NumGoroutine()
+	peak, fresh, freshSols := during(parts)
+	if peak <= base {
+		t.Errorf("three live parts ran on the caller's goroutine (%d goroutines, %d before)", peak, base)
+	}
+	if fresh.Values != nil || fresh.Status != StatusOptimal || fresh.Objective != freshSols[0].Objective+freshSols[1].Objective+freshSols[2].Objective {
+		t.Errorf("merged %+v: want optimal, the parts' objectives summed, no Values", fresh)
+	}
+	parts[0].Reuse, parts[2].Reuse = freshSols[0], freshSols[2]
+	peak, replay, sols := during(parts)
+	if peak > base {
+		t.Errorf("two adopted parts and one live: %d goroutines, %d before; nothing should have been started", peak, base)
+	}
+	if sols[0] != freshSols[0] || sols[2] != freshSols[2] || sols[1].Workers != freshSols[1].Workers {
+		t.Errorf("adopted parts not returned as given, or the live part's workers changed (%d, %d in the full run)", sols[1].Workers, freshSols[1].Workers)
+	}
+	if replay.Objective != fresh.Objective || replay.Nodes != sols[1].Nodes {
+		t.Errorf("replayed merge: objective %v (fresh %v), nodes %d (the live part's %d)", replay.Objective, fresh.Objective, replay.Nodes, sols[1].Nodes)
 	}
 }

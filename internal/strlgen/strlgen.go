@@ -99,6 +99,11 @@ type Request struct {
 	Job     *workload.Job
 	Expr    strl.Expr
 	Options []*Option
+	// Nodes is the union of the options' leaf sets: every node the job could
+	// be placed on this cycle. Two requests whose Nodes are disjoint share no
+	// supply, whatever the solver does. It may be one of the leaf sets itself;
+	// read-only.
+	Nodes *bitset.Set
 }
 
 // OptionFor returns the option owning the given leaf, if any.
@@ -302,14 +307,18 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 	// however many options the job has. Nothing here is ever regrown, which is
 	// also what keeps the leaf and option pointers stable.
 	n := 0
-	for _, p := range placements {
-		n += g.valuedStarts(now, j, g.startPlan(j, p, len(placements)))
+	var nodes nodeUnion // last placement first: the fallback, which holds the rest
+	for i := len(placements) - 1; i >= 0; i-- {
+		if k := g.valuedStarts(now, j, g.startPlan(j, placements[i], len(placements))); k > 0 {
+			n += k
+			nodes.add(placements[i].set)
+		}
 	}
 	if n == 0 {
 		return nil, now
 	}
 	validUntil := int64(math.MaxInt64)
-	req := &Request{Job: j, Options: make([]*Option, 0, n)}
+	req := &Request{Job: j, Options: make([]*Option, 0, n), Nodes: nodes.set}
 	leaves := make([]strl.NCk, n)
 	options := make([]Option, n)
 	for _, p := range placements {
@@ -353,6 +362,27 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 	}
 	req.Expr = &strl.Max{Kids: kids}
 	return req, validUntil
+}
+
+// nodeUnion accumulates the union of placement sets. It is one of them for as
+// long as one holds all the others (the usual case: a job's placements are one
+// set, or nest under the whole-cluster fallback), and a set of its own, grown
+// in place, only once two of them straddle.
+type nodeUnion struct {
+	set   *bitset.Set
+	owned bool
+}
+
+func (u *nodeUnion) add(s *bitset.Set) {
+	switch {
+	case u.set == nil || u.set == s || u.set.SubsetOf(s):
+		u.set, u.owned = s, false
+	case s.SubsetOf(u.set):
+	case u.owned:
+		u.set.UnionWith(s)
+	default:
+		u.set, u.owned = u.set.Union(s), true
+	}
 }
 
 // startPlan is how one placement's start options are enumerated: every

@@ -3,8 +3,10 @@ package strlgen
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/strl"
 	"tetrisched/internal/workload"
@@ -431,5 +433,44 @@ func TestGenerateAllocsIndependentOfOptions(t *testing.T) {
 	}
 	if len(allocs) != 2 || allocs[3] != allocs[14] {
 		t.Errorf("allocations per request by option count: %v, want the same for 3 and 14 options", allocs)
+	}
+}
+
+// TestRequestNodesIsTheOptionsUnion: Request.Nodes holds exactly the nodes
+// some option could use — what the scheduler couples jobs by — and is one of
+// the placement sets itself whenever they nest.
+func TestRequestNodesIsTheOptionsUnion(t *testing.T) {
+	c := cluster.RC80(true)
+	g := New(c, Default(4, 48))
+	for _, j := range []*workload.Job{
+		{ID: 1, Class: workload.BestEffort, Type: workload.GPU, K: 2, BaseRuntime: 20, Slowdown: 2},
+		{ID: 2, Class: workload.BestEffort, Type: workload.MPI, K: 3, BaseRuntime: 20, Slowdown: 2},
+		{ID: 3, Class: workload.BestEffort, Type: workload.Elastic, K: 4, MinK: 1, BaseRuntime: 20, Slowdown: 1},
+		// The whole-cluster fallbacks of these two are worthless against their
+		// deadlines: the data nodes, and four racks, are all they can use.
+		{ID: 4, Class: workload.SLO, Type: workload.DataLocal, K: 2, BaseRuntime: 20, Slowdown: 10, Deadline: 60, DataNodes: []int{3, 4, 5}},
+		{ID: 5, Class: workload.SLO, Type: workload.MPI, K: 3, BaseRuntime: 20, Slowdown: 10, Deadline: 60},
+	} {
+		req := g.Generate(0, j)
+		if req == nil {
+			t.Fatalf("job %d: no request", j.ID)
+		}
+		want := bitset.New(c.N())
+		nested := false
+		for _, o := range req.Options {
+			want.UnionWith(o.Leaf.Set)
+		}
+		for _, o := range req.Options {
+			nested = nested || o.Leaf.Set.Equal(want)
+		}
+		if !req.Nodes.Equal(want) {
+			t.Errorf("job %d: Nodes %v, the options' sets cover %v", j.ID, req.Nodes, want)
+		}
+		if nested && !slices.ContainsFunc(req.Options, func(o *Option) bool { return o.Leaf.Set == req.Nodes }) {
+			t.Errorf("job %d: one placement holds the rest, yet Nodes is a set of its own", j.ID)
+		}
+		if j.ID >= 4 && req.Nodes.Count() == c.N() {
+			t.Errorf("job %d: Nodes is the whole cluster; its fallback should have been worthless", j.ID)
+		}
 	}
 }
