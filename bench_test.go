@@ -559,19 +559,20 @@ func gshetJobs(tb testing.TB, n int, seed int64) (*strlgen.Generator, []*workloa
 }
 
 // TestCompiledModelGolden pins the text of compiled GS HET models — variable
-// and row names included, through both printers — to digests taken at the
-// commit before names became lazily formatted and rows moved into an arena.
-// The model the solver sees, and what an operator reads in a dump, did not
-// change; only where its memory lives.
+// and row names included, through both printers — to digests taken when the
+// compiler stopped emitting what presolve only deletes (PR 21: these batches
+// lost 42, 50 and 38 repeated supply rows and nothing else; TestLeanLowering
+// pins what the solver makes of them to the commit before). The model the
+// solver sees, and what an operator reads in a dump, changes only on purpose.
 func TestCompiledModelGolden(t *testing.T) {
 	for _, tc := range []struct {
 		jobs   int
 		seed   int64
 		digest string
 	}{
-		{24, 1, "d8dea6cafdbd890381e51fa6680a00bda79b80f892a3111c11409d9563b99800"},
-		{60, 2, "de5416c5e4e4a67787704b1d26435fe447d5ec815fe1d20603dee30fa3705fc0"},
-		{120, 3, "f49dc3adcd8b825b49a515fdae9267413a5602ee93b9492476ec5f09129b7713"},
+		{24, 1, "3c8981b66c237ec31ca3801d59d657477e4004ffabaf1f0caeaccdee50e1998c"},
+		{60, 2, "23f284aa69754977da41a5d3b5bcfc3aee2775b2e6825e8ebe9ec19db2e75406"},
+		{120, 3, "8846ec7dc7b2ed242218d272541278e29366a56c03487cab3a711e2b62bc7700"},
 	} {
 		exprs, opts := gshetBatch(t, tc.jobs, tc.seed)
 		comp, err := compiler.Compile(exprs, opts)

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tetrisched/internal/bitset"
@@ -142,9 +143,20 @@ func (c *Cluster) All() *bitset.Set { return c.all.Clone() }
 // equivalence sets referenced in one scheduling cycle: Groups is a partition
 // of the universe such that every input equivalence set is an exact union of
 // groups. Cover[i] lists the group indices whose union is input set i.
+//
+// A Partitioning owns the memory it is made of — the group sets, the covers
+// and its working lists — and Refine builds the next partition in it. The zero
+// value is an empty partition, ready for Refine.
 type Partitioning struct {
 	Groups []*bitset.Set
 	Cover  [][]int
+
+	sets     []*bitset.Set // every set this Partitioning has made; sets[:used] are taken
+	used     int
+	spare    []*bitset.Set // the backing Groups had before the last split
+	first    []int32       // first[i]: index of the first entry equal to eqsets[i]
+	distinct []int32
+	flat     []int // one backing array for every distinct set's cover
 }
 
 // Partition refines universe against the given equivalence sets. This is the
@@ -158,39 +170,62 @@ type Partitioning struct {
 // Cover slice of its first occurrence; callers must treat Cover as read-only.
 // Refining twice against one set changes nothing, so the groups and their
 // order are those of refining against every entry in turn.
+//
+// Partition is Refine on a new Partitioning, for a caller that partitions
+// once: the tests' reference form and BenchmarkPartition's. The scheduler
+// refines into a Partitioning its compiler.Scratch keeps.
 func Partition(universe *bitset.Set, eqsets []*bitset.Set) *Partitioning {
-	groups := []*bitset.Set{universe.Clone()}
-	// first[i] is the index of the first entry equal to eqsets[i].
-	first := make([]int32, len(eqsets))
-	var distinct []int32
+	p := new(Partitioning)
+	p.Refine(universe, eqsets)
+	return p
+}
+
+// Refine makes p the Partition of universe against eqsets, in the memory p
+// already has: the groups and covers p held before are overwritten, and a
+// caller that refines the same cluster cycle after cycle allocates nothing once
+// p has seen its largest partition. Neither input is retained.
+func (p *Partitioning) Refine(universe *bitset.Set, eqsets []*bitset.Set) {
+	p.used = 0
+	all := p.newSet(universe.Cap())
+	all.CopyFrom(universe)
+	groups, next := append(p.Groups[:0], all), p.spare[:0]
+	first, distinct := slices.Grow(p.first[:0], len(eqsets)), p.distinct[:0]
 	for i, es := range eqsets {
-		first[i] = int32(i)
 		if d := findSet(eqsets, distinct, es); d >= 0 {
-			first[i] = d
+			first = append(first, d)
 			continue
 		}
-		distinct = append(distinct, int32(i))
+		first, distinct = append(first, int32(i)), append(distinct, int32(i))
 		// A group splits only when it straddles the set; a group inside or
 		// outside it stays as it is, with no copy made to find that out.
-		var next []*bitset.Set
+		split := false
 		for gi, g := range groups {
 			if !g.Intersects(es) || g.SubsetOf(es) {
-				if next != nil {
+				if split {
 					next = append(next, g)
 				}
 				continue
 			}
-			if next == nil {
-				next = append(make([]*bitset.Set, 0, len(groups)+1), groups[:gi]...)
+			if !split {
+				split, next = true, append(next[:0], groups[:gi]...)
 			}
-			next = append(next, g.Intersect(es), g.Difference(es))
+			// The group's own set becomes its part inside es.
+			out := p.newSet(universe.Cap())
+			out.CopyFrom(g)
+			out.DifferenceWith(es)
+			g.IntersectWith(es)
+			next = append(next, g, out)
 		}
-		if next != nil {
-			groups = next
+		if split {
+			groups, next = next, groups
 		}
 	}
-	p := &Partitioning{Groups: groups, Cover: make([][]int, len(eqsets))}
-	var flat []int // one backing array for every distinct set's cover
+	p.Groups, p.spare, p.first, p.distinct = groups, next, first, distinct
+	if cap(p.Cover) < len(eqsets) {
+		p.Cover = make([][]int, len(eqsets))
+	}
+	p.Cover = p.Cover[:len(eqsets)]
+	flat := p.flat[:0]
 	for i, es := range eqsets {
 		if int(first[i]) != i {
 			p.Cover[i] = p.Cover[first[i]]
@@ -202,11 +237,23 @@ func Partition(universe *bitset.Set, eqsets []*bitset.Set) *Partitioning {
 				flat = append(flat, gi)
 			}
 		}
+		p.Cover[i] = nil
 		if len(flat) > lo {
 			p.Cover[i] = flat[lo:len(flat):len(flat)]
 		}
 	}
-	return p
+	p.flat = flat
+}
+
+// newSet hands out one of p's sets over n nodes, contents unspecified.
+func (p *Partitioning) newSet(n int) *bitset.Set {
+	if p.used == len(p.sets) {
+		p.sets = append(p.sets, bitset.New(n))
+	} else if p.sets[p.used].Cap() != n {
+		p.sets[p.used] = bitset.New(n)
+	}
+	p.used++
+	return p.sets[p.used-1]
 }
 
 // findSet returns the index in eqsets of the entry among seen that is es, by

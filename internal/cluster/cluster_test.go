@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,7 @@ func partitionReference(universe *bitset.Set, eqsets []*bitset.Set) *Partitionin
 // few distinct sets, each listed many times, by the same pointer or as an
 // equal copy, over a universe that may be missing nodes.
 func TestPartitionMatchesReference(t *testing.T) {
+	var reused Partitioning
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(150)
@@ -229,35 +231,39 @@ func TestPartitionMatchesReference(t *testing.T) {
 				eqsets[i] = eqsets[i].Clone()
 			}
 		}
-		got, want := Partition(u, eqsets), partitionReference(u, eqsets)
-		if len(got.Groups) != len(want.Groups) || len(got.Cover) != len(want.Cover) {
-			return false
-		}
-		for i := range want.Groups {
-			if !got.Groups[i].Equal(want.Groups[i]) {
-				return false
-			}
-			for _, in := range append([]*bitset.Set{u}, eqsets...) {
-				if got.Groups[i] == in {
-					return false // a group must never alias an input
-				}
-			}
-		}
-		for i := range want.Cover {
-			if len(got.Cover[i]) != len(want.Cover[i]) {
-				return false
-			}
-			for k := range want.Cover[i] {
-				if got.Cover[i][k] != want.Cover[i][k] {
-					return false
-				}
-			}
-		}
-		return true
+		// A Partitioning that has held other partitions, of other universes,
+		// refines to the same thing in the memory it has.
+		reused.Refine(u, eqsets)
+		want := partitionReference(u, eqsets)
+		return samePartition(Partition(u, eqsets), want, u, eqsets) && samePartition(&reused, want, u, eqsets)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// samePartition reports whether got has want's groups, in order, and covers,
+// and no group that is one of the inputs.
+func samePartition(got, want *Partitioning, u *bitset.Set, eqsets []*bitset.Set) bool {
+	if len(got.Groups) != len(want.Groups) || len(got.Cover) != len(want.Cover) {
+		return false
+	}
+	for i := range want.Groups {
+		if !got.Groups[i].Equal(want.Groups[i]) {
+			return false
+		}
+		for _, in := range append([]*bitset.Set{u}, eqsets...) {
+			if got.Groups[i] == in {
+				return false // a group must never alias an input
+			}
+		}
+	}
+	for i := range want.Cover {
+		if !slices.Equal(got.Cover[i], want.Cover[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPartitionAllocs budgets a cycle-shaped call: 600 leaves over six
@@ -292,4 +298,10 @@ func TestPartitionAllocs(t *testing.T) {
 		t.Errorf("Partition allocates %v times for 6 distinct sets, budget %d", avg, budget)
 	}
 	t.Logf("allocations: %v, reference %v", avg, testing.AllocsPerRun(5, func() { partitionReference(u, eqsets) }))
+	// The into-form, which a compiler.Scratch uses cycle after cycle: none.
+	var p Partitioning
+	p.Refine(u, eqsets)
+	if avg := testing.AllocsPerRun(50, func() { p.Refine(u, eqsets) }); avg != 0 || len(p.Groups) != 6 {
+		t.Errorf("a warm Refine allocates %v times for %d groups, want 0 and 6", avg, len(p.Groups))
+	}
 }

@@ -15,6 +15,7 @@ package compiler
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"tetrisched/internal/bitset"
@@ -61,7 +62,7 @@ type leafRecord struct {
 	expr   strl.Expr
 	start  int64
 	dur    int64
-	ind    milp.VarID // controlling indicator (shared along MIN paths)
+	ind    milp.VarID // controlling indicator (shared along MIN paths); noVar when culled
 	job    int
 	k      int
 	group  int // valid when single
@@ -69,8 +70,13 @@ type leafRecord struct {
 	partN  int
 	linear bool
 	single bool // presolved: count is k·ind in group
-	culled bool // provably unsatisfiable within the window
+	culled bool // provably unsatisfiable within the window: the leaf has no variables
 }
+
+// noVar stands where a variable would be had its subtree been lowered: the
+// indicator of a culled leaf, and the placeholders a dead subtree leaves in
+// kidInd and minVar so that a walk of the job's tree stays aligned.
+const noVar milp.VarID = -1
 
 // jobRecord locates one job's share of the compiled batch. Everything the
 // compiler emits is per-job contiguous and in the order gen visits the job's
@@ -94,7 +100,8 @@ type jobRecord struct {
 type Compiled struct {
 	// Model is the MILP to hand to the solver (maximize).
 	Model *milp.Model
-	// Part is the cycle's partitioning of the cluster.
+	// Part is the cycle's partitioning of the cluster; like the model, it is
+	// the Scratch's.
 	Part *cluster.Partitioning
 
 	opts   Options
@@ -143,9 +150,14 @@ type Scratch struct {
 	demand []milp.Term // row build buffer (AddConstraint copies)
 	kids   []milp.Term // MAX/SUM child-indicator rows, a stack across nesting levels
 	obj    []milp.Term // objective contribution of the subtree being lowered
+	kept   []int       // slices of the group being emitted whose cell became a supply row
+	nl     int         // leaf records passed so far: the next one to lower
+	dead   []bool      // per node of the batch in visiting order: its subtree is left out (markDead)
+	nn     int         // nodes passed so far: the next one to lower or skip
 
 	// What the current Compiled is made of.
 	model     milp.Model
+	part      cluster.Partitioning
 	job       []jobRecord
 	leaves    []leafRecord
 	kidInd    []milp.VarID
@@ -173,33 +185,26 @@ type Scratch struct {
 
 // slab hands out zeroed slices of one element type from an array that is kept
 // across rewinds, the discipline of milp.Workspace's slabs: a request that
-// does not fit is served by the allocator, and the next rewind grows the
-// array to everything asked for since the last, plus a quarter, so a slab
-// converges on the largest batch it has seen and then allocates nothing.
-// Slices handed out stay valid until the rewind.
+// does not fit starts a new array, at least twice the size, and is served from
+// that, so a slab converges on the largest batch it has seen and then
+// allocates nothing. Slices handed out stay valid until the rewind — those cut
+// from an earlier array keep it alive that long.
 type slab[T any] struct {
 	buf  []T
 	used int // elements of buf handed out
-	over int // elements served by the allocator because buf was full
 }
 
 func (s *slab[T]) take(n int) []T {
 	if n > len(s.buf)-s.used {
-		s.over += n
-		return make([]T, n)
+		s.buf, s.used = make([]T, max(n, 2*len(s.buf))), 0
 	}
 	s.used += n
 	return s.buf[s.used-n : s.used : s.used]
 }
 
 func (s *slab[T]) rewind() {
-	if s.over > 0 {
-		n := s.used + s.over
-		s.buf = make([]T, n+n/4)
-	} else {
-		clear(s.buf[:s.used])
-	}
-	s.used, s.over = 0, 0
+	clear(s.buf[:s.used])
+	s.used = 0
 }
 
 // sized returns buf with length n and unspecified contents, reallocated —
@@ -262,7 +267,7 @@ func Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	sc := new(Scratch)
 	c, err := sc.Compile(jobs, opts)
 	// Nothing compiles on sc again: keep only what c is made of.
-	sc.universe, sc.eqsets, sc.use, sc.demand, sc.kids, sc.obj = nil, nil, nil, nil, nil, nil
+	sc.universe, sc.eqsets, sc.use, sc.demand, sc.kids, sc.obj, sc.kept, sc.dead = nil, nil, nil, nil, nil, nil, nil, nil
 	return c, err
 }
 
@@ -289,22 +294,28 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		}
 	}
 
-	// Gather every equivalence set referenced this cycle, one entry per leaf
-	// in the order gen will visit them, and partition the cluster against
-	// them. Partition clones the universe and refines into fresh group sets,
-	// retaining neither input, so both are poolable.
-	eqsets := sc.eqsets[:0]
-	for _, j := range jobs {
-		strl.Walk(j, func(x strl.Expr) {
-			switch l := x.(type) {
-			case *strl.NCk:
-				eqsets = append(eqsets, l.Set)
-			case *strl.LnCk:
-				eqsets = append(eqsets, l.Set)
-			}
-		})
+	// From here on the previous Compiled is being overwritten.
+	sc.epoch++
+	// One record and one equivalence set per leaf, in the order gen visits
+	// them; the cluster is partitioned against the sets, in the Scratch's
+	// Partitioning, which retains neither input, so both are poolable.
+	eqsets, leaves := sc.eqsets[:0], sc.leaves[:0]
+	jid := 0
+	note := func(x strl.Expr) {
+		switch l := x.(type) {
+		case *strl.NCk:
+			eqsets = append(eqsets, l.Set)
+			leaves = append(leaves, leafRecord{job: jid, expr: l, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
+		case *strl.LnCk:
+			eqsets = append(eqsets, l.Set)
+			leaves = append(leaves, leafRecord{job: jid, expr: l, linear: true, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
+		}
 	}
-	sc.eqsets = eqsets
+	for j, job := range jobs {
+		jid = j
+		strl.Walk(job, note)
+	}
+	sc.eqsets, sc.leaves = eqsets, leaves
 	within := opts.Within
 	if within == nil {
 		if sc.universe == nil || sc.universe.Cap() != opts.Universe {
@@ -314,12 +325,10 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		within = sc.universe
 	}
 	opts.Within = nil
-	part := cluster.Partition(within, eqsets)
+	part := &sc.part
+	part.Refine(within, eqsets)
 	sc.useGrid(len(part.Groups), opts.Horizon)
-	sc.obj, sc.kids = sc.obj[:0], sc.kids[:0]
-
-	// From here on the previous Compiled is being overwritten.
-	sc.epoch++
+	sc.obj, sc.kids, sc.nl, sc.nn = sc.obj[:0], sc.kids[:0], 0, 0
 	sc.ints.rewind()
 	sc.int32s.rewind()
 	sc.vars.rewind()
@@ -328,7 +337,6 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	sc.models.rewind()
 	sc.model.Reset(milp.Maximize)
 	sc.job = sized(sc.job, len(jobs)+1)
-	sc.leaves = sized(sc.leaves, len(eqsets))
 	// The Compiled itself is the one thing allocated per compilation: a
 	// recycled one could not tell that it is stale.
 	c := &Compiled{
@@ -337,7 +345,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		opts:   opts,
 		jobs:   jobs,
 		job:    sc.job[:0],
-		leaves: sc.leaves[:0],
+		leaves: leaves,
 		kidInd: sc.kidInd[:0],
 		minVar: sc.minVar[:0],
 		parts:  sc.parts[:0],
@@ -345,13 +353,20 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		epoch:  sc.epoch,
 	}
 	c.computeAvail()
+	c.cullLeaves()
 
 	for jid, job := range jobs {
 		ind := c.Model.AddVarNamed(milp.Namef("I_j%d", jid), milp.Binary, 0, 1, 0)
 		c.job = append(c.job, jobRecord{
-			varLo: int(ind), leafLo: len(c.leaves), kidLo: len(c.kidInd), minLo: len(c.minVar),
+			varLo: int(ind), leafLo: sc.nl, kidLo: len(c.kidInd), minLo: len(c.minVar),
 			roundable: roundable(job),
 		})
+		if sc.dead[sc.nn] {
+			// Nothing of the job can be granted: its indicator, free and
+			// worthless, is all there is of it.
+			c.skip(job)
+			continue
+		}
 		if err := c.gen(jid, job, ind); err != nil {
 			return nil, err
 		}
@@ -364,15 +379,19 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		sc.obj = sc.obj[:0]
 	}
 	c.job = append(c.job, jobRecord{
-		varLo: c.Model.NumVars(), leafLo: len(c.leaves), kidLo: len(c.kidInd), minLo: len(c.minVar),
+		varLo: c.Model.NumVars(), leafLo: sc.nl, kidLo: len(c.kidInd), minLo: len(c.minVar),
 	})
 	// Supply constraints: usage within each (group, slice) cannot exceed the
-	// nodes available there. Constraints that cannot bind are dropped.
-	// The dense accumulator is walked group-major then slice-major, the same
-	// order the old sorted-key emission used, so the emitted model (and thus
-	// the chosen optimum among ties) stays deterministic.
+	// nodes available there. Constraints that cannot bind are dropped, and so
+	// is a cell that repeats the terms of one its group already has a row for
+	// at a limit no smaller — the per-slice expansion of one packing row into
+	// a copy for every slice the same leaves occupy. The dense accumulator is
+	// walked group-major then slice-major, the same order the old sorted-key
+	// emission used, so the emitted model (and thus the chosen optimum among
+	// ties) stays deterministic.
 	h := int(opts.Horizon)
 	for g := range part.Groups {
+		kept := sc.kept[:0]
 		for t := 0; t < h; t++ {
 			cell := sc.use[g*h+t]
 			if len(cell) == 0 {
@@ -383,11 +402,13 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 			for _, tm := range cell {
 				maxUse += tm.Coef * c.Model.Vars[tm.Var].Ub
 			}
-			if maxUse <= float64(limit) {
+			if maxUse <= float64(limit) || c.implied(g, kept, cell, limit) {
 				continue
 			}
+			kept = append(kept, t)
 			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, t), cell, milp.LE, float64(limit))
 		}
+		sc.kept = kept
 	}
 	// The append-grown arrays may have moved; keep the larger ones.
 	sc.kidInd, sc.minVar, sc.parts = c.kidInd, c.minVar, c.parts
@@ -430,6 +451,7 @@ func (c *Compiled) computeAvail() {
 // (callers note its length first and read, rewrite or truncate from there).
 func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
 	sc := c.scr
+	sc.nn++
 	switch x := expr.(type) {
 	case *strl.NCk:
 		c.genNCk(job, x, ind)
@@ -480,11 +502,17 @@ func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
 
 // genChoice lowers a SUM or MAX node: one indicator per child, the children
 // themselves (their objective terms simply accumulate), then the row
-// Σ I_i + parentCoef·I ≤ 0 tying the children to the parent.
+// Σ I_i + parentCoef·I ≤ 0 tying the children to the parent. A dead child
+// (see markDead) gets neither indicator nor term: it could only ever be 0.
 func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidFormat, rowFormat string, parentCoef float64) error {
 	sc := c.scr
 	lo := len(sc.kids) // nested choices push and pop above this level's terms
 	for i, kid := range kids {
+		if sc.dead[sc.nn] {
+			c.kidInd = append(c.kidInd, noVar)
+			c.skip(kid)
+			continue
+		}
 		ki := c.Model.AddVarNamed(milp.Namef(kidFormat, job, i), milp.Binary, 0, 1, 0)
 		c.kidInd = append(c.kidInd, ki)
 		sc.kids = append(sc.kids, milp.Term{Var: ki, Coef: 1})
@@ -525,12 +553,113 @@ func (c *Compiled) slices(start, dur int64) (int64, int64, bool) {
 	return start, end, true
 }
 
-// newLeaf appends the leaf's lowering record and returns it with the leaf's
-// equivalence-set cover (records and Partition's covers are both in visiting
-// order, one per leaf).
-func (c *Compiled) newLeaf(rec leafRecord) (*leafRecord, []int) {
-	c.leaves = append(c.leaves, rec)
-	return &c.leaves[len(c.leaves)-1], c.Part.Cover[len(c.leaves)-1]
+// cullLeaves marks the leaves that provably cannot be satisfied: out of the
+// window, or (a linear leaf takes what there is) with too few nodes available
+// across the cover during the occupied slices. Records and Partition's covers
+// are both in visiting order, one per leaf. From the leaves it marks the dead
+// subtrees, once, for the lowering to read as it comes to each node.
+func (c *Compiled) cullLeaves() {
+	for i := range c.leaves {
+		rec := &c.leaves[i]
+		s, e, ok := c.slices(rec.start, rec.dur)
+		if ok && !rec.linear {
+			total := int64(0)
+			for _, g := range c.Part.Cover[i] {
+				total += c.minAvail(g, s, e)
+			}
+			ok = total >= int64(rec.k)
+		}
+		rec.culled = !ok
+	}
+	sc := c.scr
+	sc.dead = sc.dead[:0]
+	leaf := 0
+	for _, job := range c.jobs {
+		c.markDead(job, &leaf)
+	}
+}
+
+// markDead appends to the scratch's dead list, for every node of expr in the
+// order gen and skip visit them, whether the node's subtree can be left out of
+// the model, and reports it for expr; *leaf is the record of the next leaf. A
+// culled leaf is dead; so is anything that needs a dead child (MIN, SCALE,
+// BARRIER) and a choice (MAX, SUM) all of whose children are. Whoever owns the
+// subtree's indicator gives it none: nothing of a dead subtree is lowered
+// (skip), which is what pinning the indicator to 0 with a row, for presolve to
+// propagate, used to arrive at.
+func (c *Compiled) markDead(expr strl.Expr, leaf *int) bool {
+	sc := c.scr
+	at := len(sc.dead)
+	sc.dead = append(sc.dead, false)
+	dead := false
+	switch x := expr.(type) {
+	case *strl.NCk, *strl.LnCk:
+		dead = c.leaves[*leaf].culled
+		*leaf++
+	case *strl.Min:
+		for _, kid := range x.Kids {
+			dead = c.markDead(kid, leaf) || dead
+		}
+	case *strl.Max:
+		dead = c.allDead(x.Kids, leaf)
+	case *strl.Sum:
+		dead = c.allDead(x.Kids, leaf)
+	case *strl.Scale:
+		dead = c.markDead(x.Kid, leaf)
+	case *strl.Barrier:
+		dead = c.markDead(x.Kid, leaf)
+	}
+	sc.dead[at] = dead
+	return dead
+}
+
+func (c *Compiled) allDead(kids []strl.Expr, leaf *int) bool {
+	dead := true
+	for _, kid := range kids {
+		dead = c.markDead(kid, leaf) && dead
+	}
+	return dead
+}
+
+// skip passes over a dead subtree: its leaves have no variables whatever their
+// own test said, so all are culled, and its MAX/SUM children and MIN nodes
+// leave placeholders for treeCursor to count.
+func (c *Compiled) skip(expr strl.Expr) {
+	c.scr.nn++
+	switch x := expr.(type) {
+	case *strl.NCk, *strl.LnCk:
+		c.leaves[c.scr.nl].culled = true
+		c.scr.nl++
+	case *strl.Max:
+		c.skipKids(x.Kids, true)
+	case *strl.Sum:
+		c.skipKids(x.Kids, true)
+	case *strl.Min:
+		c.minVar = append(c.minVar, noVar)
+		c.skipKids(x.Kids, false)
+	case *strl.Scale:
+		c.skip(x.Kid)
+	case *strl.Barrier:
+		c.skip(x.Kid)
+	}
+}
+
+func (c *Compiled) skipKids(kids []strl.Expr, owned bool) {
+	for _, kid := range kids {
+		if owned {
+			c.kidInd = append(c.kidInd, noVar)
+		}
+		c.skip(kid)
+	}
+}
+
+// nextLeaf returns the record of the leaf being lowered — a live one: gen is
+// never called on a dead subtree — with the leaf's equivalence-set cover.
+func (c *Compiled) nextLeaf(ind milp.VarID) (*leafRecord, []int) {
+	i := c.scr.nl
+	c.scr.nl++
+	c.leaves[i].ind = ind
+	return &c.leaves[i], c.Part.Cover[i]
 }
 
 // addPart records one partition variable of the leaf being lowered; a leaf's
@@ -543,33 +672,9 @@ func (c *Compiled) addPart(rec *leafRecord, pv partVar) {
 	rec.partN++
 }
 
-// cull pins the indicator of a leaf that cannot be satisfied to zero: the
-// leaf (and anything that requires it) must not activate.
-func (c *Compiled) cull(rec *leafRecord) {
-	rec.culled = true
-	c.scr.demand = append(c.scr.demand[:0], milp.Term{Var: rec.ind, Coef: 1})
-	c.Model.AddConstraintNamed(milp.Namef("cull_j%d", rec.job), c.scr.demand, milp.LE, 0)
-}
-
 func (c *Compiled) genNCk(job int, leaf *strl.NCk, ind milp.VarID) {
-	rec, cover := c.newLeaf(leafRecord{job: job, expr: leaf, k: leaf.K, start: leaf.Start, dur: leaf.Dur, ind: ind})
-
-	s, e, ok := c.slices(leaf.Start, leaf.Dur)
-	// Cull leaves that provably cannot be satisfied: out of window, or not
-	// enough nodes available across the cover during the occupied slices.
-	feasible := ok
-	if ok {
-		total := int64(0)
-		for _, g := range cover {
-			total += c.minAvail(g, s, e)
-		}
-		feasible = total >= int64(leaf.K)
-	}
-	if !feasible {
-		c.cull(rec)
-		return
-	}
-
+	rec, cover := c.nextLeaf(ind)
+	s, e, _ := c.slices(leaf.Start, leaf.Dur)
 	sc := c.scr
 	if len(cover) == 1 {
 		// Presolve: the only possible grant is k nodes from this group, so
@@ -579,44 +684,54 @@ func (c *Compiled) genNCk(job int, leaf *strl.NCk, ind milp.VarID) {
 		sc.obj = append(sc.obj, milp.Term{Var: ind, Coef: leaf.Value})
 		return
 	}
-	demand := sc.demand[:0]
-	for _, g := range cover {
-		ub := math.Min(float64(leaf.K), float64(c.minAvail(g, s, e)))
-		p := c.Model.AddVarNamed(milp.Namef("P_j%d_g%d_s%d", job, g, int(leaf.Start)), milp.Integer, 0, ub, 0)
-		c.addPart(rec, partVar{group: g, id: p})
-		demand = append(demand, milp.Term{Var: p, Coef: 1})
-		c.addUse(g, s, e, milp.Term{Var: p, Coef: 1})
-	}
 	// Demand: Σ P_x = k·I. AddConstraint copies its terms, so the pooled
 	// build buffer can be handed over and reused for the next leaf.
-	demand = append(demand, milp.Term{Var: ind, Coef: -float64(leaf.K)})
-	c.Model.AddConstraintNamed(milp.Namef("demand_j%d_s%d", job, int(leaf.Start)), demand, milp.EQ, 0)
-	sc.demand = demand
+	sc.demand = append(c.genParts(rec, cover, s, e, "P_j%d_g%d_s%d"), milp.Term{Var: ind, Coef: -float64(leaf.K)})
+	c.Model.AddConstraintNamed(milp.Namef("demand_j%d_s%d", job, int(leaf.Start)), sc.demand, milp.EQ, 0)
 	sc.obj = append(sc.obj, milp.Term{Var: ind, Coef: leaf.Value})
 }
 
 func (c *Compiled) genLnCk(job int, leaf *strl.LnCk, ind milp.VarID) {
-	rec, cover := c.newLeaf(leafRecord{job: job, expr: leaf, linear: true, k: leaf.K, start: leaf.Start, dur: leaf.Dur, ind: ind})
-
-	s, e, ok := c.slices(leaf.Start, leaf.Dur)
-	if !ok {
-		c.cull(rec)
-		return
-	}
+	rec, cover := c.nextLeaf(ind)
+	s, e, _ := c.slices(leaf.Start, leaf.Dur)
 	sc := c.scr
-	demand := sc.demand[:0]
+	// Demand: Σ P_x ≤ k·I.
+	sc.demand = append(c.genParts(rec, cover, s, e, "Pl_j%d_g%d_s%d"), milp.Term{Var: ind, Coef: -float64(leaf.K)})
+	c.Model.AddConstraintNamed(milp.Namef("ldemand_j%d_s%d", job, int(leaf.Start)), sc.demand, milp.LE, 0)
+	for _, pv := range c.partsOf(rec) {
+		sc.obj = append(sc.obj, milp.Term{Var: pv.id, Coef: leaf.Value / float64(leaf.K)})
+	}
+}
+
+// genParts gives the leaf one partition variable per cover group, each using
+// its group's supply over slices [s, e), and returns their sum as the start of
+// the leaf's demand row, in the scratch's build buffer. A group with no node
+// free throughout still gets its variable, bounded at 0: ForcedComponents cuts
+// a supply row by the classes of the terms in it, so the term has a say there
+// even though the variable has none in the solve.
+func (c *Compiled) genParts(rec *leafRecord, cover []int, s, e int64, format string) []milp.Term {
+	demand := c.scr.demand[:0]
 	for _, g := range cover {
-		ub := math.Min(float64(leaf.K), float64(c.minAvail(g, s, e)))
-		p := c.Model.AddVarNamed(milp.Namef("Pl_j%d_g%d_s%d", job, g, int(leaf.Start)), milp.Integer, 0, ub, 0)
+		ub := math.Min(float64(rec.k), float64(c.minAvail(g, s, e)))
+		p := c.Model.AddVarNamed(milp.Namef(format, rec.job, g, int(rec.start)), milp.Integer, 0, ub, 0)
 		c.addPart(rec, partVar{group: g, id: p})
 		demand = append(demand, milp.Term{Var: p, Coef: 1})
 		c.addUse(g, s, e, milp.Term{Var: p, Coef: 1})
-		sc.obj = append(sc.obj, milp.Term{Var: p, Coef: leaf.Value / float64(leaf.K)})
 	}
-	// Demand: Σ P_x ≤ k·I.
-	demand = append(demand, milp.Term{Var: ind, Coef: -float64(leaf.K)})
-	c.Model.AddConstraintNamed(milp.Namef("ldemand_j%d_s%d", job, int(leaf.Start)), demand, milp.LE, 0)
-	sc.demand = demand
+	return demand
+}
+
+// implied reports whether the supply row of group g with these terms and this
+// limit says nothing new: one of the group's kept cells has the same terms at
+// a limit no larger.
+func (c *Compiled) implied(g int, kept []int, cell []milp.Term, limit int64) bool {
+	h := int(c.opts.Horizon)
+	for i := len(kept) - 1; i >= 0; i-- { // the neighbouring slice first
+		if t := kept[i]; c.avail[g][t] <= limit && slices.Equal(c.scr.use[g*h+t], cell) {
+			return true
+		}
+	}
+	return false
 }
 
 // minAvail returns the minimum availability of group g over slices [s, e).
@@ -1005,7 +1120,9 @@ func (c *Compiled) evalInto(e strl.Expr, cur *treeCursor, x []float64) float64 {
 		if math.IsInf(mn, 1) {
 			mn = 0
 		}
-		x[v] = mn
+		if v != noVar { // a dead MIN has no variable, and no value
+			x[v] = mn
+		}
 		return mn
 	case *strl.Sum:
 		total := 0.0

@@ -199,6 +199,9 @@ func TestRoundOrderIgnoresSlackIndicator(t *testing.T) {
 		x := make([]float64, c.Model.NumVars())
 		kidSum := make([]float64, len(jobs))
 		for _, rec := range c.leaves {
+			if rec.culled {
+				continue // no indicator
+			}
 			x[rec.ind] = r.Float64() / float64(len(c.jobLeaves(rec.job)))
 			kidSum[rec.job] += x[rec.ind]
 		}

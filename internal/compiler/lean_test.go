@@ -1,0 +1,183 @@
+package compiler
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"tetrisched/internal/bitset"
+	"tetrisched/internal/milp"
+	"tetrisched/internal/strl"
+)
+
+// residentBlockBatch is one block of the resident workloads at the compiler's
+// level: nine deferring gangs on the same eight nodes, busy for the first
+// slice, each offering ten consecutive starts.
+func residentBlockBatch() ([]strl.Expr, Options) {
+	const n, horizon = 32, 24
+	block := bitset.New(n)
+	rel := make([]int64, n)
+	for i := 0; i < 8; i++ {
+		block.Add(i)
+		rel[i] = 1
+	}
+	var jobs []strl.Expr
+	for _, k := range [...]int{2, 3, 5, 7, 2, 3, 5, 7, 2} {
+		var kids []strl.Expr
+		for s := int64(0); s < 10; s++ {
+			kids = append(kids, &strl.NCk{Set: block, K: k, Start: s, Dur: 3, Value: float64(997 - s)})
+		}
+		jobs = append(jobs, &strl.Max{Kids: kids})
+	}
+	return jobs, Options{Universe: n, Horizon: horizon, ReleaseAt: rel}
+}
+
+// checkLean fails the test for anything in c's model that presolve would only
+// delete: a row pinning a variable to 0, an indicator that cannot be 1, a
+// supply row repeating an earlier one of its group at a limit no smaller.
+func checkLean(t *testing.T, name string, c *Compiled) {
+	t.Helper()
+	m := c.Model
+	for i := range c.leaves {
+		rec := &c.leaves[i]
+		switch {
+		case rec.culled && (rec.ind != noVar || rec.partN != 0 || rec.single):
+			t.Errorf("%s: culled leaf %d of job %d has variables", name, i, rec.job)
+		case !rec.culled && (rec.ind < 0 || int(rec.ind) >= m.NumVars()):
+			t.Errorf("%s: live leaf %d of job %d has indicator %d", name, i, rec.job, rec.ind)
+		}
+	}
+	for i, v := range m.Vars {
+		// A partition variable of a group with nothing free stays, bounded at
+		// 0: its term decides where ForcedComponents cuts (genParts).
+		if v.Ub == 0 && v.Type != milp.Integer {
+			t.Errorf("%s: variable %s (#%d) can only be 0", name, v.Name.String(), i)
+		}
+	}
+	supply := map[int][]*milp.Constraint{} // group → its supply rows, in emission order
+	for i := range m.Cons {
+		con := &m.Cons[i]
+		rowName := con.Name.String()
+		if strings.HasPrefix(rowName, "cull_") {
+			t.Errorf("%s: row %s", name, rowName)
+		}
+		var g, slice int
+		if n, _ := fmt.Sscanf(rowName, "supply_g%d_t%d", &g, &slice); n != 2 {
+			continue
+		}
+		for _, earlier := range supply[g] {
+			if con.RHS >= earlier.RHS && slices.Equal(con.Terms, earlier.Terms) {
+				t.Errorf("%s: %s repeats %s at a limit no smaller", name, rowName, earlier.Name.String())
+			}
+		}
+		supply[g] = append(supply[g], con)
+	}
+}
+
+// TestLeanLowering: the compiler emits nothing presolve would only delete —
+// no variable or row for a leaf it knows to be infeasible, one supply row
+// where consecutive slices would repeat it — and what is left is the model
+// presolve used to arrive at. The goldens are the parent commit's: the
+// objective, node count and simplex iterations of a solve to the scheduler's
+// gap, and the size of the presolved model, of the lowering that still emitted
+// cull_ rows and a supply row per slice.
+func TestLeanLowering(t *testing.T) {
+	for _, g := range []struct {
+		jobs             int
+		seed             int64
+		objective        float64
+		nodes            int
+		iters            int64
+		redVars, redRows int
+	}{
+		{12, 1, 77.831962306040637, 7, 189, 375, 114},
+		{12, 2, 44.297040615012804, 40, 683, 283, 97},
+		{12, 3, 82.903886950864532, 155, 2402, 345, 110},
+		{12, 4, 56.459779324935916, 225, 2622, 300, 101},
+		{12, 5, 76.125198730497388, 8, 110, 359, 112},
+		{12, 6, 57.99485059721345, 230, 4411, 348, 112},
+		{12, 7, 50.692035400939062, 24, 388, 272, 96},
+		{12, 8, 64.003742956713538, 127, 2686, 311, 105},
+		{30, 1, 100.82516177569889, 439, 9557, 827, 211},
+		{30, 5, 130.45305499146542, 124, 2887, 946, 232},
+		{30, 6, 114.07260897844279, 239, 3225, 880, 218},
+		{30, 7, 109.5710416454673, 138, 1566, 723, 189},
+		{0, 0, 6954, 1, 37, 81, 20}, // the resident block
+	} {
+		name := fmt.Sprintf("cycleBatch(%d, %d)", g.seed, g.jobs)
+		jobs, opts := residentBlockBatch()
+		if g.jobs > 0 {
+			jobs, opts = cycleBatch(g.seed, g.jobs)
+		} else {
+			name = "resident block"
+		}
+		c, err := Compile(jobs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLean(t, name, c)
+		if st := c.Stats(); g.jobs > 0 && st.CulledLeafs == 0 {
+			t.Errorf("%s: no leaf is culled; the batch checks nothing", name)
+		}
+		sol := solveToGap(t, c)
+		if sol.Objective != g.objective || sol.Nodes != g.nodes || sol.LP.Iterations != g.iters {
+			t.Errorf("%s: objective %.17g in %d nodes and %d iterations, want %.17g in %d and %d",
+				name, sol.Objective, sol.Nodes, sol.LP.Iterations, g.objective, g.nodes, g.iters)
+		}
+		pre := milp.Presolve(c.Model)
+		if red := pre.Model; red.NumVars() != g.redVars || red.NumConstraints() != g.redRows {
+			t.Errorf("%s: presolved to %d vars and %d rows, want %d and %d",
+				name, red.NumVars(), red.NumConstraints(), g.redVars, g.redRows)
+		}
+		if 50*pre.Stats.RowsDropped > c.Model.NumConstraints() {
+			t.Errorf("%s: presolve still drops %d of %d rows", name, pre.Stats.RowsDropped, c.Model.NumConstraints())
+		}
+	}
+}
+
+// TestDeadSubtreesAreSkipped: what needs a culled leaf is left out with it —
+// a MIN, and through it the MAX child that owns its indicator — and the walks
+// that re-trace a job's tree (InitialVector) still line up.
+func TestDeadSubtreesAreSkipped(t *testing.T) {
+	n := 4
+	live := func(start int64, v float64) *strl.NCk {
+		return &strl.NCk{Set: full(n), K: 2, Start: start, Dur: 1, Value: v}
+	}
+	tooWide := &strl.NCk{Set: set(n, 0, 1), K: 2, Start: 0, Dur: 1, Value: 9}
+	after := live(1, 3)
+	jobs := []strl.Expr{
+		&strl.Max{Kids: []strl.Expr{
+			&strl.Min{Kids: []strl.Expr{live(0, 5), tooWide}}, // dead: tooWide cannot be had
+			&strl.Min{Kids: []strl.Expr{live(0, 4), after}},
+		}},
+		tooWide, // a whole job with nothing to offer
+	}
+	rel := []int64{1, 0, 0, 0} // node 0 is busy now: {0, 1} has one node free
+	c, err := Compile(jobs, Options{Universe: n, Horizon: 2, ReleaseAt: rel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLean(t, "dead MIN", c)
+	if got := c.Stats().CulledLeafs; got != 3 {
+		t.Errorf("%d leaves culled, want the dead MIN's two and the bare one", got)
+	}
+	if c.job[2].varLo-c.job[1].varLo != 1 {
+		t.Errorf("the job with nothing to offer has %d variables, want its indicator alone", c.job[2].varLo-c.job[1].varLo)
+	}
+	sol, err := milp.Solve(c.Model, milp.Options{Workers: 1})
+	if err != nil || sol.Status != milp.StatusOptimal || sol.Objective != 3 {
+		t.Fatalf("solve: %v %+v, want the live MIN's value 3", err, sol)
+	}
+	grants := c.Decode(sol)
+	if len(grants) != 2 {
+		t.Fatalf("grants %+v, want both leaves of the live MIN", grants)
+	}
+	vec, ok := c.InitialVector(grants)
+	if !ok || !c.Model.IsFeasible(vec, 1e-6) || c.Model.ObjectiveValue(vec) != 3 {
+		t.Errorf("InitialVector of the decoded plan: ok %v, vector %v", ok, vec)
+	}
+	if _, ok := c.SeedGrant(1, tooWide); ok {
+		t.Error("SeedGrant grants a culled leaf")
+	}
+}

@@ -6,10 +6,11 @@ package core
 // purges is the coupling class: a maximal set of batched jobs connected through
 // intersecting leaf sets, derived before anything is lowered. Each class has
 // its own compiler.Scratch and is compiled against its own nodes only; it is
-// kept while its requests are the same objects (the per-job expression cache
-// keeps a request, leaf pointers and all, until its value-function expiry or an
-// event on the job) and the believed release slices of its nodes are unchanged,
-// which together make every compiler input identical. A kept class whose
+// kept while its requests are the same objects at the same revision (the
+// per-job expression cache keeps a request, leaf pointers and all, until an
+// event on the job or a change of shape, re-pricing it in place when its
+// value-function expiry passes) and the believed release slices of its nodes
+// are unchanged, which together make every compiler input identical. A kept class whose
 // warm-start choices are also last cycle's does nothing: its stored plan is
 // the cycle's plan. Anything else is decided per component, on a fingerprint
 // of the sub-solve's inputs (model, rounding state, restricted seed): equal
@@ -37,15 +38,16 @@ import (
 // exprEntry is one cached per-job STRL request.
 type exprEntry struct {
 	req        *strlgen.Request
-	validUntil int64 // last cycle time at which req is still byte-identical
+	validUntil int64 // last cycle time at which req is what a fresh one would be
 }
 
-// class is one coupling class, compiled. reqs and rel are its key; comp and
+// class is one coupling class, compiled. reqs, revs and rel are its key; comp and
 // comps live in scr, every entry's grants speak of comp's leaves and partition
 // groups, and all of it dies at scr's next Compile, which happens only through
 // build, for a class that is not in the table.
 type class struct {
 	reqs  []*strlgen.Request // members in batch order, by pointer
+	revs  []uint32           // their revisions when compiled: a re-priced member is another request
 	nodes []int32            // the union of the members' leaf sets; nil: every node
 	rel   []int64            // their believed release slices when compiled
 	named int                // members classOf still maps here: events take them away
@@ -82,11 +84,16 @@ func (cl *class) solved() bool {
 // cycle's plan for it, decoded against the class's current compilation. sol,
 // when non-nil, is a proven-optimal sub-solution of inputs whose fingerprint
 // was fp: a time-limited incumbent is not a reproducible function of the
-// inputs, so only optimal ones are kept.
+// inputs, so only optimal ones are kept. A component with a member whose value
+// decays has no fp and keeps no sol: its inputs differ from last cycle's and
+// from next cycle's by construction, so the key could neither match nor be
+// matched.
 type compEntry struct {
 	ids     []int // the component's job IDs
 	fp      uint64
 	sol     *milp.Solution
+	decays  bool      // a member's request is valid for this cycle only
+	vals    []float64 // memory for a solve's Values; sol's, while there is one
 	decoded bool      // grants is sol decoded against this compilation
 	seed    []float64 // this cycle's warm start when the component is solved
 	grants  []compiler.LeafGrant
@@ -256,14 +263,14 @@ func (s *Scheduler) classify(reqs []*strlgen.Request, rel []int64) ([]*class, er
 }
 
 // holds reports whether the class is the batch's members m compiled against
-// these release slices: the same request objects and the same slices on its
-// nodes make every compiler input identical.
+// these release slices: the same request objects, not re-priced since, and the
+// same slices on its nodes make every compiler input identical.
 func (cl *class) holds(reqs []*strlgen.Request, m []int, rel []int64) bool {
 	if cl.named != len(m) || len(cl.reqs) != len(m) {
 		return false
 	}
 	for i, bi := range m {
-		if cl.reqs[i] != reqs[bi] {
+		if cl.reqs[i] != reqs[bi] || cl.revs[i] != reqs[bi].Rev {
 			return false
 		}
 	}
@@ -295,10 +302,11 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 			break
 		}
 	}
-	cl.reqs, cl.exprs, cl.nodes, cl.rel = cl.reqs[:0], cl.exprs[:0], cl.nodes[:0], cl.rel[:0]
+	cl.reqs, cl.revs, cl.exprs, cl.nodes, cl.rel = cl.reqs[:0], cl.revs[:0], cl.exprs[:0], cl.nodes[:0], cl.rel[:0]
 	cl.named, cl.stale, cl.want = len(m), true, cl.want[:0]
 	for _, bi := range m {
 		cl.reqs = append(cl.reqs, reqs[bi])
+		cl.revs = append(cl.revs, reqs[bi].Rev)
 		cl.exprs = append(cl.exprs, reqs[bi].Expr)
 	}
 	if mask.Count() == len(rel) {
@@ -334,18 +342,21 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 	lo := 0
 	for ci, cc := range cl.comps {
 		ent := &cl.ents[ci]
-		*ent = compEntry{ids: cl.ids[lo : lo+len(cc.Jobs)], grants: ent.grants[:0]}
+		*ent = compEntry{ids: cl.ids[lo : lo+len(cc.Jobs)], grants: ent.grants[:0], vals: ent.vals}
 		lo += len(cc.Jobs)
 		for i, j := range cc.Jobs {
 			ent.ids[i] = cl.reqs[j].Job.ID
+			ent.decays = ent.decays || cl.reqs[j].Decaying
 		}
-		if !s.incEnabled() {
+		if !s.incEnabled() || ent.decays {
 			continue
 		}
 		if old := s.classOf[ent.ids[0]]; old != nil {
 			for i := range old.ents {
 				if oe := &old.ents[i]; oe.sol != nil && slices.Equal(oe.ids, ent.ids) {
-					ent.sol, ent.fp = oe.sol, oe.fp
+					// The solution moves house with the memory it is in.
+					ent.sol, ent.fp, oe.sol = oe.sol, oe.fp, nil
+					ent.vals, oe.vals = oe.vals, ent.vals
 				}
 			}
 		}
@@ -420,7 +431,9 @@ func (s *Scheduler) plan(classes []*class) (live int) {
 		for ci, cc := range cl.comps {
 			ent := &cl.ents[ci]
 			ent.seed = cc.RestrictSeed(seed)
-			if inc {
+			if inc && ent.decays {
+				s.Stats.ReuseMisses++
+			} else if inc {
 				fp := compiler.HashFloatsInto(cl.comp.ComponentFingerprint(cc), ent.seed)
 				if ent.sol != nil && ent.fp == fp {
 					s.Stats.ReuseHits++

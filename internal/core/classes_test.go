@@ -907,3 +907,112 @@ func TestClassSolvesConcurrently(t *testing.T) {
 			st4.ReuseHits, st4.ReuseMisses, st1.ReuseHits)
 	}
 }
+
+// TestClassHoldsSeesReprice: re-pricing changes a request's leaf values in
+// place, so the pointer a class keeps still matches; the revision beside it
+// does not. The class of a re-priced member is compiled again, and the class
+// next to it, whose members nobody touched, is kept.
+func TestClassHoldsSeesReprice(t *testing.T) {
+	sched, _ := residentScheduler(2)
+	now := int64(4)
+	var reqs []*strlgen.Request
+	for _, j := range sched.orderedPending() {
+		reqs = append(reqs, sched.gen.Generate(now, j))
+	}
+	classify := func() (compiled, kept int) {
+		before := sched.Stats
+		if _, err := sched.classify(reqs, sched.releaseSlices(now)); err != nil {
+			t.Fatal(err)
+		}
+		return sched.Stats.CompileJobs - before.CompileJobs, sched.Stats.CompileSkips - before.CompileSkips
+	}
+	if c, k := classify(); c != 18 || k != 0 {
+		t.Fatalf("the first classification compiled %d jobs and kept %d, want 18 and 0", c, k)
+	}
+	if c, k := classify(); c != 0 || k != 18 {
+		t.Fatalf("the same requests again: compiled %d jobs and kept %d, want 0 and 18", c, k)
+	}
+	member := reqs[11] // the third resident of the second block
+	value := member.Options[0].Leaf.Value
+	if _, ok := sched.gen.Reprice(now+4, member); !ok || member.Options[0].Leaf.Value != value {
+		t.Fatalf("re-pricing a resident one cycle on: ok %v, value %v -> %v; want the same request at the next revision", ok, value, member.Options[0].Leaf.Value)
+	}
+	if c, k := classify(); c != 9 || k != 9 {
+		t.Errorf("after re-pricing one member: compiled %d jobs and kept %d, want its block's 9 and the other's 9", c, k)
+	}
+	if c, k := classify(); c != 0 || k != 18 {
+		t.Errorf("and once more, nothing re-priced: compiled %d jobs and kept %d, want 0 and 18", c, k)
+	}
+}
+
+// decayingScheduler is a blocked RC256 (residentScheduler's blockers) with
+// nJobs best-effort jobs of every placement type waiting behind them: their
+// values decay every cycle, they couple through the whole-cluster fallback
+// into one class, and nothing ever launches — the paper's traffic in
+// miniature, one class rebuilt around re-priced members cycle after cycle.
+func decayingScheduler(nJobs int, cfg Config) (*Scheduler, *bitset.Set) {
+	c := cluster.RC256(false)
+	cfg.CyclePeriod, cfg.PlanAhead, cfg.BEDecay = 4, 96, 1<<20
+	sched := New(c, cfg)
+	for g := 0; g < 8; g++ {
+		sched.Submit(0, &workload.Job{ID: 900 + g, Class: workload.BestEffort,
+			Type: workload.Unconstrained, Submit: 0, K: 32, BaseRuntime: 4, Slowdown: 1})
+	}
+	sched.Cycle(0, c.All())
+	for id := 0; id < nJobs; id++ {
+		sched.Submit(4, &workload.Job{ID: id, Class: workload.BestEffort, Type: workload.Type(id % 3),
+			Submit: 4, K: 2 + id%5, BaseRuntime: int64(8 + 4*(id%4)), Slowdown: 1.5})
+	}
+	return sched, bitset.New(c.N())
+}
+
+// TestRebuiltClassAllocs pins what a cycle costs that can skip nothing: every
+// member re-priced, the class compiled and solved again. Requests are
+// re-priced where they are, the partition, the model and the solution's
+// values live in memory the class already has, and no key is taken of a
+// component that cannot match; what is left is the handful of headers
+// (Compiled, Components, Solutions) a cycle makes. The parent commit's cycle
+// here made 138 allocations, 44 KB; this one makes 17, 2 KB.
+func TestRebuiltClassAllocs(t *testing.T) {
+	sched, free := decayingScheduler(8, Config{})
+	now := int64(4)
+	cycle := func() {
+		if res := sched.Cycle(now, free); len(res.Decisions)+len(res.Dropped) != 0 {
+			t.Fatalf("the blocked cluster launched or dropped something: %+v", res)
+		}
+		now += 4
+	}
+	for k := 0; k < 4; k++ { // the slabs grow to the class's size
+		cycle()
+	}
+	const cycles = 20
+	before := sched.Stats
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(cycles-1, cycle)
+	runtime.ReadMemStats(&m1)
+	d := sched.Stats
+	if d.ExprMisses != before.ExprMisses || d.ExprHits-before.ExprHits != 8*cycles {
+		t.Errorf("%d requests generated and %d served from the cache, want 0 and %d re-priced",
+			d.ExprMisses-before.ExprMisses, d.ExprHits-before.ExprHits, 8*cycles)
+	}
+	if d.CompileSkips != before.CompileSkips || d.CompileJobs-before.CompileJobs != 8*cycles || d.Solves-before.Solves != cycles {
+		t.Errorf("%d jobs kept, %d compiled, %d solves; want 0, %d and %d: the class is rebuilt every cycle",
+			d.CompileSkips-before.CompileSkips, d.CompileJobs-before.CompileJobs, d.Solves-before.Solves, 8*cycles, cycles)
+	}
+	if d.ReuseHits != before.ReuseHits || d.ReuseMisses-before.ReuseMisses != cycles {
+		t.Errorf("%d replays and %d misses, want 0 and %d", d.ReuseHits-before.ReuseHits, d.ReuseMisses-before.ReuseMisses, cycles)
+	}
+	for _, cl := range sched.classes {
+		for i := range cl.ents {
+			if ent := &cl.ents[i]; ent.sol != nil || ent.fp != 0 {
+				t.Errorf("a component of decaying members has a key (%x) or a kept solution", ent.fp)
+			}
+		}
+	}
+	perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles
+	t.Logf("a rebuilt cycle allocates %.0f times, %d bytes", allocs, perCycle)
+	if allocs > 25 || perCycle > 4<<10 {
+		t.Errorf("a rebuilt cycle allocates %.0f times, %d bytes; want at most 25 and 4 KB", allocs, perCycle)
+	}
+}

@@ -531,18 +531,24 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 			// Expression cache: reuse the previously generated request
 			// verbatim while its value-function expiry bound holds (value
 			// functions are step functions of time, so most requests are
-			// reusable for many cycles). Pointer-stable requests are what
-			// lets a class recognize itself downstream (classes.go).
-			if ent, ok := s.exprCache[j.ID]; ok && now <= ent.validUntil {
+			// reusable for many cycles), and past it re-price the request in
+			// place while it keeps its shape (a decaying best-effort value
+			// moves every cycle; its options do not). Pointer-stable requests
+			// are what lets a class recognize itself downstream (classes.go).
+			ent, ok := s.exprCache[j.ID]
+			if ok && now > ent.validUntil {
+				ent.validUntil, ok = s.gen.Reprice(now, ent.req)
+			}
+			if ok {
 				req = ent.req
 				s.Stats.ExprHits++
 			} else {
 				var until int64
 				req, until = s.gen.GenerateTTL(now, j)
 				s.Stats.ExprMisses++
-				if req != nil && until > now {
+				if req != nil {
 					s.exprCache[j.ID] = &exprEntry{req: req, validUntil: until}
-				} else if ok {
+				} else {
 					delete(s.exprCache, j.ID)
 				}
 			}
@@ -777,7 +783,7 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 	s.refs, s.parts = refs, parts
 	for i, ref := range refs {
 		cc, ent := ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
-		parts[i] = milp.Part{Model: cc.Model, Heuristic: cc.RoundInPlace, Seed: ent.seed, Reuse: ent.sol}
+		parts[i] = milp.Part{Model: cc.Model, Heuristic: cc.RoundInPlace, Seed: ent.seed, Reuse: ent.sol, Values: ent.vals}
 		if ent.sol != nil {
 			continue
 		}
@@ -818,8 +824,9 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 			}
 			continue
 		}
+		ent.vals = ps.Values // grown, perhaps
 		ent.grants = cc.AppendGrants(ent.grants, ps.Values)
-		if s.incEnabled() && ps.Status == milp.StatusOptimal {
+		if s.incEnabled() && !ent.decays && ps.Status == milp.StatusOptimal {
 			ent.sol, ent.decoded = ps, true
 		}
 	}

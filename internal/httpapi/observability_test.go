@@ -51,6 +51,8 @@ func TestErrorPathsLeaveSchedulerUntouched(t *testing.T) {
 		{"unknown job class", "/v1/jobs", `{"id":1,"class":"??","type":"GPU","k":1,"base_runtime":1}`, http.StatusBadRequest},
 		{"nonpositive gang", "/v1/jobs", `{"id":1,"class":"BE","type":"GPU","k":0,"base_runtime":1}`, http.StatusBadRequest},
 		{"malformed cycle body", "/v1/cycle", `{"now": 0, "free": [1,`, http.StatusBadRequest},
+		{"empty cycle body", "/v1/cycle", ``, http.StatusBadRequest},
+		{"empty jobs body", "/v1/jobs", ``, http.StatusBadRequest},
 		{"cycle node out of range", "/v1/cycle", `{"now":0,"free":[99999]}`, http.StatusBadRequest},
 		{"cycle negative node", "/v1/cycle", `{"now":0,"free":[-1]}`, http.StatusBadRequest},
 		{"malformed completion body", "/v1/completions", `nope`, http.StatusBadRequest},
@@ -80,6 +82,31 @@ func TestErrorPathsLeaveSchedulerUntouched(t *testing.T) {
 	}
 	if st.Pending != 0 || st.Running != 0 || st.Cycles != 0 {
 		t.Errorf("status after rejections = %+v, want untouched", st)
+	}
+}
+
+// TestBodyEndsAtFirstValue pins what the scheduler-side endpoints have always
+// done with a body that goes on after its first JSON value: they read the
+// value and ignore the rest, garbage or not.
+func TestBodyEndsAtFirstValue(t *testing.T) {
+	sched, _, ts := obsDaemon(t)
+	job := `{"id":7,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`
+	cases := []struct {
+		name, path, body string
+		wantCode         int
+	}{
+		{"garbage after a job", "/v1/jobs", job + ` trailing`, http.StatusAccepted},
+		{"second value after a cycle", "/v1/cycle", `{"now":0,"free":[0,1]}` + "\n" + `{"now":9,"free":[99999]}`, http.StatusOK},
+		{"brace after a completion", "/v1/completions", `{"job_id":7,"now":20}}`, http.StatusNoContent},
+		{"value cut short", "/v1/cycle", `{"now":20,"free":[0,1`, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		if resp := postBody(t, ts.URL+tc.path, tc.body); resp.StatusCode != tc.wantCode {
+			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.wantCode)
+		}
+	}
+	if n := sched.Pending(); n != 0 {
+		t.Errorf("%d jobs pending, want job 7 launched by the cycle and completed", n)
 	}
 }
 

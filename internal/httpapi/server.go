@@ -400,7 +400,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg JobMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
+	if err := decodeBody(r, &msg); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -431,7 +431,7 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.freeLists.Put(list)
 	req := CycleRequest{Free: (*list)[:0]}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -496,7 +496,7 @@ func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg CompletionMsg
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
+	if err := decodeBody(r, &msg); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -28,6 +28,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,8 +73,8 @@ func putScratch(sc *submitScratch) {
 }
 
 // readBody reads r into buf (reused across requests), enforcing the body
-// limit.
-func readBody(buf []byte, r io.Reader) ([]byte, error) {
+// limit when there is one (limit > 0).
+func readBody(buf []byte, r io.Reader, limit int) ([]byte, error) {
 	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
@@ -87,10 +88,30 @@ func readBody(buf []byte, r io.Reader) ([]byte, error) {
 		if err != nil {
 			return buf, err
 		}
-		if len(buf) > maxSubmitBody {
-			return buf, fmt.Errorf("httpapi: request body exceeds %d bytes", maxSubmitBody)
+		if limit > 0 && len(buf) > limit {
+			return buf, fmt.Errorf("httpapi: request body exceeds %d bytes", limit)
 		}
 	}
+}
+
+// decodeBody unmarshals a request's JSON body into v through the pooled
+// scratch: a json.Decoder per request would grow a buffer of its own to hold
+// the whole value. The scheduler-side endpoints have never had a size limit,
+// and a Decoder stopped at the end of the first value, so whatever follows one
+// is still ignored.
+func decodeBody(r *http.Request, v interface{}) error {
+	sc := getScratch()
+	defer putScratch(sc)
+	var err error
+	if sc.body, err = readBody(sc.body, r.Body, 0); err != nil {
+		return err
+	}
+	err = json.Unmarshal(sc.body, v)
+	var syn *json.SyntaxError
+	if errors.As(err, &syn) && syn.Offset > 0 && json.Valid(sc.body[:syn.Offset-1]) {
+		return json.Unmarshal(sc.body[:syn.Offset-1], v) // the error is at the first byte past a whole value
+	}
+	return err
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -114,7 +135,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request, t0 time.Tim
 	sp := s.tracer.Begin("admit", "submit.batch")
 
 	var err error
-	sc.body, err = readBody(sc.body, r.Body)
+	sc.body, err = readBody(sc.body, r.Body, maxSubmitBody)
 	if err != nil {
 		sp.End(trace.S("error", err.Error()))
 		writeErr(w, http.StatusBadRequest, err)

@@ -35,6 +35,12 @@ type Part struct {
 	// no node/LP/presolve/runtime telemetry to the merge — only its Values,
 	// Objective, Bound, and Status.
 	Reuse *Solution
+	// Values, if it has room for the part's variables, is where the part's
+	// solve puts its Solution's Values instead of allocating them. The memory
+	// is the caller's, and the Solution's for as long as the caller keeps the
+	// Solution: it may go to another solve only once that one is dropped. Each
+	// part of one call needs its own.
+	Values []float64
 }
 
 // SolveParts solves the independent parts of a decomposed model concurrently
@@ -142,7 +148,7 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, erro
 			po.InitialSolution = parts[i].Seed
 			po.Heuristic = parts[i].Heuristic
 			ws := l.Get()
-			sol, err := ws.Solve(parts[i].Model, po)
+			sol, err := ws.solveInto(parts[i].Values, parts[i].Model, po)
 			l.Put(ws)
 			if err == nil {
 				sols[i] = sol

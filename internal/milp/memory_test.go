@@ -368,3 +368,86 @@ func TestPresolveKeepsNames(t *testing.T) {
 		t.Errorf("reduced model lost or kept the wrong row names:\n%s", lp.String())
 	}
 }
+
+// TestSolveEachCallerValues: several live parts solve at once, each putting its
+// Solution's Values in the memory its Part lent (run it under -race). A buffer
+// with room is the Values' memory; one too small, or none, is replaced by a
+// fresh allocation; the values are those of a solve on fresh memory either way,
+// with and without presolve, and a buffer comes back for the next round only
+// with the solution it held dropped.
+func TestSolveEachCallerValues(t *testing.T) {
+	models := []*Model{packingModel(1, 14), packingModel(2, 25), residentModel(0), packingModel(3, 18), packingModel(4, 30)}
+	for _, opts := range []Options{{Workers: 1, Gap: 0.1}, {Workers: 1, Gap: 0.1, DisablePresolve: true}, {Workers: 4, Gap: 0.1, Deterministic: true}} {
+		want := make([]*Solution, len(models))
+		for i, m := range models {
+			sol, err := Solve(m, opts)
+			if err != nil || sol.Values == nil {
+				t.Fatalf("model %d: %v %+v", i, err, sol)
+			}
+			want[i] = sol
+		}
+		var list WorkspaceList
+		bufs := make([][]float64, len(models))
+		for round := 0; round < 4; round++ {
+			parts := make([]Part, len(models))
+			for i, m := range models {
+				parts[i] = Part{Model: m, Values: bufs[i]}
+			}
+			_, sols, err := list.SolveEach(parts, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sol := range sols {
+				if sol == nil || !reflect.DeepEqual(sol.Values, want[i].Values) || sol.Objective != want[i].Objective {
+					t.Fatalf("opts %+v round %d part %d: values differ from a solve on fresh memory", opts, round, i)
+				}
+				lent := bufs[i]
+				if fits := cap(lent) >= len(sol.Values); fits != (cap(lent) > 0 && &sol.Values[0] == &lent[:1][0]) {
+					t.Errorf("opts %+v round %d part %d: lent %d floats for %d values, in the lent memory: %v", opts, round, i, cap(lent), len(sol.Values), !fits)
+				}
+				switch (round + i) % 3 {
+				case 0:
+					bufs[i] = sol.Values // the usual case: the same memory next round
+				case 1:
+					bufs[i] = make([]float64, len(sol.Values)/2) // too small
+				default:
+					bufs[i] = nil
+				}
+			}
+		}
+	}
+}
+
+// TestSlabSizing: a slab that has never been rewound may be a throwaway
+// Workspace's, so it cuts every request exact and keeps no array; its first
+// rewind makes one of what was held; from then on it serves from one array,
+// starts one of twice the size at the request that does not fit, and a mark
+// taken in the old array gives the whole new one back.
+func TestSlabSizing(t *testing.T) {
+	var s slab[int]
+	a, m := s.take(5), s.mark()
+	b := s.take(7)
+	if cap(a) != 5 || cap(b) != 7 || s.buf != nil || s.used != 12 {
+		t.Fatalf("a new slab cut %d and %d for 5 and 7, kept an array of %d and counts %d", cap(a), cap(b), len(s.buf), s.used)
+	}
+	if s.release(m); s.used != 5 {
+		t.Fatalf("%d held after releasing to a mark at 5", s.used)
+	}
+	s.rewind()
+	if len(s.buf) != 5 || s.used != 0 {
+		t.Fatalf("the first rewind made an array of %d for the 5 held", len(s.buf))
+	}
+	a, m = s.take(5), s.mark()
+	b = s.take(7)
+	if len(s.buf) != 10 || &b[0] != &s.buf[0] || s.used != 7 {
+		t.Fatalf("a rewound slab of 5 served 7 from an array of %d at %d", len(s.buf), s.used)
+	}
+	a[0], b[0] = 1, 2
+	s.release(m)
+	if s.used != 0 || b[0] != 0 || a[0] != 1 {
+		t.Errorf("releasing to a mark of the old array: used %d, new array wiped %v, old slice kept %v", s.used, b[0] == 0, a[0] == 1)
+	}
+	if c := s.take(10); &c[0] != &s.buf[0] || len(s.buf) != 10 {
+		t.Error("the released array was not reused")
+	}
+}

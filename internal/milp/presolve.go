@@ -90,26 +90,27 @@ type Presolved struct {
 // values of fixed columns are restored, and the objective constant is added
 // to both the objective and the proven bound. The input is not modified.
 func (p *Presolved) Lift(sol *Solution) *Solution {
+	return p.lift(sol, nil)
+}
+
+// lift is Lift with the lifted Values in dst's memory when they fit there;
+// they are a copy of sol's either way.
+func (p *Presolved) lift(sol *Solution, dst []float64) *Solution {
 	out := *sol
 	out.Presolve = p.Stats
 	if p.identity {
+		if sol.Values != nil {
+			out.Values = append(dst[:0], sol.Values...)
+		}
 		return &out
 	}
 	switch sol.Status {
 	case StatusOptimal, StatusFeasible:
-		full := make([]float64, p.nOrig)
-		for i := range full {
-			if p.isFixed[i] {
-				full[i] = p.fixedVal[i]
-			}
+		full := dst[:0]
+		if cap(full) < p.nOrig {
+			full = make([]float64, 0, p.nOrig)
 		}
-		// An empty reduced model solves with Values == nil; the fixed columns
-		// alone are the full solution.
-		if sol.Values != nil {
-			for ri, oi := range p.keep {
-				full[oi] = sol.Values[ri]
-			}
-		}
+		full = p.liftInto(full[:p.nOrig], sol.Values)
 		out.Values = full
 		out.Objective = sol.Objective + p.objConst
 		out.Bound = sol.Bound + p.objConst

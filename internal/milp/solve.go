@@ -233,6 +233,7 @@ type search struct {
 
 	incumbent []float64
 	incObj    float64
+	incBuf    []float64 // the incumbent's memory, on the workspace like the rest of the search
 
 	pre    *Presolved // the reduction between the caller's space and the model's; nil: none
 	primal primalBuf  // the root's and the serial driver's
@@ -288,7 +289,7 @@ func (s *search) consider(cand []float64) {
 // live in a worker's buffer, and most candidates are not adopted.
 func (s *search) adopt(cand []float64) {
 	if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || s.better(obj, s.incObj) {
-		s.incumbent, s.incObj = append(s.incumbent[:0], cand...), obj
+		s.incumbent, s.incObj = append(s.incBuf[:0], cand...), obj
 	}
 }
 
@@ -466,17 +467,24 @@ func (s *search) solveNodeLP(sc *simplexState, node *bbNode, lb, ub []float64) (
 func Solve(model *Model, opts Options) (*Solution, error) {
 	// A throwaway workspace: every buffer is a fresh allocation and nothing
 	// is retained.
-	return new(Workspace).solve(model, opts)
+	return new(Workspace).solve(model, opts, nil)
 }
 
-// solve is Solve on w's memory; the caller rewinds w afterwards.
-func (w *Workspace) solve(model *Model, opts Options) (*Solution, error) {
+// solve is Solve on w's memory; the caller rewinds w afterwards. The search's
+// incumbent is w's too, so the last step either way is to move the solution's
+// Values out: into values (Part.Values) when that is large enough, into a
+// fresh allocation otherwise.
+func (w *Workspace) solve(model *Model, opts Options, values []float64) (*Solution, error) {
 	start := time.Now()
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.DisablePresolve {
-		return w.branchAndBound(model, opts, nil)
+		sol, err := w.branchAndBound(model, opts, nil)
+		if err == nil && sol.Values != nil {
+			sol.Values = append(values[:0], sol.Values...)
+		}
+		return sol, err
 	}
 	pre := w.presolve(model)
 	if pre.Infeasible {
@@ -492,7 +500,7 @@ func (w *Workspace) solve(model *Model, opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := pre.Lift(red)
+	sol := pre.lift(red, values)
 	sol.Runtime = time.Since(start)
 	return sol, nil
 }
@@ -543,8 +551,9 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 		worst = math.Inf(1)
 	}
 	s.incObj = worst
+	s.incBuf = w.floats.take(len(model.Vars))
 	if opts.InitialSolution != nil && model.IsFeasible(opts.InitialSolution, 1e-6) {
-		s.incumbent = append([]float64(nil), opts.InitialSolution...)
+		s.incumbent = append(s.incBuf[:0], opts.InitialSolution...)
 		s.incObj = model.ObjectiveValue(s.incumbent)
 	}
 
@@ -572,7 +581,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 
 	integralRoot := func() (*Solution, error) {
 		// LP optimum is already integral.
-		vals := roundIntegral(model, x[:len(model.Vars)])
+		vals := roundIntegralInto(s.incBuf, model, x[:len(model.Vars)])
 		s.lp.add(&s.scratch.stats)
 		return &Solution{
 			Status:    StatusOptimal,
@@ -809,7 +818,12 @@ func mostFractional(m *Model, x []float64) int {
 
 // roundIntegral snaps near-integer values of integer variables exactly.
 func roundIntegral(m *Model, x []float64) []float64 {
-	out := append([]float64(nil), x...)
+	return roundIntegralInto(nil, m, x)
+}
+
+// roundIntegralInto is roundIntegral into dst's memory when x fits there.
+func roundIntegralInto(dst []float64, m *Model, x []float64) []float64 {
+	out := append(dst[:0], x...)
 	for i, v := range m.Vars {
 		if v.Type != Continuous {
 			out[i] = math.Round(out[i])

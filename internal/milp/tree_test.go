@@ -163,7 +163,7 @@ func TestTreeSearchAllocsIndependentOfNodes(t *testing.T) {
 func solveAccounted(t testing.TB, m *Model, opts Options) (*Solution, error) {
 	t.Helper()
 	w := new(Workspace)
-	sol, err := w.solve(m, opts)
+	sol, err := w.solve(m, opts, nil)
 	checkSnapshotBooks(t, w)
 	return sol, err
 }
@@ -199,7 +199,7 @@ func checkSnapshotBooks(t testing.TB, w *Workspace) {
 		}
 		free[bs] = true
 	}
-	if made := w.snaps.used + w.snaps.over; len(free)+len(held) != made {
+	if made := w.snaps.used; len(free)+len(held) != made {
 		t.Errorf("%d snapshots cut, %d free + %d held by open nodes: %d lost", made, len(free), len(held), made-len(free)-len(held))
 	}
 	arrays := make(map[*int32]bool)

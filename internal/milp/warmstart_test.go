@@ -260,13 +260,13 @@ func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 			end.set(&opts)
 			for _, m := range end.models {
 				w := new(Workspace)
-				sol, err := w.solve(m, opts)
+				sol, err := w.solve(m, opts, nil)
 				if err != nil {
 					t.Fatalf("driver %d end %d: %v", di, ei, err)
 				}
 				checkSnapshotBooks(t, w)
 				open += len(w.open.nodes)
-				made := w.snaps.used + w.snaps.over
+				made := w.snaps.used
 				if opts.DisableWarmStart && made != 0 {
 					t.Errorf("driver %d: %d snapshots cut with warm starts disabled", di, made)
 				}
@@ -286,11 +286,11 @@ func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 func TestSnapshotsRecycled(t *testing.T) {
 	m := residentModel(2)
 	w := new(Workspace)
-	sol, err := w.solve(m, Options{Workers: 1, Gap: 0.1})
+	sol, err := w.solve(m, Options{Workers: 1, Gap: 0.1}, nil)
 	if err != nil || sol.Nodes < 100 {
 		t.Fatalf("%v %+v", err, sol)
 	}
-	made := w.snaps.used + w.snaps.over
+	made := w.snaps.used
 	if made == 0 || made > sol.Nodes/2 {
 		t.Errorf("%d snapshot buffers cut for %d nodes; the free list is not recycling", made, sol.Nodes)
 	}

@@ -10,8 +10,10 @@ import "sync"
 // that all die when Solve returns. A Workspace keeps that memory between
 // solves. It belongs to whoever calls Solve on it, serves one solve at a
 // time, and is rewound when that solve returns; nothing a Solution carries
-// points into it (incumbents and lifted values are always fresh allocations,
-// so callers may keep Solutions for as long as they like). The package-level
+// points into it (the search's incumbent is the workspace's, and a solve ends
+// by moving the values out — into Part.Values when the caller lent memory for
+// them, into a fresh allocation otherwise — so callers may keep Solutions for
+// as long as they like). The package-level
 // Solve, Presolve and SolveParts run on a throwaway Workspace, which makes
 // every one of these allocations an ordinary fresh one.
 //
@@ -20,54 +22,62 @@ import "sync"
 // the paper's trace that version allocated a quarter more than this one.
 
 // slab hands out zeroed slices of one element type from a single backing
-// array. A request that does not fit is served by the allocator instead, and
-// rewinding grows the array to what the solve asked for in total, so a
-// workspace converges on the largest model it has seen and then allocates
-// nothing. Everything past used is kept zero: slices are wiped when they come
-// back, not when they go out, so a rewound slab holds no stale pointer into a
-// model the caller has dropped.
+// array. Until its first rewind a slab has no array: every request is an
+// allocation cut exact, and the rewind makes the array, of what the solve was
+// holding. A first solve may be the only one (the package-level Solve,
+// Presolve and SolveParts run on a throwaway Workspace, which is never
+// rewound), and room for the next would be thrown away with it. From then on a
+// request that does not fit starts a new array, at least twice the size, and
+// is served from that: the slices handed out before keep the old one alive
+// until they are dropped, and the slab is one array again from the next rewind
+// on. A backlog that grows a little every cycle regrows a slab a logarithmic
+// number of times, so a workspace converges on the largest model it has seen
+// and then allocates nothing. Everything past used is kept zero: slices are
+// wiped when they come back, not when they go out, so a rewound slab holds no
+// stale pointer into a model the caller has dropped.
 type slab[T any] struct {
 	buf  []T
-	used int // elements of buf handed out
-	over int // elements served by the allocator because buf was full
-	peak int // high-water mark of used+over since the last rewind
+	used int  // elements handed out and not released: of buf, once there is one
+	gen  int  // arrays started: a mark taken in an earlier one has nothing to release in this one
+	kept bool // rewound before, so it has its array
 }
 
 func (s *slab[T]) take(n int) []T {
-	var out []T
-	if n <= len(s.buf)-s.used {
-		out = s.buf[s.used : s.used+n : s.used+n]
+	if !s.kept {
 		s.used += n
-	} else {
-		out = make([]T, n)
-		s.over += n
+		return make([]T, n)
 	}
-	if t := s.used + s.over; t > s.peak {
-		s.peak = t
+	if n > len(s.buf)-s.used {
+		s.buf, s.used = make([]T, max(n, 2*len(s.buf))), 0
+		s.gen++
 	}
-	return out
+	s.used += n
+	return s.buf[s.used-n : s.used : s.used]
 }
 
 // slabMark is a position to release back to: what a nested, strictly
 // shorter-lived user (a heuristic dive) took is handed back when it is done.
-type slabMark struct{ used, over int }
+type slabMark struct{ used, gen int }
 
-func (s *slab[T]) mark() slabMark { return slabMark{s.used, s.over} }
+func (s *slab[T]) mark() slabMark { return slabMark{s.used, s.gen} }
 
 func (s *slab[T]) release(m slabMark) {
-	clear(s.buf[m.used:s.used])
-	s.used, s.over = m.used, m.over
+	if m.gen != s.gen {
+		m.used = 0 // the array was started after the mark: all of it goes back
+	}
+	if s.kept {
+		clear(s.buf[m.used:s.used])
+	}
+	s.used = m.used
 }
 
 func (s *slab[T]) rewind() {
-	if s.peak > len(s.buf) {
-		// A quarter of headroom: a backlog that grows a little every cycle
-		// would otherwise regrow the slab every cycle.
-		s.buf = make([]T, s.peak+s.peak/4)
-	} else {
+	if s.kept {
 		clear(s.buf[:s.used])
+	} else {
+		s.buf, s.kept = make([]T, s.used), true
 	}
-	s.used, s.over, s.peak = 0, 0, 0
+	s.used = 0
 }
 
 // Workspace is the reusable memory of one solve at a time. The zero value is
@@ -133,11 +143,18 @@ func (w *Workspace) release(m wsMark) {
 // Solve is the package-level Solve on this workspace's memory: same model,
 // same options, same result.
 func (w *Workspace) Solve(model *Model, opts Options) (*Solution, error) {
+	return w.solveInto(nil, model, opts)
+}
+
+// solveInto is Solve with the Solution's Values in values' memory when they
+// fit there (Part.Values).
+func (w *Workspace) solveInto(values []float64, model *Model, opts Options) (*Solution, error) {
 	if w == nil {
-		return Solve(model, opts)
+		w = new(Workspace) // thrown away: nothing to rewind
+	} else {
+		defer w.rewind()
 	}
-	defer w.rewind()
-	return w.solve(model, opts)
+	return w.solve(model, opts, values)
 }
 
 func (w *Workspace) rewind() {
@@ -178,11 +195,11 @@ func (w *Workspace) newScratch(p *lp) *simplexState {
 	return s
 }
 
-// zeroed returns buf resized to n zeroed elements, reallocating only when its
-// capacity is too small.
+// zeroed returns buf resized to n zeroed elements, reallocating — to at least
+// twice the capacity, like a slab — only when its capacity is too small.
 func zeroed[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(buf)))
 	}
 	buf = buf[:n]
 	clear(buf)

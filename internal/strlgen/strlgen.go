@@ -104,6 +104,14 @@ type Request struct {
 	// supply, whatever the solver does. It may be one of the leaf sets itself;
 	// read-only.
 	Nodes *bitset.Set
+	// Decaying reports that some option's value moves every cycle (a
+	// best-effort job above its floor): the request is valid only at the cycle
+	// it was priced for, and Reprice brings it to the next.
+	Decaying bool
+	// Rev counts Reprice calls. The leaves are re-priced in place, so whoever
+	// keeps something derived from their values keeps the Rev it was derived
+	// at beside the pointer.
+	Rev uint32
 }
 
 // OptionFor returns the option owning the given leaf, if any.
@@ -267,10 +275,29 @@ func (g *Generator) Generate(now int64, j *workload.Job) *Request {
 	return req
 }
 
+// price is the one value expression: what the option of starting at slice s
+// and running est seconds is worth to the cycle at `now` — the Fig 5 value of
+// its completion time, shaded toward earlier completion — and that completion
+// time. Zero or less means the option is worthless and is culled.
+func (g *Generator) price(now int64, j *workload.Job, s, est int64) (v float64, completion int64) {
+	completion = now + s*g.cfg.Quantum + est
+	v = g.value(j, completion)
+	if v <= 0 {
+		return v, completion
+	}
+	delaySlices := float64(completion-now) / float64(g.cfg.Quantum)
+	factor := 1 - g.cfg.EarlinessEps*delaySlices
+	if factor < 0.1 {
+		factor = 0.1
+	}
+	return v * factor, completion
+}
+
 // optionTTL returns the largest cycle time now' at which Generate(now', j)
-// would still emit this option with the same value. Option enumeration is
-// otherwise a pure function of the job, so the minimum over a request's
-// options bounds how long the whole request stays byte-identical:
+// would still emit this option with the same value, and whether that is only
+// `now` because the value is decaying. Option enumeration is otherwise a pure
+// function of the job, so the minimum over a request's options bounds how
+// long the whole request stays byte-identical:
 //
 //   - SLO (reserved or not): the value is a constant while the completion
 //     meets the deadline, and the option is culled the first cycle it
@@ -280,15 +307,41 @@ func (g *Generator) Generate(now int64, j *workload.Job) *Request {
 //     already fallen to the floor, where it stays forever — never expires.
 //   - Best-effort still decaying: the value moves every cycle; valid only
 //     at `now` itself.
-func (g *Generator) optionTTL(now int64, j *workload.Job, completion int64) int64 {
+func (g *Generator) optionTTL(now int64, j *workload.Job, completion int64) (ttl int64, decaying bool) {
 	if j.Class == workload.SLO {
-		return j.Deadline - (completion - now)
+		return j.Deadline - (completion - now), false
 	}
 	raw := g.cfg.ValueBE * (1 - float64(completion-j.Submit)/float64(g.cfg.BEDecay))
 	if raw <= g.cfg.BEFloor && g.cfg.BEFloor > 0 {
-		return math.MaxInt64
+		return math.MaxInt64, false
 	}
-	return now
+	return now, true
+}
+
+// Reprice brings a request priced for an earlier cycle to the cycle at `now`,
+// in place: every leaf takes the value GenerateTTL(now, req.Job) would give
+// it, through the same expression, and Rev moves on. It returns the new expiry
+// bound and true when the result is that fresh request bit for bit — same
+// options, same structure, in the memory the old one had. It returns false
+// when an option has no value left at `now`: the request has changed shape,
+// may be half re-priced, and is to be dropped for a generated one. Values only
+// fall with time, so no option can have appeared; `now` must not be earlier
+// than the cycle the request was last priced for.
+func (g *Generator) Reprice(now int64, req *Request) (validUntil int64, ok bool) {
+	req.Rev++
+	req.Decaying = false
+	validUntil = math.MaxInt64
+	for _, o := range req.Options {
+		v, completion := g.price(now, req.Job, o.StartSlice, o.EstDur)
+		if v <= 0 {
+			return now, false
+		}
+		o.Leaf.Value = v
+		ttl, decaying := g.optionTTL(now, req.Job, completion)
+		validUntil = min(validUntil, ttl)
+		req.Decaying = req.Decaying || decaying
+	}
+	return validUntil, true
 }
 
 // GenerateTTL is Generate plus an expiry bound for the scheduler's per-job
@@ -324,22 +377,15 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 	for _, p := range placements {
 		pl := g.startPlan(j, p, len(placements))
 		for s := int64(0); s < g.cfg.PlanAheadSlices; s += pl.stride {
-			completion := now + s*g.cfg.Quantum + pl.est
-			v := g.value(j, completion)
+			v, completion := g.price(now, j, s, pl.est)
 			if v <= 0 {
 				// Later starts only complete later; stop enumerating this
 				// placement (deadline culling, §3.2.1).
 				break
 			}
-			if ttl := g.optionTTL(now, j, completion); ttl < validUntil {
-				validUntil = ttl
-			}
-			delaySlices := float64(completion-now) / float64(g.cfg.Quantum)
-			factor := 1 - g.cfg.EarlinessEps*delaySlices
-			if factor < 0.1 {
-				factor = 0.1
-			}
-			v *= factor
+			ttl, decaying := g.optionTTL(now, j, completion)
+			validUntil = min(validUntil, ttl)
+			req.Decaying = req.Decaying || decaying
 			i := len(req.Options)
 			leaves[i] = strl.NCk{Set: p.set, K: pl.width, Start: s, Dur: pl.durSlices, Value: v}
 			options[i] = Option{

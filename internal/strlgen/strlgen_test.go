@@ -2,9 +2,11 @@ package strlgen
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
+	"testing/quick"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
@@ -472,5 +474,89 @@ func TestRequestNodesIsTheOptionsUnion(t *testing.T) {
 		if j.ID >= 4 && req.Nodes.Count() == c.N() {
 			t.Errorf("job %d: Nodes is the whole cluster; its fallback should have been worthless", j.ID)
 		}
+	}
+}
+
+// TestRepriceMatchesGenerate: a request re-priced for a later cycle is the
+// request GenerateTTL makes for that cycle, field for field and bit for bit
+// (Rev apart), with the same expiry bound — or Reprice says the shape changed,
+// and then the fresh request does have fewer options. Over every job type,
+// both classes, floors of 0 and above it, and an earliness weight large enough
+// to reach the 0.1 clamp.
+func TestRepriceMatchesGenerate(t *testing.T) {
+	c := cluster.RC80(true)
+	repriced, reshaped, clamped, floored := 0, 0, 0, 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		cfg := Default(4, int64(4*(4+r.Intn(20))))
+		cfg.BEDecay = int64(40 + r.Intn(400))
+		if r.Intn(2) == 0 {
+			cfg.BEFloor = 0
+		}
+		if r.Intn(3) == 0 {
+			cfg.EarlinessEps = 0.05 // 18 slices of delay reach the clamp
+		}
+		g := New(c, cfg)
+		j := &workload.Job{ID: r.Intn(100), Class: workload.BestEffort, Type: workload.Type(r.Intn(5)),
+			Submit: int64(4 * r.Intn(10)), K: 1 + r.Intn(6), BaseRuntime: int64(4 * (1 + r.Intn(12))),
+			Slowdown: 1 + float64(r.Intn(3)), Priority: float64(r.Intn(3))}
+		switch j.Type {
+		case workload.Elastic:
+			j.MinK = 1
+		case workload.DataLocal:
+			for n := 0; n < j.K+2; n++ {
+				j.DataNodes = append(j.DataNodes, 3*n)
+			}
+		}
+		if r.Intn(4) == 0 {
+			j.Class, j.Deadline = workload.SLO, j.Submit+int64(40+r.Intn(200))
+		}
+		now := j.Submit
+		req, until := g.GenerateTTL(now, j)
+		for step := 0; step < 40 && req != nil; step++ {
+			now += 4 * int64(1+r.Intn(3))
+			fresh, freshUntil := g.GenerateTTL(now, j)
+			if now <= until {
+				continue // still valid as it stands; TestGenerateTTLBoundsReuse
+			}
+			nOptions := len(req.Options)
+			got, ok := g.Reprice(now, req)
+			if !ok {
+				if fresh != nil && len(fresh.Options) >= nOptions {
+					t.Logf("seed %d: shape change reported at now=%d, but the fresh request has %d options to the old one's %d", seed, now, len(fresh.Options), nOptions)
+					return false
+				}
+				reshaped++
+				req, until = fresh, freshUntil
+				continue
+			}
+			if fresh == nil {
+				t.Logf("seed %d: re-priced at now=%d a request that no longer exists", seed, now)
+				return false
+			}
+			fresh.Rev = req.Rev
+			if !reflect.DeepEqual(req, fresh) || got != freshUntil {
+				t.Logf("seed %d: re-priced at now=%d (valid until %d):\n  %+v\nfresh (valid until %d):\n  %+v", seed, now, got, summarize(req), freshUntil, summarize(fresh))
+				return false
+			}
+			repriced++
+			for _, o := range req.Options {
+				completion := now + o.StartSlice*cfg.Quantum + o.EstDur
+				if 1-cfg.EarlinessEps*float64(completion-now)/float64(cfg.Quantum) < 0.1 {
+					clamped++
+				}
+			}
+			if j.Class == workload.BestEffort && !req.Decaying {
+				floored++
+			}
+			until = got
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if repriced == 0 || reshaped == 0 || clamped == 0 || floored == 0 {
+		t.Errorf("%d re-priced, %d changed shape, %d options on the earliness clamp, %d requests on the floor: a case went untested", repriced, reshaped, clamped, floored)
 	}
 }
