@@ -28,8 +28,10 @@ test-short:
 test-shuffle:
 	$(GO) test -shuffle=on ./...
 
-# Race-detector pass; required since the MILP solver gained shared mutable
-# state (parallel branch-and-bound workers).
+# Race-detector pass; required because solves share mutable state: the parts
+# of a decomposed solve run concurrently (SolveEach, over one WorkspaceList),
+# and a tree-search round with more than one worker evaluates its slots side
+# by side.
 race:
 	$(GO) test -race ./...
 

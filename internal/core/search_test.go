@@ -2,9 +2,12 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
+	"tetrisched/internal/rayon"
+	"tetrisched/internal/sim"
 	"tetrisched/internal/workload"
 )
 
@@ -44,7 +47,7 @@ func residentBlock(g int) []int {
 
 // TestResidentSearchCounts pins how much tree the scheduler's own options
 // search on the resident blocks: none. Node counts repeat exactly on any
-// machine (the blocks are under the serial cutoff, and the serial driver has
+// machine (the blocks are under the serial cutoff, and a one-worker search has
 // no clock in it), so this is the time guard that has no noise. The root bound
 // is within the gap of the seven-job optimum, so a block ends at the root when
 // the root rounding finds seven jobs — which it does only if it ranks jobs by
@@ -70,6 +73,42 @@ func TestResidentSearchCounts(t *testing.T) {
 		}
 		if n, _ := cycle(sched, free, now); n != 0 || sched.Stats.ReuseHits != blocks {
 			t.Errorf("%d blocks, third cycle: %d nodes, %d replays; want every block replayed", blocks, n, sched.Stats.ReuseHits)
+		}
+	}
+}
+
+// TestRC80SearchCounts pins the serial search where it branches. The resident
+// blocks and the scoreboard's five workloads end at the root; the paper's
+// mixes on its 80-node cluster do not (`tetrisim -cluster rc80 -jobs 150
+// -solver-limit 120s -v`: thousands of nodes, nearly every node LP warm,
+// pseudocosts choosing the branch), so this is where a change to the search
+// that moves a pop, an LP or a dive shows. The counts are those of the serial
+// loop this search replaced and repeat on any machine: one worker has no clock
+// in it and no solve comes near the limit (left at zero it would default to
+// two seconds, which is not near either). A moved count is a changed search,
+// not an in-gap tie.
+func TestRC80SearchCounts(t *testing.T) {
+	for _, tc := range []struct {
+		mix     workload.Mix
+		nodes   int
+		lpIters int64
+	}{
+		{workload.GRSLO(150), 3942, 14518},
+		{workload.GRMIX(150), 4563, 22720},
+		{workload.GSMIX(150), 10205, 77066},
+	} {
+		c := cluster.RC80(false)
+		jobs, err := workload.Generate(tc.mix, c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := New(c, Config{CyclePeriod: 4, PlanAhead: 96, SolverTimeLimit: 120 * time.Second, SolverWorkers: 1})
+		if _, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched, Plan: rayon.NewPlan(c.N(), 4), CyclePeriod: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if st := sched.Stats; st.Nodes != tc.nodes || st.LPIters != tc.lpIters {
+			t.Errorf("%s: %d nodes and %d LP iterations; the serial search takes %d and %d",
+				tc.mix.Name, st.Nodes, st.LPIters, tc.nodes, tc.lpIters)
 		}
 	}
 }

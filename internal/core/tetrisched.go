@@ -55,11 +55,10 @@ type Config struct {
 	Gap float64
 	// SolverTimeLimit bounds each MILP solve's wall-clock time.
 	SolverTimeLimit time.Duration
-	// SolverWorkers is the number of branch-and-bound workers per MILP solve
-	// (milp.Options.Workers); 0 defaults to 1 (serial — the deterministic
-	// historical behavior). The scheduler always requests deterministic
-	// tie-breaking, so raising this keeps runs reproducible while cutting
-	// wall-clock on multi-core hosts.
+	// SolverWorkers is how many open nodes a round of each MILP solve's tree
+	// search evaluates at once (milp.Options.Workers); 0 defaults to 1, the
+	// serial search. The tree does not depend on how a round's evaluations
+	// are scheduled, so runs stay reproducible at any count.
 	SolverWorkers int
 	// MaxBatch caps how many pending jobs one global solve aggregates; the
 	// highest-priority jobs are batched first (§5: "TetriSched has the
@@ -768,8 +767,8 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlgen.Request, warmSeeds int, err error) {
 	// Every component takes its slot in worker apportioning, in the order one
 	// decomposition of the whole batch would list them (by first job), so the
-	// live ones search exactly as a full run would (deterministic searches
-	// depend on worker counts); a replayed one is adopted as it stands.
+	// live ones search exactly as a full run would (a search's tree depends
+	// on its worker count); a replayed one is adopted as it stands.
 	refs := s.refs[:0]
 	for _, cl := range classes {
 		for ci, cc := range cl.comps {
@@ -801,7 +800,6 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 		Gap:              s.cfg.Gap,
 		TimeLimit:        s.cfg.SolverTimeLimit,
 		Workers:          s.cfg.SolverWorkers,
-		Deterministic:    true,
 		DisableWarmStart: s.cfg.DisableWarmStart,
 		DisablePresolve:  s.cfg.DisablePresolve,
 		DenseBasis:       s.cfg.DenseBasis,
@@ -1090,7 +1088,6 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			Gap:              s.cfg.Gap,
 			TimeLimit:        s.cfg.SolverTimeLimit,
 			Workers:          s.cfg.SolverWorkers,
-			Deterministic:    true,
 			Heuristic:        comp.RoundInPlace,
 			DisableWarmStart: s.cfg.DisableWarmStart,
 			DisablePresolve:  s.cfg.DisablePresolve,

@@ -8,8 +8,8 @@ import "testing"
 // arrivals — 128 nodes at the scheduler's gap. `make bench` runs them with
 // the root suite; read B/op and allocs/op, which repeat exactly.
 
-// BenchmarkTreeSearch is a whole solve of the block on a warm workspace by
-// the serial driver: presolve, root, one cut round, then the tree, which is
+// BenchmarkTreeSearch is a whole solve of the block on a warm workspace with
+// one worker: presolve, root, one cut round, then the tree, which is
 // nearly all of it. nodes/op makes a changed tree visible next to a changed
 // time.
 func BenchmarkTreeSearch(b *testing.B) {

@@ -118,35 +118,23 @@ func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 	}
 }
 
-// TestAbandonedNodeKeepsItsBound pins what a node LP given up on means in
-// each driver. The time limit expires right after the root solve, so the root
-// node's re-solve returns at its first deadline poll — no verdict on the node,
-// nothing known about its subtree. The drivers used to treat that like an
-// infeasible node: the heap drained, and the search reported the tree
-// exhausted — "optimal" with Bound collapsed to the incumbent, or
-// "infeasible" without one. The deadline is injected, not raced: a wall-clock
-// sweep does not reliably land between two polls.
+// TestAbandonedNodeKeepsItsBound pins what a node LP given up on means, in a
+// round of one and in a round with room for three. The time limit expires
+// right after the root solve, so the root node's re-solve returns at its first
+// deadline poll — no verdict on the node, nothing known about its subtree. The
+// search used to treat that like an infeasible node: the heap drained, and it
+// reported the tree exhausted — "optimal" with Bound collapsed to the
+// incumbent, or "infeasible" without one. The deadline is injected, not raced:
+// a wall-clock sweep does not reliably land between two polls.
 func TestAbandonedNodeKeepsItsBound(t *testing.T) {
-	for _, drv := range []struct {
-		name    string
-		workers int
-		det     bool
-	}{{"serial", 1, false}, {"async", 3, false}, {"batch", 3, true}} {
+	for _, workers := range []int{1, 3} {
 		for _, withIncumbent := range []bool{false, true} {
 			m := residentModel(1)
 			w := new(Workspace)
-			p := w.newLP(m)
-			s := &search{
-				ws: w, model: m, p: p, start: time.Now(),
-				opts:     Options{Workers: drv.workers, Deterministic: drv.det},
-				maximize: true, workers: drv.workers, incObj: math.Inf(-1),
+			s, x, rootObj := rootSearch(t, w, m, Options{Workers: workers})
+			if firstFractional(m, x) < 0 {
+				t.Fatal("the root is integral; the test needs a tree")
 			}
-			s.scratch = w.newScratch(p)
-			st, x, err := s.scratch.solve(p.lb, p.ub, 0, time.Time{})
-			if err != nil || st != lpOptimal || firstFractional(m, x) < 0 {
-				t.Fatalf("root: %v %v; want a fractional optimum", st, err)
-			}
-			rootObj := m.ObjectiveValue(x[:len(m.Vars)])
 			if withIncumbent {
 				if s.consider(roundHeuristic(m, x, make([]float64, len(m.Vars)))); s.incumbent == nil || s.incObj >= rootObj {
 					t.Fatal("rounding the root gave no incumbent strictly below the bound")
@@ -158,17 +146,17 @@ func TestAbandonedNodeKeepsItsBound(t *testing.T) {
 			checkSnapshotBooks(t, w)
 			sol := s.finish()
 			if sol.Nodes != 2 || s.h.Len() != 0 || !s.abandoned {
-				t.Fatalf("%s: %d nodes, %d open, abandoned %v; want the root node popped and given up on", drv.name, sol.Nodes, s.h.Len(), s.abandoned)
+				t.Fatalf("%d workers: %d nodes, %d open, abandoned %v; want the root node popped and given up on", workers, sol.Nodes, s.h.Len(), s.abandoned)
 			}
 			if sol.Bound != rootObj {
-				t.Errorf("%s incumbent=%v: Bound %v, want the abandoned node's %v", drv.name, withIncumbent, sol.Bound, rootObj)
+				t.Errorf("%d workers incumbent=%v: Bound %v, want the abandoned node's %v", workers, withIncumbent, sol.Bound, rootObj)
 			}
 			want := StatusNoSolution
 			if withIncumbent {
 				want = StatusFeasible
 			}
 			if sol.Status != want {
-				t.Errorf("%s incumbent=%v: status %v, want %v: an unexplored subtree proves nothing", drv.name, withIncumbent, sol.Status, want)
+				t.Errorf("%d workers incumbent=%v: status %v, want %v: an unexplored subtree proves nothing", workers, withIncumbent, sol.Status, want)
 			}
 		}
 	}

@@ -414,7 +414,7 @@ func TestCompareKeysIsTheSignatureOrder(t *testing.T) {
 func TestFailedCutRoundKeepsItsLPWork(t *testing.T) {
 	for _, cold := range []bool{false, true} {
 		m := residentModel(1)
-		s, x, rootObj := cutRootSearch(t, m, cold)
+		s, x, rootObj := rootSearch(t, new(Workspace), m, Options{DisableWarmStart: cold})
 		if len(s.ws.separateCuts(m, x)) == 0 {
 			t.Fatal("the root point violates no cut; the test exercises nothing")
 		}

@@ -31,7 +31,7 @@ type Part struct {
 	// caller's fingerprint is the witness); SolveParts adopts it verbatim
 	// instead of solving. The part still participates in worker apportioning
 	// so its siblings are solved with exactly the worker counts a full run
-	// would use (deterministic searches depend on them), but it contributes
+	// would use (a search's tree depends on them), but it contributes
 	// no node/LP/presolve/runtime telemetry to the merge — only its Values,
 	// Objective, Bound, and Status.
 	Reuse *Solution

@@ -44,7 +44,7 @@ func TestDecomposeSolvePartsMatchesIndependentSolves(t *testing.T) {
 		parts[i] = Part{Model: m, VarMap: seqVarMap(fullVars, m.NumVars())}
 		fullVars += m.NumVars()
 	}
-	merged, sols, err := SolveParts(parts, fullVars, Options{Workers: 2, Deterministic: true})
+	merged, sols, err := SolveParts(parts, fullVars, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestDecomposeSolvePartsMatchesIndependentSolves(t *testing.T) {
 			}
 		}
 		// Each part must also agree with a direct Solve of its model.
-		direct, err := Solve(parts[i].Model, Options{Deterministic: true})
+		direct, err := Solve(parts[i].Model, Options{})
 		if err != nil {
 			t.Fatalf("direct solve %d: %v", i, err)
 		}
@@ -121,13 +121,13 @@ func TestDecomposeDeterministicAcrossRuns(t *testing.T) {
 		return parts, fullVars
 	}
 	parts, fullVars := build()
-	first, _, err := SolveParts(parts, fullVars, Options{Workers: 3, Deterministic: true})
+	first, _, err := SolveParts(parts, fullVars, Options{Workers: 3})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
 	for run := 0; run < 5; run++ {
 		parts, fullVars := build()
-		again, _, err := SolveParts(parts, fullVars, Options{Workers: 3, Deterministic: true})
+		again, _, err := SolveParts(parts, fullVars, Options{Workers: 3})
 		if err != nil {
 			t.Fatalf("SolveParts run %d: %v", run, err)
 		}
@@ -239,7 +239,7 @@ func TestDecomposeSeedAndHooksRouted(t *testing.T) {
 		}
 		fullVars += m.NumVars()
 	}
-	merged, _, err := SolveParts(parts, fullVars, Options{Deterministic: true})
+	merged, _, err := SolveParts(parts, fullVars, Options{})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 		parts[i] = Part{Model: m, VarMap: seqVarMap(fullVars, m.NumVars())}
 		fullVars += m.NumVars()
 	}
-	fresh, freshSols, err := SolveParts(parts, fullVars, Options{Workers: 2, Deterministic: true})
+	fresh, freshSols, err := SolveParts(parts, fullVars, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("fresh SolveParts: %v", err)
 	}
@@ -300,7 +300,7 @@ func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	replay, replaySols, err := SolveParts(parts, fullVars, Options{Workers: 2, Deterministic: true})
+	replay, replaySols, err := SolveParts(parts, fullVars, Options{Workers: 2})
 	if err != nil {
 		t.Fatalf("replay SolveParts: %v", err)
 	}
@@ -345,7 +345,7 @@ func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
 		knapsack([]float64{2, 9, 4}, []float64{1, 2, 2}, 3),
 	}
 	var l WorkspaceList
-	opts := Options{Workers: 5, Deterministic: true}
+	opts := Options{Workers: 5}
 	during := func(parts []Part) (peak int, merged *Solution, sols []*Solution) {
 		var mu sync.Mutex
 		for i := range parts {

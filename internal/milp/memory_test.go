@@ -180,7 +180,7 @@ func TestWorkspaceSolveMatchesFresh(t *testing.T) {
 	for _, opts := range []Options{
 		{Workers: 1},
 		{Workers: 1, DisablePresolve: true, DenseBasis: true},
-		{Workers: 3, Deterministic: true, SerialCutoff: -1},
+		{Workers: 3, SerialCutoff: -1},
 		{Workers: 1, Gap: 0.1, DisableWarmStart: true},
 	} {
 		var ws Workspace
@@ -216,7 +216,7 @@ func TestWorkspaceAliasing(t *testing.T) {
 		{packingModel(1, 14), packingModel(2, 25), 0},
 		{residentModel(2), residentModel(1), 0.1},
 	} {
-		for _, opts := range []Options{{Workers: 1}, {Workers: 1, DisablePresolve: true}, {Workers: 3, SerialCutoff: -1, Deterministic: true}} {
+		for _, opts := range []Options{{Workers: 1}, {Workers: 1, DisablePresolve: true}, {Workers: 3, SerialCutoff: -1}} {
 			opts.Gap = pair.gap
 			var ws Workspace
 			a, b := pair.a, pair.b
@@ -319,7 +319,7 @@ func TestWorkspaceListSolveParts(t *testing.T) {
 		}
 		return parts, full
 	}
-	opts := Options{Workers: 2, Deterministic: true}
+	opts := Options{Workers: 2}
 	var list WorkspaceList
 	var wg sync.WaitGroup
 	for g := int64(0); g < 4; g++ {
@@ -377,7 +377,7 @@ func TestPresolveKeepsNames(t *testing.T) {
 // with the solution it held dropped.
 func TestSolveEachCallerValues(t *testing.T) {
 	models := []*Model{packingModel(1, 14), packingModel(2, 25), residentModel(0), packingModel(3, 18), packingModel(4, 30)}
-	for _, opts := range []Options{{Workers: 1, Gap: 0.1}, {Workers: 1, Gap: 0.1, DisablePresolve: true}, {Workers: 4, Gap: 0.1, Deterministic: true}} {
+	for _, opts := range []Options{{Workers: 1, Gap: 0.1}, {Workers: 1, Gap: 0.1, DisablePresolve: true}, {Workers: 4, Gap: 0.1}} {
 		want := make([]*Solution, len(models))
 		for i, m := range models {
 			sol, err := Solve(m, opts)

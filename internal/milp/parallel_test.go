@@ -9,8 +9,8 @@ import (
 )
 
 // randMILP builds a seeded random mixed model with a couple of coupling
-// constraints, giving branch-and-bound trees deep enough to exercise the
-// worker pool.
+// constraints, giving branch-and-bound trees deep enough to fill rounds of
+// several nodes.
 func randMILP(seed int64) *Model {
 	r := rand.New(rand.NewSource(seed))
 	m := NewModel(Maximize)
@@ -35,9 +35,9 @@ func randMILP(seed int64) *Model {
 	return m
 }
 
-// TestParallelMatchesSerialObjective runs exact solves of the same models
-// serially and with both parallel drivers; all must agree on the optimal
-// objective (the optimal point need not be unique).
+// TestParallelMatchesSerialObjective runs exact solves of the same models with
+// one worker and with four; both must agree on the optimal objective (the
+// optimal point need not be unique).
 func TestParallelMatchesSerialObjective(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		serial, err := solveAccounted(t, randMILP(seed), Options{Workers: 1})
@@ -47,23 +47,18 @@ func TestParallelMatchesSerialObjective(t *testing.T) {
 		if serial.Workers != 1 {
 			t.Fatalf("seed %d: serial Workers = %d", seed, serial.Workers)
 		}
-		for _, opt := range []Options{
-			{Workers: 4, SerialCutoff: -1},
-			{Workers: 4, Deterministic: true, SerialCutoff: -1},
-		} {
-			par, err := solveAccounted(t, randMILP(seed), opt)
-			if err != nil {
-				t.Fatalf("seed %d workers=4 det=%v: %v", seed, opt.Deterministic, err)
-			}
-			if par.Status != serial.Status {
-				t.Errorf("seed %d det=%v: status %v, serial %v", seed, opt.Deterministic, par.Status, serial.Status)
-			}
-			if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
-				t.Errorf("seed %d det=%v: objective %.9f, serial %.9f", seed, opt.Deterministic, par.Objective, serial.Objective)
-			}
-			if par.Workers != 4 {
-				t.Errorf("seed %d det=%v: Workers = %d, want 4", seed, opt.Deterministic, par.Workers)
-			}
+		par, err := solveAccounted(t, randMILP(seed), Options{Workers: 4, SerialCutoff: -1})
+		if err != nil {
+			t.Fatalf("seed %d workers=4: %v", seed, err)
+		}
+		if par.Status != serial.Status {
+			t.Errorf("seed %d: status %v, serial %v", seed, par.Status, serial.Status)
+		}
+		if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
+			t.Errorf("seed %d: objective %.9f, serial %.9f", seed, par.Objective, serial.Objective)
+		}
+		if par.Workers != 4 {
+			t.Errorf("seed %d: Workers = %d, want 4", seed, par.Workers)
 		}
 	}
 }
@@ -98,29 +93,24 @@ func TestDeterministicParallelValues(t *testing.T) {
 	}
 }
 
-// TestParallelGapBoundInvariant re-runs the bound invariant under both
-// parallel drivers: a gap-limited parallel solve must never report a bound
-// tighter than the true optimum.
+// TestParallelGapBoundInvariant re-runs the bound invariant with rounds of
+// four: a gap-limited solve must never report a bound tighter than the true
+// optimum.
 func TestParallelGapBoundInvariant(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		exact, err := solveAccounted(t, randKnapsack(seed), Options{})
 		if err != nil || exact.Status != StatusOptimal {
 			t.Fatalf("seed %d: exact solve failed: %v %v", seed, exact, err)
 		}
-		for _, opt := range []Options{
-			{Workers: 4, Gap: 0.2, SerialCutoff: -1},
-			{Workers: 4, Deterministic: true, Gap: 0.2, SerialCutoff: -1},
-		} {
-			sol, err := solveAccounted(t, randKnapsack(seed), opt)
-			if err != nil {
-				t.Fatalf("seed %d det=%v: %v", seed, opt.Deterministic, err)
-			}
-			if sol.Bound < exact.Objective-1e-6 {
-				t.Errorf("seed %d det=%v: Bound %.6f tighter than optimum %.6f", seed, opt.Deterministic, sol.Bound, exact.Objective)
-			}
-			if sol.Gap() > 0.2+1e-9 {
-				t.Errorf("seed %d det=%v: achieved gap %.4f exceeds requested 0.2", seed, opt.Deterministic, sol.Gap())
-			}
+		sol, err := solveAccounted(t, randKnapsack(seed), Options{Workers: 4, Gap: 0.2, SerialCutoff: -1})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if sol.Bound < exact.Objective-1e-6 {
+			t.Errorf("seed %d: Bound %.6f tighter than optimum %.6f", seed, sol.Bound, exact.Objective)
+		}
+		if sol.Gap() > 0.2+1e-9 {
+			t.Errorf("seed %d: achieved gap %.4f exceeds requested 0.2", seed, sol.Gap())
 		}
 	}
 }
@@ -167,8 +157,8 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-// TestParallelTimeLimit checks cooperative deadline handling: workers must
-// stop promptly and still return the best incumbent found.
+// TestParallelTimeLimit checks deadline handling with rounds of four: the
+// search must stop promptly and still return the best incumbent found.
 func TestParallelTimeLimit(t *testing.T) {
 	start := time.Now()
 	sol, err := solveAccounted(t, randMILP(3), Options{Workers: 4, TimeLimit: 50 * time.Millisecond, SerialCutoff: -1})
@@ -183,16 +173,17 @@ func TestParallelTimeLimit(t *testing.T) {
 	}
 }
 
-// TestParallelMaxNodes checks the cooperative node limit.
+// TestParallelMaxNodes: the node limit is exact at every worker count — a
+// round is filled only while nodes are left in the budget.
 func TestParallelMaxNodes(t *testing.T) {
-	sol, err := solveAccounted(t, randMILP(5), Options{Workers: 4, MaxNodes: 3, SerialCutoff: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The limit is checked before each pop; a round of in-flight workers may
-	// overshoot by at most Workers nodes.
-	if sol.Nodes > 3+4 {
-		t.Fatalf("explored %d nodes, limit 3 (+4 in-flight slack)", sol.Nodes)
+	for _, workers := range []int{1, 2, 4} {
+		sol, err := solveAccounted(t, randMILP(5), Options{Workers: workers, MaxNodes: 3, SerialCutoff: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Nodes != 3 {
+			t.Errorf("%d workers: explored %d nodes, limit 3 and the tree is larger", workers, sol.Nodes)
+		}
 	}
 }
 

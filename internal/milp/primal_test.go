@@ -40,17 +40,17 @@ func (l *pointLog) repeats() int {
 	return n
 }
 
-// TestHeuristicOfferedEveryNode: all three drivers offer the caller's
-// heuristic the LP point of every node they evaluate, once. Two nodes of one
-// tree never share an LP point (their boxes are disjoint, or one is the
-// other's descendant and excludes its point), so "no point twice" is "no node
-// twice"; every node that branched was offered; and a heuristic that proposes
-// nothing leaves the serial count exact: the root and one call per branching.
+// TestHeuristicOfferedEveryNode: with one worker and with four, the search
+// offers the caller's heuristic the LP point of every node it evaluates and
+// does not prune, once. Two nodes of one tree never share an LP point (their
+// boxes are disjoint, or one is the other's descendant and excludes its
+// point), so "no point twice" is "no node twice"; every node that branched was
+// offered; and a heuristic that proposes nothing leaves the one-worker count
+// exact: the root and one call per branching.
 func TestHeuristicOfferedEveryNode(t *testing.T) {
 	drivers := []Options{
 		{Workers: 1},
 		{Workers: 4, SerialCutoff: -1},
-		{Workers: 4, SerialCutoff: -1, Deterministic: true},
 	}
 	branched := 0
 	for seed := int64(0); seed < 12; seed++ {
@@ -77,7 +77,7 @@ func TestHeuristicOfferedEveryNode(t *testing.T) {
 				t.Errorf("seed %d driver %d: %d calls for %d nodes of which %d branched", seed, di, log.calls, sol.Nodes, branchings)
 			}
 			if di == 0 && log.calls != 1+branchings {
-				t.Errorf("seed %d: the serial driver called %d times, want the root and its %d branchings", seed, log.calls, branchings)
+				t.Errorf("seed %d: the one-worker search called %d times, want the root and its %d branchings", seed, log.calls, branchings)
 			}
 		}
 	}
@@ -163,14 +163,14 @@ func TestRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
-// cutRootSearch solves m's root relaxation the way branchAndBound does and
-// returns the search, ready for runCutRounds, with the root point and bound.
-func cutRootSearch(t *testing.T, m *Model, cold bool) (*search, []float64, float64) {
+// rootSearch solves m's root relaxation on w the way branchAndBound does and
+// returns the search, ready for runCutRounds or openRoot, with the root point
+// and bound.
+func rootSearch(t *testing.T, w *Workspace, m *Model, opts Options) (*search, []float64, float64) {
 	t.Helper()
-	w := new(Workspace)
 	p := w.newLP(m)
-	s := &search{ws: w, model: m, p: p, maximize: m.Sense == Maximize, workers: 1, incObj: math.Inf(-1), start: time.Now()}
-	s.opts.DisableWarmStart = cold
+	s := &search{ws: w, model: m, p: p, opts: opts, maximize: m.Sense == Maximize, workers: max(1, opts.Workers), incObj: math.Inf(-1), start: time.Now()}
+	s.incBuf = w.floats.take(len(m.Vars))
 	s.scratch = w.newScratch(p)
 	st, x, err := s.scratch.solve(p.lb, p.ub, 0, time.Time{})
 	if err != nil || st != lpOptimal {
@@ -196,8 +196,8 @@ func TestWarmCutRoundsMatchCold(t *testing.T) {
 		if err != nil || exact.Status != StatusOptimal {
 			t.Fatalf("seed %d: exact solve: %v %+v", seed, err, exact)
 		}
-		warm, wx, wObj := cutRootSearch(t, m, false)
-		cold, cx, cObj := cutRootSearch(t, m, true)
+		warm, wx, wObj := rootSearch(t, new(Workspace), m, Options{})
+		cold, cx, cObj := rootSearch(t, new(Workspace), m, Options{DisableWarmStart: true})
 		if !reflect.DeepEqual(wx, cx) {
 			t.Fatalf("seed %d: the two root solves differ", seed)
 		}
@@ -246,7 +246,7 @@ func TestWarmCutRoundsMatchCold(t *testing.T) {
 // the round down the cold path, to the cold path's cuts and bound.
 func TestStaleCutBasisFallsBackCold(t *testing.T) {
 	m := residentModel(1)
-	cold, cx, cObj := cutRootSearch(t, m, true)
+	cold, cx, cObj := rootSearch(t, new(Workspace), m, Options{DisableWarmStart: true})
 	_, cObj = cold.runCutRounds(cx, cObj)
 	if cold.cuts.Rounds == 0 {
 		t.Fatal("no round ran; the test exercises nothing")
@@ -263,7 +263,7 @@ func TestStaleCutBasisFallsBackCold(t *testing.T) {
 			t.Fatal("no nonbasic slack to corrupt")
 		},
 	} {
-		s, x, obj := cutRootSearch(t, m, false)
+		s, x, obj := rootSearch(t, new(Workspace), m, Options{})
 		corrupt(s.scratch)
 		_, obj = s.runCutRounds(x, obj)
 		s.lp.add(&s.scratch.stats)

@@ -15,9 +15,9 @@ import "math"
 //
 // The table starts empty (reliability: with no observations at all the
 // selector is exactly the historical most-fractional rule, and unobserved
-// variables fall back to the table-wide average), updates are applied where
-// the drivers already hold the shared-state lock, and Options.DisablePseudocost
-// pins the historical rule outright. Branching order never affects which
+// variables fall back to the table-wide average), updates and selection both
+// happen in the search's apply step, between a round's evaluations, and
+// Options.DisablePseudocost pins the historical rule outright. Branching order never affects which
 // solutions are feasible or optimal — only how fast the search proves them —
 // so the switch is a policy-invariant kill switch like DenseBasis and
 // DisableCuts.
@@ -38,16 +38,16 @@ func (a *BranchStats) add(b *BranchStats) {
 
 // pcTable accumulates per-variable, per-direction pseudocosts: the mean LP
 // objective degradation per unit of fractionality, learned from solved
-// children. Access is guarded by the owning driver (serial loop, batch
-// apply phase, or the async driver lock).
+// children. It is read and written in the apply step only (applyNode). The
+// zero value is a table with no history, for no columns.
 type pcTable struct {
 	upSum, dnSum []float64
 	upCnt, dnCnt []int32
 	observations int64
 }
 
-func (w *Workspace) newPCTable(n int) *pcTable {
-	return &pcTable{
+func (w *Workspace) newPCTable(n int) pcTable {
+	return pcTable{
 		upSum: w.floats.take(n),
 		dnSum: w.floats.take(n),
 		upCnt: w.int32s.take(n),
@@ -55,9 +55,7 @@ func (w *Workspace) newPCTable(n int) *pcTable {
 	}
 }
 
-// fracVar is one fractional integer column of a node relaxation, captured so
-// branch selection can run later (and under the driver lock) without the
-// relaxation vector.
+// fracVar is one fractional integer column of a node relaxation.
 type fracVar struct {
 	col int
 	val float64
@@ -81,7 +79,7 @@ func gatherFractional(m *Model, x []float64, buf []fracVar) []fracVar {
 // decision that created it. Infeasible/pruned children record nothing — their
 // degradation is unbounded and would poison the mean.
 func (s *search) noteBranchOutcome(node *bbNode, childObj float64) {
-	if node.pcol < 0 || s.pc == nil {
+	if node.pcol < 0 {
 		return
 	}
 	// A child's bound is its parent's LP objective.
@@ -107,7 +105,7 @@ func (s *search) noteBranchOutcome(node *bbNode, childObj float64) {
 // pseudocost product score when the table has history, most-fractional
 // otherwise (and always under Options.DisablePseudocost). fracs is non-empty.
 func (s *search) selectBranch(fracs []fracVar) (int, float64) {
-	if !s.opts.DisablePseudocost && s.pc != nil && s.pc.observations > 0 {
+	if !s.opts.DisablePseudocost && s.pc.observations > 0 {
 		// Table-wide mean degradations back unobserved directions, so a
 		// variable with one strong observed side still outranks noise.
 		var upAvg, dnAvg float64

@@ -7,8 +7,8 @@ import (
 
 // TestProductBelow pins the overflow-safe serial-routing comparison (the
 // behavioral crossover itself is TestSerialRoutingCrossover in the root
-// package): vars×rows products that would wrap a native int must route to
-// the parallel driver, never serial.
+// package): vars×rows products that would wrap a native int must keep their
+// workers, never be routed to one.
 func TestProductBelow(t *testing.T) {
 	cases := []struct {
 		a, b, limit int

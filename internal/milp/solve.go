@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 )
 
@@ -55,18 +56,20 @@ type Options struct {
 	TimeLimit time.Duration
 	// MaxNodes bounds the number of branch-and-bound nodes (0 = unlimited).
 	MaxNodes int
-	// Workers is the number of branch-and-bound workers exploring the tree.
-	// 0 uses runtime.GOMAXPROCS(0); 1 runs the serial search (the historical
-	// behavior). Each worker solves LP relaxations on its own scratch state;
-	// incumbents and the open-node queue are shared.
+	// Workers is how many open nodes a round of the tree search evaluates at
+	// once (see run): 0 uses runtime.GOMAXPROCS(0); 1 is the serial search.
+	// Each evaluation solves its LP relaxation on scratch state of its own;
+	// the incumbent and the open-node queue change between rounds only, in
+	// pop order, and with more than one worker equal-bound nodes pop in
+	// creation order — so at any worker count repeated solves of a model
+	// return byte-identical Values. Wall-clock limits (TimeLimit) remain a
+	// source of timing dependence.
 	Workers int
-	// Deterministic makes multi-worker searches independent of worker
-	// interleaving: nodes are expanded in synchronous best-bound rounds with
-	// a fixed tie-break order (equal-bound nodes by creation sequence,
-	// equal-objective incumbents by application order), so repeated solves of
-	// the same model return byte-identical Values. Serial solves are always
-	// deterministic. Wall-clock limits (TimeLimit) remain a source of timing
-	// dependence in every mode.
+	// Deterministic once chose the round-based search over a free-running
+	// worker pool; rounds are now the only search.
+	//
+	// Deprecated: no effect. Kept because benchmark/replay.go, which is
+	// frozen, names it in a composite literal.
 	Deterministic bool
 	// InitialSolution, if non-nil and feasible, seeds the incumbent — used by
 	// the scheduler to warm-start each cycle with the previous cycle's plan.
@@ -81,7 +84,7 @@ type Options struct {
 	// slice it was given — and the candidate is read before the same worker
 	// calls again, then copied if adopted, so neither needs a fresh
 	// allocation. With Workers > 1 the callback is invoked concurrently, each
-	// worker on a point of its own, and must be safe for concurrent use
+	// evaluation on a point of its own, and must be safe for concurrent use
 	// (functions of their input alone are).
 	Heuristic func(relaxation []float64) []float64
 	// DisableWarmStart forces every branch-and-bound node LP onto the cold
@@ -95,9 +98,9 @@ type Options struct {
 	// so this switch exists for bisection and parity testing, not for
 	// correctness workarounds.
 	DisablePresolve bool
-	// SerialCutoff routes models whose vars×rows product (after presolve)
-	// falls below it to the serial driver even when Workers > 1: on small
-	// trees the pool's coordination overhead exceeds the parallel speedup.
+	// SerialCutoff gives models whose vars×rows product (after presolve)
+	// falls below it one worker even when Workers > 1: on small trees a
+	// round's goroutines cost more than evaluating side by side saves.
 	// 0 uses DefaultSerialCutoff; negative disables the routing so Workers
 	// is always honored.
 	SerialCutoff int
@@ -117,16 +120,16 @@ type Options struct {
 }
 
 // DefaultSerialCutoff is the vars×rows product below which multi-worker
-// solves fall back to the serial driver. Measured on the batched-solve
-// suite: 24-job batches (≈5k after presolve) lose a few percent to pool
-// coordination while 48-job batches (≈15k) win from it.
+// solves search with one worker. Measured on the batched-solve suite: 24-job
+// batches (≈5k after presolve) lose a few percent to coordination while
+// 48-job batches (≈15k) win from it.
 const DefaultSerialCutoff = 8192
 
 // productBelow reports a·b < limit for non-negative a, b without computing
 // the product: sharded 10k-node scenarios emit models whose vars×rows
 // product overflows int on 32-bit platforms, and a wrapped product would
-// mis-route huge models onto the serial driver. limit ≤ 0 (routing disabled)
-// is never below.
+// mis-route huge models onto one worker. limit ≤ 0 (routing disabled) is
+// never below.
 func productBelow(a, b, limit int) bool {
 	if limit <= 0 {
 		return false
@@ -169,8 +172,8 @@ const intTol = 1e-6
 
 // bbNode is a branch-and-bound subproblem: its parent's bound box with one
 // bound tightened. The root (parent nil) is the LP's own box. Everything but
-// warm is fixed once the node is pushed, so a worker may walk a node's
-// ancestors without the driver lock.
+// warm is fixed once the node is pushed, so an evaluation may walk a node's
+// ancestors beside the round's other evaluations.
 type bbNode struct {
 	bound  float64 // parent LP objective (optimistic)
 	seq    uint64  // creation order, for deterministic tie-breaking
@@ -190,7 +193,7 @@ type bbNode struct {
 type nodeHeap struct {
 	nodes []*bbNode
 	max   bool // true: pop highest bound first (maximize)
-	det   bool // true: break bound ties by creation sequence
+	det   bool // true: break bound ties by creation sequence (more than one worker)
 }
 
 func (h *nodeHeap) Len() int { return len(h.nodes) }
@@ -218,9 +221,9 @@ func (h *nodeHeap) Pop() interface{} {
 	return x
 }
 
-// search carries the branch-and-bound state shared by the serial and
-// parallel drivers. In parallel modes every field below is guarded by the
-// driver's mutex (async) or only touched between synchronous rounds (batch).
+// search carries the branch-and-bound state. What a round's evaluations read
+// is fixed while they run; everything else is only touched between them, on
+// the search's goroutine (see run).
 type search struct {
 	ws       *Workspace
 	model    *Model
@@ -236,23 +239,23 @@ type search struct {
 	incBuf    []float64 // the incumbent's memory, on the workspace like the rest of the search
 
 	pre    *Presolved // the reduction between the caller's space and the model's; nil: none
-	primal primalBuf  // the root's and the serial driver's
+	primal primalBuf  // the root's, then the first slot's
 
-	scratch *simplexState // serial driver's (and the root solve's) LP scratch
-	lp      LPStats       // folded worker telemetry; finish() adds s.scratch's
+	scratch *simplexState // the root solve's LP scratch, then the first slot's
+	own     [1]evalSlot   // a one-worker search's slots (newSlots)
+	lp      LPStats       // folded telemetry of retired scratches and the other slots; finish() adds s.scratch's
 	cuts    CutStats      // root cutting-plane activity
 	branch  BranchStats   // branching-rule usage
-	pc      *pcTable      // learned pseudocosts, guarded like the heap
-	fracBuf []fracVar     // serial driver's fractional-candidate scratch
+	pc      pcTable       // learned pseudocosts, changed in the apply step like the heap
+	fracBuf []fracVar     // the apply step's fractional-candidate scratch
 
 	h   *nodeHeap
 	seq uint64
 
 	nodes       int
-	bestBound   float64 // proven global bound (weakest open node, incl. in-flight)
+	bestBound   float64 // proven global bound (weakest open node)
 	deadlineHit bool
 	gapBreak    bool // terminated with the global bound gap-met
-	boundFinal  bool // async driver already folded in-flight bounds into bestBound
 
 	// A node whose LP was given up on (deadline, iteration cap, numerical
 	// error) is neither solved nor infeasible: its subtree stays unexplored
@@ -286,7 +289,7 @@ func (s *search) consider(cand []float64) {
 
 // adopt makes a feasible cand the incumbent if it is better. The incumbent is
 // a copy, in memory the search keeps from one incumbent to the next: cand may
-// live in a worker's buffer, and most candidates are not adopted.
+// live in a slot's buffer, and most candidates are not adopted.
 func (s *search) adopt(cand []float64) {
 	if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || s.better(obj, s.incObj) {
 		s.incumbent, s.incObj = append(s.incBuf[:0], cand...), obj
@@ -297,9 +300,9 @@ func (s *search) adopt(cand []float64) {
 // as for a bound, so every evaluated node's LP point is offered to the
 // caller's rounding (docs/SOLVER.md, Primal side); a search without one falls
 // back on an LP dive, which costs up to twelve LPs and runs at every 64th
-// node. All three drivers go through candidate.
+// node.
 
-// primalBuf is one worker's memory for the caller's heuristic: the LP point
+// primalBuf is one slot's memory for the caller's heuristic: the LP point
 // as the heuristic sees it — in the caller's variable space, and the
 // heuristic's to overwrite — and, under a reduction, its candidate mapped
 // back into the model's space.
@@ -332,7 +335,7 @@ func (s *search) round(x []float64, b *primalBuf) []float64 {
 // candidate derives an incumbent candidate from the LP point x of the idx-th
 // evaluated node, whose box is lb, ub: unvalidated, possibly nil, and good
 // until b's next use. A dive runs on w — nil for fresh memory, which is what a
-// worker that does not own the search's workspace passes — and counts its LPs
+// slot that does not own the search's workspace passes — and counts its LPs
 // into stats.
 func (s *search) candidate(x, lb, ub []float64, idx int, b *primalBuf, w *Workspace, stats *LPStats) []float64 {
 	if s.opts.Heuristic != nil {
@@ -349,10 +352,9 @@ func (s *search) candidate(x, lb, ub []float64, idx int, b *primalBuf, w *Worksp
 
 // Tree memory. Nodes, basis snapshots and the open-node heap live in the
 // workspace and die with the solve; the node slab, the snapshot free list and
-// the heap are shared search state like the incumbent, touched only on the
-// serial driver's goroutine, under the async driver's lock, or between the
-// batch driver's rounds. What runs without the lock (evalNode) is handed its
-// snapshot buffer beforehand and reads nodes, never makes them.
+// the heap are shared search state like the incumbent, touched only between a
+// round's evaluations (openRoot, the fill and applyNode). An evaluation reads
+// nodes and the snapshot its node restores from; it makes and takes neither.
 
 // nodeBlockSize is how many nodes are cut from the node slab at a time.
 const nodeBlockSize = 64
@@ -434,6 +436,14 @@ func capture(sc *simplexState, buf *basisState) *basisState {
 	return buf
 }
 
+// weakerBound reports whether a is a weaker (more conservative) bound than b.
+func (s *search) weakerBound(a, b float64) bool {
+	if s.maximize {
+		return a > b
+	}
+	return a < b
+}
+
 // abandon records a node whose LP did not reach a verdict.
 func (s *search) abandon(n *bbNode) {
 	if !s.abandoned || s.weakerBound(n.bound, s.abandonedBound) {
@@ -462,8 +472,8 @@ func (s *search) solveNodeLP(sc *simplexState, node *bbNode, lb, ub []float64) (
 
 // Solve optimizes the model. Pure LPs (no integer variables) are solved with
 // a single simplex call; otherwise best-bound branch-and-bound runs until the
-// gap, time, or node limit is met. With Options.Workers > 1 the tree search
-// runs on a worker pool (see parallel.go).
+// gap, time, or node limit is met. With Options.Workers > 1 a round of the
+// tree search evaluates several nodes at once (see run).
 func Solve(model *Model, opts Options) (*Solution, error) {
 	// A throwaway workspace: every buffer is a fresh allocation and nothing
 	// is retained.
@@ -491,7 +501,7 @@ func (w *Workspace) solve(model *Model, opts Options, values []float64) (*Soluti
 		return &Solution{Status: StatusInfeasible, Workers: opts.effectiveWorkers(), Presolve: pre.Stats, Runtime: time.Since(start)}, nil
 	}
 	// The seed is mapped into the reduced space here; the heuristic's points
-	// and candidates are mapped by the search, worker by worker (round). The
+	// and candidates are mapped by the search, slot by slot (round). The
 	// reduced model is the presolver's own assembly of a model that just
 	// passed Validate; it is not validated again.
 	ropts := opts
@@ -514,8 +524,8 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 		return &Solution{Status: StatusOptimal, Values: nil, Workers: workers, Runtime: time.Since(start)}, nil
 	}
 	if workers > 1 {
-		// Small models lose more to pool coordination than they gain from
-		// parallel tree search; route them to the serial driver.
+		// Small models lose more to a round's goroutines than they gain from
+		// evaluating nodes side by side; give them one worker.
 		cutoff := opts.SerialCutoff
 		if cutoff == 0 {
 			cutoff = DefaultSerialCutoff
@@ -557,8 +567,8 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 		s.incObj = model.ObjectiveValue(s.incumbent)
 	}
 
-	// Root relaxation, solved on the search's own scratch so the serial
-	// driver keeps reusing its basis memory.
+	// Root relaxation, solved on the search's own scratch so the first slot
+	// keeps reusing its basis memory.
 	s.scratch = w.newScratch(p)
 	st, x, err := s.scratch.solve(p.lb, p.ub, 0, deadline)
 	if err != nil {
@@ -629,7 +639,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 func (s *search) openRoot(rootObj float64) {
 	s.pc = s.ws.newPCTable(len(s.model.Vars))
 	s.h = &s.ws.open
-	*s.h = nodeHeap{nodes: s.h.nodes[:0], max: s.maximize, det: s.workers > 1 && s.opts.Deterministic}
+	*s.h = nodeHeap{nodes: s.h.nodes[:0], max: s.maximize, det: s.workers > 1}
 	buf := s.takeSnap()
 	root := s.ws.newNode()
 	*root = bbNode{bound: rootObj, warm: capture(s.scratch, buf), pcol: -1}
@@ -642,87 +652,186 @@ func (s *search) openRoot(rootObj float64) {
 	s.bestBound = rootObj
 }
 
-// run searches the tree with the driver the options select.
+// A round is the unit of the tree search: up to s.workers open nodes popped in
+// best-bound order, evaluated — concurrently when there are several — and then
+// applied to the shared state in pop order. Evaluation reads what is fixed for
+// the round (model, LP, options, the node's ancestors, the incumbent) and
+// writes only its slot; everything shared — heap, incumbent, pseudocosts, node
+// and snapshot memory — changes in the apply step, on the search's goroutine.
+// The tree therefore does not depend on how the evaluations are scheduled, and
+// with one worker the round is one node evaluated inline: the serial search.
+
+// nodeResult is what evaluating one node found.
+type nodeResult struct {
+	dead      bool      // infeasible (or unbounded, impossible below a bounded root)
+	abandoned bool      // the LP reached no verdict: deadline, iteration cap, numerical error
+	obj       float64   // LP objective of the node relaxation
+	x         []float64 // its LP point, in the slot's scratch until the slot's next round
+	integral  bool      // x is integral
+	cand      []float64 // validated heuristic candidate, in the slot's buffers (may be nil)
+}
+
+// evalSlot is one place in a round: the memory an evaluation works on, all of
+// it private to that evaluation, and the node it holds this round.
+type evalSlot struct {
+	sc     *simplexState
+	lb, ub []float64
+	primal primalBuf
+	ws     *Workspace // a dive's memory; nil dives on fresh memory
+
+	node *bbNode
+	idx  int // the node's 1-based processing index, for the dive cadence
+	res  nodeResult
+}
+
+// newSlots makes the round's slots. The first is the search's own — its
+// scratch, which holds the root's basis, its heuristic buffers, and its
+// workspace for dives, which nothing else touches while a round is evaluated —
+// so a one-worker search borrows two bound boxes and nothing more. The slots
+// live in the search, not in run's frame: there they would escape through the
+// many-worker goroutines and cost every solve an allocation.
+func (s *search) newSlots() []evalSlot {
+	slots := s.own[:]
+	if s.workers > 1 {
+		slots = make([]evalSlot, s.workers)
+	}
+	slots[0] = evalSlot{sc: s.scratch, primal: s.primal, ws: s.ws}
+	for i := range slots {
+		e := &slots[i]
+		if i > 0 {
+			e.sc, e.primal = s.ws.newScratch(s.p), s.newPrimalBuf()
+		}
+		e.lb, e.ub = s.ws.floats.take(len(s.p.lb)), s.ws.floats.take(len(s.p.ub))
+	}
+	return slots
+}
+
+// atNodeLimit reports whether Options.MaxNodes nodes have been evaluated.
+func (s *search) atNodeLimit() bool {
+	return s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes
+}
+
+// run searches the tree, round by round, until it is exhausted, the global
+// bound meets the gap, or a limit stops it.
 func (s *search) run() {
-	switch {
-	case s.workers == 1:
-		s.runSerial()
-	case s.opts.Deterministic:
-		s.runBatch()
-	default:
-		s.runAsync()
+	slots := s.newSlots()
+	defer func() {
+		for i := 1; i < len(slots); i++ { // finish adds the search's own
+			s.lp.add(&slots[i].sc.stats)
+		}
+	}()
+	for s.h.Len() > 0 && !s.atNodeLimit() {
+		if s.opts.TimeLimit > 0 && time.Since(s.start) > s.opts.TimeLimit {
+			s.deadlineHit = true
+			return
+		}
+		// Fill the round in best-bound order. Until a node is kept the popped
+		// node carries the global bound, and only there does the gap test apply.
+		n := 0
+		for n < len(slots) && s.h.Len() > 0 && !s.atNodeLimit() {
+			node := heap.Pop(s.h).(*bbNode)
+			if n == 0 {
+				s.bestBound = node.bound
+			}
+			if s.incumbent != nil && !s.better(node.bound, s.incObj) {
+				s.releaseWarm(node)
+				continue // pruned by bound
+			}
+			if n == 0 && s.gapMet(node.bound) {
+				s.releaseWarm(node)
+				s.gapBreak = true
+				return
+			}
+			s.nodes++
+			slots[n].node, slots[n].idx = node, s.nodes
+			n++
+		}
+		round := slots[:n]
+		switch {
+		case n == 1:
+			round[0].res = s.evalNode(&round[0])
+		case n > 1:
+			var wg sync.WaitGroup
+			for i := range round {
+				wg.Add(1)
+				go func(e *evalSlot) {
+					defer wg.Done()
+					e.res = s.evalNode(e)
+				}(&round[i])
+			}
+			wg.Wait()
+		}
+		for i := range round {
+			s.applyNode(&round[i])
+		}
 	}
 }
 
-// runSerial is the single-threaded best-bound search (Workers == 1).
-func (s *search) runSerial() {
-	lbBuf := s.ws.floats.take(len(s.p.lb))
-	ubBuf := s.ws.floats.take(len(s.p.ub))
-	for s.h.Len() > 0 {
-		if s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes {
-			break
-		}
-		if s.opts.TimeLimit > 0 && time.Since(s.start) > s.opts.TimeLimit {
-			s.deadlineHit = true
-			break
-		}
-		node := heap.Pop(s.h).(*bbNode)
-		s.bestBound = node.bound // best-bound order: the popped node carries the global bound
-		if s.incumbent != nil && !s.better(node.bound, s.incObj) {
-			s.releaseWarm(node)
-			continue // pruned by bound
-		}
-		if s.gapMet(node.bound) {
-			s.releaseWarm(node)
-			s.gapBreak = true
-			break
-		}
-		s.box(node, lbBuf, ubBuf)
-		s.nodes++
-		st, x, err := s.solveNodeLP(s.scratch, node, lbBuf, ubBuf)
-		s.releaseWarm(node)
-		if err != nil || st == lpIterLimit {
-			s.abandon(node) // no verdict: the subtree stays open
-			continue
-		}
-		if st == lpInfeasible {
-			continue
-		}
-		if st == lpUnbounded {
-			// Integer restrictions cannot unbound a bounded relaxation; the
-			// root would have been unbounded. Defensive skip.
-			continue
-		}
-		obj := s.model.ObjectiveValue(x[:len(s.model.Vars)])
-		s.noteBranchOutcome(node, obj)
-		if s.incumbent != nil && !s.better(obj, s.incObj) {
-			continue
-		}
-		fr := firstFractional(s.model, x)
-		if fr < 0 {
-			vals := roundIntegral(s.model, x[:len(s.model.Vars)])
-			o := s.model.ObjectiveValue(vals)
-			if s.incumbent == nil || s.better(o, s.incObj) {
-				s.incumbent, s.incObj = vals, o
-			}
-			continue
-		}
-		s.consider(s.candidate(x, lbBuf, ubBuf, s.nodes, &s.primal, s.ws, &s.scratch.stats))
-		if s.incumbent != nil && !s.better(obj, s.incObj) {
-			continue // the candidate itself closed this subtree
-		}
-		// A dive solves on a scratch of its own, so the node's basis is still
-		// in s.scratch. The buffer is usually the one the node itself just
-		// restored from.
-		buf := s.takeSnap()
-		snap := capture(s.scratch, buf)
-		// Branch by pseudocost score (most-fractional until the table has
-		// history). Both children share the parent's basis snapshot.
-		s.fracBuf = gatherFractional(s.model, x, s.fracBuf)
-		bv, v := s.selectBranch(s.fracBuf)
-		s.pushChildren(node, bv, v, obj, snap)
-		s.settleSnap(buf)
+// evalNode solves the slot's node and derives what the apply step needs from
+// its LP point. It runs beside the round's other evaluations: it writes only
+// the slot, and the incumbent it reads changes only between rounds.
+func (s *search) evalNode(e *evalSlot) nodeResult {
+	s.box(e.node, e.lb, e.ub)
+	st, x, err := s.solveNodeLP(e.sc, e.node, e.lb, e.ub)
+	if err != nil || st == lpIterLimit {
+		return nodeResult{abandoned: true}
 	}
+	if st != lpOptimal {
+		return nodeResult{dead: true}
+	}
+	r := nodeResult{obj: s.model.ObjectiveValue(x[:len(s.model.Vars)]), x: x}
+	if s.incumbent != nil && !s.better(r.obj, s.incObj) {
+		return r // pruned already, and an incumbent only improves: applyNode stops there too
+	}
+	if r.integral = firstFractional(s.model, x) < 0; r.integral {
+		return r
+	}
+	// A dive solves on a scratch of its own, so the node's basis stays in e.sc
+	// for applyNode to capture. The candidate is validated here, beside the
+	// other evaluations, and stays in the slot until applyNode has looked at it.
+	if cand := s.candidate(x, e.lb, e.ub, e.idx, &e.primal, e.ws, &e.sc.stats); cand != nil && s.model.IsFeasible(cand, 1e-6) {
+		r.cand = cand
+	}
+	return r
+}
+
+// applyNode publishes the slot's evaluated node into the shared search state:
+// the pseudocost outcome, a new incumbent, the children.
+func (s *search) applyNode(e *evalSlot) {
+	node, r := e.node, &e.res
+	s.releaseWarm(node) // it has restored from its parent's basis
+	if r.abandoned {
+		s.abandon(node) // no verdict: the subtree stays open
+		return
+	}
+	if r.dead {
+		return
+	}
+	s.noteBranchOutcome(node, r.obj)
+	// Against the incumbent as it is now: an earlier node of the round may
+	// have improved it.
+	if s.incumbent != nil && !s.better(r.obj, s.incObj) {
+		return
+	}
+	if r.integral {
+		s.adopt(roundIntegral(s.model, r.x[:len(s.model.Vars)]))
+		return
+	}
+	if r.cand != nil {
+		s.adopt(r.cand)
+		if !s.better(r.obj, s.incObj) {
+			return // the candidate itself closed this subtree
+		}
+	}
+	// Both children share the node's basis. The buffer is usually the one the
+	// node itself just restored from.
+	buf := s.takeSnap()
+	snap := capture(e.sc, buf)
+	// Branch by pseudocost score (most-fractional until the table has history).
+	s.fracBuf = gatherFractional(s.model, r.x, s.fracBuf)
+	bv, v := s.selectBranch(s.fracBuf)
+	s.pushChildren(node, bv, v, r.obj, snap)
+	s.settleSnap(buf)
 }
 
 // finish derives the reported bound and status from the terminal search
@@ -744,11 +853,6 @@ func (s *search) finish() *Solution {
 			b = s.pickBound(b, s.incObj)
 		}
 		s.bestBound = b
-	} else if s.boundFinal {
-		// Async limit stop: s.bestBound already folds the heap top and the
-		// bounds of nodes that were in flight when the stop flag rose —
-		// their subtrees are unexplored, so the heap top alone would
-		// overstate progress. Nothing tighter is provable here.
 	} else if s.h.Len() == 0 && !s.deadlineHit && !s.abandoned {
 		// Exhausted the tree: the incumbent is exactly optimal.
 		s.bestBound = s.incObj
@@ -764,7 +868,7 @@ func (s *search) finish() *Solution {
 	// Proof of optimality or infeasibility needs every subtree closed.
 	closed := s.h.Len() == 0 && !s.abandoned
 
-	if s.scratch != nil { // parallel drivers folded worker scratches already
+	if s.scratch != nil { // run folded the other slots' already
 		s.lp.add(&s.scratch.stats)
 	}
 	sol := &Solution{Nodes: s.nodes, Bound: s.bestBound, Workers: s.workers, LP: s.lp, Cuts: s.cuts, Branch: s.branch, Runtime: time.Since(s.start)}

@@ -223,3 +223,37 @@ func keys(m map[*basisState]int32) map[*basisState]bool {
 	}
 	return out
 }
+
+// TestFirstPopGapBreakAllocatesNothing: the scoreboard's solves have a
+// fractional root whose bound already meets the gap against the root
+// rounding's incumbent, so the tree is opened and the search ends at its first
+// pop. On a warm workspace that — root node, pseudocost table, the one-worker
+// round's slot and bound boxes — allocates nothing: the slot lives in the
+// search, where the many-worker goroutines cannot make it escape.
+func TestFirstPopGapBreakAllocatesNothing(t *testing.T) {
+	m := residentModel(1)
+	opts := Options{Workers: 1, Gap: 0.5}
+	var ws Workspace
+	for i := 0; i < 2; i++ { // the first rewind gives the slabs their arrays
+		if sol, err := ws.Solve(m, opts); err != nil || sol.Nodes != 1 || sol.Cuts.Rounds != 0 {
+			t.Fatalf("warm-up solve: %v %+v; want the search to end at its first pop", err, sol)
+		}
+	}
+	s, x, rootObj := rootSearch(t, &ws, m, opts)
+	if s.consider(roundHeuristic(m, x, ws.floats.take(len(m.Vars)))); firstFractional(m, x) < 0 || !s.gapMet(rootObj) {
+		t.Fatal("the root is integral or its rounding misses the gap; the search would not end at its first pop")
+	}
+	firstPop := func() {
+		s.gapBreak = false
+		s.openRoot(rootObj)
+		s.run()
+	}
+	firstPop() // cuts the root's snapshot buffer and the block of nodes every later root comes from
+	if !s.gapBreak || s.nodes != 1 {
+		t.Fatalf("gap break %v after %d nodes; want the first pop to end the search", s.gapBreak, s.nodes)
+	}
+	mark := ws.mark() // what a later search takes goes back, as it would at the solve's rewind
+	if n := testing.AllocsPerRun(20, func() { firstPop(); ws.release(mark) }); n != 0 {
+		t.Errorf("opening the tree and ending at the first pop allocates %v times on a warm workspace", n)
+	}
+}

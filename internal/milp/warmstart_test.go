@@ -232,15 +232,15 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestSnapshotsAccountedInEveryDriver runs each driver to every kind of end —
-// exhausted, gap met, node limit with the heap still full, warm starts off —
-// and audits the snapshot free list and reference counts each time (run it
-// under -race: the async driver recycles buffers between workers).
+// TestSnapshotsAccountedInEveryDriver runs rounds of one and of four to every
+// kind of end — exhausted, gap met, node limit with the heap still full, warm
+// starts off — and audits the snapshot free list and reference counts each
+// time (run it under -race: a round's evaluations restore from shared
+// snapshots side by side).
 func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 	drivers := []Options{
 		{Workers: 1},
 		{Workers: 4, SerialCutoff: -1},
-		{Workers: 4, SerialCutoff: -1, Deterministic: true},
 	}
 	small := []*Model{packingModel(5, 30), randMILP(4)}
 	all := append([]*Model{residentModel(1)}, small...)
@@ -309,7 +309,7 @@ func TestSnapshotsRecycled(t *testing.T) {
 func TestNoStaleSnapshotAcrossSolves(t *testing.T) {
 	for _, opts := range []Options{
 		{Workers: 1, Gap: 0.05},
-		{Workers: 3, SerialCutoff: -1, Deterministic: true, Gap: 0.05},
+		{Workers: 3, SerialCutoff: -1, Gap: 0.05},
 	} {
 		var ws Workspace
 		for _, m := range []*Model{residentModel(2), packingModel(7, 24), residentModel(0), packingModel(8, 40), residentModel(1)} {

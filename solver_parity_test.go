@@ -84,26 +84,21 @@ func TestSolverParityAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s serial: %v", sc.name, err)
 		}
-		for _, opts := range []milp.Options{
-			{Workers: 4, Heuristic: sc.comp.GreedyRound},
-			{Workers: 4, Deterministic: true, Heuristic: sc.comp.GreedyRound},
-		} {
-			par, err := milp.Solve(sc.comp.Model, opts)
-			if err != nil {
-				t.Fatalf("%s workers=4 det=%v: %v", sc.name, opts.Deterministic, err)
-			}
-			if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
-				t.Errorf("%s det=%v: objective %.9f != serial %.9f", sc.name, opts.Deterministic, par.Objective, serial.Objective)
-			}
+		par, err := milp.Solve(sc.comp.Model, milp.Options{Workers: 4, Heuristic: sc.comp.GreedyRound})
+		if err != nil {
+			t.Fatalf("%s workers=4: %v", sc.name, err)
+		}
+		if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
+			t.Errorf("%s: objective %.9f != serial %.9f", sc.name, par.Objective, serial.Objective)
 		}
 	}
 }
 
-// TestSolverParityWarmVsCold flips the warm-start kill switch across every
-// driver (serial, parallel-async, parallel-deterministic) on exact solves:
-// dual-simplex re-solves from parent bases must change solve speed only,
-// never the objective. The stats assertions keep the switch honest — the warm
-// runs must actually warm-start and the cold runs must not.
+// TestSolverParityWarmVsCold flips the warm-start kill switch with one worker
+// and with four on exact solves: dual-simplex re-solves from parent bases must
+// change solve speed only, never the objective. The stats assertions keep the
+// switch honest — the warm runs must actually warm-start and the cold runs
+// must not.
 func TestSolverParityWarmVsCold(t *testing.T) {
 	comp := batchedModel(t, 24, 2)
 	var want float64
@@ -112,8 +107,6 @@ func TestSolverParityWarmVsCold(t *testing.T) {
 		{Workers: 1, DisableWarmStart: true},
 		{Workers: 4},
 		{Workers: 4, DisableWarmStart: true},
-		{Workers: 4, Deterministic: true},
-		{Workers: 4, Deterministic: true, DisableWarmStart: true},
 	} {
 		opts.Heuristic = comp.GreedyRound
 		sol, err := milp.Solve(comp.Model, opts)
@@ -126,8 +119,8 @@ func TestSolverParityWarmVsCold(t *testing.T) {
 		if i == 0 {
 			want = sol.Objective
 		} else if diff := sol.Objective - want; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("case %d (workers=%d det=%v cold=%v): objective %.9f != %.9f",
-				i, opts.Workers, opts.Deterministic, opts.DisableWarmStart, sol.Objective, want)
+			t.Errorf("case %d (workers=%d cold=%v): objective %.9f != %.9f",
+				i, opts.Workers, opts.DisableWarmStart, sol.Objective, want)
 		}
 		if opts.DisableWarmStart {
 			if sol.LP.WarmHits != 0 || sol.LP.WarmFallbacks != 0 {
@@ -167,9 +160,12 @@ func TestWarmStartHitRate(t *testing.T) {
 }
 
 // BenchmarkBatchedSolveSerial / ...Parallel measure the same Fig 12-style
-// aggregate solve to a 10% gap with one worker vs one per CPU. On multi-core
-// hosts the parallel driver reaches the gap in less wall-clock time; on a
-// single-CPU host the two coincide (Workers=GOMAXPROCS=1).
+// aggregate solve to a 10% gap with one worker vs one per CPU; on a
+// single-CPU host the two coincide (Workers=GOMAXPROCS=1). The ...Parallel
+// lines time rounds of several nodes, the search -solver-workers > 1 selects.
+// Before PR 22 they timed a free-running worker pool no scheduler path could
+// reach, so their history in BENCH_milp.json does not compare across it. (The
+// 8- and 24-job batches are under the serial cutoff at any worker count.)
 func benchBatchedSolve(b *testing.B, jobs, workers int) {
 	comp := batchedModel(b, jobs, 1)
 	b.ResetTimer()
@@ -203,9 +199,9 @@ func BenchmarkBatchedSolve48Parallel(b *testing.B) {
 
 // TestSerialRoutingCrossover verifies the small-model routing decision on
 // both sides of milp.DefaultSerialCutoff: a 24-job batch reduces below the
-// cutoff, so a multi-worker solve runs the serial driver (Workers=1 in the
-// solution); a 48-job batch stays above it and keeps the parallel driver;
-// and SerialCutoff=-1 disables routing entirely.
+// cutoff, so a multi-worker solve searches with one worker (Workers=1 in the
+// solution); a 48-job batch stays above it and keeps its four; and
+// SerialCutoff=-1 disables routing entirely.
 func TestSerialRoutingCrossover(t *testing.T) {
 	small := batchedModel(t, 24, 1)
 	routed, err := milp.Solve(small.Model, milp.Options{Gap: 0.1, Workers: 4, Heuristic: small.GreedyRound})
@@ -213,7 +209,7 @@ func TestSerialRoutingCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if routed.Workers != 1 {
-		t.Errorf("below-cutoff model: Workers = %d, want 1 (routed to serial driver)", routed.Workers)
+		t.Errorf("below-cutoff model: Workers = %d, want 1 (routed to one worker)", routed.Workers)
 	}
 	forced, err := milp.Solve(small.Model, milp.Options{Gap: 0.1, Workers: 4, SerialCutoff: -1, Heuristic: small.GreedyRound})
 	if err != nil {
@@ -231,17 +227,17 @@ func TestSerialRoutingCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if par.Workers != 4 {
-		t.Errorf("above-cutoff model: Workers = %d, want 4 (parallel driver)", par.Workers)
+		t.Errorf("above-cutoff model: Workers = %d, want 4", par.Workers)
 	}
 }
 
 // benchSmallModelRouting pins the serial-routing crossover: a 24-job batch
 // reduces to ≈4.7k vars×rows after presolve — below milp.DefaultSerialCutoff
-// — so a Workers-per-CPU solve routes to the serial driver; SerialCutoff=-1
-// forces the parallel driver on the same model and measures the coordination
-// overhead the routing avoids. Deliberately named outside the Makefile's
-// bench regex: the pair pins a ratio against each other, not an absolute
-// number tracked in BENCH_milp.json.
+// — so a Workers-per-CPU solve is given one worker; SerialCutoff=-1 forces
+// rounds of several nodes on the same model (since PR 22; a free-running pool
+// before it) and measures the coordination overhead the routing avoids.
+// Deliberately named outside the Makefile's bench regex: the pair pins a ratio
+// against each other, not an absolute number tracked in BENCH_milp.json.
 func benchSmallModelRouting(b *testing.B, cutoff int) {
 	comp := batchedModel(b, 24, 1)
 	workers := runtime.GOMAXPROCS(0)
@@ -326,7 +322,7 @@ func TestDecompositionParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		opts := milp.Options{Gap: gap, Workers: 2, Deterministic: true}
+		opts := milp.Options{Gap: gap, Workers: 2}
 
 		monoOpts := opts
 		monoOpts.Heuristic = comp.GreedyRound
@@ -419,7 +415,7 @@ func TestPresolveParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		opts := milp.Options{Gap: gap, Workers: 2, Deterministic: true, Heuristic: comp.GreedyRound}
+		opts := milp.Options{Gap: gap, Workers: 2, Heuristic: comp.GreedyRound}
 		on, err := milp.Solve(comp.Model, opts)
 		if err != nil {
 			t.Fatalf("seed %d: presolved solve: %v", seed, err)
@@ -487,13 +483,13 @@ func benchComponentSolve(b *testing.B, split bool) {
 	for i := 0; i < b.N; i++ {
 		if split {
 			merged, _, err := milp.SolveParts(componentParts(comp.Components()), comp.Model.NumVars(),
-				milp.Options{Gap: 0.1, Workers: workers, Deterministic: true})
+				milp.Options{Gap: 0.1, Workers: workers})
 			if err != nil || merged.Values == nil {
 				b.Fatalf("decomposed solve failed: %v (%v)", err, merged)
 			}
 		} else {
 			sol, err := milp.Solve(comp.Model, milp.Options{
-				Gap: 0.1, Workers: workers, Deterministic: true, Heuristic: comp.GreedyRound,
+				Gap: 0.1, Workers: workers, Heuristic: comp.GreedyRound,
 			})
 			if err != nil || sol.Values == nil {
 				b.Fatalf("monolithic solve failed: %v", err)
@@ -539,7 +535,7 @@ func TestBasisEngineParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		base := milp.Options{Gap: gap, Workers: 2, Deterministic: true, Heuristic: comp.GreedyRound}
+		base := milp.Options{Gap: gap, Workers: 2, Heuristic: comp.GreedyRound}
 
 		lu, err := milp.Solve(comp.Model, base)
 		if err != nil {
