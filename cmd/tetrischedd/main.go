@@ -15,7 +15,10 @@
 //	POST /v1/completions  signal completion   {job_id, now}
 //	GET  /v1/status       daemon state incl. cumulative solver telemetry
 //	GET  /v1/trace        Chrome trace-event snapshot of the trace ring
-//	GET  /metrics         Prometheus text metrics
+//	GET  /metrics         the same telemetry tables as Prometheus text
+//
+// /v1/status and /metrics render a snapshot published after each state change,
+// so a scrape never waits behind a solve; the exit log prints the solver table.
 //
 // The /v1/submit front door admits into a bounded ingress queue (-max-queue)
 // drained into the scheduler by a weighted-fair dequeue at each cycle
@@ -49,6 +52,7 @@ import (
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/core"
 	"tetrisched/internal/httpapi"
+	"tetrisched/internal/telemetry"
 	"tetrisched/internal/trace"
 )
 
@@ -192,9 +196,9 @@ func main() {
 		if err := srv.Shutdown(sctx); err != nil {
 			log.Printf("tetrischedd: shutdown: %v", err)
 		}
-		st := sched.Stats
-		log.Printf("tetrischedd: bye (solves=%d bb-nodes=%d warm-hit=%.0f%%)",
-			st.Solves, st.Nodes, 100*st.WarmHitRate())
+		for _, line := range telemetry.Lines(core.SolverMetrics, &sched.Stats) {
+			log.Printf("tetrischedd: bye: %s", line)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"tetrisched/internal/metrics"
 	"tetrisched/internal/rayon"
 	"tetrisched/internal/sim"
+	"tetrisched/internal/telemetry"
 	"tetrisched/internal/trace"
 	"tetrisched/internal/viz"
 	"tetrisched/internal/workload"
@@ -47,7 +48,7 @@ func main() {
 		noIncr      = flag.Bool("no-incremental", false, "disable cross-cycle component reuse (bisection switch)")
 		noCompCache = flag.Bool("no-compile-cache", false, "disable the expression/compile front-end caches (bisection switch)")
 		shards      = flag.Int("shards", 0, "sharded control plane: concurrent per-shard planners with optimistic commit (0 = monolithic)")
-		verbose     = flag.Bool("v", false, "print per-job outcomes")
+		verbose     = flag.Bool("v", false, "print solver telemetry and per-job outcomes")
 		gantt       = flag.Bool("gantt", false, "render the space-time schedule grid")
 		saveTrace   = flag.String("save-trace", "", "write the generated workload to a JSON trace file")
 		loadTrace   = flag.String("load-trace", "", "replay a JSON trace file instead of generating")
@@ -185,25 +186,11 @@ func main() {
 	}
 	if *verbose {
 		if cs, ok := sched.(*core.Scheduler); ok {
-			st := cs.Stats
-			fmt.Printf("solver: solves=%d nodes=%d max-nodes=%d workers=%d lp-iters=%d phase1=%d warm-lp=%d cold-lp=%d decomposed=%d components=%d\n",
-				st.Solves, st.Nodes, st.MaxNodes, st.Workers, st.LPIters, st.Phase1, st.WarmLPs, st.ColdLPs, st.Decomposed, st.Components)
-			fmt.Printf("presolve: vars-fixed=%d rows-dropped=%d cliques-merged=%d rounds=%d time=%v\n",
-				st.PresolveFixed, st.PresolveRows, st.PresolveCliques, st.PresolveRounds, st.PresolveTime.Round(time.Microsecond))
-			fmt.Printf("basis: factorizations=%d eta-updates=%d dense-fallbacks=%d\n",
-				st.Factorizations, st.EtaUpdates, st.DenseFallbacks)
-			fmt.Printf("cuts: rounds=%d cover=%d clique=%d  branching: pseudocost=%d fractional=%d\n",
-				st.CutRounds, st.CoverCuts, st.CliqueCuts, st.PseudocostBranches, st.FractionalBranches)
-			fmt.Printf("reuse: hits=%d misses=%d hit-rate=%.1f%%\n",
-				st.ReuseHits, st.ReuseMisses, 100*st.ReuseHitRate())
-			fmt.Printf("frontend: expr-hits=%d expr-misses=%d compile-skips=%d compile-jobs=%d skip-rate=%.1f%% generate=%v compile=%v\n",
-				st.ExprHits, st.ExprMisses, st.CompileSkips, st.CompileJobs, 100*st.CompileSkipRate(),
-				(time.Duration(st.GenerateNS) * time.Nanosecond).Round(time.Microsecond),
-				(time.Duration(st.CompileNS) * time.Nanosecond).Round(time.Microsecond))
+			lines := telemetry.Lines(core.SolverMetrics, &cs.Stats)
 			if sh := cs.ShardStatsSnapshot(); sh.Shards > 0 {
-				fmt.Printf("shard: shards=%d partitioner=%s cycles=%d spanning=%d conflicts=%d requeued=%d arb-launched=%d arb-deferred=%d\n",
-					sh.Shards, sh.Partitioner, sh.Cycles, sh.Spanning, sh.Conflicts, sh.Requeued, sh.ArbLaunched, sh.ArbDeferred)
+				lines = append(lines, telemetry.Lines(core.ShardMetrics, &sh)...)
 			}
+			fmt.Println(strings.Join(lines, "\n"))
 		}
 		fmt.Println("\n  id class type  k   submit    start   finish deadline  outcome")
 		for i := range res.Stats {

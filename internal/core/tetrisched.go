@@ -214,6 +214,7 @@ type SolveStats struct {
 	Factorizations int64 // sparse LU (or dense fallback) basis factorizations
 	EtaUpdates     int64 // Forrest–Tomlin eta updates applied between refactorizations
 	DenseFallbacks int   // scratches that abandoned LU for the dense inverse
+	WarmFallbacks  int   // warm restarts abandoned for the cold path (dual.go); each is one of ColdLPs too
 
 	// Root cutting-plane telemetry (internal/milp/cuts.go).
 	CutRounds  int // root separation rounds that tightened a relaxation
@@ -286,6 +287,7 @@ func (st *SolveStats) record(sol *milp.Solution, warmSeeds int, d time.Duration)
 	st.Phase1 += sol.LP.Phase1
 	st.WarmLPs += sol.LP.WarmHits
 	st.ColdLPs += sol.LP.ColdStarts
+	st.WarmFallbacks += sol.LP.WarmFallbacks
 	st.PresolveFixed += sol.Presolve.VarsFixed
 	st.PresolveRows += sol.Presolve.RowsDropped
 	st.PresolveCliques += sol.Presolve.CliquesMerged
@@ -378,15 +380,15 @@ type ShardStats struct {
 	ArbDeferred int64  // arbitrator jobs deferred or requeued intact
 }
 
-// ShardStatsSnapshot returns a copy of the cumulative sharding telemetry; the
-// daemon surfaces it via /v1/status and /metrics.
+// ShardStatsSnapshot returns a copy of the cumulative sharding telemetry, which
+// ShardMetrics names for /v1/status, /metrics and tetrisim -v.
 func (s *Scheduler) ShardStatsSnapshot() ShardStats { return s.shardStats }
 
 // sharded reports whether the sharded control plane is active.
 func (s *Scheduler) sharded() bool { return s.shardState != nil }
 
-// SolveStatsSnapshot returns a copy of the cumulative solver telemetry; the
-// daemon surfaces it via /v1/status and /metrics.
+// SolveStatsSnapshot returns a copy of the cumulative solver telemetry, which
+// SolverMetrics names for /v1/status, /metrics and tetrisim -v.
 func (s *Scheduler) SolveStatsSnapshot() SolveStats { return s.Stats }
 
 var _ sim.Scheduler = (*Scheduler)(nil)

@@ -12,13 +12,12 @@ package httpapi
 // instead of unbounded memory.
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"tetrisched/internal/telemetry"
 	"tetrisched/internal/workload"
 )
 
@@ -187,8 +186,9 @@ type admission struct {
 	vtFloor float64          // fair-queuing floor: vt of the last-served tenant
 	epoch   uint64           // batch-validation epoch (see tenantState.batchEpoch)
 	touched []*tenantState   // reusable scratch for per-batch tenant groups
-	latency *histogram       // submit-request handling latency
 	now     func() time.Time // clock; swapped out by token-bucket tests
+	// latency is the submit-request handling latency.
+	latency *telemetry.Histogram
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
@@ -197,7 +197,7 @@ func newAdmission(cfg AdmissionConfig) *admission {
 		cfg:     cfg,
 		tenants: make(map[string]*tenantState),
 		queued:  make(map[int]struct{}),
-		latency: newHistogram(admitLatencyBuckets),
+		latency: telemetry.NewHistogram(admitLatencyBuckets),
 		now:     time.Now,
 	}
 	for _, tc := range cfg.Tenants {
@@ -468,7 +468,7 @@ func (a *admission) noteDupDrop(tenant string) {
 
 func (a *admission) observeLatency(d time.Duration) {
 	a.mu.Lock()
-	a.latency.observe(d.Seconds())
+	a.latency.Observe(d.Seconds())
 	a.mu.Unlock()
 }
 
@@ -517,62 +517,40 @@ type TenantStatusMsg struct {
 
 // AdmissionStatusMsg is the admission block of /v1/status.
 type AdmissionStatusMsg struct {
-	Queued   int               `json:"queued"`
-	MaxQueue int               `json:"max_queue"`
-	Burst    int               `json:"burst"`
-	Tenants  []TenantStatusMsg `json:"tenants,omitempty"`
+	Queued   int                  `json:"queued"`
+	MaxQueue int                  `json:"max_queue"`
+	Burst    int                  `json:"burst"`
+	Tenants  []*TenantStatusMsg   `json:"tenants,omitempty"`
+	Latency  *telemetry.Histogram `json:"-"` // submit-request latency, for /metrics only
 }
 
-// writeMetrics renders the admission metrics in Prometheus text format:
-// queue depth (total and per tenant), per-tenant admitted/enqueued/rejected
-// counters, and the submit-request latency histogram. Metric names are
-// documented in docs/OBSERVABILITY.md.
-func (a *admission) writeMetrics(b *strings.Builder) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-
-	fmt.Fprintf(b, "# HELP tetrisched_admission_queue_depth Jobs in the ingress queue.\n# TYPE tetrisched_admission_queue_depth gauge\n")
-	fmt.Fprintf(b, "tetrisched_admission_queue_depth %d\n", a.total)
-	fmt.Fprintf(b, "# HELP tetrisched_admission_queue_capacity Ingress queue bound (MaxQueue).\n# TYPE tetrisched_admission_queue_capacity gauge\n")
-	fmt.Fprintf(b, "tetrisched_admission_queue_capacity %d\n", a.cfg.MaxQueue)
-
-	names := make([]string, 0, len(a.tenants))
-	for name := range a.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	perTenant := func(metric, help, typ string, v func(*tenantState) uint64) {
-		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", metric, help, metric, typ)
-		for _, name := range names {
-			fmt.Fprintf(b, "%s{tenant=%q} %d\n", metric, name, v(a.tenants[name]))
-		}
-	}
-	perTenant("tetrisched_admission_tenant_queued", "Jobs a tenant has in the ingress queue.", "gauge",
-		func(t *tenantState) uint64 { return uint64(t.depth()) })
-	perTenant("tetrisched_admission_enqueued_total", "Jobs accepted into the ingress queue.", "counter",
-		func(t *tenantState) uint64 { return t.enqueued })
-	perTenant("tetrisched_admission_admitted_total", "Jobs drained into the scheduler by the weighted-fair dequeue.", "counter",
-		func(t *tenantState) uint64 { return t.admitted })
-	perTenant("tetrisched_admission_rejected_full_total", "Jobs rejected because the ingress queue was full (429).", "counter",
-		func(t *tenantState) uint64 { return t.rejectedFull })
-	perTenant("tetrisched_admission_rejected_quota_total", "Jobs rejected by tenant quota (429).", "counter",
-		func(t *tenantState) uint64 { return t.rejectedQuota })
-	perTenant("tetrisched_admission_rejected_rate_total", "Jobs rejected by the tenant's token-bucket rate limit (429).", "counter",
-		func(t *tenantState) uint64 { return t.rejectedRate })
-	perTenant("tetrisched_admission_rejected_dup_total", "Queued jobs dropped at drain as duplicates of admitted IDs.", "counter",
-		func(t *tenantState) uint64 { return t.rejectedDup })
-
-	writeHistogram(b, "tetrisched_admission_latency_seconds",
-		"Submit-request handling wall-clock (decode + admission verdict).", a.latency)
+// admissionMetrics and tenantMetrics name the admission status for /metrics,
+// the tenant rows once per tenant under a tenant label; a row's key is the
+// JSON key under which /v1/status shows the same value.
+var admissionMetrics = []telemetry.Metric[AdmissionStatusMsg]{
+	telemetry.Row("", "queued", "tetrisched_admission_queue_depth", "gauge", "Jobs in the ingress queue.", func(a *AdmissionStatusMsg) any { return a.Queued }),
+	telemetry.Row("", "max_queue", "tetrisched_admission_queue_capacity", "gauge", "Ingress queue bound (-max-queue).", func(a *AdmissionStatusMsg) any { return a.MaxQueue }),
+	telemetry.Row("", "", "tetrisched_admission_latency_seconds", "histogram", "POST /v1/submit handling wall-clock, decode plus admission verdict (buckets 25 us to 100 ms).", func(a *AdmissionStatusMsg) any { return a.Latency }),
 }
 
-// status snapshots the admission state for /v1/status.
+var tenantMetrics = []telemetry.Metric[TenantStatusMsg]{
+	telemetry.Row("", "queued", "tetrisched_admission_tenant_queued", "gauge", "Jobs a tenant has in the ingress queue.", func(t *TenantStatusMsg) any { return t.Queued }),
+	telemetry.Row("", "enqueued", "tetrisched_admission_enqueued_total", "counter", "Jobs accepted into the ingress queue.", func(t *TenantStatusMsg) any { return t.Enqueued }),
+	telemetry.Row("", "admitted", "tetrisched_admission_admitted_total", "counter", "Jobs drained into the scheduler by the weighted-fair dequeue.", func(t *TenantStatusMsg) any { return t.Admitted }),
+	telemetry.Row("", "rejected_full", "tetrisched_admission_rejected_full_total", "counter", "Jobs rejected because the ingress queue was full (429).", func(t *TenantStatusMsg) any { return t.RejectedFull }),
+	telemetry.Row("", "rejected_quota", "tetrisched_admission_rejected_quota_total", "counter", "Jobs rejected by tenant quota (429).", func(t *TenantStatusMsg) any { return t.RejectedQuota }),
+	telemetry.Row("", "rejected_rate", "tetrisched_admission_rejected_rate_total", "counter", "Jobs rejected by the tenant's token-bucket rate limit (429).", func(t *TenantStatusMsg) any { return t.RejectedRate }),
+	telemetry.Row("", "rejected_dup", "tetrisched_admission_rejected_dup_total", "counter", "Queued jobs dropped at drain as duplicates of admitted IDs.", func(t *TenantStatusMsg) any { return t.RejectedDup }),
+}
+
+// status copies the admission state out, tenants by name, for /v1/status and
+// /metrics to render after the lock is dropped.
 func (a *admission) status() *AdmissionStatusMsg {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	msg := &AdmissionStatusMsg{Queued: a.total, MaxQueue: a.cfg.MaxQueue, Burst: a.cfg.Burst}
+	msg := &AdmissionStatusMsg{Queued: a.total, MaxQueue: a.cfg.MaxQueue, Burst: a.cfg.Burst, Latency: a.latency.Clone()}
 	for _, ts := range a.tenants {
-		msg.Tenants = append(msg.Tenants, TenantStatusMsg{
+		msg.Tenants = append(msg.Tenants, &TenantStatusMsg{
 			Name: ts.name, Weight: ts.weight, Quota: ts.quota, Queued: ts.depth(),
 			Rate: ts.rate, RateBurst: ts.burstCap,
 			Enqueued: ts.enqueued, Admitted: ts.admitted,

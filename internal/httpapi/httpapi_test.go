@@ -111,6 +111,12 @@ func TestServerValidation(t *testing.T) {
 	if err := client.get("/v1/jobs", &struct{}{}); err == nil {
 		t.Errorf("GET on /v1/jobs accepted")
 	}
+	// POST on the GET-only telemetry endpoints.
+	for _, path := range []string{"/v1/status", "/metrics"} {
+		if err := client.post(path, &struct{}{}, nil); err == nil || !strings.Contains(err.Error(), "405") {
+			t.Errorf("POST on %s: %v, want 405", path, err)
+		}
+	}
 	// Status works.
 	var st StatusResponse
 	if err := client.get("/v1/status", &st); err != nil {

@@ -115,10 +115,6 @@ func decodeBody(r *http.Request, v interface{}) error {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
 	t0 := time.Now()
 	if ct := r.Header.Get("Content-Type"); ct == "application/x-ndjson" {
 		s.submitStream(w, r)
