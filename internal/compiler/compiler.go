@@ -74,21 +74,18 @@ type leafRecord struct {
 }
 
 // noVar stands where a variable would be had its subtree been lowered: the
-// indicator of a culled leaf, and the placeholders a dead subtree leaves in
-// kidInd and minVar so that a walk of the job's tree stays aligned.
+// indicator of a culled leaf.
 const noVar milp.VarID = -1
 
 // jobRecord locates one job's share of the compiled batch. Everything the
 // compiler emits is per-job contiguous and in the order gen visits the job's
-// tree, so a job's variables, leaf records, MAX/SUM child indicators and MIN
-// value variables are each the range from its record to the next job's; the
-// slice of records ends with a sentinel holding the totals.
+// tree, so a job's variables and leaf records are each the range from its
+// record to the next job's; the slice of records ends with a sentinel holding
+// the totals.
 type jobRecord struct {
 	varLo     int  // first model variable, which is the job's own indicator
 	leafLo    int  // first entry of Compiled.leaves
-	kidLo     int  // first entry of Compiled.kidInd
-	minLo     int  // first entry of Compiled.minVar
-	roundable bool // GreedyRound handles the job's shape
+	roundable bool // GreedyRound and Seed handle the job's shape
 }
 
 // Compiled is the result of compiling a batch of job expressions. It is a
@@ -108,8 +105,6 @@ type Compiled struct {
 	jobs   []strl.Expr
 	job    []jobRecord  // len(jobs)+1, see jobRecord
 	leaves []leafRecord // depth-first within a job, jobs in batch order
-	kidInd []milp.VarID // indicator of each MAX/SUM child, in gen's visiting order
-	minVar []milp.VarID // value variable of each MIN node, likewise
 	parts  []partVar    // every leaf's partition variables, see leafRecord
 	avail  [][]int64    // [group][slice]
 	scr    *Scratch     // the memory all of the above lives in
@@ -160,8 +155,6 @@ type Scratch struct {
 	part      cluster.Partitioning
 	job       []jobRecord
 	leaves    []leafRecord
-	kidInd    []milp.VarID
-	minVar    []milp.VarID
 	parts     []partVar
 	avail     [][]int64
 	availFlat []int64
@@ -250,16 +243,6 @@ type LeafGrant struct {
 	Total  int
 }
 
-// count returns the nodes the grant draws from the group.
-func (g *LeafGrant) count(group int) int {
-	for _, gc := range g.Counts {
-		if gc.Group == group {
-			return gc.N
-		}
-	}
-	return 0
-}
-
 // Compile lowers one STRL expression per pending job into a single MILP.
 // The top level is an implicit SUM across jobs, each with its own indicator,
 // exactly as the scheduler aggregates pending requests (§3.2).
@@ -346,8 +329,6 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		jobs:   jobs,
 		job:    sc.job[:0],
 		leaves: leaves,
-		kidInd: sc.kidInd[:0],
-		minVar: sc.minVar[:0],
 		parts:  sc.parts[:0],
 		scr:    sc,
 		epoch:  sc.epoch,
@@ -357,10 +338,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 
 	for jid, job := range jobs {
 		ind := c.Model.AddVarNamed(milp.Namef("I_j%d", jid), milp.Binary, 0, 1, 0)
-		c.job = append(c.job, jobRecord{
-			varLo: int(ind), leafLo: sc.nl, kidLo: len(c.kidInd), minLo: len(c.minVar),
-			roundable: roundable(job),
-		})
+		c.job = append(c.job, jobRecord{varLo: int(ind), leafLo: sc.nl, roundable: roundable(job)})
 		if sc.dead[sc.nn] {
 			// Nothing of the job can be granted: its indicator, free and
 			// worthless, is all there is of it.
@@ -378,9 +356,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		}
 		sc.obj = sc.obj[:0]
 	}
-	c.job = append(c.job, jobRecord{
-		varLo: c.Model.NumVars(), leafLo: sc.nl, kidLo: len(c.kidInd), minLo: len(c.minVar),
-	})
+	c.job = append(c.job, jobRecord{varLo: c.Model.NumVars(), leafLo: sc.nl})
 	// Supply constraints: usage within each (group, slice) cannot exceed the
 	// nodes available there. Constraints that cannot bind are dropped, and so
 	// is a cell that repeats the terms of one its group already has a row for
@@ -410,8 +386,8 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		}
 		sc.kept = kept
 	}
-	// The append-grown arrays may have moved; keep the larger ones.
-	sc.kidInd, sc.minVar, sc.parts = c.kidInd, c.minVar, c.parts
+	// The append-grown array may have moved; keep the larger one.
+	sc.parts = c.parts
 	return c, nil
 }
 
@@ -467,7 +443,6 @@ func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
 		return c.genChoice(job, x.Kids, ind, "I_j%d_max%d", "max_j%d", -1)
 	case *strl.Min:
 		v := c.Model.AddVarNamed(milp.Namef("V_j%d", job), milp.Continuous, 0, milp.Inf, 0)
-		c.minVar = append(c.minVar, v)
 		for _, kid := range x.Kids {
 			lo := len(sc.obj)
 			if err := c.gen(job, kid, ind); err != nil { // children share the indicator
@@ -509,12 +484,10 @@ func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidForma
 	lo := len(sc.kids) // nested choices push and pop above this level's terms
 	for i, kid := range kids {
 		if sc.dead[sc.nn] {
-			c.kidInd = append(c.kidInd, noVar)
 			c.skip(kid)
 			continue
 		}
 		ki := c.Model.AddVarNamed(milp.Namef(kidFormat, job, i), milp.Binary, 0, 1, 0)
-		c.kidInd = append(c.kidInd, ki)
 		sc.kids = append(sc.kids, milp.Term{Var: ki, Coef: 1})
 		if err := c.gen(job, kid, ki); err != nil {
 			return err
@@ -621,9 +594,8 @@ func (c *Compiled) allDead(kids []strl.Expr, leaf *int) bool {
 	return dead
 }
 
-// skip passes over a dead subtree: its leaves have no variables whatever their
-// own test said, so all are culled, and its MAX/SUM children and MIN nodes
-// leave placeholders for treeCursor to count.
+// skip passes over a dead subtree, counting its nodes and leaves as gen would:
+// its leaves have no variables whatever their own test said, so all are culled.
 func (c *Compiled) skip(expr strl.Expr) {
 	c.scr.nn++
 	switch x := expr.(type) {
@@ -631,12 +603,11 @@ func (c *Compiled) skip(expr strl.Expr) {
 		c.leaves[c.scr.nl].culled = true
 		c.scr.nl++
 	case *strl.Max:
-		c.skipKids(x.Kids, true)
+		c.skipKids(x.Kids)
 	case *strl.Sum:
-		c.skipKids(x.Kids, true)
+		c.skipKids(x.Kids)
 	case *strl.Min:
-		c.minVar = append(c.minVar, noVar)
-		c.skipKids(x.Kids, false)
+		c.skipKids(x.Kids)
 	case *strl.Scale:
 		c.skip(x.Kid)
 	case *strl.Barrier:
@@ -644,11 +615,8 @@ func (c *Compiled) skip(expr strl.Expr) {
 	}
 }
 
-func (c *Compiled) skipKids(kids []strl.Expr, owned bool) {
+func (c *Compiled) skipKids(kids []strl.Expr) {
 	for _, kid := range kids {
-		if owned {
-			c.kidInd = append(c.kidInd, noVar)
-		}
 		c.skip(kid)
 	}
 }
@@ -792,17 +760,6 @@ func (c *Compiled) jobLeaves(j int) []leafRecord {
 	return c.leaves[c.job[j].leafLo:c.job[j+1].leafLo]
 }
 
-// JobChosen reports whether job j received any allocation in the solution.
-func (c *Compiled) JobChosen(sol *milp.Solution, j int) bool {
-	recs := c.jobLeaves(j)
-	for i := range recs {
-		if c.grantedGroups(&recs[i], sol.Values, 0) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // grantedGroups returns how many partition groups the vector x draws the leaf's
 // nodes from; x is in a variable space shifted down by shift from the model's.
 func (c *Compiled) grantedGroups(rec *leafRecord, x []float64, shift int) int {
@@ -894,249 +851,4 @@ func (c *Compiled) Assignment(sol *milp.Solution) strl.Assignment {
 		a[g.Leaf] = g.Total
 	}
 	return a
-}
-
-// findLeaf returns the index in c.leaves of the given leaf of job j, or -1.
-// A leaf node that occurs more than once in the job's tree resolves to its
-// last occurrence.
-func (c *Compiled) findLeaf(j int, leaf strl.Expr) int {
-	if j < 0 || j >= len(c.jobs) {
-		return -1
-	}
-	for i := c.job[j+1].leafLo - 1; i >= c.job[j].leafLo; i-- {
-		if c.leaves[i].expr == leaf {
-			return i
-		}
-	}
-	return -1
-}
-
-// SeedGrant builds a full-k grant for the given leaf of batch job j,
-// splitting the count greedily across its partition groups by availability
-// over the leaf's slices. It is used to express "the same choice as last
-// cycle" when warm-starting; the caller combines grants with InitialVector
-// and the solver re-validates feasibility. ok is false for culled or unknown
-// leaves.
-func (c *Compiled) SeedGrant(j int, leaf strl.Expr) (LeafGrant, bool) {
-	li := c.findLeaf(j, leaf)
-	if li < 0 || c.leaves[li].culled {
-		return LeafGrant{}, false
-	}
-	rec := &c.leaves[li]
-	g := LeafGrant{Job: rec.job, Leaf: leaf, Start: rec.start, Dur: rec.dur}
-	if rec.single {
-		g.Counts = []GroupCount{{rec.group, rec.k}}
-		g.Total = rec.k
-		return g, true
-	}
-	s, e, ok := c.slices(rec.start, rec.dur)
-	if !ok {
-		return LeafGrant{}, false
-	}
-	g.Counts = make([]GroupCount, 0, rec.partN)
-	need := rec.k
-	for _, pv := range c.partsOf(rec) {
-		if need == 0 {
-			break
-		}
-		take := int(c.minAvail(pv.group, s, e))
-		if take > need {
-			take = need
-		}
-		if take > 0 {
-			g.Counts = append(g.Counts, GroupCount{pv.group, take})
-			g.Total += take
-			need -= take
-		}
-	}
-	if !rec.linear && g.Total != rec.k {
-		return LeafGrant{}, false
-	}
-	return g, true
-}
-
-// InitialVector builds a candidate solution vector that grants each listed
-// leaf (located by the grant's Job and Leaf) the given per-group counts,
-// activating the indicators along its path. It returns ok=false if the
-// grants cannot be expressed (e.g. a culled leaf).
-//
-// Contract: grants must jointly satisfy MIN subtrees — activating one leaf
-// under a MIN forces its siblings' demands, so partial MIN grants yield
-// infeasible vectors. The scheduler only seeds max-of-leaf job shapes, and
-// the solver re-validates feasibility before accepting any seed, so a bad
-// vector degrades to "no warm start" rather than a wrong schedule.
-//
-// The vector is full-space (one entry per model variable). Downstream
-// reductions remap it transparently: milp.Solve restricts it through the
-// presolve layer's RestrictPoint (feasible full-space points restrict to
-// feasible reduced points), and Component.Restrict projects it onto each
-// sub-model of a decomposed solve — callers never adjust the vector for
-// either transformation.
-func (c *Compiled) InitialVector(grants []LeafGrant) ([]float64, bool) {
-	x := make([]float64, c.Model.NumVars())
-	active := make([]bool, len(c.leaves)) // by index into c.leaves
-	for _, g := range grants {
-		li := c.findLeaf(g.Job, g.Leaf)
-		if li < 0 || c.leaves[li].culled {
-			return nil, false
-		}
-		rec := &c.leaves[li]
-		if rec.single {
-			if g.Total != rec.k {
-				return nil, false
-			}
-			x[rec.ind] = 1
-		} else {
-			total := 0
-			for _, pv := range c.partsOf(rec) {
-				n := g.count(pv.group)
-				x[pv.id] = float64(n)
-				total += n
-			}
-			if total != g.Total {
-				return nil, false
-			}
-			if !rec.linear {
-				if total != rec.k {
-					return nil, false
-				}
-				x[rec.ind] = 1
-			} else if total > 0 {
-				x[rec.ind] = 1
-			}
-		}
-		active[li] = true
-	}
-	// Activate ancestor indicators bottom-up per job, then set MIN value
-	// variables to their implied values: the solver treats the vector as a
-	// candidate point and checks its feasibility, so V values must be
-	// consistent.
-	for j, job := range c.jobs {
-		cur := treeCursor{leaf: c.job[j].leafLo, kid: c.job[j].kidLo}
-		if c.activate(job, &cur, active, x) {
-			x[c.job[j].varLo] = 1
-		}
-		cur = treeCursor{leaf: c.job[j].leafLo, min: c.job[j].minLo}
-		c.evalInto(job, &cur, x)
-	}
-	return x, true
-}
-
-// treeCursor re-walks a job's tree in gen's order: the next leaf record,
-// MAX/SUM child indicator and MIN value variable to be met.
-type treeCursor struct{ leaf, kid, min int }
-
-// activate marks indicator variables for subtrees containing active leaves
-// and reports whether e contains any.
-func (c *Compiled) activate(e strl.Expr, cur *treeCursor, active []bool, x []float64) bool {
-	switch n := e.(type) {
-	case *strl.NCk, *strl.LnCk:
-		cur.leaf++
-		return active[cur.leaf-1]
-	case *strl.Max:
-		return c.activateKids(n.Kids, true, cur, active, x)
-	case *strl.Sum:
-		return c.activateKids(n.Kids, true, cur, active, x)
-	case *strl.Min:
-		return c.activateKids(n.Kids, false, cur, active, x)
-	case *strl.Scale:
-		return c.activate(n.Kid, cur, active, x)
-	case *strl.Barrier:
-		return c.activate(n.Kid, cur, active, x)
-	}
-	return false
-}
-
-// activateKids is activate over a node's children; the children of a MAX or
-// SUM each own an indicator, those of a MIN share their parent's.
-func (c *Compiled) activateKids(kids []strl.Expr, owned bool, cur *treeCursor, active []bool, x []float64) bool {
-	any := false
-	for _, kid := range kids {
-		ki := cur.kid
-		if owned {
-			cur.kid++
-		}
-		if c.activate(kid, cur, active, x) {
-			any = true
-			if owned {
-				x[c.kidInd[ki]] = 1
-			}
-		}
-	}
-	return any
-}
-
-// evalInto computes the objective contribution of e under x, storing MIN
-// values into their variables along the way.
-func (c *Compiled) evalInto(e strl.Expr, cur *treeCursor, x []float64) float64 {
-	switch n := e.(type) {
-	case *strl.NCk:
-		rec := &c.leaves[cur.leaf]
-		cur.leaf++
-		if rec.culled {
-			return 0
-		}
-		if x[rec.ind] > 0.5 {
-			if rec.single {
-				return n.Value
-			}
-			total := 0.0
-			for _, pv := range c.partsOf(rec) {
-				total += x[pv.id]
-			}
-			if int(math.Round(total)) == n.K {
-				return n.Value
-			}
-		}
-		return 0
-	case *strl.LnCk:
-		rec := &c.leaves[cur.leaf]
-		cur.leaf++
-		if rec.culled {
-			return 0
-		}
-		total := 0.0
-		for _, pv := range c.partsOf(rec) {
-			total += x[pv.id]
-		}
-		return n.Value * total / float64(n.K)
-	case *strl.Max:
-		best := 0.0
-		for _, kid := range n.Kids {
-			if v := c.evalInto(kid, cur, x); v > best {
-				best = v
-			}
-		}
-		return best
-	case *strl.Min:
-		v := c.minVar[cur.min]
-		cur.min++
-		mn := math.Inf(1)
-		for _, kid := range n.Kids {
-			if f := c.evalInto(kid, cur, x); f < mn {
-				mn = f
-			}
-		}
-		if math.IsInf(mn, 1) {
-			mn = 0
-		}
-		if v != noVar { // a dead MIN has no variable, and no value
-			x[v] = mn
-		}
-		return mn
-	case *strl.Sum:
-		total := 0.0
-		for _, kid := range n.Kids {
-			total += c.evalInto(kid, cur, x)
-		}
-		return total
-	case *strl.Scale:
-		return n.S * c.evalInto(n.Kid, cur, x)
-	case *strl.Barrier:
-		if c.evalInto(n.Kid, cur, x) >= n.V {
-			return n.V
-		}
-		return 0
-	}
-	return 0
 }

@@ -272,7 +272,7 @@ func TestGangSharesSupply(t *testing.T) {
 	}
 }
 
-func TestInitialVectorWarmStart(t *testing.T) {
+func TestSeedWarmStart(t *testing.T) {
 	n := 4
 	gpus := set(n, 0, 1)
 	job := &strl.Max{Kids: []strl.Expr{
@@ -283,21 +283,13 @@ func TestInitialVectorWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	// Seed with the (suboptimal) fallback branch; grant from whichever groups
-	// cover the full cluster.
-	fallback := job.Kids[1].(*strl.NCk)
-	rec := &c.leaves[c.findLeaf(0, fallback)]
-	counts := []GroupCount{{rec.group, 2}}
-	if !rec.single {
-		counts[0].Group = c.partsOf(rec)[0].group
-	}
-	grant := LeafGrant{Job: 0, Leaf: fallback, Start: 0, Dur: 3, Counts: counts, Total: 2}
-	vec, ok := c.InitialVector([]LeafGrant{grant})
-	if !ok {
-		t.Fatalf("InitialVector rejected a valid grant")
+	// Seed with the (suboptimal) fallback branch, the job's second leaf.
+	vec := c.Components()[0].Seed(nil, []int32{1})
+	if vec == nil {
+		t.Fatalf("Seed gave no vector for a leaf that can be granted")
 	}
 	if !c.Model.IsFeasible(vec, 1e-6) {
-		t.Fatalf("InitialVector produced infeasible point")
+		t.Fatalf("Seed produced infeasible point")
 	}
 	if obj := c.Model.ObjectiveValue(vec); math.Abs(obj-3) > 1e-6 {
 		t.Fatalf("seed objective = %v, want 3", obj)

@@ -400,19 +400,3 @@ func (cc *Component) Restrict(full []float64) []float64 {
 	}
 	return out
 }
-
-// RestrictSeed projects a full-model warm-start vector onto the component,
-// returning nil when the projection has no nonzero entry. Unlike Restrict, a
-// support-free projection means "this component has no seed": handing the
-// solver an all-zero vector would both plant a spurious zero-value incumbent
-// in a sub-solve the seed never covered and let telemetry count it as a warm
-// start.
-func (cc *Component) RestrictSeed(full []float64) []float64 {
-	out := cc.Restrict(full)
-	for _, v := range out {
-		if v != 0 {
-			return out
-		}
-	}
-	return nil
-}

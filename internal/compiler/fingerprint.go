@@ -147,11 +147,3 @@ func (c *Compiled) ComponentFingerprint(cc *Component) uint64 {
 	cc.fp, cc.fpSet = uint64(h), true
 	return cc.fp
 }
-
-// ComponentGroups returns the partition-group indices referenced by the
-// component's non-culled leaves, ascending; the slice is the component's own
-// and must not be modified. The scheduler uses it to decide whether a node
-// whose release slice moved can affect this component.
-func (c *Compiled) ComponentGroups(cc *Component) []int {
-	return cc.scope.groups
-}

@@ -4,10 +4,12 @@ import (
 	"testing"
 )
 
-// TestRestrictSeedNilOnEmptySupport pins the seed-projection contract: a
-// component outside the seed's support gets nil (no seed), not an all-zero
-// vector the solver would mistake for a warm incumbent.
-func TestRestrictSeedNilOnEmptySupport(t *testing.T) {
+// TestSeedNilWithoutWantedMember pins the seed contract: a component none of
+// whose jobs is wanted gets nil (no seed), not an all-zero vector the solver
+// would mistake for a warm incumbent, and costs nothing — the buffer is
+// neither grown nor cleared; a seeded component writes into the buffer it is
+// handed, so a caller that keeps it allocates once.
+func TestSeedNilWithoutWantedMember(t *testing.T) {
 	n := 6
 	c, err := Compile(blockJobs(n, 2), Options{Universe: n, Horizon: 4})
 	if err != nil {
@@ -17,20 +19,25 @@ func TestRestrictSeedNilOnEmptySupport(t *testing.T) {
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2", len(comps))
 	}
-	// Seed the full vector only inside component 0's variables.
-	full := make([]float64, c.Model.NumVars())
-	full[comps[0].VarMap[0]] = 1
-	if got := comps[0].RestrictSeed(full); got == nil {
-		t.Error("component holding the seed's support got a nil projection")
+	want := []int32{-1, 2, -1, -1} // the last leaf of the second job, in component 0
+	seed := comps[0].Seed(nil, want)
+	if seed == nil {
+		t.Fatal("component holding the wanted job got no seed")
 	}
-	if got := comps[1].RestrictSeed(full); got != nil {
-		t.Errorf("component outside the seed's support got %v, want nil", got)
+	stale := []float64{7, 7}
+	if got := comps[1].Seed(stale, want); got != nil || stale[0] != 7 || stale[1] != 7 {
+		t.Errorf("component without a wanted job got %v and left the buffer %v; want nil and untouched", got, stale)
 	}
-	if got := comps[1].Restrict(full); got == nil {
-		t.Error("plain Restrict must still return the (zero) projection")
+	for i := range seed {
+		seed[i] = 7 // what an earlier cycle left behind
 	}
-	if got := comps[0].RestrictSeed(nil); got != nil {
-		t.Errorf("RestrictSeed(nil) = %v, want nil", got)
+	if again := comps[0].Seed(seed, want); &again[0] != &seed[0] || !comps[0].Model.IsFeasible(again, 1e-6) {
+		t.Errorf("a second seed into the kept buffer is %v, not a feasible point in the buffer", again)
+	}
+	for ci, cc := range comps {
+		if avg := testing.AllocsPerRun(20, func() { cc.Seed(seed, want) }); avg != 0 {
+			t.Errorf("component %d: Seed into a kept buffer allocates %v times", ci, avg)
+		}
 	}
 }
 

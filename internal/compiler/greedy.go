@@ -337,3 +337,49 @@ func (r *rounding) grant(rec *leafRecord, shift int, commit bool) bool {
 	}
 	return need == 0
 }
+
+// Seed writes the component's warm start — "the same choices as last cycle" —
+// into buf and returns it. want[j] names, for batch job j, which of the job's
+// leaves (counted in tree order, culled ones included) to grant, or is negative
+// for none. A wanted leaf is written as the rounding writes a grant: its k
+// nodes drawn group by group in the leaf's order, its indicator and the job's
+// set to 1. Each draws on the whole availability, not on a ledger, so two
+// seeded jobs may overdraw a group between them; the solver validates a seed
+// before it accepts it. A culled leaf has no variables to write, and a job that
+// is not roundable has a path the rounding does not know: neither is seeded.
+//
+// Seed returns nil when no job of the component is seeded, having neither
+// allocated nor cleared anything: the component has no warm start, which an
+// all-zero vector (a zero-value incumbent) would not say. Otherwise the seed
+// is written over buf, which is reallocated only if it has not the capacity
+// for the component's variables, so a caller that keeps what is returned
+// allocates once.
+func (cc *Component) Seed(buf []float64, want []int32) []float64 {
+	c := cc.parent
+	r := rounding{c: c, sc: &cc.scope}
+	var x []float64
+	for i := range cc.Jobs {
+		j, shift := r.job(i)
+		recs := c.jobLeaves(j)
+		w := int(want[j])
+		if w < 0 || w >= len(recs) || recs[w].culled || !c.job[j].roundable {
+			continue
+		}
+		if x == nil {
+			x = sized(buf, cc.scope.nVars)
+			clear(x)
+		}
+		// A leaf that survived culling fits the availability it was tested
+		// against: need reaches 0 within its groups.
+		rec := &recs[w]
+		s, e, _ := c.slices(rec.start, rec.dur)
+		need := rec.k
+		for _, pv := range c.partsOf(rec) { // none for a single-group leaf: its count is k·ind
+			n := min(need, int(c.minAvail(pv.group, s, e)))
+			x[int(pv.id)-shift] = float64(n)
+			need -= n
+		}
+		x[int(rec.ind)-shift], x[c.job[j].varLo-shift] = 1, 1
+	}
+	return x
+}

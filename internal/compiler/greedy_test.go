@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -132,47 +133,61 @@ func TestSolveWithHeuristicMatchesExact(t *testing.T) {
 	}
 }
 
-// TestQuickSeedGrantFeasibility: for any compiled batch, granting any single
-// non-culled leaf via SeedGrant + InitialVector yields a model-feasible
-// point — the invariant the scheduler's warm start relies on.
-func TestQuickSeedGrantFeasibility(t *testing.T) {
+// TestQuickSeedFeasibility: wanting any single leaf of a batch seeds exactly
+// the component holding its job, with a point feasible in that component's
+// model — the invariant the scheduler's warm start relies on — under the
+// natural decomposition and a forced one, unless the leaf is culled, is not
+// there, or its job is no MAX of leaves; then, and in every other component, the
+// seed is nil. The batches are the generator's shape (cycleBatch) and, every
+// third one, small trees of every shape.
+func TestQuickSeedFeasibility(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(5)
-		horizon := int64(1 + r.Intn(4))
-		var jobs []strl.Expr
-		for j := 0; j < 1+r.Intn(3); j++ {
-			jobs = append(jobs, randomJob(r, n, horizon))
-		}
-		var rel []int64
-		if r.Intn(2) == 0 {
-			rel = make([]int64, n)
-			for i := range rel {
-				rel[i] = int64(r.Intn(3))
+		jobs, opts := cycleBatch(seed, 2+r.Intn(12))
+		if seed%3 == 0 {
+			n := 2 + r.Intn(5)
+			opts = Options{Universe: n, Horizon: int64(1 + r.Intn(4))}
+			jobs = jobs[:0]
+			for j := 0; j < 1+r.Intn(3); j++ {
+				jobs = append(jobs, randomJob(r, n, opts.Horizon))
 			}
 		}
-		c, err := Compile(jobs, Options{Universe: n, Horizon: horizon, ReleaseAt: rel})
+		c, err := Compile(jobs, opts)
 		if err != nil {
 			return true // structurally invalid random job; skip
 		}
-		for j, job := range jobs {
-			if !roundable(job) {
-				// Partial grants under MIN subtrees are outside
-				// InitialVector's contract (see its doc comment).
-				continue
-			}
-			for _, l := range strl.Leaves(job) {
-				g, ok := c.SeedGrant(j, l)
-				if !ok {
-					continue
-				}
-				vec, ok := c.InitialVector([]LeafGrant{g})
-				if !ok {
-					continue // e.g. min-sibling culled; acceptable
-				}
-				if !c.Model.IsFeasible(vec, 1e-6) {
-					t.Logf("seed %d: single-leaf seed infeasible for %s", seed, l)
-					return false
+		assign := make([]int, len(jobs))
+		for j := range assign {
+			assign[j] = r.Intn(3)
+		}
+		want := make([]int32, len(jobs))
+		for _, comps := range [][]*Component{c.Components(), c.ForcedComponents(assign, 2)} {
+			for j, job := range jobs {
+				recs := c.jobLeaves(j)
+				for w := 0; w <= len(recs); w++ { // the last is no leaf of the job
+					for i := range want {
+						want[i] = -1
+					}
+					want[j] = int32(w)
+					seedable := w < len(recs) && !recs[w].culled && roundable(job)
+					for ci, cc := range comps {
+						vec := cc.Seed(nil, want)
+						if !seedable || !slices.Contains(cc.Jobs, j) {
+							if vec != nil {
+								t.Logf("seed %d: component %d seeded by leaf %d of job %d", seed, ci, w, j)
+								return false
+							}
+							continue
+						}
+						if len(vec) != cc.Model.NumVars() || !cc.Model.IsFeasible(vec, 1e-6) {
+							t.Logf("seed %d: leaf %d of job %d seeds %v, infeasible in component %d", seed, w, j, vec, ci)
+							return false
+						}
+						if got, v := cc.Model.ObjectiveValue(vec), leafValue(recs[w].expr); math.Abs(got-v) > 1e-9 {
+							t.Logf("seed %d: leaf %d of job %d seeds a point worth %v, the leaf is worth %v", seed, w, j, got, v)
+							return false
+						}
+					}
 				}
 			}
 		}

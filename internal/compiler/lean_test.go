@@ -137,8 +137,8 @@ func TestLeanLowering(t *testing.T) {
 }
 
 // TestDeadSubtreesAreSkipped: what needs a culled leaf is left out with it —
-// a MIN, and through it the MAX child that owns its indicator — and the walks
-// that re-trace a job's tree (InitialVector) still line up.
+// a MIN, and through it the MAX child that owns its indicator — and the leaf
+// records still line up with the tree for Decode and Seed.
 func TestDeadSubtreesAreSkipped(t *testing.T) {
 	n := 4
 	live := func(start int64, v float64) *strl.NCk {
@@ -173,11 +173,16 @@ func TestDeadSubtreesAreSkipped(t *testing.T) {
 	if len(grants) != 2 {
 		t.Fatalf("grants %+v, want both leaves of the live MIN", grants)
 	}
-	vec, ok := c.InitialVector(grants)
-	if !ok || !c.Model.IsFeasible(vec, 1e-6) || c.Model.ObjectiveValue(vec) != 3 {
-		t.Errorf("InitialVector of the decoded plan: ok %v, vector %v", ok, vec)
+	if grants[0].Leaf != jobs[0].(*strl.Max).Kids[1].(*strl.Min).Kids[0] || grants[1].Leaf != strl.Expr(after) {
+		t.Errorf("grants %+v name other leaves than the live MIN's", grants)
 	}
-	if _, ok := c.SeedGrant(1, tooWide); ok {
-		t.Error("SeedGrant grants a culled leaf")
+	// Neither job can be seeded: the first is no MAX of leaves (its third leaf
+	// is live), the second's only leaf is culled.
+	for _, want := range [][]int32{{2, -1}, {-1, 0}} {
+		for _, cc := range c.Components() {
+			if vec := cc.Seed(nil, want); vec != nil {
+				t.Errorf("Seed(%v) = %v, want none", want, vec)
+			}
+		}
 	}
 }

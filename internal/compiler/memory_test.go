@@ -142,7 +142,7 @@ func snapComponents(c *Compiled, comps []*Component, x []float64) []compSnap {
 		out[i] = compSnap{
 			Jobs:        append([]int(nil), cc.Jobs...), // copies; empty is nil
 			VarMap:      append([]int(nil), cc.VarMap...),
-			Groups:      append([]int(nil), c.ComponentGroups(cc)...),
+			Groups:      append([]int(nil), cc.scope.groups...),
 			Shard:       cc.Shard,
 			Model:       cc.Model.String(),
 			Fingerprint: c.ComponentFingerprint(cc),
@@ -279,8 +279,7 @@ func TestStaleFlipsAtNextCompile(t *testing.T) {
 }
 
 // TestDecodeAllocatesPerGrant: Decode builds a grant only for a leaf the
-// solution gives nodes to, cuts every grant's Counts from one array, and
-// JobChosen allocates nothing at all.
+// solution gives nodes to and cuts every grant's Counts from one array.
 func TestDecodeAllocatesPerGrant(t *testing.T) {
 	jobs, opts := cycleBatch(4, 10)
 	c, err := Compile(jobs, opts)
@@ -291,19 +290,6 @@ func TestDecodeAllocatesPerGrant(t *testing.T) {
 	grants := c.Decode(sol)
 	if len(grants) == 0 || len(grants) > len(jobs) {
 		t.Fatalf("%d grants for %d jobs", len(grants), len(jobs))
-	}
-	chosen := 0
-	for j := range jobs {
-		want := false
-		for _, g := range grants {
-			want = want || (g.Job == j && g.Total > 0)
-		}
-		if c.JobChosen(sol, j) != want {
-			t.Errorf("JobChosen(%d) = %v, Decode says %v", j, !want, want)
-		}
-		if want {
-			chosen++
-		}
 	}
 	// The Counts array, plus the growing result slice.
 	if avg, limit := testing.AllocsPerRun(20, func() { c.Decode(sol) }), 8.0; avg > limit {
@@ -317,16 +303,12 @@ func TestDecodeAllocatesPerGrant(t *testing.T) {
 			t.Errorf("AppendGrants into a sized slice allocates %v times", avg)
 		}
 	}
-	if avg := testing.AllocsPerRun(20, func() { c.JobChosen(sol, chosen%len(jobs)) }); avg != 0 {
-		t.Errorf("JobChosen allocates %v times", avg)
-	}
 }
 
 // greedyRoundReference is GreedyRound as it was before it stopped cloning
-// the whole availability grid and routing through InitialVector: a ledger
-// over every group, per-call leaf lists, grants with count maps, and the
-// general-purpose vector builder. jobs nil means every job; x and the result
-// are in full-model space.
+// the whole availability grid: a ledger over every group, per-call leaf lists
+// and count lists, and a fresh vector. jobs nil means every job; x and the
+// result are in full-model space.
 func greedyRoundReference(c *Compiled, x []float64, jobs []int) []float64 {
 	remain := make([][]int64, len(c.avail))
 	for g := range c.avail {
@@ -345,7 +327,7 @@ func greedyRoundReference(c *Compiled, x []float64, jobs []int) []float64 {
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return mass[order[a]] > mass[order[b]] })
-	var grants []LeafGrant
+	vec, granted := make([]float64, c.Model.NumVars()), false
 	for _, j := range order {
 		if !roundable(c.jobs[j]) {
 			continue
@@ -391,16 +373,17 @@ func greedyRoundReference(c *Compiled, x []float64, jobs []int) []float64 {
 				for t := s; t < e; t++ {
 					remain[gc.Group][t] -= int64(gc.N)
 				}
+				for _, pv := range c.partsOf(rec) {
+					if pv.group == gc.Group {
+						vec[pv.id] = float64(gc.N)
+					}
+				}
 			}
-			grants = append(grants, LeafGrant{Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur, Counts: counts, Total: rec.k})
+			vec[rec.ind], vec[c.job[j].varLo], granted = 1, 1, true
 			break
 		}
 	}
-	if len(grants) == 0 {
-		return nil
-	}
-	vec, ok := c.InitialVector(grants)
-	if !ok {
+	if !granted {
 		return nil
 	}
 	return vec

@@ -13,7 +13,7 @@ package core
 // are unchanged, which together make every compiler input identical. A kept class whose
 // warm-start choices are also last cycle's does nothing: its stored plan is
 // the cycle's plan. Anything else is decided per component, on a fingerprint
-// of the sub-solve's inputs (model, rounding state, restricted seed): equal
+// of the sub-solve's inputs (model, rounding state, seed): equal
 // fingerprints mean the solve would run on byte-identical inputs, so its
 // proven-optimal solution is replayed, across a recompile of its class too.
 //
@@ -96,6 +96,7 @@ type compEntry struct {
 	vals    []float64 // memory for a solve's Values; sol's, while there is one
 	decoded bool      // grants is sol decoded against this compilation
 	seed    []float64 // this cycle's warm start when the component is solved
+	seedBuf []float64 // memory for seed
 	grants  []compiler.LeafGrant
 }
 
@@ -342,7 +343,7 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 	lo := 0
 	for ci, cc := range cl.comps {
 		ent := &cl.ents[ci]
-		*ent = compEntry{ids: cl.ids[lo : lo+len(cc.Jobs)], grants: ent.grants[:0], vals: ent.vals}
+		*ent = compEntry{ids: cl.ids[lo : lo+len(cc.Jobs)], grants: ent.grants[:0], vals: ent.vals, seedBuf: ent.seedBuf}
 		lo += len(cc.Jobs)
 		for i, j := range cc.Jobs {
 			ent.ids[i] = cl.reqs[j].Job.ID
@@ -392,26 +393,6 @@ func (s *Scheduler) wanted(cl *class) bool {
 	return same
 }
 
-// seed expresses the class's wanted options as a candidate vector of its
-// model; nil when none can be granted. The solver re-validates it.
-func (s *Scheduler) seed(cl *class) []float64 {
-	grants := s.seedGrants[:0]
-	for i, w := range cl.want {
-		if w < 0 {
-			continue
-		}
-		if g, ok := cl.comp.SeedGrant(i, cl.reqs[i].Options[w].Leaf); ok {
-			grants = append(grants, g)
-		}
-	}
-	s.seedGrants = grants
-	if len(grants) == 0 {
-		return nil
-	}
-	v, _ := cl.comp.InitialVector(grants)
-	return v
-}
-
 // plan decides, component by component, between last cycle's solution and a
 // solve, and returns how many components must be solved (their entries have a
 // nil sol and carry the seed). A kept class wanting the same options as last
@@ -427,10 +408,13 @@ func (s *Scheduler) plan(classes []*class) (live int) {
 			}
 			continue
 		}
-		seed := s.seed(cl)
 		for ci, cc := range cl.comps {
 			ent := &cl.ents[ci]
-			ent.seed = cc.RestrictSeed(seed)
+			// A generated request's options are its leaves in tree order, so
+			// the wanted options name the leaves to seed.
+			if ent.seed = cc.Seed(ent.seedBuf, cl.want); ent.seed != nil {
+				ent.seedBuf = ent.seed
+			}
 			if inc && ent.decays {
 				s.Stats.ReuseMisses++
 			} else if inc {

@@ -112,3 +112,33 @@ func TestRC80SearchCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestResidentChurnCounts pins what the warm start does on the resident
+// scenario: eight blocks, sixteen settling cycles, then forty cycles in which
+// 1 % of the residents arrive fresh (bench_test.go's churn benchmark, its
+// accumulator included). A seed that changes — one more or one fewer
+// component seeded, a different vector — moves the replay key of its
+// component and with it these counts, which repeat exactly on any machine for
+// the reasons TestResidentSearchCounts gives.
+func TestResidentChurnCounts(t *testing.T) {
+	sched, free := residentScheduler(8)
+	now := int64(4)
+	for k := 0; k < 16; k, now = k+1, now+4 {
+		sched.Cycle(now, free)
+	}
+	id, acc, rot := 1000, 0, 0
+	for k := 0; k < 40; k, now = k+1, now+4 {
+		for acc += 8 * 9; acc >= 100; acc -= 100 {
+			sched.Submit(now, &workload.Job{ID: id, Class: workload.SLO, Reserved: true,
+				Type: workload.DataLocal, Submit: now, K: 2, BaseRuntime: 4, Slowdown: 40,
+				Deadline: now + 10, DataNodes: residentBlock(rot % 8)})
+			id, rot = id+1, rot+1
+		}
+		sched.Cycle(now, free)
+	}
+	st := sched.Stats
+	got := [5]int64{int64(st.WarmStarts), int64(st.ReuseHits), int64(st.ReuseMisses), st.LPIters, int64(st.Nodes)}
+	if want := [5]int64{91, 349, 135, 3959, 107}; got != want {
+		t.Errorf("warm starts, replays, solves, LP iterations, nodes = %v, want %v", got, want)
+	}
+}

@@ -107,10 +107,6 @@ type Config struct {
 	// keeps the monolithic global MILP; 1 is policy-identical to monolithic
 	// (pinned by the sharding parity property test). Ignored in Greedy mode.
 	Shards int
-	// Partitioner overrides how the cluster is split into shards; nil uses
-	// shard.ByProfile (racks dealt round-robin within each hardware profile).
-	// Consulted only when Shards > 0.
-	Partitioner shard.Partitioner
 	// BEDecay overrides the best-effort value decay horizon in seconds.
 	BEDecay int64
 	// Tracer, when non-nil, records per-cycle spans (generate, compile,
@@ -145,9 +141,11 @@ func (c Config) withDefaults() Config {
 	if c.SolverWorkers <= 0 {
 		c.SolverWorkers = 1
 		if c.Shards > 1 && !c.Greedy {
-			// Default the solver pool to one worker per shard so the per-shard
-			// planners actually run concurrently; an explicit SolverWorkers
-			// still wins. Deterministic apportioning keeps runs reproducible.
+			// The shard planners run concurrently whatever this is: SolveEach
+			// gives every component left to solve a goroutine and at least one
+			// worker. A worker per shard only matters when a cycle has fewer
+			// components than shards — the spare workers widen the largest
+			// ones' search rounds. An explicit SolverWorkers still wins.
 			c.SolverWorkers = c.Shards
 		}
 	}
@@ -346,7 +344,6 @@ type Scheduler struct {
 	reqs            []*strlgen.Request
 	rel             []int64 // believed release slice per node
 	grp             grouping
-	seedGrants      []compiler.LeafGrant
 	refs            []compRef
 	parts           []milp.Part
 	working         *bitset.Set
@@ -356,7 +353,7 @@ type Scheduler struct {
 
 	// Sharded control-plane state (internal/shard, docs/SHARDING.md); all nil
 	// or zero when Config.Shards == 0 (the monolithic kill switch).
-	shardSets  []*bitset.Set // node set per shard, from the Partitioner
+	shardSets  []*bitset.Set // node set per shard, from shard.ByProfile
 	shardState *shard.State  // per-node allocation epochs, bumped on every change
 	shardSnap  []uint64      // epoch snapshot taken at the head of each cycle
 	shardMoved []int         // scratch for MovedSince
@@ -415,10 +412,7 @@ func New(c *cluster.Cluster, cfg Config) *Scheduler {
 		s.exprCache = make(map[int]*exprEntry)
 	}
 	if cfg.Shards > 0 && !cfg.Greedy {
-		p := cfg.Partitioner
-		if p == nil {
-			p = shard.ByProfile{}
-		}
+		p := shard.ByProfile{} // racks dealt round-robin within each hardware profile
 		s.shardSets = p.Partition(c, cfg.Shards)
 		s.shardState = shard.NewState(c.N())
 		s.shardStats.Shards = len(s.shardSets)

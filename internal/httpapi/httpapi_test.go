@@ -1,6 +1,9 @@
 package httpapi
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -106,6 +109,21 @@ func TestServerValidation(t *testing.T) {
 	// Out-of-range node in cycle.
 	if err := client.post("/v1/cycle", &CycleRequest{Now: 0, Free: []int{9999}}, nil); err == nil {
 		t.Errorf("bad free list accepted")
+	}
+	// A body over the cap is refused on every endpoint that reads one whole,
+	// however valid the JSON at the end of it: without the cap the padded
+	// cycle request below is served.
+	huge := append(bytes.Repeat([]byte(" "), maxSubmitBody+1), `{"now":0,"free":[]}`...)
+	for _, path := range []string{"/v1/jobs", "/v1/cycle", "/v1/completions", "/v1/submit"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatalf("oversized POST on %s: %v", path, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exceeds") {
+			t.Errorf("oversized POST on %s: %d %s, want 400 and the limit", path, resp.StatusCode, msg)
+		}
 	}
 	// GET on POST-only endpoint.
 	if err := client.get("/v1/jobs", &struct{}{}); err == nil {

@@ -40,7 +40,8 @@ import (
 	"tetrisched/internal/workload"
 )
 
-// maxSubmitBody bounds one batch request body; streams are unbounded in
+// maxSubmitBody bounds one request body read whole (a /v1/submit batch, a
+// /v1/jobs, /v1/cycle or /v1/completions message); streams are unbounded in
 // total size but bounded per line.
 const maxSubmitBody = 16 << 20
 
@@ -73,8 +74,8 @@ func putScratch(sc *submitScratch) {
 }
 
 // readBody reads r into buf (reused across requests), enforcing the body
-// limit when there is one (limit > 0).
-func readBody(buf []byte, r io.Reader, limit int) ([]byte, error) {
+// limit.
+func readBody(buf []byte, r io.Reader) ([]byte, error) {
 	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
@@ -82,28 +83,27 @@ func readBody(buf []byte, r io.Reader, limit int) ([]byte, error) {
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > maxSubmitBody { // first: the read that crosses the limit may also be the last
+			return buf, fmt.Errorf("httpapi: request body exceeds %d bytes", maxSubmitBody)
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
 			return buf, err
 		}
-		if limit > 0 && len(buf) > limit {
-			return buf, fmt.Errorf("httpapi: request body exceeds %d bytes", limit)
-		}
 	}
 }
 
 // decodeBody unmarshals a request's JSON body into v through the pooled
 // scratch: a json.Decoder per request would grow a buffer of its own to hold
-// the whole value. The scheduler-side endpoints have never had a size limit,
-// and a Decoder stopped at the end of the first value, so whatever follows one
-// is still ignored.
+// the whole value. A Decoder stopped at the end of the first value, so
+// whatever follows one is still ignored.
 func decodeBody(r *http.Request, v interface{}) error {
 	sc := getScratch()
 	defer putScratch(sc)
 	var err error
-	if sc.body, err = readBody(sc.body, r.Body, 0); err != nil {
+	if sc.body, err = readBody(sc.body, r.Body); err != nil {
 		return err
 	}
 	err = json.Unmarshal(sc.body, v)
@@ -131,7 +131,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request, t0 time.Tim
 	sp := s.tracer.Begin("admit", "submit.batch")
 
 	var err error
-	sc.body, err = readBody(sc.body, r.Body, maxSubmitBody)
+	sc.body, err = readBody(sc.body, r.Body)
 	if err != nil {
 		sp.End(trace.S("error", err.Error()))
 		writeErr(w, http.StatusBadRequest, err)

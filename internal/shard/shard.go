@@ -22,30 +22,21 @@ import (
 	"tetrisched/internal/cluster"
 )
 
-// Partitioner splits a cluster into n shards. Implementations must be
-// deterministic for a given cluster: shard membership feeds the component
-// fingerprint cache, and an unstable partition would invalidate it every
-// cycle.
-type Partitioner interface {
-	// Name identifies the strategy in telemetry and /v1/status.
-	Name() string
-	// Partition returns n disjoint node sets covering the cluster. Sets may
-	// be empty when the cluster is smaller than n.
-	Partition(c *cluster.Cluster, n int) []*bitset.Set
-}
-
 // ByProfile shards along resource-profile and locality lines: racks are
 // grouped by their attribute profile (gpu=true vs plain, etc.) and each
 // profile's racks are dealt round-robin across shards, so every shard holds a
 // proportional slice of every hardware class and whole racks stay together
 // (rack-locality STRL options remain satisfiable within one shard). Clusters
-// with fewer racks than shards fall back to contiguous node-ID ranges.
+// with fewer racks than shards fall back to contiguous node-ID ranges. It is
+// deterministic for a given cluster: shard membership feeds the component
+// fingerprints, and an unstable partition would end every replay.
 type ByProfile struct{}
 
-// Name implements Partitioner.
+// Name identifies the strategy in telemetry and /v1/status.
 func (ByProfile) Name() string { return "by-profile" }
 
-// Partition implements Partitioner.
+// Partition returns n disjoint node sets covering the cluster. Sets may be
+// empty when the cluster is smaller than n.
 func (ByProfile) Partition(c *cluster.Cluster, n int) []*bitset.Set {
 	if n < 1 {
 		n = 1
