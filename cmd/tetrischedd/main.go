@@ -164,7 +164,7 @@ func main() {
 		api.SetAdmissionLog(f)
 		defer api.FlushAdmissionLog()
 	}
-	srv := &http.Server{Addr: *listen, Handler: api.Handler()}
+	srv := newServer(*listen, api.Handler())
 
 	if *debugAddr != "" {
 		go func() {
@@ -199,6 +199,31 @@ func main() {
 		for _, line := range telemetry.Lines(core.SolverMetrics, &sched.Stats) {
 			log.Printf("tetrischedd: bye: %s", line)
 		}
+	}
+}
+
+// The main listener's connection deadlines. A client that trickles its headers
+// or body, or never reads its response, holds a connection and a goroutine
+// only this long. A request's body is read and its response written inside
+// two minutes: far above a cycle (its solves are bounded by -solver-limit)
+// or a 16 MB batch on loopback, and a cap on how long one /v1/submit NDJSON
+// stream may run — a longer submission is split into several streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer is the daemon's HTTP server on addr, with the deadlines above.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -91,12 +91,12 @@ func (cl *class) solved() bool {
 type compEntry struct {
 	ids     []int // the component's job IDs
 	fp      uint64
-	sol     *milp.Solution
-	decays  bool      // a member's request is valid for this cycle only
-	vals    []float64 // memory for a solve's Values; sol's, while there is one
-	decoded bool      // grants is sol decoded against this compilation
-	seed    []float64 // this cycle's warm start when the component is solved
-	seedBuf []float64 // memory for seed
+	sol     *milp.Solution // nil or &out
+	decays  bool           // a member's request is valid for this cycle only
+	out     milp.Solution  // memory for a solve's Solution, Values included; sol's, while there is one
+	decoded bool           // grants is sol decoded against this compilation
+	seed    []float64      // this cycle's warm start when the component is solved
+	seedBuf []float64      // memory for seed
 	grants  []compiler.LeafGrant
 }
 
@@ -343,7 +343,7 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 	lo := 0
 	for ci, cc := range cl.comps {
 		ent := &cl.ents[ci]
-		*ent = compEntry{ids: cl.ids[lo : lo+len(cc.Jobs)], grants: ent.grants[:0], vals: ent.vals, seedBuf: ent.seedBuf}
+		*ent = compEntry{ids: cl.ids[lo : lo+len(cc.Jobs)], grants: ent.grants[:0], out: ent.out, seedBuf: ent.seedBuf}
 		lo += len(cc.Jobs)
 		for i, j := range cc.Jobs {
 			ent.ids[i] = cl.reqs[j].Job.ID
@@ -355,9 +355,10 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 		if old := s.classOf[ent.ids[0]]; old != nil {
 			for i := range old.ents {
 				if oe := &old.ents[i]; oe.sol != nil && slices.Equal(oe.ids, ent.ids) {
-					// The solution moves house with the memory it is in.
-					ent.sol, ent.fp, oe.sol = oe.sol, oe.fp, nil
-					ent.vals, oe.vals = oe.vals, ent.vals
+					// The solution moves house by value, and its memory with it:
+					// the entries swap, so neither points into the other's.
+					ent.out, oe.out = oe.out, ent.out
+					ent.sol, ent.fp, oe.sol = &ent.out, oe.fp, nil
 				}
 			}
 		}

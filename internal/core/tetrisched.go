@@ -346,6 +346,7 @@ type Scheduler struct {
 	grp             grouping
 	refs            []compRef
 	parts           []milp.Part
+	merged          milp.Solution // the cycle's merged sub-solves
 	working         *bitset.Set
 	greedyScr       compiler.Scratch   // greedyCycle's per-job probes
 	solveWS         milp.WorkspaceList // solver workspaces, one per concurrent sub-solve
@@ -778,7 +779,7 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 	s.refs, s.parts = refs, parts
 	for i, ref := range refs {
 		cc, ent := ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
-		parts[i] = milp.Part{Model: cc.Model, Heuristic: cc.RoundInPlace, Seed: ent.seed, Reuse: ent.sol, Values: ent.vals}
+		parts[i] = milp.Part{Model: cc.Model, Heuristic: cc.RoundInPlace, Seed: ent.seed, Reuse: ent.sol, Out: &ent.out}
 		if ent.sol != nil {
 			continue
 		}
@@ -799,7 +800,7 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 		DisableWarmStart: s.cfg.DisableWarmStart,
 		DisablePresolve:  s.cfg.DisablePresolve,
 		DenseBasis:       s.cfg.DenseBasis,
-	})
+	}, &s.merged)
 	if err != nil {
 		return nil, nil, warmSeeds, err
 	}
@@ -818,7 +819,6 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 			}
 			continue
 		}
-		ent.vals = ps.Values // grown, perhaps
 		ent.grants = cc.AppendGrants(ent.grants, ps.Values)
 		if s.incEnabled() && !ent.decays && ps.Status == milp.StatusOptimal {
 			ent.sol, ent.decoded = ps, true

@@ -110,6 +110,36 @@ func TestBodyEndsAtFirstValue(t *testing.T) {
 	}
 }
 
+// TestCompletionBeforeLaunch: a completion for a job the daemon holds but has
+// not launched is refused with 409 and changes nothing. It used to answer 204
+// and finish the job in core while the job stayed in core's pending queue: the
+// next cycle launched it, its real completion got a 404, and core kept its
+// nodes running for good.
+func TestCompletionBeforeLaunch(t *testing.T) {
+	sched, _, ts := obsDaemon(t)
+	job := `{"id":3,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`
+	if resp := postBody(t, ts.URL+"/v1/jobs", job); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit status = %d", resp.StatusCode)
+	}
+	if resp := postBody(t, ts.URL+"/v1/completions", `{"job_id":3,"now":0}`); resp.StatusCode != http.StatusConflict {
+		t.Errorf("completion before launch: status = %d, want %d", resp.StatusCode, http.StatusConflict)
+	}
+	if sched.Pending() != 1 || sched.Running() != 0 {
+		t.Fatalf("after the refused completion: %d pending, %d running; want the job still pending", sched.Pending(), sched.Running())
+	}
+	free, _ := json.Marshal(CycleRequest{Now: 0, Free: []int{0, 1, 2, 3}})
+	var cr CycleResponse
+	if err := json.NewDecoder(postBody(t, ts.URL+"/v1/cycle", string(free)).Body).Decode(&cr); err != nil || len(cr.Decisions) != 1 {
+		t.Fatalf("cycle: %v %+v, want the job launched", err, cr)
+	}
+	if resp := postBody(t, ts.URL+"/v1/completions", `{"job_id":3,"now":20}`); resp.StatusCode != http.StatusNoContent {
+		t.Errorf("completion after launch: status = %d, want %d", resp.StatusCode, http.StatusNoContent)
+	}
+	if sched.Pending() != 0 || sched.Running() != 0 {
+		t.Errorf("after the completion: %d pending, %d running; want neither", sched.Pending(), sched.Running())
+	}
+}
+
 // runOneCycle submits a job and runs one scheduling cycle over HTTP.
 func runOneCycle(t *testing.T, ts *httptest.Server, universe int) {
 	t.Helper()

@@ -458,6 +458,13 @@ func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("httpapi: unknown job %d", msg.JobID))
 		return
 	}
+	if !s.running[msg.JobID] {
+		// Still pending (or preempted back to pending): finishing it here would
+		// leave it in the scheduler's queue to launch, and its real completion
+		// would then find no job.
+		writeErr(w, http.StatusConflict, fmt.Errorf("httpapi: job %d has not launched", msg.JobID))
+		return
+	}
 	delete(s.jobs, msg.JobID)
 	delete(s.running, msg.JobID)
 	s.sched.JobFinished(msg.Now, job)

@@ -64,6 +64,7 @@ func TestGapBreakKeepsPoppedBound(t *testing.T) {
 	m := NewModel(Maximize)
 	m.AddBinary("x", 1)
 	s := &search{
+		ws:        new(Workspace),
 		model:     m,
 		opts:      Options{Gap: 0.5},
 		maximize:  true,
@@ -97,6 +98,7 @@ func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 	m := NewModel(Maximize)
 	m.AddBinary("x", 1)
 	s := &search{
+		ws:        new(Workspace),
 		model:     m,
 		opts:      Options{Gap: 0.5},
 		maximize:  true,
@@ -169,7 +171,7 @@ func TestAbandonedBoundWeakerThanOpenNodes(t *testing.T) {
 	m := NewModel(Maximize)
 	m.AddBinary("x", 1)
 	s := &search{
-		model: m, maximize: true, workers: 1,
+		ws: new(Workspace), model: m, maximize: true, workers: 1,
 		incumbent: []float64{1}, incObj: 7.5,
 		h:     &nodeHeap{max: true},
 		nodes: 5, bestBound: 9,

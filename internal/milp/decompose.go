@@ -35,12 +35,13 @@ type Part struct {
 	// no node/LP/presolve/runtime telemetry to the merge — only its Values,
 	// Objective, Bound, and Status.
 	Reuse *Solution
-	// Values, if it has room for the part's variables, is where the part's
-	// solve puts its Solution's Values instead of allocating them. The memory
-	// is the caller's, and the Solution's for as long as the caller keeps the
-	// Solution: it may go to another solve only once that one is dropped. Each
-	// part of one call needs its own.
-	Values []float64
+	// Out, if non-nil, is where the part's solve writes its Solution instead
+	// of allocating one, with the Values in Out.Values' memory when that has
+	// room for the part's variables. The memory is the caller's, and the
+	// Solution's for as long as the caller keeps the Solution: it may go to
+	// another solve only once that one is dropped. Each part of one call needs
+	// its own. A Reuse part's Out is not touched.
+	Out *Solution
 }
 
 // SolveParts solves the independent parts of a decomposed model concurrently
@@ -101,22 +102,23 @@ func (l *WorkspaceList) SolveParts(parts []Part, fullVars int, opts Options) (*S
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeParts(parts, sols, fullVars), sols, nil
+	return mergeParts(parts, sols, fullVars, new(Solution)), sols, nil
 }
 
 // SolveEach is SolveParts for a caller that reads the parts' own solutions:
 // the parts need not be slices of one model (VarMap is ignored), and the merged
-// Solution carries the status, objective, bound and telemetry of SolveParts but
-// no Values. A part with a Reuse solution is adopted where it stands, and a
-// lone part left to solve runs on the caller's goroutine: only two or more
-// solves are worth a goroutine each. Worker apportioning is over all the
-// parts, adopted ones included, either way.
-func (l *WorkspaceList) SolveEach(parts []Part, opts Options) (*Solution, []*Solution, error) {
+// Solution, written into merged and returned, carries the status, objective,
+// bound and telemetry of SolveParts but no Values. A part with a Reuse solution
+// is adopted where it stands, and a lone part left to solve runs on the
+// caller's goroutine: only two or more solves are worth a goroutine each.
+// Worker apportioning is over all the parts, adopted ones included, either
+// way.
+func (l *WorkspaceList) SolveEach(parts []Part, opts Options, merged *Solution) (*Solution, []*Solution, error) {
 	sols, err := l.solveEach(parts, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return mergeParts(parts, sols, -1), sols, nil
+	return mergeParts(parts, sols, -1, merged), sols, nil
 }
 
 func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, error) {
@@ -148,7 +150,7 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, erro
 			po.InitialSolution = parts[i].Seed
 			po.Heuristic = parts[i].Heuristic
 			ws := l.Get()
-			sol, err := ws.solveInto(parts[i].Values, parts[i].Model, po)
+			sol, err := ws.solveInto(parts[i].Out, parts[i].Model, po)
 			l.Put(ws)
 			if err == nil {
 				sols[i] = sol
@@ -202,10 +204,11 @@ func apportionWorkers(total int, weights []int) []int {
 	return assign
 }
 
-// mergeParts folds per-part solutions into one full-model Solution; see
-// SolveParts for the merge semantics. A negative fullVars leaves Values out.
-func mergeParts(parts []Part, sols []*Solution, fullVars int) *Solution {
-	merged := &Solution{}
+// mergeParts folds per-part solutions into one full-model Solution, written
+// into merged; see SolveParts for the merge semantics. A negative fullVars
+// leaves Values out.
+func mergeParts(parts []Part, sols []*Solution, fullVars int, merged *Solution) *Solution {
+	*merged = Solution{}
 	succeeded, optimal, infeasible, unbounded := 0, 0, false, false
 	for i, sol := range sols {
 		if sol == nil {

@@ -173,7 +173,7 @@ func TestDecomposeMergePartialFailure(t *testing.T) {
 		{Model: m1, VarMap: []int{0}},
 		{Model: m2, VarMap: []int{1}},
 	}
-	merged := mergeParts(parts, []*Solution{s1, nil}, 2)
+	merged := mergeParts(parts, []*Solution{s1, nil}, 2, new(Solution))
 	if merged.Status != StatusFeasible {
 		t.Fatalf("merged status = %v, want feasible", merged.Status)
 	}
@@ -356,7 +356,7 @@ func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
 				return func(*Solution) {}
 			}
 		}
-		merged, sols, err := l.SolveEach(parts, opts)
+		merged, sols, err := l.SolveEach(parts, opts, new(Solution))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,34 +90,33 @@ type Presolved struct {
 // values of fixed columns are restored, and the objective constant is added
 // to both the objective and the proven bound. The input is not modified.
 func (p *Presolved) Lift(sol *Solution) *Solution {
-	return p.lift(sol, nil)
+	return p.lift(sol, new(Solution))
 }
 
-// lift is Lift with the lifted Values in dst's memory when they fit there;
-// they are a copy of sol's either way.
-func (p *Presolved) lift(sol *Solution, dst []float64) *Solution {
-	out := *sol
+// lift is Lift into out, which it returns: the lifted Values go in
+// out.Values' memory when they fit there, and are a copy of sol's either way.
+func (p *Presolved) lift(sol, out *Solution) *Solution {
+	dst := out.Values[:0]
+	*out = *sol
 	out.Presolve = p.Stats
 	if p.identity {
 		if sol.Values != nil {
-			out.Values = append(dst[:0], sol.Values...)
+			out.Values = append(dst, sol.Values...)
 		}
-		return &out
+		return out
 	}
 	switch sol.Status {
 	case StatusOptimal, StatusFeasible:
-		full := dst[:0]
-		if cap(full) < p.nOrig {
-			full = make([]float64, 0, p.nOrig)
+		if cap(dst) < p.nOrig {
+			dst = make([]float64, 0, p.nOrig)
 		}
-		full = p.liftInto(full[:p.nOrig], sol.Values)
-		out.Values = full
+		out.Values = p.liftInto(dst[:p.nOrig], sol.Values)
 		out.Objective = sol.Objective + p.objConst
 		out.Bound = sol.Bound + p.objConst
 	case StatusNoSolution:
 		out.Bound = sol.Bound + p.objConst
 	}
-	return &out
+	return out
 }
 
 // RestrictPoint maps a full-space point into the reduced space by dropping
@@ -231,8 +230,8 @@ func Presolve(m *Model) *Presolved {
 	return new(Workspace).presolve(m)
 }
 
-// presolve is Presolve on the workspace's memory: the result, reduced model
-// included, is only valid until the workspace is rewound.
+// presolve is Presolve on the workspace's memory: the result, its header and
+// the reduced model included, is only valid until the workspace is rewound.
 func (w *Workspace) presolve(m *Model) *Presolved {
 	start := time.Now()
 	p := w.newPresolver(m)
@@ -852,16 +851,20 @@ func (p *presolver) dualityFix() {
 	}
 }
 
-// build assembles the Presolved result from the terminal presolver state.
+// build assembles the Presolved result from the terminal presolver state, in
+// the workspace's header.
 func (p *presolver) build() *Presolved {
 	n := len(p.m.Vars)
+	w := p.ws
+	out := &w.pre
 	if p.infeasible {
-		return &Presolved{Stats: p.stats, Infeasible: true, nOrig: n}
+		*out = Presolved{Stats: p.stats, Infeasible: true, nOrig: n}
+		return out
 	}
 	if !p.touched {
-		return &Presolved{Model: p.m, Stats: p.stats, identity: true, nOrig: n}
+		*out = Presolved{Model: p.m, Stats: p.stats, identity: true, nOrig: n}
+		return out
 	}
-	w := p.ws
 	newID := w.ints.take(n)
 	keep := w.ints.take(n)[:0]
 	objConst := 0.0
@@ -884,11 +887,8 @@ func (p *presolver) build() *Presolved {
 			liveTerms += len(p.rows[ri].terms)
 		}
 	}
-	rm := &Model{
-		Sense: p.m.Sense,
-		Vars:  w.vars.take(len(keep)),
-		Cons:  w.cons.take(live)[:0],
-	}
+	rm := &w.models.take(1)[0]
+	rm.Sense, rm.Vars, rm.Cons = p.m.Sense, w.vars.take(len(keep)), w.cons.take(live)[:0]
 	for ri, oi := range keep {
 		v := p.m.Vars[oi]
 		v.Lb, v.Ub = p.lb[oi], p.ub[oi]
@@ -906,7 +906,7 @@ func (p *presolver) build() *Presolved {
 		}
 		rm.Cons = append(rm.Cons, Constraint{Name: p.m.Cons[r.src].Name, Terms: flat[lo:len(flat):len(flat)], Op: r.op, RHS: r.rhs})
 	}
-	return &Presolved{
+	*out = Presolved{
 		Model:    rm,
 		Stats:    p.stats,
 		nOrig:    n,
@@ -915,4 +915,5 @@ func (p *presolver) build() *Presolved {
 		fixedVal: p.fixVal,
 		keep:     keep,
 	}
+	return out
 }

@@ -92,14 +92,15 @@ type lp struct {
 }
 
 // newLP converts a Model into computational standard form on the workspace's
-// slabs. Branch-and-bound passes per-node copies of the bound arrays without
-// rebuilding the matrix.
+// slabs, header included. Branch-and-bound passes per-node copies of the bound
+// arrays without rebuilding the matrix.
 func (w *Workspace) newLP(model *Model) *lp {
 	m := len(model.Cons)
 	nv := len(model.Vars)
 	n := nv + m
 	fl := w.floats.take(m + 3*n)
-	p := &lp{
+	p := &w.lps.take(1)[0]
+	*p = lp{
 		m:        m,
 		n:        n,
 		colStart: w.int32s.take(n + 1),

@@ -477,28 +477,28 @@ func (s *search) solveNodeLP(sc *simplexState, node *bbNode, lb, ub []float64) (
 func Solve(model *Model, opts Options) (*Solution, error) {
 	// A throwaway workspace: every buffer is a fresh allocation and nothing
 	// is retained.
-	return new(Workspace).solve(model, opts, nil)
+	return new(Workspace).solve(model, opts, new(Solution))
 }
 
-// solve is Solve on w's memory; the caller rewinds w afterwards. The search's
-// incumbent is w's too, so the last step either way is to move the solution's
-// Values out: into values (Part.Values) when that is large enough, into a
-// fresh allocation otherwise.
-func (w *Workspace) solve(model *Model, opts Options, values []float64) (*Solution, error) {
+// solve is Solve on w's memory, written into out; the caller rewinds w
+// afterwards. The search's answer is w's, incumbent included, so the last step
+// is to lift it out: into out, whose Values' memory takes the values when it
+// is large enough (Part.Out), a fresh allocation otherwise. Without presolve
+// the lift is the identity.
+func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution, error) {
 	start := time.Now()
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
+	pre := &w.pre
 	if opts.DisablePresolve {
-		sol, err := w.branchAndBound(model, opts, nil)
-		if err == nil && sol.Values != nil {
-			sol.Values = append(values[:0], sol.Values...)
-		}
-		return sol, err
+		*pre = Presolved{Model: model, identity: true, nOrig: len(model.Vars)}
+	} else {
+		pre = w.presolve(model)
 	}
-	pre := w.presolve(model)
 	if pre.Infeasible {
-		return &Solution{Status: StatusInfeasible, Workers: opts.effectiveWorkers(), Presolve: pre.Stats, Runtime: time.Since(start)}, nil
+		*out = Solution{Status: StatusInfeasible, Workers: opts.effectiveWorkers(), Presolve: pre.Stats, Runtime: time.Since(start)}
+		return out, nil
 	}
 	// The seed is mapped into the reduced space here; the heuristic's points
 	// and candidates are mapped by the search, slot by slot (round). The
@@ -510,18 +510,18 @@ func (w *Workspace) solve(model *Model, opts Options, values []float64) (*Soluti
 	if err != nil {
 		return nil, err
 	}
-	sol := pre.lift(red, values)
-	sol.Runtime = time.Since(start)
-	return sol, nil
+	pre.lift(red, out).Runtime = time.Since(start)
+	return out, nil
 }
 
-// branchAndBound solves a validated model as it stands. pre, when not nil, is
-// the reduction that produced it: opts.Heuristic works in the space before it.
+// branchAndBound solves a validated model as it stands, into the workspace's
+// answer. pre, when not nil, is the reduction that produced it:
+// opts.Heuristic works in the space before it.
 func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (*Solution, error) {
 	start := time.Now()
 	workers := opts.effectiveWorkers()
 	if len(model.Vars) == 0 {
-		return &Solution{Status: StatusOptimal, Values: nil, Workers: workers, Runtime: time.Since(start)}, nil
+		return w.answer(Solution{Status: StatusOptimal, Values: nil, Workers: workers, Runtime: time.Since(start)}), nil
 	}
 	if workers > 1 {
 		// Small models lose more to a round's goroutines than they gain from
@@ -576,16 +576,16 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 	}
 	switch st {
 	case lpInfeasible:
-		return &Solution{Status: StatusInfeasible, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}, nil
+		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 	case lpUnbounded:
-		return &Solution{Status: StatusUnbounded, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}, nil
+		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 	case lpIterLimit:
 		// Root aborted (deadline or iteration cap): report the seed
 		// incumbent if one was provided, else no solution.
 		if s.incumbent != nil {
-			return &Solution{Status: StatusFeasible, Objective: s.incObj, Values: s.incumbent, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}, nil
+			return w.answer(Solution{Status: StatusFeasible, Objective: s.incObj, Values: s.incumbent, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 		}
-		return &Solution{Status: StatusNoSolution, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}, nil
+		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 	}
 	rootObj := model.ObjectiveValue(x[:len(model.Vars)])
 
@@ -593,7 +593,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 		// LP optimum is already integral.
 		vals := roundIntegralInto(s.incBuf, model, x[:len(model.Vars)])
 		s.lp.add(&s.scratch.stats)
-		return &Solution{
+		return w.answer(Solution{
 			Status:    StatusOptimal,
 			Objective: model.ObjectiveValue(vals),
 			Bound:     rootObj,
@@ -603,7 +603,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 			LP:        s.lp,
 			Cuts:      s.cuts,
 			Runtime:   time.Since(start),
-		}, nil
+		}), nil
 	}
 	if firstFractional(model, x) < 0 {
 		return integralRoot()
@@ -835,7 +835,7 @@ func (s *search) applyNode(e *evalSlot) {
 }
 
 // finish derives the reported bound and status from the terminal search
-// state and assembles the Solution.
+// state and assembles the workspace's answer.
 func (s *search) finish() *Solution {
 	if s.gapBreak {
 		// Terminated by popping a gap-met node: that node's subtree is
@@ -871,7 +871,7 @@ func (s *search) finish() *Solution {
 	if s.scratch != nil { // run folded the other slots' already
 		s.lp.add(&s.scratch.stats)
 	}
-	sol := &Solution{Nodes: s.nodes, Bound: s.bestBound, Workers: s.workers, LP: s.lp, Cuts: s.cuts, Branch: s.branch, Runtime: time.Since(s.start)}
+	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, Workers: s.workers, LP: s.lp, Cuts: s.cuts, Branch: s.branch, Runtime: time.Since(s.start)})
 	if s.incumbent == nil {
 		if closed {
 			sol.Status = StatusInfeasible

@@ -163,7 +163,7 @@ func TestTreeSearchAllocsIndependentOfNodes(t *testing.T) {
 func solveAccounted(t testing.TB, m *Model, opts Options) (*Solution, error) {
 	t.Helper()
 	w := new(Workspace)
-	sol, err := w.solve(m, opts, nil)
+	sol, err := w.solve(m, opts, new(Solution))
 	checkSnapshotBooks(t, w)
 	return sol, err
 }

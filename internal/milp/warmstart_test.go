@@ -260,7 +260,7 @@ func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 			end.set(&opts)
 			for _, m := range end.models {
 				w := new(Workspace)
-				sol, err := w.solve(m, opts, nil)
+				sol, err := w.solve(m, opts, new(Solution))
 				if err != nil {
 					t.Fatalf("driver %d end %d: %v", di, ei, err)
 				}
@@ -286,7 +286,7 @@ func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 func TestSnapshotsRecycled(t *testing.T) {
 	m := residentModel(2)
 	w := new(Workspace)
-	sol, err := w.solve(m, Options{Workers: 1, Gap: 0.1}, nil)
+	sol, err := w.solve(m, Options{Workers: 1, Gap: 0.1}, new(Solution))
 	if err != nil || sol.Nodes < 100 {
 		t.Fatalf("%v %+v", err, sol)
 	}

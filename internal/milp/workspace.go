@@ -7,15 +7,16 @@ import "sync"
 // A solve builds a chain of flat copies of its model — presolver rows, the
 // reduced model, the LP's compressed columns, simplex and basis-engine
 // buffers, the pseudocost table — and a tree of nodes and basis snapshots
-// that all die when Solve returns. A Workspace keeps that memory between
-// solves. It belongs to whoever calls Solve on it, serves one solve at a
-// time, and is rewound when that solve returns; nothing a Solution carries
-// points into it (the search's incumbent is the workspace's, and a solve ends
-// by moving the values out — into Part.Values when the caller lent memory for
-// them, into a fresh allocation otherwise — so callers may keep Solutions for
-// as long as they like). The package-level
-// Solve, Presolve and SolveParts run on a throwaway Workspace, which makes
-// every one of these allocations an ordinary fresh one.
+// that all die when Solve returns, and so do the chain's headers (the
+// Presolved, every Model and lp, the search's answer). A Workspace keeps that
+// memory between solves. It belongs to whoever calls Solve on it, serves one
+// solve at a time, and is rewound when that solve returns; nothing a Solution
+// carries points into it (the search's answer is the workspace's, and a solve
+// ends by lifting it out — into Part.Out, Values in Out.Values' memory, when
+// the caller lent a Solution, into a fresh one otherwise — so callers may keep
+// Solutions for as long as they like). The package-level Solve, Presolve and
+// SolveParts run on a throwaway Workspace, which makes every one of these
+// allocations an ordinary fresh one.
 //
 // It is deliberately not a sync.Pool: the runtime empties a pool on every
 // second garbage collection, so the slabs were rebuilt every few cycles; on
@@ -96,8 +97,12 @@ type Workspace struct {
 	vars   slab[Variable]
 	cons   slab[Constraint]
 	rows   slab[psRow]
+	models slab[Model] // the reduced model and every cut round's grown one
+	lps    slab[lp]    // the LP of each of those
 
-	ps presolver // its dedup map and clique scratch outlive a solve
+	ps  presolver // its dedup map and clique scratch outlive a solve
+	pre Presolved // the solve's reduction
+	ans Solution  // the search's answer, in the space it searched
 
 	// The tree search's memory ("Tree memory" in solve.go says who may touch
 	// it when): every node of the current solve, the headers of its basis
@@ -146,15 +151,27 @@ func (w *Workspace) Solve(model *Model, opts Options) (*Solution, error) {
 	return w.solveInto(nil, model, opts)
 }
 
-// solveInto is Solve with the Solution's Values in values' memory when they
-// fit there (Part.Values).
-func (w *Workspace) solveInto(values []float64, model *Model, opts Options) (*Solution, error) {
+// solveInto is Solve with the result written into out, its Values into
+// out.Values' memory when they fit there (Part.Out), and out returned; a nil
+// out is a fresh Solution.
+func (w *Workspace) solveInto(out *Solution, model *Model, opts Options) (*Solution, error) {
+	if out == nil {
+		out = new(Solution)
+	}
 	if w == nil {
 		w = new(Workspace) // thrown away: nothing to rewind
 	} else {
 		defer w.rewind()
 	}
-	return w.solve(model, opts, values)
+	return w.solve(model, opts, out)
+}
+
+// answer files the search's result as the workspace's, for the solve to lift
+// out. It takes the Solution by value and returns the workspace's address:
+// returning the parameter's would move it to the heap on every call.
+func (w *Workspace) answer(sol Solution) *Solution {
+	w.ans = sol
+	return &w.ans
 }
 
 func (w *Workspace) rewind() {
@@ -167,6 +184,9 @@ func (w *Workspace) rewind() {
 	w.vars.rewind()
 	w.cons.rewind()
 	w.rows.rewind()
+	w.models.rewind()
+	w.lps.rewind()
+	w.pre, w.ans = Presolved{}, Solution{}
 	w.nodes.rewind()
 	w.block = nil
 	w.snaps.rewind()
