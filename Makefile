@@ -29,9 +29,8 @@ test-shuffle:
 	$(GO) test -shuffle=on ./...
 
 # Race-detector pass; required because solves share mutable state: the parts
-# of a decomposed solve run concurrently (SolveEach, over one WorkspaceList),
-# and a tree-search round with more than one worker evaluates its slots side
-# by side.
+# of a decomposed solve run concurrently (SolveEach, over one WorkspaceList).
+# Each part's tree search is one serial loop.
 race:
 	$(GO) test -race ./...
 
@@ -115,10 +114,12 @@ alloc-ceiling:
 # brute force. FuzzClassTableMatchesUncached drives a cached scheduler and a
 # DisableCompileCache twin through arrivals, finishes, failures, drops and
 # preemptions on a small cluster and compares their decisions every cycle.
-# Wired into CI.
+# FuzzParseRoundTrip feeds strl.Parse arbitrary text: whatever it accepts must
+# print to text that parses again and prints identically. Wired into CI.
 fuzz-smoke:
 	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzSolveEachMatchesSolve$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassTableMatchesUncached$$' -fuzztime 15s
+	$(GO) test ./internal/strl -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 15s
 
 # Front-door smoke: cmd/loadgen spawns an in-process daemon and fires a short
 # closed-loop burst at POST /v1/submit while cycles drain the queue. Gates on

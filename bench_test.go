@@ -347,18 +347,16 @@ func BenchmarkShardedCycle1Shards(b *testing.B)    { benchShardedCycle(b, 1) }
 func BenchmarkShardedCycle4Shards(b *testing.B)    { benchShardedCycle(b, 4) }
 func BenchmarkShardedCycle16Shards(b *testing.B)   { benchShardedCycle(b, 16) }
 
-// benchShardedCycleBasis is the LU-vs-dense pair on the 4-shard scenario:
-// identical policy (the engines represent the same basis exactly; the shard
-// parity property pins it), so the delta is purely basis-kernel cost at the
-// 10k-node scale the LU factorization exists for.
-func benchShardedCycleBasis(b *testing.B, dense bool) {
+// BenchmarkShardedCycleLU is the 4-shard scenario at the 10k-node scale the
+// sparse LU factorization exists for.
+func BenchmarkShardedCycleLU(b *testing.B) {
 	c := experiments.RC10K()
 	sc := experiments.Bench()
 	mix := workload.GSHET(sc.Jobs * 8)
 	var cycleMS float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, _, err := experiments.RunShardedBasis(c, mix, 1000, sc, 4, dense)
+		sum, _, err := experiments.RunSharded(c, mix, 1000, sc, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,9 +364,6 @@ func benchShardedCycleBasis(b *testing.B, dense bool) {
 	}
 	b.ReportMetric(cycleMS, "cycle-ms")
 }
-
-func BenchmarkShardedCycleLU(b *testing.B)         { benchShardedCycleBasis(b, false) }
-func BenchmarkShardedCycleLUOffDense(b *testing.B) { benchShardedCycleBasis(b, true) }
 
 // benchLoadgen drives the HTTP front door (POST /v1/submit → bounded ingress
 // queue → weighted-fair drain) with b.N jobs through internal/loadgen and
@@ -680,7 +675,7 @@ func BenchmarkRootLP(b *testing.B) {
 		b.Fatal("infeasible")
 	}
 	mopts := milp.Options{
-		Workers: 1, MaxNodes: 1, DisablePresolve: true, DisableCuts: true,
+		MaxNodes: 1, DisablePresolve: true, DisableCuts: true,
 		Heuristic: func([]float64) []float64 { return nil },
 	}
 	var ws milp.Workspace

@@ -21,16 +21,15 @@ import (
 
 func main() {
 	var (
-		all     = flag.Bool("all", false, "run every table and figure")
-		fig     = flag.Int("fig", 0, "figure number to regenerate (6..12)")
-		table   = flag.Int("table", 0, "table number to regenerate (1..2)")
-		quick   = flag.Bool("quick", false, "reduced scale (fewer jobs/seeds)")
-		jobs    = flag.Int("jobs", 0, "override jobs per run")
-		seeds   = flag.Int("seeds", 0, "override seeds per point")
-		solver  = flag.Duration("solver-limit", 0, "override per-solve time limit")
-		workers = flag.Int("solver-workers", 0, "branch-and-bound workers per MILP solve (0 = serial)")
-		ext     = flag.String("ext", "", "extension experiments: scale | preempt | elastic | shard")
-		tsv     = flag.String("tsv", "", "also write each sub-figure as TSV into this directory")
+		all    = flag.Bool("all", false, "run every table and figure")
+		fig    = flag.Int("fig", 0, "figure number to regenerate (6..12)")
+		table  = flag.Int("table", 0, "table number to regenerate (1..2)")
+		quick  = flag.Bool("quick", false, "reduced scale (fewer jobs/seeds)")
+		jobs   = flag.Int("jobs", 0, "override jobs per run")
+		seeds  = flag.Int("seeds", 0, "override seeds per point")
+		solver = flag.Duration("solver-limit", 0, "override per-solve time limit")
+		ext    = flag.String("ext", "", "extension experiments: scale | preempt | elastic | shard")
+		tsv    = flag.String("tsv", "", "also write each sub-figure as TSV into this directory")
 	)
 	flag.Parse()
 
@@ -46,9 +45,6 @@ func main() {
 	}
 	if *solver > 0 {
 		sc.SolverTimeLimit = *solver
-	}
-	if *workers > 0 {
-		sc.SolverWorkers = *workers
 	}
 	if *tsv != "" {
 		if err := os.MkdirAll(*tsv, 0o755); err != nil {

@@ -45,7 +45,6 @@ import (
 	_ "net/http/pprof" // registers on DefaultServeMux, served only on -debug-addr
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -69,7 +68,6 @@ func main() {
 		noHet     = flag.Bool("no-het", false, "TetriSched-NH (no soft constraints)")
 		preempt   = flag.Bool("preempt", false, "enable best-effort preemption")
 		limit     = flag.Duration("solver-limit", 300*time.Millisecond, "per-solve MILP time limit")
-		workers   = flag.Int("solver-workers", 0, "branch-and-bound workers per MILP solve (0 = one per CPU)")
 		gap       = flag.Float64("gap", 0.1, "relative MIP gap")
 		noPresolv = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
 		noFECache = flag.Bool("no-compile-cache", false, "disable the cross-cycle caches: expressions, compiled classes, replayed sub-solutions (bisection switch)")
@@ -112,7 +110,6 @@ func main() {
 		NoHet:               *noHet,
 		EnablePreemption:    *preempt,
 		SolverTimeLimit:     *limit,
-		SolverWorkers:       workerCount(*workers),
 		Gap:                 *gap,
 		DisablePresolve:     *noPresolv,
 		DisableCompileCache: *noFECache,
@@ -223,12 +220,4 @@ func newServer(addr string, h http.Handler) *http.Server {
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-}
-
-// workerCount resolves the -solver-workers flag: 0 means one worker per CPU.
-func workerCount(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }

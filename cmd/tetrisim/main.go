@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -43,7 +42,6 @@ func main() {
 		slackMin    = flag.Float64("slack-min", 0, "deadline slack lower bound (×runtime; 0 = mix default)")
 		slackMax    = flag.Float64("slack-max", 0, "deadline slack upper bound (×runtime; 0 = mix default)")
 		limit       = flag.Duration("solver-limit", 300*time.Millisecond, "MILP time limit per solve")
-		workers     = flag.Int("solver-workers", 1, "branch-and-bound workers per MILP solve (0 = one per CPU)")
 		noPresolve  = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
 		noCompCache = flag.Bool("no-compile-cache", false, "disable the cross-cycle caches: expressions, compiled classes, replayed sub-solutions (bisection switch)")
 		shards      = flag.Int("shards", 0, "sharded control plane: concurrent per-shard planners with optimistic commit (0 = monolithic)")
@@ -131,7 +129,7 @@ func main() {
 	plan := rayon.NewPlan(c.N(), *cycle)
 	var sched sim.Scheduler
 	base := core.Config{CyclePeriod: *cycle, PlanAhead: *planAhead, PlanQuantum: *planQuantum,
-		SolverTimeLimit: *limit, SolverWorkers: solverWorkers(*workers), Tracer: tracer,
+		SolverTimeLimit: *limit, Tracer: tracer,
 		DisablePresolve: *noPresolve, DisableCompileCache: *noCompCache, Shards: *shards}
 	switch strings.ToLower(*schedName) {
 	case "tetrisched", "full":
@@ -213,12 +211,4 @@ func main() {
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "tetrisim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// solverWorkers resolves the -solver-workers flag: 0 means one worker per CPU.
-func solverWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }

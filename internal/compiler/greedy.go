@@ -130,8 +130,8 @@ type roundBuf struct {
 	opts   []roundOption
 }
 
-// takeRoundBuf borrows a rounding's working memory; concurrent sub-solves, and
-// the workers of one, round at the same time, so there is a list of them.
+// takeRoundBuf borrows a rounding's working memory; concurrent sub-solves round
+// at the same time, so there is a list of them.
 func (sc *Scratch) takeRoundBuf() *roundBuf {
 	sc.roundMu.Lock()
 	defer sc.roundMu.Unlock()

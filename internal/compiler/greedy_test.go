@@ -304,9 +304,9 @@ func TestRoundInPlaceAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRoundInPlaceConcurrent: the workers of a parallel search, and concurrent
-// sub-solves, round on one Compiled at once, each on a point of its own; the
-// shared working memory must not leak between them (run under -race).
+// TestRoundInPlaceConcurrent: concurrent sub-solves of one Compiled's
+// components round on it at once, each on a point of its own; the shared
+// working memory must not leak between them (run under -race).
 func TestRoundInPlaceConcurrent(t *testing.T) {
 	jobs, opts := cycleBatch(5, 24)
 	c, err := Compile(jobs, opts)

@@ -165,7 +165,7 @@ func TestDeadSubtreesAreSkipped(t *testing.T) {
 	if c.job[2].varLo-c.job[1].varLo != 1 {
 		t.Errorf("the job with nothing to offer has %d variables, want its indicator alone", c.job[2].varLo-c.job[1].varLo)
 	}
-	sol, err := milp.Solve(c.Model, milp.Options{Workers: 1})
+	sol, err := milp.Solve(c.Model, milp.Options{})
 	if err != nil || sol.Status != milp.StatusOptimal || sol.Objective != 3 {
 		t.Fatalf("solve: %v %+v, want the live MIN's value 3", err, sol)
 	}

@@ -58,7 +58,7 @@ func cycleBatch(seed int64, nJobs int) ([]strl.Expr, Options) {
 // the rounding heuristic (an exact solve of these batches takes seconds).
 func solveToGap(t *testing.T, c *Compiled) *milp.Solution {
 	t.Helper()
-	sol, err := milp.Solve(c.Model, milp.Options{Gap: 0.1, Workers: 1, Heuristic: c.GreedyRound})
+	sol, err := milp.Solve(c.Model, milp.Options{Gap: 0.1, Heuristic: c.GreedyRound})
 	if err != nil || sol.Values == nil {
 		t.Fatalf("solve: %v %+v", err, sol)
 	}

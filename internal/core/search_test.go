@@ -47,12 +47,12 @@ func residentBlock(g int) []int {
 
 // TestResidentSearchCounts pins how much tree the scheduler's own options
 // search on the resident blocks: none. Node counts repeat exactly on any
-// machine (the blocks are under the serial cutoff, and a one-worker search has
-// no clock in it), so this is the time guard that has no noise. The root bound
-// is within the gap of the seven-job optimum, so a block ends at the root when
-// the root rounding finds seven jobs — which it does only if it ranks jobs by
-// what the LP placed on their options (batch order finds six, and the search
-// then waits 11 nodes and two cut rounds for the seventh).
+// machine (the search has no clock in it short of its limit), so this is the
+// time guard that has no noise. The root bound is within the gap of the
+// seven-job optimum, so a block ends at the root when the root rounding finds
+// seven jobs — which it does only if it ranks jobs by what the LP placed on
+// their options (batch order finds six, and the search then waits 11 nodes and
+// two cut rounds for the seventh).
 func TestResidentSearchCounts(t *testing.T) {
 	cycle := func(sched *Scheduler, free *bitset.Set, now int64) (nodes, cutRounds int) {
 		before := sched.Stats
@@ -121,11 +121,10 @@ func TestUnprovenCounted(t *testing.T) {
 // mixes on its 80-node cluster do not (`tetrisim -cluster rc80 -jobs 150
 // -solver-limit 120s -v`: thousands of nodes, nearly every node LP warm,
 // pseudocosts choosing the branch), so this is where a change to the search
-// that moves a pop, an LP or a dive shows. The counts are those of the serial
-// loop this search replaced and repeat on any machine: one worker has no clock
-// in it and no solve comes near the limit (left at zero it would default to
-// two seconds, which is not near either). A moved count is a changed search,
-// not an in-gap tie.
+// that moves a pop, an LP or a dive shows. The counts repeat on any machine:
+// the search has no clock in it and no solve comes near the limit (left at
+// zero it would default to two seconds, which is not near either). A moved
+// count is a changed search, not an in-gap tie.
 func TestRC80SearchCounts(t *testing.T) {
 	for _, tc := range []struct {
 		mix     workload.Mix
@@ -141,7 +140,7 @@ func TestRC80SearchCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := New(c, Config{CyclePeriod: 4, PlanAhead: 96, SolverTimeLimit: 120 * time.Second, SolverWorkers: 1})
+		sched := New(c, Config{CyclePeriod: 4, PlanAhead: 96, SolverTimeLimit: 120 * time.Second})
 		if _, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched, Plan: rayon.NewPlan(c.N(), 4), CyclePeriod: 4}); err != nil {
 			t.Fatal(err)
 		}

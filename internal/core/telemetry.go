@@ -14,7 +14,6 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 	telemetry.Row("solver", "solves", "tetrisched_solver_solves_total", "counter", "MILP solves across all cycles.", func(s *SolveStats) any { return s.Solves }),
 	telemetry.Row("solver", "bb_nodes", "tetrisched_solver_bb_nodes_total", "counter", "Branch-and-bound nodes explored.", func(s *SolveStats) any { return s.Nodes }),
 	telemetry.Row("solver", "bb_nodes_max", "tetrisched_solver_bb_nodes_max", "gauge", "Largest single-solve node count.", func(s *SolveStats) any { return s.MaxNodes }),
-	telemetry.Row("solver", "workers", "tetrisched_solver_workers", "gauge", "Workers used by the most recent solve.", func(s *SolveStats) any { return s.Workers }),
 	telemetry.Row("solver", "warm_starts", "tetrisched_solver_warm_starts_total", "counter", "Solves seeded with the previous cycle's plan.", func(s *SolveStats) any { return s.WarmStarts }),
 	telemetry.Row("solver", "lp_iterations", "tetrisched_solver_lp_iterations_total", "counter", "Simplex pivots across all relaxations.", func(s *SolveStats) any { return s.LPIters }),
 	telemetry.Row("solver", "lp_phase1", "tetrisched_solver_lp_phase1_total", "counter", "LPs that needed an artificial phase 1.", func(s *SolveStats) any { return s.Phase1 }),

@@ -55,11 +55,6 @@ type Config struct {
 	Gap float64
 	// SolverTimeLimit bounds each MILP solve's wall-clock time.
 	SolverTimeLimit time.Duration
-	// SolverWorkers is how many open nodes a round of each MILP solve's tree
-	// search evaluates at once (milp.Options.Workers); 0 defaults to 1, the
-	// serial search. The tree does not depend on how a round's evaluations
-	// are scheduled, so runs stay reproducible at any count.
-	SolverWorkers int
 	// MaxBatch caps how many pending jobs one global solve aggregates; the
 	// highest-priority jobs are batched first (§5: "TetriSched has the
 	// flexibility of aggregating a subset of the pending jobs").
@@ -75,13 +70,6 @@ type Config struct {
 	// compiled. A bisection switch like DisableWarmStart — placements are
 	// policy-identical either way, only slower (docs/SOLVER.md).
 	DisablePresolve bool
-	// DenseBasis makes every LP scratch use the historical dense basis
-	// inverse instead of the sparse LU factorization with Forrest–Tomlin
-	// updates (internal/milp/lu.go). A bisection switch in the
-	// DisableWarmStart/DisablePresolve mold — the engines represent the same
-	// basis exactly, so placements are policy-identical either way, only
-	// slower at scale (docs/SOLVER.md).
-	DenseBasis bool
 	// DisableCompileCache turns off all three cross-cycle layers: the per-job
 	// STRL expression cache, the keeping of compiled coupling classes, and the
 	// replay of a kept class's sub-solutions (internal/core/classes.go). A
@@ -131,17 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 48
 	}
-	if c.SolverWorkers <= 0 {
-		c.SolverWorkers = 1
-		if c.Shards > 1 && !c.Greedy {
-			// The shard planners run concurrently whatever this is: SolveEach
-			// gives every component left to solve a goroutine and at least one
-			// worker. A worker per shard only matters when a cycle has fewer
-			// components than shards — the spare workers widen the largest
-			// ones' search rounds. An explicit SolverWorkers still wins.
-			c.SolverWorkers = c.Shards
-		}
-	}
 	return c
 }
 
@@ -160,13 +137,11 @@ func (c Config) Name() string {
 }
 
 // SolveStats accumulates per-solve MILP telemetry for the scalability
-// analysis (§6.6): how many solves ran, how much tree they explored, and
-// with how many workers.
+// analysis (§6.6): how many solves ran and how much tree they explored.
 type SolveStats struct {
 	Solves     int           // MILP invocations across all cycles
 	Nodes      int           // branch-and-bound nodes explored, total
 	MaxNodes   int           // largest single-solve node count
-	Workers    int           // workers used by the most recent solve
 	WarmStarts int           // solves seeded with the previous cycle's shifted plan
 	LPIters    int64         // simplex pivots across all relaxations (primal + dual)
 	Phase1     int           // LPs that needed an artificial phase 1
@@ -270,7 +245,6 @@ func (st *SolveStats) record(sol *milp.Solution, warmSeeds int, d time.Duration)
 	if sol == nil {
 		return
 	}
-	st.Workers = sol.Workers
 	st.Nodes += sol.Nodes
 	if sol.Nodes > st.MaxNodes {
 		st.MaxNodes = sol.Nodes
@@ -757,10 +731,10 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 // It returns the merged telemetry of the solves, the requests of components
 // that produced no incumbent, and how many solves were seeded.
 func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlgen.Request, warmSeeds int, err error) {
-	// Every component takes its slot in worker apportioning, in the order one
-	// decomposition of the whole batch would list them (by first job), so the
-	// live ones search exactly as a full run would (a search's tree depends
-	// on its worker count); a replayed one is adopted as it stands.
+	// Components are listed in the order one decomposition of the whole batch
+	// would list them (by first job). That order is the one in which failed
+	// components' requests reach fallbackPack, which packs first come, first
+	// served.
 	refs := s.refs[:0]
 	for _, cl := range classes {
 		for ci, cc := range cl.comps {
@@ -791,10 +765,8 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 	sol, partSols, err := s.solveWS.SolveEach(parts, milp.Options{
 		Gap:              s.cfg.Gap,
 		TimeLimit:        s.cfg.SolverTimeLimit,
-		Workers:          s.cfg.SolverWorkers,
 		DisableWarmStart: s.cfg.DisableWarmStart,
 		DisablePresolve:  s.cfg.DisablePresolve,
-		DenseBasis:       s.cfg.DenseBasis,
 	}, &s.merged)
 	if err != nil {
 		return nil, nil, warmSeeds, err
@@ -911,8 +883,7 @@ func endComponentSpan(sp trace.Span, cc *compiler.Component, sol *milp.Solution)
 		trace.I("vars", int64(cc.Model.NumVars())),
 		trace.I("cons", int64(cc.Model.NumConstraints())),
 		trace.F("objective", sol.Objective),
-		trace.I("nodes", int64(sol.Nodes)),
-		trace.I("workers", int64(sol.Workers)))
+		trace.I("nodes", int64(sol.Nodes)))
 	sp.End(args...)
 }
 
@@ -1086,11 +1057,9 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		sol, err := ws.Solve(comp.Model, milp.Options{
 			Gap:              s.cfg.Gap,
 			TimeLimit:        s.cfg.SolverTimeLimit,
-			Workers:          s.cfg.SolverWorkers,
 			Heuristic:        comp.RoundInPlace,
 			DisableWarmStart: s.cfg.DisableWarmStart,
 			DisablePresolve:  s.cfg.DisablePresolve,
-			DenseBasis:       s.cfg.DenseBasis,
 		})
 		s.solveWS.Put(ws)
 		elapsed := time.Since(t0)

@@ -34,9 +34,6 @@ type Scale struct {
 	CyclePeriod int64
 	// SolverTimeLimit per MILP solve.
 	SolverTimeLimit time.Duration
-	// SolverWorkers is the branch-and-bound worker count per MILP solve
-	// (0 = serial).
-	SolverWorkers int
 }
 
 // Full is the default experiment scale.

@@ -33,7 +33,7 @@ func ExtScale(w io.Writer, sc Scale) error {
 		mix := workload.GSHET(sc.Jobs * p.scale)
 		b := TetriSched(core.Config{
 			CyclePeriod: sc.CyclePeriod, PlanAhead: sc.PlanAhead,
-			SolverTimeLimit: sc.SolverTimeLimit, SolverWorkers: sc.SolverWorkers,
+			SolverTimeLimit: sc.SolverTimeLimit,
 		})
 		sum, err := RunOne(p.c, mix, 1000, b, sc.CyclePeriod)
 		if err != nil {
@@ -62,8 +62,7 @@ func ExtPreempt(w io.Writer, sc Scale) error {
 	fmt.Fprintf(w, "%-28s%12s%12s%14s\n", "scheduler", "SLO-all(%)", "SLO-res(%)", "BE-latency(s)")
 	for _, on := range []bool{false, true} {
 		cfg := core.Config{CyclePeriod: sc.CyclePeriod, PlanAhead: sc.PlanAhead,
-			SolverTimeLimit: sc.SolverTimeLimit, SolverWorkers: sc.SolverWorkers,
-			EnablePreemption: on}
+			SolverTimeLimit: sc.SolverTimeLimit, EnablePreemption: on}
 		b := TetriSched(cfg)
 		if on {
 			b.Name = "TetriSched+preempt"

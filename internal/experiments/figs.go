@@ -50,13 +50,13 @@ func Table2(w io.Writer) error {
 func tetri(sc Scale) Builder {
 	return TetriSched(core.Config{
 		CyclePeriod: sc.CyclePeriod, PlanAhead: sc.PlanAhead,
-		SolverTimeLimit: sc.SolverTimeLimit, SolverWorkers: sc.SolverWorkers,
+		SolverTimeLimit: sc.SolverTimeLimit,
 	})
 }
 
 func variant(sc Scale, mod func(*core.Config)) Builder {
 	cfg := core.Config{CyclePeriod: sc.CyclePeriod, PlanAhead: sc.PlanAhead,
-		SolverTimeLimit: sc.SolverTimeLimit, SolverWorkers: sc.SolverWorkers}
+		SolverTimeLimit: sc.SolverTimeLimit}
 	mod(&cfg)
 	return TetriSched(cfg)
 }

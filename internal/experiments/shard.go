@@ -47,21 +47,13 @@ func ExtShard(w io.Writer, sc Scale) error {
 // given shard count (0 = monolithic) and returns the summary plus the shard
 // telemetry. Shared by ExtShard and the root BenchmarkShardedCycle* suite.
 func RunSharded(c *cluster.Cluster, mix workload.Mix, seed int64, sc Scale, shards int) (metrics.Summary, core.ShardStats, error) {
-	return RunShardedBasis(c, mix, seed, sc, shards, false)
-}
-
-// RunShardedBasis is RunSharded with the solver's dense-basis kill switch
-// exposed, so the BenchmarkShardedCycleLU* pair can pin the sparse LU engine
-// against the historical dense inverse on the same scenario.
-func RunShardedBasis(c *cluster.Cluster, mix workload.Mix, seed int64, sc Scale, shards int, dense bool) (metrics.Summary, core.ShardStats, error) {
 	jobs, err := workload.Generate(mix, c, seed)
 	if err != nil {
 		return metrics.Summary{}, core.ShardStats{}, err
 	}
 	sched := core.New(c, core.Config{
 		CyclePeriod: sc.CyclePeriod, PlanAhead: sc.PlanAhead,
-		SolverTimeLimit: sc.SolverTimeLimit, SolverWorkers: sc.SolverWorkers,
-		Shards: shards, DenseBasis: dense,
+		SolverTimeLimit: sc.SolverTimeLimit, Shards: shards,
 	})
 	plan := rayon.NewPlan(c.N(), sc.CyclePeriod)
 	res, err := sim.Run(sim.Config{

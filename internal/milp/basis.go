@@ -10,11 +10,11 @@ import (
 // excludes the basis representation — restoring refactorizes from the column
 // data — so a snapshot costs O(m + n) bytes, not O(m²), and branch-and-bound
 // can attach one to both children of a node: a snapshot is not written while
-// a node references it, so workers may restore from a shared one.
+// a node references it, so both restore from the same one.
 type basisState struct {
 	basis  []int32 // row -> column
 	status []byte  // column -> position, structurals and slacks only
-	refs   int32   // open nodes that will restore from it; guarded like the heap
+	refs   int32   // open nodes that will restore from it
 }
 
 // newSnapshot cuts an empty snapshot for p's shape from the slabs.
@@ -106,15 +106,16 @@ func (s *simplexState) restore(warm *basisState, lb, ub []float64) bool {
 
 // errUnstableFactor is returned by the LU engine when element growth during
 // factorization exceeds its stability budget; the scratch responds by
-// swapping in the dense engine for the remainder of its life.
+// swapping in the dense engine until it is next bound.
 var errUnstableFactor = errors.New("milp: unstable LU factorization")
 
 // basisEngine maintains an invertible representation of the simplex basis
 // matrix B (columns indexed by basis slot, rows by LP row). Two
 // implementations exist: denseBasis keeps the explicit m×m inverse updated in
-// product form (the historical kernel, kill-switch selectable via
-// Options.DenseBasis) and luBasis keeps sparse LU factors with
-// Forrest–Tomlin/product-form eta updates (the default; see lu.go).
+// product form (the historical kernel, now the fallback after an unstable
+// factorization) and luBasis keeps sparse LU factors with
+// Forrest–Tomlin/product-form eta updates (the engine every scratch starts
+// on; see lu.go).
 //
 // Vector spaces: FTRAN results and eta pivots live in basis-slot space; BTRAN
 // results (dual vectors) live in LP-row space. For the square basis these
@@ -152,8 +153,8 @@ type basisEngine interface {
 // denseBasis is the historical dense kernel behind the basisEngine interface:
 // an explicit row-major m×m basis inverse, product-form pivot updates, and
 // Gauss-Jordan refactorization. O(m²) memory and per-pivot work — retained as
-// the Options.DenseBasis kill switch and as the fallback target when LU
-// factorization goes numerically bad.
+// the fallback target when LU factorization goes numerically bad, and as the
+// tests' reference engine.
 type denseBasis struct {
 	p    *lp
 	binv []float64 // dense basis inverse, row-major, stride m
@@ -162,12 +163,6 @@ type denseBasis struct {
 	refacRows [][]float64 // row headers into refac, swapped while pivoting
 
 	stats *LPStats
-}
-
-func newDenseBasis(p *lp, stats *LPStats) *denseBasis {
-	d := new(denseBasis)
-	d.bind(p, stats)
-	return d
 }
 
 // bind re-targets the engine at p, keeping its storage when large enough.

@@ -14,7 +14,7 @@ import "testing"
 // time.
 func BenchmarkTreeSearch(b *testing.B) {
 	m := residentModel(2)
-	opts := Options{Workers: 1, Gap: 0.1}
+	opts := Options{Gap: 0.1}
 	var ws Workspace
 	for i := 0; i < 2; i++ { // grow the slabs to fit, outside the measurement
 		if _, err := ws.Solve(m, opts); err != nil {

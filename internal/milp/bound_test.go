@@ -68,7 +68,6 @@ func TestGapBreakKeepsPoppedBound(t *testing.T) {
 		model:     m,
 		opts:      Options{Gap: 0.5},
 		maximize:  true,
-		workers:   1,
 		incumbent: []float64{1},
 		incObj:    7.5,
 		h:         &nodeHeap{max: true},
@@ -77,7 +76,7 @@ func TestGapBreakKeepsPoppedBound(t *testing.T) {
 		gapBreak:  true,
 	}
 	heap.Init(s.h)
-	s.pushNode(&bbNode{bound: 8})
+	heap.Push(s.h, &bbNode{bound: 8})
 	sol := s.finish()
 	if sol.Bound != 10 {
 		t.Fatalf("Bound = %v, want the popped node's bound 10 (heap top 8 is not a proven global bound)", sol.Bound)
@@ -102,7 +101,6 @@ func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 		model:     m,
 		opts:      Options{Gap: 0.5},
 		maximize:  true,
-		workers:   1,
 		incumbent: []float64{1},
 		incObj:    7.5,
 		h:         &nodeHeap{max: true},
@@ -120,46 +118,44 @@ func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 	}
 }
 
-// TestAbandonedNodeKeepsItsBound pins what a node LP given up on means, in a
-// round of one and in a round with room for three. The time limit expires
-// right after the root solve, so the root node's re-solve returns at its first
-// deadline poll — no verdict on the node, nothing known about its subtree. The
-// search used to treat that like an infeasible node: the heap drained, and it
-// reported the tree exhausted — "optimal" with Bound collapsed to the
-// incumbent, or "infeasible" without one. The deadline is injected, not raced:
-// a wall-clock sweep does not reliably land between two polls.
+// TestAbandonedNodeKeepsItsBound pins what a node LP given up on means. The
+// time limit expires right after the root solve, so the root node's re-solve
+// returns at its first deadline poll — no verdict on the node, nothing known
+// about its subtree. The search used to treat that like an infeasible node:
+// the heap drained, and it reported the tree exhausted — "optimal" with Bound
+// collapsed to the incumbent, or "infeasible" without one. The deadline is
+// injected, not raced: a wall-clock sweep does not reliably land between two
+// polls.
 func TestAbandonedNodeKeepsItsBound(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		for _, withIncumbent := range []bool{false, true} {
-			m := residentModel(1)
-			w := new(Workspace)
-			s, x, rootObj := rootSearch(t, w, m, Options{Workers: workers})
-			if firstFractional(m, x) < 0 {
-				t.Fatal("the root is integral; the test needs a tree")
+	for _, withIncumbent := range []bool{false, true} {
+		m := residentModel(1)
+		w := new(Workspace)
+		s, x, rootObj := rootSearch(t, w, m, Options{})
+		if firstFractional(m, x) < 0 {
+			t.Fatal("the root is integral; the test needs a tree")
+		}
+		if withIncumbent {
+			if s.consider(roundHeuristic(m, x, make([]float64, len(m.Vars)))); s.incumbent == nil || s.incObj >= rootObj {
+				t.Fatal("rounding the root gave no incumbent strictly below the bound")
 			}
-			if withIncumbent {
-				if s.consider(roundHeuristic(m, x, make([]float64, len(m.Vars)))); s.incumbent == nil || s.incObj >= rootObj {
-					t.Fatal("rounding the root gave no incumbent strictly below the bound")
-				}
-			}
-			s.deadline = time.Now().Add(-time.Second)
-			s.openRoot(rootObj)
-			s.run()
-			checkSnapshotBooks(t, w)
-			sol := s.finish()
-			if sol.Nodes != 2 || s.h.Len() != 0 || !s.abandoned {
-				t.Fatalf("%d workers: %d nodes, %d open, abandoned %v; want the root node popped and given up on", workers, sol.Nodes, s.h.Len(), s.abandoned)
-			}
-			if sol.Bound != rootObj {
-				t.Errorf("%d workers incumbent=%v: Bound %v, want the abandoned node's %v", workers, withIncumbent, sol.Bound, rootObj)
-			}
-			want := StatusNoSolution
-			if withIncumbent {
-				want = StatusFeasible
-			}
-			if sol.Status != want {
-				t.Errorf("%d workers incumbent=%v: status %v, want %v: an unexplored subtree proves nothing", workers, withIncumbent, sol.Status, want)
-			}
+		}
+		s.deadline = time.Now().Add(-time.Second)
+		s.openRoot(rootObj)
+		s.run()
+		checkSnapshotBooks(t, w)
+		sol := s.finish()
+		if sol.Nodes != 2 || s.h.Len() != 0 || !s.abandoned {
+			t.Fatalf("%d nodes, %d open, abandoned %v; want the root node popped and given up on", sol.Nodes, s.h.Len(), s.abandoned)
+		}
+		if sol.Bound != rootObj {
+			t.Errorf("incumbent=%v: Bound %v, want the abandoned node's %v", withIncumbent, sol.Bound, rootObj)
+		}
+		want := StatusNoSolution
+		if withIncumbent {
+			want = StatusFeasible
+		}
+		if sol.Status != want {
+			t.Errorf("incumbent=%v: status %v, want %v: an unexplored subtree proves nothing", withIncumbent, sol.Status, want)
 		}
 	}
 }
@@ -171,12 +167,12 @@ func TestAbandonedBoundWeakerThanOpenNodes(t *testing.T) {
 	m := NewModel(Maximize)
 	m.AddBinary("x", 1)
 	s := &search{
-		ws: new(Workspace), model: m, maximize: true, workers: 1,
+		ws: new(Workspace), model: m, maximize: true,
 		incumbent: []float64{1}, incObj: 7.5,
 		h:     &nodeHeap{max: true},
 		nodes: 5, bestBound: 9,
 	}
-	s.pushNode(&bbNode{bound: 9})
+	heap.Push(s.h, &bbNode{bound: 9})
 	s.abandon(&bbNode{bound: 10})
 	s.abandon(&bbNode{bound: 9.5})
 	sol := s.finish()

@@ -501,7 +501,6 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 			}
 		}
 		p2 := s.ws.newLP(grown)
-		p2.dense = s.p.dense
 		sc2 := s.ws.newScratch(p2)
 		// The carried-over basis is read once, on the way into the solve.
 		mark := s.ws.mark()
@@ -525,7 +524,7 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 			return x, rootObj // integral: no further separation needed
 		}
 		if s.opts.Heuristic != nil {
-			s.consider(s.round(x, &s.primal))
+			s.consider(s.round(x))
 		}
 	}
 	return x, rootObj

@@ -29,11 +29,8 @@ type Part struct {
 	// Reuse, if non-nil, is a previously computed solution for this part's
 	// model (same variable space, proven under identical inputs — the
 	// caller's fingerprint is the witness); SolveParts adopts it verbatim
-	// instead of solving. The part still participates in worker apportioning
-	// so its siblings are solved with exactly the worker counts a full run
-	// would use (a search's tree depends on them), but it contributes
-	// no node/LP/presolve/runtime telemetry to the merge — only its Values,
-	// Objective, Bound, and Status.
+	// instead of solving. It contributes no node/LP/presolve/runtime telemetry
+	// to the merge — only its Values, Objective, Bound, and Status.
 	Reuse *Solution
 	// Out, if non-nil, is where the part's solve writes its Solution instead
 	// of allocating one, with the Values in Out.Values' memory when that has
@@ -57,12 +54,11 @@ type Part struct {
 //     Runtime is therefore aggregate solver effort, not wall-clock, which is
 //     roughly Runtime divided by the parts solved concurrently. Parts adopted
 //     from a Reuse solution contribute values but no effort telemetry.
-//   - Workers is the largest per-part worker count.
 //
 // Options apply per part: every part shares the Gap, TimeLimit, and MaxNodes
 // budgets (parts run concurrently, so a shared TimeLimit bounds the whole
-// decomposed solve's wall-clock), while Workers is apportioned across parts
-// largest-first by integer-variable count, every part getting at least one.
+// decomposed solve's wall-clock). Each part's search is the serial search a
+// lone Solve of its model runs, whatever its siblings are doing.
 //
 // Status merging: any infeasible or unbounded part makes the whole solve
 // infeasible/unbounded (Values nil — the full model has no solution); else if
@@ -111,8 +107,6 @@ func (l *WorkspaceList) SolveParts(parts []Part, fullVars int, opts Options) (*S
 // bound and telemetry of SolveParts but no Values. A part with a Reuse solution
 // is adopted where it stands, and a lone part left to solve runs on the
 // caller's goroutine: only two or more solves are worth a goroutine each.
-// Worker apportioning is over all the parts, adopted ones included, either
-// way.
 func (l *WorkspaceList) SolveEach(parts []Part, opts Options, merged *Solution) (*Solution, []*Solution, error) {
 	sols, err := l.solveEach(parts, opts)
 	if err != nil {
@@ -125,18 +119,15 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, erro
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("milp: SolveParts requires at least one part")
 	}
-	weights := make([]int, len(parts))
 	live := 0
 	for i := range parts {
 		if parts[i].Model == nil {
 			return nil, fmt.Errorf("milp: part %d has no model", i)
 		}
-		weights[i] = parts[i].Model.NumIntVars()
 		if parts[i].Reuse == nil {
 			live++
 		}
 	}
-	assign := apportionWorkers(opts.effectiveWorkers(), weights)
 
 	sols := make([]*Solution, len(parts))
 	run := func(i int) {
@@ -146,7 +137,6 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, erro
 		}
 		if sols[i] = parts[i].Reuse; sols[i] == nil {
 			po := opts
-			po.Workers = assign[i]
 			po.InitialSolution = parts[i].Seed
 			po.Heuristic = parts[i].Heuristic
 			ws := l.Get()
@@ -176,34 +166,6 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, erro
 	return sols, nil
 }
 
-// apportionWorkers splits total workers across parts proportionally to their
-// weights, largest-first: every part gets one worker, then the remainder goes
-// one at a time to the part with the highest weight-to-assignment ratio
-// (D'Hondt), ties to the lower index. Deterministic in its inputs.
-func apportionWorkers(total int, weights []int) []int {
-	n := len(weights)
-	assign := make([]int, n)
-	w := make([]int, n)
-	for i := range assign {
-		assign[i] = 1
-		w[i] = weights[i]
-		if w[i] < 1 {
-			w[i] = 1
-		}
-	}
-	for rem := total - n; rem > 0; rem-- {
-		best := 0
-		for i := 1; i < n; i++ {
-			// w[i]/assign[i] > w[best]/assign[best], cross-multiplied.
-			if w[i]*assign[best] > w[best]*assign[i] {
-				best = i
-			}
-		}
-		assign[best]++
-	}
-	return assign
-}
-
 // mergeParts folds per-part solutions into one full-model Solution, written
 // into merged; see SolveParts for the merge semantics. A negative fullVars
 // leaves Values out.
@@ -223,9 +185,6 @@ func mergeParts(parts []Part, sols []*Solution, fullVars int, merged *Solution) 
 			merged.Cuts.add(&sol.Cuts)
 			merged.Branch.add(&sol.Branch)
 			merged.Runtime += sol.Runtime
-			if sol.Workers > merged.Workers {
-				merged.Workers = sol.Workers
-			}
 		}
 		switch sol.Status {
 		case StatusInfeasible:

@@ -45,7 +45,7 @@ func TestDecomposeSolvePartsMatchesIndependentSolves(t *testing.T) {
 		parts[i] = Part{Model: m, VarMap: seqVarMap(fullVars, m.NumVars())}
 		fullVars += m.NumVars()
 	}
-	merged, sols, err := SolveParts(parts, fullVars, Options{Workers: 2})
+	merged, sols, err := SolveParts(parts, fullVars, Options{})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
@@ -122,40 +122,18 @@ func TestDecomposeDeterministicAcrossRuns(t *testing.T) {
 		return parts, fullVars
 	}
 	parts, fullVars := build()
-	first, _, err := SolveParts(parts, fullVars, Options{Workers: 3})
+	first, _, err := SolveParts(parts, fullVars, Options{})
 	if err != nil {
 		t.Fatalf("SolveParts: %v", err)
 	}
 	for run := 0; run < 5; run++ {
 		parts, fullVars := build()
-		again, _, err := SolveParts(parts, fullVars, Options{Workers: 3})
+		again, _, err := SolveParts(parts, fullVars, Options{})
 		if err != nil {
 			t.Fatalf("SolveParts run %d: %v", run, err)
 		}
 		if !reflect.DeepEqual(first.Values, again.Values) {
 			t.Fatalf("run %d: values diverged\n%v\n%v", run, first.Values, again.Values)
-		}
-	}
-}
-
-// TestDecomposeApportionWorkers pins the largest-first worker split.
-func TestDecomposeApportionWorkers(t *testing.T) {
-	cases := []struct {
-		total   int
-		weights []int
-		want    []int
-	}{
-		{1, []int{10, 1}, []int{1, 1}},      // floor: everyone gets one
-		{2, []int{10, 1}, []int{1, 1}},      // nothing left after the floor
-		{4, []int{4, 2, 1}, []int{2, 1, 1}}, // extra goes largest-first
-		{8, []int{4, 2, 1}, []int{5, 2, 1}}, // D'Hondt rounds, ties to lower index
-		{6, []int{3, 3}, []int{3, 3}},       // equal weights split evenly
-		{5, []int{0, 0, 0}, []int{2, 2, 1}}, // zero weights clamp to 1 and spread
-	}
-	for _, tc := range cases {
-		got := apportionWorkers(tc.total, tc.weights)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("apportionWorkers(%d, %v) = %v, want %v", tc.total, tc.weights, got, tc.want)
 		}
 	}
 }
@@ -272,9 +250,9 @@ func TestDecomposeValidation(t *testing.T) {
 
 // TestDecomposeReusePartAdoptedVerbatim pins the Reuse contract: a part
 // carrying a cached solution is adopted without solving — its Values,
-// Objective, and Bound merge exactly as a live solve's would, it keeps its
-// worker-apportioning slot, but it contributes no node/LP/runtime effort and
-// its OnSolve hook still fires (the trace shows a zero-effort replay span).
+// Objective, and Bound merge exactly as a live solve's would, but it
+// contributes no node/LP/runtime effort and its OnSolve hook still fires (the
+// trace shows a zero-effort replay span).
 func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 	models := []*Model{
 		knapsack([]float64{5, 4, 3}, []float64{2, 3, 1}, 4),
@@ -286,7 +264,7 @@ func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 		parts[i] = Part{Model: m, VarMap: seqVarMap(fullVars, m.NumVars())}
 		fullVars += m.NumVars()
 	}
-	fresh, freshSols, err := SolveParts(parts, fullVars, Options{Workers: 2})
+	fresh, freshSols, err := SolveParts(parts, fullVars, Options{})
 	if err != nil {
 		t.Fatalf("fresh SolveParts: %v", err)
 	}
@@ -301,7 +279,7 @@ func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	replay, replaySols, err := SolveParts(parts, fullVars, Options{Workers: 2})
+	replay, replaySols, err := SolveParts(parts, fullVars, Options{})
 	if err != nil {
 		t.Fatalf("replay SolveParts: %v", err)
 	}
@@ -326,19 +304,17 @@ func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 		t.Errorf("replayed merge effort (nodes=%d lp=%+v runtime=%v) should equal the live part's (nodes=%d lp=%+v runtime=%v)",
 			replay.Nodes, replay.LP, replay.Runtime, live.Nodes, live.LP, live.Runtime)
 	}
-	// Worker apportioning is computed before Reuse short-circuits, so the live
-	// part solves with the same worker count as in the fresh run.
-	if live.Workers != freshSols[1].Workers {
-		t.Errorf("live part solved with %d workers, want %d (same apportionment as a full run)",
-			live.Workers, freshSols[1].Workers)
+	// The live part searches exactly as it did beside its sibling.
+	if live.Nodes != freshSols[1].Nodes || live.LP != freshSols[1].LP {
+		t.Errorf("live part took %d nodes and %+v, the fresh run %d and %+v",
+			live.Nodes, live.LP, freshSols[1].Nodes, freshSols[1].LP)
 	}
 }
 
 // TestSolveEachSpawnsOnlyForConcurrentSolves: adopted parts and a lone live
 // part run where the caller stands — their OnSolve hooks see no goroutine the
 // caller did not have — and only two or more live parts get one each. SolveEach
-// takes parts that share no variable space, merges everything but Values, and
-// apportions workers over all the parts either way.
+// takes parts that share no variable space and merges everything but Values.
 func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
 	models := []*Model{
 		knapsack([]float64{5, 4, 3}, []float64{2, 3, 1}, 4),
@@ -346,7 +322,7 @@ func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
 		knapsack([]float64{2, 9, 4}, []float64{1, 2, 2}, 3),
 	}
 	var l WorkspaceList
-	opts := Options{Workers: 5}
+	var opts Options
 	during := func(parts []Part) (peak int, merged *Solution, sols []*Solution) {
 		var mu sync.Mutex
 		for i := range parts {
@@ -385,8 +361,8 @@ func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
 	if peak > base {
 		t.Errorf("two adopted parts and one live: %d goroutines, %d before; nothing should have been started", peak, base)
 	}
-	if sols[0] != freshSols[0] || sols[2] != freshSols[2] || sols[1].Workers != freshSols[1].Workers {
-		t.Errorf("adopted parts not returned as given, or the live part's workers changed (%d, %d in the full run)", sols[1].Workers, freshSols[1].Workers)
+	if sols[0] != freshSols[0] || sols[2] != freshSols[2] || sols[1].Nodes != freshSols[1].Nodes || sols[1].LP != freshSols[1].LP {
+		t.Errorf("adopted parts not returned as given, or the live part's search changed (%d nodes, %d in the full run)", sols[1].Nodes, freshSols[1].Nodes)
 	}
 	if replay.Objective != fresh.Objective || replay.Nodes != sols[1].Nodes {
 		t.Errorf("replayed merge: objective %v (fresh %v), nodes %d (the live part's %d)", replay.Objective, fresh.Objective, replay.Nodes, sols[1].Nodes)

@@ -76,7 +76,7 @@ func FuzzSolveEachMatchesSolve(f *testing.F) {
 		}
 		var list WorkspaceList
 		for _, presolve := range []bool{true, false} {
-			opts := Options{Workers: 1, DisablePresolve: !presolve}
+			opts := Options{DisablePresolve: !presolve}
 			want := make([]*Solution, len(models))
 			for i, m := range models {
 				sol, err := Solve(m, opts)

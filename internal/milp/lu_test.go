@@ -13,6 +13,12 @@ import (
 // through forced-refactorization churn, and the dense fallback must engage
 // when (and only when) a factorization is rejected as unstable.
 
+func newDenseBasis(p *lp, stats *LPStats) *denseBasis {
+	d := new(denseBasis)
+	d.bind(p, stats)
+	return d
+}
+
 // tortureModel builds a random MILP whose LP relaxation has a mix of
 // inequality senses, ranged coefficients, and enough structure to produce
 // non-trivial optimal bases.
@@ -211,8 +217,8 @@ func TestLUForcedRefactorization(t *testing.T) {
 			t.Fatalf("it %d: forced-refactor solve: %v", it, err)
 		}
 		pd := newLP(model)
-		pd.dense = true
 		sd := newScratch(pd)
+		sd.useDense()
 		st2, x2, err := sd.solve(pd.lb, pd.ub, 0, timeZero())
 		if err != nil {
 			t.Fatalf("it %d: dense solve: %v", it, err)
@@ -341,8 +347,8 @@ func TestLUUnstableFactorFallsBackDense(t *testing.T) {
 			t.Fatalf("it %d: post-fallback solve: status %v err %v", it, st, err)
 		}
 		pd := newLP(model)
-		pd.dense = true
 		sd := newScratch(pd)
+		sd.useDense()
 		_, xd, err := sd.solve(pd.lb, pd.ub, 0, timeZero())
 		if err != nil {
 			t.Fatalf("it %d: reference dense solve: %v", it, err)

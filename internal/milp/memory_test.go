@@ -174,14 +174,14 @@ func TestModelReset(t *testing.T) {
 }
 
 // TestWorkspaceSolveMatchesFresh solves a run of different models on one
-// workspace, in every driver, and requires each result to equal a solve on
-// fresh memory: the workspace changes where buffers live, nothing else.
+// workspace, under several option sets, and requires each result to equal a
+// solve on fresh memory: the workspace changes where buffers live, nothing
+// else.
 func TestWorkspaceSolveMatchesFresh(t *testing.T) {
 	for _, opts := range []Options{
-		{Workers: 1},
-		{Workers: 1, DisablePresolve: true, DenseBasis: true},
-		{Workers: 3, SerialCutoff: -1},
-		{Workers: 1, Gap: 0.1, DisableWarmStart: true},
+		{},
+		{DisablePresolve: true},
+		{Gap: 0.1, DisableWarmStart: true},
 	} {
 		var ws Workspace
 		for seed := int64(1); seed <= 8; seed++ {
@@ -216,7 +216,7 @@ func TestWorkspaceAliasing(t *testing.T) {
 		{packingModel(1, 14), packingModel(2, 25), 0},
 		{residentModel(2), residentModel(1), 0.1},
 	} {
-		for _, opts := range []Options{{Workers: 1}, {Workers: 1, DisablePresolve: true}, {Workers: 3, SerialCutoff: -1}} {
+		for _, opts := range []Options{{}, {DisablePresolve: true}} {
 			opts.Gap = pair.gap
 			var ws Workspace
 			a, b := pair.a, pair.b
@@ -257,7 +257,7 @@ func TestWorkspaceAliasing(t *testing.T) {
 	before, text := append([]float64(nil), lifted.Values...), pre.Model.String()
 	var ws Workspace
 	for i := 0; i < 3; i++ {
-		if _, err := ws.Solve(packingModel(4, 30), Options{Workers: 1}); err != nil {
+		if _, err := ws.Solve(packingModel(4, 30), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestWorkspaceSolveAllocs(t *testing.T) {
 		m.AddConstraint("", append(kids, Term{job, -1}), LE, 0)
 	}
 	m.AddConstraint("", supply, LE, 25)
-	opts := Options{Workers: 1, Gap: 0.1}
+	opts := Options{Gap: 0.1}
 	var ws Workspace
 	for i := 0; i < 3; i++ { // grow to fit, then settle
 		if sol, err := ws.Solve(m, opts); err != nil || sol.Status != StatusOptimal {
@@ -320,7 +320,7 @@ func TestWorkspaceListSolveParts(t *testing.T) {
 		}
 		return parts, full
 	}
-	opts := Options{Workers: 2}
+	var opts Options
 	var list WorkspaceList
 	var wg sync.WaitGroup
 	for g := int64(0); g < 4; g++ {
@@ -384,7 +384,7 @@ func TestSolveEachCallerValues(t *testing.T) {
 		return got != nil && reflect.DeepEqual(got.Values, want.Values) && got.Objective == want.Objective &&
 			got.Bound == want.Bound && got.Status == want.Status && got.Nodes == want.Nodes
 	}
-	for _, opts := range []Options{{Workers: 1, Gap: 0.1}, {Workers: 1, Gap: 0.1, DisablePresolve: true}, {Workers: 4, Gap: 0.1}} {
+	for _, opts := range []Options{{Gap: 0.1}, {Gap: 0.1, DisablePresolve: true}} {
 		want := make([]*Solution, len(models))
 		for i, m := range models {
 			sol, err := Solve(m, opts)
@@ -445,8 +445,8 @@ func TestSolveEachCallerValues(t *testing.T) {
 
 // TestSolveEachAllocs budgets a SolveEach on a list whose workspaces have grown
 // to fit, every part writing into the Solution it lent and the merge into the
-// caller's: what is left is solveEach's bookkeeping (the result list, the
-// worker apportioning, a goroutine per live part beside others) and what the
+// caller's: what is left is solveEach's bookkeeping (the result list, a
+// goroutine per live part beside others) and what the
 // search's dives propose, not the solve chain's headers. Before PR 25 the one
 // part made 22 allocations and the five 72; they make 12 and 36, and the five
 // read up to 44 under -race, where the concurrent parts' counts vary.
@@ -458,7 +458,7 @@ func TestSolveEachAllocs(t *testing.T) {
 		{[]*Model{residentModel(0)}, 14},
 		{[]*Model{packingModel(1, 14), packingModel(2, 25), residentModel(0), packingModel(3, 18), packingModel(4, 30)}, 48},
 	} {
-		opts := Options{Workers: 1, Gap: 0.1}
+		opts := Options{Gap: 0.1}
 		var list WorkspaceList
 		outs := make([]Solution, len(tc.models))
 		parts := make([]Part, len(tc.models))

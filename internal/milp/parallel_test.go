@@ -3,14 +3,13 @@ package milp
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"reflect"
 	"testing"
 	"time"
 )
 
 // randMILP builds a seeded random mixed model with a couple of coupling
-// constraints, giving branch-and-bound trees deep enough to fill rounds of
-// several nodes.
+// constraints, giving branch-and-bound trees several levels deep.
 func randMILP(seed int64) *Model {
 	r := rand.New(rand.NewSource(seed))
 	m := NewModel(Maximize)
@@ -35,76 +34,102 @@ func randMILP(seed int64) *Model {
 	return m
 }
 
-// TestParallelMatchesSerialObjective runs exact solves of the same models with
-// one worker and with four; both must agree on the optimal objective (the
-// optimal point need not be unique).
+// A solve is one serial search; the only concurrency is between the parts of
+// a SolveEach (or SolveParts) call, each solved on a goroutine of its own.
+// The tests below hold a lone solve and parts solved side by side to the same
+// promises.
+
+// solveSideBySide solves the parts as one SolveEach call on a shared
+// WorkspaceList (run it under -race) and returns each part's solution.
+func solveSideBySide(t *testing.T, parts []Part, opts Options) []*Solution {
+	t.Helper()
+	var l WorkspaceList
+	_, sols, err := l.SolveEach(parts, opts, new(Solution))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sol := range sols {
+		if sol == nil {
+			t.Fatalf("part %d: no solution", i)
+		}
+	}
+	return sols
+}
+
+// modelParts wraps models as SolveEach parts.
+func modelParts(models ...*Model) []Part {
+	parts := make([]Part, len(models))
+	for i, m := range models {
+		parts[i] = Part{Model: m}
+	}
+	return parts
+}
+
+// TestParallelMatchesSerialObjective: a model solved as one of twenty parts
+// side by side searches exactly as it does alone — the same status, values,
+// nodes and LP work.
 func TestParallelMatchesSerialObjective(t *testing.T) {
+	var models []*Model
 	for seed := int64(0); seed < 20; seed++ {
-		serial, err := solveAccounted(t, randMILP(seed), Options{Workers: 1})
+		models = append(models, randMILP(seed))
+	}
+	sols := solveSideBySide(t, modelParts(models...), Options{})
+	for seed, par := range sols {
+		alone, err := solveAccounted(t, randMILP(int64(seed)), Options{})
 		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if serial.Workers != 1 {
-			t.Fatalf("seed %d: serial Workers = %d", seed, serial.Workers)
-		}
-		par, err := solveAccounted(t, randMILP(seed), Options{Workers: 4, SerialCutoff: -1})
-		if err != nil {
-			t.Fatalf("seed %d workers=4: %v", seed, err)
-		}
-		if par.Status != serial.Status {
-			t.Errorf("seed %d: status %v, serial %v", seed, par.Status, serial.Status)
-		}
-		if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("seed %d: objective %.9f, serial %.9f", seed, par.Objective, serial.Objective)
-		}
-		if par.Workers != 4 {
-			t.Errorf("seed %d: Workers = %d, want 4", seed, par.Workers)
+		if par.Status != alone.Status || par.Objective != alone.Objective || par.Nodes != alone.Nodes || par.LP != alone.LP || !reflect.DeepEqual(par.Values, alone.Values) {
+			t.Errorf("seed %d: side by side %v obj %.9f nodes %d LP %+v; alone %v %.9f %d %+v",
+				seed, par.Status, par.Objective, par.Nodes, par.LP, alone.Status, alone.Objective, alone.Nodes, alone.LP)
 		}
 	}
 }
 
-// TestDeterministicParallelValues solves the same model ten times with four
-// deterministic workers; every run must return byte-identical Values.
+// TestDeterministicParallelValues solves the same models ten times, alone and
+// side by side; every run must return byte-identical Values.
 func TestDeterministicParallelValues(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		var ref *Solution
-		for run := 0; run < 10; run++ {
-			sol, err := solveAccounted(t, randMILP(seed), Options{Workers: 4, Deterministic: true, Gap: 0.05, SerialCutoff: -1})
+	opts := Options{Gap: 0.05}
+	var ref []*Solution
+	for run := 0; run < 10; run++ {
+		var models []*Model
+		for seed := int64(0); seed < 4; seed++ {
+			models = append(models, randMILP(seed))
+		}
+		sols := solveSideBySide(t, modelParts(models...), opts)
+		for seed := range models {
+			alone, err := solveAccounted(t, randMILP(int64(seed)), opts)
 			if err != nil {
 				t.Fatalf("seed %d run %d: %v", seed, run, err)
 			}
-			if ref == nil {
-				ref = sol
-				continue
-			}
-			if sol.Objective != ref.Objective || sol.Bound != ref.Bound || sol.Nodes != ref.Nodes {
-				t.Fatalf("seed %d run %d: (obj,bound,nodes)=(%v,%v,%d) differs from run 0 (%v,%v,%d)",
-					seed, run, sol.Objective, sol.Bound, sol.Nodes, ref.Objective, ref.Bound, ref.Nodes)
-			}
-			if len(sol.Values) != len(ref.Values) {
-				t.Fatalf("seed %d run %d: Values length drifted", seed, run)
-			}
-			for i := range sol.Values {
-				if sol.Values[i] != ref.Values[i] {
-					t.Fatalf("seed %d run %d: Values[%d] = %v, run 0 had %v", seed, run, i, sol.Values[i], ref.Values[i])
-				}
+			sols = append(sols, alone)
+		}
+		if ref == nil {
+			ref = sols
+			continue
+		}
+		for i, sol := range sols {
+			if sol.Objective != ref[i].Objective || sol.Bound != ref[i].Bound || sol.Nodes != ref[i].Nodes || !reflect.DeepEqual(sol.Values, ref[i].Values) {
+				t.Fatalf("run %d solve %d: (obj,bound,nodes)=(%v,%v,%d) or Values differ from run 0 (%v,%v,%d)",
+					run, i, sol.Objective, sol.Bound, sol.Nodes, ref[i].Objective, ref[i].Bound, ref[i].Nodes)
 			}
 		}
 	}
 }
 
-// TestParallelGapBoundInvariant re-runs the bound invariant with rounds of
-// four: a gap-limited solve must never report a bound tighter than the true
+// TestParallelGapBoundInvariant re-runs the bound invariant on gap-limited
+// parts solved side by side: none may report a bound tighter than its true
 // optimum.
 func TestParallelGapBoundInvariant(t *testing.T) {
+	var models []*Model
 	for seed := int64(0); seed < 12; seed++ {
-		exact, err := solveAccounted(t, randKnapsack(seed), Options{})
+		models = append(models, randKnapsack(seed))
+	}
+	sols := solveSideBySide(t, modelParts(models...), Options{Gap: 0.2})
+	for seed, sol := range sols {
+		exact, err := solveAccounted(t, randKnapsack(int64(seed)), Options{})
 		if err != nil || exact.Status != StatusOptimal {
 			t.Fatalf("seed %d: exact solve failed: %v %v", seed, exact, err)
-		}
-		sol, err := solveAccounted(t, randKnapsack(seed), Options{Workers: 4, Gap: 0.2, SerialCutoff: -1})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if sol.Bound < exact.Objective-1e-6 {
 			t.Errorf("seed %d: Bound %.6f tighter than optimum %.6f", seed, sol.Bound, exact.Objective)
@@ -115,12 +140,12 @@ func TestParallelGapBoundInvariant(t *testing.T) {
 	}
 }
 
-// TestParallelWithHeuristic exercises the concurrent heuristic-callback path
-// (the STRL compiler's GreedyRound runs this way in production).
+// TestParallelWithHeuristic exercises the heuristic path, alone and from parts
+// solved side by side (the STRL compiler's rounding runs on one Compiled from
+// every component of a cycle at once).
 func TestParallelWithHeuristic(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		m := randMILP(seed)
-		heur := func(relax []float64) []float64 {
+	heurFor := func(m *Model) func([]float64) []float64 {
+		return func(relax []float64) []float64 {
 			cand := make([]float64, len(relax))
 			for i, v := range m.Vars {
 				if v.Type == Continuous {
@@ -129,60 +154,63 @@ func TestParallelWithHeuristic(t *testing.T) {
 			}
 			return cand // all-integers-zero: feasible for these ≤ models
 		}
-		serial, err := solveAccounted(t, randMILP(seed), Options{Workers: 1, Heuristic: heur})
+	}
+	var parts []Part
+	for seed := int64(0); seed < 6; seed++ {
+		m := randMILP(seed)
+		parts = append(parts, Part{Model: m, Heuristic: heurFor(m)})
+	}
+	sols := solveSideBySide(t, parts, Options{})
+	for seed, par := range sols {
+		m := randMILP(int64(seed))
+		alone, err := solveAccounted(t, m, Options{Heuristic: heurFor(m)})
 		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		par, err := solveAccounted(t, randMILP(seed), Options{Workers: 4, Heuristic: heur, SerialCutoff: -1})
+		exact, err := solveAccounted(t, randMILP(int64(seed)), Options{})
 		if err != nil {
-			t.Fatalf("seed %d parallel: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("seed %d: objective %.9f, serial %.9f", seed, par.Objective, serial.Objective)
+		if par.Objective != alone.Objective || par.Nodes != alone.Nodes {
+			t.Errorf("seed %d: side by side objective %.9f in %d nodes, alone %.9f in %d", seed, par.Objective, par.Nodes, alone.Objective, alone.Nodes)
+		}
+		if diff := alone.Objective - exact.Objective; diff > 1e-6 || diff < -1e-6 {
+			t.Errorf("seed %d: objective %.9f with the heuristic, %.9f without", seed, alone.Objective, exact.Objective)
 		}
 	}
 }
 
-// TestWorkersDefault checks Workers resolution: 0 means one worker per CPU.
-func TestWorkersDefault(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	m.AddConstraint("c", []Term{{x, 1}}, LE, 1)
-	sol, err := solveAccounted(t, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := runtime.GOMAXPROCS(0); sol.Workers != want {
-		t.Fatalf("Workers = %d, want GOMAXPROCS = %d", sol.Workers, want)
-	}
-}
-
-// TestParallelTimeLimit checks deadline handling with rounds of four: the
+// TestParallelTimeLimit checks deadline handling, alone and side by side: the
 // search must stop promptly and still return the best incumbent found.
 func TestParallelTimeLimit(t *testing.T) {
+	opts := Options{TimeLimit: 50 * time.Millisecond}
 	start := time.Now()
-	sol, err := solveAccounted(t, randMILP(3), Options{Workers: 4, TimeLimit: 50 * time.Millisecond, SerialCutoff: -1})
+	alone, err := solveAccounted(t, randMILP(3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sols := solveSideBySide(t, modelParts(randMILP(3), randMILP(5), randMILP(7)), opts)
 	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("solve ran %v, deadline not honored", el)
+		t.Fatalf("solves ran %v, deadline not honored", el)
 	}
-	if sol.Status != StatusOptimal && sol.Status != StatusFeasible {
-		t.Fatalf("status = %v, want a solution", sol.Status)
+	for i, sol := range append(sols, alone) {
+		if sol.Status != StatusOptimal && sol.Status != StatusFeasible {
+			t.Fatalf("solve %d: status = %v, want a solution", i, sol.Status)
+		}
 	}
 }
 
-// TestParallelMaxNodes: the node limit is exact at every worker count — a
-// round is filled only while nodes are left in the budget.
+// TestParallelMaxNodes: the node limit is exact, alone and side by side.
 func TestParallelMaxNodes(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		sol, err := solveAccounted(t, randMILP(5), Options{Workers: workers, MaxNodes: 3, SerialCutoff: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
+	opts := Options{MaxNodes: 3}
+	alone, err := solveAccounted(t, randMILP(5), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sols := solveSideBySide(t, modelParts(randMILP(5), randMILP(5), randMILP(5)), opts)
+	for i, sol := range append(sols, alone) {
 		if sol.Nodes != 3 {
-			t.Errorf("%d workers: explored %d nodes, limit 3 and the tree is larger", workers, sol.Nodes)
+			t.Errorf("solve %d: explored %d nodes, limit 3 and the tree is larger", i, sol.Nodes)
 		}
 	}
 }

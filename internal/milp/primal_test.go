@@ -3,33 +3,27 @@ package milp
 import (
 	"math"
 	"reflect"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
 
 // pointLog is a heuristic's record of the LP points it was offered.
 type pointLog struct {
-	mu    sync.Mutex
 	calls int
 	seen  map[uint64]int
 }
 
-// note records one offered point and reports how many calls came before it.
-func (l *pointLog) note(x []float64) int {
+// note records one offered point.
+func (l *pointLog) note(x []float64) {
 	h := uint64(len(x))
 	for _, v := range x {
 		h = mix64(h, math.Float64bits(v))
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.seen == nil {
 		l.seen = make(map[uint64]int)
 	}
 	l.seen[h]++
 	l.calls++
-	return l.calls - 1
 }
 
 func (l *pointLog) repeats() int {
@@ -40,45 +34,32 @@ func (l *pointLog) repeats() int {
 	return n
 }
 
-// TestHeuristicOfferedEveryNode: with one worker and with four, the search
-// offers the caller's heuristic the LP point of every node it evaluates and
-// does not prune, once. Two nodes of one tree never share an LP point (their
-// boxes are disjoint, or one is the other's descendant and excludes its
-// point), so "no point twice" is "no node twice"; every node that branched was
-// offered; and a heuristic that proposes nothing leaves the one-worker count
-// exact: the root and one call per branching.
+// TestHeuristicOfferedEveryNode: the search offers the caller's heuristic the
+// LP point of every node it evaluates and does not prune, once. Two nodes of
+// one tree never share an LP point (their boxes are disjoint, or one is the
+// other's descendant and excludes its point), so "no point twice" is "no node
+// twice"; and a heuristic that proposes nothing leaves the count exact: the
+// root and one call per branching.
 func TestHeuristicOfferedEveryNode(t *testing.T) {
-	drivers := []Options{
-		{Workers: 1},
-		{Workers: 4, SerialCutoff: -1},
-	}
 	branched := 0
 	for seed := int64(0); seed < 12; seed++ {
-		for di, opts := range drivers {
-			var log pointLog
-			opts.DisableCuts = true // a cut round's offer is not a node's
-			opts.Heuristic = func(x []float64) []float64 {
-				log.note(x)
-				return nil
-			}
-			sol, err := solveAccounted(t, packingModel(seed, 10), opts)
-			if err != nil || sol.Status != StatusOptimal {
-				t.Fatalf("seed %d driver %d: %v %+v", seed, di, err, sol)
-			}
-			branchings := int(sol.Branch.Pseudocost + sol.Branch.Fractional)
-			branched += branchings
-			if n := log.repeats(); n != 0 {
-				t.Errorf("seed %d driver %d: %d LP points were offered more than once", seed, di, n)
-			}
-			if branchings == 0 {
-				continue // solved at the root, by presolve or an integral LP
-			}
-			if log.calls < 1+branchings || log.calls > sol.Nodes {
-				t.Errorf("seed %d driver %d: %d calls for %d nodes of which %d branched", seed, di, log.calls, sol.Nodes, branchings)
-			}
-			if di == 0 && log.calls != 1+branchings {
-				t.Errorf("seed %d: the one-worker search called %d times, want the root and its %d branchings", seed, log.calls, branchings)
-			}
+		var log pointLog
+		opts := Options{DisableCuts: true} // a cut round's offer is not a node's
+		opts.Heuristic = func(x []float64) []float64 {
+			log.note(x)
+			return nil
+		}
+		sol, err := solveAccounted(t, packingModel(seed, 10), opts)
+		if err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("seed %d: %v %+v", seed, err, sol)
+		}
+		branchings := int(sol.Branch.Pseudocost + sol.Branch.Fractional)
+		branched += branchings
+		if n := log.repeats(); n != 0 {
+			t.Errorf("seed %d: %d LP points were offered more than once", seed, n)
+		}
+		if branchings > 0 && log.calls != 1+branchings {
+			t.Errorf("seed %d: the search called %d times, want the root and its %d branchings", seed, log.calls, branchings)
 		}
 	}
 	if branched < 100 {
@@ -98,11 +79,8 @@ func floorInPlace(m *Model, x []float64) []float64 {
 	return x
 }
 
-// TestDeterministicWithHeuristicEveryNode: with the heuristic running on every
-// worker at every node, the deterministic driver still returns the same
-// answer, tree and call count however the workers interleave — the heuristic
-// yields the processor on every other call to shuffle them — and an in-place
-// heuristic never sees another worker's point.
+// TestDeterministicWithHeuristicEveryNode: with an in-place heuristic running
+// at every node, repeated solves return the same answer, tree and call count.
 func TestDeterministicWithHeuristicEveryNode(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := packingModel(seed, 12)
@@ -110,11 +88,9 @@ func TestDeterministicWithHeuristicEveryNode(t *testing.T) {
 		refCalls := 0
 		for run := 0; run < 4; run++ {
 			var log pointLog
-			opts := Options{Workers: 4, SerialCutoff: -1, Deterministic: true, Gap: 0.01}
+			opts := Options{Gap: 0.01}
 			opts.Heuristic = func(x []float64) []float64 {
-				if log.note(x)%2 == run%2 {
-					runtime.Gosched()
-				}
+				log.note(x)
 				return floorInPlace(m, x)
 			}
 			sol, err := solveAccounted(t, m, opts)
@@ -137,7 +113,7 @@ func TestDeterministicWithHeuristicEveryNode(t *testing.T) {
 }
 
 // TestRoundAllocatesNothing: offering a node's LP point to the heuristic —
-// lifted through the presolve reduction into the worker's buffer, the
+// lifted through the presolve reduction into the search's buffer, the
 // candidate mapped back into another — allocates nothing once the search has
 // its buffers, and neither does turning a candidate down.
 func TestRoundAllocatesNothing(t *testing.T) {
@@ -154,11 +130,11 @@ func TestRoundAllocatesNothing(t *testing.T) {
 	for i := range x {
 		x[i] = 0.5
 	}
-	s.consider(s.round(x, &s.primal))
+	s.consider(s.round(x))
 	if s.incumbent == nil {
 		t.Fatal("the floored point was not adopted")
 	}
-	if n := testing.AllocsPerRun(100, func() { s.consider(s.round(x, &s.primal)) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { s.consider(s.round(x)) }); n != 0 {
 		t.Errorf("a round trip through the heuristic allocates %v times", n)
 	}
 }
@@ -169,7 +145,7 @@ func TestRoundAllocatesNothing(t *testing.T) {
 func rootSearch(t *testing.T, w *Workspace, m *Model, opts Options) (*search, []float64, float64) {
 	t.Helper()
 	p := w.newLP(m)
-	s := &search{ws: w, model: m, p: p, opts: opts, maximize: m.Sense == Maximize, workers: max(1, opts.Workers), incObj: math.Inf(-1), start: time.Now()}
+	s := &search{ws: w, model: m, p: p, opts: opts, maximize: m.Sense == Maximize, incObj: math.Inf(-1), start: time.Now()}
 	s.incBuf = w.floats.take(len(m.Vars))
 	s.scratch = w.newScratch(p)
 	st, x, err := s.scratch.solve(p.lb, p.ub, 0, time.Time{})
@@ -192,7 +168,7 @@ func TestWarmCutRoundsMatchCold(t *testing.T) {
 	rounds, cut, same, warmHits := 0, 0, 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		m := packingModel(seed, 8+int(seed%7))
-		exact, err := Solve(m, Options{Workers: 1, DisableCuts: true})
+		exact, err := Solve(m, Options{DisableCuts: true})
 		if err != nil || exact.Status != StatusOptimal {
 			t.Fatalf("seed %d: exact solve: %v %+v", seed, err, exact)
 		}

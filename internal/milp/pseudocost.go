@@ -1,6 +1,9 @@
 package milp
 
-import "math"
+import (
+	"container/heap"
+	"math"
+)
 
 // Pseudocost branching.
 //
@@ -15,12 +18,11 @@ import "math"
 //
 // The table starts empty (reliability: with no observations at all the
 // selector is exactly the historical most-fractional rule, and unobserved
-// variables fall back to the table-wide average), updates and selection both
-// happen in the search's apply step, between a round's evaluations, and
-// Options.DisablePseudocost pins the historical rule outright. Branching order never affects which
-// solutions are feasible or optimal — only how fast the search proves them —
-// so the switch is a policy-invariant kill switch like DenseBasis and
-// DisableCuts.
+// variables fall back to the table-wide average), and
+// Options.DisablePseudocost pins the historical rule outright. Branching
+// order never affects which solutions are feasible or optimal — only how fast
+// the search proves them — so the switch is a policy-invariant kill switch
+// like DisableCuts.
 
 // BranchStats reports how branch variables were chosen during one Solve.
 type BranchStats struct {
@@ -38,8 +40,8 @@ func (a *BranchStats) add(b *BranchStats) {
 
 // pcTable accumulates per-variable, per-direction pseudocosts: the mean LP
 // objective degradation per unit of fractionality, learned from solved
-// children. It is read and written in the apply step only (applyNode). The
-// zero value is a table with no history, for no columns.
+// children. It is read and written by evalNode only. The zero value is a table
+// with no history, for no columns.
 type pcTable struct {
 	upSum, dnSum []float64
 	upCnt, dnCnt []int32
@@ -175,6 +177,6 @@ func (s *search) pushChildren(node *bbNode, bv int, v, obj float64, snap *basisS
 		bound: obj, parent: node, warm: snap,
 		pcol: bv, pup: true, bval: math.Ceil(v - intTol), pfrac: math.Max(1-f, intTol),
 	}
-	s.pushNode(down)
-	s.pushNode(up)
+	heap.Push(s.h, down)
+	heap.Push(s.h, up)
 }

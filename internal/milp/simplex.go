@@ -51,7 +51,7 @@ type LPStats struct {
 	// Factorizations counts basis refactorizations, sparse LU or dense.
 	Factorizations int64
 	// EtaUpdates counts product-form eta updates absorbed by the LU engine
-	// between refactorizations (always zero under Options.DenseBasis).
+	// between refactorizations (none once a scratch falls back to dense).
 	EtaUpdates int64
 	// DenseFallbacks counts scratches that abandoned the LU engine for the
 	// dense inverse after a numerically unstable factorization.
@@ -87,8 +87,7 @@ type lp struct {
 	c        []float64 // phase-2 objective (minimize)
 	lb       []float64
 	ub       []float64
-	nvars    int  // structural variable count (prefix of columns)
-	dense    bool // scratches use the dense basis engine (Options.DenseBasis)
+	nvars    int // structural variable count (prefix of columns)
 }
 
 // newLP converts a Model into computational standard form on the workspace's
@@ -180,17 +179,17 @@ const (
 // drift-control backstop behind the engines' own fill/instability triggers.
 const refactorInterval = 120
 
-// simplexState is the reusable working state of the LP kernel: one per
-// branch-and-bound worker (plus one for the root), so the buffers — including
-// the basis engine's factors — are allocated once per search, not once per
-// node. A state carries no result across solves (every solve re-initializes
-// from its bounds or snapshot), only buffers and accumulated LPStats, so
-// reusing one keeps repeated solves deterministic.
+// simplexState is the reusable working state of the LP kernel: the tree
+// search solves every node on one, so the buffers — including the basis
+// engine's factors — are allocated once per search, not once per node. A
+// state carries no result across solves (every solve re-initializes from its
+// bounds or snapshot), only buffers and accumulated LPStats, so reusing one
+// keeps repeated solves deterministic.
 type simplexState struct {
 	p       *lp
 	eng     basisEngine
 	lu      *luBasis    // the engines this state owns; eng is one of them
-	dn      *denseBasis // built on first use (Options.DenseBasis or an LU fallback)
+	dn      *denseBasis // built on first use (an LU fallback)
 	nTotal  int         // columns including phase-1 artificials
 	artCoef []float64   // phase-1 artificial column coefs (±1); nil outside phase 1
 	artBuf  []float64   // artCoef's storage
@@ -226,8 +225,8 @@ type simplexState struct {
 // bind makes s a solver state for p: every buffer is resized (reallocated
 // only when too small) and zeroed, and the telemetry starts from zero, so a
 // re-bound state behaves exactly like a newly allocated one. The basis engine
-// is sparse LU by default; p.dense (Options.DenseBasis) selects the dense
-// inverse.
+// is sparse LU; the dense inverse takes over only after an unstable
+// factorization (refactorize).
 func (s *simplexState) bind(p *lp) {
 	m, n := p.m, p.n
 	s.p = p
@@ -245,15 +244,11 @@ func (s *simplexState) bind(p *lp) {
 	s.dwt = zeroed(s.dwt, m)
 	s.artCoef, s.cost = nil, nil
 	s.stats = LPStats{}
-	if p.dense {
-		s.useDense()
-	} else {
-		if s.lu == nil {
-			s.lu = new(luBasis)
-		}
-		s.lu.bind(p, &s.stats)
-		s.eng = s.lu
+	if s.lu == nil {
+		s.lu = new(luBasis)
 	}
+	s.lu.bind(p, &s.stats)
+	s.eng = s.lu
 }
 
 // useDense installs the dense engine (built on first use) for the current LP.
@@ -781,9 +776,8 @@ func (s *simplexState) noteProgress(step, score float64) {
 // refactorize rebuilds the basis representation from the column data and
 // refreshes basic variable values, containing drift from repeated
 // product-form updates. If the LU engine rejects the basis as numerically
-// unstable (element growth past its budget), the scratch permanently swaps
-// in the dense engine — the kill-switch path in reverse — and counts the
-// fallback.
+// unstable (element growth past its budget), the scratch swaps in the dense
+// engine until it is next bound, and counts the fallback.
 func (s *simplexState) refactorize() error {
 	if err := s.eng.factor(s.basis, s.artCoef); err != nil {
 		if err != errUnstableFactor {

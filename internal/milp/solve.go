@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -45,7 +43,8 @@ func (s Status) String() string {
 }
 
 // Options configures a Solve call. The zero value requests an exact solve
-// with no limits, using one branch-and-bound worker per CPU.
+// with no limits. A solve is one serial search; the only concurrency in the
+// package is between the parts of a SolveEach or SolveParts call.
 type Options struct {
 	// Gap is the relative MIP gap: search stops when
 	// |bestBound − incumbent| ≤ Gap·max(1,|incumbent|). The paper configures
@@ -56,20 +55,13 @@ type Options struct {
 	TimeLimit time.Duration
 	// MaxNodes bounds the number of branch-and-bound nodes (0 = unlimited).
 	MaxNodes int
-	// Workers is how many open nodes a round of the tree search evaluates at
-	// once (see run): 0 uses runtime.GOMAXPROCS(0); 1 is the serial search.
-	// Each evaluation solves its LP relaxation on scratch state of its own;
-	// the incumbent and the open-node queue change between rounds only, in
-	// pop order, and with more than one worker equal-bound nodes pop in
-	// creation order — so at any worker count repeated solves of a model
-	// return byte-identical Values. Wall-clock limits (TimeLimit) remain a
-	// source of timing dependence.
-	Workers int
-	// Deterministic once chose the round-based search over a free-running
-	// worker pool; rounds are now the only search.
+	// Workers once set how many open nodes a round of the tree search
+	// evaluated at once, and Deterministic once chose those rounds over a
+	// free-running worker pool. The tree search is now one serial loop.
 	//
-	// Deprecated: no effect. Kept because benchmark/replay.go, which is
-	// frozen, names it in a composite literal.
+	// Deprecated: neither has any effect. Both are kept because
+	// benchmark/replay.go, which is frozen, names them in a composite literal.
+	Workers       int
 	Deterministic bool
 	// InitialSolution, if non-nil and feasible, seeds the incumbent — used by
 	// the scheduler to warm-start each cycle with the previous cycle's plan.
@@ -81,11 +73,11 @@ type Options struct {
 	// dives, so it is offered the LP point of every evaluated node;
 	// candidates are validated before being accepted as incumbents. The point
 	// is the callback's to overwrite — it may round in place and return the
-	// slice it was given — and the candidate is read before the same worker
-	// calls again, then copied if adopted, so neither needs a fresh
-	// allocation. With Workers > 1 the callback is invoked concurrently, each
-	// evaluation on a point of its own, and must be safe for concurrent use
-	// (functions of their input alone are).
+	// slice it was given — and the candidate is read before the next call,
+	// then copied if adopted, so neither needs a fresh allocation. One solve
+	// calls it from one goroutine at a time; the parts of a SolveEach call
+	// solve concurrently, so parts that share a callback need one that is safe
+	// for concurrent use (functions of their input alone are).
 	Heuristic func(relaxation []float64) []float64
 	// DisableWarmStart forces every branch-and-bound node LP onto the cold
 	// primal path instead of dual-simplex re-solving from the parent basis.
@@ -98,17 +90,6 @@ type Options struct {
 	// so this switch exists for bisection and parity testing, not for
 	// correctness workarounds.
 	DisablePresolve bool
-	// SerialCutoff gives models whose vars×rows product (after presolve)
-	// falls below it one worker even when Workers > 1: on small trees a
-	// round's goroutines cost more than evaluating side by side saves.
-	// 0 uses DefaultSerialCutoff; negative disables the routing so Workers
-	// is always honored.
-	SerialCutoff int
-	// DenseBasis solves every LP on the historical dense basis inverse
-	// instead of the sparse LU engine. The engines represent the same basis
-	// exactly, so this switch exists for bisection and as the numerical
-	// kill switch, not for correctness workarounds.
-	DenseBasis bool
 	// DisableCuts skips root cover/clique cut separation (see cuts.go).
 	// Cuts are valid for every integer point and never change the optimal
 	// objective — this switch exists for bisection and parity testing.
@@ -119,35 +100,6 @@ type Options struct {
 	DisablePseudocost bool
 }
 
-// DefaultSerialCutoff is the vars×rows product below which multi-worker
-// solves search with one worker. Measured on the batched-solve suite: 24-job
-// batches (≈5k after presolve) lose a few percent to coordination while
-// 48-job batches (≈15k) win from it.
-const DefaultSerialCutoff = 8192
-
-// productBelow reports a·b < limit for non-negative a, b without computing
-// the product: sharded 10k-node scenarios emit models whose vars×rows
-// product overflows int on 32-bit platforms, and a wrapped product would
-// mis-route huge models onto one worker. limit ≤ 0 (routing disabled) is
-// never below.
-func productBelow(a, b, limit int) bool {
-	if limit <= 0 {
-		return false
-	}
-	if a == 0 || b == 0 {
-		return true
-	}
-	return a <= (limit-1)/b
-}
-
-// effectiveWorkers resolves Workers to a concrete worker count.
-func (o Options) effectiveWorkers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
-}
-
 // Solution is the result of a Solve call.
 type Solution struct {
 	Status    Status
@@ -155,7 +107,6 @@ type Solution struct {
 	Bound     float64       // best proven bound on the optimum
 	Values    []float64     // one entry per model variable
 	Nodes     int           // branch-and-bound nodes explored
-	Workers   int           // branch-and-bound workers used by the search
 	LP        LPStats       // LP-kernel telemetry summed over all relaxations
 	Presolve  PresolveStats // model-reduction telemetry (zero when presolve is disabled)
 	Cuts      CutStats      // root cutting-plane activity (zero when cuts are disabled)
@@ -172,11 +123,9 @@ const intTol = 1e-6
 
 // bbNode is a branch-and-bound subproblem: its parent's bound box with one
 // bound tightened. The root (parent nil) is the LP's own box. Everything but
-// warm is fixed once the node is pushed, so an evaluation may walk a node's
-// ancestors beside the round's other evaluations.
+// warm is fixed once the node is pushed.
 type bbNode struct {
 	bound  float64 // parent LP objective (optimistic)
-	seq    uint64  // creation order, for deterministic tie-breaking
 	parent *bbNode
 	warm   *basisState // parent's optimal basis (nil: solve cold)
 
@@ -193,22 +142,14 @@ type bbNode struct {
 type nodeHeap struct {
 	nodes []*bbNode
 	max   bool // true: pop highest bound first (maximize)
-	det   bool // true: break bound ties by creation sequence (more than one worker)
 }
 
 func (h *nodeHeap) Len() int { return len(h.nodes) }
 func (h *nodeHeap) Less(i, j int) bool {
-	a, b := h.nodes[i], h.nodes[j]
-	if a.bound != b.bound {
-		if h.max {
-			return a.bound > b.bound
-		}
-		return a.bound < b.bound
+	if h.max {
+		return h.nodes[i].bound > h.nodes[j].bound
 	}
-	if h.det {
-		return a.seq < b.seq
-	}
-	return false
+	return h.nodes[i].bound < h.nodes[j].bound
 }
 func (h *nodeHeap) Swap(i, j int)      { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
 func (h *nodeHeap) Push(x interface{}) { h.nodes = append(h.nodes, x.(*bbNode)) }
@@ -221,9 +162,7 @@ func (h *nodeHeap) Pop() interface{} {
 	return x
 }
 
-// search carries the branch-and-bound state. What a round's evaluations read
-// is fixed while they run; everything else is only touched between them, on
-// the search's goroutine (see run).
+// search carries the branch-and-bound state of one solve (see run).
 type search struct {
 	ws       *Workspace
 	model    *Model
@@ -232,25 +171,22 @@ type search struct {
 	start    time.Time
 	deadline time.Time
 	maximize bool
-	workers  int
 
 	incumbent []float64
 	incObj    float64
 	incBuf    []float64 // the incumbent's memory, on the workspace like the rest of the search
 
 	pre    *Presolved // the reduction between the caller's space and the model's; nil: none
-	primal primalBuf  // the root's, then the first slot's
+	primal primalBuf  // the caller's heuristic's memory
 
-	scratch *simplexState // the root solve's LP scratch, then the first slot's
-	own     [1]evalSlot   // a one-worker search's slots (newSlots)
-	lp      LPStats       // folded telemetry of retired scratches and the other slots; finish() adds s.scratch's
+	scratch *simplexState // the root's LP scratch, then the last cut round's, then every node's
+	lp      LPStats       // folded telemetry of retired scratches; finish() adds s.scratch's
 	cuts    CutStats      // root cutting-plane activity
 	branch  BranchStats   // branching-rule usage
-	pc      pcTable       // learned pseudocosts, changed in the apply step like the heap
-	fracBuf []fracVar     // the apply step's fractional-candidate scratch
+	pc      pcTable       // learned pseudocosts
+	fracBuf []fracVar     // the branching step's fractional-candidate scratch
 
-	h   *nodeHeap
-	seq uint64
+	h *nodeHeap
 
 	nodes       int
 	bestBound   float64 // proven global bound (weakest open node)
@@ -289,7 +225,7 @@ func (s *search) consider(cand []float64) {
 
 // adopt makes a feasible cand the incumbent if it is better. The incumbent is
 // a copy, in memory the search keeps from one incumbent to the next: cand may
-// live in a slot's buffer, and most candidates are not adopted.
+// live in the heuristic's buffer, and most candidates are not adopted.
 func (s *search) adopt(cand []float64) {
 	if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || s.better(obj, s.incObj) {
 		s.incumbent, s.incObj = append(s.incBuf[:0], cand...), obj
@@ -302,7 +238,7 @@ func (s *search) adopt(cand []float64) {
 // back on an LP dive, which costs up to twelve LPs and runs at every 64th
 // node.
 
-// primalBuf is one slot's memory for the caller's heuristic: the LP point
+// primalBuf is the search's memory for the caller's heuristic: the LP point
 // as the heuristic sees it — in the caller's variable space, and the
 // heuristic's to overwrite — and, under a reduction, its candidate mapped
 // back into the model's space.
@@ -322,9 +258,9 @@ func (s *search) newPrimalBuf() primalBuf {
 
 // round offers the LP point x to the caller's heuristic and returns its
 // candidate in the model's space, unvalidated, or nil. The candidate may live
-// in b (or be the caller's own) and is good until b's next round.
-func (s *search) round(x []float64, b *primalBuf) []float64 {
-	n := len(s.model.Vars)
+// in s.primal (or be the caller's own) and is good until the next round.
+func (s *search) round(x []float64) []float64 {
+	n, b := len(s.model.Vars), &s.primal
 	if s.pre == nil {
 		copy(b.point, x[:n])
 		return s.opts.Heuristic(b.point)
@@ -334,27 +270,20 @@ func (s *search) round(x []float64, b *primalBuf) []float64 {
 
 // candidate derives an incumbent candidate from the LP point x of the idx-th
 // evaluated node, whose box is lb, ub: unvalidated, possibly nil, and good
-// until b's next use. A dive runs on w — nil for fresh memory, which is what a
-// slot that does not own the search's workspace passes — and counts its LPs
-// into stats.
-func (s *search) candidate(x, lb, ub []float64, idx int, b *primalBuf, w *Workspace, stats *LPStats) []float64 {
+// until the next one. A dive runs on the search's workspace and counts its
+// LPs into the search's scratch.
+func (s *search) candidate(x, lb, ub []float64, idx int) []float64 {
 	if s.opts.Heuristic != nil {
-		return s.round(x, b)
+		return s.round(x)
 	}
 	if idx%64 != 0 {
 		return nil
 	}
-	if w == nil {
-		w = new(Workspace)
-	}
-	return diveFrom(w, s.model, s.p, lb, ub, x, s.deadline, !s.opts.DisableWarmStart, stats)
+	return diveFrom(s.ws, s.model, s.p, lb, ub, x, s.deadline, !s.opts.DisableWarmStart, &s.scratch.stats)
 }
 
 // Tree memory. Nodes, basis snapshots and the open-node heap live in the
-// workspace and die with the solve; the node slab, the snapshot free list and
-// the heap are shared search state like the incumbent, touched only between a
-// round's evaluations (openRoot, the fill and applyNode). An evaluation reads
-// nodes and the snapshot its node restores from; it makes and takes neither.
+// workspace and die with the solve.
 
 // nodeBlockSize is how many nodes are cut from the node slab at a time.
 const nodeBlockSize = 64
@@ -367,13 +296,6 @@ func (w *Workspace) newNode() *bbNode {
 	n := &w.block[0]
 	w.block = w.block[1:]
 	return n
-}
-
-// pushNode stamps the node's creation sequence and adds it to the open heap.
-func (s *search) pushNode(n *bbNode) {
-	s.seq++
-	n.seq = s.seq
-	heap.Push(s.h, n)
 }
 
 // box writes the node's bound box into lb and ub: the LP's own, tightened by
@@ -428,7 +350,7 @@ func (s *search) releaseWarm(n *bbNode) {
 
 // capture takes the scratch's basis into buf for the node's children; nil
 // when there is no buffer (warm starts disabled) or the basis cannot seed a
-// warm start. It touches nothing shared.
+// warm start.
 func capture(sc *simplexState, buf *basisState) *basisState {
 	if buf == nil || !sc.snapshotInto(buf) {
 		return nil
@@ -460,20 +382,19 @@ func (s *search) pickBound(a, b float64) float64 {
 	return math.Min(a, b)
 }
 
-// solveNodeLP solves one node's relaxation on the given scratch,
+// solveNodeLP solves one node's relaxation on the search's scratch,
 // warm-starting from the parent basis unless the kill switch is set or the
 // node carries no snapshot.
-func (s *search) solveNodeLP(sc *simplexState, node *bbNode, lb, ub []float64) (lpStatus, []float64, error) {
+func (s *search) solveNodeLP(node *bbNode, lb, ub []float64) (lpStatus, []float64, error) {
 	if s.opts.DisableWarmStart {
-		return sc.solve(lb, ub, 0, s.deadline)
+		return s.scratch.solve(lb, ub, 0, s.deadline)
 	}
-	return sc.solveFrom(node.warm, lb, ub, 0, s.deadline)
+	return s.scratch.solveFrom(node.warm, lb, ub, 0, s.deadline)
 }
 
 // Solve optimizes the model. Pure LPs (no integer variables) are solved with
 // a single simplex call; otherwise best-bound branch-and-bound runs until the
-// gap, time, or node limit is met. With Options.Workers > 1 a round of the
-// tree search evaluates several nodes at once (see run).
+// gap, time, or node limit is met.
 func Solve(model *Model, opts Options) (*Solution, error) {
 	// A throwaway workspace: every buffer is a fresh allocation and nothing
 	// is retained.
@@ -497,13 +418,13 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 		pre = w.presolve(model)
 	}
 	if pre.Infeasible {
-		*out = Solution{Status: StatusInfeasible, Workers: opts.effectiveWorkers(), Presolve: pre.Stats, Runtime: time.Since(start)}
+		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start)}
 		return out, nil
 	}
 	// The seed is mapped into the reduced space here; the heuristic's points
-	// and candidates are mapped by the search, slot by slot (round). The
-	// reduced model is the presolver's own assembly of a model that just
-	// passed Validate; it is not validated again.
+	// and candidates are mapped by the search (round). The reduced model is
+	// the presolver's own assembly of a model that just passed Validate; it is
+	// not validated again.
 	ropts := opts
 	ropts.InitialSolution = pre.RestrictPoint(opts.InitialSolution)
 	red, err := w.branchAndBound(pre.Model, ropts, pre)
@@ -519,23 +440,10 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 // opts.Heuristic works in the space before it.
 func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (*Solution, error) {
 	start := time.Now()
-	workers := opts.effectiveWorkers()
 	if len(model.Vars) == 0 {
-		return w.answer(Solution{Status: StatusOptimal, Values: nil, Workers: workers, Runtime: time.Since(start)}), nil
-	}
-	if workers > 1 {
-		// Small models lose more to a round's goroutines than they gain from
-		// evaluating nodes side by side; give them one worker.
-		cutoff := opts.SerialCutoff
-		if cutoff == 0 {
-			cutoff = DefaultSerialCutoff
-		}
-		if productBelow(len(model.Vars), len(model.Cons), cutoff) {
-			workers = 1
-		}
+		return w.answer(Solution{Status: StatusOptimal, Values: nil, Runtime: time.Since(start)}), nil
 	}
 	p := w.newLP(model)
-	p.dense = opts.DenseBasis
 	maximize := model.Sense == Maximize
 	var deadline time.Time
 	if opts.TimeLimit > 0 {
@@ -551,7 +459,6 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 		start:    start,
 		deadline: deadline,
 		maximize: maximize,
-		workers:  workers,
 	}
 	if pre != nil && !pre.identity {
 		s.pre = pre
@@ -567,8 +474,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 		s.incObj = model.ObjectiveValue(s.incumbent)
 	}
 
-	// Root relaxation, solved on the search's own scratch so the first slot
-	// keeps reusing its basis memory.
+	// Root relaxation, solved on the scratch the tree's nodes reuse.
 	s.scratch = w.newScratch(p)
 	st, x, err := s.scratch.solve(p.lb, p.ub, 0, deadline)
 	if err != nil {
@@ -576,16 +482,16 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 	}
 	switch st {
 	case lpInfeasible:
-		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 	case lpUnbounded:
-		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 	case lpIterLimit:
 		// Root aborted (deadline or iteration cap): report the seed
 		// incumbent if one was provided, else no solution.
 		if s.incumbent != nil {
-			return w.answer(Solution{Status: StatusFeasible, Objective: s.incObj, Values: s.incumbent, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+			return w.answer(Solution{Status: StatusFeasible, Objective: s.incObj, Values: s.incumbent, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 		}
-		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, Workers: workers, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
 	}
 	rootObj := model.ObjectiveValue(x[:len(model.Vars)])
 
@@ -599,7 +505,6 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 			Bound:     rootObj,
 			Values:    vals,
 			Nodes:     1,
-			Workers:   workers,
 			LP:        s.lp,
 			Cuts:      s.cuts,
 			Runtime:   time.Since(start),
@@ -617,7 +522,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 	// round (a grown LP and its re-solve) pure overhead.
 	s.consider(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
 	s.primal = s.newPrimalBuf()
-	s.consider(s.candidate(x, p.lb, p.ub, 0, &s.primal, w, &s.scratch.stats))
+	s.consider(s.candidate(x, p.lb, p.ub, 0))
 
 	if !opts.DisableCuts {
 		// Strengthen the root relaxation with cover/clique cuts before
@@ -639,7 +544,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 func (s *search) openRoot(rootObj float64) {
 	s.pc = s.ws.newPCTable(len(s.model.Vars))
 	s.h = &s.ws.open
-	*s.h = nodeHeap{nodes: s.h.nodes[:0], max: s.maximize, det: s.workers > 1}
+	*s.h = nodeHeap{nodes: s.h.nodes[:0], max: s.maximize}
 	buf := s.takeSnap()
 	root := s.ws.newNode()
 	*root = bbNode{bound: rootObj, warm: capture(s.scratch, buf), pcol: -1}
@@ -647,63 +552,9 @@ func (s *search) openRoot(rootObj float64) {
 		root.warm.refs = 1
 	}
 	s.settleSnap(buf)
-	s.pushNode(root)
+	heap.Push(s.h, root)
 	s.nodes = 1
 	s.bestBound = rootObj
-}
-
-// A round is the unit of the tree search: up to s.workers open nodes popped in
-// best-bound order, evaluated — concurrently when there are several — and then
-// applied to the shared state in pop order. Evaluation reads what is fixed for
-// the round (model, LP, options, the node's ancestors, the incumbent) and
-// writes only its slot; everything shared — heap, incumbent, pseudocosts, node
-// and snapshot memory — changes in the apply step, on the search's goroutine.
-// The tree therefore does not depend on how the evaluations are scheduled, and
-// with one worker the round is one node evaluated inline: the serial search.
-
-// nodeResult is what evaluating one node found.
-type nodeResult struct {
-	dead      bool      // infeasible (or unbounded, impossible below a bounded root)
-	abandoned bool      // the LP reached no verdict: deadline, iteration cap, numerical error
-	obj       float64   // LP objective of the node relaxation
-	x         []float64 // its LP point, in the slot's scratch until the slot's next round
-	integral  bool      // x is integral
-	cand      []float64 // validated heuristic candidate, in the slot's buffers (may be nil)
-}
-
-// evalSlot is one place in a round: the memory an evaluation works on, all of
-// it private to that evaluation, and the node it holds this round.
-type evalSlot struct {
-	sc     *simplexState
-	lb, ub []float64
-	primal primalBuf
-	ws     *Workspace // a dive's memory; nil dives on fresh memory
-
-	node *bbNode
-	idx  int // the node's 1-based processing index, for the dive cadence
-	res  nodeResult
-}
-
-// newSlots makes the round's slots. The first is the search's own — its
-// scratch, which holds the root's basis, its heuristic buffers, and its
-// workspace for dives, which nothing else touches while a round is evaluated —
-// so a one-worker search borrows two bound boxes and nothing more. The slots
-// live in the search, not in run's frame: there they would escape through the
-// many-worker goroutines and cost every solve an allocation.
-func (s *search) newSlots() []evalSlot {
-	slots := s.own[:]
-	if s.workers > 1 {
-		slots = make([]evalSlot, s.workers)
-	}
-	slots[0] = evalSlot{sc: s.scratch, primal: s.primal, ws: s.ws}
-	for i := range slots {
-		e := &slots[i]
-		if i > 0 {
-			e.sc, e.primal = s.ws.newScratch(s.p), s.newPrimalBuf()
-		}
-		e.lb, e.ub = s.ws.floats.take(len(s.p.lb)), s.ws.floats.take(len(s.p.ub))
-	}
-	return slots
 }
 
 // atNodeLimit reports whether Options.MaxNodes nodes have been evaluated.
@@ -711,126 +562,71 @@ func (s *search) atNodeLimit() bool {
 	return s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes
 }
 
-// run searches the tree, round by round, until it is exhausted, the global
-// bound meets the gap, or a limit stops it.
+// run searches the tree until it is exhausted, the global bound meets the
+// gap, or a limit stops it. Each turn pops the open node of best bound, which
+// is then the global bound; prunes it against the incumbent; stops if it meets
+// the gap; and otherwise evaluates it on the search's scratch.
 func (s *search) run() {
-	slots := s.newSlots()
-	defer func() {
-		for i := 1; i < len(slots); i++ { // finish adds the search's own
-			s.lp.add(&slots[i].sc.stats)
-		}
-	}()
+	lb, ub := s.ws.floats.take(len(s.p.lb)), s.ws.floats.take(len(s.p.ub))
 	for s.h.Len() > 0 && !s.atNodeLimit() {
 		if s.opts.TimeLimit > 0 && time.Since(s.start) > s.opts.TimeLimit {
 			s.deadlineHit = true
 			return
 		}
-		// Fill the round in best-bound order. Until a node is kept the popped
-		// node carries the global bound, and only there does the gap test apply.
-		n := 0
-		for n < len(slots) && s.h.Len() > 0 && !s.atNodeLimit() {
-			node := heap.Pop(s.h).(*bbNode)
-			if n == 0 {
-				s.bestBound = node.bound
-			}
-			if s.incumbent != nil && !s.better(node.bound, s.incObj) {
-				s.releaseWarm(node)
-				continue // pruned by bound
-			}
-			if n == 0 && s.gapMet(node.bound) {
-				s.releaseWarm(node)
-				s.gapBreak = true
-				return
-			}
-			s.nodes++
-			slots[n].node, slots[n].idx = node, s.nodes
-			n++
+		node := heap.Pop(s.h).(*bbNode)
+		s.bestBound = node.bound
+		if s.incumbent != nil && !s.better(node.bound, s.incObj) {
+			s.releaseWarm(node)
+			continue // pruned by bound
 		}
-		round := slots[:n]
-		switch {
-		case n == 1:
-			round[0].res = s.evalNode(&round[0])
-		case n > 1:
-			var wg sync.WaitGroup
-			for i := range round {
-				wg.Add(1)
-				go func(e *evalSlot) {
-					defer wg.Done()
-					e.res = s.evalNode(e)
-				}(&round[i])
-			}
-			wg.Wait()
+		if s.gapMet(node.bound) {
+			s.releaseWarm(node)
+			s.gapBreak = true
+			return
 		}
-		for i := range round {
-			s.applyNode(&round[i])
-		}
+		s.nodes++
+		s.evalNode(node, lb, ub)
 	}
 }
 
-// evalNode solves the slot's node and derives what the apply step needs from
-// its LP point. It runs beside the round's other evaluations: it writes only
-// the slot, and the incumbent it reads changes only between rounds.
-func (s *search) evalNode(e *evalSlot) nodeResult {
-	s.box(e.node, e.lb, e.ub)
-	st, x, err := s.solveNodeLP(e.sc, e.node, e.lb, e.ub)
-	if err != nil || st == lpIterLimit {
-		return nodeResult{abandoned: true}
-	}
-	if st != lpOptimal {
-		return nodeResult{dead: true}
-	}
-	r := nodeResult{obj: s.model.ObjectiveValue(x[:len(s.model.Vars)]), x: x}
-	if s.incumbent != nil && !s.better(r.obj, s.incObj) {
-		return r // pruned already, and an incumbent only improves: applyNode stops there too
-	}
-	if r.integral = firstFractional(s.model, x) < 0; r.integral {
-		return r
-	}
-	// A dive solves on a scratch of its own, so the node's basis stays in e.sc
-	// for applyNode to capture. The candidate is validated here, beside the
-	// other evaluations, and stays in the slot until applyNode has looked at it.
-	if cand := s.candidate(x, e.lb, e.ub, e.idx, &e.primal, e.ws, &e.sc.stats); cand != nil && s.model.IsFeasible(cand, 1e-6) {
-		r.cand = cand
-	}
-	return r
-}
-
-// applyNode publishes the slot's evaluated node into the shared search state:
-// the pseudocost outcome, a new incumbent, the children.
-func (s *search) applyNode(e *evalSlot) {
-	node, r := e.node, &e.res
+// evalNode solves the node's relaxation in the box lb, ub and files what it
+// found: the pseudocost outcome, a new incumbent, the children.
+func (s *search) evalNode(node *bbNode, lb, ub []float64) {
+	s.box(node, lb, ub)
+	st, x, err := s.solveNodeLP(node, lb, ub)
 	s.releaseWarm(node) // it has restored from its parent's basis
-	if r.abandoned {
+	if err != nil || st == lpIterLimit {
 		s.abandon(node) // no verdict: the subtree stays open
 		return
 	}
-	if r.dead {
+	if st != lpOptimal {
+		return // infeasible (or unbounded, impossible below a bounded root)
+	}
+	obj := s.model.ObjectiveValue(x[:len(s.model.Vars)])
+	s.noteBranchOutcome(node, obj)
+	if s.incumbent != nil && !s.better(obj, s.incObj) {
 		return
 	}
-	s.noteBranchOutcome(node, r.obj)
-	// Against the incumbent as it is now: an earlier node of the round may
-	// have improved it.
-	if s.incumbent != nil && !s.better(r.obj, s.incObj) {
+	if firstFractional(s.model, x) < 0 {
+		s.adopt(roundIntegral(s.model, x[:len(s.model.Vars)]))
 		return
 	}
-	if r.integral {
-		s.adopt(roundIntegral(s.model, r.x[:len(s.model.Vars)]))
-		return
-	}
-	if r.cand != nil {
-		s.adopt(r.cand)
-		if !s.better(r.obj, s.incObj) {
+	// A dive solves on a scratch of its own, so the node's basis stays in
+	// s.scratch for its children.
+	if cand := s.candidate(x, lb, ub, s.nodes); cand != nil && s.model.IsFeasible(cand, 1e-6) {
+		s.adopt(cand)
+		if !s.better(obj, s.incObj) {
 			return // the candidate itself closed this subtree
 		}
 	}
 	// Both children share the node's basis. The buffer is usually the one the
 	// node itself just restored from.
 	buf := s.takeSnap()
-	snap := capture(e.sc, buf)
+	snap := capture(s.scratch, buf)
 	// Branch by pseudocost score (most-fractional until the table has history).
-	s.fracBuf = gatherFractional(s.model, r.x, s.fracBuf)
+	s.fracBuf = gatherFractional(s.model, x, s.fracBuf)
 	bv, v := s.selectBranch(s.fracBuf)
-	s.pushChildren(node, bv, v, r.obj, snap)
+	s.pushChildren(node, bv, v, obj, snap)
 	s.settleSnap(buf)
 }
 
@@ -868,10 +664,10 @@ func (s *search) finish() *Solution {
 	// Proof of optimality or infeasibility needs every subtree closed.
 	closed := s.h.Len() == 0 && !s.abandoned
 
-	if s.scratch != nil { // run folded the other slots' already
+	if s.scratch != nil {
 		s.lp.add(&s.scratch.stats)
 	}
-	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, Workers: s.workers, LP: s.lp, Cuts: s.cuts, Branch: s.branch, Runtime: time.Since(s.start)})
+	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, LP: s.lp, Cuts: s.cuts, Branch: s.branch, Runtime: time.Since(s.start)})
 	if s.incumbent == nil {
 		if closed {
 			sol.Status = StatusInfeasible

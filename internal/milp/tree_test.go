@@ -55,7 +55,7 @@ func TestResidentModelShape(t *testing.T) {
 		{2, 105, 31, 128, 1, 3},
 	} {
 		m := residentModel(tc.arrivals)
-		sol, err := Solve(m, Options{Workers: 1, Gap: 0.1})
+		sol, err := Solve(m, Options{Gap: 0.1})
 		if err != nil || sol.Status != StatusOptimal {
 			t.Fatalf("%d arrivals: %v %+v", tc.arrivals, err, sol)
 		}
@@ -138,7 +138,7 @@ func TestNodeBoxMatchesOverrideList(t *testing.T) {
 // fixed cost. Before the node arena a node alone cost three allocations.
 func TestTreeSearchAllocsIndependentOfNodes(t *testing.T) {
 	m := residentModel(1)
-	opts := func(maxNodes int) Options { return Options{Workers: 1, Gap: 0.001, MaxNodes: maxNodes} }
+	opts := func(maxNodes int) Options { return Options{Gap: 0.001, MaxNodes: maxNodes} }
 	var ws Workspace
 	for i := 0; i < 3; i++ { // grow to fit the longer search, then settle
 		sol, err := ws.Solve(m, opts(800))
@@ -232,7 +232,7 @@ func keys(m map[*basisState]int32) map[*basisState]bool {
 // search, where the many-worker goroutines cannot make it escape.
 func TestFirstPopGapBreakAllocatesNothing(t *testing.T) {
 	m := residentModel(1)
-	opts := Options{Workers: 1, Gap: 0.5}
+	opts := Options{Gap: 0.5}
 	var ws Workspace
 	for i := 0; i < 2; i++ { // the first rewind gives the slabs their arrays
 		if sol, err := ws.Solve(m, opts); err != nil || sol.Nodes != 1 || sol.Cuts.Rounds != 0 {

@@ -232,16 +232,10 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	}
 }
 
-// TestSnapshotsAccountedInEveryDriver runs rounds of one and of four to every
-// kind of end — exhausted, gap met, node limit with the heap still full, warm
-// starts off — and audits the snapshot free list and reference counts each
-// time (run it under -race: a round's evaluations restore from shared
-// snapshots side by side).
+// TestSnapshotsAccountedInEveryDriver runs the search to every kind of end —
+// exhausted, gap met, node limit with the heap still full, warm starts off —
+// and audits the snapshot free list and reference counts each time.
 func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
-	drivers := []Options{
-		{Workers: 1},
-		{Workers: 4, SerialCutoff: -1},
-	}
 	small := []*Model{packingModel(5, 30), randMILP(4)}
 	all := append([]*Model{residentModel(1)}, small...)
 	ends := []struct {
@@ -254,25 +248,23 @@ func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 		{func(o *Options) { o.MaxNodes = 40; o.DisableWarmStart = true }, all},
 	}
 	open := 0
-	for di, opts := range drivers {
-		for ei, end := range ends {
-			opts := opts
-			end.set(&opts)
-			for _, m := range end.models {
-				w := new(Workspace)
-				sol, err := w.solve(m, opts, new(Solution))
-				if err != nil {
-					t.Fatalf("driver %d end %d: %v", di, ei, err)
-				}
-				checkSnapshotBooks(t, w)
-				open += len(w.open.nodes)
-				made := w.snaps.used
-				if opts.DisableWarmStart && made != 0 {
-					t.Errorf("driver %d: %d snapshots cut with warm starts disabled", di, made)
-				}
-				if made > sol.Nodes {
-					t.Errorf("driver %d end %d: %d snapshots cut for %d nodes", di, ei, made, sol.Nodes)
-				}
+	for ei, end := range ends {
+		var opts Options
+		end.set(&opts)
+		for _, m := range end.models {
+			w := new(Workspace)
+			sol, err := w.solve(m, opts, new(Solution))
+			if err != nil {
+				t.Fatalf("end %d: %v", ei, err)
+			}
+			checkSnapshotBooks(t, w)
+			open += len(w.open.nodes)
+			made := w.snaps.used
+			if opts.DisableWarmStart && made != 0 {
+				t.Errorf("end %d: %d snapshots cut with warm starts disabled", ei, made)
+			}
+			if made > sol.Nodes {
+				t.Errorf("end %d: %d snapshots cut for %d nodes", ei, made, sol.Nodes)
 			}
 		}
 	}
@@ -286,7 +278,7 @@ func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 func TestSnapshotsRecycled(t *testing.T) {
 	m := residentModel(2)
 	w := new(Workspace)
-	sol, err := w.solve(m, Options{Workers: 1, Gap: 0.1}, new(Solution))
+	sol, err := w.solve(m, Options{Gap: 0.1}, new(Solution))
 	if err != nil || sol.Nodes < 100 {
 		t.Fatalf("%v %+v", err, sol)
 	}
@@ -307,27 +299,23 @@ func TestSnapshotsRecycled(t *testing.T) {
 // show as rejected warm starts (WarmFallbacks) that a solve on fresh memory
 // does not have, or as a different tree.
 func TestNoStaleSnapshotAcrossSolves(t *testing.T) {
-	for _, opts := range []Options{
-		{Workers: 1, Gap: 0.05},
-		{Workers: 3, SerialCutoff: -1, Gap: 0.05},
-	} {
-		var ws Workspace
-		for _, m := range []*Model{residentModel(2), packingModel(7, 24), residentModel(0), packingModel(8, 40), residentModel(1)} {
-			want, err := Solve(m, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ws.Solve(m, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ws.snapFree) != 0 {
-				t.Fatal("snapshots outlived their solve")
-			}
-			if got.LP != want.LP || got.Nodes != want.Nodes || got.Objective != want.Objective {
-				t.Errorf("workers %d: on a used workspace LP %+v nodes %d, on fresh memory LP %+v nodes %d",
-					opts.Workers, got.LP, got.Nodes, want.LP, want.Nodes)
-			}
+	opts := Options{Gap: 0.05}
+	var ws Workspace
+	for _, m := range []*Model{residentModel(2), packingModel(7, 24), residentModel(0), packingModel(8, 40), residentModel(1)} {
+		want, err := Solve(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ws.Solve(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ws.snapFree) != 0 {
+			t.Fatal("snapshots outlived their solve")
+		}
+		if got.LP != want.LP || got.Nodes != want.Nodes || got.Objective != want.Objective {
+			t.Errorf("on a used workspace LP %+v nodes %d, on fresh memory LP %+v nodes %d",
+				got.LP, got.Nodes, want.LP, want.Nodes)
 		}
 	}
 }

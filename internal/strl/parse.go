@@ -236,30 +236,22 @@ func (p *parser) parseLeaf(linear bool) (Expr, error) {
 		if p.tok.kind != tokIdent {
 			return nil, p.errf("expected field name, found %q", p.tok.text)
 		}
-		// The lexer folds "k=2" into one ident because '=' is an ident char;
-		// split on the first '='.
-		raw := p.tok.text
-		p.next()
-		var name, valstr string
-		if i := strings.IndexByte(raw, '='); i >= 0 {
-			name, valstr = raw[:i], raw[i+1:]
-		} else {
-			name = raw
-			if p.tok.kind == tokEq {
-				p.next()
-			}
+		// The lexer folds "k=2" into one ident because '=' is an ident char
+		// (set names such as attr:gpu=true need it), and an ident stops short
+		// of the '+' in "v=1e+21": lex the value again from just after the
+		// first '='.
+		name := p.tok.text
+		i := strings.IndexByte(name, '=')
+		if i >= 0 {
+			name, p.pos = name[:i], p.tok.pos+i+1
 		}
-		var v float64
-		if valstr != "" {
-			v, err = strconv.ParseFloat(valstr, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", valstr)
-			}
-		} else {
-			v, err = p.parseNumber()
-			if err != nil {
-				return nil, err
-			}
+		p.next()
+		if i < 0 && p.tok.kind == tokEq {
+			p.next()
+		}
+		v, err := p.parseNumber()
+		if err != nil {
+			return nil, err
 		}
 		fields[strings.ToLower(name)] = v
 	}

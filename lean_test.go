@@ -53,7 +53,7 @@ func leanModel(t *testing.T, name string, m *milp.Model) {
 // the model it reached before.
 func TestLeanLowering(t *testing.T) {
 	opts := func(round func([]float64) []float64) milp.Options {
-		return milp.Options{Gap: 0.1, Workers: 1, Heuristic: round}
+		return milp.Options{Gap: 0.1, Heuristic: round}
 	}
 	for _, g := range []struct {
 		jobs             int

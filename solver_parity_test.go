@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"tetrisched/internal/bitset"
@@ -44,69 +43,16 @@ func batchedModel(tb testing.TB, jobs int, seed int64) *compiler.Compiled {
 	return comp
 }
 
-// fig4Scenario is the §5.1 example from the examples suite.
-func fig4Scenario() []strl.Expr {
-	all := bitset.New(3)
-	all.Fill()
-	return []strl.Expr{
-		&strl.NCk{Set: all, K: 2, Start: 0, Dur: 1, Value: 1},
-		&strl.Max{Kids: []strl.Expr{
-			&strl.NCk{Set: all, K: 1, Start: 0, Dur: 2, Value: 1},
-			&strl.NCk{Set: all, K: 1, Start: 1, Dur: 2, Value: 1},
-			&strl.NCk{Set: all, K: 1, Start: 2, Dur: 2, Value: 1},
-		}},
-		&strl.Max{Kids: []strl.Expr{
-			&strl.NCk{Set: all, K: 3, Start: 0, Dur: 1, Value: 1},
-			&strl.NCk{Set: all, K: 3, Start: 1, Dur: 1, Value: 1},
-		}},
-	}
-}
-
-// TestSolverParityAcrossWorkers solves the example scenarios and batched
-// models under Workers=1 and Workers=4 and requires equal objectives: the
-// worker count must never change what the solver finds, only how fast.
-func TestSolverParityAcrossWorkers(t *testing.T) {
-	type scenario struct {
-		name string
-		comp *compiler.Compiled
-	}
-	fig4, err := compiler.Compile(fig4Scenario(), compiler.Options{Universe: 3, Horizon: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios := []scenario{
-		{"fig4", fig4},
-		{"batch8", batchedModel(t, 8, 1)},
-		{"batch24", batchedModel(t, 24, 2)},
-	}
-	for _, sc := range scenarios {
-		serial, err := milp.Solve(sc.comp.Model, milp.Options{Workers: 1, Heuristic: sc.comp.GreedyRound})
-		if err != nil {
-			t.Fatalf("%s serial: %v", sc.name, err)
-		}
-		par, err := milp.Solve(sc.comp.Model, milp.Options{Workers: 4, Heuristic: sc.comp.GreedyRound})
-		if err != nil {
-			t.Fatalf("%s workers=4: %v", sc.name, err)
-		}
-		if diff := par.Objective - serial.Objective; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("%s: objective %.9f != serial %.9f", sc.name, par.Objective, serial.Objective)
-		}
-	}
-}
-
-// TestSolverParityWarmVsCold flips the warm-start kill switch with one worker
-// and with four on exact solves: dual-simplex re-solves from parent bases must
-// change solve speed only, never the objective. The stats assertions keep the
-// switch honest — the warm runs must actually warm-start and the cold runs
-// must not.
+// TestSolverParityWarmVsCold flips the warm-start kill switch on exact solves:
+// dual-simplex re-solves from parent bases must change solve speed only, never
+// the objective. The stats assertions keep the switch honest — the warm run
+// must actually warm-start and the cold run must not.
 func TestSolverParityWarmVsCold(t *testing.T) {
 	comp := batchedModel(t, 24, 2)
 	var want float64
 	for i, opts := range []milp.Options{
-		{Workers: 1},
-		{Workers: 1, DisableWarmStart: true},
-		{Workers: 4},
-		{Workers: 4, DisableWarmStart: true},
+		{},
+		{DisableWarmStart: true},
 	} {
 		opts.Heuristic = comp.GreedyRound
 		sol, err := milp.Solve(comp.Model, opts)
@@ -119,8 +65,8 @@ func TestSolverParityWarmVsCold(t *testing.T) {
 		if i == 0 {
 			want = sol.Objective
 		} else if diff := sol.Objective - want; diff > 1e-6 || diff < -1e-6 {
-			t.Errorf("case %d (workers=%d cold=%v): objective %.9f != %.9f",
-				i, opts.Workers, opts.DisableWarmStart, sol.Objective, want)
+			t.Errorf("case %d (cold=%v): objective %.9f != %.9f",
+				i, opts.DisableWarmStart, sol.Objective, want)
 		}
 		if opts.DisableWarmStart {
 			if sol.LP.WarmHits != 0 || sol.LP.WarmFallbacks != 0 {
@@ -142,7 +88,7 @@ func TestWarmStartHitRate(t *testing.T) {
 		// them here so the search explores enough nodes to measure the
 		// warm-start machinery they would otherwise bypass.
 		sol, err := milp.Solve(comp.Model, milp.Options{
-			Workers: 1, Heuristic: comp.GreedyRound,
+			Heuristic:   comp.GreedyRound,
 			DisableCuts: true, DisablePseudocost: true,
 		})
 		if err != nil {
@@ -159,20 +105,15 @@ func TestWarmStartHitRate(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchedSolveSerial / ...Parallel measure the same Fig 12-style
-// aggregate solve to a 10% gap with one worker vs one per CPU; on a
-// single-CPU host the two coincide (Workers=GOMAXPROCS=1). The ...Parallel
-// lines time rounds of several nodes, the search -solver-workers > 1 selects.
-// Before PR 22 they timed a free-running worker pool no scheduler path could
-// reach, so their history in BENCH_milp.json does not compare across it. (The
-// 8- and 24-job batches are under the serial cutoff at any worker count.)
-func benchBatchedSolve(b *testing.B, jobs, workers int) {
+// BenchmarkBatchedSolve*Serial measure the same Fig 12-style aggregate solve
+// to a 10% gap at batch sizes 8 to 480. Every solve is one serial search; the
+// names keep their history in BENCH_milp.json.
+func benchBatchedSolve(b *testing.B, jobs int) {
 	comp := batchedModel(b, jobs, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol, err := milp.Solve(comp.Model, milp.Options{
 			Gap:       0.1,
-			Workers:   workers,
 			Heuristic: comp.GreedyRound,
 		})
 		if err != nil {
@@ -184,79 +125,9 @@ func benchBatchedSolve(b *testing.B, jobs, workers int) {
 	}
 }
 
-func BenchmarkBatchedSolve8Serial(b *testing.B) { benchBatchedSolve(b, 8, 1) }
-func BenchmarkBatchedSolve8Parallel(b *testing.B) {
-	benchBatchedSolve(b, 8, runtime.GOMAXPROCS(0))
-}
-func BenchmarkBatchedSolve24Serial(b *testing.B) { benchBatchedSolve(b, 24, 1) }
-func BenchmarkBatchedSolve24Parallel(b *testing.B) {
-	benchBatchedSolve(b, 24, runtime.GOMAXPROCS(0))
-}
-func BenchmarkBatchedSolve48Serial(b *testing.B) { benchBatchedSolve(b, 48, 1) }
-func BenchmarkBatchedSolve48Parallel(b *testing.B) {
-	benchBatchedSolve(b, 48, runtime.GOMAXPROCS(0))
-}
-
-// TestSerialRoutingCrossover verifies the small-model routing decision on
-// both sides of milp.DefaultSerialCutoff: a 24-job batch reduces below the
-// cutoff, so a multi-worker solve searches with one worker (Workers=1 in the
-// solution); a 48-job batch stays above it and keeps its four; and
-// SerialCutoff=-1 disables routing entirely.
-func TestSerialRoutingCrossover(t *testing.T) {
-	small := batchedModel(t, 24, 1)
-	routed, err := milp.Solve(small.Model, milp.Options{Gap: 0.1, Workers: 4, Heuristic: small.GreedyRound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if routed.Workers != 1 {
-		t.Errorf("below-cutoff model: Workers = %d, want 1 (routed to one worker)", routed.Workers)
-	}
-	forced, err := milp.Solve(small.Model, milp.Options{Gap: 0.1, Workers: 4, SerialCutoff: -1, Heuristic: small.GreedyRound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.Workers != 4 {
-		t.Errorf("SerialCutoff=-1: Workers = %d, want 4 (routing disabled)", forced.Workers)
-	}
-	if diff := math.Abs(routed.Objective - forced.Objective); diff > 0.1/(1-0.1)*math.Abs(forced.Objective)+1e-6 {
-		t.Errorf("routing changed the solution beyond the gap: %.9f vs %.9f", routed.Objective, forced.Objective)
-	}
-	big := batchedModel(t, 48, 1)
-	par, err := milp.Solve(big.Model, milp.Options{Gap: 0.1, Workers: 4, Heuristic: big.GreedyRound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Workers != 4 {
-		t.Errorf("above-cutoff model: Workers = %d, want 4", par.Workers)
-	}
-}
-
-// benchSmallModelRouting pins the serial-routing crossover: a 24-job batch
-// reduces to ≈4.7k vars×rows after presolve — below milp.DefaultSerialCutoff
-// — so a Workers-per-CPU solve is given one worker; SerialCutoff=-1 forces
-// rounds of several nodes on the same model (since PR 22; a free-running pool
-// before it) and measures the coordination overhead the routing avoids.
-// Deliberately named outside the Makefile's bench regex: the pair pins a ratio
-// against each other, not an absolute number tracked in BENCH_milp.json.
-func benchSmallModelRouting(b *testing.B, cutoff int) {
-	comp := batchedModel(b, 24, 1)
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol, err := milp.Solve(comp.Model, milp.Options{
-			Gap: 0.1, Workers: workers, SerialCutoff: cutoff, Heuristic: comp.GreedyRound,
-		})
-		if err != nil || sol.Values == nil {
-			b.Fatalf("solve failed: %v", err)
-		}
-	}
-}
-
-func BenchmarkSmallModelRoutedSerial(b *testing.B)   { benchSmallModelRouting(b, 0) }
-func BenchmarkSmallModelForcedParallel(b *testing.B) { benchSmallModelRouting(b, -1) }
+func BenchmarkBatchedSolve8Serial(b *testing.B)  { benchBatchedSolve(b, 8) }
+func BenchmarkBatchedSolve24Serial(b *testing.B) { benchBatchedSolve(b, 24) }
+func BenchmarkBatchedSolve48Serial(b *testing.B) { benchBatchedSolve(b, 48) }
 
 // decomposableModel compiles a batch that provably splits: nBlocks disjoint
 // node blocks with jobsPer jobs each, every job a Max over deferred starts on
@@ -322,7 +193,7 @@ func TestDecompositionParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		opts := milp.Options{Gap: gap, Workers: 2}
+		opts := milp.Options{Gap: gap}
 
 		monoOpts := opts
 		monoOpts.Heuristic = comp.GreedyRound
@@ -415,7 +286,7 @@ func TestPresolveParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		opts := milp.Options{Gap: gap, Workers: 2, Heuristic: comp.GreedyRound}
+		opts := milp.Options{Gap: gap, Heuristic: comp.GreedyRound}
 		on, err := milp.Solve(comp.Model, opts)
 		if err != nil {
 			t.Fatalf("seed %d: presolved solve: %v", seed, err)
@@ -478,19 +349,16 @@ func TestPresolveParityProperty(t *testing.T) {
 // search-tree shrink the decomposition exists for.
 func benchComponentSolve(b *testing.B, split bool) {
 	comp := decomposableModel(b, 4, 3, 7)
-	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if split {
 			merged, _, err := milp.SolveParts(componentParts(comp.Components()), comp.Model.NumVars(),
-				milp.Options{Gap: 0.1, Workers: workers})
+				milp.Options{Gap: 0.1})
 			if err != nil || merged.Values == nil {
 				b.Fatalf("decomposed solve failed: %v (%v)", err, merged)
 			}
 		} else {
-			sol, err := milp.Solve(comp.Model, milp.Options{
-				Gap: 0.1, Workers: workers, Heuristic: comp.GreedyRound,
-			})
+			sol, err := milp.Solve(comp.Model, milp.Options{Gap: 0.1, Heuristic: comp.GreedyRound})
 			if err != nil || sol.Values == nil {
 				b.Fatalf("monolithic solve failed: %v", err)
 			}
@@ -501,20 +369,17 @@ func benchComponentSolve(b *testing.B, split bool) {
 func BenchmarkBatchedSolveComponentsMono(b *testing.B)  { benchComponentSolve(b, false) }
 func BenchmarkBatchedSolveComponentsSplit(b *testing.B) { benchComponentSolve(b, true) }
 
-func BenchmarkBatchedSolve480Serial(b *testing.B) { benchBatchedSolve(b, 480, 1) }
-func BenchmarkBatchedSolve480Parallel(b *testing.B) {
-	benchBatchedSolve(b, 480, runtime.GOMAXPROCS(0))
-}
+func BenchmarkBatchedSolve480Serial(b *testing.B) { benchBatchedSolve(b, 480) }
 
 // TestBasisEngineParityProperty is the property test of the LU acceptance
 // criteria: across ≥200 seeded compiled instances, solves on the sparse LU
-// engine (the default) agree with the dense-inverse kill switch, with cuts
-// disabled, and with pseudocost branching disabled — each within the
-// configured gap. The stats assertions keep every switch honest: dense runs
-// must never push an eta through the sparse chain, DisableCuts runs must
-// report zero cut activity, DisablePseudocost runs must never take a
-// pseudocost decision, and across the suite the default configuration must
-// actually exercise all three features.
+// engine agree with cuts disabled and with pseudocost branching disabled —
+// each within the configured gap. The stats assertions keep every switch
+// honest: DisableCuts runs must report zero cut activity, DisablePseudocost
+// runs must never take a pseudocost decision, and across the suite the
+// default configuration must actually exercise the LU engine, cuts and
+// pseudocosts. (The dense engine is checked against LU in internal/milp's
+// lu_test.go.)
 func TestBasisEngineParityProperty(t *testing.T) {
 	const instances = 220
 	var (
@@ -535,7 +400,7 @@ func TestBasisEngineParityProperty(t *testing.T) {
 		if i%3 == 1 {
 			gap = 0.1
 		}
-		base := milp.Options{Gap: gap, Workers: 2, Heuristic: comp.GreedyRound}
+		base := milp.Options{Gap: gap, Heuristic: comp.GreedyRound}
 
 		lu, err := milp.Solve(comp.Model, base)
 		if err != nil {
@@ -546,11 +411,6 @@ func TestBasisEngineParityProperty(t *testing.T) {
 			mut  func(*milp.Options)
 			chk  func(*milp.Solution)
 		}{
-			{"DenseBasis", func(o *milp.Options) { o.DenseBasis = true }, func(s *milp.Solution) {
-				if s.LP.EtaUpdates != 0 {
-					t.Errorf("seed %d: DenseBasis run pushed %d sparse eta updates", seed, s.LP.EtaUpdates)
-				}
-			}},
 			{"DisableCuts", func(o *milp.Options) { o.DisableCuts = true }, func(s *milp.Solution) {
 				if s.Cuts != (milp.CutStats{}) {
 					t.Errorf("seed %d: DisableCuts left cut activity %+v", seed, s.Cuts)
