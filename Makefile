@@ -115,11 +115,18 @@ alloc-ceiling:
 # DisableCompileCache twin through arrivals, finishes, failures, drops and
 # preemptions on a small cluster and compares their decisions every cycle.
 # FuzzParseRoundTrip feeds strl.Parse arbitrary text: whatever it accepts must
-# print to text that parses again and prints identically. Wired into CI.
+# print to text that parses again and prints identically. FuzzPlanMatchesMapCalendar
+# drives rayon's dense calendar and the map one it replaced through the same
+# Admit/Release/query sequence and compares every answer. FuzzParseRDL feeds
+# rayon.ParseRDL arbitrary text: whatever it accepts must print to text that
+# parses to the same Window, and admit inside that window or not at all.
+# Wired into CI.
 fuzz-smoke:
 	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzSolveEachMatchesSolve$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassTableMatchesUncached$$' -fuzztime 15s
 	$(GO) test ./internal/strl -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 15s
+	$(GO) test ./internal/rayon -run '^$$' -fuzz '^FuzzPlanMatchesMapCalendar$$' -fuzztime 15s
+	$(GO) test ./internal/rayon -run '^$$' -fuzz '^FuzzParseRDL$$' -fuzztime 15s
 
 # Front-door smoke: cmd/loadgen spawns an in-process daemon and fires a short
 # closed-loop burst at POST /v1/submit while cycles drain the queue. Gates on

@@ -106,13 +106,7 @@ func main() {
 // spawnDaemon starts a small in-process tetrischedd on a loopback port and
 // returns its address and a shutdown func.
 func spawnDaemon(maxQueue int) (string, func(), error) {
-	b := cluster.NewBuilder()
-	for r := 0; r < 4; r++ {
-		for i := 0; i < 8; i++ {
-			b.AddNode(fmt.Sprintf("r%d/n%d", r, i), fmt.Sprintf("r%d", r), nil)
-		}
-	}
-	c := b.Build()
+	c := cluster.Racked(32, 4, 0)
 	sched := core.New(c, core.Config{
 		CyclePeriod:     4,
 		PlanAhead:       96,

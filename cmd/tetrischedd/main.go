@@ -39,7 +39,6 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers on DefaultServeMux, served only on -debug-addr
@@ -82,21 +81,10 @@ func main() {
 	)
 	flag.Parse()
 
-	b := cluster.NewBuilder()
-	perRack := (*nodes + *racks - 1) / *racks
-	id := 0
-	for r := 0; r < *racks && id < *nodes; r++ {
-		var attrs map[string]string
-		if r < *gpuRacks {
-			k, v := cluster.GPUAttr()
-			attrs = map[string]string{k: v}
-		}
-		for i := 0; i < perRack && id < *nodes; i++ {
-			b.AddNode(fmt.Sprintf("r%d/n%d", r, i), fmt.Sprintf("r%d", r), attrs)
-			id++
-		}
+	if *racks <= 0 {
+		log.Fatalf("tetrischedd: -racks %d must be positive", *racks)
 	}
-	c := b.Build()
+	c := cluster.Racked(*nodes, *racks, *gpuRacks)
 
 	var tr *trace.Tracer
 	if *traceRing > 0 {

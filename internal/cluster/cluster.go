@@ -5,9 +5,10 @@
 package cluster
 
 import (
-	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strconv"
 
 	"tetrisched/internal/bitset"
 )
@@ -15,7 +16,8 @@ import (
 // NodeID indexes a node within its cluster; IDs are dense in [0, N).
 type NodeID int
 
-// Node is one machine.
+// Node is one machine. Attrs is shared: every node of a rack added by
+// AddRack holds the same map, so callers must treat it as read-only.
 type Node struct {
 	ID    NodeID
 	Name  string
@@ -35,50 +37,69 @@ type Cluster struct {
 
 // Builder assembles a Cluster rack by rack.
 type Builder struct {
-	nodes []Node
+	nodes  []Node
+	attrs  []map[string]string // one copy per AddRack or AddNode call that had attributes
+	attrOf []int32             // attrOf[i]: node i's map in attrs, or -1 for none
 }
 
 // NewBuilder returns an empty cluster builder.
 func NewBuilder() *Builder { return &Builder{} }
 
-// AddRack appends a rack of n nodes, all carrying the given attributes.
-// Node names are generated as rack/node-index.
+// AddRack appends a rack of n nodes, all carrying the given attributes: one
+// copy of attrs, shared among them. Node names are generated as
+// rack/node-index.
 func (b *Builder) AddRack(rack string, n int, attrs map[string]string) *Builder {
+	if n <= 0 {
+		return b
+	}
+	a := b.addAttrs(attrs)
+	buf := make([]byte, 0, n*(len(rack)+4))
 	for i := 0; i < n; i++ {
-		node := Node{
-			ID:    NodeID(len(b.nodes)),
-			Name:  fmt.Sprintf("%s/n%d", rack, i),
-			Rack:  rack,
-			Attrs: copyAttrs(attrs),
+		buf = append(buf, rack...)
+		buf = append(buf, "/n"...)
+		buf = strconv.AppendInt(buf, int64(i), 10)
+	}
+	names := string(buf)
+	lo, digits, next := 0, 1, 10
+	for i := 0; i < n; i++ {
+		if i == next {
+			digits, next = digits+1, next*10
 		}
-		b.nodes = append(b.nodes, node)
+		hi := lo + len(rack) + len("/n") + digits
+		b.addNode(names[lo:hi], rack, a)
+		lo = hi
 	}
 	return b
 }
 
-// AddNode appends a single node.
+// AddNode appends a single node with its own copy of attrs.
 func (b *Builder) AddNode(name, rack string, attrs map[string]string) *Builder {
-	b.nodes = append(b.nodes, Node{
-		ID:    NodeID(len(b.nodes)),
-		Name:  name,
-		Rack:  rack,
-		Attrs: copyAttrs(attrs),
-	})
+	b.addNode(name, rack, b.addAttrs(attrs))
 	return b
 }
 
-func copyAttrs(attrs map[string]string) map[string]string {
+// addAttrs keeps a copy of attrs and returns its index, or -1 if attrs is
+// empty.
+func (b *Builder) addAttrs(attrs map[string]string) int32 {
 	if len(attrs) == 0 {
-		return nil
+		return -1
 	}
-	c := make(map[string]string, len(attrs))
-	for k, v := range attrs {
-		c[k] = v
-	}
-	return c
+	b.attrs = append(b.attrs, maps.Clone(attrs))
+	return int32(len(b.attrs) - 1)
 }
 
-// Build freezes the builder into a Cluster.
+func (b *Builder) addNode(name, rack string, a int32) {
+	var attrs map[string]string
+	if a >= 0 {
+		attrs = b.attrs[a]
+	}
+	b.nodes = append(b.nodes, Node{ID: NodeID(len(b.nodes)), Name: name, Rack: rack, Attrs: attrs})
+	b.attrOf = append(b.attrOf, a)
+}
+
+// Build freezes the builder into a Cluster. Each attribute map's "k=v" sets
+// are looked up once, and every node is then added to its rack's set and to
+// its map's sets.
 func (b *Builder) Build() *Cluster {
 	n := len(b.nodes)
 	c := &Cluster{
@@ -88,22 +109,33 @@ func (b *Builder) Build() *Cluster {
 		all:    bitset.New(n),
 	}
 	c.all.Fill()
-	for _, node := range b.nodes {
-		rs, ok := c.byRack[node.Rack]
-		if !ok {
-			rs = bitset.New(n)
-			c.byRack[node.Rack] = rs
-			c.racks = append(c.racks, node.Rack)
-		}
-		rs.Add(int(node.ID))
-		for k, v := range node.Attrs {
+	attrSets := make([][]*bitset.Set, len(b.attrs))
+	for a, attrs := range b.attrs {
+		for k, v := range attrs {
 			key := k + "=" + v
 			as, ok := c.byAttr[key]
 			if !ok {
 				as = bitset.New(n)
 				c.byAttr[key] = as
 			}
-			as.Add(int(node.ID))
+			attrSets[a] = append(attrSets[a], as)
+		}
+	}
+	var rs *bitset.Set
+	for i := range b.nodes {
+		if rack := b.nodes[i].Rack; i == 0 || rack != b.nodes[i-1].Rack {
+			var ok bool
+			if rs, ok = c.byRack[rack]; !ok {
+				rs = bitset.New(n)
+				c.byRack[rack] = rs
+				c.racks = append(c.racks, rack)
+			}
+		}
+		rs.Add(i)
+		if a := b.attrOf[i]; a >= 0 {
+			for _, as := range attrSets[a] {
+				as.Add(i)
+			}
 		}
 	}
 	sort.Strings(c.racks)
@@ -127,6 +159,14 @@ func (c *Cluster) Rack(name string) *bitset.Set {
 	return nil
 }
 
+// RackSize returns the number of nodes in the named rack (0 if unknown).
+func (c *Cluster) RackSize(name string) int {
+	if s, ok := c.byRack[name]; ok {
+		return s.Count()
+	}
+	return 0
+}
+
 // WithAttr returns the set of nodes carrying attribute k=v; the empty set if
 // none do.
 func (c *Cluster) WithAttr(k, v string) *bitset.Set {
@@ -134,6 +174,14 @@ func (c *Cluster) WithAttr(k, v string) *bitset.Set {
 		return s.Clone()
 	}
 	return bitset.New(c.N())
+}
+
+// NumWithAttr returns the number of nodes carrying attribute k=v.
+func (c *Cluster) NumWithAttr(k, v string) int {
+	if s, ok := c.byAttr[k+"="+v]; ok {
+		return s.Count()
+	}
+	return 0
 }
 
 // All returns the set of all nodes.

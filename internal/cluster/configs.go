@@ -1,6 +1,6 @@
 package cluster
 
-import "fmt"
+import "strconv"
 
 // Standard experiment cluster configurations from the paper (§6.1).
 // RC256 is the 256-node / 8-rack testbed; RC80 is the 80-node subset.
@@ -26,14 +26,29 @@ func RC80(het bool) *Cluster { return rackCluster(8, 10, het) }
 // rackCluster builds racks×perRack nodes; when het is set the first quarter
 // of racks carry gpu=true.
 func rackCluster(racks, perRack int, het bool) *Cluster {
+	gpuRacks := 0
+	if het {
+		gpuRacks = racks / 4
+	}
+	return Racked(racks*perRack, racks, gpuRacks)
+}
+
+// Racked builds nodes machines split over racks r0, r1, … of
+// ceil(nodes/racks) nodes each, the last one partial if the split is uneven;
+// the first gpuRacks racks carry gpu=true; racks must be positive. This is
+// the daemon's -nodes/-racks/-gpu-racks cluster.
+func Racked(nodes, racks, gpuRacks int) *Cluster {
 	b := NewBuilder()
-	gpuRacks := racks / 4
-	for r := 0; r < racks; r++ {
+	perRack := (nodes + racks - 1) / racks
+	gpu := map[string]string{attrGPU: "true"}
+	for r, id := 0, 0; r < racks && id < nodes; r++ {
 		var attrs map[string]string
-		if het && r < gpuRacks {
-			attrs = map[string]string{attrGPU: "true"}
+		if r < gpuRacks {
+			attrs = gpu
 		}
-		b.AddRack(fmt.Sprintf("r%d", r), perRack, attrs)
+		n := min(perRack, nodes-id)
+		b.AddRack("r"+strconv.Itoa(r), n, attrs)
+		id += n
 	}
 	return b.Build()
 }

@@ -29,7 +29,10 @@ type Reservation struct {
 type Plan struct {
 	capacity int
 	quantum  int64
-	used     map[int64]int // slice index -> reserved node count
+	// used[t-base] is the node count reserved in slice t, for every slice
+	// from the first one ever reserved to the last; at reads 0 elsewhere.
+	used     []int
+	base     int64
 	accepted map[int]*Reservation
 }
 
@@ -42,7 +45,6 @@ func NewPlan(capacity int, quantum int64) *Plan {
 	return &Plan{
 		capacity: capacity,
 		quantum:  quantum,
-		used:     make(map[int64]int),
 		accepted: make(map[int]*Reservation),
 	}
 }
@@ -60,31 +62,68 @@ func (p *Plan) Admit(jobID int, arrival, deadline int64, k int, estDur int64) *R
 	if k <= 0 || k > p.capacity || estDur <= 0 {
 		return nil
 	}
-	durSlices := (estDur + p.quantum - 1) / p.quantum
-	firstSlice := arrival / p.quantum
-	if arrival%p.quantum != 0 {
-		firstSlice++
-	}
+	durSlices := ceilDiv(estDur, p.quantum)
 	lastStart := deadline/p.quantum - durSlices
-	for s := firstSlice; s <= lastStart; s++ {
-		ok := true
-		for t := s; t < s+durSlices; t++ {
-			if p.used[t]+k > p.capacity {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+	for s := ceilDiv(arrival, p.quantum); s <= lastStart; {
+		if t, ok := p.overload(s, s+durSlices, p.capacity-k); ok {
+			// Every start in (s, t] covers slice t too.
+			s = t + 1
 			continue
 		}
-		for t := s; t < s+durSlices; t++ {
-			p.used[t] += k
+		p.grow(s, s+durSlices)
+		for i := s - p.base; i < s-p.base+durSlices; i++ {
+			p.used[i] += k
 		}
 		r := &Reservation{JobID: jobID, K: k, Start: s * p.quantum, End: (s + durSlices) * p.quantum}
 		p.accepted[jobID] = r
 		return r
 	}
 	return nil
+}
+
+// ceilDiv is ⌈a/q⌉ for a ≥ 0: Go's truncated quotient, plus one if q does not
+// divide a.
+func ceilDiv(a, q int64) int64 {
+	if a%q != 0 {
+		return a/q + 1
+	}
+	return a / q
+}
+
+// overload returns the first slice in [from, to) with more than free nodes
+// reserved. Slices outside used hold none, and free is never negative.
+func (p *Plan) overload(from, to int64, free int) (int64, bool) {
+	lo, hi := max(from-p.base, 0), min(to-p.base, int64(len(p.used)))
+	for i := lo; i < hi; i++ {
+		if p.used[i] > free {
+			return p.base + i, true
+		}
+	}
+	return 0, false
+}
+
+// grow extends used to cover the slices [from, to), at either end.
+func (p *Plan) grow(from, to int64) {
+	if len(p.used) == 0 {
+		p.used, p.base = make([]int, to-from), from
+		return
+	}
+	if from < p.base {
+		used := make([]int, p.base-from+int64(len(p.used)))
+		copy(used[p.base-from:], p.used)
+		p.used, p.base = used, from
+	}
+	if n := to - p.base - int64(len(p.used)); n > 0 {
+		p.used = append(p.used, make([]int, n)...)
+	}
+}
+
+// at returns the node count reserved in slice t.
+func (p *Plan) at(t int64) int {
+	if i := t - p.base; i >= 0 && i < int64(len(p.used)) {
+		return p.used[i]
+	}
+	return 0
 }
 
 // Release frees the remainder of a reservation from time `at` onward, e.g.
@@ -95,27 +134,18 @@ func (p *Plan) Release(r *Reservation, at int64) {
 		return
 	}
 	r.freed = true
-	from := at / p.quantum
-	if at%p.quantum != 0 {
-		from++
-	}
-	if from < r.Start/p.quantum {
-		from = r.Start / p.quantum
-	}
+	from := max(ceilDiv(at, p.quantum), r.Start/p.quantum)
 	for t := from; t < r.End/p.quantum; t++ {
-		p.used[t] -= r.K
-		if p.used[t] < 0 {
+		p.used[t-p.base] -= r.K
+		if p.used[t-p.base] < 0 {
 			panic(fmt.Sprintf("rayon: negative reserved capacity at slice %d", t))
-		}
-		if p.used[t] == 0 {
-			delete(p.used, t)
 		}
 	}
 	delete(p.accepted, r.JobID)
 }
 
 // Reserved returns the reserved node count for the slice containing time t.
-func (p *Plan) Reserved(t int64) int { return p.used[t/p.quantum] }
+func (p *Plan) Reserved(t int64) int { return p.at(t / p.quantum) }
 
 // Lookup returns the live reservation for a job, if any.
 func (p *Plan) Lookup(jobID int) *Reservation { return p.accepted[jobID] }
@@ -123,11 +153,9 @@ func (p *Plan) Lookup(jobID int) *Reservation { return p.accepted[jobID] }
 // MaxReserved returns the maximum reserved capacity over [from, to); used by
 // tests to verify the plan never overcommits.
 func (p *Plan) MaxReserved(from, to int64) int {
-	mx := 0
-	for s := from / p.quantum; s <= to/p.quantum; s++ {
-		if p.used[s] > mx {
-			mx = p.used[s]
-		}
+	mx, end := 0, ceilDiv(to, p.quantum)
+	for s := from / p.quantum; s < end; s++ {
+		mx = max(mx, p.at(s))
 	}
 	return mx
 }

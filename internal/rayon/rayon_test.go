@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tetrisched/internal/cluster"
+	"tetrisched/internal/workload"
 )
 
 func TestAdmitBasic(t *testing.T) {
@@ -132,6 +135,72 @@ func TestNeverOvercommitsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestMaxReservedHalfOpen: MaxReserved reads [from, to), so a reservation
+// starting at to does not show.
+func TestMaxReservedHalfOpen(t *testing.T) {
+	p := NewPlan(10, 4)
+	if r := p.Admit(1, 8, 100, 3, 4); r == nil || r.Start != 8 || r.End != 12 {
+		t.Fatalf("reservation = %+v, want [8,12)", r)
+	}
+	for _, c := range []struct {
+		from, to int64
+		want     int
+	}{{0, 8, 0}, {0, 9, 3}, {8, 12, 3}, {11, 12, 3}, {12, 20, 0}, {0, 0, 0}} {
+		if got := p.MaxReserved(c.from, c.to); got != c.want {
+			t.Errorf("MaxReserved(%d, %d) = %d, want %d", c.from, c.to, got, c.want)
+		}
+	}
+}
+
+// TestAdmitBeforeFirstReserved: a request whose window lies before every
+// reserved slice is placed there, and the later reservation stays put.
+func TestAdmitBeforeFirstReserved(t *testing.T) {
+	p := NewPlan(4, 2)
+	late := p.Admit(1, 100, 200, 4, 10)
+	early := p.Admit(2, 10, 60, 4, 20)
+	if late == nil || late.Start != 100 || early == nil || early.Start != 10 || early.End != 30 {
+		t.Fatalf("reservations %+v, %+v: want [100,110) and [10,30)", late, early)
+	}
+	for _, c := range []struct {
+		t    int64
+		want int
+	}{{0, 0}, {10, 4}, {29, 4}, {30, 0}, {99, 0}, {100, 4}, {109, 4}, {110, 0}} {
+		if got := p.Reserved(c.t); got != c.want {
+			t.Errorf("Reserved(%d) = %d, want %d", c.t, got, c.want)
+		}
+	}
+	if r := p.Admit(3, 4, 120, 1, 10); r == nil || r.Start != 30 {
+		t.Errorf("third reservation %+v, want a start at 30", r)
+	}
+}
+
+// BenchmarkAdmit admits the SLO jobs of a GS HET stream at half load on the
+// 1024-node front-door cluster, in arrival order, into a fresh plan.
+func BenchmarkAdmit(b *testing.B) {
+	c := cluster.Racked(1024, 32, 8)
+	mix := workload.GSHET(450)
+	mix.TargetUtil = 0.5
+	jobs, err := workload.Generate(mix, c, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var slo []*workload.Job
+	for _, j := range jobs {
+		if j.Class == workload.SLO {
+			slo = append(slo, j)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := NewPlan(c.N(), 4)
+		for _, j := range slo {
+			p.Admit(j.ID, j.Submit, j.Deadline, j.K, j.EstRuntime(true))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(slo)), "ns/admit")
 }
 
 func TestNewPlanPanics(t *testing.T) {

@@ -2,6 +2,7 @@ package rayon
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -22,7 +23,12 @@ type Container struct {
 	Cores int
 }
 
+// String prints the memory size in GB when it is a whole number of them and
+// in MB otherwise, so that it parses back to the same Container.
 func (c Container) String() string {
+	if c.MemMB%1024 != 0 {
+		return fmt.Sprintf("<%dMB,%dc>", c.MemMB, c.Cores)
+	}
 	return fmt.Sprintf("<%dGB,%dc>", c.MemMB/1024, c.Cores)
 }
 
@@ -49,9 +55,12 @@ func (w Window) String() string {
 	return fmt.Sprintf("Window(s=%d, f=%d, %s)", w.S, w.F, w.Atom)
 }
 
-// Validate checks structural constraints: a nonempty range long enough for
-// the atom, a full gang, and positive sizes.
+// Validate checks structural constraints: a nonempty range from time 0 on,
+// long enough for the atom, a full gang, and positive sizes.
 func (w Window) Validate() error {
+	if w.S < 0 {
+		return fmt.Errorf("rdl: window start s=%d is before time 0", w.S)
+	}
 	if w.F < w.S {
 		return fmt.Errorf("rdl: window [%d,%d] is empty", w.S, w.F)
 	}
@@ -65,7 +74,7 @@ func (w Window) Validate() error {
 	if a.Dur <= 0 {
 		return fmt.Errorf("rdl: dur=%d must be positive", a.Dur)
 	}
-	if w.S+a.Dur > w.F {
+	if a.Dur > w.F-w.S {
 		return fmt.Errorf("rdl: window [%d,%d] shorter than dur=%d", w.S, w.F, a.Dur)
 	}
 	return nil
@@ -231,34 +240,29 @@ func (p *rdlParser) atom() (Atom, error) {
 	return a, nil
 }
 
-// parseContainer reads "16GB,8c" into a Container.
+// parseContainer reads "16GB,8c" into a Container. Sizes are non-negative.
 func parseContainer(spec string, c *Container) error {
-	parts := strings.Split(spec, ",")
-	for _, part := range parts {
+	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		lower := strings.ToLower(part)
+		var unit string
+		var dst *int
+		scale := 1
 		switch {
 		case strings.HasSuffix(lower, "gb"):
-			v, err := strconv.Atoi(strings.TrimSuffix(lower, "gb"))
-			if err != nil {
-				return fmt.Errorf("rdl: bad memory size %q", part)
-			}
-			c.MemMB = v * 1024
+			unit, dst, scale = "gb", &c.MemMB, 1024
 		case strings.HasSuffix(lower, "mb"):
-			v, err := strconv.Atoi(strings.TrimSuffix(lower, "mb"))
-			if err != nil {
-				return fmt.Errorf("rdl: bad memory size %q", part)
-			}
-			c.MemMB = v
+			unit, dst = "mb", &c.MemMB
 		case strings.HasSuffix(lower, "c"):
-			v, err := strconv.Atoi(strings.TrimSuffix(lower, "c"))
-			if err != nil {
-				return fmt.Errorf("rdl: bad core count %q", part)
-			}
-			c.Cores = v
+			unit, dst = "c", &c.Cores
 		default:
 			return fmt.Errorf("rdl: unknown container component %q", part)
 		}
+		v, err := strconv.Atoi(strings.TrimSuffix(lower, unit))
+		if err != nil || v < 0 || v > math.MaxInt/scale {
+			return fmt.Errorf("rdl: bad container size %q", part)
+		}
+		*dst = v * scale
 	}
 	return nil
 }

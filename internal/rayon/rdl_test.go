@@ -60,6 +60,11 @@ func TestParseRDLErrors(t *testing.T) {
 		"Window(s=0, f=3, Atom(k=2, gang=2, dur=1)) trailing", // trailing
 		"Window(s=0, f=3, Atom(b=<16zz,8c>, k=2, gang=2, dur=1))",
 		"Window(s=x, f=3, Atom(k=2, gang=2, dur=1))",
+		"Window(s=1, f=5, Atom(k=1, gang=1, dur=9223372036854775807))", // s+dur overflows
+		"Window(s=-8, f=-1, Atom(k=1, gang=1, dur=5))",                 // before time 0
+		"Window(s=0, f=10, Atom(b=<-3GB,1c>, k=2, gang=2, dur=3))",
+		"Window(s=0, f=10, Atom(b=<1GB,-1c>, k=2, gang=2, dur=3))",
+		"Window(s=0, f=10, Atom(b=<9007199254740992GB,1c>, k=2, gang=2, dur=3))", // MB overflows
 	}
 	for _, src := range cases {
 		if _, err := ParseRDL(src); err == nil {
@@ -101,5 +106,8 @@ func TestContainerString(t *testing.T) {
 	c := Container{MemMB: 16384, Cores: 8}
 	if got := c.String(); !strings.Contains(got, "16GB") || !strings.Contains(got, "8c") {
 		t.Errorf("container string = %q", got)
+	}
+	if got := (Container{MemMB: 512, Cores: 1}).String(); got != "<512MB,1c>" {
+		t.Errorf("container string = %q, want <512MB,1c>", got)
 	}
 }

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/randx"
@@ -78,8 +77,9 @@ func (m Mix) Validate() error {
 	return nil
 }
 
-// Generate produces the job stream for the mix on the given cluster, sorted
-// by submit time. The same seed always yields the same stream.
+// Generate produces the job stream for the mix on the given cluster, in
+// submit order: arrival times accumulate, so no sort is needed. The same seed
+// always yields the same stream.
 func Generate(m Mix, c *cluster.Cluster, seed int64) ([]*Job, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -100,17 +100,11 @@ func Generate(m Mix, c *cluster.Cluster, seed int64) ([]*Job, error) {
 		// MPI jobs must fit in a rack to have a preferred option.
 		smallest := math.MaxInt32
 		for _, r := range c.Racks() {
-			if n := c.Rack(r).Count(); n < smallest {
-				smallest = n
-			}
+			smallest = min(smallest, c.RackSize(r))
 		}
 		maxK = smallest
 	}
-	gpuCount := 0
-	{
-		k, v := cluster.GPUAttr()
-		gpuCount = c.WithAttr(k, v).Count()
-	}
+	gpuCount := c.NumWithAttr(cluster.GPUAttr())
 
 	jobs := make([]*Job, 0, m.NumJobs)
 	t := 0.0
@@ -165,7 +159,6 @@ func Generate(m Mix, c *cluster.Cluster, seed int64) ([]*Job, error) {
 		}
 		jobs = append(jobs, j)
 	}
-	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].Submit < jobs[b].Submit })
 	return jobs, nil
 }
 

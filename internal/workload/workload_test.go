@@ -202,3 +202,23 @@ func TestEstErrPropagates(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateSubmitOrder: Generate's stream is in submit order with IDs in
+// stream order, for every mix and several seeds, without a sort: arrival
+// times only accumulate.
+func TestGenerateSubmitOrder(t *testing.T) {
+	c := cluster.RC256(true)
+	for _, mix := range []Mix{GRSLO(400), GRMIX(400), GSMIX(400), GSHET(400)} {
+		for seed := int64(1); seed <= 5; seed++ {
+			jobs, err := Generate(mix, c, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, j := range jobs {
+				if j.ID != i || (i > 0 && j.Submit < jobs[i-1].Submit) {
+					t.Fatalf("%s seed %d: job %d is %d submitted at %d, after %d", mix.Name, seed, i, j.ID, j.Submit, jobs[max(i-1, 0)].Submit)
+				}
+			}
+		}
+	}
+}
