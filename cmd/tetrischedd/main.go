@@ -62,7 +62,6 @@ func main() {
 		gpuRacks  = flag.Int("gpu-racks", 2, "leading racks labeled gpu=true")
 		planAhead = flag.Int64("plan-ahead", 96, "plan-ahead window in seconds")
 		cycle     = flag.Int64("cycle", 4, "cycle period in seconds")
-		quantum   = flag.Int64("plan-quantum", 0, "planning time-slice in seconds (0 = cycle period)")
 		greedy    = flag.Bool("greedy", false, "TetriSched-NG (greedy per-job)")
 		noHet     = flag.Bool("no-het", false, "TetriSched-NH (no soft constraints)")
 		preempt   = flag.Bool("preempt", false, "enable best-effort preemption")
@@ -92,7 +91,6 @@ func main() {
 	}
 	sched := core.New(c, core.Config{
 		CyclePeriod:         *cycle,
-		PlanQuantum:         *quantum,
 		PlanAhead:           *planAhead,
 		Greedy:              *greedy,
 		NoHet:               *noHet,

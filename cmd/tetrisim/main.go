@@ -36,7 +36,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "workload seed")
 		estErr      = flag.Float64("err", 0, "runtime estimate error in percent (e.g. -50, 100)")
 		planAhead   = flag.Int64("plan-ahead", 96, "plan-ahead window in seconds")
-		planQuantum = flag.Int64("plan-quantum", 0, "planning time-slice in seconds (0 = cycle period)")
 		cycle       = flag.Int64("cycle", 4, "scheduling cycle period in seconds")
 		util        = flag.Float64("util", 1.0, "offered load as a fraction of capacity")
 		slackMin    = flag.Float64("slack-min", 0, "deadline slack lower bound (×runtime; 0 = mix default)")
@@ -128,7 +127,7 @@ func main() {
 
 	plan := rayon.NewPlan(c.N(), *cycle)
 	var sched sim.Scheduler
-	base := core.Config{CyclePeriod: *cycle, PlanAhead: *planAhead, PlanQuantum: *planQuantum,
+	base := core.Config{CyclePeriod: *cycle, PlanAhead: *planAhead,
 		SolverTimeLimit: *limit, Tracer: tracer,
 		DisablePresolve: *noPresolve, DisableCompileCache: *noCompCache, Shards: *shards}
 	switch strings.ToLower(*schedName) {

@@ -364,33 +364,3 @@ func tallySides(sides []cutSide, parent *milp.Model, con *milp.Constraint, compO
 func (s *cutSide) keeps(con *milp.Constraint) bool {
 	return s.terms > 0 && s.maxUse > con.RHS
 }
-
-// Lift scatters a component-space vector into a full-model vector (entries
-// outside the component are left untouched).
-func (cc *Component) Lift(sub, full []float64) {
-	if cc.VarMap == nil {
-		copy(full, sub)
-		return
-	}
-	for i, fv := range cc.VarMap {
-		full[fv] = sub[i]
-	}
-}
-
-// Restrict projects a full-model vector onto the component's variables. Nil
-// in, nil out.
-func (cc *Component) Restrict(full []float64) []float64 {
-	if full == nil {
-		return nil
-	}
-	if cc.VarMap == nil {
-		out := make([]float64, len(full))
-		copy(out, full)
-		return out
-	}
-	out := make([]float64, len(cc.VarMap))
-	for i, fv := range cc.VarMap {
-		out[i] = full[fv]
-	}
-	return out
-}

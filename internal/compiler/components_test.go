@@ -128,7 +128,7 @@ func TestDecomposeSliceParity(t *testing.T) {
 			t.Fatalf("component %d status = %v", ci, sub.Status)
 		}
 		sum += sub.Objective
-		cc.Lift(sub.Values, full)
+		scatter(cc, sub.Values, full)
 	}
 	if math.Abs(sum-mono.Objective) > 1e-6 {
 		t.Errorf("component objective sum %v != monolithic %v", sum, mono.Objective)
@@ -165,35 +165,6 @@ func TestDecomposeComponentGreedyRound(t *testing.T) {
 		if cc.Model.ObjectiveValue(cand) <= 0 {
 			t.Errorf("component %d: greedy candidate has non-positive objective", ci)
 		}
-	}
-}
-
-// TestDecomposeRestrictLiftRoundTrip pins the embedding algebra.
-func TestDecomposeRestrictLiftRoundTrip(t *testing.T) {
-	n := 6
-	c, err := Compile(blockJobs(n, 2), Options{Universe: n, Horizon: 4})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	comps := c.Components()
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2", len(comps))
-	}
-	full := make([]float64, c.Model.NumVars())
-	for i := range full {
-		full[i] = float64(i) + 0.5
-	}
-	rebuilt := make([]float64, len(full))
-	for _, cc := range comps {
-		cc.Lift(cc.Restrict(full), rebuilt)
-	}
-	for i := range full {
-		if rebuilt[i] != full[i] {
-			t.Fatalf("var %d: restrict∘lift = %v, want %v", i, rebuilt[i], full[i])
-		}
-	}
-	if comps[0].Restrict(nil) != nil {
-		t.Error("Restrict(nil) should be nil")
 	}
 }
 
@@ -259,7 +230,7 @@ func TestAppendGrantsMatchesDecode(t *testing.T) {
 		for _, comps := range [][]*Component{c.Components(), c.ForcedComponents(fourClasses(len(jobs)), -1)} {
 			var got []LeafGrant
 			for _, cc := range comps {
-				got = cc.AppendGrants(got, cc.Restrict(sol.Values))
+				got = cc.AppendGrants(got, project(cc, sol.Values))
 			}
 			slices.SortStableFunc(got, func(a, b LeafGrant) int { return a.Job - b.Job })
 			if !reflect.DeepEqual(got, want) {
@@ -271,5 +242,30 @@ func TestAppendGrantsMatchesDecode(t *testing.T) {
 				t.Errorf("seed %d: grant counts %v not in group order", seed, g.Counts)
 			}
 		}
+	}
+}
+
+// project is a full-model vector's entries on the component's variables, in
+// the component's order; nil in, nil out.
+func project(cc *Component, full []float64) []float64 {
+	if full == nil || cc.VarMap == nil {
+		return slices.Clone(full)
+	}
+	out := make([]float64, len(cc.VarMap))
+	for i, fv := range cc.VarMap {
+		out[i] = full[fv]
+	}
+	return out
+}
+
+// scatter writes a component-space vector into its variables' entries of a
+// full-model vector, leaving the others alone.
+func scatter(cc *Component, sub, full []float64) {
+	if cc.VarMap == nil {
+		copy(full, sub)
+		return
+	}
+	for i, fv := range cc.VarMap {
+		full[fv] = sub[i]
 	}
 }

@@ -287,7 +287,7 @@ func TestRoundInPlaceAllocatesNothing(t *testing.T) {
 	for _, cc := range append(c.ForcedComponents(fourClasses(len(jobs)), -1), nil) {
 		round, pt := c.RoundInPlace, x
 		if cc != nil {
-			round, pt = cc.RoundInPlace, cc.Restrict(x)
+			round, pt = cc.RoundInPlace, project(cc, x)
 		}
 		one := func() {
 			if round(buf[:copy(buf, pt)]) != nil {

@@ -146,7 +146,7 @@ func snapComponents(c *Compiled, comps []*Component, x []float64) []compSnap {
 			Shard:       cc.Shard,
 			Model:       cc.Model.String(),
 			Fingerprint: c.ComponentFingerprint(cc),
-			Round:       cc.GreedyRound(cc.Restrict(x)),
+			Round:       cc.GreedyRound(project(cc, x)),
 		}
 	}
 	return out
@@ -297,7 +297,7 @@ func TestDecodeAllocatesPerGrant(t *testing.T) {
 	}
 	// The append form into a slice that has the room: the Counts array only.
 	for _, cc := range c.Components() {
-		sub := cc.Restrict(sol.Values)
+		sub := project(cc, sol.Values)
 		buf := cc.AppendGrants(nil, sub)
 		if avg := testing.AllocsPerRun(20, func() { cc.AppendGrants(buf[:0], sub) }); avg > 1 {
 			t.Errorf("AppendGrants into a sized slice allocates %v times", avg)
@@ -420,9 +420,9 @@ func TestGreedyRoundMatchesReference(t *testing.T) {
 			for ci, cc := range comps {
 				want := greedyRoundReference(c, x, cc.Jobs)
 				if want != nil {
-					want = cc.Restrict(want)
+					want = project(cc, want)
 				}
-				if got := cc.GreedyRound(cc.Restrict(x)); !reflect.DeepEqual(got, want) {
+				if got := cc.GreedyRound(project(cc, x)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d component %d/%d: rounding differs from the reference", seed, ci, len(comps))
 				}
 			}

@@ -342,13 +342,12 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 }
 
 // wanted works out, for each member, the option that re-proposes last cycle's
-// deferred choice shifted one slice toward the present (only valid when the
-// quantum equals the cycle period), and reports whether they are all the ones
-// wanted last cycle.
+// deferred choice shifted one slice (one cycle) toward the present, and
+// reports whether they are all the ones wanted last cycle.
 func (s *Scheduler) wanted(cl *class) bool {
 	same := len(cl.want) == len(cl.reqs)
 	cl.want = sized(cl.want, len(cl.reqs))
-	warm := !s.cfg.DisableWarmStart && s.cfg.PlanQuantum == s.cfg.CyclePeriod
+	warm := !s.cfg.DisableWarmStart
 	for i, r := range cl.reqs {
 		w := int32(-1)
 		if pc, ok := s.lastJob[r.Job.ID]; ok && warm && pc.slice > 0 {

@@ -33,9 +33,9 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 	telemetry.Row("presolve", "presolve_rounds", "tetrisched_solver_presolve_rounds_total", "counter", "Presolve fixpoint rounds run.", func(s *SolveStats) any { return s.PresolveRounds }),
 	telemetry.Row("presolve", "presolve_millis", "tetrisched_solver_presolve_seconds_total", "counter", "Cumulative presolve wall-clock.", func(s *SolveStats) any { return s.PresolveTime }),
 
-	telemetry.Row("basis", "lp_factorizations", "tetrisched_solver_lp_factorizations_total", "counter", "Basis factorizations (sparse LU or dense fallback).", func(s *SolveStats) any { return s.Factorizations }),
+	telemetry.Row("basis", "lp_factorizations", "tetrisched_solver_lp_factorizations_total", "counter", "Sparse LU basis factorizations.", func(s *SolveStats) any { return s.Factorizations }),
 	telemetry.Row("basis", "lp_eta_updates", "tetrisched_solver_lp_eta_updates_total", "counter", "Forrest-Tomlin eta updates applied between refactorizations.", func(s *SolveStats) any { return s.EtaUpdates }),
-	telemetry.Row("basis", "lp_dense_fallbacks", "tetrisched_solver_lp_dense_fallbacks_total", "counter", "LP scratches that abandoned sparse LU for the dense inverse.", func(s *SolveStats) any { return s.DenseFallbacks }),
+	telemetry.Row("basis", "lp_unstable_factors", "tetrisched_solver_lp_unstable_factors_total", "counter", "LU factorizations rejected for element growth and repeated with strict partial pivoting.", func(s *SolveStats) any { return s.UnstableFactors }),
 
 	telemetry.Row("cuts", "cut_rounds", "tetrisched_solver_cut_rounds_total", "counter", "Root cutting-plane separation rounds that tightened a relaxation.", func(s *SolveStats) any { return s.CutRounds }),
 	telemetry.Row("cuts", "cover_cuts", "tetrisched_solver_cover_cuts_total", "counter", "Knapsack cover cuts added at root nodes.", func(s *SolveStats) any { return s.CoverCuts }),

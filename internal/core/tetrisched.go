@@ -39,11 +39,6 @@ type Config struct {
 	// PlanAhead is the deferred-placement window in seconds; 0 disables
 	// plan-ahead (TetriSched-NP).
 	PlanAhead int64
-	// PlanQuantum is the planning time-slice in seconds; 0 uses CyclePeriod.
-	// Coarser quanta shrink the MILP for long windows at the cost of start
-	// time resolution. Warm starts require PlanQuantum == CyclePeriod (the
-	// shift-by-one-slice assumption) and are disabled otherwise.
-	PlanQuantum int64
 	// Greedy switches to per-job scheduling over three priority FIFO queues
 	// (TetriSched-NG).
 	Greedy bool
@@ -106,9 +101,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CyclePeriod <= 0 {
 		c.CyclePeriod = 4
-	}
-	if c.PlanQuantum <= 0 {
-		c.PlanQuantum = c.CyclePeriod
 	}
 	if c.Gap <= 0 {
 		c.Gap = 0.1
@@ -178,10 +170,10 @@ type SolveStats struct {
 	PresolveTime    time.Duration // cumulative presolve wall-clock
 
 	// Basis-factorization telemetry (internal/milp/lu.go, basis.go).
-	Factorizations int64 // sparse LU (or dense fallback) basis factorizations
-	EtaUpdates     int64 // Forrest–Tomlin eta updates applied between refactorizations
-	DenseFallbacks int   // scratches that abandoned LU for the dense inverse
-	WarmFallbacks  int   // warm restarts abandoned for the cold path (dual.go); each is one of ColdLPs too
+	Factorizations  int64 // sparse LU basis factorizations
+	EtaUpdates      int64 // Forrest–Tomlin eta updates applied between refactorizations
+	UnstableFactors int   // LU factorizations rejected as unstable and repeated with strict pivoting
+	WarmFallbacks   int   // warm restarts abandoned for the cold path (dual.go); each is one of ColdLPs too
 
 	// Root cutting-plane telemetry (internal/milp/cuts.go).
 	CutRounds  int // root separation rounds that tightened a relaxation
@@ -261,7 +253,7 @@ func (st *SolveStats) record(sol *milp.Solution, warmSeeds int, d time.Duration)
 	st.PresolveTime += sol.Presolve.Duration
 	st.Factorizations += sol.LP.Factorizations
 	st.EtaUpdates += sol.LP.EtaUpdates
-	st.DenseFallbacks += sol.LP.DenseFallbacks
+	st.UnstableFactors += sol.LP.UnstableFactors
 	st.CutRounds += sol.Cuts.Rounds
 	st.CoverCuts += sol.Cuts.Cover
 	st.CliqueCuts += sol.Cuts.Clique
@@ -363,7 +355,7 @@ var _ sim.Scheduler = (*Scheduler)(nil)
 // New creates a TetriSched scheduler for the cluster.
 func New(c *cluster.Cluster, cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	gcfg := strlgen.Default(cfg.PlanQuantum, cfg.PlanAhead)
+	gcfg := strlgen.Default(cfg.CyclePeriod, cfg.PlanAhead)
 	gcfg.NoHeterogeneity = cfg.NoHet
 	if cfg.BEDecay > 0 {
 		gcfg.BEDecay = cfg.BEDecay
@@ -467,7 +459,7 @@ func (s *Scheduler) releaseSlices(now int64) []int64 {
 		if r.estEnd <= now {
 			r.estEnd = now + s.cfg.CyclePeriod
 		}
-		slices := (r.estEnd - now + s.cfg.PlanQuantum - 1) / s.cfg.PlanQuantum
+		slices := (r.estEnd - now + s.cfg.CyclePeriod - 1) / s.cfg.CyclePeriod
 		for _, n := range r.nodes {
 			rel[n] = slices
 		}
@@ -1214,7 +1206,7 @@ func (s *Scheduler) pickDeferred(comp *compiler.Compiled, g compiler.LeafGrant, 
 
 // horizon returns the plan-ahead window size in slices (≥1).
 func (s *Scheduler) horizon() int64 {
-	h := s.cfg.PlanAhead / s.cfg.PlanQuantum
+	h := s.cfg.PlanAhead / s.cfg.CyclePeriod
 	if h < 1 {
 		h = 1
 	}

@@ -623,30 +623,6 @@ func TestPriorityBreaksContention(t *testing.T) {
 	}
 }
 
-// TestCoarsePlanQuantum: a coarser planning quantum must still schedule
-// correctly (deferral included), with a smaller MILP.
-func TestCoarsePlanQuantum(t *testing.T) {
-	c := cluster.RC80(true)
-	jobs := []*workload.Job{
-		{ID: 0, Class: workload.SLO, Type: workload.GPU, Submit: 0, K: 20, BaseRuntime: 20, Slowdown: 3, Deadline: 100},
-		{ID: 1, Class: workload.SLO, Type: workload.GPU, Submit: 4, K: 20, BaseRuntime: 40, Slowdown: 3, Deadline: 120},
-	}
-	sched := New(c, Config{CyclePeriod: 4, PlanQuantum: 12, PlanAhead: 96, Gap: 0})
-	res, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Stats {
-		if !res.Stats[i].MetSLO() {
-			t.Errorf("job %d missed with coarse quantum: %+v", i, res.Stats[i])
-		}
-	}
-	// Job 1 still waits for the GPUs rather than taking the 120s fallback.
-	if got := res.Stats[1].Finish - res.Stats[1].Start; got != 40 {
-		t.Errorf("job 1 ran %ds, want 40 (GPU placement)", got)
-	}
-}
-
 // warmStartScenario is a deferral-heavy workload: job 1 waits several cycles
 // for the GPU nodes, so consecutive global solves re-propose its shifted
 // plan as a warm-start seed. PlanAhead stays within MaxStartChoices slices so
@@ -672,16 +648,6 @@ func TestWarmStartSeedsCounted(t *testing.T) {
 	sched := warmStartScenario(t, Config{CyclePeriod: 4, PlanAhead: 48, Gap: 0})
 	if sched.Stats.WarmStarts == 0 {
 		t.Fatalf("no warm-started solves recorded across a deferral-heavy run: %+v", sched.Stats)
-	}
-}
-
-// TestWarmStartDisabledByCoarseQuantum: seeding shifts last cycle's plan by
-// exactly one slice, which is only meaningful when PlanQuantum equals
-// CyclePeriod; a coarser quantum must disable it entirely.
-func TestWarmStartDisabledByCoarseQuantum(t *testing.T) {
-	sched := warmStartScenario(t, Config{CyclePeriod: 4, PlanQuantum: 12, PlanAhead: 96, Gap: 0})
-	if sched.Stats.WarmStarts != 0 {
-		t.Fatalf("PlanQuantum (12) != CyclePeriod (4) must disable seeding, got %d warm starts", sched.Stats.WarmStarts)
 	}
 }
 

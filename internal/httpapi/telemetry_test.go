@@ -119,7 +119,9 @@ func statusKeys(t *testing.T, base string) []string {
 // rendered from tables (testdata/telemetry.golden, taken at PR 22): every
 // /metrics family with its type and every key of /v1/status's solver, shard
 // and admission blocks is still served. New names may join; a name in the
-// golden list may not leave or change type.
+// golden list may not leave or change type. One was renamed on purpose:
+// lp_dense_fallbacks became lp_unstable_factors when the dense basis engine
+// was deleted and an unstable factor began to be retried in strict LU.
 func TestTelemetryGolden(t *testing.T) {
 	ts := telemetryDaemon(t)
 	served := make(map[string]bool)

@@ -106,235 +106,6 @@ func (s *simplexState) restore(warm *basisState, lb, ub []float64) bool {
 
 // errUnstableFactor is returned by the LU engine when element growth during
 // factorization exceeds its stability budget; the scratch responds by
-// swapping in the dense engine until it is next bound.
+// factoring the same basis again with strict partial pivoting, and stays
+// strict until it is next bound.
 var errUnstableFactor = errors.New("milp: unstable LU factorization")
-
-// basisEngine maintains an invertible representation of the simplex basis
-// matrix B (columns indexed by basis slot, rows by LP row). Two
-// implementations exist: denseBasis keeps the explicit m×m inverse updated in
-// product form (the historical kernel, now the fallback after an unstable
-// factorization) and luBasis keeps sparse LU factors with
-// Forrest–Tomlin/product-form eta updates (the engine every scratch starts
-// on; see lu.go).
-//
-// Vector spaces: FTRAN results and eta pivots live in basis-slot space; BTRAN
-// results (dual vectors) live in LP-row space. For the square basis these
-// coincide dimensionally but not semantically.
-type basisEngine interface {
-	// reset installs the diagonal basis B = diag(d); every d entry must be
-	// ±1 (the all-slack and signed-artificial quick starts).
-	reset(d []float64)
-	// factor rebuilds the representation from the basic columns. basis[i] <
-	// p.n indexes an LP column; basis[i] >= p.n indexes the phase-1
-	// artificial for row basis[i]−p.n with coefficient art[basis[i]−p.n].
-	// Returns errSingularBasis or errUnstableFactor on failure, leaving the
-	// representation unusable until the next successful reset/factor.
-	factor(basis []int, art []float64) error
-	// ftranCol computes w = B⁻¹·a_j for LP column j (j ≥ p.n: artificial).
-	ftranCol(j int, art []float64, w []float64)
-	// ftranVec computes w = B⁻¹·v. v is clobbered; v and w must not alias.
-	ftranVec(v, w []float64)
-	// btranVec computes y = Bᵀ⁻¹·v for a slot-space v (e.g. basic costs).
-	// v is clobbered; v and y must not alias.
-	btranVec(v, y []float64)
-	// btranRow computes rho = e_rᵀ·B⁻¹, row r of the basis inverse.
-	btranRow(r int, rho []float64)
-	// update absorbs a pivot in basis slot r where w = B⁻¹·a_enter (the
-	// vector just returned by ftranCol). It reports false when the update
-	// would be numerically unsafe or the update budget is spent, in which
-	// case the caller must refactorize instead — the representation is
-	// unchanged.
-	update(r int, w []float64) bool
-	// needsRefactor reports that accumulated updates crossed the engine's
-	// fill or chain-length budget and a refactorization is due.
-	needsRefactor() bool
-}
-
-// denseBasis is the historical dense kernel behind the basisEngine interface:
-// an explicit row-major m×m basis inverse, product-form pivot updates, and
-// Gauss-Jordan refactorization. O(m²) memory and per-pivot work — retained as
-// the fallback target when LU factorization goes numerically bad, and as the
-// tests' reference engine.
-type denseBasis struct {
-	p    *lp
-	binv []float64 // dense basis inverse, row-major, stride m
-
-	refac     []float64   // refactorization workspace, m×2m flat
-	refacRows [][]float64 // row headers into refac, swapped while pivoting
-
-	stats *LPStats
-}
-
-// bind re-targets the engine at p, keeping its storage when large enough.
-func (d *denseBasis) bind(p *lp, stats *LPStats) {
-	d.p, d.stats = p, stats
-	d.binv = zeroed(d.binv, p.m*p.m)
-}
-
-func (d *denseBasis) reset(diag []float64) {
-	m := d.p.m
-	for i := range d.binv {
-		d.binv[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		d.binv[i*m+i] = diag[i] // diag(±1) is its own inverse
-	}
-}
-
-// factor recomputes the basis inverse from scratch with Gauss-Jordan
-// elimination and partial pivoting. The workspace is owned by the engine and
-// reused across calls; row swaps exchange headers, not data.
-func (d *denseBasis) factor(basis []int, art []float64) error {
-	p := d.p
-	m := p.m
-	w2 := 2 * m
-	if len(d.refac) != m*w2 {
-		d.refac = zeroed(d.refac, m*w2)
-		d.refacRows = zeroed(d.refacRows, m)
-	}
-	a := d.refacRows
-	for i := 0; i < m; i++ {
-		row := d.refac[i*w2 : i*w2+w2]
-		for k := range row {
-			row[k] = 0
-		}
-		row[m+i] = 1
-		a[i] = row
-	}
-	for r, j := range basis {
-		if j < p.n {
-			for k := p.colStart[j]; k < p.colStart[j+1]; k++ {
-				a[p.colRow[k]][r] = p.colVal[k]
-			}
-		} else {
-			a[j-p.n][r] = art[j-p.n]
-		}
-	}
-	for col := 0; col < m; col++ {
-		piv := col
-		for i := col + 1; i < m; i++ {
-			if math.Abs(a[i][col]) > math.Abs(a[piv][col]) {
-				piv = i
-			}
-		}
-		if math.Abs(a[piv][col]) < 1e-12 {
-			return errSingularBasis
-		}
-		a[col], a[piv] = a[piv], a[col]
-		inv := 1 / a[col][col]
-		for k := col; k < w2; k++ {
-			a[col][k] *= inv
-		}
-		for i := 0; i < m; i++ {
-			if i == col || a[i][col] == 0 {
-				continue
-			}
-			f := a[i][col]
-			for k := col; k < w2; k++ {
-				a[i][k] -= f * a[col][k]
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		copy(d.binv[i*m:i*m+m], a[i][m:])
-	}
-	d.stats.Factorizations++
-	return nil
-}
-
-// ftranCol exploits column sparsity: each basis-inverse row is streamed once
-// and only the column's nonzeros touched.
-func (d *denseBasis) ftranCol(enter int, art []float64, w []float64) {
-	p := d.p
-	m := p.m
-	if enter >= p.n {
-		ar, ac := enter-p.n, art[enter-p.n]
-		for i := 0; i < m; i++ {
-			w[i] = d.binv[i*m+ar] * ac
-		}
-		return
-	}
-	st0, en0 := p.colStart[enter], p.colStart[enter+1]
-	if en0-st0 == 1 {
-		r0, v0 := int(p.colRow[st0]), p.colVal[st0]
-		for i := 0; i < m; i++ {
-			w[i] = d.binv[i*m+r0] * v0
-		}
-		return
-	}
-	rows, vals := p.colRow[st0:en0], p.colVal[st0:en0]
-	for i := 0; i < m; i++ {
-		row := d.binv[i*m : i*m+m]
-		acc := 0.0
-		for k, r := range rows {
-			acc += row[r] * vals[k]
-		}
-		w[i] = acc
-	}
-}
-
-func (d *denseBasis) ftranVec(v, w []float64) {
-	m := d.p.m
-	for i := 0; i < m; i++ {
-		row := d.binv[i*m : i*m+m]
-		acc := 0.0
-		for k, rv := range v {
-			if rv != 0 {
-				acc += row[k] * rv
-			}
-		}
-		w[i] = acc
-	}
-}
-
-func (d *denseBasis) btranVec(v, y []float64) {
-	m := d.p.m
-	for i := 0; i < m; i++ {
-		y[i] = 0
-	}
-	for r := 0; r < m; r++ {
-		vr := v[r]
-		if vr == 0 {
-			continue
-		}
-		row := d.binv[r*m : r*m+m]
-		for i, bv := range row {
-			y[i] += vr * bv
-		}
-	}
-}
-
-func (d *denseBasis) btranRow(r int, rho []float64) {
-	m := d.p.m
-	copy(rho, d.binv[r*m:r*m+m])
-}
-
-// update applies the product-form basis-inverse update for a pivot in row r.
-// Rows with a negligible multiplier are skipped entirely, so the cost scales
-// with the fill of the pivot column.
-func (d *denseBasis) update(r int, w []float64) bool {
-	m := d.p.m
-	rowR := d.binv[r*m : r*m+m]
-	inv := 1 / w[r]
-	for k := range rowR {
-		rowR[k] *= inv
-	}
-	for i := 0; i < m; i++ {
-		if i == r {
-			continue
-		}
-		f := w[i]
-		if f < 1e-13 && f > -1e-13 {
-			continue
-		}
-		rowI := d.binv[i*m : i*m+m]
-		for k := range rowI {
-			rowI[k] -= f * rowR[k]
-		}
-	}
-	return true
-}
-
-// needsRefactor is always false: the dense inverse has no fill budget, and
-// drift control is the caller's periodic refactorization countdown.
-func (d *denseBasis) needsRefactor() bool { return false }

@@ -135,7 +135,7 @@ func (s *simplexState) dualIterate(lb, ub []float64) (lpStatus, error) {
 		s.iter++
 		taken++
 		s.stats.Iterations++
-		if refactorCountdown--; refactorCountdown <= 0 || s.eng.needsRefactor() {
+		if refactorCountdown--; refactorCountdown <= 0 || s.lu.needsRefactor() {
 			if err := s.refactorize(); err != nil {
 				return 0, err
 			}
@@ -175,7 +175,7 @@ func (s *simplexState) dualIterate(lb, ub []float64) (lpStatus, error) {
 		}
 		out := s.basis[leave]
 		rho := s.rho
-		s.eng.btranRow(leave, rho)
+		s.lu.btranRow(leave, rho)
 		// Entering column via the bounded-variable dual ratio test. α_j is
 		// the pivot-row entry ρ·a_j; eligibility is by sign (moving x_j in
 		// its allowed direction must push x[out] back toward its bound), the
@@ -265,7 +265,7 @@ func (s *simplexState) dualIterate(lb, ub []float64) (lpStatus, error) {
 		s.basis[leave] = enter
 		s.status[enter] = inBasis
 		pivW := w[leave]
-		if !s.eng.update(leave, w) {
+		if !s.lu.update(leave, w) {
 			if err := s.refactorize(); err != nil {
 				return 0, err
 			}

@@ -6,9 +6,9 @@ import (
 	"slices"
 )
 
-// luBasis is the default basisEngine: a sparse LU factorization of the basis
-// matrix with product-form (Forrest–Tomlin-style) eta updates between
-// refactorizations.
+// luBasis is the simplex's basis engine: a sparse LU factorization of the
+// basis matrix B (columns indexed by basis slot, rows by LP row) with
+// product-form (Forrest–Tomlin-style) eta updates between refactorizations.
 //
 // Factorization is left-looking column elimination with a static
 // Markowitz-flavored pivot order: columns are factored in ascending
@@ -23,12 +23,22 @@ import (
 // so B⁻¹ gains a left factor E⁻¹. FTRAN applies the LU solves then the eta
 // chain oldest-first; BTRAN applies the transposed chain newest-first then
 // the transposed LU solves. The chain is bounded by etaLimit/fillLimit;
-// crossing either reports needsRefactor. Element growth beyond growthLimit
+// crossing either reports needsRefactor. Element growth beyond maxGrowth
 // during factorization returns errUnstableFactor, which the owning scratch
-// answers by swapping in the dense engine (see simplexState.refactorize).
+// answers by setting strict and factoring the same basis again (see
+// simplexState.refactorize).
+//
+// Vector spaces: FTRAN results and eta pivots live in basis-slot space; BTRAN
+// results (dual vectors) live in LP-row space. For the square basis these
+// coincide dimensionally but not semantically.
 type luBasis struct {
 	p     *lp
 	stats *LPStats
+
+	// strict pivots every column on its largest magnitude (partial pivoting)
+	// and skips the growth check. Set after an unstable factor, cleared by
+	// bind.
+	strict bool
 
 	prow []int32 // factor step -> pivot LP row
 	q    []int32 // factor step -> basis slot
@@ -49,11 +59,9 @@ type luBasis struct {
 	etaRow   []int32
 	etaVal   []float64
 
-	// Refactorization and stability budgets; fields so the torture tests can
-	// tighten them.
-	etaLimit    int     // refactor after this many eta updates
-	fillLimit   int     // ... or once the chain carries this many entries
-	growthLimit float64 // max element growth before a factor is rejected
+	// Refactorization budgets; fields so the torture tests can tighten them.
+	etaLimit  int // refactor after this many eta updates
+	fillLimit int // ... or once the chain carries this many entries
 
 	work    []float64 // dense accumulator over LP rows
 	mark    []int32   // row -> stamp of the column currently factoring
@@ -66,18 +74,16 @@ type luBasis struct {
 	stamp   int32
 }
 
-func newLUBasis(p *lp, stats *LPStats) *luBasis {
-	u := new(luBasis)
-	u.bind(p, stats)
-	return u
-}
+// maxGrowth is the element growth past which a threshold-pivoted factor is
+// rejected as unstable; a variable so tests can force the strict retry.
+var maxGrowth = 1e12
 
-// bind re-targets the engine at p with default budgets and no factors,
-// keeping its storage — including the append-grown factor and eta arrays —
-// when large enough.
+// bind re-targets the engine at p with default budgets, no factors and
+// threshold pivoting, keeping its storage — including the append-grown
+// factor and eta arrays — when large enough.
 func (u *luBasis) bind(p *lp, stats *LPStats) {
 	m := p.m
-	u.p, u.stats = p, stats
+	u.p, u.stats, u.strict = p, stats, false
 	u.prow = zeroed(u.prow, m)
 	u.q = zeroed(u.q, m)
 	u.lstart = zeroed(u.lstart, m+1)
@@ -90,7 +96,7 @@ func (u *luBasis) bind(p *lp, stats *LPStats) {
 	}
 	u.etaStart[0] = 0
 	u.clearEtas()
-	u.etaLimit, u.fillLimit, u.growthLimit = 64, 6*m+256, 1e12
+	u.etaLimit, u.fillLimit = 64, 6*m+256
 	u.work = zeroed(u.work, m)
 	u.mark = zeroed(u.mark, m)
 	u.touched = zeroed(u.touched, m)[:0]
@@ -129,6 +135,10 @@ func (u *luBasis) reset(diag []float64) {
 }
 
 // factor rebuilds L and U from the basic columns and clears the eta chain.
+// basis[i] < p.n indexes an LP column; basis[i] >= p.n indexes the phase-1
+// artificial for row basis[i]−p.n with coefficient art[basis[i]−p.n]. It
+// returns errSingularBasis or errUnstableFactor on failure, leaving the
+// factors unusable until the next successful reset or factor.
 func (u *luBasis) factor(basis []int, art []float64) error {
 	p := u.p
 	m := p.m
@@ -219,9 +229,9 @@ func (u *luBasis) factor(basis []int, art []float64) error {
 			}
 		}
 		// Threshold pivoting: among unpivoted rows within 10× of the largest
-		// magnitude, prefer the sparsest basis row (Markowitz row count),
-		// then the larger magnitude — deterministic because the touched list
-		// order is a pure function of the input.
+		// magnitude (only the largest when strict), prefer the sparsest basis
+		// row (Markowitz row count), then the larger magnitude — deterministic
+		// because the touched list order is a pure function of the input.
 		maxAbs := 0.0
 		for _, r := range u.touched {
 			if u.pos[r] >= 0 {
@@ -238,6 +248,9 @@ func (u *luBasis) factor(basis []int, art []float64) error {
 			return errSingularBasis
 		}
 		thresh := 0.1 * maxAbs
+		if u.strict {
+			thresh = maxAbs
+		}
 		pr := int32(-1)
 		var prCnt int32
 		var prAbs float64
@@ -281,7 +294,7 @@ func (u *luBasis) factor(basis []int, art []float64) error {
 		u.lstart[k+1] = int32(len(u.lrow))
 		u.ustart[k+1] = int32(len(u.urow))
 	}
-	if maxU > u.growthLimit*math.Max(1, maxB) {
+	if !u.strict && maxU > maxGrowth*math.Max(1, maxB) {
 		return errUnstableFactor
 	}
 	u.stats.Factorizations++
@@ -304,6 +317,7 @@ func (u *luBasis) applyEtasFtran(w []float64) {
 	}
 }
 
+// ftranVec computes w = B⁻¹·v. v is clobbered; v and w must not alias.
 func (u *luBasis) ftranVec(v, w []float64) {
 	m := u.p.m
 	// L-solve in place over LP rows.
@@ -336,6 +350,7 @@ func (u *luBasis) ftranVec(v, w []float64) {
 	u.applyEtasFtran(w)
 }
 
+// ftranCol computes w = B⁻¹·a_j for LP column j (j ≥ p.n: artificial).
 func (u *luBasis) ftranCol(j int, art []float64, w []float64) {
 	p := u.p
 	v := u.vbuf
@@ -352,6 +367,8 @@ func (u *luBasis) ftranCol(j int, art []float64, w []float64) {
 	}
 }
 
+// btranVec computes y = Bᵀ⁻¹·v for a slot-space v (e.g. basic costs). v is
+// clobbered; v and y must not alias.
 func (u *luBasis) btranVec(v, y []float64) {
 	m := u.p.m
 	// Transposed eta chain, newest first: only the pivot slot changes.
@@ -383,6 +400,7 @@ func (u *luBasis) btranVec(v, y []float64) {
 	}
 }
 
+// btranRow computes rho = e_rᵀ·B⁻¹, row r of the basis inverse.
 func (u *luBasis) btranRow(r int, rho []float64) {
 	v := u.vbuf
 	v[r] = 1
@@ -392,9 +410,11 @@ func (u *luBasis) btranRow(r int, rho []float64) {
 	}
 }
 
-// update absorbs a pivot as one more eta in the chain. It refuses pivots that
-// are too small absolutely or relative to the pivot column (the caller
-// refactorizes instead, which re-pivots for stability).
+// update absorbs a pivot in basis slot r, where w = B⁻¹·a_enter is the vector
+// ftranCol just returned, as one more eta in the chain. It refuses pivots
+// that are too small absolutely or relative to the pivot column, leaving the
+// factors unchanged (the caller refactorizes instead, which re-pivots for
+// stability).
 func (u *luBasis) update(r int, w []float64) bool {
 	piv := w[r]
 	a := math.Abs(piv)
@@ -427,6 +447,8 @@ func (u *luBasis) update(r int, w []float64) bool {
 	return true
 }
 
+// needsRefactor reports that the eta chain crossed its length or fill budget
+// and a refactorization is due.
 func (u *luBasis) needsRefactor() bool {
 	return len(u.etaR) >= u.etaLimit || len(u.etaRow) >= u.fillLimit
 }

@@ -8,15 +8,137 @@ import (
 )
 
 // Numerical torture tests for the sparse LU basis engine: every operation is
-// checked against the dense inverse on the same basis, factorization must
-// reject singular and numerically wild bases, the eta chain must stay exact
-// through forced-refactorization churn, and the dense fallback must engage
-// when (and only when) a factorization is rejected as unstable.
+// checked against a dense inverse of the same basis, in threshold and in
+// strict pivoting, factorization must reject singular and numerically wild
+// bases, the eta chain must stay exact through forced-refactorization churn,
+// and an unstable factor must be retried strictly, on one basis and on whole
+// solves.
+
+func newLUBasis(p *lp, stats *LPStats) *luBasis {
+	u := new(luBasis)
+	u.bind(p, stats)
+	return u
+}
+
+// denseBasis is the reference the LU engine is checked against: an explicit
+// row-major m×m basis inverse, rebuilt by Gauss-Jordan elimination with
+// partial pivoting and updated in product form. O(m²) memory and work per
+// pivot; the simplex itself never runs on it.
+type denseBasis struct {
+	p     *lp
+	binv  []float64 // dense basis inverse, row-major, stride m
+	stats *LPStats
+}
 
 func newDenseBasis(p *lp, stats *LPStats) *denseBasis {
-	d := new(denseBasis)
-	d.bind(p, stats)
-	return d
+	return &denseBasis{p: p, binv: make([]float64, p.m*p.m), stats: stats}
+}
+
+// factor recomputes the basis inverse from scratch; basis and art read as in
+// luBasis.factor.
+func (d *denseBasis) factor(basis []int, art []float64) error {
+	p := d.p
+	m := p.m
+	w2 := 2 * m
+	a := make([][]float64, m)
+	for i := range a {
+		a[i] = make([]float64, w2)
+		a[i][m+i] = 1
+	}
+	for r, j := range basis {
+		if j < p.n {
+			for k := p.colStart[j]; k < p.colStart[j+1]; k++ {
+				a[p.colRow[k]][r] = p.colVal[k]
+			}
+		} else {
+			a[j-p.n][r] = art[j-p.n]
+		}
+	}
+	for col := 0; col < m; col++ {
+		piv := col
+		for i := col + 1; i < m; i++ {
+			if math.Abs(a[i][col]) > math.Abs(a[piv][col]) {
+				piv = i
+			}
+		}
+		if math.Abs(a[piv][col]) < 1e-12 {
+			return errSingularBasis
+		}
+		a[col], a[piv] = a[piv], a[col]
+		inv := 1 / a[col][col]
+		for k := col; k < w2; k++ {
+			a[col][k] *= inv
+		}
+		for i := 0; i < m; i++ {
+			if i == col || a[i][col] == 0 {
+				continue
+			}
+			f := a[i][col]
+			for k := col; k < w2; k++ {
+				a[i][k] -= f * a[col][k]
+			}
+		}
+	}
+	for i := 0; i < m; i++ {
+		copy(d.binv[i*m:i*m+m], a[i][m:])
+	}
+	d.stats.Factorizations++
+	return nil
+}
+
+// ftranCol computes w = B⁻¹·a_j for LP column j (j ≥ p.n: artificial).
+func (d *denseBasis) ftranCol(j int, art []float64, w []float64) {
+	p := d.p
+	m := p.m
+	for i := 0; i < m; i++ {
+		row := d.binv[i*m : i*m+m]
+		if j >= p.n {
+			w[i] = row[j-p.n] * art[j-p.n]
+			continue
+		}
+		acc := 0.0
+		for k := p.colStart[j]; k < p.colStart[j+1]; k++ {
+			acc += row[p.colRow[k]] * p.colVal[k]
+		}
+		w[i] = acc
+	}
+}
+
+// btranVec computes y = Bᵀ⁻¹·v.
+func (d *denseBasis) btranVec(v, y []float64) {
+	m := d.p.m
+	clear(y)
+	for r := 0; r < m; r++ {
+		for i, bv := range d.binv[r*m : r*m+m] {
+			y[i] += v[r] * bv
+		}
+	}
+}
+
+// btranRow computes rho = e_rᵀ·B⁻¹.
+func (d *denseBasis) btranRow(r int, rho []float64) {
+	m := d.p.m
+	copy(rho, d.binv[r*m:r*m+m])
+}
+
+// update applies the product-form inverse update for a pivot in row r, where
+// w = B⁻¹·a_enter.
+func (d *denseBasis) update(r int, w []float64) {
+	m := d.p.m
+	rowR := d.binv[r*m : r*m+m]
+	inv := 1 / w[r]
+	for k := range rowR {
+		rowR[k] *= inv
+	}
+	for i := 0; i < m; i++ {
+		if i == r || w[i] == 0 {
+			continue
+		}
+		rowI := d.binv[i*m : i*m+m]
+		for k := range rowI {
+			rowI[k] -= w[i] * rowR[k]
+		}
+	}
 }
 
 // tortureModel builds a random MILP whose LP relaxation has a mix of
@@ -80,9 +202,11 @@ func maxDiff(a, b []float64) float64 {
 	return d
 }
 
-// TestLUEngineMatchesDense factors the same solved bases with both engines
-// and checks FTRAN/BTRAN agreement entry-for-entry, then drives a chain of
-// simulated pivots through both and re-checks after every eta update.
+// TestLUEngineMatchesDense factors the same solved bases with the LU engine,
+// in threshold and in strict pivoting, and with the dense reference, checks
+// that the strict factor is partial pivoting (no L multiplier beyond 1) and
+// FTRAN/BTRAN agreement entry-for-entry, then drives a chain of simulated
+// pivots through all three and re-checks after every eta update.
 func TestLUEngineMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	bases := 0
@@ -96,45 +220,55 @@ func TestLUEngineMatchesDense(t *testing.T) {
 		bases++
 		m := p.m
 		var stLU, stD LPStats
-		lu := newLUBasis(p, &stLU)
+		lus := []*luBasis{newLUBasis(p, &stLU), newLUBasis(p, &stLU)}
+		lus[1].strict = true
 		db := newDenseBasis(p, &stD)
 		basis := append([]int(nil), s.basis...)
-		if err := lu.factor(basis, nil); err != nil {
-			t.Fatalf("it %d: LU factor: %v", it, err)
+		for _, lu := range lus {
+			if err := lu.factor(basis, nil); err != nil {
+				t.Fatalf("it %d: LU factor (strict %v): %v", it, lu.strict, err)
+			}
 		}
 		if err := db.factor(basis, nil); err != nil {
 			t.Fatalf("it %d: dense factor: %v", it, err)
 		}
+		for _, l := range lus[1].lval {
+			if math.Abs(l) > 1+1e-12 {
+				t.Fatalf("it %d: strict factor has an L multiplier %g beyond 1: not partial pivoting", it, l)
+			}
+		}
 		checkAgree := func(stage string) {
 			wl, wd := make([]float64, m), make([]float64, m)
-			for j := 0; j < p.n; j++ {
-				lu.ftranCol(j, nil, wl)
-				db.ftranCol(j, nil, wd)
-				if d := maxDiff(wl, wd); d > 1e-7 {
-					t.Fatalf("it %d %s: ftranCol(%d) diverges by %g", it, stage, j, d)
-				}
-			}
-			for i := 0; i < m; i++ {
-				lu.btranRow(i, wl)
-				db.btranRow(i, wd)
-				if d := maxDiff(wl, wd); d > 1e-7 {
-					t.Fatalf("it %d %s: btranRow(%d) diverges by %g", it, stage, i, d)
-				}
-			}
 			vl, vd := make([]float64, m), make([]float64, m)
-			for i := range vl {
-				vl[i] = r.Float64()*4 - 2
-				vd[i] = vl[i]
-			}
-			lu.btranVec(vl, wl)
-			db.btranVec(vd, wd)
-			if d := maxDiff(wl, wd); d > 1e-7 {
-				t.Fatalf("it %d %s: btranVec diverges by %g", it, stage, d)
+			for _, lu := range lus {
+				for j := 0; j < p.n; j++ {
+					lu.ftranCol(j, nil, wl)
+					db.ftranCol(j, nil, wd)
+					if d := maxDiff(wl, wd); d > 1e-7 {
+						t.Fatalf("it %d %s (strict %v): ftranCol(%d) diverges by %g", it, stage, lu.strict, j, d)
+					}
+				}
+				for i := 0; i < m; i++ {
+					lu.btranRow(i, wl)
+					db.btranRow(i, wd)
+					if d := maxDiff(wl, wd); d > 1e-7 {
+						t.Fatalf("it %d %s (strict %v): btranRow(%d) diverges by %g", it, stage, lu.strict, i, d)
+					}
+				}
+				for i := range vl {
+					vl[i] = r.Float64()*4 - 2
+					vd[i] = vl[i]
+				}
+				lu.btranVec(vl, wl)
+				db.btranVec(vd, wd)
+				if d := maxDiff(wl, wd); d > 1e-7 {
+					t.Fatalf("it %d %s (strict %v): btranVec diverges by %g", it, stage, lu.strict, d)
+				}
 			}
 		}
 		checkAgree("post-factor")
 		// Simulated pivot chain: bring nonbasic columns in one at a time.
-		w := make([]float64, m)
+		w, ws := make([]float64, m), make([]float64, m)
 		pivots := 0
 		for j := 0; j < p.n && pivots < 8; j++ {
 			inB := false
@@ -147,7 +281,7 @@ func TestLUEngineMatchesDense(t *testing.T) {
 			if inB {
 				continue
 			}
-			lu.ftranCol(j, nil, w)
+			lus[0].ftranCol(j, nil, w)
 			slot := -1
 			for i := 0; i < m; i++ {
 				if math.Abs(w[i]) > 0.1 && (slot < 0 || math.Abs(w[i]) > math.Abs(w[slot])) {
@@ -157,12 +291,14 @@ func TestLUEngineMatchesDense(t *testing.T) {
 			if slot < 0 {
 				continue
 			}
-			if !lu.update(slot, w) {
+			if !lus[0].update(slot, w) {
 				continue
 			}
-			if !db.update(slot, w) {
-				t.Fatalf("it %d: dense refused a pivot the LU engine took", it)
+			lus[1].ftranCol(j, nil, ws)
+			if !lus[1].update(slot, ws) {
+				t.Fatalf("it %d: the strict engine refused a pivot the threshold one took", it)
 			}
+			db.update(slot, w)
 			basis[slot] = j
 			pivots++
 			checkAgree("post-update")
@@ -176,9 +312,9 @@ func TestLUEngineMatchesDense(t *testing.T) {
 	}
 }
 
-// TestLUSingularBasisRejected gives both engines a basis with two linearly
-// dependent columns; both must report errSingularBasis and neither may be
-// left claiming a usable representation.
+// TestLUSingularBasisRejected gives the LU engine, threshold and strict, and
+// the dense reference a basis with two linearly dependent columns; each must
+// report errSingularBasis and none may be counted as a factorization.
 func TestLUSingularBasisRejected(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddVar("x", Continuous, 0, 10, 1)
@@ -188,8 +324,12 @@ func TestLUSingularBasisRejected(t *testing.T) {
 	p := newLP(m)
 	var st LPStats
 	basis := []int{0, 1} // columns x and y: row-proportional, singular
-	if err := newLUBasis(p, &st).factor(basis, nil); err != errSingularBasis {
-		t.Fatalf("LU factor of singular basis: %v, want errSingularBasis", err)
+	for _, strict := range []bool{false, true} {
+		lu := newLUBasis(p, &st)
+		lu.strict = strict
+		if err := lu.factor(basis, nil); err != errSingularBasis {
+			t.Fatalf("LU factor (strict %v) of singular basis: %v, want errSingularBasis", strict, err)
+		}
 	}
 	if err := newDenseBasis(p, &st).factor(basis, nil); err != errSingularBasis {
 		t.Fatalf("dense factor of singular basis: %v, want errSingularBasis", err)
@@ -201,7 +341,8 @@ func TestLUSingularBasisRejected(t *testing.T) {
 
 // TestLUForcedRefactorization tightens the eta and fill budgets to their
 // minima so nearly every pivot forces a refactorization mid-solve, and
-// checks the solver still reaches the same optimum as the dense engine.
+// checks the solver still reaches the same optimum as a solve on the default
+// budgets.
 func TestLUForcedRefactorization(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var refactors int64
@@ -209,29 +350,26 @@ func TestLUForcedRefactorization(t *testing.T) {
 		model := tortureModel(r, 6+r.Intn(8), 4+r.Intn(6))
 		p := newLP(model)
 		s := newScratch(p)
-		lu := s.eng.(*luBasis)
-		lu.etaLimit = 1
-		lu.fillLimit = 1
+		s.lu.etaLimit = 1
+		s.lu.fillLimit = 1
 		st1, x1, err := s.solve(p.lb, p.ub, 0, timeZero())
 		if err != nil {
 			t.Fatalf("it %d: forced-refactor solve: %v", it, err)
 		}
 		pd := newLP(model)
-		sd := newScratch(pd)
-		sd.useDense()
-		st2, x2, err := sd.solve(pd.lb, pd.ub, 0, timeZero())
+		st2, x2, err := newScratch(pd).solve(pd.lb, pd.ub, 0, timeZero())
 		if err != nil {
-			t.Fatalf("it %d: dense solve: %v", it, err)
+			t.Fatalf("it %d: default-budget solve: %v", it, err)
 		}
 		if st1 != st2 {
-			t.Fatalf("it %d: status %v (forced refactor) vs %v (dense)", it, st1, st2)
+			t.Fatalf("it %d: status %v (forced refactor) vs %v (default budgets)", it, st1, st2)
 		}
 		if st1 != lpOptimal {
 			continue
 		}
 		o1, o2 := model.ObjectiveValue(x1[:len(model.Vars)]), model.ObjectiveValue(x2[:len(model.Vars)])
 		if math.Abs(o1-o2) > 1e-6*math.Max(1, math.Abs(o2)) {
-			t.Fatalf("it %d: objective %.9f (forced refactor) != %.9f (dense)", it, o1, o2)
+			t.Fatalf("it %d: objective %.9f (forced refactor) != %.9f (default budgets)", it, o1, o2)
 		}
 		// An instance whose pivots were all bound flips legitimately never
 		// refactorizes, but once two eta updates happened the budget of one
@@ -312,13 +450,17 @@ func TestLUEtaChainGrowth(t *testing.T) {
 	t.Skip("no instance sustained 3 eta updates; generator too conservative")
 }
 
-// TestLUUnstableFactorFallsBackDense forces the growth limit to an absurdly
+// TestLUUnstableFactorRetriesStrict forces the growth limit to an absurdly
 // small value so the next refactorization rejects the factor as unstable,
-// and checks the scratch permanently swaps to the dense engine, counts the
-// fallback, and keeps solving correctly.
-func TestLUUnstableFactorFallsBackDense(t *testing.T) {
+// and checks the scratch factors the same basis again in strict pivoting,
+// counts the retry once, stays strict without re-checking growth, keeps
+// solving to the optimum a default solve finds, and is back on threshold
+// pivoting once re-bound.
+func TestLUUnstableFactorRetriesStrict(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	swapped := 0
+	unforced := maxGrowth
+	defer func() { maxGrowth = unforced }()
+	retried := 0
 	for it := 0; it < 30; it++ {
 		model := tortureModel(r, 6+r.Intn(6), 4+r.Intn(5))
 		p := newLP(model)
@@ -326,41 +468,91 @@ func TestLUUnstableFactorFallsBackDense(t *testing.T) {
 		if s == nil {
 			continue
 		}
-		lu, ok := s.eng.(*luBasis)
-		if !ok {
-			t.Fatalf("it %d: default engine is %T, want *luBasis", it, s.eng)
+		if s.lu.strict {
+			t.Fatalf("it %d: a default solve left the engine strict", it)
 		}
-		lu.growthLimit = 1e-300 // every factor now exceeds the growth budget
-		if err := s.refactorize(); err != nil {
-			t.Fatalf("it %d: refactorize with fallback: %v", it, err)
+		maxGrowth = 1e-300 // every factor now exceeds the growth budget
+		factors := s.stats.Factorizations
+		err := s.refactorize()
+		maxGrowth = unforced
+		if err != nil {
+			t.Fatalf("it %d: refactorize with strict retry: %v", it, err)
 		}
-		if _, ok := s.eng.(*denseBasis); !ok {
-			t.Fatalf("it %d: engine after unstable factor is %T, want *denseBasis", it, s.eng)
+		if !s.lu.strict || s.stats.UnstableFactors != 1 || s.stats.Factorizations != factors+1 {
+			t.Fatalf("it %d: after an unstable factor strict=%v, stats %+v; want strict, one retry, one more factorization",
+				it, s.lu.strict, s.stats)
 		}
-		if s.stats.DenseFallbacks != 1 {
-			t.Fatalf("it %d: DenseFallbacks = %d, want 1", it, s.stats.DenseFallbacks)
+		if err := s.refactorize(); err != nil || s.stats.UnstableFactors != 1 {
+			t.Fatalf("it %d: a strict refactorization checked growth again: err %v, %d retries", it, err, s.stats.UnstableFactors)
 		}
-		swapped++
-		// The swapped scratch must still solve exactly.
+		retried++
+		// The strict scratch must still solve exactly.
 		st, x, err := s.solve(p.lb, p.ub, 0, timeZero())
 		if err != nil || st != lpOptimal {
-			t.Fatalf("it %d: post-fallback solve: status %v err %v", it, st, err)
+			t.Fatalf("it %d: post-retry solve: status %v err %v", it, st, err)
 		}
 		pd := newLP(model)
-		sd := newScratch(pd)
-		sd.useDense()
-		_, xd, err := sd.solve(pd.lb, pd.ub, 0, timeZero())
+		_, xd, err := newScratch(pd).solve(pd.lb, pd.ub, 0, timeZero())
 		if err != nil {
-			t.Fatalf("it %d: reference dense solve: %v", it, err)
+			t.Fatalf("it %d: reference default solve: %v", it, err)
 		}
 		o1, o2 := model.ObjectiveValue(x[:len(model.Vars)]), model.ObjectiveValue(xd[:len(model.Vars)])
 		if math.Abs(o1-o2) > 1e-6*math.Max(1, math.Abs(o2)) {
-			t.Fatalf("it %d: post-fallback objective %.9f != dense %.9f", it, o1, o2)
+			t.Fatalf("it %d: post-retry objective %.9f != default %.9f", it, o1, o2)
+		}
+		s.bind(p)
+		if s.lu.strict || s.stats.UnstableFactors != 0 {
+			t.Fatalf("it %d: re-binding kept strict=%v, %d retries", it, s.lu.strict, s.stats.UnstableFactors)
 		}
 	}
-	if swapped < 10 {
-		t.Fatalf("only %d fallback swaps exercised; coverage too thin", swapped)
+	if retried < 10 {
+		t.Fatalf("only %d strict retries exercised; coverage too thin", retried)
 	}
+}
+
+// TestSolveUnstableFactorsRetryStrict forces every factorization of whole
+// Solve calls to read as unstable (a growth budget of zero) and checks each
+// solve returns the status and objective of its unforced twin, with every LP
+// scratch that factored retrying strictly and the unforced solve never.
+func TestSolveUnstableFactorsRetryStrict(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	unforced := maxGrowth
+	defer func() { maxGrowth = unforced }()
+	models, retries := 0, 0
+	for it := 0; models < 60; it++ {
+		if it == 400 {
+			t.Fatalf("only %d of %d models factored a basis; coverage too thin", models, it)
+		}
+		model := tortureModel(r, 8+r.Intn(10), 5+r.Intn(8))
+		want, err := Solve(model, Options{})
+		if err != nil {
+			t.Fatalf("it %d: unforced solve: %v", it, err)
+		}
+		maxGrowth = 0
+		got, err := Solve(model, Options{})
+		maxGrowth = unforced
+		if err != nil {
+			t.Fatalf("it %d: forced solve: %v", it, err)
+		}
+		if want.LP.UnstableFactors != 0 {
+			t.Fatalf("it %d: the unforced solve retried %d factorizations", it, want.LP.UnstableFactors)
+		}
+		if got.LP.Factorizations == 0 {
+			continue // never factored: nothing was forced
+		}
+		models++
+		if got.LP.UnstableFactors == 0 {
+			t.Fatalf("it %d: %d factorizations under a zero growth budget and no retry", it, got.LP.Factorizations)
+		}
+		retries += got.LP.UnstableFactors
+		if got.Status != want.Status {
+			t.Fatalf("it %d: status %v forced, %v unforced", it, got.Status, want.Status)
+		}
+		if math.Abs(got.Objective-want.Objective) > 1e-6*math.Max(1, math.Abs(want.Objective)) {
+			t.Fatalf("it %d: objective %.9f forced, %.9f unforced", it, got.Objective, want.Objective)
+		}
+	}
+	t.Logf("%d models, %d strict retries", models, retries)
 }
 
 // TestLUSingularWarmBasisFallsBackCold restores a structurally valid snapshot

@@ -252,8 +252,8 @@ func TestWorkspaceAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lifted := pre.Lift(red)
-	point := pre.LiftPoint(red.Values)
+	lifted := pre.lift(red, new(Solution))
+	point := pre.liftInto(make([]float64, pre.nOrig), red.Values)
 	before, text := append([]float64(nil), lifted.Values...), pre.Model.String()
 	var ws Workspace
 	for i := 0; i < 3; i++ {
@@ -262,7 +262,7 @@ func TestWorkspaceAliasing(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(lifted.Values, before) || !reflect.DeepEqual(point, before) || pre.Model.String() != text {
-		t.Fatal("a later solve changed what Presolve and Lift returned")
+		t.Fatal("a later solve changed what Presolve and lift returned")
 	}
 }
 

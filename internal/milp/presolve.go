@@ -10,30 +10,34 @@ import (
 // This file implements the presolve (model-reduction) pass that runs between
 // compilation and branch-and-bound. The compiled STRL models carry structure
 // a reducer can exploit — choose-≤-1 indicator rows, binaries already fixed
-// by their bounds, capacity rows that are slack for every assignment, and
-// duplicate rows emitted by per-slice capacity expansion. Presolve applies a
-// catalog of standard reductions repeatedly to a fixpoint:
+// by their bounds or by one-term rows, columns whose objective and rows all
+// pull one way, and duplicate rows emitted by per-slice capacity expansion.
+// Presolve applies a catalog of standard reductions repeatedly to a fixpoint:
 //
-//   - bound propagation over ≤-rows (and both sides of =-rows), tightening
-//     and fixing integer variables from row activity bounds;
-//   - singleton-row conversion to bounds and redundant-row elimination
-//     (rows whose max activity cannot exceed the RHS);
 //   - fixed-column substitution into the RHS with objective-constant
-//     accumulation, and empty-column removal via duality fixing (a variable
-//     whose objective and row coefficients all pull one way is fixed to the
-//     corresponding bound);
+//     accumulation (rows left empty are checked and dropped);
+//   - singleton-row conversion to bounds;
 //   - dedup of identical rows (≥-rows are normalized to ≤ first, so a
 //     mirrored pair also merges);
 //   - clique strengthening: set-packing rows over binary literals that are
-//     subsets of another packing row are implied by it and dropped.
+//     subsets of another packing row are implied by it and dropped;
+//   - duality fixing: a variable whose objective and row coefficients all
+//     pull one way is fixed to the corresponding bound (empty columns
+//     included).
+//
+// There is no activity-based bound propagation or redundant-row detection:
+// on the scheduler's traffic, every scoreboard workload and figure
+// configuration, that pass never tightened a bound, fixed a column or dropped
+// a row (docs/SOLVER.md, Reduction catalog).
 //
 // Every reduction preserves the optimal objective value, and the surviving
 // reductions preserve feasibility of restricted points: mapping any feasible
 // full-space point into the reduced space (dropping fixed columns) yields a
 // feasible reduced point, so warm-start seeds and heuristic candidates pass
-// through Presolved.RestrictPoint unharmed. Lift restores a full-space
-// Solution — values for fixed columns, the accumulated objective constant on
-// both objective and bound — so callers cannot observe the reduction.
+// through Presolved.RestrictPoint unharmed. A solve lifts its reduced-space
+// answer back to a full-space Solution — values for fixed columns, the
+// accumulated objective constant on both objective and bound — so callers
+// cannot observe the reduction.
 
 // psTol is the presolve-local absolute tolerance for declaring a row violated (and hence
 // the model infeasible) during presolve. It is deliberately tighter than the
@@ -49,7 +53,7 @@ const maxPresolveRounds = 25
 // PresolveStats reports what the presolve pass did to a model.
 type PresolveStats struct {
 	VarsFixed     int // columns fixed and substituted out
-	RowsDropped   int // rows eliminated (redundant, singleton, duplicate, empty, clique-implied)
+	RowsDropped   int // rows eliminated (singleton, duplicate, empty, clique-implied)
 	CliquesMerged int // set-packing rows dropped as subsets of a stronger clique (also counted in RowsDropped)
 	Rounds        int // fixpoint iterations run
 	Duration      time.Duration
@@ -78,7 +82,7 @@ type Presolved struct {
 	// point; Model is nil in that case.
 	Infeasible bool
 
-	identity bool      // no reduction fired: Lift and the point maps pass through
+	identity bool      // no reduction fired: lift and the point maps pass through
 	nOrig    int       // variable count of the original model
 	objConst float64   // objective contribution of the fixed columns
 	isFixed  []bool    // original index -> fixed?
@@ -86,15 +90,11 @@ type Presolved struct {
 	keep     []int     // reduced index -> original index
 }
 
-// Lift maps a reduced-space Solution back to the original model's space:
-// values of fixed columns are restored, and the objective constant is added
-// to both the objective and the proven bound. The input is not modified.
-func (p *Presolved) Lift(sol *Solution) *Solution {
-	return p.lift(sol, new(Solution))
-}
-
-// lift is Lift into out, which it returns: the lifted Values go in
-// out.Values' memory when they fit there, and are a copy of sol's either way.
+// lift maps a reduced-space Solution back to the original model's space, into
+// out, which it returns: values of fixed columns are restored, and the
+// objective constant is added to both the objective and the proven bound. The
+// lifted Values go in out.Values' memory when they fit there, and are a copy
+// of sol's either way; sol is not modified.
 func (p *Presolved) lift(sol, out *Solution) *Solution {
 	dst := out.Values[:0]
 	*out = *sol
@@ -150,18 +150,9 @@ func (p *Presolved) restrictInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// LiftPoint maps a reduced-space point to the full space, filling fixed
-// columns with their values. Used to present full-space relaxation points to
-// caller-supplied heuristics.
-func (p *Presolved) LiftPoint(x []float64) []float64 {
-	if p.identity {
-		return x
-	}
-	return p.liftInto(make([]float64, p.nOrig), x)
-}
-
-// liftInto is LiftPoint of a non-identity reduction into dst, which has one
-// entry per original variable; every entry is written.
+// liftInto maps a reduced-space point of a non-identity reduction to the full
+// space, into dst, which has one entry per original variable; every entry is
+// written, fixed columns with their values.
 func (p *Presolved) liftInto(dst, x []float64) []float64 {
 	for i := range dst {
 		dst[i] = 0
@@ -469,124 +460,17 @@ func (p *presolver) substituteFixed() {
 	}
 }
 
-// termRange returns the [min, max] contribution of one term under the
-// current bounds. Coefficients are never zero here, so no 0·Inf NaNs.
-func (p *presolver) termRange(t Term) (lo, hi float64) {
-	lb, ub := p.lb[t.Var], p.ub[t.Var]
-	if t.Coef > 0 {
-		return t.Coef * lb, t.Coef * ub
-	}
-	return t.Coef * ub, t.Coef * lb
-}
-
-// reduceRows runs activity analysis on every live row: infeasibility and
-// redundancy detection, singleton-to-bound conversion, and bound propagation
-// on each variable from the residual activity of the rest of the row.
+// reduceRows converts every live one-term row into a variable bound.
 func (p *presolver) reduceRows() {
 	for ri := range p.rows {
 		r := &p.rows[ri]
-		if r.dead {
+		if r.dead || len(r.terms) != 1 {
 			continue
 		}
-		if len(r.terms) == 1 {
-			p.singletonRow(r)
-			if p.infeasible {
-				return
-			}
-			continue
+		p.singletonRow(r)
+		if p.infeasible {
+			return
 		}
-		minSum, maxSum := 0.0, 0.0
-		minInf, maxInf := 0, 0
-		for _, t := range r.terms {
-			lo, hi := p.termRange(t)
-			if math.IsInf(lo, -1) {
-				minInf++
-			} else {
-				minSum += lo
-			}
-			if math.IsInf(hi, 1) {
-				maxInf++
-			} else {
-				maxSum += hi
-			}
-		}
-		minAct, maxAct := minSum, maxSum
-		if minInf > 0 {
-			minAct = math.Inf(-1)
-		}
-		if maxInf > 0 {
-			maxAct = math.Inf(1)
-		}
-		switch r.op {
-		case LE:
-			if minAct > r.rhs+psTol {
-				p.infeasible = true
-				return
-			}
-			if maxAct <= r.rhs+psTol {
-				p.dropRow(r) // slack at every point in the bound box
-				continue
-			}
-		case EQ:
-			if minAct > r.rhs+psTol || maxAct < r.rhs-psTol {
-				p.infeasible = true
-				return
-			}
-			if minAct >= r.rhs-psTol && maxAct <= r.rhs+psTol {
-				p.dropRow(r) // forced to RHS at every point
-				continue
-			}
-		}
-		for _, t := range r.terms {
-			if p.fixed[t.Var] {
-				continue
-			}
-			lo, hi := p.termRange(t)
-			// ≤ side: a·x ≤ rhs − min(rest of row).
-			rest, ok := residual(minSum, minInf, lo, -1)
-			if ok {
-				b := (r.rhs - rest) / t.Coef
-				if t.Coef > 0 {
-					p.tightenUb(int(t.Var), b)
-				} else {
-					p.tightenLb(int(t.Var), b)
-				}
-				if p.infeasible {
-					return
-				}
-			}
-			if r.op != EQ {
-				continue
-			}
-			// ≥ side of an equality: a·x ≥ rhs − max(rest of row).
-			rest, ok = residual(maxSum, maxInf, hi, 1)
-			if ok {
-				b := (r.rhs - rest) / t.Coef
-				if t.Coef > 0 {
-					p.tightenLb(int(t.Var), b)
-				} else {
-					p.tightenUb(int(t.Var), b)
-				}
-				if p.infeasible {
-					return
-				}
-			}
-		}
-	}
-}
-
-// residual computes the row activity with one term removed, given the finite
-// part of the sum and the count of infinite contributions. sign selects which
-// infinity the sum saturates toward (-1: min activity, +1: max activity).
-// ok is false when the residual itself is infinite (no bound derivable).
-func residual(finiteSum float64, infCount int, contrib float64, sign int) (rest float64, ok bool) {
-	switch {
-	case infCount == 0:
-		return finiteSum - contrib, true
-	case infCount == 1 && math.IsInf(contrib, sign):
-		return finiteSum, true
-	default:
-		return 0, false
 	}
 }
 

@@ -5,77 +5,30 @@ import (
 	"testing"
 )
 
-// TestPresolveBoundPropagationFixesBinaries: a ≤-row whose residual activity
-// forces every binary below 1 must fix them all to 0 and leave an empty
-// reduced model.
-func TestPresolveBoundPropagationFixesBinaries(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	y := m.AddBinary("y", 1)
-	m.AddConstraint("tight", []Term{{x, 2}, {y, 2}}, LE, 1)
-	pre := Presolve(m)
-	if pre.Infeasible {
-		t.Fatal("model is feasible (all-zero), presolve claimed infeasible")
-	}
-	if pre.Stats.VarsFixed != 2 {
-		t.Errorf("VarsFixed = %d, want 2", pre.Stats.VarsFixed)
-	}
-	if pre.Model.NumVars() != 0 {
-		t.Errorf("reduced model has %d vars, want 0", pre.Model.NumVars())
-	}
-	sol, err := Solve(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != StatusOptimal || sol.Objective != 0 {
-		t.Errorf("solve: status %v objective %v, want optimal 0", sol.Status, sol.Objective)
-	}
-	if len(sol.Values) != 2 || sol.Values[0] != 0 || sol.Values[1] != 0 {
-		t.Errorf("lifted values %v, want [0 0]", sol.Values)
-	}
-}
-
 // TestPresolveSingletonAndPropagation: singleton rows become bounds (with
-// integer rounding) and are dropped; propagation tightens the coupled row's
-// variables.
+// integer rounding) and are dropped, and what they fix propagates by
+// substitution: the coupled row, left with one term, becomes a bound in turn,
+// and the column it leaves in no row is fixed by duality.
 func TestPresolveSingletonAndPropagation(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddVar("x", Integer, 0, 10, 1)
 	y := m.AddVar("y", Integer, 0, 10, 1)
 	m.AddConstraint("cap", []Term{{x, 1}, {y, 1}}, LE, 7)
-	m.AddConstraint("xcap", []Term{{x, 2}}, LE, 9)
-	pre := Presolve(m)
-	if pre.Infeasible || pre.Model.NumVars() != 2 {
-		t.Fatalf("unexpected reduction outcome: %+v", pre)
-	}
-	if ub := pre.Model.Vars[0].Ub; ub != 4 {
-		t.Errorf("x upper bound = %v, want 4 (2x ≤ 9 rounded inward)", ub)
-	}
-	if ub := pre.Model.Vars[1].Ub; ub != 7 {
-		t.Errorf("y upper bound = %v, want 7 (propagated from cap)", ub)
-	}
-	if pre.Stats.RowsDropped != 1 {
-		t.Errorf("RowsDropped = %d, want 1 (the singleton)", pre.Stats.RowsDropped)
-	}
-	if pre.Model.NumConstraints() != 1 {
-		t.Errorf("reduced model has %d rows, want 1", pre.Model.NumConstraints())
-	}
-}
-
-// TestPresolveRedundantRow: a row slack at every point of the bound box is
-// dropped.
-func TestPresolveRedundantRow(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	y := m.AddBinary("y", 1)
-	m.AddConstraint("slack", []Term{{x, 1}, {y, 1}}, LE, 5)
-	m.AddConstraint("eq", []Term{{x, 1}, {y, -1}}, EQ, 0) // keeps x,y from duality fixing
+	m.AddConstraint("xcap", []Term{{x, 2}}, LE, 1)
 	pre := Presolve(m)
 	if pre.Infeasible {
 		t.Fatal("feasible model declared infeasible")
 	}
-	if pre.Model.NumConstraints() != 1 {
-		t.Errorf("reduced model has %d rows, want 1 (slack row dropped)", pre.Model.NumConstraints())
+	if pre.Stats.VarsFixed != 2 || pre.Stats.RowsDropped != 2 || pre.Model.NumVars() != 0 {
+		t.Errorf("stats %+v, %d vars left; want both columns fixed (2x ≤ 1 rounds to x = 0, then y ≤ 7) and both rows dropped",
+			pre.Stats, pre.Model.NumVars())
+	}
+	sol, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusOptimal || sol.Objective != 7 || sol.Values[0] != 0 || sol.Values[1] != 7 {
+		t.Errorf("solve: status %v objective %v values %v, want optimal 7 [0 7]", sol.Status, sol.Objective, sol.Values)
 	}
 }
 
@@ -202,11 +155,10 @@ func TestPresolveObjConstAndLift(t *testing.T) {
 func TestPresolveDetectsInfeasible(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddBinary("x", 1)
-	y := m.AddBinary("y", 1)
-	m.AddConstraint("impossible", []Term{{x, 1}, {y, 1}}, GE, 3)
+	m.AddConstraint("impossible", []Term{{x, 2}}, GE, 3)
 	pre := Presolve(m)
 	if !pre.Infeasible {
-		t.Fatal("x+y ≥ 3 over binaries not detected as infeasible")
+		t.Fatal("2x ≥ 3 over a binary not detected as infeasible")
 	}
 	sol, err := Solve(m, Options{})
 	if err != nil {
@@ -237,9 +189,9 @@ func TestPresolveRestrictLiftRoundtrip(t *testing.T) {
 	if len(r) != 2 || r[0] != 0.25 || r[1] != 0.75 {
 		t.Errorf("RestrictPoint = %v, want [0.25 0.75]", r)
 	}
-	l := pre.LiftPoint(r)
+	l := pre.liftInto(make([]float64, 3), r)
 	if len(l) != 3 || l[0] != 1 || l[1] != 0.25 || l[2] != 0.75 {
-		t.Errorf("LiftPoint = %v, want [1 0.25 0.75]", l)
+		t.Errorf("liftInto = %v, want [1 0.25 0.75]", l)
 	}
 	if pre.RestrictPoint(nil) != nil {
 		t.Error("RestrictPoint(nil) != nil")
@@ -271,7 +223,7 @@ func TestPresolveIdentity(t *testing.T) {
 }
 
 // TestPresolveInfiniteBounds: unbounded continuous columns must not poison
-// activity analysis — the coupled row stays, and the solve still finishes.
+// the reductions — the coupled row stays, and the solve still finishes.
 func TestPresolveInfiniteBounds(t *testing.T) {
 	m := NewModel(Minimize)
 	x := m.AddVar("x", Continuous, 0, Inf, 1)

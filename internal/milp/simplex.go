@@ -48,14 +48,15 @@ type LPStats struct {
 	WarmFallbacks int
 	// ColdStarts counts LPs solved from scratch, including warm fallbacks.
 	ColdStarts int
-	// Factorizations counts basis refactorizations, sparse LU or dense.
+	// Factorizations counts basis refactorizations.
 	Factorizations int64
 	// EtaUpdates counts product-form eta updates absorbed by the LU engine
-	// between refactorizations (none once a scratch falls back to dense).
+	// between refactorizations.
 	EtaUpdates int64
-	// DenseFallbacks counts scratches that abandoned the LU engine for the
-	// dense inverse after a numerically unstable factorization.
-	DenseFallbacks int
+	// UnstableFactors counts factorizations rejected for element growth and
+	// repeated with strict partial pivoting, which the scratch keeps until
+	// it is next bound.
+	UnstableFactors int
 }
 
 func (a *LPStats) add(b *LPStats) {
@@ -66,7 +67,7 @@ func (a *LPStats) add(b *LPStats) {
 	a.ColdStarts += b.ColdStarts
 	a.Factorizations += b.Factorizations
 	a.EtaUpdates += b.EtaUpdates
-	a.DenseFallbacks += b.DenseFallbacks
+	a.UnstableFactors += b.UnstableFactors
 }
 
 // lp is a linear program in computational standard form:
@@ -176,7 +177,7 @@ const (
 )
 
 // refactorInterval is the pivot count between periodic refactorizations, the
-// drift-control backstop behind the engines' own fill/instability triggers.
+// drift-control backstop behind the engine's own eta and fill budgets.
 const refactorInterval = 120
 
 // simplexState is the reusable working state of the LP kernel: the tree
@@ -187,12 +188,10 @@ const refactorInterval = 120
 // keeps repeated solves deterministic.
 type simplexState struct {
 	p       *lp
-	eng     basisEngine
-	lu      *luBasis    // the engines this state owns; eng is one of them
-	dn      *denseBasis // built on first use (an LU fallback)
-	nTotal  int         // columns including phase-1 artificials
-	artCoef []float64   // phase-1 artificial column coefs (±1); nil outside phase 1
-	artBuf  []float64   // artCoef's storage
+	lu      *luBasis  // the basis engine
+	nTotal  int       // columns including phase-1 artificials
+	artCoef []float64 // phase-1 artificial column coefs (±1); nil outside phase 1
+	artBuf  []float64 // artCoef's storage
 	cost    []float64
 	basis   []int  // row -> column
 	status  []byte // column -> position
@@ -224,9 +223,8 @@ type simplexState struct {
 
 // bind makes s a solver state for p: every buffer is resized (reallocated
 // only when too small) and zeroed, and the telemetry starts from zero, so a
-// re-bound state behaves exactly like a newly allocated one. The basis engine
-// is sparse LU; the dense inverse takes over only after an unstable
-// factorization (refactorize).
+// re-bound state behaves exactly like a newly allocated one, its basis engine
+// back on threshold pivoting included.
 func (s *simplexState) bind(p *lp) {
 	m, n := p.m, p.n
 	s.p = p
@@ -248,16 +246,6 @@ func (s *simplexState) bind(p *lp) {
 		s.lu = new(luBasis)
 	}
 	s.lu.bind(p, &s.stats)
-	s.eng = s.lu
-}
-
-// useDense installs the dense engine (built on first use) for the current LP.
-func (s *simplexState) useDense() {
-	if s.dn == nil {
-		s.dn = new(denseBasis)
-	}
-	s.dn.bind(s.p, &s.stats)
-	s.eng = s.dn
 }
 
 // begin resets per-solve state (buffers and stats survive).
@@ -329,7 +317,7 @@ func (s *simplexState) solve(lb, ub []float64, maxIter int, deadline time.Time) 
 		for i := 0; i < p.m; i++ {
 			diag[i] = 1
 		}
-		s.eng.reset(diag)
+		s.lu.reset(diag)
 		for i := 0; i < p.m; i++ {
 			sj := p.nvars + i
 			s.basis[i] = sj
@@ -373,7 +361,7 @@ func (s *simplexState) solve(lb, ub []float64, maxIter int, deadline time.Time) 
 		s.x[aj] = math.Abs(resid[i])
 		s.status[aj] = inBasis
 	}
-	s.eng.reset(s.artCoef) // basis matrix diag(±1) is its own inverse
+	s.lu.reset(s.artCoef) // basis matrix diag(±1) is its own inverse
 	s.nTotal = p.n + p.m
 	st, err := s.iterate(lbFull, ubFull, costP1)
 	if err != nil {
@@ -427,12 +415,12 @@ func (s *simplexState) computeDuals() {
 	for i, bj := range s.basis {
 		cb[i] = s.cost[bj]
 	}
-	s.eng.btranVec(cb, s.y)
+	s.lu.btranVec(cb, s.y)
 }
 
 // ftran computes w = B⁻¹·a_enter into s.w.
 func (s *simplexState) ftran(enter int) {
-	s.eng.ftranCol(enter, s.artCoef, s.w)
+	s.lu.ftranCol(enter, s.artCoef, s.w)
 }
 
 // iterate runs primal simplex iterations to optimality under the given
@@ -452,7 +440,7 @@ func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
 		}
 		s.iter++
 		s.stats.Iterations++
-		if refactorCountdown--; refactorCountdown <= 0 || s.eng.needsRefactor() {
+		if refactorCountdown--; refactorCountdown <= 0 || s.lu.needsRefactor() {
 			if err := s.refactorize(); err != nil {
 				return lpIterLimit, err
 			}
@@ -697,8 +685,8 @@ func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
 		// rho = e_leaveᵀ·B_old⁻¹ feeds both the rank-1 dual update (row
 		// leave of the new inverse is rho/pivot) and the Devex weight
 		// updates, so it is taken before the engine absorbs the pivot.
-		s.eng.btranRow(leave, s.rho)
-		if !s.eng.update(leave, w) {
+		s.lu.btranRow(leave, s.rho)
+		if !s.lu.update(leave, w) {
 			// The engine refused the pivot (tiny pivot or spent budget):
 			// refactorize from the updated basis instead.
 			if err := s.refactorize(); err != nil {
@@ -776,16 +764,18 @@ func (s *simplexState) noteProgress(step, score float64) {
 // refactorize rebuilds the basis representation from the column data and
 // refreshes basic variable values, containing drift from repeated
 // product-form updates. If the LU engine rejects the basis as numerically
-// unstable (element growth past its budget), the scratch swaps in the dense
-// engine until it is next bound, and counts the fallback.
+// unstable (element growth past its budget), it factors the same basis again
+// with strict partial pivoting, stays strict until it is next bound, and the
+// retry is counted. A strict factor checks no growth, so a second failure is
+// a singular basis.
 func (s *simplexState) refactorize() error {
-	if err := s.eng.factor(s.basis, s.artCoef); err != nil {
+	if err := s.lu.factor(s.basis, s.artCoef); err != nil {
 		if err != errUnstableFactor {
 			return err
 		}
-		s.useDense()
-		s.stats.DenseFallbacks++
-		if err := s.eng.factor(s.basis, s.artCoef); err != nil {
+		s.lu.strict = true
+		s.stats.UnstableFactors++
+		if err := s.lu.factor(s.basis, s.artCoef); err != nil {
 			return err
 		}
 	}
@@ -809,7 +799,7 @@ func (s *simplexState) refactorize() error {
 			resid[j-p.n] -= s.artCoef[j-p.n] * xj
 		}
 	}
-	s.eng.ftranVec(resid, s.w)
+	s.lu.ftranVec(resid, s.w)
 	for i, bj := range s.basis {
 		s.x[bj] = s.w[i]
 	}

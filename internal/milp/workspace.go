@@ -118,7 +118,7 @@ type Workspace struct {
 
 	search search // the current solve's tree search
 
-	// Simplex states (with their basis engines, whose factor and eta arrays
+	// Simplex states (with their LU engines, whose factor and eta arrays
 	// grow by append) are kept whole and re-bound to the next LP. states[:lent]
 	// are in use by the current solve.
 	states []*simplexState

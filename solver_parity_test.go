@@ -378,8 +378,8 @@ func BenchmarkBatchedSolve480Serial(b *testing.B) { benchBatchedSolve(b, 480) }
 // honest: DisableCuts runs must report zero cut activity, DisablePseudocost
 // runs must never take a pseudocost decision, and across the suite the
 // default configuration must actually exercise the LU engine, cuts and
-// pseudocosts. (The dense engine is checked against LU in internal/milp's
-// lu_test.go.)
+// pseudocosts. (The LU engine is checked against a dense reference inverse in
+// internal/milp's lu_test.go.)
 func TestBasisEngineParityProperty(t *testing.T) {
 	const instances = 220
 	var (
