@@ -8,9 +8,10 @@ package core
 // its own compiler.Scratch and is compiled against its own nodes only; it is
 // kept while its requests are the same objects at the same revision (the
 // per-job expression cache keeps a request, leaf pointers and all, until an
-// event on the job or a change of shape, re-pricing it in place when its
-// value-function expiry passes) and the believed release slices of its nodes
-// are unchanged, which together make every compiler input identical. A kept class whose
+// event on the job or its last option expires, re-pricing and trimming it in
+// place when its value-function expiry passes) and the believed release slices
+// of its nodes are unchanged, which together make every compiler input
+// identical. A kept class whose
 // warm-start choices are also last cycle's does nothing: its stored plan is
 // the cycle's plan. In any other kept class a component replays its
 // proven-optimal solution when its seed is the one that solution was solved

@@ -649,8 +649,8 @@ func TestCleanClassDoesNoWork(t *testing.T) {
 
 	// One arrival, on block 3: its class alone is compiled again — the nine
 	// residents and the newcomer — and the other seven are kept; likewise while
-	// it lives (its one start choice nears its deadline, so its request is
-	// generated afresh) and in the cycle that drops it.
+	// it lives (its latest start choice passes its deadline, so its request is
+	// trimmed at a new revision) and in the cycle that drops it.
 	before = sched.Stats
 	sched.Submit(now, residentArrival(5000, 3, now))
 	cycle()
@@ -923,6 +923,49 @@ func TestClassHoldsSeesReprice(t *testing.T) {
 	}
 	if c, k := classify(); c != 0 || k != 18 {
 		t.Errorf("and once more, nothing re-priced: compiled %d jobs and kept %d, want 0 and 18", c, k)
+	}
+}
+
+// TestTrimmedRequestKeepsPointer: an SLO arrival offers two starts; a cycle
+// later the latest one passes its deadline and its request is trimmed in place
+// — the same pointer at the next revision, so its class is compiled again — and
+// a cycle after that the last one does, and the job is dropped. The request is
+// generated once; regenerating on every change of shape generated it three
+// times.
+func TestTrimmedRequestKeepsPointer(t *testing.T) {
+	sched, free := residentScheduler(1)
+	now := int64(4)
+	cycle := func() (res sim.CycleResult, compiled int) {
+		before := sched.Stats.CompileJobs
+		res = sched.Cycle(now, free)
+		now += 4
+		return res, sched.Stats.CompileJobs - before
+	}
+	for k := 0; k < 3; k++ {
+		cycle()
+	}
+	misses := sched.Stats.ExprMisses
+	sched.Submit(now, residentArrival(5000, 0, now))
+	if _, c := cycle(); c != 10 {
+		t.Fatalf("the arrival's cycle compiled %d jobs, want its class's 10", c)
+	}
+	ent := sched.exprCache[5000]
+	if ent == nil || len(ent.req.Options) != 2 {
+		t.Fatalf("setup: the arrival's cached request %+v, want two start options", ent)
+	}
+	req, rev := ent.req, ent.req.Rev
+	if _, c := cycle(); c != 10 || sched.exprCache[5000] == nil || sched.exprCache[5000].req != req ||
+		req.Rev == rev || len(req.Options) != 1 || req.Expr != req.Options[0].Leaf {
+		t.Errorf("a start past its deadline: %d jobs compiled, request %p -> %p at revision %d -> %d with %d options; want 10 compiled and the same request, trimmed to its lone leaf at a new revision",
+			c, req, sched.exprCache[5000].req, rev, req.Rev, len(req.Options))
+	}
+	res, c := cycle()
+	if len(res.Dropped) != 1 || res.Dropped[0].ID != 5000 || c != 9 || sched.exprCache[5000] != nil {
+		t.Errorf("the last start past its deadline: dropped %v, %d jobs compiled, entry %v; want the arrival dropped, 9 compiled and no entry",
+			res.Dropped, c, sched.exprCache[5000])
+	}
+	if d := sched.Stats.ExprMisses - misses; d != 1 {
+		t.Errorf("the arrival's request was generated %d times, want once", d)
 	}
 }
 

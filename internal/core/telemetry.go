@@ -48,8 +48,8 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 	telemetry.Row("reuse", "reuse_misses", "tetrisched_solver_reuse_misses_total", "counter", "Components that had to be solved.", func(s *SolveStats) any { return s.ReuseMisses }),
 	telemetry.Row("reuse", "reuse_hit_rate", "tetrisched_solver_reuse_hit_rate", "gauge", "Fraction of component sub-solves served by replay.", func(s *SolveStats) any { return s.ReuseHitRate() }),
 
-	telemetry.Row("frontend", "expr_hits", "tetrisched_solver_expr_cache_hits_total", "counter", "Pending-job STRL requests served from the expression cache.", func(s *SolveStats) any { return s.ExprHits }),
-	telemetry.Row("frontend", "expr_misses", "tetrisched_solver_expr_cache_misses_total", "counter", "Pending-job STRL requests generated fresh.", func(s *SolveStats) any { return s.ExprMisses }),
+	telemetry.Row("frontend", "expr_hits", "tetrisched_solver_expr_cache_hits_total", "counter", "Pending-job STRL requests served or trimmed from the expression cache; one trimmed to nothing drops its job and counts as neither hit nor miss.", func(s *SolveStats) any { return s.ExprHits }),
+	telemetry.Row("frontend", "expr_misses", "tetrisched_solver_expr_cache_misses_total", "counter", "Pending-job STRL requests generated, once per arrival.", func(s *SolveStats) any { return s.ExprMisses }),
 	telemetry.Row("frontend", "compile_skips", "tetrisched_solver_compile_skips_total", "counter", "Batch jobs whose coupling class was kept, compiled model and all.", func(s *SolveStats) any { return s.CompileSkips }),
 	telemetry.Row("frontend", "compile_jobs", "tetrisched_solver_compile_jobs_total", "counter", "Batch jobs compiled into a MILP.", func(s *SolveStats) any { return s.CompileJobs }),
 	telemetry.Row("frontend", "compile_skip_rate", "tetrisched_solver_compile_skip_rate", "gauge", "Fraction of batch jobs whose class was kept rather than compiled.", func(s *SolveStats) any { return s.CompileSkipRate() }),

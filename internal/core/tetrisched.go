@@ -157,8 +157,8 @@ type SolveStats struct {
 	// directions.
 	GenerateNS   int64 // STRL generation wall-clock across all cycles, nanoseconds
 	CompileNS    int64 // classify+compile+decompose+route wall-clock across all cycles, nanoseconds
-	ExprHits     int   // pending jobs whose STRL request came from the expression cache
-	ExprMisses   int   // pending jobs generated fresh with the expression cache enabled
+	ExprHits     int   // pending jobs whose STRL request was served or trimmed from the expression cache
+	ExprMisses   int   // pending jobs whose request was generated with the expression cache enabled
 	CompileSkips int   // batched jobs whose class was kept, compiled model and all
 	CompileJobs  int   // batched jobs whose class was compiled in a global cycle
 
@@ -485,28 +485,30 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 	for _, j := range ordered {
 		var req *strlgen.Request
 		if s.exprCache != nil {
-			// Expression cache: reuse the previously generated request
+			// Expression cache: a job's request is generated once, reused
 			// verbatim while its value-function expiry bound holds (value
 			// functions are step functions of time, so most requests are
-			// reusable for many cycles), and past it re-price the request in
-			// place while it keeps its shape (a decaying best-effort value
-			// moves every cycle; its options do not). Pointer-stable requests
-			// are what lets a class recognize itself downstream (classes.go).
-			ent, ok := s.exprCache[j.ID]
-			if ok && now > ent.validUntil {
-				ent.validUntil, ok = s.gen.Reprice(now, ent.req)
-			}
-			if ok {
-				req = ent.req
-				s.Stats.ExprHits++
-			} else {
+			// reusable for many cycles), and past it re-priced and trimmed in
+			// place (a decaying best-effort value moves every cycle; a start
+			// past its deadline is culled). Pointer-stable requests are what
+			// lets a class recognize itself downstream (classes.go). A request
+			// trimmed to nothing leaves req nil: the job is dropped below,
+			// which purges its entry.
+			if ent := s.exprCache[j.ID]; ent == nil {
 				var until int64
 				req, until = s.gen.GenerateTTL(now, j)
 				s.Stats.ExprMisses++
 				if req != nil {
 					s.exprCache[j.ID] = &exprEntry{req: req, validUntil: until}
-				} else {
-					delete(s.exprCache, j.ID)
+				}
+			} else {
+				ok := true
+				if now > ent.validUntil {
+					ent.validUntil, ok = s.gen.Reprice(now, ent.req)
+				}
+				if ok {
+					req = ent.req
+					s.Stats.ExprHits++
 				}
 			}
 		} else {

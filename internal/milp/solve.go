@@ -421,12 +421,14 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start)}
 		return out, nil
 	}
-	// The seed is mapped into the reduced space here; the heuristic's points
-	// and candidates are mapped by the search (round). The reduced model is
-	// the presolver's own assembly of a model that just passed Validate; it is
-	// not validated again.
+	// The seed is mapped into the reduced space here, on w's memory (the search
+	// copies it into its incumbent); the heuristic's points and candidates are
+	// mapped by the search (round). The reduced model is the presolver's own
+	// assembly of a model that just passed Validate; it is not validated again.
 	ropts := opts
-	ropts.InitialSolution = pre.RestrictPoint(opts.InitialSolution)
+	if x := opts.InitialSolution; x != nil && !pre.identity {
+		ropts.InitialSolution = pre.restrictInto(w.floats.take(len(pre.keep)), x)
+	}
 	red, err := w.branchAndBound(pre.Model, ropts, pre)
 	if err != nil {
 		return nil, err

@@ -104,9 +104,9 @@ type Request struct {
 	// supply, whatever the solver does. It may be one of the leaf sets itself;
 	// read-only.
 	Nodes *bitset.Set
-	// Rev counts Reprice calls. The leaves are re-priced in place, so whoever
-	// keeps something derived from their values keeps the Rev it was derived
-	// at beside the pointer.
+	// Rev counts Reprice calls. The leaves are re-priced, and Options, Expr
+	// and Nodes trimmed, in place, so whoever keeps something derived from
+	// them keeps the Rev it was derived at beside the pointer.
 	Rev uint32
 }
 
@@ -314,24 +314,49 @@ func (g *Generator) optionTTL(now int64, j *workload.Job, completion int64) int6
 }
 
 // Reprice brings a request priced for an earlier cycle to the cycle at `now`,
-// in place: every leaf takes the value GenerateTTL(now, req.Job) would give
-// it, through the same expression, and Rev moves on. It returns the new expiry
-// bound and true when the result is that fresh request bit for bit — same
-// options, same structure, in the memory the old one had. It returns false
-// when an option has no value left at `now`: the request has changed shape,
-// may be half re-priced, and is to be dropped for a generated one. Values only
-// fall with time, so no option can have appeared; `now` must not be earlier
-// than the cycle the request was last priced for.
+// in place, and Rev moves on: the result is GenerateTTL(now, req.Job) bit for
+// bit, in the memory the old one had. Every leaf takes the value the same
+// expression gives it, and the options with no value left are cut out, Nodes
+// and Expr following. Values only fall with time, so no option can have
+// appeared and each placement keeps a prefix of its starts; `now` must not be
+// earlier than the cycle the request was last priced for. It returns the new
+// expiry bound, and false when no option is left, which is when GenerateTTL
+// returns nil: the job is to be dropped.
 func (g *Generator) Reprice(now int64, req *Request) (validUntil int64, ok bool) {
 	req.Rev++
 	validUntil = math.MaxInt64
+	kept := req.Options[:0]
 	for _, o := range req.Options {
 		v, completion := g.price(now, req.Job, o.StartSlice, o.EstDur)
 		if v <= 0 {
-			return now, false
+			continue // deadline culling, §3.2.1
 		}
 		o.Leaf.Value = v
 		validUntil = min(validUntil, g.optionTTL(now, req.Job, completion))
+		kept = append(kept, o)
+	}
+	n := len(kept)
+	if n == len(req.Options) && n > 0 {
+		return validUntil, true
+	}
+	clear(req.Options[n:])
+	req.Options = kept
+	if n == 0 {
+		return now, false
+	}
+	var nodes nodeUnion
+	for i := n - 1; i >= 0; i-- { // last first, as GenerateTTL adds placements
+		nodes.add(kept[i].Leaf.Set)
+	}
+	req.Nodes = nodes.set
+	if m, ok := req.Expr.(*strl.Max); ok && n > 1 {
+		for i, o := range kept {
+			m.Kids[i] = o.Leaf
+		}
+		clear(m.Kids[n:])
+		m.Kids = m.Kids[:n]
+	} else {
+		req.Expr = kept[0].Leaf
 	}
 	return validUntil, true
 }

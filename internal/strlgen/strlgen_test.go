@@ -479,13 +479,13 @@ func TestRequestNodesIsTheOptionsUnion(t *testing.T) {
 
 // TestRepriceMatchesGenerate: a request re-priced for a later cycle is the
 // request GenerateTTL makes for that cycle, field for field and bit for bit
-// (Rev apart), with the same expiry bound — or Reprice says the shape changed,
-// and then the fresh request does have fewer options. Over every job type,
-// both classes, floors of 0 and above it, and an earliness weight large enough
-// to reach the 0.1 clamp.
+// (Rev apart), with the same expiry bound, whether it kept every option or
+// lost some — or Reprice says no option is left, and then GenerateTTL makes
+// none. Over every job type, both classes, floors of 0 and above it, and an
+// earliness weight large enough to reach the 0.1 clamp.
 func TestRepriceMatchesGenerate(t *testing.T) {
 	c := cluster.RC80(true)
-	repriced, reshaped, clamped, floored := 0, 0, 0, 0
+	repriced, trimmed, dropped, clamped, floored := 0, 0, 0, 0, 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		cfg := Default(4, int64(4*(4+r.Intn(20))))
@@ -522,13 +522,12 @@ func TestRepriceMatchesGenerate(t *testing.T) {
 			nOptions := len(req.Options)
 			got, ok := g.Reprice(now, req)
 			if !ok {
-				if fresh != nil && len(fresh.Options) >= nOptions {
-					t.Logf("seed %d: shape change reported at now=%d, but the fresh request has %d options to the old one's %d", seed, now, len(fresh.Options), nOptions)
+				if fresh != nil {
+					t.Logf("seed %d: Reprice left nothing at now=%d, but the fresh request has %d options", seed, now, len(fresh.Options))
 					return false
 				}
-				reshaped++
-				req, until = fresh, freshUntil
-				continue
+				dropped++
+				break
 			}
 			if fresh == nil {
 				t.Logf("seed %d: re-priced at now=%d a request that no longer exists", seed, now)
@@ -539,7 +538,11 @@ func TestRepriceMatchesGenerate(t *testing.T) {
 				t.Logf("seed %d: re-priced at now=%d (valid until %d):\n  %+v\nfresh (valid until %d):\n  %+v", seed, now, got, summarize(req), freshUntil, summarize(fresh))
 				return false
 			}
-			repriced++
+			if len(req.Options) < nOptions {
+				trimmed++
+			} else {
+				repriced++
+			}
 			for _, o := range req.Options {
 				completion := now + o.StartSlice*cfg.Quantum + o.EstDur
 				if 1-cfg.EarlinessEps*float64(completion-now)/float64(cfg.Quantum) < 0.1 {
@@ -556,7 +559,8 @@ func TestRepriceMatchesGenerate(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-	if repriced == 0 || reshaped == 0 || clamped == 0 || floored == 0 {
-		t.Errorf("%d re-priced, %d changed shape, %d options on the earliness clamp, %d requests on the floor: a case went untested", repriced, reshaped, clamped, floored)
+	if repriced == 0 || trimmed == 0 || dropped == 0 || clamped == 0 || floored == 0 {
+		t.Errorf("%d re-priced, %d trimmed, %d dropped, %d options on the earliness clamp, %d requests on the floor: a case went untested",
+			repriced, trimmed, dropped, clamped, floored)
 	}
 }
