@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test test-short test-shuffle race bench bench-compare bench-all bench-smoke benchmark-quick alloc-ceiling fuzz-smoke loadgen-smoke shard-smoke cover traffic-cover experiments experiments-quick examples clean
+.PHONY: all verify build vet test test-short test-shuffle race bench bench-compare bench-all bench-smoke benchmark-quick alloc-ceiling fuzz-smoke loadgen-smoke shard-smoke repeat-check cover traffic-cover experiments experiments-quick examples clean
 
 all: build vet test race
 
@@ -149,6 +149,32 @@ shard-smoke:
 	$(GO) run ./cmd/tetrisim -cluster rc256het -workload gshet -jobs 120 -shards 4 -v | tail -n 6
 	$(GO) test -race -count=1 -run 'Shard|RateLimit' ./...
 
+# Repeatability smoke: a search the work budget cuts off is a function of its
+# inputs, not of the machine's speed or load. RC80 GS HET at 1.3x load with a
+# 5 ms budget (150 units of LP work; 22 sub-solves end unproven) runs at
+# GOMAXPROCS=1, then at GOMAXPROCS=2 beside a CPU hog. The per-job outcome
+# lines, the SLO line and the bb_nodes/lp_iterations/unproven counters must
+# match, and some solve must have been cut off. Wired into CI.
+REPEATDIR ?= .repeat
+REPEAT_FLAGS = -cluster rc80 -workload gshet -jobs 60 -util 1.3 -solver-limit 5ms -v
+repeat-check:
+	rm -rf $(REPEATDIR) && mkdir -p $(REPEATDIR)
+	$(GO) build -o $(REPEATDIR)/tetrisim ./cmd/tetrisim
+	GOMAXPROCS=1 $(REPEATDIR)/tetrisim $(REPEAT_FLAGS) > $(REPEATDIR)/alone.txt
+	yes > /dev/null & hog=$$!; \
+		GOMAXPROCS=2 $(REPEATDIR)/tetrisim $(REPEAT_FLAGS) > $(REPEATDIR)/loaded.txt; st=$$?; \
+		kill $$hog; exit $$st
+	@for f in alone loaded; do \
+		{ grep -E '^ *[0-9]+ |SLO\(all\)' $(REPEATDIR)/$$f.txt; \
+		  grep -oE '(bb_nodes|lp_iterations|unproven)=[0-9]+' $(REPEATDIR)/$$f.txt; } > $(REPEATDIR)/$$f.key; \
+	done
+	@diff $(REPEATDIR)/alone.key $(REPEATDIR)/loaded.key > /dev/null \
+		|| { echo "repeat-check: the loaded run scheduled differently:"; diff $(REPEATDIR)/alone.key $(REPEATDIR)/loaded.key | head -n 20; exit 1; }
+	@grep -q '^unproven=[1-9]' $(REPEATDIR)/alone.key \
+		|| { echo "repeat-check: no solve ended unproven, so nothing was cut off"; exit 1; }
+	@echo "repeat-check: identical at GOMAXPROCS=1 and at GOMAXPROCS=2 beside a CPU hog:" \
+		$$(grep -E '^(bb_nodes|lp_iterations|unproven)=' $(REPEATDIR)/alone.key)
+
 cover:
 	$(GO) test -cover ./internal/...
 
@@ -159,8 +185,11 @@ cover:
 # workloads for a second each, untraced and traced, then RC80 and RC256 under
 # every mix and every scheduler variant at 150 jobs, plus a sharded run and
 # ±50 % runtime-estimate error, and prints every function of internal/milp,
-# compiler, core and strlgen that none of it entered. A report to read before
-# deleting a mechanism for want of traffic, not a gate; about 80 s.
+# compiler, core and strlgen that none of it entered. It fails when one of them
+# is not on traffic-cover.allow, which names for each the test that enters it
+# or the reason it stays, and notes entries the traffic now enters. About 80 s
+# to 3 min, so it is not in CI; the verify skill makes it a step of every
+# simplification.
 COVERDIR ?= .cover
 traffic-cover:
 	rm -rf $(COVERDIR) && mkdir -p $(COVERDIR)/data
@@ -175,7 +204,17 @@ traffic-cover:
 	GOCOVERDIR=$(abspath $(COVERDIR))/data $(COVERDIR)/tetrisim -cluster rc80 -workload gsmix -jobs 150 -err -50 > /dev/null
 	$(GO) tool covdata textfmt -i=$(COVERDIR)/data -o $(COVERDIR)/traffic.out
 	@echo "functions of internal/{milp,compiler,core,strlgen} the traffic never entered:"
-	@$(GO) tool cover -func=$(COVERDIR)/traffic.out | awk '$$1 ~ /internal\/(milp|compiler|core|strlgen)\// && $$NF == "0.0%"'
+	@$(GO) tool cover -func=$(COVERDIR)/traffic.out | awk '$$1 ~ /internal\/(milp|compiler|core|strlgen)\// && $$NF == "0.0%"' \
+		| tee $(COVERDIR)/zero.txt
+	@awk '{ f = $$1; sub(/^tetrisched\//, "", f); sub(/\/[^\/]*$$/, "", f); print f "." $$2 }' $(COVERDIR)/zero.txt | sort -u > $(COVERDIR)/zero.names
+	@awk '!/^#/ && NF { print $$1 }' traffic-cover.allow | sort -u > $(COVERDIR)/allowed.names
+	@comm -13 $(COVERDIR)/zero.names $(COVERDIR)/allowed.names | sed 's/^/traffic-cover: entered now, drop from traffic-cover.allow: /'
+	@comm -23 $(COVERDIR)/zero.names $(COVERDIR)/allowed.names > $(COVERDIR)/unlisted.names; \
+		if [ -s $(COVERDIR)/unlisted.names ]; then \
+			echo "traffic-cover: never entered and not on traffic-cover.allow (name the test that enters it, or the reason, or delete it):"; \
+			cat $(COVERDIR)/unlisted.names; exit 1; \
+		fi
+	@echo "traffic-cover: every function the traffic never entered is on traffic-cover.allow"
 
 # Full-scale regeneration of the paper's evaluation (slow; see EXPERIMENTS.md).
 experiments:

@@ -27,7 +27,7 @@ func main() {
 		quick  = flag.Bool("quick", false, "reduced scale (fewer jobs/seeds)")
 		jobs   = flag.Int("jobs", 0, "override jobs per run")
 		seeds  = flag.Int("seeds", 0, "override seeds per point")
-		solver = flag.Duration("solver-limit", 0, "override per-solve time limit")
+		solver = flag.Duration("solver-limit", 0, "override per-solve MILP work budget, in seconds of a reference machine's LP work")
 		ext    = flag.String("ext", "", "extension experiments: scale | preempt | elastic | shard")
 		tsv    = flag.String("tsv", "", "also write each sub-figure as TSV into this directory")
 	)

@@ -65,7 +65,7 @@ func main() {
 		greedy    = flag.Bool("greedy", false, "TetriSched-NG (greedy per-job)")
 		noHet     = flag.Bool("no-het", false, "TetriSched-NH (no soft constraints)")
 		preempt   = flag.Bool("preempt", false, "enable best-effort preemption")
-		limit     = flag.Duration("solver-limit", 300*time.Millisecond, "per-solve MILP time limit")
+		limit     = flag.Duration("solver-limit", 300*time.Millisecond, "per-solve MILP work budget, in seconds of a reference machine's LP work (a count, not a clock)")
 		gap       = flag.Float64("gap", 0.1, "relative MIP gap")
 		noPresolv = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
 		noFECache = flag.Bool("no-compile-cache", false, "disable the cross-cycle caches: expressions, compiled classes, replayed sub-solutions (bisection switch)")
@@ -186,7 +186,7 @@ func main() {
 // The main listener's connection deadlines. A client that trickles its headers
 // or body, or never reads its response, holds a connection and a goroutine
 // only this long. A request's body is read and its response written inside
-// two minutes: far above a cycle (its solves are bounded by -solver-limit)
+// two minutes: far above a cycle (its solves' work is bounded by -solver-limit)
 // or a 16 MB batch on loopback, and a cap on how long one /v1/submit NDJSON
 // stream may run — a longer submission is split into several streams.
 const (

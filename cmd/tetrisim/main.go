@@ -40,7 +40,7 @@ func main() {
 		util        = flag.Float64("util", 1.0, "offered load as a fraction of capacity")
 		slackMin    = flag.Float64("slack-min", 0, "deadline slack lower bound (×runtime; 0 = mix default)")
 		slackMax    = flag.Float64("slack-max", 0, "deadline slack upper bound (×runtime; 0 = mix default)")
-		limit       = flag.Duration("solver-limit", 300*time.Millisecond, "MILP time limit per solve")
+		limit       = flag.Duration("solver-limit", 300*time.Millisecond, "MILP work budget per solve, in seconds of a reference machine's LP work (a count, so runs repeat on any machine)")
 		noPresolve  = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
 		noCompCache = flag.Bool("no-compile-cache", false, "disable the cross-cycle caches: expressions, compiled classes, replayed sub-solutions (bisection switch)")
 		shards      = flag.Int("shards", 0, "sharded control plane: concurrent per-shard planners with optimistic commit (0 = monolithic)")

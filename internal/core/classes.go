@@ -13,10 +13,10 @@ package core
 // of its nodes are unchanged, which together make every compiler input
 // identical. A kept class whose
 // warm-start choices are also last cycle's does nothing: its stored plan is
-// the cycle's plan. In any other kept class a component replays its
-// proven-optimal solution when its seed is the one that solution was solved
-// from: model and rounding state are the same Compiled, so the solve would run
-// on identical inputs. A rebuilt class solves every component.
+// the cycle's plan. In any other kept class a component replays its solution
+// when its seed is the one that solution was solved from: model and rounding
+// state are the same Compiled and the work budget is a count, so the solve
+// would end the same way. A rebuilt class solves every component.
 //
 // Both reuse only provably identical inputs, so runs with and without them
 // make byte-identical decisions (TestCompileCacheParityProperty).
@@ -81,9 +81,8 @@ func (cl *class) solved() bool {
 }
 
 // compEntry is what a class remembers about one component. grants is its plan,
-// as grants on the leaves of the class's compilation. sol, when non-nil, is a
-// proven-optimal sub-solution solved from seed: a time-limited incumbent is not
-// a reproducible function of the inputs, so only optimal ones are kept.
+// as grants on the leaves of the class's compilation. sol, when non-nil, is the
+// sub-solution solved from seed, proven optimal or cut off by the work budget.
 type compEntry struct {
 	ids     []int          // the component's job IDs
 	sol     *milp.Solution // nil or &out

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/sim"
@@ -76,7 +75,7 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 		in := fuzzInput(data)
 		gk, gv := cluster.GPUAttr()
 		c := cluster.NewBuilder().AddRack("r0", 4, map[string]string{gk: gv}).AddRack("r1", 4, nil).AddRack("r2", 4, nil).Build()
-		cfg := Config{CyclePeriod: 4, PlanAhead: int64(4 * (4 + in.next(5))), SolverTimeLimit: time.Minute,
+		cfg := Config{CyclePeriod: 4, PlanAhead: int64(4 * (4 + in.next(5))),
 			EnablePreemption: in.next(2) == 1, Shards: 2 * in.next(2)}
 		if in.next(4) == 0 {
 			cfg.MaxBatch = 3

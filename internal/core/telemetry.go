@@ -23,7 +23,7 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 	telemetry.Row("solver", "lp_warm_hit_rate", "tetrisched_solver_lp_warm_hit_rate", "gauge", "Fraction of node LPs served warm.", func(s *SolveStats) any { return s.WarmHitRate() }),
 	telemetry.Row("solver", "decomposed_solves", "tetrisched_solver_decomposed_total", "counter", "Global solves split into independent components.", func(s *SolveStats) any { return s.Decomposed }),
 	telemetry.Row("solver", "components", "tetrisched_solver_components_total", "counter", "Sub-MILPs solved across all decomposed solves.", func(s *SolveStats) any { return s.Components }),
-	telemetry.Row("solver", "unproven", "tetrisched_solver_unproven_total", "counter", "Sub-solves that ended without an optimality proof (cut off by a limit, with an incumbent or none); their results depend on machine speed and are never replayed.", func(s *SolveStats) any { return s.Unproven }),
+	telemetry.Row("solver", "unproven", "tetrisched_solver_unproven_total", "counter", "Sub-solves that ended without an optimality proof (cut off by the work budget or the node limit, with an incumbent or none). The budget counts LP work, so where a solve stops does not depend on machine speed.", func(s *SolveStats) any { return s.Unproven }),
 	telemetry.Row("solver", "mean_solve_millis", "", "gauge", "Mean wall-clock per MILP solve.", func(s *SolveStats) any { return s.MeanSolve() }),
 	telemetry.Row("solver", "max_solve_millis", "", "gauge", "Slowest single MILP solve.", func(s *SolveStats) any { return s.MaxSolve }),
 

@@ -48,7 +48,8 @@ type Config struct {
 	// Gap is the relative MIP gap the solver may stop at (§3.2.2; paper uses
 	// 10%).
 	Gap float64
-	// SolverTimeLimit bounds each MILP solve's wall-clock time.
+	// SolverTimeLimit bounds each MILP solve's LP work, in seconds of a
+	// reference machine's (milp.Options.TimeLimit): a count, not a clock.
 	SolverTimeLimit time.Duration
 	// MaxBatch caps how many pending jobs one global solve aggregates; the
 	// highest-priority jobs are batched first (§5: "TetriSched has the
@@ -721,7 +722,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 }
 
 // solve runs the components plan left without a solution, concurrently, and
-// files each one's grants (and, proven optimal, its solution) with its class.
+// files each one's grants (and its solution) with its class.
 // It returns the merged telemetry of the solves, the requests of components
 // that produced no incumbent, and how many solves were seeded.
 func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlgen.Request, warmSeeds int, err error) {
@@ -784,16 +785,16 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 			continue
 		}
 		ent.grants = cc.AppendGrants(ent.grants, ps.Values)
-		if s.feEnabled() && proven(ps) {
+		if s.feEnabled() {
 			ent.sol = ps
 		}
 	}
 	return sol, failed, warmSeeds, nil
 }
 
-// proven reports whether a sub-solve ended on an optimality proof. Any other
-// end (an incumbent cut off by a limit, or none) is not a reproducible function
-// of the inputs: it is counted as Unproven and never kept for replay.
+// proven reports whether a sub-solve ended on an optimality proof; any other
+// end (an incumbent the work budget cut off, or none) counts as Unproven. Both
+// are functions of the model, seed and budget, and both are kept for replay.
 func proven(sol *milp.Solution) bool { return sol != nil && sol.Status == milp.StatusOptimal }
 
 // compRef names one component of one class by the batch position of its first

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // randKnapsack builds a seeded random binary knapsack. These models
@@ -119,13 +118,11 @@ func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 }
 
 // TestAbandonedNodeKeepsItsBound pins what a node LP given up on means. The
-// time limit expires right after the root solve, so the root node's re-solve
-// returns at its first deadline poll — no verdict on the node, nothing known
-// about its subtree. The search used to treat that like an infeasible node:
-// the heap drained, and it reported the tree exhausted — "optimal" with Bound
-// collapsed to the incumbent, or "infeasible" without one. The deadline is
-// injected, not raced: a wall-clock sweep does not reliably land between two
-// polls.
+// work budget has one unit left after the root solve, so the root node's
+// re-solve is cut off after one pivot — no verdict on the node, nothing
+// known about its subtree. The search used to treat that like an infeasible
+// node: the heap drained, and it reported the tree exhausted — "optimal" with
+// Bound collapsed to the incumbent, or "infeasible" without one.
 func TestAbandonedNodeKeepsItsBound(t *testing.T) {
 	for _, withIncumbent := range []bool{false, true} {
 		m := residentModel(1)
@@ -139,7 +136,7 @@ func TestAbandonedNodeKeepsItsBound(t *testing.T) {
 				t.Fatal("rounding the root gave no incumbent strictly below the bound")
 			}
 		}
-		s.deadline = time.Now().Add(-time.Second)
+		leaveOneUnit(s)
 		s.openRoot(rootObj)
 		s.run()
 		checkSnapshotBooks(t, w)
@@ -158,6 +155,12 @@ func TestAbandonedNodeKeepsItsBound(t *testing.T) {
 			t.Errorf("incumbent=%v: status %v, want %v: an unexplored subtree proves nothing", withIncumbent, sol.Status, want)
 		}
 	}
+}
+
+// leaveOneUnit sets the search's work budget to what it has spent plus one
+// unit: its next LP starts with an iteration cap of one.
+func leaveOneUnit(s *search) {
+	s.budget = s.lp.work() + s.scratch.stats.work() + 1
 }
 
 // TestAbandonedBoundWeakerThanOpenNodes: with nodes still open the reported

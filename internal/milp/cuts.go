@@ -482,7 +482,7 @@ func (w *Workspace) selectCuts() []cutCandidate {
 // node's, and separation stops as soon as the tightened bound meets the gap:
 // the tree would end at its first pop.
 func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64) {
-	for round := 0; round < maxCutRounds && !s.gapMet(rootObj); round++ {
+	for round := 0; round < maxCutRounds && !s.gapMet(rootObj) && s.left() > 0; round++ {
 		cands := s.ws.separateCuts(s.model, x)
 		if len(cands) == 0 {
 			return x, rootObj
@@ -504,10 +504,10 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 		sc2 := s.ws.newScratch(p2)
 		// The carried-over basis is read once, on the way into the solve.
 		mark := s.ws.mark()
-		st, nx, err := sc2.solveFrom(s.grownBasis(p2), p2.lb, p2.ub, 0, s.deadline)
+		st, nx, err := sc2.solveFrom(s.grownBasis(p2), p2.lb, p2.ub, s.left())
 		s.ws.release(mark)
 		if err != nil || st != lpOptimal {
-			// Deadline, iteration cap, or numerical trouble on the grown LP:
+			// Work budget, iteration cap, or numerical trouble on the grown LP:
 			// keep the un-cut root, which is already solved and valid. The
 			// work spent on the attempt still counts.
 			s.lp.add(&sc2.stats)

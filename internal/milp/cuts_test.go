@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 )
 
 // The separation routines as they were before they moved to workspace
@@ -418,18 +417,21 @@ func TestFailedCutRoundKeepsItsLPWork(t *testing.T) {
 		if len(s.ws.separateCuts(m, x)) == 0 {
 			t.Fatal("the root point violates no cut; the test exercises nothing")
 		}
-		s.deadline = time.Now().Add(-time.Second) // the grown LP is given up on at its first poll
+		leaveOneUnit(s) // the grown LP is cut off after one pivot
 		gotX, gotObj := s.runCutRounds(x, rootObj)
 		if &gotX[0] != &x[0] || gotObj != rootObj || s.model != m || s.cuts.Rounds != 0 {
 			t.Fatalf("cold %v: the failed round was not discarded: obj %v (root %v), %+v", cold, gotObj, rootObj, s.cuts)
 		}
-		want := LPStats{WarmHits: 1, Factorizations: 1}
+		// One pivot, the one unit the budget had left, and for the warm restart
+		// the factorization of the carried basis.
+		want := LPStats{Iterations: 1, WarmHits: 1, Factorizations: 1, EtaUpdates: 1}
 		if cold {
-			want = LPStats{ColdStarts: 1}
+			want = LPStats{Iterations: 1, ColdStarts: 1, EtaUpdates: 1}
 		}
 		if s.lp != want {
 			t.Fatalf("cold %v: the abandoned re-solve left %+v in the solve's LP telemetry, want %+v", cold, s.lp, want)
 		}
+		leaveOneUnit(s)
 		s.openRoot(rootObj)
 		s.run()
 		// The root's cold start, the abandoned re-solve, and one abandoned node.

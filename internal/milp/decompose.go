@@ -55,10 +55,10 @@ type Part struct {
 //     roughly Runtime divided by the parts solved concurrently. Parts adopted
 //     from a Reuse solution contribute values but no effort telemetry.
 //
-// Options apply per part: every part shares the Gap, TimeLimit, and MaxNodes
-// budgets (parts run concurrently, so a shared TimeLimit bounds the whole
-// decomposed solve's wall-clock). Each part's search is the serial search a
-// lone Solve of its model runs, whatever its siblings are doing.
+// Options apply per part: each part has the Gap, TimeLimit and MaxNodes
+// budgets to itself, and TimeLimit counts the part's own LP work. Each part's
+// search is the serial search a lone Solve of its model runs, whatever its
+// siblings are doing.
 //
 // Status merging: any infeasible or unbounded part makes the whole solve
 // infeasible/unbounded (Values nil — the full model has no solution); else if

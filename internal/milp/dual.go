@@ -1,9 +1,6 @@
 package milp
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Dual simplex warm restarts.
 //
@@ -21,25 +18,25 @@ import (
 // solveFrom solves the LP under the given bounds, warm-starting from the
 // snapshot when possible and falling back to the cold path otherwise. The
 // returned slice aliases the scratch, like solve's.
-func (s *simplexState) solveFrom(warm *basisState, lb, ub []float64, maxIter int, deadline time.Time) (lpStatus, []float64, error) {
+func (s *simplexState) solveFrom(warm *basisState, lb, ub []float64, maxIter int) (lpStatus, []float64, error) {
 	if warm != nil {
-		st, x, used := s.solveWarm(warm, lb, ub, maxIter, deadline)
+		st, x, used := s.solveWarm(warm, lb, ub, maxIter)
 		if used {
 			s.stats.WarmHits++
 			return st, x, nil
 		}
 		s.stats.WarmFallbacks++
 	}
-	return s.solve(lb, ub, maxIter, deadline)
+	return s.solve(lb, ub, maxIter)
 }
 
 // solveWarm attempts the dual-simplex restart; used reports whether the warm
 // path ran to a conclusion (optimal, infeasible, or out of budget). When
 // used is false the scratch holds no meaningful result and the caller must
 // run the cold path.
-func (s *simplexState) solveWarm(warm *basisState, lb, ub []float64, maxIter int, deadline time.Time) (st lpStatus, x []float64, used bool) {
+func (s *simplexState) solveWarm(warm *basisState, lb, ub []float64, maxIter int) (st lpStatus, x []float64, used bool) {
 	p := s.p
-	s.begin(maxIter, deadline)
+	s.begin(maxIter)
 	if !s.restore(warm, lb, ub) {
 		return 0, nil, false
 	}
@@ -61,7 +58,7 @@ func (s *simplexState) solveWarm(warm *basisState, lb, ub []float64, maxIter int
 	case ds == lpInfeasible:
 		return lpInfeasible, nil, true
 	case ds == lpIterLimit:
-		return lpIterLimit, nil, true // deadline or global budget exhausted
+		return lpIterLimit, nil, true // iteration cap: the work budget or the default
 	}
 	// Dual phase reached primal feasibility; a primal pass from this basis
 	// certifies optimality (usually a single pricing scan) and repairs any
@@ -111,7 +108,7 @@ func (s *simplexState) dualFeasible(lb, ub []float64) bool {
 // violated row admits no entering column (a Farkas certificate: the LP is
 // infeasible), or until a budget stop. lpStalled means the local iteration
 // cap was exhausted and the caller should fall back to a cold solve;
-// lpIterLimit means the solve-wide budget or deadline expired.
+// lpIterLimit means the LP's own iteration cap was.
 func (s *simplexState) dualIterate(lb, ub []float64) (lpStatus, error) {
 	p := s.p
 	m := p.m
@@ -128,9 +125,6 @@ func (s *simplexState) dualIterate(lb, ub []float64) (lpStatus, error) {
 		}
 		if taken >= budget {
 			return lpStalled, nil
-		}
-		if s.iter%256 == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			return lpIterLimit, nil
 		}
 		s.iter++
 		taken++

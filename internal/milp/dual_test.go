@@ -3,7 +3,6 @@ package milp
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // degenerateModel is maximally tie-heavy: n unit-box variables under one
@@ -34,7 +33,7 @@ func TestDualDegenerateChainNoCycle(t *testing.T) {
 	p := newLP(model)
 
 	sc := newScratch(p)
-	st, x, err := sc.solve(p.lb, p.ub, 0, time.Time{})
+	st, x, err := sc.solve(p.lb, p.ub, 0)
 	if err != nil || st != lpOptimal {
 		t.Fatalf("root: st=%v err=%v", st, err)
 	}
@@ -53,7 +52,7 @@ func TestDualDegenerateChainNoCycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}
-		warmSt, warmX, err := sc.solveFrom(warm, lb, ub, 0, time.Time{})
+		warmSt, warmX, err := sc.solveFrom(warm, lb, ub, 0)
 		if err != nil {
 			t.Fatalf("step %d warm: %v", step, err)
 		}
@@ -92,7 +91,7 @@ func TestDualZeroRatioPivots(t *testing.T) {
 	model := degenerateModel(n, capacity, dup)
 	p := newLP(model)
 	sc := newScratch(p)
-	st, x, err := sc.solve(p.lb, p.ub, 0, time.Time{})
+	st, x, err := sc.solve(p.lb, p.ub, 0)
 	if err != nil || st != lpOptimal {
 		t.Fatalf("root: st=%v err=%v", st, err)
 	}
@@ -105,7 +104,7 @@ func TestDualZeroRatioPivots(t *testing.T) {
 		v := math.Round(x[j])
 		lb[j], ub[j] = v, v
 	}
-	warmSt, warmX, err := sc.solveFrom(warm, lb, ub, 0, time.Time{})
+	warmSt, warmX, err := sc.solveFrom(warm, lb, ub, 0)
 	if err != nil || warmSt != lpOptimal {
 		t.Fatalf("warm: st=%v err=%v", warmSt, err)
 	}

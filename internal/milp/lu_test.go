@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // Numerical torture tests for the sparse LU basis engine: every operation is
@@ -180,7 +179,7 @@ func tortureModel(r *rand.Rand, nv, nc int) *Model {
 // all-structural optimal basis (nil otherwise).
 func solvedBasis(p *lp) *simplexState {
 	s := newScratch(p)
-	st, _, err := s.solve(p.lb, p.ub, 0, timeZero())
+	st, _, err := s.solve(p.lb, p.ub, 0)
 	if err != nil || st != lpOptimal {
 		return nil
 	}
@@ -352,12 +351,12 @@ func TestLUForcedRefactorization(t *testing.T) {
 		s := newScratch(p)
 		s.lu.etaLimit = 1
 		s.lu.fillLimit = 1
-		st1, x1, err := s.solve(p.lb, p.ub, 0, timeZero())
+		st1, x1, err := s.solve(p.lb, p.ub, 0)
 		if err != nil {
 			t.Fatalf("it %d: forced-refactor solve: %v", it, err)
 		}
 		pd := newLP(model)
-		st2, x2, err := newScratch(pd).solve(pd.lb, pd.ub, 0, timeZero())
+		st2, x2, err := newScratch(pd).solve(pd.lb, pd.ub, 0)
 		if err != nil {
 			t.Fatalf("it %d: default-budget solve: %v", it, err)
 		}
@@ -487,12 +486,12 @@ func TestLUUnstableFactorRetriesStrict(t *testing.T) {
 		}
 		retried++
 		// The strict scratch must still solve exactly.
-		st, x, err := s.solve(p.lb, p.ub, 0, timeZero())
+		st, x, err := s.solve(p.lb, p.ub, 0)
 		if err != nil || st != lpOptimal {
 			t.Fatalf("it %d: post-retry solve: status %v err %v", it, st, err)
 		}
 		pd := newLP(model)
-		_, xd, err := newScratch(pd).solve(pd.lb, pd.ub, 0, timeZero())
+		_, xd, err := newScratch(pd).solve(pd.lb, pd.ub, 0)
 		if err != nil {
 			t.Fatalf("it %d: reference default solve: %v", it, err)
 		}
@@ -571,7 +570,7 @@ func TestLUSingularWarmBasisFallsBackCold(t *testing.T) {
 		basis:  []int32{0, 1}, // x and y basic: structurally valid, singular
 		status: []byte{inBasis, inBasis, atLower, atLower},
 	}
-	st, xv, err := s.solveFrom(warm, p.lb, p.ub, 0, timeZero())
+	st, xv, err := s.solveFrom(warm, p.lb, p.ub, 0)
 	if err != nil {
 		t.Fatalf("solveFrom: %v", err)
 	}
@@ -585,6 +584,3 @@ func TestLUSingularWarmBasisFallsBackCold(t *testing.T) {
 		t.Fatalf("objective %.9f, want 4 (x+y capped by x+y<=6, 3x+3y<=12 -> 4)", obj)
 	}
 }
-
-// timeZero returns the zero deadline (helper keeps call sites terse).
-func timeZero() (t0 time.Time) { return }

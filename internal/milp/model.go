@@ -254,9 +254,6 @@ func (m *Model) rowSpace(n int) []Term {
 	return make([]Term, 0, max(n, m.nterms/4, 16))
 }
 
-// SetObj replaces the objective coefficient of v.
-func (m *Model) SetObj(v VarID, obj float64) { m.Vars[v].Obj = obj }
-
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.Vars) }
 

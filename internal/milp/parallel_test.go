@@ -180,22 +180,25 @@ func TestParallelWithHeuristic(t *testing.T) {
 	}
 }
 
-// TestParallelTimeLimit checks deadline handling, alone and side by side: the
-// search must stop promptly and still return the best incumbent found.
+// TestParallelTimeLimit: a work budget that cuts the searches off cuts each at
+// the same place alone and side by side — the same status, Values, nodes and
+// LP work — because it counts LP work, not time.
 func TestParallelTimeLimit(t *testing.T) {
-	opts := Options{TimeLimit: 50 * time.Millisecond}
-	start := time.Now()
-	alone, err := solveAccounted(t, randMILP(3), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sols := solveSideBySide(t, modelParts(randMILP(3), randMILP(5), randMILP(7)), opts)
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("solves ran %v, deadline not honored", el)
-	}
-	for i, sol := range append(sols, alone) {
-		if sol.Status != StatusOptimal && sol.Status != StatusFeasible {
-			t.Fatalf("solve %d: status = %v, want a solution", i, sol.Status)
+	const budget = 100
+	opts := Options{TimeLimit: time.Second / workPerSecond * budget}
+	seeds := []int64{4, 5, 9}
+	sols := solveSideBySide(t, modelParts(randMILP(4), randMILP(5), randMILP(9)), opts)
+	for i, par := range sols {
+		alone, err := solveAccounted(t, randMILP(seeds[i]), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Status == StatusOptimal { // at gap 0 only a search run to the end is optimal
+			t.Fatalf("seed %d: optimal after %d units; the budget cuts nothing off", seeds[i], par.LP.work())
+		}
+		if par.Status != alone.Status || par.Nodes != alone.Nodes || par.LP != alone.LP || !reflect.DeepEqual(par.Values, alone.Values) {
+			t.Errorf("seed %d: side by side %v nodes %d LP %+v; alone %v %d %+v",
+				seeds[i], par.Status, par.Nodes, par.LP, alone.Status, alone.Nodes, alone.LP)
 		}
 	}
 }

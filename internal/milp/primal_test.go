@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // pointLog is a heuristic's record of the LP points it was offered.
@@ -145,10 +144,10 @@ func TestRoundAllocatesNothing(t *testing.T) {
 func rootSearch(t *testing.T, w *Workspace, m *Model, opts Options) (*search, []float64, float64) {
 	t.Helper()
 	p := w.newLP(m)
-	s := &search{ws: w, model: m, p: p, opts: opts, maximize: m.Sense == Maximize, incObj: math.Inf(-1), start: time.Now()}
+	s := &search{ws: w, model: m, p: p, opts: opts, maximize: m.Sense == Maximize, incObj: math.Inf(-1)}
 	s.incBuf = w.floats.take(len(m.Vars))
 	s.scratch = w.newScratch(p)
-	st, x, err := s.scratch.solve(p.lb, p.ub, 0, time.Time{})
+	st, x, err := s.scratch.solve(p.lb, p.ub, 0)
 	if err != nil || st != lpOptimal {
 		t.Fatalf("root: %v %v", st, err)
 	}

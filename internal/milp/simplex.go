@@ -3,7 +3,6 @@ package milp
 import (
 	"errors"
 	"math"
-	"time"
 )
 
 // lpStatus is the outcome of an LP solve.
@@ -213,12 +212,11 @@ type simplexState struct {
 
 	lbFull, ubFull, costFull []float64 // phase-1 bound/cost buffers
 
-	iter     int
-	maxIter  int
-	bland    bool
-	stall    int
-	deadline time.Time // zero = no deadline
-	stats    LPStats
+	iter    int
+	maxIter int
+	bland   bool
+	stall   int
+	stats   LPStats
 }
 
 // bind makes s a solver state for p: every buffer is resized (reallocated
@@ -248,15 +246,15 @@ func (s *simplexState) bind(p *lp) {
 	s.lu.bind(p, &s.stats)
 }
 
-// begin resets per-solve state (buffers and stats survive).
-func (s *simplexState) begin(maxIter int, deadline time.Time) {
+// begin resets per-solve state (buffers and stats survive). The solve's
+// iteration cap is maxIter, or the default when that is lower or maxIter ≤ 0.
+func (s *simplexState) begin(maxIter int) {
 	p := s.p
-	if maxIter <= 0 {
-		maxIter = 200*(p.m+1) + 20000
+	if lim := 200*(p.m+1) + 20000; maxIter <= 0 || maxIter > lim {
+		maxIter = lim
 	}
 	s.iter = 0
 	s.maxIter = maxIter
-	s.deadline = deadline
 	s.nTotal = p.n
 	s.artCoef = nil
 	s.bland, s.stall = false, 0
@@ -278,8 +276,8 @@ func (s *simplexState) resetDevex() {
 
 // solve runs a cold primal solve: quick-start from the all-slack basis when
 // it is feasible, signed-artificial phase 1 otherwise.
-func (s *simplexState) solve(lb, ub []float64, maxIter int, deadline time.Time) (lpStatus, []float64, error) {
-	s.begin(maxIter, deadline)
+func (s *simplexState) solve(lb, ub []float64, maxIter int) (lpStatus, []float64, error) {
+	s.begin(maxIter)
 	s.stats.ColdStarts++
 	p := s.p
 	for j := 0; j < p.n; j++ {
@@ -433,9 +431,6 @@ func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
 	refactorCountdown := refactorInterval
 	for {
 		if s.iter >= s.maxIter {
-			return lpIterLimit, nil
-		}
-		if s.iter%256 == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
 			return lpIterLimit, nil
 		}
 		s.iter++

@@ -15,7 +15,7 @@ const (
 	// StatusOptimal means the solution is optimal within the configured gap.
 	StatusOptimal Status = iota
 	// StatusFeasible means a feasible incumbent was found but search ended
-	// early (time, node, or iteration limit).
+	// early (work, node, or iteration limit).
 	StatusFeasible
 	// StatusInfeasible means the model has no feasible solution.
 	StatusInfeasible
@@ -50,8 +50,9 @@ type Options struct {
 	// |bestBound − incumbent| ≤ Gap·max(1,|incumbent|). The paper configures
 	// its solver to return solutions within 10% of optimal (§3.2.2).
 	Gap float64
-	// TimeLimit bounds wall-clock search time (0 = unlimited). The best
-	// incumbent found is returned with StatusFeasible.
+	// TimeLimit bounds the search's LP work (0 = unlimited) at what a reference
+	// machine does in that time: a count, not a clock (docs/SOLVER.md, Work
+	// budget). The best incumbent found is returned with StatusFeasible.
 	TimeLimit time.Duration
 	// MaxNodes bounds the number of branch-and-bound nodes (0 = unlimited).
 	MaxNodes int
@@ -168,8 +169,7 @@ type search struct {
 	model    *Model
 	p        *lp
 	opts     Options
-	start    time.Time
-	deadline time.Time
+	budget   int64 // LP work the search may do; 0: no limit
 	maximize bool
 
 	incumbent []float64
@@ -188,12 +188,11 @@ type search struct {
 
 	h *nodeHeap
 
-	nodes       int
-	bestBound   float64 // proven global bound (weakest open node)
-	deadlineHit bool
-	gapBreak    bool // terminated with the global bound gap-met
+	nodes     int
+	bestBound float64 // proven global bound (weakest open node)
+	gapBreak  bool    // terminated with the global bound gap-met
 
-	// A node whose LP was given up on (deadline, iteration cap, numerical
+	// A node whose LP was given up on (work budget, iteration cap, numerical
 	// error) is neither solved nor infeasible: its subtree stays unexplored
 	// and its bound stays part of the global bound.
 	abandoned      bool
@@ -279,7 +278,7 @@ func (s *search) candidate(x, lb, ub []float64, idx int) []float64 {
 	if idx%64 != 0 {
 		return nil
 	}
-	return diveFrom(s.ws, s.model, s.p, lb, ub, x, s.deadline, !s.opts.DisableWarmStart, &s.scratch.stats)
+	return diveFrom(s.ws, s.model, s.p, lb, ub, x, s.left(), !s.opts.DisableWarmStart, &s.scratch.stats)
 }
 
 // Tree memory. Nodes, basis snapshots and the open-node heap live in the
@@ -382,19 +381,36 @@ func (s *search) pickBound(a, b float64) float64 {
 	return math.Min(a, b)
 }
 
+// LP work is simplex iterations plus factorWeight per basis factorization, and
+// Options.TimeLimit is workPerSecond units a second: both fitted on the paper's
+// GS HET mix on RC80 (docs/SOLVER.md, Work budget).
+const factorWeight, workPerSecond = 4, 30000
+
+// work is the LP work st counts.
+func (st *LPStats) work() int64 { return st.Iterations + factorWeight*st.Factorizations }
+
+// left is the LP work the budget has left, over the LPs retired into s.lp and
+// the scratch's (MaxInt without a budget): the next LP's iteration cap.
+func (s *search) left() int {
+	if s.budget == 0 {
+		return math.MaxInt
+	}
+	return int(s.budget - s.lp.work() - s.scratch.stats.work())
+}
+
 // solveNodeLP solves one node's relaxation on the search's scratch,
 // warm-starting from the parent basis unless the kill switch is set or the
 // node carries no snapshot.
 func (s *search) solveNodeLP(node *bbNode, lb, ub []float64) (lpStatus, []float64, error) {
 	if s.opts.DisableWarmStart {
-		return s.scratch.solve(lb, ub, 0, s.deadline)
+		return s.scratch.solve(lb, ub, s.left())
 	}
-	return s.scratch.solveFrom(node.warm, lb, ub, 0, s.deadline)
+	return s.scratch.solveFrom(node.warm, lb, ub, s.left())
 }
 
 // Solve optimizes the model. Pure LPs (no integer variables) are solved with
 // a single simplex call; otherwise best-bound branch-and-bound runs until the
-// gap, time, or node limit is met.
+// gap, work, or node limit is met.
 func Solve(model *Model, opts Options) (*Solution, error) {
 	// A throwaway workspace: every buffer is a fresh allocation and nothing
 	// is retained.
@@ -441,16 +457,11 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 // answer. pre, when not nil, is the reduction that produced it:
 // opts.Heuristic works in the space before it.
 func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (*Solution, error) {
-	start := time.Now()
 	if len(model.Vars) == 0 {
-		return w.answer(Solution{Status: StatusOptimal, Values: nil, Runtime: time.Since(start)}), nil
+		return w.answer(Solution{Status: StatusOptimal, Values: nil}), nil
 	}
 	p := w.newLP(model)
 	maximize := model.Sense == Maximize
-	var deadline time.Time
-	if opts.TimeLimit > 0 {
-		deadline = start.Add(opts.TimeLimit)
-	}
 
 	s := &w.search // the search dies with the solve, like everything else on w
 	*s = search{
@@ -458,9 +469,10 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 		model:    model,
 		p:        p,
 		opts:     opts,
-		start:    start,
-		deadline: deadline,
 		maximize: maximize,
+	}
+	if opts.TimeLimit > 0 {
+		s.budget = int64(math.Ceil(opts.TimeLimit.Seconds() * workPerSecond))
 	}
 	if pre != nil && !pre.identity {
 		s.pre = pre
@@ -478,22 +490,22 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 
 	// Root relaxation, solved on the scratch the tree's nodes reuse.
 	s.scratch = w.newScratch(p)
-	st, x, err := s.scratch.solve(p.lb, p.ub, 0, deadline)
+	st, x, err := s.scratch.solve(p.lb, p.ub, s.left())
 	if err != nil {
 		return nil, err
 	}
 	switch st {
 	case lpInfeasible:
-		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, LP: s.scratch.stats}), nil
 	case lpUnbounded:
-		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, LP: s.scratch.stats}), nil
 	case lpIterLimit:
-		// Root aborted (deadline or iteration cap): report the seed
+		// Root aborted (work budget or iteration cap): report the seed
 		// incumbent if one was provided, else no solution.
 		if s.incumbent != nil {
-			return w.answer(Solution{Status: StatusFeasible, Objective: s.incObj, Values: s.incumbent, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+			return w.answer(Solution{Status: StatusFeasible, Objective: s.incObj, Values: s.incumbent, Nodes: 1, LP: s.scratch.stats}), nil
 		}
-		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, LP: s.scratch.stats, Runtime: time.Since(start)}), nil
+		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, LP: s.scratch.stats}), nil
 	}
 	rootObj := model.ObjectiveValue(x[:len(model.Vars)])
 
@@ -509,7 +521,6 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 			Nodes:     1,
 			LP:        s.lp,
 			Cuts:      s.cuts,
-			Runtime:   time.Since(start),
 		}), nil
 	}
 	if firstFractional(model, x) < 0 {
@@ -565,14 +576,13 @@ func (s *search) atNodeLimit() bool {
 }
 
 // run searches the tree until it is exhausted, the global bound meets the
-// gap, or a limit stops it. Each turn pops the open node of best bound, which
-// is then the global bound; prunes it against the incumbent; stops if it meets
-// the gap; and otherwise evaluates it on the search's scratch.
+// gap, or MaxNodes or the work budget stops it. Each turn pops the open node of
+// best bound, which is then the global bound; prunes it against the incumbent;
+// stops if it meets the gap; and otherwise evaluates it on the search's scratch.
 func (s *search) run() {
 	lb, ub := s.ws.floats.take(len(s.p.lb)), s.ws.floats.take(len(s.p.ub))
 	for s.h.Len() > 0 && !s.atNodeLimit() {
-		if s.opts.TimeLimit > 0 && time.Since(s.start) > s.opts.TimeLimit {
-			s.deadlineHit = true
+		if s.left() <= 0 {
 			return
 		}
 		node := heap.Pop(s.h).(*bbNode)
@@ -651,7 +661,7 @@ func (s *search) finish() *Solution {
 			b = s.pickBound(b, s.incObj)
 		}
 		s.bestBound = b
-	} else if s.h.Len() == 0 && !s.deadlineHit && !s.abandoned {
+	} else if s.h.Len() == 0 && !s.abandoned {
 		// Exhausted the tree: the incumbent is exactly optimal.
 		s.bestBound = s.incObj
 	} else if s.h.Len() > 0 {
@@ -669,7 +679,7 @@ func (s *search) finish() *Solution {
 	if s.scratch != nil {
 		s.lp.add(&s.scratch.stats)
 	}
-	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, LP: s.lp, Cuts: s.cuts, Branch: s.branch, Runtime: time.Since(s.start)})
+	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, LP: s.lp, Cuts: s.cuts, Branch: s.branch})
 	if s.incumbent == nil {
 		if closed {
 			sol.Status = StatusInfeasible
@@ -743,11 +753,11 @@ func roundIntegralInto(dst []float64, m *Model, x []float64) []float64 {
 // The dive solves on its own scratch (the caller's relaxation point usually
 // aliases the caller's scratch and must survive the dive) and, when useWarm
 // is set, chains each step's basis into the next step's dual re-solve — each
-// step only tightens bounds, the textbook warm-restart case. Its LP telemetry
-// is folded into stats, which must be private to the calling goroutine, and
-// so must w: the dive borrows its bound box and scratch from it and hands
-// them back on return.
-func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64, deadline time.Time, useWarm bool, stats *LPStats) []float64 {
+// step only tightens bounds, the textbook warm-restart case. Its LP work may
+// not exceed left, and its telemetry is folded into stats, which must be
+// private to the calling goroutine, and so must w: the dive borrows its bound
+// box and scratch from it and hands them back on return.
+func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64, left int, useWarm bool, stats *LPStats) []float64 {
 	const maxSteps = 12
 	mark := w.mark()
 	lb := w.floats.take(len(lb0))
@@ -787,7 +797,11 @@ func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64
 		}
 		v := clampVal(math.Round(x[fr]), lb[fr], ub[fr])
 		lb[fr], ub[fr] = v, v
-		st, nx, err := sc.solveFrom(warm, lb, ub, 0, deadline)
+		rest := left - int(sc.stats.work())
+		if rest <= 0 {
+			return nil
+		}
+		st, nx, err := sc.solveFrom(warm, lb, ub, rest)
 		if err != nil || st != lpOptimal {
 			return nil
 		}

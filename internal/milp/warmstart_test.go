@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // randomBoxLP builds a random all-continuous LP with finite bounds: the shape
@@ -66,7 +65,7 @@ func TestWarmStartMatchesColdProperty(t *testing.T) {
 		}
 		p := newLP(model)
 		parent := newScratch(p)
-		st, _, err := parent.solve(p.lb, p.ub, 0, time.Time{})
+		st, _, err := parent.solve(p.lb, p.ub, 0)
 		if err != nil {
 			t.Fatalf("seed %d root: %v", seed, err)
 		}
@@ -89,7 +88,7 @@ func TestWarmStartMatchesColdProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d cold: %v", seed, step, err)
 			}
-			warmSt, warmX, err := warmSc.solveFrom(warm, lb, ub, 0, time.Time{})
+			warmSt, warmX, err := warmSc.solveFrom(warm, lb, ub, 0)
 			if err != nil {
 				t.Fatalf("seed %d step %d warm: %v", seed, step, err)
 			}
@@ -135,7 +134,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 		model = randomBoxLP(r)
 		p = newLP(model)
 		parent = newScratch(p)
-		st, x, err := parent.solve(p.lb, p.ub, 0, time.Time{})
+		st, x, err := parent.solve(p.lb, p.ub, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +171,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 		}
 		corrupt(snap)
 		sc := newScratch(p)
-		st, x, err := sc.solveFrom(snap, p.lb, p.ub, 0, time.Time{})
+		st, x, err := sc.solveFrom(snap, p.lb, p.ub, 0)
 		if err != nil || st != lpOptimal {
 			t.Fatalf("%s: st=%v err=%v", name, st, err)
 		}
@@ -202,7 +201,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := newScratch(p)
-		warmSt, warmX, err := sc.solveFrom(snap, p.lb, ub, 0, time.Time{})
+		warmSt, warmX, err := sc.solveFrom(snap, p.lb, ub, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +223,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	// Nil snapshot is not a fallback, just a cold node (the root, or a parent
 	// whose basis could not seed a restart).
 	sc2 := newScratch(p)
-	if _, _, err := sc2.solveFrom(nil, p.lb, p.ub, 0, time.Time{}); err != nil {
+	if _, _, err := sc2.solveFrom(nil, p.lb, p.ub, 0); err != nil {
 		t.Fatal(err)
 	}
 	if sc2.stats.WarmFallbacks != 0 || sc2.stats.ColdStarts != 1 {

@@ -32,7 +32,10 @@ type parityInstance struct {
 // classes and placement types, occasional estimate error (negative values
 // create natural overruns), occasional node failures, preemption, and small
 // MaxBatch (exercising truncation). Every 4th instance is the crafted
-// steady-state scenario instead, so the on-run reliably exercises replay.
+// steady-state scenario instead, so the on-run reliably exercises replay, and
+// every 8th (chosen by idx, so neither the seeded stream nor the steady stride
+// moves) solves at a work budget that cuts searches off, so both sides also
+// replay, or solve again, sub-solutions that ended unproven.
 func randomParityInstance(idx int, seed int64) parityInstance {
 	if idx%4 == 0 {
 		return steadyParityInstance(seed)
@@ -98,12 +101,10 @@ func randomParityInstance(idx int, seed int64) parityInstance {
 			CyclePeriod:      4,
 			PlanAhead:        int64(16 + 8*r.Intn(3)),
 			EnablePreemption: idx%3 == 0,
-			// Parity is a property of the search, not of the clock, and a
-			// truncated solve diverges from an untruncated one: instance 74 has
-			// a 435-node solve (0.1 s) that the race detector stretches to the
-			// default 2 s limit now that the rounding runs at every node.
-			SolverTimeLimit: time.Minute,
 		},
+	}
+	if idx%8 == 3 {
+		inst.cfg.SolverTimeLimit = truncatingLimit
 	}
 	if r.Intn(4) == 0 {
 		inst.cfg.MaxBatch = 4
@@ -114,6 +115,10 @@ func randomParityInstance(idx int, seed int64) parityInstance {
 	}
 	return inst
 }
+
+// truncatingLimit is the work budget of every 8th random parity instance: 2 ms
+// is 60 units of LP work, less than many of their root LPs take.
+const truncatingLimit = 2 * time.Millisecond
 
 // steadyParityInstance crafts guaranteed replay: a whole-cluster best-effort
 // blocker whose 90% runtime under-estimate makes it overrun (pinning every
@@ -167,6 +172,7 @@ type paritySwitch struct {
 func schedulerParity(t *testing.T, sw paritySwitch) {
 	const instances = 220
 	totals := make([]int64, len(sw.counters))
+	unproven := 0
 	for i := 0; i < instances; i++ {
 		seed := sw.seedBase + int64(i)
 		inst := randomParityInstance(i, seed)
@@ -200,6 +206,9 @@ func schedulerParity(t *testing.T, sw paritySwitch) {
 		if how := sw.offTouched(offSched); how != "" {
 			t.Errorf("seed %d: the %s run %s", seed, sw.off, how)
 		}
+		if inst.cfg.SolverTimeLimit == truncatingLimit {
+			unproven += onSched.Stats.Unproven
+		}
 		counts, problem := sw.fired(onSched, inst.steady)
 		if problem != "" {
 			t.Errorf("seed %d: %s", seed, problem)
@@ -214,6 +223,10 @@ func schedulerParity(t *testing.T, sw paritySwitch) {
 		}
 		t.Logf("aggregate %s across %d instances: %d", name, instances, totals[k])
 	}
+	if unproven == 0 {
+		t.Errorf("no sub-solve of the instances at a %v budget ended unproven; parity never met a cut-off search", truncatingLimit)
+	}
+	t.Logf("aggregate unproven sub-solves across the instances at a %v budget: %d", truncatingLimit, unproven)
 }
 
 // TestCompileCacheParityProperty: the cross-cycle caches — expressions, kept
