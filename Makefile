@@ -92,11 +92,13 @@ benchmark-quick:
 # paper's trace, of its sharded run (many sub-solves a cycle) and of the two
 # resident workloads (cache-hitting and solver-bound), at seed 1, is checked
 # against a ceiling 10 % above what the commit that last lowered it measured:
-# 4.29 KB on the trace, 1.74 KB sharded, and 0.114–0.115 and 0.309–0.314 KB on
-# the resident workloads since a job's request is generated once and then
-# trimmed in place (CHANGES.md has each commit).
+# 3.31 KB on the trace and 1.58–1.59 KB sharded since the compiler stopped
+# emitting the columns presolve fixed and presolve stopped copying the rows it
+# does not change, and 0.114–0.115 and 0.309–0.314 KB on the resident
+# workloads since a job's request is generated once and then trimmed in place
+# (CHANGES.md has each commit).
 # Raise a ceiling only with the reason in CHANGES.md.
-ALLOC_CEILINGS = trace_gshet:4.72 trace_gshet_shards4:1.91 resident_churn1:0.13 resident_churn50:0.34
+ALLOC_CEILINGS = trace_gshet:3.64 trace_gshet_shards4:1.75 resident_churn1:0.13 resident_churn50:0.34
 alloc-ceiling:
 	@for wc in $(ALLOC_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc##*:}; \
@@ -125,10 +127,16 @@ alloc-ceiling:
 # of cycles by strlgen's Reprice alone and compares it, every cycle, with the
 # request GenerateTTL makes afresh. FuzzSubmitDecoders sends arbitrary bodies
 # to POST /v1/submit as a JSON batch and as NDJSON: no 5xx, no panic, and the
-# queue gains exactly what the response calls accepted.
+# queue gains exactly what the response calls accepted. FuzzPresolveLift
+# presolves small integer models (GE rows, zero coefficients, fixed and
+# duality-fixable columns, choice rows with and without an indicator): the
+# input stays bit for bit as it was though the reduced model may share its
+# term arrays, the lifted optimum is feasible and worth the brute-force one,
+# and the rows shared when no column is fixed equal the renumbered copy.
 # Wired into CI.
 fuzz-smoke:
 	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzSolveEachMatchesSolve$$' -fuzztime 15s
+	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzPresolveLift$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassTableMatchesUncached$$' -fuzztime 15s
 	$(GO) test ./internal/strl -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 15s
 	$(GO) test ./internal/rayon -run '^$$' -fuzz '^FuzzPlanMatchesMapCalendar$$' -fuzztime 15s

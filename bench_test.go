@@ -477,19 +477,22 @@ func gshetJobs(tb testing.TB, n int, seed int64) (*strlgen.Generator, []*workloa
 
 // TestCompiledModelGolden pins the text of compiled GS HET models — variable
 // and row names included, through both printers — to digests taken when the
-// compiler stopped emitting what presolve only deletes (PR 21: these batches
-// lost 42, 50 and 38 repeated supply rows and nothing else; TestLeanLowering
-// pins what the solver makes of them to the commit before). The model the
-// solver sees, and what an operator reads in a dump, changes only on purpose.
+// compiler stopped emitting the last of what presolve only deletes: a job
+// indicator under a MAX root, a partition variable of a group with nothing
+// free, a one-option max row. These batches now compile to exactly the model
+// presolve used to reduce them to (1685×423, 4380×868 and 7382×1188, the
+// sizes TestLeanLowering pins), having lost 42, 50 and 38 repeated supply rows
+// before that. The model the solver sees, and what an operator reads in a
+// dump, changes only on purpose.
 func TestCompiledModelGolden(t *testing.T) {
 	for _, tc := range []struct {
 		jobs   int
 		seed   int64
 		digest string
 	}{
-		{24, 1, "3c8981b66c237ec31ca3801d59d657477e4004ffabaf1f0caeaccdee50e1998c"},
-		{60, 2, "23f284aa69754977da41a5d3b5bcfc3aee2775b2e6825e8ebe9ec19db2e75406"},
-		{120, 3, "8846ec7dc7b2ed242218d272541278e29366a56c03487cab3a711e2b62bc7700"},
+		{24, 1, "ad625ef91c3d82714d02b8053f4d84284cf5ba94ef4e1e9f6954f19f19d3d0c9"},
+		{60, 2, "794670fd0a9491ec6ab1489a86364d75e9ce0d0c1fe21514fb1a9a8114ecb7ba"},
+		{120, 3, "e120550b0f9c04db318390feff517c2e913817a101d6a660349d8be68beb589f"},
 	} {
 		exprs, opts := gshetBatch(t, tc.jobs, tc.seed)
 		comp, err := compiler.Compile(exprs, opts)

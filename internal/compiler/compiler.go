@@ -77,13 +77,28 @@ type leafRecord struct {
 // indicator of a culled leaf.
 const noVar milp.VarID = -1
 
+// A ghost is the term a partition variable would have in its group's supply
+// rows had the group a node free throughout the leaf's slices. Such a variable
+// could only be 0, so the model has none, but its term still decides which
+// jobs a supply row ties together and where ForcedComponents cuts it: without
+// it, rows that tied a job to its neighbours, or spanned two classes, would
+// split the batch differently, and the solves within the gap and the work
+// budget would pick other schedules. In a supply cell a ghost stands as the
+// term of the negative variable ghostVar(i), i counting the batch's ghosts
+// (which job each belongs to is Scratch.ghostJob[i]); an emitted supply row
+// keeps its ghosts aside, in Compiled.ghosts.
+func ghostVar(i int) milp.VarID { return milp.VarID(-2 - i) }
+
+// ghostTerm records that the model's row carries a ghost of the job.
+type ghostTerm struct{ row, job int32 }
+
 // jobRecord locates one job's share of the compiled batch. Everything the
 // compiler emits is per-job contiguous and in the order gen visits the job's
 // tree, so a job's variables and leaf records are each the range from its
 // record to the next job's; the slice of records ends with a sentinel holding
 // the totals.
 type jobRecord struct {
-	varLo     int  // first model variable, which is the job's own indicator
+	varLo     int  // first model variable: the job's own indicator, if it has one (Compile)
 	leafLo    int  // first entry of Compiled.leaves
 	roundable bool // GreedyRound and Seed handle the job's shape
 }
@@ -106,6 +121,7 @@ type Compiled struct {
 	job    []jobRecord  // len(jobs)+1, see jobRecord
 	leaves []leafRecord // depth-first within a job, jobs in batch order
 	parts  []partVar    // every leaf's partition variables, see leafRecord
+	ghosts []ghostTerm  // every supply row's ghosts, by row ascending
 	avail  [][]int64    // [group][slice]
 	scr    *Scratch     // the memory all of the above lives in
 	epoch  uint64       // scr's epoch when this batch was compiled
@@ -141,14 +157,15 @@ type Scratch struct {
 	// use is the dense supply accumulator, one cell of usage terms per
 	// (group, slice) at cell index group*horizon+slice. Cells keep their
 	// capacity across compilations.
-	use    [][]milp.Term
-	demand []milp.Term // row build buffer (AddConstraint copies)
-	kids   []milp.Term // MAX/SUM child-indicator rows, a stack across nesting levels
-	obj    []milp.Term // objective contribution of the subtree being lowered
-	kept   []int       // slices of the group being emitted whose cell became a supply row
-	nl     int         // leaf records passed so far: the next one to lower
-	dead   []bool      // per node of the batch in visiting order: its subtree is left out (markDead)
-	nn     int         // nodes passed so far: the next one to lower or skip
+	use      [][]milp.Term
+	demand   []milp.Term // row build buffer (AddConstraint copies)
+	kids     []milp.Term // MAX/SUM child-indicator rows, a stack across nesting levels
+	obj      []milp.Term // objective contribution of the subtree being lowered
+	kept     []int       // slices of the group being emitted whose cell became a supply row
+	ghostJob []int32     // the job of each ghost in the supply cells (ghostVar)
+	nl       int         // leaf records passed so far: the next one to lower
+	dead     []bool      // per node of the batch in visiting order: its subtree is left out (markDead)
+	nn       int         // nodes passed so far: the next one to lower or skip
 
 	// What the current Compiled is made of.
 	model     milp.Model
@@ -156,6 +173,7 @@ type Scratch struct {
 	job       []jobRecord
 	leaves    []leafRecord
 	parts     []partVar
+	ghosts    []ghostTerm
 	avail     [][]int64
 	availFlat []int64
 
@@ -245,12 +263,15 @@ type LeafGrant struct {
 
 // Compile lowers one STRL expression per pending job into a single MILP.
 // The top level is an implicit SUM across jobs, each with its own indicator,
-// exactly as the scheduler aggregates pending requests (§3.2).
+// exactly as the scheduler aggregates pending requests (§3.2) — except where
+// the indicator could only be 1: a job rooted at a MAX or SUM has none, its
+// choice row bounding the children by a constant, and a job with nothing to
+// offer has no variable at all.
 func Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	sc := new(Scratch)
 	c, err := sc.Compile(jobs, opts)
 	// Nothing compiles on sc again: keep only what c is made of.
-	sc.universe, sc.eqsets, sc.use, sc.demand, sc.kids, sc.obj, sc.kept, sc.dead = nil, nil, nil, nil, nil, nil, nil, nil
+	sc.universe, sc.eqsets, sc.use, sc.demand, sc.kids, sc.obj, sc.kept, sc.dead, sc.ghostJob = nil, nil, nil, nil, nil, nil, nil, nil, nil
 	return c, err
 }
 
@@ -311,7 +332,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	part := &sc.part
 	part.Refine(within, eqsets)
 	sc.useGrid(len(part.Groups), opts.Horizon)
-	sc.obj, sc.kids, sc.nl, sc.nn = sc.obj[:0], sc.kids[:0], 0, 0
+	sc.obj, sc.kids, sc.ghostJob, sc.nl, sc.nn = sc.obj[:0], sc.kids[:0], sc.ghostJob[:0], 0, 0
 	sc.ints.rewind()
 	sc.int32s.rewind()
 	sc.vars.rewind()
@@ -330,6 +351,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		job:    sc.job[:0],
 		leaves: leaves,
 		parts:  sc.parts[:0],
+		ghosts: sc.ghosts[:0],
 		scr:    sc,
 		epoch:  sc.epoch,
 	}
@@ -337,13 +359,21 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	c.cullLeaves()
 
 	for jid, job := range jobs {
-		ind := c.Model.AddVarNamed(milp.Namef("I_j%d", jid), milp.Binary, 0, 1, 0)
-		c.job = append(c.job, jobRecord{varLo: int(ind), leafLo: sc.nl, roundable: roundable(job)})
+		c.job = append(c.job, jobRecord{varLo: c.Model.NumVars(), leafLo: sc.nl, roundable: roundable(job)})
 		if sc.dead[sc.nn] {
-			// Nothing of the job can be granted: its indicator, free and
-			// worthless, is all there is of it.
+			// Nothing of the job can be granted: nothing of it is lowered, not
+			// even an indicator, which could only sit at 1 worth nothing.
 			c.skip(job)
 			continue
+		}
+		ind := noVar
+		switch job.(type) {
+		case *strl.Max, *strl.Sum:
+			// A root choice has no indicator of its own: it would have no
+			// objective and one row, Σ kids ≤ n·I, that only pushes it up, so
+			// it could always be 1 (genChoice).
+		default:
+			ind = c.Model.AddVarNamed(milp.Namef("I_j%d", jid), milp.Binary, 0, 1, 0)
 		}
 		if err := c.gen(jid, job, ind); err != nil {
 			return nil, err
@@ -374,21 +404,55 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 				continue
 			}
 			limit := c.avail[g][t]
-			maxUse := 0.0
+			maxUse, ghosts := 0.0, false
 			for _, tm := range cell {
+				if tm.Var < 0 {
+					ghosts = true // worth nothing: it can only be 0
+					continue
+				}
 				maxUse += tm.Coef * c.Model.Vars[tm.Var].Ub
 			}
 			if maxUse <= float64(limit) || c.implied(g, kept, cell, limit) {
 				continue
 			}
 			kept = append(kept, t)
+			if ghosts {
+				cell = c.setGhostsAside(cell)
+			}
 			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, t), cell, milp.LE, float64(limit))
 		}
 		sc.kept = kept
 	}
-	// The append-grown array may have moved; keep the larger one.
-	sc.parts = c.parts
+	// The append-grown arrays may have moved; keep the larger ones.
+	sc.parts, sc.ghosts = c.parts, c.ghosts
 	return c, nil
+}
+
+// setGhostsAside records the ghosts of the supply cell about to become the
+// model's next row and returns the cell's other terms, the row's, in the
+// scratch's build buffer.
+func (c *Compiled) setGhostsAside(cell []milp.Term) []milp.Term {
+	sc := c.scr
+	row, terms := int32(c.Model.NumConstraints()), sc.demand[:0]
+	for _, tm := range cell {
+		if tm.Var >= 0 {
+			terms = append(terms, tm)
+			continue
+		}
+		c.ghosts = append(c.ghosts, ghostTerm{row: row, job: sc.ghostJob[-2-int(tm.Var)]})
+	}
+	sc.demand = terms
+	return terms
+}
+
+// rowGhosts returns the ghosts of row i and advances *at past them: callers
+// walk the rows in order, with *at starting at 0.
+func (c *Compiled) rowGhosts(i int, at *int) []ghostTerm {
+	lo := *at
+	for *at < len(c.ghosts) && int(c.ghosts[*at].row) == i {
+		*at++
+	}
+	return c.ghosts[lo:*at]
 }
 
 // computeAvail fills avail[group][slice] from node release times.
@@ -437,10 +501,10 @@ func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
 		return nil
 	case *strl.Sum:
 		// Σ I_i ≤ n·I: children activate only if the parent does.
-		return c.genChoice(job, x.Kids, ind, "I_j%d_sum%d", "sum_j%d", -float64(len(x.Kids)))
+		return c.genChoice(job, x.Kids, ind, "I_j%d_sum%d", "sum_j%d", float64(len(x.Kids)))
 	case *strl.Max:
 		// Σ I_i ≤ I: at most one branch, and only if the parent activates.
-		return c.genChoice(job, x.Kids, ind, "I_j%d_max%d", "max_j%d", -1)
+		return c.genChoice(job, x.Kids, ind, "I_j%d_max%d", "max_j%d", 1)
 	case *strl.Min:
 		v := c.Model.AddVarNamed(milp.Namef("V_j%d", job), milp.Continuous, 0, milp.Inf, 0)
 		for _, kid := range x.Kids {
@@ -477,9 +541,12 @@ func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
 
 // genChoice lowers a SUM or MAX node: one indicator per child, the children
 // themselves (their objective terms simply accumulate), then the row
-// Σ I_i + parentCoef·I ≤ 0 tying the children to the parent. A dead child
-// (see markDead) gets neither indicator nor term: it could only ever be 0.
-func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidFormat, rowFormat string, parentCoef float64) error {
+// Σ I_i − n·I ≤ 0 tying the children to the parent, n being 1 for a MAX and the
+// number of children for a SUM. A job's root choice has no indicator (ind is
+// noVar): its row is Σ I_i ≤ n, and with one live child that row cannot bind,
+// so there is none. A dead child (see markDead) gets neither indicator nor
+// term: it could only ever be 0.
+func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidFormat, rowFormat string, n float64) error {
 	sc := c.scr
 	lo := len(sc.kids) // nested choices push and pop above this level's terms
 	for i, kid := range kids {
@@ -493,8 +560,13 @@ func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidForma
 			return err
 		}
 	}
-	sc.kids = append(sc.kids, milp.Term{Var: ind, Coef: parentCoef})
-	c.Model.AddConstraintNamed(milp.Namef(rowFormat, job), sc.kids[lo:], milp.LE, 0)
+	switch {
+	case ind != noVar:
+		sc.kids = append(sc.kids, milp.Term{Var: ind, Coef: -n})
+		c.Model.AddConstraintNamed(milp.Namef(rowFormat, job), sc.kids[lo:], milp.LE, 0)
+	case len(sc.kids)-lo > 1:
+		c.Model.AddConstraintNamed(milp.Namef(rowFormat, job), sc.kids[lo:], milp.LE, n)
+	}
 	sc.kids = sc.kids[:lo]
 	return nil
 }
@@ -671,16 +743,22 @@ func (c *Compiled) genLnCk(job int, leaf *strl.LnCk, ind milp.VarID) {
 	}
 }
 
-// genParts gives the leaf one partition variable per cover group, each using
-// its group's supply over slices [s, e), and returns their sum as the start of
-// the leaf's demand row, in the scratch's build buffer. A group with no node
-// free throughout still gets its variable, bounded at 0: ForcedComponents cuts
-// a supply row by the classes of the terms in it, so the term has a say there
-// even though the variable has none in the solve.
+// genParts gives the leaf one partition variable per cover group with a node
+// free throughout slices [s, e), each using its group's supply over them, and
+// returns their sum as the start of the leaf's demand row, in the scratch's
+// build buffer. A group with no node free throughout gets no variable, its
+// count could only be 0, but a ghost in its supply cells (ghostVar).
 func (c *Compiled) genParts(rec *leafRecord, cover []int, s, e int64, format string) []milp.Term {
-	demand := c.scr.demand[:0]
+	sc := c.scr
+	demand := sc.demand[:0]
 	for _, g := range cover {
-		ub := math.Min(float64(rec.k), float64(c.minAvail(g, s, e)))
+		free := c.minAvail(g, s, e)
+		if free == 0 {
+			c.addUse(g, s, e, milp.Term{Var: ghostVar(len(sc.ghostJob)), Coef: 1})
+			sc.ghostJob = append(sc.ghostJob, int32(rec.job))
+			continue
+		}
+		ub := math.Min(float64(rec.k), float64(free))
 		p := c.Model.AddVarNamed(milp.Namef(format, rec.job, g, int(rec.start)), milp.Integer, 0, ub, 0)
 		c.addPart(rec, partVar{group: g, id: p})
 		demand = append(demand, milp.Term{Var: p, Coef: 1})

@@ -652,6 +652,7 @@ func TestStats(t *testing.T) {
 	jobs := []strl.Expr{
 		&strl.Max{Kids: []strl.Expr{
 			&strl.NCk{Set: gpus, K: 2, Start: 0, Dur: 2, Value: 4},
+			&strl.NCk{Set: full(n), K: 2, Start: 1, Dur: 2, Value: 3},
 			&strl.NCk{Set: full(n), K: 2, Start: 9, Dur: 3, Value: 3}, // out of window → culled
 		}},
 	}
@@ -660,7 +661,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.Jobs != 1 || st.Leaves != 2 || st.CulledLeafs != 1 {
+	if st.Jobs != 1 || st.Leaves != 3 || st.CulledLeafs != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.Groups != 2 || st.Vars != c.Model.NumVars() || st.Constraints == 0 {

@@ -170,10 +170,8 @@ func (r *rounding) job(i int) (job, shift int) {
 }
 
 // jobMass is the LP mass on the i-th job's options: the sum of x over its
-// non-culled leaf indicators, which for a bare nCk is the job's own indicator.
-// A MAX job's own indicator says nothing: it has no objective and one row
-// (Σ kids − ind ≤ 0), so presolve's duality fixing pins it at 1 whatever the
-// LP placed on the kids.
+// non-culled leaf indicators, which for a bare nCk is the job's own indicator
+// (a MAX job has none).
 func (r *rounding) jobMass(i int) float64 {
 	j, shift := r.job(i)
 	mass := 0.0
@@ -254,12 +252,11 @@ func (c *Compiled) roundInPlace(x []float64, sc *roundScope) []float64 {
 			if !r.grant(o.rec, shift, false) {
 				continue
 			}
-			// The granted leaf's partition variables, its indicator (for a
-			// MAX child the child's, for a bare leaf the job's) and the
-			// job's indicator: the whole path of a roundable job.
+			// The granted leaf's partition variables and its indicator (for a
+			// MAX child the child's, for a bare leaf the job's): the whole
+			// path of a roundable job.
 			r.grant(o.rec, shift, true)
 			x[int(o.rec.ind)-shift] = 1
-			x[c.job[j].varLo-shift] = 1
 			granted = true
 			break
 		}
@@ -342,8 +339,7 @@ func (r *rounding) grant(rec *leafRecord, shift int, commit bool) bool {
 // into buf and returns it. want[j] names, for batch job j, which of the job's
 // leaves (counted in tree order, culled ones included) to grant, or is negative
 // for none. A wanted leaf is written as the rounding writes a grant: its k
-// nodes drawn group by group in the leaf's order, its indicator and the job's
-// set to 1. Each draws on the whole availability, not on a ledger, so two
+// nodes drawn group by group in the leaf's order, its indicator set to 1. Each draws on the whole availability, not on a ledger, so two
 // seeded jobs may overdraw a group between them; the solver validates a seed
 // before it accepts it. A culled leaf has no variables to write, and a job that
 // is not roundable has a path the rounding does not know: neither is seeded.
@@ -379,7 +375,7 @@ func (cc *Component) Seed(buf []float64, want []int32) []float64 {
 			x[int(pv.id)-shift] = float64(n)
 			need -= n
 		}
-		x[int(rec.ind)-shift], x[c.job[j].varLo-shift] = 1, 1
+		x[int(rec.ind)-shift] = 1
 	}
 	return x
 }

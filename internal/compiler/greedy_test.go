@@ -199,39 +199,34 @@ func TestQuickSeedFeasibility(t *testing.T) {
 }
 
 // TestRoundOrderIgnoresSlackIndicator: jobs are ranked by the LP mass on
-// their options, never by a MAX job's own indicator — which has no objective
-// and one row (Σ kids − ind ≤ 0), so it is slack anywhere in [Σ kids, 1] and
-// presolve's duality fixing reports it at 1 for every job.
+// their options, never by a MAX job's own indicator — which would have no
+// objective and one row (Σ kids − ind ≤ 0), slack anywhere in [Σ kids, 1], so
+// the compiler emits none: a MAX job's first variable is its first live
+// option's indicator, and no variable of the job is left that is not an
+// option's indicator or a partition variable.
 func TestRoundOrderIgnoresSlackIndicator(t *testing.T) {
-	// Any indicator value the LP could report rounds to the same candidate.
 	for seed := int64(1); seed <= 10; seed++ {
-		r := rand.New(rand.NewSource(seed))
 		jobs, opts := cycleBatch(seed, 30)
 		c, err := Compile(jobs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := make([]float64, c.Model.NumVars())
-		kidSum := make([]float64, len(jobs))
-		for _, rec := range c.leaves {
-			if rec.culled {
-				continue // no indicator
+		for j, job := range jobs {
+			if _, isMax := job.(*strl.Max); !isMax {
+				continue
 			}
-			x[rec.ind] = r.Float64() / float64(len(c.jobLeaves(rec.job)))
-			kidSum[rec.job] += x[rec.ind]
-		}
-		want := c.GreedyRound(x)
-		if want == nil {
-			t.Fatalf("seed %d: nothing granted", seed)
-		}
-		for trial := 0; trial < 5; trial++ {
-			for j, job := range jobs {
-				if _, isMax := job.(*strl.Max); isMax {
-					x[c.job[j].varLo] = kidSum[j] + r.Float64()*(1-kidSum[j])
+			n := 0 // the job's option indicators and partition variables
+			for _, rec := range c.jobLeaves(j) {
+				if rec.culled {
+					continue
 				}
+				if n == 0 && int(rec.ind) != c.job[j].varLo {
+					t.Fatalf("seed %d: MAX job %d starts with variable %d, not its first option's indicator %d", seed, j, c.job[j].varLo, rec.ind)
+				}
+				n += 1 + rec.partN
 			}
-			if got := c.GreedyRound(x); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: the candidate depends on the MAX indicators", seed)
+			if own := c.job[j+1].varLo - c.job[j].varLo; own != n {
+				t.Fatalf("seed %d: MAX job %d has %d variables, %d of them options' indicators and partition variables", seed, j, own, n)
 			}
 		}
 	}

@@ -34,8 +34,9 @@ func residentBlockBatch() ([]strl.Expr, Options) {
 }
 
 // checkLean fails the test for anything in c's model that presolve would only
-// delete: a row pinning a variable to 0, an indicator that cannot be 1, a
-// supply row repeating an earlier one of its group at a limit no smaller.
+// delete: a variable that can only be 0, an indicator under a choice root
+// (which could only be 1), a supply row repeating an earlier one of its group
+// at a limit no smaller.
 func checkLean(t *testing.T, name string, c *Compiled) {
 	t.Helper()
 	m := c.Model
@@ -49,10 +50,16 @@ func checkLean(t *testing.T, name string, c *Compiled) {
 		}
 	}
 	for i, v := range m.Vars {
-		// A partition variable of a group with nothing free stays, bounded at
-		// 0: its term decides where ForcedComponents cuts (genParts).
-		if v.Ub == 0 && v.Type != milp.Integer {
+		if v.Ub == 0 {
 			t.Errorf("%s: variable %s (#%d) can only be 0", name, v.Name.String(), i)
+		}
+	}
+	for j, job := range c.jobs {
+		switch job.(type) {
+		case *strl.Max, *strl.Sum:
+			if lo := c.job[j].varLo; lo < c.job[j+1].varLo && m.Vars[lo].Name.String() == fmt.Sprintf("I_j%d", j) {
+				t.Errorf("%s: choice-rooted job %d has an indicator of its own", name, j)
+			}
 		}
 	}
 	supply := map[int][]*milp.Constraint{} // group → its supply rows, in emission order
@@ -162,8 +169,8 @@ func TestDeadSubtreesAreSkipped(t *testing.T) {
 	if got := c.Stats().CulledLeafs; got != 3 {
 		t.Errorf("%d leaves culled, want the dead MIN's two and the bare one", got)
 	}
-	if c.job[2].varLo-c.job[1].varLo != 1 {
-		t.Errorf("the job with nothing to offer has %d variables, want its indicator alone", c.job[2].varLo-c.job[1].varLo)
+	if c.job[2].varLo-c.job[1].varLo != 0 {
+		t.Errorf("the job with nothing to offer has %d variables, want none", c.job[2].varLo-c.job[1].varLo)
 	}
 	sol, err := milp.Solve(c.Model, milp.Options{})
 	if err != nil || sol.Status != milp.StatusOptimal || sol.Objective != 3 {

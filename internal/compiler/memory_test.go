@@ -379,7 +379,7 @@ func greedyRoundReference(c *Compiled, x []float64, jobs []int) []float64 {
 					}
 				}
 			}
-			vec[rec.ind], vec[c.job[j].varLo], granted = 1, 1, true
+			vec[rec.ind], granted = 1, true
 			break
 		}
 	}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,6 +106,80 @@ func TestTSVExport(t *testing.T) {
 	for _, want := range []string{"err(%)\tA\tB", "-50\t10.000\t20.000", "+0\t30.000\t"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("TSV missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// readTSV reads a sub-figure's TSV into its x labels and, per column, the
+// values down the rows.
+func readTSV(t *testing.T, path string) ([]string, map[string][]float64) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[0], "#") {
+		t.Fatalf("%s: no title, header and rows:\n%s", path, data)
+	}
+	header := strings.Split(lines[1], "\t")
+	var xs []string
+	cols := map[string][]float64{}
+	for _, line := range lines[2:] {
+		cells := strings.Split(line, "\t")
+		if len(cells) != len(header) {
+			t.Fatalf("%s: row %q has %d cells, the header %d", path, line, len(cells), len(header))
+		}
+		xs = append(xs, cells[0])
+		for i, cell := range cells[1:] {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatalf("%s: %s at %s: %v", path, header[i+1], cells[0], err)
+			}
+			cols[header[i+1]] = append(cols[header[i+1]], v)
+		}
+	}
+	return xs, cols
+}
+
+// TestFigureShapes runs Figs 10 and 11 at the quick scale and checks the
+// shape the paper reports on the all-SLO attainment they write: in Fig 10,
+// global scheduling beats greedy and greedy beats Rayon/CS (ties allowed) at
+// every estimate error; in Fig 11, TetriSched's attainment never falls as the
+// plan-ahead window grows. Every figure is a function of its seeds, so the
+// check is exact; only attainment is read, no wall-clock column.
+func TestFigureShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two figure sweeps")
+	}
+	dir := t.TempDir()
+	SetTSVDir(dir)
+	defer SetTSVDir("")
+	if err := Fig10(io.Discard, Quick()); err != nil {
+		t.Fatal(err)
+	}
+	if err := Fig11(io.Discard, Quick()); err != nil {
+		t.Fatal(err)
+	}
+
+	xs, slo := readTSV(t, filepath.Join(dir, "fig10a.tsv"))
+	if len(xs) != 5 {
+		t.Fatalf("Fig 10(a) has %d error points, want 5", len(xs))
+	}
+	for i, x := range xs {
+		global, greedy, cs := slo["TetriSched"][i], slo["TetriSched-NG"][i], slo["Rayon/CS"][i]
+		if global < greedy || greedy < cs {
+			t.Errorf("Fig 10(a) at error %s%%: TetriSched %.1f, TetriSched-NG %.1f, Rayon/CS %.1f; want them in that order", x, global, greedy, cs)
+		}
+	}
+
+	xs, slo = readTSV(t, filepath.Join(dir, "fig11a.tsv"))
+	if len(xs) != 5 {
+		t.Fatalf("Fig 11(a) has %d plan-ahead points, want 5", len(xs))
+	}
+	for i := 1; i < len(xs); i++ {
+		if prev, cur := slo["TetriSched"][i-1], slo["TetriSched"][i]; cur < prev {
+			t.Errorf("Fig 11(a): TetriSched falls from %.1f at plan-ahead %s to %.1f at %s", prev, xs[i-1], cur, xs[i])
 		}
 	}
 }

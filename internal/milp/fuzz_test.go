@@ -134,3 +134,132 @@ func FuzzSolveEachMatchesSolve(f *testing.F) {
 		}
 	})
 }
+
+// liftModel decodes one small integer model for presolve: up to seven columns —
+// binaries, small integers, and columns the model fixes (lb = ub) — with
+// objectives of either sign, so some are duality-fixable, under rows of three
+// shapes: random terms (zero coefficients and either sign included) under any
+// operator, GE rows among them; a choice row the lean compiler emits, Σ x ≤ 1;
+// and the same choice tied to an indicator, Σ x − y ≤ 0, as it was emitted
+// before.
+func liftModel(in *fuzzInput) *Model {
+	m := NewModel(Maximize)
+	if in.next(2) == 1 {
+		m.Sense = Minimize
+	}
+	nv := 1 + in.next(7)
+	for i := 0; i < nv; i++ {
+		obj := float64(in.next(9) - 4)
+		switch in.next(4) {
+		case 0:
+			v := float64(in.next(3))
+			m.AddVar("", Integer, v, v, obj)
+		case 1:
+			m.AddVar("", Integer, 0, float64(1+in.next(3)), obj)
+		default:
+			m.AddBinary("", obj)
+		}
+	}
+	for r, rows := 0, in.next(8); r < rows; r++ {
+		var terms []Term
+		for t, nt := 0, 1+in.next(4); t < nt; t++ {
+			terms = append(terms, Term{VarID(in.next(nv)), 1})
+		}
+		switch in.next(3) {
+		case 0:
+			for i := range terms {
+				terms[i].Coef = float64(in.next(7) - 2)
+			}
+			m.AddConstraint("", terms, Op(in.next(3)), float64(in.next(9)-2))
+		case 1:
+			m.AddConstraint("", terms, LE, 1)
+		default:
+			m.AddConstraint("", append(terms, Term{VarID(in.next(nv)), -1}), LE, 0)
+		}
+	}
+	return m
+}
+
+// cloneModel copies a model's columns and rows, term arrays included.
+func cloneModel(m *Model) *Model {
+	c := &Model{Sense: m.Sense, Vars: slices.Clone(m.Vars), Cons: slices.Clone(m.Cons)}
+	for i := range c.Cons {
+		c.Cons[i].Terms = slices.Clone(c.Cons[i].Terms)
+	}
+	return c
+}
+
+// sameModel reports whether two models are equal bit for bit, names included.
+func sameModel(a, b *Model) bool {
+	if a.Sense != b.Sense || len(a.Vars) != len(b.Vars) || len(a.Cons) != len(b.Cons) {
+		return false
+	}
+	for i, va := range a.Vars {
+		vb := b.Vars[i]
+		if va.Name != vb.Name || va.Type != vb.Type || !sameBits(va.Lb, vb.Lb) || !sameBits(va.Ub, vb.Ub) || !sameBits(va.Obj, vb.Obj) {
+			return false
+		}
+	}
+	for i, ca := range a.Cons {
+		cb := b.Cons[i]
+		if ca.Name != cb.Name || ca.Op != cb.Op || !sameBits(ca.RHS, cb.RHS) ||
+			!slices.EqualFunc(ca.Terms, cb.Terms, func(x, y Term) bool { return x.Var == y.Var && sameBits(x.Coef, y.Coef) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzPresolveLift: presolve leaves its input bit for bit as it was, though
+// the reduced model may share the input's term arrays — also once the reduced
+// model has been solved and its answer lifted; the lift of the reduced optimum
+// is feasible in the input, worth what the lift says, and worth the
+// brute-force optimum (presolve calls the model infeasible exactly when brute
+// force finds no point); and when no column is fixed, the reduced model built
+// over the shared rows equals the one the renumbering copy builds from the
+// same reduction.
+func FuzzPresolveLift(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 2, 5, 2, 2, 1, 0, 1, 1, 1, 0, 1, 1}) // a choice row twice: a row dropped, no column fixed
+	f.Add([]byte{1, 4, 6, 2, 2, 0, 1, 3, 1, 2, 4, 2, 2, 1, 2, 0, 3, 1, 2, 4, 2, 0, 4, 1, 0, 2, 1, 5, 2, 1, 3, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		m := liftModel(&in)
+		before := cloneModel(m)
+		w := new(Workspace)
+		pre := w.presolve(m)
+		if !sameModel(m, before) {
+			t.Fatalf("presolve changed its input:\n%s\nnow:\n%s", before, m)
+		}
+		best := bruteForce(m) // NaN: infeasible
+		if pre.Infeasible {
+			if !math.IsNaN(best) {
+				t.Fatalf("presolve calls the model infeasible, brute force finds %v\n%s", best, before)
+			}
+			return
+		}
+		red, err := Solve(pre.Model, Options{DisablePresolve: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(best) != (red.Status == StatusInfeasible) {
+			t.Fatalf("the reduced model solves %v, brute force finds %v on the input\n%s\nreduced:\n%s", red.Status, best, before, pre.Model)
+		}
+		if !math.IsNaN(best) {
+			lifted := pre.lift(red, new(Solution))
+			if !m.IsFeasible(lifted.Values, 1e-6) || math.Abs(m.ObjectiveValue(lifted.Values)-lifted.Objective) > 1e-6 ||
+				math.Abs(lifted.Objective-best) > 1e-6 {
+				t.Fatalf("lifted %v worth %v (objective %v), brute force finds %v\n%s\nreduced:\n%s",
+					lifted.Values, m.ObjectiveValue(lifted.Values), lifted.Objective, best, before, pre.Model)
+			}
+		}
+		if pre.Stats.VarsFixed == 0 && pre.Model != m {
+			shared := cloneModel(pre.Model)
+			if copied := w.ps.renumbered(); !sameModel(copied.Model, shared) || copied.objConst != 0 {
+				t.Fatalf("over shared rows:\n%s\nrenumbered:\n%s", shared, copied.Model)
+			}
+		}
+		if !sameModel(m, before) {
+			t.Fatalf("solving and lifting the reduced model changed the input:\n%s\nnow:\n%s", before, m)
+		}
+	})
+}

@@ -90,9 +90,14 @@ func (m *Model) WriteLP(w io.Writer) error {
 	return bw.err
 }
 
-// lpName returns a format-safe unique variable name.
+// lpName returns a format-safe unique variable name. An empty objective or
+// row names variable 0, which a model without variables does not have: it is
+// the placeholder x0.
 func (m *Model) lpName(v VarID) string {
-	n := m.Vars[v].Name.String()
+	n := ""
+	if int(v) < len(m.Vars) {
+		n = m.Vars[v].Name.String()
+	}
 	if n == "" {
 		return fmt.Sprintf("x%d", int(v))
 	}

@@ -18,6 +18,24 @@ func mustSolve(t *testing.T, m *Model, opts Options) *Solution {
 	return sol
 }
 
+// TestEmptyModelSolves: a model without variables — what a component of
+// jobs with nothing to offer compiles to — is solved by the empty point, with
+// or without presolve, alone and as a part: Values is empty but not nil, the
+// nil a solve returns when it has no solution.
+func TestEmptyModelSolves(t *testing.T) {
+	for _, opts := range []Options{{}, {DisablePresolve: true}} {
+		sol := mustSolve(t, NewModel(Maximize), opts)
+		if sol.Status != StatusOptimal || sol.Values == nil || len(sol.Values) != 0 {
+			t.Errorf("presolve off %v: %v with values %#v, want optimal with the empty point", opts.DisablePresolve, sol.Status, sol.Values)
+		}
+		var list WorkspaceList
+		merged, sols, err := list.SolveEach([]Part{{Model: NewModel(Maximize)}}, opts, new(Solution))
+		if err != nil || merged.Status != StatusOptimal || sols[0].Values == nil {
+			t.Errorf("presolve off %v: a part without variables merges to %v (%v), values %#v", opts.DisablePresolve, merged.Status, err, sols[0].Values)
+		}
+	}
+}
+
 func TestPureLPMax(t *testing.T) {
 	// maximize 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0 → x=4, y=0, obj 12.
 	m := NewModel(Maximize)

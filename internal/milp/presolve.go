@@ -74,7 +74,10 @@ func (s *PresolveStats) add(o *PresolveStats) {
 // points (seeds, heuristic candidates) into the reduced space.
 type Presolved struct {
 	// Model is the reduced model to hand to the solver. When no reduction
-	// fired it is the original model, untouched.
+	// fired it is the original model, untouched; when no column was fixed it
+	// is over the original's variables and may share the original's term
+	// arrays and columns (build). Neither model may be written while the
+	// Presolved is in use.
 	Model *Model
 	// Stats records what the pass did.
 	Stats PresolveStats
@@ -82,7 +85,7 @@ type Presolved struct {
 	// point; Model is nil in that case.
 	Infeasible bool
 
-	identity bool      // no reduction fired: lift and the point maps pass through
+	identity bool      // no column fixed: lift and the point maps pass through
 	nOrig    int       // variable count of the original model
 	objConst float64   // objective contribution of the fixed columns
 	isFixed  []bool    // original index -> fixed?
@@ -100,7 +103,7 @@ func (p *Presolved) lift(sol, out *Solution) *Solution {
 	*out = *sol
 	out.Presolve = p.Stats
 	if p.identity {
-		if sol.Values != nil {
+		if len(sol.Values) > 0 { // else out has sol's nil, or the empty point of a model without variables
 			out.Values = append(dst, sol.Values...)
 		}
 		return out
@@ -168,19 +171,23 @@ func (p *Presolved) liftInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// psRow is a working-copy constraint. GE rows are normalized to LE at load
+// psRow is a working constraint. GE rows are normalized to LE at load
 // (coefficients and RHS negated) so the reducers only see LE and EQ; zero
 // coefficients are dropped. Term order is preserved from the input model —
 // AddConstraint already merges duplicate variables, and every reducer here
 // is order-independent (dedup compares rows in emission order, which is how
-// per-slice expansion duplicates actually appear).
+// per-slice expansion duplicates actually appear). A row that needs neither
+// reads the input constraint's own terms (shared) until a fixed column is
+// substituted out of it, which copies them first: the input model is never
+// written.
 type psRow struct {
-	terms []Term
-	rhs   float64
-	hash  uint64 // cached rowHash; 0 = stale (recompute)
-	src   int32  // index of the input constraint (its name is read at build)
-	op    Op
-	dead  bool
+	terms  []Term
+	rhs    float64
+	hash   uint64 // cached rowHash; 0 = stale (recompute)
+	src    int32  // index of the input constraint (its name is read at build)
+	op     Op
+	dead   bool
+	shared bool // terms are the input constraint's
 }
 
 // presolver is the working state of one reduction pass. Its arrays come from
@@ -216,7 +223,8 @@ func (p *presolver) dropRow(r *psRow) {
 }
 
 // Presolve reduces the model. The input model is never modified; when no
-// reduction applies the returned Presolved aliases it directly.
+// reduction applies the returned Presolved aliases it directly, and when no
+// column is fixed the reduced model shares its term arrays.
 func Presolve(m *Model) *Presolved {
 	return new(Workspace).presolve(m)
 }
@@ -302,23 +310,19 @@ func (w *Workspace) newPresolver(m *Model) *presolver {
 			return p
 		}
 	}
-	total := 0
-	for ci := range m.Cons {
-		total += len(m.Cons[ci].Terms)
-	}
-	flat := w.terms.take(total)[:0] // one backing array for every row's terms
-	p.rows = w.rows.take(len(m.Cons))[:0]
+	p.rows = w.rows.take(len(m.Cons))
 	for ci := range m.Cons {
 		c := &m.Cons[ci]
-		rhs := c.RHS
-		op := c.Op
-		neg := false
-		if op == GE {
-			neg = true
-			rhs = -rhs
-			op = LE
+		r := &p.rows[ci]
+		*r = psRow{terms: c.Terms[:len(c.Terms):len(c.Terms)], rhs: c.RHS, src: int32(ci), op: c.Op, shared: true}
+		neg := c.Op == GE
+		if !neg && !slices.ContainsFunc(c.Terms, func(t Term) bool { return t.Coef == 0 }) {
+			continue
 		}
-		lo := len(flat)
+		if neg {
+			r.rhs, r.op = -r.rhs, LE
+		}
+		terms := w.terms.take(len(c.Terms))[:0]
 		for _, t := range c.Terms {
 			if t.Coef == 0 {
 				continue
@@ -326,9 +330,9 @@ func (w *Workspace) newPresolver(m *Model) *presolver {
 			if neg {
 				t.Coef = -t.Coef
 			}
-			flat = append(flat, t)
+			terms = append(terms, t)
 		}
-		p.rows = append(p.rows, psRow{terms: flat[lo:len(flat):len(flat)], rhs: rhs, src: int32(ci), op: op})
+		r.terms, r.shared = terms, false
 	}
 	return p
 }
@@ -431,6 +435,9 @@ func (p *presolver) substituteFixed() {
 		}
 		if hasFixed {
 			out := r.terms[:0]
+			if r.shared {
+				out, r.shared = p.ws.terms.take(len(r.terms))[:0], false
+			}
 			for _, t := range r.terms {
 				if p.fixed[t.Var] {
 					r.rhs -= t.Coef * p.fixVal[t.Var]
@@ -595,8 +602,8 @@ const maxCliqueRows = 1024
 // A row Σ pos − Σ neg ≤ 1 − |neg| over binary variables says "at most one of
 // these literals is true" (a clique in the conflict graph); any such row
 // whose literal set is a subset of another clique's is implied by it. The
-// compiler's choose-≤-1 indicator rows take exactly this shape once the
-// presolver has fixed the parent indicators.
+// compiler's choose-≤-1 rows over a MAX job's options have exactly this
+// shape, and so does a supply row over width-1 options of one node.
 func (p *presolver) mergeCliques() {
 	cliques := p.cliqueRows[:0]
 	lits := p.cliqueLits[:0]
@@ -736,19 +743,65 @@ func (p *presolver) dualityFix() {
 }
 
 // build assembles the Presolved result from the terminal presolver state, in
-// the workspace's header.
+// the workspace's header. When no column was fixed the reduced model is in the
+// input's variable space: its rows are the working rows as they stand, on the
+// input's own term arrays wherever presolve did not write, and its columns are
+// the input's unless a bound moved. Otherwise it is renumbered.
 func (p *presolver) build() *Presolved {
 	n := len(p.m.Vars)
 	w := p.ws
 	out := &w.pre
-	if p.infeasible {
+	switch {
+	case p.infeasible:
 		*out = Presolved{Stats: p.stats, Infeasible: true, nOrig: n}
 		return out
-	}
-	if !p.touched {
+	case !p.touched:
 		*out = Presolved{Model: p.m, Stats: p.stats, identity: true, nOrig: n}
 		return out
+	case p.stats.VarsFixed > 0:
+		return p.renumbered()
 	}
+	rm := p.reducedModel()
+	rm.Vars = p.m.Vars
+	for i, v := range p.m.Vars {
+		if p.lb[i] != v.Lb || p.ub[i] != v.Ub {
+			rm.Vars = w.vars.take(n)
+			for i, v := range p.m.Vars {
+				v.Lb, v.Ub = p.lb[i], p.ub[i]
+				rm.Vars[i] = v
+			}
+			break
+		}
+	}
+	for ri := range p.rows {
+		if r := &p.rows[ri]; !r.dead {
+			rm.Cons = append(rm.Cons, Constraint{Name: p.m.Cons[r.src].Name, Terms: r.terms, Op: r.op, RHS: r.rhs})
+		}
+	}
+	*out = Presolved{Model: rm, Stats: p.stats, identity: true, nOrig: n}
+	return out
+}
+
+// reducedModel takes the reduced model's header, with room for the surviving
+// rows, from the workspace.
+func (p *presolver) reducedModel() *Model {
+	live := 0
+	for ri := range p.rows {
+		if !p.rows[ri].dead {
+			live++
+		}
+	}
+	rm := &p.ws.models.take(1)[0]
+	rm.Sense, rm.Cons = p.m.Sense, p.ws.cons.take(live)[:0]
+	return rm
+}
+
+// renumbered is build for a reduction that fixed columns: the surviving
+// columns are numbered anew and every surviving row is copied onto the new
+// numbering.
+func (p *presolver) renumbered() *Presolved {
+	n := len(p.m.Vars)
+	w := p.ws
 	newID := w.ints.take(n)
 	keep := w.ints.take(n)[:0]
 	objConst := 0.0
@@ -763,20 +816,19 @@ func (p *presolver) build() *Presolved {
 	}
 	// Assemble the reduced model directly with pre-sized slices — terms are
 	// already merged and zero-free, so AddVar/AddConstraint would only add
-	// re-grow and re-merge overhead on this hot path.
-	live, liveTerms := 0, 0
-	for ri := range p.rows {
-		if !p.rows[ri].dead {
-			live++
-			liveTerms += len(p.rows[ri].terms)
-		}
-	}
-	rm := &w.models.take(1)[0]
-	rm.Sense, rm.Vars, rm.Cons = p.m.Sense, w.vars.take(len(keep)), w.cons.take(live)[:0]
+	// re-grow and re-merge overhead.
+	rm := p.reducedModel()
+	rm.Vars = w.vars.take(len(keep))
 	for ri, oi := range keep {
 		v := p.m.Vars[oi]
 		v.Lb, v.Ub = p.lb[oi], p.ub[oi]
 		rm.Vars[ri] = v
+	}
+	liveTerms := 0
+	for ri := range p.rows {
+		if !p.rows[ri].dead {
+			liveTerms += len(p.rows[ri].terms)
+		}
 	}
 	flat := w.terms.take(liveTerms)[:0]
 	for ri := range p.rows {
@@ -790,7 +842,7 @@ func (p *presolver) build() *Presolved {
 		}
 		rm.Cons = append(rm.Cons, Constraint{Name: p.m.Cons[r.src].Name, Terms: flat[lo:len(flat):len(flat)], Op: r.op, RHS: r.rhs})
 	}
-	*out = Presolved{
+	w.pre = Presolved{
 		Model:    rm,
 		Stats:    p.stats,
 		nOrig:    n,
@@ -799,5 +851,5 @@ func (p *presolver) build() *Presolved {
 		fixedVal: p.fixVal,
 		keep:     keep,
 	}
-	return out
+	return &w.pre
 }

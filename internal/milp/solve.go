@@ -458,7 +458,8 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 // opts.Heuristic works in the space before it.
 func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (*Solution, error) {
 	if len(model.Vars) == 0 {
-		return w.answer(Solution{Status: StatusOptimal, Values: nil}), nil
+		// The empty point is the optimum: a solution, not the nil of none.
+		return w.answer(Solution{Status: StatusOptimal, Values: []float64{}}), nil
 	}
 	p := w.newLP(model)
 	maximize := model.Sense == Maximize

@@ -4,9 +4,11 @@ import "sync"
 
 // Memory ownership (docs/SOLVER.md has the longer version).
 //
-// A solve builds a chain of flat copies of its model — presolver rows, the
-// reduced model, the LP's compressed columns, simplex and basis-engine
-// buffers, the pseudocost table — and a tree of nodes and basis snapshots
+// A solve builds a chain of views and flat copies of its model — presolver
+// rows and the reduced model (which read the model's own term arrays except
+// where presolve rewrites a row or renumbers the columns), the LP's compressed
+// columns, simplex and basis-engine buffers, the pseudocost table — and a
+// tree of nodes and basis snapshots
 // that all die when Solve returns, and so do the chain's headers (the
 // Presolved, every Model and lp, the search's answer). A Workspace keeps that
 // memory between solves. It belongs to whoever calls Solve on it, serves one

@@ -8,20 +8,23 @@ import (
 	"strings"
 	"testing"
 
+	"tetrisched/internal/bitset"
 	"tetrisched/internal/compiler"
 	"tetrisched/internal/milp"
+	"tetrisched/internal/strl"
 )
 
 // leanModel fails the test for what a compiled model should no longer hold
-// because presolve would only delete it: a cull_ row, an indicator that can
-// only be 0, or a supply row repeating an earlier one of its group at a limit
-// no smaller (internal/compiler's TestLeanLowering checks the same, and the
-// lowering records, on its own batches).
+// because presolve would only delete it: a cull_ row, a variable that can only
+// be 0, a job's indicator under its MAX root (which could only be 1: its row
+// max_j would carry it with a negative coefficient), or a supply row repeating
+// an earlier one of its group at a limit no smaller (internal/compiler's
+// TestLeanLowering checks the same, and the lowering records, on its own
+// batches).
 func leanModel(t *testing.T, name string, m *milp.Model) {
 	t.Helper()
 	for i, v := range m.Vars {
-		// Only a partition variable may be bounded at 0 (compiler.genParts).
-		if v.Ub == 0 && v.Type != milp.Integer {
+		if v.Ub == 0 {
 			t.Errorf("%s: variable %s (#%d) can only be 0", name, v.Name.String(), i)
 		}
 	}
@@ -31,6 +34,9 @@ func leanModel(t *testing.T, name string, m *milp.Model) {
 		rowName := con.Name.String()
 		if strings.HasPrefix(rowName, "cull_") {
 			t.Errorf("%s: row %s", name, rowName)
+		}
+		if strings.HasPrefix(rowName, "max_j") && slices.ContainsFunc(con.Terms, func(tm milp.Term) bool { return tm.Coef < 0 }) {
+			t.Errorf("%s: row %s ties its options to an indicator", name, rowName)
 		}
 		var g, slice int
 		if n, _ := fmt.Sscanf(rowName, "supply_g%d_t%d", &g, &slice); n != 2 {
@@ -113,4 +119,101 @@ func TestLeanLowering(t *testing.T) {
 	if 50*dropped > rows {
 		t.Errorf("parity corpus: presolve still drops %d of %d rows", dropped, rows)
 	}
+}
+
+// TestPresolveFixesNothing: on batches of the scoreboard's shapes — GS HET
+// traffic as one model, its natural components and the four-class cut the
+// sharded scheduler makes, and resident blocks of deferring gangs — presolve
+// fixes no column, because the compiler no longer emits one it would fix (a
+// job indicator under a MAX root, a partition variable of a group with nothing
+// free). So the reduced model is in the compiled model's variable space and
+// none of its rows is a copy: each is a compiled row's own term array.
+func TestPresolveFixesNothing(t *testing.T) {
+	check := func(name string, m *milp.Model) {
+		t.Helper()
+		compiled := make(map[*milp.Term]bool, len(m.Cons))
+		for i := range m.Cons {
+			if len(m.Cons[i].Terms) > 0 {
+				compiled[&m.Cons[i].Terms[0]] = true
+			}
+		}
+		pre := milp.Presolve(m)
+		if pre.Infeasible || pre.Stats.VarsFixed != 0 || pre.Model.NumVars() != m.NumVars() {
+			t.Fatalf("%s: presolve fixed %d of %d columns (infeasible %v)", name, pre.Stats.VarsFixed, m.NumVars(), pre.Infeasible)
+		}
+		for i := range pre.Model.Cons {
+			if con := &pre.Model.Cons[i]; len(con.Terms) == 0 || !compiled[&con.Terms[0]] {
+				t.Fatalf("%s: reduced row %s is not a compiled row's terms", name, con.Name.String())
+			}
+		}
+	}
+	solves := 0
+	checkAll := func(name string, comp *compiler.Compiled) {
+		t.Helper()
+		check(name, comp.Model)
+		assign := make([]int, comp.Stats().Jobs)
+		for j := range assign {
+			assign[j] = j % 4
+		}
+		for _, comps := range [][]*compiler.Component{comp.Components(), comp.ForcedComponents(assign, 3)} {
+			for ci, cc := range comps {
+				check(fmt.Sprintf("%s, component %d of %d", name, ci, len(comps)), cc.Model)
+			}
+			solves += len(comps)
+		}
+	}
+	for _, g := range []struct {
+		jobs int
+		seed int64
+	}{{24, 1}, {60, 2}, {120, 3}} {
+		exprs, opts := gshetBatch(t, g.jobs, g.seed)
+		comp, err := compiler.Compile(exprs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAll(fmt.Sprintf("GS HET batch of %d (seed %d)", g.jobs, g.seed), comp)
+	}
+	for churn := 0; churn <= 4; churn += 2 {
+		exprs, opts := residentBatch(churn)
+		comp, err := compiler.Compile(exprs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAll(fmt.Sprintf("resident blocks with %d arrivals", churn), comp)
+	}
+	if solves < 100 {
+		t.Fatalf("only %d component models checked", solves)
+	}
+}
+
+// residentBatch is a cycle of the resident workloads at the compiler's level:
+// eight blocks of eight nodes, busy for the first slice, each with nine
+// deferring gangs offering ten consecutive starts, and the first arrivals
+// blocks each with a short-deadline newcomer offering three.
+func residentBatch(arrivals int) ([]strl.Expr, compiler.Options) {
+	const blocks, width, horizon = 8, 8, 24
+	n := blocks * width
+	rel := make([]int64, n)
+	var jobs []strl.Expr
+	for b := 0; b < blocks; b++ {
+		block := bitset.New(n)
+		for i := b * width; i < (b+1)*width; i++ {
+			block.Add(i)
+			rel[i] = 1
+		}
+		starts := func(k int, count int64, value float64) strl.Expr {
+			var kids []strl.Expr
+			for s := int64(0); s < count; s++ {
+				kids = append(kids, &strl.NCk{Set: block, K: k, Start: s, Dur: 3, Value: value - float64(s)})
+			}
+			return &strl.Max{Kids: kids}
+		}
+		for _, k := range [...]int{2, 3, 5, 7, 2, 3, 5, 7, 2} {
+			jobs = append(jobs, starts(k, 10, 997))
+		}
+		if b < arrivals {
+			jobs = append(jobs, starts(3, 3, 1500))
+		}
+	}
+	return jobs, compiler.Options{Universe: n, Horizon: horizon, ReleaseAt: rel}
 }
