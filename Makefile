@@ -115,8 +115,8 @@ alloc-ceiling:
 # FuzzSolveEachMatchesSolve decodes small packing MILPs and solves them on one
 # WorkspaceList into lent Solutions, against fresh package-level solves and
 # brute force. FuzzClassTableMatchesUncached drives a cached scheduler and a
-# DisableCompileCache twin through arrivals, finishes, failures, drops and
-# preemptions on a small cluster and compares their decisions every cycle.
+# DisableCompileCache twin through arrivals, finishes, failures and drops on a
+# small cluster and compares their decisions every cycle.
 # FuzzParseRoundTrip feeds strl.Parse arbitrary text: whatever it accepts must
 # print to text that parses again and prints identically. FuzzPlanMatchesMapCalendar
 # drives rayon's dense calendar and the map one it replaced through the same

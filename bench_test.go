@@ -101,11 +101,9 @@ func BenchmarkFig10GlobalScheduling(b *testing.B)  { benchFig(b, experiments.Fig
 func BenchmarkFig11PlanAhead(b *testing.B)         { benchFig(b, experiments.Fig11) }
 func BenchmarkFig12Scalability(b *testing.B)       { benchFig(b, experiments.Fig12) }
 
-// Extension benchmarks: TR-scale cluster sweep, preemption ablation, and
-// elastic-job ablation.
-func BenchmarkExtScaleSweep(b *testing.B)         { benchFig(b, experiments.ExtScale) }
-func BenchmarkExtPreemptionAblation(b *testing.B) { benchFig(b, experiments.ExtPreempt) }
-func BenchmarkExtElasticAblation(b *testing.B)    { benchFig(b, experiments.ExtElastic) }
+// Extension benchmarks: TR-scale cluster sweep and elastic-job ablation.
+func BenchmarkExtScaleSweep(b *testing.B)      { benchFig(b, experiments.ExtScale) }
+func BenchmarkExtElasticAblation(b *testing.B) { benchFig(b, experiments.ExtElastic) }
 
 // BenchmarkSchedulerCycle measures one TetriSched cycle on a loaded RC80
 // heterogeneous cluster — the paper's core scalability quantity (Fig 12).

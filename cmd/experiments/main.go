@@ -28,7 +28,7 @@ func main() {
 		jobs   = flag.Int("jobs", 0, "override jobs per run")
 		seeds  = flag.Int("seeds", 0, "override seeds per point")
 		solver = flag.Duration("solver-limit", 0, "override per-solve MILP work budget, in seconds of a reference machine's LP work")
-		ext    = flag.String("ext", "", "extension experiments: scale | preempt | elastic | shard")
+		ext    = flag.String("ext", "", "extension experiments: scale | elastic | shard")
 		tsv    = flag.String("tsv", "", "also write each sub-figure as TSV into this directory")
 	)
 	flag.Parse()
@@ -79,8 +79,6 @@ func main() {
 		err = experiments.Fig12(os.Stdout, sc)
 	case *ext == "scale":
 		err = experiments.ExtScale(os.Stdout, sc)
-	case *ext == "preempt":
-		err = experiments.ExtPreempt(os.Stdout, sc)
 	case *ext == "elastic":
 		err = experiments.ExtElastic(os.Stdout, sc)
 	case *ext == "shard":

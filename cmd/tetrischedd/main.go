@@ -64,7 +64,6 @@ func main() {
 		cycle     = flag.Int64("cycle", 4, "cycle period in seconds")
 		greedy    = flag.Bool("greedy", false, "TetriSched-NG (greedy per-job)")
 		noHet     = flag.Bool("no-het", false, "TetriSched-NH (no soft constraints)")
-		preempt   = flag.Bool("preempt", false, "enable best-effort preemption")
 		limit     = flag.Duration("solver-limit", 300*time.Millisecond, "per-solve MILP work budget, in seconds of a reference machine's LP work (a count, not a clock)")
 		gap       = flag.Float64("gap", 0.1, "relative MIP gap")
 		noPresolv = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
@@ -94,7 +93,6 @@ func main() {
 		PlanAhead:           *planAhead,
 		Greedy:              *greedy,
 		NoHet:               *noHet,
-		EnablePreemption:    *preempt,
 		SolverTimeLimit:     *limit,
 		Gap:                 *gap,
 		DisablePresolve:     *noPresolv,

@@ -39,18 +39,17 @@ func TestTruncatedJobsLoseStalePlanChoice(t *testing.T) {
 	}
 }
 
-// TestPreemptRescueLaunchesOnFreeNodes pins the last-chance rescue path: when
-// an accepted SLO job at its final feasible start slice was missed by the
-// solver but is placeable from genuinely free nodes, the rescue must launch
-// it immediately — "the solver will get it next cycle" is a guaranteed miss,
-// because next cycle has no feasible start by definition.
-func TestPreemptRescueLaunchesOnFreeNodes(t *testing.T) {
+// TestEmptyComponentIsSolvedNotFallenBack pins how a component with nothing
+// to offer ends: the scheduler believes a stale best-effort job holds the
+// whole cluster far into the future, so every leaf of the SLO job is culled
+// and its component is a model without variables. That model's optimum is the
+// empty point, so the component counts as solved and the cycle launches
+// nothing. A solver that answers it with nil Values would file the component
+// as failed, and the greedy fallback would launch the job on the nodes the
+// cycle sees free, against the scheduler's own belief.
+func TestEmptyComponentIsSolvedNotFallenBack(t *testing.T) {
 	c := cluster.NewBuilder().AddRack("r0", 4, nil).Build()
-	sched := New(c, Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0, EnablePreemption: true})
-	// The scheduler believes a best-effort job owns the whole cluster far
-	// into the future (e.g. a stale overrun estimate), which culls every leaf
-	// in the compiled model — the solver cannot place anything. Ground truth
-	// disagrees: all nodes are actually free.
+	sched := New(c, Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0})
 	stale := &workload.Job{ID: 50, Class: workload.BestEffort, Type: workload.Unconstrained, K: 4, BaseRuntime: 1000, Slowdown: 1}
 	sched.running[50] = &runInfo{job: stale, nodes: []int{0, 1, 2, 3}, estEnd: 1000}
 
@@ -58,46 +57,8 @@ func TestPreemptRescueLaunchesOnFreeNodes(t *testing.T) {
 	job := &workload.Job{ID: 1, Class: workload.SLO, Reserved: true, Type: workload.Unconstrained, Submit: 0, K: 2, BaseRuntime: 4, Slowdown: 1, Deadline: 7}
 	sched.Submit(0, job)
 	res := sched.Cycle(0, c.All())
-	if len(res.Decisions) != 1 || res.Decisions[0].Job.ID != job.ID {
-		t.Fatalf("decisions = %+v, want the last-chance SLO job launched on free nodes", res.Decisions)
-	}
-	if got := len(res.Decisions[0].Nodes); got != job.K {
-		t.Errorf("launched on %d nodes, want %d", got, job.K)
-	}
-	if len(res.Preempted) != 0 {
-		t.Errorf("preempted %d jobs; free nodes sufficed, no victims needed", len(res.Preempted))
-	}
-}
-
-// TestPreemptRescueEvictsYoungestVictim pins the rescue's victim ordering:
-// "youngest first (least progress wasted)" means most recently *launched*, not
-// latest believed completion. Ordering by estEnd — which overruns bump forward
-// arbitrarily — evicts whichever victim's estimate drifted furthest, here a
-// job that has been running since t=0 and would lose all that progress.
-func TestPreemptRescueEvictsYoungestVictim(t *testing.T) {
-	c := cluster.NewBuilder().AddRack("r0", 4, nil).Build()
-	sched := New(c, Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0, EnablePreemption: true})
-	// Two best-effort victims, each holding half the cluster. The old job has
-	// been running since t=0 but its (overrun-inflated) estimate stretches to
-	// t=100; the young job launched at t=8 and is believed done at t=20.
-	old := &workload.Job{ID: 10, Class: workload.BestEffort, Type: workload.Unconstrained, K: 2, BaseRuntime: 100, Slowdown: 1}
-	young := &workload.Job{ID: 11, Class: workload.BestEffort, Type: workload.Unconstrained, K: 2, BaseRuntime: 12, Slowdown: 1}
-	sched.running[10] = &runInfo{job: old, nodes: []int{0, 1}, estEnd: 100, launched: 0}
-	sched.running[11] = &runInfo{job: young, nodes: []int{2, 3}, estEnd: 20, launched: 8}
-
-	// Deadline 19 at now=12 with runtime 4 leaves start slice 0 as the only
-	// option; nothing is free, so the rescue must preempt exactly one victim.
-	job := &workload.Job{ID: 1, Class: workload.SLO, Reserved: true, Type: workload.Unconstrained, Submit: 12, K: 2, BaseRuntime: 4, Slowdown: 1, Deadline: 19}
-	sched.Submit(12, job)
-	res := sched.Cycle(12, bitset.New(4))
-	if len(res.Decisions) != 1 || res.Decisions[0].Job.ID != job.ID {
-		t.Fatalf("decisions = %+v, want the last-chance SLO job rescued", res.Decisions)
-	}
-	if len(res.Preempted) != 1 || res.Preempted[0].ID != young.ID {
-		t.Fatalf("preempted %+v, want only the youngest victim (job %d)", res.Preempted, young.ID)
-	}
-	if _, ok := sched.running[old.ID]; !ok {
-		t.Errorf("long-running job %d was evicted; it launched first and had the most progress to lose", old.ID)
+	if len(res.Decisions) != 0 {
+		t.Fatalf("decisions = %+v, want none: the empty component is solved, and the fallback must not run", res.Decisions)
 	}
 }
 

@@ -98,7 +98,7 @@ type compEntry struct {
 func (s *Scheduler) feEnabled() bool { return !s.cfg.DisableCompileCache && !s.cfg.Greedy }
 
 // markJobDirty is the one purge hook: every event that can change a job's
-// request or standing (arrival, launch, finish, drop, preemption) drops its
+// request or standing (arrival, launch, finish, drop) drops its
 // cached expression, marks its class for recompilation and forgets the
 // solutions of the components naming it. Terminal events must purge eagerly:
 // a drained scheduler runs no further global cycle to sweep the table. A

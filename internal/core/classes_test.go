@@ -115,7 +115,7 @@ func TestIncrementalStateDrains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := New(c, Config{PlanAhead: 48, EnablePreemption: true, Shards: shards})
+		sched := New(c, Config{PlanAhead: 48, Shards: shards})
 		if _, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched}); err != nil {
 			t.Fatal(err)
 		}
@@ -534,7 +534,7 @@ func TestClassCompileMatchesBatch(t *testing.T) {
 // randomClassInstance draws a small heterogeneous cluster and a mixed workload
 // on it: every placement type (data-local jobs on short node ranges are what
 // make several classes), deadlines tight and loose, estimate error, now and
-// then a node failure, preemption or a MaxBatch that truncates.
+// then a node failure or a MaxBatch that truncates.
 func randomClassInstance(seed int64) (*cluster.Cluster, []*workload.Job, Config, []sim.NodeFailure) {
 	r := rand.New(rand.NewSource(seed))
 	gk, gv := cluster.GPUAttr()
@@ -581,7 +581,8 @@ func randomClassInstance(seed int64) (*cluster.Cluster, []*workload.Job, Config,
 		}
 		jobs[id] = j
 	}
-	cfg := Config{CyclePeriod: 4, PlanAhead: int64(4 * (4 + r.Intn(9))), EnablePreemption: r.Intn(4) == 0}
+	cfg := Config{CyclePeriod: 4, PlanAhead: int64(4 * (4 + r.Intn(9)))}
+	_ = r.Intn(4) // a draw no field uses, kept so every later draw, and so every instance, stays the same
 	if r.Intn(4) == 0 {
 		cfg.MaxBatch = 3 + r.Intn(4)
 	}

@@ -25,9 +25,8 @@ func (in *fuzzInput) next(n int) int {
 
 // fuzzJob decodes one arrival at now: any placement type, gang width 1–3,
 // best effort or SLO with or without a reservation, a deadline from no slack
-// (which leaves a reserved job its start-now options only, what preemption
-// rescues) to far beyond the window, and data nodes on a short range of the
-// cluster.
+// (which leaves a reserved job its start-now options only) to far beyond the
+// window, and data nodes on a short range of the cluster.
 // It returns the job and how long it really runs: up to a cycle less than its
 // base runtime or several more, so jobs overrun, which pins the believed
 // release slices of their nodes and lets the classes waiting on them be kept.
@@ -58,25 +57,24 @@ func fuzzJob(in *fuzzInput, id int, now int64, nodes int) (*workload.Job, int64)
 
 // FuzzClassTableMatchesUncached: the class table against the scheduler that
 // keeps nothing. The fuzzer's bytes choose a configuration (plan-ahead window,
-// preemption, two shards, a MaxBatch that truncates) and then a run of events
-// on a 12-node cluster: arrivals, early finishes, failures that kill a running
-// job and resubmit it, and cycles, in which jobs end on their own, SLO jobs
-// past their deadline are dropped and reserved ones at their last start may
-// preempt best-effort work. A scheduler with every cache on and one with
+// two shards, a MaxBatch that truncates) and then a run of events on a 12-node
+// cluster: arrivals, early finishes, failures that kill a running job and
+// resubmit it, and cycles, in which jobs end on their own and SLO jobs past
+// their last start are dropped. A scheduler with every cache on and one with
 // DisableCompileCache see the same events, and every cycle they must make the
-// same decisions — the same launches on the same nodes, drops and preemptions,
-// in the same order — and place only on free nodes. The seed corpus
+// same decisions — the same launches on the same nodes and the same drops, in
+// the same order — and place only on free nodes. The seed corpus
 // (testdata/fuzz) holds runs in which classes are kept and replayed: overrunning
 // best-effort gangs pin the release slices while SLO jobs with far deadlines
-// wait, sharded, truncated, with finishes and failures, and with a reserved job
-// at its last start that preempts.
+// wait, sharded, truncated, with finishes and failures, and one in which both
+// schedulers must drop a reserved job at its last start, which the blocked
+// cluster cannot give it, in the same cycle.
 func FuzzClassTableMatchesUncached(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		gk, gv := cluster.GPUAttr()
 		c := cluster.NewBuilder().AddRack("r0", 4, map[string]string{gk: gv}).AddRack("r1", 4, nil).AddRack("r2", 4, nil).Build()
-		cfg := Config{CyclePeriod: 4, PlanAhead: int64(4 * (4 + in.next(5))),
-			EnablePreemption: in.next(2) == 1, Shards: 2 * in.next(2)}
+		cfg := Config{CyclePeriod: 4, PlanAhead: int64(4 * (4 + in.next(5))), Shards: 2 * in.next(2)}
 		if in.next(4) == 0 {
 			cfg.MaxBatch = 3
 		}
@@ -149,13 +147,6 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 					scheds[0].Pending(), scheds[1].Pending(), scheds[0].Running(), scheds[1].Running())
 			}
 			assertTableLive(t, scheds[0], fmt.Sprintf("t=%d", now))
-			for _, p := range res[0].Preempted {
-				r := running[p.ID]
-				delete(running, p.ID)
-				for _, n := range r.nodes {
-					free.Add(n)
-				}
-			}
 			for _, d := range res[0].Decisions {
 				for _, n := range d.Nodes {
 					if !free.Contains(n) {
@@ -193,9 +184,6 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 // fuzzOutcome writes a cycle's decisions down in order.
 func fuzzOutcome(res sim.CycleResult) string {
 	var out []string
-	for _, j := range res.Preempted {
-		out = append(out, fmt.Sprintf("preempt %d", j.ID))
-	}
 	for _, d := range res.Decisions {
 		out = append(out, fmt.Sprintf("launch %d on %v", d.Job.ID, d.Nodes))
 	}

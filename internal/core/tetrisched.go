@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"tetrisched/internal/bitset"
@@ -91,12 +90,6 @@ type Config struct {
 	// subsystem (internal/trace, docs/OBSERVABILITY.md). Nil disables
 	// tracing at the cost of one branch per hook point.
 	Tracer *trace.Tracer
-	// EnablePreemption activates the paper's future-work extension (§7.2):
-	// when an accepted SLO job is at its last feasible start slice and the
-	// MILP could not place it, running best-effort jobs may be killed
-	// (restart semantics) to free capacity. Off by default, matching the
-	// paper's evaluated configuration.
-	EnablePreemption bool
 }
 
 func (c Config) withDefaults() Config {
@@ -264,10 +257,9 @@ func (st *SolveStats) record(sol *milp.Solution, warmSeeds int, d time.Duration)
 
 // runInfo tracks the scheduler's belief about a running job.
 type runInfo struct {
-	job      *workload.Job
-	nodes    []int
-	estEnd   int64 // believed completion; bumped forward when overrun (§7.1)
-	launched int64 // launch time; preemption evicts the youngest victims first
+	job    *workload.Job
+	nodes  []int
+	estEnd int64 // believed completion; bumped forward when overrun (§7.1)
 }
 
 // planChoice remembers a deferred placement decision for warm-starting the
@@ -419,10 +411,10 @@ func priority(j *workload.Job) int {
 }
 
 // orderedPending returns pending jobs in priority-then-arrival order. Arrival
-// is the job's Submit time, not its position in s.pending: preemption victims
-// and failure restarts re-enter the queue at the tail, and ordering by queue
-// position would file an early-arriving restart behind later arrivals,
-// breaking the FIFO-within-class guarantee of §6.3. Ties (same class, same
+// is the job's Submit time, not its position in s.pending: failure restarts
+// re-enter the queue at the tail, and ordering by queue position would file
+// an early-arriving restart behind later arrivals, breaking the
+// FIFO-within-class guarantee of §6.3. Ties (same class, same
 // Submit) break by the front door's weighted-fair admission sequence when one
 // was stamped (workload.Job.AdmitSeq — jobs admitted in the same cycle share
 // a Submit, and ID order would hand the queue position back to whichever
@@ -646,10 +638,6 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	}
 	working := s.working
 	working.CopyFrom(free)
-	var granted map[int]bool
-	if s.cfg.EnablePreemption {
-		granted = make(map[int]bool)
-	}
 	nGranted := 0
 	for _, cl := range classes {
 		cl.regrant()
@@ -665,9 +653,6 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 				continue
 			}
 			nGranted++
-			if granted != nil {
-				granted[req.Job.ID] = true
-			}
 			arbJob := cl.assign != nil && cl.assign[local] == len(s.shardSets)
 			if g.Start > 0 {
 				s.lastJob[req.Job.ID] = planChoice{key: opt.Key, slice: g.Start}
@@ -715,9 +700,6 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		// greedy packing against whatever the solved components left free.
 		s.tr.Instant("solve", "fallback", trace.I("jobs", int64(len(failed))))
 		s.fallbackPack(now, working, failed, res)
-	}
-	if s.cfg.EnablePreemption {
-		s.preemptRescue(now, working, reqs, granted, res)
 	}
 }
 
@@ -914,114 +896,6 @@ func endSolveSpan(sp trace.Span, sol *milp.Solution, err error, warmSeed bool) {
 		trace.B("warm_seed", warmSeed))
 }
 
-// preemptRescue is the optional preemption extension: an accepted SLO job
-// whose *only* remaining feasible start is this cycle, and which the solver
-// could not place, may evict running best-effort work. Victims lose all
-// progress and re-enter the pending queue.
-func (s *Scheduler) preemptRescue(now int64, working *bitset.Set, reqs []*strlgen.Request, granted map[int]bool, res *sim.CycleResult) {
-	// Jobs launched earlier in this same cycle are not yet running from the
-	// driver's perspective and must not be chosen as victims.
-	launchedNow := make(map[int]bool, len(res.Decisions))
-	for _, d := range res.Decisions {
-		launchedNow[d.Job.ID] = true
-	}
-	for _, req := range reqs {
-		j := req.Job
-		if granted[j.ID] || priority(j) != 0 {
-			continue
-		}
-		if _, isRunning := s.running[j.ID]; isRunning {
-			continue // already launched this cycle by a fallback path
-		}
-		lastChance := true
-		for _, o := range req.Options {
-			if o.StartSlice > 0 {
-				lastChance = false
-				break
-			}
-		}
-		if !lastChance {
-			continue
-		}
-		// Pick the highest-value start-now option that preemption can cover.
-		for _, o := range req.Options {
-			set := o.Leaf.Set
-			freeIn := set.IntersectCount(working)
-			if freeIn >= j.K {
-				// Placeable from free nodes alone. This is the job's last
-				// feasible start slice — waiting for the solver to pick it up
-				// next cycle guarantees a dead SLO — so launch directly.
-				s.launchFrom(now, j, set, working, o, res)
-				break
-			}
-			// Collect best-effort victims whose nodes intersect the set,
-			// youngest first (least progress wasted).
-			var victims []*runInfo
-			for _, r := range s.running {
-				if r.job.Class == workload.BestEffort && !launchedNow[r.job.ID] {
-					victims = append(victims, r)
-				}
-			}
-			sort.Slice(victims, func(a, b int) bool {
-				if victims[a].launched != victims[b].launched {
-					return victims[a].launched > victims[b].launched
-				}
-				return victims[a].job.ID > victims[b].job.ID
-			})
-			need := j.K - freeIn
-			var chosen []*runInfo
-			for _, v := range victims {
-				if need <= 0 {
-					break
-				}
-				inSet := 0
-				for _, n := range v.nodes {
-					if set.Contains(n) {
-						inSet++
-					}
-				}
-				if inSet > 0 {
-					chosen = append(chosen, v)
-					need -= inSet
-				}
-			}
-			if need > 0 {
-				continue // even full preemption cannot cover this option
-			}
-			for _, v := range chosen {
-				res.Preempted = append(res.Preempted, v.job)
-				s.tr.Instant("place", "preempt", trace.I("victim", int64(v.job.ID)),
-					trace.I("rescued", int64(j.ID)))
-				delete(s.running, v.job.ID)
-				s.markJobDirty(v.job.ID)
-				if s.sharded() {
-					s.shardState.Bump(v.nodes)
-				}
-				for _, n := range v.nodes {
-					working.Add(n)
-				}
-				s.pending = append(s.pending, v.job) // re-queue for restart
-			}
-			s.launchFrom(now, j, set, working, o, res)
-			break
-		}
-	}
-}
-
-// launchFrom launches j on its first j.K free nodes within set, consuming
-// them from working.
-func (s *Scheduler) launchFrom(now int64, j *workload.Job, set, working *bitset.Set, o *strlgen.Option, res *sim.CycleResult) {
-	nodes := make([]int, 0, j.K)
-	set.Intersect(working).ForEach(func(n int) bool {
-		nodes = append(nodes, n)
-		return len(nodes) < j.K
-	})
-	for _, n := range nodes {
-		working.Remove(n)
-	}
-	s.launch(now, j, nodes, o, res)
-}
-
 // greedyCycle is TetriSched-NG: one MILP per job, highest priority first,
 // with earlier jobs' tentative space-time claims excluded from later solves.
 func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Request, res *sim.CycleResult) {
@@ -1142,7 +1016,7 @@ func (s *Scheduler) launch(now int64, j *workload.Job, nodes []int, opt *strlgen
 	if s.sharded() {
 		s.shardState.Bump(nodes)
 	}
-	s.running[j.ID] = &runInfo{job: j, nodes: nodes, estEnd: now + opt.EstDur, launched: now}
+	s.running[j.ID] = &runInfo{job: j, nodes: nodes, estEnd: now + opt.EstDur}
 	s.removePending(j)
 	delete(s.lastJob, j.ID)
 	s.markJobDirty(j.ID)

@@ -347,72 +347,6 @@ func TestUnderEstimateAdjustment(t *testing.T) {
 	}
 }
 
-// TestPreemptionRescuesLastChanceSLO exercises the optional preemption
-// extension: an accepted SLO job at its last feasible start evicts
-// best-effort work; without the extension it misses its deadline.
-func TestPreemptionRescuesLastChanceSLO(t *testing.T) {
-	mk := func(enable bool) (*sim.Result, error) {
-		c := cluster.NewBuilder().AddRack("r0", 4, nil).Build()
-		jobs := []*workload.Job{
-			// BE job holds the whole cluster for a long time.
-			{ID: 0, Class: workload.BestEffort, Type: workload.Unconstrained, Submit: 0, K: 4, BaseRuntime: 1000, Slowdown: 1},
-			// SLO job whose deadline is only reachable by starting at t=8.
-			{ID: 1, Class: workload.SLO, Type: workload.Unconstrained, Submit: 8, K: 4, BaseRuntime: 40, Slowdown: 1, Deadline: 50},
-		}
-		sched := New(c, Config{PlanAhead: 40, EnablePreemption: enable})
-		return sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched})
-	}
-	res, err := mk(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats[1].MetSLO() {
-		t.Errorf("SLO job missed despite preemption: %+v", res.Stats[1])
-	}
-	if res.Stats[0].Preemptions != 1 {
-		t.Errorf("BE preemptions = %d, want 1", res.Stats[0].Preemptions)
-	}
-	if !res.Stats[0].Completed {
-		t.Errorf("preempted BE job never restarted")
-	}
-
-	baseline, err := mk(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseline.Stats[1].MetSLO() {
-		t.Errorf("without preemption the SLO job should miss")
-	}
-	if baseline.Stats[0].Preemptions != 0 {
-		t.Errorf("preemption occurred while disabled")
-	}
-}
-
-// TestPreemptionNeverKillsSLOJobs: only best-effort work is evictable.
-func TestPreemptionNeverKillsSLOJobs(t *testing.T) {
-	c := cluster.NewBuilder().AddRack("r0", 4, nil).Build()
-	jobs := []*workload.Job{
-		// An SLO job holds the cluster.
-		{ID: 0, Class: workload.SLO, Type: workload.Unconstrained, Submit: 0, K: 4, BaseRuntime: 200, Slowdown: 1, Deadline: 400},
-		// A second SLO job that cannot be saved without killing the first.
-		{ID: 1, Class: workload.SLO, Type: workload.Unconstrained, Submit: 8, K: 4, BaseRuntime: 40, Slowdown: 1, Deadline: 50},
-	}
-	sched := New(c, Config{PlanAhead: 40, EnablePreemption: true})
-	res, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats[0].Preemptions != 0 {
-		t.Errorf("SLO job was preempted")
-	}
-	if !res.Stats[0].MetSLO() {
-		t.Errorf("running SLO job should finish on time: %+v", res.Stats[0])
-	}
-	if !res.Stats[1].Dropped {
-		t.Errorf("unsaveable job should be dropped: %+v", res.Stats[1])
-	}
-}
-
 // TestElasticJobShrinksUnderContention: a malleable job takes a narrower
 // allocation (and runs longer) when the cluster is tight, and its full width
 // when idle — the §4.1 space-time elasticity expressed with MAX over widths.

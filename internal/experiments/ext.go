@@ -48,34 +48,6 @@ func ExtScale(w io.Writer, sc Scale) error {
 	return nil
 }
 
-// ExtPreempt is an ablation for the repository's preemption extension (the
-// paper lists preemption in a TetriSched-like scheduler as future work,
-// §7.2): TetriSched with and without best-effort preemption on the GS MIX
-// workload under under-estimation, where last-chance SLO jobs are most
-// common.
-func ExtPreempt(w io.Writer, sc Scale) error {
-	c := cluster.RC80(false)
-	mix := workload.GSMIX(sc.Jobs)
-	mix.EstErr = -0.5
-	mix.TargetUtil = 1.3
-	fmt.Fprintln(w, "\nExtension — best-effort preemption ablation [RC80, GS_MIX, err=-50%]")
-	fmt.Fprintf(w, "%-28s%12s%12s%14s\n", "scheduler", "SLO-all(%)", "SLO-res(%)", "BE-latency(s)")
-	for _, on := range []bool{false, true} {
-		cfg := core.Config{CyclePeriod: sc.CyclePeriod, PlanAhead: sc.PlanAhead,
-			SolverTimeLimit: sc.SolverTimeLimit, EnablePreemption: on}
-		b := TetriSched(cfg)
-		if on {
-			b.Name = "TetriSched+preempt"
-		}
-		sum, err := Averaged(c, mix, sc, b)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-28s%12.1f%12.1f%14.1f\n", b.Name, sum.SLOAll, sum.SLOAccepted, sum.MeanBELatency)
-	}
-	return nil
-}
-
 // ExtElastic measures the benefit of malleable best-effort jobs (the §4.1
 // space-time elasticity extension): GS MIX with rigid vs elastic BE jobs.
 func ExtElastic(w io.Writer, sc Scale) error {

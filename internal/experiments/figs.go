@@ -260,7 +260,6 @@ func All(w io.Writer, sc Scale) error {
 		{"Fig 11", Fig11},
 		{"Fig 12", Fig12},
 		{"Extension: scale", ExtScale},
-		{"Extension: preemption", ExtPreempt},
 		{"Extension: elastic", ExtElastic},
 		{"Extension: sharding", ExtShard},
 	}

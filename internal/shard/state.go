@@ -4,7 +4,7 @@ import "sync"
 
 // State is the versioned shared cluster state: one monotonically increasing
 // epoch per node, bumped whenever the node's allocation changes (launch,
-// finish, preemption). Shard planners snapshot the epochs when a cycle's free
+// finish). Shard planners snapshot the epochs when a cycle's free
 // set is captured; at commit time a placement that cannot be applied is
 // classified as a cross-shard double-claim exactly when nodes whose epoch
 // moved since the snapshot would have satisfied it (internal/core's

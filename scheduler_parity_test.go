@@ -30,8 +30,8 @@ type parityInstance struct {
 
 // randomParityInstance draws a cluster, workload, and configuration: mixed job
 // classes and placement types, occasional estimate error (negative values
-// create natural overruns), occasional node failures, preemption, and small
-// MaxBatch (exercising truncation). Every 4th instance is the crafted
+// create natural overruns), occasional node failures, and small MaxBatch
+// (exercising truncation). Every 4th instance is the crafted
 // steady-state scenario instead, so the on-run reliably exercises replay, and
 // every 8th (chosen by idx, so neither the seeded stream nor the steady stride
 // moves) solves at a work budget that cuts searches off, so both sides also
@@ -98,9 +98,8 @@ func randomParityInstance(idx int, seed int64) parityInstance {
 		c:      c,
 		mkJobs: mkJobs,
 		cfg: core.Config{
-			CyclePeriod:      4,
-			PlanAhead:        int64(16 + 8*r.Intn(3)),
-			EnablePreemption: idx%3 == 0,
+			CyclePeriod: 4,
+			PlanAhead:   int64(16 + 8*r.Intn(3)),
 		},
 	}
 	if idx%8 == 3 {
@@ -166,7 +165,7 @@ type paritySwitch struct {
 
 // schedulerParity is the policy-invariance property of a scheduler-level
 // switch: across 220 seeded multi-cycle simulations — arrivals, completions,
-// drops, overruns, node failures, preemptions, truncation — the run with the
+// drops, overruns, node failures, truncation — the run with the
 // switch on produces byte-identical per-job outcomes, makespan, busy
 // node-seconds and stall verdict to the run with it off.
 func schedulerParity(t *testing.T, sw paritySwitch) {
