@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all verify build vet test test-short test-shuffle race bench bench-compare bench-all bench-smoke benchmark-quick alloc-ceiling fuzz-smoke loadgen-smoke shard-smoke repeat-check cover traffic-cover experiments experiments-quick examples clean
+.PHONY: all verify build vet test test-short test-shuffle race bench bench-compare bench-all bench-smoke benchmark-quick alloc-ceiling fuzz-smoke loadgen-smoke shard-smoke repeat-check same-schedules update-same-schedules same-schedules-run cover traffic-cover experiments experiments-quick examples clean
 
 all: build vet test race
 
@@ -182,6 +182,45 @@ repeat-check:
 		|| { echo "repeat-check: no solve ended unproven, so nothing was cut off"; exit 1; }
 	@echo "repeat-check: identical at GOMAXPROCS=1 and at GOMAXPROCS=2 beside a CPU hog:" \
 		$$(grep -E '^(bb_nodes|lp_iterations|unproven)=' $(REPEATDIR)/alone.key)
+
+# Same schedules: every schedule the repo pins exactly, in one committed file.
+# same-schedules.golden holds the `hash` line of `go run ./benchmark -workload
+# W -trace 0 -seconds 0 -seed S` for the four virtual-time workloads at seeds
+# 1-3, the 22 TSVs of `experiments -quick -all -tsv` (Figs 6-11, no
+# wall-clock column), and repeat-check's counts line. All of them are exact on
+# any machine, so a change that claims not to move a schedule leaves the file
+# as it is; one that moves a schedule regenerates it with
+# `make update-same-schedules` in the same commit and names the moved lines in
+# CHANGES.md. About a minute on two vCPUs. Wired into CI.
+SAMEDIR ?= .same
+SAME_WORKLOADS = trace_gshet trace_gshet_shards4 resident_churn1 resident_churn50
+SAME_SEEDS = 1 2 3
+same-schedules-run: repeat-check
+	rm -rf $(SAMEDIR) && mkdir -p $(SAMEDIR)/tsv
+	$(GO) build -o $(SAMEDIR)/benchmark ./benchmark
+	$(GO) build -o $(SAMEDIR)/experiments ./cmd/experiments
+	$(SAMEDIR)/experiments -quick -all -tsv $(SAMEDIR)/tsv > $(SAMEDIR)/experiments.log 2>&1
+	@set -e; { \
+		echo "# hash of: go run ./benchmark -workload W -trace 0 -seconds 0 -seed S"; \
+		for w in $(SAME_WORKLOADS); do for s in $(SAME_SEEDS); do \
+			$(SAMEDIR)/benchmark -workload $$w -trace 0 -seconds 0 -seed $$s > $(SAMEDIR)/run.log 2>&1; \
+			echo "$$w seed $$s hash $$(sed -n 's/^hash //p' $(SAMEDIR)/run.log | tail -n 1)"; \
+		done; done; \
+		echo "# make repeat-check counts"; \
+		grep -E '^(bb_nodes|lp_iterations|unproven)=' $(REPEATDIR)/alone.key | paste -sd ' ' -; \
+		for f in $$(cd $(SAMEDIR)/tsv && LC_ALL=C ls); do \
+			echo "# experiments -quick -all -tsv: $$f"; cat $(SAMEDIR)/tsv/$$f; \
+		done; \
+	} > $(SAMEDIR)/same-schedules.txt
+
+same-schedules: same-schedules-run
+	@diff -u same-schedules.golden $(SAMEDIR)/same-schedules.txt > $(SAMEDIR)/golden.diff \
+		|| { echo "same-schedules: a schedule moved (regenerate with make update-same-schedules and say why in CHANGES.md):"; \
+			head -n 60 $(SAMEDIR)/golden.diff; exit 1; }
+	@echo "same-schedules: $$(grep -c ' seed [0-9]* hash ' same-schedules.golden) hashes, $$(grep -c '^# experiments' same-schedules.golden) TSVs and the repeat-check counts match same-schedules.golden"
+
+update-same-schedules: same-schedules-run
+	cp $(SAMEDIR)/same-schedules.txt same-schedules.golden
 
 cover:
 	$(GO) test -cover ./internal/...
