@@ -154,14 +154,18 @@ type Scratch struct {
 	// Build-time only.
 	universe *bitset.Set
 	eqsets   []*bitset.Set
-	// use is the dense supply accumulator, one cell of usage terms per
-	// (group, slice) at cell index group*horizon+slice. Cells keep their
-	// capacity across compilations.
-	use      [][]milp.Term
+	uses     []supplyUse // every supply term, once, in emission order (addUse)
+	events   []int32     // where uses start (u) and end (^u), by group, slice and emission (sortEvents)
+	eventAt  []int32     // events[eventAt[k]:eventAt[k+1]] happen in group g at slice t, k = g*(h+1)+t
+	live     []int32     // the uses in the supply cell of the slice being emitted, in emission order
+	cell     []milp.Term // their terms
+	spare    []int32     // the memory of the next slice's live
+	spareRow []milp.Term // and of its cell
 	demand   []milp.Term // row build buffer (AddConstraint copies)
 	kids     []milp.Term // MAX/SUM child-indicator rows, a stack across nesting levels
 	obj      []milp.Term // objective contribution of the subtree being lowered
-	kept     []int       // slices of the group being emitted whose cell became a supply row
+	kept     []keptRow   // the supply rows of the group being emitted
+	keptLive []int32     // their cells' uses back to back
 	ghostJob []int32     // the job of each ghost in the supply cells (ghostVar)
 	nl       int         // leaf records passed so far: the next one to lower
 	dead     []bool      // per node of the batch in visiting order: its subtree is left out (markDead)
@@ -228,24 +232,16 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// useGrid sizes the supply accumulator for nG groups over h slices and
-// resets every cell. Resetting at the start of a compilation (rather than
-// the end) keeps an error return from poisoning the next one.
-func (sc *Scratch) useGrid(nG int, h int64) {
-	need := nG * int(h)
-	if need > cap(sc.use) {
-		grown := make([][]milp.Term, need)
-		copy(grown, sc.use[:cap(sc.use)])
-		sc.use = grown
-	} else {
-		sc.use = sc.use[:need]
-	}
-	for i, cell := range sc.use {
-		if len(cell) != 0 {
-			sc.use[i] = cell[:0]
-		}
-	}
+// A supplyUse is a term in group's supply cells over slices [s, e). w is the
+// most nodes it can take, coefficient (gang width or 1) times upper bound (a
+// node count), 0 for a ghost: a whole number, so its sums are exact.
+type supplyUse struct {
+	term           milp.Term
+	group, s, e, w int32
 }
+
+// keptRow is a supply row of the group being emitted: its slice and cell's uses, keptLive[lo:hi].
+type keptRow struct{ t, lo, hi int32 }
 
 // GroupCount is a node count drawn from one partition group.
 type GroupCount struct{ Group, N int }
@@ -271,7 +267,7 @@ func Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	sc := new(Scratch)
 	c, err := sc.Compile(jobs, opts)
 	// Nothing compiles on sc again: keep only what c is made of.
-	sc.universe, sc.eqsets, sc.use, sc.demand, sc.kids, sc.obj, sc.kept, sc.dead, sc.ghostJob = nil, nil, nil, nil, nil, nil, nil, nil, nil
+	sc.universe, sc.eqsets, sc.uses, sc.events, sc.eventAt, sc.live, sc.cell, sc.spare, sc.spareRow, sc.demand, sc.kids, sc.obj, sc.kept, sc.keptLive, sc.dead, sc.ghostJob = nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil
 	return c, err
 }
 
@@ -331,8 +327,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	opts.Within = nil
 	part := &sc.part
 	part.Refine(within, eqsets)
-	sc.useGrid(len(part.Groups), opts.Horizon)
-	sc.obj, sc.kids, sc.ghostJob, sc.nl, sc.nn = sc.obj[:0], sc.kids[:0], sc.ghostJob[:0], 0, 0
+	sc.uses, sc.obj, sc.kids, sc.ghostJob, sc.nl, sc.nn = sc.uses[:0], sc.obj[:0], sc.kids[:0], sc.ghostJob[:0], 0, 0
 	sc.ints.rewind()
 	sc.int32s.rewind()
 	sc.vars.rewind()
@@ -387,52 +382,99 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		sc.obj = sc.obj[:0]
 	}
 	c.job = append(c.job, jobRecord{varLo: c.Model.NumVars(), leafLo: sc.nl})
-	// Supply constraints: usage within each (group, slice) cannot exceed the
-	// nodes available there. Constraints that cannot bind are dropped, and so
-	// is a cell that repeats the terms of one its group already has a row for
-	// at a limit no smaller — the per-slice expansion of one packing row into
-	// a copy for every slice the same leaves occupy. The dense accumulator is
-	// walked group-major then slice-major, the same order the old sorted-key
-	// emission used, so the emitted model (and thus the chosen optimum among
-	// ties) stays deterministic.
-	h := int(opts.Horizon)
-	for g := range part.Groups {
-		kept := sc.kept[:0]
-		for t := 0; t < h; t++ {
-			cell := sc.use[g*h+t]
-			if len(cell) == 0 {
-				continue
-			}
-			limit := c.avail[g][t]
-			maxUse, ghosts := 0.0, false
-			for _, tm := range cell {
-				if tm.Var < 0 {
-					ghosts = true // worth nothing: it can only be 0
-					continue
-				}
-				maxUse += tm.Coef * c.Model.Vars[tm.Var].Ub
-			}
-			if maxUse <= float64(limit) || c.implied(g, kept, cell, limit) {
-				continue
-			}
-			kept = append(kept, t)
-			if ghosts {
-				cell = c.setGhostsAside(cell)
-			}
-			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, t), cell, milp.LE, float64(limit))
-		}
-		sc.kept = kept
-	}
+	c.emitSupply()
 	// The append-grown arrays may have moved; keep the larger ones.
 	sc.parts, sc.ghosts = c.parts, c.ghosts
 	return c, nil
 }
 
+// emitSupply adds the supply constraints: usage within each (group, slice)
+// cannot exceed the nodes available there. A cell that cannot bind is dropped,
+// and so is one repeating the terms of a row of its group at a limit no
+// smaller. Cells go group-major, then slice by slice, each the one before
+// stepped by the uses starting and ending at its slice, with its terms in
+// emission order, so the model (and the optimum chosen among ties) is fixed.
+func (c *Compiled) emitSupply() {
+	sc, h := c.scr, int32(c.opts.Horizon)
+	sc.sortEvents(len(c.Part.Groups), h)
+	for g := range c.Part.Groups {
+		sc.live, sc.cell, sc.kept, sc.keptLive = sc.live[:0], sc.cell[:0], sc.kept[:0], sc.keptLive[:0]
+		maxUse, ghosts := int64(0), 0
+		for t, k := int32(0), int32(g)*(h+1); t < h; t, k = t+1, k+1 {
+			if ev := sc.events[sc.eventAt[k]:sc.eventAt[k+1]]; len(ev) > 0 {
+				dUse, dGhosts := sc.step(ev)
+				maxUse, ghosts = maxUse+dUse, ghosts+dGhosts
+			}
+			limit := c.avail[g][t]
+			if maxUse <= limit || c.implied(g, sc.cell, limit) { // the empty cell too
+				continue
+			}
+			sc.kept = append(sc.kept, keptRow{t: t, lo: int32(len(sc.keptLive)), hi: int32(len(sc.keptLive) + len(sc.cell))})
+			sc.keptLive = append(sc.keptLive, sc.live...)
+			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, int(t)), c.setGhostsAside(sc.cell, ghosts), milp.LE, float64(limit))
+		}
+	}
+}
+
+// sortEvents counting-sorts where each use u starts (u) and ends (^u) into
+// events, by group, slice (h: at the window's edge, never read) and emission.
+func (sc *Scratch) sortEvents(nGroups int, h int32) {
+	n := nGroups * int(h+1)
+	at := sized(sc.eventAt, n+2)
+	clear(at)
+	for _, u := range sc.uses {
+		at[u.group*(h+1)+u.s+2]++
+		at[u.group*(h+1)+u.e+2]++
+	}
+	for i := 2; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	ev := sized(sc.events, 2*len(sc.uses))
+	for i, u := range sc.uses {
+		k, l := u.group*(h+1)+u.s+1, u.group*(h+1)+u.e+1
+		ev[at[k]], ev[at[l]] = int32(i), ^int32(i)
+		at[k], at[l] = at[k]+1, at[l]+1
+	}
+	sc.eventAt, sc.events = at[:n+1], ev
+}
+
+// step moves the cell on by its next slice's events into the spare memory:
+// the uses ending leave, those starting join in emission order, the rest are
+// copied over. It returns the change in the most nodes the cell's terms can
+// take and in how many of them are ghosts.
+func (sc *Scratch) step(ev []int32) (dUse int64, dGhosts int) {
+	live, cell, n := sc.live, sc.cell, len(sc.live)+len(ev)
+	nextLive, nextCell, i, k := sized(sc.spare, n), sized(sc.spareRow, n), 0, 0
+	for _, e := range ev {
+		u := max(e, ^e)
+		for ; i < len(live) && live[i] < u; i, k = i+1, k+1 {
+			nextLive[k], nextCell[k] = live[i], cell[i]
+		}
+		use, sign := &sc.uses[u], 1
+		if e >= 0 {
+			nextLive[k], nextCell[k], k = u, use.term, k+1
+		} else {
+			i, sign = i+1, -1 // live[i] is u, which ends here
+		}
+		dUse += int64(sign) * int64(use.w)
+		if use.term.Var < 0 {
+			dGhosts += sign
+		}
+	}
+	copy(nextCell[k:], cell[i:])
+	k += copy(nextLive[k:], live[i:])
+	sc.spare, sc.spareRow, sc.live, sc.cell = live, cell, nextLive[:k], nextCell[:k]
+	return dUse, dGhosts
+}
+
 // setGhostsAside records the ghosts of the supply cell about to become the
-// model's next row and returns the cell's other terms, the row's, in the
-// scratch's build buffer.
-func (c *Compiled) setGhostsAside(cell []milp.Term) []milp.Term {
+// model's next row, n of them, and returns the cell's other terms, the row's:
+// the cell itself when there are none, else in the scratch's build buffer.
+func (c *Compiled) setGhostsAside(cell []milp.Term, n int) []milp.Term {
 	sc := c.scr
+	if n == 0 {
+		return cell
+	}
 	row, terms := int32(c.Model.NumConstraints()), sc.demand[:0]
 	for _, tm := range cell {
 		if tm.Var >= 0 {
@@ -768,12 +810,13 @@ func (c *Compiled) genParts(rec *leafRecord, cover []int, s, e int64, format str
 }
 
 // implied reports whether the supply row of group g with these terms and this
-// limit says nothing new: one of the group's kept cells has the same terms at
-// a limit no larger.
-func (c *Compiled) implied(g int, kept []int, cell []milp.Term, limit int64) bool {
-	h := int(c.opts.Horizon)
-	for i := len(kept) - 1; i >= 0; i-- { // the neighbouring slice first
-		if t := kept[i]; c.avail[g][t] <= limit && slices.Equal(c.scr.use[g*h+t], cell) {
+// limit says nothing new: one of the group's kept rows has the same terms at a
+// limit no larger.
+func (c *Compiled) implied(g int, cell []milp.Term, limit int64) bool {
+	sc := c.scr
+	isTerm := func(u int32, tm milp.Term) bool { return sc.uses[u].term == tm }
+	for i := len(sc.kept) - 1; i >= 0; i-- { // the nearest slice first
+		if k := sc.kept[i]; c.avail[g][k.t] <= limit && slices.EqualFunc(sc.keptLive[k.lo:k.hi], cell, isTerm) {
 			return true
 		}
 	}
@@ -782,24 +825,20 @@ func (c *Compiled) implied(g int, kept []int, cell []milp.Term, limit int64) boo
 
 // minAvail returns the minimum availability of group g over slices [s, e).
 func (c *Compiled) minAvail(g int, s, e int64) int64 {
-	mn := int64(math.MaxInt64)
-	for t := s; t < e; t++ {
-		if c.avail[g][t] < mn {
-			mn = c.avail[g][t]
-		}
+	if s >= e {
+		return 0
 	}
-	if mn == math.MaxInt64 {
-		mn = 0
-	}
-	return mn
+	return slices.Min(c.avail[g][s:e])
 }
 
+// addUse puts the term in the supply cells of group g over slices [s, e), s < e:
+// a leaf lasts a slice at least (strl.Validate), and starts inside the window.
 func (c *Compiled) addUse(g int, s, e int64, term milp.Term) {
-	h := int(c.opts.Horizon)
-	for t := int(s); t < int(e); t++ {
-		i := g*h + t
-		c.scr.use[i] = append(c.scr.use[i], term)
+	w := int32(0)
+	if term.Var >= 0 {
+		w = int32(term.Coef * c.Model.Vars[term.Var].Ub)
 	}
+	c.scr.uses = append(c.scr.uses, supplyUse{term: term, w: w, group: int32(g), s: int32(s), e: int32(e)})
 }
 
 // Stats summarizes a compiled model, the quantities that drive solver

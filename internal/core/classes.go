@@ -351,8 +351,8 @@ func (s *Scheduler) wanted(cl *class) bool {
 	for i, r := range cl.reqs {
 		w := int32(-1)
 		if pc, ok := s.lastJob[r.Job.ID]; ok && warm && pc.slice > 0 {
-			for oi, o := range r.Options {
-				if o.StartSlice == pc.slice-1 && o.Key == pc.key {
+			for oi := range r.Options {
+				if o := &r.Options[oi]; o.Leaf.Start == pc.slice-1 && o.Key == pc.key {
 					w = int32(oi)
 					break
 				}

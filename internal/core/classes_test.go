@@ -956,7 +956,7 @@ func TestTrimmedRequestKeepsPointer(t *testing.T) {
 	}
 	req, rev := ent.req, ent.req.Rev
 	if _, c := cycle(); c != 10 || sched.exprCache[5000] == nil || sched.exprCache[5000].req != req ||
-		req.Rev == rev || len(req.Options) != 1 || req.Expr != req.Options[0].Leaf {
+		req.Rev == rev || len(req.Options) != 1 || req.Expr != strl.Expr(&req.Options[0].Leaf) {
 		t.Errorf("a start past its deadline: %d jobs compiled, request %p -> %p at revision %d -> %d with %d options; want 10 compiled and the same request, trimmed to its lone leaf at a new revision",
 			c, req, sched.exprCache[5000].req, rev, req.Rev, len(req.Options))
 	}

@@ -979,8 +979,9 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 func (s *Scheduler) fallbackPack(now int64, working *bitset.Set, reqs []*strlgen.Request, res *sim.CycleResult) {
 	for _, req := range reqs {
 		var best *strlgen.Option
-		for _, o := range req.Options {
-			if o.StartSlice != 0 {
+		for i := range req.Options {
+			o := &req.Options[i]
+			if o.Leaf.Start != 0 {
 				continue
 			}
 			// The leaf's K is the option's gang width (elastic options offer

@@ -33,7 +33,8 @@ func Assign(sets []*bitset.Set, reqs []*strlgen.Request) (assign []int, spanning
 		for s := range scores {
 			scores[s] = 0
 		}
-		for _, o := range req.Options {
+		for i := range req.Options {
+			o := &req.Options[i]
 			for s, set := range sets {
 				if o.Leaf.Set.IntersectCount(set) >= o.Leaf.K {
 					if o.Preferred {

@@ -105,9 +105,9 @@ func TestByProfileFallsBackToRanges(t *testing.T) {
 func mkReq(id, k int, set *bitset.Set, preferred bool) *strlgen.Request {
 	return &strlgen.Request{
 		Job: &workload.Job{ID: id, K: k},
-		Options: []*strlgen.Option{{
+		Options: []strlgen.Option{{
 			Key: "opt", Preferred: preferred,
-			Leaf: &strl.NCk{Set: set, K: k},
+			Leaf: strl.NCk{Set: set, K: k},
 		}},
 	}
 }

@@ -13,7 +13,8 @@ import (
 // sequence of cycle times, and carries one request through them by Reprice
 // alone. At every step the request must be what GenerateTTL makes for that
 // cycle, bit for bit with the same expiry bound (Rev apart), or both must
-// have nothing left.
+// have nothing left, and its expression must point at its options' leaves
+// (aliasErr).
 //
 // Bytes: 0 plan-ahead slices, 1 BE decay, 2 floor, 3 earliness weight and
 // NoHeterogeneity, 4 ID, 5 type, 6 K, 7 base runtime, 8 slowdown, 9 priority,
@@ -27,6 +28,10 @@ func FuzzRepriceMatchesGenerate(f *testing.F) {
 	f.Add([]byte{24, 2, 0, 1, 9, 2, 6, 12, 3, 1, 8, 0, 0, 0, 0, 0, 16, 16, 16, 16, 16, 16, 16, 16})
 	// A data-local SLO job without a reservation, some data nodes past the cluster.
 	f.Add([]byte{6, 0, 0, 2, 3, 4, 3, 8, 7, 2, 4, 2, 10, 13, 70, 0, 3, 5, 0, 4, 7, 4})
+	// A reserved SLO GPU job whose preferred placement, strided finer, loses
+	// its latest starts while the fallback after it keeps all of its own: the
+	// trim shifts the fallback's options down over the lost ones.
+	f.Add([]byte{23, 0, 0, 0, 1, 1, 3, 19, 0, 0, 0, 1, 30, 0, 0, 0, 16, 4, 16, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 16 {
 			return
@@ -77,6 +82,9 @@ func FuzzRepriceMatchesGenerate(f *testing.F) {
 			if !reflect.DeepEqual(req, fresh) || got != freshUntil {
 				t.Fatalf("now=%d: re-priced (valid until %d):\n  %+v\nfresh (valid until %d):\n  %+v",
 					now, got, summarize(req), freshUntil, summarize(fresh))
+			}
+			if err := aliasErr(req); err != nil {
+				t.Fatalf("now=%d: re-priced %+v: %v", now, summarize(req), err)
 			}
 		}
 	})

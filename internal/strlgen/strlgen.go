@@ -8,6 +8,7 @@ package strlgen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
@@ -85,48 +86,68 @@ type Option struct {
 	Key string
 	// Preferred marks the fast placement.
 	Preferred bool
-	// StartSlice is the option's start slice within this cycle's window.
-	StartSlice int64
 	// EstDur is the believed runtime in seconds on this placement.
 	EstDur int64
-	// Leaf is the compiled STRL leaf.
-	Leaf *strl.NCk
+	// Leaf is the compiled STRL leaf; its Start is the option's start slice
+	// within this cycle's window.
+	Leaf strl.NCk
 }
 
 // Request is a generated job request: the expression handed to the compiler
 // plus the option list used for decoding and warm starts.
 type Request struct {
-	Job     *workload.Job
+	Job *workload.Job
+	// Expr is the lone option's leaf, or a MAX whose kids are the options'
+	// leaves in option order: it points into Options.
 	Expr    strl.Expr
-	Options []*Option
+	Options []Option
 	// Nodes is the union of the options' leaf sets: every node the job could
 	// be placed on this cycle. Two requests whose Nodes are disjoint share no
 	// supply, whatever the solver does. It may be one of the leaf sets itself;
 	// read-only.
 	Nodes *bitset.Set
 	// Rev counts Reprice calls. The leaves are re-priced, and Options, Expr
-	// and Nodes trimmed, in place, so whoever keeps something derived from
-	// them keeps the Rev it was derived at beside the pointer.
+	// and Nodes trimmed, in place, and a trim moves the leaves that are left
+	// to other addresses, so whoever keeps something derived from them keeps
+	// the Rev it was derived at beside the pointer.
 	Rev uint32
+
+	max strl.Max // Expr when there are several options
 }
 
 // OptionFor returns the option owning the given leaf, if any.
 func (r *Request) OptionFor(leaf strl.Expr) *Option {
-	for _, o := range r.Options {
-		if strl.Expr(o.Leaf) == leaf {
+	for i := range r.Options {
+		if o := &r.Options[i]; strl.Expr(&o.Leaf) == leaf {
 			return o
 		}
 	}
 	return nil
 }
 
-// Generator emits STRL requests for one cluster.
+// point makes Expr the options' leaves: the lone one itself, or the MAX over
+// all of them in option order, its kids kept in the memory they had.
+func (r *Request) point() {
+	if len(r.Options) == 1 {
+		r.Expr, r.max = &r.Options[0].Leaf, strl.Max{}
+		return
+	}
+	kids := slices.Grow(r.max.Kids[:0], len(r.Options))
+	for i := range r.Options {
+		kids = append(kids, &r.Options[i].Leaf)
+	}
+	r.Expr, r.max.Kids = &r.max, kids
+}
+
+// Generator emits STRL requests for one cluster. It is not safe for
+// concurrent use: it enumerates a job's placements into a buffer of its own.
 type Generator struct {
-	cfg  Config
-	c    *cluster.Cluster
-	all  *bitset.Set
-	gpus *bitset.Set
-	rack map[string]*bitset.Set
+	cfg    Config
+	c      *cluster.Cluster
+	all    *bitset.Set
+	gpus   *bitset.Set
+	racks  []placement // one per rack, in the cluster's rack order
+	places []placement // the placements of the job being generated
 }
 
 // New builds a Generator.
@@ -141,9 +162,9 @@ func New(c *cluster.Cluster, cfg Config) *Generator {
 		cfg.MaxStartChoices = 1
 	}
 	gk, gv := cluster.GPUAttr()
-	g := &Generator{cfg: cfg, c: c, all: c.All(), gpus: c.WithAttr(gk, gv), rack: map[string]*bitset.Set{}}
+	g := &Generator{cfg: cfg, c: c, all: c.All(), gpus: c.WithAttr(gk, gv)}
 	for _, r := range c.Racks() {
-		g.rack[r] = c.Rack(r)
+		g.racks = append(g.racks, placement{key: "rack:" + r, set: c.Rack(r), preferred: true})
 	}
 	return g
 }
@@ -156,39 +177,35 @@ type placement struct {
 	width     int // gang width; 0 means the job's full K
 }
 
-// placements enumerates the candidate placements for a job type.
+// placements enumerates the candidate placements for a job type, in the
+// Generator's buffer.
 func (g *Generator) placements(j *workload.Job) []placement {
+	g.places = g.appendPlacements(g.places[:0], j)
+	return g.places
+}
+
+func (g *Generator) appendPlacements(out []placement, j *workload.Job) []placement {
 	if g.cfg.NoHeterogeneity {
-		return []placement{{key: "any", set: g.all, preferred: j.Type == workload.Unconstrained}}
+		return append(out, placement{key: "any", set: g.all, preferred: j.Type == workload.Unconstrained})
 	}
 	switch j.Type {
 	case workload.Elastic:
 		// Space-time elasticity (§4.1): offer a few gang widths as MAX
 		// alternatives; narrower widths run proportionally longer.
 		lo, hi := j.WidthRange()
-		widths := []int{hi}
-		if lo < hi {
-			if mid := (lo + hi) / 2; mid > lo && mid < hi {
-				widths = append(widths, mid)
+		for i, m := range [...]int{hi, (lo + hi) / 2, lo} {
+			if i == 0 || m < out[len(out)-1].width {
+				out = append(out, placement{key: fmt.Sprintf("any-w%d", m), set: g.all, preferred: true, width: m})
 			}
-			widths = append(widths, lo)
-		}
-		var out []placement
-		for _, m := range widths {
-			out = append(out, placement{
-				key: fmt.Sprintf("any-w%d", m), set: g.all, preferred: true, width: m,
-			})
 		}
 		return out
 	case workload.GPU:
-		var out []placement
 		if g.gpus.Count() >= j.K {
 			out = append(out, placement{key: "pref", set: g.gpus, preferred: true})
 		}
 		out = append(out, placement{key: "any", set: g.all, preferred: false})
 		return out
 	case workload.DataLocal:
-		var out []placement
 		if len(j.DataNodes) >= j.K {
 			set := bitset.New(g.c.N())
 			for _, n := range j.DataNodes {
@@ -203,26 +220,23 @@ func (g *Generator) placements(j *workload.Job) []placement {
 		out = append(out, placement{key: "any", set: g.all, preferred: false})
 		return out
 	case workload.MPI:
-		var out []placement
-		racks := g.c.Racks()
 		max := g.cfg.MaxRackChoices
-		if max <= 0 || max > len(racks) {
-			max = len(racks)
+		if max <= 0 || max > len(g.racks) {
+			max = len(g.racks)
 		}
 		// Rotate the rack window by job ID: each job sees a bounded number of
 		// equivalent rack options (they are interchangeable from the job's
 		// perspective, §4.2) while the job population covers every rack.
-		for i := 0; i < len(racks) && max > 0; i++ {
-			r := racks[(i+j.ID)%len(racks)]
-			if set := g.rack[r]; set.Count() >= j.K {
-				out = append(out, placement{key: "rack:" + r, set: set, preferred: true})
+		for i := 0; i < len(g.racks) && max > 0; i++ {
+			if p := g.racks[(i+j.ID)%len(g.racks)]; p.set.Count() >= j.K {
+				out = append(out, p)
 				max--
 			}
 		}
 		out = append(out, placement{key: "any", set: g.all, preferred: false})
 		return out
 	default:
-		return []placement{{key: "any", set: g.all, preferred: true}}
+		return append(out, placement{key: "any", set: g.all, preferred: true})
 	}
 }
 
@@ -325,39 +339,34 @@ func (g *Generator) optionTTL(now int64, j *workload.Job, completion int64) int6
 func (g *Generator) Reprice(now int64, req *Request) (validUntil int64, ok bool) {
 	req.Rev++
 	validUntil = math.MaxInt64
-	kept := req.Options[:0]
-	for _, o := range req.Options {
-		v, completion := g.price(now, req.Job, o.StartSlice, o.EstDur)
+	n := 0
+	for i := range req.Options {
+		o := &req.Options[i]
+		v, completion := g.price(now, req.Job, o.Leaf.Start, o.EstDur)
 		if v <= 0 {
 			continue // deadline culling, §3.2.1
 		}
 		o.Leaf.Value = v
 		validUntil = min(validUntil, g.optionTTL(now, req.Job, completion))
-		kept = append(kept, o)
+		if n != i {
+			req.Options[n] = *o
+		}
+		n++
 	}
-	n := len(kept)
 	if n == len(req.Options) && n > 0 {
 		return validUntil, true
 	}
 	clear(req.Options[n:])
-	req.Options = kept
+	req.Options = req.Options[:n]
 	if n == 0 {
 		return now, false
 	}
 	var nodes nodeUnion
 	for i := n - 1; i >= 0; i-- { // last first, as GenerateTTL adds placements
-		nodes.add(kept[i].Leaf.Set)
+		nodes.add(req.Options[i].Leaf.Set)
 	}
 	req.Nodes = nodes.set
-	if m, ok := req.Expr.(*strl.Max); ok && n > 1 {
-		for i, o := range kept {
-			m.Kids[i] = o.Leaf
-		}
-		clear(m.Kids[n:])
-		m.Kids = m.Kids[:n]
-	} else {
-		req.Expr = kept[0].Leaf
-	}
+	req.point()
 	return validUntil, true
 }
 
@@ -372,10 +381,10 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 		return nil, now // unsatisfiable on this cluster
 	}
 	placements := g.placements(j)
-	// Count the options before building any, so that the leaves, the options
-	// and the lists pointing at them are one exactly sized allocation each,
-	// however many options the job has. Nothing here is ever regrown, which is
-	// also what keeps the leaf and option pointers stable.
+	// Count the options before building any, so that the options, their
+	// leaves inside, and the MAX's kids pointing at those are one exactly sized
+	// allocation each, however many options the job has. Nothing here is ever
+	// regrown, which is also what keeps the leaf pointers stable.
 	n := 0
 	var nodes nodeUnion // last placement first: the fallback, which holds the rest
 	for i := len(placements) - 1; i >= 0; i-- {
@@ -388,9 +397,7 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 		return nil, now
 	}
 	validUntil := int64(math.MaxInt64)
-	req := &Request{Job: j, Options: make([]*Option, 0, n), Nodes: nodes.set}
-	leaves := make([]strl.NCk, n)
-	options := make([]Option, n)
+	req := &Request{Job: j, Options: make([]Option, 0, n), Nodes: nodes.set}
 	for _, p := range placements {
 		pl := g.startPlan(j, p, len(placements))
 		for s := int64(0); s < g.cfg.PlanAheadSlices; s += pl.stride {
@@ -401,27 +408,15 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 				break
 			}
 			validUntil = min(validUntil, g.optionTTL(now, j, completion))
-			i := len(req.Options)
-			leaves[i] = strl.NCk{Set: p.set, K: pl.width, Start: s, Dur: pl.durSlices, Value: v}
-			options[i] = Option{
-				Key:        p.key,
-				Preferred:  p.preferred,
-				StartSlice: s,
-				EstDur:     pl.est,
-				Leaf:       &leaves[i],
-			}
-			req.Options = append(req.Options, &options[i])
+			req.Options = append(req.Options, Option{
+				Key:       p.key,
+				Preferred: p.preferred,
+				EstDur:    pl.est,
+				Leaf:      strl.NCk{Set: p.set, K: pl.width, Start: s, Dur: pl.durSlices, Value: v},
+			})
 		}
 	}
-	if n == 1 {
-		req.Expr = req.Options[0].Leaf
-		return req, validUntil
-	}
-	kids := make([]strl.Expr, n)
-	for i := range leaves {
-		kids[i] = &leaves[i]
-	}
-	req.Expr = &strl.Max{Kids: kids}
+	req.point()
 	return req, validUntil
 }
 

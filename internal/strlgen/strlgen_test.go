@@ -1,6 +1,7 @@
 package strlgen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -63,10 +64,8 @@ func TestGPUOptions(t *testing.T) {
 		t.Errorf("expr is %T, want max", req.Expr)
 	}
 	// Every option must be recoverable from its leaf.
-	for _, o := range req.Options {
-		if req.OptionFor(o.Leaf) != o {
-			t.Errorf("OptionFor failed for %q@%d", o.Key, o.StartSlice)
-		}
+	if err := aliasErr(req); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -127,9 +126,9 @@ func TestDeadlineCulling(t *testing.T) {
 		t.Fatal("nil request")
 	}
 	for _, o := range req.Options {
-		completion := o.StartSlice*4 + o.EstDur
+		completion := o.Leaf.Start*4 + o.EstDur
 		if completion > j.Deadline {
-			t.Errorf("option %q@%d completes at %d after deadline %d", o.Key, o.StartSlice, completion, j.Deadline)
+			t.Errorf("option %q@%d completes at %d after deadline %d", o.Key, o.Leaf.Start, completion, j.Deadline)
 		}
 	}
 	// Preferred (20s est): starts 0..5 viable (start 20s + 20 = 40). Fallback
@@ -248,7 +247,7 @@ func TestEarlinessTieBreak(t *testing.T) {
 	prev := req.Options[0].Leaf.Value
 	for _, o := range req.Options[1:] {
 		if o.Leaf.Value >= prev {
-			t.Errorf("later start %d not valued below earlier (%v >= %v)", o.StartSlice, o.Leaf.Value, prev)
+			t.Errorf("later start %d not valued below earlier (%v >= %v)", o.Leaf.Start, o.Leaf.Value, prev)
 		}
 		prev = o.Leaf.Value
 	}
@@ -410,10 +409,37 @@ func TestGenerateTTLBoundsReuse(t *testing.T) {
 	})
 }
 
-// TestGenerateAllocsIndependentOfOptions: a request's leaves, options and
-// pointer lists are one allocation each, so generating a request with 14
-// options allocates exactly as often as one with 3 — and the slabs are cut
-// to the count, with the pointers into them in option order.
+// aliasErr reports how req's expression fails to point into its options: a
+// lone option's leaf must be Expr itself, the MAX's kid i must be option i's
+// leaf, and OptionFor must lead from each leaf back to its option.
+// reflect.DeepEqual cannot see a kid left pointing at a stale slot that holds
+// equal values.
+func aliasErr(req *Request) error {
+	n := len(req.Options)
+	if n == 1 {
+		if req.Expr != strl.Expr(&req.Options[0].Leaf) || req.OptionFor(req.Expr) != &req.Options[0] {
+			return fmt.Errorf("the lone option's leaf is not Expr, or OptionFor does not find it")
+		}
+		return nil
+	}
+	m, ok := req.Expr.(*strl.Max)
+	if !ok || len(m.Kids) != n {
+		return fmt.Errorf("%d options under a %T", n, req.Expr)
+	}
+	for i, kid := range m.Kids {
+		if kid != strl.Expr(&req.Options[i].Leaf) || req.OptionFor(kid) != &req.Options[i] {
+			return fmt.Errorf("kid %d of %d is not option %d's leaf, or OptionFor does not lead back to it", i, n, i)
+		}
+	}
+	return nil
+}
+
+// TestGenerateAllocsIndependentOfOptions: a request, its options (leaves
+// inside) and the MAX's kids are one allocation each, and enumerating the
+// placements allocates nothing, so generating a request with 14 options
+// allocates exactly as often as one with 3 (three times, and once for the job,
+// outside the race detector) — and the options are cut to the count, with the
+// kids pointing at their leaves in order.
 func TestGenerateAllocsIndependentOfOptions(t *testing.T) {
 	c := cluster.RC80(true)
 	few, many := Default(4, 40), Default(4, 40)
@@ -426,10 +452,8 @@ func TestGenerateAllocsIndependentOfOptions(t *testing.T) {
 		if cap(req.Options) != n || len(req.Expr.(*strl.Max).Kids) != n {
 			t.Errorf("%d options in lists of cap %d and %d kids", n, cap(req.Options), len(req.Expr.(*strl.Max).Kids))
 		}
-		for i, o := range req.Options {
-			if req.Expr.(*strl.Max).Kids[i] != strl.Expr(o.Leaf) || req.OptionFor(o.Leaf) != o {
-				t.Fatalf("option %d of %d: kids, options and leaves are out of step", i, n)
-			}
+		if err := aliasErr(req); err != nil {
+			t.Fatal(err)
 		}
 		allocs[n] = testing.AllocsPerRun(50, func() { g.Generate(0, gpuJob(4)) })
 	}
@@ -468,7 +492,7 @@ func TestRequestNodesIsTheOptionsUnion(t *testing.T) {
 		if !req.Nodes.Equal(want) {
 			t.Errorf("job %d: Nodes %v, the options' sets cover %v", j.ID, req.Nodes, want)
 		}
-		if nested && !slices.ContainsFunc(req.Options, func(o *Option) bool { return o.Leaf.Set == req.Nodes }) {
+		if nested && !slices.ContainsFunc(req.Options, func(o Option) bool { return o.Leaf.Set == req.Nodes }) {
 			t.Errorf("job %d: one placement holds the rest, yet Nodes is a set of its own", j.ID)
 		}
 		if j.ID >= 4 && req.Nodes.Count() == c.N() {
@@ -538,13 +562,17 @@ func TestRepriceMatchesGenerate(t *testing.T) {
 				t.Logf("seed %d: re-priced at now=%d (valid until %d):\n  %+v\nfresh (valid until %d):\n  %+v", seed, now, got, summarize(req), freshUntil, summarize(fresh))
 				return false
 			}
+			if err := aliasErr(req); err != nil {
+				t.Logf("seed %d: re-priced at now=%d: %v", seed, now, err)
+				return false
+			}
 			if len(req.Options) < nOptions {
 				trimmed++
 			} else {
 				repriced++
 			}
 			for _, o := range req.Options {
-				completion := now + o.StartSlice*cfg.Quantum + o.EstDur
+				completion := now + o.Leaf.Start*cfg.Quantum + o.EstDur
 				if 1-cfg.EarlinessEps*float64(completion-now)/float64(cfg.Quantum) < 0.1 {
 					clamped++
 				}
