@@ -664,7 +664,7 @@ func BenchmarkPresolve(b *testing.B) {
 // BenchmarkRootLP is the solve of the reduced model cut off after its root
 // relaxation: LP build, cold primal solve, rounding. The model is presolved
 // once outside the loop; no cuts, no tree (MaxNodes 1), and a heuristic that
-// proposes nothing stands in for the dive.
+// proposes nothing stands in for the compiler's rounding.
 func BenchmarkRootLP(b *testing.B) {
 	exprs, opts := gshetBatch(b, 60, 2)
 	comp, err := compiler.Compile(exprs, opts)

@@ -77,21 +77,6 @@ type leafRecord struct {
 // indicator of a culled leaf.
 const noVar milp.VarID = -1
 
-// A ghost is the term a partition variable would have in its group's supply
-// rows had the group a node free throughout the leaf's slices. Such a variable
-// could only be 0, so the model has none, but its term still decides which
-// jobs a supply row ties together and where ForcedComponents cuts it: without
-// it, rows that tied a job to its neighbours, or spanned two classes, would
-// split the batch differently, and the solves within the gap and the work
-// budget would pick other schedules. In a supply cell a ghost stands as the
-// term of the negative variable ghostVar(i), i counting the batch's ghosts
-// (which job each belongs to is Scratch.ghostJob[i]); an emitted supply row
-// keeps its ghosts aside, in Compiled.ghosts.
-func ghostVar(i int) milp.VarID { return milp.VarID(-2 - i) }
-
-// ghostTerm records that the model's row carries a ghost of the job.
-type ghostTerm struct{ row, job int32 }
-
 // jobRecord locates one job's share of the compiled batch. Everything the
 // compiler emits is per-job contiguous and in the order gen visits the job's
 // tree, so a job's variables and leaf records are each the range from its
@@ -121,7 +106,6 @@ type Compiled struct {
 	job    []jobRecord  // len(jobs)+1, see jobRecord
 	leaves []leafRecord // depth-first within a job, jobs in batch order
 	parts  []partVar    // every leaf's partition variables, see leafRecord
-	ghosts []ghostTerm  // every supply row's ghosts, by row ascending
 	avail  [][]int64    // [group][slice]
 	scr    *Scratch     // the memory all of the above lives in
 	epoch  uint64       // scr's epoch when this batch was compiled
@@ -166,7 +150,6 @@ type Scratch struct {
 	obj      []milp.Term // objective contribution of the subtree being lowered
 	kept     []keptRow   // the supply rows of the group being emitted
 	keptLive []int32     // their cells' uses back to back
-	ghostJob []int32     // the job of each ghost in the supply cells (ghostVar)
 	nl       int         // leaf records passed so far: the next one to lower
 	dead     []bool      // per node of the batch in visiting order: its subtree is left out (markDead)
 	nn       int         // nodes passed so far: the next one to lower or skip
@@ -177,7 +160,6 @@ type Scratch struct {
 	job       []jobRecord
 	leaves    []leafRecord
 	parts     []partVar
-	ghosts    []ghostTerm
 	avail     [][]int64
 	availFlat []int64
 
@@ -234,7 +216,7 @@ func sized[T any](buf []T, n int) []T {
 
 // A supplyUse is a term in group's supply cells over slices [s, e). w is the
 // most nodes it can take, coefficient (gang width or 1) times upper bound (a
-// node count), 0 for a ghost: a whole number, so its sums are exact.
+// node count): a whole number, so its sums are exact.
 type supplyUse struct {
 	term           milp.Term
 	group, s, e, w int32
@@ -267,7 +249,7 @@ func Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	sc := new(Scratch)
 	c, err := sc.Compile(jobs, opts)
 	// Nothing compiles on sc again: keep only what c is made of.
-	sc.universe, sc.eqsets, sc.uses, sc.events, sc.eventAt, sc.live, sc.cell, sc.spare, sc.spareRow, sc.demand, sc.kids, sc.obj, sc.kept, sc.keptLive, sc.dead, sc.ghostJob = nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil
+	sc.universe, sc.eqsets, sc.uses, sc.events, sc.eventAt, sc.live, sc.cell, sc.spare, sc.spareRow, sc.demand, sc.kids, sc.obj, sc.kept, sc.keptLive, sc.dead = nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil, nil
 	return c, err
 }
 
@@ -327,7 +309,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	opts.Within = nil
 	part := &sc.part
 	part.Refine(within, eqsets)
-	sc.uses, sc.obj, sc.kids, sc.ghostJob, sc.nl, sc.nn = sc.uses[:0], sc.obj[:0], sc.kids[:0], sc.ghostJob[:0], 0, 0
+	sc.uses, sc.obj, sc.kids, sc.nl, sc.nn = sc.uses[:0], sc.obj[:0], sc.kids[:0], 0, 0
 	sc.ints.rewind()
 	sc.int32s.rewind()
 	sc.vars.rewind()
@@ -346,7 +328,6 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 		job:    sc.job[:0],
 		leaves: leaves,
 		parts:  sc.parts[:0],
-		ghosts: sc.ghosts[:0],
 		scr:    sc,
 		epoch:  sc.epoch,
 	}
@@ -383,8 +364,8 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	}
 	c.job = append(c.job, jobRecord{varLo: c.Model.NumVars(), leafLo: sc.nl})
 	c.emitSupply()
-	// The append-grown arrays may have moved; keep the larger ones.
-	sc.parts, sc.ghosts = c.parts, c.ghosts
+	// The append-grown array may have moved; keep the larger one.
+	sc.parts = c.parts
 	return c, nil
 }
 
@@ -399,11 +380,10 @@ func (c *Compiled) emitSupply() {
 	sc.sortEvents(len(c.Part.Groups), h)
 	for g := range c.Part.Groups {
 		sc.live, sc.cell, sc.kept, sc.keptLive = sc.live[:0], sc.cell[:0], sc.kept[:0], sc.keptLive[:0]
-		maxUse, ghosts := int64(0), 0
+		maxUse := int64(0)
 		for t, k := int32(0), int32(g)*(h+1); t < h; t, k = t+1, k+1 {
 			if ev := sc.events[sc.eventAt[k]:sc.eventAt[k+1]]; len(ev) > 0 {
-				dUse, dGhosts := sc.step(ev)
-				maxUse, ghosts = maxUse+dUse, ghosts+dGhosts
+				maxUse += sc.step(ev)
 			}
 			limit := c.avail[g][t]
 			if maxUse <= limit || c.implied(g, sc.cell, limit) { // the empty cell too
@@ -411,7 +391,7 @@ func (c *Compiled) emitSupply() {
 			}
 			sc.kept = append(sc.kept, keptRow{t: t, lo: int32(len(sc.keptLive)), hi: int32(len(sc.keptLive) + len(sc.cell))})
 			sc.keptLive = append(sc.keptLive, sc.live...)
-			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, int(t)), c.setGhostsAside(sc.cell, ghosts), milp.LE, float64(limit))
+			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, int(t)), sc.cell, milp.LE, float64(limit))
 		}
 	}
 }
@@ -441,8 +421,8 @@ func (sc *Scratch) sortEvents(nGroups int, h int32) {
 // step moves the cell on by its next slice's events into the spare memory:
 // the uses ending leave, those starting join in emission order, the rest are
 // copied over. It returns the change in the most nodes the cell's terms can
-// take and in how many of them are ghosts.
-func (sc *Scratch) step(ev []int32) (dUse int64, dGhosts int) {
+// take.
+func (sc *Scratch) step(ev []int32) (dUse int64) {
 	live, cell, n := sc.live, sc.cell, len(sc.live)+len(ev)
 	nextLive, nextCell, i, k := sized(sc.spare, n), sized(sc.spareRow, n), 0, 0
 	for _, e := range ev {
@@ -457,44 +437,11 @@ func (sc *Scratch) step(ev []int32) (dUse int64, dGhosts int) {
 			i, sign = i+1, -1 // live[i] is u, which ends here
 		}
 		dUse += int64(sign) * int64(use.w)
-		if use.term.Var < 0 {
-			dGhosts += sign
-		}
 	}
 	copy(nextCell[k:], cell[i:])
 	k += copy(nextLive[k:], live[i:])
 	sc.spare, sc.spareRow, sc.live, sc.cell = live, cell, nextLive[:k], nextCell[:k]
-	return dUse, dGhosts
-}
-
-// setGhostsAside records the ghosts of the supply cell about to become the
-// model's next row, n of them, and returns the cell's other terms, the row's:
-// the cell itself when there are none, else in the scratch's build buffer.
-func (c *Compiled) setGhostsAside(cell []milp.Term, n int) []milp.Term {
-	sc := c.scr
-	if n == 0 {
-		return cell
-	}
-	row, terms := int32(c.Model.NumConstraints()), sc.demand[:0]
-	for _, tm := range cell {
-		if tm.Var >= 0 {
-			terms = append(terms, tm)
-			continue
-		}
-		c.ghosts = append(c.ghosts, ghostTerm{row: row, job: sc.ghostJob[-2-int(tm.Var)]})
-	}
-	sc.demand = terms
-	return terms
-}
-
-// rowGhosts returns the ghosts of row i and advances *at past them: callers
-// walk the rows in order, with *at starting at 0.
-func (c *Compiled) rowGhosts(i int, at *int) []ghostTerm {
-	lo := *at
-	for *at < len(c.ghosts) && int(c.ghosts[*at].row) == i {
-		*at++
-	}
-	return c.ghosts[lo:*at]
+	return dUse
 }
 
 // computeAvail fills avail[group][slice] from node release times.
@@ -788,16 +735,13 @@ func (c *Compiled) genLnCk(job int, leaf *strl.LnCk, ind milp.VarID) {
 // genParts gives the leaf one partition variable per cover group with a node
 // free throughout slices [s, e), each using its group's supply over them, and
 // returns their sum as the start of the leaf's demand row, in the scratch's
-// build buffer. A group with no node free throughout gets no variable, its
-// count could only be 0, but a ghost in its supply cells (ghostVar).
+// build buffer. A group with no node free throughout gets nothing: its count
+// could only be 0.
 func (c *Compiled) genParts(rec *leafRecord, cover []int, s, e int64, format string) []milp.Term {
-	sc := c.scr
-	demand := sc.demand[:0]
+	demand := c.scr.demand[:0]
 	for _, g := range cover {
 		free := c.minAvail(g, s, e)
 		if free == 0 {
-			c.addUse(g, s, e, milp.Term{Var: ghostVar(len(sc.ghostJob)), Coef: 1})
-			sc.ghostJob = append(sc.ghostJob, int32(rec.job))
 			continue
 		}
 		ub := math.Min(float64(rec.k), float64(free))

@@ -98,8 +98,7 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 	}
 
 	// Union-find over jobs: every constraint ties together the jobs of all
-	// variables it mentions, and of its ghosts — unless a forced partition
-	// cuts it.
+	// variables it mentions — unless a forced partition cuts it.
 	uf := sc.tmp.take(nj)
 	for i := range uf {
 		uf[i] = i
@@ -116,25 +115,19 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 	// (restricted per-component copies instead of whole-row ownership).
 	const cutRow, noRow = -1, -2
 	rowComp := sc.tmp.take(len(c.Model.Cons))
-	anyCut, at := false, 0
+	anyCut := false
 	for conIdx := range c.Model.Cons {
 		con := &c.Model.Cons[conIdx]
-		ghosts := c.rowGhosts(conIdx, &at)
-		if len(con.Terms)+len(ghosts) < 2 {
+		if len(con.Terms) < 2 {
 			continue
 		}
-		if assign != nil && spansClasses(con.Terms, ghosts, varJob, assign) && cuttable(con) {
+		if assign != nil && spansClasses(con.Terms, varJob, assign) && cuttable(con) {
 			rowComp[conIdx], anyCut = cutRow, true
 			continue
 		}
 		a := find(varJob[con.Terms[0].Var])
 		for _, t := range con.Terms[1:] {
 			if b := find(varJob[t.Var]); a != b {
-				uf[b] = a
-			}
-		}
-		for _, g := range ghosts {
-			if b := find(int(g.job)); a != b {
 				uf[b] = a
 			}
 		}
@@ -318,17 +311,12 @@ func (r *subRows) add(ci int, con *milp.Constraint, n int) []milp.Term {
 	return row
 }
 
-// spansClasses reports whether a constraint's terms and ghosts touch jobs in
-// more than one forced-partition class.
-func spansClasses(terms []milp.Term, ghosts []ghostTerm, varJob, assign []int) bool {
+// spansClasses reports whether a constraint's terms touch jobs in more than
+// one forced-partition class.
+func spansClasses(terms []milp.Term, varJob, assign []int) bool {
 	first := assign[varJob[terms[0].Var]]
 	for _, t := range terms[1:] {
 		if assign[varJob[t.Var]] != first {
-			return true
-		}
-	}
-	for _, g := range ghosts {
-		if assign[g.job] != first {
 			return true
 		}
 	}

@@ -101,6 +101,44 @@ func TestDecomposeContendedBatchStaysWhole(t *testing.T) {
 	}
 }
 
+// TestForcedComponentsIgnoreUnusableGroups: a supply row that two class-0
+// jobs share keeps them in one component, as Components of class 0 alone
+// does, even when a class-1 leaf covers the row's group but finds no node of
+// it free throughout its slices: that group contributes no term of the
+// class-1 job, so the row does not span the two classes and is not cut.
+func TestForcedComponentsIgnoreUnusableGroups(t *testing.T) {
+	const n = 4
+	busy := set(n, 0, 1) // released at slice 2
+	jobs := []strl.Expr{
+		&strl.NCk{Set: busy, K: 2, Start: 2, Dur: 1, Value: 10},
+		&strl.NCk{Set: busy, K: 2, Start: 2, Dur: 1, Value: 8},
+		&strl.NCk{Set: full(n), K: 1, Start: 0, Dur: 3, Value: 5},
+	}
+	opts := Options{Universe: n, Horizon: 4, ReleaseAt: []int64{2, 2, 0, 0}}
+	alone, err := Compile(jobs[:2], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]int
+	for _, cc := range alone.Components() {
+		want = append(want, cc.Jobs)
+	}
+	if !reflect.DeepEqual(want, [][]int{{0, 1}}) {
+		t.Fatalf("class 0 alone decomposes into %v, want one component of both jobs", want)
+	}
+	c, err := Compile(jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]int
+	for _, cc := range c.ForcedComponents([]int{0, 0, 1}, -1) {
+		got = append(got, cc.Jobs)
+	}
+	if want = append(want, []int{2}); !reflect.DeepEqual(got, want) {
+		t.Errorf("ForcedComponents = %v, want %v", got, want)
+	}
+}
+
 // TestDecomposeSliceParity solves each component independently and checks the
 // lifted union is feasible for the full model with the same total objective
 // as the monolithic solve — decomposition must be lossless.

@@ -12,9 +12,8 @@ import (
 // jobMass; ties in batch order, which is priority order) and granting each its
 // highest-scoring feasible option against a running capacity ledger. It is
 // handed to the MILP solver as the incumbent heuristic: structure-aware
-// rounding is orders of magnitude cheaper than generic LP dives and gives
-// the branch-and-bound search strong incumbents, which is what lets
-// gap-based termination stop early (§3.2.2).
+// rounding costs no LP solve and gives the branch-and-bound search strong
+// incumbents, which is what lets gap-based termination stop early (§3.2.2).
 //
 // Jobs whose expressions are not a single nCk or a MAX over nCk leaves (the
 // shapes the STRL generator emits) are skipped; the solver re-validates the

@@ -124,7 +124,7 @@ func TestUnprovenCounted(t *testing.T) {
 // mixes on its 80-node cluster do not (`tetrisim -cluster rc80 -jobs 150
 // -solver-limit 120s -v`: thousands of nodes, nearly every node LP warm,
 // pseudocosts choosing the branch), so this is where a change to the search
-// that moves a pop, an LP or a dive shows. The counts repeat on any machine:
+// that moves a pop, an LP or an incumbent shows. The counts repeat on any machine:
 // the search has no clock in it, and at the default budget (two seconds of
 // work, 60 000 units) no solve is cut off — the largest, in GS MIX, does about
 // 34 000. A moved count is a changed search, not an in-gap tie.

@@ -523,9 +523,7 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 		if firstFractional(s.model, x) < 0 {
 			return x, rootObj // integral: no further separation needed
 		}
-		if s.opts.Heuristic != nil {
-			s.consider(s.round(x))
-		}
+		s.consider(s.round(x))
 	}
 	return x, rootObj
 }

@@ -446,8 +446,8 @@ func TestSolveEachCallerValues(t *testing.T) {
 // TestSolveEachAllocs budgets a SolveEach on a list whose workspaces have grown
 // to fit, every part writing into the Solution it lent and the merge into the
 // caller's: what is left is solveEach's bookkeeping (the result list, a
-// goroutine per live part beside others) and what the
-// search's dives propose, not the solve chain's headers. Before PR 25 the one
+// goroutine per live part beside others) and the incumbents the
+// search adopts, not the solve chain's headers. Before PR 25 the one
 // part made 22 allocations and the five 72; they make 12 and 36, and the five
 // read up to 44 under -race, where the concurrent parts' counts vary.
 func TestSolveEachAllocs(t *testing.T) {

@@ -34,10 +34,10 @@ import (
 // reductions preserve feasibility of restricted points: mapping any feasible
 // full-space point into the reduced space (dropping fixed columns) yields a
 // feasible reduced point, so warm-start seeds and heuristic candidates pass
-// through Presolved.RestrictPoint unharmed. A solve lifts its reduced-space
-// answer back to a full-space Solution — values for fixed columns, the
-// accumulated objective constant on both objective and bound — so callers
-// cannot observe the reduction.
+// through restrictInto unharmed. A solve lifts its reduced-space answer back
+// to a full-space Solution — values for fixed columns, the accumulated
+// objective constant on both objective and bound — so callers cannot observe
+// the reduction.
 
 // psTol is the presolve-local absolute tolerance for declaring a row violated (and hence
 // the model infeasible) during presolve. It is deliberately tighter than the
@@ -122,17 +122,13 @@ func (p *Presolved) lift(sol, out *Solution) *Solution {
 	return out
 }
 
-// RestrictPoint maps a full-space point into the reduced space by dropping
-// the fixed columns. Nil in, nil out; a length mismatch also yields nil (the
-// caller's seed is silently unusable, matching Solve's infeasible-seed
-// policy). For any point feasible in the original model the restriction is
-// feasible in the reduced model, so warm-start seeds survive presolve.
-func (p *Presolved) RestrictPoint(x []float64) []float64 {
-	return p.restrictInto(nil, x)
-}
-
-// restrictInto is RestrictPoint into dst's memory when dst is large enough:
-// the tree search maps a heuristic candidate at every node.
+// restrictInto maps a full-space point into the reduced space by dropping the
+// fixed columns, into dst's memory when dst is large enough: the tree search
+// maps a heuristic candidate at every node. Nil in, nil out; a length mismatch
+// also yields nil (the caller's seed is silently unusable, matching Solve's
+// infeasible-seed policy). For any point feasible in the original model the
+// restriction is feasible in the reduced model, so warm-start seeds survive
+// presolve.
 func (p *Presolved) restrictInto(dst, x []float64) []float64 {
 	if x == nil {
 		return nil

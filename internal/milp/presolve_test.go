@@ -185,18 +185,18 @@ func TestPresolveRestrictLiftRoundtrip(t *testing.T) {
 	if pre.Model.NumVars() != 2 {
 		t.Fatalf("want a 2-var reduced model, got %d", pre.Model.NumVars())
 	}
-	r := pre.RestrictPoint([]float64{1, 0.25, 0.75})
+	r := pre.restrictInto(nil, []float64{1, 0.25, 0.75})
 	if len(r) != 2 || r[0] != 0.25 || r[1] != 0.75 {
-		t.Errorf("RestrictPoint = %v, want [0.25 0.75]", r)
+		t.Errorf("restrictInto = %v, want [0.25 0.75]", r)
 	}
 	l := pre.liftInto(make([]float64, 3), r)
 	if len(l) != 3 || l[0] != 1 || l[1] != 0.25 || l[2] != 0.75 {
 		t.Errorf("liftInto = %v, want [1 0.25 0.75]", l)
 	}
-	if pre.RestrictPoint(nil) != nil {
-		t.Error("RestrictPoint(nil) != nil")
+	if pre.restrictInto(nil, nil) != nil {
+		t.Error("restrictInto(nil, nil) != nil")
 	}
-	if pre.RestrictPoint([]float64{1}) != nil {
+	if pre.restrictInto(nil, []float64{1}) != nil {
 		t.Error("length-mismatched seed not rejected")
 	}
 }
@@ -217,8 +217,8 @@ func TestPresolveIdentity(t *testing.T) {
 		t.Errorf("identity presolve reported work: %+v", pre.Stats)
 	}
 	seed := []float64{1, 1, 0}
-	if r := pre.RestrictPoint(seed); &r[0] != &seed[0] {
-		t.Error("identity RestrictPoint did not pass the slice through")
+	if r := pre.restrictInto(nil, seed); &r[0] != &seed[0] {
+		t.Error("identity restrictInto did not pass the slice through")
 	}
 }
 

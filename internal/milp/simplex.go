@@ -32,8 +32,8 @@ const (
 var errSingularBasis = errors.New("milp: singular basis during refactorization")
 
 // LPStats aggregates LP-kernel telemetry across every relaxation solved
-// during one Solve call: the root, branch-and-bound node re-solves, and
-// heuristic dives.
+// during one Solve call: the root, its cut rounds and branch-and-bound node
+// re-solves.
 type LPStats struct {
 	// Iterations counts simplex pivots, primal and dual phases combined.
 	Iterations int64

@@ -70,15 +70,16 @@ type Options struct {
 	InitialSolution []float64
 	// Heuristic, if non-nil, proposes an integral candidate from an LP
 	// relaxation point. Problem-aware callers (the STRL compiler) supply a
-	// structure-exploiting rounding that is far cheaper than generic LP
-	// dives, so it is offered the LP point of every evaluated node;
-	// candidates are validated before being accepted as incumbents. The point
-	// is the callback's to overwrite — it may round in place and return the
-	// slice it was given — and the candidate is read before the next call,
-	// then copied if adopted, so neither needs a fresh allocation. One solve
-	// calls it from one goroutine at a time; the parts of a SolveEach call
-	// solve concurrently, so parts that share a callback need one that is safe
-	// for concurrent use (functions of their input alone are).
+	// structure-exploiting rounding, offered the LP point of every evaluated
+	// node; without one a search's incumbents come only from rounding the
+	// root and from integral node LPs. Candidates are validated before being
+	// accepted as incumbents. The point is the callback's to overwrite — it
+	// may round in place and return the slice it was given — and the
+	// candidate is read before the next call, then copied if adopted, so
+	// neither needs a fresh allocation. One solve calls it from one goroutine
+	// at a time; the parts of a SolveEach call solve concurrently, so parts
+	// that share a callback need one that is safe for concurrent use
+	// (functions of their input alone are).
 	Heuristic func(relaxation []float64) []float64
 	// DisableWarmStart forces every branch-and-bound node LP onto the cold
 	// primal path instead of dual-simplex re-solving from the parent basis.
@@ -233,9 +234,8 @@ func (s *search) adopt(cand []float64) {
 
 // The primal side. A search that ends by gap waits for an incumbent as often
 // as for a bound, so every evaluated node's LP point is offered to the
-// caller's rounding (docs/SOLVER.md, Primal side); a search without one falls
-// back on an LP dive, which costs up to twelve LPs and runs at every 64th
-// node.
+// caller's rounding (docs/SOLVER.md, Primal side); a search without one
+// finds incumbents only by rounding the root and at integral nodes.
 
 // primalBuf is the search's memory for the caller's heuristic: the LP point
 // as the heuristic sees it — in the caller's variable space, and the
@@ -255,30 +255,20 @@ func (s *search) newPrimalBuf() primalBuf {
 	return primalBuf{point: s.ws.floats.take(s.pre.nOrig), cand: s.ws.floats.take(len(s.model.Vars))}
 }
 
-// round offers the LP point x to the caller's heuristic and returns its
-// candidate in the model's space, unvalidated, or nil. The candidate may live
-// in s.primal (or be the caller's own) and is good until the next round.
+// round offers the LP point x to the caller's heuristic, if there is one, and
+// returns its candidate in the model's space, unvalidated, or nil. The
+// candidate may live in s.primal (or be the caller's own) and is good until
+// the next round.
 func (s *search) round(x []float64) []float64 {
+	if s.opts.Heuristic == nil {
+		return nil
+	}
 	n, b := len(s.model.Vars), &s.primal
 	if s.pre == nil {
 		copy(b.point, x[:n])
 		return s.opts.Heuristic(b.point)
 	}
 	return s.pre.restrictInto(b.cand, s.opts.Heuristic(s.pre.liftInto(b.point, x[:n])))
-}
-
-// candidate derives an incumbent candidate from the LP point x of the idx-th
-// evaluated node, whose box is lb, ub: unvalidated, possibly nil, and good
-// until the next one. A dive runs on the search's workspace and counts its
-// LPs into the search's scratch.
-func (s *search) candidate(x, lb, ub []float64, idx int) []float64 {
-	if s.opts.Heuristic != nil {
-		return s.round(x)
-	}
-	if idx%64 != 0 {
-		return nil
-	}
-	return diveFrom(s.ws, s.model, s.p, lb, ub, x, s.left(), !s.opts.DisableWarmStart, &s.scratch.stats)
 }
 
 // Tree memory. Nodes, basis snapshots and the open-node heap live in the
@@ -529,14 +519,14 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 	}
 
 	// Heuristics on the root for a strong starting incumbent: plain rounding,
-	// then an LP dive that fixes fractional integers one at a time. A good
-	// incumbent matters because gap-based termination returns it directly —
-	// and it runs before cut separation, because an incumbent that already
-	// meets the gap against the un-cut root bound makes every separation
-	// round (a grown LP and its re-solve) pure overhead.
+	// then the caller's. A good incumbent matters because gap-based
+	// termination returns it directly — and it runs before cut separation,
+	// because an incumbent that already meets the gap against the un-cut root
+	// bound makes every separation round (a grown LP and its re-solve) pure
+	// overhead.
 	s.consider(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
 	s.primal = s.newPrimalBuf()
-	s.consider(s.candidate(x, p.lb, p.ub, 0))
+	s.consider(s.round(x))
 
 	if !opts.DisableCuts {
 		// Strengthen the root relaxation with cover/clique cuts before
@@ -624,9 +614,7 @@ func (s *search) evalNode(node *bbNode, lb, ub []float64) {
 		s.adopt(roundIntegral(s.model, x[:len(s.model.Vars)]))
 		return
 	}
-	// A dive solves on a scratch of its own, so the node's basis stays in
-	// s.scratch for its children.
-	if cand := s.candidate(x, lb, ub, s.nodes); cand != nil && s.model.IsFeasible(cand, 1e-6) {
+	if cand := s.round(x); cand != nil && s.model.IsFeasible(cand, 1e-6) {
 		s.adopt(cand)
 		if !s.better(obj, s.incObj) {
 			return // the candidate itself closed this subtree
@@ -713,22 +701,6 @@ func firstFractional(m *Model, x []float64) int {
 	return -1
 }
 
-// mostFractional picks the integer variable farthest from integrality.
-func mostFractional(m *Model, x []float64) int {
-	best, bestDist := -1, intTol
-	for i, v := range m.Vars {
-		if v.Type == Continuous {
-			continue
-		}
-		f := x[i] - math.Floor(x[i])
-		d := math.Min(f, 1-f)
-		if d > bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best
-}
-
 // roundIntegral snaps near-integer values of integer variables exactly.
 func roundIntegral(m *Model, x []float64) []float64 {
 	return roundIntegralInto(nil, m, x)
@@ -743,73 +715,6 @@ func roundIntegralInto(dst []float64, m *Model, x []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// diveFrom walks from an arbitrary bound box and LP point toward an integral
-// point with a bounded number of LP re-solves: each step fixes every
-// already-integral integer variable plus the most fractional one, so it
-// converges in a handful of solves even on large models. It returns a
-// feasible integral point or nil.
-//
-// The dive solves on its own scratch (the caller's relaxation point usually
-// aliases the caller's scratch and must survive the dive) and, when useWarm
-// is set, chains each step's basis into the next step's dual re-solve — each
-// step only tightens bounds, the textbook warm-restart case. Its LP work may
-// not exceed left, and its telemetry is folded into stats, which must be
-// private to the calling goroutine, and so must w: the dive borrows its bound
-// box and scratch from it and hands them back on return.
-func diveFrom(w *Workspace, m *Model, p *lp, lb0, ub0 []float64, fromX []float64, left int, useWarm bool, stats *LPStats) []float64 {
-	const maxSteps = 12
-	mark := w.mark()
-	lb := w.floats.take(len(lb0))
-	ub := w.floats.take(len(ub0))
-	copy(lb, lb0)
-	copy(ub, ub0)
-	sc := w.newScratch(p)
-	// Every step's basis goes through this one buffer: a step restores from
-	// it before its solve and captures into it after.
-	var buf, warm *basisState
-	if useWarm {
-		buf = w.newSnapshot(p)
-	}
-	defer func() {
-		stats.add(&sc.stats)
-		w.release(mark)
-	}()
-	x := fromX
-	for depth := 0; depth < maxSteps; depth++ {
-		fr := mostFractional(m, x)
-		if fr < 0 {
-			vals := roundIntegral(m, x[:len(m.Vars)])
-			if m.IsFeasible(vals, 1e-6) {
-				return vals
-			}
-			return nil
-		}
-		for i, v := range m.Vars {
-			if v.Type == Continuous {
-				continue
-			}
-			r := math.Round(x[i])
-			if math.Abs(x[i]-r) <= intTol {
-				r = clampVal(r, lb[i], ub[i])
-				lb[i], ub[i] = r, r
-			}
-		}
-		v := clampVal(math.Round(x[fr]), lb[fr], ub[fr])
-		lb[fr], ub[fr] = v, v
-		rest := left - int(sc.stats.work())
-		if rest <= 0 {
-			return nil
-		}
-		st, nx, err := sc.solveFrom(warm, lb, ub, rest)
-		if err != nil || st != lpOptimal {
-			return nil
-		}
-		warm = capture(sc, buf)
-		x = nx
-	}
-	return nil
 }
 
 // roundHeuristic tries rounding the relaxation to a feasible integer point,

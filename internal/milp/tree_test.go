@@ -13,9 +13,10 @@ import (
 // per remaining slice of a 10-slice horizon and a 3-slice duration, 108
 // node-slices of demand against 72 of supply; plus arrivals one-slice jobs of
 // width 2 that can only start at once. Variable, row and term order are the
-// compiler's. Without the compiler's rounding (the dive fallback, every 64th
-// node) it takes 128 nodes at the scheduler's gap of 0.1 either way: with no
-// arrival after two cut rounds and five cover cuts, with two after one round.
+// compiler's. Without the compiler's rounding its incumbents come only from
+// rounding the root and from integral nodes, so at the scheduler's gap of 0.1
+// it takes 247 nodes with no arrival, after two cut rounds and five cover
+// cuts, and 1 229 with two, after one round and three.
 func residentModel(arrivals int) *Model {
 	const horizon, dur = 10, 3
 	widths := []float64{2, 3, 5, 7, 2, 3, 5, 7, 2}
@@ -51,8 +52,8 @@ func residentModel(arrivals int) *Model {
 // the tests and benchmarks built on it assume a real tree and real cut rounds.
 func TestResidentModelShape(t *testing.T) {
 	for _, tc := range []struct{ arrivals, vars, rows, nodes, rounds, covers int }{
-		{0, 99, 27, 128, 2, 5},
-		{2, 105, 31, 128, 1, 3},
+		{0, 99, 27, 247, 2, 5},
+		{2, 105, 31, 1229, 1, 3},
 	} {
 		m := residentModel(tc.arrivals)
 		sol, err := Solve(m, Options{Gap: 0.1})
@@ -134,7 +135,7 @@ func TestNodeBoxMatchesOverrideList(t *testing.T) {
 // workspace: nodes, snapshots, the heap and separation run on memory the
 // workspace kept, so a solve that explores twice the nodes allocates about
 // what the shorter one does — what is left is what a caller may keep
-// (incumbent candidates, one per integral node or dive) and the per-solve
+// (incumbent candidates, one per integral node) and the per-solve
 // fixed cost. Before the node arena a node alone cost three allocations.
 func TestTreeSearchAllocsIndependentOfNodes(t *testing.T) {
 	m := residentModel(1)

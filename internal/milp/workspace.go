@@ -59,7 +59,7 @@ func (s *slab[T]) take(n int) []T {
 }
 
 // slabMark is a position to release back to: what a nested, strictly
-// shorter-lived user (a heuristic dive) took is handed back when it is done.
+// shorter-lived user (a cut round) took is handed back when it is done.
 type slabMark struct{ used, gen int }
 
 func (s *slab[T]) mark() slabMark { return slabMark{s.used, s.gen} }
@@ -128,8 +128,8 @@ type Workspace struct {
 }
 
 // wsMark is a position in the memory a nested, strictly shorter-lived LP solve
-// borrows — a heuristic dive, a cut round's carried-over basis — to hand it
-// back when the solve is done.
+// borrows — a cut round's carried-over basis — to hand it back when the solve
+// is done.
 type wsMark struct {
 	floats, int32s, bytes, snaps slabMark
 	lent                         int
