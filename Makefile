@@ -126,16 +126,17 @@ alloc-ceiling:
 # of cycles by strlgen's Reprice alone and compares it, every cycle, with the
 # request GenerateTTL makes afresh. FuzzSubmitDecoders sends arbitrary bodies
 # to POST /v1/submit as a JSON batch and as NDJSON: no 5xx, no panic, and the
-# queue gains exactly what the response calls accepted. FuzzPresolveLift
-# presolves small integer models (GE rows, zero coefficients, fixed and
-# duality-fixable columns, choice rows with and without an indicator): the
+# queue gains exactly what the response calls accepted. FuzzPresolve
+# presolves small integer models (GE rows, zero coefficients, fixed columns,
+# objectives of either sign, choice rows with and without an indicator): the
 # input stays bit for bit as it was though the reduced model may share its
-# term arrays, the lifted optimum is feasible and worth the brute-force one,
-# and the rows shared when no column is fixed equal the renumbered copy.
+# term arrays, presolve calls a model infeasible only when brute force finds
+# no point, and the reduced optimum is feasible in the input and worth the
+# brute-force one.
 # Wired into CI.
 fuzz-smoke:
 	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzSolveEachMatchesSolve$$' -fuzztime 15s
-	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzPresolveLift$$' -fuzztime 15s
+	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzPresolve$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassTableMatchesUncached$$' -fuzztime 15s
 	$(GO) test ./internal/strl -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 15s
 	$(GO) test ./internal/rayon -run '^$$' -fuzz '^FuzzPlanMatchesMapCalendar$$' -fuzztime 15s

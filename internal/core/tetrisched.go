@@ -157,10 +157,8 @@ type SolveStats struct {
 	CompileJobs  int   // batched jobs whose class was compiled in a global cycle
 
 	// Presolve telemetry (internal/milp/presolve.go), summed across solves.
-	PresolveFixed   int           // variables fixed before branch-and-bound
 	PresolveRows    int           // constraint rows eliminated
 	PresolveCliques int           // choose-≤-1 rows merged by clique domination
-	PresolveRounds  int           // fixpoint rounds run
 	PresolveTime    time.Duration // cumulative presolve wall-clock
 
 	// Basis-factorization telemetry (internal/milp/lu.go, basis.go).
@@ -240,10 +238,8 @@ func (st *SolveStats) record(sol *milp.Solution, warmSeeds int, d time.Duration)
 	st.WarmLPs += sol.LP.WarmHits
 	st.ColdLPs += sol.LP.ColdStarts
 	st.WarmFallbacks += sol.LP.WarmFallbacks
-	st.PresolveFixed += sol.Presolve.VarsFixed
 	st.PresolveRows += sol.Presolve.RowsDropped
 	st.PresolveCliques += sol.Presolve.CliquesMerged
-	st.PresolveRounds += sol.Presolve.Rounds
 	st.PresolveTime += sol.Presolve.Duration
 	st.Factorizations += sol.LP.Factorizations
 	st.EtaUpdates += sol.LP.EtaUpdates
@@ -868,14 +864,12 @@ func endComponentSpan(sp trace.Span, cc *compiler.Component, sol *milp.Solution)
 // work. The span nests inside the enclosing solve span by timestamp
 // containment (it ends before endSolveSpan records the parent).
 func (s *Scheduler) tracePresolve(sol *milp.Solution) {
-	if s.tr == nil || sol == nil || sol.Presolve.Rounds == 0 {
+	if s.tr == nil || sol == nil || s.cfg.DisablePresolve {
 		return
 	}
 	s.tr.Complete("solve", "solve.presolve", sol.Presolve.Duration,
-		trace.I("vars_fixed", int64(sol.Presolve.VarsFixed)),
 		trace.I("rows_dropped", int64(sol.Presolve.RowsDropped)),
-		trace.I("cliques_merged", int64(sol.Presolve.CliquesMerged)),
-		trace.I("rounds", int64(sol.Presolve.Rounds)))
+		trace.I("cliques_merged", int64(sol.Presolve.CliquesMerged)))
 }
 
 // endSolveSpan closes a solve span with the solution's telemetry payload; no

@@ -121,7 +121,10 @@ func statusKeys(t *testing.T, base string) []string {
 // and admission blocks is still served. New names may join; a name in the
 // golden list may not leave or change type. One was renamed on purpose:
 // lp_dense_fallbacks became lp_unstable_factors when the dense basis engine
-// was deleted and an unstable factor began to be retried in strict LU.
+// was deleted and an unstable factor began to be retried in strict LU. Two were
+// removed on purpose: presolve_vars_fixed and presolve_rounds (with their
+// /metrics families) left when presolve stopped fixing columns and became one
+// pass, so neither could move any more.
 func TestTelemetryGolden(t *testing.T) {
 	ts := telemetryDaemon(t)
 	served := make(map[string]bool)

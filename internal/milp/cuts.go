@@ -475,7 +475,7 @@ func (w *Workspace) selectCuts() []cutCandidate {
 // model's row list, rebuild the LP, and re-solve it from the previous round's
 // optimal basis (grownBasis). The search's model, LP, and scratch are replaced
 // on every successful round — structural variable indexing is untouched (cuts
-// only append rows), so incumbents, heuristics, and postsolve lifting are
+// only append rows), so incumbents and heuristic candidates are
 // unaffected. Any round whose re-solve does not reach optimality is discarded
 // and cutting stops; cuts are an optional strengthening, never a correctness
 // dependency. Each round's LP point goes to the caller's heuristic like a

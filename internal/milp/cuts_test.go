@@ -278,9 +278,9 @@ func rootPoint(t *testing.T, m *Model) []float64 {
 }
 
 // separationCases are the models the two families are compared on: root
-// points of packing models, of resident blocks, and of the tie model — the
-// un-presolved model and the presolved one each (the solver separates on the
-// latter).
+// points of packing models, of resident blocks, and of the tie model — and,
+// where presolve drops a row, the presolved one too (the solver separates on
+// that).
 func separationCases(t *testing.T) map[string]*Model {
 	t.Helper()
 	cases := map[string]*Model{"ties": cliqueTieModel()}
@@ -291,7 +291,7 @@ func separationCases(t *testing.T) map[string]*Model {
 		cases["resident"+string(rune('0'+arrivals))] = residentModel(arrivals)
 	}
 	for name, m := range cases {
-		if pre := Presolve(m); !pre.Infeasible && !pre.identity {
+		if pre := Presolve(m); !pre.Infeasible && pre.Model != m {
 			cases[name+"/presolved"] = pre.Model
 		}
 	}
@@ -423,10 +423,12 @@ func TestFailedCutRoundKeepsItsLPWork(t *testing.T) {
 			t.Fatalf("cold %v: the failed round was not discarded: obj %v (root %v), %+v", cold, gotObj, rootObj, s.cuts)
 		}
 		// One pivot, the one unit the budget had left, and for the warm restart
-		// the factorization of the carried basis.
+		// the factorization of the carried basis. The cold primal's pivot on
+		// this block is a bound flip, which changes no basis and so updates no
+		// factor.
 		want := LPStats{Iterations: 1, WarmHits: 1, Factorizations: 1, EtaUpdates: 1}
 		if cold {
-			want = LPStats{Iterations: 1, ColdStarts: 1, EtaUpdates: 1}
+			want = LPStats{Iterations: 1, ColdStarts: 1}
 		}
 		if s.lp != want {
 			t.Fatalf("cold %v: the abandoned re-solve left %+v in the solve's LP telemetry, want %+v", cold, s.lp, want)

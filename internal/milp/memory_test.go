@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,15 +12,16 @@ import (
 
 // packingModel builds a scheduler-shaped MILP: jobs that each pick at most
 // one of a few placement options, options that occupy capacity over a run of
-// slices, supply rows that make them compete. Small enough to solve in
-// milliseconds, oversubscribed enough to need presolve, cuts and a tree.
+// slices, supply rows that make them compete. Rows are in the lean form the
+// compiler emits: a job's choice is Σ options ≤ 1, with no job indicator.
+// Small enough to solve in milliseconds, oversubscribed enough to need cuts
+// and a tree.
 func packingModel(seed int64, jobs int) *Model {
 	r := rand.New(rand.NewSource(seed))
 	m := NewModel(Maximize)
 	const slices = 6
 	supply := make([][]Term, slices)
 	for j := 0; j < jobs; j++ {
-		job := m.AddBinary("", 0)
 		var kids []Term
 		for o := 0; o < 2+r.Intn(3); o++ {
 			ind := m.AddBinary("", float64(1+r.Intn(20)))
@@ -30,7 +32,7 @@ func packingModel(seed int64, jobs int) *Model {
 				supply[t] = append(supply[t], Term{ind, k})
 			}
 		}
-		m.AddConstraint("", append(kids, Term{job, -1}), LE, 0)
+		m.AddConstraint("", kids, LE, 1)
 	}
 	for _, terms := range supply {
 		if len(terms) > 0 {
@@ -120,7 +122,7 @@ func TestSolveValidatesOnce(t *testing.T) {
 	if _, err := Solve(m, Options{}); err == nil {
 		t.Fatal("Solve accepted a model with lb > ub")
 	}
-	if _, err := new(Workspace).branchAndBound(m, Options{}, nil); err != nil {
+	if _, err := new(Workspace).branchAndBound(m, Options{}); err != nil {
 		t.Fatalf("branchAndBound validated its input: %v", err)
 	}
 }
@@ -204,8 +206,9 @@ func TestWorkspaceSolveMatchesFresh(t *testing.T) {
 }
 
 // TestWorkspaceAliasing solves A, then B on the same workspace, and requires
-// everything A's caller holds — the solution's values and bound, and a point
-// lifted through a Presolved — to be untouched: no result may alias a slab.
+// everything A's caller holds — the solution's values and bound, and a
+// Presolved's reduced model and its solution — to be untouched: no result may
+// alias a slab.
 // The resident pair branches: A's incumbent is found deep in a tree whose
 // nodes, snapshots and heap are all rewound and overwritten by B's.
 func TestWorkspaceAliasing(t *testing.T) {
@@ -242,27 +245,27 @@ func TestWorkspaceAliasing(t *testing.T) {
 			}
 		}
 	}
-	// The public Presolve hands out a result its caller owns outright.
+	// The public Presolve hands out a result its caller owns outright. A
+	// duplicate of the first choice row gives it a row to drop.
 	a := packingModel(3, 18)
+	a.AddConstraint("", slices.Clone(a.Cons[0].Terms), LE, 1)
 	pre := Presolve(a)
-	if pre.Infeasible || pre.identity {
+	if pre.Infeasible || pre.Model == a {
 		t.Fatal("the model does not reduce; the test exercises nothing")
 	}
 	red, err := Solve(pre.Model, Options{DisablePresolve: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lifted := pre.lift(red, new(Solution))
-	point := pre.liftInto(make([]float64, pre.nOrig), red.Values)
-	before, text := append([]float64(nil), lifted.Values...), pre.Model.String()
+	before, text := append([]float64(nil), red.Values...), pre.Model.String()
 	var ws Workspace
 	for i := 0; i < 3; i++ {
 		if _, err := ws.Solve(packingModel(4, 30), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(lifted.Values, before) || !reflect.DeepEqual(point, before) || pre.Model.String() != text {
-		t.Fatal("a later solve changed what Presolve and lift returned")
+	if !reflect.DeepEqual(red.Values, before) || pre.Model.String() != text {
+		t.Fatal("a later solve changed what Presolve returned or its solution")
 	}
 }
 
@@ -358,8 +361,8 @@ func TestPresolveKeepsNames(t *testing.T) {
 	x := m.AddVar("x", Binary, 0, 1, 1)
 	y := m.AddVar("y", Binary, 0, 1, 1)
 	z := m.AddVar("z", Integer, 0, 5, 1)
-	m.AddConstraint("gone", []Term{{x, 1}}, LE, 0) // singleton: becomes a bound
-	m.AddConstraintNamed(Namef("kept_%d", 7), []Term{{y, 2}, {z, 1}}, LE, 4)
+	m.AddConstraintNamed(Namef("kept_%d", 7), []Term{{x, 1}, {y, 2}, {z, 1}}, LE, 4)
+	m.AddConstraint("gone", []Term{{x, 1}, {y, 2}, {z, 1}}, LE, 5) // a looser duplicate: dropped
 	pre := Presolve(m)
 	var lp bytes.Buffer
 	if err := pre.Model.WriteLP(&lp); err != nil {

@@ -5,24 +5,15 @@ import (
 	"testing"
 )
 
-// TestPresolveSingletonAndPropagation: singleton rows become bounds (with
-// integer rounding) and are dropped, and what they fix propagates by
-// substitution: the coupled row, left with one term, becomes a bound in turn,
-// and the column it leaves in no row is fixed by duality.
+// TestPresolveSingletonAndPropagation: a one-term row is a row like any other
+// to presolve, which leaves it for the LP; 2x ≤ 1 over an integer x still
+// holds x at 0, and the coupled row then gives y its 7.
 func TestPresolveSingletonAndPropagation(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddVar("x", Integer, 0, 10, 1)
 	y := m.AddVar("y", Integer, 0, 10, 1)
 	m.AddConstraint("cap", []Term{{x, 1}, {y, 1}}, LE, 7)
 	m.AddConstraint("xcap", []Term{{x, 2}}, LE, 1)
-	pre := Presolve(m)
-	if pre.Infeasible {
-		t.Fatal("feasible model declared infeasible")
-	}
-	if pre.Stats.VarsFixed != 2 || pre.Stats.RowsDropped != 2 || pre.Model.NumVars() != 0 {
-		t.Errorf("stats %+v, %d vars left; want both columns fixed (2x ≤ 1 rounds to x = 0, then y ≤ 7) and both rows dropped",
-			pre.Stats, pre.Model.NumVars())
-	}
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -94,18 +85,13 @@ func TestPresolveCliqueDomination(t *testing.T) {
 	}
 }
 
-// TestPresolveDualityFix: an empty column with positive objective under
-// maximize sits at its upper bound; negative objective at its lower bound.
+// TestPresolveDualityFix: columns in no row go to the LP, which puts one with
+// positive objective under maximize at its upper bound and one with negative
+// objective at its lower bound.
 func TestPresolveDualityFix(t *testing.T) {
 	m := NewModel(Maximize)
-	up := m.AddVar("up", Integer, 0, 3, 2)
-	dn := m.AddVar("dn", Integer, 0, 3, -2)
-	_ = up
-	_ = dn
-	pre := Presolve(m)
-	if pre.Stats.VarsFixed != 2 || pre.Model.NumVars() != 0 {
-		t.Fatalf("empty columns not fixed: %+v", pre.Stats)
-	}
+	m.AddVar("up", Integer, 0, 3, 2)
+	m.AddVar("dn", Integer, 0, 3, -2)
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +101,9 @@ func TestPresolveDualityFix(t *testing.T) {
 	}
 }
 
-// TestPresolveObjConstAndLift: a GE-singleton fixes a column with objective
-// weight; the lifted solution restores the column's value and the objective
-// constant on both objective and bound.
+// TestPresolveObjConstAndLift: a GE-singleton that forces a column with
+// objective weight is the LP's to honour: objective and bound both count the
+// forced column, and the point is feasible in the model.
 func TestPresolveObjConstAndLift(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddBinary("x", 5)
@@ -125,13 +111,6 @@ func TestPresolveObjConstAndLift(t *testing.T) {
 	z := m.AddBinary("z", 1)
 	m.AddConstraint("force", []Term{{x, 1}}, GE, 1)
 	m.AddConstraint("choose", []Term{{y, 1}, {z, 1}}, EQ, 1)
-	pre := Presolve(m)
-	if pre.Infeasible {
-		t.Fatal("feasible model declared infeasible")
-	}
-	if pre.Stats.VarsFixed != 1 || pre.Model.NumVars() != 2 {
-		t.Fatalf("want exactly x fixed: %+v, %d vars left", pre.Stats, pre.Model.NumVars())
-	}
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -140,69 +119,35 @@ func TestPresolveObjConstAndLift(t *testing.T) {
 		t.Errorf("status %v objective %v, want optimal 6", sol.Status, sol.Objective)
 	}
 	if sol.Bound != 6 {
-		t.Errorf("bound %v, want 6 (objective constant lifted into the bound)", sol.Bound)
+		t.Errorf("bound %v, want 6", sol.Bound)
 	}
 	if sol.Values[0] != 1 {
-		t.Errorf("fixed column not restored: values %v", sol.Values)
+		t.Errorf("forced column not at 1: values %v", sol.Values)
 	}
 	if !m.IsFeasible(sol.Values, 1e-9) {
-		t.Errorf("lifted point infeasible in the original model: %v", sol.Values)
+		t.Errorf("solution infeasible in the model: %v", sol.Values)
 	}
 }
 
-// TestPresolveDetectsInfeasible: presolve proves infeasibility before the
-// solver runs, and Solve reports it with the presolve stats attached.
+// TestPresolveDetectsInfeasible: Solve reports 2x ≥ 3 over a binary
+// infeasible. Presolve leaves the row to the LP, and the search proves it.
 func TestPresolveDetectsInfeasible(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddBinary("x", 1)
 	m.AddConstraint("impossible", []Term{{x, 2}}, GE, 3)
-	pre := Presolve(m)
-	if !pre.Infeasible {
-		t.Fatal("2x ≥ 3 over a binary not detected as infeasible")
-	}
-	sol, err := Solve(m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != StatusInfeasible {
-		t.Errorf("solve status %v, want infeasible", sol.Status)
-	}
-	if sol.Presolve.Rounds == 0 {
-		t.Error("presolve stats missing from the infeasible solution")
-	}
-}
-
-// TestPresolveRestrictLiftRoundtrip: point maps drop fixed columns on the way
-// in and restore them on the way out; malformed seeds vanish (nil).
-func TestPresolveRestrictLiftRoundtrip(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary("x", 5)
-	y := m.AddBinary("y", 1)
-	z := m.AddBinary("z", 1)
-	m.AddConstraint("force", []Term{{x, 1}}, GE, 1)
-	m.AddConstraint("choose", []Term{{y, 1}, {z, 1}}, EQ, 1)
-	pre := Presolve(m)
-	if pre.Model.NumVars() != 2 {
-		t.Fatalf("want a 2-var reduced model, got %d", pre.Model.NumVars())
-	}
-	r := pre.restrictInto(nil, []float64{1, 0.25, 0.75})
-	if len(r) != 2 || r[0] != 0.25 || r[1] != 0.75 {
-		t.Errorf("restrictInto = %v, want [0.25 0.75]", r)
-	}
-	l := pre.liftInto(make([]float64, 3), r)
-	if len(l) != 3 || l[0] != 1 || l[1] != 0.25 || l[2] != 0.75 {
-		t.Errorf("liftInto = %v, want [1 0.25 0.75]", l)
-	}
-	if pre.restrictInto(nil, nil) != nil {
-		t.Error("restrictInto(nil, nil) != nil")
-	}
-	if pre.restrictInto(nil, []float64{1}) != nil {
-		t.Error("length-mismatched seed not rejected")
+	for _, off := range []bool{false, true} {
+		sol, err := Solve(m, Options{DisablePresolve: off})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != StatusInfeasible {
+			t.Errorf("presolve off %v: solve status %v, want infeasible", off, sol.Status)
+		}
 	}
 }
 
 // TestPresolveIdentity: a model with nothing to reduce passes through
-// untouched — same *Model pointer, zero stats, passthrough point maps.
+// untouched — same *Model pointer, zero stats.
 func TestPresolveIdentity(t *testing.T) {
 	m := NewModel(Maximize)
 	x := m.AddBinary("x", 5)
@@ -213,12 +158,8 @@ func TestPresolveIdentity(t *testing.T) {
 	if pre.Model != m {
 		t.Error("identity presolve did not alias the input model")
 	}
-	if pre.Stats.VarsFixed != 0 || pre.Stats.RowsDropped != 0 {
+	if pre.Stats.RowsDropped != 0 {
 		t.Errorf("identity presolve reported work: %+v", pre.Stats)
-	}
-	seed := []float64{1, 1, 0}
-	if r := pre.restrictInto(nil, seed); &r[0] != &seed[0] {
-		t.Error("identity restrictInto did not pass the slice through")
 	}
 }
 
@@ -235,5 +176,42 @@ func TestPresolveInfiniteBounds(t *testing.T) {
 	}
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-2) > 1e-9 {
 		t.Errorf("status %v objective %v, want optimal 2", sol.Status, sol.Objective)
+	}
+}
+
+// TestRowlessModelSolves: a model with no rows goes to the LP like any other,
+// presolve on or off, and the root answers it: every column with positive
+// objective at its upper bound under maximize, every other one at its lower
+// bound (a zero objective may sit anywhere in its box), in one node.
+func TestRowlessModelSolves(t *testing.T) {
+	m := NewModel(Maximize)
+	m.AddVar("pos", Integer, 0, 4, 3)
+	m.AddVar("neg", Integer, 1, 5, -2)
+	m.AddVar("zero", Integer, 0, 2, 0)
+	m.AddBinary("bin", 1.5)
+	m.AddVar("cont", Continuous, 0, 2.5, 1)
+	m.AddVar("cneg", Continuous, -1, 3, -0.5)
+	want := 0.0
+	for _, v := range m.Vars {
+		if v.Obj > 0 {
+			want += v.Obj * v.Ub
+		} else {
+			want += v.Obj * v.Lb
+		}
+	}
+	for _, off := range []bool{false, true} {
+		sol, err := Solve(m, Options{DisablePresolve: off})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != StatusOptimal || math.Abs(sol.Objective-want) > 1e-9 || math.Abs(sol.Bound-want) > 1e-9 {
+			t.Errorf("presolve off %v: status %v objective %v bound %v, want optimal %v", off, sol.Status, sol.Objective, sol.Bound, want)
+		}
+		if sol.Nodes != 1 {
+			t.Errorf("presolve off %v: %d nodes, want 1 (the root)", off, sol.Nodes)
+		}
+		if !m.IsFeasible(sol.Values, 1e-9) {
+			t.Errorf("presolve off %v: values %v outside their bounds", off, sol.Values)
+		}
 	}
 }

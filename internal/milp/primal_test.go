@@ -112,20 +112,16 @@ func TestDeterministicWithHeuristicEveryNode(t *testing.T) {
 }
 
 // TestRoundAllocatesNothing: offering a node's LP point to the heuristic —
-// lifted through the presolve reduction into the search's buffer, the
-// candidate mapped back into another — allocates nothing once the search has
-// its buffers, and neither does turning a candidate down.
+// copied into the search's buffer for the heuristic to overwrite — allocates
+// nothing once the search has its buffers, and neither does turning a
+// candidate down.
 func TestRoundAllocatesNothing(t *testing.T) {
 	m := residentModel(2)
 	w := new(Workspace)
-	pre := w.presolve(m)
-	if pre.Infeasible || pre.identity {
-		t.Fatalf("the block no longer reduces: %+v", pre.Stats)
-	}
-	s := &search{ws: w, model: pre.Model, pre: pre, maximize: true, incObj: math.Inf(-1)}
+	s := &search{ws: w, model: m, maximize: true, incObj: math.Inf(-1)}
 	s.opts.Heuristic = func(x []float64) []float64 { return floorInPlace(m, x) }
-	s.primal = s.newPrimalBuf()
-	x := make([]float64, len(pre.Model.Vars))
+	s.primal = w.floats.take(len(m.Vars))
+	x := make([]float64, len(m.Vars))
 	for i := range x {
 		x[i] = 0.5
 	}

@@ -87,9 +87,9 @@ type Options struct {
 	// and for measuring their speedup, not for correctness workarounds.
 	DisableWarmStart bool
 	// DisablePresolve skips the model-reduction pass that normally runs
-	// before branch-and-bound (see presolve.go). Presolve never changes the
-	// optimal objective and lifts solutions back to the full variable space,
-	// so this switch exists for bisection and parity testing, not for
+	// before branch-and-bound (see presolve.go). Presolve only drops rows that
+	// other rows imply, so it never changes the feasible set or the variable
+	// space, and this switch exists for bisection and parity testing, not for
 	// correctness workarounds.
 	DisablePresolve bool
 	// DisableCuts skips root cover/clique cut separation (see cuts.go).
@@ -177,8 +177,7 @@ type search struct {
 	incObj    float64
 	incBuf    []float64 // the incumbent's memory, on the workspace like the rest of the search
 
-	pre    *Presolved // the reduction between the caller's space and the model's; nil: none
-	primal primalBuf  // the caller's heuristic's memory
+	primal []float64 // the caller's heuristic's memory: the LP point it may overwrite
 
 	scratch *simplexState // the root's LP scratch, then the last cut round's, then every node's
 	lp      LPStats       // folded telemetry of retired scratches; finish() adds s.scratch's
@@ -237,38 +236,16 @@ func (s *search) adopt(cand []float64) {
 // caller's rounding (docs/SOLVER.md, Primal side); a search without one
 // finds incumbents only by rounding the root and at integral nodes.
 
-// primalBuf is the search's memory for the caller's heuristic: the LP point
-// as the heuristic sees it — in the caller's variable space, and the
-// heuristic's to overwrite — and, under a reduction, its candidate mapped
-// back into the model's space.
-type primalBuf struct {
-	point, cand []float64
-}
-
-func (s *search) newPrimalBuf() primalBuf {
-	switch {
-	case s.opts.Heuristic == nil:
-		return primalBuf{}
-	case s.pre == nil:
-		return primalBuf{point: s.ws.floats.take(len(s.model.Vars))}
-	}
-	return primalBuf{point: s.ws.floats.take(s.pre.nOrig), cand: s.ws.floats.take(len(s.model.Vars))}
-}
-
 // round offers the LP point x to the caller's heuristic, if there is one, and
-// returns its candidate in the model's space, unvalidated, or nil. The
-// candidate may live in s.primal (or be the caller's own) and is good until
-// the next round.
+// returns its candidate, unvalidated, or nil. The heuristic sees a copy of x's
+// structural part in s.primal, which it may overwrite; the candidate may live
+// there (or be the caller's own) and is good until the next round.
 func (s *search) round(x []float64) []float64 {
 	if s.opts.Heuristic == nil {
 		return nil
 	}
-	n, b := len(s.model.Vars), &s.primal
-	if s.pre == nil {
-		copy(b.point, x[:n])
-		return s.opts.Heuristic(b.point)
-	}
-	return s.pre.restrictInto(b.cand, s.opts.Heuristic(s.pre.liftInto(b.point, x[:n])))
+	copy(s.primal, x[:len(s.model.Vars)])
+	return s.opts.Heuristic(s.primal)
 }
 
 // Tree memory. Nodes, basis snapshots and the open-node heap live in the
@@ -409,9 +386,9 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 
 // solve is Solve on w's memory, written into out; the caller rewinds w
 // afterwards. The search's answer is w's, incumbent included, so the last step
-// is to lift it out: into out, whose Values' memory takes the values when it
-// is large enough (Part.Out), a fresh allocation otherwise. Without presolve
-// the lift is the identity.
+// is to copy it out: into out, whose Values' memory takes the values when it is
+// large enough (Part.Out), a fresh allocation otherwise. Presolve keeps the
+// variable space, so the answer needs no mapping.
 func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution, error) {
 	start := time.Now()
 	if err := model.Validate(); err != nil {
@@ -419,7 +396,7 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 	}
 	pre := &w.pre
 	if opts.DisablePresolve {
-		*pre = Presolved{Model: model, identity: true, nOrig: len(model.Vars)}
+		*pre = Presolved{Model: model}
 	} else {
 		pre = w.presolve(model)
 	}
@@ -427,26 +404,25 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start)}
 		return out, nil
 	}
-	// The seed is mapped into the reduced space here, on w's memory (the search
-	// copies it into its incumbent); the heuristic's points and candidates are
-	// mapped by the search (round). The reduced model is the presolver's own
-	// assembly of a model that just passed Validate; it is not validated again.
-	ropts := opts
-	if x := opts.InitialSolution; x != nil && !pre.identity {
-		ropts.InitialSolution = pre.restrictInto(w.floats.take(len(pre.keep)), x)
-	}
-	red, err := w.branchAndBound(pre.Model, ropts, pre)
+	// The reduced model is the presolver's own assembly of a model that just
+	// passed Validate; it is not validated again.
+	ans, err := w.branchAndBound(pre.Model, opts)
 	if err != nil {
 		return nil, err
 	}
-	pre.lift(red, out).Runtime = time.Since(start)
+	dst := out.Values[:0]
+	*out = *ans
+	out.Presolve = pre.Stats
+	if len(ans.Values) > 0 { // else out has ans's nil, or the empty point of a model without variables
+		out.Values = append(dst, ans.Values...)
+	}
+	out.Runtime = time.Since(start)
 	return out, nil
 }
 
 // branchAndBound solves a validated model as it stands, into the workspace's
-// answer. pre, when not nil, is the reduction that produced it:
-// opts.Heuristic works in the space before it.
-func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (*Solution, error) {
+// answer.
+func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error) {
 	if len(model.Vars) == 0 {
 		// The empty point is the optimum: a solution, not the nil of none.
 		return w.answer(Solution{Status: StatusOptimal, Values: []float64{}}), nil
@@ -464,9 +440,6 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 	}
 	if opts.TimeLimit > 0 {
 		s.budget = int64(math.Ceil(opts.TimeLimit.Seconds() * workPerSecond))
-	}
-	if pre != nil && !pre.identity {
-		s.pre = pre
 	}
 	worst := math.Inf(-1)
 	if !maximize {
@@ -525,7 +498,9 @@ func (w *Workspace) branchAndBound(model *Model, opts Options, pre *Presolved) (
 	// bound makes every separation round (a grown LP and its re-solve) pure
 	// overhead.
 	s.consider(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
-	s.primal = s.newPrimalBuf()
+	if opts.Heuristic != nil {
+		s.primal = s.ws.floats.take(len(model.Vars))
+	}
 	s.consider(s.round(x))
 
 	if !opts.DisableCuts {

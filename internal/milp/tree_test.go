@@ -13,19 +13,21 @@ import (
 // per remaining slice of a 10-slice horizon and a 3-slice duration, 108
 // node-slices of demand against 72 of supply; plus arrivals one-slice jobs of
 // width 2 that can only start at once. Variable, row and term order are the
-// compiler's. Without the compiler's rounding its incumbents come only from
-// rounding the root and from integral nodes, so at the scheduler's gap of 0.1
-// it takes 247 nodes with no arrival, after two cut rounds and five cover
-// cuts, and 1 229 with two, after one round and three.
+// compiler's, and so is the lean form: a job's choice row is Σ options ≤ 1
+// with no job indicator, and a job with one option has none. Without the
+// compiler's rounding its incumbents come only from rounding the root and from
+// integral nodes, so at the scheduler's gap of 0.1 it takes 247 nodes with no
+// arrival, after two cut rounds and five cover cuts, and 1 229 with two, after
+// one round and three.
 func residentModel(arrivals int) *Model {
 	const horizon, dur = 10, 3
 	widths := []float64{2, 3, 5, 7, 2, 3, 5, 7, 2}
 	m := NewModel(Maximize)
 	supply := make([][]Term, horizon)
 	job := func(width float64, options, dur int, value float64) {
-		ind := m.AddBinary("", 0)
-		culled := m.AddBinary("", 0) // start now: the block is still busy
-		choose := []Term{{culled, 1}}
+		// Starting now is culled (the block is still busy): options run from
+		// slice 1.
+		var choose []Term
 		for s := 1; s <= options; s++ {
 			opt := m.AddBinary("", value-float64(s))
 			choose = append(choose, Term{opt, 1})
@@ -33,8 +35,9 @@ func residentModel(arrivals int) *Model {
 				supply[t] = append(supply[t], Term{opt, width})
 			}
 		}
-		m.AddConstraint("", []Term{{culled, 1}}, LE, 0)
-		m.AddConstraint("", append(choose, Term{ind, -1}), LE, 0)
+		if options > 1 {
+			m.AddConstraint("", choose, LE, 1)
+		}
 	}
 	for _, w := range widths {
 		job(w, horizon-1, dur, 997)
@@ -52,8 +55,8 @@ func residentModel(arrivals int) *Model {
 // the tests and benchmarks built on it assume a real tree and real cut rounds.
 func TestResidentModelShape(t *testing.T) {
 	for _, tc := range []struct{ arrivals, vars, rows, nodes, rounds, covers int }{
-		{0, 99, 27, 247, 2, 5},
-		{2, 105, 31, 1229, 1, 3},
+		{0, 81, 18, 247, 2, 5},
+		{2, 83, 18, 1229, 1, 3},
 	} {
 		m := residentModel(tc.arrivals)
 		sol, err := Solve(m, Options{Gap: 0.1})

@@ -5,8 +5,8 @@ import "sync"
 // Memory ownership (docs/SOLVER.md has the longer version).
 //
 // A solve builds a chain of views and flat copies of its model — presolver
-// rows and the reduced model (which read the model's own term arrays except
-// where presolve rewrites a row or renumbers the columns), the LP's compressed
+// rows and the reduced model (which keep the model's columns and read its own
+// term arrays except where load normalized a row), the LP's compressed
 // columns, simplex and basis-engine buffers, the pseudocost table — and a
 // tree of nodes and basis snapshots
 // that all die when Solve returns, and so do the chain's headers (the
@@ -14,7 +14,7 @@ import "sync"
 // memory between solves. It belongs to whoever calls Solve on it, serves one
 // solve at a time, and is rewound when that solve returns; nothing a Solution
 // carries points into it (the search's answer is the workspace's, and a solve
-// ends by lifting it out — into Part.Out, Values in Out.Values' memory, when
+// ends by copying it out — into Part.Out, Values in Out.Values' memory, when
 // the caller lent a Solution, into a fresh one otherwise — so callers may keep
 // Solutions for as long as they like). The package-level Solve, Presolve and
 // SolveParts run on a throwaway Workspace, which makes every one of these
@@ -93,7 +93,6 @@ type Workspace struct {
 	floats slab[float64]
 	int32s slab[int32]
 	ints   slab[int]
-	bools  slab[bool]
 	bytes  slab[byte]
 	terms  slab[Term]
 	vars   slab[Variable]
@@ -104,7 +103,7 @@ type Workspace struct {
 
 	ps  presolver // its dedup map and clique scratch outlive a solve
 	pre Presolved // the solve's reduction
-	ans Solution  // the search's answer, in the space it searched
+	ans Solution  // the search's answer
 
 	// The tree search's memory ("Tree memory" in solve.go says who may touch
 	// it when): every node of the current solve, the headers of its basis
@@ -168,7 +167,7 @@ func (w *Workspace) solveInto(out *Solution, model *Model, opts Options) (*Solut
 	return w.solve(model, opts, out)
 }
 
-// answer files the search's result as the workspace's, for the solve to lift
+// answer files the search's result as the workspace's, for the solve to copy
 // out. It takes the Solution by value and returns the workspace's address:
 // returning the parameter's would move it to the heap on every call.
 func (w *Workspace) answer(sol Solution) *Solution {
@@ -180,7 +179,6 @@ func (w *Workspace) rewind() {
 	w.floats.rewind()
 	w.int32s.rewind()
 	w.ints.rewind()
-	w.bools.rewind()
 	w.bytes.rewind()
 	w.terms.rewind()
 	w.vars.rewind()

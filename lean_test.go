@@ -121,14 +121,12 @@ func TestLeanLowering(t *testing.T) {
 	}
 }
 
-// TestPresolveFixesNothing: on batches of the scoreboard's shapes — GS HET
-// traffic as one model, its natural components and the four-class cut the
-// sharded scheduler makes, and resident blocks of deferring gangs — presolve
-// fixes no column, because the compiler no longer emits one it would fix (a
-// job indicator under a MAX root, a partition variable of a group with nothing
-// free). So the reduced model is in the compiled model's variable space and
-// none of its rows is a copy: each is a compiled row's own term array.
-func TestPresolveFixesNothing(t *testing.T) {
+// TestPresolveRowsAreCompiledRows: on batches of the scoreboard's shapes — GS
+// HET traffic as one model, its natural components and the four-class cut the
+// sharded scheduler makes, and resident blocks of deferring gangs — none of the
+// reduced model's rows is a copy: each is a compiled row's own term array,
+// because the compiler emits no GE row and no zero coefficient.
+func TestPresolveRowsAreCompiledRows(t *testing.T) {
 	check := func(name string, m *milp.Model) {
 		t.Helper()
 		compiled := make(map[*milp.Term]bool, len(m.Cons))
@@ -138,8 +136,8 @@ func TestPresolveFixesNothing(t *testing.T) {
 			}
 		}
 		pre := milp.Presolve(m)
-		if pre.Infeasible || pre.Stats.VarsFixed != 0 || pre.Model.NumVars() != m.NumVars() {
-			t.Fatalf("%s: presolve fixed %d of %d columns (infeasible %v)", name, pre.Stats.VarsFixed, m.NumVars(), pre.Infeasible)
+		if pre.Infeasible {
+			t.Fatalf("%s: presolve calls a compiled model infeasible", name)
 		}
 		for i := range pre.Model.Cons {
 			if con := &pre.Model.Cons[i]; len(con.Terms) == 0 || !compiled[&con.Terms[0]] {
