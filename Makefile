@@ -125,8 +125,8 @@ alloc-ceiling:
 # FuzzRepriceMatchesGenerate carries one job's STRL request through a sequence
 # of cycles by strlgen's Reprice alone and compares it, every cycle, with the
 # request GenerateTTL makes afresh. FuzzSubmitDecoders sends arbitrary bodies
-# to POST /v1/submit as a JSON batch and as NDJSON: no 5xx, no panic, and the
-# queue gains exactly what the response calls accepted. FuzzPresolve
+# to POST /v1/submit, which reads every body as a JSON batch: no 5xx, no
+# panic, and the queue gains exactly what the response calls accepted. FuzzPresolve
 # presolves small integer models (GE rows, zero coefficients, fixed columns,
 # objectives of either sign, choice rows with and without an indicator): the
 # input stays bit for bit as it was though the reduced model may share its

@@ -9,8 +9,7 @@
 //
 // Endpoints:
 //
-//	POST /v1/submit       submit a batch (JSON array) or stream (NDJSON)
-//	POST /v1/jobs         submit a job        {id, class, type, k, ...}
+//	POST /v1/submit       submit jobs         [{id, tenant, class, type, k, ...}]
 //	POST /v1/cycle        run one cycle       {now, free:[ids]} → decisions
 //	POST /v1/completions  signal completion   {job_id, now}
 //	GET  /v1/status       daemon state incl. cumulative solver telemetry
@@ -185,8 +184,7 @@ func main() {
 // or body, or never reads its response, holds a connection and a goroutine
 // only this long. A request's body is read and its response written inside
 // two minutes: far above a cycle (its solves' work is bounded by -solver-limit)
-// or a 16 MB batch on loopback, and a cap on how long one /v1/submit NDJSON
-// stream may run — a longer submission is split into several streams.
+// or a 16 MB batch on loopback.
 const (
 	readHeaderTimeout = 10 * time.Second
 	readTimeout       = 2 * time.Minute

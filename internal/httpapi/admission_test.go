@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"tetrisched/internal/bitset"
+	"tetrisched/internal/cluster"
+	"tetrisched/internal/core"
 	"tetrisched/internal/sim"
 	"tetrisched/internal/workload"
 )
@@ -91,6 +93,17 @@ func postCycle(t *testing.T, url string, now int64) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cycle = %d", resp.StatusCode)
 	}
+}
+
+// admitOne posts job as a one-job batch to /v1/submit and drains it into the
+// scheduler with a /v1/cycle whose free list is empty: the job is then pending
+// there and nothing has launched.
+func admitOne(t *testing.T, url, job string) {
+	t.Helper()
+	if resp := postSubmit(t, url, []byte("["+job+"]")); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: status = %d, want 202", job, resp.StatusCode)
+	}
+	postCycle(t, url, 0)
 }
 
 // TestWeightedFairnessConverges is the acceptance test for the weighted-fair
@@ -230,6 +243,95 @@ func TestTenantQuotaBound(t *testing.T) {
 	}
 }
 
+// TestRefusedTenantHasNoWayIn: a job of a locked-out tenant (quota 0) reaches
+// the scheduler by no POST route and in no body form. Admission control holds
+// only while the /v1/submit JSON batch is the one way in.
+func TestRefusedTenantHasNoWayIn(t *testing.T) {
+	c := cluster.RC80(false)
+	sched := core.New(c, core.Config{PlanAhead: 48})
+	srv := NewServer(sched, c.N()).SetAdmission(AdmissionConfig{
+		Tenants: []TenantConfig{{Name: "locked", Weight: 1, Quota: 0}},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	job := `{"id":5,"tenant":"locked","class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`
+	for _, body := range []string{"[" + job + "]", job + "\n"} {
+		for _, route := range []struct{ path, ctype string }{
+			{"/v1/submit", "application/json"},
+			{"/v1/submit", "application/x-ndjson"},
+			{"/v1/jobs", "application/json"},
+		} {
+			resp, err := http.Post(ts.URL+route.path, route.ctype, strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode < 400 {
+				t.Errorf("%s (%s) %q: status = %d, want a refusal", route.path, route.ctype, body, resp.StatusCode)
+			}
+			if route.path == "/v1/jobs" && resp.StatusCode != http.StatusNotFound {
+				t.Errorf("/v1/jobs: status = %d, want 404", resp.StatusCode)
+			}
+		}
+	}
+
+	free := make([]int, c.N())
+	for i := range free {
+		free[i] = i
+	}
+	body, _ := json.Marshal(CycleRequest{Now: 0, Free: free})
+	resp, err := http.Post(ts.URL+"/v1/cycle", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cr CycleResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range cr.Decisions {
+		if d.JobID == 5 {
+			t.Errorf("the locked-out tenant's job launched on nodes %v", d.Nodes)
+		}
+	}
+	if n := sched.Pending(); n != 0 {
+		t.Errorf("%d jobs pending in the scheduler, want 0", n)
+	}
+}
+
+// TestBatchFieldsStartZero: the submit path decodes each batch into a pooled
+// slice, and json.Unmarshal fills the elements already there. A field a job
+// omits must still read as zero, not as what an earlier request left in that
+// element, or a job sent with no tenant is charged to another request's tenant
+// and runs with that job's deadline, data nodes and reservation.
+func TestBatchFieldsStartZero(t *testing.T) {
+	f, ts := frontDoor(t, AdmissionConfig{})
+	for i := 0; i < 20; i++ {
+		full := fmt.Sprintf(`[{"id":%d,"tenant":"a","class":"SLO","type":"DataLocal","k":2,"min_k":1,"base_runtime":10,"slowdown":2,"deadline":99,"est_err":0.5,"data_nodes":[3],"priority":2,"reserved":true}]`, 2*i)
+		bare := fmt.Sprintf(`[{"id":%d,"class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}]`, 2*i+1)
+		for _, body := range []string{full, bare} {
+			if resp := postSubmit(t, ts.URL, []byte(body)); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%s: status = %d, want 202", body, resp.StatusCode)
+			}
+		}
+	}
+	postCycle(t, ts.URL, 0)
+	if len(f.order) != 40 {
+		t.Fatalf("scheduler got %d jobs, want 40", len(f.order))
+	}
+	for _, j := range f.order {
+		if j.ID%2 == 0 {
+			continue
+		}
+		if j.Tenant != DefaultTenant || j.MinK != 0 || j.Deadline != 0 || j.EstErr != 0 ||
+			j.DataNodes != nil || j.Priority != 0 || j.Reserved {
+			t.Fatalf("job %d carries fields it was not sent: %+v", j.ID, *j)
+		}
+	}
+}
+
 // TestMalformedBatchRejectsAtomically is the malformed-batch semantics test:
 // a batch with one invalid job must be rejected as a unit with a per-item
 // error body, leaving both the ingress queue and the scheduler's pending
@@ -280,53 +382,6 @@ func TestMalformedBatchRejectsAtomically(t *testing.T) {
 	}
 }
 
-// TestSubmitStreamNDJSON: the streaming mode admits line by line, reports a
-// per-line verdict, and keeps going past malformed lines.
-func TestSubmitStreamNDJSON(t *testing.T) {
-	f, ts := frontDoor(t, AdmissionConfig{MaxQueue: 2})
-	stream := strings.Join([]string{
-		`{"id":1,"class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}`,
-		`this is not json`,
-		`{"id":2,"class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}`,
-		`{"id":3,"class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}`,
-	}, "\n")
-	resp, err := http.Post(ts.URL+"/v1/submit", "application/x-ndjson", strings.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("stream returned %d verdicts, want 4:\n%s", len(lines), raw)
-	}
-	var verdicts []string
-	for i, ln := range lines {
-		var v struct {
-			Status     string `json:"status"`
-			Reason     string `json:"reason"`
-			RetryAfter int    `json:"retry_after_seconds"`
-		}
-		if err := json.Unmarshal([]byte(ln), &v); err != nil {
-			t.Fatalf("verdict line %d not JSON: %v\n%s", i, err, ln)
-		}
-		verdicts = append(verdicts, v.Status)
-		if v.Status == "rejected" && (v.Reason != "queue_full" || v.RetryAfter < 1) {
-			t.Fatalf("rejected verdict missing backpressure fields: %s", ln)
-		}
-	}
-	want := []string{"accepted", "error", "accepted", "rejected"}
-	for i := range want {
-		if verdicts[i] != want[i] {
-			t.Fatalf("verdicts = %v, want %v", verdicts, want)
-		}
-	}
-	postCycle(t, ts.URL, 0)
-	if len(f.order) != 2 {
-		t.Fatalf("scheduler got %d jobs from stream, want 2", len(f.order))
-	}
-}
-
 // TestAdmissionObservability: queue depth, per-tenant counters, and the
 // admission-latency histogram appear on /metrics, and /v1/status carries the
 // admission block.
@@ -373,8 +428,9 @@ func TestAdmissionObservability(t *testing.T) {
 	}
 }
 
-// TestConcurrentClients hammers submit (batch + stream), cycle, status,
-// metrics, legacy job posts, and completions from concurrent clients. It
+// TestConcurrentClients hammers submit (batches of many jobs, of one, and of
+// a duplicated pair), cycle, status, metrics and completions from concurrent
+// clients. It
 // exists to run under -race (tier-1 `make race`): any unsynchronized state
 // in the handlers shows up here.
 func TestConcurrentClients(t *testing.T) {
@@ -415,15 +471,15 @@ func TestConcurrentClients(t *testing.T) {
 		post("/v1/submit", "application/json", batchBody("t0", 1_000_000+i*16, 16))
 	})
 	do(30, func(i int) {
-		line := fmt.Sprintf(`{"id":%d,"tenant":"s","class":"BE","type":"Unconstrained","k":1,"base_runtime":5,"slowdown":1}`, 2_000_000+i)
-		post("/v1/submit", "application/x-ndjson", []byte(line+"\n"+line+"\n"))
+		job := fmt.Sprintf(`{"id":%d,"tenant":"s","class":"BE","type":"Unconstrained","k":1,"base_runtime":5,"slowdown":1}`, 2_000_000+i)
+		post("/v1/submit", "application/json", []byte("["+job+","+job+"]"))
 	})
 	do(40, func(i int) {
 		post("/v1/cycle", "application/json", []byte(fmt.Sprintf(`{"now":%d,"free":[]}`, i)))
 	})
 	do(40, func(i int) {
-		post("/v1/jobs", "application/json", []byte(fmt.Sprintf(
-			`{"id":%d,"class":"BE","type":"Unconstrained","k":1,"base_runtime":5,"slowdown":1}`, 3_000_000+i)))
+		post("/v1/submit", "application/json", []byte(fmt.Sprintf(
+			`[{"id":%d,"class":"BE","type":"Unconstrained","k":1,"base_runtime":5,"slowdown":1}]`, 3_000_000+i)))
 	})
 	do(40, func(i int) {
 		post("/v1/completions", "application/json", []byte(fmt.Sprintf(`{"job_id":%d,"now":%d}`, 3_000_000+i, i)))

@@ -50,14 +50,16 @@ func (c *Client) Name() string {
 	return c.name
 }
 
-// Submit implements sim.Scheduler.
+// Submit implements sim.Scheduler. It posts a one-job batch to /v1/submit;
+// the daemon queues it and the next Cycle drains it into the scheduler before
+// that cycle plans, so the pending set a cycle meets is the local one. A
+// refused submission (4xx or 429) is lost: it surfaces as a stalled
+// simulation, since sim.Scheduler has no job-level error channel.
 func (c *Client) Submit(now int64, j *workload.Job) {
 	c.jobs[j.ID] = j
 	msg := FromJob(j)
 	msg.Submit = now
-	if err := c.post("/v1/jobs", &msg, nil); err != nil {
-		// A lost submission surfaces as a stalled simulation; there is no
-		// job-level error channel in sim.Scheduler.
+	if err := c.post("/v1/submit", []JobMsg{msg}, nil); err != nil {
 		delete(c.jobs, j.ID)
 	}
 }

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,11 +10,12 @@ import (
 )
 
 // FuzzSubmitDecoders sends an arbitrary body to POST /v1/submit through
-// Handler(), first as a JSON batch and then as an NDJSON stream, to a front
-// door with a small queue, a quota-capped, a locked-out and a rate-limited
-// tenant. Whatever the body, no request may panic or answer 5xx; a 400 or 429
-// batch leaves the queue depth as it was; and the jobs a 202 or the stream's
-// verdicts call accepted are exactly the jobs the queue gained.
+// Handler() to a front door with a small queue, a quota-capped, a locked-out
+// and a rate-limited tenant. Whatever the body, the request may not panic or
+// answer 5xx; a 400 or 429 leaves the queue depth as it was; and the jobs a
+// 202 calls accepted are exactly the jobs the queue gained. The corpus keeps
+// its newline-delimited bodies: the endpoint reads every body as a JSON
+// batch, so to it they are malformed batches.
 func FuzzSubmitDecoders(f *testing.F) {
 	job := `{"id":%d,"tenant":%q,"class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}`
 	for _, body := range []string{
@@ -38,22 +38,11 @@ func FuzzSubmitDecoders(f *testing.F) {
 			{Name: "locked", Quota: 0},
 			{Name: "slow", Quota: -1, Rate: 1, RateBurst: 2},
 		}})
-		h := srv.Handler()
-		depth := func() int { return srv.adm.status().Queued }
-		post := func(contentType string) *httptest.ResponseRecorder {
-			req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(body))
-			req.Header.Set("Content-Type", contentType)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code >= 500 {
-				t.Fatalf("%s body %q: %d %s", contentType, body, rec.Code, rec.Body)
-			}
-			return rec
-		}
-
-		before := depth()
-		rec := post("application/json")
-		gained := depth() - before
+		req := httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		gained := srv.adm.status().Queued // the front door is new: its queue started empty
 		switch rec.Code {
 		case http.StatusAccepted:
 			var resp struct{ Accepted int }
@@ -66,22 +55,6 @@ func FuzzSubmitDecoders(f *testing.F) {
 			}
 		default:
 			t.Fatalf("batch %q: unexpected status %d %s", body, rec.Code, rec.Body)
-		}
-
-		before = depth()
-		rec = post("application/x-ndjson")
-		accepted := 0
-		for sc := bufio.NewScanner(rec.Body); sc.Scan(); {
-			var verdict struct{ Status string }
-			if err := json.Unmarshal(sc.Bytes(), &verdict); err != nil {
-				t.Fatalf("stream %q: verdict %q is not JSON: %v", body, sc.Bytes(), err)
-			}
-			if verdict.Status == "accepted" {
-				accepted++
-			}
-		}
-		if gained := depth() - before; rec.Code != http.StatusOK || gained != accepted {
-			t.Fatalf("stream %q: %d with %d accepted verdicts, yet the queue gained %d", body, rec.Code, accepted, gained)
 		}
 	})
 }

@@ -90,18 +90,30 @@ func TestServerValidation(t *testing.T) {
 	defer ts.Close()
 	client := NewClient(ts.URL)
 
+	drain := func() {
+		t.Helper()
+		if err := client.post("/v1/cycle", &CycleRequest{Now: 0}, nil); err != nil {
+			t.Fatalf("drain cycle: %v", err)
+		}
+	}
 	// Bad class rejected.
-	if err := client.post("/v1/jobs", &JobMsg{ID: 1, Class: "??", Type: "GPU", K: 1, BaseRuntime: 1}, nil); err == nil {
+	if err := client.post("/v1/submit", []JobMsg{{ID: 1, Class: "??", Type: "GPU", K: 1, BaseRuntime: 1}}, nil); err == nil {
 		t.Errorf("bad class accepted")
 	}
-	// Duplicate submission rejected.
-	good := JobMsg{ID: 2, Class: "BE", Type: "Unconstrained", K: 1, BaseRuntime: 10, Slowdown: 1}
-	if err := client.post("/v1/jobs", &good, nil); err != nil {
+	// A duplicate is refused while the first copy is queued, and dropped at
+	// drain once the first has been admitted.
+	good := []JobMsg{{ID: 2, Class: "BE", Type: "Unconstrained", K: 1, BaseRuntime: 10, Slowdown: 1}}
+	if err := client.post("/v1/submit", good, nil); err != nil {
 		t.Fatalf("good job rejected: %v", err)
 	}
-	if err := client.post("/v1/jobs", &good, nil); err == nil {
-		t.Errorf("duplicate accepted")
+	if err := client.post("/v1/submit", good, nil); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("duplicate of a queued job: %v, want 400", err)
 	}
+	drain()
+	if err := client.post("/v1/submit", good, nil); err != nil {
+		t.Fatalf("resubmission after the drain: %v", err)
+	}
+	drain()
 	// Unknown completion.
 	if err := client.post("/v1/completions", &CompletionMsg{JobID: 99}, nil); err == nil {
 		t.Errorf("unknown completion accepted")
@@ -114,7 +126,7 @@ func TestServerValidation(t *testing.T) {
 	// however valid the JSON at the end of it: without the cap the padded
 	// cycle request below is served.
 	huge := append(bytes.Repeat([]byte(" "), maxSubmitBody+1), `{"now":0,"free":[]}`...)
-	for _, path := range []string{"/v1/jobs", "/v1/cycle", "/v1/completions", "/v1/submit"} {
+	for _, path := range []string{"/v1/cycle", "/v1/completions", "/v1/submit"} {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(huge))
 		if err != nil {
 			t.Fatalf("oversized POST on %s: %v", path, err)
@@ -125,9 +137,9 @@ func TestServerValidation(t *testing.T) {
 			t.Errorf("oversized POST on %s: %d %s, want 400 and the limit", path, resp.StatusCode, msg)
 		}
 	}
-	// GET on POST-only endpoint.
-	if err := client.get("/v1/jobs", &struct{}{}); err == nil {
-		t.Errorf("GET on /v1/jobs accepted")
+	// GET on a POST-only endpoint.
+	if err := client.get("/v1/submit", &struct{}{}); err == nil || !strings.Contains(err.Error(), "405") {
+		t.Errorf("GET on /v1/submit: %v, want 405", err)
 	}
 	// POST on the GET-only telemetry endpoints.
 	for _, path := range []string{"/v1/status", "/metrics"} {
@@ -142,6 +154,15 @@ func TestServerValidation(t *testing.T) {
 	}
 	if st.Universe != c.N() || st.Pending != 1 {
 		t.Errorf("status = %+v", st)
+	}
+	dups := -1
+	for _, ten := range st.Admission.Tenants {
+		if ten.Name == DefaultTenant {
+			dups = int(ten.RejectedDup)
+		}
+	}
+	if dups != 1 {
+		t.Errorf("%s tenant's rejected_dup = %d, want the resubmitted duplicate dropped at drain", DefaultTenant, dups)
 	}
 }
 

@@ -46,13 +46,13 @@ func TestErrorPathsLeaveSchedulerUntouched(t *testing.T) {
 		name, path, body string
 		wantCode         int
 	}{
-		{"malformed jobs body", "/v1/jobs", `{"id": 1, "class":`, http.StatusBadRequest},
-		{"jobs body wrong type", "/v1/jobs", `{"id": "one"}`, http.StatusBadRequest},
-		{"unknown job class", "/v1/jobs", `{"id":1,"class":"??","type":"GPU","k":1,"base_runtime":1}`, http.StatusBadRequest},
-		{"nonpositive gang", "/v1/jobs", `{"id":1,"class":"BE","type":"GPU","k":0,"base_runtime":1}`, http.StatusBadRequest},
+		{"malformed submit body", "/v1/submit", `[{"id": 1, "class":]`, http.StatusBadRequest},
+		{"submit body wrong type", "/v1/submit", `[{"id": "one"}]`, http.StatusBadRequest},
+		{"unknown job class", "/v1/submit", `[{"id":1,"class":"??","type":"GPU","k":1,"base_runtime":1}]`, http.StatusBadRequest},
+		{"nonpositive gang", "/v1/submit", `[{"id":1,"class":"BE","type":"GPU","k":0,"base_runtime":1}]`, http.StatusBadRequest},
 		{"malformed cycle body", "/v1/cycle", `{"now": 0, "free": [1,`, http.StatusBadRequest},
 		{"empty cycle body", "/v1/cycle", ``, http.StatusBadRequest},
-		{"empty jobs body", "/v1/jobs", ``, http.StatusBadRequest},
+		{"empty submit batch", "/v1/submit", `[]`, http.StatusBadRequest},
 		{"cycle node out of range", "/v1/cycle", `{"now":0,"free":[99999]}`, http.StatusBadRequest},
 		{"cycle negative node", "/v1/cycle", `{"now":0,"free":[-1]}`, http.StatusBadRequest},
 		{"malformed completion body", "/v1/completions", `nope`, http.StatusBadRequest},
@@ -83,6 +83,9 @@ func TestErrorPathsLeaveSchedulerUntouched(t *testing.T) {
 	if st.Pending != 0 || st.Running != 0 || st.Cycles != 0 {
 		t.Errorf("status after rejections = %+v, want untouched", st)
 	}
+	if st.Admission == nil || st.Admission.Queued != 0 {
+		t.Errorf("admission after rejections = %+v, want an empty queue", st.Admission)
+	}
 }
 
 // TestBodyEndsAtFirstValue pins what the scheduler-side endpoints have always
@@ -90,12 +93,11 @@ func TestErrorPathsLeaveSchedulerUntouched(t *testing.T) {
 // value and ignore the rest, garbage or not.
 func TestBodyEndsAtFirstValue(t *testing.T) {
 	sched, _, ts := obsDaemon(t)
-	job := `{"id":7,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`
+	admitOne(t, ts.URL, `{"id":7,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`)
 	cases := []struct {
 		name, path, body string
 		wantCode         int
 	}{
-		{"garbage after a job", "/v1/jobs", job + ` trailing`, http.StatusAccepted},
 		{"second value after a cycle", "/v1/cycle", `{"now":0,"free":[0,1]}` + "\n" + `{"now":9,"free":[99999]}`, http.StatusOK},
 		{"brace after a completion", "/v1/completions", `{"job_id":7,"now":20}}`, http.StatusNoContent},
 		{"value cut short", "/v1/cycle", `{"now":20,"free":[0,1`, http.StatusBadRequest},
@@ -117,10 +119,7 @@ func TestBodyEndsAtFirstValue(t *testing.T) {
 // nodes running for good.
 func TestCompletionBeforeLaunch(t *testing.T) {
 	sched, _, ts := obsDaemon(t)
-	job := `{"id":3,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`
-	if resp := postBody(t, ts.URL+"/v1/jobs", job); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("job submit status = %d", resp.StatusCode)
-	}
+	admitOne(t, ts.URL, `{"id":3,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`)
 	if resp := postBody(t, ts.URL+"/v1/completions", `{"job_id":3,"now":0}`); resp.StatusCode != http.StatusConflict {
 		t.Errorf("completion before launch: status = %d, want %d", resp.StatusCode, http.StatusConflict)
 	}
@@ -140,11 +139,12 @@ func TestCompletionBeforeLaunch(t *testing.T) {
 	}
 }
 
-// runOneCycle submits a job and runs one scheduling cycle over HTTP.
+// runOneCycle submits a job and runs one scheduling cycle over HTTP, which
+// drains the job into the scheduler and launches it.
 func runOneCycle(t *testing.T, ts *httptest.Server, universe int) {
 	t.Helper()
-	resp := postBody(t, ts.URL+"/v1/jobs",
-		`{"id":0,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}`)
+	resp := postSubmit(t, ts.URL,
+		[]byte(`[{"id":0,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":20,"slowdown":1,"deadline":500}]`))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("job submit status = %d", resp.StatusCode)
 	}

@@ -181,61 +181,8 @@ func TestTenantRateLimitObservability(t *testing.T) {
 	}
 }
 
-// TestTenantRateLimitStreamVerdicts: the NDJSON stream mode reports
-// tenant_rate per line with the deficit-sized retry_after_seconds, and a
-// line for an unthrottled tenant in the same stream is unaffected.
-func TestTenantRateLimitStreamVerdicts(t *testing.T) {
-	_, ts, _ := rateDoor(t, AdmissionConfig{
-		Tenants: []TenantConfig{{Name: "a", Quota: -1, Rate: 0.25, RateBurst: 1}},
-	})
-	lines := `{"id":0,"tenant":"a","class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}
-{"id":1,"tenant":"a","class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}
-{"id":2,"tenant":"b","class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}
-`
-	resp, err := ts.Client().Post(ts.URL+"/v1/submit", "application/x-ndjson", strings.NewReader(lines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf, _ := io.ReadAll(resp.Body)
-	var verdicts []struct {
-		ID         int    `json:"id"`
-		Status     string `json:"status"`
-		Reason     string `json:"reason"`
-		RetryAfter int    `json:"retry_after_seconds"`
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(buf)), "\n") {
-		var v struct {
-			ID         int    `json:"id"`
-			Status     string `json:"status"`
-			Reason     string `json:"reason"`
-			RetryAfter int    `json:"retry_after_seconds"`
-		}
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
-			t.Fatalf("bad verdict line %q: %v", line, err)
-		}
-		verdicts = append(verdicts, v)
-	}
-	if len(verdicts) != 3 {
-		t.Fatalf("got %d verdicts, want 3", len(verdicts))
-	}
-	if verdicts[0].Status != "accepted" {
-		t.Errorf("line 0 = %+v, want accepted (burst token)", verdicts[0])
-	}
-	if verdicts[1].Status != "rejected" || verdicts[1].Reason != "tenant_rate" {
-		t.Errorf("line 1 = %+v, want rejected/tenant_rate", verdicts[1])
-	}
-	if verdicts[1].RetryAfter != 4 {
-		t.Errorf("line 1 retry_after_seconds = %d, want 4 (1 token at 0.25/s)", verdicts[1].RetryAfter)
-	}
-	if verdicts[2].Status != "accepted" {
-		t.Errorf("line 2 = %+v, want accepted (tenant b has no bucket)", verdicts[2])
-	}
-}
-
 // TestRetryAfterFloorAllPaths pins the Retry-After floor: every 429 path —
-// queue_full, tenant_quota, tenant_rate, and the NDJSON per-line verdicts —
-// must advise at least 1 second even when the configured advisory is
+// queue_full, tenant_quota and tenant_rate — must advise at least 1 second even when the configured advisory is
 // sub-second and the rate deficit rounds to zero. Retry-After: 0 invites an
 // immediate synchronized retry stampede, the opposite of backpressure.
 func TestRetryAfterFloorAllPaths(t *testing.T) {
@@ -307,28 +254,5 @@ func TestRetryAfterFloorAllPaths(t *testing.T) {
 	assert429Floor("full", resp.StatusCode, resp.Header.Get("Retry-After"), retry)
 	if reason != "queue_full" {
 		t.Errorf("full rejection reason = %q", reason)
-	}
-
-	// NDJSON: a rejected line's verdict carries the same floor.
-	line := `{"id":40,"tenant":"r","class":"BE","type":"Unconstrained","k":1,"base_runtime":10,"slowdown":1}` + "\n"
-	sresp, err := ts.Client().Post(ts.URL+"/v1/submit", "application/x-ndjson", strings.NewReader(line))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	buf, _ := io.ReadAll(sresp.Body)
-	var v struct {
-		Status     string `json:"status"`
-		Reason     string `json:"reason"`
-		RetryAfter int    `json:"retry_after_seconds"`
-	}
-	if err := json.Unmarshal([]byte(strings.TrimSpace(string(buf))), &v); err != nil {
-		t.Fatalf("bad verdict %q: %v", buf, err)
-	}
-	if v.Status != "rejected" {
-		t.Fatalf("stream verdict = %+v, want rejected (queue full)", v)
-	}
-	if v.RetryAfter < 1 {
-		t.Errorf("stream retry_after_seconds = %d, want ≥ 1", v.RetryAfter)
 	}
 }

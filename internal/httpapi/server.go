@@ -29,7 +29,7 @@ import (
 // JobMsg is the wire form of a job submission.
 type JobMsg struct {
 	ID          int     `json:"id"`
-	Tenant      string  `json:"tenant,omitempty"` // multi-tenant front door (POST /v1/submit)
+	Tenant      string  `json:"tenant,omitempty"` // the admitting tenant; empty is DefaultTenant
 	Class       string  `json:"class"`            // "SLO" | "BE"
 	Type        string  `json:"type"`             // "Unconstrained" | "GPU" | "MPI" | "Elastic"
 	Submit      int64   `json:"submit"`
@@ -251,9 +251,9 @@ func (s *Server) ReconfigureTenants(tenants []TenantConfig) {
 	s.adm.reconfigure(tenants)
 }
 
-// SetAdmissionLog streams one NDJSON record per admission verdict (batch
-// accepted/rejected, stream totals) to w. Records are buffered; call
-// FlushAdmissionLog on shutdown. Call before serving.
+// SetAdmissionLog streams one NDJSON record per admission verdict (a batch
+// accepted or refused) to w. Records are buffered; call FlushAdmissionLog on
+// shutdown. Call before serving.
 func (s *Server) SetAdmissionLog(w io.Writer) *Server {
 	s.admLog = newAdmissionLog(w)
 	return s
@@ -279,7 +279,6 @@ func (s *Server) SetTracer(tr *trace.Tracer) *Server {
 // 405 to any other.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleJobs)
 	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	mux.HandleFunc("POST /v1/cycle", s.handleCycle)
 	mux.HandleFunc("POST /v1/completions", s.handleCompletion)
@@ -291,8 +290,8 @@ func (s *Server) Handler() http.Handler {
 
 // admissionLog streams NDJSON admission records to a writer. Records are
 // buffered (bufio) and must be flushed on shutdown; one record covers one
-// batch verdict or one completed stream, never one job — the log stays
-// proportional to request rate, not job rate.
+// batch verdict, never one job — the log stays proportional to request rate,
+// not job rate. Every record's "mode" is "batch", kept for the log's readers.
 type admissionLog struct {
 	mu sync.Mutex
 	bw *bufio.Writer
@@ -302,13 +301,13 @@ func newAdmissionLog(w io.Writer) *admissionLog {
 	return &admissionLog{bw: bufio.NewWriterSize(w, 32<<10)}
 }
 
-func (l *admissionLog) record(mode, tenant, outcome string, jobs, code int) {
+func (l *admissionLog) record(tenant, outcome string, jobs, code int) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	fmt.Fprintf(l.bw, `{"t":%q,"mode":%q,"tenant":%q,"jobs":%d,"outcome":%q,"code":%d}`+"\n",
-		time.Now().UTC().Format(time.RFC3339Nano), mode, tenant, jobs, outcome, code)
+	fmt.Fprintf(l.bw, `{"t":%q,"mode":"batch","tenant":%q,"jobs":%d,"outcome":%q,"code":%d}`+"\n",
+		time.Now().UTC().Format(time.RFC3339Nano), tenant, jobs, outcome, code)
 	l.mu.Unlock()
 }
 
@@ -331,16 +330,7 @@ func (s *Server) logAdmission(jobs []*workload.Job, outcome string, code int) {
 			break
 		}
 	}
-	s.admLog.record("batch", tenant, outcome, len(jobs), code)
-}
-
-// logStream records one completed NDJSON stream's totals.
-func (s *Server) logStream(accepted, rejected, malformed int64) {
-	if s.admLog == nil {
-		return
-	}
-	s.admLog.record("stream", "", fmt.Sprintf("accepted=%d rejected=%d malformed=%d",
-		accepted, rejected, malformed), int(accepted), 0)
+	s.admLog.record(tenant, outcome, len(jobs), code)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -353,29 +343,6 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 		// Headers already sent; nothing more to do.
 		_ = err
 	}
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	var msg JobMsg
-	if err := decodeBody(r, &msg); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	job, err := msg.ToJob()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.jobs[job.ID]; dup {
-		writeErr(w, http.StatusConflict, fmt.Errorf("httpapi: duplicate job %d", job.ID))
-		return
-	}
-	s.jobs[job.ID] = job
-	s.sched.Submit(job.Submit, job)
-	s.publish()
-	w.WriteHeader(http.StatusAccepted)
 }
 
 func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {

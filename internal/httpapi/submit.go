@@ -1,21 +1,15 @@
 package httpapi
 
-// POST /v1/submit — the batched, multi-tenant submission endpoint. Two wire
-// modes share the path, selected by Content-Type:
+// POST /v1/submit — the batched, multi-tenant submission endpoint and the
+// daemon's only way to put a job into the scheduler. The body is a JSON array
+// of job objects. Admission is atomic — every job is validated and the whole
+// batch is enqueued, or the batch is rejected and the ingress queue is
+// untouched. One invalid job fails the batch with 400 and a per-item error
+// body.
 //
-//   - application/json (default): the body is a JSON array of job objects.
-//     Admission is atomic — every job is validated and the whole batch is
-//     enqueued, or the batch is rejected and the ingress queue is untouched.
-//     One invalid job fails the batch with 400 and a per-item error body.
-//   - application/x-ndjson: the body is a stream of newline-delimited job
-//     objects, admitted line by line; the response streams one NDJSON
-//     verdict per input line. Streaming trades batch atomicity for
-//     constant-memory ingestion of arbitrarily long submissions.
-//
-// Backpressure is explicit: when the ingress queue (or the tenant's quota)
-// cannot take the submission, the batch mode answers 429 with a Retry-After
-// header and the stream mode emits per-line "rejected" verdicts. The daemon
-// never buffers beyond the configured queue bound.
+// Backpressure is explicit: when the ingress queue (or the tenant's quota or
+// rate) cannot take the batch, the handler answers 429 with a Retry-After
+// header. The daemon never buffers beyond the configured queue bound.
 //
 // The handler is the daemon's hot path and is written allocation-consciously:
 // request bodies decode into pooled scratch buffers, responses are built by
@@ -25,8 +19,6 @@ package httpapi
 // the scheduler retains.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,13 +32,9 @@ import (
 	"tetrisched/internal/workload"
 )
 
-// maxSubmitBody bounds one request body read whole (a /v1/submit batch, a
-// /v1/jobs, /v1/cycle or /v1/completions message); streams are unbounded in
-// total size but bounded per line.
+// maxSubmitBody bounds one request body (a /v1/submit batch, a /v1/cycle or
+// a /v1/completions message), read whole.
 const maxSubmitBody = 16 << 20
-
-// maxStreamLine bounds one NDJSON line.
-const maxStreamLine = 1 << 20
 
 // submitScratch is the pooled per-request working set of the submit path.
 type submitScratch struct {
@@ -70,6 +58,9 @@ func putScratch(sc *submitScratch) {
 	if cap(sc.body) > maxSubmitBody/4 || cap(sc.resp) > maxSubmitBody/4 {
 		return // drop oversized outliers instead of pinning them in the pool
 	}
+	// json.Unmarshal decodes a batch into the elements already in the slice,
+	// so a field an item omits would keep what the last request put there.
+	clear(sc.msgs)
 	submitPool.Put(sc)
 }
 
@@ -116,16 +107,12 @@ func decodeBody(r *http.Request, v interface{}) error {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	if ct := r.Header.Get("Content-Type"); ct == "application/x-ndjson" {
-		s.submitStream(w, r)
-	} else {
-		s.submitBatch(w, r, t0)
-	}
+	s.submitBatch(w, r)
 	s.adm.observeLatency(time.Since(t0))
 }
 
-// submitBatch handles the JSON-array mode.
-func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request, t0 time.Time) {
+// submitBatch admits one JSON-array batch, or refuses all of it.
+func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
 	sp := s.tracer.Begin("admit", "submit.batch")
@@ -240,83 +227,4 @@ func (s *Server) writeBatchErrors(w http.ResponseWriter, sc *submitScratch, badA
 		Error string    `json:"error"`
 		Items []itemErr `json:"items"`
 	}{Error: "invalid batch (rejected atomically; no job was enqueued)", Items: items})
-}
-
-// submitStream handles the NDJSON mode: one job per line in, one verdict
-// per line out. Lines are admitted independently (no batch atomicity); an
-// unparseable line yields an "error" verdict and the stream continues.
-func (s *Server) submitStream(w http.ResponseWriter, r *http.Request) {
-	sp := s.tracer.Begin("admit", "submit.stream")
-	sc := getScratch()
-	defer putScratch(sc)
-
-	scan := bufio.NewScanner(r.Body)
-	scan.Buffer(make([]byte, 64<<10), maxStreamLine)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-
-	var accepted, rejected, malformed int64
-	one := make([]*workload.Job, 1)
-	lines := 0
-	for scan.Scan() {
-		line := bytes.TrimSpace(scan.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		lines++
-		var msg JobMsg
-		var verdict string
-		var detail error
-		lineRetry := 0
-		if err := json.Unmarshal(line, &msg); err != nil {
-			verdict, detail = "error", err
-		} else if j, err := msg.ToJob(); err != nil {
-			verdict, detail = "error", err
-		} else {
-			if j.Tenant == "" {
-				j.Tenant = DefaultTenant
-			}
-			one[0] = j
-			switch out := s.adm.tryEnqueue(one); out.reason {
-			case rejectNone:
-				verdict = "accepted"
-			case rejectInvalid:
-				verdict, detail = "error", fmt.Errorf("duplicate job %d", j.ID)
-			default:
-				verdict, detail = "rejected", fmt.Errorf("%s", out.reason)
-				lineRetry = s.adm.advisoryRetry(out)
-			}
-		}
-		sc.resp = sc.resp[:0]
-		sc.resp = append(sc.resp, `{"id":`...)
-		sc.resp = strconv.AppendInt(sc.resp, int64(msg.ID), 10)
-		sc.resp = append(sc.resp, `,"status":"`...)
-		sc.resp = append(sc.resp, verdict...)
-		sc.resp = append(sc.resp, '"')
-		switch verdict {
-		case "accepted":
-			accepted++
-		case "rejected":
-			rejected++
-			sc.resp = append(sc.resp, `,"reason":"`...)
-			sc.resp = append(sc.resp, detail.Error()...)
-			sc.resp = append(sc.resp, `","retry_after_seconds":`...)
-			sc.resp = strconv.AppendInt(sc.resp, int64(lineRetry), 10)
-		default:
-			malformed++
-			sc.resp = append(sc.resp, `,"error":`...)
-			sc.resp = strconv.AppendQuote(sc.resp, detail.Error())
-		}
-		sc.resp = append(sc.resp, '}', '\n')
-		w.Write(sc.resp)
-		if flusher != nil && lines%256 == 0 {
-			flusher.Flush()
-		}
-	}
-	if err := scan.Err(); err != nil {
-		fmt.Fprintf(w, `{"status":"error","error":%q}`+"\n", err.Error())
-	}
-	sp.End(trace.I("accepted", accepted), trace.I("rejected", rejected),
-		trace.I("malformed", malformed))
-	s.logStream(accepted, rejected, malformed)
 }

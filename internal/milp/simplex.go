@@ -421,6 +421,20 @@ func (s *simplexState) ftran(enter int) {
 	s.lu.ftranCol(enter, s.artCoef, s.w)
 }
 
+// improving is the primal pricing rule: a nonbasic column with status st and
+// reduced cost d may enter when moving it off its bound lowers the objective
+// by more than optTol, and dir is the way it moves — up from its lower bound,
+// down from its upper bound, and against the sign of d when it is free.
+func improving(st byte, d float64) (dir float64, ok bool) {
+	if d < -optTol {
+		return 1, st == atLower || st == atFree
+	}
+	if d > optTol {
+		return -1, st == atUpper || st == atFree
+	}
+	return 0, false
+}
+
 // iterate runs primal simplex iterations to optimality under the given
 // bounds and cost vector.
 func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
@@ -468,28 +482,7 @@ func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
 				for k := p.colStart[j]; k < p.colStart[j+1]; k++ {
 					d -= y[p.colRow[k]] * p.colVal[k]
 				}
-				var dj float64
-				eligible := false
-				switch st {
-				case atLower:
-					if d < -optTol {
-						eligible, dj = true, 1
-					}
-				case atUpper:
-					if d > optTol {
-						eligible, dj = true, -1
-					}
-				case atFree:
-					if math.Abs(d) > optTol {
-						eligible = true
-						if d > 0 {
-							dj = -1
-						} else {
-							dj = 1
-						}
-					}
-				}
-				if eligible {
+				if dj, ok := improving(st, d); ok {
 					keep = append(keep, j32)
 					if score := d * d / s.gamma[j]; score > best {
 						best, enter, dir, enterD = score, j, dj, d
@@ -511,28 +504,7 @@ func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
 				for k := p.colStart[j]; k < p.colStart[j+1]; k++ {
 					d -= y[p.colRow[k]] * p.colVal[k]
 				}
-				var dj float64
-				eligible := false
-				switch st {
-				case atLower:
-					if d < -optTol {
-						eligible, dj = true, 1
-					}
-				case atUpper:
-					if d > optTol {
-						eligible, dj = true, -1
-					}
-				case atFree:
-					if math.Abs(d) > optTol {
-						eligible = true
-						if d > 0 {
-							dj = -1
-						} else {
-							dj = 1
-						}
-					}
-				}
-				if eligible {
+				if dj, ok := improving(st, d); ok {
 					if s.bland {
 						enter, dir, enterD = j, dj, d
 						break
@@ -557,28 +529,7 @@ func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
 				}
 				ai := j - p.n
 				d := cost[j] - y[ai]*s.artCoef[ai]
-				var dj float64
-				eligible := false
-				switch st {
-				case atLower:
-					if d < -optTol {
-						eligible, dj = true, 1
-					}
-				case atUpper:
-					if d > optTol {
-						eligible, dj = true, -1
-					}
-				case atFree:
-					if math.Abs(d) > optTol {
-						eligible = true
-						if d > 0 {
-							dj = -1
-						} else {
-							dj = 1
-						}
-					}
-				}
-				if eligible {
+				if dj, ok := improving(st, d); ok {
 					if s.bland {
 						enter, dir, enterD = j, dj, d
 						break
