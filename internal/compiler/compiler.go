@@ -90,10 +90,10 @@ type jobRecord struct {
 
 // Compiled is the result of compiling a batch of job expressions. It is a
 // view of memory its Scratch owns — the model, the lowering records, the
-// availability grid and whatever Components and ForcedComponents fill — and is
-// valid until that Scratch's next Compile, which builds the next batch in the
-// same memory (Stale reports that it has happened). The package-level Compile
-// builds in a Scratch of its own, so what it returns is never invalidated.
+// availability grid and whatever its decompositions fill — and is valid until
+// that Scratch's next Compile, which builds the next batch in the same memory
+// (Stale reports that it has happened). The package-level Compile builds in a
+// Scratch of its own, so what it returns is never invalidated.
 type Compiled struct {
 	// Model is the MILP to hand to the solver (maximize).
 	Model *milp.Model
@@ -129,9 +129,9 @@ func (c *Compiled) partsOf(rec *leafRecord) []partVar {
 // its capacity from compilation to compilation and a steady-state cycle
 // allocates none of it again; nothing is reserved before the first Compile.
 // The zero value is ready to use. A Scratch, its current Compiled's
-// Components and ForcedComponents included, must not be used from more than
-// one goroutine at a time; reading a Compiled and its Components (Decode,
-// GreedyRound, solving the models) is safe from many.
+// decompositions included, must not be used from more than one goroutine at
+// a time; reading a Compiled and its Components (Decode, GreedyRound, solving
+// the models) is safe from many.
 type Scratch struct {
 	epoch uint64 // counts Compile calls; a Compiled of an earlier one is stale
 
@@ -845,20 +845,22 @@ func (c *Compiled) grantedGroups(rec *leafRecord, x []float64, shift int) int {
 // Decode converts a solver solution into per-leaf grants. Leaves with no
 // allocation are omitted.
 func (c *Compiled) Decode(sol *milp.Solution) []LeafGrant {
-	return c.appendGrants(nil, sol.Values, &roundScope{})
+	grants, _ := c.appendGrants(nil, nil, sol.Values, &roundScope{})
+	return grants
 }
 
 // AppendGrants is Decode for the component's own solution vector x (in the
-// component's variable space, as its solve returns it), appending to dst. A
-// grant's Job is still the job's index in the batch the component was cut from.
-func (cc *Component) AppendGrants(dst []LeafGrant, x []float64) []LeafGrant {
-	return cc.parent.appendGrants(dst, x, &cc.scope)
+// component's variable space, as its solve returns it), appending the grants
+// to dst and their Counts to counts: every grant's Counts is cut from counts'
+// memory, which grows only when it is too small. A grant's Job is still the
+// job's index in the batch the component was cut from.
+func (cc *Component) AppendGrants(dst []LeafGrant, counts []GroupCount, x []float64) ([]LeafGrant, []GroupCount) {
+	return cc.parent.appendGrants(dst, counts, x, &cc.scope)
 }
 
 // appendGrants decodes the scope's jobs from x, a vector in the scope's
-// variable space. Only a granted leaf costs anything, and the Counts of all
-// the grants of one call are cut from one array.
-func (c *Compiled) appendGrants(dst []LeafGrant, x []float64, sc *roundScope) []LeafGrant {
+// variable space. Only a granted leaf costs anything.
+func (c *Compiled) appendGrants(dst []LeafGrant, counts []GroupCount, x []float64, sc *roundScope) ([]LeafGrant, []GroupCount) {
 	r := rounding{c: c, sc: sc}
 	nJobs := len(sc.jobs)
 	if sc.jobs == nil {
@@ -873,9 +875,9 @@ func (c *Compiled) appendGrants(dst []LeafGrant, x []float64, sc *roundScope) []
 		}
 	}
 	if pairs == 0 {
-		return dst
+		return dst, counts
 	}
-	counts := make([]GroupCount, 0, pairs)
+	counts = slices.Grow(counts, pairs)
 	for i := 0; i < nJobs; i++ {
 		j, shift := r.job(i)
 		recs := c.jobLeaves(j)
@@ -900,7 +902,7 @@ func (c *Compiled) appendGrants(dst []LeafGrant, x []float64, sc *roundScope) []
 				Counts: counts[lo:len(counts):len(counts)], Total: total})
 		}
 	}
-	return dst
+	return dst, counts
 }
 
 // Assignment converts a solution into the strl evaluator's assignment form

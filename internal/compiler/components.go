@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"slices"
+
 	"tetrisched/internal/milp"
 )
 
@@ -29,8 +31,8 @@ type Component struct {
 	// model. Nil means the identity mapping (single-component case).
 	VarMap []int
 	// Shard is the forced-partition class this component belongs to when the
-	// decomposition was produced by ForcedComponents, or -1 for the natural
-	// decomposition of Components. Observability only; the solver ignores it.
+	// decomposition was given an assignment, or -1 for the natural
+	// decomposition. Observability only; the solver ignores it.
 	Shard int
 
 	parent *Compiled
@@ -41,46 +43,52 @@ type Component struct {
 // compiled over (Compiled.Stale).
 func (cc *Component) Stale() bool { return cc.parent.Stale() }
 
-// Components partitions the compiled batch into independently solvable
-// sub-MILPs. It returns one Component per connected component of the
-// variable↔constraint graph, ordered by each component's smallest job index
-// (so the result is deterministic for a given model). A batch that does not
-// decompose returns a single Component wrapping the original model. The
-// components live as long as c does; decomposing is a write to c's Scratch
-// (see Scratch for what that excludes).
-func (c *Compiled) Components() []*Component {
-	return c.components(nil, -1)
-}
+// Components is the natural decomposition, ForcedComponents(nil, -1).
+func (c *Compiled) Components() []*Component { return c.ForcedComponents(nil, -1) }
 
-// ForcedComponents is Components under an externally imposed job partition:
-// assign[j] names the class (shard) of batch job j, and jobs in different
-// classes are kept in different components even when a shared supply row
-// couples them. A shared row that is cut this way is a ≤-row with nonnegative
-// coefficients (the only cross-job rows the compiler emits), so each side
-// receives a restricted copy — its own terms against the row's full RHS. The
-// copies are optimistic: each class plans as if it had the row's whole
-// capacity, and the caller is responsible for resolving the resulting
-// over-commits when the per-class plans are applied (the sharded scheduler
-// does this at commit time; see internal/shard). A cross-class row that is
-// not safe to cut (not ≤, or a negative coefficient — none today) falls back
-// to coupling its jobs, which merges their classes for this batch and keeps
-// the decomposition exact rather than silently unsound.
-//
-// merge, when ≥ 0, names one class whose jobs are additionally forced into a
-// single component regardless of natural connectivity — the sharded
-// scheduler's gang arbitrator, which serializes jobs spanning shards through
-// one solve. Pass merge < 0 to disable.
-//
-// Natural connected-component refinement still applies within each class, so
-// a one-class assignment reproduces Components exactly.
+// ForcedComponents is AppendComponents into fresh headers, with a fresh
+// pointer to each.
 func (c *Compiled) ForcedComponents(assign []int, merge int) []*Component {
-	return c.components(assign, merge)
+	comps := c.AppendComponents(nil, assign, merge)
+	out := make([]*Component, len(comps))
+	for i := range comps {
+		out[i] = &comps[i]
+	}
+	return out
 }
 
-func (c *Compiled) components(assign []int, merge int) []*Component {
+// AppendComponents partitions the compiled batch into independently solvable
+// sub-MILPs, one Component per connected component of the
+// variable↔constraint graph, ordered by each component's smallest job index
+// (so the result is deterministic for a given model); a batch that does not
+// decompose is a single Component wrapping the original model. It appends
+// the headers, by value, to dst, which grows only when it is too small. What
+// they point to lives as long as c does: decomposing is a write to c's
+// Scratch (see Scratch for what that excludes). The compiler never reuses
+// header memory, so a header reports Stale for exactly the Compiled it was
+// cut from, whoever owns the slice.
+//
+// A nil assign is the natural decomposition. Otherwise assign[j] names the
+// class (shard) of batch job j, and jobs in different classes are kept in
+// different components even when a shared supply row couples them. A shared
+// row that is cut this way is a ≤-row with nonnegative coefficients (the only
+// cross-job rows the compiler emits), so each side receives a restricted
+// copy — its own terms against the row's full RHS. The copies are optimistic:
+// each class plans as if it had the row's whole capacity, and the caller
+// resolves the resulting over-commits when the per-class plans are applied
+// (the sharded scheduler does this at commit time; see internal/shard). A
+// cross-class row that is not safe to cut (not ≤, or a negative coefficient —
+// none today) couples its jobs, which merges their classes for this batch and
+// keeps the decomposition exact rather than silently unsound. With an assign,
+// merge ≥ 0 names one class whose jobs are also forced into one component —
+// the sharded scheduler's gang arbitrator, which serializes jobs spanning
+// shards through one solve. Natural connected-component refinement still
+// applies within each class, so a one-class assignment reproduces the natural
+// decomposition exactly.
+func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []Component {
 	nj := len(c.jobs)
 	if nj == 0 {
-		return nil
+		return dst
 	}
 	if c.Stale() {
 		// The slabs below now belong to another batch's components.
@@ -167,14 +175,14 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 		size[compOf[j]]++
 	}
 	nc := len(size)
-	// The Component structs are allocated, like the Compiled: what they point
-	// to is the Scratch's.
-	comps := make([]Component, nc)
-	out := make([]*Component, nc)
+	// The headers are the caller's memory, and what they point to is the
+	// Scratch's.
+	n0 := len(dst)
+	dst = slices.Grow(dst, nc)[:n0+nc]
+	comps := dst[n0:]
 	jobBuf := sc.ints.take(nj) // every component's Jobs, cut from one array
 	for ci, lo := 0, 0; ci < nc; ci++ {
 		comps[ci] = Component{Jobs: jobBuf[lo : lo : lo+size[ci]], Shard: -1, parent: c}
-		out[ci] = &comps[ci]
 		lo += size[ci]
 	}
 	for j, ci := range compOf {
@@ -191,7 +199,7 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 		// Zero-copy: with one component every cut row's terms all live here,
 		// so the parent model is the component model verbatim.
 		comps[0].Model = c.Model
-		return out
+		return dst
 	}
 
 	// Slice the parent model per component in two passes over its rows, not
@@ -288,7 +296,7 @@ func (c *Compiled) components(assign []int, merge int) []*Component {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // subRows appends rows to the sub-models of a decomposition. All their terms

@@ -267,8 +267,9 @@ func TestAppendGrantsMatchesDecode(t *testing.T) {
 		want := c.Decode(sol)
 		for _, comps := range [][]*Component{c.Components(), c.ForcedComponents(fourClasses(len(jobs)), -1)} {
 			var got []LeafGrant
+			var counts []GroupCount // every component's grants' Counts, in one array
 			for _, cc := range comps {
-				got = cc.AppendGrants(got, project(cc, sol.Values))
+				got, counts = cc.AppendGrants(got, counts, project(cc, sol.Values))
 			}
 			slices.SortStableFunc(got, func(a, b LeafGrant) int { return a.Job - b.Job })
 			if !reflect.DeepEqual(got, want) {

@@ -76,20 +76,22 @@ func fourClasses(nJobs int) []int {
 }
 
 // TestScratchCompileAllocs: once a Scratch has grown to fit a batch,
-// compiling it and decomposing it — naturally, and along a 4-class
-// assignment — allocates the handles (the Compiled, the Component structs
-// and their pointer list) and the partition, and none of that count depends
-// on how many jobs, variables, rows or components the batch has. A fresh
-// Scratch makes many times as many allocations for the same batch.
+// compiling it allocates the handle (the Compiled) and the partition, and
+// decomposing it — naturally, and along a 4-class assignment — into a header
+// slice that has the room allocates nothing; none of those counts depends on
+// how many jobs, variables, rows or components the batch has. A fresh Scratch
+// makes many times as many allocations for the same batch.
 func TestScratchCompileAllocs(t *testing.T) {
 	steady := func(nJobs int) (compile, natural, forced float64) {
 		jobs, opts := cycleBatch(1, nJobs)
 		assign := fourClasses(nJobs)
 		var sc Scratch
 		var c *Compiled
+		var nat, frc []Component
 		cycle := func() {
 			c, _ = sc.Compile(jobs, opts)
-			if len(c.Components())+len(c.ForcedComponents(assign, -1)) < 5 {
+			nat, frc = c.AppendComponents(nat[:0], nil, -1), c.AppendComponents(frc[:0], assign, -1)
+			if len(nat)+len(frc) < 5 {
 				t.Fatalf("%d jobs: the forced decomposition did not split", nJobs)
 			}
 		}
@@ -97,8 +99,8 @@ func TestScratchCompileAllocs(t *testing.T) {
 			cycle()
 		}
 		compile = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts) })
-		natural = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts); c.Components() }) - compile
-		forced = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts); c.ForcedComponents(assign, -1) }) - compile
+		natural = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts); nat = c.AppendComponents(nat[:0], nil, -1) }) - compile
+		forced = testing.AllocsPerRun(10, func() { c, _ = sc.Compile(jobs, opts); frc = c.AppendComponents(frc[:0], assign, -1) }) - compile
 		return
 	}
 	c40, n40, f40 := steady(40)
@@ -107,8 +109,8 @@ func TestScratchCompileAllocs(t *testing.T) {
 		t.Errorf("steady-state allocations grow with the batch: compile %v vs %v, Components %v vs %v, ForcedComponents %v vs %v (40 vs 160 jobs)",
 			c40, c160, n40, n160, f40, f160)
 	}
-	if n40 > 2 || f40 > 2 {
-		t.Errorf("a decomposition allocates %v (natural) and %v (forced) times, want its two handle arrays", n40, f40)
+	if n40 != 0 || f40 != 0 {
+		t.Errorf("a decomposition into headers with room allocates %v (natural) and %v (forced) times, want none", n40, f40)
 	}
 	jobs, opts := cycleBatch(1, 40)
 	cold := testing.AllocsPerRun(10, func() { Compile(jobs, opts) })
@@ -237,7 +239,9 @@ func TestScratchCompiledMatchesFresh(t *testing.T) {
 // TestStaleFlipsAtNextCompile: a Compiled and its components go stale exactly
 // when their Scratch starts overwriting them — not when a Compile call is
 // rejected before it builds anything — and a stale Compiled refuses to be
-// decomposed into the memory of the live one.
+// decomposed into the memory of the live one. Headers appended to a caller's
+// slice are the caller's memory and still tell: they go stale with the
+// Compiled they were cut from.
 func TestStaleFlipsAtNextCompile(t *testing.T) {
 	var sc Scratch
 	jobs, opts := cycleBatch(5, 12)
@@ -246,10 +250,20 @@ func TestStaleFlipsAtNextCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	comps := first.ForcedComponents(fourClasses(len(jobs)), -1)
+	headers := make([]Component, 0, 16)
+	owned := first.AppendComponents(headers, nil, -1)
+	if len(owned) == 0 || &owned[0] != &headers[:1][0] {
+		t.Fatalf("%d headers, not in the caller's slice", len(owned))
+	}
 	stale := func() bool {
 		for _, cc := range comps {
 			if cc.Stale() != first.Stale() {
 				t.Fatal("a component and its Compiled disagree on Stale")
+			}
+		}
+		for i := range owned {
+			if owned[i].Stale() != first.Stale() {
+				t.Fatal("a header in the caller's slice and its Compiled disagree on Stale")
 			}
 		}
 		return first.Stale()
@@ -279,7 +293,8 @@ func TestStaleFlipsAtNextCompile(t *testing.T) {
 }
 
 // TestDecodeAllocatesPerGrant: Decode builds a grant only for a leaf the
-// solution gives nodes to and cuts every grant's Counts from one array.
+// solution gives nodes to and cuts every grant's Counts from one array, and
+// AppendGrants cuts them from the caller's.
 func TestDecodeAllocatesPerGrant(t *testing.T) {
 	jobs, opts := cycleBatch(4, 10)
 	c, err := Compile(jobs, opts)
@@ -295,12 +310,12 @@ func TestDecodeAllocatesPerGrant(t *testing.T) {
 	if avg, limit := testing.AllocsPerRun(20, func() { c.Decode(sol) }), 8.0; avg > limit {
 		t.Errorf("Decode allocates %v times for %d grants among %d leaves", avg, len(grants), len(c.leaves))
 	}
-	// The append form into a slice that has the room: the Counts array only.
+	// The append form into grants and counts that have the room: nothing.
 	for _, cc := range c.Components() {
 		sub := project(cc, sol.Values)
-		buf := cc.AppendGrants(nil, sub)
-		if avg := testing.AllocsPerRun(20, func() { cc.AppendGrants(buf[:0], sub) }); avg > 1 {
-			t.Errorf("AppendGrants into a sized slice allocates %v times", avg)
+		buf, counts := cc.AppendGrants(nil, nil, sub)
+		if avg := testing.AllocsPerRun(20, func() { buf, counts = cc.AppendGrants(buf[:0], counts[:0], sub) }); avg != 0 {
+			t.Errorf("AppendGrants into sized grants and counts allocates %v times", avg)
 		}
 	}
 }

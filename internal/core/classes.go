@@ -42,9 +42,11 @@ type exprEntry struct {
 }
 
 // class is one coupling class, compiled. reqs, revs and rel are its key; comp and
-// comps live in scr, every entry's grants speak of comp's leaves and partition
-// groups, and all of it dies at scr's next Compile, which happens only through
-// build, for a class that is not in the table.
+// what comps point to live in scr, every entry's grants speak of comp's leaves
+// and partition groups, and all of it dies at scr's next Compile, which happens
+// only through build, for a class that is not in the table. The headers in
+// comps are the class's own, rewritten only by build in the step that replaces
+// comp, so each reports Stale for the Compiled it was cut from.
 type class struct {
 	reqs  []*strlgen.Request // members in batch order, by pointer
 	revs  []uint32           // their revisions when compiled: a re-priced member is another request
@@ -55,7 +57,7 @@ type class struct {
 	scr      *compiler.Scratch
 	exprs    []strl.Expr
 	comp     *compiler.Compiled
-	comps    []*compiler.Component
+	comps    []compiler.Component
 	ents     []compEntry // one per component
 	ids      []int       // every entry's ids
 	assign   []int       // shard routing of the members, nil when monolithic
@@ -81,8 +83,10 @@ func (cl *class) solved() bool {
 }
 
 // compEntry is what a class remembers about one component. grants is its plan,
-// as grants on the leaves of the class's compilation. sol, when non-nil, is the
-// sub-solution solved from seed, proven optimal or cut off by the work budget.
+// as grants on the leaves of the class's compilation, their Counts cut from
+// counts; both are rewritten only when the entry is solved again, which also
+// marks the class stale for regrant. sol, when non-nil, is the sub-solution
+// solved from seed, proven optimal or cut off by the work budget.
 type compEntry struct {
 	ids     []int          // the component's job IDs
 	sol     *milp.Solution // nil or &out
@@ -90,6 +94,7 @@ type compEntry struct {
 	seed    []float64      // the warm start the component is solved from; nil: none
 	seedBuf []float64      // memory for seed
 	grants  []compiler.LeafGrant
+	counts  []compiler.GroupCount
 }
 
 // feEnabled reports whether requests are cached, classes therefore kept and
@@ -129,7 +134,7 @@ type grouping struct {
 
 // group unions requests whose node masks meet and returns the class count. A
 // sharded batch is one class over every node: shard routing and the gang
-// arbitrator cut it instead (ForcedComponents).
+// arbitrator cut it instead (AppendComponents along the assignment).
 func (s *Scheduler) group(reqs []*strlgen.Request) int {
 	g := &s.grp
 	g.cls, g.root = sized(g.cls, len(reqs)), g.root[:0]
@@ -317,9 +322,9 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 		// shard can hold are serialized through the gang-arbitrator component
 		// (docs/SHARDING.md).
 		cl.assign, cl.spanning = shard.Assign(s.shardSets, cl.reqs)
-		cl.comps = comp.ForcedComponents(cl.assign, len(s.shardSets))
+		cl.comps = comp.AppendComponents(cl.comps[:0], cl.assign, len(s.shardSets))
 	} else {
-		cl.comps = comp.Components()
+		cl.comps = comp.AppendComponents(cl.comps[:0], nil, -1)
 	}
 	cl.ids = sized(cl.ids, len(m))
 	if cap(cl.ents) < len(cl.comps) {
@@ -327,11 +332,11 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 	}
 	cl.ents = cl.ents[:len(cl.comps)]
 	lo := 0
-	for ci, cc := range cl.comps {
-		ent := &cl.ents[ci]
-		*ent = compEntry{ids: cl.ids[lo : lo+len(cc.Jobs)], grants: ent.grants[:0], out: ent.out, seedBuf: ent.seedBuf}
-		lo += len(cc.Jobs)
-		for i, j := range cc.Jobs {
+	for ci := range cl.comps {
+		ent, jobs := &cl.ents[ci], cl.comps[ci].Jobs
+		*ent = compEntry{ids: cl.ids[lo : lo+len(jobs)], grants: ent.grants[:0], counts: ent.counts[:0], out: ent.out, seedBuf: ent.seedBuf}
+		lo += len(jobs)
+		for i, j := range jobs {
 			ent.ids[i] = cl.reqs[j].Job.ID
 		}
 	}
@@ -381,11 +386,11 @@ func (s *Scheduler) plan(classes []*class) (live int) {
 			}
 			continue
 		}
-		for ci, cc := range cl.comps {
+		for ci := range cl.comps {
 			ent := &cl.ents[ci]
 			// A generated request's options are its leaves in tree order, so
 			// the wanted options name the leaves to seed.
-			seed := cc.Seed(s.seed, cl.want)
+			seed := cl.comps[ci].Seed(s.seed, cl.want)
 			if seed != nil {
 				s.seed = seed
 			}

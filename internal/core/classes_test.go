@@ -429,8 +429,8 @@ func wholeBatchPrints(t *testing.T, sched *Scheduler) (whole, classed []uint64) 
 		for i, bi := range cl.idx {
 			exprs[bi] = cl.reqs[i].Expr
 		}
-		for _, cc := range cl.comps {
-			classed = append(classed, cl.comp.ComponentFingerprint(cc))
+		for ci := range cl.comps {
+			classed = append(classed, cl.comp.ComponentFingerprint(&cl.comps[ci]))
 		}
 	}
 	comp, err := compiler.Compile(exprs, compiler.Options{
@@ -860,12 +860,16 @@ func TestClassTableShrinksAfterSpike(t *testing.T) {
 }
 
 // TestClassSolvesConcurrently drives cycles in which several classes are dirty
-// at once, so their components are solved on goroutines of their own, next to
-// classes that replay; under the race detector this is the check that a
-// class's Scratch, entries and grants are touched by one goroutine at a time.
-// The plan must not depend on how the goroutines were scheduled: two runs
-// plan alike.
+// at once, so their components are solved side by side on SolveEach's
+// workers, next to classes that replay; under the race detector this is the
+// check that a class's Scratch, entries and grants are touched by one
+// goroutine at a time. The plan must not depend on how the goroutines were
+// scheduled: two runs plan alike.
 func TestClassSolvesConcurrently(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 { // one proc is one worker: nothing at once
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	run := func() (deferred []planChoice, st SolveStats) {
 		sched, free := blockedResidents(8, 6, Config{CyclePeriod: 4, PlanAhead: 40, MaxBatch: 192})
 		for k, now := 0, int64(4); k < 16; k, now = k+1, now+4 {
@@ -995,10 +999,11 @@ func decayingScheduler(nJobs int, cfg Config) (*Scheduler, *bitset.Set) {
 // member re-priced, the class compiled and solved again. Requests are
 // re-priced where they are, and the partition, the model and the solution's
 // values live in memory the class already has; what is left is the handful of
-// headers (Compiled, Components) a cycle makes. Before PR 21 the cycle here made 138
+// headers (the Compiled) a cycle makes. Before PR 21 the cycle here made 138
 // allocations, 44 KB; PR 21 made it 17, 2 KB; since PR 25 the solve chain's
 // headers are the workspace's and the Solutions are the class's and the
-// scheduler's: 11, 0.8 KB.
+// scheduler's: 11, 0.8 KB; since the component headers, the grants' counts
+// and the part solutions are too: 3, 0.4 KB.
 func TestRebuiltClassAllocs(t *testing.T) {
 	sched, free := decayingScheduler(8, Config{})
 	now := int64(4)
@@ -1041,8 +1046,11 @@ func TestRebuiltClassAllocs(t *testing.T) {
 // sub-solve used to allocate its presolve, reduced model, LP and three
 // Solutions (the search's, the lifted one, the merge): 229 allocations, 31 KB
 // a cycle of 24 sub-solves here. Since PR 25 a sub-solve on a grown workspace
-// allocates no header of its own, and what is left (108, 8.4 KB) is the
-// Compiled, its Components and SolveEach's bookkeeping.
+// allocates no header of its own, and what was left (108, 8.4 KB) was the
+// Compiled, its Components and SolveEach's bookkeeping. The component headers,
+// the grants' counts and the part solutions are the class's and the
+// scheduler's now, and SolveEach's fan-out costs the same for any number of
+// parts: 29, 1 KB.
 func TestShardedCycleAllocs(t *testing.T) {
 	sched, free := decayingScheduler(24, Config{Shards: 4})
 	now := int64(4)

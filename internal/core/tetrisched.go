@@ -295,11 +295,12 @@ type Scheduler struct {
 	grp             grouping
 	refs            []compRef
 	parts           []milp.Part
-	merged          milp.Solution // the cycle's merged sub-solves
-	seed            []float64     // plan's candidate seed, one component at a time
+	sols            []*milp.Solution // the parts' own solutions
+	merged          milp.Solution    // the cycle's merged sub-solves
+	seed            []float64        // plan's candidate seed, one component at a time
 	working         *bitset.Set
 	greedyScr       compiler.Scratch   // greedyCycle's per-job probes
-	solveWS         milp.WorkspaceList // solver workspaces, one per concurrent sub-solve
+	solveWS         milp.WorkspaceList // solver workspaces, one per SolveEach worker
 	conflictScratch *bitset.Set        // classifyConflict working-set scratch
 
 	// Sharded control-plane state (internal/shard, docs/SHARDING.md); all nil
@@ -699,7 +700,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	}
 }
 
-// solve runs the components plan left without a solution, concurrently, and
+// solve hands the components plan left without a solution to SolveEach, and
 // files each one's grants (and its solution) with its class.
 // It returns the merged telemetry of the solves, the requests of components
 // that produced no incumbent, and how many solves were seeded.
@@ -710,8 +711,8 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 	// served.
 	refs := s.refs[:0]
 	for _, cl := range classes {
-		for ci, cc := range cl.comps {
-			refs = append(refs, compRef{first: cl.idx[cc.Jobs[0]], cl: cl, ci: ci})
+		for ci := range cl.comps {
+			refs = append(refs, compRef{first: cl.idx[cl.comps[ci].Jobs[0]], cl: cl, ci: ci})
 		}
 	}
 	if len(classes) > 1 {
@@ -720,11 +721,12 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 	parts := sized(s.parts, len(refs))
 	s.refs, s.parts = refs, parts
 	for i, ref := range refs {
-		cc, ent := ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
-		parts[i] = milp.Part{Model: cc.Model, Heuristic: cc.RoundInPlace, Seed: ent.seed, Reuse: ent.sol, Out: &ent.out}
+		cc, ent := &ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
+		parts[i] = milp.Part{Model: cc.Model, Seed: ent.seed, Reuse: ent.sol, Out: &ent.out}
 		if ent.sol != nil {
-			continue
+			continue // replayed: no search, so no rounding to bind
 		}
+		parts[i].Heuristic = cc.RoundInPlace
 		if ent.seed != nil {
 			warmSeeds++
 		}
@@ -740,12 +742,13 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 		TimeLimit:        s.cfg.SolverTimeLimit,
 		DisableWarmStart: s.cfg.DisableWarmStart,
 		DisablePresolve:  s.cfg.DisablePresolve,
-	}, &s.merged)
+	}, &s.merged, s.sols)
 	if err != nil {
 		return nil, nil, warmSeeds, err
 	}
+	s.sols = partSols
 	for i, ref := range refs {
-		cc, ent := ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
+		cc, ent := &ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]
 		if parts[i].Reuse != nil {
 			continue
 		}
@@ -762,7 +765,7 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 			}
 			continue
 		}
-		ent.grants = cc.AppendGrants(ent.grants, ps.Values)
+		ent.grants, ent.counts = cc.AppendGrants(ent.grants, ent.counts[:0], ps.Values)
 		if s.feEnabled() {
 			ent.sol = ps
 		}

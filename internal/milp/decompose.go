@@ -2,7 +2,9 @@ package milp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Part is one independent sub-model of a decomposed MILP. The sub-models of
@@ -21,7 +23,7 @@ type Part struct {
 	// Heuristic is the part's incumbent heuristic (Options.Heuristic, in the
 	// part's own variable space).
 	Heuristic func(relaxation []float64) []float64
-	// OnSolve, if non-nil, is invoked in the part's solver goroutine just
+	// OnSolve, if non-nil, is invoked on the worker that solves the part just
 	// before its solve begins; the returned function is invoked with the
 	// part's solution (nil on solver error) when it ends. Callers use it to
 	// open and close per-part trace spans with correct timing.
@@ -41,8 +43,9 @@ type Part struct {
 	Out *Solution
 }
 
-// SolveParts solves the independent parts of a decomposed model concurrently
-// and merges the results as if a single Solve had run on the full model:
+// SolveParts solves the independent parts of a decomposed model on at most
+// GOMAXPROCS workers and merges the results as if a single Solve had run on
+// the full model:
 //
 //   - Values is a full-length vector (fullVars entries) scattered from the
 //     part solutions through their VarMaps; variables of parts that produced
@@ -52,13 +55,13 @@ type Part struct {
 //     the solved parts).
 //   - Nodes, LP telemetry, and Runtime are sums over every part that ran —
 //     Runtime is therefore aggregate solver effort, not wall-clock, which is
-//     roughly Runtime divided by the parts solved concurrently. Parts adopted
-//     from a Reuse solution contribute values but no effort telemetry.
+//     roughly Runtime divided by the workers that solved the parts. Parts
+//     adopted from a Reuse solution contribute values but no effort telemetry.
 //
 // Options apply per part: each part has the Gap, TimeLimit and MaxNodes
 // budgets to itself, and TimeLimit counts the part's own LP work. Each part's
 // search is the serial search a lone Solve of its model runs, whatever its
-// siblings are doing.
+// siblings are doing and whichever worker runs it.
 //
 // Status merging: any infeasible or unbounded part makes the whole solve
 // infeasible/unbounded (Values nil — the full model has no solution); else if
@@ -94,28 +97,28 @@ func (l *WorkspaceList) SolveParts(parts []Part, fullVars int, opts Options) (*S
 			}
 		}
 	}
-	sols, err := l.solveEach(parts, opts)
+	sols, err := l.solveEach(parts, opts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	return mergeParts(parts, sols, fullVars, new(Solution)), sols, nil
 }
 
-// SolveEach is SolveParts for a caller that reads the parts' own solutions:
-// the parts need not be slices of one model (VarMap is ignored), and the merged
-// Solution, written into merged and returned, carries the status, objective,
-// bound and telemetry of SolveParts but no Values. A part with a Reuse solution
-// is adopted where it stands, and a lone part left to solve runs on the
-// caller's goroutine: only two or more solves are worth a goroutine each.
-func (l *WorkspaceList) SolveEach(parts []Part, opts Options, merged *Solution) (*Solution, []*Solution, error) {
-	sols, err := l.solveEach(parts, opts)
+// SolveEach is SolveParts for a caller that reads the parts' own solutions,
+// written into sols' memory (grown only when too small): the parts need not be
+// slices of one model (VarMap is ignored), and the merged Solution, written
+// into merged, carries SolveParts' status, objective, bound and telemetry but
+// no Values. Reuse parts are adopted on the caller's goroutine, and the live
+// ones run on min(live, GOMAXPROCS) workers, the caller one of them.
+func (l *WorkspaceList) SolveEach(parts []Part, opts Options, merged *Solution, sols []*Solution) (*Solution, []*Solution, error) {
+	sols, err := l.solveEach(parts, opts, sols)
 	if err != nil {
 		return nil, nil, err
 	}
 	return mergeParts(parts, sols, -1, merged), sols, nil
 }
 
-func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, error) {
+func (l *WorkspaceList) solveEach(parts []Part, opts Options, sols []*Solution) ([]*Solution, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("milp: SolveParts requires at least one part")
 	}
@@ -128,21 +131,16 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, erro
 			live++
 		}
 	}
-
-	sols := make([]*Solution, len(parts))
-	run := func(i int) {
+	sols = zeroed(sols, len(parts))
+	run := func(ws *Workspace, i int) {
 		var done func(*Solution)
 		if parts[i].OnSolve != nil {
 			done = parts[i].OnSolve()
 		}
 		if sols[i] = parts[i].Reuse; sols[i] == nil {
 			po := opts
-			po.InitialSolution = parts[i].Seed
-			po.Heuristic = parts[i].Heuristic
-			ws := l.Get()
-			sol, err := ws.solveInto(parts[i].Out, parts[i].Model, po)
-			l.Put(ws)
-			if err == nil {
+			po.InitialSolution, po.Heuristic = parts[i].Seed, parts[i].Heuristic
+			if sol, err := ws.solveInto(parts[i].Out, parts[i].Model, po); err == nil {
 				sols[i] = sol
 			}
 		}
@@ -150,17 +148,32 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options) ([]*Solution, erro
 			done(sols[i])
 		}
 	}
-	var wg sync.WaitGroup
 	for i := range parts {
-		if parts[i].Reuse != nil || live == 1 {
-			run(i)
-			continue
+		if parts[i].Reuse != nil {
+			run(nil, i)
 		}
+	}
+	// The live parts go to min(live, GOMAXPROCS) workers, the caller one of
+	// them, in index order; a worker solves on one workspace from the list.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		ws := l.Get()
+		for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
+			if parts[i].Reuse == nil {
+				run(ws, i)
+			}
+		}
+		l.Put(ws)
+	}
+	for range min(live, runtime.GOMAXPROCS(0)) - 1 {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run(i)
-		}(i)
+		go work()
+	}
+	if live > 0 {
+		wg.Add(1)
+		work()
 	}
 	wg.Wait()
 	return sols, nil

@@ -313,9 +313,12 @@ func TestDecomposeReusePartAdoptedVerbatim(t *testing.T) {
 
 // TestSolveEachSpawnsOnlyForConcurrentSolves: adopted parts and a lone live
 // part run where the caller stands — their OnSolve hooks see no goroutine the
-// caller did not have — and only two or more live parts get one each. SolveEach
-// takes parts that share no variable space and merges everything but Values.
+// caller did not have — and live parts run on at most GOMAXPROCS workers, the
+// caller one of them, however many there are. SolveEach takes parts that
+// share no variable space and merges everything but Values.
 func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
+	atLeastTwoProcs(t)
+	procs := runtime.GOMAXPROCS(0)
 	models := []*Model{
 		knapsack([]float64{5, 4, 3}, []float64{2, 3, 1}, 4),
 		knapsack([]float64{7, 1}, []float64{1, 1}, 1),
@@ -323,8 +326,17 @@ func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
 	}
 	var l WorkspaceList
 	var opts Options
-	during := func(parts []Part) (peak int, merged *Solution, sols []*Solution) {
+	base := runtime.NumGoroutine()
+	// started reports the most goroutines beyond base that any part's OnSolve
+	// saw. A worker's goroutine is done with the WaitGroup before it exits
+	// (under -race that takes a while), so the count starts once the last
+	// call's have.
+	during := func(parts []Part) (started int, merged *Solution, sols []*Solution) {
+		for wait := 0; wait < 100 && runtime.NumGoroutine() > base; wait++ {
+			time.Sleep(time.Millisecond)
+		}
 		var mu sync.Mutex
+		peak := 0
 		for i := range parts {
 			parts[i].OnSolve = func() func(*Solution) {
 				mu.Lock()
@@ -333,38 +345,39 @@ func TestSolveEachSpawnsOnlyForConcurrentSolves(t *testing.T) {
 				return func(*Solution) {}
 			}
 		}
-		merged, sols, err := l.SolveEach(parts, opts, new(Solution))
+		merged, sols, err := l.SolveEach(parts, opts, new(Solution), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return peak, merged, sols
+		return peak - base, merged, sols
 	}
 	parts := make([]Part, len(models))
 	for i, m := range models {
 		parts[i] = Part{Model: m} // no VarMaps: nothing is scattered
 	}
-	base := runtime.NumGoroutine()
-	peak, fresh, freshSols := during(parts)
-	if peak <= base {
-		t.Errorf("three live parts ran on the caller's goroutine (%d goroutines, %d before)", peak, base)
+	started, fresh, freshSols := during(parts)
+	if started < 1 || started > min(3, procs)-1 {
+		t.Errorf("three live parts started %d goroutines on %d procs; want 1 to %d", started, procs, min(3, procs)-1)
 	}
 	if fresh.Values != nil || fresh.Status != StatusOptimal || fresh.Objective != freshSols[0].Objective+freshSols[1].Objective+freshSols[2].Objective {
 		t.Errorf("merged %+v: want optimal, the parts' objectives summed, no Values", fresh)
 	}
 	parts[0].Reuse, parts[2].Reuse = freshSols[0], freshSols[2]
-	// The live parts' goroutines are done with their WaitGroup but may not have
-	// exited yet (under -race that takes a while): count once they have.
-	for wait := 0; wait < 100 && runtime.NumGoroutine() > base; wait++ {
-		time.Sleep(time.Millisecond)
-	}
-	peak, replay, sols := during(parts)
-	if peak > base {
-		t.Errorf("two adopted parts and one live: %d goroutines, %d before; nothing should have been started", peak, base)
+	started, replay, sols := during(parts)
+	if started > 0 {
+		t.Errorf("two adopted parts and one live started %d goroutines; nothing should have been started", started)
 	}
 	if sols[0] != freshSols[0] || sols[2] != freshSols[2] || sols[1].Nodes != freshSols[1].Nodes || sols[1].LP != freshSols[1].LP {
 		t.Errorf("adopted parts not returned as given, or the live part's search changed (%d nodes, %d in the full run)", sols[1].Nodes, freshSols[1].Nodes)
 	}
 	if replay.Objective != fresh.Objective || replay.Nodes != sols[1].Nodes {
 		t.Errorf("replayed merge: objective %v (fresh %v), nodes %d (the live part's %d)", replay.Objective, fresh.Objective, replay.Nodes, sols[1].Nodes)
+	}
+	many := make([]Part, 40)
+	for i := range many {
+		many[i] = Part{Model: models[i%len(models)]}
+	}
+	if started, _, _ := during(many); started > procs-1 {
+		t.Errorf("40 live parts started %d goroutines on %d procs; want at most %d", started, procs, procs-1)
 	}
 }

@@ -106,7 +106,7 @@ func FuzzSolveEachMatchesSolve(f *testing.F) {
 						parts[i].Out = &Solution{Values: make([]float64, len(m.Vars)/2)}
 					}
 				}
-				_, sols, err := list.SolveEach(parts, opts, new(Solution))
+				_, sols, err := list.SolveEach(parts, opts, new(Solution), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

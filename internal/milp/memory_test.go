@@ -2,8 +2,10 @@ package milp
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -307,8 +309,10 @@ func TestWorkspaceSolveAllocs(t *testing.T) {
 
 // TestWorkspaceListSolveParts runs decomposed solves concurrently against one
 // shared free list (run it under -race) and requires each to merge to what
-// the package-level SolveParts returns.
+// the package-level SolveParts returns. Each call's workers hold a workspace
+// apiece, so the list ends with no more than the four calls' workers.
 func TestWorkspaceListSolveParts(t *testing.T) {
+	atLeastTwoProcs(t)
 	mkParts := func(seed int64) ([]Part, int) {
 		var parts []Part
 		full := 0
@@ -349,8 +353,8 @@ func TestWorkspaceListSolveParts(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := len(list.free); n == 0 || n > maxFreeWorkspaces {
-		t.Errorf("free list holds %d workspaces after the solves", n)
+	if n := len(list.free); n == 0 || n > 4*runtime.GOMAXPROCS(0) {
+		t.Errorf("free list holds %d workspaces after the solves of four calls on %d procs", n, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -407,7 +411,7 @@ func TestSolveEachCallerValues(t *testing.T) {
 					lent[i] = outs[i].Values
 				}
 			}
-			_, sols, err := list.SolveEach(parts, opts, new(Solution))
+			_, sols, err := list.SolveEach(parts, opts, new(Solution), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -436,7 +440,7 @@ func TestSolveEachCallerValues(t *testing.T) {
 		// A Reuse part is adopted as given and its Out is not written.
 		out := &Solution{Values: []float64{7}}
 		parts := []Part{{Model: models[0], Reuse: want[0], Out: out}, {Model: models[1]}}
-		_, sols, err := list.SolveEach(parts, opts, new(Solution))
+		_, sols, err := list.SolveEach(parts, opts, new(Solution), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,11 +452,11 @@ func TestSolveEachCallerValues(t *testing.T) {
 
 // TestSolveEachAllocs budgets a SolveEach on a list whose workspaces have grown
 // to fit, every part writing into the Solution it lent and the merge into the
-// caller's: what is left is solveEach's bookkeeping (the result list, a
-// goroutine per live part beside others) and the incumbents the
-// search adopts, not the solve chain's headers. Before PR 25 the one
-// part made 22 allocations and the five 72; they make 12 and 36, and the five
-// read up to 44 under -race, where the concurrent parts' counts vary.
+// caller's: what is left is solveEach's bookkeeping (the fan-out and, beside
+// the caller, its workers) and the incumbents the search adopts, not the
+// solve chain's headers. Before PR 25 the one part made 22 allocations and the
+// five 72; they make 12 and 36, and the five read up to 44 under -race, where
+// the concurrent parts' counts vary.
 func TestSolveEachAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		models []*Model
@@ -470,7 +474,7 @@ func TestSolveEachAllocs(t *testing.T) {
 			for i, m := range tc.models {
 				parts[i] = Part{Model: m, Out: &outs[i]}
 			}
-			if _, _, err := list.SolveEach(parts, opts, &merged); err != nil {
+			if _, _, err := list.SolveEach(parts, opts, &merged, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -487,6 +491,62 @@ func TestSolveEachAllocs(t *testing.T) {
 			t.Errorf("%d parts: a SolveEach on grown workspaces allocates %v times, budget %v", len(tc.models), got, tc.budget)
 		}
 		t.Logf("%d parts: %v allocations per SolveEach", len(tc.models), got)
+	}
+}
+
+// TestSolveEachAllocsIndependentOfParts: on a warm list, a SolveEach of 40
+// live parts, each lending its Out and the call its sols, allocates exactly as
+// often as one of 4 — the fan-out costs the same however many parts its
+// workers take — and afterwards the list holds no more workspaces than there
+// can be workers. The knapsacks have unit weights, so each is settled at an
+// integral root and its solve allocates nothing on a warm workspace: what is
+// counted is the fan-out's alone.
+func TestSolveEachAllocsIndependentOfParts(t *testing.T) {
+	atLeastTwoProcs(t)
+	var list WorkspaceList
+	allocs := func(n int) float64 {
+		models, parts := make([]*Model, n), make([]Part, n)
+		outs, sols := make([]Solution, n), make([]*Solution, n)
+		for i := range models {
+			models[i] = knapsack([]float64{5, 4, 3, float64(i%4) + 0.5}, []float64{1, 1, 1, 1}, 2)
+		}
+		var merged Solution
+		solve := func() {
+			for i := range parts {
+				parts[i] = Part{Model: models[i], Out: &outs[i]}
+			}
+			if got, _, err := list.SolveEach(parts, Options{}, &merged, sols); err != nil || got.Status != StatusOptimal {
+				t.Fatalf("%d parts: %v %+v", n, err, got)
+			}
+		}
+		// Whichever worker is handed a part first, every workspace the list
+		// will hold has grown to fit.
+		for range 50 {
+			solve()
+		}
+		// testing.AllocsPerRun would pin GOMAXPROCS to 1, and so the call to
+		// one worker. The fewest of three readings, to the nearest whole
+		// allocation a call: the runtime allocates now and then on its own.
+		const runs = 20
+		fewest := math.Inf(1)
+		for range 3 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for range runs {
+				solve()
+			}
+			runtime.ReadMemStats(&m1)
+			fewest = min(fewest, float64(m1.Mallocs-m0.Mallocs)/runs)
+		}
+		return math.Round(fewest)
+	}
+	four, forty := allocs(4), allocs(40)
+	t.Logf("allocations per SolveEach: %v for 4 live parts, %v for 40", four, forty)
+	if four != forty {
+		t.Errorf("a warm SolveEach allocates %v times for 4 live parts and %v for 40", four, forty)
+	}
+	if n := len(list.free); n > runtime.GOMAXPROCS(0) {
+		t.Errorf("the list holds %d workspaces after one call at a time on %d procs", n, runtime.GOMAXPROCS(0))
 	}
 }
 

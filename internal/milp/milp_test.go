@@ -29,7 +29,7 @@ func TestEmptyModelSolves(t *testing.T) {
 			t.Errorf("presolve off %v: %v with values %#v, want optimal with the empty point", opts.DisablePresolve, sol.Status, sol.Values)
 		}
 		var list WorkspaceList
-		merged, sols, err := list.SolveEach([]Part{{Model: NewModel(Maximize)}}, opts, new(Solution))
+		merged, sols, err := list.SolveEach([]Part{{Model: NewModel(Maximize)}}, opts, new(Solution), nil)
 		if err != nil || merged.Status != StatusOptimal || sols[0].Values == nil {
 			t.Errorf("presolve off %v: a part without variables merges to %v (%v), values %#v", opts.DisablePresolve, merged.Status, err, sols[0].Values)
 		}

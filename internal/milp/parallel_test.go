@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -35,16 +36,25 @@ func randMILP(seed int64) *Model {
 }
 
 // A solve is one serial search; the only concurrency is between the parts of
-// a SolveEach (or SolveParts) call, each solved on a goroutine of its own.
-// The tests below hold a lone solve and parts solved side by side to the same
-// promises.
+// a SolveEach (or SolveParts) call, which its workers — up to GOMAXPROCS, the
+// caller one of them — solve side by side. The tests below hold a lone solve
+// and parts solved side by side to the same promises.
+
+// atLeastTwoProcs lets a test's parts run at once on any machine: with
+// GOMAXPROCS 1 a SolveEach has one worker, the caller.
+func atLeastTwoProcs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
 
 // solveSideBySide solves the parts as one SolveEach call on a shared
 // WorkspaceList (run it under -race) and returns each part's solution.
 func solveSideBySide(t *testing.T, parts []Part, opts Options) []*Solution {
 	t.Helper()
 	var l WorkspaceList
-	_, sols, err := l.SolveEach(parts, opts, new(Solution))
+	_, sols, err := l.SolveEach(parts, opts, new(Solution), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +79,7 @@ func modelParts(models ...*Model) []Part {
 // side by side searches exactly as it does alone — the same status, values,
 // nodes and LP work.
 func TestParallelMatchesSerialObjective(t *testing.T) {
+	atLeastTwoProcs(t)
 	var models []*Model
 	for seed := int64(0); seed < 20; seed++ {
 		models = append(models, randMILP(seed))
@@ -89,6 +100,7 @@ func TestParallelMatchesSerialObjective(t *testing.T) {
 // TestDeterministicParallelValues solves the same models ten times, alone and
 // side by side; every run must return byte-identical Values.
 func TestDeterministicParallelValues(t *testing.T) {
+	atLeastTwoProcs(t)
 	opts := Options{Gap: 0.05}
 	var ref []*Solution
 	for run := 0; run < 10; run++ {

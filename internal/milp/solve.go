@@ -77,9 +77,9 @@ type Options struct {
 	// may round in place and return the slice it was given — and the
 	// candidate is read before the next call, then copied if adopted, so
 	// neither needs a fresh allocation. One solve calls it from one goroutine
-	// at a time; the parts of a SolveEach call solve concurrently, so parts
-	// that share a callback need one that is safe for concurrent use
-	// (functions of their input alone are).
+	// at a time; the parts of a SolveEach call solve on up to GOMAXPROCS
+	// workers at once, so parts that share a callback need one that is safe
+	// for concurrent use (functions of their input alone are).
 	Heuristic func(relaxation []float64) []float64
 	// DisableWarmStart forces every branch-and-bound node LP onto the cold
 	// primal path instead of dual-simplex re-solving from the parent basis.

@@ -226,16 +226,11 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// maxFreeWorkspaces bounds a WorkspaceList. A decomposed solve borrows one
-// workspace per part and parts of one call all run at once, so the list grows
-// to the widest decomposition seen; past this many, the surplus is left to
-// the garbage collector rather than pinned for the life of the scheduler.
-const maxFreeWorkspaces = 64
-
 // WorkspaceList is a free list of workspaces for solves that run
-// concurrently: each takes one, solves on it, and puts it back. The zero
-// value is an empty list; a nil *WorkspaceList hands out nil workspaces, i.e.
-// fresh memory. Safe for concurrent use.
+// concurrently: each SolveEach worker takes one, solves its parts on it and
+// puts it back, so the list holds no more than were ever out at once. The
+// zero value is an empty list; a nil *WorkspaceList hands out nil workspaces,
+// i.e. fresh memory. Safe for concurrent use.
 type WorkspaceList struct {
 	mu   sync.Mutex
 	free []*Workspace
@@ -263,7 +258,5 @@ func (l *WorkspaceList) Put(w *Workspace) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.free) < maxFreeWorkspaces {
-		l.free = append(l.free, w)
-	}
+	l.free = append(l.free, w)
 }
