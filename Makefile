@@ -91,15 +91,12 @@ benchmark-quick:
 # better for a seed on the virtual-time workloads, so one round each of the
 # paper's trace, of its sharded run (many sub-solves a cycle) and of the two
 # resident workloads (cache-hitting and solver-bound), at seed 1, is checked
-# against a ceiling 10 % above what the commit that last lowered it measured.
-# For the trace and resident_churn1 that is the commit that keeps a request's
-# start options by value with their leaves inside and records each supply term
-# once with its slice range: 2.79 KB and 0.098–0.099 KB. For the sharded run
-# and resident_churn50 it is the commit that decomposes, fans out the
-# sub-solves and decodes the grants into memory the class and the scheduler
-# own: 1.09 KB and 0.200 KB (CHANGES.md has each commit).
+# against a ceiling 10 % above what the commit that last lowered it measured:
+# for all four, the commit whose term arena keeps its chunks across rebuilds and
+# whose options point at an interned Place: 2.21 KB, 0.919 KB, 0.078–0.081 KB
+# and 0.189 KB (CHANGES.md has each commit).
 # Raise a ceiling only with the reason in CHANGES.md.
-ALLOC_CEILINGS = trace_gshet:3.07 trace_gshet_shards4:1.21 resident_churn1:0.11 resident_churn50:0.22
+ALLOC_CEILINGS = trace_gshet:2.43 trace_gshet_shards4:1.01 resident_churn1:0.088 resident_churn50:0.21
 alloc-ceiling:
 	@for wc in $(ALLOC_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc##*:}; \

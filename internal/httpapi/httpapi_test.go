@@ -2,10 +2,14 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,5 +183,49 @@ func TestJobMsgRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, j) {
 		t.Errorf("round trip: %+v vs %+v", back, j)
+	}
+}
+
+// TestTenantCannotBuyValue: a tenant's wire fields cannot price its job above
+// a reserved SLO job of another tenant. On 8 nodes the SLO job (k 6, runtime 8,
+// deadline 8) must start now or never, and the BE job (k 4) cannot run beside
+// it; the BE job's tenant tries a huge priority and a submit time far in the
+// future, which would hold its decaying value up. The SLO job launches either way.
+func TestTenantCannotBuyValue(t *testing.T) {
+	for _, tc := range []struct{ name, extra string }{
+		{"plain", ``},
+		{"priority", `,"priority":1e9`},
+		{"submit", fmt.Sprintf(`,"submit":%d`, int64(math.MaxInt64/2))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.Racked(8, 2, 0)
+			ts := httptest.NewServer(NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N()).Handler())
+			defer ts.Close()
+			for _, job := range []string{
+				`{"id":1,"tenant":"proxy","class":"SLO","type":"Unconstrained","k":6,"base_runtime":8,"slowdown":1,"deadline":8,"reserved":true}`,
+				`{"id":2,"tenant":"a","class":"BE","type":"Unconstrained","k":4,"base_runtime":8,"slowdown":1` + tc.extra + `}`,
+			} {
+				if resp := postSubmit(t, ts.URL, []byte("["+job+"]")); resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit %s: status = %d", job, resp.StatusCode)
+				}
+			}
+			body, _ := json.Marshal(CycleRequest{Now: 0, Free: []int{0, 1, 2, 3, 4, 5, 6, 7}})
+			resp, err := http.Post(ts.URL+"/v1/cycle", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var cr CycleResponse
+			if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+				t.Fatal(err)
+			}
+			var launched []int
+			for _, d := range cr.Decisions {
+				launched = append(launched, d.JobID)
+			}
+			if !slices.Equal(launched, []int{1}) {
+				t.Errorf("launched %v, want the reserved SLO job [1] alone", launched)
+			}
+		})
 	}
 }

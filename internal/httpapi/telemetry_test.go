@@ -206,6 +206,43 @@ func TestScrapeDoesNotWaitForCycle(t *testing.T) {
 	}
 }
 
+// panicSched is a sim.Scheduler whose Cycle panics, as a scheduler bug would.
+type panicSched struct{ fakeSched }
+
+func (p *panicSched) Cycle(now int64, free *bitset.Set) sim.CycleResult {
+	panic("scheduler bug")
+}
+
+// TestHandlerPanicAnswers500: a handler that panics answers 500 and counts
+// one handler panic, in /v1/status and /metrics alike, and the daemon goes on
+// serving: the next submit and status requests succeed.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	sched := &panicSched{fakeSched: *newFakeSched()}
+	ts := httptest.NewServer(NewServer(sched, 16).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/cycle", "application/json", strings.NewReader(`{"now":0,"free":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("cycle whose scheduler panics = %d, want 500", resp.StatusCode)
+	}
+	if resp := postSubmit(t, ts.URL, batchBody("a", 1, 1)); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("submit after the panic = %d, want 202", resp.StatusCode)
+	}
+	var st StatusResponse
+	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/status"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.HandlerPanics != 1 || st.Admission == nil || st.Admission.Queued != 1 {
+		t.Errorf("status after the panic: handler_panics %d, admission %+v; want 1 panic and the submitted job queued", st.HandlerPanics, st.Admission)
+	}
+	if body := getBody(t, ts.URL+"/metrics"); !strings.Contains(string(body), "tetrisched_handler_panics_total 1\n") {
+		t.Errorf("/metrics does not read 1 handler panic:\n%s", body)
+	}
+}
+
 // checkRows holds one table to the rules every row must keep: something to
 // render under and a help for it, keys distinct within the table and
 // Prometheus names across all of them (seen), counters — and only counters —
@@ -316,7 +353,8 @@ func TestObservabilityDoc(t *testing.T) {
 		blocks[k[:i]] = append(blocks[k[:i]], "`"+k[i+1:]+"`")
 	}
 	list := func(block string) string { return strings.Join(blocks[block], ", ") }
-	status := statusBegin + " `scheduler` name, `pending` and `running` job counts, `universe`, `cycles`;" +
+	status := statusBegin + " `scheduler` name, `pending` and `running` job counts, `universe`, `cycles`," +
+		" `handler_panics` (requests answered 500 because their handler panicked; the daemon serves on);" +
 		" the `solver` block, cumulative solver telemetry (SOLVER.md; absent when the scheduler exposes none): " + list("solver") +
 		"; the `shard` block (sharded mode only; SHARDING.md): " + list("shard") +
 		"; the `admission` block: " + list("admission") + ", each of `tenants` with " + list("admission.tenants") + " |\n"

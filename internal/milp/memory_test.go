@@ -46,7 +46,7 @@ func packingModel(seed int64, jobs int) *Model {
 
 // TestAddConstraintMatchesMapMerge checks the stamp-array merge against the
 // map-based merge it replaced, kept here as the reference: same
-// first-occurrence order, same summed coefficients, across arena spills.
+// first-occurrence order, same summed coefficients, across chunk boundaries.
 func TestAddConstraintMatchesMapMerge(t *testing.T) {
 	reference := func(terms []Term) []Term {
 		seen := make(map[VarID]int, len(terms))
@@ -151,7 +151,9 @@ func TestNamef(t *testing.T) {
 
 // TestModelReset checks what the compiler builds on: a Reset model builds
 // the next model correctly on the old storage, whatever the sizes of the two,
-// and once it has grown to fit the largest it allocates nothing.
+// every row equal to a fresh build's and capacity-limited to itself, and once
+// it has grown to fit the largest it allocates nothing to rebuild that one or
+// any smaller: the term arena keeps its chunks.
 func TestModelReset(t *testing.T) {
 	stage := new(Model)
 	build := func(src *Model) {
@@ -163,17 +165,44 @@ func TestModelReset(t *testing.T) {
 			stage.AddConstraintNamed(c.Name, c.Terms, c.Op, c.RHS)
 		}
 	}
+	check := func(src *Model) {
+		t.Helper()
+		if stage.String() != src.String() {
+			t.Fatalf("%d rows: the model rebuilt on reused storage differs from the model", len(src.Cons))
+		}
+		for i, c := range stage.Cons {
+			if !slices.Equal(c.Terms, src.Cons[i].Terms) || cap(c.Terms) != len(c.Terms) {
+				t.Fatalf("%d rows: row %d is %v (cap %d), a fresh build gives %v", len(src.Cons), i, c.Terms, cap(c.Terms), src.Cons[i].Terms)
+			}
+		}
+	}
 	for _, size := range []int{9, 18, 6, 15, 18} {
 		src := packingModel(int64(size), size)
 		build(src)
-		if stage.String() != src.String() {
-			t.Fatalf("size %d: the model rebuilt on reused storage differs from the model", size)
-		}
+		check(src)
 	}
-	src := packingModel(18, 18)
-	build(src) // the arena spilled while growing; this Reset consolidates it
-	if avg := testing.AllocsPerRun(10, func() { build(src) }); avg != 0 {
-		t.Errorf("rebuilding a model the storage already fits allocates %v times", avg)
+	big, small := packingModel(40, 40), packingModel(7, 7)
+	build(big)
+	check(big)
+	if len(stage.chunks) < 4 {
+		t.Fatalf("the largest model fits in %d chunks; the test needs it past three chunk boundaries", len(stage.chunks))
+	}
+	// The first rebuild after growing is free too: nothing is consolidated.
+	// (AllocsPerRun would not see this, as its warm-up run is not counted.)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build(big)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("the first rebuild of the model the storage grew to allocates %d times", n)
+	}
+	check(big)
+	for _, src := range []*Model{big, small, big} {
+		if avg := testing.AllocsPerRun(10, func() { build(src) }); avg != 0 {
+			t.Errorf("rebuilding a %d-row model the chunks already fit allocates %v times", len(src.Cons), avg)
+		}
+		check(src)
 	}
 }
 

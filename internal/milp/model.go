@@ -149,18 +149,19 @@ type Constraint struct {
 // AddConstraint, then pass it to Solve. A Model is not safe for concurrent
 // mutation, but may be solved concurrently once fully built.
 //
-// Rows added through AddConstraint live in one growing term arena:
-// each Constraint.Terms is a capacity-limited sub-slice of it, so a model
-// costs a handful of allocations however many rows it has. When the arena
-// fills up a larger one is started; rows already handed out keep the old one.
+// Rows added through AddConstraint live in a term arena of chunks: each
+// Constraint.Terms is a capacity-limited sub-slice of one chunk, so a model
+// costs a handful of allocations however many rows it has. The chunks are
+// kept across Reset, so a Model rebuilt at any size up to the largest it has
+// held allocates nothing for its rows.
 type Model struct {
 	Sense Sense
 	Vars  []Variable
 	Cons  []Constraint
 
-	arena   []Term
-	nterms  int  // terms in the rows added through the arena
-	spilled bool // an earlier arena still holds rows
+	chunks [][]Term // every chunk of the arena, in the order they are filled
+	cur    int      // the chunk rows are being added to
+	arena  []Term   // chunks[cur] up to its last row
 	// slot[v] is the arena index of v's term in the row AddConstraint is
 	// merging, valid only while that index lies inside the row and holds v
 	// (the sparse-set test), so it is never cleared between rows.
@@ -175,16 +176,15 @@ func NewModel(sense Sense) *Model {
 // Reset empties the model for another build that reuses its storage: a
 // builder that cannot know a model's size in advance (the compiler) assembles
 // every model in one long-lived Model, at no allocation once that has grown
-// to fit. The previous model's variables and rows are overwritten.
+// to fit. The previous model's variables and rows are overwritten: the term
+// arena rewinds to its first chunk.
 func (m *Model) Reset(sense Sense) {
 	m.Sense = sense
-	clear(m.Cons) // drop the references into arenas that may now be freed
 	m.Vars, m.Cons = m.Vars[:0], m.Cons[:0]
-	if m.spilled {
-		// One arena for everything next time, with a quarter of headroom.
-		m.arena = make([]Term, 0, m.nterms+m.nterms/4)
+	m.cur, m.arena = 0, nil
+	if len(m.chunks) > 0 {
+		m.arena = m.chunks[0][:0]
 	}
-	m.arena, m.nterms, m.spilled = m.arena[:0], 0, false
 }
 
 // AddVar adds a variable and returns its ID. Binary variables have their
@@ -238,20 +238,30 @@ func (m *Model) AddConstraintNamed(name Name, terms []Term, op Op, rhs float64) 
 		row = append(row, t)
 	}
 	m.arena = row
-	m.nterms += len(row) - lo
 	m.Cons = append(m.Cons, Constraint{Name: name, Terms: row[lo:len(row):len(row)], Op: op, RHS: rhs})
 }
 
-// rowSpace returns the arena with room for n more terms, starting a new one
-// when the current one is full: a quarter of the model so far, so a model of
-// unknown size is built in a logarithmic number of arenas and one that was
-// sized a little short wastes little.
+// rowSpace returns the arena with room for n more terms. When the current
+// chunk is full it moves on to the next kept chunk that has room, and only
+// past the last one allocates a new chunk, twice the size of the last, so a
+// model of unknown size is built in a logarithmic number of chunks.
 func (m *Model) rowSpace(n int) []Term {
 	if n <= cap(m.arena)-len(m.arena) {
 		return m.arena
 	}
-	m.spilled = m.spilled || len(m.arena) > 0
-	return make([]Term, 0, max(n, m.nterms/4, 16))
+	for m.cur+1 < len(m.chunks) {
+		m.cur++
+		if c := m.chunks[m.cur]; n <= cap(c) {
+			return c[:0]
+		}
+	}
+	size := 16
+	if len(m.chunks) > 0 {
+		size = 2 * cap(m.chunks[len(m.chunks)-1])
+	}
+	m.chunks = append(m.chunks, make([]Term, 0, max(n, size)))
+	m.cur = len(m.chunks) - 1
+	return m.chunks[m.cur]
 }
 
 // NumVars returns the number of variables.

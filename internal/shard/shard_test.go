@@ -106,8 +106,8 @@ func mkReq(id, k int, set *bitset.Set, preferred bool) *strlgen.Request {
 	return &strlgen.Request{
 		Job: &workload.Job{ID: id, K: k},
 		Options: []strlgen.Option{{
-			Key: "opt", Preferred: preferred,
-			Leaf: strl.NCk{Set: set, K: k},
+			Place: &strlgen.Place{Key: "opt", Preferred: preferred},
+			Leaf:  strl.NCk{Set: set, K: k},
 		}},
 	}
 }

@@ -79,13 +79,31 @@ func Default(quantum, planAhead int64) Config {
 	}
 }
 
-// Option is one (placement, start) choice offered to the solver.
-type Option struct {
+// Place is what the options of one placement share whatever their start.
+// Places are interned: every option of a placement points at one Place, which
+// is never written once made.
+type Place struct {
 	// Key identifies the placement independent of start time ("pref", "any",
 	// "rack:r3"), used to match choices across cycles for warm starts.
 	Key string
 	// Preferred marks the fast placement.
 	Preferred bool
+}
+
+// The placements every Generator offers alike; like every Place, never
+// written.
+var (
+	placeAny      = &Place{Key: "any", Preferred: true}
+	placeFallback = &Place{Key: "any"}
+	placeGPU      = &Place{Key: "pref", Preferred: true}
+	placeData     = &Place{Key: "data", Preferred: true}
+)
+
+// Option is one (placement, start) choice offered to the solver.
+type Option struct {
+	// Place is the option's placement, shared with the placement's other
+	// starts; Key and Preferred read through it.
+	*Place
 	// EstDur is the believed runtime in seconds on this placement.
 	EstDur int64
 	// Leaf is the compiled STRL leaf; its Start is the option's start slice
@@ -140,13 +158,15 @@ func (r *Request) point() {
 }
 
 // Generator emits STRL requests for one cluster. It is not safe for
-// concurrent use: it enumerates a job's placements into a buffer of its own.
+// concurrent use: it enumerates a job's placements into a buffer of its own,
+// and interns the Places of elastic widths as it first meets them.
 type Generator struct {
 	cfg    Config
 	c      *cluster.Cluster
 	all    *bitset.Set
 	gpus   *bitset.Set
 	racks  []placement // one per rack, in the cluster's rack order
+	widths []*Place    // widths[w] is the elastic width-w Place, once met
 	places []placement // the placements of the job being generated
 }
 
@@ -163,18 +183,31 @@ func New(c *cluster.Cluster, cfg Config) *Generator {
 	}
 	gk, gv := cluster.GPUAttr()
 	g := &Generator{cfg: cfg, c: c, all: c.All(), gpus: c.WithAttr(gk, gv)}
-	for _, r := range c.Racks() {
-		g.racks = append(g.racks, placement{key: "rack:" + r, set: c.Rack(r), preferred: true})
+	racks := c.Racks()
+	places := make([]Place, len(racks))
+	for i, r := range racks {
+		places[i] = Place{Key: "rack:" + r, Preferred: true}
+		g.racks = append(g.racks, placement{place: &places[i], set: c.Rack(r)})
 	}
 	return g
 }
 
 // placement is an internal placement candidate.
 type placement struct {
-	key       string
-	set       *bitset.Set
-	preferred bool
-	width     int // gang width; 0 means the job's full K
+	place *Place
+	set   *bitset.Set
+	width int // gang width; 0 means the job's full K
+}
+
+// widthPlace is the interned Place of the elastic gang width w.
+func (g *Generator) widthPlace(w int) *Place {
+	if w >= len(g.widths) {
+		g.widths = append(g.widths, make([]*Place, w+1-len(g.widths))...)
+	}
+	if g.widths[w] == nil {
+		g.widths[w] = &Place{Key: fmt.Sprintf("any-w%d", w), Preferred: true}
+	}
+	return g.widths[w]
 }
 
 // placements enumerates the candidate placements for a job type, in the
@@ -186,7 +219,10 @@ func (g *Generator) placements(j *workload.Job) []placement {
 
 func (g *Generator) appendPlacements(out []placement, j *workload.Job) []placement {
 	if g.cfg.NoHeterogeneity {
-		return append(out, placement{key: "any", set: g.all, preferred: j.Type == workload.Unconstrained})
+		if j.Type == workload.Unconstrained {
+			return append(out, placement{place: placeAny, set: g.all})
+		}
+		return append(out, placement{place: placeFallback, set: g.all})
 	}
 	switch j.Type {
 	case workload.Elastic:
@@ -195,15 +231,15 @@ func (g *Generator) appendPlacements(out []placement, j *workload.Job) []placeme
 		lo, hi := j.WidthRange()
 		for i, m := range [...]int{hi, (lo + hi) / 2, lo} {
 			if i == 0 || m < out[len(out)-1].width {
-				out = append(out, placement{key: fmt.Sprintf("any-w%d", m), set: g.all, preferred: true, width: m})
+				out = append(out, placement{place: g.widthPlace(m), set: g.all, width: m})
 			}
 		}
 		return out
 	case workload.GPU:
 		if g.gpus.Count() >= j.K {
-			out = append(out, placement{key: "pref", set: g.gpus, preferred: true})
+			out = append(out, placement{place: placeGPU, set: g.gpus})
 		}
-		out = append(out, placement{key: "any", set: g.all, preferred: false})
+		out = append(out, placement{place: placeFallback, set: g.all})
 		return out
 	case workload.DataLocal:
 		if len(j.DataNodes) >= j.K {
@@ -214,10 +250,10 @@ func (g *Generator) appendPlacements(out []placement, j *workload.Job) []placeme
 				}
 			}
 			if set.Count() >= j.K {
-				out = append(out, placement{key: "data", set: set, preferred: true})
+				out = append(out, placement{place: placeData, set: set})
 			}
 		}
-		out = append(out, placement{key: "any", set: g.all, preferred: false})
+		out = append(out, placement{place: placeFallback, set: g.all})
 		return out
 	case workload.MPI:
 		max := g.cfg.MaxRackChoices
@@ -233,10 +269,10 @@ func (g *Generator) appendPlacements(out []placement, j *workload.Job) []placeme
 				max--
 			}
 		}
-		out = append(out, placement{key: "any", set: g.all, preferred: false})
+		out = append(out, placement{place: placeFallback, set: g.all})
 		return out
 	default:
-		return append(out, placement{key: "any", set: g.all, preferred: true})
+		return append(out, placement{place: placeAny, set: g.all})
 	}
 }
 
@@ -409,10 +445,9 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 			}
 			validUntil = min(validUntil, g.optionTTL(now, j, completion))
 			req.Options = append(req.Options, Option{
-				Key:       p.key,
-				Preferred: p.preferred,
-				EstDur:    pl.est,
-				Leaf:      strl.NCk{Set: p.set, K: pl.width, Start: s, Dur: pl.durSlices, Value: v},
+				Place:  p.place,
+				EstDur: pl.est,
+				Leaf:   strl.NCk{Set: p.set, K: pl.width, Start: s, Dur: pl.durSlices, Value: v},
 			})
 		}
 	}
@@ -455,13 +490,13 @@ type startPlan struct {
 // how many placements the job has, a lone one never being a fallback.
 func (g *Generator) startPlan(j *workload.Job, p placement, nPlacements int) startPlan {
 	budget := g.cfg.MaxStartChoices
-	if !p.preferred && nPlacements > 1 && g.cfg.FallbackStartChoices > 0 {
+	if !p.place.Preferred && nPlacements > 1 && g.cfg.FallbackStartChoices > 0 {
 		budget = g.cfg.FallbackStartChoices
 	}
 	if budget < 1 {
 		budget = 1
 	}
-	pl := startPlan{stride: 1, width: j.K, est: j.EstRuntime(p.preferred)}
+	pl := startPlan{stride: 1, width: j.K, est: j.EstRuntime(p.place.Preferred)}
 	if int(g.cfg.PlanAheadSlices) > budget {
 		pl.stride = (g.cfg.PlanAheadSlices + int64(budget) - 1) / int64(budget)
 	}

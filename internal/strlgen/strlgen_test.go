@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
@@ -436,29 +437,63 @@ func aliasErr(req *Request) error {
 
 // TestGenerateAllocsIndependentOfOptions: a request, its options (leaves
 // inside) and the MAX's kids are one allocation each, and enumerating the
-// placements allocates nothing, so generating a request with 14 options
-// allocates exactly as often as one with 3 (three times, and once for the job,
-// outside the race detector) — and the options are cut to the count, with the
-// kids pointing at their leaves in order.
+// placements allocates nothing, so for every job type generating a request
+// with many options allocates exactly as often as one with few — and the
+// options are cut to the count, with the kids pointing at their leaves in
+// order. A placement's Place is interned, elastic widths too, so an Elastic or
+// MPI request allocates no more than an Unconstrained one; a DataLocal one
+// builds its job's data-node set on top.
 func TestGenerateAllocsIndependentOfOptions(t *testing.T) {
 	c := cluster.RC80(true)
 	few, many := Default(4, 40), Default(4, 40)
 	few.MaxStartChoices, few.FallbackStartChoices = 2, 1
-	allocs := map[int]float64{}
-	for _, cfg := range []Config{few, many} {
-		g := New(c, cfg)
-		req := g.Generate(0, gpuJob(4))
-		n := len(req.Options)
-		if cap(req.Options) != n || len(req.Expr.(*strl.Max).Kids) != n {
-			t.Errorf("%d options in lists of cap %d and %d kids", n, cap(req.Options), len(req.Expr.(*strl.Max).Kids))
-		}
-		if err := aliasErr(req); err != nil {
-			t.Fatal(err)
-		}
-		allocs[n] = testing.AllocsPerRun(50, func() { g.Generate(0, gpuJob(4)) })
+	jobs := []*workload.Job{
+		{ID: 1, Class: workload.BestEffort, Type: workload.Unconstrained, K: 4, BaseRuntime: 20, Slowdown: 1.5},
+		gpuJob(4),
+		{ID: 3, Class: workload.BestEffort, Type: workload.MPI, K: 4, BaseRuntime: 20, Slowdown: 1.5},
+		{ID: 4, Class: workload.BestEffort, Type: workload.Elastic, K: 8, MinK: 2, BaseRuntime: 20, Slowdown: 1},
+		{ID: 5, Class: workload.BestEffort, Type: workload.DataLocal, K: 2, BaseRuntime: 20, Slowdown: 1.5, DataNodes: []int{3, 4, 5}},
 	}
-	if len(allocs) != 2 || allocs[3] != allocs[14] {
-		t.Errorf("allocations per request by option count: %v, want the same for 3 and 14 options", allocs)
+	byType := map[workload.Type]float64{}
+	for _, j := range jobs {
+		allocs := map[int]float64{}
+		var last float64
+		for _, cfg := range []Config{few, many} {
+			g := New(c, cfg)
+			req := g.Generate(0, j)
+			n := len(req.Options)
+			if cap(req.Options) != n || len(req.Expr.(*strl.Max).Kids) != n {
+				t.Errorf("%v: %d options in lists of cap %d and %d kids", j.Type, n, cap(req.Options), len(req.Expr.(*strl.Max).Kids))
+			}
+			if err := aliasErr(req); err != nil {
+				t.Fatal(err)
+			}
+			last = testing.AllocsPerRun(50, func() { g.Generate(0, j) })
+			allocs[n] = last
+		}
+		if len(allocs) != 2 {
+			t.Fatalf("%v: both configurations give %v options; the test needs two counts", j.Type, allocs)
+		}
+		for _, a := range allocs {
+			if a != last {
+				t.Errorf("%v: allocations per request by option count: %v, want the same for every count", j.Type, allocs)
+			}
+		}
+		byType[j.Type] = last
+	}
+	t.Logf("allocations per request by job type: %v", byType)
+	for _, typ := range []workload.Type{workload.Elastic, workload.MPI} {
+		if byType[typ] > byType[workload.Unconstrained] {
+			t.Errorf("a %v request allocates %v times, an Unconstrained one %v", typ, byType[typ], byType[workload.Unconstrained])
+		}
+	}
+}
+
+// TestOptionSize: an option is its Place pointer, its runtime and its leaf;
+// what a placement's options share is not repeated in each.
+func TestOptionSize(t *testing.T) {
+	if size := unsafe.Sizeof(Option{}); size > 56 {
+		t.Errorf("Option is %d bytes, want at most 56", size)
 	}
 }
 
