@@ -14,9 +14,10 @@ package core
 // identical. A kept class whose
 // warm-start choices are also last cycle's does nothing: its stored plan is
 // the cycle's plan. In any other kept class a component replays its solution
-// when its seed is the one that solution was solved from: model and rounding
-// state are the same Compiled and the work budget is a count, so the solve
-// would end the same way. A rebuilt class solves every component.
+// when its seed is the one that solution was solved from, or one the solver
+// proves cannot change it: model and rounding state are the same Compiled and
+// the work budget is a count, so the solve would end the same way. A rebuilt
+// class solves every component.
 //
 // Both reuse only provably identical inputs, so runs with and without them
 // make byte-identical decisions (TestCompileCacheParityProperty).
@@ -373,10 +374,14 @@ func (s *Scheduler) wanted(cl *class) bool {
 // plan decides, component by component, between last cycle's solution and a
 // solve, and returns how many components must be solved (their entries have a
 // nil sol and carry the seed). Only a kept class has solutions: its components
-// are last cycle's model and rounding state, so one whose seed is also the one
-// its solution was solved from would be solved again on identical inputs. A
-// kept class wanting the same options as last cycle is settled wholesale: same
-// seeds, so every component replays and the stored grants stand as they are.
+// are last cycle's model and rounding state, so a solve differs only in its
+// seed, and a component replays when that seed is the one its solution was
+// solved from or one the solver proves cannot change the answer
+// (milp.Solution.SeedCannotChange: infeasible, or strictly worse than the root
+// rounding that beat the old one). A replay keeps the seed the solution was
+// solved from. A kept class wanting the same options as last cycle is settled
+// wholesale: same seeds, so every component replays and the stored grants
+// stand as they are.
 func (s *Scheduler) plan(classes []*class) (live int) {
 	for _, cl := range classes {
 		if s.wanted(cl) && cl.solved() {
@@ -394,7 +399,8 @@ func (s *Scheduler) plan(classes []*class) (live int) {
 			if seed != nil {
 				s.seed = seed
 			}
-			if ent.sol != nil && (seed == nil) == (ent.seed == nil) && slices.Equal(seed, ent.seed) {
+			if ent.sol != nil && ((seed == nil) == (ent.seed == nil) && slices.Equal(seed, ent.seed) ||
+				ent.sol.SeedCannotChange(cl.comps[ci].Model, seed)) {
 				s.Stats.ReuseHits++
 				s.traceReuse(cl, ci)
 				continue

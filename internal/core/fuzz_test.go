@@ -66,9 +66,13 @@ func fuzzJob(in *fuzzInput, id int, now int64, nodes int) (*workload.Job, int64)
 // the same order — and place only on free nodes. The seed corpus
 // (testdata/fuzz) holds runs in which classes are kept and replayed: overrunning
 // best-effort gangs pin the release slices while SLO jobs with far deadlines
-// wait, sharded, truncated, with finishes and failures, and one in which both
+// wait, sharded, truncated, with finishes and failures; one in which both
 // schedulers must drop a reserved job at its last start, which the blocked
-// cluster cannot give it, in the same cycle.
+// cluster cannot give it, in the same cycle; and seed-below-bar, in which five
+// data-local SLO jobs defer behind the gangs and, on the cycle after their
+// class is built, its shifted seed is feasible but strictly worse than the
+// root rounding the solution adopted, so the component replays on the
+// solver's proof (milp.Solution.SeedCannotChange), not on an equal seed.
 func FuzzClassTableMatchesUncached(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)

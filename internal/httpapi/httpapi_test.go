@@ -170,6 +170,43 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnpricedFields: on a 16-node front door, a job whose
+// pricing fields make no sense on the cluster is refused with a 400 whose
+// error names the field, and nothing is queued; the edge values on the valid
+// side are admitted.
+func TestSubmitRejectsUnpricedFields(t *testing.T) {
+	_, ts := frontDoor(t, AdmissionConfig{})
+	for i, tc := range []struct {
+		job   string // the fields after the ID
+		field string // named in the error; "" means admitted
+	}{
+		{`"class":"BE","type":"MPI","k":17,"base_runtime":10`, "k"},
+		{`"class":"BE","type":"MPI","k":16,"base_runtime":10`, ""},
+		{`"class":"BE","type":"Elastic","k":4,"min_k":5,"base_runtime":10`, "min_k"},
+		{`"class":"BE","type":"Elastic","k":4,"min_k":-1,"base_runtime":10`, "min_k"},
+		{`"class":"BE","type":"Elastic","k":4,"min_k":4,"base_runtime":10`, ""},
+		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"deadline":40,"data_nodes":[3,16]`, "data_nodes"},
+		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"deadline":40,"data_nodes":[-1,3]`, "data_nodes"},
+		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"deadline":40,"data_nodes":[0,15]`, ""},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":10,"est_err":-1`, "est_err"},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":10,"est_err":-0.99`, ""},
+		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10,"submit":5,"deadline":5`, "deadline"},
+		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10`, "deadline"},
+		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10,"submit":5,"deadline":6`, ""},
+	} {
+		job := fmt.Sprintf(`[{"id":%d,%s}]`, i+1, tc.job)
+		resp := postSubmit(t, ts.URL, []byte(job))
+		body, _ := io.ReadAll(resp.Body)
+		switch {
+		case tc.field == "" && resp.StatusCode != http.StatusAccepted:
+			t.Errorf("%s: %d %s, want 202", job, resp.StatusCode, body)
+		case tc.field != "" && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), " "+tc.field+"=") &&
+			!strings.Contains(string(body), " "+tc.field+" ")):
+			t.Errorf("%s: %d %s, want 400 naming %s", job, resp.StatusCode, body, tc.field)
+		}
+	}
+}
+
 func TestJobMsgRoundTrip(t *testing.T) {
 	j := &workload.Job{
 		ID: 7, Class: workload.SLO, Type: workload.MPI, Submit: 100, K: 8,
@@ -177,7 +214,7 @@ func TestJobMsgRoundTrip(t *testing.T) {
 		DataNodes: []int{1, 2, 3},
 	}
 	msg := FromJob(j)
-	back, err := msg.ToJob()
+	back, err := msg.ToJob(16)
 	if err != nil {
 		t.Fatal(err)
 	}

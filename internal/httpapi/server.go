@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,9 @@ type JobMsg struct {
 	Reserved    bool    `json:"reserved"`
 }
 
-// ToJob converts the wire form to a workload.Job.
-func (m *JobMsg) ToJob() (*workload.Job, error) {
+// ToJob converts the wire form to a workload.Job for a cluster of nodes
+// nodes, refusing a job whose pricing fields make no sense there.
+func (m *JobMsg) ToJob(nodes int) (*workload.Job, error) {
 	j := &workload.Job{
 		ID: m.ID, Submit: m.Submit, K: m.K, MinK: m.MinK,
 		BaseRuntime: m.BaseRuntime, Slowdown: m.Slowdown,
@@ -75,8 +77,19 @@ func (m *JobMsg) ToJob() (*workload.Job, error) {
 	default:
 		return nil, fmt.Errorf("httpapi: unknown type %q", m.Type)
 	}
-	if j.K <= 0 || j.BaseRuntime <= 0 {
+	switch {
+	case j.K <= 0 || j.BaseRuntime <= 0:
 		return nil, fmt.Errorf("httpapi: job %d: invalid k=%d runtime=%d", j.ID, j.K, j.BaseRuntime)
+	case j.K > nodes:
+		return nil, fmt.Errorf("httpapi: job %d: k=%d exceeds the cluster's %d nodes", j.ID, j.K, nodes)
+	case j.MinK < 0 || j.MinK > j.K:
+		return nil, fmt.Errorf("httpapi: job %d: min_k=%d outside [0, k=%d]", j.ID, j.MinK, j.K)
+	case slices.ContainsFunc(j.DataNodes, func(n int) bool { return n < 0 || n >= nodes }):
+		return nil, fmt.Errorf("httpapi: job %d: a data_nodes entry is outside [0, %d)", j.ID, nodes)
+	case j.EstErr <= -1:
+		return nil, fmt.Errorf("httpapi: job %d: est_err=%v must exceed -1", j.ID, j.EstErr)
+	case j.Class == workload.SLO && j.Deadline <= j.Submit:
+		return nil, fmt.Errorf("httpapi: job %d: SLO deadline=%d must be after submit=%d", j.ID, j.Deadline, j.Submit)
 	}
 	return j, nil
 }

@@ -141,7 +141,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 	// error-string work at all.
 	badAt, badErr := -1, error(nil)
 	for i := range sc.msgs {
-		j, err := sc.msgs[i].ToJob()
+		j, err := sc.msgs[i].ToJob(s.universe)
 		if err != nil {
 			badAt, badErr = i, err
 			break

@@ -131,52 +131,68 @@ func (l *WorkspaceList) solveEach(parts []Part, opts Options, sols []*Solution) 
 			live++
 		}
 	}
-	sols = zeroed(sols, len(parts))
-	run := func(ws *Workspace, i int) {
-		var done func(*Solution)
-		if parts[i].OnSolve != nil {
-			done = parts[i].OnSolve()
-		}
-		if sols[i] = parts[i].Reuse; sols[i] == nil {
-			po := opts
-			po.InitialSolution, po.Heuristic = parts[i].Seed, parts[i].Heuristic
-			if sol, err := ws.solveInto(parts[i].Out, parts[i].Model, po); err == nil {
-				sols[i] = sol
-			}
-		}
-		if done != nil {
-			done(sols[i])
-		}
-	}
+	f := &fanOut{l: l, parts: parts, opts: opts, sols: zeroed(sols, len(parts))}
 	for i := range parts {
 		if parts[i].Reuse != nil {
-			run(nil, i)
+			f.run(nil, i)
 		}
 	}
 	// The live parts go to min(live, GOMAXPROCS) workers, the caller one of
 	// them, in index order; a worker solves on one workspace from the list.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		defer wg.Done()
-		ws := l.Get()
-		for i := int(next.Add(1)) - 1; i < len(parts); i = int(next.Add(1)) - 1 {
-			if parts[i].Reuse == nil {
-				run(ws, i)
-			}
-		}
-		l.Put(ws)
-	}
+	work := f.work
 	for range min(live, runtime.GOMAXPROCS(0)) - 1 {
-		wg.Add(1)
+		f.wg.Add(1)
 		go work()
 	}
 	if live > 0 {
-		wg.Add(1)
+		f.wg.Add(1)
 		work()
 	}
-	wg.Wait()
-	return sols, nil
+	f.wg.Wait()
+	return f.sols, nil
+}
+
+// fanOut is what the workers of one SolveEach call share, in one object: the
+// call's only allocations are it and its work method's value.
+type fanOut struct {
+	l     *WorkspaceList
+	parts []Part
+	opts  Options
+	sols  []*Solution
+	next  atomic.Int64 // the next part to hand out
+	wg    sync.WaitGroup
+}
+
+// run solves part i on ws, or adopts its Reuse solution.
+func (f *fanOut) run(ws *Workspace, i int) {
+	p := &f.parts[i]
+	var done func(*Solution)
+	if p.OnSolve != nil {
+		done = p.OnSolve()
+	}
+	if f.sols[i] = p.Reuse; f.sols[i] == nil {
+		po := f.opts
+		po.InitialSolution, po.Heuristic = p.Seed, p.Heuristic
+		if sol, err := ws.solveInto(p.Out, p.Model, po); err == nil {
+			f.sols[i] = sol
+		}
+	}
+	if done != nil {
+		done(f.sols[i])
+	}
+}
+
+// work is one worker: it solves the live parts it takes on one workspace from
+// the list.
+func (f *fanOut) work() {
+	defer f.wg.Done()
+	ws := f.l.Get()
+	for i := int(f.next.Add(1)) - 1; i < len(f.parts); i = int(f.next.Add(1)) - 1 {
+		if f.parts[i].Reuse == nil {
+			f.run(ws, i)
+		}
+	}
+	f.l.Put(ws)
 }
 
 // mergeParts folds per-part solutions into one full-model Solution, written

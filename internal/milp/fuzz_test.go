@@ -57,6 +57,14 @@ func fuzzModel(in *fuzzInput) *Model {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// sameAnswer reports whether two solves returned the same answer: status,
+// objective, bound and values bit for bit, nodes and LP work.
+func sameAnswer(a, b *Solution) bool {
+	return a.Status == b.Status && sameBits(a.Objective, b.Objective) && sameBits(a.Bound, b.Bound) &&
+		slices.EqualFunc(a.Values, b.Values, sameBits) && (a.Values == nil) == (b.Values == nil) &&
+		a.Nodes == b.Nodes && a.LP == b.LP
+}
+
 // FuzzSolveEachMatchesSolve: parts solved together on one WorkspaceList, three
 // rounds running, each part writing into memory it lent as Part.Out — last
 // round's Solution, one whose Values are too small, or none — give exactly what
@@ -64,15 +72,25 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // objective, bound and values bit for bit, with and without presolve. A
 // Solution from an earlier round that was not lent again is not touched by a
 // later one, and on models of at most 12 binaries the optimum is the
-// brute-force one.
+// brute-force one. Each model also draws a 0/1 seed: where the seedless
+// solution says the seed cannot change it (Solution.SeedCannotChange), a
+// solve from the seed, alone or as a part's Seed, returns that solution, nodes
+// and LP work included.
 func FuzzSolveEachMatchesSolve(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 2, 9, 1, 0, 0, 14, 2, 1, 1, 1, 5, 2, 3, 0, 0, 7, 1, 0, 1, 3, 0, 2, 6})
 	f.Add([]byte{5, 0, 2, 0, 3, 1, 4, 17, 3, 2, 1, 0, 0, 1, 3, 0, 11, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		models := make([]*Model, 1+in.next(6))
+		seeds := make([][]float64, len(models))
 		for i := range models {
 			models[i] = fuzzModel(&in)
+		}
+		for i, m := range models {
+			seeds[i] = make([]float64, len(m.Vars))
+			for v := range seeds[i] {
+				seeds[i][v] = float64(in.next(2))
+			}
 		}
 		var list WorkspaceList
 		for _, presolve := range []bool{true, false} {
@@ -84,6 +102,14 @@ func FuzzSolveEachMatchesSolve(f *testing.F) {
 					t.Fatalf("model %d: %v", i, err)
 				}
 				want[i] = sol
+				if sol.SeedCannotChange(m, seeds[i]) {
+					o := opts
+					o.InitialSolution = seeds[i]
+					if seeded, err := Solve(m, o); err != nil || !sameAnswer(seeded, sol) {
+						t.Fatalf("presolve %v model %d: solved from %v, which the seedless solution says cannot change it: %+v, without: %+v\n%s",
+							presolve, i, seeds[i], seeded, sol, m)
+					}
+				}
 				if len(m.Vars) > 12 {
 					continue
 				}
@@ -99,7 +125,12 @@ func FuzzSolveEachMatchesSolve(f *testing.F) {
 				parts := make([]Part, len(models))
 				for i, m := range models {
 					parts[i].Model = m
-					switch in.next(3) {
+					// One byte picks the Out and whether to lend the seed.
+					pick := in.next(6)
+					if pick >= 3 && want[i].SeedCannotChange(m, seeds[i]) {
+						parts[i].Seed = seeds[i]
+					}
+					switch pick % 3 {
 					case 0:
 						parts[i].Out = prev[i]
 					case 1:
@@ -112,8 +143,7 @@ func FuzzSolveEachMatchesSolve(f *testing.F) {
 				}
 				for i, sol := range sols {
 					w := want[i]
-					if sol == nil || sol.Status != w.Status || !sameBits(sol.Objective, w.Objective) ||
-						!sameBits(sol.Bound, w.Bound) || !slices.EqualFunc(sol.Values, w.Values, sameBits) || (sol.Values == nil) != (w.Values == nil) {
+					if sol == nil || !sameAnswer(sol, w) {
 						t.Fatalf("presolve %v round %d part %d: %+v, a solve on fresh memory gives %+v", presolve, round, i, sol, w)
 					}
 					if parts[i].Out != nil && sol != parts[i].Out {

@@ -2,7 +2,6 @@ package milp
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -484,8 +483,9 @@ func TestSolveEachCallerValues(t *testing.T) {
 // caller's: what is left is solveEach's bookkeeping (the fan-out and, beside
 // the caller, its workers) and the incumbents the search adopts, not the
 // solve chain's headers. Before PR 25 the one part made 22 allocations and the
-// five 72; they make 12 and 36, and the five read up to 44 under -race, where
-// the concurrent parts' counts vary.
+// five 72; they make 9 and 27 since the fan-out's shared state is one object
+// (11 and 29 before), and the five read up to 44 under -race, where the
+// concurrent parts' counts vary.
 func TestSolveEachAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		models []*Model
@@ -529,10 +529,21 @@ func TestSolveEachAllocs(t *testing.T) {
 // workers take — and afterwards the list holds no more workspaces than there
 // can be workers. The knapsacks have unit weights, so each is settled at an
 // integral root and its solve allocates nothing on a warm workspace: what is
-// counted is the fan-out's alone.
+// counted is the fan-out's alone. The list starts with a warm workspace for
+// every worker there can be: it grows only when more are out at once than
+// ever before, and how many overlap depends on when the OS runs the workers.
 func TestSolveEachAllocsIndependentOfParts(t *testing.T) {
 	atLeastTwoProcs(t)
 	var list WorkspaceList
+	for range runtime.GOMAXPROCS(0) {
+		w := new(Workspace)
+		for range 2 { // a new workspace sizes its slabs at its first rewind
+			if _, err := w.Solve(knapsack([]float64{5, 4, 3, 1}, []float64{1, 1, 1, 1}, 2), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		list.Put(w)
+	}
 	allocs := func(n int) float64 {
 		models, parts := make([]*Model, n), make([]Part, n)
 		outs, sols := make([]Solution, n), make([]*Solution, n)
@@ -548,26 +559,13 @@ func TestSolveEachAllocsIndependentOfParts(t *testing.T) {
 				t.Fatalf("%d parts: %v %+v", n, err, got)
 			}
 		}
-		// Whichever worker is handed a part first, every workspace the list
-		// will hold has grown to fit.
 		for range 50 {
 			solve()
 		}
 		// testing.AllocsPerRun would pin GOMAXPROCS to 1, and so the call to
-		// one worker. The fewest of three readings, to the nearest whole
-		// allocation a call: the runtime allocates now and then on its own.
+		// one worker.
 		const runs = 20
-		fewest := math.Inf(1)
-		for range 3 {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			for range runs {
-				solve()
-			}
-			runtime.ReadMemStats(&m1)
-			fewest = min(fewest, float64(m1.Mallocs-m0.Mallocs)/runs)
-		}
-		return math.Round(fewest)
+		return float64(fanOutAllocs(runs, solve)) / runs
 	}
 	four, forty := allocs(4), allocs(40)
 	t.Logf("allocations per SolveEach: %v for 4 live parts, %v for 40", four, forty)
@@ -576,6 +574,63 @@ func TestSolveEachAllocsIndependentOfParts(t *testing.T) {
 	}
 	if n := len(list.free); n > runtime.GOMAXPROCS(0) {
 		t.Errorf("the list holds %d workspaces after one call at a time on %d procs", n, runtime.GOMAXPROCS(0))
+	}
+}
+
+// fanOutAllocs returns how many objects calls of f allocate inside a
+// WorkspaceList method, on the calling goroutine or a worker, read from the
+// memory profile at a rate of one: the objects whose innermost frame outside
+// the runtime is this package's. What the runtime allocates for itself — a
+// goroutine record when its free list is empty, a waiter's record when a
+// worker parks on a lock or the WaitGroup, a thread — has no such frame, and
+// depends on how the OS schedules the process, which the load of other
+// processes changes.
+func fanOutAllocs(calls int, f func()) int64 {
+	prev := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	defer func() { runtime.MemProfileRate = prev }()
+	var recs []runtime.MemProfileRecord
+	count := func() (total int64) {
+		runtime.GC() // a profile is as of the last completed cycle but one
+		runtime.GC()
+		n, ok := runtime.MemProfile(recs, true)
+		for !ok {
+			recs = make([]runtime.MemProfileRecord, n+n/2)
+			n, ok = runtime.MemProfile(recs, true)
+		}
+		for _, r := range recs[:n] {
+			if fanOutFrame(r.Stack()) {
+				total += r.AllocObjects
+			}
+		}
+		return total
+	}
+	before := count()
+	for range calls {
+		f()
+	}
+	return count() - before
+}
+
+// fanOutFrame reports whether an allocation's stack is the package's own,
+// made in a WorkspaceList method (see fanOutAllocs).
+func fanOutFrame(stack []uintptr) bool {
+	const pkg = "tetrisched/internal/milp."
+	frames := runtime.CallersFrames(stack)
+	for own := false; ; {
+		f, more := frames.Next()
+		switch {
+		case !own && (strings.HasPrefix(f.Function, "runtime.") || strings.HasPrefix(f.Function, "internal/runtime/")):
+		case !own && !strings.HasPrefix(f.Function, pkg):
+			return false
+		case strings.HasPrefix(f.Function, pkg+"(*WorkspaceList)."):
+			return true
+		default:
+			own = true
+		}
+		if !more {
+			return false
+		}
 	}
 }
 

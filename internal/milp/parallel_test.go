@@ -2,6 +2,7 @@ package milp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -280,6 +281,120 @@ func TestWarmStartInfeasibleSeedRejected(t *testing.T) {
 	if sol.Values != nil {
 		t.Fatalf("Values = %v, want nil", sol.Values)
 	}
+}
+
+// TestSeedCannotChangeProperty pins the proof the class table replays on
+// (Solution.SeedCannotChange): wherever a solution says a seed cannot change
+// it, a solve from that seed returns it — the same status, objective, bound and
+// values bit for bit, the same nodes and LP work. On 240 seeded random packing
+// models of the fuzz generator's shape, a quarter of them minimizing, each is
+// solved without a seed and from six 0/1 seeds (sparse random ones, mostly
+// infeasible; greedy ones that respect every ≤ row, some stopped early so
+// the root rounding beats them), under four option sets — the scheduler's gap,
+// exact, a rounding callback without presolve, and a budget that cuts the root
+// off — and every solution is asked about every seed. Both bars must occur: the
+// settled one no seed beats (an integral or infeasible root) and a finite one
+// a feasible seed falls strictly below.
+func TestSeedCannotChangeProperty(t *testing.T) {
+	threshold := func(x []float64) []float64 {
+		for i, v := range x {
+			x[i] = 0
+			if v >= 0.3 {
+				x[i] = 1
+			}
+		}
+		return x
+	}
+	optionSets := []Options{
+		{Gap: 0.1},
+		{},
+		{Gap: 0.1, DisablePresolve: true, Heuristic: threshold},
+		{TimeLimit: time.Nanosecond},
+	}
+	settledBars, finiteBars, beaten, checks := 0, 0, 0, 0
+	for seed := int64(0); seed < 240; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		data := make([]byte, 48)
+		r.Read(data)
+		in := fuzzInput(data)
+		m := fuzzModel(&in)
+		if seed%4 == 3 {
+			m.Sense = Minimize
+		}
+		seeds := [][]float64{nil}
+		for k := 0; k < 6; k++ {
+			seeds = append(seeds, randomSeed(r, m, k%3))
+		}
+		for oi, opts := range optionSets {
+			sols := make([]*Solution, len(seeds))
+			for i, sd := range seeds {
+				o := opts
+				o.InitialSolution = sd
+				sol, err := Solve(m, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sols[i] = sol
+			}
+			for a, sa := range sols {
+				if sa.bar.ok && math.IsInf(sa.bar.obj, 0) && better(m.Sense == Maximize, sa.bar.obj, 0) {
+					settledBars++
+				} else if sa.bar.ok && !math.IsInf(sa.bar.obj, 0) {
+					finiteBars++
+				}
+				for b, sb := range seeds {
+					if !sa.SeedCannotChange(m, sb) {
+						continue
+					}
+					checks++
+					if sb != nil && m.IsFeasible(sb, 1e-6) && !math.IsInf(sa.bar.obj, 0) {
+						beaten++
+					}
+					if !sameAnswer(sa, sols[b]) {
+						t.Fatalf("model %d, options %d: solved from seed %d: %+v (bar %+v); from seed %d, which it says cannot change that: %+v\nseed %v\n%s",
+							seed, oi, a, sa, sa.bar, b, sols[b], sb, m)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d settled bars, %d finite bars, %d feasible seeds below a finite bar, %d checks", settledBars, finiteBars, beaten, checks)
+	if settledBars == 0 || finiteBars == 0 || beaten == 0 {
+		t.Fatalf("%d settled bars, %d finite bars, %d feasible seeds below a finite bar: the property was not exercised", settledBars, finiteBars, beaten)
+	}
+}
+
+// randomSeed draws a 0/1 point for m: kind 0 sets each variable with
+// probability 0.3; kind 1 sets variables in random order while every ≤ row
+// still holds; kind 2 does the same but stops at a random count.
+func randomSeed(r *rand.Rand, m *Model, kind int) []float64 {
+	x := make([]float64, len(m.Vars))
+	if kind == 0 {
+		for i := range x {
+			if r.Float64() < 0.3 {
+				x[i] = 1
+			}
+		}
+		return x
+	}
+	stop := len(x)
+	if kind == 2 {
+		stop = r.Intn(len(x) + 1)
+	}
+	for _, i := range r.Perm(len(x))[:stop] {
+		x[i] = 1
+		for _, c := range m.Cons {
+			lhs := 0.0
+			for _, t := range c.Terms {
+				lhs += t.Coef * x[t.Var]
+			}
+			if c.Op == LE && lhs > c.RHS+1e-9 {
+				x[i] = 0
+				break
+			}
+		}
+	}
+	return x
 }
 
 // TestWarmStartSeedBeatsGap: a feasible seed already within the gap lets a

@@ -102,7 +102,9 @@ type Options struct {
 	DisablePseudocost bool
 }
 
-// Solution is the result of a Solve call.
+// Solution is the result of a Solve call. Beside the answer it records what
+// the solve proved about its warm-start seed: SeedCannotChange tells whether a
+// solve from another seed would return the same Solution.
 type Solution struct {
 	Status    Status
 	Objective float64       // objective of Values (valid unless NoSolution/Infeasible)
@@ -114,6 +116,50 @@ type Solution struct {
 	Cuts      CutStats      // root cutting-plane activity (zero when cuts are disabled)
 	Branch    BranchStats   // branching-rule usage counts
 	Runtime   time.Duration
+
+	bar seedBar // what a later seed must beat to change this answer
+}
+
+// seedBar is what a solve proved about its warm-start seed
+// (Options.InitialSolution): a solve of the same model and options from a
+// seed that is infeasible, absent, or strictly worse than obj returns the
+// same Solution. The search reads the seed in one place, its first incumbent,
+// and the first feasible candidate of the root heuristics that beats that
+// incumbent leaves the state a seedless solve has: the same incumbent, in the
+// same memory, and the same slab takes. So obj is that candidate's objective;
+// the best value of the sense when the answer was settled before the seed was
+// read (presolve or the root LP infeasible, an integral root); the worst when
+// no candidate came and no seed was adopted. The zero value proves nothing: the
+// answer may rest on the seed it was solved from (a seed that survived the
+// root heuristics, or one returned because the budget cut the root off).
+type seedBar struct {
+	obj float64
+	ok  bool
+}
+
+// settled is the bar of an answer the search reached before it read the seed:
+// no seed beats it.
+func settled(sense Sense) seedBar {
+	if sense == Maximize {
+		return seedBar{obj: math.Inf(1), ok: true}
+	}
+	return seedBar{obj: math.Inf(-1), ok: true}
+}
+
+// SeedCannotChange reports whether solving m again with seed as the warm start
+// (nil: none), and otherwise the options and model this Solution was solved
+// with, would return this Solution: seed is infeasible for m, or strictly
+// worse than the bar the solve recorded. Presolve keeps the variable space
+// and drops only rows other rows imply for integer points, so for an integral
+// seed the verdict on m is the one on the presolved model the search used.
+func (s *Solution) SeedCannotChange(m *Model, seed []float64) bool {
+	if !s.bar.ok {
+		return false
+	}
+	if seed == nil || !m.IsFeasible(seed, 1e-6) {
+		return true
+	}
+	return better(m.Sense == Maximize, s.bar.obj, m.ObjectiveValue(seed))
 }
 
 // Gap returns the achieved relative gap between bound and objective.
@@ -176,6 +222,8 @@ type search struct {
 	incumbent []float64
 	incObj    float64
 	incBuf    []float64 // the incumbent's memory, on the workspace like the rest of the search
+	bar       seedBar   // the answer's, once the root heuristics have run
+	offered   bool      // a root heuristic has offered a feasible candidate
 
 	primal []float64 // the caller's heuristic's memory: the LP point it may overwrite
 
@@ -200,8 +248,11 @@ type search struct {
 }
 
 // better reports whether a is strictly better than b in the optimize sense.
-func (s *search) better(a, b float64) bool {
-	if s.maximize {
+func (s *search) better(a, b float64) bool { return better(s.maximize, a, b) }
+
+// better reports whether a is strictly better than b, maximizing or not.
+func better(maximize bool, a, b float64) bool {
+	if maximize {
 		return a > b+1e-12
 	}
 	return a < b-1e-12
@@ -220,6 +271,22 @@ func (s *search) consider(cand []float64) {
 	if cand != nil && s.model.IsFeasible(cand, 1e-6) {
 		s.adopt(cand)
 	}
+}
+
+// offerRoot is consider for a root heuristic's candidate. The first feasible
+// one sets the bar: it is adopted unless the seed survives it, and once it is
+// adopted the search is the seedless one.
+func (s *search) offerRoot(cand []float64) {
+	if cand == nil || !s.model.IsFeasible(cand, 1e-6) {
+		return
+	}
+	if !s.offered {
+		s.offered = true
+		if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || s.better(obj, s.incObj) {
+			s.bar = seedBar{obj: obj, ok: true}
+		} // else the seed is live, and there is no bar
+	}
+	s.adopt(cand)
 }
 
 // adopt makes a feasible cand the incumbent if it is better. The incumbent is
@@ -401,7 +468,7 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 		pre = w.presolve(model)
 	}
 	if pre.Infeasible {
-		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start)}
+		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start), bar: settled(model.Sense)}
 		return out, nil
 	}
 	// The reduced model is the presolver's own assembly of a model that just
@@ -425,7 +492,7 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error) {
 	if len(model.Vars) == 0 {
 		// The empty point is the optimum: a solution, not the nil of none.
-		return w.answer(Solution{Status: StatusOptimal, Values: []float64{}}), nil
+		return w.answer(Solution{Status: StatusOptimal, Values: []float64{}, bar: settled(model.Sense)}), nil
 	}
 	p := w.newLP(model)
 	maximize := model.Sense == Maximize
@@ -450,6 +517,8 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 	if opts.InitialSolution != nil && model.IsFeasible(opts.InitialSolution, 1e-6) {
 		s.incumbent = append(s.incBuf[:0], opts.InitialSolution...)
 		s.incObj = model.ObjectiveValue(s.incumbent)
+	} else {
+		s.bar = seedBar{obj: worst, ok: true} // the seedless search: any feasible seed would move it
 	}
 
 	// Root relaxation, solved on the scratch the tree's nodes reuse.
@@ -460,20 +529,20 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 	}
 	switch st {
 	case lpInfeasible:
-		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, LP: s.scratch.stats}), nil
+		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, LP: s.scratch.stats, bar: settled(model.Sense)}), nil
 	case lpUnbounded:
-		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, LP: s.scratch.stats}), nil
+		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, LP: s.scratch.stats, bar: settled(model.Sense)}), nil
 	case lpIterLimit:
 		// Root aborted (work budget or iteration cap): report the seed
 		// incumbent if one was provided, else no solution.
 		if s.incumbent != nil {
 			return w.answer(Solution{Status: StatusFeasible, Objective: s.incObj, Values: s.incumbent, Nodes: 1, LP: s.scratch.stats}), nil
 		}
-		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, LP: s.scratch.stats}), nil
+		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, LP: s.scratch.stats, bar: s.bar}), nil
 	}
 	rootObj := model.ObjectiveValue(x[:len(model.Vars)])
 
-	integralRoot := func() (*Solution, error) {
+	integralRoot := func(bar seedBar) (*Solution, error) {
 		// LP optimum is already integral.
 		vals := roundIntegralInto(s.incBuf, model, x[:len(model.Vars)])
 		s.lp.add(&s.scratch.stats)
@@ -485,10 +554,11 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 			Nodes:     1,
 			LP:        s.lp,
 			Cuts:      s.cuts,
+			bar:       bar,
 		}), nil
 	}
 	if firstFractional(model, x) < 0 {
-		return integralRoot()
+		return integralRoot(settled(model.Sense)) // nothing after the LP reads the seed
 	}
 
 	// Heuristics on the root for a strong starting incumbent: plain rounding,
@@ -497,11 +567,11 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 	// because an incumbent that already meets the gap against the un-cut root
 	// bound makes every separation round (a grown LP and its re-solve) pure
 	// overhead.
-	s.consider(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
+	s.offerRoot(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
 	if opts.Heuristic != nil {
 		s.primal = s.ws.floats.take(len(model.Vars))
 	}
-	s.consider(s.round(x))
+	s.offerRoot(s.round(x))
 
 	if !opts.DisableCuts {
 		// Strengthen the root relaxation with cover/clique cuts before
@@ -511,7 +581,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 		x, rootObj = s.runCutRounds(x, rootObj)
 		model, p = s.model, s.p
 		if firstFractional(model, x) < 0 {
-			return integralRoot()
+			return integralRoot(s.bar)
 		}
 	}
 	s.openRoot(rootObj)
@@ -643,7 +713,7 @@ func (s *search) finish() *Solution {
 	if s.scratch != nil {
 		s.lp.add(&s.scratch.stats)
 	}
-	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, LP: s.lp, Cuts: s.cuts, Branch: s.branch})
+	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, LP: s.lp, Cuts: s.cuts, Branch: s.branch, bar: s.bar})
 	if s.incumbent == nil {
 		if closed {
 			sol.Status = StatusInfeasible
