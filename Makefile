@@ -113,8 +113,9 @@ alloc-ceiling:
 # FuzzSolveEachMatchesSolve decodes small packing MILPs and solves them on one
 # WorkspaceList into lent Solutions, against fresh package-level solves and
 # brute force. FuzzClassTableMatchesUncached drives a cached scheduler and a
-# DisableCompileCache twin through arrivals, finishes, failures and drops on a
-# small cluster and compares their decisions every cycle.
+# DisableCompileCache twin through arrivals, finishes, failures, drops and
+# idle nodes withheld from the free set on a small cluster and compares their
+# decisions every cycle.
 # FuzzParseRoundTrip feeds strl.Parse arbitrary text: whatever it accepts must
 # print to text that parses again and prints identically. FuzzPlanMatchesMapCalendar
 # drives rayon's dense calendar and the map one it replaced through the same
@@ -125,7 +126,11 @@ alloc-ceiling:
 # of cycles by strlgen's Reprice alone and compares it, every cycle, with the
 # request GenerateTTL makes afresh. FuzzSubmitDecoders sends arbitrary bodies
 # to POST /v1/submit, which reads every body as a JSON batch: no 5xx, no
-# panic, and the queue gains exactly what the response calls accepted. FuzzPresolve
+# panic, and the queue gains exactly what the response calls accepted.
+# FuzzSubmitCycle posts an arbitrary batch from one tenant to a daemon over a
+# real core.Scheduler on a small racked cluster and runs one /v1/cycle: the
+# submit answers 202 or 4xx, the cycle 200, and every decision launches an
+# admitted job on distinct free nodes at one of its widths. FuzzPresolve
 # presolves small integer models (GE rows, zero coefficients, fixed columns,
 # objectives of either sign, choice rows with and without an indicator): the
 # input stays bit for bit as it was though the reduced model may share its
@@ -142,6 +147,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rayon -run '^$$' -fuzz '^FuzzParseRDL$$' -fuzztime 15s
 	$(GO) test ./internal/strlgen -run '^$$' -fuzz '^FuzzRepriceMatchesGenerate$$' -fuzztime 15s
 	$(GO) test ./internal/httpapi -run '^$$' -fuzz '^FuzzSubmitDecoders$$' -fuzztime 15s
+	$(GO) test ./internal/httpapi -run '^$$' -fuzz '^FuzzSubmitCycle$$' -fuzztime 15s
 
 # Front-door smoke: cmd/loadgen spawns an in-process daemon and fires a short
 # closed-loop burst at POST /v1/submit while cycles drain the queue. Gates on

@@ -604,7 +604,10 @@ func residentArrival(id, g int, now int64) *workload.Job {
 // TestCleanClassDoesNoWork pins what a steady cycle costs: every class is
 // kept and wants last cycle's options, so the cycle compiles nothing, builds no
 // seed, solves nothing, starts no goroutine and allocates next to nothing; and a cycle with one arrival
-// compiles the arrival's class and no other.
+// compiles the arrival's class and no other. The steady cycles are measured
+// twice: as they run, each repeating the fixed point, and with the free set
+// alternating between two nodes the blockers hold by belief, so that each is
+// planned through the class table.
 func TestCleanClassDoesNoWork(t *testing.T) {
 	sched, free := residentScheduler(8)
 	now := int64(4)
@@ -615,7 +618,7 @@ func TestCleanClassDoesNoWork(t *testing.T) {
 	for k := 0; k < 3; k++ { // cold, the shifted seed, the first replay
 		cycle()
 	}
-	const cycles = 40
+	const cycles = 20 // each way: 40 in all, inside the residents' deadline band
 	// The warm-up's sub-solve goroutines are done with their WaitGroup but may
 	// not have exited yet (under -race that takes a while): count once they have.
 	goroutines := runtime.NumGoroutine()
@@ -623,36 +626,50 @@ func TestCleanClassDoesNoWork(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		goroutines = runtime.NumGoroutine()
 	}
-	before := sched.Stats
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	allocs := testing.AllocsPerRun(cycles-1, cycle)
-	runtime.ReadMemStats(&m1)
-	d := sched.Stats
-	if d.CompileJobs != before.CompileJobs || d.CompileSkips-before.CompileSkips != 72*cycles {
-		t.Errorf("steady cycles compiled %d jobs and kept %d, want 0 and %d",
-			d.CompileJobs-before.CompileJobs, d.CompileSkips-before.CompileSkips, 72*cycles)
-	}
-	if d.ReuseMisses != before.ReuseMisses || d.ReuseHits-before.ReuseHits != 8*cycles || d.Solves != before.Solves {
-		t.Errorf("steady cycles: %d replays, %d misses, %d solves; want %d, 0, 0",
-			d.ReuseHits-before.ReuseHits, d.ReuseMisses-before.ReuseMisses, d.Solves-before.Solves, 8*cycles)
-	}
-	if d.ExprMisses != before.ExprMisses {
-		t.Errorf("steady cycles generated %d requests", d.ExprMisses-before.ExprMisses)
-	}
-	if n := runtime.NumGoroutine(); n != goroutines {
-		t.Errorf("goroutines %d -> %d over the steady cycles", goroutines, n)
-	}
-	// The parent commit's steady cycle made 269 allocations, 60 KB.
-	if perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles; allocs > 1 || perCycle > 1024 {
-		t.Errorf("a steady cycle allocates %.1f times, %d bytes; want at most 1 and 1024", allocs, perCycle)
+	alternate := [2]*bitset.Set{bitset.FromIndices(free.Cap(), 0), bitset.FromIndices(free.Cap(), 1)}
+	for _, planned := range []bool{false, true} {
+		step := cycle
+		if planned {
+			step = func() {
+				sched.Cycle(now, alternate[now/4%2])
+				now += 4
+			}
+		}
+		before := sched.Stats
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs := testing.AllocsPerRun(cycles-1, step)
+		runtime.ReadMemStats(&m1)
+		d := sched.Stats
+		if repeated := d.RepeatedCycles - before.RepeatedCycles; planned && repeated != 0 || !planned && repeated != cycles {
+			t.Errorf("planned=%v: %d of %d steady cycles repeated the fixed point", planned, repeated, cycles)
+		}
+		if d.CompileJobs != before.CompileJobs || d.CompileSkips-before.CompileSkips != 72*cycles {
+			t.Errorf("planned=%v: steady cycles compiled %d jobs and kept %d, want 0 and %d",
+				planned, d.CompileJobs-before.CompileJobs, d.CompileSkips-before.CompileSkips, 72*cycles)
+		}
+		if d.ReuseMisses != before.ReuseMisses || d.ReuseHits-before.ReuseHits != 8*cycles || d.Solves != before.Solves {
+			t.Errorf("planned=%v: steady cycles: %d replays, %d misses, %d solves; want %d, 0, 0",
+				planned, d.ReuseHits-before.ReuseHits, d.ReuseMisses-before.ReuseMisses, d.Solves-before.Solves, 8*cycles)
+		}
+		if d.ExprMisses != before.ExprMisses {
+			t.Errorf("planned=%v: steady cycles generated %d requests", planned, d.ExprMisses-before.ExprMisses)
+		}
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Errorf("planned=%v: goroutines %d -> %d over the steady cycles", planned, goroutines, n)
+		}
+		// The steady cycle made 269 allocations, 60 KB, before the class
+		// table; a repeated one makes none.
+		if perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles; allocs > 1 || perCycle > 1024 || !planned && allocs > 0 {
+			t.Errorf("planned=%v: a steady cycle allocates %.1f times, %d bytes; want at most 1 and 1024", planned, allocs, perCycle)
+		}
 	}
 
 	// One arrival, on block 3: its class alone is compiled again — the nine
 	// residents and the newcomer — and the other seven are kept; likewise while
 	// it lives (its latest start choice passes its deadline, so its request is
 	// trimmed at a new revision) and in the cycle that drops it.
-	before = sched.Stats
+	before := sched.Stats
 	sched.Submit(now, residentArrival(5000, 3, now))
 	cycle()
 	if c, k := sched.Stats.CompileJobs-before.CompileJobs, sched.Stats.CompileSkips-before.CompileSkips; c != 10 || k != 63 {

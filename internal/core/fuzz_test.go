@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/sim"
 	"tetrisched/internal/workload"
@@ -59,11 +60,12 @@ func fuzzJob(in *fuzzInput, id int, now int64, nodes int) (*workload.Job, int64)
 // keeps nothing. The fuzzer's bytes choose a configuration (plan-ahead window,
 // two shards, a MaxBatch that truncates) and then a run of events on a 12-node
 // cluster: arrivals, early finishes, failures that kill a running job and
-// resubmit it, and cycles, in which jobs end on their own and SLO jobs past
-// their last start are dropped. A scheduler with every cache on and one with
+// resubmit it, a node withheld from the free set or given back with no job
+// event, and cycles, in which jobs end on their own and SLO jobs past their
+// last start are dropped. A scheduler with every cache on and one with
 // DisableCompileCache see the same events, and every cycle they must make the
 // same decisions — the same launches on the same nodes and the same drops, in
-// the same order — and place only on free nodes. The seed corpus
+// the same order — and place only on nodes the cycle offered. The seed corpus
 // (testdata/fuzz) holds runs in which classes are kept and replayed: overrunning
 // best-effort gangs pin the release slices while SLO jobs with far deadlines
 // wait, sharded, truncated, with finishes and failures; one in which both
@@ -72,7 +74,14 @@ func fuzzJob(in *fuzzInput, id int, now int64, nodes int) (*workload.Job, int64)
 // data-local SLO jobs defer behind the gangs and, on the cycle after their
 // class is built, its shifted seed is feasible but strictly worse than the
 // root rounding the solution adopted, so the component replays on the
-// solver's proof (milp.Solution.SeedCannotChange), not on an equal seed.
+// solver's proof (milp.Solution.SeedCannotChange), not on an equal seed. The
+// fixed-point-* runs reach a cycle that planned nothing new, which the cached
+// scheduler then repeats, and break it with one input each: an arrival; a
+// completion on a withheld node, which moves only the release slices; a node
+// withheld and given back; a running job counting down to its estimate; a
+// best-effort job past MaxBatch re-priced every cycle; and a start-now grant
+// across two node groups whose commit fails on a node idle by belief but not
+// offered, so only a planned cycle shuffles the tie-break RNG.
 func FuzzClassTableMatchesUncached(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
@@ -95,6 +104,7 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 		lasts := map[int]int64{}           // how long each job really runs
 		running := map[int]*run{}
 		free := c.All()
+		withheld := bitset.New(c.N()) // idle nodes the cycles are not offered
 		now, nextID := int64(0), 0
 		submit := func(j [2]*workload.Job) {
 			for i, s := range scheds {
@@ -139,9 +149,11 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 			for _, id := range done {
 				end(id, false)
 			}
+			offer := free.Clone()
+			offer.DifferenceWith(withheld)
 			var res [2]sim.CycleResult
 			for i, s := range scheds {
-				res[i] = s.Cycle(now, free.Clone())
+				res[i] = s.Cycle(now, offer.Clone())
 			}
 			if a, b := fuzzOutcome(res[0]), fuzzOutcome(res[1]); a != b {
 				t.Fatalf("t=%d: the cached scheduler decided\n  %s\nthe uncached one\n  %s", now, a, b)
@@ -153,9 +165,10 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 			assertTableLive(t, scheds[0], fmt.Sprintf("t=%d", now))
 			for _, d := range res[0].Decisions {
 				for _, n := range d.Nodes {
-					if !free.Contains(n) {
-						t.Fatalf("t=%d: job %d placed on busy node %d", now, d.Job.ID, n)
+					if !offer.Contains(n) {
+						t.Fatalf("t=%d: job %d placed on node %d, which is busy or was not offered", now, d.Job.ID, n)
 					}
+					offer.Remove(n)
 					free.Remove(n)
 				}
 				running[d.Job.ID] = &run{jobs: jobs[d.Job.ID], nodes: d.Nodes, end: now + lasts[d.Job.ID]}
@@ -163,7 +176,7 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 		}
 
 		for step := 0; len(in) > 0 && step < 48; step++ {
-			switch in.next(8) {
+			switch in.next(9) {
 			case 0, 1, 2:
 				j, last := fuzzJob(&in, nextID, now, c.N())
 				twin := *j
@@ -174,6 +187,13 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 			case 3, 4: // an early finish, or a failure: killed and resubmitted
 				if id, ok := pick(); ok {
 					end(id, in.next(2) == 1)
+				}
+			case 8: // a node leaves the free set, or comes back, with no job event
+				n := in.next(c.N())
+				if withheld.Contains(n) {
+					withheld.Remove(n)
+				} else {
+					withheld.Add(n)
 				}
 			default:
 				cycle()

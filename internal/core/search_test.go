@@ -8,6 +8,7 @@ import (
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/rayon"
 	"tetrisched/internal/sim"
+	"tetrisched/internal/trace"
 	"tetrisched/internal/workload"
 )
 
@@ -56,31 +57,49 @@ func residentBlock(g int) []int {
 // cycle's seed, the first plan shifted one slice, is strictly worse than the
 // root rounding that the first solve adopted, so the solver proves it cannot
 // change the answer and every block replays (before, each re-solved to the
-// same answer: 8 sub-solves and 296 LP iterations on eight blocks).
+// same answer: 8 sub-solves and 296 LP iterations on eight blocks). That
+// second cycle plans nothing new, so it is the scheduler's fixed point, and
+// the third to sixteenth of the scoreboard's warm cycles repeat it: no compile
+// or solve span, and the replays and compile skips a planned cycle would
+// count.
 func TestResidentSearchCounts(t *testing.T) {
-	type counts struct{ nodes, cutRounds, lpIters, replays int }
+	type counts struct{ nodes, cutRounds, lpIters, replays, skips, repeats, spans int }
 	cycle := func(sched *Scheduler, free *bitset.Set, now int64) counts {
-		before := sched.Stats
+		before, events := sched.Stats, len(sched.tr.Snapshot())
 		sched.Cycle(now, free)
-		st := sched.Stats
+		st, spans := sched.Stats, 0
+		for _, e := range sched.tr.Snapshot()[events:] {
+			if e.Name == "compile" || e.Name == "solve" {
+				spans++
+			}
+		}
 		return counts{st.Nodes - before.Nodes, st.CutRounds - before.CutRounds,
-			int(st.LPIters - before.LPIters), st.ReuseHits - before.ReuseHits}
+			int(st.LPIters - before.LPIters), st.ReuseHits - before.ReuseHits,
+			st.CompileSkips - before.CompileSkips, st.RepeatedCycles - before.RepeatedCycles, spans}
 	}
 
 	// One block (a single-component batch, the zero-copy path), then eight, the
-	// scoreboard's set-up: a cold cycle, then replay on the shifted seed and on
-	// the same one.
+	// scoreboard's set-up: a cold cycle, replay on the shifted seed, then the
+	// fixed point repeated.
 	for _, blocks := range []int{1, 8} {
 		sched, free := residentScheduler(blocks)
+		sched.tr = trace.New(1 << 12)
 		now := int64(4)
-		if c := cycle(sched, free, now); c.nodes != blocks || c.cutRounds != 0 || c.replays != 0 {
-			t.Errorf("%d blocks, first cycle: %+v, want one node a block, no cuts and no replays", blocks, c)
+		if c := cycle(sched, free, now); c.nodes != blocks || c.cutRounds != 0 || c.replays != 0 || c.repeats != 0 {
+			t.Errorf("%d blocks, first cycle: %+v, want one node a block, no cuts, no replays and no repeat", blocks, c)
 		}
-		for k := 1; k < 3; k++ {
+		now += 4
+		if c, want := cycle(sched, free, now), (counts{replays: blocks, skips: 9 * blocks, spans: 2}); c != want {
+			t.Errorf("%d blocks, second cycle: %+v, want %+v: every block replayed", blocks, c, want)
+		}
+		for k := 3; k <= 16; k++ {
 			now += 4
-			if c := cycle(sched, free, now); c != (counts{replays: blocks}) {
-				t.Errorf("%d blocks, cycle %d: %+v, want every block replayed", blocks, k, c)
+			if c, want := cycle(sched, free, now), (counts{replays: blocks, skips: 9 * blocks, repeats: 1}); c != want {
+				t.Errorf("%d blocks, cycle %d: %+v, want %+v: the fixed point repeated", blocks, k, c, want)
 			}
+		}
+		if got := sched.Stats.RepeatedCycles; got != 14 {
+			t.Errorf("%d blocks: %d of 16 warm cycles repeated the fixed point, want 14", blocks, got)
 		}
 	}
 }

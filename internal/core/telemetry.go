@@ -44,6 +44,7 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 
 	telemetry.Row("reuse", "reuse_hits", "tetrisched_solver_reuse_hits_total", "counter", "Component sub-solves replayed from the previous cycle.", func(s *SolveStats) any { return s.ReuseHits }),
 	telemetry.Row("reuse", "reuse_misses", "tetrisched_solver_reuse_misses_total", "counter", "Components that had to be solved.", func(s *SolveStats) any { return s.ReuseMisses }),
+	telemetry.Row("reuse", "repeated_cycles", "tetrisched_solver_repeated_cycles_total", "counter", "Global cycles answered by repeating the last cycle that planned nothing new, its requests, free set and release slices unchanged.", func(s *SolveStats) any { return s.RepeatedCycles }),
 	telemetry.Row("reuse", "reuse_hit_rate", "tetrisched_solver_reuse_hit_rate", "gauge", "Fraction of component sub-solves served by replay.", func(s *SolveStats) any { return s.ReuseHitRate() }),
 
 	telemetry.Row("frontend", "expr_hits", "tetrisched_solver_expr_cache_hits_total", "counter", "Pending-job STRL requests served or trimmed from the expression cache; one trimmed to nothing drops its job and counts as neither hit nor miss.", func(s *SolveStats) any { return s.ExprHits }),

@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"tetrisched/internal/bitset"
@@ -156,6 +157,10 @@ type SolveStats struct {
 	CompileSkips int   // batched jobs whose class was kept, compiled model and all
 	CompileJobs  int   // batched jobs whose class was compiled in a global cycle
 
+	// Global cycles that repeated the scheduler's fixed point instead of
+	// planning (fixedPoint); zero when the compile cache is disabled.
+	RepeatedCycles int
+
 	// Presolve telemetry (internal/milp/presolve.go), summed across solves.
 	PresolveRows    int           // constraint rows eliminated
 	PresolveCliques int           // choose-≤-1 rows merged by clique domination
@@ -285,6 +290,7 @@ type Scheduler struct {
 	spare     []*class           // swept classes, kept for their memory
 	swept     []*class           // backing of next cycle's classes
 	cycle     uint64             // global cycles run
+	fixed     fixedPoint         // the inputs of the last cycle that planned nothing new
 
 	// Always-on memory the scheduler owns and reuses from cycle to cycle,
 	// independent of any cache semantics; all of it starts empty and grows on
@@ -359,6 +365,7 @@ func New(c *cluster.Cluster, cfg Config) *Scheduler {
 		lastJob: make(map[int]planChoice),
 		tr:      cfg.Tracer,
 		classOf: make(map[int]*class),
+		fixed:   fixedPoint{free: bitset.New(c.N())},
 	}
 	if s.feEnabled() {
 		s.exprCache = make(map[int]*exprEntry)
@@ -376,9 +383,11 @@ func New(c *cluster.Cluster, cfg Config) *Scheduler {
 // Name implements sim.Scheduler.
 func (s *Scheduler) Name() string { return s.cfg.Name() }
 
-// Submit implements sim.Scheduler.
+// Submit implements sim.Scheduler. The job enters the queue at its place in
+// queue order (byQueue), after every job that ties with it.
 func (s *Scheduler) Submit(now int64, j *workload.Job) {
-	s.pending = append(s.pending, j)
+	i := sort.Search(len(s.pending), func(i int) bool { return byQueue(s.pending[i], j) > 0 })
+	s.pending = slices.Insert(s.pending, i, j)
 	s.markJobDirty(j.ID)
 }
 
@@ -407,22 +416,25 @@ func priority(j *workload.Job) int {
 	}
 }
 
-// orderedPending returns pending jobs in priority-then-arrival order. Arrival
-// is the job's Submit time, not its position in s.pending: failure restarts
-// re-enter the queue at the tail, and ordering by queue position would file
-// an early-arriving restart behind later arrivals, breaking the
-// FIFO-within-class guarantee of §6.3. Ties (same class, same
-// Submit) break by the front door's weighted-fair admission sequence when one
-// was stamped (workload.Job.AdmitSeq — jobs admitted in the same cycle share
-// a Submit, and ID order would hand the queue position back to whichever
-// tenant allocated lower IDs), then by job ID, which matches original
-// submission order for simulator-generated jobs.
+// byQueue is queue order: priority, then arrival. Arrival is the job's Submit
+// time, not when Submit was called: failure restarts re-enter the queue later,
+// and filing an early-arriving restart behind later arrivals would break the
+// FIFO-within-class guarantee of §6.3. Ties (same class, same Submit) break by
+// the front door's weighted-fair admission sequence when one was stamped
+// (workload.Job.AdmitSeq — jobs admitted in the same cycle share a Submit, and
+// ID order would hand the queue position back to whichever tenant allocated
+// lower IDs), then by job ID, which matches original submission order for
+// simulator-generated jobs.
+func byQueue(a, b *workload.Job) int {
+	return cmp.Or(cmp.Compare(priority(a), priority(b)), cmp.Compare(a.Submit, b.Submit),
+		cmp.Compare(a.AdmitSeq, b.AdmitSeq), cmp.Compare(a.ID, b.ID))
+}
+
+// orderedPending returns the pending jobs in queue order: a copy of the queue,
+// which Submit keeps in that order and the cycle edits while it walks the
+// copy.
 func (s *Scheduler) orderedPending() []*workload.Job {
 	s.ordered = append(s.ordered[:0], s.pending...)
-	slices.SortStableFunc(s.ordered, func(a, b *workload.Job) int {
-		return cmp.Or(cmp.Compare(priority(a), priority(b)), cmp.Compare(a.Submit, b.Submit),
-			cmp.Compare(a.AdmitSeq, b.AdmitSeq), cmp.Compare(a.ID, b.ID))
-	})
 	return s.ordered
 }
 
@@ -538,6 +550,13 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 // globalCycle plans all pending requests together (§5): one MILP in effect,
 // compiled and solved block by block (classes.go).
 func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Request, res *sim.CycleResult) {
+	rel := s.releaseSlices(now)
+	if s.fixed.holds(reqs, free, rel) {
+		s.repeat()
+		return
+	}
+	s.fixed.reqs = s.fixed.reqs[:0]
+	batch := reqs
 	if len(reqs) > s.cfg.MaxBatch {
 		// Plan choices are valid for exactly one cycle (the shift-by-one-slice
 		// assumption), but the clear-and-re-record pass below only covers the
@@ -558,7 +577,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	// out not to bind (in sharded mode, along shard lines instead).
 	compSpan := s.tr.Begin("compile", "compile")
 	compT0 := time.Now()
-	classes, err := s.classify(reqs, s.releaseSlices(now))
+	classes, err := s.classify(reqs, rel)
 	if err != nil {
 		// Should be impossible for generated expressions; fail safe by
 		// making no decisions this cycle.
@@ -635,7 +654,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	}
 	working := s.working
 	working.CopyFrom(free)
-	nGranted := 0
+	nGranted, started := 0, false
 	for _, cl := range classes {
 		cl.regrant()
 	}
@@ -662,6 +681,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			}
 			// Commit the placement against the shared free set, in decode order
 			// (priority order — losers of a race never jump ahead of winners).
+			started = true
 			nodes := s.pickNodes(cl.comp, g, working, nil, 0)
 			if nodes == nil {
 				// Optimistic commit failed: the nodes this shard planned on are
@@ -697,6 +717,63 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		// greedy packing against whatever the solved components left free.
 		s.tr.Instant("solve", "fallback", trace.I("jobs", int64(len(failed))))
 		s.fallbackPack(now, working, failed, res)
+	}
+	if live == 0 && !started && len(res.Decisions)+len(res.Dropped)+len(res.Preempted) == 0 &&
+		s.feEnabled() && !s.sharded() {
+		s.fixed.record(batch, free, rel)
+	}
+}
+
+// fixedPoint is the key of a global cycle that planned nothing new: it solved
+// no component, reached no start-now grant (so the tie-break RNG did not
+// move) and decided, dropped and preempted nothing. From the state such a
+// cycle leaves, the same key — the same requests at the same revisions in the
+// same order, the same free set and the same believed release slices — leads
+// every step of a cycle back to that state: every class is kept and settled
+// wholesale, the same deferred grants re-record the same plan choices, and
+// nothing is launched. The next cycle with that key therefore repeats it
+// without planning (docs/SOLVER.md, "A cycle that repeats a fixed point").
+// Only the class table has such a key, so a cycle with the compile cache off,
+// or a sharded one, never records it. reqs is empty when nothing is held.
+type fixedPoint struct {
+	reqs []*strlgen.Request // the batch as generated, before MaxBatch
+	revs []uint32
+	free *bitset.Set
+	rel  []int64
+}
+
+func (fp *fixedPoint) record(reqs []*strlgen.Request, free *bitset.Set, rel []int64) {
+	fp.reqs, fp.revs = append(fp.reqs[:0], reqs...), fp.revs[:0]
+	for _, r := range reqs {
+		fp.revs = append(fp.revs, r.Rev)
+	}
+	fp.free.CopyFrom(free)
+	fp.rel = append(fp.rel[:0], rel...)
+}
+
+func (fp *fixedPoint) holds(reqs []*strlgen.Request, free *bitset.Set, rel []int64) bool {
+	if len(fp.reqs) == 0 || !slices.Equal(fp.reqs, reqs) || !fp.free.Equal(free) || !slices.Equal(fp.rel, rel) {
+		return false
+	}
+	for i, r := range reqs {
+		if r.Rev != fp.revs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// repeat stands for a cycle at the fixed point: it decides nothing and adds
+// what that cycle would have added, every batched job a compile skip and
+// every component a replay.
+func (s *Scheduler) repeat() {
+	s.Stats.RepeatedCycles++
+	for _, cl := range s.classes {
+		s.Stats.CompileSkips += len(cl.reqs)
+		s.Stats.ReuseHits += len(cl.ents)
+		for ci := range cl.ents {
+			s.traceReuse(cl, ci)
+		}
 	}
 }
 

@@ -6,7 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
+
+	"tetrisched/internal/cluster"
+	"tetrisched/internal/core"
 )
 
 // FuzzSubmitDecoders sends an arbitrary body to POST /v1/submit through
@@ -55,6 +60,81 @@ func FuzzSubmitDecoders(f *testing.F) {
 			}
 		default:
 			t.Fatalf("batch %q: unexpected status %d %s", body, rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzSubmitCycle posts an arbitrary body as tenant a's batch to POST
+// /v1/submit on a daemon over a real core.Scheduler (12 nodes in three racks,
+// one of them GPU; a 20 ms work budget per solve), then runs one POST
+// /v1/cycle on which nodes 5 and 10 are busy though the scheduler believes
+// them idle. The submit must answer 202 or 4xx and the cycle 200, nothing may
+// panic, and every decision must name a job the submit admitted, on free
+// nodes no other decision took, as many as the job's widths allow: k, or for
+// an elastic job anything in [min_k, k].
+func FuzzSubmitCycle(f *testing.F) {
+	for _, body := range []string{
+		`[{"id":1,"tenant":"a","class":"BE","type":"Unconstrained","k":3,"base_runtime":8}]`,
+		`[{"id":1,"tenant":"a","class":"SLO","type":"GPU","k":4,"base_runtime":8,"slowdown":2,"deadline":40,"reserved":true},` +
+			`{"id":2,"tenant":"a","class":"BE","type":"MPI","k":4,"base_runtime":12,"slowdown":1.5}]`,
+		`[{"id":1,"tenant":"a","class":"BE","type":"Elastic","k":6,"min_k":2,"base_runtime":20,"slowdown":1},` +
+			`{"id":2,"tenant":"a","class":"SLO","type":"DataLocal","k":2,"base_runtime":4,"slowdown":3,"deadline":12,"data_nodes":[4,5,6]},` +
+			`{"id":3,"tenant":"a","class":"SLO","type":"Unconstrained","k":12,"base_runtime":4,"est_err":-0.5,"deadline":4}]`,
+		`[{"id":1,"tenant":"a","class":"BE","type":"Elastic","k":8,"min_k":2,"base_runtime":20,"slowdown":1}]`,
+		`[{"id":1,"tenant":"a","class":"BE","type":"Elastic","k":12,"min_k":0,"base_runtime":31536000,"slowdown":1}]`,
+		`[{"id":1,"tenant":"a","class":"BE","type":"GPU","k":13,"base_runtime":8,"slowdown":1}]`,
+		`[{"id":1,"tenant":"a","class":"BE","type":"MPI","k":2,"base_runtime":8,"slowdown":0.5}]`,
+	} {
+		f.Add([]byte(body))
+	}
+	free := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 11}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c := cluster.Racked(12, 3, 1)
+		h := NewServer(core.New(c, core.Config{PlanAhead: 16, SolverTimeLimit: 20 * time.Millisecond}), c.N()).
+			SetAdmission(AdmissionConfig{MaxQueue: 16, Tenants: []TenantConfig{{Name: "a", Quota: -1}}}).Handler()
+		post := func(path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			return rec
+		}
+		admitted := map[int]*JobMsg{}
+		switch rec := post("/v1/submit", body); {
+		case rec.Code == http.StatusAccepted:
+			var msgs []JobMsg
+			if err := json.Unmarshal(body, &msgs); err != nil {
+				t.Fatalf("batch %q: 202, yet it does not decode: %v", body, err)
+			}
+			for i := range msgs {
+				admitted[msgs[i].ID] = &msgs[i]
+			}
+		case rec.Code < 400 || rec.Code >= 500:
+			t.Fatalf("batch %q: submit answered %d %s", body, rec.Code, rec.Body)
+		}
+		cycle, _ := json.Marshal(CycleRequest{Now: 0, Free: free})
+		rec := post("/v1/cycle", cycle)
+		var cr CycleResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &cr); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("batch %q: cycle answered %d %s", body, rec.Code, rec.Body)
+		}
+		taken := map[int]bool{}
+		for _, d := range cr.Decisions {
+			m := admitted[d.JobID]
+			if m == nil {
+				t.Fatalf("batch %q: job %d launched, which the submit did not admit", body, d.JobID)
+			}
+			j, err := m.ToJob(c.N())
+			if err != nil {
+				t.Fatalf("batch %q: job %d was admitted, yet: %v", body, d.JobID, err)
+			}
+			if lo, hi := j.WidthRange(); len(d.Nodes) < lo || len(d.Nodes) > hi {
+				t.Fatalf("batch %q: job %d launched on %v, outside its widths [%d, %d]", body, d.JobID, d.Nodes, lo, hi)
+			}
+			for _, n := range d.Nodes {
+				if !slices.Contains(free, n) || taken[n] {
+					t.Fatalf("batch %q: job %d launched on node %d, which is busy or taken", body, d.JobID, n)
+				}
+				taken[n] = true
+			}
 		}
 	})
 }

@@ -180,19 +180,35 @@ func TestSubmitRejectsUnpricedFields(t *testing.T) {
 		job   string // the fields after the ID
 		field string // named in the error; "" means admitted
 	}{
-		{`"class":"BE","type":"MPI","k":17,"base_runtime":10`, "k"},
-		{`"class":"BE","type":"MPI","k":16,"base_runtime":10`, ""},
-		{`"class":"BE","type":"Elastic","k":4,"min_k":5,"base_runtime":10`, "min_k"},
-		{`"class":"BE","type":"Elastic","k":4,"min_k":-1,"base_runtime":10`, "min_k"},
-		{`"class":"BE","type":"Elastic","k":4,"min_k":4,"base_runtime":10`, ""},
-		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"deadline":40,"data_nodes":[3,16]`, "data_nodes"},
-		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"deadline":40,"data_nodes":[-1,3]`, "data_nodes"},
-		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"deadline":40,"data_nodes":[0,15]`, ""},
-		{`"class":"BE","type":"GPU","k":1,"base_runtime":10,"est_err":-1`, "est_err"},
-		{`"class":"BE","type":"GPU","k":1,"base_runtime":10,"est_err":-0.99`, ""},
-		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10,"submit":5,"deadline":5`, "deadline"},
-		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10`, "deadline"},
-		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10,"submit":5,"deadline":6`, ""},
+		{`"class":"BE","type":"MPI","k":17,"base_runtime":10,"slowdown":1`, "k"},
+		{`"class":"BE","type":"MPI","k":16,"base_runtime":10,"slowdown":1`, ""},
+		{`"class":"BE","type":"Elastic","k":4,"min_k":5,"base_runtime":10,"slowdown":1`, "min_k"},
+		{`"class":"BE","type":"Elastic","k":4,"min_k":-1,"base_runtime":10,"slowdown":1`, "min_k"},
+		{`"class":"BE","type":"Elastic","k":4,"min_k":4,"base_runtime":10,"slowdown":1`, ""},
+		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"slowdown":1,"deadline":40,"data_nodes":[3,16]`, "data_nodes"},
+		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"slowdown":1,"deadline":40,"data_nodes":[-1,3]`, "data_nodes"},
+		{`"class":"SLO","type":"DataLocal","k":2,"base_runtime":10,"slowdown":1,"deadline":40,"data_nodes":[0,15]`, ""},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":10,"slowdown":1,"est_err":-1`, "est_err"},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":10,"slowdown":1,"est_err":-0.99`, ""},
+		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10,"slowdown":1,"submit":5,"deadline":5`, "deadline"},
+		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10,"slowdown":1`, "deadline"},
+		{`"class":"SLO","type":"GPU","k":1,"base_runtime":10,"slowdown":1,"submit":5,"deadline":6`, ""},
+		// A job that can run off its preferred nodes runs at least as long
+		// there; an Unconstrained job has no such nodes and may omit it.
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":10`, "slowdown"},
+		{`"class":"BE","type":"MPI","k":1,"base_runtime":10,"slowdown":0.99`, "slowdown"},
+		{`"class":"BE","type":"Unconstrained","k":1,"base_runtime":10`, ""},
+		// The believed runtime, base × slowdown × (1 + est_err), stays
+		// within a year (31 536 000 s), far inside int64.
+		{`"class":"BE","type":"Unconstrained","k":1,"base_runtime":31536001`, "base_runtime"},
+		{`"class":"BE","type":"Unconstrained","k":1,"base_runtime":9223372036854775807`, "base_runtime"},
+		{`"class":"BE","type":"Unconstrained","k":1,"base_runtime":31536000`, ""},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":1000000,"slowdown":32`, "slowdown"},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":1000000,"slowdown":1e300`, "slowdown"},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":1000000,"slowdown":31.5`, ""},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":1000000,"slowdown":16,"est_err":1`, "est_err"},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":1000000,"slowdown":1,"est_err":1e300`, "est_err"},
+		{`"class":"BE","type":"GPU","k":1,"base_runtime":1000000,"slowdown":15,"est_err":1`, ""},
 	} {
 		job := fmt.Sprintf(`[{"id":%d,%s}]`, i+1, tc.job)
 		resp := postSubmit(t, ts.URL, []byte(job))

@@ -46,6 +46,10 @@ type JobMsg struct {
 	Reserved    bool    `json:"reserved"`
 }
 
+// maxRuntime bounds a job's believed runtime at full width, in seconds: a
+// year, far past any window the scheduler plans and far inside int64.
+const maxRuntime = 365 * 24 * 3600
+
 // ToJob converts the wire form to a workload.Job for a cluster of nodes
 // nodes, refusing a job whose pricing fields make no sense there.
 func (m *JobMsg) ToJob(nodes int) (*workload.Job, error) {
@@ -63,18 +67,10 @@ func (m *JobMsg) ToJob(nodes int) (*workload.Job, error) {
 	default:
 		return nil, fmt.Errorf("httpapi: unknown class %q", m.Class)
 	}
-	switch m.Type {
-	case "Unconstrained":
-		j.Type = workload.Unconstrained
-	case "GPU":
-		j.Type = workload.GPU
-	case "MPI":
-		j.Type = workload.MPI
-	case "Elastic":
-		j.Type = workload.Elastic
-	case "DataLocal":
-		j.Type = workload.DataLocal
-	default:
+	types := [...]workload.Type{workload.Unconstrained, workload.GPU, workload.MPI, workload.Elastic, workload.DataLocal}
+	if t := slices.IndexFunc(types[:], func(t workload.Type) bool { return t.String() == m.Type }); t >= 0 {
+		j.Type = types[t]
+	} else {
 		return nil, fmt.Errorf("httpapi: unknown type %q", m.Type)
 	}
 	switch {
@@ -88,6 +84,10 @@ func (m *JobMsg) ToJob(nodes int) (*workload.Job, error) {
 		return nil, fmt.Errorf("httpapi: job %d: a data_nodes entry is outside [0, %d)", j.ID, nodes)
 	case j.EstErr <= -1:
 		return nil, fmt.Errorf("httpapi: job %d: est_err=%v must exceed -1", j.ID, j.EstErr)
+	case j.Slowdown < 1 && j.Type != workload.Unconstrained:
+		return nil, fmt.Errorf("httpapi: job %d: slowdown=%v must be at least 1 for type %s", j.ID, j.Slowdown, m.Type)
+	case float64(j.BaseRuntime)*max(1, j.Slowdown)*(1+max(0, j.EstErr)) > maxRuntime:
+		return nil, fmt.Errorf("httpapi: job %d: base_runtime=%d × slowdown=%v × (1 + est_err=%v) is past %d s", j.ID, j.BaseRuntime, j.Slowdown, j.EstErr, maxRuntime)
 	case j.Class == workload.SLO && j.Deadline <= j.Submit:
 		return nil, fmt.Errorf("httpapi: job %d: SLO deadline=%d must be after submit=%d", j.ID, j.Deadline, j.Submit)
 	}
