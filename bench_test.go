@@ -473,24 +473,25 @@ func gshetJobs(tb testing.TB, n int, seed int64) (*strlgen.Generator, []*workloa
 	return strlgen.New(rc256, strlgen.Default(4, 96)), jobs, jobs[len(jobs)-1].Submit
 }
 
-// TestCompiledModelGolden pins the text of compiled GS HET models — variable
-// and row names included, through both printers — to digests taken when the
-// compiler stopped emitting the last of what presolve only deletes: a job
-// indicator under a MAX root, a partition variable of a group with nothing
-// free, a one-option max row. These batches now compile to exactly the model
-// presolve used to reduce them to (1685×423, 4380×868 and 7382×1188, the
-// sizes TestLeanLowering pins), having lost 42, 50 and 38 repeated supply rows
-// before that. The model the solver sees, and what an operator reads in a
-// dump, changes only on purpose.
+// TestCompiledModelGolden pins the text of compiled GS HET models, through
+// both printers, to digests. A model carries no names, so the text is every
+// variable's and row's index, bounds, type, terms and limit. The batches
+// compile to exactly the model presolve used to reduce them to (1685×423,
+// 4380×868 and 7382×1188, the sizes TestLeanLowering pins): the compiler
+// emits no job indicator under a MAX root, no partition variable of a group
+// with nothing free, no one-option max row and no repeated supply row. The
+// digests are those the named models had, printed with every name left out:
+// the model the solver sees, and what an operator reads in a dump, changes
+// only on purpose.
 func TestCompiledModelGolden(t *testing.T) {
 	for _, tc := range []struct {
 		jobs   int
 		seed   int64
 		digest string
 	}{
-		{24, 1, "ad625ef91c3d82714d02b8053f4d84284cf5ba94ef4e1e9f6954f19f19d3d0c9"},
-		{60, 2, "794670fd0a9491ec6ab1489a86364d75e9ce0d0c1fe21514fb1a9a8114ecb7ba"},
-		{120, 3, "e120550b0f9c04db318390feff517c2e913817a101d6a660349d8be68beb589f"},
+		{24, 1, "ec74108ee0fc470db379f1087849ad339dac8ab373d749ac738c1b9e0dd42db0"},
+		{60, 2, "93c325b9a5821e981506ec94d9335134c8b5dba5d9b27948f9370f1d148011e5"},
+		{120, 3, "d347b693eafdb3ab19990426a92c1263c6dbe688c943cc865c0c9d2efa615b31"},
 	} {
 		exprs, opts := gshetBatch(t, tc.jobs, tc.seed)
 		comp, err := compiler.Compile(exprs, opts)

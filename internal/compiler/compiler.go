@@ -63,7 +63,6 @@ type leafRecord struct {
 	start  int64
 	dur    int64
 	ind    milp.VarID // controlling indicator (shared along MIN paths); noVar when culled
-	job    int
 	k      int
 	group  int // valid when single
 	partLo int // valid when !single: Compiled.parts[partLo:partLo+partN]
@@ -282,19 +281,17 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	// them; the cluster is partitioned against the sets, in the Scratch's
 	// Partitioning, which retains neither input, so both are poolable.
 	eqsets, leaves := sc.eqsets[:0], sc.leaves[:0]
-	jid := 0
 	note := func(x strl.Expr) {
 		switch l := x.(type) {
 		case *strl.NCk:
 			eqsets = append(eqsets, l.Set)
-			leaves = append(leaves, leafRecord{job: jid, expr: l, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
+			leaves = append(leaves, leafRecord{expr: l, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
 		case *strl.LnCk:
 			eqsets = append(eqsets, l.Set)
-			leaves = append(leaves, leafRecord{job: jid, expr: l, linear: true, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
+			leaves = append(leaves, leafRecord{expr: l, linear: true, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
 		}
 	}
-	for j, job := range jobs {
-		jid = j
+	for _, job := range jobs {
 		strl.Walk(job, note)
 	}
 	sc.eqsets, sc.leaves = eqsets, leaves
@@ -334,7 +331,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	c.computeAvail()
 	c.cullLeaves()
 
-	for jid, job := range jobs {
+	for _, job := range jobs {
 		c.job = append(c.job, jobRecord{varLo: c.Model.NumVars(), leafLo: sc.nl, roundable: roundable(job)})
 		if sc.dead[sc.nn] {
 			// Nothing of the job can be granted: nothing of it is lowered, not
@@ -349,9 +346,9 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 			// objective and one row, Σ kids ≤ n·I, that only pushes it up, so
 			// it could always be 1 (genChoice).
 		default:
-			ind = c.Model.AddVarNamed(milp.Namef("I_j%d", jid), milp.Binary, 0, 1, 0)
+			ind = c.Model.AddVar(milp.Binary, 0, 1, 0)
 		}
-		if err := c.gen(jid, job, ind); err != nil {
+		if err := c.gen(job, ind); err != nil {
 			return nil, err
 		}
 		// The subtree's objective terms, summed per variable in emission
@@ -391,7 +388,7 @@ func (c *Compiled) emitSupply() {
 			}
 			sc.kept = append(sc.kept, keptRow{t: t, lo: int32(len(sc.keptLive)), hi: int32(len(sc.keptLive) + len(sc.cell))})
 			sc.keptLive = append(sc.keptLive, sc.live...)
-			c.Model.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, int(t)), sc.cell, milp.LE, float64(limit))
+			c.Model.AddConstraint(sc.cell, milp.LE, float64(limit))
 		}
 	}
 }
@@ -478,37 +475,37 @@ func (c *Compiled) computeAvail() {
 // gen is Algorithm 1: it lowers expr under indicator ind and appends the
 // linear objective contribution of the subtree to the scratch's obj buffer
 // (callers note its length first and read, rewrite or truncate from there).
-func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
+func (c *Compiled) gen(expr strl.Expr, ind milp.VarID) error {
 	sc := c.scr
 	sc.nn++
 	switch x := expr.(type) {
 	case *strl.NCk:
-		c.genNCk(job, x, ind)
+		c.genNCk(x, ind)
 		return nil
 	case *strl.LnCk:
-		c.genLnCk(job, x, ind)
+		c.genLnCk(x, ind)
 		return nil
 	case *strl.Sum:
 		// Σ I_i ≤ n·I: children activate only if the parent does.
-		return c.genChoice(job, x.Kids, ind, "I_j%d_sum%d", "sum_j%d", float64(len(x.Kids)))
+		return c.genChoice(x.Kids, ind, float64(len(x.Kids)))
 	case *strl.Max:
 		// Σ I_i ≤ I: at most one branch, and only if the parent activates.
-		return c.genChoice(job, x.Kids, ind, "I_j%d_max%d", "max_j%d", 1)
+		return c.genChoice(x.Kids, ind, 1)
 	case *strl.Min:
-		v := c.Model.AddVarNamed(milp.Namef("V_j%d", job), milp.Continuous, 0, milp.Inf, 0)
+		v := c.Model.AddVar(milp.Continuous, 0, milp.Inf, 0)
 		for _, kid := range x.Kids {
 			lo := len(sc.obj)
-			if err := c.gen(job, kid, ind); err != nil { // children share the indicator
+			if err := c.gen(kid, ind); err != nil { // children share the indicator
 				return err
 			}
 			// V ≤ f_i.
-			c.boundBelow(milp.Namef("min_j%d", job), milp.Term{Var: v, Coef: 1}, lo)
+			c.boundBelow(milp.Term{Var: v, Coef: 1}, lo)
 		}
 		sc.obj = append(sc.obj, milp.Term{Var: v, Coef: 1})
 		return nil
 	case *strl.Scale:
 		lo := len(sc.obj)
-		if err := c.gen(job, x.Kid, ind); err != nil {
+		if err := c.gen(x.Kid, ind); err != nil {
 			return err
 		}
 		for i := lo; i < len(sc.obj); i++ {
@@ -517,11 +514,11 @@ func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
 		return nil
 	case *strl.Barrier:
 		lo := len(sc.obj)
-		if err := c.gen(job, x.Kid, ind); err != nil {
+		if err := c.gen(x.Kid, ind); err != nil {
 			return err
 		}
 		// v·I ≤ f.
-		c.boundBelow(milp.Namef("barrier_j%d", job), milp.Term{Var: ind, Coef: x.V}, lo)
+		c.boundBelow(milp.Term{Var: ind, Coef: x.V}, lo)
 		sc.obj = append(sc.obj, milp.Term{Var: ind, Coef: x.V})
 		return nil
 	}
@@ -535,26 +532,26 @@ func (c *Compiled) gen(job int, expr strl.Expr, ind milp.VarID) error {
 // noVar): its row is Σ I_i ≤ n, and with one live child that row cannot bind,
 // so there is none. A dead child (see markDead) gets neither indicator nor
 // term: it could only ever be 0.
-func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidFormat, rowFormat string, n float64) error {
+func (c *Compiled) genChoice(kids []strl.Expr, ind milp.VarID, n float64) error {
 	sc := c.scr
 	lo := len(sc.kids) // nested choices push and pop above this level's terms
-	for i, kid := range kids {
+	for _, kid := range kids {
 		if sc.dead[sc.nn] {
 			c.skip(kid)
 			continue
 		}
-		ki := c.Model.AddVarNamed(milp.Namef(kidFormat, job, i), milp.Binary, 0, 1, 0)
+		ki := c.Model.AddVar(milp.Binary, 0, 1, 0)
 		sc.kids = append(sc.kids, milp.Term{Var: ki, Coef: 1})
-		if err := c.gen(job, kid, ki); err != nil {
+		if err := c.gen(kid, ki); err != nil {
 			return err
 		}
 	}
 	switch {
 	case ind != noVar:
 		sc.kids = append(sc.kids, milp.Term{Var: ind, Coef: -n})
-		c.Model.AddConstraintNamed(milp.Namef(rowFormat, job), sc.kids[lo:], milp.LE, 0)
+		c.Model.AddConstraint(sc.kids[lo:], milp.LE, 0)
 	case len(sc.kids)-lo > 1:
-		c.Model.AddConstraintNamed(milp.Namef(rowFormat, job), sc.kids[lo:], milp.LE, n)
+		c.Model.AddConstraint(sc.kids[lo:], milp.LE, n)
 	}
 	sc.kids = sc.kids[:lo]
 	return nil
@@ -563,13 +560,13 @@ func (c *Compiled) genChoice(job int, kids []strl.Expr, ind milp.VarID, kidForma
 // boundBelow emits head − f ≤ 0, where f is the subtree objective in
 // obj[lo:], and removes f from the buffer: the caller replaces it with the
 // bounded quantity.
-func (c *Compiled) boundBelow(name milp.Name, head milp.Term, lo int) {
+func (c *Compiled) boundBelow(head milp.Term, lo int) {
 	sc := c.scr
 	con := append(sc.demand[:0], head)
 	for _, t := range sc.obj[lo:] {
 		con = append(con, milp.Term{Var: t.Var, Coef: -t.Coef})
 	}
-	c.Model.AddConstraintNamed(name, con, milp.LE, 0)
+	c.Model.AddConstraint(con, milp.LE, 0)
 	sc.demand = con
 	sc.obj = sc.obj[:lo]
 }
@@ -701,7 +698,7 @@ func (c *Compiled) addPart(rec *leafRecord, pv partVar) {
 	rec.partN++
 }
 
-func (c *Compiled) genNCk(job int, leaf *strl.NCk, ind milp.VarID) {
+func (c *Compiled) genNCk(leaf *strl.NCk, ind milp.VarID) {
 	rec, cover := c.nextLeaf(ind)
 	s, e, _ := c.slices(leaf.Start, leaf.Dur)
 	sc := c.scr
@@ -715,18 +712,18 @@ func (c *Compiled) genNCk(job int, leaf *strl.NCk, ind milp.VarID) {
 	}
 	// Demand: Σ P_x = k·I. AddConstraint copies its terms, so the pooled
 	// build buffer can be handed over and reused for the next leaf.
-	sc.demand = append(c.genParts(rec, cover, s, e, "P_j%d_g%d_s%d"), milp.Term{Var: ind, Coef: -float64(leaf.K)})
-	c.Model.AddConstraintNamed(milp.Namef("demand_j%d_s%d", job, int(leaf.Start)), sc.demand, milp.EQ, 0)
+	sc.demand = append(c.genParts(rec, cover, s, e), milp.Term{Var: ind, Coef: -float64(leaf.K)})
+	c.Model.AddConstraint(sc.demand, milp.EQ, 0)
 	sc.obj = append(sc.obj, milp.Term{Var: ind, Coef: leaf.Value})
 }
 
-func (c *Compiled) genLnCk(job int, leaf *strl.LnCk, ind milp.VarID) {
+func (c *Compiled) genLnCk(leaf *strl.LnCk, ind milp.VarID) {
 	rec, cover := c.nextLeaf(ind)
 	s, e, _ := c.slices(leaf.Start, leaf.Dur)
 	sc := c.scr
 	// Demand: Σ P_x ≤ k·I.
-	sc.demand = append(c.genParts(rec, cover, s, e, "Pl_j%d_g%d_s%d"), milp.Term{Var: ind, Coef: -float64(leaf.K)})
-	c.Model.AddConstraintNamed(milp.Namef("ldemand_j%d_s%d", job, int(leaf.Start)), sc.demand, milp.LE, 0)
+	sc.demand = append(c.genParts(rec, cover, s, e), milp.Term{Var: ind, Coef: -float64(leaf.K)})
+	c.Model.AddConstraint(sc.demand, milp.LE, 0)
 	for _, pv := range c.partsOf(rec) {
 		sc.obj = append(sc.obj, milp.Term{Var: pv.id, Coef: leaf.Value / float64(leaf.K)})
 	}
@@ -737,7 +734,7 @@ func (c *Compiled) genLnCk(job int, leaf *strl.LnCk, ind milp.VarID) {
 // returns their sum as the start of the leaf's demand row, in the scratch's
 // build buffer. A group with no node free throughout gets nothing: its count
 // could only be 0.
-func (c *Compiled) genParts(rec *leafRecord, cover []int, s, e int64, format string) []milp.Term {
+func (c *Compiled) genParts(rec *leafRecord, cover []int, s, e int64) []milp.Term {
 	demand := c.scr.demand[:0]
 	for _, g := range cover {
 		free := c.minAvail(g, s, e)
@@ -745,7 +742,7 @@ func (c *Compiled) genParts(rec *leafRecord, cover []int, s, e int64, format str
 			continue
 		}
 		ub := math.Min(float64(rec.k), float64(free))
-		p := c.Model.AddVarNamed(milp.Namef(format, rec.job, g, int(rec.start)), milp.Integer, 0, ub, 0)
+		p := c.Model.AddVar(milp.Integer, 0, ub, 0)
 		c.addPart(rec, partVar{group: g, id: p})
 		demand = append(demand, milp.Term{Var: p, Coef: 1})
 		c.addUse(g, s, e, milp.Term{Var: p, Coef: 1})
@@ -898,7 +895,7 @@ func (c *Compiled) appendGrants(dst []LeafGrant, counts []GroupCount, x []float6
 					}
 				}
 			}
-			dst = append(dst, LeafGrant{Job: rec.job, Leaf: rec.expr, Start: rec.start, Dur: rec.dur,
+			dst = append(dst, LeafGrant{Job: j, Leaf: rec.expr, Start: rec.start, Dur: rec.dur,
 				Counts: counts[lo:len(counts):len(counts)], Total: total})
 		}
 	}

@@ -315,7 +315,7 @@ func (r *subRows) add(ci int, con *milp.Constraint, n int) []milp.Term {
 	r.at[ci] += n
 	row := r.terms[lo : lo+n : lo+n]
 	sub := r.comps[ci].Model
-	sub.Cons = append(sub.Cons, milp.Constraint{Name: con.Name, Terms: row, Op: con.Op, RHS: con.RHS})
+	sub.Cons = append(sub.Cons, milp.Constraint{Terms: row, Op: con.Op, RHS: con.RHS})
 	return row
 }
 

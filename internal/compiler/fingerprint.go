@@ -14,11 +14,9 @@ import (
 // The digest covers (a) the component's model mathematics and (b) everything
 // the incumbent rounding consumes beyond the model: the per-leaf lowering
 // records and the availability ledger of every partition group the component
-// touches. Variable and constraint names are excluded — they embed batch
-// positions and global group numbers, both of which shift when unrelated jobs
-// come and go even though the component's own math is unchanged. For the same
-// reason partition-group indices are renumbered by first appearance within the
-// component before hashing.
+// touches. Global group numbers shift when unrelated jobs come and go even
+// though the component's own math is unchanged, so partition-group indices
+// are renumbered by first appearance within the component before hashing.
 
 // hash64 is an inline accumulator that folds one 64-bit word per step — a
 // multiply and an xor of the 128-bit product's halves, so a difference in any

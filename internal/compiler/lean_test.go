@@ -3,7 +3,6 @@ package compiler
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"tetrisched/internal/bitset"
@@ -36,50 +35,137 @@ func residentBlockBatch() ([]strl.Expr, Options) {
 // checkLean fails the test for anything in c's model that presolve would only
 // delete: a variable that can only be 0, an indicator under a choice root
 // (which could only be 1), a supply row repeating an earlier one of its group
-// at a limit no smaller.
+// at a limit no smaller. It reads the model through the lowering records: a
+// job's variables are the range from its record to the next job's, as many as
+// jobSize counts, and the supply rows are the ones after all the jobs' rows.
 func checkLean(t *testing.T, name string, c *Compiled) {
 	t.Helper()
 	m := c.Model
-	for i := range c.leaves {
-		rec := &c.leaves[i]
-		switch {
-		case rec.culled && (rec.ind != noVar || rec.partN != 0 || rec.single):
-			t.Errorf("%s: culled leaf %d of job %d has variables", name, i, rec.job)
-		case !rec.culled && (rec.ind < 0 || int(rec.ind) >= m.NumVars()):
-			t.Errorf("%s: live leaf %d of job %d has indicator %d", name, i, rec.job, rec.ind)
+	rowLo := 0
+	for j := range c.jobs {
+		for i, rec := range c.jobLeaves(j) {
+			switch {
+			case rec.culled && (rec.ind != noVar || rec.partN != 0 || rec.single):
+				t.Errorf("%s: culled leaf %d of job %d has variables", name, i, j)
+			case !rec.culled && (rec.ind < 0 || int(rec.ind) >= m.NumVars()):
+				t.Errorf("%s: live leaf %d of job %d has indicator %d", name, i, j, rec.ind)
+			}
 		}
+		vars, rows := jobSize(c, j)
+		if got := c.job[j+1].varLo - c.job[j].varLo; got != vars {
+			t.Errorf("%s: job %d has %d variables, its lowering needs %d", name, j, got, vars)
+		}
+		rowLo += rows
 	}
 	for i, v := range m.Vars {
 		if v.Ub == 0 {
-			t.Errorf("%s: variable %s (#%d) can only be 0", name, v.Name.String(), i)
+			t.Errorf("%s: variable x%d can only be 0", name, i)
 		}
 	}
-	for j, job := range c.jobs {
-		switch job.(type) {
-		case *strl.Max, *strl.Sum:
-			if lo := c.job[j].varLo; lo < c.job[j+1].varLo && m.Vars[lo].Name.String() == fmt.Sprintf("I_j%d", j) {
-				t.Errorf("%s: choice-rooted job %d has an indicator of its own", name, j)
-			}
+	if rowLo > m.NumConstraints() {
+		t.Fatalf("%s: %d rows, but the jobs alone lower to %d", name, m.NumConstraints(), rowLo)
+	}
+	groupOf := map[milp.VarID]int{} // a supply term's variable → the group it draws on
+	for i := range c.leaves {
+		rec := &c.leaves[i]
+		if rec.single {
+			groupOf[rec.ind] = rec.group
+		}
+		for _, pv := range c.partsOf(rec) {
+			groupOf[pv.id] = pv.group
 		}
 	}
-	supply := map[int][]*milp.Constraint{} // group → its supply rows, in emission order
-	for i := range m.Cons {
+	supply := map[int][]int{} // group → its supply rows, in emission order
+	for i := rowLo; i < len(m.Cons); i++ {
 		con := &m.Cons[i]
-		rowName := con.Name.String()
-		if strings.HasPrefix(rowName, "cull_") {
-			t.Errorf("%s: row %s", name, rowName)
-		}
-		var g, slice int
-		if n, _ := fmt.Sscanf(rowName, "supply_g%d_t%d", &g, &slice); n != 2 {
+		if con.Op != milp.LE || len(con.Terms) == 0 || slices.ContainsFunc(con.Terms, func(tm milp.Term) bool { return tm.Coef <= 0 }) {
+			t.Errorf("%s: row c%d is no supply row", name, i)
 			continue
 		}
-		for _, earlier := range supply[g] {
-			if con.RHS >= earlier.RHS && slices.Equal(con.Terms, earlier.Terms) {
-				t.Errorf("%s: %s repeats %s at a limit no smaller", name, rowName, earlier.Name.String())
+		g := groupOf[con.Terms[0].Var]
+		for _, e := range supply[g] {
+			if con.RHS >= m.Cons[e].RHS && slices.Equal(con.Terms, m.Cons[e].Terms) {
+				t.Errorf("%s: supply row c%d repeats c%d at a limit no smaller", name, i, e)
 			}
 		}
-		supply[g] = append(supply[g], con)
+		supply[g] = append(supply[g], i)
 	}
+}
+
+// jobSize counts the variables and rows the lowering of job j needs, from its
+// leaf records alone: a choice root has no indicator of its own and a row only
+// over two live children or more; any other live root has an indicator.
+func jobSize(c *Compiled, j int) (vars, rows int) {
+	leaf := c.job[j].leafLo
+	var kids []strl.Expr
+	switch x := c.jobs[j].(type) {
+	case *strl.Max:
+		kids = x.Kids
+	case *strl.Sum:
+		kids = x.Kids
+	default:
+		if v, r, live := lowerSize(c, x, &leaf); live {
+			return v + 1, r
+		}
+		return 0, 0
+	}
+	vars, rows, n := choiceSize(c, kids, &leaf)
+	if n > 1 {
+		rows++
+	}
+	return vars, rows
+}
+
+// choiceSize counts the variables and rows of a MAX's or SUM's live children,
+// an indicator each included, but not the row tying them together; n is how
+// many are live.
+func choiceSize(c *Compiled, kids []strl.Expr, leaf *int) (vars, rows, n int) {
+	for _, kid := range kids {
+		if v, r, live := lowerSize(c, kid, leaf); live {
+			vars, rows, n = vars+1+v, rows+r, n+1
+		}
+	}
+	return vars, rows, n
+}
+
+// lowerSize counts the variables and rows gen lowers expr to under an
+// indicator it is given, and reports whether expr is lowered at all; *leaf is
+// the record of expr's first leaf, and is moved past its last.
+func lowerSize(c *Compiled, expr strl.Expr, leaf *int) (vars, rows int, live bool) {
+	switch x := expr.(type) {
+	case *strl.NCk, *strl.LnCk:
+		rec := &c.leaves[*leaf]
+		*leaf++
+		switch {
+		case rec.culled:
+			return 0, 0, false
+		case rec.single:
+			return 0, 0, true
+		}
+		return rec.partN, 1, true // and the demand row
+	case *strl.Max:
+		v, r, n := choiceSize(c, x.Kids, leaf)
+		return v, r + 1, n > 0 // and Σ I_i − I ≤ 0
+	case *strl.Sum:
+		v, r, n := choiceSize(c, x.Kids, leaf)
+		return v, r + 1, n > 0 // and Σ I_i − n·I ≤ 0
+	case *strl.Min:
+		vars, rows, live = 1, len(x.Kids), true // V, and V ≤ f_i for each child
+		for _, kid := range x.Kids {
+			v, r, l := lowerSize(c, kid, leaf)
+			vars, rows, live = vars+v, rows+r, live && l
+		}
+		if !live {
+			return 0, 0, false
+		}
+		return vars, rows, true
+	case *strl.Scale:
+		return lowerSize(c, x.Kid, leaf)
+	case *strl.Barrier:
+		v, r, l := lowerSize(c, x.Kid, leaf)
+		return v, r + 1, l // and v·I ≤ f
+	}
+	panic(fmt.Sprintf("lowerSize: %T", expr))
 }
 
 // TestLeanLowering: the compiler emits nothing presolve would only delete —

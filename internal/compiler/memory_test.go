@@ -336,9 +336,11 @@ func greedyRoundReference(c *Compiled, x []float64, jobs []int) []float64 {
 	}
 	order := append([]int(nil), jobs...)
 	mass := map[int]float64{} // LP mass on the job's non-culled options
-	for _, rec := range c.leaves {
-		if !rec.culled {
-			mass[rec.job] += x[rec.ind]
+	for j := range c.jobs {
+		for _, rec := range c.jobLeaves(j) {
+			if !rec.culled {
+				mass[j] += x[rec.ind]
+			}
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return mass[order[a]] > mass[order[b]] })
@@ -471,7 +473,7 @@ func TestComponentsSliceMatchesParent(t *testing.T) {
 				mine[fv] = true
 			}
 			next := 0 // sub-model rows are consumed in parent order
-			for _, con := range c.Model.Cons {
+			for ri, con := range c.Model.Cons {
 				var want []milp.Term
 				maxUse := 0.0
 				for _, tm := range con.Terms {
@@ -484,16 +486,16 @@ func TestComponentsSliceMatchesParent(t *testing.T) {
 					continue // not this component's, or a cut copy that cannot bind
 				}
 				if next == len(cc.Model.Cons) {
-					t.Fatalf("seed %d component %d: sub-model is missing row %s", seed, ci, con.Name)
+					t.Fatalf("seed %d component %d: sub-model is missing row c%d", seed, ci, ri)
 				}
 				sub := cc.Model.Cons[next]
 				next++
-				if sub.Name != con.Name || sub.Op != con.Op || sub.RHS != con.RHS || len(sub.Terms) != len(want) {
-					t.Fatalf("seed %d component %d: row %s sliced to %+v", seed, ci, con.Name, sub)
+				if sub.Op != con.Op || sub.RHS != con.RHS || len(sub.Terms) != len(want) {
+					t.Fatalf("seed %d component %d: row c%d sliced to %+v", seed, ci, ri, sub)
 				}
 				for i, tm := range sub.Terms {
 					if cc.VarMap[tm.Var] != int(want[i].Var) || tm.Coef != want[i].Coef {
-						t.Fatalf("seed %d component %d: row %s term %d is %+v, want %+v", seed, ci, con.Name, i, tm, want[i])
+						t.Fatalf("seed %d component %d: row c%d term %d is %+v, want %+v", seed, ci, ri, i, tm, want[i])
 					}
 				}
 			}

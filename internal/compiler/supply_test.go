@@ -3,7 +3,6 @@ package compiler
 import (
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"tetrisched/internal/bitset"
@@ -14,7 +13,7 @@ import (
 // denseSupply is the supply emission the sweep replaced: a dense accumulator
 // with a cell of terms per (group, slice), each of the batch's uses appended
 // to the cell of every slice it spans, walked group-major then slice-major.
-// It returns the rows AddConstraintNamed makes of the cells that can bind and
+// It returns the rows AddConstraint makes of the cells that can bind and
 // repeat no kept cell at a limit no larger.
 func denseSupply(c *Compiled) []milp.Constraint {
 	h := int(c.opts.Horizon)
@@ -41,15 +40,15 @@ func denseSupply(c *Compiled) []milp.Constraint {
 				continue
 			}
 			kept = append(kept, t)
-			m.AddConstraintNamed(milp.Namef("supply_g%d_t%d", g, t), cell, milp.LE, float64(limit))
+			m.AddConstraint(cell, milp.LE, float64(limit))
 		}
 	}
 	return m.Cons
 }
 
-// TestSupplyRowsMatchDenseGrid: the supply rows the sweep emits — their
-// order, names, terms in order and limits — are those of the dense
-// per-(group, slice) accumulator it replaced, on random batches of nCk and
+// TestSupplyRowsMatchDenseGrid: the supply rows the sweep emits after all of
+// the jobs' rows — their order, terms in order and limits — are those of the
+// dense per-(group, slice) accumulator it replaced, on random batches of nCk and
 // LnCk leaves over overlapping sets (so covers span groups), some clipped at
 // the window's edge, with nodes released late or never (so whole groups have
 // no node free under a leaf and get no term of it). A zero-length leaf never
@@ -94,15 +93,19 @@ func TestSupplyRowsMatchDenseGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := denseSupply(c)
-		first := len(c.Model.Cons) - len(want)
-		if first < 0 || first > 0 && strings.HasPrefix(c.Model.Cons[first-1].Name.String(), "supply_") {
-			t.Fatalf("batch %d: %d rows, want the last %d to be all the supply rows", batch, len(c.Model.Cons), len(want))
+		first := 0 // emitSupply adds its rows after every job's
+		for j := range jobs {
+			_, rows := jobSize(c, j)
+			first += rows
+		}
+		if first+len(want) != len(c.Model.Cons) {
+			t.Fatalf("batch %d: %d rows, want the jobs' %d and %d supply rows", batch, len(c.Model.Cons), first, len(want))
 		}
 		for i, w := range want {
 			got := c.Model.Cons[first+i]
-			if got.Name != w.Name || got.Op != w.Op || got.RHS != w.RHS || !slices.Equal(got.Terms, w.Terms) {
-				t.Fatalf("batch %d, supply row %d: %v %v %v %v, want %v %v %v %v", batch, i,
-					got.Name, got.Terms, got.Op, got.RHS, w.Name, w.Terms, w.Op, w.RHS)
+			if got.Op != w.Op || got.RHS != w.RHS || !slices.Equal(got.Terms, w.Terms) {
+				t.Fatalf("batch %d, supply row %d: %v %v %v, want %v %v %v", batch, i,
+					got.Terms, got.Op, got.RHS, w.Terms, w.Op, w.RHS)
 			}
 		}
 		rows += len(want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"tetrisched/internal/bitset"
@@ -131,5 +132,37 @@ func TestFailureRestartKeepsFIFOPosition(t *testing.T) {
 	if res.Stats[0].Start >= res.Stats[1].Start {
 		t.Errorf("restarted job 0 started at %d, after the later arrival's %d; FIFO-by-arrival broken",
 			res.Stats[0].Start, res.Stats[1].Start)
+	}
+}
+
+// TestWithheldNodesAreNotIdle: a node the caller leaves out of the free set
+// runs something the scheduler does not know of, so it is not planned on now.
+// Twelve nodes, ten offered, nothing known to run: a 12-wide SLO job queued
+// ahead cannot start before the two withheld nodes come back, and the
+// one-slice jobs behind it, which fit on the ten in the meantime, launch.
+// Were the withheld nodes idle by belief, the wide job's start-now grant would
+// win the solve and fail its commit, and nothing would launch.
+func TestWithheldNodesAreNotIdle(t *testing.T) {
+	c := cluster.NewBuilder().AddRack("r0", 12, nil).Build()
+	sched := New(c, Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0})
+	sched.Submit(0, &workload.Job{ID: 1, Class: workload.SLO, Reserved: true, Type: workload.Unconstrained,
+		K: 12, BaseRuntime: 8, Slowdown: 1, Deadline: 40})
+	for id := 2; id <= 3; id++ {
+		sched.Submit(0, &workload.Job{ID: id, Class: workload.BestEffort, Type: workload.Unconstrained,
+			K: 4, BaseRuntime: 4, Slowdown: 1})
+	}
+	free := bitset.FromIndices(12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	var launched []int
+	for _, d := range sched.Cycle(0, free).Decisions {
+		launched = append(launched, d.Job.ID)
+		for _, n := range d.Nodes {
+			if !free.Contains(n) {
+				t.Errorf("job %d launched on node %d, which is not free", d.Job.ID, n)
+			}
+		}
+	}
+	slices.Sort(launched)
+	if !slices.Equal(launched, []int{2, 3}) {
+		t.Errorf("launched jobs %v, want 2 and 3", launched)
 	}
 }

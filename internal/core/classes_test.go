@@ -767,7 +767,7 @@ func TestClassPurge(t *testing.T) {
 		t.Fatalf("the cycle after the blocker finished compiled %d jobs and launched %d", compiled, len(res.Decisions))
 	}
 	// Launch: the launched residents leave block 1's class.
-	launched := res.Decisions[0].Job
+	launched, launchedOn := res.Decisions[0].Job, res.Decisions[0].Nodes
 	for len(res.Decisions) > 0 {
 		for _, d := range res.Decisions {
 			for _, n := range d.Nodes {
@@ -784,8 +784,13 @@ func TestClassPurge(t *testing.T) {
 			t.Fatal("block 1 never settled")
 		}
 	}
-	// Finish of a launched job, then its resubmission (a failure restart).
+	// Finish of a launched job, its nodes offered back (a node withheld from
+	// the free set keeps release slice 1, which the overrun job already had,
+	// and would move nothing), then its resubmission (a failure restart).
 	sched.JobFinished(now, launched)
+	for _, n := range launchedOn {
+		free.Add(n)
+	}
 	if _, compiled = others("a second finish"); compiled == 0 {
 		t.Error("the cycle after a launched job finished kept block 1's class")
 	}
@@ -922,9 +927,11 @@ func TestClassHoldsSeesReprice(t *testing.T) {
 	for _, j := range sched.orderedPending() {
 		reqs = append(reqs, sched.gen.Generate(now, j))
 	}
+	all := bitset.New(sched.c.N()) // no node withheld: releaseSlices reads only the running set
+	all.Fill()
 	classify := func() (compiled, kept int) {
 		before := sched.Stats
-		if _, err := sched.classify(reqs, sched.releaseSlices(now)); err != nil {
+		if _, err := sched.classify(reqs, sched.releaseSlices(now, all)); err != nil {
 			t.Fatal(err)
 		}
 		return sched.Stats.CompileJobs - before.CompileJobs, sched.Stats.CompileSkips - before.CompileSkips

@@ -40,6 +40,7 @@ func TestFixedPointKey(t *testing.T) {
 		cfg    Config
 		end102 int64                                 // job 102's estimated end
 		move   func(s *Scheduler, now int64)         // the event, on each scheduler alike
+		warm   []int                                 // the free set of each warm-up cycle
 		free   []int                                 // the free set of each cycle from the move on
 		want   string                                // the warm-up's cycles, then the move's
 		check  func(t *testing.T, cached *Scheduler) // after the last cycle
@@ -49,9 +50,11 @@ func TestFixedPointKey(t *testing.T) {
 			s.Submit(now, &workload.Job{ID: 2, Class: workload.SLO, Reserved: true, Type: workload.DataLocal,
 				Submit: now, K: 2, BaseRuntime: 40, Slowdown: 10, Deadline: 300, DataNodes: []int{0, 1, 2, 3}})
 		}},
-		// Job 102 ends, and its nodes are not offered: only the release
-		// slices move.
-		{name: "completion", want: "PPR PRR", move: func(s *Scheduler, now int64) {
+		// Job 102 ends on nodes that were offered all along: only the release
+		// slices move. (A node not offered keeps release slice 1 after its
+		// job ends, the overrun job's slice, so that completion moves
+		// nothing.)
+		{name: "completion", want: "PPR PRR", warm: []int{8, 9, 10, 11}, free: []int{8, 9, 10, 11}, move: func(s *Scheduler, now int64) {
 			s.JobFinished(now, s.running[102].job)
 		}},
 		// Node 8 is said to be free while job 102 is believed to hold it.
@@ -71,9 +74,11 @@ func TestFixedPointKey(t *testing.T) {
 			}
 		}},
 		// Job 102 ends, its nodes are not offered, and an SLO job wants them
-		// now: its start-now grant fails every cycle, which a repeat would not
-		// try again.
-		{name: "failed start-now commit", want: "PPR PPPP", move: func(s *Scheduler, now int64) {
+		// now. A node not offered is believed busy for one more cycle, so the
+		// job is planned a slice ahead, never as a start-now grant whose
+		// commit would fail; its class is solved in the arrival's cycle, kept
+		// in the next, and from then on the cycle repeats.
+		{name: "failed start-now commit", want: "PPR PPRR", move: func(s *Scheduler, now int64) {
 			s.JobFinished(now, s.running[102].job)
 			s.Submit(now, &workload.Job{ID: 4, Class: workload.SLO, Reserved: true, Type: workload.Unconstrained,
 				Submit: now, K: 4, BaseRuntime: 40, Slowdown: 1, Deadline: 300})
@@ -103,7 +108,7 @@ func TestFixedPointKey(t *testing.T) {
 				now += 4
 			}
 			for len(got) < strings.Index(tc.want, " ") {
-				cycle(nil)
+				cycle(tc.warm)
 			}
 			for _, s := range scheds {
 				tc.move(s, now)

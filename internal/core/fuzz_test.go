@@ -77,11 +77,14 @@ func fuzzJob(in *fuzzInput, id int, now int64, nodes int) (*workload.Job, int64)
 // solver's proof (milp.Solution.SeedCannotChange), not on an equal seed. The
 // fixed-point-* runs reach a cycle that planned nothing new, which the cached
 // scheduler then repeats, and break it with one input each: an arrival; a
-// completion on a withheld node, which moves only the release slices; a node
-// withheld and given back; a running job counting down to its estimate; a
-// best-effort job past MaxBatch re-priced every cycle; and a start-now grant
-// across two node groups whose commit fails on a node idle by belief but not
-// offered, so only a planned cycle shuffles the tie-break RNG.
+// node withheld and given back; a running job counting down to its estimate;
+// a best-effort job past MaxBatch re-priced every cycle. Two more hold a
+// withheld node, which the scheduler believes busy for one more cycle
+// (release slice 1, an overrunning job's): a completion on it
+// (fixed-point-completion) moves nothing of the key, so the repeats go on
+// through it; and a start-now grant across two node groups that wants it
+// (fixed-point-failed-commit) is planned a slice ahead instead, where no
+// commit can fail.
 func FuzzClassTableMatchesUncached(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)

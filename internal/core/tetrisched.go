@@ -305,6 +305,7 @@ type Scheduler struct {
 	merged          milp.Solution    // the cycle's merged sub-solves
 	seed            []float64        // plan's candidate seed, one component at a time
 	working         *bitset.Set
+	candidates      []int              // pickNodes' free nodes of one group
 	greedyScr       compiler.Scratch   // greedyCycle's per-job probes
 	solveWS         milp.WorkspaceList // solver workspaces, one per SolveEach worker
 	conflictScratch *bitset.Set        // classifyConflict working-set scratch
@@ -449,9 +450,12 @@ func (s *Scheduler) removePending(j *workload.Job) {
 }
 
 // releaseSlices computes each node's believed release slice from the running
-// set, bumping overrun estimates forward one cycle (mis-estimate handling).
+// set, bumping overrun estimates forward one cycle (mis-estimate handling). A
+// node that runs no known job but is missing from the free set is not idle
+// either: the caller withheld it, and it gets the same one cycle of optimism
+// as an overrunning job, slice 1, so no start-now grant is planned on it.
 // The vector is the scheduler's and is overwritten by the next call.
-func (s *Scheduler) releaseSlices(now int64) []int64 {
+func (s *Scheduler) releaseSlices(now int64, free *bitset.Set) []int64 {
 	if s.rel == nil {
 		s.rel = make([]int64, s.c.N())
 	}
@@ -464,6 +468,11 @@ func (s *Scheduler) releaseSlices(now int64) []int64 {
 		slices := (r.estEnd - now + s.cfg.CyclePeriod - 1) / s.cfg.CyclePeriod
 		for _, n := range r.nodes {
 			rel[n] = slices
+		}
+	}
+	for n, r := range rel {
+		if r == 0 && !free.Contains(n) {
+			rel[n] = 1
 		}
 	}
 	return rel
@@ -550,7 +559,7 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 // globalCycle plans all pending requests together (§5): one MILP in effect,
 // compiled and solved block by block (classes.go).
 func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Request, res *sim.CycleResult) {
-	rel := s.releaseSlices(now)
+	rel := s.releaseSlices(now, free)
 	if s.fixed.holds(reqs, free, rel) {
 		s.repeat()
 		return
@@ -973,7 +982,7 @@ func endSolveSpan(sp trace.Span, sol *milp.Solution, err error, warmSeed bool) {
 // greedyCycle is TetriSched-NG: one MILP per job, highest priority first,
 // with earlier jobs' tentative space-time claims excluded from later solves.
 func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Request, res *sim.CycleResult) {
-	rel := s.releaseSlices(now)
+	rel := s.releaseSlices(now, free)
 	claims := newClaimSet()
 	working := free.Clone()
 	for _, req := range reqs {
@@ -1101,10 +1110,12 @@ func (s *Scheduler) launch(now int64, j *workload.Job, nodes []int, opt *strlgen
 // partition group, nodes that are free now and (for greedy) unclaimed for the
 // whole occupancy interval [0, end).
 func (s *Scheduler) pickNodes(comp *compiler.Compiled, g compiler.LeafGrant, working *bitset.Set, claims *claimSet, end int64) []int {
+	// The candidates live in one buffer of the scheduler's; nodes goes out in
+	// the decision, so it is fresh.
 	nodes := make([]int, 0, g.Total)
 	for _, gc := range g.Counts { // ascending groups: node selection is deterministic
 		count := gc.N
-		var candidates []int
+		candidates := s.candidates[:0]
 		comp.Part.Groups[gc.Group].ForEach(func(n int) bool {
 			if !working.Contains(n) {
 				return true
@@ -1115,6 +1126,7 @@ func (s *Scheduler) pickNodes(comp *compiler.Compiled, g compiler.LeafGrant, wor
 			candidates = append(candidates, n)
 			return true
 		})
+		s.candidates = candidates
 		if len(candidates) < count {
 			return nil // insufficient concrete nodes; replan next cycle
 		}

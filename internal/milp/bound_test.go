@@ -2,7 +2,6 @@ package milp
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,10 +18,10 @@ func randKnapsack(seed int64) *Model {
 	n := 10 + r.Intn(10)
 	terms := make([]Term, n)
 	for i := 0; i < n; i++ {
-		v := m.AddBinary(fmt.Sprintf("x%d", i), 1+r.Float64()*10)
+		v := m.AddBinary(1 + r.Float64()*10)
 		terms[i] = Term{v, 1 + r.Float64()*5}
 	}
-	m.AddConstraint("cap", terms, LE, float64(n))
+	m.AddConstraint(terms, LE, float64(n))
 	return m
 }
 
@@ -61,7 +60,7 @@ func TestGapBoundNotOverstated(t *testing.T) {
 // global bound; the old code reported max(heap-top, incumbent) = 8.
 func TestGapBreakKeepsPoppedBound(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddBinary("x", 1)
+	m.AddBinary(1)
 	s := &search{
 		ws:        new(Workspace),
 		model:     m,
@@ -94,7 +93,7 @@ func TestGapBreakKeepsPoppedBound(t *testing.T) {
 // never explored.
 func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddBinary("x", 1)
+	m.AddBinary(1)
 	s := &search{
 		ws:        new(Workspace),
 		model:     m,
@@ -168,7 +167,7 @@ func leaveOneUnit(s *search) {
 // bound of a node popped — and dropped — before it.
 func TestAbandonedBoundWeakerThanOpenNodes(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddBinary("x", 1)
+	m.AddBinary(1)
 	s := &search{
 		ws: new(Workspace), model: m, maximize: true,
 		incumbent: []float64{1}, incObj: 7.5,

@@ -453,9 +453,9 @@ func (w *Workspace) selectCuts() []cutCandidate {
 	for i := range kept {
 		e := &kept[i]
 		cut := cutCandidate{violation: e.violation, clique: e.clique}
-		cut.con = Constraint{Name: Lit("cut:cover"), Op: LE, RHS: float64(e.n - 1), Terms: w.terms.take(e.n)}
+		cut.con = Constraint{Op: LE, RHS: float64(e.n - 1), Terms: w.terms.take(e.n)}
 		if e.clique {
-			cut.con.Name, cut.con.RHS = Lit("cut:clique"), 1
+			cut.con.RHS = 1
 		}
 		for k, l := range c.keys[e.row : e.row+e.n] {
 			cut.con.Terms[k] = Term{Var: VarID(l / 2), Coef: 1}

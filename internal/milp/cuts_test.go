@@ -128,7 +128,7 @@ func refSeparateCliqueCuts(m *Model, x []float64, out []refCut) []refCut {
 			continue
 		}
 		seen[key] = struct{}{}
-		con := Constraint{Name: Lit("cut:clique"), Op: LE, RHS: 1}
+		con := Constraint{Op: LE, RHS: 1}
 		for _, l := range clique {
 			if l&1 == 0 {
 				con.Terms = append(con.Terms, Term{Var: VarID(l / 2), Coef: 1})
@@ -196,7 +196,7 @@ func refSeparateCoverCuts(m *Model, x []float64, out []refCut) []refCut {
 			continue
 		}
 		lits := make([]int, cover)
-		cut := Constraint{Name: Lit("cut:cover"), Op: LE, RHS: float64(cover - 1)}
+		cut := Constraint{Op: LE, RHS: float64(cover - 1)}
 		for i, it := range items[:cover] {
 			lits[i] = it.v * 2
 			cut.Terms = append(cut.Terms, Term{Var: VarID(it.v), Coef: 1})
@@ -246,21 +246,21 @@ func refSeparateCuts(cands []refCut) []refCut {
 func cliqueTieModel() *Model {
 	m := NewModel(Maximize)
 	for t := 0; t < 110; t++ {
-		a, b, c := m.AddBinary("", 1), m.AddBinary("", 1), m.AddBinary("", 1)
+		a, b, c := m.AddBinary(1), m.AddBinary(1), m.AddBinary(1)
 		for _, pair := range [][2]VarID{{a, b}, {b, c}, {a, c}} {
-			m.AddConstraint("", []Term{{pair[0], 1}, {pair[1], 1}}, LE, 1)
+			m.AddConstraint([]Term{{pair[0], 1}, {pair[1], 1}}, LE, 1)
 		}
 		if t%7 == 0 {
-			d := m.AddBinary("", 1+float64(t%3))
+			d := m.AddBinary(1 + float64(t%3))
 			for _, v := range []VarID{a, b, c} {
-				m.AddConstraint("", []Term{{v, 1}, {d, 1}}, LE, 1)
+				m.AddConstraint([]Term{{v, 1}, {d, 1}}, LE, 1)
 			}
 		}
 		if t%5 == 0 {
 			// "not a, or not e": a's complement never conflicts usefully with a.
-			e := m.AddBinary("", 0.5)
-			m.AddConstraint("", []Term{{a, -1}, {e, 1}}, LE, 0)
-			m.AddConstraint("", []Term{{e, 1}, {b, 1}}, LE, 1)
+			e := m.AddBinary(0.5)
+			m.AddConstraint([]Term{{a, -1}, {e, 1}}, LE, 0)
+			m.AddConstraint([]Term{{e, 1}, {b, 1}}, LE, 1)
 		}
 	}
 	return m
@@ -302,7 +302,6 @@ func sameCut(got cutCandidate, want refCut) bool {
 	return got.clique == want.clique &&
 		math.Float64bits(got.violation) == math.Float64bits(want.violation) &&
 		got.con.Op == want.con.Op && got.con.RHS == want.con.RHS &&
-		got.con.Name == want.con.Name &&
 		reflect.DeepEqual(got.con.Terms, want.con.Terms)
 }
 

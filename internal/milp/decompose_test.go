@@ -15,10 +15,10 @@ func knapsack(values, weights []float64, cap float64) *Model {
 	m := NewModel(Maximize)
 	terms := make([]Term, len(values))
 	for i, v := range values {
-		id := m.AddBinary("", v)
+		id := m.AddBinary(v)
 		terms[i] = Term{Var: id, Coef: weights[i]}
 	}
-	m.AddConstraint("cap", terms, LE, cap)
+	m.AddConstraint(terms, LE, cap)
 	return m
 }
 
@@ -168,8 +168,8 @@ func TestDecomposeMergePartialFailure(t *testing.T) {
 // any part is, and an infeasible merge must not hand back partial values.
 func TestDecomposeInfeasiblePartPoisonsMerge(t *testing.T) {
 	bad := NewModel(Maximize)
-	x := bad.AddBinary("x", 1)
-	bad.AddConstraint("impossible", []Term{{Var: x, Coef: 1}}, GE, 2)
+	x := bad.AddBinary(1)
+	bad.AddConstraint([]Term{{Var: x, Coef: 1}}, GE, 2)
 	parts := []Part{
 		{Model: knapsack([]float64{5}, []float64{1}, 1), VarMap: []int{0}},
 		{Model: bad, VarMap: []int{1}},

@@ -13,11 +13,11 @@ func degenerateModel(n, capacity, dup int) *Model {
 	m := NewModel(Maximize)
 	terms := make([]Term, n)
 	for j := 0; j < n; j++ {
-		m.AddVar("x", Continuous, 0, 1, 1)
+		m.AddVar(Continuous, 0, 1, 1)
 		terms[j] = Term{Var: VarID(j), Coef: 1}
 	}
 	for i := 0; i < dup; i++ {
-		m.AddConstraint("cap", terms, LE, float64(capacity))
+		m.AddConstraint(terms, LE, float64(capacity))
 	}
 	return m
 }

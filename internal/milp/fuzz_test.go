@@ -31,7 +31,7 @@ func fuzzModel(in *fuzzInput) *Model {
 	for j, jobs := 0, 1+in.next(4); j < jobs; j++ {
 		var choose []Term
 		for o, opts := 0, 1+in.next(3); o < opts; o++ {
-			x := m.AddBinary("", float64(1+in.next(20)))
+			x := m.AddBinary(float64(1 + in.next(20)))
 			choose, all = append(choose, Term{x, 1}), append(all, Term{x, 1})
 			k := float64(1 + in.next(4))
 			for s, dur := in.next(horizon), 1+in.next(2); s < horizon && dur > 0; s, dur = s+1, dur-1 {
@@ -39,18 +39,18 @@ func fuzzModel(in *fuzzInput) *Model {
 			}
 		}
 		if in.next(2) == 0 {
-			m.AddConstraint("", choose, LE, 1)
+			m.AddConstraint(choose, LE, 1)
 		} else {
-			m.AddConstraint("", append(choose, Term{m.AddBinary("", 0), -1}), LE, 0)
+			m.AddConstraint(append(choose, Term{m.AddBinary(0), -1}), LE, 0)
 		}
 	}
 	for _, terms := range supply {
 		if len(terms) > 0 {
-			m.AddConstraint("", terms, LE, float64(in.next(8)))
+			m.AddConstraint(terms, LE, float64(in.next(8)))
 		}
 	}
 	if in.next(4) == 0 {
-		m.AddConstraint("", all, GE, float64(1+in.next(2)))
+		m.AddConstraint(all, GE, float64(1+in.next(2)))
 	}
 	return m
 }
@@ -182,11 +182,11 @@ func presolveModel(in *fuzzInput) *Model {
 		switch in.next(4) {
 		case 0:
 			v := float64(in.next(3))
-			m.AddVar("", Integer, v, v, obj)
+			m.AddVar(Integer, v, v, obj)
 		case 1:
-			m.AddVar("", Integer, 0, float64(1+in.next(3)), obj)
+			m.AddVar(Integer, 0, float64(1+in.next(3)), obj)
 		default:
-			m.AddBinary("", obj)
+			m.AddBinary(obj)
 		}
 	}
 	for r, rows := 0, in.next(8); r < rows; r++ {
@@ -199,11 +199,11 @@ func presolveModel(in *fuzzInput) *Model {
 			for i := range terms {
 				terms[i].Coef = float64(in.next(7) - 2)
 			}
-			m.AddConstraint("", terms, Op(in.next(3)), float64(in.next(9)-2))
+			m.AddConstraint(terms, Op(in.next(3)), float64(in.next(9)-2))
 		case 1:
-			m.AddConstraint("", terms, LE, 1)
+			m.AddConstraint(terms, LE, 1)
 		default:
-			m.AddConstraint("", append(terms, Term{VarID(in.next(nv)), -1}), LE, 0)
+			m.AddConstraint(append(terms, Term{VarID(in.next(nv)), -1}), LE, 0)
 		}
 	}
 	return m
@@ -218,20 +218,20 @@ func cloneModel(m *Model) *Model {
 	return c
 }
 
-// sameModel reports whether two models are equal bit for bit, names included.
+// sameModel reports whether two models are equal bit for bit.
 func sameModel(a, b *Model) bool {
 	if a.Sense != b.Sense || len(a.Vars) != len(b.Vars) || len(a.Cons) != len(b.Cons) {
 		return false
 	}
 	for i, va := range a.Vars {
 		vb := b.Vars[i]
-		if va.Name != vb.Name || va.Type != vb.Type || !sameBits(va.Lb, vb.Lb) || !sameBits(va.Ub, vb.Ub) || !sameBits(va.Obj, vb.Obj) {
+		if va.Type != vb.Type || !sameBits(va.Lb, vb.Lb) || !sameBits(va.Ub, vb.Ub) || !sameBits(va.Obj, vb.Obj) {
 			return false
 		}
 	}
 	for i, ca := range a.Cons {
 		cb := b.Cons[i]
-		if ca.Name != cb.Name || ca.Op != cb.Op || !sameBits(ca.RHS, cb.RHS) ||
+		if ca.Op != cb.Op || !sameBits(ca.RHS, cb.RHS) ||
 			!slices.EqualFunc(ca.Terms, cb.Terms, func(x, y Term) bool { return x.Var == y.Var && sameBits(x.Coef, y.Coef) }) {
 			return false
 		}

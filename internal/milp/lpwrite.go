@@ -22,29 +22,27 @@ func (m *Model) WriteLP(w io.Writer) error {
 		if v.Obj == 0 {
 			continue
 		}
-		bw.printf(" %s %s", lpCoef(v.Obj, !wrote), m.lpName(VarID(i)))
+		bw.printf(" %s %s", lpCoef(v.Obj, !wrote), varName(VarID(i)))
 		wrote = true
 	}
 	if !wrote {
-		bw.printf(" 0 %s", m.lpName(0))
+		// An empty objective or row names x0, a placeholder in a model
+		// without variables.
+		bw.printf(" 0 %s", varName(0))
 	}
 	bw.printf("\nSubject To\n")
 	for i, c := range m.Cons {
-		name := c.Name.String()
-		if name == "" {
-			name = fmt.Sprintf("c%d", i)
-		}
-		bw.printf(" %s:", sanitizeLP(name))
+		bw.printf(" c%d:", i)
 		first := true
 		for _, t := range c.Terms {
 			if t.Coef == 0 {
 				continue
 			}
-			bw.printf(" %s %s", lpCoef(t.Coef, first), m.lpName(t.Var))
+			bw.printf(" %s %s", lpCoef(t.Coef, first), varName(t.Var))
 			first = false
 		}
 		if first {
-			bw.printf(" 0 %s", m.lpName(0))
+			bw.printf(" 0 %s", varName(0))
 		}
 		op := "<="
 		switch c.Op {
@@ -57,7 +55,7 @@ func (m *Model) WriteLP(w io.Writer) error {
 	}
 	bw.printf("Bounds\n")
 	for i, v := range m.Vars {
-		name := m.lpName(VarID(i))
+		name := varName(VarID(i))
 		switch {
 		case v.Lb == v.Ub:
 			bw.printf(" %s = %g\n", name, v.Lb)
@@ -75,9 +73,9 @@ func (m *Model) WriteLP(w io.Writer) error {
 	for i, v := range m.Vars {
 		switch v.Type {
 		case Binary:
-			bins = append(bins, m.lpName(VarID(i)))
+			bins = append(bins, varName(VarID(i)))
 		case Integer:
-			gens = append(gens, m.lpName(VarID(i)))
+			gens = append(gens, varName(VarID(i)))
 		}
 	}
 	if len(bins) > 0 {
@@ -88,38 +86,6 @@ func (m *Model) WriteLP(w io.Writer) error {
 	}
 	bw.printf("End\n")
 	return bw.err
-}
-
-// lpName returns a format-safe unique variable name. An empty objective or
-// row names variable 0, which a model without variables does not have: it is
-// the placeholder x0.
-func (m *Model) lpName(v VarID) string {
-	n := ""
-	if int(v) < len(m.Vars) {
-		n = m.Vars[v].Name.String()
-	}
-	if n == "" {
-		return fmt.Sprintf("x%d", int(v))
-	}
-	return sanitizeLP(n)
-}
-
-// sanitizeLP strips characters the LP format reserves.
-func sanitizeLP(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	if b.Len() == 0 {
-		return "_"
-	}
-	return b.String()
 }
 
 // lpCoef renders a signed coefficient ("+ 2", "- 1") with the sign folded

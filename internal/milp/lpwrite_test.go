@@ -9,13 +9,13 @@ import (
 
 func TestWriteLP(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("I_j0", Binary, 0, 1, 4)
-	y := m.AddVar("P j0/g1", Integer, 0, 3, 0) // name needs sanitizing
-	z := m.AddVar("", Continuous, math.Inf(-1), Inf, -1)
-	w := m.AddVar("fixed", Continuous, 2, 2, 0)
-	m.AddConstraint("supply g0", []Term{{x, 2}, {y, 1}}, LE, 3)
-	m.AddConstraint("", []Term{{y, -1}, {z, 1}}, GE, 0)
-	m.AddConstraint("eq", []Term{{w, 1}}, EQ, 2)
+	x := m.AddVar(Binary, 0, 1, 4)
+	y := m.AddVar(Integer, 0, 3, 0)
+	z := m.AddVar(Continuous, math.Inf(-1), Inf, -1)
+	w := m.AddVar(Continuous, 2, 2, 0)
+	m.AddConstraint([]Term{{x, 2}, {y, 1}}, LE, 3)
+	m.AddConstraint([]Term{{y, -1}, {z, 1}}, GE, 0)
+	m.AddConstraint([]Term{{w, 1}}, EQ, 2)
 
 	var buf bytes.Buffer
 	if err := m.WriteLP(&buf); err != nil {
@@ -24,17 +24,17 @@ func TestWriteLP(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"Maximize",
-		"obj: 4 I_j0 - 1 x2",
+		"obj: 4 x0 - 1 x2",
 		"Subject To",
-		"supply_g0: 2 I_j0 + 1 P_j0_g1 <= 3",
-		"c1: - 1 P_j0_g1 + 1 x2 >= 0",
-		"eq: 1 fixed = 2",
+		"c0: 2 x0 + 1 x1 <= 3",
+		"c1: - 1 x1 + 1 x2 >= 0",
+		"c2: 1 x3 = 2",
 		"Bounds",
 		"x2 free",
-		"fixed = 2",
-		"0 <= P_j0_g1 <= 3",
-		"Binary\n I_j0",
-		"General\n P_j0_g1",
+		"x3 = 2",
+		"0 <= x1 <= 3",
+		"Binary\n x0\n",
+		"General\n x1\n",
 		"End",
 	} {
 		if !strings.Contains(out, want) {
@@ -45,8 +45,8 @@ func TestWriteLP(t *testing.T) {
 
 func TestWriteLPEmptyObjective(t *testing.T) {
 	m := NewModel(Minimize)
-	m.AddVar("x", Continuous, 0, 1, 0)
-	m.AddConstraint("c", nil, LE, 1)
+	m.AddVar(Continuous, 0, 1, 0)
+	m.AddConstraint(nil, LE, 1)
 	var buf bytes.Buffer
 	if err := m.WriteLP(&buf); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func (failingWriter) Write(p []byte) (int, error) {
 
 func TestWriteLPPropagatesErrors(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddVar("x", Binary, 0, 1, 1)
+	m.AddVar(Binary, 0, 1, 1)
 	if err := m.WriteLP(failingWriter{}); err == nil {
 		t.Errorf("writer error swallowed")
 	}

@@ -150,7 +150,7 @@ func tortureModel(r *rand.Rand, nv, nc int) *Model {
 		if r.Intn(2) == 0 {
 			typ = Binary
 		}
-		m.AddVar("", typ, 0, 1+float64(r.Intn(4)), r.Float64()*10-2)
+		m.AddVar(typ, 0, 1+float64(r.Intn(4)), r.Float64()*10-2)
 	}
 	for i := 0; i < nc; i++ {
 		var terms []Term
@@ -170,7 +170,7 @@ func tortureModel(r *rand.Rand, nv, nc int) *Model {
 		if op == GE {
 			rhs = -rhs
 		}
-		m.AddConstraint("", terms, op, rhs)
+		m.AddConstraint(terms, op, rhs)
 	}
 	return m
 }
@@ -316,10 +316,10 @@ func TestLUEngineMatchesDense(t *testing.T) {
 // report errSingularBasis and none may be counted as a factorization.
 func TestLUSingularBasisRejected(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, 10, 1)
-	y := m.AddVar("y", Continuous, 0, 10, 1)
-	m.AddConstraint("r0", []Term{{x, 1}, {y, 1}}, LE, 5)
-	m.AddConstraint("r1", []Term{{x, 2}, {y, 2}}, LE, 9)
+	x := m.AddVar(Continuous, 0, 10, 1)
+	y := m.AddVar(Continuous, 0, 10, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 5)
+	m.AddConstraint([]Term{{x, 2}, {y, 2}}, LE, 9)
 	p := newLP(m)
 	var st LPStats
 	basis := []int{0, 1} // columns x and y: row-proportional, singular
@@ -560,10 +560,10 @@ func TestSolveUnstableFactorsRetryStrict(t *testing.T) {
 // path must fall back cold and still return the optimum.
 func TestLUSingularWarmBasisFallsBackCold(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, 4, 1)
-	y := m.AddVar("y", Continuous, 0, 4, 1) // same column as x in every row
-	m.AddConstraint("r0", []Term{{x, 1}, {y, 1}}, LE, 6)
-	m.AddConstraint("r1", []Term{{x, 3}, {y, 3}}, LE, 12)
+	x := m.AddVar(Continuous, 0, 4, 1)
+	y := m.AddVar(Continuous, 0, 4, 1) // same column as x in every row
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 6)
+	m.AddConstraint([]Term{{x, 3}, {y, 3}}, LE, 12)
 	p := newLP(m)
 	s := newScratch(p)
 	warm := &basisState{

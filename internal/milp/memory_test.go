@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -9,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // packingModel builds a scheduler-shaped MILP: jobs that each pick at most
@@ -25,7 +25,7 @@ func packingModel(seed int64, jobs int) *Model {
 	for j := 0; j < jobs; j++ {
 		var kids []Term
 		for o := 0; o < 2+r.Intn(3); o++ {
-			ind := m.AddBinary("", float64(1+r.Intn(20)))
+			ind := m.AddBinary(float64(1 + r.Intn(20)))
 			kids = append(kids, Term{ind, 1})
 			k := float64(1 + r.Intn(5))
 			start := r.Intn(slices)
@@ -33,11 +33,11 @@ func packingModel(seed int64, jobs int) *Model {
 				supply[t] = append(supply[t], Term{ind, k})
 			}
 		}
-		m.AddConstraint("", kids, LE, 1)
+		m.AddConstraint(kids, LE, 1)
 	}
 	for _, terms := range supply {
 		if len(terms) > 0 {
-			m.AddConstraint("", terms, LE, float64(4+jobs/2))
+			m.AddConstraint(terms, LE, float64(4+jobs/2))
 		}
 	}
 	return m
@@ -66,17 +66,17 @@ func TestAddConstraintMatchesMapMerge(t *testing.T) {
 		var want [][]Term
 		for row := 0; row < 40; row++ {
 			for v := 0; v < r.Intn(4); v++ { // variables keep arriving between rows
-				m.AddVar("", Continuous, 0, 1, 0)
+				m.AddVar(Continuous, 0, 1, 0)
 			}
 			if m.NumVars() == 0 {
-				m.AddVar("", Continuous, 0, 1, 0)
+				m.AddVar(Continuous, 0, 1, 0)
 			}
 			terms := make([]Term, r.Intn(30))
 			for i := range terms {
 				terms[i] = Term{VarID(r.Intn(m.NumVars())), float64(r.Intn(9) - 4)}
 			}
 			want = append(want, reference(terms))
-			m.AddConstraint("", terms, LE, 1)
+			m.AddConstraint(terms, LE, 1)
 		}
 		for row, w := range want {
 			got := m.Cons[row].Terms
@@ -99,9 +99,9 @@ func TestAddConstraintMatchesMapMerge(t *testing.T) {
 func TestAddConstraintBadVarID(t *testing.T) {
 	for _, bad := range []VarID{-1, -1 << 40, 2, 3, 1 << 40} {
 		m := NewModel(Maximize)
-		x := m.AddVar("x", Binary, 0, 1, 1)
-		y := m.AddVar("y", Binary, 0, 1, 1)
-		m.AddConstraint("c", []Term{{x, 1}, {bad, 1}, {y, 1}, {bad, 2}, {x, 1}}, LE, 1)
+		x := m.AddVar(Binary, 0, 1, 1)
+		y := m.AddVar(Binary, 0, 1, 1)
+		m.AddConstraint([]Term{{x, 1}, {bad, 1}, {y, 1}, {bad, 2}, {x, 1}}, LE, 1)
 		err := m.Validate()
 		if err == nil || !strings.Contains(err.Error(), "bad var id") {
 			t.Fatalf("var id %d: Validate() = %v, want a bad var id error", bad, err)
@@ -119,7 +119,7 @@ func TestAddConstraintBadVarID(t *testing.T) {
 // error.
 func TestSolveValidatesOnce(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddVar("x", Continuous, 2, 1, 1)
+	m.AddVar(Continuous, 2, 1, 1)
 	if _, err := Solve(m, Options{}); err == nil {
 		t.Fatal("Solve accepted a model with lb > ub")
 	}
@@ -128,24 +128,39 @@ func TestSolveValidatesOnce(t *testing.T) {
 	}
 }
 
-func TestNamef(t *testing.T) {
-	for _, tc := range []struct {
-		name Name
-		want string
-	}{
-		{Name{}, ""},
-		{Lit("x"), "x"},
-		{Namef("I_j%d", 7), "I_j7"},
-		{Namef("P_j%d_g%d_s%d", 1, 22, 333), "P_j1_g22_s333"},
-		{Namef("big_%d_%d", 1<<40, -3), "big_1099511627776_-3"}, // past the compact form
-	} {
-		if got := tc.name.String(); got != tc.want {
-			t.Errorf("name = %q, want %q", got, tc.want)
+// TestModelLayout pins the size of a model's elements: a variable is four
+// words with no pointer in it, so the collector never scans a model's
+// variables, and a row is its term slice and two words. Every sub-model and
+// reduced model copies them, so a field added here is paid for many times.
+func TestModelLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Variable{}); size > 32 {
+		t.Errorf("Variable is %d B, want at most 32", size)
+	}
+	if typ := reflect.TypeOf(Variable{}); hasPointers(typ) {
+		t.Errorf("Variable holds a pointer: %v", typ)
+	}
+	if size := unsafe.Sizeof(Constraint{}); size > 40 {
+		t.Errorf("Constraint is %d B, want at most 40", size)
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the collector
+// must follow.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
 		}
 	}
-	if avg := testing.AllocsPerRun(100, func() { _ = Namef("P_j%d_g%d_s%d", 1, 2, 3) }); avg != 0 {
-		t.Errorf("Namef allocates %v times; naming a variable must be free", avg)
-	}
+	return false
 }
 
 // TestModelReset checks what the compiler builds on: a Reset model builds
@@ -158,10 +173,10 @@ func TestModelReset(t *testing.T) {
 	build := func(src *Model) {
 		stage.Reset(src.Sense)
 		for _, v := range src.Vars {
-			stage.AddVarNamed(v.Name, v.Type, v.Lb, v.Ub, v.Obj)
+			stage.AddVar(v.Type, v.Lb, v.Ub, v.Obj)
 		}
 		for _, c := range src.Cons {
-			stage.AddConstraintNamed(c.Name, c.Terms, c.Op, c.RHS)
+			stage.AddConstraint(c.Terms, c.Op, c.RHS)
 		}
 	}
 	check := func(src *Model) {
@@ -278,7 +293,7 @@ func TestWorkspaceAliasing(t *testing.T) {
 	// The public Presolve hands out a result its caller owns outright. A
 	// duplicate of the first choice row gives it a row to drop.
 	a := packingModel(3, 18)
-	a.AddConstraint("", slices.Clone(a.Cons[0].Terms), LE, 1)
+	a.AddConstraint(slices.Clone(a.Cons[0].Terms), LE, 1)
 	pre := Presolve(a)
 	if pre.Infeasible || pre.Model == a {
 		t.Fatal("the model does not reduce; the test exercises nothing")
@@ -309,16 +324,16 @@ func TestWorkspaceSolveAllocs(t *testing.T) {
 	m := NewModel(Maximize)
 	var supply []Term
 	for j := 0; j < 40; j++ {
-		job := m.AddBinary("", 0)
+		job := m.AddBinary(0)
 		var kids []Term
 		for o := 0; o < 4; o++ {
-			ind := m.AddBinary("", float64(10+j-o))
+			ind := m.AddBinary(float64(10 + j - o))
 			kids = append(kids, Term{ind, 1})
 			supply = append(supply, Term{ind, 1})
 		}
-		m.AddConstraint("", append(kids, Term{job, -1}), LE, 0)
+		m.AddConstraint(append(kids, Term{job, -1}), LE, 0)
 	}
-	m.AddConstraint("", supply, LE, 25)
+	m.AddConstraint(supply, LE, 25)
 	opts := Options{Gap: 0.1}
 	var ws Workspace
 	for i := 0; i < 3; i++ { // grow to fit, then settle
@@ -383,25 +398,6 @@ func TestWorkspaceListSolveParts(t *testing.T) {
 	wg.Wait()
 	if n := len(list.free); n == 0 || n > 4*runtime.GOMAXPROCS(0) {
 		t.Errorf("free list holds %d workspaces after the solves of four calls on %d procs", n, runtime.GOMAXPROCS(0))
-	}
-}
-
-// TestPresolveKeepsNames: the presolver's rows no longer carry a name each;
-// the reduced model's rows must still print under their original names.
-func TestPresolveKeepsNames(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddVar("x", Binary, 0, 1, 1)
-	y := m.AddVar("y", Binary, 0, 1, 1)
-	z := m.AddVar("z", Integer, 0, 5, 1)
-	m.AddConstraintNamed(Namef("kept_%d", 7), []Term{{x, 1}, {y, 2}, {z, 1}}, LE, 4)
-	m.AddConstraint("gone", []Term{{x, 1}, {y, 2}, {z, 1}}, LE, 5) // a looser duplicate: dropped
-	pre := Presolve(m)
-	var lp bytes.Buffer
-	if err := pre.Model.WriteLP(&lp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(lp.String(), "kept_7:") || strings.Contains(lp.String(), "gone") {
-		t.Errorf("reduced model lost or kept the wrong row names:\n%s", lp.String())
 	}
 }
 

@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,10 +38,10 @@ func TestEmptyModelSolves(t *testing.T) {
 func TestPureLPMax(t *testing.T) {
 	// maximize 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0 → x=4, y=0, obj 12.
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, Inf, 3)
-	y := m.AddVar("y", Continuous, 0, Inf, 2)
-	m.AddConstraint("c1", []Term{{x, 1}, {y, 1}}, LE, 4)
-	m.AddConstraint("c2", []Term{{x, 1}, {y, 3}}, LE, 6)
+	x := m.AddVar(Continuous, 0, Inf, 3)
+	y := m.AddVar(Continuous, 0, Inf, 2)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 4)
+	m.AddConstraint([]Term{{x, 1}, {y, 3}}, LE, 6)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status = %v", sol.Status)
@@ -58,9 +57,9 @@ func TestPureLPMax(t *testing.T) {
 func TestPureLPMinWithGE(t *testing.T) {
 	// minimize 2x + 3y s.t. x + y >= 10, x <= 6 → x=6, y=4, obj 24.
 	m := NewModel(Minimize)
-	x := m.AddVar("x", Continuous, 0, 6, 2)
-	y := m.AddVar("y", Continuous, 0, Inf, 3)
-	m.AddConstraint("cover", []Term{{x, 1}, {y, 1}}, GE, 10)
+	x := m.AddVar(Continuous, 0, 6, 2)
+	y := m.AddVar(Continuous, 0, Inf, 3)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 10)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-24) > 1e-6 {
 		t.Fatalf("got %v obj %v, want optimal 24", sol.Status, sol.Objective)
@@ -70,9 +69,9 @@ func TestPureLPMinWithGE(t *testing.T) {
 func TestEqualityConstraint(t *testing.T) {
 	// maximize x + y s.t. x + y = 5, x <= 3, y <= 3.
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, 3, 1)
-	y := m.AddVar("y", Continuous, 0, 3, 1)
-	m.AddConstraint("eq", []Term{{x, 1}, {y, 1}}, EQ, 5)
+	x := m.AddVar(Continuous, 0, 3, 1)
+	y := m.AddVar(Continuous, 0, 3, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 5)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-5) > 1e-6 {
 		t.Fatalf("got %v obj %v, want optimal 5", sol.Status, sol.Objective)
@@ -81,8 +80,8 @@ func TestEqualityConstraint(t *testing.T) {
 
 func TestInfeasibleLP(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, 1, 1)
-	m.AddConstraint("c", []Term{{x, 1}}, GE, 2)
+	x := m.AddVar(Continuous, 0, 1, 1)
+	m.AddConstraint([]Term{{x, 1}}, GE, 2)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -93,10 +92,10 @@ func TestInfeasiblePhase1NeededMin(t *testing.T) {
 	// GE constraints force phase 1 (x=0 start infeasible): min x+y, x+y>=4,
 	// x-y>=1 → x=2.5,y=1.5, obj 4.
 	m := NewModel(Minimize)
-	x := m.AddVar("x", Continuous, 0, Inf, 1)
-	y := m.AddVar("y", Continuous, 0, Inf, 1)
-	m.AddConstraint("c1", []Term{{x, 1}, {y, 1}}, GE, 4)
-	m.AddConstraint("c2", []Term{{x, 1}, {y, -1}}, GE, 1)
+	x := m.AddVar(Continuous, 0, Inf, 1)
+	y := m.AddVar(Continuous, 0, Inf, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 4)
+	m.AddConstraint([]Term{{x, 1}, {y, -1}}, GE, 1)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-4) > 1e-6 {
 		t.Fatalf("got %v obj %v, want optimal 4", sol.Status, sol.Objective)
@@ -105,9 +104,9 @@ func TestInfeasiblePhase1NeededMin(t *testing.T) {
 
 func TestUnboundedLP(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, Inf, 1)
-	y := m.AddVar("y", Continuous, 0, Inf, 0)
-	m.AddConstraint("c", []Term{{x, 1}, {y, -1}}, LE, 3)
+	x := m.AddVar(Continuous, 0, Inf, 1)
+	y := m.AddVar(Continuous, 0, Inf, 0)
+	m.AddConstraint([]Term{{x, 1}, {y, -1}}, LE, 3)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusUnbounded {
 		t.Fatalf("status = %v, want unbounded", sol.Status)
@@ -117,8 +116,8 @@ func TestUnboundedLP(t *testing.T) {
 func TestFreeVariable(t *testing.T) {
 	// minimize x s.t. x >= -7 via constraint on a free variable.
 	m := NewModel(Minimize)
-	x := m.AddVar("x", Continuous, math.Inf(-1), Inf, 1)
-	m.AddConstraint("c", []Term{{x, 1}}, GE, -7)
+	x := m.AddVar(Continuous, math.Inf(-1), Inf, 1)
+	m.AddConstraint([]Term{{x, 1}}, GE, -7)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-(-7)) > 1e-6 {
 		t.Fatalf("got %v obj %v, want optimal -7", sol.Status, sol.Objective)
@@ -132,10 +131,10 @@ func TestKnapsack(t *testing.T) {
 	v := []float64{3, 4, 5, 6}
 	terms := make([]Term, 4)
 	for i := 0; i < 4; i++ {
-		id := m.AddBinary("", v[i])
+		id := m.AddBinary(v[i])
 		terms[i] = Term{id, w[i]}
 	}
-	m.AddConstraint("cap", terms, LE, 5)
+	m.AddConstraint(terms, LE, 5)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-7) > 1e-6 {
 		t.Fatalf("got %v obj %v, want optimal 7", sol.Status, sol.Objective)
@@ -145,9 +144,9 @@ func TestKnapsack(t *testing.T) {
 func TestIntegerGeneral(t *testing.T) {
 	// maximize x + y, 2x + 3y <= 12, x,y integer in [0,4] → e.g. x=4,y=1, obj 5.
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Integer, 0, 4, 1)
-	y := m.AddVar("y", Integer, 0, 4, 1)
-	m.AddConstraint("c", []Term{{x, 2}, {y, 3}}, LE, 12)
+	x := m.AddVar(Integer, 0, 4, 1)
+	y := m.AddVar(Integer, 0, 4, 1)
+	m.AddConstraint([]Term{{x, 2}, {y, 3}}, LE, 12)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-5) > 1e-6 {
 		t.Fatalf("got %v obj %v, want optimal 5", sol.Status, sol.Objective)
@@ -159,10 +158,10 @@ func TestIntegerGeneral(t *testing.T) {
 
 func TestMILPInfeasible(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	y := m.AddBinary("y", 1)
-	m.AddConstraint("c1", []Term{{x, 1}, {y, 1}}, GE, 2)
-	m.AddConstraint("c2", []Term{{x, 1}, {y, 1}}, LE, 1)
+	x := m.AddBinary(1)
+	y := m.AddBinary(1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 2)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -171,9 +170,9 @@ func TestMILPInfeasible(t *testing.T) {
 
 func TestWarmStartIncumbent(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 5)
-	y := m.AddBinary("y", 4)
-	m.AddConstraint("c", []Term{{x, 3}, {y, 3}}, LE, 3)
+	x := m.AddBinary(5)
+	y := m.AddBinary(4)
+	m.AddConstraint([]Term{{x, 3}, {y, 3}}, LE, 3)
 	seed := []float64{0, 1} // feasible, obj 4
 	sol := mustSolve(t, m, Options{InitialSolution: seed})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-5) > 1e-6 {
@@ -194,10 +193,10 @@ func TestGapTermination(t *testing.T) {
 	terms := make([]Term, n)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < n; i++ {
-		id := m.AddBinary("", 1+r.Float64()*10)
+		id := m.AddBinary(1 + r.Float64()*10)
 		terms[i] = Term{id, 1 + r.Float64()*5}
 	}
-	m.AddConstraint("cap", terms, LE, 12)
+	m.AddConstraint(terms, LE, 12)
 	sol := mustSolve(t, m, Options{Gap: 1.0})
 	if sol.Status != StatusOptimal { // "optimal within gap"
 		t.Fatalf("status = %v", sol.Status)
@@ -212,8 +211,8 @@ func TestGapTermination(t *testing.T) {
 
 func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	m.AddConstraint("c", []Term{{x, 1}}, LE, 1)
+	x := m.AddBinary(1)
+	m.AddConstraint([]Term{{x, 1}}, LE, 1)
 	sol := mustSolve(t, m, Options{TimeLimit: time.Hour})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-1) > 1e-9 {
 		t.Fatalf("trivial solve failed: %v %v", sol.Status, sol.Objective)
@@ -222,20 +221,20 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 
 func TestValidateErrors(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddVar("x", Continuous, 2, 1, 0) // lb > ub
+	m.AddVar(Continuous, 2, 1, 0) // lb > ub
 	if _, err := Solve(m, Options{}); err == nil {
 		t.Errorf("expected validation error for lb>ub")
 	}
 
 	m2 := NewModel(Maximize)
-	m2.AddVar("x", Integer, 0, Inf, 1) // unbounded integer
+	m2.AddVar(Integer, 0, Inf, 1) // unbounded integer
 	if _, err := Solve(m2, Options{}); err == nil {
 		t.Errorf("expected validation error for unbounded integer")
 	}
 
 	m3 := NewModel(Maximize)
-	x := m3.AddVar("x", Continuous, 0, 1, 1)
-	m3.AddConstraint("c", []Term{{x + 5, 1}}, LE, 1) // bad var id
+	x := m3.AddVar(Continuous, 0, 1, 1)
+	m3.AddConstraint([]Term{{x + 5, 1}}, LE, 1) // bad var id
 	if _, err := Solve(m3, Options{}); err == nil {
 		t.Errorf("expected validation error for bad var id")
 	}
@@ -250,8 +249,8 @@ func TestEmptyModel(t *testing.T) {
 
 func TestMergeTerms(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, 10, 1)
-	m.AddConstraint("c", []Term{{x, 1}, {x, 2}}, LE, 6) // 3x <= 6
+	x := m.AddVar(Continuous, 0, 10, 1)
+	m.AddConstraint([]Term{{x, 1}, {x, 2}}, LE, 6) // 3x <= 6
 	sol := mustSolve(t, m, Options{})
 	if math.Abs(sol.Objective-2) > 1e-6 {
 		t.Errorf("merged-term objective = %v, want 2", sol.Objective)
@@ -260,11 +259,11 @@ func TestMergeTerms(t *testing.T) {
 
 func TestModelString(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Binary, 0, 1, 2)
-	y := m.AddVar("", Integer, 0, 3, -1)
-	m.AddConstraint("c", []Term{{x, 1}, {y, -2}}, LE, 4)
+	x := m.AddVar(Binary, 0, 1, 2)
+	y := m.AddVar(Integer, 0, 3, -1)
+	m.AddConstraint([]Term{{x, 1}, {y, -2}}, LE, 4)
 	s := m.String()
-	for _, want := range []string{"maximize", "2 x", "x1", "<= 4", "binary"} {
+	for _, want := range []string{"maximize\n  2 x0 - x1\n", "c0: x0 - 2 x1 <= 4", "0 <= x1 <= 3  [integer]", "binary"} {
 		if !contains(s, want) {
 			t.Errorf("String() missing %q:\n%s", want, s)
 		}
@@ -328,7 +327,7 @@ func randomIntModel(r *rand.Rand) *Model {
 			typ = Binary
 			ub = 1
 		}
-		m.AddVar("", typ, 0, ub, float64(r.Intn(11)-5))
+		m.AddVar(typ, 0, ub, float64(r.Intn(11)-5))
 	}
 	nc := 1 + r.Intn(4)
 	for c := 0; c < nc; c++ {
@@ -343,7 +342,7 @@ func randomIntModel(r *rand.Rand) *Model {
 		}
 		op := []Op{LE, GE, EQ}[r.Intn(3)]
 		rhs := float64(r.Intn(13) - 4)
-		m.AddConstraint("", terms, op, rhs)
+		m.AddConstraint(terms, op, rhs)
 	}
 	return m
 }
@@ -391,14 +390,14 @@ func TestQuickMILPAgainstBruteForce(t *testing.T) {
 func TestDegenerateLP(t *testing.T) {
 	// A classically degenerate LP (multiple constraints active at origin).
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Continuous, 0, Inf, 0.75)
-	y := m.AddVar("y", Continuous, 0, Inf, -150)
-	z := m.AddVar("z", Continuous, 0, Inf, 0.02)
-	w := m.AddVar("w", Continuous, 0, Inf, -6)
+	x := m.AddVar(Continuous, 0, Inf, 0.75)
+	y := m.AddVar(Continuous, 0, Inf, -150)
+	z := m.AddVar(Continuous, 0, Inf, 0.02)
+	w := m.AddVar(Continuous, 0, Inf, -6)
 	// Beale's cycling example.
-	m.AddConstraint("c1", []Term{{x, 0.25}, {y, -60}, {z, -0.04}, {w, 9}}, LE, 0)
-	m.AddConstraint("c2", []Term{{x, 0.5}, {y, -90}, {z, -0.02}, {w, 3}}, LE, 0)
-	m.AddConstraint("c3", []Term{{z, 1}}, LE, 1)
+	m.AddConstraint([]Term{{x, 0.25}, {y, -60}, {z, -0.04}, {w, 9}}, LE, 0)
+	m.AddConstraint([]Term{{x, 0.5}, {y, -90}, {z, -0.02}, {w, 3}}, LE, 0)
+	m.AddConstraint([]Term{{z, 1}}, LE, 1)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-0.05) > 1e-6 {
 		t.Fatalf("Beale: got %v obj %v, want optimal 0.05", sol.Status, sol.Objective)
@@ -417,10 +416,10 @@ func BenchmarkKnapsack30(b *testing.B) {
 	m := NewModel(Maximize)
 	terms := make([]Term, 30)
 	for i := range terms {
-		id := m.AddBinary("", 1+r.Float64()*20)
+		id := m.AddBinary(1 + r.Float64()*20)
 		terms[i] = Term{id, 1 + r.Float64()*10}
 	}
-	m.AddConstraint("cap", terms, LE, 60)
+	m.AddConstraint(terms, LE, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(m, Options{Gap: 0.01}); err != nil {
@@ -435,14 +434,14 @@ func BenchmarkLP200(b *testing.B) {
 	n := 200
 	ids := make([]VarID, n)
 	for i := 0; i < n; i++ {
-		ids[i] = m.AddVar("", Continuous, 0, 10, r.Float64())
+		ids[i] = m.AddVar(Continuous, 0, 10, r.Float64())
 	}
 	for c := 0; c < 80; c++ {
 		var terms []Term
 		for i := 0; i < n; i += 1 + r.Intn(10) {
 			terms = append(terms, Term{ids[i], 1 + r.Float64()})
 		}
-		m.AddConstraint("", terms, LE, 50+r.Float64()*100)
+		m.AddConstraint(terms, LE, 50+r.Float64()*100)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -459,10 +458,10 @@ func TestMaxNodesLimit(t *testing.T) {
 	m := NewModel(Maximize)
 	terms := make([]Term, 16)
 	for i := range terms {
-		id := m.AddBinary("", 1+r.Float64()*9)
+		id := m.AddBinary(1 + r.Float64()*9)
 		terms[i] = Term{id, 1 + r.Float64()*4}
 	}
-	m.AddConstraint("cap", terms, LE, 20)
+	m.AddConstraint(terms, LE, 20)
 	sol := mustSolve(t, m, Options{MaxNodes: 2})
 	if sol.Values == nil {
 		t.Fatalf("no incumbent under MaxNodes limit (status %v)", sol.Status)
@@ -474,9 +473,9 @@ func TestMaxNodesLimit(t *testing.T) {
 
 func TestHeuristicCallback(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 5)
-	y := m.AddBinary("y", 4)
-	m.AddConstraint("c", []Term{{x, 3}, {y, 3}}, LE, 4)
+	x := m.AddBinary(5)
+	y := m.AddBinary(4)
+	m.AddConstraint([]Term{{x, 3}, {y, 3}}, LE, 4)
 	called := false
 	sol := mustSolve(t, m, Options{Heuristic: func(relax []float64) []float64 {
 		called = true
@@ -503,10 +502,10 @@ func TestTinyTimeLimit(t *testing.T) {
 	m := NewModel(Maximize)
 	terms := make([]Term, 24)
 	for i := range terms {
-		id := m.AddBinary("", 1+r.Float64()*9)
+		id := m.AddBinary(1 + r.Float64()*9)
 		terms[i] = Term{id, 1 + r.Float64()*4}
 	}
-	m.AddConstraint("cap", terms, LE, 30)
+	m.AddConstraint(terms, LE, 30)
 	sol, err := Solve(m, Options{TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
@@ -525,10 +524,10 @@ func TestBoundDominatesObjective(t *testing.T) {
 		n := 8 + r.Intn(8)
 		terms := make([]Term, n)
 		for i := 0; i < n; i++ {
-			id := m.AddBinary("", 1+r.Float64()*10)
+			id := m.AddBinary(1 + r.Float64()*10)
 			terms[i] = Term{id, 1 + r.Float64()*5}
 		}
-		m.AddConstraint("cap", terms, LE, float64(n))
+		m.AddConstraint(terms, LE, float64(n))
 		gap := 0.05
 		sol := mustSolve(t, m, Options{Gap: gap})
 		if sol.Status != StatusOptimal {
@@ -559,13 +558,13 @@ func TestStressSchedulerLikeModels(t *testing.T) {
 		capacity := float64(20 + r.Intn(40))
 		supply := make([][]Term, nSlices)
 		for j := 0; j < nJobs; j++ {
-			job := m.AddBinary("", 0)
+			job := m.AddBinary(0)
 			opts := 2 + r.Intn(6)
 			var kids []Term
 			for o := 0; o < opts; o++ {
 				k := float64(1 + r.Intn(8))
 				v := 1 + r.Float64()*999
-				ind := m.AddBinary("", v)
+				ind := m.AddBinary(v)
 				kids = append(kids, Term{ind, 1})
 				start := r.Intn(nSlices)
 				dur := 1 + r.Intn(nSlices-start)
@@ -574,11 +573,11 @@ func TestStressSchedulerLikeModels(t *testing.T) {
 				}
 			}
 			kids = append(kids, Term{job, -1})
-			m.AddConstraint("", kids, LE, 0)
+			m.AddConstraint(kids, LE, 0)
 		}
-		for t, terms := range supply {
+		for _, terms := range supply {
 			if len(terms) > 0 {
-				m.AddConstraint(fmt.Sprintf("s%d", t), terms, LE, capacity)
+				m.AddConstraint(terms, LE, capacity)
 			}
 		}
 		sol, err := Solve(m, Options{Gap: 0.1, TimeLimit: 150 * time.Millisecond})

@@ -82,64 +82,19 @@ type Term struct {
 	Coef float64
 }
 
-// Name identifies a variable or constraint. Only Model.String, WriteLP and
-// Validate's error messages ever read one, so a Name built by Namef keeps its
-// format and integer arguments and renders the text when asked: naming a
-// variable costs no allocation. The zero Name is "no name" (printers fall
-// back to x<index> / c<index>).
-type Name struct {
-	text string   // the literal name, or a format of n %d verbs
-	args [3]int32 // the format's arguments
-	n    uint8
-}
-
-// Lit is the Name with the given literal text.
-func Lit(text string) Name { return Name{text: text} }
-
-// Namef is the Name that renders as fmt.Sprintf(format, args...). The format
-// may only use %d verbs, at most three of them.
-func Namef(format string, args ...int) Name {
-	n := Name{text: format, n: uint8(len(args))}
-	if len(args) > len(n.args) {
-		panic("milp: Namef takes at most three arguments")
-	}
-	for i, a := range args {
-		if int(int32(a)) != a {
-			return Lit(sprintInts(format, args)) // does not fit the compact form
-		}
-		n.args[i] = int32(a)
-	}
-	return n
-}
-
-// String renders the name ("" for the zero Name).
-func (n Name) String() string {
-	if n.n == 0 {
-		return n.text
-	}
-	return sprintInts(n.text, n.args[:n.n])
-}
-
-func sprintInts[T int | int32](format string, args []T) string {
-	boxed := make([]interface{}, len(args))
-	for i, a := range args {
-		boxed[i] = a
-	}
-	return fmt.Sprintf(format, boxed...)
-}
-
-// Variable holds the definition of a model variable.
+// Variable holds the definition of a model variable. A variable has no name:
+// it is its index, and the printers call it x<index>. With no pointer in it, a
+// model's variables are never scanned by the garbage collector.
 type Variable struct {
-	Name Name
 	Type VarType
 	Lb   float64
 	Ub   float64
 	Obj  float64
 }
 
-// Constraint is a linear constraint Σ coef·var  op  RHS.
+// Constraint is a linear constraint Σ coef·var  op  RHS. Like a variable it
+// is known by its index (c<index> in the printers).
 type Constraint struct {
-	Name  Name
 	Terms []Term
 	Op    Op
 	RHS   float64
@@ -189,33 +144,23 @@ func (m *Model) Reset(sense Sense) {
 
 // AddVar adds a variable and returns its ID. Binary variables have their
 // bounds clamped to [0,1] regardless of the supplied lb/ub.
-func (m *Model) AddVar(name string, typ VarType, lb, ub, obj float64) VarID {
-	return m.AddVarNamed(Lit(name), typ, lb, ub, obj)
-}
-
-// AddVarNamed is AddVar with a lazily formatted Name.
-func (m *Model) AddVarNamed(name Name, typ VarType, lb, ub, obj float64) VarID {
+func (m *Model) AddVar(typ VarType, lb, ub, obj float64) VarID {
 	if typ == Binary {
 		lb, ub = math.Max(lb, 0), math.Min(ub, 1)
 	}
-	m.Vars = append(m.Vars, Variable{Name: name, Type: typ, Lb: lb, Ub: ub, Obj: obj})
+	m.Vars = append(m.Vars, Variable{Type: typ, Lb: lb, Ub: ub, Obj: obj})
 	return VarID(len(m.Vars) - 1)
 }
 
 // AddBinary adds a binary variable with the given objective coefficient.
-func (m *Model) AddBinary(name string, obj float64) VarID {
-	return m.AddVar(name, Binary, 0, 1, obj)
+func (m *Model) AddBinary(obj float64) VarID {
+	return m.AddVar(Binary, 0, 1, obj)
 }
 
 // AddConstraint adds Σ terms op rhs. Terms referring to the same variable are
 // merged: the variable keeps the position of its first occurrence and the
 // coefficients are summed in order. terms is copied, not retained.
-func (m *Model) AddConstraint(name string, terms []Term, op Op, rhs float64) {
-	m.AddConstraintNamed(Lit(name), terms, op, rhs)
-}
-
-// AddConstraintNamed is AddConstraint with a lazily formatted Name.
-func (m *Model) AddConstraintNamed(name Name, terms []Term, op Op, rhs float64) {
+func (m *Model) AddConstraint(terms []Term, op Op, rhs float64) {
 	row := m.rowSpace(len(terms))
 	lo := len(row)
 	if len(m.slot) < len(m.Vars) {
@@ -238,7 +183,7 @@ func (m *Model) AddConstraintNamed(name Name, terms []Term, op Op, rhs float64) 
 		row = append(row, t)
 	}
 	m.arena = row
-	m.Cons = append(m.Cons, Constraint{Name: name, Terms: row[lo:len(row):len(row)], Op: op, RHS: rhs})
+	m.Cons = append(m.Cons, Constraint{Terms: row[lo:len(row):len(row)], Op: op, RHS: rhs})
 }
 
 // rowSpace returns the arena with room for n more terms. When the current
@@ -286,25 +231,25 @@ func (m *Model) NumIntVars() int {
 func (m *Model) Validate() error {
 	for i, v := range m.Vars {
 		if v.Lb > v.Ub {
-			return fmt.Errorf("milp: var %q (#%d): lb %v > ub %v", v.Name.String(), i, v.Lb, v.Ub)
+			return fmt.Errorf("milp: var x%d: lb %v > ub %v", i, v.Lb, v.Ub)
 		}
 		if math.IsNaN(v.Lb) || math.IsNaN(v.Ub) || math.IsNaN(v.Obj) || math.IsInf(v.Obj, 0) {
-			return fmt.Errorf("milp: var %q (#%d): invalid bound or objective", v.Name.String(), i)
+			return fmt.Errorf("milp: var x%d: invalid bound or objective", i)
 		}
 		if v.Type != Continuous && (math.IsInf(v.Lb, -1) || math.IsInf(v.Ub, 1)) {
-			return fmt.Errorf("milp: integer var %q (#%d) must have finite bounds", v.Name.String(), i)
+			return fmt.Errorf("milp: integer var x%d must have finite bounds", i)
 		}
 	}
 	for i, c := range m.Cons {
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return fmt.Errorf("milp: constraint %q (#%d): invalid rhs", c.Name.String(), i)
+			return fmt.Errorf("milp: constraint c%d: invalid rhs", i)
 		}
 		for _, t := range c.Terms {
 			if t.Var < 0 || int(t.Var) >= len(m.Vars) {
-				return fmt.Errorf("milp: constraint %q (#%d): bad var id %d", c.Name.String(), i, t.Var)
+				return fmt.Errorf("milp: constraint c%d: bad var id %d", i, t.Var)
 			}
 			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return fmt.Errorf("milp: constraint %q (#%d): invalid coefficient", c.Name.String(), i)
+				return fmt.Errorf("milp: constraint c%d: invalid coefficient", i)
 			}
 		}
 	}
@@ -371,21 +316,17 @@ func (m *Model) String() string {
 		if v.Obj == 0 {
 			continue
 		}
-		writeTerm(&b, &first, v.Obj, m.varName(VarID(i)))
+		writeTerm(&b, &first, v.Obj, varName(VarID(i)))
 	}
 	if first {
 		b.WriteString("0")
 	}
 	b.WriteString("\nsubject to\n")
 	for i, c := range m.Cons {
-		name := c.Name.String()
-		if name == "" {
-			name = fmt.Sprintf("c%d", i)
-		}
-		fmt.Fprintf(&b, "  %s: ", name)
+		fmt.Fprintf(&b, "  c%d: ", i)
 		cf := true
 		for _, t := range c.Terms {
-			writeTerm(&b, &cf, t.Coef, m.varName(t.Var))
+			writeTerm(&b, &cf, t.Coef, varName(t.Var))
 		}
 		if cf {
 			b.WriteString("0")
@@ -394,17 +335,13 @@ func (m *Model) String() string {
 	}
 	b.WriteString("bounds\n")
 	for i, v := range m.Vars {
-		fmt.Fprintf(&b, "  %g <= %s <= %g  [%s]\n", v.Lb, m.varName(VarID(i)), v.Ub, v.Type)
+		fmt.Fprintf(&b, "  %g <= %s <= %g  [%s]\n", v.Lb, varName(VarID(i)), v.Ub, v.Type)
 	}
 	return b.String()
 }
 
-func (m *Model) varName(v VarID) string {
-	if n := m.Vars[v].Name.String(); n != "" {
-		return n
-	}
-	return fmt.Sprintf("x%d", int(v))
-}
+// varName is the name the printers give variable v.
+func varName(v VarID) string { return fmt.Sprintf("x%d", int(v)) }
 
 func writeTerm(b *strings.Builder, first *bool, coef float64, name string) {
 	switch {

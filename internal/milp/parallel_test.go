@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -22,17 +21,17 @@ func randMILP(seed int64) *Model {
 		var v VarID
 		switch r.Intn(3) {
 		case 0:
-			v = m.AddBinary(fmt.Sprintf("b%d", i), 1+r.Float64()*9)
+			v = m.AddBinary(1 + r.Float64()*9)
 		case 1:
-			v = m.AddVar(fmt.Sprintf("i%d", i), Integer, 0, float64(1+r.Intn(4)), 1+r.Float64()*5)
+			v = m.AddVar(Integer, 0, float64(1+r.Intn(4)), 1+r.Float64()*5)
 		default:
-			v = m.AddVar(fmt.Sprintf("c%d", i), Continuous, 0, 2, r.Float64()*3)
+			v = m.AddVar(Continuous, 0, 2, r.Float64()*3)
 		}
 		terms1 = append(terms1, Term{v, 1 + r.Float64()*4})
 		terms2 = append(terms2, Term{v, r.Float64() * 3})
 	}
-	m.AddConstraint("cap1", terms1, LE, float64(n)*1.5)
-	m.AddConstraint("cap2", terms2, LE, float64(n))
+	m.AddConstraint(terms1, LE, float64(n)*1.5)
+	m.AddConstraint(terms2, LE, float64(n))
 	return m
 }
 
@@ -236,10 +235,10 @@ func TestParallelMaxNodes(t *testing.T) {
 // warmStartModel is a knapsack with a known feasible-but-suboptimal seed.
 func warmStartModel() (*Model, []float64) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 5)
-	y := m.AddBinary("y", 4)
-	z := m.AddBinary("z", 3)
-	m.AddConstraint("cap", []Term{{x, 2}, {y, 2}, {z, 2}}, LE, 4)
+	x := m.AddBinary(5)
+	y := m.AddBinary(4)
+	z := m.AddBinary(3)
+	m.AddConstraint([]Term{{x, 2}, {y, 2}, {z, 2}}, LE, 4)
 	return m, []float64{0, 0, 1} // objective 3; optimum is x+y = 9
 }
 

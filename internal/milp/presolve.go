@@ -70,7 +70,7 @@ type Presolved struct {
 // model — AddConstraint already merges duplicate variables, and both reducers
 // are order-independent (dedup compares rows in emission order, which is how
 // per-slice expansion duplicates actually appear). Row i is the input's
-// constraint i, whose name build reads.
+// constraint i.
 type psRow struct {
 	terms []Term
 	rhs   float64
@@ -326,7 +326,7 @@ func (p *presolver) build() *Presolved {
 	rm.Cons = p.ws.cons.take(len(p.rows) - p.stats.RowsDropped)[:0]
 	for ri := range p.rows {
 		if r := &p.rows[ri]; !r.dead {
-			rm.Cons = append(rm.Cons, Constraint{Name: p.m.Cons[ri].Name, Terms: r.terms, Op: r.op, RHS: r.rhs})
+			rm.Cons = append(rm.Cons, Constraint{Terms: r.terms, Op: r.op, RHS: r.rhs})
 		}
 	}
 	*out = Presolved{Model: rm, Stats: p.stats}

@@ -10,10 +10,10 @@ import (
 // holds x at 0, and the coupled row then gives y its 7.
 func TestPresolveSingletonAndPropagation(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddVar("x", Integer, 0, 10, 1)
-	y := m.AddVar("y", Integer, 0, 10, 1)
-	m.AddConstraint("cap", []Term{{x, 1}, {y, 1}}, LE, 7)
-	m.AddConstraint("xcap", []Term{{x, 2}}, LE, 1)
+	x := m.AddVar(Integer, 0, 10, 1)
+	y := m.AddVar(Integer, 0, 10, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 7)
+	m.AddConstraint([]Term{{x, 2}}, LE, 1)
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -27,11 +27,11 @@ func TestPresolveSingletonAndPropagation(t *testing.T) {
 // ≥-row mirroring a ≤-row merges through GE→LE normalization.
 func TestPresolveDedup(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	y := m.AddBinary("y", 1)
-	m.AddConstraint("a", []Term{{x, 1}, {y, 1}}, LE, 2)
-	m.AddConstraint("b", []Term{{x, 1}, {y, 1}}, LE, 1)
-	m.AddConstraint("c", []Term{{x, -1}, {y, -1}}, GE, -1) // normalizes to x+y ≤ 1
+	x := m.AddBinary(1)
+	y := m.AddBinary(1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 2)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
+	m.AddConstraint([]Term{{x, -1}, {y, -1}}, GE, -1) // normalizes to x+y ≤ 1
 	pre := Presolve(m)
 	if pre.Infeasible {
 		t.Fatal("feasible model declared infeasible")
@@ -48,10 +48,10 @@ func TestPresolveDedup(t *testing.T) {
 // infeasibility.
 func TestPresolveDedupEQConflict(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	y := m.AddBinary("y", 1)
-	m.AddConstraint("a", []Term{{x, 1}, {y, 1}}, EQ, 1)
-	m.AddConstraint("b", []Term{{x, 1}, {y, 1}}, EQ, 2)
+	x := m.AddBinary(1)
+	y := m.AddBinary(1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 2)
 	if pre := Presolve(m); !pre.Infeasible {
 		t.Error("conflicting duplicate equalities not detected as infeasible")
 	}
@@ -61,11 +61,11 @@ func TestPresolveDedupEQConflict(t *testing.T) {
 // of another packing row's is implied by it and dropped.
 func TestPresolveCliqueDomination(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	y := m.AddBinary("y", 1)
-	z := m.AddBinary("z", 1)
-	m.AddConstraint("sub", []Term{{x, 1}, {y, 1}}, LE, 1)
-	m.AddConstraint("super", []Term{{x, 1}, {y, 1}, {z, 1}}, LE, 1)
+	x := m.AddBinary(1)
+	y := m.AddBinary(1)
+	z := m.AddBinary(1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}, {z, 1}}, LE, 1)
 	pre := Presolve(m)
 	if pre.Infeasible {
 		t.Fatal("feasible model declared infeasible")
@@ -90,8 +90,8 @@ func TestPresolveCliqueDomination(t *testing.T) {
 // objective at its lower bound.
 func TestPresolveDualityFix(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddVar("up", Integer, 0, 3, 2)
-	m.AddVar("dn", Integer, 0, 3, -2)
+	m.AddVar(Integer, 0, 3, 2)
+	m.AddVar(Integer, 0, 3, -2)
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +106,11 @@ func TestPresolveDualityFix(t *testing.T) {
 // forced column, and the point is feasible in the model.
 func TestPresolveObjConstAndLift(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 5)
-	y := m.AddBinary("y", 1)
-	z := m.AddBinary("z", 1)
-	m.AddConstraint("force", []Term{{x, 1}}, GE, 1)
-	m.AddConstraint("choose", []Term{{y, 1}, {z, 1}}, EQ, 1)
+	x := m.AddBinary(5)
+	y := m.AddBinary(1)
+	z := m.AddBinary(1)
+	m.AddConstraint([]Term{{x, 1}}, GE, 1)
+	m.AddConstraint([]Term{{y, 1}, {z, 1}}, EQ, 1)
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +133,8 @@ func TestPresolveObjConstAndLift(t *testing.T) {
 // infeasible. Presolve leaves the row to the LP, and the search proves it.
 func TestPresolveDetectsInfeasible(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 1)
-	m.AddConstraint("impossible", []Term{{x, 2}}, GE, 3)
+	x := m.AddBinary(1)
+	m.AddConstraint([]Term{{x, 2}}, GE, 3)
 	for _, off := range []bool{false, true} {
 		sol, err := Solve(m, Options{DisablePresolve: off})
 		if err != nil {
@@ -150,10 +150,10 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 // untouched — same *Model pointer, zero stats.
 func TestPresolveIdentity(t *testing.T) {
 	m := NewModel(Maximize)
-	x := m.AddBinary("x", 5)
-	y := m.AddBinary("y", 4)
-	z := m.AddBinary("z", 3)
-	m.AddConstraint("cap", []Term{{x, 2}, {y, 2}, {z, 2}}, LE, 4)
+	x := m.AddBinary(5)
+	y := m.AddBinary(4)
+	z := m.AddBinary(3)
+	m.AddConstraint([]Term{{x, 2}, {y, 2}, {z, 2}}, LE, 4)
 	pre := Presolve(m)
 	if pre.Model != m {
 		t.Error("identity presolve did not alias the input model")
@@ -167,9 +167,9 @@ func TestPresolveIdentity(t *testing.T) {
 // the reductions — the coupled row stays, and the solve still finishes.
 func TestPresolveInfiniteBounds(t *testing.T) {
 	m := NewModel(Minimize)
-	x := m.AddVar("x", Continuous, 0, Inf, 1)
-	y := m.AddVar("y", Continuous, 0, Inf, 1)
-	m.AddConstraint("need", []Term{{x, 1}, {y, 1}}, GE, 2)
+	x := m.AddVar(Continuous, 0, Inf, 1)
+	y := m.AddVar(Continuous, 0, Inf, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 2)
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -185,12 +185,12 @@ func TestPresolveInfiniteBounds(t *testing.T) {
 // bound (a zero objective may sit anywhere in its box), in one node.
 func TestRowlessModelSolves(t *testing.T) {
 	m := NewModel(Maximize)
-	m.AddVar("pos", Integer, 0, 4, 3)
-	m.AddVar("neg", Integer, 1, 5, -2)
-	m.AddVar("zero", Integer, 0, 2, 0)
-	m.AddBinary("bin", 1.5)
-	m.AddVar("cont", Continuous, 0, 2.5, 1)
-	m.AddVar("cneg", Continuous, -1, 3, -0.5)
+	m.AddVar(Integer, 0, 4, 3)
+	m.AddVar(Integer, 1, 5, -2)
+	m.AddVar(Integer, 0, 2, 0)
+	m.AddBinary(1.5)
+	m.AddVar(Continuous, 0, 2.5, 1)
+	m.AddVar(Continuous, -1, 3, -0.5)
 	want := 0.0
 	for _, v := range m.Vars {
 		if v.Obj > 0 {

@@ -29,14 +29,14 @@ func residentModel(arrivals int) *Model {
 		// slice 1.
 		var choose []Term
 		for s := 1; s <= options; s++ {
-			opt := m.AddBinary("", value-float64(s))
+			opt := m.AddBinary(value - float64(s))
 			choose = append(choose, Term{opt, 1})
 			for t := s; t < s+dur && t < horizon; t++ {
 				supply[t] = append(supply[t], Term{opt, width})
 			}
 		}
 		if options > 1 {
-			m.AddConstraint("", choose, LE, 1)
+			m.AddConstraint(choose, LE, 1)
 		}
 	}
 	for _, w := range widths {
@@ -46,7 +46,7 @@ func residentModel(arrivals int) *Model {
 		job(2, 1, 1, 999)
 	}
 	for t := 1; t < horizon; t++ {
-		m.AddConstraint("", supply[t], LE, 8)
+		m.AddConstraint(supply[t], LE, 8)
 	}
 	return m
 }

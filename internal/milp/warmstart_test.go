@@ -18,7 +18,7 @@ func randomBoxLP(r *rand.Rand) *Model {
 	for j := 0; j < nv; j++ {
 		lb := -5 + r.Float64()*5
 		ub := lb + r.Float64()*8
-		m.AddVar("x", Continuous, lb, ub, math.Round((r.Float64()*10-5)*4)/4)
+		m.AddVar(Continuous, lb, ub, math.Round((r.Float64()*10-5)*4)/4)
 	}
 	nc := 1 + r.Intn(8)
 	for i := 0; i < nc; i++ {
@@ -32,7 +32,7 @@ func randomBoxLP(r *rand.Rand) *Model {
 			terms = append(terms, Term{Var: VarID(r.Intn(nv)), Coef: 1})
 		}
 		op := Op(r.Intn(3))
-		m.AddConstraint("c", terms, op, math.Round((r.Float64()*20-10)*2)/2)
+		m.AddConstraint(terms, op, math.Round((r.Float64()*20-10)*2)/2)
 	}
 	return m
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"tetrisched/internal/bitset"
@@ -15,39 +14,44 @@ import (
 )
 
 // leanModel fails the test for what a compiled model should no longer hold
-// because presolve would only delete it: a cull_ row, a variable that can only
-// be 0, a job's indicator under its MAX root (which could only be 1: its row
-// max_j would carry it with a negative coefficient), or a supply row repeating
-// an earlier one of its group at a limit no smaller (internal/compiler's
-// TestLeanLowering checks the same, and the lowering records, on its own
-// batches).
+// because presolve would only delete it: a cull row (an indicator pinned at 0,
+// I ≤ 0), a variable that can only be 0, a job's indicator under its MAX root
+// (which could only be 1: no objective, and its one row, Σ options − I ≤ 0,
+// only pushes it up), or a row repeating an earlier one at a limit no smaller,
+// as a supply row of a group could (internal/compiler's TestLeanLowering
+// checks the same through the lowering records, on its own batches). A model
+// is read through its indices alone: it carries no names.
 func leanModel(t *testing.T, name string, m *milp.Model) {
 	t.Helper()
 	for i, v := range m.Vars {
 		if v.Ub == 0 {
-			t.Errorf("%s: variable %s (#%d) can only be 0", name, v.Name.String(), i)
+			t.Errorf("%s: variable x%d can only be 0", name, i)
 		}
 	}
-	supply := map[int][]*milp.Constraint{} // group → its supply rows, in emission order
+	capped := make([]bool, len(m.Vars)) // some row bounds the variable from above
+	var earlier []*milp.Constraint      // the LE rows so far
 	for i := range m.Cons {
 		con := &m.Cons[i]
-		rowName := con.Name.String()
-		if strings.HasPrefix(rowName, "cull_") {
-			t.Errorf("%s: row %s", name, rowName)
+		if len(con.Terms) == 1 && con.Terms[0].Coef > 0 && con.Op != milp.GE && con.RHS == 0 {
+			t.Errorf("%s: row c%d pins x%d at 0", name, i, con.Terms[0].Var)
 		}
-		if strings.HasPrefix(rowName, "max_j") && slices.ContainsFunc(con.Terms, func(tm milp.Term) bool { return tm.Coef < 0 }) {
-			t.Errorf("%s: row %s ties its options to an indicator", name, rowName)
+		for _, tm := range con.Terms {
+			capped[tm.Var] = capped[tm.Var] || con.Op == milp.EQ || (tm.Coef > 0) == (con.Op == milp.LE)
 		}
-		var g, slice int
-		if n, _ := fmt.Sscanf(rowName, "supply_g%d_t%d", &g, &slice); n != 2 {
+		if con.Op != milp.LE {
 			continue
 		}
-		for _, earlier := range supply[g] {
-			if con.RHS >= earlier.RHS && slices.Equal(con.Terms, earlier.Terms) {
-				t.Errorf("%s: %s repeats %s at a limit no smaller", name, rowName, earlier.Name.String())
+		for _, e := range earlier {
+			if con.RHS >= e.RHS && slices.Equal(con.Terms, e.Terms) {
+				t.Errorf("%s: row c%d repeats an earlier row at a limit no smaller", name, i)
 			}
 		}
-		supply[g] = append(supply[g], con)
+		earlier = append(earlier, con)
+	}
+	for i, v := range m.Vars {
+		if !capped[i] && v.Obj == 0 {
+			t.Errorf("%s: x%d has no objective and no row bounds it from above: it could only be 1", name, i)
+		}
 	}
 }
 
@@ -141,7 +145,7 @@ func TestPresolveRowsAreCompiledRows(t *testing.T) {
 		}
 		for i := range pre.Model.Cons {
 			if con := &pre.Model.Cons[i]; len(con.Terms) == 0 || !compiled[&con.Terms[0]] {
-				t.Fatalf("%s: reduced row %s is not a compiled row's terms", name, con.Name.String())
+				t.Fatalf("%s: reduced row c%d is not a compiled row's terms", name, i)
 			}
 		}
 	}
