@@ -313,7 +313,7 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	sc.cons.rewind()
 	sc.terms.rewind()
 	sc.models.rewind()
-	sc.model.Reset(milp.Maximize)
+	sc.model.Reset()
 	sc.job = sized(sc.job, len(jobs)+1)
 	// The Compiled itself is the one thing allocated per compilation: a
 	// recycled one could not tell that it is stale.

@@ -256,7 +256,6 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 		}
 		cc.VarMap = varMaps[vlo : vlo : vlo+n]
 		sub := &models[ci]
-		sub.Sense = c.Model.Sense
 		sub.Vars = subVars[vlo : vlo : vlo+n]
 		sub.Cons = subCons[clo : clo : clo+nCons[ci]]
 		for _, j := range cc.Jobs {

@@ -55,7 +55,6 @@ func (h *hash64) bool(v bool) {
 func (c *Compiled) ComponentFingerprint(cc *Component) uint64 {
 	h := hashSeed
 	m := cc.Model
-	h.i64(int64(m.Sense))
 	h.i64(int64(m.NumVars()))
 	for i := range m.Vars {
 		v := &m.Vars[i]

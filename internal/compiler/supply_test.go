@@ -23,7 +23,7 @@ func denseSupply(c *Compiled) []milp.Constraint {
 			grid[int(u.group)*h+t] = append(grid[int(u.group)*h+t], u.term)
 		}
 	}
-	m := milp.NewModel(milp.Maximize)
+	m := &milp.Model{}
 	m.Vars = c.Model.Vars
 	for g := range c.Part.Groups {
 		var kept []int

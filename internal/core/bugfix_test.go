@@ -166,3 +166,38 @@ func TestWithheldNodesAreNotIdle(t *testing.T) {
 		t.Errorf("launched jobs %v, want 2 and 3", launched)
 	}
 }
+
+// TestWithheldNodesFreeTheQueue: a 12-wide SLO job waits for all twelve nodes
+// while the caller offers ten, ahead of two 4-wide BE jobs that fit in those
+// ten. A withheld node's release slice doubles each cycle it stays withheld,
+// until it lies past the window; then the SLO job no longer holds the BE jobs
+// back, and both launch on offered nodes, whatever their runtime.
+func TestWithheldNodesFreeTheQueue(t *testing.T) {
+	for _, runtime := range []int64{4, 8, 12} { // 1, 2 and 3 slices
+		c := cluster.NewBuilder().AddRack("r0", 12, nil).Build()
+		sched := New(c, Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0})
+		sched.Submit(0, &workload.Job{ID: 1, Class: workload.SLO, Reserved: true, Type: workload.Unconstrained,
+			K: 12, BaseRuntime: 8, Slowdown: 1, Deadline: 400})
+		for id := 2; id <= 3; id++ {
+			sched.Submit(0, &workload.Job{ID: id, Class: workload.BestEffort, Type: workload.Unconstrained,
+				K: 4, BaseRuntime: runtime, Slowdown: 1})
+		}
+		free := bitset.FromIndices(12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+		var launched []int
+		for cycle := int64(0); cycle < 20 && len(launched) < 2; cycle++ {
+			for _, d := range sched.Cycle(4*cycle, free).Decisions {
+				launched = append(launched, d.Job.ID)
+				for _, n := range d.Nodes {
+					if !free.Contains(n) {
+						t.Fatalf("runtime %d: job %d launched on node %d, which is not free", runtime, d.Job.ID, n)
+					}
+					free.Remove(n)
+				}
+			}
+		}
+		slices.Sort(launched)
+		if !slices.Equal(launched, []int{2, 3}) {
+			t.Errorf("runtime %d: launched jobs %v in 20 cycles, want 2 and 3", runtime, launched)
+		}
+	}
+}

@@ -6,8 +6,48 @@ import (
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
+	"tetrisched/internal/trace"
 	"tetrisched/internal/workload"
 )
+
+// commitCheck is a trace sink that checks every global cycle's extraction: the
+// grants it reached, less the deferred ones, equal its launches. A monolithic
+// cycle plans a start-now grant only on nodes at release slice 0, and every
+// one of them is in the free set, so its commit cannot fail. That is why a
+// cycle that launched nothing reached no start-now grant, and why the fixed
+// point needs no guard of its own for one. The check holds only without
+// shards: a sharded cycle's commit can fail by design.
+type commitCheck struct {
+	t      testing.TB
+	defers int64 // deferred grants of the extraction under way
+	checks int   // extractions checked
+}
+
+func (c *commitCheck) Emit(e *trace.Event) error {
+	switch {
+	case e.Cat == "place" && e.Name == "defer":
+		c.defers++
+	case e.Cat == "extract":
+		var granted, launched int64
+		for _, a := range e.Args[:e.NArg] {
+			switch a.Key {
+			case "granted":
+				granted = a.Int()
+			case "launched":
+				launched = a.Int()
+			}
+		}
+		if granted-c.defers != launched {
+			c.t.Errorf("vt=%d: %d grants, %d of them deferred, but %d launches: a start-now commit failed",
+				e.VT, granted, c.defers, launched)
+		}
+		c.defers = 0
+		c.checks++
+	}
+	return nil
+}
+
+func (c *commitCheck) Close() error { return nil }
 
 // keyScheduler is a fixed point on twelve nodes: jobs 100, 101 and 102 hold
 // nodes 0-3, 4-7 and 8-11 and overrun, so every believed release slice stays
@@ -51,9 +91,7 @@ func TestFixedPointKey(t *testing.T) {
 				Submit: now, K: 2, BaseRuntime: 40, Slowdown: 10, Deadline: 300, DataNodes: []int{0, 1, 2, 3}})
 		}},
 		// Job 102 ends on nodes that were offered all along: only the release
-		// slices move. (A node not offered keeps release slice 1 after its
-		// job ends, the overrun job's slice, so that completion moves
-		// nothing.)
+		// slices move.
 		{name: "completion", want: "PPR PRR", warm: []int{8, 9, 10, 11}, free: []int{8, 9, 10, 11}, move: func(s *Scheduler, now int64) {
 			s.JobFinished(now, s.running[102].job)
 		}},
@@ -74,11 +112,12 @@ func TestFixedPointKey(t *testing.T) {
 			}
 		}},
 		// Job 102 ends, its nodes are not offered, and an SLO job wants them
-		// now. A node not offered is believed busy for one more cycle, so the
-		// job is planned a slice ahead, never as a start-now grant whose
-		// commit would fail; its class is solved in the arrival's cycle, kept
-		// in the next, and from then on the cycle repeats.
-		{name: "failed start-now commit", want: "PPR PPRR", move: func(s *Scheduler, now int64) {
+		// now. A node not offered is believed busy for one more cycle, then 2,
+		// 4 and, past the 4-slice window, 5, so the job is planned ahead, never
+		// as a start-now grant whose commit would fail. The release slices move
+		// for four cycles; the class is kept in the fifth, and from then on the
+		// cycle repeats.
+		{name: "failed start-now commit", want: "PPR PPPPPRR", move: func(s *Scheduler, now int64) {
 			s.JobFinished(now, s.running[102].job)
 			s.Submit(now, &workload.Job{ID: 4, Class: workload.SLO, Reserved: true, Type: workload.Unconstrained,
 				Submit: now, K: 4, BaseRuntime: 40, Slowdown: 1, Deadline: 300})
@@ -87,6 +126,8 @@ func TestFixedPointKey(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.CyclePeriod, cfg.PlanAhead, cfg.Gap = 4, 16, 0
+			commits := &commitCheck{t: t}
+			cfg.Tracer = trace.New(64).SetSink(commits)
 			uncached := cfg
 			uncached.DisableCompileCache = true
 			scheds := [2]*Scheduler{keyScheduler(cfg, tc.end102), keyScheduler(uncached, tc.end102)}
@@ -125,6 +166,9 @@ func TestFixedPointKey(t *testing.T) {
 			}
 			if n := scheds[1].Stats.RepeatedCycles; n != 0 {
 				t.Errorf("the uncached twin repeated %d cycles", n)
+			}
+			if commits.checks == 0 {
+				t.Error("no extraction was checked")
 			}
 		})
 	}

@@ -8,6 +8,7 @@ import (
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/sim"
+	"tetrisched/internal/trace"
 	"tetrisched/internal/workload"
 )
 
@@ -79,12 +80,12 @@ func fuzzJob(in *fuzzInput, id int, now int64, nodes int) (*workload.Job, int64)
 // scheduler then repeats, and break it with one input each: an arrival; a
 // node withheld and given back; a running job counting down to its estimate;
 // a best-effort job past MaxBatch re-priced every cycle. Two more hold a
-// withheld node, which the scheduler believes busy for one more cycle
-// (release slice 1, an overrunning job's): a completion on it
-// (fixed-point-completion) moves nothing of the key, so the repeats go on
-// through it; and a start-now grant across two node groups that wants it
-// (fixed-point-failed-commit) is planned a slice ahead instead, where no
-// commit can fail.
+// withheld node, whose believed release slice doubles each cycle it stays
+// withheld until it lies past the window: a completion on it
+// (fixed-point-completion), and a start-now grant across two node groups that
+// wants it (fixed-point-failed-commit), which is planned ahead instead, where
+// no commit can fail. In every cycle of a run without shards, each start-now
+// grant the extraction reaches must launch (commitCheck).
 func FuzzClassTableMatchesUncached(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
@@ -93,6 +94,9 @@ func FuzzClassTableMatchesUncached(f *testing.F) {
 		cfg := Config{CyclePeriod: 4, PlanAhead: int64(4 * (4 + in.next(5))), Shards: 2 * in.next(2)}
 		if in.next(4) == 0 {
 			cfg.MaxBatch = 3
+		}
+		if cfg.Shards == 0 {
+			cfg.Tracer = trace.New(64).SetSink(&commitCheck{t: t})
 		}
 		uncached := cfg
 		uncached.DisableCompileCache = true

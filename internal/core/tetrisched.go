@@ -291,6 +291,7 @@ type Scheduler struct {
 	swept     []*class           // backing of next cycle's classes
 	cycle     uint64             // global cycles run
 	fixed     fixedPoint         // the inputs of the last cycle that planned nothing new
+	held      []uint8            // per node: the planning cycles in a row it has been withheld, up to 63
 
 	// Always-on memory the scheduler owns and reuses from cycle to cycle,
 	// independent of any cache semantics; all of it starts empty and grows on
@@ -452,12 +453,16 @@ func (s *Scheduler) removePending(j *workload.Job) {
 // releaseSlices computes each node's believed release slice from the running
 // set, bumping overrun estimates forward one cycle (mis-estimate handling). A
 // node that runs no known job but is missing from the free set is not idle
-// either: the caller withheld it, and it gets the same one cycle of optimism
-// as an overrunning job, slice 1, so no start-now grant is planned on it.
-// The vector is the scheduler's and is overwritten by the next call.
+// either: the caller withheld it, so no start-now grant is planned on it. Its
+// optimism is bounded: withheld for w planning cycles in a row, it is believed
+// released at slice min(2^(w−1), horizon+1), so a job that waits for it
+// stops holding back the jobs behind it once it lies past the window. w
+// starts again when the node is offered or runs a known job. The vector is
+// the scheduler's and is overwritten by the next call.
 func (s *Scheduler) releaseSlices(now int64, free *bitset.Set) []int64 {
 	if s.rel == nil {
 		s.rel = make([]int64, s.c.N())
+		s.held = make([]uint8, s.c.N())
 	}
 	rel := s.rel
 	clear(rel)
@@ -470,10 +475,14 @@ func (s *Scheduler) releaseSlices(now int64, free *bitset.Set) []int64 {
 			rel[n] = slices
 		}
 	}
+	past := s.horizon() + 1
 	for n, r := range rel {
-		if r == 0 && !free.Contains(n) {
-			rel[n] = 1
+		if r > 0 || free.Contains(n) {
+			s.held[n] = 0
+			continue
 		}
+		s.held[n] = min(s.held[n]+1, 63)
+		rel[n] = min(int64(1)<<(s.held[n]-1), past)
 	}
 	return rel
 }
@@ -663,7 +672,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 	}
 	working := s.working
 	working.CopyFrom(free)
-	nGranted, started := 0, false
+	nGranted := 0
 	for _, cl := range classes {
 		cl.regrant()
 	}
@@ -690,7 +699,6 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			}
 			// Commit the placement against the shared free set, in decode order
 			// (priority order — losers of a race never jump ahead of winners).
-			started = true
 			nodes := s.pickNodes(cl.comp, g, working, nil, 0)
 			if nodes == nil {
 				// Optimistic commit failed: the nodes this shard planned on are
@@ -727,15 +735,17 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		s.tr.Instant("solve", "fallback", trace.I("jobs", int64(len(failed))))
 		s.fallbackPack(now, working, failed, res)
 	}
-	if live == 0 && !started && len(res.Decisions)+len(res.Dropped)+len(res.Preempted) == 0 &&
+	if live == 0 && len(res.Decisions)+len(res.Dropped)+len(res.Preempted) == 0 &&
 		s.feEnabled() && !s.sharded() {
 		s.fixed.record(batch, free, rel)
 	}
 }
 
 // fixedPoint is the key of a global cycle that planned nothing new: it solved
-// no component, reached no start-now grant (so the tie-break RNG did not
-// move) and decided, dropped and preempted nothing. From the state such a
+// no component and decided, dropped and preempted nothing. It therefore
+// reached no start-now grant either (so the tie-break RNG did not move): a
+// monolithic cycle plans one only on nodes at release slice 0, all of them
+// free, so every start-now grant it reaches launches. From the state such a
 // cycle leaves, the same key — the same requests at the same revisions in the
 // same order, the same free set and the same believed release slices — leads
 // every step of a cycle back to that state: every class is kept and settled

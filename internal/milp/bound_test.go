@@ -14,11 +14,11 @@ import (
 // incumbent), overstating how close the incumbent was to optimal.
 func randKnapsack(seed int64) *Model {
 	r := rand.New(rand.NewSource(seed))
-	m := NewModel(Maximize)
+	m := &Model{}
 	n := 10 + r.Intn(10)
 	terms := make([]Term, n)
 	for i := 0; i < n; i++ {
-		v := m.AddBinary(1 + r.Float64()*10)
+		v := m.AddVar(Binary, 0, 1, 1+r.Float64()*10)
 		terms[i] = Term{v, 1 + r.Float64()*5}
 	}
 	m.AddConstraint(terms, LE, float64(n))
@@ -59,16 +59,15 @@ func TestGapBoundNotOverstated(t *testing.T) {
 // 7.5. The popped node's subtree is unexplored, so 10 is the only proven
 // global bound; the old code reported max(heap-top, incumbent) = 8.
 func TestGapBreakKeepsPoppedBound(t *testing.T) {
-	m := NewModel(Maximize)
-	m.AddBinary(1)
+	m := &Model{}
+	m.AddVar(Binary, 0, 1, 1)
 	s := &search{
 		ws:        new(Workspace),
 		model:     m,
 		opts:      Options{Gap: 0.5},
-		maximize:  true,
 		incumbent: []float64{1},
 		incObj:    7.5,
-		h:         &nodeHeap{max: true},
+		h:         &nodeHeap{},
 		nodes:     3,
 		bestBound: 10, // the popped, gap-met, unexplored node
 		gapBreak:  true,
@@ -92,16 +91,15 @@ func TestGapBreakKeepsPoppedBound(t *testing.T) {
 // incumbent (claiming exact optimality) even though the popped subtree was
 // never explored.
 func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
-	m := NewModel(Maximize)
-	m.AddBinary(1)
+	m := &Model{}
+	m.AddVar(Binary, 0, 1, 1)
 	s := &search{
 		ws:        new(Workspace),
 		model:     m,
 		opts:      Options{Gap: 0.5},
-		maximize:  true,
 		incumbent: []float64{1},
 		incObj:    7.5,
-		h:         &nodeHeap{max: true},
+		h:         &nodeHeap{},
 		nodes:     3,
 		bestBound: 10,
 		gapBreak:  true,
@@ -166,12 +164,12 @@ func leaveOneUnit(s *search) {
 // bound used to be the heap top, which in best-bound order is tighter than the
 // bound of a node popped — and dropped — before it.
 func TestAbandonedBoundWeakerThanOpenNodes(t *testing.T) {
-	m := NewModel(Maximize)
-	m.AddBinary(1)
+	m := &Model{}
+	m.AddVar(Binary, 0, 1, 1)
 	s := &search{
-		ws: new(Workspace), model: m, maximize: true,
+		ws: new(Workspace), model: m,
 		incumbent: []float64{1}, incObj: 7.5,
-		h:     &nodeHeap{max: true},
+		h:     &nodeHeap{},
 		nodes: 5, bestBound: 9,
 	}
 	heap.Push(s.h, &bbNode{bound: 9})

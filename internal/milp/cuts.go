@@ -490,7 +490,7 @@ func (s *search) runCutRounds(x []float64, rootObj float64) ([]float64, float64)
 		cons := s.ws.cons.take(len(s.model.Cons) + len(cands))[:len(s.model.Cons)]
 		copy(cons, s.model.Cons)
 		grown := &s.ws.models.take(1)[0]
-		grown.Sense, grown.Vars, grown.Cons = s.model.Sense, s.model.Vars, cons
+		grown.Vars, grown.Cons = s.model.Vars, cons
 		nCover, nClique := 0, 0
 		for _, c := range cands {
 			grown.Cons = append(grown.Cons, c.con)

@@ -244,21 +244,21 @@ func refSeparateCuts(cands []refCut) []refCut {
 // triangles get a fourth variable and heavier objective weights so violations
 // are not all tied, and every fifth row complements a variable.
 func cliqueTieModel() *Model {
-	m := NewModel(Maximize)
+	m := &Model{}
 	for t := 0; t < 110; t++ {
-		a, b, c := m.AddBinary(1), m.AddBinary(1), m.AddBinary(1)
+		a, b, c := m.AddVar(Binary, 0, 1, 1), m.AddVar(Binary, 0, 1, 1), m.AddVar(Binary, 0, 1, 1)
 		for _, pair := range [][2]VarID{{a, b}, {b, c}, {a, c}} {
 			m.AddConstraint([]Term{{pair[0], 1}, {pair[1], 1}}, LE, 1)
 		}
 		if t%7 == 0 {
-			d := m.AddBinary(1 + float64(t%3))
+			d := m.AddVar(Binary, 0, 1, 1+float64(t%3))
 			for _, v := range []VarID{a, b, c} {
 				m.AddConstraint([]Term{{v, 1}, {d, 1}}, LE, 1)
 			}
 		}
 		if t%5 == 0 {
 			// "not a, or not e": a's complement never conflicts usefully with a.
-			e := m.AddBinary(0.5)
+			e := m.AddVar(Binary, 0, 1, 0.5)
 			m.AddConstraint([]Term{{a, -1}, {e, 1}}, LE, 0)
 			m.AddConstraint([]Term{{e, 1}, {b, 1}}, LE, 1)
 		}
@@ -349,7 +349,7 @@ func compareSeparation(t *testing.T, cover, clique bool) (cuts, capped, tied int
 				break
 			}
 			cuts += len(want)
-			grown := &Model{Sense: m.Sense, Vars: m.Vars, Cons: append([]Constraint(nil), m.Cons...)}
+			grown := &Model{Vars: m.Vars, Cons: append([]Constraint(nil), m.Cons...)}
 			for _, c := range want {
 				grown.Cons = append(grown.Cons, c.con)
 			}

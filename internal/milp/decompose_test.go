@@ -12,10 +12,10 @@ import (
 // knapsack builds a tiny 0/1 model: maximize Σ value_i·x_i subject to
 // Σ weight_i·x_i ≤ cap.
 func knapsack(values, weights []float64, cap float64) *Model {
-	m := NewModel(Maximize)
+	m := &Model{}
 	terms := make([]Term, len(values))
 	for i, v := range values {
-		id := m.AddBinary(v)
+		id := m.AddVar(Binary, 0, 1, v)
 		terms[i] = Term{Var: id, Coef: weights[i]}
 	}
 	m.AddConstraint(terms, LE, cap)
@@ -167,9 +167,9 @@ func TestDecomposeMergePartialFailure(t *testing.T) {
 // TestDecomposeInfeasiblePartPoisonsMerge: the full model is infeasible iff
 // any part is, and an infeasible merge must not hand back partial values.
 func TestDecomposeInfeasiblePartPoisonsMerge(t *testing.T) {
-	bad := NewModel(Maximize)
-	x := bad.AddBinary(1)
-	bad.AddConstraint([]Term{{Var: x, Coef: 1}}, GE, 2)
+	bad := &Model{}
+	x := bad.AddVar(Binary, 0, 1, 1)
+	bad.AddConstraint([]Term{{Var: x, Coef: -1}}, LE, -2) // x ≥ 2
 	parts := []Part{
 		{Model: knapsack([]float64{5}, []float64{1}, 1), VarMap: []int{0}},
 		{Model: bad, VarMap: []int{1}},

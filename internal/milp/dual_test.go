@@ -10,7 +10,7 @@ import (
 // through rows with identical ratios and zero-length dual steps — the
 // precondition for classical simplex cycling.
 func degenerateModel(n, capacity, dup int) *Model {
-	m := NewModel(Maximize)
+	m := &Model{}
 	terms := make([]Term, n)
 	for j := 0; j < n; j++ {
 		m.AddVar(Continuous, 0, 1, 1)

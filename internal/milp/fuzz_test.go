@@ -24,14 +24,14 @@ func (in *fuzzInput) next(n int) int {
 // indicator the compiler adds, options drawing on per-slice supply rows, and
 // now and then a demand row that may be unmeetable, so infeasible parts occur.
 func fuzzModel(in *fuzzInput) *Model {
-	m := NewModel(Maximize)
+	m := &Model{}
 	horizon := 1 + in.next(3)
 	supply := make([][]Term, horizon)
 	var all []Term
 	for j, jobs := 0, 1+in.next(4); j < jobs; j++ {
 		var choose []Term
 		for o, opts := 0, 1+in.next(3); o < opts; o++ {
-			x := m.AddBinary(float64(1 + in.next(20)))
+			x := m.AddVar(Binary, 0, 1, float64(1+in.next(20)))
 			choose, all = append(choose, Term{x, 1}), append(all, Term{x, 1})
 			k := float64(1 + in.next(4))
 			for s, dur := in.next(horizon), 1+in.next(2); s < horizon && dur > 0; s, dur = s+1, dur-1 {
@@ -41,7 +41,7 @@ func fuzzModel(in *fuzzInput) *Model {
 		if in.next(2) == 0 {
 			m.AddConstraint(choose, LE, 1)
 		} else {
-			m.AddConstraint(append(choose, Term{m.AddBinary(0), -1}), LE, 0)
+			m.AddConstraint(append(choose, Term{m.AddVar(Binary, 0, 1, 0), -1}), LE, 0)
 		}
 	}
 	for _, terms := range supply {
@@ -50,7 +50,7 @@ func fuzzModel(in *fuzzInput) *Model {
 		}
 	}
 	if in.next(4) == 0 {
-		m.AddConstraint(all, GE, float64(1+in.next(2)))
+		addRow(m, all, 1, float64(1+in.next(2))) // Σ all ≥ 1 or 2
 	}
 	return m
 }
@@ -167,18 +167,20 @@ func FuzzSolveEachMatchesSolve(f *testing.F) {
 
 // presolveModel decodes one small integer model for presolve: up to seven
 // columns — binaries, small integers, and columns the model fixes (lb = ub) —
-// with objectives of either sign, under rows of three shapes: random terms
-// (zero coefficients and either sign included) under any operator, GE rows
-// among them; a choice row the lean compiler emits, Σ x ≤ 1; and the same
-// choice tied to an indicator, Σ x − y ≤ 0, as it was emitted before.
+// with objectives of either sign, negated as a whole by one byte (a
+// minimization), under rows of three shapes: random terms (zero coefficients
+// and either sign included) under either operator, or as a ≥ row written with
+// both sides negated; a choice row the lean compiler emits, Σ x ≤ 1; and the
+// same choice tied to an indicator, Σ x − y ≤ 0, as it was emitted before.
 func presolveModel(in *fuzzInput) *Model {
-	m := NewModel(Maximize)
+	m := &Model{}
+	sign := 1.0
 	if in.next(2) == 1 {
-		m.Sense = Minimize
+		sign = -1
 	}
 	nv := 1 + in.next(7)
 	for i := 0; i < nv; i++ {
-		obj := float64(in.next(9) - 4)
+		obj := sign * float64(in.next(9)-4)
 		switch in.next(4) {
 		case 0:
 			v := float64(in.next(3))
@@ -186,7 +188,7 @@ func presolveModel(in *fuzzInput) *Model {
 		case 1:
 			m.AddVar(Integer, 0, float64(1+in.next(3)), obj)
 		default:
-			m.AddBinary(obj)
+			m.AddVar(Binary, 0, 1, obj)
 		}
 	}
 	for r, rows := 0, in.next(8); r < rows; r++ {
@@ -199,7 +201,7 @@ func presolveModel(in *fuzzInput) *Model {
 			for i := range terms {
 				terms[i].Coef = float64(in.next(7) - 2)
 			}
-			m.AddConstraint(terms, Op(in.next(3)), float64(in.next(9)-2))
+			addRow(m, terms, in.next(3), float64(in.next(9)-2))
 		case 1:
 			m.AddConstraint(terms, LE, 1)
 		default:
@@ -211,7 +213,7 @@ func presolveModel(in *fuzzInput) *Model {
 
 // cloneModel copies a model's columns and rows, term arrays included.
 func cloneModel(m *Model) *Model {
-	c := &Model{Sense: m.Sense, Vars: slices.Clone(m.Vars), Cons: slices.Clone(m.Cons)}
+	c := &Model{Vars: slices.Clone(m.Vars), Cons: slices.Clone(m.Cons)}
 	for i := range c.Cons {
 		c.Cons[i].Terms = slices.Clone(c.Cons[i].Terms)
 	}
@@ -220,7 +222,7 @@ func cloneModel(m *Model) *Model {
 
 // sameModel reports whether two models are equal bit for bit.
 func sameModel(a, b *Model) bool {
-	if a.Sense != b.Sense || len(a.Vars) != len(b.Vars) || len(a.Cons) != len(b.Cons) {
+	if len(a.Vars) != len(b.Vars) || len(a.Cons) != len(b.Cons) {
 		return false
 	}
 	for i, va := range a.Vars {

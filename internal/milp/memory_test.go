@@ -19,13 +19,13 @@ import (
 // and a tree.
 func packingModel(seed int64, jobs int) *Model {
 	r := rand.New(rand.NewSource(seed))
-	m := NewModel(Maximize)
+	m := &Model{}
 	const slices = 6
 	supply := make([][]Term, slices)
 	for j := 0; j < jobs; j++ {
 		var kids []Term
 		for o := 0; o < 2+r.Intn(3); o++ {
-			ind := m.AddBinary(float64(1 + r.Intn(20)))
+			ind := m.AddVar(Binary, 0, 1, float64(1+r.Intn(20)))
 			kids = append(kids, Term{ind, 1})
 			k := float64(1 + r.Intn(5))
 			start := r.Intn(slices)
@@ -62,7 +62,7 @@ func TestAddConstraintMatchesMapMerge(t *testing.T) {
 	}
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		m := NewModel(Maximize)
+		m := &Model{}
 		var want [][]Term
 		for row := 0; row < 40; row++ {
 			for v := 0; v < r.Intn(4); v++ { // variables keep arriving between rows
@@ -98,7 +98,7 @@ func TestAddConstraintMatchesMapMerge(t *testing.T) {
 // but a model that Validate (and so Solve) rejects with "bad var id".
 func TestAddConstraintBadVarID(t *testing.T) {
 	for _, bad := range []VarID{-1, -1 << 40, 2, 3, 1 << 40} {
-		m := NewModel(Maximize)
+		m := &Model{}
 		x := m.AddVar(Binary, 0, 1, 1)
 		y := m.AddVar(Binary, 0, 1, 1)
 		m.AddConstraint([]Term{{x, 1}, {bad, 1}, {y, 1}, {bad, 2}, {x, 1}}, LE, 1)
@@ -118,7 +118,7 @@ func TestAddConstraintBadVarID(t *testing.T) {
 // (crossed bounds) without complaint, where Solve answers with Validate's
 // error.
 func TestSolveValidatesOnce(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	m.AddVar(Continuous, 2, 1, 1)
 	if _, err := Solve(m, Options{}); err == nil {
 		t.Fatal("Solve accepted a model with lb > ub")
@@ -171,7 +171,7 @@ func hasPointers(t reflect.Type) bool {
 func TestModelReset(t *testing.T) {
 	stage := new(Model)
 	build := func(src *Model) {
-		stage.Reset(src.Sense)
+		stage.Reset()
 		for _, v := range src.Vars {
 			stage.AddVar(v.Type, v.Lb, v.Ub, v.Obj)
 		}
@@ -321,13 +321,13 @@ func TestWorkspaceAliasing(t *testing.T) {
 // 25 (the budget was 24 before). The model's size must not show: on fresh
 // memory the same solve makes about 90 allocations.
 func TestWorkspaceSolveAllocs(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	var supply []Term
 	for j := 0; j < 40; j++ {
-		job := m.AddBinary(0)
+		job := m.AddVar(Binary, 0, 1, 0)
 		var kids []Term
 		for o := 0; o < 4; o++ {
-			ind := m.AddBinary(float64(10 + j - o))
+			ind := m.AddVar(Binary, 0, 1, float64(10+j-o))
 			kids = append(kids, Term{ind, 1})
 			supply = append(supply, Term{ind, 1})
 		}

@@ -23,12 +23,12 @@ func mustSolve(t *testing.T, m *Model, opts Options) *Solution {
 // nil a solve returns when it has no solution.
 func TestEmptyModelSolves(t *testing.T) {
 	for _, opts := range []Options{{}, {DisablePresolve: true}} {
-		sol := mustSolve(t, NewModel(Maximize), opts)
+		sol := mustSolve(t, &Model{}, opts)
 		if sol.Status != StatusOptimal || sol.Values == nil || len(sol.Values) != 0 {
 			t.Errorf("presolve off %v: %v with values %#v, want optimal with the empty point", opts.DisablePresolve, sol.Status, sol.Values)
 		}
 		var list WorkspaceList
-		merged, sols, err := list.SolveEach([]Part{{Model: NewModel(Maximize)}}, opts, new(Solution), nil)
+		merged, sols, err := list.SolveEach([]Part{{Model: &Model{}}}, opts, new(Solution), nil)
 		if err != nil || merged.Status != StatusOptimal || sols[0].Values == nil {
 			t.Errorf("presolve off %v: a part without variables merges to %v (%v), values %#v", opts.DisablePresolve, merged.Status, err, sols[0].Values)
 		}
@@ -37,7 +37,7 @@ func TestEmptyModelSolves(t *testing.T) {
 
 func TestPureLPMax(t *testing.T) {
 	// maximize 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x,y >= 0 → x=4, y=0, obj 12.
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, Inf, 3)
 	y := m.AddVar(Continuous, 0, Inf, 2)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 4)
@@ -55,20 +55,21 @@ func TestPureLPMax(t *testing.T) {
 }
 
 func TestPureLPMinWithGE(t *testing.T) {
-	// minimize 2x + 3y s.t. x + y >= 10, x <= 6 → x=6, y=4, obj 24.
-	m := NewModel(Minimize)
-	x := m.AddVar(Continuous, 0, 6, 2)
-	y := m.AddVar(Continuous, 0, Inf, 3)
-	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 10)
+	// minimize 2x + 3y s.t. x + y >= 10, x <= 6 → x=6, y=4, obj 24, written
+	// as maximize −2x − 3y s.t. −x − y ≤ −10: obj −24.
+	m := &Model{}
+	x := m.AddVar(Continuous, 0, 6, -2)
+	y := m.AddVar(Continuous, 0, Inf, -3)
+	m.AddConstraint([]Term{{x, -1}, {y, -1}}, LE, -10)
 	sol := mustSolve(t, m, Options{})
-	if sol.Status != StatusOptimal || math.Abs(sol.Objective-24) > 1e-6 {
-		t.Fatalf("got %v obj %v, want optimal 24", sol.Status, sol.Objective)
+	if sol.Status != StatusOptimal || math.Abs(sol.Objective+24) > 1e-6 {
+		t.Fatalf("got %v obj %v, want optimal -24", sol.Status, sol.Objective)
 	}
 }
 
 func TestEqualityConstraint(t *testing.T) {
 	// maximize x + y s.t. x + y = 5, x <= 3, y <= 3.
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, 3, 1)
 	y := m.AddVar(Continuous, 0, 3, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 5)
@@ -79,9 +80,9 @@ func TestEqualityConstraint(t *testing.T) {
 }
 
 func TestInfeasibleLP(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, 1, 1)
-	m.AddConstraint([]Term{{x, 1}}, GE, 2)
+	m.AddConstraint([]Term{{x, -1}}, LE, -2) // x ≥ 2
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", sol.Status)
@@ -89,21 +90,22 @@ func TestInfeasibleLP(t *testing.T) {
 }
 
 func TestInfeasiblePhase1NeededMin(t *testing.T) {
-	// GE constraints force phase 1 (x=0 start infeasible): min x+y, x+y>=4,
-	// x-y>=1 → x=2.5,y=1.5, obj 4.
-	m := NewModel(Minimize)
-	x := m.AddVar(Continuous, 0, Inf, 1)
-	y := m.AddVar(Continuous, 0, Inf, 1)
-	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 4)
-	m.AddConstraint([]Term{{x, 1}, {y, -1}}, GE, 1)
+	// ≥ rows (≤ rows with a negative right-hand side) force phase 1 (the
+	// x=0 start is infeasible): min x+y, x+y>=4, x-y>=1 → x=2.5,y=1.5, obj 4,
+	// written as max −x−y, −x−y ≤ −4, −x+y ≤ −1: obj −4.
+	m := &Model{}
+	x := m.AddVar(Continuous, 0, Inf, -1)
+	y := m.AddVar(Continuous, 0, Inf, -1)
+	m.AddConstraint([]Term{{x, -1}, {y, -1}}, LE, -4)
+	m.AddConstraint([]Term{{x, -1}, {y, 1}}, LE, -1)
 	sol := mustSolve(t, m, Options{})
-	if sol.Status != StatusOptimal || math.Abs(sol.Objective-4) > 1e-6 {
-		t.Fatalf("got %v obj %v, want optimal 4", sol.Status, sol.Objective)
+	if sol.Status != StatusOptimal || math.Abs(sol.Objective+4) > 1e-6 {
+		t.Fatalf("got %v obj %v, want optimal -4", sol.Status, sol.Objective)
 	}
 }
 
 func TestUnboundedLP(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, Inf, 1)
 	y := m.AddVar(Continuous, 0, Inf, 0)
 	m.AddConstraint([]Term{{x, 1}, {y, -1}}, LE, 3)
@@ -114,24 +116,25 @@ func TestUnboundedLP(t *testing.T) {
 }
 
 func TestFreeVariable(t *testing.T) {
-	// minimize x s.t. x >= -7 via constraint on a free variable.
-	m := NewModel(Minimize)
-	x := m.AddVar(Continuous, math.Inf(-1), Inf, 1)
-	m.AddConstraint([]Term{{x, 1}}, GE, -7)
+	// minimize x s.t. x >= -7 via constraint on a free variable, written as
+	// maximize −x s.t. −x ≤ 7: obj 7.
+	m := &Model{}
+	x := m.AddVar(Continuous, math.Inf(-1), Inf, -1)
+	m.AddConstraint([]Term{{x, -1}}, LE, 7)
 	sol := mustSolve(t, m, Options{})
-	if sol.Status != StatusOptimal || math.Abs(sol.Objective-(-7)) > 1e-6 {
-		t.Fatalf("got %v obj %v, want optimal -7", sol.Status, sol.Objective)
+	if sol.Status != StatusOptimal || math.Abs(sol.Objective-7) > 1e-6 {
+		t.Fatalf("got %v obj %v, want optimal 7", sol.Status, sol.Objective)
 	}
 }
 
 func TestKnapsack(t *testing.T) {
 	// Classic 0/1 knapsack: weights 2,3,4,5; values 3,4,5,6; cap 5 → best 7 (items 0,1).
-	m := NewModel(Maximize)
+	m := &Model{}
 	w := []float64{2, 3, 4, 5}
 	v := []float64{3, 4, 5, 6}
 	terms := make([]Term, 4)
 	for i := 0; i < 4; i++ {
-		id := m.AddBinary(v[i])
+		id := m.AddVar(Binary, 0, 1, v[i])
 		terms[i] = Term{id, w[i]}
 	}
 	m.AddConstraint(terms, LE, 5)
@@ -143,7 +146,7 @@ func TestKnapsack(t *testing.T) {
 
 func TestIntegerGeneral(t *testing.T) {
 	// maximize x + y, 2x + 3y <= 12, x,y integer in [0,4] → e.g. x=4,y=1, obj 5.
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Integer, 0, 4, 1)
 	y := m.AddVar(Integer, 0, 4, 1)
 	m.AddConstraint([]Term{{x, 2}, {y, 3}}, LE, 12)
@@ -157,10 +160,10 @@ func TestIntegerGeneral(t *testing.T) {
 }
 
 func TestMILPInfeasible(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(1)
-	y := m.AddBinary(1)
-	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 2)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 1)
+	y := m.AddVar(Binary, 0, 1, 1)
+	m.AddConstraint([]Term{{x, -1}, {y, -1}}, LE, -2) // x + y ≥ 2
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusInfeasible {
@@ -169,9 +172,9 @@ func TestMILPInfeasible(t *testing.T) {
 }
 
 func TestWarmStartIncumbent(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(5)
-	y := m.AddBinary(4)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 5)
+	y := m.AddVar(Binary, 0, 1, 4)
 	m.AddConstraint([]Term{{x, 3}, {y, 3}}, LE, 3)
 	seed := []float64{0, 1} // feasible, obj 4
 	sol := mustSolve(t, m, Options{InitialSolution: seed})
@@ -188,12 +191,12 @@ func TestWarmStartIncumbent(t *testing.T) {
 
 func TestGapTermination(t *testing.T) {
 	// With Gap=1.0 any incumbent within 100% of the bound is accepted.
-	m := NewModel(Maximize)
+	m := &Model{}
 	n := 12
 	terms := make([]Term, n)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < n; i++ {
-		id := m.AddBinary(1 + r.Float64()*10)
+		id := m.AddVar(Binary, 0, 1, 1+r.Float64()*10)
 		terms[i] = Term{id, 1 + r.Float64()*5}
 	}
 	m.AddConstraint(terms, LE, 12)
@@ -210,8 +213,8 @@ func TestGapTermination(t *testing.T) {
 }
 
 func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(1)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 1)
 	m.AddConstraint([]Term{{x, 1}}, LE, 1)
 	sol := mustSolve(t, m, Options{TimeLimit: time.Hour})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-1) > 1e-9 {
@@ -220,19 +223,19 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	m.AddVar(Continuous, 2, 1, 0) // lb > ub
 	if _, err := Solve(m, Options{}); err == nil {
 		t.Errorf("expected validation error for lb>ub")
 	}
 
-	m2 := NewModel(Maximize)
+	m2 := &Model{}
 	m2.AddVar(Integer, 0, Inf, 1) // unbounded integer
 	if _, err := Solve(m2, Options{}); err == nil {
 		t.Errorf("expected validation error for unbounded integer")
 	}
 
-	m3 := NewModel(Maximize)
+	m3 := &Model{}
 	x := m3.AddVar(Continuous, 0, 1, 1)
 	m3.AddConstraint([]Term{{x + 5, 1}}, LE, 1) // bad var id
 	if _, err := Solve(m3, Options{}); err == nil {
@@ -241,14 +244,14 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestEmptyModel(t *testing.T) {
-	sol := mustSolve(t, NewModel(Maximize), Options{})
+	sol := mustSolve(t, &Model{}, Options{})
 	if sol.Status != StatusOptimal {
 		t.Fatalf("empty model status = %v", sol.Status)
 	}
 }
 
 func TestMergeTerms(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, 10, 1)
 	m.AddConstraint([]Term{{x, 1}, {x, 2}}, LE, 6) // 3x <= 6
 	sol := mustSolve(t, m, Options{})
@@ -258,7 +261,7 @@ func TestMergeTerms(t *testing.T) {
 }
 
 func TestModelString(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 2)
 	y := m.AddVar(Integer, 0, 3, -1)
 	m.AddConstraint([]Term{{x, 1}, {y, -2}}, LE, 4)
@@ -293,11 +296,7 @@ func bruteForce(m *Model) float64 {
 		if i == len(m.Vars) {
 			if m.IsFeasible(vals, 1e-9) {
 				obj := m.ObjectiveValue(vals)
-				if math.IsNaN(best) {
-					best = obj
-				} else if m.Sense == Maximize && obj > best {
-					best = obj
-				} else if m.Sense == Minimize && obj < best {
+				if math.IsNaN(best) || obj > best {
 					best = obj
 				}
 			}
@@ -312,13 +311,15 @@ func bruteForce(m *Model) float64 {
 	return best
 }
 
-// randomIntModel builds a random small pure-integer model.
+// randomIntModel builds a random small pure-integer model. Half of them are
+// minimizations and a third of the rows ≥ rows, each written as the
+// maximization of the negated objective and the ≤ row with both sides negated.
 func randomIntModel(r *rand.Rand) *Model {
-	sense := Maximize
+	sign := 1.0
 	if r.Intn(2) == 0 {
-		sense = Minimize
+		sign = -1
 	}
-	m := NewModel(sense)
+	m := &Model{}
 	nv := 2 + r.Intn(4) // 2..5 vars
 	for i := 0; i < nv; i++ {
 		typ := Integer
@@ -327,7 +328,7 @@ func randomIntModel(r *rand.Rand) *Model {
 			typ = Binary
 			ub = 1
 		}
-		m.AddVar(typ, 0, ub, float64(r.Intn(11)-5))
+		m.AddVar(typ, 0, ub, sign*float64(r.Intn(11)-5))
 	}
 	nc := 1 + r.Intn(4)
 	for c := 0; c < nc; c++ {
@@ -340,11 +341,26 @@ func randomIntModel(r *rand.Rand) *Model {
 		if len(terms) == 0 {
 			terms = []Term{{0, 1}}
 		}
-		op := []Op{LE, GE, EQ}[r.Intn(3)]
-		rhs := float64(r.Intn(13) - 4)
-		m.AddConstraint(terms, op, rhs)
+		addRow(m, terms, r.Intn(3), float64(r.Intn(13)-4))
 	}
 	return m
+}
+
+// addRow adds Σ terms op rhs, with op numbered as the seeded generators and
+// the fuzz decoders draw it: 0 is ≤; 1 is ≥, added as the ≤ row with both
+// sides negated (the terms in place); 2 is =.
+func addRow(m *Model, terms []Term, op int, rhs float64) {
+	switch op {
+	case 1:
+		for i := range terms {
+			terms[i].Coef = -terms[i].Coef
+		}
+		m.AddConstraint(terms, LE, -rhs)
+	case 2:
+		m.AddConstraint(terms, EQ, rhs)
+	default:
+		m.AddConstraint(terms, LE, rhs)
+	}
 }
 
 func TestQuickMILPAgainstBruteForce(t *testing.T) {
@@ -389,7 +405,7 @@ func TestQuickMILPAgainstBruteForce(t *testing.T) {
 
 func TestDegenerateLP(t *testing.T) {
 	// A classically degenerate LP (multiple constraints active at origin).
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Continuous, 0, Inf, 0.75)
 	y := m.AddVar(Continuous, 0, Inf, -150)
 	z := m.AddVar(Continuous, 0, Inf, 0.02)
@@ -413,10 +429,10 @@ func TestSolutionGap(t *testing.T) {
 
 func BenchmarkKnapsack30(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
-	m := NewModel(Maximize)
+	m := &Model{}
 	terms := make([]Term, 30)
 	for i := range terms {
-		id := m.AddBinary(1 + r.Float64()*20)
+		id := m.AddVar(Binary, 0, 1, 1+r.Float64()*20)
 		terms[i] = Term{id, 1 + r.Float64()*10}
 	}
 	m.AddConstraint(terms, LE, 60)
@@ -430,7 +446,7 @@ func BenchmarkKnapsack30(b *testing.B) {
 
 func BenchmarkLP200(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
-	m := NewModel(Maximize)
+	m := &Model{}
 	n := 200
 	ids := make([]VarID, n)
 	for i := 0; i < n; i++ {
@@ -455,10 +471,10 @@ func TestMaxNodesLimit(t *testing.T) {
 	// A model the solver cannot finish in one node, with MaxNodes=2: must
 	// still return its best incumbent with StatusFeasible or better.
 	r := rand.New(rand.NewSource(21))
-	m := NewModel(Maximize)
+	m := &Model{}
 	terms := make([]Term, 16)
 	for i := range terms {
-		id := m.AddBinary(1 + r.Float64()*9)
+		id := m.AddVar(Binary, 0, 1, 1+r.Float64()*9)
 		terms[i] = Term{id, 1 + r.Float64()*4}
 	}
 	m.AddConstraint(terms, LE, 20)
@@ -472,9 +488,9 @@ func TestMaxNodesLimit(t *testing.T) {
 }
 
 func TestHeuristicCallback(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(5)
-	y := m.AddBinary(4)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 5)
+	y := m.AddVar(Binary, 0, 1, 4)
 	m.AddConstraint([]Term{{x, 3}, {y, 3}}, LE, 4)
 	called := false
 	sol := mustSolve(t, m, Options{Heuristic: func(relax []float64) []float64 {
@@ -499,10 +515,10 @@ func TestHeuristicCallback(t *testing.T) {
 func TestTinyTimeLimit(t *testing.T) {
 	// With a 1ns budget the solver must return promptly and safely.
 	r := rand.New(rand.NewSource(31))
-	m := NewModel(Maximize)
+	m := &Model{}
 	terms := make([]Term, 24)
 	for i := range terms {
-		id := m.AddBinary(1 + r.Float64()*9)
+		id := m.AddVar(Binary, 0, 1, 1+r.Float64()*9)
 		terms[i] = Term{id, 1 + r.Float64()*4}
 	}
 	m.AddConstraint(terms, LE, 30)
@@ -515,16 +531,16 @@ func TestTinyTimeLimit(t *testing.T) {
 	}
 }
 
-// TestBoundDominatesObjective: on maximize models the proven bound is never
-// below the returned objective, and a StatusOptimal solve respects the gap.
+// TestBoundDominatesObjective: the proven bound is never below the returned
+// objective, and a StatusOptimal solve respects the gap.
 func TestBoundDominatesObjective(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
-		m := NewModel(Maximize)
+		m := &Model{}
 		n := 8 + r.Intn(8)
 		terms := make([]Term, n)
 		for i := 0; i < n; i++ {
-			id := m.AddBinary(1 + r.Float64()*10)
+			id := m.AddVar(Binary, 0, 1, 1+r.Float64()*10)
 			terms[i] = Term{id, 1 + r.Float64()*5}
 		}
 		m.AddConstraint(terms, LE, float64(n))
@@ -552,19 +568,19 @@ func TestStressSchedulerLikeModels(t *testing.T) {
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		m := NewModel(Maximize)
+		m := &Model{}
 		nJobs := 20 + r.Intn(20)
 		nSlices := 8 + r.Intn(8)
 		capacity := float64(20 + r.Intn(40))
 		supply := make([][]Term, nSlices)
 		for j := 0; j < nJobs; j++ {
-			job := m.AddBinary(0)
+			job := m.AddVar(Binary, 0, 1, 0)
 			opts := 2 + r.Intn(6)
 			var kids []Term
 			for o := 0; o < opts; o++ {
 				k := float64(1 + r.Intn(8))
 				v := 1 + r.Float64()*999
-				ind := m.AddBinary(v)
+				ind := m.AddVar(Binary, 0, 1, v)
 				kids = append(kids, Term{ind, 1})
 				start := r.Intn(nSlices)
 				dur := 1 + r.Intn(nSlices-start)

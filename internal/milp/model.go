@@ -1,29 +1,23 @@
-// Package milp implements a small mixed-integer linear programming solver:
-// a bounded-variable revised simplex LP kernel (primal phase 1/2 for cold
+// Package milp implements a small mixed-integer linear programming solver for
+// one kind of problem: maximize a linear objective over bounded continuous,
+// integer and binary variables subject to ≤ and = rows. It runs a
+// bounded-variable revised simplex LP kernel (primal phase 1/2 for cold
 // starts, dual simplex for warm restarts from a parent basis) under a
-// best-bound branch-and-bound search with MIP-gap and time limits. Node
-// relaxations re-solve from their parent's basis snapshot by default; see
-// docs/SOLVER.md for the warm-restart protocol and its fallback rules.
+// best-bound branch-and-bound search with MIP-gap and work limits; see
+// docs/SOLVER.md, one section per mechanism.
 //
 // It fills the role IBM CPLEX plays in the TetriSched paper (§3.2.2): the
 // STRL compiler targets this package's Model type, and the scheduler asks for
 // solutions that are optimal within a configurable relative gap, optionally
-// seeded with the previous cycle's solution as an incumbent.
+// seeded with the previous cycle's solution as an incumbent. A minimization
+// is the maximization of the negated objective, and a ≥ row is the ≤ row
+// with both sides negated.
 package milp
 
 import (
 	"fmt"
 	"math"
 	"strings"
-)
-
-// Sense is the optimization direction of a model.
-type Sense int
-
-// Optimization directions.
-const (
-	Maximize Sense = iota
-	Minimize
 )
 
 // VarType describes the integrality requirement of a variable.
@@ -54,7 +48,6 @@ type Op int
 // Constraint operators.
 const (
 	LE Op = iota // ≤
-	GE           // ≥
 	EQ           // =
 )
 
@@ -62,8 +55,6 @@ func (o Op) String() string {
 	switch o {
 	case LE:
 		return "<="
-	case GE:
-		return ">="
 	case EQ:
 		return "="
 	}
@@ -100,9 +91,10 @@ type Constraint struct {
 	RHS   float64
 }
 
-// Model is a mixed-integer linear program. Build it with AddVar and
-// AddConstraint, then pass it to Solve. A Model is not safe for concurrent
-// mutation, but may be solved concurrently once fully built.
+// Model is a mixed-integer linear program that maximizes Σ Obj·x. Build it
+// with AddVar and AddConstraint from the zero value, then pass it to Solve. A
+// Model is not safe for concurrent mutation, but may be solved concurrently
+// once fully built.
 //
 // Rows added through AddConstraint live in a term arena of chunks: each
 // Constraint.Terms is a capacity-limited sub-slice of one chunk, so a model
@@ -110,9 +102,8 @@ type Constraint struct {
 // kept across Reset, so a Model rebuilt at any size up to the largest it has
 // held allocates nothing for its rows.
 type Model struct {
-	Sense Sense
-	Vars  []Variable
-	Cons  []Constraint
+	Vars []Variable
+	Cons []Constraint
 
 	chunks [][]Term // every chunk of the arena, in the order they are filled
 	cur    int      // the chunk rows are being added to
@@ -123,18 +114,12 @@ type Model struct {
 	slot []int32
 }
 
-// NewModel returns an empty model with the given optimization sense.
-func NewModel(sense Sense) *Model {
-	return &Model{Sense: sense}
-}
-
 // Reset empties the model for another build that reuses its storage: a
 // builder that cannot know a model's size in advance (the compiler) assembles
 // every model in one long-lived Model, at no allocation once that has grown
 // to fit. The previous model's variables and rows are overwritten: the term
 // arena rewinds to its first chunk.
-func (m *Model) Reset(sense Sense) {
-	m.Sense = sense
+func (m *Model) Reset() {
 	m.Vars, m.Cons = m.Vars[:0], m.Cons[:0]
 	m.cur, m.arena = 0, nil
 	if len(m.chunks) > 0 {
@@ -150,11 +135,6 @@ func (m *Model) AddVar(typ VarType, lb, ub, obj float64) VarID {
 	}
 	m.Vars = append(m.Vars, Variable{Type: typ, Lb: lb, Ub: ub, Obj: obj})
 	return VarID(len(m.Vars) - 1)
-}
-
-// AddBinary adds a binary variable with the given objective coefficient.
-func (m *Model) AddBinary(obj float64) VarID {
-	return m.AddVar(Binary, 0, 1, obj)
 }
 
 // AddConstraint adds Σ terms op rhs. Terms referring to the same variable are
@@ -289,10 +269,6 @@ func (m *Model) IsFeasible(x []float64, tol float64) bool {
 			if lhs > c.RHS+tol {
 				return false
 			}
-		case GE:
-			if lhs < c.RHS-tol {
-				return false
-			}
 		case EQ:
 			if math.Abs(lhs-c.RHS) > tol {
 				return false
@@ -306,11 +282,7 @@ func (m *Model) IsFeasible(x []float64, tol float64) bool {
 // compiled STRL expressions.
 func (m *Model) String() string {
 	var b strings.Builder
-	if m.Sense == Maximize {
-		b.WriteString("maximize\n  ")
-	} else {
-		b.WriteString("minimize\n  ")
-	}
+	b.WriteString("maximize\n  ")
 	first := true
 	for i, v := range m.Vars {
 		if v.Obj == 0 {

@@ -13,7 +13,7 @@ import (
 // constraints, giving branch-and-bound trees several levels deep.
 func randMILP(seed int64) *Model {
 	r := rand.New(rand.NewSource(seed))
-	m := NewModel(Maximize)
+	m := &Model{}
 	n := 8 + r.Intn(8)
 	terms1 := make([]Term, 0, n)
 	terms2 := make([]Term, 0, n)
@@ -21,7 +21,7 @@ func randMILP(seed int64) *Model {
 		var v VarID
 		switch r.Intn(3) {
 		case 0:
-			v = m.AddBinary(1 + r.Float64()*9)
+			v = m.AddVar(Binary, 0, 1, 1+r.Float64()*9)
 		case 1:
 			v = m.AddVar(Integer, 0, float64(1+r.Intn(4)), 1+r.Float64()*5)
 		default:
@@ -234,10 +234,10 @@ func TestParallelMaxNodes(t *testing.T) {
 
 // warmStartModel is a knapsack with a known feasible-but-suboptimal seed.
 func warmStartModel() (*Model, []float64) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(5)
-	y := m.AddBinary(4)
-	z := m.AddBinary(3)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 5)
+	y := m.AddVar(Binary, 0, 1, 4)
+	z := m.AddVar(Binary, 0, 1, 3)
 	m.AddConstraint([]Term{{x, 2}, {y, 2}, {z, 2}}, LE, 4)
 	return m, []float64{0, 0, 1} // objective 3; optimum is x+y = 9
 }
@@ -317,8 +317,10 @@ func TestSeedCannotChangeProperty(t *testing.T) {
 		r.Read(data)
 		in := fuzzInput(data)
 		m := fuzzModel(&in)
-		if seed%4 == 3 {
-			m.Sense = Minimize
+		if seed%4 == 3 { // a minimization: maximize the negated objective
+			for v := range m.Vars {
+				m.Vars[v].Obj = -m.Vars[v].Obj
+			}
 		}
 		seeds := [][]float64{nil}
 		for k := 0; k < 6; k++ {
@@ -336,7 +338,7 @@ func TestSeedCannotChangeProperty(t *testing.T) {
 				sols[i] = sol
 			}
 			for a, sa := range sols {
-				if sa.bar.ok && math.IsInf(sa.bar.obj, 0) && better(m.Sense == Maximize, sa.bar.obj, 0) {
+				if sa.bar.ok && math.IsInf(sa.bar.obj, 0) && better(sa.bar.obj, 0) {
 					settledBars++
 				} else if sa.bar.ok && !math.IsInf(sa.bar.obj, 0) {
 					finiteBars++
@@ -364,8 +366,9 @@ func TestSeedCannotChangeProperty(t *testing.T) {
 }
 
 // randomSeed draws a 0/1 point for m: kind 0 sets each variable with
-// probability 0.3; kind 1 sets variables in random order while every ≤ row
-// still holds; kind 2 does the same but stops at a random count.
+// probability 0.3; kind 1 sets variables in random order while every packing
+// row (a ≤ row with a non-negative right-hand side; not fuzzModel's demand
+// row) still holds; kind 2 does the same but stops at a random count.
 func randomSeed(r *rand.Rand, m *Model, kind int) []float64 {
 	x := make([]float64, len(m.Vars))
 	if kind == 0 {
@@ -387,7 +390,7 @@ func randomSeed(r *rand.Rand, m *Model, kind int) []float64 {
 			for _, t := range c.Terms {
 				lhs += t.Coef * x[t.Var]
 			}
-			if c.Op == LE && lhs > c.RHS+1e-9 {
+			if c.Op == LE && c.RHS >= 0 && lhs > c.RHS+1e-9 {
 				x[i] = 0
 				break
 			}

@@ -11,8 +11,7 @@ import (
 // compilation and branch-and-bound. It only ever drops rows, in one pass of
 // each of two reductions:
 //
-//   - dedup of identical rows (≥-rows are normalized to ≤ first, so a
-//     mirrored pair also merges);
+//   - dedup of identical rows;
 //   - clique domination: set-packing rows over binary literals that are
 //     subsets of another packing row are implied by it and dropped.
 //
@@ -22,7 +21,7 @@ import (
 // solution of the input, warm-start seeds and heuristic candidates need no
 // mapping, and nothing is lifted back. On the scheduler's traffic column fixing
 // only ever fired on models with no rows at all, which the LP answers at the
-// root (docs/SOLVER.md, Reduction catalog).
+// root (docs/SOLVER.md, Presolve).
 
 // psTol is the presolve-local absolute tolerance for declaring two equality
 // rows in conflict (and hence the model infeasible) and for recognising a
@@ -62,10 +61,8 @@ type Presolved struct {
 	Infeasible bool
 }
 
-// psRow is a working constraint. GE rows are normalized to LE at load
-// (coefficients and RHS negated) so the reducers only see LE and EQ; zero
-// coefficients are dropped. Both happen on a copy; every other row reads the
-// input constraint's own terms, and nothing writes a row's terms after load,
+// psRow is a working constraint. Zero coefficients are dropped at load, on a
+// copy; every other row reads the input constraint's own terms, and nothing writes a row's terms after load,
 // so the input model is never written. Term order is preserved from the input
 // model — AddConstraint already merges duplicate variables, and both reducers
 // are order-independent (dedup compares rows in emission order, which is how
@@ -134,22 +131,14 @@ func (w *Workspace) newPresolver(m *Model) *presolver {
 		c := &m.Cons[ci]
 		r := &p.rows[ci]
 		*r = psRow{terms: c.Terms[:len(c.Terms):len(c.Terms)], rhs: c.RHS, op: c.Op}
-		neg := c.Op == GE
-		if !neg && !slices.ContainsFunc(c.Terms, func(t Term) bool { return t.Coef == 0 }) {
+		if !slices.ContainsFunc(c.Terms, func(t Term) bool { return t.Coef == 0 }) {
 			continue
-		}
-		if neg {
-			r.rhs, r.op = -r.rhs, LE
 		}
 		terms := w.terms.take(len(c.Terms))[:0]
 		for _, t := range c.Terms {
-			if t.Coef == 0 {
-				continue
+			if t.Coef != 0 {
+				terms = append(terms, t)
 			}
-			if neg {
-				t.Coef = -t.Coef
-			}
-			terms = append(terms, t)
 		}
 		r.terms = terms
 	}
@@ -322,7 +311,7 @@ func (p *presolver) build() *Presolved {
 		return out
 	}
 	rm := &p.ws.models.take(1)[0]
-	rm.Sense, rm.Vars = p.m.Sense, p.m.Vars
+	rm.Vars = p.m.Vars
 	rm.Cons = p.ws.cons.take(len(p.rows) - p.stats.RowsDropped)[:0]
 	for ri := range p.rows {
 		if r := &p.rows[ri]; !r.dead {

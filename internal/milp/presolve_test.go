@@ -9,7 +9,7 @@ import (
 // to presolve, which leaves it for the LP; 2x ≤ 1 over an integer x still
 // holds x at 0, and the coupled row then gives y its 7.
 func TestPresolveSingletonAndPropagation(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	x := m.AddVar(Integer, 0, 10, 1)
 	y := m.AddVar(Integer, 0, 10, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 7)
@@ -23,15 +23,14 @@ func TestPresolveSingletonAndPropagation(t *testing.T) {
 	}
 }
 
-// TestPresolveDedup: identical ≤-rows merge keeping the smallest RHS, and a
-// ≥-row mirroring a ≤-row merges through GE→LE normalization.
+// TestPresolveDedup: identical ≤-rows merge keeping the smallest RHS.
 func TestPresolveDedup(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(1)
-	y := m.AddBinary(1)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 1)
+	y := m.AddVar(Binary, 0, 1, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 2)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
-	m.AddConstraint([]Term{{x, -1}, {y, -1}}, GE, -1) // normalizes to x+y ≤ 1
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 3)
 	pre := Presolve(m)
 	if pre.Infeasible {
 		t.Fatal("feasible model declared infeasible")
@@ -47,9 +46,9 @@ func TestPresolveDedup(t *testing.T) {
 // TestPresolveDedupEQConflict: identical =-rows with different RHS prove
 // infeasibility.
 func TestPresolveDedupEQConflict(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(1)
-	y := m.AddBinary(1)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 1)
+	y := m.AddVar(Binary, 0, 1, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 2)
 	if pre := Presolve(m); !pre.Infeasible {
@@ -60,10 +59,10 @@ func TestPresolveDedupEQConflict(t *testing.T) {
 // TestPresolveCliqueDomination: a set-packing row whose literals are a subset
 // of another packing row's is implied by it and dropped.
 func TestPresolveCliqueDomination(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(1)
-	y := m.AddBinary(1)
-	z := m.AddBinary(1)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 1)
+	y := m.AddVar(Binary, 0, 1, 1)
+	z := m.AddVar(Binary, 0, 1, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}, {z, 1}}, LE, 1)
 	pre := Presolve(m)
@@ -89,7 +88,7 @@ func TestPresolveCliqueDomination(t *testing.T) {
 // positive objective under maximize at its upper bound and one with negative
 // objective at its lower bound.
 func TestPresolveDualityFix(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	m.AddVar(Integer, 0, 3, 2)
 	m.AddVar(Integer, 0, 3, -2)
 	sol, err := Solve(m, Options{})
@@ -101,15 +100,15 @@ func TestPresolveDualityFix(t *testing.T) {
 	}
 }
 
-// TestPresolveObjConstAndLift: a GE-singleton that forces a column with
+// TestPresolveObjConstAndLift: a singleton −x ≤ −1 that forces a column with
 // objective weight is the LP's to honour: objective and bound both count the
 // forced column, and the point is feasible in the model.
 func TestPresolveObjConstAndLift(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(5)
-	y := m.AddBinary(1)
-	z := m.AddBinary(1)
-	m.AddConstraint([]Term{{x, 1}}, GE, 1)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 5)
+	y := m.AddVar(Binary, 0, 1, 1)
+	z := m.AddVar(Binary, 0, 1, 1)
+	m.AddConstraint([]Term{{x, -1}}, LE, -1)
 	m.AddConstraint([]Term{{y, 1}, {z, 1}}, EQ, 1)
 	sol, err := Solve(m, Options{})
 	if err != nil {
@@ -129,12 +128,12 @@ func TestPresolveObjConstAndLift(t *testing.T) {
 	}
 }
 
-// TestPresolveDetectsInfeasible: Solve reports 2x ≥ 3 over a binary
+// TestPresolveDetectsInfeasible: Solve reports −2x ≤ −3 over a binary
 // infeasible. Presolve leaves the row to the LP, and the search proves it.
 func TestPresolveDetectsInfeasible(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(1)
-	m.AddConstraint([]Term{{x, 2}}, GE, 3)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 1)
+	m.AddConstraint([]Term{{x, -2}}, LE, -3)
 	for _, off := range []bool{false, true} {
 		sol, err := Solve(m, Options{DisablePresolve: off})
 		if err != nil {
@@ -149,10 +148,10 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 // TestPresolveIdentity: a model with nothing to reduce passes through
 // untouched — same *Model pointer, zero stats.
 func TestPresolveIdentity(t *testing.T) {
-	m := NewModel(Maximize)
-	x := m.AddBinary(5)
-	y := m.AddBinary(4)
-	z := m.AddBinary(3)
+	m := &Model{}
+	x := m.AddVar(Binary, 0, 1, 5)
+	y := m.AddVar(Binary, 0, 1, 4)
+	z := m.AddVar(Binary, 0, 1, 3)
 	m.AddConstraint([]Term{{x, 2}, {y, 2}, {z, 2}}, LE, 4)
 	pre := Presolve(m)
 	if pre.Model != m {
@@ -166,16 +165,16 @@ func TestPresolveIdentity(t *testing.T) {
 // TestPresolveInfiniteBounds: unbounded continuous columns must not poison
 // the reductions — the coupled row stays, and the solve still finishes.
 func TestPresolveInfiniteBounds(t *testing.T) {
-	m := NewModel(Minimize)
-	x := m.AddVar(Continuous, 0, Inf, 1)
-	y := m.AddVar(Continuous, 0, Inf, 1)
-	m.AddConstraint([]Term{{x, 1}, {y, 1}}, GE, 2)
+	m := &Model{}
+	x := m.AddVar(Continuous, 0, Inf, -1)
+	y := m.AddVar(Continuous, 0, Inf, -1)
+	m.AddConstraint([]Term{{x, -1}, {y, -1}}, LE, -2) // x + y ≥ 2
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != StatusOptimal || math.Abs(sol.Objective-2) > 1e-9 {
-		t.Errorf("status %v objective %v, want optimal 2", sol.Status, sol.Objective)
+	if sol.Status != StatusOptimal || math.Abs(sol.Objective+2) > 1e-9 {
+		t.Errorf("status %v objective %v, want optimal -2", sol.Status, sol.Objective)
 	}
 }
 
@@ -184,11 +183,11 @@ func TestPresolveInfiniteBounds(t *testing.T) {
 // objective at its upper bound under maximize, every other one at its lower
 // bound (a zero objective may sit anywhere in its box), in one node.
 func TestRowlessModelSolves(t *testing.T) {
-	m := NewModel(Maximize)
+	m := &Model{}
 	m.AddVar(Integer, 0, 4, 3)
 	m.AddVar(Integer, 1, 5, -2)
 	m.AddVar(Integer, 0, 2, 0)
-	m.AddBinary(1.5)
+	m.AddVar(Binary, 0, 1, 1.5)
 	m.AddVar(Continuous, 0, 2.5, 1)
 	m.AddVar(Continuous, -1, 3, -0.5)
 	want := 0.0

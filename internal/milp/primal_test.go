@@ -118,7 +118,7 @@ func TestDeterministicWithHeuristicEveryNode(t *testing.T) {
 func TestRoundAllocatesNothing(t *testing.T) {
 	m := residentModel(2)
 	w := new(Workspace)
-	s := &search{ws: w, model: m, maximize: true, incObj: math.Inf(-1)}
+	s := &search{ws: w, model: m, incObj: math.Inf(-1)}
 	s.opts.Heuristic = func(x []float64) []float64 { return floorInPlace(m, x) }
 	s.primal = w.floats.take(len(m.Vars))
 	x := make([]float64, len(m.Vars))
@@ -140,7 +140,7 @@ func TestRoundAllocatesNothing(t *testing.T) {
 func rootSearch(t *testing.T, w *Workspace, m *Model, opts Options) (*search, []float64, float64) {
 	t.Helper()
 	p := w.newLP(m)
-	s := &search{ws: w, model: m, p: p, opts: opts, maximize: m.Sense == Maximize, incObj: math.Inf(-1)}
+	s := &search{ws: w, model: m, p: p, opts: opts, incObj: math.Inf(-1)}
 	s.incBuf = w.floats.take(len(m.Vars))
 	s.scratch = w.newScratch(p)
 	st, x, err := s.scratch.solve(p.lb, p.ub, 0)

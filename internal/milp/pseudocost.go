@@ -85,10 +85,7 @@ func (s *search) noteBranchOutcome(node *bbNode, childObj float64) {
 		return
 	}
 	// A child's bound is its parent's LP objective.
-	degrade := childObj - node.bound
-	if s.maximize {
-		degrade = node.bound - childObj
-	}
+	degrade := node.bound - childObj
 	if degrade < 0 {
 		degrade = 0 // drift: a child cannot beat its parent relaxation
 	}

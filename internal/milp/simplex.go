@@ -73,8 +73,9 @@ func (a *LPStats) add(b *LPStats) {
 //
 //	minimize cᵀx  subject to  A·x = b,  lb ≤ x ≤ ub
 //
-// where the columns include one slack per original row (a·x + s = rhs, with
-// slack bounds encoding ≤ / ≥ / =). Artificial columns are appended during
+// where c is the model's objective negated (the model maximizes) and the
+// columns include one slack per original row (a·x + s = rhs, with slack
+// bounds [0, ∞) for ≤ and [0, 0] for =). Artificial columns are appended during
 // phase 1 when the all-slack basis is infeasible. The matrix is stored as
 // flat compressed sparse columns so pricing, FTRAN, and refactorization walk
 // contiguous arrays and skip zeros.
@@ -84,7 +85,7 @@ type lp struct {
 	colRow   []int32
 	colVal   []float64
 	b        []float64
-	c        []float64 // phase-2 objective (minimize)
+	c        []float64 // phase-2 objective: the model's, negated
 	lb       []float64
 	ub       []float64
 	nvars    int // structural variable count (prefix of columns)
@@ -109,12 +110,8 @@ func (w *Workspace) newLP(model *Model) *lp {
 		ub:       fl[m+2*n:],
 		nvars:    nv,
 	}
-	sign := 1.0
-	if model.Sense == Maximize {
-		sign = -1.0 // minimize the negated objective
-	}
 	for j, v := range model.Vars {
-		p.c[j] = sign * v.Obj
+		p.c[j] = -v.Obj // minimize the negated objective
 		p.lb[j] = v.Lb
 		p.ub[j] = v.Ub
 	}
@@ -158,8 +155,6 @@ func (w *Workspace) newLP(model *Model) *lp {
 		switch con.Op {
 		case LE:
 			p.lb[sj], p.ub[sj] = 0, Inf
-		case GE:
-			p.lb[sj], p.ub[sj] = math.Inf(-1), 0
 		case EQ:
 			p.lb[sj], p.ub[sj] = 0, 0
 		}

@@ -127,11 +127,11 @@ type Solution struct {
 // and the first feasible candidate of the root heuristics that beats that
 // incumbent leaves the state a seedless solve has: the same incumbent, in the
 // same memory, and the same slab takes. So obj is that candidate's objective;
-// the best value of the sense when the answer was settled before the seed was
-// read (presolve or the root LP infeasible, an integral root); the worst when
-// no candidate came and no seed was adopted. The zero value proves nothing: the
-// answer may rest on the seed it was solved from (a seed that survived the
-// root heuristics, or one returned because the budget cut the root off).
+// +Inf when the answer was settled before the seed was read (presolve or the
+// root LP infeasible, an integral root); −Inf when no candidate came and no
+// seed was adopted. The zero value proves nothing: the answer may rest on the
+// seed it was solved from (a seed that survived the root heuristics, or one
+// returned because the budget cut the root off).
 type seedBar struct {
 	obj float64
 	ok  bool
@@ -139,12 +139,7 @@ type seedBar struct {
 
 // settled is the bar of an answer the search reached before it read the seed:
 // no seed beats it.
-func settled(sense Sense) seedBar {
-	if sense == Maximize {
-		return seedBar{obj: math.Inf(1), ok: true}
-	}
-	return seedBar{obj: math.Inf(-1), ok: true}
-}
+var settled = seedBar{obj: math.Inf(1), ok: true}
 
 // SeedCannotChange reports whether solving m again with seed as the warm start
 // (nil: none), and otherwise the options and model this Solution was solved
@@ -159,7 +154,7 @@ func (s *Solution) SeedCannotChange(m *Model, seed []float64) bool {
 	if seed == nil || !m.IsFeasible(seed, 1e-6) {
 		return true
 	}
-	return better(m.Sense == Maximize, s.bar.obj, m.ObjectiveValue(seed))
+	return better(s.bar.obj, m.ObjectiveValue(seed))
 }
 
 // Gap returns the achieved relative gap between bound and objective.
@@ -187,18 +182,13 @@ type bbNode struct {
 	pfrac float64
 }
 
+// nodeHeap holds the open nodes, highest bound on top.
 type nodeHeap struct {
 	nodes []*bbNode
-	max   bool // true: pop highest bound first (maximize)
 }
 
-func (h *nodeHeap) Len() int { return len(h.nodes) }
-func (h *nodeHeap) Less(i, j int) bool {
-	if h.max {
-		return h.nodes[i].bound > h.nodes[j].bound
-	}
-	return h.nodes[i].bound < h.nodes[j].bound
-}
+func (h *nodeHeap) Len() int           { return len(h.nodes) }
+func (h *nodeHeap) Less(i, j int) bool { return h.nodes[i].bound > h.nodes[j].bound }
 func (h *nodeHeap) Swap(i, j int)      { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
 func (h *nodeHeap) Push(x interface{}) { h.nodes = append(h.nodes, x.(*bbNode)) }
 func (h *nodeHeap) Pop() interface{} {
@@ -212,12 +202,11 @@ func (h *nodeHeap) Pop() interface{} {
 
 // search carries the branch-and-bound state of one solve (see run).
 type search struct {
-	ws       *Workspace
-	model    *Model
-	p        *lp
-	opts     Options
-	budget   int64 // LP work the search may do; 0: no limit
-	maximize bool
+	ws     *Workspace
+	model  *Model
+	p      *lp
+	opts   Options
+	budget int64 // LP work the search may do; 0: no limit
 
 	incumbent []float64
 	incObj    float64
@@ -237,26 +226,18 @@ type search struct {
 	h *nodeHeap
 
 	nodes     int
-	bestBound float64 // proven global bound (weakest open node)
+	bestBound float64 // proven global bound (highest open node)
 	gapBreak  bool    // terminated with the global bound gap-met
 
 	// A node whose LP was given up on (work budget, iteration cap, numerical
 	// error) is neither solved nor infeasible: its subtree stays unexplored
 	// and its bound stays part of the global bound.
 	abandoned      bool
-	abandonedBound float64 // weakest bound among abandoned nodes
+	abandonedBound float64 // highest bound among abandoned nodes
 }
 
-// better reports whether a is strictly better than b in the optimize sense.
-func (s *search) better(a, b float64) bool { return better(s.maximize, a, b) }
-
-// better reports whether a is strictly better than b, maximizing or not.
-func better(maximize bool, a, b float64) bool {
-	if maximize {
-		return a > b+1e-12
-	}
-	return a < b-1e-12
-}
+// better reports whether objective a is strictly better (higher) than b.
+func better(a, b float64) bool { return a > b+1e-12 }
 
 // gapMet reports whether the incumbent is within the configured gap of bound.
 func (s *search) gapMet(bound float64) bool {
@@ -282,7 +263,7 @@ func (s *search) offerRoot(cand []float64) {
 	}
 	if !s.offered {
 		s.offered = true
-		if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || s.better(obj, s.incObj) {
+		if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || better(obj, s.incObj) {
 			s.bar = seedBar{obj: obj, ok: true}
 		} // else the seed is live, and there is no bar
 	}
@@ -293,14 +274,14 @@ func (s *search) offerRoot(cand []float64) {
 // a copy, in memory the search keeps from one incumbent to the next: cand may
 // live in the heuristic's buffer, and most candidates are not adopted.
 func (s *search) adopt(cand []float64) {
-	if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || s.better(obj, s.incObj) {
+	if obj := s.model.ObjectiveValue(cand); s.incumbent == nil || better(obj, s.incObj) {
 		s.incumbent, s.incObj = append(s.incBuf[:0], cand...), obj
 	}
 }
 
 // The primal side. A search that ends by gap waits for an incumbent as often
 // as for a bound, so every evaluated node's LP point is offered to the
-// caller's rounding (docs/SOLVER.md, Primal side); a search without one
+// caller's rounding (docs/SOLVER.md, Search); a search without one
 // finds incumbents only by rounding the root and at integral nodes.
 
 // round offers the LP point x to the caller's heuristic, if there is one, and
@@ -391,28 +372,11 @@ func capture(sc *simplexState, buf *basisState) *basisState {
 	return buf
 }
 
-// weakerBound reports whether a is a weaker (more conservative) bound than b.
-func (s *search) weakerBound(a, b float64) bool {
-	if s.maximize {
-		return a > b
-	}
-	return a < b
-}
-
 // abandon records a node whose LP did not reach a verdict.
 func (s *search) abandon(n *bbNode) {
-	if !s.abandoned || s.weakerBound(n.bound, s.abandonedBound) {
+	if !s.abandoned || n.bound > s.abandonedBound {
 		s.abandoned, s.abandonedBound = true, n.bound
 	}
-}
-
-// pickBound returns the weaker (more conservative) of two valid bounds: the
-// larger under maximize, the smaller under minimize.
-func (s *search) pickBound(a, b float64) float64 {
-	if s.maximize {
-		return math.Max(a, b)
-	}
-	return math.Min(a, b)
 }
 
 // LP work is simplex iterations plus factorWeight per basis factorization, and
@@ -468,7 +432,7 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 		pre = w.presolve(model)
 	}
 	if pre.Infeasible {
-		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start), bar: settled(model.Sense)}
+		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start), bar: settled}
 		return out, nil
 	}
 	// The reduced model is the presolver's own assembly of a model that just
@@ -492,33 +456,27 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error) {
 	if len(model.Vars) == 0 {
 		// The empty point is the optimum: a solution, not the nil of none.
-		return w.answer(Solution{Status: StatusOptimal, Values: []float64{}, bar: settled(model.Sense)}), nil
+		return w.answer(Solution{Status: StatusOptimal, Values: []float64{}, bar: settled}), nil
 	}
 	p := w.newLP(model)
-	maximize := model.Sense == Maximize
 
 	s := &w.search // the search dies with the solve, like everything else on w
 	*s = search{
-		ws:       w,
-		model:    model,
-		p:        p,
-		opts:     opts,
-		maximize: maximize,
+		ws:     w,
+		model:  model,
+		p:      p,
+		opts:   opts,
+		incObj: math.Inf(-1),
 	}
 	if opts.TimeLimit > 0 {
 		s.budget = int64(math.Ceil(opts.TimeLimit.Seconds() * workPerSecond))
 	}
-	worst := math.Inf(-1)
-	if !maximize {
-		worst = math.Inf(1)
-	}
-	s.incObj = worst
 	s.incBuf = w.floats.take(len(model.Vars))
 	if opts.InitialSolution != nil && model.IsFeasible(opts.InitialSolution, 1e-6) {
 		s.incumbent = append(s.incBuf[:0], opts.InitialSolution...)
 		s.incObj = model.ObjectiveValue(s.incumbent)
 	} else {
-		s.bar = seedBar{obj: worst, ok: true} // the seedless search: any feasible seed would move it
+		s.bar = seedBar{obj: math.Inf(-1), ok: true} // the seedless search: any feasible seed would move it
 	}
 
 	// Root relaxation, solved on the scratch the tree's nodes reuse.
@@ -529,9 +487,9 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 	}
 	switch st {
 	case lpInfeasible:
-		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, LP: s.scratch.stats, bar: settled(model.Sense)}), nil
+		return w.answer(Solution{Status: StatusInfeasible, Nodes: 1, LP: s.scratch.stats, bar: settled}), nil
 	case lpUnbounded:
-		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, LP: s.scratch.stats, bar: settled(model.Sense)}), nil
+		return w.answer(Solution{Status: StatusUnbounded, Nodes: 1, LP: s.scratch.stats, bar: settled}), nil
 	case lpIterLimit:
 		// Root aborted (work budget or iteration cap): report the seed
 		// incumbent if one was provided, else no solution.
@@ -558,7 +516,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 		}), nil
 	}
 	if firstFractional(model, x) < 0 {
-		return integralRoot(settled(model.Sense)) // nothing after the LP reads the seed
+		return integralRoot(settled) // nothing after the LP reads the seed
 	}
 
 	// Heuristics on the root for a strong starting incumbent: plain rounding,
@@ -593,7 +551,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 func (s *search) openRoot(rootObj float64) {
 	s.pc = s.ws.newPCTable(len(s.model.Vars))
 	s.h = &s.ws.open
-	*s.h = nodeHeap{nodes: s.h.nodes[:0], max: s.maximize}
+	*s.h = nodeHeap{nodes: s.h.nodes[:0]}
 	buf := s.takeSnap()
 	root := s.ws.newNode()
 	*root = bbNode{bound: rootObj, warm: capture(s.scratch, buf), pcol: -1}
@@ -623,7 +581,7 @@ func (s *search) run() {
 		}
 		node := heap.Pop(s.h).(*bbNode)
 		s.bestBound = node.bound
-		if s.incumbent != nil && !s.better(node.bound, s.incObj) {
+		if s.incumbent != nil && !better(node.bound, s.incObj) {
 			s.releaseWarm(node)
 			continue // pruned by bound
 		}
@@ -652,7 +610,7 @@ func (s *search) evalNode(node *bbNode, lb, ub []float64) {
 	}
 	obj := s.model.ObjectiveValue(x[:len(s.model.Vars)])
 	s.noteBranchOutcome(node, obj)
-	if s.incumbent != nil && !s.better(obj, s.incObj) {
+	if s.incumbent != nil && !better(obj, s.incObj) {
 		return
 	}
 	if firstFractional(s.model, x) < 0 {
@@ -661,7 +619,7 @@ func (s *search) evalNode(node *bbNode, lb, ub []float64) {
 	}
 	if cand := s.round(x); cand != nil && s.model.IsFeasible(cand, 1e-6) {
 		s.adopt(cand)
-		if !s.better(obj, s.incObj) {
+		if !better(obj, s.incObj) {
 			return // the candidate itself closed this subtree
 		}
 	}
@@ -689,23 +647,23 @@ func (s *search) finish() *Solution {
 		// popped bound, widened by any surviving open nodes.
 		b := s.bestBound
 		if s.h.Len() > 0 {
-			b = s.pickBound(b, s.h.nodes[0].bound)
+			b = math.Max(b, s.h.nodes[0].bound)
 		}
 		if s.incumbent != nil {
-			b = s.pickBound(b, s.incObj)
+			b = math.Max(b, s.incObj)
 		}
 		s.bestBound = b
 	} else if s.h.Len() == 0 && !s.abandoned {
 		// Exhausted the tree: the incumbent is exactly optimal.
 		s.bestBound = s.incObj
 	} else if s.h.Len() > 0 {
-		s.bestBound = s.pickBound(s.h.nodes[0].bound, s.incObj)
+		s.bestBound = math.Max(s.h.nodes[0].bound, s.incObj)
 	}
 	if s.abandoned {
 		// An abandoned subtree is as unexplored as an open one, and in
 		// best-bound order it was popped before everything still open, so its
-		// bound is the weaker. (Without an incumbent incObj is the identity.)
-		s.bestBound = s.pickBound(s.pickBound(s.bestBound, s.abandonedBound), s.incObj)
+		// bound is the weaker. (Without an incumbent incObj is −Inf.)
+		s.bestBound = math.Max(math.Max(s.bestBound, s.abandonedBound), s.incObj)
 	}
 	// Proof of optimality or infeasibility needs every subtree closed.
 	closed := s.h.Len() == 0 && !s.abandoned

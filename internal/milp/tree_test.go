@@ -22,14 +22,14 @@ import (
 func residentModel(arrivals int) *Model {
 	const horizon, dur = 10, 3
 	widths := []float64{2, 3, 5, 7, 2, 3, 5, 7, 2}
-	m := NewModel(Maximize)
+	m := &Model{}
 	supply := make([][]Term, horizon)
 	job := func(width float64, options, dur int, value float64) {
 		// Starting now is culled (the block is still busy): options run from
 		// slice 1.
 		var choose []Term
 		for s := 1; s <= options; s++ {
-			opt := m.AddBinary(value - float64(s))
+			opt := m.AddVar(Binary, 0, 1, value-float64(s))
 			choose = append(choose, Term{opt, 1})
 			for t := s; t < s+dur && t < horizon; t++ {
 				supply[t] = append(supply[t], Term{opt, width})

@@ -9,16 +9,19 @@ import (
 // randomBoxLP builds a random all-continuous LP with finite bounds: the shape
 // of a branch-and-bound node relaxation. Roughly a third of the instances
 // come out infeasible, which the warm path must also classify correctly.
+// Half are minimizations and a third of the rows ≥ rows, written as the
+// maximization of the negated objective and the ≤ row with both sides negated.
 func randomBoxLP(r *rand.Rand) *Model {
-	m := NewModel(Minimize)
+	m := &Model{}
+	sign := -1.0
 	if r.Intn(2) == 0 {
-		m.Sense = Maximize
+		sign = 1
 	}
 	nv := 3 + r.Intn(10)
 	for j := 0; j < nv; j++ {
 		lb := -5 + r.Float64()*5
 		ub := lb + r.Float64()*8
-		m.AddVar(Continuous, lb, ub, math.Round((r.Float64()*10-5)*4)/4)
+		m.AddVar(Continuous, lb, ub, sign*math.Round((r.Float64()*10-5)*4)/4)
 	}
 	nc := 1 + r.Intn(8)
 	for i := 0; i < nc; i++ {
@@ -31,8 +34,7 @@ func randomBoxLP(r *rand.Rand) *Model {
 		if len(terms) == 0 {
 			terms = append(terms, Term{Var: VarID(r.Intn(nv)), Coef: 1})
 		}
-		op := Op(r.Intn(3))
-		m.AddConstraint(terms, op, math.Round((r.Float64()*20-10)*2)/2)
+		addRow(m, terms, r.Intn(3), math.Round((r.Float64()*20-10)*2)/2)
 	}
 	return m
 }

@@ -32,11 +32,11 @@ func leanModel(t *testing.T, name string, m *milp.Model) {
 	var earlier []*milp.Constraint      // the LE rows so far
 	for i := range m.Cons {
 		con := &m.Cons[i]
-		if len(con.Terms) == 1 && con.Terms[0].Coef > 0 && con.Op != milp.GE && con.RHS == 0 {
+		if len(con.Terms) == 1 && con.Terms[0].Coef > 0 && con.RHS == 0 {
 			t.Errorf("%s: row c%d pins x%d at 0", name, i, con.Terms[0].Var)
 		}
 		for _, tm := range con.Terms {
-			capped[tm.Var] = capped[tm.Var] || con.Op == milp.EQ || (tm.Coef > 0) == (con.Op == milp.LE)
+			capped[tm.Var] = capped[tm.Var] || con.Op == milp.EQ || tm.Coef > 0
 		}
 		if con.Op != milp.LE {
 			continue
@@ -129,7 +129,7 @@ func TestLeanLowering(t *testing.T) {
 // HET traffic as one model, its natural components and the four-class cut the
 // sharded scheduler makes, and resident blocks of deferring gangs — none of the
 // reduced model's rows is a copy: each is a compiled row's own term array,
-// because the compiler emits no GE row and no zero coefficient.
+// because the compiler emits no zero coefficient.
 func TestPresolveRowsAreCompiledRows(t *testing.T) {
 	check := func(name string, m *milp.Model) {
 		t.Helper()
