@@ -43,12 +43,12 @@ race:
 # drift (burstable-VM throttling) doesn't masquerade as a regression.
 #
 # The per-layer benchmarks (generate, compile, decompose, fingerprint,
-# partition, presolve, root LP on one fixed captured GS HET batch; tree search
+# partition, root LP on one fixed captured GS HET batch; tree search
 # and cut separation on one resident block, in internal/milp because
 # separation has no public entry) are the ones to read for memory: their B/op
 # and allocs/op repeat exactly, and bench-compare prints both deltas.
 BENCHTIME ?= 1s
-BENCHES = BenchmarkBatchedSolve|BenchmarkSchedulerCycle|BenchmarkShardedCycle|BenchmarkCycleFrontEnd|BenchmarkLoadgen|BenchmarkGenerate|BenchmarkCompileBatch|BenchmarkDecompose|BenchmarkFingerprint|BenchmarkPartition|BenchmarkPresolve|BenchmarkRootLP|BenchmarkTreeSearch|BenchmarkSeparateCuts
+BENCHES = BenchmarkBatchedSolve|BenchmarkSchedulerCycle|BenchmarkShardedCycle|BenchmarkCycleFrontEnd|BenchmarkLoadgen|BenchmarkGenerate|BenchmarkCompileBatch|BenchmarkDecompose|BenchmarkFingerprint|BenchmarkPartition|BenchmarkRootLP|BenchmarkTreeSearch|BenchmarkSeparateCuts
 BENCHPKGS = . ./internal/milp
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCHES)' -benchmem -count=6 -benchtime=$(BENCHTIME) $(BENCHPKGS) \
@@ -115,7 +115,10 @@ alloc-ceiling:
 # brute force. FuzzClassTableMatchesUncached drives a cached scheduler and a
 # DisableCompileCache twin through arrivals, finishes, failures, drops and
 # idle nodes withheld from the free set on a small cluster and compares their
-# decisions every cycle.
+# decisions every cycle. FuzzWithheldNodesFreeTheQueue withholds a fuzzed set
+# of nodes from cycles with no arrival and no completion: while a pending job
+# could start now on the offered nodes, some job must launch within horizon + 2
+# cycles.
 # FuzzParseRoundTrip feeds strl.Parse arbitrary text: whatever it accepts must
 # print to text that parses again and prints identically. FuzzPlanMatchesMapCalendar
 # drives rayon's dense calendar and the map one it replaced through the same
@@ -130,23 +133,16 @@ alloc-ceiling:
 # FuzzSubmitCycle posts an arbitrary batch from one tenant to a daemon over a
 # real core.Scheduler on a small racked cluster and runs one /v1/cycle: the
 # submit answers 202 or 4xx, the cycle 200, and every decision launches an
-# admitted job on distinct free nodes at one of its widths. FuzzPresolve
-# presolves small integer models (≥ rows written as negated ≤ rows, zero
-# coefficients, fixed columns, objectives of either sign, choice rows with and
-# without an indicator): the
-# input stays bit for bit as it was though the reduced model may share its
-# term arrays, presolve calls a model infeasible only when brute force finds
-# no point, and the reduced optimum is feasible in the input and worth the
-# brute-force one. FuzzLUMatchesDense drives the LU basis engine, threshold
+# admitted job on distinct free nodes at one of its widths. FuzzLUMatchesDense drives the LU basis engine, threshold
 # and strict, through chains of eta updates and refactorizations on the
 # standard form of small decoded models, against the dense reference inverse:
 # FTRAN and BTRAN agree within 1e-7 of their scale after every step.
 # Wired into CI.
 fuzz-smoke:
 	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzSolveEachMatchesSolve$$' -fuzztime 15s
-	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzPresolve$$' -fuzztime 15s
 	$(GO) test ./internal/milp -run '^$$' -fuzz '^FuzzLUMatchesDense$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzClassTableMatchesUncached$$' -fuzztime 15s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzWithheldNodesFreeTheQueue$$' -fuzztime 15s
 	$(GO) test ./internal/strl -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 15s
 	$(GO) test ./internal/rayon -run '^$$' -fuzz '^FuzzPlanMatchesMapCalendar$$' -fuzztime 15s
 	$(GO) test ./internal/rayon -run '^$$' -fuzz '^FuzzParseRDL$$' -fuzztime 15s
@@ -199,7 +195,7 @@ repeat-check:
 # 1-3, the 22 TSVs of `experiments -quick -all -tsv` (Figs 6-11, no
 # wall-clock column), repeat-check's counts line, and the SLO line and solver
 # counters of an RC80 GS HET run at the default budget: the one pinned run
-# whose solves branch (about 15 000 nodes, some of them cut off by the work
+# whose solves branch (about 14 000 nodes, some of them cut off by the work
 # budget), so it pins the tree search. All of them are exact on
 # any machine, so a change that claims not to move a schedule leaves the file
 # as it is; one that moves a schedule regenerates it with
@@ -225,7 +221,7 @@ same-schedules-run: repeat-check
 		grep -E '^(bb_nodes|lp_iterations|unproven)=' $(REPEATDIR)/alone.key | paste -sd ' ' -; \
 		echo "# tetrisim $(SAME_TREE_FLAGS): SLO and BE line, solver counters"; \
 		grep -E 'SLO\(all\)' $(SAMEDIR)/tree.log; \
-		grep -oE '(bb_nodes|lp_iterations|lp_factorizations|cut_rounds|presolve_rows_dropped|unproven)=[0-9]+' $(SAMEDIR)/tree.log | paste -sd ' ' -; \
+		grep -oE '(bb_nodes|lp_iterations|lp_factorizations|cut_rounds|unproven)=[0-9]+' $(SAMEDIR)/tree.log | paste -sd ' ' -; \
 		for f in $$(cd $(SAMEDIR)/tsv && LC_ALL=C ls); do \
 			echo "# experiments -quick -all -tsv: $$f"; cat $(SAMEDIR)/tsv/$$f; \
 		done; \

@@ -647,49 +647,30 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
-func BenchmarkPresolve(b *testing.B) {
-	exprs, opts := gshetBatch(b, 60, 2)
-	comp, err := compiler.Compile(exprs, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pre := milp.Presolve(comp.Model); pre.Infeasible {
-			b.Fatal("infeasible")
-		}
-	}
-}
-
-// BenchmarkRootLP is the solve of the reduced model cut off after its root
-// relaxation: LP build, cold primal solve, rounding. The model is presolved
-// once outside the loop; no cuts, no tree (MaxNodes 1), and a heuristic that
-// proposes nothing stands in for the compiler's rounding.
+// BenchmarkRootLP is the solve of the compiled model cut off after its root
+// relaxation: LP build, cold primal solve, rounding. No cuts, no tree
+// (MaxNodes 1), and a heuristic that proposes nothing stands in for the
+// compiler's rounding.
 func BenchmarkRootLP(b *testing.B) {
 	exprs, opts := gshetBatch(b, 60, 2)
 	comp, err := compiler.Compile(exprs, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pre := milp.Presolve(comp.Model)
-	if pre.Infeasible {
-		b.Fatal("infeasible")
-	}
 	mopts := milp.Options{
-		MaxNodes: 1, DisablePresolve: true, DisableCuts: true,
+		MaxNodes: 1, DisableCuts: true,
 		Heuristic: func([]float64) []float64 { return nil },
 	}
 	var ws milp.Workspace
 	for i := 0; i < 2; i++ { // grow the slabs to fit, outside the measurement
-		if _, err := ws.Solve(pre.Model, mopts); err != nil {
+		if _, err := ws.Solve(comp.Model, mopts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := ws.Solve(pre.Model, mopts)
+		sol, err := ws.Solve(comp.Model, mopts)
 		if err != nil || sol.LP.ColdStarts != 1 {
 			b.Fatalf("root solve: %v %+v", err, sol)
 		}

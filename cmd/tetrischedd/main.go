@@ -65,7 +65,6 @@ func main() {
 		noHet     = flag.Bool("no-het", false, "TetriSched-NH (no soft constraints)")
 		limit     = flag.Duration("solver-limit", 300*time.Millisecond, "per-solve MILP work budget, in seconds of a reference machine's LP work (a count, not a clock)")
 		gap       = flag.Float64("gap", 0.1, "relative MIP gap")
-		noPresolv = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
 		noFECache = flag.Bool("no-compile-cache", false, "disable the cross-cycle caches: expressions, compiled classes, replayed sub-solutions (bisection switch)")
 		shards    = flag.Int("shards", 0, "sharded control plane: concurrent per-shard planners with optimistic commit (0 = monolithic)")
 		traceRing = flag.Int("trace-ring", 16384, "trace ring size in events served by /v1/trace (0 disables tracing)")
@@ -94,7 +93,6 @@ func main() {
 		NoHet:               *noHet,
 		SolverTimeLimit:     *limit,
 		Gap:                 *gap,
-		DisablePresolve:     *noPresolv,
 		DisableCompileCache: *noFECache,
 		Shards:              *shards,
 		Tracer:              tr,

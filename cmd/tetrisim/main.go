@@ -41,7 +41,6 @@ func main() {
 		slackMin    = flag.Float64("slack-min", 0, "deadline slack lower bound (×runtime; 0 = mix default)")
 		slackMax    = flag.Float64("slack-max", 0, "deadline slack upper bound (×runtime; 0 = mix default)")
 		limit       = flag.Duration("solver-limit", 300*time.Millisecond, "MILP work budget per solve, in seconds of a reference machine's LP work (a count, so runs repeat on any machine)")
-		noPresolve  = flag.Bool("no-presolve", false, "disable MILP presolve/model reduction (bisection switch)")
 		noCompCache = flag.Bool("no-compile-cache", false, "disable the cross-cycle caches: expressions, compiled classes, replayed sub-solutions (bisection switch)")
 		shards      = flag.Int("shards", 0, "sharded control plane: concurrent per-shard planners with optimistic commit (0 = monolithic)")
 		verbose     = flag.Bool("v", false, "print solver telemetry and per-job outcomes")
@@ -129,7 +128,7 @@ func main() {
 	var sched sim.Scheduler
 	base := core.Config{CyclePeriod: *cycle, PlanAhead: *planAhead,
 		SolverTimeLimit: *limit, Tracer: tracer,
-		DisablePresolve: *noPresolve, DisableCompileCache: *noCompCache, Shards: *shards}
+		DisableCompileCache: *noCompCache, Shards: *shards}
 	switch strings.ToLower(*schedName) {
 	case "tetrisched", "full":
 		sched = core.New(c, base)

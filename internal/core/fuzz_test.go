@@ -8,6 +8,7 @@ import (
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/sim"
+	"tetrisched/internal/strlgen"
 	"tetrisched/internal/trace"
 	"tetrisched/internal/workload"
 )
@@ -222,4 +223,71 @@ func fuzzOutcome(res sim.CycleResult) string {
 		out = append(out, fmt.Sprintf("drop %d", j.ID))
 	}
 	return fmt.Sprint(out)
+}
+
+// FuzzWithheldNodesFreeTheQueue: a liveness rule for nodes the caller
+// withholds. The fuzzer's bytes choose a plan-ahead window of 2–8 slices, a set
+// of nodes the cycles never offer though no known job runs there, and up to
+// six jobs, submitted before the first cycle, of any type, class and width up
+// to the whole 12-node cluster. Then cycles run with no arrival and no
+// completion, at gap 0, for as long as some pending job has a start-now
+// option (strlgen's request, as the scheduler generates it) that fits in the
+// offered nodes, which stay offered and idle until something launches. Some
+// job must launch within horizon + 2 cycles, on offered nodes: a withheld
+// node's release slice doubles each cycle until it lies past the window, so a
+// job that waits for it cannot hold the queue back for longer. The seed is
+// TestWithheldNodesFreeTheQueue's scenario: a 12-wide reserved SLO job with a
+// far deadline ahead of two 4-wide best-effort jobs of two slices, with two
+// nodes withheld.
+func FuzzWithheldNodesFreeTheQueue(f *testing.F) {
+	f.Add([]byte{2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 2,
+		0, 2, 1, 0, 1, 11, 1, 0, 12, // the SLO job
+		0, 0, 1, 0, 0, 0, 4, // a best-effort job
+		0, 0, 1, 0, 0, 0, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		gk, gv := cluster.GPUAttr()
+		c := cluster.NewBuilder().AddRack("r0", 4, map[string]string{gk: gv}).AddRack("r1", 4, nil).AddRack("r2", 4, nil).Build()
+		horizon := int64(2 + in.next(7))
+		sched := New(c, Config{CyclePeriod: 4, PlanAhead: 4 * horizon, Gap: 0})
+		gen := strlgen.New(c, strlgen.Default(4, 4*horizon))
+		free := c.All()
+		for n := 0; n < c.N(); n++ {
+			if in.next(4) == 0 {
+				free.Remove(n)
+			}
+		}
+		var pending []*workload.Job
+		for id, last := 0, in.next(6); id <= last; id++ {
+			j, _ := fuzzJob(&in, id, 0, c.N())
+			j.K = max(j.K, in.next(c.N()+1))
+			pending = append(pending, j)
+			sched.Submit(0, j)
+		}
+		startsNow := func(now int64, j *workload.Job) bool {
+			req := gen.Generate(now, j)
+			return req != nil && slices.ContainsFunc(req.Options, func(o strlgen.Option) bool {
+				return o.Leaf.Start == 0 && o.Leaf.Set.IntersectCount(free) >= o.Leaf.K
+			})
+		}
+		for cycle := int64(0); cycle < horizon+2; cycle++ {
+			now := 4 * cycle
+			if !slices.ContainsFunc(pending, func(j *workload.Job) bool { return startsNow(now, j) }) {
+				return // no start-now option fits: the rule asks nothing
+			}
+			res := sched.Cycle(now, free)
+			for _, d := range res.Decisions {
+				for _, n := range d.Nodes {
+					if !free.Contains(n) {
+						t.Fatalf("cycle %d: job %d launched on node %d, which was not offered", cycle, d.Job.ID, n)
+					}
+				}
+			}
+			if len(res.Decisions) > 0 {
+				return
+			}
+			pending = slices.DeleteFunc(pending, func(j *workload.Job) bool { return slices.Contains(res.Dropped, j) })
+		}
+		t.Fatalf("nothing launched in %d cycles on offered nodes %v, though a pending job could start now there", horizon+2, free)
+	})
 }

@@ -125,7 +125,7 @@ func TestUnprovenCounted(t *testing.T) {
 	}
 	// With the cache on, every component solved is a reuse miss.
 	st := sched.Stats
-	if got, want := [4]int64{int64(st.Unproven), int64(st.ReuseMisses), int64(st.Nodes), st.LPIters}, [4]int64{297, 541, 360, 9260}; got != want {
+	if got, want := [4]int64{int64(st.Unproven), int64(st.ReuseMisses), int64(st.Nodes), st.LPIters}, [4]int64{297, 541, 360, 9261}; got != want {
 		t.Errorf("GS HET at a 1 ms budget: unproven, sub-solves, nodes, LP iterations = %v, want %v", got, want)
 	}
 	for _, cfg := range []Config{

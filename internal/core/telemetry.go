@@ -27,10 +27,6 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 	telemetry.Row("solver", "mean_solve_millis", "", "gauge", "Mean wall-clock per MILP solve.", func(s *SolveStats) any { return s.MeanSolve() }),
 	telemetry.Row("solver", "max_solve_millis", "", "gauge", "Slowest single MILP solve.", func(s *SolveStats) any { return s.MaxSolve }),
 
-	telemetry.Row("presolve", "presolve_rows_dropped", "tetrisched_solver_presolve_rows_dropped_total", "counter", "Constraint rows eliminated by presolve.", func(s *SolveStats) any { return s.PresolveRows }),
-	telemetry.Row("presolve", "presolve_cliques_merged", "tetrisched_solver_presolve_cliques_merged_total", "counter", "Choose-at-most-one rows merged by clique domination.", func(s *SolveStats) any { return s.PresolveCliques }),
-	telemetry.Row("presolve", "presolve_millis", "tetrisched_solver_presolve_seconds_total", "counter", "Cumulative presolve wall-clock.", func(s *SolveStats) any { return s.PresolveTime }),
-
 	telemetry.Row("basis", "lp_factorizations", "tetrisched_solver_lp_factorizations_total", "counter", "Sparse LU basis factorizations.", func(s *SolveStats) any { return s.Factorizations }),
 	telemetry.Row("basis", "lp_eta_updates", "tetrisched_solver_lp_eta_updates_total", "counter", "Forrest-Tomlin eta updates applied between refactorizations.", func(s *SolveStats) any { return s.EtaUpdates }),
 	telemetry.Row("basis", "lp_unstable_factors", "tetrisched_solver_lp_unstable_factors_total", "counter", "LU factorizations rejected for element growth and repeated with strict partial pivoting.", func(s *SolveStats) any { return s.UnstableFactors }),

@@ -61,19 +61,14 @@ type Config struct {
 	// branch-and-bound. A bisection switch — results are identical either
 	// way, only slower.
 	DisableWarmStart bool
-	// DisablePresolve turns off the MILP presolve/model-reduction layer
-	// (internal/milp/presolve.go); models enter branch-and-bound exactly as
-	// compiled. A bisection switch like DisableWarmStart — placements are
-	// policy-identical either way, only slower (docs/SOLVER.md).
-	DisablePresolve bool
 	// DisableCompileCache turns off all three cross-cycle layers: the per-job
 	// STRL expression cache, the keeping of compiled coupling classes, and the
 	// replay of a kept class's sub-solutions (internal/core/classes.go). A
 	// class is kept while its request objects and the believed release slices
 	// of its nodes are the same, and fresh requests never are, so every cycle
 	// then regenerates, recompiles and solves everything. A bisection switch
-	// in the DisableWarmStart/DisablePresolve mold — placements are
-	// policy-identical either way, only slower (docs/SOLVER.md).
+	// in the DisableWarmStart mold — placements are policy-identical either
+	// way, only slower (docs/SOLVER.md).
 	DisableCompileCache bool
 	// Shards enables the sharded shared-state control plane (internal/shard,
 	// docs/SHARDING.md): the cluster is partitioned into Shards shards, each
@@ -161,11 +156,6 @@ type SolveStats struct {
 	// planning (fixedPoint); zero when the compile cache is disabled.
 	RepeatedCycles int
 
-	// Presolve telemetry (internal/milp/presolve.go), summed across solves.
-	PresolveRows    int           // constraint rows eliminated
-	PresolveCliques int           // choose-≤-1 rows merged by clique domination
-	PresolveTime    time.Duration // cumulative presolve wall-clock
-
 	// Basis-factorization telemetry (internal/milp/lu.go, basis.go).
 	Factorizations  int64 // sparse LU basis factorizations
 	EtaUpdates      int64 // Forrest–Tomlin eta updates applied between refactorizations
@@ -243,9 +233,6 @@ func (st *SolveStats) record(sol *milp.Solution, warmSeeds int, d time.Duration)
 	st.WarmLPs += sol.LP.WarmHits
 	st.ColdLPs += sol.LP.ColdStarts
 	st.WarmFallbacks += sol.LP.WarmFallbacks
-	st.PresolveRows += sol.Presolve.RowsDropped
-	st.PresolveCliques += sol.Presolve.CliquesMerged
-	st.PresolveTime += sol.Presolve.Duration
 	st.Factorizations += sol.LP.Factorizations
 	st.EtaUpdates += sol.LP.EtaUpdates
 	st.UnstableFactors += sol.LP.UnstableFactors
@@ -384,6 +371,9 @@ func New(c *cluster.Cluster, cfg Config) *Scheduler {
 
 // Name implements sim.Scheduler.
 func (s *Scheduler) Name() string { return s.cfg.Name() }
+
+// CyclePeriod is the scheduling cycle in seconds.
+func (s *Scheduler) CyclePeriod() int64 { return s.cfg.CyclePeriod }
 
 // Submit implements sim.Scheduler. The job enters the queue at its place in
 // queue order (byQueue), after every job that ties with it.
@@ -652,7 +642,6 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		// A fully replayed cycle ran no MILP at all: recording it would count
 		// a phantom solve.
 		s.Stats.record(sol, warmSeeds, elapsed)
-		s.tracePresolve(sol)
 	}
 	endSolveSpan(solveSpan, sol, err, warmSeeds > 0)
 	if err != nil || (sol != nil && sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible) {
@@ -837,7 +826,6 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 		Gap:              s.cfg.Gap,
 		TimeLimit:        s.cfg.SolverTimeLimit,
 		DisableWarmStart: s.cfg.DisableWarmStart,
-		DisablePresolve:  s.cfg.DisablePresolve,
 	}, &s.merged, s.sols)
 	if err != nil {
 		return nil, nil, warmSeeds, err
@@ -959,18 +947,6 @@ func endComponentSpan(sp trace.Span, cc *compiler.Component, sol *milp.Solution)
 	sp.End(args...)
 }
 
-// tracePresolve emits the solve.presolve span for one solve's reduction
-// work. The span nests inside the enclosing solve span by timestamp
-// containment (it ends before endSolveSpan records the parent).
-func (s *Scheduler) tracePresolve(sol *milp.Solution) {
-	if s.tr == nil || sol == nil || s.cfg.DisablePresolve {
-		return
-	}
-	s.tr.Complete("solve", "solve.presolve", sol.Presolve.Duration,
-		trace.I("rows_dropped", int64(sol.Presolve.RowsDropped)),
-		trace.I("cliques_merged", int64(sol.Presolve.CliquesMerged)))
-}
-
 // endSolveSpan closes a solve span with the solution's telemetry payload; no
 // solution and no error is a cycle that replayed every component.
 func endSolveSpan(sp trace.Span, sol *milp.Solution, err error, warmSeed bool) {
@@ -1021,7 +997,6 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			TimeLimit:        s.cfg.SolverTimeLimit,
 			Heuristic:        comp.RoundInPlace,
 			DisableWarmStart: s.cfg.DisableWarmStart,
-			DisablePresolve:  s.cfg.DisablePresolve,
 		})
 		s.solveWS.Put(ws)
 		elapsed := time.Since(t0)
@@ -1030,7 +1005,6 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		if !proven(sol) {
 			s.Stats.Unproven++
 		}
-		s.tracePresolve(sol)
 		endSolveSpan(solveSpan, sol, err, false)
 		if err != nil || sol.Values == nil {
 			continue

@@ -54,36 +54,58 @@ func TestEndToEndOverHTTP(t *testing.T) {
 
 // TestRemoteMatchesLocal: the same workload scheduled locally and through
 // the HTTP boundary must produce identical schedules (the transport is
-// policy-free).
+// policy-free). The wire carries no reservation: the daemon's Rayon plan
+// decides each SLO job's at drain, as sim.Run's does on arrival. In the GR SLO
+// row Rayon rejects some jobs, so a daemon that reserved every SLO job would
+// schedule differently.
 func TestRemoteMatchesLocal(t *testing.T) {
 	c := cluster.RC80(true)
-	mk := func() []*workload.Job {
-		jobs, err := workload.Generate(workload.GSHET(15), c, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return jobs
-	}
+	for _, tc := range []struct {
+		name     string
+		mix      workload.Mix
+		seed     int64
+		rejected int // SLO jobs Rayon rejects
+	}{
+		{"GS HET 15", workload.GSHET(15), 21, 0},
+		{"GR SLO 80", workload.GRSLO(80), 5, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() []*workload.Job {
+				jobs, err := workload.Generate(tc.mix, c, tc.seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return jobs
+			}
+			local, err := sim.Run(sim.Config{Cluster: c, Jobs: mk(), Scheduler: core.New(c, core.Config{PlanAhead: 48})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rejected := 0
+			for _, st := range local.Stats {
+				if st.Job.Class == workload.SLO && !st.Job.Reserved {
+					rejected++
+				}
+			}
+			if rejected != tc.rejected {
+				t.Fatalf("Rayon rejected %d SLO jobs, want %d", rejected, tc.rejected)
+			}
 
-	local, err := sim.Run(sim.Config{Cluster: c, Jobs: mk(), Scheduler: core.New(c, core.Config{PlanAhead: 48})})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	daemon := NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N())
-	ts := httptest.NewServer(daemon.Handler())
-	defer ts.Close()
-	remote, err := sim.Run(sim.Config{Cluster: c, Jobs: mk(), Scheduler: NewClient(ts.URL)})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range local.Stats {
-		l, r := &local.Stats[i], &remote.Stats[i]
-		if l.Start != r.Start || l.Finish != r.Finish || l.Dropped != r.Dropped {
-			t.Fatalf("job %d diverged across the HTTP boundary: local{%d,%d,%v} remote{%d,%d,%v}",
-				i, l.Start, l.Finish, l.Dropped, r.Start, r.Finish, r.Dropped)
-		}
+			daemon := NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N())
+			ts := httptest.NewServer(daemon.Handler())
+			defer ts.Close()
+			remote, err := sim.Run(sim.Config{Cluster: c, Jobs: mk(), Scheduler: NewClient(ts.URL)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range local.Stats {
+				l, r := &local.Stats[i], &remote.Stats[i]
+				if l.Start != r.Start || l.Finish != r.Finish || l.Dropped != r.Dropped {
+					t.Fatalf("job %d diverged across the HTTP boundary: local{%d,%d,%v} remote{%d,%d,%v}",
+						i, l.Start, l.Finish, l.Dropped, r.Start, r.Finish, r.Dropped)
+				}
+			}
+		})
 	}
 }
 
@@ -226,7 +248,7 @@ func TestSubmitRejectsUnpricedFields(t *testing.T) {
 func TestJobMsgRoundTrip(t *testing.T) {
 	j := &workload.Job{
 		ID: 7, Class: workload.SLO, Type: workload.MPI, Submit: 100, K: 8,
-		MinK: 2, BaseRuntime: 60, Slowdown: 1.5, Deadline: 500, EstErr: -0.2, Reserved: true,
+		MinK: 2, BaseRuntime: 60, Slowdown: 1.5, Deadline: 500, EstErr: -0.2,
 		DataNodes: []int{1, 2, 3},
 	}
 	msg := FromJob(j)
@@ -237,25 +259,32 @@ func TestJobMsgRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, j) {
 		t.Errorf("round trip: %+v vs %+v", back, j)
 	}
+	// A reservation is the daemon's to decide (handleCycle), not the wire's.
+	j.Reserved = true
+	if msg := FromJob(j); !reflect.DeepEqual(msg, FromJob(back)) {
+		t.Errorf("a reserved job's wire form %+v differs from an unreserved one's", msg)
+	}
 }
 
 // TestTenantCannotBuyValue: a tenant's wire fields cannot price its job above
-// a reserved SLO job of another tenant. On 8 nodes the SLO job (k 6, runtime 8,
-// deadline 8) must start now or never, and the BE job (k 4) cannot run beside
-// it; the BE job's tenant tries a huge priority and a submit time far in the
-// future, which would hold its decaying value up. The SLO job launches either way.
+// an SLO job of another tenant that the daemon's Rayon plan reserves. On 8
+// nodes the SLO job (k 6, runtime 8, deadline 8) must start now or never, and
+// the BE job (k 4) cannot run beside it; the BE job's tenant tries a huge
+// priority, a submit time far in the future, which would hold its decaying
+// value up, and a reservation of its own. The SLO job launches either way.
 func TestTenantCannotBuyValue(t *testing.T) {
 	for _, tc := range []struct{ name, extra string }{
 		{"plain", ``},
 		{"priority", `,"priority":1e9`},
 		{"submit", fmt.Sprintf(`,"submit":%d`, int64(math.MaxInt64/2))},
+		{"reserved", `,"reserved":true`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cluster.Racked(8, 2, 0)
 			ts := httptest.NewServer(NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N()).Handler())
 			defer ts.Close()
 			for _, job := range []string{
-				`{"id":1,"tenant":"proxy","class":"SLO","type":"Unconstrained","k":6,"base_runtime":8,"slowdown":1,"deadline":8,"reserved":true}`,
+				`{"id":1,"tenant":"proxy","class":"SLO","type":"Unconstrained","k":6,"base_runtime":8,"slowdown":1,"deadline":8}`,
 				`{"id":2,"tenant":"a","class":"BE","type":"Unconstrained","k":4,"base_runtime":8,"slowdown":1` + tc.extra + `}`,
 			} {
 				if resp := postSubmit(t, ts.URL, []byte("["+job+"]")); resp.StatusCode != http.StatusAccepted {

@@ -21,15 +21,18 @@ import (
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/core"
+	"tetrisched/internal/rayon"
 	"tetrisched/internal/sim"
 	"tetrisched/internal/telemetry"
 	"tetrisched/internal/trace"
 	"tetrisched/internal/workload"
 )
 
-// JobMsg is the wire form of a job submission. It carries no priority: a
-// job's value is the scheduler's to set, not the submitting tenant's, and its
-// submit time is capped at the cycle that drains it (handleCycle).
+// JobMsg is the wire form of a job submission. It carries no priority and no
+// reservation: a job's value is the scheduler's to set, not the submitting
+// tenant's. Its submit time is capped at the cycle that drains it, and the
+// daemon's own Rayon plan decides there whether an SLO job is reserved
+// (handleCycle).
 type JobMsg struct {
 	ID          int     `json:"id"`
 	Tenant      string  `json:"tenant,omitempty"` // the admitting tenant; empty is DefaultTenant
@@ -43,7 +46,6 @@ type JobMsg struct {
 	Deadline    int64   `json:"deadline,omitempty"`
 	EstErr      float64 `json:"est_err,omitempty"`
 	DataNodes   []int   `json:"data_nodes,omitempty"`
-	Reserved    bool    `json:"reserved"`
 }
 
 // maxRuntime bounds a job's believed runtime at full width, in seconds: a
@@ -56,7 +58,7 @@ func (m *JobMsg) ToJob(nodes int) (*workload.Job, error) {
 	j := &workload.Job{
 		ID: m.ID, Submit: m.Submit, K: m.K, MinK: m.MinK,
 		BaseRuntime: m.BaseRuntime, Slowdown: m.Slowdown,
-		Deadline: m.Deadline, EstErr: m.EstErr, Reserved: m.Reserved,
+		Deadline: m.Deadline, EstErr: m.EstErr,
 		DataNodes: m.DataNodes, Tenant: m.Tenant,
 	}
 	switch m.Class {
@@ -100,7 +102,7 @@ func FromJob(j *workload.Job) JobMsg {
 		ID: j.ID, Class: j.Class.String(), Type: j.Type.String(),
 		Submit: j.Submit, K: j.K, MinK: j.MinK,
 		BaseRuntime: j.BaseRuntime, Slowdown: j.Slowdown,
-		Deadline: j.Deadline, EstErr: j.EstErr, Reserved: j.Reserved,
+		Deadline: j.Deadline, EstErr: j.EstErr,
 		DataNodes: j.DataNodes, Tenant: j.Tenant,
 	}
 }
@@ -208,6 +210,7 @@ type Server struct {
 	snap     atomic.Pointer[snapshot] // the last published copy of live
 	jobs     map[int]*workload.Job
 	running  map[int]bool
+	plan     *rayon.Plan // Rayon's calendar: the drain admits SLO jobs to it (§2.1)
 	tracer   *trace.Tracer
 	// panics counts recovered handler panics. It is not in live: a panic can
 	// strike with s.mu in any state, so the renderers read it themselves.
@@ -222,10 +225,16 @@ type Server struct {
 	freeLists sync.Pool
 }
 
-// NewServer wraps sched; universe is the cluster size (node ID bound). The
-// admission front door starts with default limits (AdmissionConfig zero
-// value); tune it with SetAdmission before serving.
+// NewServer wraps sched; universe is the cluster size (node ID bound), and the
+// capacity of the Rayon plan, whose quantum is sched's cycle period (core's
+// default of 4 s when sched does not say). The admission front door starts
+// with default limits (AdmissionConfig zero value); tune it with SetAdmission
+// before serving.
 func NewServer(sched sim.Scheduler, universe int) *Server {
+	quantum := int64(4)
+	if p, ok := sched.(interface{ CyclePeriod() int64 }); ok {
+		quantum = p.CyclePeriod()
+	}
 	s := &Server{
 		sched:    sched,
 		universe: universe,
@@ -233,6 +242,7 @@ func NewServer(sched sim.Scheduler, universe int) *Server {
 			SolveLatency: telemetry.NewHistogram(solveLatencyBuckets)},
 		jobs:    make(map[int]*workload.Job),
 		running: make(map[int]bool),
+		plan:    rayon.NewPlan(universe, quantum),
 		adm:     newAdmission(AdmissionConfig{}),
 	}
 	s.publish()
@@ -424,8 +434,10 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			// A submit time from the future would hold a best-effort
-			// job's value up (strlgen's decay runs from Submit).
+			// job's value up (strlgen's decay runs from Submit). Rayon
+			// admits SLO jobs as they arrive, in drain order.
 			j.Submit = min(j.Submit, req.Now)
+			j.Reserved = j.Class == workload.SLO && s.plan.Admit(j.ID, j.Submit, j.Deadline, j.K, j.EstRuntime(true)) != nil
 			s.jobs[j.ID] = j
 			s.sched.Submit(j.Submit, j)
 			fresh++
@@ -478,6 +490,7 @@ func (s *Server) handleCompletion(w http.ResponseWriter, r *http.Request) {
 	}
 	delete(s.jobs, msg.JobID)
 	delete(s.running, msg.JobID)
+	s.plan.Release(s.plan.Lookup(msg.JobID), msg.Now)
 	s.sched.JobFinished(msg.Now, job)
 	s.publish()
 	w.WriteHeader(http.StatusNoContent)

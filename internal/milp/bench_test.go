@@ -9,7 +9,7 @@ import "testing"
 // the root suite; read B/op and allocs/op, which repeat exactly.
 
 // BenchmarkTreeSearch is a whole solve of the block on a warm workspace with
-// one worker: presolve, root, one cut round, then the tree, which is
+// one worker: root, one cut round, then the tree, which is
 // nearly all of it. nodes/op makes a changed tree visible next to a changed
 // time: it read 128 while a search without a heuristic also ran an LP dive at
 // every 64th node, and reads 1 229 without it.
@@ -36,14 +36,10 @@ func BenchmarkTreeSearch(b *testing.B) {
 }
 
 // BenchmarkSeparateCuts is one separation round — both families, the sort,
-// the cap, the rows of the cuts kept — at the root point of the presolved
-// block, which is where the solver runs it.
+// the cap, the rows of the cuts kept — at the root point of the block, which
+// is where the solver runs it.
 func BenchmarkSeparateCuts(b *testing.B) {
-	pre := Presolve(residentModel(2))
-	if pre.Infeasible {
-		b.Fatal("infeasible")
-	}
-	m := pre.Model
+	m := residentModel(2)
 	p := newLP(m)
 	st, x, err := solveLP(p, p.lb, p.ub, 0)
 	if err != nil || st != lpOptimal {

@@ -16,8 +16,7 @@ import (
 //   - cover cuts: for a knapsack row Σ a_j·x_j ≤ b over binaries with a_j > 0,
 //     any subset C with Σ_{C} a_j > b admits Σ_{C} x_j ≤ |C|−1;
 //   - clique cuts: merging the pairwise conflicts implied by the model's
-//     set-packing rows (the same literal encoding presolve's clique
-//     domination uses) can yield a clique spanning several rows, giving
+//     set-packing rows can yield a clique spanning several rows, giving
 //     Σ pos x_j − Σ neg x_j ≤ 1 − |neg| — strictly stronger than any one row.
 //
 // Both families are valid for every integer-feasible point, never merely for
@@ -52,8 +51,8 @@ const (
 	// cutViolationTol is the minimum LP violation worth cutting; anything
 	// smaller is noise against feasTol and will not move the relaxation.
 	cutViolationTol = 1e-4
-	// maxCutRows caps the rows scanned per family, like presolve's
-	// maxCliqueRows; compiled models stay far below it.
+	// maxCutRows caps the rows scanned per family; compiled models stay far
+	// below it.
 	maxCutRows = 4096
 )
 
@@ -77,8 +76,7 @@ type cutLits struct {
 }
 
 // litRow is one set-packing row in flat literal storage: the row's index and
-// the [lo, hi) extent of its literals. Presolve's clique domination and
-// clique separation both work on this shape.
+// the [lo, hi) extent of its literals, the shape clique separation works on.
 type litRow struct {
 	ri, lo, hi int
 }
@@ -112,8 +110,7 @@ func isBinaryVar(m *Model, v int) bool {
 }
 
 // appendPackingLits appends the literals of a set-packing row
-// Σ pos − Σ neg ≤ 1 − |neg| over binaries, the same shape presolve's
-// mergeCliques recognizes: literal 2v is "x_v = 1", literal 2v+1 is the
+// Σ pos − Σ neg ≤ 1 − |neg| over binaries: literal 2v is "x_v = 1", literal 2v+1 is the
 // complement "x_v = 0". It reports false, with lits as it was, when the row is
 // not a packing row.
 func appendPackingLits(lits []int, m *Model, con *Constraint) ([]int, bool) {
@@ -207,13 +204,23 @@ func (c *cutScratch) claim(t candTable, key []int) bool {
 	}
 }
 
+// mix64 folds v into the hash h (a splitmix64-style finalization).
+func mix64(h, v uint64) uint64 {
+	v += h
+	v ^= v >> 30
+	v *= 0xbf58476d1ce4e5b9
+	v ^= v >> 27
+	v *= 0x94d049bb133111eb
+	v ^= v >> 31
+	return v
+}
+
 // separateCliqueCuts merges the conflict edges of the model's set-packing
 // rows and greedily grows cliques around the most fractional literals. A
 // clique contained in a single existing row separates nothing (the LP already
 // satisfies that row), so only cliques whose literal set extends every
-// originating row can be violated — exactly the cross-row strengthening
-// presolve's domination pass cannot do, because no single stronger row exists
-// in the model.
+// originating row can be violated — the cross-row strengthening no single
+// row of the model states.
 //
 // Two literals conflict when some packing row holds both; "conflicts with
 // every clique member" is a count per literal of the members that have

@@ -278,9 +278,7 @@ func rootPoint(t *testing.T, m *Model) []float64 {
 }
 
 // separationCases are the models the two families are compared on: root
-// points of packing models, of resident blocks, and of the tie model — and,
-// where presolve drops a row, the presolved one too (the solver separates on
-// that).
+// points of packing models, of resident blocks, and of the tie model.
 func separationCases(t *testing.T) map[string]*Model {
 	t.Helper()
 	cases := map[string]*Model{"ties": cliqueTieModel()}
@@ -289,11 +287,6 @@ func separationCases(t *testing.T) map[string]*Model {
 	}
 	for arrivals := 0; arrivals <= 3; arrivals++ {
 		cases["resident"+string(rune('0'+arrivals))] = residentModel(arrivals)
-	}
-	for name, m := range cases {
-		if pre := Presolve(m); !pre.Infeasible && pre.Model != m {
-			cases[name+"/presolved"] = pre.Model
-		}
 	}
 	return cases
 }

@@ -31,7 +31,7 @@ type Part struct {
 	// Reuse, if non-nil, is a previously computed solution for this part's
 	// model (same variable space, proven under identical inputs — the
 	// caller's fingerprint is the witness); SolveParts adopts it verbatim
-	// instead of solving. It contributes no node/LP/presolve/runtime telemetry
+	// instead of solving. It contributes no node/LP/runtime telemetry
 	// to the merge — only its Values, Objective, Bound, and Status.
 	Reuse *Solution
 	// Out, if non-nil, is where the part's solve writes its Solution instead
@@ -210,7 +210,6 @@ func mergeParts(parts []Part, sols []*Solution, fullVars int, merged *Solution) 
 			// effort back in would double-count it every cycle they survive.
 			merged.Nodes += sol.Nodes
 			merged.LP.add(&sol.LP)
-			merged.Presolve.add(&sol.Presolve)
 			merged.Cuts.add(&sol.Cuts)
 			merged.Branch.add(&sol.Branch)
 			merged.Runtime += sol.Runtime

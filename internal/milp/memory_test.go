@@ -113,10 +113,9 @@ func TestAddConstraintBadVarID(t *testing.T) {
 }
 
 // TestSolveValidatesOnce pins that validation happens at Solve's door and
-// not again on the model the presolver assembles: branchAndBound, which is
-// what Solve hands the reduced model to, takes a model Validate rejects
-// (crossed bounds) without complaint, where Solve answers with Validate's
-// error.
+// not again in the search: branchAndBound, which is what Solve hands the
+// model to, takes a model Validate rejects (crossed bounds) without
+// complaint, where Solve answers with Validate's error.
 func TestSolveValidatesOnce(t *testing.T) {
 	m := &Model{}
 	m.AddVar(Continuous, 2, 1, 1)
@@ -227,7 +226,6 @@ func TestModelReset(t *testing.T) {
 func TestWorkspaceSolveMatchesFresh(t *testing.T) {
 	for _, opts := range []Options{
 		{},
-		{DisablePresolve: true},
 		{Gap: 0.1, DisableWarmStart: true},
 	} {
 		var ws Workspace
@@ -242,7 +240,6 @@ func TestWorkspaceSolveMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			want.Runtime, got.Runtime = 0, 0
-			want.Presolve.Duration, got.Presolve.Duration = 0, 0
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("opts %+v seed %d: workspace solve\n%+v\nfresh solve\n%+v", opts, seed, got, want)
 			}
@@ -251,9 +248,8 @@ func TestWorkspaceSolveMatchesFresh(t *testing.T) {
 }
 
 // TestWorkspaceAliasing solves A, then B on the same workspace, and requires
-// everything A's caller holds — the solution's values and bound, and a
-// Presolved's reduced model and its solution — to be untouched: no result may
-// alias a slab.
+// everything A's caller holds — the solution's values and bound — to be
+// untouched: no result may alias a slab.
 // The resident pair branches: A's incumbent is found deep in a tree whose
 // nodes, snapshots and heap are all rewound and overwritten by B's.
 func TestWorkspaceAliasing(t *testing.T) {
@@ -264,61 +260,36 @@ func TestWorkspaceAliasing(t *testing.T) {
 		{packingModel(1, 14), packingModel(2, 25), 0},
 		{residentModel(2), residentModel(1), 0.1},
 	} {
-		for _, opts := range []Options{{}, {DisablePresolve: true}} {
-			opts.Gap = pair.gap
-			var ws Workspace
-			a, b := pair.a, pair.b
-			solA, err := ws.Solve(a, opts)
-			if err != nil || solA.Values == nil {
-				t.Fatalf("solve A: %v %+v", err, solA)
-			}
-			if a.NumVars() > 100 && solA.Nodes < 100 {
-				t.Fatalf("the resident block solved in %d nodes; the case is meant to branch", solA.Nodes)
-			}
-			keep := *solA
-			keep.Values = append([]float64(nil), solA.Values...)
-			for i := 0; i < 3; i++ { // B several times: the slabs are warm and in use
-				if _, err := ws.Solve(b, opts); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !reflect.DeepEqual(*solA, keep) {
-				t.Fatalf("opts %+v: solving B on the workspace changed A's solution", opts)
-			}
-			if !a.IsFeasible(solA.Values, 1e-6) {
-				t.Fatalf("opts %+v: A's values are no longer a feasible point of A", opts)
+		opts := Options{Gap: pair.gap}
+		var ws Workspace
+		a, b := pair.a, pair.b
+		solA, err := ws.Solve(a, opts)
+		if err != nil || solA.Values == nil {
+			t.Fatalf("solve A: %v %+v", err, solA)
+		}
+		if a.NumVars() > 100 && solA.Nodes < 100 {
+			t.Fatalf("the resident block solved in %d nodes; the case is meant to branch", solA.Nodes)
+		}
+		keep := *solA
+		keep.Values = append([]float64(nil), solA.Values...)
+		for i := 0; i < 3; i++ { // B several times: the slabs are warm and in use
+			if _, err := ws.Solve(b, opts); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
-	// The public Presolve hands out a result its caller owns outright. A
-	// duplicate of the first choice row gives it a row to drop.
-	a := packingModel(3, 18)
-	a.AddConstraint(slices.Clone(a.Cons[0].Terms), LE, 1)
-	pre := Presolve(a)
-	if pre.Infeasible || pre.Model == a {
-		t.Fatal("the model does not reduce; the test exercises nothing")
-	}
-	red, err := Solve(pre.Model, Options{DisablePresolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, text := append([]float64(nil), red.Values...), pre.Model.String()
-	var ws Workspace
-	for i := 0; i < 3; i++ {
-		if _, err := ws.Solve(packingModel(4, 30), Options{}); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(*solA, keep) {
+			t.Fatalf("gap %v: solving B on the workspace changed A's solution", pair.gap)
 		}
-	}
-	if !reflect.DeepEqual(red.Values, before) || pre.Model.String() != text {
-		t.Fatal("a later solve changed what Presolve returned or its solution")
+		if !a.IsFeasible(solA.Values, 1e-6) {
+			t.Fatalf("gap %v: A's values are no longer a feasible point of A", pair.gap)
+		}
 	}
 }
 
 // TestWorkspaceSolveAllocs budgets a warm-workspace solve. A root-integral
 // model (the paper's traffic almost never branches) may allocate only what
-// the caller keeps: the Solution and its Values. The presolve result, the
-// reduced model, the LP and the search's answer are the workspace's since PR
-// 25 (the budget was 24 before). The model's size must not show: on fresh
+// the caller keeps: the Solution and its Values. The LP and the search's
+// answer are the workspace's. The model's size must not show: on fresh
 // memory the same solve makes about 90 allocations.
 func TestWorkspaceSolveAllocs(t *testing.T) {
 	m := &Model{}
@@ -406,71 +377,69 @@ func TestWorkspaceListSolveParts(t *testing.T) {
 // Solution is the result's header, and Values with room is the Values' memory;
 // Values too small or absent are replaced by a fresh allocation, and a part
 // with no Out gets a fresh Solution. The results are those of a solve on fresh
-// memory either way, with and without presolve, and memory comes back for the
-// next round only with the solution it held dropped. A Reuse part's Out is left
-// as it was.
+// memory either way, and memory comes back for the next round only with the
+// solution it held dropped. A Reuse part's Out is left as it was.
 func TestSolveEachCallerValues(t *testing.T) {
 	models := []*Model{packingModel(1, 14), packingModel(2, 25), residentModel(0), packingModel(3, 18), packingModel(4, 30)}
 	same := func(got, want *Solution) bool {
 		return got != nil && reflect.DeepEqual(got.Values, want.Values) && got.Objective == want.Objective &&
 			got.Bound == want.Bound && got.Status == want.Status && got.Nodes == want.Nodes
 	}
-	for _, opts := range []Options{{Gap: 0.1}, {Gap: 0.1, DisablePresolve: true}} {
-		want := make([]*Solution, len(models))
+	opts := Options{Gap: 0.1}
+	want := make([]*Solution, len(models))
+	for i, m := range models {
+		sol, err := Solve(m, opts)
+		if err != nil || sol.Values == nil {
+			t.Fatalf("model %d: %v %+v", i, err, sol)
+		}
+		want[i] = sol
+	}
+	var list WorkspaceList
+	outs := make([]*Solution, len(models))
+	for round := 0; round < 5; round++ {
+		parts := make([]Part, len(models))
+		lent := make([][]float64, len(models))
 		for i, m := range models {
-			sol, err := Solve(m, opts)
-			if err != nil || sol.Values == nil {
-				t.Fatalf("model %d: %v %+v", i, err, sol)
-			}
-			want[i] = sol
-		}
-		var list WorkspaceList
-		outs := make([]*Solution, len(models))
-		for round := 0; round < 5; round++ {
-			parts := make([]Part, len(models))
-			lent := make([][]float64, len(models))
-			for i, m := range models {
-				parts[i] = Part{Model: m, Out: outs[i]}
-				if outs[i] != nil {
-					lent[i] = outs[i].Values
-				}
-			}
-			_, sols, err := list.SolveEach(parts, opts, new(Solution), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, sol := range sols {
-				if !same(sol, want[i]) {
-					t.Fatalf("opts %+v round %d part %d: %+v differs from a solve on fresh memory %+v", opts, round, i, sol, want[i])
-				}
-				if outs[i] != nil && sol != outs[i] {
-					t.Errorf("opts %+v round %d part %d: the Solution is not the one lent", opts, round, i)
-				}
-				if fits := cap(lent[i]) >= len(sol.Values); fits != (cap(lent[i]) > 0 && &sol.Values[0] == &lent[i][:1][0]) {
-					t.Errorf("opts %+v round %d part %d: lent %d floats for %d values, in the lent memory: %v", opts, round, i, cap(lent[i]), len(sol.Values), !fits)
-				}
-				switch (round + i) % 4 {
-				case 0:
-					outs[i] = sol // the usual case: the same memory next round
-				case 1:
-					outs[i] = &Solution{Values: make([]float64, len(sol.Values)/2)} // too small
-				case 2:
-					outs[i] = new(Solution)
-				default:
-					outs[i] = nil
-				}
+			parts[i] = Part{Model: m, Out: outs[i]}
+			if outs[i] != nil {
+				lent[i] = outs[i].Values
 			}
 		}
-		// A Reuse part is adopted as given and its Out is not written.
-		out := &Solution{Values: []float64{7}}
-		parts := []Part{{Model: models[0], Reuse: want[0], Out: out}, {Model: models[1]}}
 		_, sols, err := list.SolveEach(parts, opts, new(Solution), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sols[0] != want[0] || !reflect.DeepEqual(*out, Solution{Values: []float64{7}}) || !same(sols[1], want[1]) {
-			t.Errorf("opts %+v: a Reuse part's Out was written, or the parts' results changed", opts)
+		for i, sol := range sols {
+			if !same(sol, want[i]) {
+				t.Fatalf("opts %+v round %d part %d: %+v differs from a solve on fresh memory %+v", opts, round, i, sol, want[i])
+			}
+			if outs[i] != nil && sol != outs[i] {
+				t.Errorf("opts %+v round %d part %d: the Solution is not the one lent", opts, round, i)
+			}
+			if fits := cap(lent[i]) >= len(sol.Values); fits != (cap(lent[i]) > 0 && &sol.Values[0] == &lent[i][:1][0]) {
+				t.Errorf("opts %+v round %d part %d: lent %d floats for %d values, in the lent memory: %v", opts, round, i, cap(lent[i]), len(sol.Values), !fits)
+			}
+			switch (round + i) % 4 {
+			case 0:
+				outs[i] = sol // the usual case: the same memory next round
+			case 1:
+				outs[i] = &Solution{Values: make([]float64, len(sol.Values)/2)} // too small
+			case 2:
+				outs[i] = new(Solution)
+			default:
+				outs[i] = nil
+			}
 		}
+	}
+	// A Reuse part is adopted as given and its Out is not written.
+	out := &Solution{Values: []float64{7}}
+	parts := []Part{{Model: models[0], Reuse: want[0], Out: out}, {Model: models[1]}}
+	_, sols, err := list.SolveEach(parts, opts, new(Solution), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sols[0] != want[0] || !reflect.DeepEqual(*out, Solution{Values: []float64{7}}) || !same(sols[1], want[1]) {
+		t.Errorf("opts %+v: a Reuse part's Out was written, or the parts' results changed", opts)
 	}
 }
 

@@ -18,20 +18,19 @@ func mustSolve(t *testing.T, m *Model, opts Options) *Solution {
 }
 
 // TestEmptyModelSolves: a model without variables — what a component of
-// jobs with nothing to offer compiles to — is solved by the empty point, with
-// or without presolve, alone and as a part: Values is empty but not nil, the
-// nil a solve returns when it has no solution.
+// jobs with nothing to offer compiles to — is solved by the empty point,
+// alone and as a part: Values is empty but not nil, the nil a solve returns
+// when it has no solution.
 func TestEmptyModelSolves(t *testing.T) {
-	for _, opts := range []Options{{}, {DisablePresolve: true}} {
-		sol := mustSolve(t, &Model{}, opts)
-		if sol.Status != StatusOptimal || sol.Values == nil || len(sol.Values) != 0 {
-			t.Errorf("presolve off %v: %v with values %#v, want optimal with the empty point", opts.DisablePresolve, sol.Status, sol.Values)
-		}
-		var list WorkspaceList
-		merged, sols, err := list.SolveEach([]Part{{Model: &Model{}}}, opts, new(Solution), nil)
-		if err != nil || merged.Status != StatusOptimal || sols[0].Values == nil {
-			t.Errorf("presolve off %v: a part without variables merges to %v (%v), values %#v", opts.DisablePresolve, merged.Status, err, sols[0].Values)
-		}
+	var opts Options
+	sol := mustSolve(t, &Model{}, opts)
+	if sol.Status != StatusOptimal || sol.Values == nil || len(sol.Values) != 0 {
+		t.Errorf("%v with values %#v, want optimal with the empty point", sol.Status, sol.Values)
+	}
+	var list WorkspaceList
+	merged, sols, err := list.SolveEach([]Part{{Model: &Model{}}}, opts, new(Solution), nil)
+	if err != nil || merged.Status != StatusOptimal || sols[0].Values == nil {
+		t.Errorf("a part without variables merges to %v (%v), values %#v", merged.Status, err, sols[0].Values)
 	}
 }
 

@@ -290,7 +290,7 @@ func TestWarmStartInfeasibleSeedRejected(t *testing.T) {
 // solved without a seed and from six 0/1 seeds (sparse random ones, mostly
 // infeasible; greedy ones that respect every ≤ row, some stopped early so
 // the root rounding beats them), under four option sets — the scheduler's gap,
-// exact, a rounding callback without presolve, and a budget that cuts the root
+// exact, a rounding callback, and a budget that cuts the root
 // off — and every solution is asked about every seed. Both bars must occur: the
 // settled one no seed beats (an integral or infeasible root) and a finite one
 // a feasible seed falls strictly below.
@@ -307,7 +307,7 @@ func TestSeedCannotChangeProperty(t *testing.T) {
 	optionSets := []Options{
 		{Gap: 0.1},
 		{},
-		{Gap: 0.1, DisablePresolve: true, Heuristic: threshold},
+		{Gap: 0.1, Heuristic: threshold},
 		{TimeLimit: time.Nanosecond},
 	}
 	settledBars, finiteBars, beaten, checks := 0, 0, 0, 0

@@ -2,12 +2,18 @@ package milp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
-// TestPresolveSingletonAndPropagation: a one-term row is a row like any other
-// to presolve, which leaves it for the LP; 2x ≤ 1 over an integer x still
-// holds x at 0, and the coupled row then gives y its 7.
+// The models of the deleted presolve pass's unit tests, kept as tests of the
+// search: each is a shape presolve once reduced (a duplicate row, a dominated
+// clique, a forced column, a row over one column, no rows at all), which the
+// search now meets as it stands. They keep their names.
+
+// TestPresolveSingletonAndPropagation: a one-term row is a row like any other;
+// 2x ≤ 1 over an integer x holds x at 0, and the coupled row then gives y its
+// 7.
 func TestPresolveSingletonAndPropagation(t *testing.T) {
 	m := &Model{}
 	x := m.AddVar(Integer, 0, 10, 1)
@@ -23,7 +29,7 @@ func TestPresolveSingletonAndPropagation(t *testing.T) {
 	}
 }
 
-// TestPresolveDedup: identical ≤-rows merge keeping the smallest RHS.
+// TestPresolveDedup: of identical ≤ rows, the tightest binds.
 func TestPresolveDedup(t *testing.T) {
 	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 1)
@@ -31,33 +37,34 @@ func TestPresolveDedup(t *testing.T) {
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 2)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 3)
-	pre := Presolve(m)
-	if pre.Infeasible {
-		t.Fatal("feasible model declared infeasible")
+	sol, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pre.Model.NumConstraints() != 1 {
-		t.Fatalf("reduced model has %d rows, want 1", pre.Model.NumConstraints())
-	}
-	if rhs := pre.Model.Cons[0].RHS; rhs != 1 {
-		t.Errorf("merged RHS = %v, want the tightest (1)", rhs)
+	if sol.Status != StatusOptimal || sol.Objective != 1 {
+		t.Errorf("status %v objective %v, want optimal 1 (the row at 1 binds)", sol.Status, sol.Objective)
 	}
 }
 
-// TestPresolveDedupEQConflict: identical =-rows with different RHS prove
-// infeasibility.
+// TestPresolveDedupEQConflict: identical = rows that ask for different
+// right-hand sides make the model infeasible, and the search proves it.
 func TestPresolveDedupEQConflict(t *testing.T) {
 	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 1)
 	y := m.AddVar(Binary, 0, 1, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 2)
-	if pre := Presolve(m); !pre.Infeasible {
-		t.Error("conflicting duplicate equalities not detected as infeasible")
+	sol, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusInfeasible {
+		t.Errorf("status %v, want infeasible", sol.Status)
 	}
 }
 
 // TestPresolveCliqueDomination: a set-packing row whose literals are a subset
-// of another packing row's is implied by it and dropped.
+// of another packing row's is implied by it; at most one of x, y, z is 1.
 func TestPresolveCliqueDomination(t *testing.T) {
 	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 1)
@@ -65,22 +72,12 @@ func TestPresolveCliqueDomination(t *testing.T) {
 	z := m.AddVar(Binary, 0, 1, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
 	m.AddConstraint([]Term{{x, 1}, {y, 1}, {z, 1}}, LE, 1)
-	pre := Presolve(m)
-	if pre.Infeasible {
-		t.Fatal("feasible model declared infeasible")
-	}
-	if pre.Stats.CliquesMerged != 1 {
-		t.Errorf("CliquesMerged = %d, want 1", pre.Stats.CliquesMerged)
-	}
-	if pre.Model.NumConstraints() != 1 {
-		t.Errorf("reduced model has %d rows, want 1", pre.Model.NumConstraints())
-	}
 	sol, err := Solve(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Objective != 1 {
-		t.Errorf("objective = %v, want 1 (at most one of x,y,z)", sol.Objective)
+	if sol.Status != StatusOptimal || sol.Objective != 1 {
+		t.Errorf("status %v objective %v, want optimal 1 (at most one of x, y, z)", sol.Status, sol.Objective)
 	}
 }
 
@@ -129,36 +126,36 @@ func TestPresolveObjConstAndLift(t *testing.T) {
 }
 
 // TestPresolveDetectsInfeasible: Solve reports −2x ≤ −3 over a binary
-// infeasible. Presolve leaves the row to the LP, and the search proves it.
+// infeasible; the search proves it.
 func TestPresolveDetectsInfeasible(t *testing.T) {
 	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 1)
 	m.AddConstraint([]Term{{x, -2}}, LE, -3)
-	for _, off := range []bool{false, true} {
-		sol, err := Solve(m, Options{DisablePresolve: off})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != StatusInfeasible {
-			t.Errorf("presolve off %v: solve status %v, want infeasible", off, sol.Status)
-		}
+	sol, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusInfeasible {
+		t.Errorf("solve status %v, want infeasible", sol.Status)
 	}
 }
 
-// TestPresolveIdentity: a model with nothing to reduce passes through
-// untouched — same *Model pointer, zero stats.
+// TestPresolveIdentity: a solve leaves its model as it was, rows, terms and
+// columns, though cut rounds grow models that share its columns and terms.
 func TestPresolveIdentity(t *testing.T) {
 	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 5)
 	y := m.AddVar(Binary, 0, 1, 4)
 	z := m.AddVar(Binary, 0, 1, 3)
 	m.AddConstraint([]Term{{x, 2}, {y, 2}, {z, 2}}, LE, 4)
-	pre := Presolve(m)
-	if pre.Model != m {
-		t.Error("identity presolve did not alias the input model")
+	m.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 1)
+	vars, cons, before := slices.Clone(m.Vars), slices.Clone(m.Cons), m.String()
+	sol, err := Solve(m, Options{})
+	if err != nil || sol.Status != StatusOptimal || sol.Objective != 8 {
+		t.Fatalf("solve: %v %+v, want optimal 8", err, sol)
 	}
-	if pre.Stats.RowsDropped != 0 {
-		t.Errorf("identity presolve reported work: %+v", pre.Stats)
+	if !slices.Equal(m.Vars, vars) || len(m.Cons) != len(cons) || m.String() != before {
+		t.Errorf("the solve changed its model:\n%s\nnow:\n%s", before, m)
 	}
 }
 
@@ -179,7 +176,7 @@ func TestPresolveInfiniteBounds(t *testing.T) {
 }
 
 // TestRowlessModelSolves: a model with no rows goes to the LP like any other,
-// presolve on or off, and the root answers it: every column with positive
+// and the root answers it: every column with positive
 // objective at its upper bound under maximize, every other one at its lower
 // bound (a zero objective may sit anywhere in its box), in one node.
 func TestRowlessModelSolves(t *testing.T) {
@@ -198,19 +195,17 @@ func TestRowlessModelSolves(t *testing.T) {
 			want += v.Obj * v.Lb
 		}
 	}
-	for _, off := range []bool{false, true} {
-		sol, err := Solve(m, Options{DisablePresolve: off})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Status != StatusOptimal || math.Abs(sol.Objective-want) > 1e-9 || math.Abs(sol.Bound-want) > 1e-9 {
-			t.Errorf("presolve off %v: status %v objective %v bound %v, want optimal %v", off, sol.Status, sol.Objective, sol.Bound, want)
-		}
-		if sol.Nodes != 1 {
-			t.Errorf("presolve off %v: %d nodes, want 1 (the root)", off, sol.Nodes)
-		}
-		if !m.IsFeasible(sol.Values, 1e-9) {
-			t.Errorf("presolve off %v: values %v outside their bounds", off, sol.Values)
-		}
+	sol, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusOptimal || math.Abs(sol.Objective-want) > 1e-9 || math.Abs(sol.Bound-want) > 1e-9 {
+		t.Errorf("status %v objective %v bound %v, want optimal %v", sol.Status, sol.Objective, sol.Bound, want)
+	}
+	if sol.Nodes != 1 {
+		t.Errorf("%d nodes, want 1 (the root)", sol.Nodes)
+	}
+	if !m.IsFeasible(sol.Values, 1e-9) {
+		t.Errorf("values %v outside their bounds", sol.Values)
 	}
 }

@@ -86,12 +86,6 @@ type Options struct {
 	// Warm restarts never change results — this switch exists for bisection
 	// and for measuring their speedup, not for correctness workarounds.
 	DisableWarmStart bool
-	// DisablePresolve skips the model-reduction pass that normally runs
-	// before branch-and-bound (see presolve.go). Presolve only drops rows that
-	// other rows imply, so it never changes the feasible set or the variable
-	// space, and this switch exists for bisection and parity testing, not for
-	// correctness workarounds.
-	DisablePresolve bool
 	// DisableCuts skips root cover/clique cut separation (see cuts.go).
 	// Cuts are valid for every integer point and never change the optimal
 	// objective — this switch exists for bisection and parity testing.
@@ -107,15 +101,21 @@ type Options struct {
 // solve from another seed would return the same Solution.
 type Solution struct {
 	Status    Status
-	Objective float64       // objective of Values (valid unless NoSolution/Infeasible)
-	Bound     float64       // best proven bound on the optimum
-	Values    []float64     // one entry per model variable
-	Nodes     int           // branch-and-bound nodes explored
-	LP        LPStats       // LP-kernel telemetry summed over all relaxations
-	Presolve  PresolveStats // model-reduction telemetry (zero when presolve is disabled)
-	Cuts      CutStats      // root cutting-plane activity (zero when cuts are disabled)
-	Branch    BranchStats   // branching-rule usage counts
+	Objective float64     // objective of Values (valid unless NoSolution/Infeasible)
+	Bound     float64     // best proven bound on the optimum
+	Values    []float64   // one entry per model variable
+	Nodes     int         // branch-and-bound nodes explored
+	LP        LPStats     // LP-kernel telemetry summed over all relaxations
+	Cuts      CutStats    // root cutting-plane activity (zero when cuts are disabled)
+	Branch    BranchStats // branching-rule usage counts
 	Runtime   time.Duration
+
+	// Presolve once reported the rows a model-reduction pass dropped before
+	// the search; the solver hands the model to the search as it stands.
+	//
+	// Deprecated: always zero. Kept because benchmark/replay.go, which is
+	// frozen, reads Presolve.RowsDropped.
+	Presolve struct{ RowsDropped int }
 
 	bar seedBar // what a later seed must beat to change this answer
 }
@@ -127,8 +127,8 @@ type Solution struct {
 // and the first feasible candidate of the root heuristics that beats that
 // incumbent leaves the state a seedless solve has: the same incumbent, in the
 // same memory, and the same slab takes. So obj is that candidate's objective;
-// +Inf when the answer was settled before the seed was read (presolve or the
-// root LP infeasible, an integral root); −Inf when no candidate came and no
+// +Inf when the answer was settled before the seed was read (the root LP
+// infeasible, an integral root); −Inf when no candidate came and no
 // seed was adopted. The zero value proves nothing: the answer may rest on the
 // seed it was solved from (a seed that survived the root heuristics, or one
 // returned because the budget cut the root off).
@@ -144,9 +144,7 @@ var settled = seedBar{obj: math.Inf(1), ok: true}
 // SeedCannotChange reports whether solving m again with seed as the warm start
 // (nil: none), and otherwise the options and model this Solution was solved
 // with, would return this Solution: seed is infeasible for m, or strictly
-// worse than the bar the solve recorded. Presolve keeps the variable space
-// and drops only rows other rows imply for integer points, so for an integral
-// seed the verdict on m is the one on the presolved model the search used.
+// worse than the bar the solve recorded.
 func (s *Solution) SeedCannotChange(m *Model, seed []float64) bool {
 	if !s.bar.ok {
 		return false
@@ -415,35 +413,27 @@ func Solve(model *Model, opts Options) (*Solution, error) {
 	return new(Workspace).solve(model, opts, new(Solution))
 }
 
+// Presolve once reduced a model before the search.
+//
+// Deprecated: it does nothing. Kept because benchmark/replay.go, which is
+// frozen, calls it.
+func Presolve(*Model) {}
+
 // solve is Solve on w's memory, written into out; the caller rewinds w
 // afterwards. The search's answer is w's, incumbent included, so the last step
 // is to copy it out: into out, whose Values' memory takes the values when it is
-// large enough (Part.Out), a fresh allocation otherwise. Presolve keeps the
-// variable space, so the answer needs no mapping.
+// large enough (Part.Out), a fresh allocation otherwise.
 func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution, error) {
 	start := time.Now()
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	pre := &w.pre
-	if opts.DisablePresolve {
-		*pre = Presolved{Model: model}
-	} else {
-		pre = w.presolve(model)
-	}
-	if pre.Infeasible {
-		*out = Solution{Status: StatusInfeasible, Presolve: pre.Stats, Runtime: time.Since(start), bar: settled}
-		return out, nil
-	}
-	// The reduced model is the presolver's own assembly of a model that just
-	// passed Validate; it is not validated again.
-	ans, err := w.branchAndBound(pre.Model, opts)
+	ans, err := w.branchAndBound(model, opts)
 	if err != nil {
 		return nil, err
 	}
 	dst := out.Values[:0]
 	*out = *ans
-	out.Presolve = pre.Stats
 	if len(ans.Values) > 0 { // else out has ans's nil, or the empty point of a model without variables
 		out.Values = append(dst, ans.Values...)
 	}

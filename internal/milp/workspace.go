@@ -4,21 +4,19 @@ import "sync"
 
 // Memory ownership (docs/SOLVER.md has the longer version).
 //
-// A solve builds a chain of views and flat copies of its model — presolver
-// rows and the reduced model (which keep the model's columns and read its own
-// term arrays except where load normalized a row), the LP's compressed
-// columns, simplex and basis-engine buffers, the pseudocost table — and a
-// tree of nodes and basis snapshots
-// that all die when Solve returns, and so do the chain's headers (the
-// Presolved, every Model and lp, the search's answer). A Workspace keeps that
-// memory between solves. It belongs to whoever calls Solve on it, serves one
-// solve at a time, and is rewound when that solve returns; nothing a Solution
-// carries points into it (the search's answer is the workspace's, and a solve
-// ends by copying it out — into Part.Out, Values in Out.Values' memory, when
-// the caller lent a Solution, into a fresh one otherwise — so callers may keep
-// Solutions for as long as they like). The package-level Solve, Presolve and
-// SolveParts run on a throwaway Workspace, which makes every one of these
-// allocations an ordinary fresh one.
+// A solve builds a chain of views and flat copies of its model — the LP's
+// compressed columns, every cut round's grown model, simplex and basis-engine
+// buffers, the pseudocost table — and a tree of nodes and basis snapshots
+// that all die when Solve returns, and so do the chain's headers (every Model
+// and lp, the search's answer). A Workspace keeps that memory between solves.
+// It belongs to whoever calls Solve on it, serves one solve at a time, and is
+// rewound when that solve returns; nothing a Solution carries points into it
+// (the search's answer is the workspace's, and a solve ends by copying it out
+// — into Part.Out, Values in Out.Values' memory, when the caller lent a
+// Solution, into a fresh one otherwise — so callers may keep Solutions for as
+// long as they like). The package-level Solve and SolveParts run on a
+// throwaway Workspace, which makes every one of these allocations an ordinary
+// fresh one.
 //
 // It is deliberately not a sync.Pool: the runtime empties a pool on every
 // second garbage collection, so the slabs were rebuilt every few cycles; on
@@ -27,9 +25,9 @@ import "sync"
 // slab hands out zeroed slices of one element type from a single backing
 // array. Until its first rewind a slab has no array: every request is an
 // allocation cut exact, and the rewind makes the array, of what the solve was
-// holding. A first solve may be the only one (the package-level Solve,
-// Presolve and SolveParts run on a throwaway Workspace, which is never
-// rewound), and room for the next would be thrown away with it. From then on a
+// holding. A first solve may be the only one (the package-level Solve and
+// SolveParts run on a throwaway Workspace, which is never rewound), and room
+// for the next would be thrown away with it. From then on a
 // request that does not fit starts a new array, at least twice the size, and
 // is served from that: the slices handed out before keep the old one alive
 // until they are dropped, and the slab is one array again from the next rewind
@@ -97,13 +95,10 @@ type Workspace struct {
 	terms  slab[Term]
 	vars   slab[Variable]
 	cons   slab[Constraint]
-	rows   slab[psRow]
-	models slab[Model] // the reduced model and every cut round's grown one
-	lps    slab[lp]    // the LP of each of those
+	models slab[Model] // every cut round's grown model
+	lps    slab[lp]    // the LP of the model and of each of those
 
-	ps  presolver // its dedup map and clique scratch outlive a solve
-	pre Presolved // the solve's reduction
-	ans Solution  // the search's answer
+	ans Solution // the search's answer
 
 	// The tree search's memory ("Tree memory" in solve.go says who may touch
 	// it when): every node of the current solve, the headers of its basis
@@ -183,10 +178,9 @@ func (w *Workspace) rewind() {
 	w.terms.rewind()
 	w.vars.rewind()
 	w.cons.rewind()
-	w.rows.rewind()
 	w.models.rewind()
 	w.lps.rewind()
-	w.pre, w.ans = Presolved{}, Solution{}
+	w.ans = Solution{}
 	w.nodes.rewind()
 	w.block = nil
 	w.snaps.rewind()
@@ -199,8 +193,6 @@ func (w *Workspace) rewind() {
 	clear(w.cut.kept[:cap(w.cut.kept)]) // rows on the term slab
 	w.lent = 0
 	w.search = search{}
-	// The presolver keeps its scratch, not its references to the model.
-	w.ps = presolver{dedupSeen: w.ps.dedupSeen, cliqueRows: w.ps.cliqueRows[:0], cliqueLits: w.ps.cliqueLits[:0]}
 }
 
 // newScratch lends a simplex state bound to p: a retained one when there is

@@ -264,82 +264,6 @@ func TestDecompositionParityProperty(t *testing.T) {
 	}
 }
 
-// TestPresolveParityProperty is the property test of the presolve acceptance
-// criteria: across ≥200 seeded compiled instances, solves with presolve on
-// vs DisablePresolve agree on objective within the configured gap, presolved
-// solutions are full-length and feasible in the original (unreduced) model,
-// and deterministic presolved reruns return byte-identical values. The stats
-// assertion keeps the kill switch honest: disabled runs must report no
-// presolve activity.
-func TestPresolveParityProperty(t *testing.T) {
-	const instances = 220
-	for i := 0; i < instances; i++ {
-		seed := int64(5000 + i)
-		r := rand.New(rand.NewSource(seed))
-		var comp *compiler.Compiled
-		if i%2 == 0 {
-			comp = batchedModel(t, 2+r.Intn(6), seed)
-		} else {
-			comp = decomposableModel(t, 1+r.Intn(3), 1+r.Intn(3), seed)
-		}
-		gap := 0.0
-		if i%3 == 1 {
-			gap = 0.1
-		}
-		opts := milp.Options{Gap: gap, Heuristic: comp.GreedyRound}
-		on, err := milp.Solve(comp.Model, opts)
-		if err != nil {
-			t.Fatalf("seed %d: presolved solve: %v", seed, err)
-		}
-		offOpts := opts
-		offOpts.DisablePresolve = true
-		off, err := milp.Solve(comp.Model, offOpts)
-		if err != nil {
-			t.Fatalf("seed %d: presolve-off solve: %v", seed, err)
-		}
-		if on.Values == nil || off.Values == nil {
-			t.Fatalf("seed %d: missing values (on=%v off=%v)", seed, on.Status, off.Status)
-		}
-
-		// Objective parity within the configured gap: each side is within gap
-		// of the true optimum, so they differ by at most gap/(1−gap)·|obj|.
-		tol := 1e-6
-		if gap > 0 {
-			tol += gap / (1 - gap) * math.Max(math.Abs(on.Objective), math.Abs(off.Objective))
-		}
-		if diff := math.Abs(on.Objective - off.Objective); diff > tol {
-			t.Errorf("seed %d (gap %.2f): presolved %.9f vs direct %.9f differ by %.9f > %.9f",
-				seed, gap, on.Objective, off.Objective, diff, tol)
-		}
-
-		// The presolved solve's point must be feasible in the original model:
-		// presolve only drops implied rows, over the model's own variables.
-		if len(on.Values) != comp.Model.NumVars() {
-			t.Fatalf("seed %d: presolved solution has %d values for a %d-var model",
-				seed, len(on.Values), comp.Model.NumVars())
-		}
-		if !comp.Model.IsFeasible(on.Values, 1e-6) {
-			t.Errorf("seed %d: presolved point infeasible in the original model", seed)
-		}
-
-		// Kill-switch honesty: disabled runs report no presolve activity.
-		if off.Presolve != (milp.PresolveStats{}) {
-			t.Errorf("seed %d: DisablePresolve left presolve activity %+v", seed, off.Presolve)
-		}
-
-		// Deterministic presolved reruns are byte-identical.
-		if i%8 == 0 {
-			again, err := milp.Solve(comp.Model, opts)
-			if err != nil {
-				t.Fatalf("seed %d: repeat presolved solve: %v", seed, err)
-			}
-			if !reflect.DeepEqual(on.Values, again.Values) {
-				t.Errorf("seed %d: deterministic presolved runs diverged", seed)
-			}
-		}
-	}
-}
-
 // benchComponentSolve measures the same decomposable 12-job instance solved
 // as one coupled MILP vs. split into its components — the multiplicative
 // search-tree shrink the decomposition exists for.
