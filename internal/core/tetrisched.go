@@ -90,7 +90,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.CyclePeriod <= 0 {
-		c.CyclePeriod = 4
+		c.CyclePeriod = sim.DefaultCyclePeriod
 	}
 	if c.Gap <= 0 {
 		c.Gap = 0.1

@@ -268,46 +268,124 @@ func TestJobMsgRoundTrip(t *testing.T) {
 
 // TestTenantCannotBuyValue: a tenant's wire fields cannot price its job above
 // an SLO job of another tenant that the daemon's Rayon plan reserves. On 8
-// nodes the SLO job (k 6, runtime 8, deadline 8) must start now or never, and
-// the BE job (k 4) cannot run beside it; the BE job's tenant tries a huge
-// priority, a submit time far in the future, which would hold its decaying
-// value up, and a reservation of its own. The SLO job launches either way.
+// nodes, after an empty cycle at 996 (or none), the SLO job (k 6, runtime 8,
+// deadline 1008) must start at 1000 or never, and a job of k 4 cannot run
+// beside it.
+// The other tenant tries a BE job with a huge priority, with a submit time far
+// in the future, which would hold its decaying value up, and with a
+// reservation of its own; then an SLO job that Rayon must reject at 1000,
+// backdated to 0, which the plan could still reserve in slices long gone, and
+// backdated below 0, which would also grow the plan's calendar over the whole
+// span to now. The SLO job launches either way, and the plan holds nothing
+// before 1000. The proxy tenant's name sorts first, so the drain admits its
+// job to the plan first.
 func TestTenantCannotBuyValue(t *testing.T) {
-	for _, tc := range []struct{ name, extra string }{
-		{"plain", ``},
-		{"priority", `,"priority":1e9`},
-		{"submit", fmt.Sprintf(`,"submit":%d`, int64(math.MaxInt64/2))},
-		{"reserved", `,"reserved":true`},
+	be := `"class":"BE","type":"Unconstrained","k":4,"base_runtime":8,"slowdown":1`
+	slo := `"class":"SLO","type":"Unconstrained","k":4,"base_runtime":8,"slowdown":1,"deadline":1008`
+	for _, tc := range []struct {
+		name, job string
+		status    int  // the answer to its submit
+		first     bool // no cycle before the one at 1000
+	}{
+		{"plain", be, http.StatusAccepted, false},
+		{"priority", be + `,"priority":1e9`, http.StatusAccepted, false},
+		{"submit", be + fmt.Sprintf(`,"submit":%d`, int64(math.MaxInt64/2)), http.StatusAccepted, false},
+		{"reserved", be + `,"reserved":true`, http.StatusAccepted, false},
+		{"backdated", slo + `,"submit":0`, http.StatusAccepted, false},
+		{"backdated first", slo + `,"submit":0`, http.StatusAccepted, true},
+		{"negative", slo + `,"submit":-40000000000`, http.StatusBadRequest, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := cluster.Racked(8, 2, 0)
-			ts := httptest.NewServer(NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N()).Handler())
-			defer ts.Close()
-			for _, job := range []string{
-				`{"id":1,"tenant":"proxy","class":"SLO","type":"Unconstrained","k":6,"base_runtime":8,"slowdown":1,"deadline":8}`,
-				`{"id":2,"tenant":"a","class":"BE","type":"Unconstrained","k":4,"base_runtime":8,"slowdown":1` + tc.extra + `}`,
+			daemon := NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N())
+			if !tc.first {
+				cycle(t, daemon, 996, nil)
+			}
+			for _, job := range []struct {
+				body   string
+				status int
+			}{
+				{`{"id":1,"tenant":"proxy","class":"SLO","type":"Unconstrained","k":6,"base_runtime":8,"slowdown":1,"submit":1000,"deadline":1008}`, http.StatusAccepted},
+				{`{"id":2,"tenant":"tenant",` + tc.job + `}`, tc.status},
 			} {
-				if resp := postSubmit(t, ts.URL, []byte("["+job+"]")); resp.StatusCode != http.StatusAccepted {
-					t.Fatalf("submit %s: status = %d", job, resp.StatusCode)
+				if w := serve(daemon, "/v1/submit", json.RawMessage("["+job.body+"]")); w.Code != job.status {
+					t.Fatalf("submit %s: %d %s, want %d", job.body, w.Code, w.Body, job.status)
 				}
 			}
-			body, _ := json.Marshal(CycleRequest{Now: 0, Free: []int{0, 1, 2, 3, 4, 5, 6, 7}})
-			resp, err := http.Post(ts.URL+"/v1/cycle", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var cr CycleResponse
-			if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-				t.Fatal(err)
-			}
 			var launched []int
-			for _, d := range cr.Decisions {
+			for _, d := range cycle(t, daemon, 1000, []int{0, 1, 2, 3, 4, 5, 6, 7}).Decisions {
 				launched = append(launched, d.JobID)
 			}
 			if !slices.Equal(launched, []int{1}) {
 				t.Errorf("launched %v, want the reserved SLO job [1] alone", launched)
 			}
+			if r := daemon.plan.Lookup(2); r != nil {
+				t.Errorf("the other tenant's job holds the reservation %+v", *r)
+			}
+			if n := daemon.plan.MaxReserved(0, 1000); n != 0 {
+				t.Errorf("the plan reserves %d nodes before 1000", n)
+			}
 		})
 	}
+}
+
+// TestDroppedReservationIsReleased: on 8 nodes, none of them offered, an SLO
+// job (k 8, runtime 16, deadline 20) reserved at [0, 16) cannot start in
+// time and is dropped within a few cycles. Its remaining slices go back to
+// the plan, which then reserves them for a later job (k 8, runtime 4) that
+// must end by 16.
+func TestDroppedReservationIsReleased(t *testing.T) {
+	c := cluster.Racked(8, 2, 0)
+	daemon := NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N())
+	submit := func(body string) {
+		if w := serve(daemon, "/v1/submit", json.RawMessage(body)); w.Code != http.StatusAccepted {
+			t.Fatalf("submit %s: %d %s", body, w.Code, w.Body)
+		}
+	}
+	submit(`[{"id":1,"class":"SLO","type":"Unconstrained","k":8,"base_runtime":16,"slowdown":1,"deadline":20}]`)
+	now := int64(0)
+	for ; ; now += 4 {
+		cr := cycle(t, daemon, now, nil)
+		if now == 0 && daemon.plan.Lookup(1) == nil {
+			t.Fatal("the first job was not reserved")
+		}
+		if slices.Equal(cr.Dropped, []int{1}) {
+			break
+		}
+		if now >= 8 {
+			t.Fatalf("the first job is not dropped by %d", now)
+		}
+	}
+	if r := daemon.plan.Lookup(1); r != nil {
+		t.Fatalf("the dropped job still holds %+v", *r)
+	}
+	submit(fmt.Sprintf(`[{"id":2,"class":"SLO","type":"Unconstrained","k":8,"base_runtime":4,"slowdown":1,"submit":%d,"deadline":16}]`, now+4))
+	cycle(t, daemon, now+4, nil)
+	if daemon.plan.Lookup(2) == nil {
+		t.Error("the plan rejected the later job: the dropped job's slices were not released")
+	}
+}
+
+// cycle runs one scheduling cycle at now with the free nodes given.
+func cycle(t *testing.T, s *Server, now int64, free []int) CycleResponse {
+	t.Helper()
+	var cr CycleResponse
+	if w := serve(s, "/v1/cycle", CycleRequest{Now: now, Free: free}); w.Code != http.StatusOK {
+		t.Fatalf("cycle at %d: %d %s", now, w.Code, w.Body)
+	} else if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil {
+		t.Fatal(err)
+	}
+	return cr
+}
+
+// serve answers one POST of body, encoded as JSON, on the goroutine of the
+// caller, which may then read the server's state.
+func serve(s *Server, path string, body any) *httptest.ResponseRecorder {
+	b, err := json.Marshal(body)
+	if err != nil {
+		panic(err)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+	return w
 }

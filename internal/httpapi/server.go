@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -30,9 +31,9 @@ import (
 
 // JobMsg is the wire form of a job submission. It carries no priority and no
 // reservation: a job's value is the scheduler's to set, not the submitting
-// tenant's. Its submit time is capped at the cycle that drains it, and the
-// daemon's own Rayon plan decides there whether an SLO job is reserved
-// (handleCycle).
+// tenant's. Its submit time is held inside the window it was queued in, after
+// the previous cycle and up to the one that drains it, and the daemon's own
+// Rayon plan decides there whether an SLO job is reserved (handleCycle).
 type JobMsg struct {
 	ID          int     `json:"id"`
 	Tenant      string  `json:"tenant,omitempty"` // the admitting tenant; empty is DefaultTenant
@@ -90,6 +91,8 @@ func (m *JobMsg) ToJob(nodes int) (*workload.Job, error) {
 		return nil, fmt.Errorf("httpapi: job %d: slowdown=%v must be at least 1 for type %s", j.ID, j.Slowdown, m.Type)
 	case float64(j.BaseRuntime)*max(1, j.Slowdown)*(1+max(0, j.EstErr)) > maxRuntime:
 		return nil, fmt.Errorf("httpapi: job %d: base_runtime=%d × slowdown=%v × (1 + est_err=%v) is past %d s", j.ID, j.BaseRuntime, j.Slowdown, j.EstErr, maxRuntime)
+	case j.Submit < 0:
+		return nil, fmt.Errorf("httpapi: job %d: submit=%d is negative", j.ID, j.Submit)
 	case j.Class == workload.SLO && j.Deadline <= j.Submit:
 		return nil, fmt.Errorf("httpapi: job %d: SLO deadline=%d must be after submit=%d", j.ID, j.Deadline, j.Submit)
 	}
@@ -212,6 +215,7 @@ type Server struct {
 	running  map[int]bool
 	plan     *rayon.Plan // Rayon's calendar: the drain admits SLO jobs to it (§2.1)
 	tracer   *trace.Tracer
+	since    int64 // one past the previous cycle's now: where the next drain's window starts
 	// panics counts recovered handler panics. It is not in live: a panic can
 	// strike with s.mu in any state, so the renderers read it themselves.
 	panics atomic.Uint64
@@ -226,12 +230,12 @@ type Server struct {
 }
 
 // NewServer wraps sched; universe is the cluster size (node ID bound), and the
-// capacity of the Rayon plan, whose quantum is sched's cycle period (core's
-// default of 4 s when sched does not say). The admission front door starts
-// with default limits (AdmissionConfig zero value); tune it with SetAdmission
-// before serving.
+// capacity of the Rayon plan, whose quantum is sched's cycle period
+// (sim.DefaultCyclePeriod when sched does not say). The admission front door
+// starts with default limits (AdmissionConfig zero value); tune it with
+// SetAdmission before serving.
 func NewServer(sched sim.Scheduler, universe int) *Server {
-	quantum := int64(4)
+	quantum := int64(sim.DefaultCyclePeriod)
 	if p, ok := sched.(interface{ CyclePeriod() int64 }); ok {
 		quantum = p.CyclePeriod()
 	}
@@ -243,6 +247,7 @@ func NewServer(sched sim.Scheduler, universe int) *Server {
 		jobs:    make(map[int]*workload.Job),
 		running: make(map[int]bool),
 		plan:    rayon.NewPlan(universe, quantum),
+		since:   math.MaxInt64, // the first drain places its jobs at now
 		adm:     newAdmission(AdmissionConfig{}),
 	}
 	s.publish()
@@ -390,10 +395,7 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers already sent; nothing more to do.
-		_ = err
-	}
+	_ = json.NewEncoder(w).Encode(v) // the headers are sent: an error has no one to go to
 }
 
 func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
@@ -422,6 +424,8 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 	admitted := s.adm.drain(s.adm.cfg.Burst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	since := s.since
+	s.since = req.Now + 1
 	if len(admitted) > 0 {
 		fresh := 0
 		for _, j := range admitted {
@@ -433,10 +437,11 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 				s.adm.noteDupDrop(j.Tenant)
 				continue
 			}
-			// A submit time from the future would hold a best-effort
-			// job's value up (strlgen's decay runs from Submit). Rayon
-			// admits SLO jobs as they arrive, in drain order.
-			j.Submit = min(j.Submit, req.Now)
+			// A submit time from the future would hold a best-effort job's
+			// value up (strlgen's decay runs from Submit); one before the job's
+			// window would have Rayon, which admits SLO jobs as they arrive, in
+			// drain order, reserve it in slices already gone.
+			j.Submit = min(max(j.Submit, since), req.Now)
 			j.Reserved = j.Class == workload.SLO && s.plan.Admit(j.ID, j.Submit, j.Deadline, j.K, j.EstRuntime(true)) != nil
 			s.jobs[j.ID] = j
 			s.sched.Submit(j.Submit, j)
@@ -463,6 +468,7 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 	for _, j := range cr.Dropped {
 		resp.Dropped = append(resp.Dropped, j.ID)
 		delete(s.jobs, j.ID)
+		s.plan.Release(s.plan.Lookup(j.ID), req.Now)
 	}
 	s.publish()
 	writeJSON(w, &resp)

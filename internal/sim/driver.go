@@ -59,6 +59,10 @@ type NodeFailure struct {
 	RecoverAt int64 // 0 = permanent
 }
 
+// DefaultCyclePeriod is the paper's scheduling cycle in seconds, the period
+// of a Config, a core.Config or a daemon that names none.
+const DefaultCyclePeriod = 4
+
 // Config describes one simulation run.
 type Config struct {
 	Cluster   *cluster.Cluster
@@ -137,7 +141,7 @@ func (r *Result) Utilization(clusterSize int) float64 {
 // (double-booking a node, launching a non-pending job, wrong gang size).
 func Run(cfg Config) (*Result, error) {
 	if cfg.CyclePeriod <= 0 {
-		cfg.CyclePeriod = 4
+		cfg.CyclePeriod = DefaultCyclePeriod
 	}
 	if cfg.MaxIdleCycles <= 0 {
 		cfg.MaxIdleCycles = 2500
@@ -360,6 +364,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			st.Dropped = true
 			st.Finish = now
+			cfg.Plan.Release(cfg.Plan.Lookup(job.ID), now)
 			remaining--
 			progress = true
 			if now > res.Makespan {

@@ -5,6 +5,7 @@ import (
 
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
+	"tetrisched/internal/rayon"
 	"tetrisched/internal/workload"
 )
 
@@ -162,16 +163,29 @@ func (d *dropSched) Cycle(now int64, free *bitset.Set) CycleResult {
 	return res
 }
 
+// TestDriverDrops: every job is dropped, and a dropped SLO job's reservation
+// goes back to the plan.
 func TestDriverDrops(t *testing.T) {
 	c := cluster.RC80(false)
-	res, err := Run(Config{Cluster: c, Jobs: smallJobs(5), Scheduler: &dropSched{}})
+	jobs := smallJobs(5)
+	for _, j := range jobs {
+		j.Class, j.Deadline = workload.SLO, j.Submit+100
+	}
+	plan := rayon.NewPlan(c.N(), 4)
+	res, err := Run(Config{Cluster: c, Jobs: jobs, Scheduler: &dropSched{}, Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range res.Stats {
-		if !st.Dropped || st.Completed {
-			t.Errorf("job %d: dropped=%v completed=%v", i, st.Dropped, st.Completed)
+		if !st.Dropped || st.Completed || !st.Job.Reserved {
+			t.Errorf("job %d: dropped=%v completed=%v reserved=%v", i, st.Dropped, st.Completed, st.Job.Reserved)
 		}
+		if r := plan.Lookup(i); r != nil {
+			t.Errorf("job %d: dropped at %d but still holds %+v", i, st.Finish, *r)
+		}
+	}
+	if n := plan.MaxReserved(res.Makespan, res.Makespan+100); n != 0 {
+		t.Errorf("the plan reserves %d nodes after the last drop", n)
 	}
 }
 
