@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -131,11 +130,11 @@ type compSnap struct {
 }
 
 type batchSnap struct {
-	Model, LP string
-	Round     []float64
-	Decode    []LeafGrant
-	Natural   []compSnap
-	Forced    []compSnap
+	Model   string
+	Round   []float64
+	Decode  []LeafGrant
+	Natural []compSnap
+	Forced  []compSnap
 }
 
 func snapComponents(c *Compiled, comps []*Component, x []float64) []compSnap {
@@ -154,21 +153,16 @@ func snapComponents(c *Compiled, comps []*Component, x []float64) []compSnap {
 	return out
 }
 
-// snapBatch reads a Compiled every way the scheduler does: the model as text
-// and as an LP file, the rounding of a tie-rich pseudo LP point, the decode
-// of that rounding, and both decompositions with every component's model,
-// maps, groups, fingerprint and rounding.
-func snapBatch(t *testing.T, c *Compiled) batchSnap {
-	t.Helper()
-	var lp bytes.Buffer
-	if err := c.Model.WriteLP(&lp); err != nil {
-		t.Fatal(err)
-	}
+// snapBatch reads a Compiled every way the scheduler does: the model as text,
+// the rounding of a tie-rich pseudo LP point, the decode of that rounding, and
+// both decompositions with every component's model, maps, groups, fingerprint
+// and rounding.
+func snapBatch(c *Compiled) batchSnap {
 	x := make([]float64, c.Model.NumVars())
 	for i := range x {
 		x[i] = float64(i%5) / 4
 	}
-	snap := batchSnap{Model: c.Model.String(), LP: lp.String(), Round: c.GreedyRound(x)}
+	snap := batchSnap{Model: c.Model.String(), Round: c.GreedyRound(x)}
 	if snap.Round != nil {
 		snap.Decode = c.Decode(&milp.Solution{Values: snap.Round})
 	}
@@ -187,7 +181,7 @@ func TestCompileResultNeverInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := snapBatch(t, first)
+	want := snapBatch(first)
 	var sc Scratch
 	for seed := int64(3); seed < 7; seed++ {
 		other, oopts := cycleBatch(seed, 10+int(seed)*6)
@@ -202,7 +196,7 @@ func TestCompileResultNeverInvalidated(t *testing.T) {
 	if first.Stale() {
 		t.Error("a package-level Compile result reports Stale")
 	}
-	if got := snapBatch(t, first); !reflect.DeepEqual(got, want) {
+	if got := snapBatch(first); !reflect.DeepEqual(got, want) {
 		t.Error("later compilations changed a package-level Compile result")
 	}
 }
@@ -226,7 +220,7 @@ func TestScratchCompiledMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, got := snapBatch(t, fresh), snapBatch(t, pooled)
+		want, got := snapBatch(fresh), snapBatch(pooled)
 		if pooled.Stale() {
 			t.Fatalf("batch %d: reading a Compiled made it stale", i)
 		}

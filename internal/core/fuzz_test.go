@@ -291,3 +291,23 @@ func FuzzWithheldNodesFreeTheQueue(f *testing.F) {
 		t.Fatalf("nothing launched in %d cycles on offered nodes %v, though a pending job could start now there", horizon+2, free)
 	})
 }
+
+// FuzzClassCompileMatchesBatch is TestClassCompileMatchesBatch's random half
+// with a fuzzed seed: randomClassInstance draws a small heterogeneous cluster
+// and a mixed workload on it (every placement type, estimate error, now and
+// then a node failure or a truncating MaxBatch), and in every cycle that
+// planned anything, its coupling classes compiled alone against their own
+// nodes must give the same multiset of component fingerprints as the whole
+// batch compiled over the whole cluster (batchChecker).
+func FuzzClassCompileMatchesBatch(f *testing.F) {
+	for _, seed := range []int64{0, 1, 6, 11} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		c, jobs, cfg, failures := randomClassInstance(seed)
+		b := &batchChecker{Scheduler: New(c, cfg), t: t}
+		if _, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: b, Failures: failures}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

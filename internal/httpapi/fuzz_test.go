@@ -64,14 +64,19 @@ func FuzzSubmitDecoders(f *testing.F) {
 	})
 }
 
-// FuzzSubmitCycle posts an arbitrary body as tenant a's batch to POST
-// /v1/submit on a daemon over a real core.Scheduler (12 nodes in three racks,
-// one of them GPU; a 20 ms work budget per solve), then runs one POST
-// /v1/cycle on which nodes 5 and 10 are busy though the scheduler believes
-// them idle. The submit must answer 202 or 4xx and the cycle 200, nothing may
-// panic, and every decision must name a job the submit admitted, on free
-// nodes no other decision took, as many as the job's widths allow: k, or for
-// an elastic job anything in [min_k, k].
+// FuzzSubmitCycle posts one fixed SLO job, two nodes that must start now, and
+// then an arbitrary body as tenant a's batch to POST /v1/submit on a daemon
+// over a real core.Scheduler (12 nodes in three racks, one of them GPU; a
+// 20 ms work budget per solve), then runs one POST /v1/cycle on which nodes 5
+// and 10 are busy though the scheduler believes them idle. The submit must
+// answer 202 or 4xx and the cycle 200, nothing may panic, and every decision
+// must name a job the submit admitted, on free nodes no other decision took,
+// as many as the job's widths allow: k, or for an elastic job anything in
+// [min_k, k]. The fixed job's tenant has the least name, so the drain admits
+// it to Rayon first, and it must launch in that cycle. The one exception:
+// Rayon plans the 12 nodes and cannot see the two busy ones, so when its
+// reservations for now ask for more than the 10 nodes the cycle offers, the
+// scheduler may give them to other reserved jobs.
 func FuzzSubmitCycle(f *testing.F) {
 	for _, body := range []string{
 		`[{"id":1,"tenant":"a","class":"BE","type":"Unconstrained","k":3,"base_runtime":8}]`,
@@ -84,20 +89,30 @@ func FuzzSubmitCycle(f *testing.F) {
 		`[{"id":1,"tenant":"a","class":"BE","type":"Elastic","k":12,"min_k":0,"base_runtime":31536000,"slowdown":1}]`,
 		`[{"id":1,"tenant":"a","class":"BE","type":"GPU","k":13,"base_runtime":8,"slowdown":1}]`,
 		`[{"id":1,"tenant":"a","class":"BE","type":"MPI","k":2,"base_runtime":8,"slowdown":0.5}]`,
+		`[{"id":1,"tenant":"a","class":"SLO","type":"Unconstrained","k":10,"base_runtime":8,"deadline":8}]`,
+		`[{"id":1,"tenant":"a","class":"SLO","type":"Unconstrained","k":5,"base_runtime":8,"deadline":8},{"id":2,"tenant":"a","class":"SLO","type":"Unconstrained","k":5,"base_runtime":8,"deadline":8}]`,
+		`[{"id":1,"tenant":"a","class":"SLO","type":"GPU","k":4,"base_runtime":8,"slowdown":4,"deadline":8},{"id":2,"tenant":"a","class":"SLO","type":"MPI","k":4,"base_runtime":8,"slowdown":4,"deadline":8},{"id":3,"tenant":"a","class":"SLO","type":"Unconstrained","k":2,"base_runtime":8,"deadline":8}]`,
 	} {
 		f.Add([]byte(body))
 	}
 	free := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 11}
+	const fixedID = 1 << 20
+	fixed := JobMsg{ID: fixedID, Tenant: "\x00", Class: "SLO", Type: "Unconstrained", K: 2, BaseRuntime: 8, Deadline: 8}
+	fixedBody, _ := json.Marshal([]JobMsg{fixed})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c := cluster.Racked(12, 3, 1)
-		h := NewServer(core.New(c, core.Config{PlanAhead: 16, SolverTimeLimit: 20 * time.Millisecond}), c.N()).
-			SetAdmission(AdmissionConfig{MaxQueue: 16, Tenants: []TenantConfig{{Name: "a", Quota: -1}}}).Handler()
+		srv := NewServer(core.New(c, core.Config{PlanAhead: 16, SolverTimeLimit: 20 * time.Millisecond}), c.N()).
+			SetAdmission(AdmissionConfig{MaxQueue: 16, Tenants: []TenantConfig{{Name: "a", Quota: -1}}})
+		h := srv.Handler()
 		post := func(path string, body []byte) *httptest.ResponseRecorder {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 			return rec
 		}
-		admitted := map[int]*JobMsg{}
+		if rec := post("/v1/submit", fixedBody); rec.Code != http.StatusAccepted {
+			t.Fatalf("the fixed job: submit answered %d %s", rec.Code, rec.Body)
+		}
+		admitted := map[int]*JobMsg{fixedID: &fixed}
 		switch rec := post("/v1/submit", body); {
 		case rec.Code == http.StatusAccepted:
 			var msgs []JobMsg
@@ -135,6 +150,10 @@ func FuzzSubmitCycle(f *testing.F) {
 				}
 				taken[n] = true
 			}
+		}
+		if !slices.ContainsFunc(cr.Decisions, func(d DecisionMsg) bool { return d.JobID == fixedID }) && srv.plan.Reserved(0) <= len(free) {
+			t.Fatalf("batch %q: the fixed job did not launch, though Rayon reserved only %d nodes now; decisions %+v",
+				body, srv.plan.Reserved(0), cr.Decisions)
 		}
 	})
 }

@@ -426,6 +426,7 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	since := s.since
 	s.since = req.Now + 1
+	s.plan.Forget(min(since, req.Now)) // the drain admits nothing before its window
 	if len(admitted) > 0 {
 		fresh := 0
 		for _, j := range admitted {

@@ -102,18 +102,6 @@ func (s Summary) String() string {
 		s.Scheduler, s.SLOAll, s.SLOAccepted, s.SLONoRes, s.MeanBELatency, 100*s.Utilization)
 }
 
-// MeanDuration averages a duration slice.
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range ds {
-		total += d
-	}
-	return total / time.Duration(len(ds))
-}
-
 // CDF is an empirical cumulative distribution over float64 samples.
 type CDF struct {
 	sorted []float64

@@ -20,9 +20,6 @@ func New(seed int64) *Source {
 	return &Source{r: rand.New(rand.NewSource(seed))}
 }
 
-// Rand exposes the underlying *rand.Rand for ad hoc draws.
-func (s *Source) Rand() *rand.Rand { return s.r }
-
 // Float64 returns a uniform draw in [0,1).
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
@@ -32,14 +29,6 @@ func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 // Uniform returns a uniform draw in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.r.Float64()
-}
-
-// UniformInt returns a uniform integer draw in [lo, hi] inclusive.
-func (s *Source) UniformInt(lo, hi int) int {
-	if hi < lo {
-		panic("randx: UniformInt hi < lo")
-	}
-	return lo + s.r.Intn(hi-lo+1)
 }
 
 // Exp returns an exponential draw with the given mean.
@@ -63,24 +52,6 @@ func (s *Source) LognormalMeanCV(mean, cv float64) float64 {
 	sigma2 := math.Log(1 + cv*cv)
 	mu := math.Log(mean) - sigma2/2
 	return s.Lognormal(mu, math.Sqrt(sigma2))
-}
-
-// BoundedPareto returns a draw from a bounded Pareto distribution on [lo, hi]
-// with shape alpha. Heavy-tailed job sizes in production traces are commonly
-// modeled this way.
-func (s *Source) BoundedPareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic("randx: invalid bounded Pareto parameters")
-	}
-	u := s.r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// Bernoulli returns true with probability p.
-func (s *Source) Bernoulli(p float64) bool {
-	return s.r.Float64() < p
 }
 
 // Discrete samples from a finite distribution given by (value, weight) pairs.

@@ -4,11 +4,13 @@ import "testing"
 
 // mapPlan is the calendar as it was before it was indexed by position: one
 // map entry per reserved slice, every start of the window tried in turn. Kept
-// as the reference Plan must match, with MaxReserved over [from, to).
+// as the reference Plan must match, with MaxReserved over [from, to) and
+// Forget, which deletes the entries of the slices before floor.
 type mapPlan struct {
 	capacity int
 	quantum  int64
 	used     map[int64]int
+	floor    int64
 }
 
 func (p *mapPlan) Admit(jobID int, arrival, deadline int64, k int, estDur int64) *Reservation {
@@ -20,6 +22,7 @@ func (p *mapPlan) Admit(jobID int, arrival, deadline int64, k int, estDur int64)
 	if arrival%p.quantum != 0 {
 		firstSlice++
 	}
+	firstSlice = max(firstSlice, p.floor)
 	lastStart := deadline/p.quantum - durSlices
 	for s := firstSlice; s <= lastStart; s++ {
 		ok := true
@@ -52,10 +55,20 @@ func (p *mapPlan) Release(r *Reservation, at int64) {
 	if from < r.Start/p.quantum {
 		from = r.Start / p.quantum
 	}
+	from = max(from, p.floor)
 	for t := from; t < r.End/p.quantum; t++ {
 		p.used[t] -= r.K
 		if p.used[t] == 0 {
 			delete(p.used, t)
+		}
+	}
+}
+
+func (p *mapPlan) Forget(t int64) {
+	p.floor = max(p.floor, t/p.quantum)
+	for s := range p.used {
+		if s < p.floor {
+			delete(p.used, s)
 		}
 	}
 }
@@ -82,14 +95,15 @@ func sameReservation(got, want *Reservation) bool {
 }
 
 // FuzzPlanMatchesMapCalendar drives a Plan and the map calendar through the
-// same Admit/Release/Reserved/MaxReserved sequence, read four bytes an
+// same Admit/Release/Reserved/MaxReserved/Forget sequence, read four bytes an
 // operation from the input, and checks every reservation and every answer is
 // equal. Arrivals jump back and forth, so requests land before the first
-// reserved slice as well as after the last.
+// reserved slice as well as after the last, and before the forgotten ones.
 func FuzzPlanMatchesMapCalendar(f *testing.F) {
 	f.Add([]byte{7, 3, 0, 40, 8, 30, 0, 0, 5, 20, 1, 0, 0, 2, 16, 3, 8, 40})
 	f.Add([]byte{3, 0, 0, 200, 3, 9, 4, 0, 2, 9, 8, 10, 3, 50, 1, 0, 0, 60, 3, 0, 100})
 	f.Add([]byte{15, 4, 0, 10, 15, 63, 4, 10, 15, 63, 8, 10, 15, 63, 1, 1, 30, 3, 0, 255})
+	f.Add([]byte{3, 2, 0, 10, 2, 8, 0, 20, 2, 8, 4, 6, 0, 0, 0, 0, 2, 8, 2, 3, 0, 0, 3, 0, 10, 30, 1, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -100,7 +114,7 @@ func FuzzPlanMatchesMapCalendar(f *testing.F) {
 		var live, refLive []*Reservation
 		for i, op := 0, data[2:]; len(op) >= 4; i, op = i+1, op[4:] {
 			a, b, c := int64(op[1]), int64(op[2]), int64(op[3])
-			switch op[0] % 4 {
+			switch op[0] % 5 {
 			case 0:
 				arrival := a * int64(1+op[0]/4%4)
 				k, dur := int(b)%(capacity+2), c%64
@@ -139,56 +153,15 @@ func FuzzPlanMatchesMapCalendar(f *testing.F) {
 				if got, want := p.MaxReserved(from, to), ref.MaxReserved(from, to); got != want {
 					t.Fatalf("op %d: MaxReserved(%d, %d) = %d, map calendar %d", i, from, to, got, want)
 				}
+			case 4:
+				p.Forget(a * 2)
+				ref.Forget(a * 2)
 			}
 		}
 		for s := int64(0); s <= 1300/quantum; s++ {
 			if got, want := p.at(s), ref.used[s]; got != want || got > capacity {
 				t.Fatalf("slice %d holds %d, map calendar %d, capacity %d", s, got, want, capacity)
 			}
-		}
-	})
-}
-
-// FuzzParseRDL: whatever ParseRDL accepts is a valid Window with
-// non-negative sizes that prints to text parsing back to the same Window, and
-// AdmitRDL on an empty plan reserves K nodes for at least Dur inside [S, F]
-// or rejects it.
-func FuzzParseRDL(f *testing.F) {
-	for _, src := range []string{
-		"Window(s=0, f=3, Atom(b=<16GB,8c>, k=2, gang=2, dur=3))",
-		"Window(s=10, f=500, Atom(b=<4GB,2c>, k=8, gang=8, dur=120))",
-		"Window(s=0, f=100, Atom(k=4, gang=4, dur=50))",
-		"window(S=7, F=9223372036854775807, atom(B=< 1536mb , 2C >, K=100, GANG=1, DUR=4611686018427387904))",
-	} {
-		f.Add(src)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
-		w, err := ParseRDL(src)
-		if err != nil {
-			return
-		}
-		if err := w.Validate(); err != nil {
-			t.Fatalf("ParseRDL(%q) accepted an invalid window: %v", src, err)
-		}
-		if w.Atom.B.MemMB < 0 || w.Atom.B.Cores < 0 {
-			t.Fatalf("ParseRDL(%q) accepted a negative size %s", src, w.Atom.B)
-		}
-		text := w.String()
-		again, err := ParseRDL(text)
-		if err != nil {
-			t.Fatalf("ParseRDL accepts %q, but not its printed form %q: %v", src, text, err)
-		}
-		if again != w {
-			t.Fatalf("%q parses to %+v, its printed form %q to %+v", src, w, text, again)
-		}
-		// A quantum that keeps the reservation to a few hundred slices.
-		p := NewPlan(64, 1+w.Atom.Dur/256)
-		r, err := p.AdmitRDL(1, w)
-		if err != nil {
-			t.Fatalf("AdmitRDL(%s): %v", text, err)
-		}
-		if r != nil && (r.K != w.Atom.K || r.Start < w.S || r.End > w.F || r.End-r.Start < w.Atom.Dur) {
-			t.Fatalf("AdmitRDL(%s) = %+v, outside the window", text, *r)
 		}
 	})
 }

@@ -1,9 +1,9 @@
 // Package rayon implements a Rayon-style reservation system (Curino et al.,
 // SoCC'14): the admission-control frontend that TetriSched runs in tandem
-// with (§2.1). SLO jobs submit a reservation request derived from their RDL
-// expression — Window(s, f, Atom(k, gang, dur)) — and the plan either
-// guarantees k nodes for dur somewhere inside the window or rejects the job,
-// which then runs as "SLO without reservation".
+// with (§2.1). An SLO job asks for k nodes for its estimated runtime between
+// its arrival and its deadline (RDL's Window(s, f, Atom(k, gang, dur))), and
+// the plan either guarantees them somewhere inside the window or rejects the
+// job, which then runs as "SLO without reservation".
 //
 // The plan tracks reserved capacity per discretized time slice and admits
 // greedily at the earliest feasible start, which is how Rayon's default
@@ -30,9 +30,14 @@ type Plan struct {
 	capacity int
 	quantum  int64
 	// used[t-base] is the node count reserved in slice t, for every slice
-	// from the first one ever reserved to the last; at reads 0 elsewhere.
-	used     []int
-	base     int64
+	// from the first one reserved and not yet forgotten to the last; at reads
+	// 0 elsewhere.
+	used []int
+	base int64
+	// floor is the first slice not forgotten (0 until Forget): no reservation
+	// starts, and no release frees capacity, before it. base ≥ floor while
+	// used is not empty.
+	floor    int64
 	accepted map[int]*Reservation
 }
 
@@ -49,22 +54,20 @@ func NewPlan(capacity int, quantum int64) *Plan {
 	}
 }
 
-// Capacity returns the plan's total node capacity.
-func (p *Plan) Capacity() int { return p.capacity }
-
 // Quantum returns the plan's time quantum in seconds.
 func (p *Plan) Quantum() int64 { return p.quantum }
 
 // Admit attempts to reserve k nodes for estDur seconds within
-// [arrival, deadline], scanning for the earliest feasible start. It returns
-// the reservation, or nil if the request must be rejected.
+// [arrival, deadline], scanning for the earliest feasible start in a slice not
+// forgotten. It returns the reservation, or nil if the request must be
+// rejected.
 func (p *Plan) Admit(jobID int, arrival, deadline int64, k int, estDur int64) *Reservation {
 	if k <= 0 || k > p.capacity || estDur <= 0 {
 		return nil
 	}
 	durSlices := ceilDiv(estDur, p.quantum)
 	lastStart := deadline/p.quantum - durSlices
-	for s := ceilDiv(arrival, p.quantum); s <= lastStart; {
+	for s := max(ceilDiv(arrival, p.quantum), p.floor); s <= lastStart; {
 		if t, ok := p.overload(s, s+durSlices, p.capacity-k); ok {
 			// Every start in (s, t] covers slice t too.
 			s = t + 1
@@ -88,6 +91,25 @@ func ceilDiv(a, q int64) int64 {
 		return a/q + 1
 	}
 	return a / q
+}
+
+// Forget drops every slice that ends by time t ≥ 0: the caller admits nothing
+// that arrives, and releases nothing, before t. A forgotten slice reads 0, a
+// later Admit reserves nothing in it and a Release frees nothing there, so the
+// calendar spans only the slices from t to the end of the last reservation.
+// Forgetting is never undone: an earlier t than before changes nothing.
+func (p *Plan) Forget(t int64) {
+	floor := t / p.quantum
+	if floor <= p.floor {
+		return
+	}
+	p.floor = floor
+	switch drop := floor - p.base; {
+	case drop >= int64(len(p.used)):
+		p.used = nil
+	case drop > 0:
+		p.used, p.base = p.used[drop:], floor
+	}
 }
 
 // overload returns the first slice in [from, to) with more than free nodes
@@ -127,14 +149,14 @@ func (p *Plan) at(t int64) int {
 }
 
 // Release frees the remainder of a reservation from time `at` onward, e.g.
-// when the job completes before its reservation ends. Releasing twice is a
-// no-op.
+// when the job completes before its reservation ends; forgotten slices stay
+// forgotten. Releasing twice is a no-op.
 func (p *Plan) Release(r *Reservation, at int64) {
 	if r == nil || r.freed {
 		return
 	}
 	r.freed = true
-	from := max(ceilDiv(at, p.quantum), r.Start/p.quantum)
+	from := max(ceilDiv(at, p.quantum), r.Start/p.quantum, p.floor)
 	for t := from; t < r.End/p.quantum; t++ {
 		p.used[t-p.base] -= r.K
 		if p.used[t-p.base] < 0 {

@@ -2,6 +2,7 @@ package rayon
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,45 @@ func TestAdmitBeforeFirstReserved(t *testing.T) {
 	}
 	if r := p.Admit(3, 4, 120, 1, 10); r == nil || r.Start != 30 {
 		t.Errorf("third reservation %+v, want a start at 30", r)
+	}
+}
+
+// TestForgetBoundsCalendar drives a plan as a long-running daemon does: each
+// cycle forgets the slices before now, admits a short reservation and releases
+// an older one. Over 10⁵ cycles the calendar spans no slice before now and none
+// past the last reservation's end. After a jump of 10⁹ s the next Admit
+// allocates the reservation's few slices, not the gap's million.
+func TestForgetBoundsCalendar(t *testing.T) {
+	const q = 1000
+	p := NewPlan(8, q)
+	var live []*Reservation
+	var now, end int64
+	for c := 0; c < 100000; c++ {
+		now = int64(c) * q
+		p.Forget(now)
+		if r := p.Admit(c, now, now+40*q, 2, 3*q); r != nil {
+			live, end = append(live, r), max(end, r.End)
+		}
+		if len(live) > 3 {
+			p.Release(live[0], now)
+			live = live[1:]
+		}
+		if lo, hi := p.base, p.base+int64(len(p.used)); len(p.used) > 0 && (lo < now/q || hi > end/q) || cap(p.used) > 64 {
+			t.Fatalf("cycle %d: calendar spans slices [%d, %d) in %d ints, want within [%d, %d)",
+				c, lo, hi, cap(p.used), now/q, end/q)
+		}
+	}
+	now += 1e9
+	p.Forget(now)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := p.Admit(-1, now, now+40*q, 2, 3*q)
+	runtime.ReadMemStats(&after)
+	if r == nil || r.Start != now {
+		t.Fatalf("Admit after the jump = %+v, want a start at %d", r, now)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<12 {
+		t.Errorf("Admit after a jump of 10⁹ s allocated %d bytes; the calendar holds %d slices", grew, len(p.used))
 	}
 }
 

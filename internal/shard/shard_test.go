@@ -166,9 +166,9 @@ func TestAssignRoutesAndDetectsSpanning(t *testing.T) {
 	}
 }
 
-// TestStateEpochProtocol: bumps advance only the listed nodes, Moved and
-// MovedSince compare against a caller-held snapshot, and a fresh snapshot
-// clears the diff.
+// TestStateEpochProtocol: bumps advance only the listed nodes, MovedSince
+// compares against a caller-held snapshot, and a fresh snapshot clears the
+// diff.
 func TestStateEpochProtocol(t *testing.T) {
 	st := NewState(4)
 	snap := st.Snapshot(nil)
@@ -176,9 +176,6 @@ func TestStateEpochProtocol(t *testing.T) {
 		t.Fatalf("fresh state reports moved nodes %v", moved)
 	}
 	st.Bump([]int{1, 3})
-	if !st.Moved(1, snap) || !st.Moved(3, snap) || st.Moved(0, snap) {
-		t.Error("Moved does not match the bumped set")
-	}
 	if moved := st.MovedSince(snap, nil); !reflect.DeepEqual(moved, []int{1, 3}) {
 		t.Errorf("MovedSince = %v, want [1 3]", moved)
 	}

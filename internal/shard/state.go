@@ -44,17 +44,6 @@ func (st *State) Bump(nodes []int) {
 	}
 }
 
-// Moved reports whether node n's epoch has advanced past the snapshot value
-// snap[n].
-func (st *State) Moved(n int, snap []uint64) bool {
-	if n >= len(snap) {
-		return false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.epoch[n] != snap[n]
-}
-
 // MovedSince collects the nodes whose epoch differs from the snapshot,
 // appending into buf.
 func (st *State) MovedSince(snap []uint64, buf []int) []int {

@@ -281,6 +281,8 @@ func Run(cfg Config) (*Result, error) {
 			return
 		}
 		now := eng.Now()
+		// Every later arrival, finish and drop happens at now or after it.
+		cfg.Plan.Forget(now)
 		tr.SetVirtualTime(now)
 		driverSpan := tr.Begin("driver", "cycle")
 		t0 := time.Now()

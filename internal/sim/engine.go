@@ -71,13 +71,3 @@ func (e *Engine) Step() bool {
 	ev.fn()
 	return true
 }
-
-// Run executes events until the queue drains or the time limit is exceeded.
-func (e *Engine) Run(until int64) {
-	for e.pq.Len() > 0 && e.pq[0].at <= until {
-		e.Step()
-	}
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.pq.Len() }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
 )
 
@@ -161,17 +160,6 @@ func (j *Job) EstRuntime(preferred bool) int64 {
 		est = 1
 	}
 	return est
-}
-
-// PreferredNodes returns the node set a job type prefers: GPU-labeled nodes
-// for GPU jobs, nil for Unconstrained and MPI (MPI preference is per rack,
-// not a single set).
-func PreferredNodes(c *cluster.Cluster, t Type) *bitset.Set {
-	if t == GPU {
-		k, v := cluster.GPUAttr()
-		return c.WithAttr(k, v)
-	}
-	return nil
 }
 
 // PlacementPreferred reports whether the concrete node assignment is a
