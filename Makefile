@@ -43,12 +43,11 @@ race:
 # same-schedules' RC80 tree counts).
 #
 # The per-layer benchmarks (generate, compile, decompose, fingerprint,
-# partition, root LP on one fixed captured GS HET batch; tree search
-# and cut separation on one resident block, in internal/milp because
-# separation has no public entry) are the ones to read for memory: their B/op
-# and allocs/op repeat exactly.
+# partition, root LP on one fixed captured GS HET batch; tree search on one
+# resident block, in internal/milp because the block is a test fixture there)
+# are the ones to read for memory: their B/op and allocs/op repeat exactly.
 BENCHTIME ?= 1s
-BENCHES = BenchmarkBatchedSolve|BenchmarkSchedulerCycle|BenchmarkShardedCycle|BenchmarkCycleFrontEnd|BenchmarkLoadgen|BenchmarkGenerate|BenchmarkCompileBatch|BenchmarkDecompose|BenchmarkFingerprint|BenchmarkPartition|BenchmarkRootLP|BenchmarkTreeSearch|BenchmarkSeparateCuts
+BENCHES = BenchmarkBatchedSolve|BenchmarkSchedulerCycle|BenchmarkShardedCycle|BenchmarkCycleFrontEnd|BenchmarkLoadgen|BenchmarkGenerate|BenchmarkCompileBatch|BenchmarkDecompose|BenchmarkFingerprint|BenchmarkPartition|BenchmarkRootLP|BenchmarkTreeSearch
 BENCHPKGS = . ./internal/milp
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCHES)' -benchmem -count=6 -benchtime=$(BENCHTIME) $(BENCHPKGS) \
@@ -204,7 +203,7 @@ same-schedules-run: repeat-check
 		grep -E '^(bb_nodes|lp_iterations|unproven)=' $(REPEATDIR)/alone.key | paste -sd ' ' -; \
 		echo "# tetrisim $(SAME_TREE_FLAGS): SLO and BE line, solver counters"; \
 		grep -E 'SLO\(all\)' $(SAMEDIR)/tree.log; \
-		grep -oE '(bb_nodes|lp_iterations|lp_factorizations|cut_rounds|unproven)=[0-9]+' $(SAMEDIR)/tree.log | paste -sd ' ' -; \
+		grep -oE '(bb_nodes|lp_iterations|lp_factorizations|unproven)=[0-9]+' $(SAMEDIR)/tree.log | paste -sd ' ' -; \
 		for f in $$(cd $(SAMEDIR)/tsv && LC_ALL=C ls); do \
 			echo "# experiments -quick -all -tsv: $$f"; cat $(SAMEDIR)/tsv/$$f; \
 		done; \

@@ -641,9 +641,9 @@ func BenchmarkPartition(b *testing.B) {
 }
 
 // BenchmarkRootLP is the solve of the compiled model cut off after its root
-// relaxation: LP build, cold primal solve, rounding. No cuts, no tree
-// (MaxNodes 1), and a heuristic that proposes nothing stands in for the
-// compiler's rounding.
+// relaxation: LP build, cold primal solve, rounding. No tree (MaxNodes 1),
+// and a heuristic that proposes nothing stands in for the compiler's
+// rounding.
 func BenchmarkRootLP(b *testing.B) {
 	exprs, opts := gshetBatch(b, 60, 2)
 	comp, err := compiler.Compile(exprs, opts)
@@ -651,7 +651,7 @@ func BenchmarkRootLP(b *testing.B) {
 		b.Fatal(err)
 	}
 	mopts := milp.Options{
-		MaxNodes: 1, DisableCuts: true,
+		MaxNodes:  1,
 		Heuristic: func([]float64) []float64 { return nil },
 	}
 	var ws milp.Workspace

@@ -52,8 +52,8 @@ func residentBlock(g int) []int {
 // time guard that has no noise. The root bound is within the gap of the
 // seven-job optimum, so a block ends at the root when the root rounding finds
 // seven jobs — which it does only if it ranks jobs by what the LP placed on
-// their options (batch order finds six, and the search then waits 11 nodes and
-// two cut rounds for the seventh). A block settles in one cycle: the second
+// their options (batch order finds six, and the search then waits 11 nodes
+// for the seventh). A block settles in one cycle: the second
 // cycle's seed, the first plan shifted one slice, is strictly worse than the
 // root rounding that the first solve adopted, so the solver proves it cannot
 // change the answer and every block replays (before, each re-solved to the
@@ -63,7 +63,7 @@ func residentBlock(g int) []int {
 // or solve span, and the replays and compile skips a planned cycle would
 // count.
 func TestResidentSearchCounts(t *testing.T) {
-	type counts struct{ nodes, cutRounds, lpIters, replays, skips, repeats, spans int }
+	type counts struct{ nodes, lpIters, replays, skips, repeats, spans int }
 	cycle := func(sched *Scheduler, free *bitset.Set, now int64) counts {
 		before, events := sched.Stats, len(sched.tr.Snapshot())
 		sched.Cycle(now, free)
@@ -73,8 +73,8 @@ func TestResidentSearchCounts(t *testing.T) {
 				spans++
 			}
 		}
-		return counts{st.Nodes - before.Nodes, st.CutRounds - before.CutRounds,
-			int(st.LPIters - before.LPIters), st.ReuseHits - before.ReuseHits,
+		return counts{st.Nodes - before.Nodes,
+			int(st.LP.Iterations - before.LP.Iterations), st.ReuseHits - before.ReuseHits,
 			st.CompileSkips - before.CompileSkips, st.RepeatedCycles - before.RepeatedCycles, spans}
 	}
 
@@ -85,8 +85,8 @@ func TestResidentSearchCounts(t *testing.T) {
 		sched, free := residentScheduler(blocks)
 		sched.tr = trace.New(1 << 12)
 		now := int64(4)
-		if c := cycle(sched, free, now); c.nodes != blocks || c.cutRounds != 0 || c.replays != 0 || c.repeats != 0 {
-			t.Errorf("%d blocks, first cycle: %+v, want one node a block, no cuts, no replays and no repeat", blocks, c)
+		if c := cycle(sched, free, now); c.nodes != blocks || c.replays != 0 || c.repeats != 0 {
+			t.Errorf("%d blocks, first cycle: %+v, want one node a block, no replays and no repeat", blocks, c)
 		}
 		now += 4
 		if c, want := cycle(sched, free, now), (counts{replays: blocks, skips: 9 * blocks, spans: 2}); c != want {
@@ -125,7 +125,7 @@ func TestUnprovenCounted(t *testing.T) {
 	}
 	// With the cache on, every component solved is a reuse miss.
 	st := sched.Stats
-	if got, want := [4]int64{int64(st.Unproven), int64(st.ReuseMisses), int64(st.Nodes), st.LPIters}, [4]int64{297, 541, 360, 9261}; got != want {
+	if got, want := [4]int64{int64(st.Unproven), int64(st.ReuseMisses), int64(st.Nodes), st.LP.Iterations}, [4]int64{297, 541, 361, 9263}; got != want {
 		t.Errorf("GS HET at a 1 ms budget: unproven, sub-solves, nodes, LP iterations = %v, want %v", got, want)
 	}
 	for _, cfg := range []Config{
@@ -153,8 +153,8 @@ func TestUnprovenCounted(t *testing.T) {
 // pseudocosts choosing the branch), so this is where a change to the search
 // that moves a pop, an LP or an incumbent shows. The counts repeat on any machine:
 // the search has no clock in it, and at the default budget (two seconds of
-// work, 60 000 units) no solve is cut off — the largest, in GS MIX, does about
-// 34 000. A moved count is a changed search, not an in-gap tie. GR SLO and GR
+// work, 60 000 units) no solve is cut off — the largest tree, in GR SLO, has
+// 1 118 nodes. A moved count is a changed search, not an in-gap tie. GR SLO and GR
 // MIX each solve one component with a single column and no row; since
 // presolve stopped fixing columns the LP answers it at its root, one node and
 // two iterations more than when presolve fixed the column and no LP ran.
@@ -164,9 +164,9 @@ func TestRC80SearchCounts(t *testing.T) {
 		nodes   int
 		lpIters int64
 	}{
-		{workload.GRSLO(150), 3943, 14520},
-		{workload.GRMIX(150), 4564, 22722},
-		{workload.GSMIX(150), 10205, 77066},
+		{workload.GRSLO(150), 4048, 14467},
+		{workload.GRMIX(150), 4222, 23330},
+		{workload.GSMIX(150), 504, 11527},
 	} {
 		c := cluster.RC80(false)
 		jobs, err := workload.Generate(tc.mix, c, 1)
@@ -177,9 +177,9 @@ func TestRC80SearchCounts(t *testing.T) {
 		if _, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched, Plan: rayon.NewPlan(c.N(), 4), CyclePeriod: 4}); err != nil {
 			t.Fatal(err)
 		}
-		if st := sched.Stats; st.Nodes != tc.nodes || st.LPIters != tc.lpIters {
+		if st := sched.Stats; st.Nodes != tc.nodes || st.LP.Iterations != tc.lpIters {
 			t.Errorf("%s: %d nodes and %d LP iterations; the serial search takes %d and %d",
-				tc.mix.Name, st.Nodes, st.LPIters, tc.nodes, tc.lpIters)
+				tc.mix.Name, st.Nodes, st.LP.Iterations, tc.nodes, tc.lpIters)
 		}
 	}
 }
@@ -209,7 +209,7 @@ func TestResidentChurnCounts(t *testing.T) {
 		sched.Cycle(now, free)
 	}
 	st := sched.Stats
-	got := [5]int64{int64(st.WarmStarts), int64(st.ReuseHits), int64(st.ReuseMisses), st.LPIters, int64(st.Nodes)}
+	got := [5]int64{int64(st.WarmStarts), int64(st.ReuseHits), int64(st.ReuseMisses), st.LP.Iterations, int64(st.Nodes)}
 	if want := [5]int64{83, 357, 127, 3663, 99}; got != want {
 		t.Errorf("warm starts, replays, solves, LP iterations, nodes = %v, want %v", got, want)
 	}

@@ -8,18 +8,20 @@ import (
 
 // SolverMetrics is the one place a SolveStats value is named for the outside:
 // its key in /v1/status's solver block and tetrisim -v's lines (by group), its
-// /metrics name, kind and help. A new counter is a field, its line in record,
-// and a row here; docs/OBSERVABILITY.md's tables are generated from the rows.
+// /metrics name, kind and help. A new scheduler counter is a field, its line in
+// record, and a row here; a new solver counter is a field of milp.LPStats or
+// milp.BranchStats, summed by their Add, and a row here. docs/OBSERVABILITY.md's
+// tables are generated from the rows.
 var SolverMetrics = []telemetry.Metric[SolveStats]{
 	telemetry.Row("solver", "solves", "tetrisched_solver_solves_total", "counter", "MILP solves across all cycles.", func(s *SolveStats) any { return s.Solves }),
 	telemetry.Row("solver", "bb_nodes", "tetrisched_solver_bb_nodes_total", "counter", "Branch-and-bound nodes explored.", func(s *SolveStats) any { return s.Nodes }),
 	telemetry.Row("solver", "bb_nodes_max", "tetrisched_solver_bb_nodes_max", "gauge", "Largest single-solve node count.", func(s *SolveStats) any { return s.MaxNodes }),
 	telemetry.Row("solver", "warm_starts", "tetrisched_solver_warm_starts_total", "counter", "Solves seeded with the previous cycle's plan.", func(s *SolveStats) any { return s.WarmStarts }),
-	telemetry.Row("solver", "lp_iterations", "tetrisched_solver_lp_iterations_total", "counter", "Simplex pivots across all relaxations.", func(s *SolveStats) any { return s.LPIters }),
-	telemetry.Row("solver", "lp_phase1", "tetrisched_solver_lp_phase1_total", "counter", "LPs that needed an artificial phase 1.", func(s *SolveStats) any { return s.Phase1 }),
-	telemetry.Row("solver", "lp_warm_hits", "tetrisched_solver_lp_warm_hits_total", "counter", "Node LPs re-solved warm from a parent basis.", func(s *SolveStats) any { return s.WarmLPs }),
-	telemetry.Row("solver", "lp_cold_starts", "tetrisched_solver_lp_cold_starts_total", "counter", "LPs solved from scratch, warm fallbacks included.", func(s *SolveStats) any { return s.ColdLPs }),
-	telemetry.Row("solver", "lp_warm_fallbacks", "tetrisched_solver_lp_warm_fallbacks_total", "counter", "Warm restarts abandoned for the cold path (stale snapshot, failed refactorization, stalled dual phase).", func(s *SolveStats) any { return s.WarmFallbacks }),
+	telemetry.Row("solver", "lp_iterations", "tetrisched_solver_lp_iterations_total", "counter", "Simplex pivots across all relaxations.", func(s *SolveStats) any { return s.LP.Iterations }),
+	telemetry.Row("solver", "lp_phase1", "tetrisched_solver_lp_phase1_total", "counter", "LPs that needed an artificial phase 1.", func(s *SolveStats) any { return s.LP.Phase1 }),
+	telemetry.Row("solver", "lp_warm_hits", "tetrisched_solver_lp_warm_hits_total", "counter", "Node LPs re-solved warm from a parent basis.", func(s *SolveStats) any { return s.LP.WarmHits }),
+	telemetry.Row("solver", "lp_cold_starts", "tetrisched_solver_lp_cold_starts_total", "counter", "LPs solved from scratch, warm fallbacks included.", func(s *SolveStats) any { return s.LP.ColdStarts }),
+	telemetry.Row("solver", "lp_warm_fallbacks", "tetrisched_solver_lp_warm_fallbacks_total", "counter", "Warm restarts abandoned for the cold path (stale snapshot, failed refactorization, stalled dual phase).", func(s *SolveStats) any { return s.LP.WarmFallbacks }),
 	telemetry.Row("solver", "lp_warm_hit_rate", "tetrisched_solver_lp_warm_hit_rate", "gauge", "Fraction of node LPs served warm.", func(s *SolveStats) any { return s.WarmHitRate() }),
 	telemetry.Row("solver", "decomposed_solves", "tetrisched_solver_decomposed_total", "counter", "Global solves split into independent components.", func(s *SolveStats) any { return s.Decomposed }),
 	telemetry.Row("solver", "components", "tetrisched_solver_components_total", "counter", "Sub-MILPs solved across all decomposed solves.", func(s *SolveStats) any { return s.Components }),
@@ -27,16 +29,12 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 	telemetry.Row("solver", "mean_solve_millis", "", "gauge", "Mean wall-clock per MILP solve.", func(s *SolveStats) any { return s.MeanSolve() }),
 	telemetry.Row("solver", "max_solve_millis", "", "gauge", "Slowest single MILP solve.", func(s *SolveStats) any { return s.MaxSolve }),
 
-	telemetry.Row("basis", "lp_factorizations", "tetrisched_solver_lp_factorizations_total", "counter", "Sparse LU basis factorizations.", func(s *SolveStats) any { return s.Factorizations }),
-	telemetry.Row("basis", "lp_eta_updates", "tetrisched_solver_lp_eta_updates_total", "counter", "Forrest-Tomlin eta updates applied between refactorizations.", func(s *SolveStats) any { return s.EtaUpdates }),
-	telemetry.Row("basis", "lp_unstable_factors", "tetrisched_solver_lp_unstable_factors_total", "counter", "LU factorizations rejected for element growth and repeated with strict partial pivoting.", func(s *SolveStats) any { return s.UnstableFactors }),
+	telemetry.Row("basis", "lp_factorizations", "tetrisched_solver_lp_factorizations_total", "counter", "Sparse LU basis factorizations.", func(s *SolveStats) any { return s.LP.Factorizations }),
+	telemetry.Row("basis", "lp_eta_updates", "tetrisched_solver_lp_eta_updates_total", "counter", "Forrest-Tomlin eta updates applied between refactorizations.", func(s *SolveStats) any { return s.LP.EtaUpdates }),
+	telemetry.Row("basis", "lp_unstable_factors", "tetrisched_solver_lp_unstable_factors_total", "counter", "LU factorizations rejected for element growth and repeated with strict partial pivoting.", func(s *SolveStats) any { return s.LP.UnstableFactors }),
 
-	telemetry.Row("cuts", "cut_rounds", "tetrisched_solver_cut_rounds_total", "counter", "Root cutting-plane separation rounds that tightened a relaxation.", func(s *SolveStats) any { return s.CutRounds }),
-	telemetry.Row("cuts", "cover_cuts", "tetrisched_solver_cover_cuts_total", "counter", "Knapsack cover cuts added at root nodes.", func(s *SolveStats) any { return s.CoverCuts }),
-	telemetry.Row("cuts", "clique_cuts", "tetrisched_solver_clique_cuts_total", "counter", "Conflict clique cuts added at root nodes.", func(s *SolveStats) any { return s.CliqueCuts }),
-
-	telemetry.Row("branching", "pseudocost_branches", "tetrisched_solver_pseudocost_branches_total", "counter", "Branch decisions taken by learned pseudocosts.", func(s *SolveStats) any { return s.PseudocostBranches }),
-	telemetry.Row("branching", "fractional_branches", "tetrisched_solver_fractional_branches_total", "counter", "Branch decisions by the most-fractional fallback.", func(s *SolveStats) any { return s.FractionalBranches }),
+	telemetry.Row("branching", "pseudocost_branches", "tetrisched_solver_pseudocost_branches_total", "counter", "Branch decisions taken by learned pseudocosts.", func(s *SolveStats) any { return s.Branch.Pseudocost }),
+	telemetry.Row("branching", "fractional_branches", "tetrisched_solver_fractional_branches_total", "counter", "Branch decisions by the most-fractional fallback.", func(s *SolveStats) any { return s.Branch.Fractional }),
 
 	telemetry.Row("reuse", "reuse_hits", "tetrisched_solver_reuse_hits_total", "counter", "Component sub-solves replayed from the previous cycle.", func(s *SolveStats) any { return s.ReuseHits }),
 	telemetry.Row("reuse", "reuse_misses", "tetrisched_solver_reuse_misses_total", "counter", "Components that had to be solved.", func(s *SolveStats) any { return s.ReuseMisses }),

@@ -125,10 +125,6 @@ type SolveStats struct {
 	Nodes      int           // branch-and-bound nodes explored, total
 	MaxNodes   int           // largest single-solve node count
 	WarmStarts int           // solves seeded with the previous cycle's shifted plan
-	LPIters    int64         // simplex pivots across all relaxations (primal + dual)
-	Phase1     int           // LPs that needed an artificial phase 1
-	WarmLPs    int           // node LPs re-solved dual-feasibly from a parent basis
-	ColdLPs    int           // LPs solved from scratch (incl. warm fallbacks)
 	Runtime    time.Duration // cumulative solver wall-clock
 	MaxSolve   time.Duration // slowest single solve
 	Decomposed int           // global solves that split into independent components
@@ -156,30 +152,21 @@ type SolveStats struct {
 	// planning (fixedPoint); zero when the compile cache is disabled.
 	RepeatedCycles int
 
-	// Basis-factorization telemetry (internal/milp/lu.go, basis.go).
-	Factorizations  int64 // sparse LU basis factorizations
-	EtaUpdates      int64 // Forrest–Tomlin eta updates applied between refactorizations
-	UnstableFactors int   // LU factorizations rejected as unstable and repeated with strict pivoting
-	WarmFallbacks   int   // warm restarts abandoned for the cold path (dual.go); each is one of ColdLPs too
-
-	// Root cutting-plane telemetry (internal/milp/cuts.go).
-	CutRounds  int // root separation rounds that tightened a relaxation
-	CoverCuts  int // knapsack cover cuts added
-	CliqueCuts int // conflict clique cuts added
-
-	// Branching-rule telemetry (internal/milp/pseudocost.go).
-	PseudocostBranches int64 // branch decisions taken by learned pseudocosts
-	FractionalBranches int64 // branch decisions by the most-fractional fallback
+	// The solver's own counters, summed over every solve that searched: LP
+	// kernel and basis engine (internal/milp/simplex.go, lu.go) and branching
+	// rule (internal/milp/pseudocost.go).
+	LP     milp.LPStats
+	Branch milp.BranchStats
 }
 
 // WarmHitRate returns the fraction of node LPs served warm from a parent
 // basis (0 when no LPs have run).
 func (st *SolveStats) WarmHitRate() float64 {
-	total := st.WarmLPs + st.ColdLPs
+	total := st.LP.WarmHits + st.LP.ColdStarts
 	if total == 0 {
 		return 0
 	}
-	return float64(st.WarmLPs) / float64(total)
+	return float64(st.LP.WarmHits) / float64(total)
 }
 
 // ReuseHitRate returns the fraction of component sub-solves served by
@@ -228,19 +215,8 @@ func (st *SolveStats) record(sol *milp.Solution, warmSeeds int, d time.Duration)
 	if sol.Nodes > st.MaxNodes {
 		st.MaxNodes = sol.Nodes
 	}
-	st.LPIters += sol.LP.Iterations
-	st.Phase1 += sol.LP.Phase1
-	st.WarmLPs += sol.LP.WarmHits
-	st.ColdLPs += sol.LP.ColdStarts
-	st.WarmFallbacks += sol.LP.WarmFallbacks
-	st.Factorizations += sol.LP.Factorizations
-	st.EtaUpdates += sol.LP.EtaUpdates
-	st.UnstableFactors += sol.LP.UnstableFactors
-	st.CutRounds += sol.Cuts.Rounds
-	st.CoverCuts += sol.Cuts.Cover
-	st.CliqueCuts += sol.Cuts.Clique
-	st.PseudocostBranches += sol.Branch.Pseudocost
-	st.FractionalBranches += sol.Branch.Fractional
+	st.LP.Add(&sol.LP)
+	st.Branch.Add(&sol.Branch)
 }
 
 // runInfo tracks the scheduler's belief about a running job.

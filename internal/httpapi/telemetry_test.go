@@ -121,12 +121,15 @@ func statusKeys(t *testing.T, base string) []string {
 // and admission blocks is still served. New names may join; a name in the
 // golden list may not leave or change type. One was renamed on purpose:
 // lp_dense_fallbacks became lp_unstable_factors when the dense basis engine
-// was deleted and an unstable factor began to be retried in strict LU. Five were
+// was deleted and an unstable factor began to be retried in strict LU. Eight were
 // removed on purpose: presolve_vars_fixed and presolve_rounds (with their
 // /metrics families) left when presolve stopped fixing columns and became one
 // pass, so neither could move any more; presolve_rows_dropped,
 // presolve_cliques_merged and presolve_millis left with presolve itself, which
-// earned no node and no proven solve on the paper's traffic.
+// earned no node and no proven solve on the paper's traffic; cut_rounds,
+// cover_cuts and clique_cuts (with their /metrics families) left with the root
+// cutting planes, which cost the paper's RC80 mixes more search than they
+// saved.
 func TestTelemetryGolden(t *testing.T) {
 	ts := telemetryDaemon(t)
 	served := make(map[string]bool)

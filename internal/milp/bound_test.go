@@ -63,6 +63,7 @@ func TestGapBreakKeepsPoppedBound(t *testing.T) {
 	m.AddVar(Binary, 0, 1, 1)
 	s := &search{
 		ws:        new(Workspace),
+		scratch:   new(simplexState), // no LP ran
 		model:     m,
 		opts:      Options{Gap: 0.5},
 		incumbent: []float64{1},
@@ -95,6 +96,7 @@ func TestGapBreakEmptyHeapKeepsPoppedBound(t *testing.T) {
 	m.AddVar(Binary, 0, 1, 1)
 	s := &search{
 		ws:        new(Workspace),
+		scratch:   new(simplexState), // no LP ran
 		model:     m,
 		opts:      Options{Gap: 0.5},
 		incumbent: []float64{1},
@@ -157,7 +159,7 @@ func TestAbandonedNodeKeepsItsBound(t *testing.T) {
 // leaveOneUnit sets the search's work budget to what it has spent plus one
 // unit: its next LP starts with an iteration cap of one.
 func leaveOneUnit(s *search) {
-	s.budget = s.lp.work() + s.scratch.stats.work() + 1
+	s.budget = s.scratch.stats.work() + 1
 }
 
 // TestAbandonedBoundWeakerThanOpenNodes: with nodes still open the reported
@@ -167,7 +169,7 @@ func TestAbandonedBoundWeakerThanOpenNodes(t *testing.T) {
 	m := &Model{}
 	m.AddVar(Binary, 0, 1, 1)
 	s := &search{
-		ws: new(Workspace), model: m,
+		ws: new(Workspace), model: m, scratch: new(simplexState), // no LP ran
 		incumbent: []float64{1}, incObj: 7.5,
 		h:     &nodeHeap{},
 		nodes: 5, bestBound: 9,

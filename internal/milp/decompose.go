@@ -209,9 +209,8 @@ func mergeParts(parts []Part, sols []*Solution, fullVars int, merged *Solution) 
 			// Replayed parts did no search this call; folding their recorded
 			// effort back in would double-count it every cycle they survive.
 			merged.Nodes += sol.Nodes
-			merged.LP.add(&sol.LP)
-			merged.Cuts.add(&sol.Cuts)
-			merged.Branch.add(&sol.Branch)
+			merged.LP.Add(&sol.LP)
+			merged.Branch.Add(&sol.Branch)
 			merged.Runtime += sol.Runtime
 		}
 		switch sol.Status {

@@ -15,8 +15,8 @@ import (
 // one of a few placement options, options that occupy capacity over a run of
 // slices, supply rows that make them compete. Rows are in the lean form the
 // compiler emits: a job's choice is Σ options ≤ 1, with no job indicator.
-// Small enough to solve in milliseconds, oversubscribed enough to need cuts
-// and a tree.
+// Small enough to solve in milliseconds, oversubscribed enough to need a
+// tree.
 func packingModel(seed int64, jobs int) *Model {
 	r := rand.New(rand.NewSource(seed))
 	m := &Model{}
@@ -602,33 +602,28 @@ func fanOutFrame(stack []uintptr) bool {
 // TestSlabSizing: a slab that has never been rewound may be a throwaway
 // Workspace's, so it cuts every request exact and keeps no array; its first
 // rewind makes one of what was held; from then on it serves from one array,
-// starts one of twice the size at the request that does not fit, and a mark
-// taken in the old array gives the whole new one back.
+// starts one of twice the size at the request that does not fit, and a rewind
+// wipes what the new array handed out and leaves the old one's slices alone.
 func TestSlabSizing(t *testing.T) {
 	var s slab[int]
-	a, m := s.take(5), s.mark()
-	b := s.take(7)
+	a, b := s.take(5), s.take(7)
 	if cap(a) != 5 || cap(b) != 7 || s.buf != nil || s.used != 12 {
 		t.Fatalf("a new slab cut %d and %d for 5 and 7, kept an array of %d and counts %d", cap(a), cap(b), len(s.buf), s.used)
 	}
-	if s.release(m); s.used != 5 {
-		t.Fatalf("%d held after releasing to a mark at 5", s.used)
-	}
 	s.rewind()
-	if len(s.buf) != 5 || s.used != 0 {
-		t.Fatalf("the first rewind made an array of %d for the 5 held", len(s.buf))
+	if len(s.buf) != 12 || s.used != 0 {
+		t.Fatalf("the first rewind made an array of %d for the 12 held", len(s.buf))
 	}
-	a, m = s.take(5), s.mark()
-	b = s.take(7)
-	if len(s.buf) != 10 || &b[0] != &s.buf[0] || s.used != 7 {
-		t.Fatalf("a rewound slab of 5 served 7 from an array of %d at %d", len(s.buf), s.used)
+	a, b = s.take(5), s.take(8)
+	if len(s.buf) != 24 || &b[0] != &s.buf[0] || s.used != 8 {
+		t.Fatalf("a rewound slab of 12 served 5 and 8 from an array of %d at %d", len(s.buf), s.used)
 	}
 	a[0], b[0] = 1, 2
-	s.release(m)
+	s.rewind()
 	if s.used != 0 || b[0] != 0 || a[0] != 1 {
-		t.Errorf("releasing to a mark of the old array: used %d, new array wiped %v, old slice kept %v", s.used, b[0] == 0, a[0] == 1)
+		t.Errorf("rewinding after a new array: used %d, new array wiped %v, old slice kept %v", s.used, b[0] == 0, a[0] == 1)
 	}
-	if c := s.take(10); &c[0] != &s.buf[0] || len(s.buf) != 10 {
-		t.Error("the released array was not reused")
+	if c := s.take(24); &c[0] != &s.buf[0] || len(s.buf) != 24 {
+		t.Error("the rewound array was not reused")
 	}
 }

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"container/heap"
 	"math"
 	"reflect"
 	"testing"
@@ -25,6 +26,17 @@ func (l *pointLog) note(x []float64) {
 	l.calls++
 }
 
+// mix64 folds v into the hash h (a splitmix64-style finalization).
+func mix64(h, v uint64) uint64 {
+	v += h
+	v ^= v >> 30
+	v *= 0xbf58476d1ce4e5b9
+	v ^= v >> 27
+	v *= 0x94d049bb133111eb
+	v ^= v >> 31
+	return v
+}
+
 func (l *pointLog) repeats() int {
 	n := 0
 	for _, k := range l.seen {
@@ -43,7 +55,7 @@ func TestHeuristicOfferedEveryNode(t *testing.T) {
 	branched := 0
 	for seed := int64(0); seed < 12; seed++ {
 		var log pointLog
-		opts := Options{DisableCuts: true} // a cut round's offer is not a node's
+		var opts Options
 		opts.Heuristic = func(x []float64) []float64 {
 			log.note(x)
 			return nil
@@ -135,8 +147,7 @@ func TestRoundAllocatesNothing(t *testing.T) {
 }
 
 // rootSearch solves m's root relaxation on w the way branchAndBound does and
-// returns the search, ready for runCutRounds or openRoot, with the root point
-// and bound.
+// returns the search, ready for openRoot, with the root point and bound.
 func rootSearch(t *testing.T, w *Workspace, m *Model, opts Options) (*search, []float64, float64) {
 	t.Helper()
 	p := w.newLP(m)
@@ -150,99 +161,40 @@ func rootSearch(t *testing.T, w *Workspace, m *Model, opts Options) (*search, []
 	return s, x, m.ObjectiveValue(x[:len(m.Vars)])
 }
 
-// TestWarmCutRoundsMatchCold is the property the warm re-solve rests on, over
-// 400 seeded packing models: a cut round re-solved by the dual simplex from
-// the previous round's basis reaches the optimum a cold primal solve of the
-// same grown LP reaches. Round one always separates at the same point, so its
-// cuts and bound must agree; later rounds are compared while the rounds
-// before them added the same cuts (two solves may stop on different optimal
-// vertices of a degenerate LP, which then separate differently). Either way
-// the final bound is a valid one: no tighter than the true optimum.
-func TestWarmCutRoundsMatchCold(t *testing.T) {
-	const seeds = 400
-	rounds, cut, same, warmHits := 0, 0, 0, 0
-	for seed := int64(0); seed < seeds; seed++ {
-		m := packingModel(seed, 8+int(seed%7))
-		exact, err := Solve(m, Options{DisableCuts: true})
-		if err != nil || exact.Status != StatusOptimal {
-			t.Fatalf("seed %d: exact solve: %v %+v", seed, err, exact)
-		}
-		warm, wx, wObj := rootSearch(t, new(Workspace), m, Options{})
-		cold, cx, cObj := rootSearch(t, new(Workspace), m, Options{DisableWarmStart: true})
-		if !reflect.DeepEqual(wx, cx) {
-			t.Fatalf("seed %d: the two root solves differ", seed)
-		}
-		first := len(new(Workspace).separateCuts(m, wx)) // what round one adds
-		_, wObj = warm.runCutRounds(wx, wObj)
-		_, cObj = cold.runCutRounds(cx, cObj)
-		for name, s := range map[string]*search{"warm": warm, "cold": cold} {
-			if bound := s.model.ObjectiveValue(s.scratch.x[:len(m.Vars)]); bound < exact.Objective-1e-6 {
-				t.Fatalf("seed %d %s: bound %v after %d rounds cuts off the optimum %v", seed, name, bound, s.cuts.Rounds, exact.Objective)
-			}
-		}
-		if cold.lp.WarmHits+cold.scratch.stats.WarmHits != 0 {
-			t.Fatalf("seed %d: DisableWarmStart took the warm path", seed)
-		}
-		if warm.cuts.Rounds == 0 {
-			continue
-		}
-		cut++
-		rounds += warm.cuts.Rounds
-		warmHits += warm.lp.WarmHits + warm.scratch.stats.WarmHits
-		// The cuts are rows len(m.Cons) onwards of either grown model, round
-		// one's first.
-		n := len(m.Cons)
-		wCons, cCons := warm.model.Cons[n:], cold.model.Cons[n:]
-		if cold.cuts.Rounds == 0 || !reflect.DeepEqual(wCons[:first], cCons[:first]) {
-			t.Fatalf("seed %d: round one, from the same point, added different cuts", seed)
-		}
-		if reflect.DeepEqual(wCons, cCons) {
-			same++
-			if math.Abs(wObj-cObj) > 1e-6*math.Max(1, math.Abs(cObj)) {
-				t.Fatalf("seed %d: the same %d cuts give bound %.9f warm, %.9f cold", seed, len(wCons), wObj, cObj)
-			}
-		}
-	}
-	t.Logf("%d models cut in %d rounds, %d re-solved warm; %d models ended with the cold path's cuts", cut, rounds, warmHits, same)
-	if rounds < 200 || warmHits < rounds*9/10 {
-		t.Fatalf("%d rounds, %d of them re-solved warm: the dual path is not carrying the rounds", rounds, warmHits)
-	}
-	if same < cut/2 {
-		t.Fatalf("only %d of %d models ended with the cuts the cold path adds", same, cut)
-	}
-}
-
-// TestStaleCutBasisFallsBackCold: a root basis that cannot seed the restart —
-// a column basic in two rows, or resting on a bound it does not have — sends
-// the round down the cold path, to the cold path's cuts and bound.
-func TestStaleCutBasisFallsBackCold(t *testing.T) {
+// TestCorruptNodeSnapshotFallsBackCold: a parent basis that cannot seed a
+// node's restart — a column basic in two rows, or resting on a bound it does
+// not have — sends the node down the cold path, to the LP optimum the snapshot
+// was taken at, and the search books the snapshot as it would a sound one.
+func TestCorruptNodeSnapshotFallsBackCold(t *testing.T) {
 	m := residentModel(1)
-	cold, cx, cObj := rootSearch(t, new(Workspace), m, Options{DisableWarmStart: true})
-	_, cObj = cold.runCutRounds(cx, cObj)
-	if cold.cuts.Rounds == 0 {
-		t.Fatal("no round ran; the test exercises nothing")
-	}
-	for name, corrupt := range map[string]func(sc *simplexState){
-		"duplicate basic column": func(sc *simplexState) { sc.basis[0] = sc.basis[1] },
-		"rests on a missing bound": func(sc *simplexState) {
-			for j := sc.p.nvars; j < sc.p.n; j++ { // a ≤-row's slack has no upper bound
-				if sc.status[j] == atLower && math.IsInf(sc.p.ub[j], 1) {
-					sc.status[j] = atUpper
+	for name, corrupt := range map[string]func(bs *basisState, p *lp){
+		"duplicate basic column": func(bs *basisState, p *lp) { bs.basis[0] = bs.basis[1] },
+		"rests on a missing bound": func(bs *basisState, p *lp) {
+			for j := p.nvars; j < p.n; j++ { // a ≤-row's slack has no upper bound
+				if bs.status[j] == atLower && math.IsInf(p.ub[j], 1) {
+					bs.status[j] = atUpper
 					return
 				}
 			}
 			t.Fatal("no nonbasic slack to corrupt")
 		},
 	} {
-		s, x, obj := rootSearch(t, new(Workspace), m, Options{})
-		corrupt(s.scratch)
-		_, obj = s.runCutRounds(x, obj)
-		s.lp.add(&s.scratch.stats)
-		if s.lp.WarmFallbacks == 0 {
-			t.Errorf("%s: the restart was not rejected: %+v", name, s.lp)
+		w := new(Workspace)
+		s, _, rootObj := rootSearch(t, w, m, Options{})
+		s.openRoot(rootObj)
+		root := heap.Pop(s.h).(*bbNode)
+		if root.warm == nil {
+			t.Fatal("the root captured no snapshot; the test exercises nothing")
 		}
-		if math.Abs(obj-cObj) > 1e-6 || s.cuts != cold.cuts {
-			t.Errorf("%s: bound %v after %+v, the cold path reaches %v after %+v", name, obj, s.cuts, cObj, cold.cuts)
+		corrupt(root.warm, s.p)
+		before := s.scratch.stats
+		s.evalNode(root, make([]float64, s.p.n), make([]float64, s.p.n))
+		if got := s.scratch.stats; got.WarmFallbacks != before.WarmFallbacks+1 || got.WarmHits != before.WarmHits {
+			t.Errorf("%s: the restart was not rejected: %+v after %+v", name, got, before)
 		}
+		if s.h.Len() != 2 || math.Abs(s.h.nodes[0].bound-rootObj) > 1e-6 {
+			t.Errorf("%s: %d children at bound %v; the cold path reaches the root's %v", name, s.h.Len(), s.h.nodes[0].bound, rootObj)
+		}
+		checkSnapshotBooks(t, w)
 	}
 }

@@ -18,22 +18,21 @@ import (
 //
 // The table starts empty (reliability: with no observations at all the
 // selector is exactly the historical most-fractional rule, and unobserved
-// variables fall back to the table-wide average), and
-// Options.DisablePseudocost pins the historical rule outright. Branching
-// order never affects which solutions are feasible or optimal — only how fast
-// the search proves them — so the switch is a policy-invariant kill switch
-// like DisableCuts.
+// variables fall back to the table-wide average). Branching order never
+// affects which solutions are feasible or optimal — only how fast the search
+// proves them.
 
 // BranchStats reports how branch variables were chosen during one Solve.
 type BranchStats struct {
 	// Pseudocost counts branchings decided by pseudocost scores.
 	Pseudocost int64
-	// Fractional counts branchings by the most-fractional fallback (always
-	// all of them under Options.DisablePseudocost).
+	// Fractional counts branchings by the most-fractional rule, taken while
+	// the table has no observation.
 	Fractional int64
 }
 
-func (a *BranchStats) add(b *BranchStats) {
+// Add sums b's counters into a.
+func (a *BranchStats) Add(b *BranchStats) {
 	a.Pseudocost += b.Pseudocost
 	a.Fractional += b.Fractional
 }
@@ -102,9 +101,9 @@ func (s *search) noteBranchOutcome(node *bbNode, childObj float64) {
 
 // selectBranch picks the branching column among the fractional candidates:
 // pseudocost product score when the table has history, most-fractional
-// otherwise (and always under Options.DisablePseudocost). fracs is non-empty.
+// otherwise. fracs is non-empty.
 func (s *search) selectBranch(fracs []fracVar) (int, float64) {
-	if !s.opts.DisablePseudocost && s.pc.observations > 0 {
+	if s.pc.observations > 0 {
 		// Table-wide mean degradations back unobserved directions, so a
 		// variable with one strong observed side still outranks noise.
 		var upAvg, dnAvg float64

@@ -141,7 +141,7 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 }
 
 // TestPresolveIdentity: a solve leaves its model as it was, rows, terms and
-// columns, though cut rounds grow models that share its columns and terms.
+// columns.
 func TestPresolveIdentity(t *testing.T) {
 	m := &Model{}
 	x := m.AddVar(Binary, 0, 1, 5)

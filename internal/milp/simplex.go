@@ -32,8 +32,7 @@ const (
 var errSingularBasis = errors.New("milp: singular basis during refactorization")
 
 // LPStats aggregates LP-kernel telemetry across every relaxation solved
-// during one Solve call: the root, its cut rounds and branch-and-bound node
-// re-solves.
+// during one Solve call: the root and the branch-and-bound node re-solves.
 type LPStats struct {
 	// Iterations counts simplex pivots, primal and dual phases combined.
 	Iterations int64
@@ -58,7 +57,8 @@ type LPStats struct {
 	UnstableFactors int
 }
 
-func (a *LPStats) add(b *LPStats) {
+// Add sums b's counters into a.
+func (a *LPStats) Add(b *LPStats) {
 	a.Iterations += b.Iterations
 	a.Phase1 += b.Phase1
 	a.WarmHits += b.WarmHits
@@ -92,14 +92,14 @@ type lp struct {
 }
 
 // newLP converts a Model into computational standard form on the workspace's
-// slabs, header included. Branch-and-bound passes per-node copies of the bound
-// arrays without rebuilding the matrix.
+// slabs, into the workspace's one LP header. Branch-and-bound passes per-node
+// copies of the bound arrays without rebuilding the matrix.
 func (w *Workspace) newLP(model *Model) *lp {
 	m := len(model.Cons)
 	nv := len(model.Vars)
 	n := nv + m
 	fl := w.floats.take(m + 3*n)
-	p := &w.lps.take(1)[0]
+	p := &w.lp
 	*p = lp{
 		m:        m,
 		n:        n,

@@ -86,14 +86,6 @@ type Options struct {
 	// Warm restarts never change results — this switch exists for bisection
 	// and for measuring their speedup, not for correctness workarounds.
 	DisableWarmStart bool
-	// DisableCuts skips root cover/clique cut separation (see cuts.go).
-	// Cuts are valid for every integer point and never change the optimal
-	// objective — this switch exists for bisection and parity testing.
-	DisableCuts bool
-	// DisablePseudocost pins branching to the historical most-fractional
-	// rule instead of learned pseudocosts (see pseudocost.go). Branching
-	// order never changes which solutions are optimal, only search speed.
-	DisablePseudocost bool
 }
 
 // Solution is the result of a Solve call. Beside the answer it records what
@@ -106,16 +98,18 @@ type Solution struct {
 	Values    []float64   // one entry per model variable
 	Nodes     int         // branch-and-bound nodes explored
 	LP        LPStats     // LP-kernel telemetry summed over all relaxations
-	Cuts      CutStats    // root cutting-plane activity (zero when cuts are disabled)
 	Branch    BranchStats // branching-rule usage counts
 	Runtime   time.Duration
 
 	// Presolve once reported the rows a model-reduction pass dropped before
-	// the search; the solver hands the model to the search as it stands.
+	// the search, and Cuts the root cutting-plane rounds that tightened the
+	// relaxation; the solver hands the model to the search as it stands and
+	// branches from the root LP.
 	//
 	// Deprecated: always zero. Kept because benchmark/replay.go, which is
-	// frozen, reads Presolve.RowsDropped.
+	// frozen, reads Presolve.RowsDropped and Cuts.Rounds.
 	Presolve struct{ RowsDropped int }
+	Cuts     struct{ Rounds int }
 
 	bar seedBar // what a later seed must beat to change this answer
 }
@@ -214,9 +208,7 @@ type search struct {
 
 	primal []float64 // the caller's heuristic's memory: the LP point it may overwrite
 
-	scratch *simplexState // the root's LP scratch, then the last cut round's, then every node's
-	lp      LPStats       // folded telemetry of retired scratches; finish() adds s.scratch's
-	cuts    CutStats      // root cutting-plane activity
+	scratch *simplexState // the root's LP scratch, then every node's; its stats are the solve's
 	branch  BranchStats   // branching-rule usage
 	pc      pcTable       // learned pseudocosts
 	fracBuf []fracVar     // the branching step's fractional-candidate scratch
@@ -385,13 +377,13 @@ const factorWeight, workPerSecond = 4, 30000
 // work is the LP work st counts.
 func (st *LPStats) work() int64 { return st.Iterations + factorWeight*st.Factorizations }
 
-// left is the LP work the budget has left, over the LPs retired into s.lp and
-// the scratch's (MaxInt without a budget): the next LP's iteration cap.
+// left is the LP work the budget has left over what the scratch has done
+// (MaxInt without a budget): the next LP's iteration cap.
 func (s *search) left() int {
 	if s.budget == 0 {
 		return math.MaxInt
 	}
-	return int(s.budget - s.lp.work() - s.scratch.stats.work())
+	return int(s.budget - s.scratch.stats.work())
 }
 
 // solveNodeLP solves one node's relaxation on the search's scratch,
@@ -489,49 +481,31 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 		return w.answer(Solution{Status: StatusNoSolution, Nodes: 1, LP: s.scratch.stats, bar: s.bar}), nil
 	}
 	rootObj := model.ObjectiveValue(x[:len(model.Vars)])
-
-	integralRoot := func(bar seedBar) (*Solution, error) {
-		// LP optimum is already integral.
+	if firstFractional(model, x) < 0 {
+		// LP optimum is already integral, and nothing after the LP reads the
+		// seed.
 		vals := roundIntegralInto(s.incBuf, model, x[:len(model.Vars)])
-		s.lp.add(&s.scratch.stats)
 		return w.answer(Solution{
 			Status:    StatusOptimal,
 			Objective: model.ObjectiveValue(vals),
 			Bound:     rootObj,
 			Values:    vals,
 			Nodes:     1,
-			LP:        s.lp,
-			Cuts:      s.cuts,
-			bar:       bar,
+			LP:        s.scratch.stats,
+			bar:       settled,
 		}), nil
-	}
-	if firstFractional(model, x) < 0 {
-		return integralRoot(settled) // nothing after the LP reads the seed
 	}
 
 	// Heuristics on the root for a strong starting incumbent: plain rounding,
 	// then the caller's. A good incumbent matters because gap-based
-	// termination returns it directly — and it runs before cut separation,
-	// because an incumbent that already meets the gap against the un-cut root
-	// bound makes every separation round (a grown LP and its re-solve) pure
-	// overhead.
+	// termination returns it directly: on the scheduler's models the search
+	// usually ends at its first pop.
 	s.offerRoot(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
 	if opts.Heuristic != nil {
 		s.primal = s.ws.floats.take(len(model.Vars))
 	}
 	s.offerRoot(s.round(x))
 
-	if !opts.DisableCuts {
-		// Strengthen the root relaxation with cover/clique cuts before
-		// branching; the search's model/LP/scratch may be replaced (cuts
-		// only append rows, so variable indexing is untouched — incumbents
-		// stay feasible because cuts hold for every integer point).
-		x, rootObj = s.runCutRounds(x, rootObj)
-		model, p = s.model, s.p
-		if firstFractional(model, x) < 0 {
-			return integralRoot(s.bar)
-		}
-	}
 	s.openRoot(rootObj)
 	s.run()
 	return s.finish(), nil
@@ -607,11 +581,8 @@ func (s *search) evalNode(node *bbNode, lb, ub []float64) {
 		s.adopt(roundIntegral(s.model, x[:len(s.model.Vars)]))
 		return
 	}
-	if cand := s.round(x); cand != nil && s.model.IsFeasible(cand, 1e-6) {
-		s.adopt(cand)
-		if !better(obj, s.incObj) {
-			return // the candidate itself closed this subtree
-		}
+	if s.consider(s.round(x)); !better(obj, s.incObj) {
+		return // the candidate itself closed this subtree
 	}
 	// Both children share the node's basis. The buffer is usually the one the
 	// node itself just restored from.
@@ -658,10 +629,7 @@ func (s *search) finish() *Solution {
 	// Proof of optimality or infeasibility needs every subtree closed.
 	closed := s.h.Len() == 0 && !s.abandoned
 
-	if s.scratch != nil {
-		s.lp.add(&s.scratch.stats)
-	}
-	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, LP: s.lp, Cuts: s.cuts, Branch: s.branch, bar: s.bar})
+	sol := s.ws.answer(Solution{Nodes: s.nodes, Bound: s.bestBound, LP: s.scratch.stats, Branch: s.branch, bar: s.bar})
 	if s.incumbent == nil {
 		if closed {
 			sol.Status = StatusInfeasible

@@ -4,11 +4,10 @@ import "sync"
 
 // Memory ownership (docs/SOLVER.md has the longer version).
 //
-// A solve builds a chain of views and flat copies of its model — the LP's
-// compressed columns, every cut round's grown model, simplex and basis-engine
-// buffers, the pseudocost table — and a tree of nodes and basis snapshots
-// that all die when Solve returns, and so do the chain's headers (every Model
-// and lp, the search's answer). A Workspace keeps that memory between solves.
+// A solve builds flat copies of its model — the LP's compressed columns,
+// simplex and basis-engine buffers, the pseudocost table — and a tree of nodes
+// and basis snapshots that all die when Solve returns, and so do their headers
+// (the lp, the search's answer). A Workspace keeps that memory between solves.
 // It belongs to whoever calls Solve on it, serves one solve at a time, and is
 // rewound when that solve returns; nothing a Solution carries points into it
 // (the search's answer is the workspace's, and a solve ends by copying it out
@@ -38,8 +37,7 @@ import "sync"
 // stale pointer into a model the caller has dropped.
 type slab[T any] struct {
 	buf  []T
-	used int  // elements handed out and not released: of buf, once there is one
-	gen  int  // arrays started: a mark taken in an earlier one has nothing to release in this one
+	used int  // elements handed out: of buf, once there is one
 	kept bool // rewound before, so it has its array
 }
 
@@ -50,26 +48,9 @@ func (s *slab[T]) take(n int) []T {
 	}
 	if n > len(s.buf)-s.used {
 		s.buf, s.used = make([]T, max(n, 2*len(s.buf))), 0
-		s.gen++
 	}
 	s.used += n
 	return s.buf[s.used-n : s.used : s.used]
-}
-
-// slabMark is a position to release back to: what a nested, strictly
-// shorter-lived user (a cut round) took is handed back when it is done.
-type slabMark struct{ used, gen int }
-
-func (s *slab[T]) mark() slabMark { return slabMark{s.used, s.gen} }
-
-func (s *slab[T]) release(m slabMark) {
-	if m.gen != s.gen {
-		m.used = 0 // the array was started after the mark: all of it goes back
-	}
-	if s.kept {
-		clear(s.buf[m.used:s.used])
-	}
-	s.used = m.used
 }
 
 func (s *slab[T]) rewind() {
@@ -90,14 +71,9 @@ func (s *slab[T]) rewind() {
 type Workspace struct {
 	floats slab[float64]
 	int32s slab[int32]
-	ints   slab[int]
 	bytes  slab[byte]
-	terms  slab[Term]
-	vars   slab[Variable]
-	cons   slab[Constraint]
-	models slab[Model] // every cut round's grown model
-	lps    slab[lp]    // the LP of the model and of each of those
 
+	lp  lp       // the model's LP
 	ans Solution // the search's answer
 
 	// The tree search's memory ("Tree memory" in solve.go says who may touch
@@ -110,35 +86,11 @@ type Workspace struct {
 	snapFree []*basisState
 	open     nodeHeap
 
-	cut cutScratch // root separation's candidate lists outlive a round
-
 	search search // the current solve's tree search
 
-	// Simplex states (with their LU engines, whose factor and eta arrays
-	// grow by append) are kept whole and re-bound to the next LP. states[:lent]
-	// are in use by the current solve.
-	states []*simplexState
-	lent   int
-}
-
-// wsMark is a position in the memory a nested, strictly shorter-lived LP solve
-// borrows — a cut round's carried-over basis — to hand it back when the solve
-// is done.
-type wsMark struct {
-	floats, int32s, bytes, snaps slabMark
-	lent                         int
-}
-
-func (w *Workspace) mark() wsMark {
-	return wsMark{w.floats.mark(), w.int32s.mark(), w.bytes.mark(), w.snaps.mark(), w.lent}
-}
-
-func (w *Workspace) release(m wsMark) {
-	w.floats.release(m.floats)
-	w.int32s.release(m.int32s)
-	w.bytes.release(m.bytes)
-	w.snaps.release(m.snaps)
-	w.lent = m.lent
+	// The simplex state (with its LU engine, whose factor and eta arrays grow
+	// by append) is kept whole and re-bound to the next LP.
+	state *simplexState
 }
 
 // Solve is the package-level Solve on this workspace's memory: same model,
@@ -173,13 +125,8 @@ func (w *Workspace) answer(sol Solution) *Solution {
 func (w *Workspace) rewind() {
 	w.floats.rewind()
 	w.int32s.rewind()
-	w.ints.rewind()
 	w.bytes.rewind()
-	w.terms.rewind()
-	w.vars.rewind()
-	w.cons.rewind()
-	w.models.rewind()
-	w.lps.rewind()
+	w.lp = lp{}
 	w.ans = Solution{}
 	w.nodes.rewind()
 	w.block = nil
@@ -190,21 +137,17 @@ func (w *Workspace) rewind() {
 	w.snapFree = w.snapFree[:0]
 	clear(w.open.nodes)
 	w.open.nodes = w.open.nodes[:0]
-	clear(w.cut.kept[:cap(w.cut.kept)]) // rows on the term slab
-	w.lent = 0
 	w.search = search{}
 }
 
-// newScratch lends a simplex state bound to p: a retained one when there is
-// one, a new one otherwise.
+// newScratch binds the workspace's simplex state to p, making it on the
+// first solve.
 func (w *Workspace) newScratch(p *lp) *simplexState {
-	if w.lent == len(w.states) {
-		w.states = append(w.states, new(simplexState))
+	if w.state == nil {
+		w.state = new(simplexState)
 	}
-	s := w.states[w.lent]
-	w.lent++
-	s.bind(p)
-	return s
+	w.state.bind(p)
+	return w.state
 }
 
 // zeroed returns buf resized to n zeroed elements, reallocating — to at least

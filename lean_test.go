@@ -108,8 +108,8 @@ func TestLeanLowering(t *testing.T) {
 		sum, nodes, iters = sum+sol.Objective, nodes+sol.Nodes, iters+sol.LP.Iterations
 		rows, implied = rows+comp.Model.NumConstraints(), implied+impliedRows(comp.Model)
 	}
-	if math.Abs(sum-7193.2440396354987) > 1e-9 || nodes != 244 || iters != 2812 {
-		t.Errorf("parity corpus: objectives sum to %.17g in %d nodes and %d iterations; want 7193.2440396354987 in 244 and 2812",
+	if math.Abs(sum-7196.0501216315888) > 1e-9 || nodes != 378 || iters != 3196 {
+		t.Errorf("parity corpus: objectives sum to %.17g in %d nodes and %d iterations; want 7196.0501216315888 in 378 and 3196",
 			sum, nodes, iters)
 	}
 	if 50*implied > rows {
