@@ -104,13 +104,17 @@ type compEntry struct {
 func (s *Scheduler) feEnabled() bool { return !s.cfg.DisableCompileCache && !s.cfg.Greedy }
 
 // markJobDirty is the one purge hook: every event that can change a job's
-// request or standing (arrival, launch, finish, drop) drops its
-// cached expression, marks its class for recompilation and forgets the
-// solutions of the components naming it. Terminal events must purge eagerly:
-// a drained scheduler runs no further global cycle to sweep the table. A
-// capacity change without a job event shows in the class's release slices.
+// request or standing (arrival, launch, finish, drop) drops its cached
+// expression, retiring its request, marks its class for recompilation and
+// forgets the solutions of the components naming it. Terminal events must
+// purge eagerly: a drained scheduler runs no further global cycle to sweep the
+// table. A capacity change without a job event shows in the class's release
+// slices.
 func (s *Scheduler) markJobDirty(id int) {
-	delete(s.exprCache, id)
+	if ent := s.exprCache[id]; ent != nil {
+		s.retired = append(s.retired, ent.req)
+		delete(s.exprCache, id)
+	}
 	cl := s.classOf[id]
 	if cl == nil {
 		return
@@ -244,6 +248,7 @@ func (s *Scheduler) classify(reqs []*strlgen.Request, rel []int64) ([]*class, er
 		}
 		s.spare = append(s.spare, old)
 	}
+	s.handBack()
 	if len(s.spare) > len(cur) { // as many as there are classes are kept for their memory
 		clear(s.spare[len(cur):])
 		s.spare = s.spare[:len(cur)]
@@ -256,6 +261,19 @@ func (s *Scheduler) classify(reqs []*strlgen.Request, rel []int64) ([]*class, er
 	s.Stats.CompileSkips += kept
 	s.Stats.CompileJobs += compiled
 	return cur, nil
+}
+
+// handBack gives the Generator the retired requests to issue again. It runs
+// once no class reads them: after classify has swept the table, whose sweep
+// reads the swept classes' requests, or in a cycle that keeps no table. A
+// retired request is in no class the sweep keeps: its job has left classOf,
+// so its class cannot hold.
+func (s *Scheduler) handBack() {
+	for _, r := range s.retired {
+		s.gen.Recycle(r)
+	}
+	clear(s.retired)
+	s.retired = s.retired[:0]
 }
 
 // holds reports whether the class is the batch's members m compiled against

@@ -1103,3 +1103,54 @@ func TestShardedCycleAllocs(t *testing.T) {
 		t.Errorf("a rebuilt 4-shard cycle allocates %d bytes; want at most 10 KB", perCycle)
 	}
 }
+
+// TestChurnMakesNoRequest: on a steady churn, where each cycle's arrivals take
+// the place of the jobs that finished, a departed job's request is issued
+// again to a later arrival, its options and the MAX's kids in the memory they
+// had. Once warm, no cycle batches a request, an options array or a kids array
+// the warm-up did not already make, with the compile cache on or off.
+func TestChurnMakesNoRequest(t *testing.T) {
+	for _, off := range []bool{false, true} {
+		c := cluster.RC80(true)
+		sched := New(c, Config{CyclePeriod: 4, PlanAhead: 40, DisableCompileCache: off})
+		made := map[any]bool{}
+		var launched []*workload.Job
+		id := 0
+		const warm, cycles = 4, 40
+		for k := 0; k < cycles; k++ {
+			now := int64(4 * k)
+			for _, j := range launched {
+				sched.JobFinished(now, j)
+			}
+			for _, typ := range []workload.Type{workload.MPI, workload.GPU, workload.Unconstrained} {
+				sched.Submit(now, &workload.Job{ID: id, Class: workload.BestEffort, Type: typ, Submit: now,
+					K: 2 + id%3, BaseRuntime: 4, Slowdown: 2})
+				id++
+			}
+			res := sched.Cycle(now, c.All())
+			if len(res.Decisions) != 3 {
+				t.Fatalf("off=%v, cycle %d: %d of 3 arrivals launched", off, k, len(res.Decisions))
+			}
+			launched = launched[:0]
+			for _, d := range res.Decisions {
+				launched = append(launched, d.Job)
+			}
+			fresh := 0
+			for _, r := range sched.reqs {
+				keys := []any{r, &r.Options[:1][0]}
+				if m, ok := r.Expr.(*strl.Max); ok {
+					keys = append(keys, &m.Kids[:1][0])
+				}
+				for _, m := range keys {
+					if !made[m] {
+						made[m] = true
+						fresh++
+					}
+				}
+			}
+			if k >= warm && fresh > 0 {
+				t.Errorf("off=%v, cycle %d: %d requests, options arrays or kids arrays made after warm-up", off, k, fresh)
+			}
+		}
+	}
+}

@@ -31,6 +31,7 @@ var SolverMetrics = []telemetry.Metric[SolveStats]{
 
 	telemetry.Row("basis", "lp_factorizations", "tetrisched_solver_lp_factorizations_total", "counter", "Sparse LU basis factorizations.", func(s *SolveStats) any { return s.LP.Factorizations }),
 	telemetry.Row("basis", "lp_eta_updates", "tetrisched_solver_lp_eta_updates_total", "counter", "Forrest-Tomlin eta updates applied between refactorizations.", func(s *SolveStats) any { return s.LP.EtaUpdates }),
+	telemetry.Row("basis", "lp_degenerate_pivots", "tetrisched_solver_lp_degenerate_pivots_total", "counter", "Basis changes whose step is 0: the basis moves, the objective does not.", func(s *SolveStats) any { return s.LP.Degenerate }),
 	telemetry.Row("basis", "lp_unstable_factors", "tetrisched_solver_lp_unstable_factors_total", "counter", "LU factorizations rejected for element growth and repeated with strict partial pivoting.", func(s *SolveStats) any { return s.LP.UnstableFactors }),
 
 	telemetry.Row("branching", "pseudocost_branches", "tetrisched_solver_pseudocost_branches_total", "counter", "Branch decisions taken by learned pseudocosts.", func(s *SolveStats) any { return s.Branch.Pseudocost }),

@@ -248,6 +248,7 @@ type Scheduler struct {
 	// cycle with their compiled models and component solutions. exprCache is
 	// nil when the compile cache is disabled.
 	exprCache map[int]*exprEntry // job ID → cached STRL request + expiry
+	retired   []*strlgen.Request // requests no job holds, until handBack recycles them
 	classes   []*class           // by first member
 	classOf   map[int]*class     // job ID → its class among classes
 	spare     []*class           // swept classes, kept for their memory
@@ -523,6 +524,10 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 		s.greedyCycle(now, free, reqs, &res)
 	} else {
 		s.globalCycle(now, free, reqs, &res)
+	}
+	if s.exprCache == nil {
+		// Uncached, every cycle generates afresh: no job holds these past it.
+		s.retired = append(s.retired, reqs...)
 	}
 	cycleSpan.End(trace.I("pending", int64(len(s.pending))),
 		trace.I("decisions", int64(len(res.Decisions))),
@@ -944,6 +949,7 @@ func endSolveSpan(sp trace.Span, sol *milp.Solution, err error, warmSeed bool) {
 // greedyCycle is TetriSched-NG: one MILP per job, highest priority first,
 // with earlier jobs' tentative space-time claims excluded from later solves.
 func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Request, res *sim.CycleResult) {
+	s.handBack() // there is no class table to sweep
 	rel := s.releaseSlices(now, free)
 	claims := newClaimSet()
 	working := free.Clone()

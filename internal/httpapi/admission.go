@@ -353,11 +353,7 @@ func (a *admission) tryEnqueue(jobs []*workload.Job) enqueueOutcome {
 				t2.rejectedRate += uint64(t2.batchCount)
 			}
 			deficit := float64(ts.batchCount) - ts.tokens
-			retry := int(math.Ceil(deficit / ts.rate))
-			if retry < 1 {
-				retry = 1
-			}
-			return enqueueOutcome{reason: rejectRate, tenant: ts.name, retryAfter: retry}
+			return enqueueOutcome{reason: rejectRate, tenant: ts.name, retryAfter: max(1, int(math.Ceil(deficit/ts.rate)))}
 		}
 	}
 	// Dup scan: insert IDs as we go so in-batch duplicates collide too, and
@@ -475,28 +471,20 @@ func (a *admission) observeLatency(d time.Duration) {
 // retryAfterSeconds is the advisory client backoff attached to 429s,
 // rounded up to whole seconds (the Retry-After header unit).
 func (a *admission) retryAfterSeconds() int {
-	s := int((a.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(1, int((a.cfg.RetryAfter+time.Second-1)/time.Second))
 }
 
 // advisoryRetry resolves one rejection's Retry-After seconds: the outcome's
-// deficit-sized override when present, else the configured default — always
-// clamped to ≥ 1. Every 429 writer goes through here: an advisory of 0 tells
-// clients to retry immediately, which under overload synchronizes the whole
-// fleet into a retry stampede at exactly the moment the queue can least
-// absorb one.
+// deficit-sized override when present, else the configured default — each
+// clamped to ≥ 1 where it is made. Every 429 writer goes through here: an
+// advisory of 0 tells clients to retry immediately, which under overload
+// synchronizes the whole fleet into a retry stampede at exactly the moment the
+// queue can least absorb one.
 func (a *admission) advisoryRetry(out enqueueOutcome) int {
-	retry := a.retryAfterSeconds()
 	if out.retryAfter > 0 {
-		retry = out.retryAfter
+		return out.retryAfter
 	}
-	if retry < 1 {
-		retry = 1
-	}
-	return retry
+	return a.retryAfterSeconds()
 }
 
 // TenantStatusMsg is one tenant's admission accounting in /v1/status.

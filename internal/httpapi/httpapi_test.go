@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -363,6 +364,42 @@ func TestDroppedReservationIsReleased(t *testing.T) {
 	cycle(t, daemon, now+4, nil)
 	if daemon.plan.Lookup(2) == nil {
 		t.Error("the plan rejected the later job: the dropped job's slices were not released")
+	}
+}
+
+// TestFarJumpLeavesNoCalendarGap: a reservation runs past the cycle at 0 and
+// the cycle driver then jumps now 10⁷ s ahead. The drain's window starts a
+// slice before the new now, and the plan forgets everything before it, so the
+// next SLO job's reservation allocates its own slices and not the 2.5 million
+// slices of the gap (20 MB).
+func TestFarJumpLeavesNoCalendarGap(t *testing.T) {
+	c := cluster.Racked(8, 2, 0)
+	daemon := NewServer(core.New(c, core.Config{PlanAhead: 48}), c.N())
+	const jump = 10_000_000
+	for i, job := range []string{
+		`{"id":1,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":400,"slowdown":1,"deadline":1000}`,
+		fmt.Sprintf(`{"id":2,"class":"SLO","type":"Unconstrained","k":2,"base_runtime":8,"slowdown":1,"submit":%d,"deadline":%d}`, jump, jump+100),
+	} {
+		if w := serve(daemon, "/v1/submit", json.RawMessage("["+job+"]")); w.Code != http.StatusAccepted {
+			t.Fatalf("submit %s: %d %s", job, w.Code, w.Body)
+		}
+		now := int64(jump * i)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		cycle(t, daemon, now, []int{0, 1, 2, 3, 4, 5, 6, 7}[2*i:])
+		runtime.ReadMemStats(&m1)
+		if daemon.plan.Lookup(i+1) == nil {
+			t.Fatalf("job %d was not reserved at %d", i+1, now)
+		}
+		if n := m1.TotalAlloc - m0.TotalAlloc; n > 1<<20 {
+			t.Errorf("the cycle at %d allocated %d bytes, want at most 1 MB", now, n)
+		}
+	}
+	if r := daemon.plan.Lookup(1); r.End <= 4 {
+		t.Errorf("job 1's reservation %+v ends by the first cycle's window: the jump tests nothing", *r)
+	}
+	if st := daemon.snap.Load(); st.ReservationsAdmitted != 2 || st.ReservationsRejected != 0 {
+		t.Errorf("status reads %d reservations admitted and %d rejected, want 2 and 0", st.ReservationsAdmitted, st.ReservationsRejected)
 	}
 }
 

@@ -32,8 +32,8 @@ import (
 // JobMsg is the wire form of a job submission. It carries no priority and no
 // reservation: a job's value is the scheduler's to set, not the submitting
 // tenant's. Its submit time is held inside the window it was queued in, after
-// the previous cycle and up to the one that drains it, and the daemon's own
-// Rayon plan decides there whether an SLO job is reserved (handleCycle).
+// the previous cycle (at most a slice back) up to the one that drains it, and
+// the daemon's own Rayon plan decides there whether an SLO job is reserved.
 type JobMsg struct {
 	ID          int     `json:"id"`
 	Tenant      string  `json:"tenant,omitempty"` // the admitting tenant; empty is DefaultTenant
@@ -148,6 +148,9 @@ type StatusResponse struct {
 	Cycles    uint64 `json:"cycles"`
 	// HandlerPanics counts requests whose handler panicked and got a 500.
 	HandlerPanics uint64 `json:"handler_panics"`
+	// The drain's verdicts on SLO jobs from the daemon's Rayon plan.
+	ReservationsAdmitted uint64 `json:"reservations_admitted"`
+	ReservationsRejected uint64 `json:"reservations_rejected"`
 	// Solver carries cumulative solve telemetry under core.SolverMetrics' keys
 	// when the wrapped scheduler exposes it (core.Scheduler does).
 	Solver map[string]any `json:"solver,omitempty"`
@@ -187,6 +190,8 @@ type snapshot struct {
 var serverMetrics = []telemetry.Metric[snapshot]{
 	telemetry.Row("", "cycles", "tetrisched_cycles_total", "counter", "Scheduling cycles executed.", func(s *snapshot) any { return s.Cycles }),
 	telemetry.Row("", "handler_panics", "tetrisched_handler_panics_total", "counter", "Requests whose handler panicked, answered 500.", func(s *snapshot) any { return s.HandlerPanics }),
+	telemetry.Row("", "reservations_admitted", "tetrisched_reservations_admitted_total", "counter", "SLO jobs the drain reserved capacity for in the Rayon plan.", func(s *snapshot) any { return s.ReservationsAdmitted }),
+	telemetry.Row("", "reservations_rejected", "tetrisched_reservations_rejected_total", "counter", "SLO jobs the Rayon plan could not reserve for at the drain; they run unreserved.", func(s *snapshot) any { return s.ReservationsRejected }),
 	telemetry.Row("", "", "tetrisched_decisions_total", "counter", "Job launch decisions returned.", func(s *snapshot) any { return s.Decisions }),
 	telemetry.Row("", "", "tetrisched_preemptions_total", "counter", "Running jobs preempted.", func(s *snapshot) any { return s.Preemptions }),
 	telemetry.Row("", "", "tetrisched_dropped_total", "counter", "Pending jobs dropped (no remaining value).", func(s *snapshot) any { return s.Dropped }),
@@ -215,7 +220,7 @@ type Server struct {
 	running  map[int]bool
 	plan     *rayon.Plan // Rayon's calendar: the drain admits SLO jobs to it (§2.1)
 	tracer   *trace.Tracer
-	since    int64 // one past the previous cycle's now: where the next drain's window starts
+	since    int64 // one past the previous cycle's now: the next drain's window starts there at the earliest
 	// panics counts recovered handler panics. It is not in live: a panic can
 	// strike with s.mu in any state, so the renderers read it themselves.
 	panics atomic.Uint64
@@ -424,9 +429,11 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 	admitted := s.adm.drain(s.adm.cfg.Burst)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	since := s.since
+	// The drain's window starts after the previous cycle, or one slice back
+	// when now has jumped further: the calendar then skips the gap.
+	since := min(max(s.since, req.Now-s.plan.Quantum()), req.Now)
 	s.since = req.Now + 1
-	s.plan.Forget(min(since, req.Now)) // the drain admits nothing before its window
+	s.plan.Forget(since) // the drain admits nothing before its window
 	if len(admitted) > 0 {
 		fresh := 0
 		for _, j := range admitted {
@@ -443,7 +450,11 @@ func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
 			// window would have Rayon, which admits SLO jobs as they arrive, in
 			// drain order, reserve it in slices already gone.
 			j.Submit = min(max(j.Submit, since), req.Now)
-			j.Reserved = j.Class == workload.SLO && s.plan.Admit(j.ID, j.Submit, j.Deadline, j.K, j.EstRuntime(true)) != nil
+			if j.Reserved = j.Class == workload.SLO && s.plan.Admit(j.ID, j.Submit, j.Deadline, j.K, j.EstRuntime(true)) != nil; j.Reserved {
+				s.live.ReservationsAdmitted++
+			} else if j.Class == workload.SLO {
+				s.live.ReservationsRejected++
+			}
 			s.jobs[j.ID] = j
 			s.sched.Submit(j.Submit, j)
 			fresh++
@@ -528,10 +539,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	snap := s.tracer.Snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="tetrisched-trace.json"`)
-	if err := trace.WriteChrome(w, snap); err != nil {
-		// Headers already sent; the truncated body is the best we can do.
-		_ = err
-	}
+	_ = trace.WriteChrome(w, snap) // the headers are sent: a truncated body is the best there is
 }
 
 // handleMetrics serves Prometheus text exposition format (version 0.0.4): the

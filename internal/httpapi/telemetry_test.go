@@ -359,7 +359,8 @@ func TestObservabilityDoc(t *testing.T) {
 	}
 	list := func(block string) string { return strings.Join(blocks[block], ", ") }
 	status := statusBegin + " `scheduler` name, `pending` and `running` job counts, `universe`, `cycles`," +
-		" `handler_panics` (requests answered 500 because their handler panicked; the daemon serves on);" +
+		" `handler_panics` (requests answered 500 because their handler panicked; the daemon serves on)," +
+		" `reservations_admitted` and `reservations_rejected` (the drain's Rayon verdicts on SLO jobs);" +
 		" the `solver` block, cumulative solver telemetry (SOLVER.md; absent when the scheduler exposes none): " + list("solver") +
 		"; the `shard` block (sharded mode only; SHARDING.md): " + list("shard") +
 		"; the `admission` block: " + list("admission") + ", each of `tenants` with " + list("admission.tenants") + " |\n"

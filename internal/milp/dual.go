@@ -216,11 +216,11 @@ func (s *simplexState) dualIterate(lb, ub []float64) (lpStatus, error) {
 			case atFree: // either direction
 				dd = math.Abs(d)
 			}
+			ratio := dd / math.Abs(alpha)
 			if dualBland {
-				enter, enterAlpha, enterD = j, alpha, d
+				enter, enterAlpha, enterD, bestRatio = j, alpha, d, ratio
 				break
 			}
-			ratio := dd / math.Abs(alpha)
 			if ratio < bestRatio-1e-12 || (ratio <= bestRatio+1e-12 && math.Abs(alpha) > bestAlpha) {
 				bestRatio, bestAlpha = ratio, math.Abs(alpha)
 				enter, enterAlpha, enterD = j, alpha, d
@@ -258,6 +258,9 @@ func (s *simplexState) dualIterate(lb, ub []float64) (lpStatus, error) {
 		}
 		s.basis[leave] = enter
 		s.status[enter] = inBasis
+		if bestRatio == 0 {
+			s.stats.Degenerate++
+		}
 		pivW := w[leave]
 		if !s.lu.update(leave, w) {
 			if err := s.refactorize(); err != nil {

@@ -3,6 +3,7 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -416,6 +417,37 @@ func TestDegenerateLP(t *testing.T) {
 	sol := mustSolve(t, m, Options{})
 	if sol.Status != StatusOptimal || math.Abs(sol.Objective-0.05) > 1e-6 {
 		t.Fatalf("Beale: got %v obj %v, want optimal 0.05", sol.Status, sol.Objective)
+	}
+	// Both ≤ 0 rows are tight at the origin, so the first pivot moves nothing.
+	if sol.LP.Degenerate == 0 || sol.LP.Degenerate >= sol.LP.Iterations {
+		t.Errorf("Beale: %d degenerate pivots in %d iterations, want some and fewer", sol.LP.Degenerate, sol.LP.Iterations)
+	}
+
+	// A vertex of this box is met by one row at a time: no pivot is degenerate.
+	m = &Model{}
+	x, y = m.AddVar(Continuous, 0, Inf, 1), m.AddVar(Continuous, 0, Inf, 1)
+	m.AddConstraint([]Term{{x, 1}, {y, 2}}, LE, 4)
+	m.AddConstraint([]Term{{x, 3}, {y, 1}}, LE, 6)
+	if sol := mustSolve(t, m, Options{}); sol.LP.Degenerate != 0 || sol.LP.Iterations < 2 {
+		t.Errorf("a nondegenerate LP: %d degenerate pivots in %d iterations, want 0 in at least 2", sol.LP.Degenerate, sol.LP.Iterations)
+	}
+}
+
+// TestLPStatsAddSumsEveryField: a counter added to LPStats is summed by Add,
+// so a merged solve reports every counter of its parts.
+func TestLPStatsAddSumsEveryField(t *testing.T) {
+	var one, sum LPStats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(1)
+	}
+	sum.Add(&one)
+	sum.Add(&one)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < s.NumField(); i++ {
+		if s.Field(i).Int() != 2 {
+			t.Errorf("LPStats.%s: 1 + 1 sums to %d", s.Type().Field(i).Name, s.Field(i).Int())
+		}
 	}
 }
 

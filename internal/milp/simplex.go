@@ -55,6 +55,10 @@ type LPStats struct {
 	// repeated with strict partial pivoting, which the scratch keeps until
 	// it is next bound.
 	UnstableFactors int
+	// Degenerate counts basis changes whose step is 0: a primal pivot whose
+	// ratio test ends at 0, so no variable moves, or a dual one whose entering
+	// reduced cost is 0. Such a pivot moves the basis and not the objective.
+	Degenerate int64
 }
 
 // Add sums b's counters into a.
@@ -67,6 +71,7 @@ func (a *LPStats) Add(b *LPStats) {
 	a.Factorizations += b.Factorizations
 	a.EtaUpdates += b.EtaUpdates
 	a.UnstableFactors += b.UnstableFactors
+	a.Degenerate += b.Degenerate
 }
 
 // lp is a linear program in computational standard form:
@@ -622,6 +627,9 @@ func (s *simplexState) iterate(lb, ub, cost []float64) (lpStatus, error) {
 		}
 		s.basis[leave] = enter
 		s.status[enter] = inBasis
+		if tLim == 0 {
+			s.stats.Degenerate++
+		}
 		pivW := w[leave]
 		// rho = e_leaveᵀ·B_old⁻¹ feeds both the rank-1 dual update (row
 		// leave of the new inverse is rho/pivot) and the Devex weight

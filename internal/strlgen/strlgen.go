@@ -124,10 +124,12 @@ type Request struct {
 	// supply, whatever the solver does. It may be one of the leaf sets itself;
 	// read-only.
 	Nodes *bitset.Set
-	// Rev counts Reprice calls. The leaves are re-priced, and Options, Expr
-	// and Nodes trimmed, in place, and a trim moves the leaves that are left
-	// to other addresses, so whoever keeps something derived from them keeps
-	// the Rev it was derived at beside the pointer.
+	// Rev counts Reprice and Recycle calls. The leaves are re-priced, and
+	// Options, Expr and Nodes trimmed, in place, and a trim moves the leaves
+	// that are left to other addresses; a recycled request is issued again,
+	// for another job. So whoever keeps something derived from a request keeps
+	// the Rev it was derived at beside the pointer: no pointer is ever issued
+	// twice at one Rev.
 	Rev uint32
 
 	max strl.Max // Expr when there are several options
@@ -159,7 +161,8 @@ func (r *Request) point() {
 
 // Generator emits STRL requests for one cluster. It is not safe for
 // concurrent use: it enumerates a job's placements into a buffer of its own,
-// and interns the Places of elastic widths as it first meets them.
+// interns the Places of elastic widths as it first meets them, and issues
+// recycled requests again.
 type Generator struct {
 	cfg    Config
 	c      *cluster.Cluster
@@ -168,6 +171,7 @@ type Generator struct {
 	racks  []placement // one per rack, in the cluster's rack order
 	widths []*Place    // widths[w] is the elastic width-w Place, once met
 	places []placement // the placements of the job being generated
+	free   []*Request  // recycled requests, issued again before any is made
 }
 
 // New builds a Generator.
@@ -433,7 +437,8 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 		return nil, now
 	}
 	validUntil := int64(math.MaxInt64)
-	req := &Request{Job: j, Options: make([]Option, 0, n), Nodes: nodes.set}
+	req := g.reissue(n)
+	req.Job, req.Nodes = j, nodes.set
 	for _, p := range placements {
 		pl := g.startPlan(j, p, len(placements))
 		for s := int64(0); s < g.cfg.PlanAheadSlices; s += pl.stride {
@@ -453,6 +458,43 @@ func (g *Generator) GenerateTTL(now int64, j *workload.Job) (*Request, int64) {
 	}
 	req.point()
 	return req, validUntil
+}
+
+// Recycle hands back a request nothing reads any more, for GenerateTTL to
+// issue again, to any job, with its memory: the options and, if it has
+// several, the MAX's kids. Rev moves on, so the request issued again is not,
+// at any Rev, the one handed back. The caller lets go of req.
+func (g *Generator) Recycle(req *Request) {
+	clear(req.Options)
+	req.Job, req.Expr, req.Options, req.Nodes = nil, nil, req.Options[:0], nil
+	req.Rev++
+	g.free = append(g.free, req)
+}
+
+// reissue returns a request for n options, with no job: the recycled one
+// whose options fit n most tightly, or, when none does, the smallest
+// recycled one with new memory for them, or a new one when none is recycled.
+// So the free list never holds more requests than were ever issued at once.
+func (g *Generator) reissue(n int) *Request {
+	if len(g.free) == 0 {
+		return &Request{Options: make([]Option, 0, n)}
+	}
+	best := 0
+	for i, r := range g.free {
+		c, b := cap(r.Options), cap(g.free[best].Options)
+		// One that fits beats one that does not; else the smaller wins.
+		if fits, bestFits := c >= n, b >= n; fits != bestFits && fits || fits == bestFits && c < b {
+			best = i
+		}
+	}
+	req := g.free[best]
+	last := len(g.free) - 1
+	g.free[best], g.free[last] = g.free[last], nil
+	g.free = g.free[:last]
+	if cap(req.Options) < n {
+		req.Options = make([]Option, 0, n)
+	}
+	return req
 }
 
 // nodeUnion accumulates the union of placement sets. It is one of them for as

@@ -627,3 +627,89 @@ func TestRepriceMatchesGenerate(t *testing.T) {
 			repriced, trimmed, dropped, clamped, floored)
 	}
 }
+
+// TestRecycledRequestIsFresh: GenerateTTL issues a recycled request again, to
+// another job, before it makes one. The request it issues is, Rev apart,
+// field for field the one a fresh Generator makes for that job, expiry bound
+// included, whether its options fitted the old memory or needed new; its Rev
+// is past every one it held before, re-pricing included; and a Generator that
+// has issued k requests at once makes no more than k, however often they come
+// back. Issued again, an Unconstrained request allocates nothing.
+func TestRecycledRequestIsFresh(t *testing.T) {
+	c := cluster.RC80(true)
+	cfg := Default(4, 40)
+	jobs := []*workload.Job{ // the first has the fewest options, the second the most
+		{ID: 6, Class: workload.SLO, Type: workload.GPU, K: 2, BaseRuntime: 8, Slowdown: 2, Deadline: 24},
+		{ID: 3, Class: workload.BestEffort, Type: workload.MPI, K: 4, BaseRuntime: 20, Slowdown: 1.5},
+		{ID: 1, Class: workload.BestEffort, Type: workload.Unconstrained, K: 4, BaseRuntime: 20, Slowdown: 1.5},
+		gpuJob(4),
+		{ID: 4, Class: workload.BestEffort, Type: workload.Elastic, K: 8, MinK: 2, BaseRuntime: 20, Slowdown: 1},
+		{ID: 5, Class: workload.SLO, Reserved: true, Type: workload.DataLocal, K: 2, BaseRuntime: 20, Slowdown: 1.5,
+			DataNodes: []int{3, 4, 5}, Deadline: 60},
+	}
+	g := New(c, cfg)
+	now := int64(0)
+	req, _ := g.GenerateTTL(now, jobs[0])
+	fitted, regrown := 0, 0
+	for round := 0; round < 3; round++ {
+		for i, j := range jobs {
+			prev := req
+			if round > 0 && i%2 == 0 {
+				g.Reprice(now+8, prev)
+			}
+			last, room := prev.Rev, cap(prev.Options)
+			g.Recycle(prev)
+			var until int64
+			req, until = g.GenerateTTL(now, j)
+			if req != prev {
+				t.Fatalf("round %d, job %d: GenerateTTL made a request with one recycled", round, j.ID)
+			}
+			if req.Rev <= last {
+				t.Errorf("round %d, job %d: issued again at Rev %d, held at %d before", round, j.ID, req.Rev, last)
+			}
+			if room >= len(req.Options) {
+				fitted++
+			} else {
+				regrown++
+			}
+			fresh, freshUntil := New(c, cfg).GenerateTTL(now, j)
+			fresh.Rev = req.Rev
+			if !reflect.DeepEqual(req, fresh) || until != freshUntil {
+				t.Errorf("round %d, job %d: issued again (valid until %d):\n  %+v\nfresh (valid until %d):\n  %+v",
+					round, j.ID, until, summarize(req), freshUntil, summarize(fresh))
+			}
+			if err := aliasErr(req); err != nil {
+				t.Errorf("round %d, job %d: %v", round, j.ID, err)
+			}
+		}
+		now += 4
+	}
+	if fitted == 0 || regrown == 0 {
+		t.Errorf("%d requests issued again in their own memory, %d in new: a case went untested", fitted, regrown)
+	}
+
+	made := map[*Request]bool{req: true}
+	issued := []*Request{req}
+	for _, j := range jobs[1:] {
+		issued = append(issued, g.Generate(now, j))
+		made[issued[len(issued)-1]] = true
+	}
+	for round := 1; round <= 3; round++ {
+		for _, r := range issued {
+			g.Recycle(r)
+		}
+		for i := range issued {
+			issued[i] = g.Generate(now, jobs[(i+round)%len(jobs)])
+			made[issued[i]] = true
+		}
+		if len(made) != len(jobs) || len(g.free) != 0 {
+			t.Errorf("round %d: %d requests made for %d at once, %d left on the free list", round, len(made), len(jobs), len(g.free))
+		}
+	}
+
+	u := jobs[2]
+	g.Recycle(g.Generate(now, u))
+	if n := testing.AllocsPerRun(50, func() { g.Recycle(g.Generate(now, u)) }); n != 0 {
+		t.Errorf("an Unconstrained request issued again allocates %v times", n)
+	}
+}
