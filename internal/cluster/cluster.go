@@ -6,11 +6,11 @@ package cluster
 
 import (
 	"maps"
-	"slices"
 	"sort"
 	"strconv"
 
 	"tetrisched/internal/bitset"
+	"tetrisched/internal/slab"
 )
 
 // NodeID indexes a node within its cluster; IDs are dense in [0, N).
@@ -237,7 +237,7 @@ func (p *Partitioning) Refine(universe *bitset.Set, eqsets []*bitset.Set) {
 	all := p.newSet(universe.Cap())
 	all.CopyFrom(universe)
 	groups, next := append(p.Groups[:0], all), p.spare[:0]
-	first, distinct := slices.Grow(p.first[:0], len(eqsets)), p.distinct[:0]
+	first, distinct := slab.Grow(p.first[:0], len(eqsets)), p.distinct[:0]
 	for i, es := range eqsets {
 		if d := findSet(eqsets, distinct, es); d >= 0 {
 			first = append(first, d)
@@ -269,10 +269,7 @@ func (p *Partitioning) Refine(universe *bitset.Set, eqsets []*bitset.Set) {
 		}
 	}
 	p.Groups, p.spare, p.first, p.distinct = groups, next, first, distinct
-	if cap(p.Cover) < len(eqsets) {
-		p.Cover = make([][]int, len(eqsets))
-	}
-	p.Cover = p.Cover[:len(eqsets)]
+	p.Cover = slab.Sized(p.Cover, len(eqsets)) // every entry is written below
 	flat := p.flat[:0]
 	for i, es := range eqsets {
 		if int(first[i]) != i {

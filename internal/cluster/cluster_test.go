@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -303,5 +304,34 @@ func TestPartitionAllocs(t *testing.T) {
 	p.Refine(u, eqsets)
 	if avg := testing.AllocsPerRun(50, func() { p.Refine(u, eqsets) }); avg != 0 || len(p.Groups) != 6 {
 		t.Errorf("a warm Refine allocates %v times for %d groups, want 0 and 6", avg, len(p.Groups))
+	}
+}
+
+// TestRefineCoverGrowsGeometrically: a Partitioning refined cycle after cycle
+// against a list of sets that gains one each cycle, as a growing backlog's
+// leaves do, reallocates its Cover a logarithmic number of times, not once a
+// cycle, and still covers every set.
+func TestRefineCoverGrowsGeometrically(t *testing.T) {
+	const n, cycles = 64, 1000
+	u := bitset.New(n)
+	u.Fill()
+	var p Partitioning
+	var eqsets []*bitset.Set
+	regrown := 0
+	for c := 0; c < cycles; c++ {
+		s := bitset.New(n)
+		s.Add(c % n)
+		eqsets = append(eqsets, s)
+		before := cap(p.Cover)
+		p.Refine(u, eqsets)
+		if cap(p.Cover) != before {
+			regrown++
+		}
+		if len(p.Cover) != len(eqsets) || len(p.Cover[c]) != 1 || !p.Groups[p.Cover[c][0]].Equal(s) {
+			t.Fatalf("cycle %d: %d covers for %d sets, the last %v", c, len(p.Cover), len(eqsets), p.Cover[c])
+		}
+	}
+	if limit := bits.Len(cycles) + 1; regrown > limit {
+		t.Errorf("Cover was reallocated %d times over %d cycles of one more set each, want at most %d", regrown, cycles, limit)
 	}
 }

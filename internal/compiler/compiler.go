@@ -21,6 +21,7 @@ import (
 	"tetrisched/internal/bitset"
 	"tetrisched/internal/cluster"
 	"tetrisched/internal/milp"
+	"tetrisched/internal/slab"
 	"tetrisched/internal/strl"
 )
 
@@ -163,54 +164,23 @@ type Scratch struct {
 	availFlat []int64
 
 	// What its decompositions are made of (components.go): every one since
-	// the last Compile, so the slabs are rewound there and only there.
-	ints   slab[int]   // Jobs, VarMaps, round scopes
-	int32s slab[int32] // round scopes' group → ledger row maps
-	vars   slab[milp.Variable]
-	cons   slab[milp.Constraint]
-	terms  slab[milp.Term]
-	models slab[milp.Model]
-	tmp    slab[int] // one decomposition's working arrays, rewound by each
+	// the last Compile, so the slabs are rewound there and only there. A slab
+	// (internal/slab) keeps every chunk it makes and adds one, of at least
+	// twice the last, only when no chunk has room, so a Scratch pays for its
+	// largest batch's decompositions about once.
+	ints   slab.Slab[int]   // Jobs, VarMaps, round scopes
+	int32s slab.Slab[int32] // round scopes' group → ledger row maps
+	vars   slab.Slab[milp.Variable]
+	cons   slab.Slab[milp.Constraint]
+	terms  slab.Slab[milp.Term]
+	models slab.Slab[milp.Model]
+	tmp    slab.Slab[int] // one decomposition's working arrays, rewound by each
 	sides  []cutSide
 
 	// Working memory of the roundings in flight (greedy.go); the one part of a
 	// Scratch that readers of a Compiled write, hence the lock.
 	roundMu   sync.Mutex
 	roundFree []*roundBuf
-}
-
-// slab hands out zeroed slices of one element type from an array that is kept
-// across rewinds, the discipline of milp.Workspace's slabs: a request that
-// does not fit starts a new array, at least twice the size, and is served from
-// that, so a slab converges on the largest batch it has seen and then
-// allocates nothing. Slices handed out stay valid until the rewind — those cut
-// from an earlier array keep it alive that long.
-type slab[T any] struct {
-	buf  []T
-	used int // elements of buf handed out
-}
-
-func (s *slab[T]) take(n int) []T {
-	if n > len(s.buf)-s.used {
-		s.buf, s.used = make([]T, max(n, 2*len(s.buf))), 0
-	}
-	s.used += n
-	return s.buf[s.used-n : s.used : s.used]
-}
-
-func (s *slab[T]) rewind() {
-	clear(s.buf[:s.used])
-	s.used = 0
-}
-
-// sized returns buf with length n and unspecified contents, reallocated —
-// with the slabs' quarter of headroom, for a backlog that grows a little
-// every cycle — only when it is too small.
-func sized[T any](buf []T, n int) []T {
-	if n > cap(buf) {
-		return make([]T, n, n+n/4)
-	}
-	return buf[:n]
 }
 
 // A supplyUse is a term in group's supply cells over slices [s, e). w is the
@@ -282,14 +252,17 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	// Partitioning, which retains neither input, so both are poolable.
 	eqsets, leaves := sc.eqsets[:0], sc.leaves[:0]
 	note := func(x strl.Expr) {
+		var set *bitset.Set
+		var rec leafRecord
 		switch l := x.(type) {
 		case *strl.NCk:
-			eqsets = append(eqsets, l.Set)
-			leaves = append(leaves, leafRecord{expr: l, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
+			set, rec = l.Set, leafRecord{expr: l, k: l.K, start: l.Start, dur: l.Dur, ind: noVar}
 		case *strl.LnCk:
-			eqsets = append(eqsets, l.Set)
-			leaves = append(leaves, leafRecord{expr: l, linear: true, k: l.K, start: l.Start, dur: l.Dur, ind: noVar})
+			set, rec = l.Set, leafRecord{expr: l, linear: true, k: l.K, start: l.Start, dur: l.Dur, ind: noVar}
+		default:
+			return
 		}
+		eqsets, leaves = append(slab.Grow(eqsets, 1), set), append(slab.Grow(leaves, 1), rec)
 	}
 	for _, job := range jobs {
 		strl.Walk(job, note)
@@ -307,14 +280,14 @@ func (sc *Scratch) Compile(jobs []strl.Expr, opts Options) (*Compiled, error) {
 	part := &sc.part
 	part.Refine(within, eqsets)
 	sc.uses, sc.obj, sc.kids, sc.nl, sc.nn = sc.uses[:0], sc.obj[:0], sc.kids[:0], 0, 0
-	sc.ints.rewind()
-	sc.int32s.rewind()
-	sc.vars.rewind()
-	sc.cons.rewind()
-	sc.terms.rewind()
-	sc.models.rewind()
+	sc.ints.Rewind()
+	sc.int32s.Rewind()
+	sc.vars.Rewind()
+	sc.cons.Rewind()
+	sc.terms.Rewind()
+	sc.models.Rewind()
 	sc.model.Reset()
-	sc.job = sized(sc.job, len(jobs)+1)
+	sc.job = slab.Sized(sc.job, len(jobs)+1)
 	// The Compiled itself is the one thing allocated per compilation: a
 	// recycled one could not tell that it is stale.
 	c := &Compiled{
@@ -387,7 +360,7 @@ func (c *Compiled) emitSupply() {
 				continue
 			}
 			sc.kept = append(sc.kept, keptRow{t: t, lo: int32(len(sc.keptLive)), hi: int32(len(sc.keptLive) + len(sc.cell))})
-			sc.keptLive = append(sc.keptLive, sc.live...)
+			sc.keptLive = append(slab.Grow(sc.keptLive, len(sc.live)), sc.live...)
 			c.Model.AddConstraint(sc.cell, milp.LE, float64(limit))
 		}
 	}
@@ -397,7 +370,7 @@ func (c *Compiled) emitSupply() {
 // events, by group, slice (h: at the window's edge, never read) and emission.
 func (sc *Scratch) sortEvents(nGroups int, h int32) {
 	n := nGroups * int(h+1)
-	at := sized(sc.eventAt, n+2)
+	at := slab.Sized(sc.eventAt, n+2)
 	clear(at)
 	for _, u := range sc.uses {
 		at[u.group*(h+1)+u.s+2]++
@@ -406,7 +379,7 @@ func (sc *Scratch) sortEvents(nGroups int, h int32) {
 	for i := 2; i < len(at); i++ {
 		at[i] += at[i-1]
 	}
-	ev := sized(sc.events, 2*len(sc.uses))
+	ev := slab.Sized(sc.events, 2*len(sc.uses))
 	for i, u := range sc.uses {
 		k, l := u.group*(h+1)+u.s+1, u.group*(h+1)+u.e+1
 		ev[at[k]], ev[at[l]] = int32(i), ^int32(i)
@@ -421,7 +394,7 @@ func (sc *Scratch) sortEvents(nGroups int, h int32) {
 // take.
 func (sc *Scratch) step(ev []int32) (dUse int64) {
 	live, cell, n := sc.live, sc.cell, len(sc.live)+len(ev)
-	nextLive, nextCell, i, k := sized(sc.spare, n), sized(sc.spareRow, n), 0, 0
+	nextLive, nextCell, i, k := slab.Sized(sc.spare, n), slab.Sized(sc.spareRow, n), 0, 0
 	for _, e := range ev {
 		u := max(e, ^e)
 		for ; i < len(live) && live[i] < u; i, k = i+1, k+1 {
@@ -445,8 +418,8 @@ func (sc *Scratch) step(ev []int32) (dUse int64) {
 func (c *Compiled) computeAvail() {
 	h := c.opts.Horizon
 	sc := c.scr
-	sc.avail = sized(sc.avail, len(c.Part.Groups))
-	sc.availFlat = sized(sc.availFlat, len(c.Part.Groups)*int(h))
+	sc.avail = slab.Sized(sc.avail, len(c.Part.Groups))
+	sc.availFlat = slab.Sized(sc.availFlat, len(c.Part.Groups)*int(h))
 	c.avail = sc.avail
 	flat := sc.availFlat
 	clear(flat)
@@ -694,7 +667,7 @@ func (c *Compiled) addPart(rec *leafRecord, pv partVar) {
 	if rec.partN == 0 {
 		rec.partLo = len(c.parts)
 	}
-	c.parts = append(c.parts, pv)
+	c.parts = append(slab.Grow(c.parts, 1), pv)
 	rec.partN++
 }
 
@@ -779,7 +752,7 @@ func (c *Compiled) addUse(g int, s, e int64, term milp.Term) {
 	if term.Var >= 0 {
 		w = int32(term.Coef * c.Model.Vars[term.Var].Ub)
 	}
-	c.scr.uses = append(c.scr.uses, supplyUse{term: term, w: w, group: int32(g), s: int32(s), e: int32(e)})
+	c.scr.uses = append(slab.Grow(c.scr.uses, 1), supplyUse{term: term, w: w, group: int32(g), s: int32(s), e: int32(e)})
 }
 
 // Stats summarizes a compiled model, the quantities that drive solver

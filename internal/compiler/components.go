@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"tetrisched/internal/milp"
+	"tetrisched/internal/slab"
 )
 
 // Component is one independent sub-problem of a compiled batch: a maximal set
@@ -95,10 +96,10 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 		panic("compiler: decomposing a Compiled whose Scratch has compiled again")
 	}
 	sc := c.scr
-	sc.tmp.rewind()
+	sc.tmp.Rewind()
 	nv := c.Model.NumVars()
 	// varJob[v] = owning job; variables are created per-job contiguously.
-	varJob := sc.tmp.take(nv)
+	varJob := sc.tmp.Take(nv)
 	for j := 0; j < nj; j++ {
 		for v := c.job[j].varLo; v < c.job[j+1].varLo; v++ {
 			varJob[v] = j
@@ -107,7 +108,7 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 
 	// Union-find over jobs: every constraint ties together the jobs of all
 	// variables it mentions — unless a forced partition cuts it.
-	uf := sc.tmp.take(nj)
+	uf := sc.tmp.Take(nj)
 	for i := range uf {
 		uf[i] = i
 	}
@@ -122,7 +123,7 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 	// of the two marks. A cut row is sliced across the forced partition
 	// (restricted per-component copies instead of whole-row ownership).
 	const cutRow, noRow = -1, -2
-	rowComp := sc.tmp.take(len(c.Model.Cons))
+	rowComp := sc.tmp.Take(len(c.Model.Cons))
 	anyCut := false
 	for conIdx := range c.Model.Cons {
 		con := &c.Model.Cons[conIdx]
@@ -162,9 +163,9 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 
 	// Group jobs by root, numbering components by first appearance so the
 	// output order is stable.
-	compOf := sc.tmp.take(nj)
-	rootComp := sc.tmp.take(nj) // root job → its component + 1
-	size := sc.tmp.take(nj)[:0] // jobs per component
+	compOf := sc.tmp.Take(nj)
+	rootComp := sc.tmp.Take(nj) // root job → its component + 1
+	size := sc.tmp.Take(nj)[:0] // jobs per component
 	for j := 0; j < nj; j++ {
 		r := find(j)
 		if rootComp[r] == 0 {
@@ -180,7 +181,7 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 	n0 := len(dst)
 	dst = slices.Grow(dst, nc)[:n0+nc]
 	comps := dst[n0:]
-	jobBuf := sc.ints.take(nj) // every component's Jobs, cut from one array
+	jobBuf := sc.ints.Take(nj) // every component's Jobs, cut from one array
 	for ci, lo := 0, 0; ci < nc; ci++ {
 		comps[ci] = Component{Jobs: jobBuf[lo : lo : lo+size[ci]], Shard: -1, parent: c}
 		lo += size[ci]
@@ -206,11 +207,11 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 	// one per component: the first counts what each component receives, so
 	// all the sub-models' variables, rows and terms are each one exactly
 	// sized cut of a slab; the second copies.
-	nCons := sc.tmp.take(nc)
-	nTerms := sc.tmp.take(nc)
+	nCons := sc.tmp.Take(nc)
+	nTerms := sc.tmp.Take(nc)
 	var sides []cutSide
 	if anyCut {
-		sc.sides = sized(sc.sides, nc)
+		sc.sides = slab.Sized(sc.sides, nc)
 		sides = sc.sides
 	}
 	for conIdx := range c.Model.Cons {
@@ -241,13 +242,13 @@ func (c *Compiled) AppendComponents(dst []Component, assign []int, merge int) []
 		totalTerms += nTerms[ci]
 	}
 
-	models := sc.models.take(nc)
-	subVars := sc.vars.take(nv)
-	subCons := sc.cons.take(totalCons)
-	rows := subRows{comps: comps, terms: sc.terms.take(totalTerms), at: nTerms}
+	models := sc.models.Take(nc)
+	subVars := sc.vars.Take(nv)
+	subCons := sc.cons.Take(totalCons)
+	rows := subRows{comps: comps, terms: sc.terms.Take(totalTerms), at: nTerms}
 	// full2sub maps a parent variable to its index in its component's model.
-	full2sub := sc.tmp.take(nv)
-	varMaps := sc.ints.take(nv) // every component's VarMap, cut from one array
+	full2sub := sc.tmp.Take(nv)
+	varMaps := sc.ints.Take(nv) // every component's VarMap, cut from one array
 	for ci, vlo, clo, tlo := 0, 0, 0, 0; ci < nc; ci++ {
 		cc := &comps[ci]
 		n := 0

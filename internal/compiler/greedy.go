@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"tetrisched/internal/slab"
 	"tetrisched/internal/strl"
 )
 
@@ -73,12 +74,12 @@ func (c *Compiled) newScope(jobs []int, sliced bool) roundScope {
 	scr := c.scr
 	sc := roundScope{nVars: c.Model.NumVars(), jobs: jobs}
 	const absent, present = -1, -2
-	row := scr.int32s.take(len(c.Part.Groups))
+	row := scr.int32s.Take(len(c.Part.Groups))
 	for g := range row {
 		row[g] = absent
 	}
 	if sliced {
-		sc.shift = scr.ints.take(len(jobs))
+		sc.shift = scr.ints.Take(len(jobs))
 		sc.nVars = 0
 	}
 	nGroups := 0
@@ -107,7 +108,7 @@ func (c *Compiled) newScope(jobs []int, sliced bool) roundScope {
 			}
 		}
 	}
-	sc.groups = scr.ints.take(nGroups)[:0]
+	sc.groups = scr.ints.Take(nGroups)[:0]
 	for g := range row {
 		if row[g] == present {
 			row[g] = int32(len(sc.groups))
@@ -203,12 +204,12 @@ func (c *Compiled) roundInPlace(x []float64, sc *roundScope) []float64 {
 	defer c.scr.putRoundBuf(buf)
 	r := rounding{c: c, sc: sc, x: x, h: int(c.opts.Horizon)}
 	if sc.groupRow == nil {
-		buf.remain = sized(buf.remain, len(c.avail)*r.h)
+		buf.remain = slab.Sized(buf.remain, len(c.avail)*r.h)
 		for g, row := range c.avail {
 			copy(buf.remain[g*r.h:], row)
 		}
 	} else {
-		buf.remain = sized(buf.remain, len(sc.groups)*r.h)
+		buf.remain = slab.Sized(buf.remain, len(sc.groups)*r.h)
 		for i, g := range sc.groups {
 			copy(buf.remain[i*r.h:], c.avail[g])
 		}
@@ -221,7 +222,7 @@ func (c *Compiled) roundInPlace(x []float64, sc *roundScope) []float64 {
 
 	// Job order: LP mass on the job's options, descending (stable on index).
 	// It is fixed before the first job's variables are overwritten.
-	buf.order, buf.mass = sized(buf.order, nJobs), sized(buf.mass, nJobs)
+	buf.order, buf.mass = slab.Sized(buf.order, nJobs), slab.Sized(buf.mass, nJobs)
 	for i := range buf.order {
 		buf.order[i], buf.mass[i] = i, r.jobMass(i)
 	}
@@ -361,7 +362,7 @@ func (cc *Component) Seed(buf []float64, want []int32) []float64 {
 			continue
 		}
 		if x == nil {
-			x = sized(buf, cc.scope.nVars)
+			x = slab.Sized(buf, cc.scope.nVars)
 			clear(x)
 		}
 		// A leaf that survived culling fits the availability it was tested

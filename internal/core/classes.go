@@ -31,6 +31,7 @@ import (
 	"tetrisched/internal/compiler"
 	"tetrisched/internal/milp"
 	"tetrisched/internal/shard"
+	"tetrisched/internal/slab"
 	"tetrisched/internal/strl"
 	"tetrisched/internal/strlgen"
 	"tetrisched/internal/trace"
@@ -142,7 +143,7 @@ type grouping struct {
 // arbitrator cut it instead (AppendComponents along the assignment).
 func (s *Scheduler) group(reqs []*strlgen.Request) int {
 	g := &s.grp
-	g.cls, g.root = sized(g.cls, len(reqs)), g.root[:0]
+	g.cls, g.root = slab.Sized(g.cls, len(reqs)), g.root[:0]
 	open := func() int { // a new class slot, its mask empty
 		k := len(g.root)
 		g.root = append(g.root, k)
@@ -187,7 +188,7 @@ func (s *Scheduler) group(reqs []*strlgen.Request) int {
 		g.root[c] = n
 		n++
 	}
-	g.start = sized(g.start, n+1)
+	g.start = slab.Sized(g.start, n+1)
 	clear(g.start)
 	for i, c := range g.cls {
 		g.cls[i] = g.root[c]
@@ -197,7 +198,7 @@ func (s *Scheduler) group(reqs []*strlgen.Request) int {
 		g.root[k] = g.start[k] // fill cursor
 		g.start[k+1] += g.start[k]
 	}
-	g.memb = sized(g.memb, len(g.cls))
+	g.memb = slab.Sized(g.memb, len(g.cls))
 	for i, k := range g.cls {
 		g.memb[g.root[k]] = i
 		g.root[k]++
@@ -345,7 +346,7 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 	} else {
 		cl.comps = comp.AppendComponents(cl.comps[:0], nil, -1)
 	}
-	cl.ids = sized(cl.ids, len(m))
+	cl.ids = slab.Sized(cl.ids, len(m))
 	if cap(cl.ents) < len(cl.comps) {
 		cl.ents = append(cl.ents[:cap(cl.ents)], make([]compEntry, len(cl.comps)-cap(cl.ents))...)
 	}
@@ -370,7 +371,7 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 // reports whether they are all the ones wanted last cycle.
 func (s *Scheduler) wanted(cl *class) bool {
 	same := len(cl.want) == len(cl.reqs)
-	cl.want = sized(cl.want, len(cl.reqs))
+	cl.want = slab.Sized(cl.want, len(cl.reqs))
 	warm := !s.cfg.DisableWarmStart
 	for i, r := range cl.reqs {
 		w := int32(-1)
@@ -460,13 +461,4 @@ func (cl *class) regrant() {
 	if len(cl.ents) > 1 {
 		slices.SortStableFunc(cl.grants, func(a, b compiler.LeafGrant) int { return a.Job - b.Job })
 	}
-}
-
-// sized returns buf with length n and unspecified contents, reallocated only
-// when it is too small.
-func sized[T any](buf []T, n int) []T {
-	if n > cap(buf) {
-		return make([]T, n, n+n/4)
-	}
-	return buf[:n]
 }

@@ -25,6 +25,7 @@ import (
 	"tetrisched/internal/randx"
 	"tetrisched/internal/shard"
 	"tetrisched/internal/sim"
+	"tetrisched/internal/slab"
 	"tetrisched/internal/strl"
 	"tetrisched/internal/strlgen"
 	"tetrisched/internal/trace"
@@ -784,7 +785,7 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 	if len(classes) > 1 {
 		slices.SortFunc(refs, func(a, b compRef) int { return a.first - b.first })
 	}
-	parts := sized(s.parts, len(refs))
+	parts := slab.Sized(s.parts, len(refs))
 	s.refs, s.parts = refs, parts
 	for i, ref := range refs {
 		cc, ent := &ref.cl.comps[ref.ci], &ref.cl.ents[ref.ci]

@@ -86,18 +86,27 @@ func scrapeFamilies(t *testing.T, base string) []family {
 	return out
 }
 
-// statusKeys lists the keys of /v1/status's telemetry blocks as block.key,
-// a tenant's under admission.tenants.
+// statusKeys lists the keys of /v1/status: its top-level keys as they are,
+// and those of its telemetry blocks as block.key, a tenant's under
+// admission.tenants.
 func statusKeys(t *testing.T, base string) []string {
 	t.Helper()
+	body := getBody(t, base+"/v1/status")
+	var top map[string]any
 	var st struct {
 		Solver, Shard map[string]any
 		Admission     map[string]any
 	}
-	if err := json.Unmarshal(getBody(t, base+"/v1/status"), &st); err != nil {
+	if err := json.Unmarshal(body, &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	var keys []string
+	for k := range top {
+		keys = append(keys, k)
+	}
 	add := func(block string, obj map[string]any) {
 		for k := range obj {
 			keys = append(keys, block+"."+k)
@@ -117,8 +126,8 @@ func statusKeys(t *testing.T, base string) []string {
 
 // TestTelemetryGolden pins what the daemon served before its telemetry was
 // rendered from tables (testdata/telemetry.golden, taken at PR 22): every
-// /metrics family with its type and every key of /v1/status's solver, shard
-// and admission blocks is still served. New names may join; a name in the
+// /metrics family with its type, every top-level key of /v1/status and every
+// key of its solver, shard and admission blocks is still served. New names may join; a name in the
 // golden list may not leave or change type. One was renamed on purpose:
 // lp_dense_fallbacks became lp_unstable_factors when the dense basis engine
 // was deleted and an unstable factor began to be retried in strict LU. Eight were
@@ -337,7 +346,7 @@ const (
 
 // TestObservabilityDoc holds docs/OBSERVABILITY.md to what the daemon serves:
 // its /metrics reference table is one row per served family (name, type and
-// the row's own help), its /v1/status row lists the served keys, and no
+// the row's own help), its /v1/status row names every served key, and no
 // tetrisched_* name anywhere under docs/ is one the daemon does not serve.
 // Run with -update after adding a row.
 func TestObservabilityDoc(t *testing.T) {
@@ -353,8 +362,13 @@ func TestObservabilityDoc(t *testing.T) {
 		fmt.Fprintf(&table, "| `%s` | %s | %s |\n", name, f.kind, f.help)
 	}
 	blocks := make(map[string][]string)
+	var top []string // described by hand in the row below
 	for _, k := range statusKeys(t, ts.URL) {
 		i := strings.LastIndex(k, ".")
+		if i < 0 {
+			top = append(top, k)
+			continue
+		}
 		blocks[k[:i]] = append(blocks[k[:i]], "`"+k[i+1:]+"`")
 	}
 	list := func(block string) string { return strings.Join(blocks[block], ", ") }
@@ -364,6 +378,11 @@ func TestObservabilityDoc(t *testing.T) {
 		" the `solver` block, cumulative solver telemetry (SOLVER.md; absent when the scheduler exposes none): " + list("solver") +
 		"; the `shard` block (sharded mode only; SHARDING.md): " + list("shard") +
 		"; the `admission` block: " + list("admission") + ", each of `tenants` with " + list("admission.tenants") + " |\n"
+	for _, k := range top {
+		if !strings.Contains(status, "`"+k+"`") {
+			t.Errorf("the /v1/status row does not name the top-level key %s", k)
+		}
+	}
 
 	raw, err := os.ReadFile(obsDoc)
 	if err != nil {

@@ -19,8 +19,8 @@ type basisState struct {
 
 // newSnapshot cuts an empty snapshot for p's shape from the slabs.
 func (w *Workspace) newSnapshot(p *lp) *basisState {
-	bs := &w.snaps.take(1)[0]
-	bs.basis, bs.status = w.int32s.take(p.m), w.bytes.take(p.n)
+	bs := &w.snaps.Take(1)[0]
+	bs.basis, bs.status = w.int32s.Take(p.m), w.bytes.Take(p.n)
 	return bs
 }
 

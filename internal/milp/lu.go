@@ -79,16 +79,16 @@ type luBasis struct {
 var maxGrowth = 1e12
 
 // bind re-targets the engine at p with default budgets, no factors and
-// threshold pivoting, keeping its storage — including the append-grown
-// factor and eta arrays — when large enough.
-func (u *luBasis) bind(p *lp, stats *LPStats) {
+// threshold pivoting. Its working arrays are cut, zeroed, from w's slabs; the
+// append-grown factor and eta arrays keep their storage.
+func (u *luBasis) bind(w *Workspace, p *lp, stats *LPStats) {
 	m := p.m
 	u.p, u.stats, u.strict = p, stats, false
-	u.prow = zeroed(u.prow, m)
-	u.q = zeroed(u.q, m)
-	u.lstart = zeroed(u.lstart, m+1)
-	u.ustart = zeroed(u.ustart, m+1)
-	u.udiag = zeroed(u.udiag, m)
+	in, fl := &w.int32s, &w.floats
+	u.prow, u.q, u.lstart, u.ustart = in.Take(m), in.Take(m), in.Take(m+1), in.Take(m+1)
+	u.mark, u.touched, u.pos = in.Take(m), in.Take(m)[:0], in.Take(m)
+	u.rowCnt, u.colCnt = in.Take(m), in.Take(m)
+	u.udiag, u.work, u.zbuf, u.vbuf = fl.Take(m), fl.Take(m), fl.Take(m), fl.Take(m)
 	u.lrow, u.lval = u.lrow[:0], u.lval[:0]
 	u.urow, u.uval = u.urow[:0], u.uval[:0]
 	if cap(u.etaStart) < 65 {
@@ -97,14 +97,6 @@ func (u *luBasis) bind(p *lp, stats *LPStats) {
 	u.etaStart[0] = 0
 	u.clearEtas()
 	u.etaLimit, u.fillLimit = 64, 6*m+256
-	u.work = zeroed(u.work, m)
-	u.mark = zeroed(u.mark, m)
-	u.touched = zeroed(u.touched, m)[:0]
-	u.pos = zeroed(u.pos, m)
-	u.zbuf = zeroed(u.zbuf, m)
-	u.vbuf = zeroed(u.vbuf, m)
-	u.rowCnt = zeroed(u.rowCnt, m)
-	u.colCnt = zeroed(u.colCnt, m)
 	u.stamp = 0
 }
 

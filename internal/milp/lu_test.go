@@ -17,7 +17,7 @@ import (
 
 func newLUBasis(p *lp, stats *LPStats) *luBasis {
 	u := new(luBasis)
-	u.bind(p, stats)
+	u.bind(new(Workspace), p, stats)
 	return u
 }
 
@@ -501,7 +501,7 @@ func TestLUUnstableFactorRetriesStrict(t *testing.T) {
 		if math.Abs(o1-o2) > 1e-6*math.Max(1, math.Abs(o2)) {
 			t.Fatalf("it %d: post-retry objective %.9f != default %.9f", it, o1, o2)
 		}
-		s.bind(p)
+		s.bind(s.ws, p)
 		if s.lu.strict || s.stats.UnstableFactors != 0 {
 			t.Fatalf("it %d: re-binding kept strict=%v, %d retries", it, s.lu.strict, s.stats.UnstableFactors)
 		}

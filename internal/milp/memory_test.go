@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"tetrisched/internal/slab"
 )
 
 // packingModel builds a scheduler-shaped MILP: jobs that each pick at most
@@ -600,30 +602,34 @@ func fanOutFrame(stack []uintptr) bool {
 }
 
 // TestSlabSizing: a slab that has never been rewound may be a throwaway
-// Workspace's, so it cuts every request exact and keeps no array; its first
-// rewind makes one of what was held; from then on it serves from one array,
-// starts one of twice the size at the request that does not fit, and a rewind
-// wipes what the new array handed out and leaves the old one's slices alone.
+// Workspace's, so it cuts every request exact; its first rewind keeps one
+// chunk of what was held; a request no chunk has room for adds a chunk, and
+// the old ones stay; a rewind wipes what each chunk handed out and every chunk
+// serves again.
 func TestSlabSizing(t *testing.T) {
-	var s slab[int]
-	a, b := s.take(5), s.take(7)
-	if cap(a) != 5 || cap(b) != 7 || s.buf != nil || s.used != 12 {
-		t.Fatalf("a new slab cut %d and %d for 5 and 7, kept an array of %d and counts %d", cap(a), cap(b), len(s.buf), s.used)
+	var s slab.Slab[int]
+	a, b := s.Take(5), s.Take(7)
+	if cap(a) != 5 || cap(b) != 7 || s.Used() != 12 {
+		t.Fatalf("a new slab cut %d and %d for 5 and 7 and counts %d", cap(a), cap(b), s.Used())
 	}
-	s.rewind()
-	if len(s.buf) != 12 || s.used != 0 {
-		t.Fatalf("the first rewind made an array of %d for the 12 held", len(s.buf))
+	s.Rewind()
+	if n := testing.AllocsPerRun(10, func() { s.Take(5); s.Take(7); s.Rewind() }); n != 0 {
+		t.Fatalf("the first rewind kept no chunk for the 12 held: 5 and 7 again allocate %v times", n)
 	}
-	a, b = s.take(5), s.take(8)
-	if len(s.buf) != 24 || &b[0] != &s.buf[0] || s.used != 8 {
-		t.Fatalf("a rewound slab of 12 served 5 and 8 from an array of %d at %d", len(s.buf), s.used)
-	}
+	a, b = s.Take(12), s.Take(3) // the first chunk is full: b starts the second
 	a[0], b[0] = 1, 2
-	s.rewind()
-	if s.used != 0 || b[0] != 0 || a[0] != 1 {
-		t.Errorf("rewinding after a new array: used %d, new array wiped %v, old slice kept %v", s.used, b[0] == 0, a[0] == 1)
+	if s.Used() != 15 {
+		t.Fatalf("a slab that handed out 12 and 3 counts %d", s.Used())
 	}
-	if c := s.take(24); &c[0] != &s.buf[0] || len(s.buf) != 24 {
-		t.Error("the rewound array was not reused")
+	s.Rewind()
+	if a[0] != 0 || b[0] != 0 || s.Used() != 0 {
+		t.Fatalf("the rewind left %d and %d in the two chunks and counts %d", a[0], b[0], s.Used())
+	}
+	if c, d := s.Take(12), s.Take(24); &c[0] != &a[0] || &d[0] != &b[0] {
+		t.Error("the rewound chunks were not served again, first fit: the second must hold twice the first")
+	}
+	s.Rewind()
+	if n := testing.AllocsPerRun(10, func() { s.Take(20); s.Take(12); s.Take(4); s.Rewind() }); n != 0 {
+		t.Errorf("36 elements in chunks of 12 and 24 allocate %v times", n)
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"tetrisched/internal/slab"
 )
 
 // VarType describes the integrality requirement of a variable.
@@ -133,7 +135,7 @@ func (m *Model) AddVar(typ VarType, lb, ub, obj float64) VarID {
 	if typ == Binary {
 		lb, ub = math.Max(lb, 0), math.Min(ub, 1)
 	}
-	m.Vars = append(m.Vars, Variable{Type: typ, Lb: lb, Ub: ub, Obj: obj})
+	m.Vars = append(slab.Grow(m.Vars, 1), Variable{Type: typ, Lb: lb, Ub: ub, Obj: obj})
 	return VarID(len(m.Vars) - 1)
 }
 
@@ -163,7 +165,7 @@ func (m *Model) AddConstraint(terms []Term, op Op, rhs float64) {
 		row = append(row, t)
 	}
 	m.arena = row
-	m.Cons = append(m.Cons, Constraint{Terms: row[lo:len(row):len(row)], Op: op, RHS: rhs})
+	m.Cons = append(slab.Grow(m.Cons, 1), Constraint{Terms: row[lo:len(row):len(row)], Op: op, RHS: rhs})
 }
 
 // rowSpace returns the arena with room for n more terms. When the current

@@ -132,7 +132,7 @@ func TestRoundAllocatesNothing(t *testing.T) {
 	w := new(Workspace)
 	s := &search{ws: w, model: m, incObj: math.Inf(-1)}
 	s.opts.Heuristic = func(x []float64) []float64 { return floorInPlace(m, x) }
-	s.primal = w.floats.take(len(m.Vars))
+	s.primal = w.floats.Take(len(m.Vars))
 	x := make([]float64, len(m.Vars))
 	for i := range x {
 		x[i] = 0.5
@@ -152,7 +152,7 @@ func rootSearch(t *testing.T, w *Workspace, m *Model, opts Options) (*search, []
 	t.Helper()
 	p := w.newLP(m)
 	s := &search{ws: w, model: m, p: p, opts: opts, incObj: math.Inf(-1)}
-	s.incBuf = w.floats.take(len(m.Vars))
+	s.incBuf = w.floats.Take(len(m.Vars))
 	s.scratch = w.newScratch(p)
 	st, x, err := s.scratch.solve(p.lb, p.ub, 0)
 	if err != nil || st != lpOptimal {

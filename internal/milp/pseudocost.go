@@ -49,10 +49,10 @@ type pcTable struct {
 
 func (w *Workspace) newPCTable(n int) pcTable {
 	return pcTable{
-		upSum: w.floats.take(n),
-		dnSum: w.floats.take(n),
-		upCnt: w.int32s.take(n),
-		dnCnt: w.int32s.take(n),
+		upSum: w.floats.Take(n),
+		dnSum: w.floats.Take(n),
+		upCnt: w.int32s.Take(n),
+		dnCnt: w.int32s.Take(n),
 	}
 }
 

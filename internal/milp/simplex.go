@@ -103,16 +103,15 @@ func (w *Workspace) newLP(model *Model) *lp {
 	m := len(model.Cons)
 	nv := len(model.Vars)
 	n := nv + m
-	fl := w.floats.take(m + 3*n)
 	p := &w.lp
 	*p = lp{
 		m:        m,
 		n:        n,
-		colStart: w.int32s.take(n + 1),
-		b:        fl[:m:m],
-		c:        fl[m : m+n : m+n],
-		lb:       fl[m+n : m+2*n : m+2*n],
-		ub:       fl[m+2*n:],
+		colStart: w.int32s.Take(n + 1),
+		b:        w.floats.Take(m),
+		c:        w.floats.Take(n),
+		lb:       w.floats.Take(n),
+		ub:       w.floats.Take(n),
 		nvars:    nv,
 	}
 	for j, v := range model.Vars {
@@ -136,10 +135,10 @@ func (w *Workspace) newLP(model *Model) *lp {
 	for i := 0; i < m; i++ {
 		p.colStart[nv+i+1] = p.colStart[nv+i] + 1
 	}
-	p.colRow = w.int32s.take(nnz + m)
-	p.colVal = w.floats.take(nnz + m)
+	p.colRow = w.int32s.Take(nnz + m)
+	p.colVal = w.floats.Take(nnz + m)
 	// Pass 2: fill, tracking the next free slot per column.
-	next := w.int32s.take(nv)
+	next := w.int32s.Take(nv)
 	for j := 0; j < nv; j++ {
 		next[j] = p.colStart[j]
 	}
@@ -186,6 +185,7 @@ const refactorInterval = 120
 // bounds or snapshot), only buffers and accumulated LPStats, so reusing one
 // keeps repeated solves deterministic.
 type simplexState struct {
+	ws      *Workspace // whose slabs the buffers are cut from
 	p       *lp
 	lu      *luBasis  // the basis engine
 	nTotal  int       // columns including phase-1 artificials
@@ -210,7 +210,7 @@ type simplexState struct {
 	gamma []float64
 	dwt   []float64
 
-	lbFull, ubFull, costFull []float64 // phase-1 bound/cost buffers
+	lbFull, ubFull, costFull []float64 // phase-1 bound/cost buffers, cut at the first phase 1
 
 	iter    int
 	maxIter int
@@ -219,31 +219,29 @@ type simplexState struct {
 	stats   LPStats
 }
 
-// bind makes s a solver state for p: every buffer is resized (reallocated
-// only when too small) and zeroed, and the telemetry starts from zero, so a
-// re-bound state behaves exactly like a newly allocated one, its basis engine
-// back on threshold pivoting included.
-func (s *simplexState) bind(p *lp) {
+// bind makes s a solver state for p: every buffer is cut, zeroed, from w's
+// slabs and the telemetry starts from zero, so a re-bound state behaves
+// exactly like a newly allocated one, its basis engine back on threshold
+// pivoting included. It sets every buffer (the phase-1 ones to nil, cut on
+// first use): after w's rewind the previous solve's are memory the next one
+// is handed again.
+func (s *simplexState) bind(w *Workspace, p *lp) {
 	m, n := p.m, p.n
-	s.p = p
-	s.basis = zeroed(s.basis, m)
-	s.status = zeroed(s.status, n+m)[:n]
-	s.x = zeroed(s.x, n+m)[:n]
-	s.y = zeroed(s.y, m)
-	s.w = zeroed(s.w, m)
-	s.rho = zeroed(s.rho, m)
-	s.cb = zeroed(s.cb, m)
-	s.ratios = zeroed(s.ratios, m)
-	s.rbuf = zeroed(s.rbuf, m)
-	s.cand = zeroed(s.cand, n)[:0]
-	s.gamma = zeroed(s.gamma, n+m)
-	s.dwt = zeroed(s.dwt, m)
+	s.ws, s.p = w, p
+	s.basis = w.ints.Take(m)
+	s.status = w.bytes.Take(n + m)[:n]
+	s.x = w.floats.Take(n + m)[:n]
+	s.gamma = w.floats.Take(n + m)
+	s.y, s.w, s.rho, s.cb = w.floats.Take(m), w.floats.Take(m), w.floats.Take(m), w.floats.Take(m)
+	s.ratios, s.rbuf, s.dwt = w.floats.Take(m), w.floats.Take(m), w.floats.Take(m)
+	s.cand = w.int32s.Take(n)[:0]
 	s.artCoef, s.cost = nil, nil
+	s.artBuf, s.lbFull, s.ubFull, s.costFull = nil, nil, nil, nil
 	s.stats = LPStats{}
 	if s.lu == nil {
 		s.lu = new(luBasis)
 	}
-	s.lu.bind(p, &s.stats)
+	s.lu.bind(w, p, &s.stats)
 }
 
 // begin resets per-solve state (buffers and stats survive). The solve's
@@ -331,10 +329,9 @@ func (s *simplexState) solve(lb, ub []float64, maxIter int) (lpStatus, []float64
 
 	// Phase 1: one signed artificial per row so each starts basic at |resid|.
 	s.stats.Phase1++
-	if len(s.lbFull) != p.n+p.m {
-		s.lbFull = zeroed(s.lbFull, p.n+p.m)
-		s.ubFull = zeroed(s.ubFull, p.n+p.m)
-		s.costFull = zeroed(s.costFull, p.n+p.m)
+	if s.lbFull == nil {
+		fl, nm := &s.ws.floats, p.n+p.m
+		s.lbFull, s.ubFull, s.costFull, s.artBuf = fl.Take(nm), fl.Take(nm), fl.Take(nm), fl.Take(p.m)
 	}
 	lbFull, ubFull, costP1 := s.lbFull, s.ubFull, s.costFull
 	copy(lbFull, lb)
@@ -342,8 +339,7 @@ func (s *simplexState) solve(lb, ub []float64, maxIter int) (lpStatus, []float64
 	for j := range costP1 {
 		costP1[j] = 0
 	}
-	s.artBuf = zeroed(s.artBuf, p.m)
-	s.artCoef = s.artBuf
+	s.artCoef = s.artBuf // every entry is written below
 	s.x = s.x[:p.n+p.m]
 	s.status = s.status[:p.n+p.m]
 	for i := 0; i < p.m; i++ {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"tetrisched/internal/slab"
 )
 
 // Status is the outcome of a Solve call.
@@ -295,7 +297,7 @@ const nodeBlockSize = 64
 // newNode hands out a zeroed node that lives until the workspace is rewound.
 func (w *Workspace) newNode() *bbNode {
 	if len(w.block) == 0 {
-		w.block = w.nodes.take(nodeBlockSize)
+		w.block = w.nodes.Take(nodeBlockSize)
 	}
 	n := &w.block[0]
 	w.block = w.block[1:]
@@ -427,7 +429,7 @@ func (w *Workspace) solve(model *Model, opts Options, out *Solution) (*Solution,
 	dst := out.Values[:0]
 	*out = *ans
 	if len(ans.Values) > 0 { // else out has ans's nil, or the empty point of a model without variables
-		out.Values = append(dst, ans.Values...)
+		out.Values = append(slab.Grow(dst, len(ans.Values)), ans.Values...)
 	}
 	out.Runtime = time.Since(start)
 	return out, nil
@@ -453,7 +455,7 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 	if opts.TimeLimit > 0 {
 		s.budget = int64(math.Ceil(opts.TimeLimit.Seconds() * workPerSecond))
 	}
-	s.incBuf = w.floats.take(len(model.Vars))
+	s.incBuf = w.floats.Take(len(model.Vars))
 	if opts.InitialSolution != nil && model.IsFeasible(opts.InitialSolution, 1e-6) {
 		s.incumbent = append(s.incBuf[:0], opts.InitialSolution...)
 		s.incObj = model.ObjectiveValue(s.incumbent)
@@ -500,15 +502,36 @@ func (w *Workspace) branchAndBound(model *Model, opts Options) (*Solution, error
 	// then the caller's. A good incumbent matters because gap-based
 	// termination returns it directly: on the scheduler's models the search
 	// usually ends at its first pop.
-	s.offerRoot(roundHeuristic(model, x, s.ws.floats.take(len(model.Vars))))
+	s.offerRoot(roundHeuristic(model, x, s.ws.floats.Take(len(model.Vars))))
 	if opts.Heuristic != nil {
-		s.primal = s.ws.floats.take(len(model.Vars))
+		s.primal = s.ws.floats.Take(len(model.Vars))
 	}
 	s.offerRoot(s.round(x))
 
-	s.openRoot(rootObj)
-	s.run()
+	if !s.rootEnds(rootObj) {
+		s.openRoot(rootObj)
+		s.run()
+	}
 	return s.finish(), nil
+}
+
+// rootEnds reports whether the tree's first pop would end the search, and if
+// so leaves s as that pop would, with no tree opened: no node, snapshot,
+// pseudocost table or bound box is cut for it. The pop happens when run's
+// node limit and budget allow it, and it ends the search when the root is
+// then pruned by the incumbent or meets the gap.
+func (s *search) rootEnds(rootObj float64) bool {
+	if s.opts.MaxNodes == 1 || s.left() <= 0 || s.incumbent == nil {
+		return false
+	}
+	pruned := !better(rootObj, s.incObj)
+	if !pruned && !s.gapMet(rootObj) {
+		return false
+	}
+	s.h = &s.ws.open
+	*s.h = nodeHeap{nodes: s.h.nodes[:0]} // the root was popped
+	s.nodes, s.bestBound, s.gapBreak = 1, rootObj, !pruned
+	return true
 }
 
 // openRoot starts the tree at the solved root relaxation held by s.scratch.
@@ -538,7 +561,7 @@ func (s *search) atNodeLimit() bool {
 // best bound, which is then the global bound; prunes it against the incumbent;
 // stops if it meets the gap; and otherwise evaluates it on the search's scratch.
 func (s *search) run() {
-	lb, ub := s.ws.floats.take(len(s.p.lb)), s.ws.floats.take(len(s.p.ub))
+	lb, ub := s.ws.floats.Take(len(s.p.lb)), s.ws.floats.Take(len(s.p.ub))
 	for s.h.Len() > 0 && !s.atNodeLimit() {
 		if s.left() <= 0 {
 			return

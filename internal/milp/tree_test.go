@@ -3,6 +3,7 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -201,7 +202,7 @@ func checkSnapshotBooks(t testing.TB, w *Workspace) {
 		}
 		free[bs] = true
 	}
-	if made := w.snaps.used; len(free)+len(held) != made {
+	if made := w.snaps.Used(); len(free)+len(held) != made {
 		t.Errorf("%d snapshots cut, %d free + %d held by open nodes: %d lost", made, len(free), len(held), made-len(free)-len(held))
 	}
 	arrays := make(map[*int32]bool)
@@ -228,50 +229,51 @@ func keys(m map[*basisState]int32) map[*basisState]bool {
 
 // TestFirstPopGapBreakAllocatesNothing: the scoreboard's solves have a
 // fractional root whose bound already meets the gap against the root
-// rounding's incumbent, so the tree is opened and the search ends at its first
-// pop. On a warm workspace that — root node, pseudocost table, the one-worker
-// round's slot and bound boxes — allocates nothing: the slot lives in the
-// search, where the many-worker goroutines cannot make it escape.
+// rounding's incumbent, so the search ends at the tree's first pop. The solve
+// then opens no tree: it takes nothing from the slabs past the root, and its
+// Solution is the one openRoot and run return on the same root, whether the
+// root meets the gap or is pruned by the incumbent. With a node limit of one
+// the root is never popped, and the tree is opened.
 func TestFirstPopGapBreakAllocatesNothing(t *testing.T) {
 	m := residentModel(1)
-	opts := Options{Gap: 0.5}
-	var ws Workspace
-	for i := 0; i < 2; i++ { // the first rewind gives the slabs their arrays
-		if sol, err := ws.Solve(m, opts); err != nil || sol.Nodes != 1 {
-			t.Fatalf("warm-up solve: %v %+v; want the search to end at its first pop", err, sol)
+	for _, tc := range []struct {
+		name   string
+		pruned bool // the incumbent is made as good as the root bound
+	}{{"gap met", false}, {"pruned", true}} {
+		opts := Options{Gap: 0.5}
+		var ws Workspace
+		s, x, rootObj := rootSearch(t, &ws, m, opts)
+		if s.consider(roundHeuristic(m, x, ws.floats.Take(len(m.Vars)))); firstFractional(m, x) < 0 || !s.gapMet(rootObj) {
+			t.Fatal("the root is integral or its rounding misses the gap; the search would not end at its first pop")
 		}
-	}
-	s, x, rootObj := rootSearch(t, &ws, m, opts)
-	if s.consider(roundHeuristic(m, x, ws.floats.take(len(m.Vars)))); firstFractional(m, x) < 0 || !s.gapMet(rootObj) {
-		t.Fatal("the root is integral or its rounding misses the gap; the search would not end at its first pop")
-	}
-	firstPop := func() {
-		s.gapBreak = false
+		if tc.pruned {
+			s.incObj = rootObj
+		}
+		root := *s
+		used := func() [6]int {
+			return [6]int{ws.floats.Used(), ws.int32s.Used(), ws.ints.Used(), ws.bytes.Used(), ws.nodes.Used(), ws.snaps.Used()}
+		}
+		before := used()
+		if !s.rootEnds(rootObj) {
+			t.Fatalf("%s: the first pop would end the search, and the solve opened the tree", tc.name)
+		}
+		if after := used(); after != before {
+			t.Errorf("%s: ending at the root took from the slabs: %v before, %v after", tc.name, before, after)
+		}
+		got := *s.finish()
+		*s = root
 		s.openRoot(rootObj)
 		s.run()
+		want := *s.finish()
+		if want.Nodes != 1 || s.gapBreak == tc.pruned {
+			t.Fatalf("%s: the tree ended after %d nodes, gap break %v", tc.name, want.Nodes, s.gapBreak)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ending at the root returned\n%+v\nthe tree returned\n%+v", tc.name, got, want)
+		}
+		*s = root
+		if s.opts.MaxNodes = 1; s.rootEnds(rootObj) {
+			t.Errorf("%s: with a node limit of one the root is never popped, and it ended the search", tc.name)
+		}
 	}
-	firstPop() // cuts the root's snapshot buffer and the block of nodes every later root comes from
-	if !s.gapBreak || s.nodes != 1 {
-		t.Fatalf("gap break %v after %d nodes; want the first pop to end the search", s.gapBreak, s.nodes)
-	}
-	// What a later search takes goes back, as it would at the solve's rewind.
-	// The mark is taken after a second search, which outgrows the arrays the
-	// warm-up solves sized, so that it lies in the arrays the runs take from.
-	firstPop()
-	floats, int32s := ws.floats.used, ws.int32s.used
-	again := func() {
-		firstPop()
-		ws.floats.handBack(floats)
-		ws.int32s.handBack(int32s)
-	}
-	if n := testing.AllocsPerRun(20, again); n != 0 {
-		t.Errorf("opening the tree and ending at the first pop allocates %v times on a warm workspace", n)
-	}
-}
-
-// handBack returns to the slab, wiped, what it handed out past used, as a
-// rewind returns all of it; used must be a position in the current array.
-func (s *slab[T]) handBack(used int) {
-	clear(s.buf[used:s.used])
-	s.used = used
 }

@@ -260,7 +260,7 @@ func TestSnapshotsAccountedInEveryDriver(t *testing.T) {
 			}
 			checkSnapshotBooks(t, w)
 			open += len(w.open.nodes)
-			made := w.snaps.used
+			made := w.snaps.Used()
 			if opts.DisableWarmStart && made != 0 {
 				t.Errorf("end %d: %d snapshots cut with warm starts disabled", ei, made)
 			}
@@ -283,7 +283,7 @@ func TestSnapshotsRecycled(t *testing.T) {
 	if err != nil || sol.Nodes < 100 {
 		t.Fatalf("%v %+v", err, sol)
 	}
-	made := w.snaps.used
+	made := w.snaps.Used()
 	if made == 0 || made > sol.Nodes/2 {
 		t.Errorf("%d snapshot buffers cut for %d nodes; the free list is not recycling", made, sol.Nodes)
 	}

@@ -1,12 +1,17 @@
 package milp
 
-import "sync"
+import (
+	"sync"
+
+	"tetrisched/internal/slab"
+)
 
 // Memory ownership (docs/SOLVER.md has the longer version).
 //
 // A solve builds flat copies of its model — the LP's compressed columns,
-// simplex and basis-engine buffers, the pseudocost table — and a tree of nodes
-// and basis snapshots that all die when Solve returns, and so do their headers
+// simplex and basis-engine buffers, the pseudocost table — and, when the root
+// does not end the search, a tree of nodes and basis snapshots; all of it dies
+// when Solve returns, and so do the headers
 // (the lp, the search's answer). A Workspace keeps that memory between solves.
 // It belongs to whoever calls Solve on it, serves one solve at a time, and is
 // rewound when that solve returns; nothing a Solution carries points into it
@@ -21,46 +26,13 @@ import "sync"
 // second garbage collection, so the slabs were rebuilt every few cycles; on
 // the paper's trace that version allocated a quarter more than this one.
 
-// slab hands out zeroed slices of one element type from a single backing
-// array. Until its first rewind a slab has no array: every request is an
-// allocation cut exact, and the rewind makes the array, of what the solve was
-// holding. A first solve may be the only one (the package-level Solve and
-// SolveParts run on a throwaway Workspace, which is never rewound), and room
-// for the next would be thrown away with it. From then on a
-// request that does not fit starts a new array, at least twice the size, and
-// is served from that: the slices handed out before keep the old one alive
-// until they are dropped, and the slab is one array again from the next rewind
-// on. A backlog that grows a little every cycle regrows a slab a logarithmic
-// number of times, so a workspace converges on the largest model it has seen
-// and then allocates nothing. Everything past used is kept zero: slices are
-// wiped when they come back, not when they go out, so a rewound slab holds no
-// stale pointer into a model the caller has dropped.
-type slab[T any] struct {
-	buf  []T
-	used int  // elements handed out: of buf, once there is one
-	kept bool // rewound before, so it has its array
-}
-
-func (s *slab[T]) take(n int) []T {
-	if !s.kept {
-		s.used += n
-		return make([]T, n)
-	}
-	if n > len(s.buf)-s.used {
-		s.buf, s.used = make([]T, max(n, 2*len(s.buf))), 0
-	}
-	s.used += n
-	return s.buf[s.used-n : s.used : s.used]
-}
-
-func (s *slab[T]) rewind() {
-	if s.kept {
-		clear(s.buf[:s.used])
-	} else {
-		s.buf, s.kept = make([]T, s.used), true
-	}
-	s.used = 0
-}
+// The slabs (internal/slab) hand out zeroed slices from chunks the workspace
+// keeps: a throwaway Workspace, never rewound, cuts every request exact; a
+// kept one makes its first chunk of what its first solve held, adds a chunk of
+// at least twice the last only when no chunk has room, and converges on the
+// largest solve it has seen, which it then serves with no allocation. A
+// rewind wipes what was handed out, so a rewound workspace holds no stale
+// pointer into a model the caller has dropped.
 
 // Workspace is the reusable memory of one solve at a time. The zero value is
 // ready to use and holds nothing until its first solve; it grows to fit the
@@ -69,9 +41,10 @@ func (s *slab[T]) rewind() {
 // more than one goroutine at a time (WorkspaceList shares several between
 // concurrent solves). A nil *Workspace is valid and solves on fresh memory.
 type Workspace struct {
-	floats slab[float64]
-	int32s slab[int32]
-	bytes  slab[byte]
+	floats slab.Slab[float64]
+	int32s slab.Slab[int32]
+	ints   slab.Slab[int]
+	bytes  slab.Slab[byte]
 
 	lp  lp       // the model's LP
 	ans Solution // the search's answer
@@ -80,16 +53,17 @@ type Workspace struct {
 	// it when): every node of the current solve, the headers of its basis
 	// snapshots (their arrays are cut from int32s and bytes), the snapshots
 	// no open node references any more, and the open-node heap's array.
-	nodes    slab[bbNode]
+	nodes    slab.Slab[bbNode]
 	block    []bbNode // nodes cut from the slab and not yet handed out
-	snaps    slab[basisState]
+	snaps    slab.Slab[basisState]
 	snapFree []*basisState
 	open     nodeHeap
 
 	search search // the current solve's tree search
 
-	// The simplex state (with its LU engine, whose factor and eta arrays grow
-	// by append) is kept whole and re-bound to the next LP.
+	// The simplex state and its LU engine are kept whole and re-bound to the
+	// next LP: their buffers are cut from the slabs on every solve, all but the
+	// engine's factor and eta arrays, which grow by append and are kept.
 	state *simplexState
 }
 
@@ -123,14 +97,15 @@ func (w *Workspace) answer(sol Solution) *Solution {
 }
 
 func (w *Workspace) rewind() {
-	w.floats.rewind()
-	w.int32s.rewind()
-	w.bytes.rewind()
+	w.floats.Rewind()
+	w.int32s.Rewind()
+	w.ints.Rewind()
+	w.bytes.Rewind()
 	w.lp = lp{}
 	w.ans = Solution{}
-	w.nodes.rewind()
+	w.nodes.Rewind()
 	w.block = nil
-	w.snaps.rewind()
+	w.snaps.Rewind()
 	// Both lists pointed into the slabs just rewound. Slots past their length
 	// were cleared when they were popped.
 	clear(w.snapFree)
@@ -146,7 +121,7 @@ func (w *Workspace) newScratch(p *lp) *simplexState {
 	if w.state == nil {
 		w.state = new(simplexState)
 	}
-	w.state.bind(p)
+	w.state.bind(w, p)
 	return w.state
 }
 

@@ -1,7 +1,6 @@
 package strlgen
 
 import (
-	"reflect"
 	"testing"
 
 	"tetrisched/internal/cluster"
@@ -12,9 +11,9 @@ import (
 // in and out of the cluster, a best-effort floor of 0 or above it — and a
 // sequence of cycle times, and carries one request through them by Reprice
 // alone. At every step the request must be what GenerateTTL makes for that
-// cycle, bit for bit with the same expiry bound (Rev apart), or both must
-// have nothing left, and its expression must point at its options' leaves
-// (aliasErr).
+// cycle, bit for bit with the same expiry bound (Rev apart, and a MAX with no
+// kids nil or empty alike: sameRequest), or both must have nothing left, and
+// its expression must point at its options' leaves (aliasErr).
 //
 // Bytes: 0 plan-ahead slices, 1 BE decay, 2 floor, 3 earliness weight and
 // NoHeterogeneity, 4 ID, 5 type, 6 K, 7 base runtime, 8 slowdown, 9 priority,
@@ -79,7 +78,7 @@ func FuzzRepriceMatchesGenerate(f *testing.F) {
 				t.Fatalf("now=%d: Reprice kept %d options of a request GenerateTTL no longer makes: %+v", now, len(req.Options), summarize(req))
 			}
 			fresh.Rev = req.Rev
-			if !reflect.DeepEqual(req, fresh) || got != freshUntil {
+			if !sameRequest(req, fresh) || got != freshUntil {
 				t.Fatalf("now=%d: re-priced (valid until %d):\n  %+v\nfresh (valid until %d):\n  %+v",
 					now, got, summarize(req), freshUntil, summarize(fresh))
 			}

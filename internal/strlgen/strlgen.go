@@ -146,10 +146,11 @@ func (r *Request) OptionFor(leaf strl.Expr) *Option {
 }
 
 // point makes Expr the options' leaves: the lone one itself, or the MAX over
-// all of them in option order, its kids kept in the memory they had.
+// all of them in option order. The MAX's kids keep the memory they had either
+// way, for a request issued again with several options.
 func (r *Request) point() {
 	if len(r.Options) == 1 {
-		r.Expr, r.max = &r.Options[0].Leaf, strl.Max{}
+		r.Expr, r.max.Kids = &r.Options[0].Leaf, r.max.Kids[:0]
 		return
 	}
 	kids := slices.Grow(r.max.Kids[:0], len(r.Options))
