@@ -145,11 +145,14 @@ loadgen-smoke:
 	$(GO) run ./cmd/loadgen -spawn -duration 2s -workers 8 -cycle-every 50ms -min-qps 100 -max-5xx 0
 
 # Sharded control-plane smoke: a 4-shard tetrisim run end to end (concurrent
-# per-shard planners, optimistic commit, gang arbitrator) plus the
-# commit-time conflict-path tests under the race detector; wired into CI.
+# per-shard planners, optimistic commit, gang arbitrator). It fails when the
+# run fails or its -v output has no shard: line with cycles > 0. The sharding
+# tests run under the race detector in `make race`; wired into CI.
 shard-smoke:
-	$(GO) run ./cmd/tetrisim -cluster rc256het -workload gshet -jobs 120 -shards 4 -v | tail -n 6
-	$(GO) test -race -count=1 -run 'Shard|RateLimit' ./...
+	@out=$$($(GO) run ./cmd/tetrisim -cluster rc256het -workload gshet -jobs 120 -shards 4 -v) || { echo "shard-smoke: tetrisim failed" >&2; exit 1; }; \
+	line=$$(printf '%s\n' "$$out" | grep '^shard: ') || { echo "shard-smoke: no shard: line" >&2; exit 1; }; \
+	echo "$$line"; \
+	printf '%s\n' "$$line" | grep -Eq ' cycles=[1-9][0-9]* ' || { echo "shard-smoke: no sharded cycle ran" >&2; exit 1; }
 
 # Repeatability smoke: a search the work budget cuts off is a function of its
 # inputs, not of the machine's speed or load. RC80 GS HET at 1.3x load with a

@@ -261,27 +261,23 @@ type Scheduler struct {
 	// Always-on memory the scheduler owns and reuses from cycle to cycle,
 	// independent of any cache semantics; all of it starts empty and grows on
 	// first use.
-	ordered         []*workload.Job
-	reqs            []*strlgen.Request
-	rel             []int64 // believed release slice per node
-	grp             grouping
-	refs            []compRef
-	parts           []milp.Part
-	sols            []*milp.Solution // the parts' own solutions
-	merged          milp.Solution    // the cycle's merged sub-solves
-	seed            []float64        // plan's candidate seed, one component at a time
-	working         *bitset.Set
-	candidates      []int              // pickNodes' free nodes of one group
-	greedyScr       compiler.Scratch   // greedyCycle's per-job probes
-	solveWS         milp.WorkspaceList // solver workspaces, one per SolveEach worker
-	conflictScratch *bitset.Set        // classifyConflict working-set scratch
+	ordered    []*workload.Job
+	reqs       []*strlgen.Request
+	rel        []int64 // believed release slice per node
+	grp        grouping
+	refs       []compRef
+	parts      []milp.Part
+	sols       []*milp.Solution // the parts' own solutions
+	merged     milp.Solution    // the cycle's merged sub-solves
+	seed       []float64        // plan's candidate seed, one component at a time
+	working    *bitset.Set
+	candidates []int              // pickNodes' free nodes of one group
+	greedyScr  compiler.Scratch   // greedyCycle's per-job probes
+	solveWS    milp.WorkspaceList // solver workspaces, one per SolveEach worker
 
 	// Sharded control-plane state (internal/shard, docs/SHARDING.md); all nil
 	// or zero when Config.Shards == 0 (the monolithic kill switch).
 	shardSets  []*bitset.Set // node set per shard, from shard.ByProfile
-	shardState *shard.State  // per-node allocation epochs, bumped on every change
-	shardSnap  []uint64      // epoch snapshot taken at the head of each cycle
-	shardMoved []int         // scratch for MovedSince
 	shardStats ShardStats
 
 	// Stats accumulates solver telemetry for the scalability analysis.
@@ -307,7 +303,7 @@ type ShardStats struct {
 func (s *Scheduler) ShardStatsSnapshot() ShardStats { return s.shardStats }
 
 // sharded reports whether the sharded control plane is active.
-func (s *Scheduler) sharded() bool { return s.shardState != nil }
+func (s *Scheduler) sharded() bool { return s.shardSets != nil }
 
 // SolveStatsSnapshot returns a copy of the cumulative solver telemetry, which
 // SolverMetrics names for /v1/status, /metrics and tetrisim -v.
@@ -340,7 +336,6 @@ func New(c *cluster.Cluster, cfg Config) *Scheduler {
 	if cfg.Shards > 0 && !cfg.Greedy {
 		p := shard.ByProfile{} // racks dealt round-robin within each hardware profile
 		s.shardSets = p.Partition(c, cfg.Shards)
-		s.shardState = shard.NewState(c.N())
 		s.shardStats.Shards = len(s.shardSets)
 		s.shardStats.Partitioner = p.Name()
 	}
@@ -366,9 +361,6 @@ func (s *Scheduler) Submit(now int64, j *workload.Job) {
 // it: the running set and the class table. The nodes it held change their
 // believed release slices, which the classes holding them notice.
 func (s *Scheduler) JobFinished(now int64, j *workload.Job) {
-	if r, ok := s.running[j.ID]; ok && s.sharded() {
-		s.shardState.Bump(r.nodes) // the nodes' allocation state changed
-	}
 	delete(s.running, j.ID)
 	s.markJobDirty(j.ID)
 }
@@ -582,11 +574,7 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		nCons += cl.comp.Model.NumConstraints()
 	}
 	if s.sharded() {
-		// The epoch snapshot taken here is what commit-time conflict
-		// classification validates against; it reflects this cycle's shared
-		// state, so it is taken fresh whether or not the compile was skipped.
 		shSpan := s.tr.Begin("shard", "shard.assign")
-		s.shardSnap = s.shardState.Snapshot(s.shardSnap)
 		s.shardStats.Cycles++
 		s.shardStats.Spanning += int64(classes[0].spanning)
 		shSpan.End(trace.I("shards", int64(len(s.shardSets))),
@@ -672,13 +660,12 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 			// (priority order — losers of a race never jump ahead of winners).
 			nodes := s.pickNodes(cl.comp, g, working, nil, 0)
 			if nodes == nil {
-				// Optimistic commit failed: the nodes this shard planned on are
-				// gone. When nodes claimed by other commits since the epoch
-				// snapshot would have satisfied the grant, this is a cross-shard
-				// double-claim; either way the job stays pending intact and
+				// Optimistic commit failed: the job stays pending intact and
 				// replans next cycle, keeping its (priority, Submit, AdmitSeq,
 				// ID) queue position.
-				if s.sharded() && s.classifyConflict(cl.comp, g, working) {
+				if s.sharded() {
+					// A start-now grant fits the offered free set by itself, so
+					// only an earlier commit of this cycle can have taken its nodes.
 					s.shardStats.Conflicts++
 					s.shardStats.Requeued++
 					s.tr.Instant("shard", "shard.conflict", trace.I("job", int64(req.Job.ID)),
@@ -863,50 +850,6 @@ func mustBeLive(comp *compiler.Compiled) {
 	}
 }
 
-// classifyConflict decides whether a failed commit was a cross-shard
-// double-claim: would the grant have placed if the nodes whose epoch moved
-// since this cycle's snapshot (claimed by commits that beat this one) were
-// still available? A failure that not even those nodes would cure — e.g. the
-// release-slice optimism of an overrunning job — is not a conflict. Pure
-// reads: it must not touch s.rng, or classification would perturb later
-// placements and break single-shard parity with the monolithic path.
-func (s *Scheduler) classifyConflict(comp *compiler.Compiled, g compiler.LeafGrant, working *bitset.Set) bool {
-	s.shardMoved = s.shardState.MovedSince(s.shardSnap, s.shardMoved)
-	if len(s.shardMoved) == 0 {
-		return false
-	}
-	// The augmented set is rebuilt from scratch on every call, so it lives in
-	// a per-scheduler scratch instead of a fresh allocation per failed grant
-	// (TestClassifyConflictAllocs pins this path allocation-free).
-	if s.conflictScratch == nil || s.conflictScratch.Cap() != working.Cap() {
-		s.conflictScratch = bitset.New(working.Cap())
-	}
-	aug := s.conflictScratch
-	aug.CopyFrom(working)
-	added := false
-	for _, n := range s.shardMoved {
-		if !aug.Contains(n) {
-			aug.Add(n)
-			added = true
-		}
-	}
-	if !added {
-		return false
-	}
-	return wouldPlace(comp, g, aug)
-}
-
-// wouldPlace reports whether a start-now grant could be satisfied from set.
-// Partition groups are disjoint, so per-group counting needs no consumption.
-func wouldPlace(comp *compiler.Compiled, g compiler.LeafGrant, set *bitset.Set) bool {
-	for _, gc := range g.Counts {
-		if comp.Part.Groups[gc.Group].IntersectCount(set) < gc.N {
-			return false
-		}
-	}
-	return true
-}
-
 // endComponentSpan closes one component sub-solve's span with the component's
 // size and the sub-solution's telemetry.
 func endComponentSpan(sp trace.Span, cc *compiler.Component, sol *milp.Solution) {
@@ -1064,9 +1007,6 @@ func (s *Scheduler) launch(now int64, j *workload.Job, nodes []int, opt *strlgen
 	s.tr.Instant("place", "launch", trace.I("job", int64(j.ID)), trace.S("option", opt.Key),
 		trace.I("nodes", int64(len(nodes))), trace.I("est_dur", opt.EstDur))
 	res.Decisions = append(res.Decisions, sim.Decision{Job: j, Nodes: nodes})
-	if s.sharded() {
-		s.shardState.Bump(nodes)
-	}
 	s.running[j.ID] = &runInfo{job: j, nodes: nodes, estEnd: now + opt.EstDur}
 	s.removePending(j)
 	delete(s.lastJob, j.ID)

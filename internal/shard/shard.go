@@ -1,14 +1,14 @@
 // Package shard is the sharded shared-state control plane: it partitions the
-// cluster into shards, routes each pending job's STRL request to the shard
-// best able to satisfy it, and tracks per-node state epochs so optimistic
-// per-shard plans can be validated when they commit.
+// cluster into shards and routes each pending job's STRL request to the shard
+// best able to satisfy it.
 //
 // The design follows the arktos-style global scheduler: every shard plans
 // concurrently over a snapshot of the full cluster state, each believing it
 // owns the capacity it sees (the compiler slices shared supply rows into
 // optimistic per-shard copies; compiler.ForcedComponents). Conflicts are not
-// prevented up front — they are detected when placements commit against the
-// shared free set, and the losing jobs requeue intact. Jobs whose space-time
+// prevented up front — internal/core commits the placements one by one
+// against the shared free set, a placement whose nodes an earlier commit took
+// fails, and its job requeues intact. Jobs whose space-time
 // demand no single shard can satisfy are serialized through a gang
 // arbitrator component so gangs place atomically or defer whole
 // (docs/SHARDING.md).

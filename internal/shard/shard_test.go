@@ -2,7 +2,6 @@ package shard
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"tetrisched/internal/bitset"
@@ -163,58 +162,5 @@ func TestAssignRoutesAndDetectsSpanning(t *testing.T) {
 	}
 	if spanning != 1 {
 		t.Errorf("spanning = %d, want 1", spanning)
-	}
-}
-
-// TestStateEpochProtocol: bumps advance only the listed nodes, MovedSince
-// compares against a caller-held snapshot, and a fresh snapshot clears the
-// diff.
-func TestStateEpochProtocol(t *testing.T) {
-	st := NewState(4)
-	snap := st.Snapshot(nil)
-	if moved := st.MovedSince(snap, nil); len(moved) != 0 {
-		t.Fatalf("fresh state reports moved nodes %v", moved)
-	}
-	st.Bump([]int{1, 3})
-	if moved := st.MovedSince(snap, nil); !reflect.DeepEqual(moved, []int{1, 3}) {
-		t.Errorf("MovedSince = %v, want [1 3]", moved)
-	}
-	snap = st.Snapshot(snap)
-	if moved := st.MovedSince(snap, nil); len(moved) != 0 {
-		t.Errorf("re-snapshot still reports moved nodes %v", moved)
-	}
-}
-
-// TestStateConcurrentAccess hammers the epoch state from concurrent
-// planner-like goroutines (snapshot + diff) and committer-like goroutines
-// (bumps); the race detector enforces the synchronization contract.
-func TestStateConcurrentAccess(t *testing.T) {
-	st := NewState(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(2)
-		go func(g int) {
-			defer wg.Done()
-			nodes := []int{g, g + 16, g + 32}
-			for i := 0; i < 500; i++ {
-				st.Bump(nodes)
-			}
-		}(g)
-		go func() {
-			defer wg.Done()
-			var snap []uint64
-			var buf []int
-			for i := 0; i < 500; i++ {
-				snap = st.Snapshot(snap)
-				buf = st.MovedSince(snap, buf)
-			}
-		}()
-	}
-	wg.Wait()
-	snap := st.Snapshot(nil)
-	for _, g := range []int{0, 1, 2, 3} {
-		if snap[g] != 500 {
-			t.Errorf("node %d epoch = %d, want 500", g, snap[g])
-		}
 	}
 }
