@@ -32,18 +32,10 @@ type runInfo struct {
 // reservation: anything running without a live guarantee.
 func (r *runInfo) preemptible(now int64) bool { return r.guardedTill <= now }
 
-// Options tunes the baseline. The paper's evaluated configuration enables
-// container preemption ("this gives a significant boost", §6.1); disabling
-// it models a plain CapacityScheduler without the Rayon enforcement hooks.
-type Options struct {
-	DisablePreemption bool
-}
-
 // Scheduler implements sim.Scheduler for the Rayon/CS baseline.
 type Scheduler struct {
 	c    *cluster.Cluster
 	plan *rayon.Plan
-	opts Options
 	rng  *randx.Source
 
 	reserved []*workload.Job // accepted-SLO jobs awaiting their planned start
@@ -54,14 +46,11 @@ type Scheduler struct {
 var _ sim.Scheduler = (*Scheduler)(nil)
 
 // New creates the baseline scheduler. plan must be the same reservation plan
-// the simulation driver admits jobs against.
+// the simulation driver admits jobs against. Container preemption is always
+// on, as in the paper's evaluated configuration ("this gives a significant
+// boost", §6.1).
 func New(c *cluster.Cluster, plan *rayon.Plan) *Scheduler {
-	return NewWithOptions(c, plan, Options{})
-}
-
-// NewWithOptions creates the baseline with explicit options.
-func NewWithOptions(c *cluster.Cluster, plan *rayon.Plan, opts Options) *Scheduler {
-	return &Scheduler{c: c, plan: plan, opts: opts, rng: randx.New(1), running: make(map[int]*runInfo)}
+	return &Scheduler{c: c, plan: plan, rng: randx.New(1), running: make(map[int]*runInfo)}
 }
 
 // Name implements sim.Scheduler.
@@ -112,7 +101,7 @@ func (s *Scheduler) Cycle(now int64, free *bitset.Set) sim.CycleResult {
 			stillWaiting = append(stillWaiting, j)
 			continue
 		}
-		if working.Count() < j.K && !s.opts.DisablePreemption {
+		if working.Count() < j.K {
 			s.preemptFor(now, j.K-working.Count(), working, &res)
 		}
 		if working.Count() < j.K {

@@ -170,26 +170,3 @@ func TestQueueLengths(t *testing.T) {
 		t.Errorf("queues = (%d,%d), want (1,1)", r, b)
 	}
 }
-
-func TestDisablePreemption(t *testing.T) {
-	c := cluster.RC80(false)
-	plan := rayon.NewPlan(c.N(), 4)
-	jobs := []*workload.Job{
-		{ID: 0, Class: workload.BestEffort, Type: workload.Unconstrained, Submit: 0, K: 80, BaseRuntime: 400, Slowdown: 1},
-		{ID: 1, Class: workload.SLO, Type: workload.Unconstrained, Submit: 20, K: 80, BaseRuntime: 40, Slowdown: 1, Deadline: 100},
-	}
-	sched := NewWithOptions(c, plan, Options{DisablePreemption: true})
-	res, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs, Scheduler: sched, Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats[0].Preemptions != 0 {
-		t.Errorf("preemption occurred while disabled")
-	}
-	if res.Stats[1].MetSLO() {
-		t.Errorf("without preemption the reserved job cannot claim its capacity on time")
-	}
-	if !res.Stats[1].Completed {
-		t.Errorf("reserved job should still eventually run")
-	}
-}

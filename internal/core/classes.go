@@ -340,9 +340,13 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 		// Each shard's jobs become that shard's planner (a concurrent
 		// sub-solve over an optimistic copy of the shared supply) and jobs no
 		// shard can hold are serialized through the gang-arbitrator component
-		// (docs/SHARDING.md).
+		// (docs/SHARDING.md). The span times this routing, which only a
+		// rebuilt class pays.
+		sp := s.tr.Begin("shard", "shard.assign")
 		cl.assign, cl.spanning = shard.Assign(s.shardSets, cl.reqs)
 		cl.comps = comp.AppendComponents(cl.comps[:0], cl.assign, len(s.shardSets))
+		sp.End(trace.I("shards", int64(len(s.shardSets))), trace.I("spanning", int64(cl.spanning)),
+			trace.I("components", int64(len(cl.comps))))
 	} else {
 		cl.comps = comp.AppendComponents(cl.comps[:0], nil, -1)
 	}
@@ -372,10 +376,9 @@ func (s *Scheduler) build(reqs []*strlgen.Request, m []int, mask *bitset.Set, re
 func (s *Scheduler) wanted(cl *class) bool {
 	same := len(cl.want) == len(cl.reqs)
 	cl.want = slab.Sized(cl.want, len(cl.reqs))
-	warm := !s.cfg.DisableWarmStart
 	for i, r := range cl.reqs {
 		w := int32(-1)
-		if pc, ok := s.lastJob[r.Job.ID]; ok && warm && pc.slice > 0 {
+		if pc, ok := s.lastJob[r.Job.ID]; ok && pc.slice > 0 {
 			for oi := range r.Options {
 				if o := &r.Options[oi]; o.Leaf.Start == pc.slice-1 && o.Key == pc.key {
 					w = int32(oi)

@@ -314,3 +314,45 @@ func TestStartNowGrantsFitTheFreeSet(t *testing.T) {
 		}
 	}
 }
+
+// TestShardAssignSpanPerBuild: the shard.assign span times the routing of a
+// rebuilt class, so a traced 4-shard scheduler records one per cycle that
+// compiles its class and none in a cycle that keeps it.
+func TestShardAssignSpanPerBuild(t *testing.T) {
+	tr := trace.New(1 << 12)
+	sched := steadyScheduler(Config{CyclePeriod: 4, PlanAhead: 16, Gap: 0, Shards: 4, Tracer: tr})
+	spans := func() (n int) {
+		for _, e := range tr.Snapshot() {
+			if e.Name == "shard.assign" {
+				n++
+				if e.NArg != 3 || e.Args[0].Key != "shards" || e.Args[0].Int() != 4 ||
+					e.Args[1].Key != "spanning" || e.Args[2].Key != "components" {
+					t.Fatalf("shard.assign args = %+v, want shards=4, spanning, components", e.Args[:e.NArg])
+				}
+			}
+		}
+		return n
+	}
+	built, kept := 0, 0
+	for k := 0; k < 8; k++ {
+		now := int64(4 * k)
+		if k == 5 { // an arrival forces the class to be rebuilt
+			sched.Submit(now, &workload.Job{ID: 2, Class: workload.SLO, Reserved: true, Type: workload.DataLocal,
+				Submit: now, K: 2, BaseRuntime: 40, Slowdown: 10, Deadline: 300, DataNodes: []int{0, 1, 2, 3}})
+		}
+		compiled, before := sched.Stats.CompileJobs, spans()
+		sched.Cycle(now, bitset.New(8))
+		want := 0
+		if sched.Stats.CompileJobs > compiled {
+			want, built = 1, built+1
+		} else {
+			kept++
+		}
+		if got := spans() - before; got != want {
+			t.Errorf("cycle %d recorded %d shard.assign spans, want %d", k, got, want)
+		}
+	}
+	if built < 2 || kept < 2 {
+		t.Fatalf("%d cycles rebuilt the class and %d kept it; the test needs at least two of each", built, kept)
+	}
+}

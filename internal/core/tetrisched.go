@@ -56,20 +56,14 @@ type Config struct {
 	// highest-priority jobs are batched first (§5: "TetriSched has the
 	// flexibility of aggregating a subset of the pending jobs").
 	MaxBatch int
-	// DisableWarmStart turns off both solver warm paths: seeding the
-	// incumbent with the previous cycle's shifted plan (§3.2.2) and the LP
-	// kernel's dual-simplex re-solves from parent bases inside
-	// branch-and-bound. A bisection switch — results are identical either
-	// way, only slower.
-	DisableWarmStart bool
 	// DisableCompileCache turns off all three cross-cycle layers: the per-job
 	// STRL expression cache, the keeping of compiled coupling classes, and the
 	// replay of a kept class's sub-solutions (internal/core/classes.go). A
 	// class is kept while its request objects and the believed release slices
 	// of its nodes are the same, and fresh requests never are, so every cycle
-	// then regenerates, recompiles and solves everything. A bisection switch
-	// in the DisableWarmStart mold — placements are policy-identical either
-	// way, only slower (docs/SOLVER.md).
+	// then regenerates, recompiles and solves everything. A bisection switch:
+	// it changes speed and, at a gap above zero, which incumbent inside the
+	// gap a solve stops at, never the policy (docs/SOLVER.md).
 	DisableCompileCache bool
 	// Shards enables the sharded shared-state control plane (internal/shard,
 	// docs/SHARDING.md): the cluster is partitioned into Shards shards, each
@@ -574,12 +568,8 @@ func (s *Scheduler) globalCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		nCons += cl.comp.Model.NumConstraints()
 	}
 	if s.sharded() {
-		shSpan := s.tr.Begin("shard", "shard.assign")
 		s.shardStats.Cycles++
 		s.shardStats.Spanning += int64(classes[0].spanning)
-		shSpan.End(trace.I("shards", int64(len(s.shardSets))),
-			trace.I("spanning", int64(classes[0].spanning)),
-			trace.I("components", int64(nComps)))
 	}
 	s.Stats.CompileNS += time.Since(compT0).Nanoseconds()
 	compSpan.End(trace.I("jobs", int64(len(reqs))), trace.I("classes", int64(len(classes))),
@@ -792,9 +782,8 @@ func (s *Scheduler) solve(classes []*class) (sol *milp.Solution, failed []*strlg
 		}
 	}
 	sol, partSols, err := s.solveWS.SolveEach(parts, milp.Options{
-		Gap:              s.cfg.Gap,
-		TimeLimit:        s.cfg.SolverTimeLimit,
-		DisableWarmStart: s.cfg.DisableWarmStart,
+		Gap:       s.cfg.Gap,
+		TimeLimit: s.cfg.SolverTimeLimit,
 	}, &s.merged, s.sols)
 	if err != nil {
 		return nil, nil, warmSeeds, err
@@ -919,10 +908,9 @@ func (s *Scheduler) greedyCycle(now int64, free *bitset.Set, reqs []*strlgen.Req
 		t0 := time.Now()
 		ws := s.solveWS.Get()
 		sol, err := ws.Solve(comp.Model, milp.Options{
-			Gap:              s.cfg.Gap,
-			TimeLimit:        s.cfg.SolverTimeLimit,
-			Heuristic:        comp.RoundInPlace,
-			DisableWarmStart: s.cfg.DisableWarmStart,
+			Gap:       s.cfg.Gap,
+			TimeLimit: s.cfg.SolverTimeLimit,
+			Heuristic: comp.RoundInPlace,
 		})
 		s.solveWS.Put(ws)
 		elapsed := time.Since(t0)

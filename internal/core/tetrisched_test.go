@@ -483,32 +483,6 @@ func TestDataLocalFallsBackWhenReplicasBusy(t *testing.T) {
 	}
 }
 
-// TestWarmStartEquivalentOutcomes: disabling warm starts must not change
-// which jobs complete (it is purely a solver accelerator), on a scenario
-// small enough for exact solves either way.
-func TestWarmStartEquivalentOutcomes(t *testing.T) {
-	c := cluster.RC80(true)
-	mix := workload.GSHET(20)
-	run := func(disable bool) *sim.Result {
-		jobs, err := workload.Generate(mix, c, 31)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(sim.Config{Cluster: c, Jobs: jobs,
-			Scheduler: New(c, Config{PlanAhead: 48, Gap: 0, DisableWarmStart: disable})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(false), run(true)
-	for i := range a.Stats {
-		if a.Stats[i].Completed != b.Stats[i].Completed {
-			t.Errorf("job %d completion differs with warm start disabled", i)
-		}
-	}
-}
-
 // TestSolverTelemetryAccumulates: the scheduler's solver counters feed the
 // scalability analysis and must move.
 func TestSolverTelemetryAccumulates(t *testing.T) {
@@ -582,15 +556,6 @@ func TestWarmStartSeedsCounted(t *testing.T) {
 	sched := warmStartScenario(t, Config{CyclePeriod: 4, PlanAhead: 48, Gap: 0})
 	if sched.Stats.WarmStarts == 0 {
 		t.Fatalf("no warm-started solves recorded across a deferral-heavy run: %+v", sched.Stats)
-	}
-}
-
-// TestWarmStartDisabledBySwitch: the explicit DisableWarmStart ablation also
-// zeroes the counter.
-func TestWarmStartDisabledBySwitch(t *testing.T) {
-	sched := warmStartScenario(t, Config{CyclePeriod: 4, PlanAhead: 48, Gap: 0, DisableWarmStart: true})
-	if sched.Stats.WarmStarts != 0 {
-		t.Fatalf("DisableWarmStart must disable seeding, got %d warm starts", sched.Stats.WarmStarts)
 	}
 }
 

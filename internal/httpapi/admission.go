@@ -55,17 +55,21 @@ type AdmissionConfig struct {
 	// scheduler; <= 0 selects the default (1024).
 	Burst int
 	// Tenants lists explicitly configured tenants; any other tenant name
-	// gets DefaultWeight/DefaultQuota.
+	// gets defaultWeight and defaultQuota.
 	Tenants []TenantConfig
-	// DefaultWeight is the weight for unlisted tenants (<= 0 means 1).
-	DefaultWeight float64
-	// DefaultQuota is the quota for unlisted tenants (0 means unlimited
-	// here — lockout must be explicit per tenant).
-	DefaultQuota int
-	// RetryAfter is the advisory Retry-After duration attached to 429
-	// responses; <= 0 selects 1s.
-	RetryAfter time.Duration
 }
+
+const (
+	// defaultWeight is the weight of an unlisted tenant, and of a listed one
+	// whose weight is <= 0.
+	defaultWeight = 1
+	// defaultQuota is the quota of an unlisted tenant: unlimited, so lockout
+	// must be explicit per tenant.
+	defaultQuota = -1
+	// retryAfterSeconds is the advisory Retry-After of a 429 that carries no
+	// deficit-sized one of its own.
+	retryAfterSeconds = 1
+)
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.MaxQueue <= 0 {
@@ -73,15 +77,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.Burst <= 0 {
 		c.Burst = 1024
-	}
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
-	}
-	if c.DefaultQuota == 0 {
-		c.DefaultQuota = -1
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -201,15 +196,15 @@ func newAdmission(cfg AdmissionConfig) *admission {
 		now:     time.Now,
 	}
 	for _, tc := range cfg.Tenants {
-		a.tenant(tc.Name).configure(tc, cfg)
+		a.tenant(tc.Name).configure(tc)
 	}
 	return a
 }
 
-func (t *tenantState) configure(tc TenantConfig, cfg AdmissionConfig) {
+func (t *tenantState) configure(tc TenantConfig) {
 	t.weight = tc.Weight
 	if t.weight <= 0 {
-		t.weight = cfg.DefaultWeight
+		t.weight = defaultWeight
 	}
 	t.quota = tc.Quota
 	t.rate = tc.Rate
@@ -242,12 +237,12 @@ func (a *admission) reconfigure(tenants []TenantConfig) {
 			name = DefaultTenant
 		}
 		listed[name] = true
-		a.tenant(name).reconfigure(tc, a.cfg)
+		a.tenant(name).reconfigure(tc)
 	}
 	for name, ts := range a.tenants {
 		if !listed[name] {
-			ts.weight = a.cfg.DefaultWeight
-			ts.quota = a.cfg.DefaultQuota
+			ts.weight = defaultWeight
+			ts.quota = defaultQuota
 			ts.rate = 0
 		}
 	}
@@ -258,10 +253,10 @@ func (a *admission) reconfigure(tenants []TenantConfig) {
 // (clamped to the new burst cap) and refill anchor instead of starting a
 // fresh full bucket. vt is untouched — the reactivation clamp in tryEnqueue
 // already prevents idle credit banking, reload or not.
-func (t *tenantState) reconfigure(tc TenantConfig, cfg AdmissionConfig) {
+func (t *tenantState) reconfigure(tc TenantConfig) {
 	hadRate := t.rate > 0
 	tokens, lastFill := t.tokens, t.lastFill
-	t.configure(tc, cfg)
+	t.configure(tc)
 	if t.rate > 0 && hadRate {
 		t.tokens = math.Min(tokens, t.burstCap)
 		t.lastFill = lastFill
@@ -290,7 +285,7 @@ func (a *admission) tenant(name string) *tenantState {
 	}
 	ts, ok := a.tenants[name]
 	if !ok {
-		ts = &tenantState{name: name, weight: a.cfg.DefaultWeight, quota: a.cfg.DefaultQuota}
+		ts = &tenantState{name: name, weight: defaultWeight, quota: defaultQuota}
 		a.tenants[name] = ts
 	}
 	return ts
@@ -468,23 +463,16 @@ func (a *admission) observeLatency(d time.Duration) {
 	a.mu.Unlock()
 }
 
-// retryAfterSeconds is the advisory client backoff attached to 429s,
-// rounded up to whole seconds (the Retry-After header unit).
-func (a *admission) retryAfterSeconds() int {
-	return max(1, int((a.cfg.RetryAfter+time.Second-1)/time.Second))
-}
-
 // advisoryRetry resolves one rejection's Retry-After seconds: the outcome's
-// deficit-sized override when present, else the configured default — each
-// clamped to ≥ 1 where it is made. Every 429 writer goes through here: an
-// advisory of 0 tells clients to retry immediately, which under overload
-// synchronizes the whole fleet into a retry stampede at exactly the moment the
-// queue can least absorb one.
+// deficit-sized override when present, else retryAfterSeconds — each ≥ 1.
+// Every 429 writer goes through here: an advisory of 0 tells clients to retry
+// immediately, which under overload synchronizes the whole fleet into a retry
+// stampede at exactly the moment the queue can least absorb one.
 func (a *admission) advisoryRetry(out enqueueOutcome) int {
 	if out.retryAfter > 0 {
 		return out.retryAfter
 	}
-	return a.retryAfterSeconds()
+	return retryAfterSeconds
 }
 
 // TenantStatusMsg is one tenant's admission accounting in /v1/status.

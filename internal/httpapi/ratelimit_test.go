@@ -182,13 +182,12 @@ func TestTenantRateLimitObservability(t *testing.T) {
 }
 
 // TestRetryAfterFloorAllPaths pins the Retry-After floor: every 429 path —
-// queue_full, tenant_quota and tenant_rate — must advise at least 1 second even when the configured advisory is
-// sub-second and the rate deficit rounds to zero. Retry-After: 0 invites an
+// queue_full, tenant_quota and tenant_rate — must advise at least 1 second,
+// even when the rate deficit rounds to zero. Retry-After: 0 invites an
 // immediate synchronized retry stampede, the opposite of backpressure.
 func TestRetryAfterFloorAllPaths(t *testing.T) {
 	_, ts, _ := rateDoor(t, AdmissionConfig{
-		MaxQueue:   3,
-		RetryAfter: 50 * time.Millisecond, // sub-second: must still clamp to 1
+		MaxQueue: 3,
 		Tenants: []TenantConfig{
 			{Name: "q", Quota: 1},
 			// 1000 tokens/s: a 1-token deficit refills in 1ms; the advisory

@@ -36,14 +36,12 @@ import (
 
 // Config parameterizes one load-generation run.
 type Config struct {
-	BaseURL string       // daemon address, e.g. http://127.0.0.1:7140
-	Client  *http.Client // defaults to a pooled client sized to Workers
-	Workers int          // concurrent in-flight requests (default 8)
-	Rate    float64      // open-loop target in jobs/sec; 0 = closed loop
-	Batch   int          // jobs per submit request (default 64)
-	Tenants []string     // round-robin tenant names (default ["default"])
-	MaxJobs int64        // stop after this many jobs submitted (0 = until Duration)
-	StartID int          // first job ID (IDs increase monotonically from here)
+	BaseURL string   // daemon address, e.g. http://127.0.0.1:7140
+	Workers int      // concurrent in-flight requests (default 8)
+	Rate    float64  // open-loop target in jobs/sec; 0 = closed loop
+	Batch   int      // jobs per submit request (default 64)
+	Tenants []string // round-robin tenant names (default ["default"])
+	MaxJobs int64    // stop after this many jobs submitted (0 = until Duration)
 
 	Duration   time.Duration // run length (default 2s; ignored when MaxJobs > 0 hits first)
 	CycleEvery time.Duration // drive POST /v1/cycle at this period (0 = never)
@@ -123,7 +121,7 @@ type worker struct {
 type gen struct {
 	cfg    Config
 	client *http.Client
-	nextID int64
+	nextID int64 // first job ID of the next batch; IDs run from 0 up
 	jobs   int64 // jobs submitted so far (atomic), for MaxJobs
 }
 
@@ -145,13 +143,10 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 2 * time.Second
 	}
-	g := &gen{cfg: cfg, client: cfg.Client, nextID: int64(cfg.StartID)}
-	if g.client == nil {
-		g.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        cfg.Workers * 2,
-			MaxIdleConnsPerHost: cfg.Workers * 2,
-		}}
-	}
+	g := &gen{cfg: cfg, client: &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        cfg.Workers * 2,
+		MaxIdleConnsPerHost: cfg.Workers * 2,
+	}}}
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()

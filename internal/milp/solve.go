@@ -83,10 +83,9 @@ type Options struct {
 	// workers at once, so parts that share a callback need one that is safe
 	// for concurrent use (functions of their input alone are).
 	Heuristic func(relaxation []float64) []float64
-	// DisableWarmStart forces every branch-and-bound node LP onto the cold
-	// primal path instead of dual-simplex re-solving from the parent basis.
-	// Warm restarts never change results — this switch exists for bisection
-	// and for measuring their speedup, not for correctness workarounds.
+	// DisableWarmStart solves every node LP cold; tests only (the cold
+	// reference of TestSolverParityWarmVsCold). It can change how fast a search
+	// ends and, at a gap above zero, which incumbent inside the gap it stops at.
 	DisableWarmStart bool
 }
 

@@ -63,6 +63,11 @@ type NodeFailure struct {
 // of a Config, a core.Config or a daemon that names none.
 const DefaultCyclePeriod = 4
 
+// maxIdleCycles stalls out a run after this many cycles in a row in which
+// nothing runs, every job has arrived, and the scheduler makes no progress
+// (a safety net: Result.Stalled).
+const maxIdleCycles = 2500
+
 // Config describes one simulation run.
 type Config struct {
 	Cluster   *cluster.Cluster
@@ -71,9 +76,6 @@ type Config struct {
 	Plan      *rayon.Plan
 	// CyclePeriod is the scheduler invocation period in seconds (paper: 4s).
 	CyclePeriod int64
-	// MaxIdleCycles stalls out a run when nothing is running, pending work
-	// exists, and the scheduler makes no progress (safety net; default 2500).
-	MaxIdleCycles int
 	// Failures injects node outages (failure testing of adaptive
 	// re-planning). The scheduler observes them only through the shrinking
 	// free set and the re-submission of killed jobs.
@@ -142,9 +144,6 @@ func (r *Result) Utilization(clusterSize int) float64 {
 func Run(cfg Config) (*Result, error) {
 	if cfg.CyclePeriod <= 0 {
 		cfg.CyclePeriod = DefaultCyclePeriod
-	}
-	if cfg.MaxIdleCycles <= 0 {
-		cfg.MaxIdleCycles = 2500
 	}
 	if cfg.Plan == nil {
 		cfg.Plan = rayon.NewPlan(cfg.Cluster.N(), cfg.CyclePeriod)
@@ -377,7 +376,7 @@ func Run(cfg Config) (*Result, error) {
 			idleCycles = 0
 		} else {
 			idleCycles++
-			if idleCycles > cfg.MaxIdleCycles {
+			if idleCycles > maxIdleCycles {
 				res.Stalled = true
 				return
 			}

@@ -199,7 +199,7 @@ func (idleSched) Cycle(now int64, free *bitset.Set) CycleResult { return CycleRe
 
 func TestDriverStallsOut(t *testing.T) {
 	c := cluster.RC80(false)
-	res, err := Run(Config{Cluster: c, Jobs: smallJobs(2), Scheduler: idleSched{}, MaxIdleCycles: 10})
+	res, err := Run(Config{Cluster: c, Jobs: smallJobs(2), Scheduler: idleSched{}})
 	if err != nil {
 		t.Fatal(err)
 	}

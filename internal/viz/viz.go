@@ -19,11 +19,8 @@ const glyphs = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
 // Options controls rendering.
 type Options struct {
-	// From/To bound the rendered time range; To=0 means the makespan.
-	From, To int64
-	// Step is seconds per column (default: chosen so the grid is ≤ MaxCols).
-	Step int64
-	// MaxCols caps the grid width (default 100).
+	// MaxCols caps the grid width (default 100). The grid spans time 0 to
+	// the makespan, each column the fewest whole seconds that fit it.
 	MaxCols int
 	// MaxRows caps the number of node rows rendered (default: all).
 	MaxRows int
@@ -31,29 +28,13 @@ type Options struct {
 
 // Render writes the schedule grid for a completed simulation.
 func Render(w io.Writer, c *cluster.Cluster, res *sim.Result, opts Options) {
-	from := opts.From
-	to := opts.To
-	if to <= from {
-		to = res.Makespan
-	}
-	if to <= from {
-		to = from + 1
-	}
+	to := max(res.Makespan, 1)
 	maxCols := opts.MaxCols
 	if maxCols <= 0 {
 		maxCols = 100
 	}
-	step := opts.Step
-	if step <= 0 {
-		step = (to - from + int64(maxCols) - 1) / int64(maxCols)
-		if step < 1 {
-			step = 1
-		}
-	}
-	cols := int((to - from + step - 1) / step)
-	if cols < 1 {
-		cols = 1
-	}
+	step := (to + int64(maxCols) - 1) / int64(maxCols)
+	cols := int((to + step - 1) / step)
 	rows := c.N()
 	if opts.MaxRows > 0 && rows > opts.MaxRows {
 		rows = opts.MaxRows
@@ -79,7 +60,7 @@ func Render(w io.Writer, c *cluster.Cluster, res *sim.Result, opts Options) {
 				continue
 			}
 			for col := 0; col < cols; col++ {
-				t0 := from + int64(col)*step
+				t0 := int64(col) * step
 				t1 := t0 + step
 				// Mark the cell if the job occupies any part of the column.
 				if st.Start < t1 && end > t0 {
@@ -90,15 +71,9 @@ func Render(w io.Writer, c *cluster.Cluster, res *sim.Result, opts Options) {
 	}
 
 	// Header: time axis.
-	fmt.Fprintf(w, "%-10s t=%d … %d (each column = %ds)\n", "", from, to, step)
-	prevRack := ""
+	fmt.Fprintf(w, "%-10s t=0 … %d (each column = %ds)\n", "", to, step)
 	for n := 0; n < rows; n++ {
-		node := c.Node(cluster.NodeID(n))
-		label := node.Name
-		if node.Rack != prevRack {
-			prevRack = node.Rack
-		}
-		fmt.Fprintf(w, "%-10s %s\n", truncate(label, 10), grid[n])
+		fmt.Fprintf(w, "%-10s %s\n", truncate(c.Node(cluster.NodeID(n)).Name, 10), grid[n])
 	}
 
 	// Legend: job → glyph, sorted by job ID.
